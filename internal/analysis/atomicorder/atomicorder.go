@@ -24,9 +24,21 @@
 //     may observe a swapped value, tearing a computation across two engines;
 //   - an atomic field is only touched through its atomic methods — any plain
 //     access (copy, address escape) splits the synchronisation domain;
-//   - in a //smat:wake-barrier function every channel send must be preceded
-//     (dominated) by an atomic countdown Store/Add: waking a worker before
-//     arming the barrier lets the completion signal fire early;
+//   - a //smat:wake-barrier function follows the pool's spin-then-park
+//     protocol. Every channel send is preceded (dominated) by an atomic
+//     countdown Store/Add — waking a worker before arming the barrier lets
+//     the completion signal fire early — and by a CompareAndSwap: a token is
+//     sent only to a peer whose park advertisement the sender has claimed,
+//     or it would sit in the channel and release a later park early. Every
+//     channel receive is preceded by an atomic Store (the advertisement) and
+//     then an atomic Load (the re-check): blocking without looking again
+//     loses the wake-up that raced the advertisement. No plain field is
+//     written after the generation publish (the first bare atomic Add after
+//     the countdown Store) until a Load of the countdown has seen the
+//     dispatch through: spinning peers read those fields the moment the
+//     generation moves. Integer and boolean cells may be loaded repeatedly in
+//     such a function — polling is the point — the one-Load rule below keeps
+//     applying to pointer slots;
 //   - a //smat:atomic-publish function must actually publish: at least one
 //     atomic Store (or Swap/CompareAndSwap) in its body.
 //
@@ -35,6 +47,7 @@ package atomicorder
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -87,11 +100,13 @@ func run(pass *framework.Pass) error {
 
 // atomCall is one call of an atomic method inside the function under check.
 type atomCall struct {
-	call   *ast.CallExpr
-	sel    *ast.SelectorExpr // receiver.Method
-	method string
-	slot   string // render of the receiver expression, e.g. "o.eng"
-	pos    framework.Pos
+	call    *ast.CallExpr
+	sel     *ast.SelectorExpr // receiver.Method
+	method  string
+	slot    string // render of the receiver expression, e.g. "o.eng"
+	pointer bool   // the cell is an atomic.Pointer, i.e. a snapshot slot
+	bare    bool   // the call is a statement of its own: its result is dropped
+	pos     framework.Pos
 }
 
 // fieldWrite is one mutation through a local variable: an assignment or
@@ -110,29 +125,33 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, d
 	rd := framework.BuildReachingDefs(cfg, pass.Info, params)
 
 	var calls []atomCall
-	var sends []struct {
-		stmt *ast.SendStmt
-		pos  framework.Pos
-	}
+	var sends, recvs []chanOp
 	var writes []fieldWrite
 	okRecv := map[ast.Expr]bool{}
+	bare := map[*ast.CallExpr]bool{}
 
 	for bi, bl := range cfg.Blocks {
 		for ni, n := range bl.Nodes {
 			pos := framework.Pos{Block: bi, Index: ni}
 			inspectNode(n, func(m ast.Node) {
 				switch m := m.(type) {
+				case *ast.ExprStmt:
+					if c, ok := ast.Unparen(m.X).(*ast.CallExpr); ok {
+						bare[c] = true
+					}
+				case *ast.UnaryExpr:
+					if m.Op == token.ARROW {
+						recvs = append(recvs, chanOp{m, pos})
+					}
 				case *ast.CallExpr:
 					if ac, ok := asAtomicCall(pass.Info, m); ok {
 						ac.pos = pos
+						ac.bare = bare[m]
 						calls = append(calls, ac)
 						okRecv[ast.Unparen(ac.sel.X)] = true
 					}
 				case *ast.SendStmt:
-					sends = append(sends, struct {
-						stmt *ast.SendStmt
-						pos  framework.Pos
-					}{m, pos})
+					sends = append(sends, chanOp{m, pos})
 				case *ast.AssignStmt:
 					for _, lhs := range m.Lhs {
 						if w, ok := asFieldWrite(pass.Info, m, lhs); ok {
@@ -199,7 +218,7 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, d
 	// Rule: one Load per slot per function.
 	loadsBySlot := map[string]int{}
 	for _, ac := range calls {
-		if ac.method != "Load" {
+		if ac.method != "Load" || (dirs["smat:wake-barrier"] && !ac.pointer) {
 			continue
 		}
 		loadsBySlot[ac.slot]++
@@ -229,22 +248,8 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, d
 		}
 	}
 
-	// Rule: in a wake-barrier function every send is dominated by an atomic
-	// countdown Store/Add.
 	if dirs["smat:wake-barrier"] {
-		for _, s := range sends {
-			armed := false
-			for _, ac := range calls {
-				if (ac.method == "Store" || ac.method == "Add") && ac.pos.Before(s.pos, cfg) {
-					armed = true
-					break
-				}
-			}
-			if !armed {
-				pass.Reportf(s.stmt.Pos(),
-					"channel send in a //smat:wake-barrier function is not preceded by an atomic countdown Store/Add; waking a worker before arming the barrier lets the completion signal fire early")
-			}
-		}
+		checkWakeBarrier(pass, cfg, calls, sends, recvs, writes)
 	}
 
 	// Rule: an atomic-publish function actually publishes.
@@ -259,6 +264,86 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, d
 		if !published {
 			pass.Reportf(fd.Name.Pos(),
 				"function is annotated //smat:atomic-publish but performs no atomic Store/Swap/CompareAndSwap")
+		}
+	}
+}
+
+// chanOp is one channel send statement or receive expression.
+type chanOp struct {
+	node ast.Node
+	pos  framework.Pos
+}
+
+// checkWakeBarrier applies the spin-then-park barrier rules (see the package
+// comment) to one //smat:wake-barrier function body.
+func checkWakeBarrier(pass *framework.Pass, cfg *framework.CFG, calls []atomCall, sends, recvs []chanOp, writes []fieldWrite) {
+	// before reports whether some call accepted by ok precedes pos, and that
+	// call.
+	before := func(pos framework.Pos, ok func(atomCall) bool) (atomCall, bool) {
+		for _, ac := range calls {
+			if ok(ac) && ac.pos.Before(pos, cfg) {
+				return ac, true
+			}
+		}
+		return atomCall{}, false
+	}
+	countdown := func(ac atomCall) bool { return ac.method == "Store" || ac.method == "Add" }
+
+	for _, s := range sends {
+		if _, armed := before(s.pos, countdown); !armed {
+			pass.Reportf(s.node.Pos(),
+				"channel send in a //smat:wake-barrier function is not preceded by an atomic countdown Store/Add; waking a worker before arming the barrier lets the completion signal fire early")
+		}
+		if _, claimed := before(s.pos, func(ac atomCall) bool { return ac.method == "CompareAndSwap" }); !claimed {
+			pass.Reportf(s.node.Pos(),
+				"channel send in a //smat:wake-barrier function is not gated on a CompareAndSwap claiming the receiver's park advertisement; an unclaimed token stays in the channel and releases a later park early")
+		}
+	}
+
+	for _, r := range recvs {
+		parked := false
+		for _, adv := range calls {
+			if adv.method != "Store" || !adv.pos.Before(r.pos, cfg) {
+				continue
+			}
+			if _, rechecked := before(r.pos, func(ac atomCall) bool { return ac.method == "Load" && adv.pos.Before(ac.pos, cfg) }); rechecked {
+				parked = true
+				break
+			}
+		}
+		if !parked {
+			pass.Reportf(r.node.Pos(),
+				"channel receive in a //smat:wake-barrier function does not follow the park protocol (atomic Store advertising the park, then an atomic Load re-checking the awaited state); a wake-up that raced the advertisement is lost")
+		}
+	}
+
+	// The generation publish: the earliest bare Add that a countdown Store
+	// precedes. Plain writes after it race the spinning peers until a Load
+	// of that countdown has observed the dispatch.
+	var publish, arm atomCall
+	found := false
+	for _, ac := range calls {
+		if ac.method != "Add" || !ac.bare {
+			continue
+		}
+		st, ok := before(ac.pos, func(c atomCall) bool { return c.method == "Store" })
+		if ok && (!found || ac.pos.Before(publish.pos, cfg)) {
+			publish, arm, found = ac, st, true
+		}
+	}
+	if !found {
+		return
+	}
+	for _, w := range writes {
+		if !publish.pos.Before(w.pos, cfg) {
+			continue
+		}
+		if _, joined := before(w.pos, func(ac atomCall) bool {
+			return ac.method == "Load" && ac.slot == arm.slot && publish.pos.Before(ac.pos, cfg)
+		}); !joined {
+			pass.Reportf(w.node.Pos(),
+				"%s is written after the generation publish %s.Add in a //smat:wake-barrier function, before any Load of the countdown %s; spinning workers read the job fields as soon as the generation moves — write them before the publish",
+				types.ExprString(w.expr), publish.slot, arm.slot)
 		}
 	}
 }
@@ -300,10 +385,11 @@ func asAtomicCall(info *types.Info, call *ast.CallExpr) (atomCall, bool) {
 		return atomCall{}, false
 	}
 	return atomCall{
-		call:   call,
-		sel:    sel,
-		method: sel.Sel.Name,
-		slot:   types.ExprString(sel.X),
+		call:    call,
+		sel:     sel,
+		method:  sel.Sel.Name,
+		slot:    types.ExprString(sel.X),
+		pointer: isAtomicPointer(tv.Type),
 	}, true
 }
 
@@ -370,6 +456,17 @@ func isAtomicType(t types.Type) bool {
 	}
 	_, isStruct := named.Underlying().(*types.Struct)
 	return isStruct
+}
+
+// isAtomicPointer reports whether t (or its pointee) is atomic.Pointer[T]:
+// the cells whose Load hands out a snapshot, as opposed to the integer and
+// boolean cells a barrier polls.
+func isAtomicPointer(t types.Type) bool {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Pointer"
 }
 
 func isPointer(t types.Type) bool {

@@ -81,42 +81,111 @@ func (b *slotBox) plainAccess() *atomic.Int32 {
 }
 
 type barrier struct {
+	job     func()
+	gen     atomic.Uint32
 	pending atomic.Int32
-	wake    []chan struct{}
+	parked  atomic.Bool
+	waiting atomic.Bool
+	wake    chan struct{}
 	done    chan struct{}
 }
 
-// goodBarrier arms the countdown before waking any worker; quiet.
+// goodDispatch is the healthy dispatcher: job field, countdown, generation
+// publish, a token only for a claimed park, then spin, advertise, re-check
+// and block; the job field is cleared once the countdown has been seen at
+// zero. The repeated pending loads are polling, not snapshots; quiet.
 //
 //smat:wake-barrier
-func (b *barrier) goodBarrier(n int) {
-	b.pending.Store(int32(n))
-	for i := 0; i < n; i++ {
-		b.wake[i] <- struct{}{}
+func (b *barrier) goodDispatch(job func(), budget int) {
+	b.job = job
+	b.pending.Store(1)
+	b.gen.Add(1)
+	if b.parked.Load() && b.parked.CompareAndSwap(true, false) {
+		b.wake <- struct{}{}
 	}
-	<-b.done
+	for spins := 0; b.pending.Load() != 0; spins++ {
+		if spins < budget {
+			continue
+		}
+		b.waiting.Store(true)
+		if b.pending.Load() == 0 && b.waiting.CompareAndSwap(true, false) {
+			break
+		}
+		<-b.done
+	}
+	b.job = nil
 }
 
-// badBarrier wakes the workers first: a fast worker decrements a stale
-// countdown and releases the dispatcher early.
+// goodWorker is the healthy worker: spin on the generation, advertise the
+// park, look again, block — and after a token look again from the top, since
+// a token is only a hint; release the dispatcher only after the countdown
+// decrement and a claimed advertisement; quiet.
 //
 //smat:wake-barrier
-func (b *barrier) badBarrier(n int) {
-	for i := 0; i < n; i++ {
-		b.wake[i] <- struct{}{} // want `not preceded by an atomic countdown`
+func (b *barrier) goodWorker(seen uint32, budget int) {
+	for {
+		g := b.gen.Load()
+		for spins := 0; g == seen && spins < budget; spins++ {
+			g = b.gen.Load()
+		}
+		if g == seen {
+			b.parked.Store(true)
+			if g = b.gen.Load(); g == seen {
+				<-b.wake
+				continue
+			}
+			if !b.parked.CompareAndSwap(true, false) {
+				<-b.wake
+			}
+		}
+		seen = g
+		b.job()
+		if b.pending.Add(-1) == 0 && b.waiting.CompareAndSwap(true, false) {
+			b.done <- struct{}{}
+		}
 	}
-	b.pending.Store(int32(n))
-	<-b.done
 }
 
-// countdown is the healthy worker-side barrier: the decrement dominates the
-// completion send; quiet.
+// wakeBeforeArming hands out the token first: a fast worker decrements a
+// stale countdown and releases the dispatcher early.
 //
 //smat:wake-barrier
-func (b *barrier) countdown() {
-	if b.pending.Add(-1) == 0 {
-		b.done <- struct{}{}
+func (b *barrier) wakeBeforeArming() {
+	if b.parked.CompareAndSwap(true, false) {
+		b.wake <- struct{}{} // want `not preceded by an atomic countdown`
 	}
+	b.pending.Store(1)
+	b.gen.Add(1)
+}
+
+// wakeUnadvertised sends a token to a worker that never said it parked: the
+// token outlives this dispatch and cuts the worker's next park short.
+//
+//smat:wake-barrier
+func (b *barrier) wakeUnadvertised() {
+	b.pending.Store(1)
+	b.gen.Add(1)
+	b.wake <- struct{}{} // want `not gated on a CompareAndSwap`
+}
+
+// parkWithoutRecheck blocks straight after the advertisement: a generation
+// bump that landed in between sent no token, and the worker sleeps through
+// the dispatch.
+//
+//smat:wake-barrier
+func (b *barrier) parkWithoutRecheck() {
+	b.parked.Store(true)
+	<-b.wake // want `does not follow the park protocol`
+}
+
+// lateJobField publishes the generation and then fills in the job: a
+// spinning worker already runs the previous dispatch's closure.
+//
+//smat:wake-barrier
+func (b *barrier) lateJobField(job func()) {
+	b.pending.Store(1)
+	b.gen.Add(1)
+	b.job = job // want `written after the generation publish`
 }
 
 // silentPublish claims to publish but never stores.

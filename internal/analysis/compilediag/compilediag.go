@@ -143,7 +143,7 @@ type FuncSpan struct {
 	File       string // module-relative, slash-separated
 	Start, End int    // line range, inclusive
 	Name       string // bare declaration name (baseline keys; stable across receiver refactors)
-	Qualified  string // receiver-qualified name matching -m output, e.g. "(*poolState).tryRun"
+	Qualified  string // receiver-qualified name matching -m output, e.g. "(*poolState).run"
 	Directives map[string]bool
 }
 

@@ -343,15 +343,16 @@ func (c *CFG) buildDominators() {
 		changed = false
 		for i := 1; i < n; i++ {
 			bl := c.Blocks[i]
+			if len(bl.Preds) == 0 {
+				continue // unreachable: keeps the all-true initialisation
+			}
 			next := make([]bool, n)
-			if len(bl.Preds) > 0 {
+			for j := range next {
+				next[j] = true
+			}
+			for _, p := range bl.Preds {
 				for j := range next {
-					next[j] = true
-				}
-				for _, p := range bl.Preds {
-					for j := range next {
-						next[j] = next[j] && c.dom[p.Index][j]
-					}
+					next[j] = next[j] && c.dom[p.Index][j]
 				}
 			}
 			next[i] = true

@@ -190,6 +190,17 @@ func TestCFGLoopEdges(t *testing.T) {
 	if c.Dominates(bodyPos.Block, retPos.Block) {
 		t.Errorf("loop body tail must not dominate the function exit")
 	}
+	// The statement after a branch that ends in break is still dominated by
+	// the branch condition: the dead block a break leaves behind is a
+	// predecessor of the join in the graph, and must not cost the join its
+	// dominators.
+	condPos, _ := findNode(c, func(n ast.Node) bool {
+		be, ok := n.(*ast.BinaryExpr)
+		return ok && be.Op == token.EQL
+	})
+	if condPos.Block < 0 || !condPos.Before(bodyPos, c) {
+		t.Errorf("i == 3 must execute before total += i on every path:\n%s", c)
+	}
 	// The loop body can re-reach itself (back edge).
 	if !c.Reachable(bodyPos.Block)[bodyPos.Block] {
 		t.Errorf("loop body should be on a cycle")

@@ -309,7 +309,7 @@ func (t *Tuner[T]) applyAmortized(m *matrix.CSR[T], d *Decision, entry CacheEntr
 	d.PredictedOK = true
 	d.Confidence = entry.Confidence
 	d.Chosen = entry.Format
-	d.Kernel = t.cachedKernel(entry).Name
+	d.Kernel = t.kernelFor(entry.Format).Name
 	d.Params = entry.Params
 	d.ConvertSec = entry.ConvertSec // the cost being paid in the background
 	d.Converted = false
@@ -345,7 +345,7 @@ func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], entry CacheE
 	}
 	e := &engine[T]{
 		mat:            mat,
-		kernel:         t.cachedKernel(entry),
+		kernel:         t.kernelFor(entry.Format),
 		batch:          t.lib.BatchForParams(entry.Format, entry.Params),
 		batchCrossover: crossover,
 	}

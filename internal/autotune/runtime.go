@@ -329,12 +329,16 @@ type Tuner[T matrix.Float] struct {
 	cache      *Cache
 	threshold  float64
 	noFallback bool
+	// bound is the kernel every bind site uses for a format: the model's
+	// pick resolved for this tuner's thread count (see resolveKernels).
+	bound map[matrix.Format]*kernels.Kernel[T]
 }
 
 // Config configures a runtime tuner beyond the model itself.
 type Config struct {
 	// Threads is the kernel thread fan-out; ≤ 0 uses the model's trained
-	// thread count capped to GOMAXPROCS.
+	// thread count, and either is capped to GOMAXPROCS. The tuner binds the
+	// model's kernel picks for this count (see resolveKernels).
 	Threads int
 	// CacheSize bounds the feature-keyed decision cache: 0 selects
 	// DefaultCacheSize, a negative value disables caching entirely.
@@ -369,10 +373,12 @@ func New[T matrix.Float](model *Model, cfg Config) *Tuner[T] {
 	if threshold <= 0 {
 		threshold = model.ConfidenceThreshold
 	}
+	lib := kernels.NewLibrary[T]()
 	return &Tuner[T]{
 		model:   model,
-		lib:     kernels.NewLibrary[T](),
+		lib:     lib,
 		threads: threads,
+		bound:   resolveKernels(model, lib, threads),
 		// The persistent worker pool resolves the effective thread count
 		// once, here; every operator the tuner produces shares it.
 		pool: kernels.NewPool[T](threads),
@@ -414,24 +420,51 @@ func (t *Tuner[T]) Model() *Model { return t.model }
 // Pass it to another tuner's Config.Cache to share decisions.
 func (t *Tuner[T]) Cache() *Cache { return t.cache }
 
-// Stats snapshots the decision cache counters; the zero value is returned
-// when caching is disabled.
-func (t *Tuner[T]) Stats() CacheStats {
-	if t.cache == nil {
-		return CacheStats{}
-	}
-	return t.cache.Stats()
+// Stats is a point-in-time snapshot of a tuner's live counters: the decision
+// cache's (promoted, so st.Hits reads as before) and the worker pool's.
+type Stats struct {
+	CacheStats
+	// Pool counts what the operators' parallel dispatches did: ran on the
+	// persistent workers (waking them or not), overflowed to per-call
+	// goroutines, or stayed serial under the plan's work cutoff.
+	Pool kernels.PoolStats
 }
 
-// kernelFor resolves the model's kernel choice for a format.
-func (t *Tuner[T]) kernelFor(f matrix.Format) *kernels.Kernel[T] {
-	if name, ok := t.model.Kernels[f.String()]; ok {
-		if k := t.lib.Lookup(name); k != nil {
-			return k
-		}
+// Stats snapshots the tuner's counters; the cache part is zero when caching
+// is disabled.
+func (t *Tuner[T]) Stats() Stats {
+	st := Stats{Pool: t.pool.Stats()}
+	if t.cache != nil {
+		st.CacheStats = t.cache.Stats()
 	}
-	return t.lib.Basic(f)
+	return st
 }
+
+// resolveKernels builds a tuner's per-format kernel table: the model's pick
+// (the format's basic kernel when the model names none, or names one the
+// library does not have for that format), and at more than one thread its
+// parallel sibling. The model's scoreboard ran at model.Threads; a tuner at
+// another thread count keeps the searched loop body and takes the
+// partitioning its own configuration needs. This is the only place a kernel
+// name becomes a kernel.
+func resolveKernels[T matrix.Float](model *Model, lib *kernels.Library[T], threads int) map[matrix.Format]*kernels.Kernel[T] {
+	bound := make(map[matrix.Format]*kernels.Kernel[T], len(matrix.Formats))
+	for _, f := range matrix.Formats {
+		k := lib.Lookup(model.Kernels[f.String()])
+		if k == nil || k.Format != f {
+			k = lib.Basic(f)
+		}
+		if threads > 1 {
+			k = lib.ParallelSibling(k)
+		}
+		bound[f] = k
+	}
+	return bound
+}
+
+// kernelFor returns the kernel this tuner binds for a format, nil for a
+// format the tuner does not serve.
+func (t *Tuner[T]) kernelFor(f matrix.Format) *kernels.Kernel[T] { return t.bound[f] }
 
 // paramsFor resolves the model's searched parameters for a format: the zero
 // Params (fixed menu) for v1 models and for formats the search left at
@@ -571,7 +604,7 @@ func (t *Tuner[T]) apply(m *matrix.CSR[T], d *Decision, entry CacheEntry) (*Oper
 		return nil, err
 	}
 	d.ConvertStored = timing.Stored
-	k := t.cachedKernel(entry)
+	k := t.kernelFor(entry.Format)
 	d.CacheHit = true
 	d.Predicted = entry.Format
 	d.PredictedOK = true
@@ -594,16 +627,6 @@ func (t *Tuner[T]) apply(m *matrix.CSR[T], d *Decision, entry CacheEntry) (*Oper
 		d.BatchCrossover = e.batchCrossover
 	}
 	return op, nil
-}
-
-// cachedKernel resolves a cache entry's kernel, falling back to the model's
-// choice when the cached name is unknown or belongs to another format.
-func (t *Tuner[T]) cachedKernel(entry CacheEntry) *kernels.Kernel[T] {
-	k := t.lib.Lookup(entry.Kernel)
-	if k == nil || k.Format != entry.Format {
-		k = t.kernelFor(entry.Format)
-	}
-	return k
 }
 
 // refreshBelow is the confidence bar under which a cached, un-measured
@@ -734,10 +757,13 @@ func (t *Tuner[T]) probeBudget(d *Decision) MeasureOptions {
 	return measure
 }
 
-// measureCrossover times the tuned single-vector kernel against the tiled
-// SpMM kernel at each probe width and returns the first width where the
-// tiled pass costs no more than k single-vector passes (NeverBatch when the
-// loop wins everywhere). The probe budget is calibrated like the fallback's.
+// measureCrossover times the loop-over-vectors path against the tiled SpMM
+// kernel at each probe width and returns the first width where the tiled
+// pass costs no more than k trips through the loop (NeverBatch when the loop
+// wins everywhere). The loop is timed as MulVecBatch runs it — per vector a
+// gather, the tuned single-vector kernel, a scatter — at width 2: the kernel
+// alone undercounts it by the two strided passes, by more the faster the
+// bound kernel is. The probe budget is calibrated like the fallback's.
 func (t *Tuner[T]) measureCrossover(op *Operator[T], d *Decision) int {
 	e := op.eng.Load()
 	rows, cols := e.mat.Dims()
@@ -751,10 +777,11 @@ func (t *Tuner[T]) measureCrossover(op *Operator[T], d *Decision) int {
 	yb := make([]T, rows*maxK)
 
 	measure := t.probeBudget(d)
-	single := MeasureSecPerOp(func() { e.kernel.RunPooled(e.mat, xb[:cols], yb[:rows], op.pool) }, measure)
+	perVector := MeasureSecPerOp(func() { op.loopVectors(e, xb[:cols*2], yb[:rows*2], 2) }, measure) / 2
+	e.scratch.Store(nil) // the loop's buffers: an operator never batched keeps none
 	for _, k := range batchProbeWidths {
 		sec := MeasureSecPerOp(func() { e.batch.RunPooled(e.mat, xb[:cols*k], yb[:rows*k], k, op.pool) }, measure)
-		if sec <= single*float64(k) {
+		if sec <= perVector*float64(k) {
 			return k
 		}
 	}

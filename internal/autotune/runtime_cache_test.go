@@ -102,7 +102,7 @@ func TestTuneCacheDisabled(t *testing.T) {
 			t.Fatal("cache hit with caching disabled")
 		}
 	}
-	if st := tuner.Stats(); st != (CacheStats{}) {
+	if st := tuner.Stats().CacheStats; st != (CacheStats{}) {
 		t.Errorf("stats = %+v, want zero value", st)
 	}
 }

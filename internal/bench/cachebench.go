@@ -126,7 +126,7 @@ func CacheBench(cfg Config) *CacheBenchResult {
 		res.GeoMeanSpeedup = math.Exp(logSum / float64(logN))
 		res.GeoMeanSpeedupMeasured = math.Exp(logSumMeasured / float64(logN))
 	}
-	res.Stats = warm.Stats()
+	res.Stats = warm.Stats().CacheStats
 
 	t := &table{header: []string{"No.", "Matrix", "Chosen", "Path", "Cold (us)", "Measured (us)", "Hit (us)", "Speedup", "vs Measured"}}
 	for _, row := range res.Rows {

@@ -75,7 +75,8 @@ func engineCases() map[string]*matrix.CSR[float64] {
 
 // TestEveryKernelPlanMatchesBasicBitForBit runs every registered kernel
 // (including the HYB/BCSR extensions) under every plan shape — thread counts
-// 1/2/3/8, spawned and pooled dispatch — and requires the result to equal
+// 1/2/3/8, spawned and pooled dispatch, the engine's own plan and the forced
+// partition of a Partitioned handle — and requires the result to equal
 // csr_basic's bit for bit.
 func TestEveryKernelPlanMatchesBasicBitForBit(t *testing.T) {
 	lib := NewLibrary[float64]()
@@ -97,20 +98,22 @@ func TestEveryKernelPlanMatchesBasicBitForBit(t *testing.T) {
 					continue // fill guard: format unsuitable for this shape
 				}
 				for _, k := range lib.ForFormat(f) {
-					for _, pooled := range []bool{false, true} {
-						y := make([]float64, m.Rows)
-						for i := range y {
-							y[i] = 123 // must be fully overwritten
-						}
-						if pooled {
-							k.RunPooled(mat, x, y, pool)
-						} else {
-							k.Run(mat, x, y, threads)
-						}
-						for i := range y {
-							if y[i] != want[i] {
-								t.Fatalf("%s: kernel %s threads=%d pooled=%v: y[%d] = %g, want %g",
-									name, k.Name, threads, pooled, i, y[i], want[i])
+					for _, h := range []*Mat[float64]{mat, mat.Partitioned()} {
+						for _, pooled := range []bool{false, true} {
+							y := make([]float64, m.Rows)
+							for i := range y {
+								y[i] = 123 // must be fully overwritten
+							}
+							if pooled {
+								k.RunPooled(h, x, y, pool)
+							} else {
+								k.Run(h, x, y, threads)
+							}
+							for i := range y {
+								if y[i] != want[i] {
+									t.Fatalf("%s: kernel %s threads=%d pooled=%v forced=%v: y[%d] = %g, want %g",
+										name, k.Name, threads, pooled, h != mat, i, y[i], want[i])
+								}
 							}
 						}
 					}
@@ -169,6 +172,10 @@ func TestPoolConcurrentDistinctMatrices(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+	// Every call was one dispatch, and each ran on the workers or overflowed.
+	if st := pool.Stats(); st.Pooled+st.Overflow != uint64(goroutines*iters) || st.Pooled == 0 {
+		t.Errorf("stats %+v, want %d dispatches in all and some pooled", st, goroutines*iters)
+	}
 }
 
 // TestCSRSteadyStatePathZeroAlloc is the engine's allocation contract: once
@@ -192,6 +199,9 @@ func TestCSRSteadyStatePathZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { k.RunPooled(mat, x, y, pool) }); allocs != 0 {
 			t.Errorf("%s: %.1f allocs per steady-state call, want 0", name, allocs)
 		}
+	}
+	if st := pool.Stats(); st.Pooled < 300 {
+		t.Errorf("stats %+v: the calls did not run on the workers", st)
 	}
 }
 
@@ -358,7 +368,7 @@ func BenchmarkSpMVSteadyState(b *testing.B) {
 	}
 	lib := NewLibrary[float64]()
 	// 8 threads regardless of GOMAXPROCS: the comparison is dispatch
-	// overhead (8 goroutine spawns per call vs 7 channel wakes), which the
+	// overhead (8 goroutine spawns per call vs the pool barrier), which the
 	// scheduler exposes even when the chunks time-slice on fewer cores.
 	pool := NewPool[float64](8)
 	defer pool.Close()

@@ -83,6 +83,11 @@ func TestHYBKernelsLargeParallel(t *testing.T) {
 	m.ToDense().MulVec(x, want)
 	lib := NewLibrary[float64]()
 	lib.RegisterHYB()
+	// The shape this test is for: enough ELL work to partition, a COO tail
+	// short enough to accumulate serially after it.
+	if p := mat.PlanFor(4); p.Serial || !p.TailSerial {
+		t.Fatalf("plan at 4 threads %+v (tail %d entries): want a parallel ELL phase with a serial tail", p, mat.HYB.COO.NNZ())
+	}
 	for _, threads := range []int{1, 4} {
 		for _, k := range lib.ForFormat(matrix.FormatHYB) {
 			y := make([]float64, n)

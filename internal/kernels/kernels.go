@@ -99,6 +99,9 @@ type Mat[T matrix.Float] struct {
 	// (threads, batch width) pair; see PlanForBatch. A separate slot keeps
 	// alternating MulVec / MulVecBatch traffic from thrashing one cache.
 	bplan atomic.Pointer[Plan]
+	// partitioned marks a handle whose plans waive the size cutoffs; see
+	// Partitioned.
+	partitioned bool
 }
 
 // Dims returns the matrix dimensions.
@@ -295,7 +298,7 @@ func (ex exec[T]) dispatch(bounds []int, fn rangeFn[T], m *Mat[T], x, y []T, k i
 		fn(m, x, y, k, bounds[0], bounds[1])
 		return
 	}
-	if ex.pool != nil && ex.pool.s.tryRun(bounds, fn, m, x, y, k) {
+	if ex.pool != nil && ex.pool.s.run(bounds, fn, nil, m, x, y, k) {
 		return
 	}
 	spawnChunks(bounds, fn, m, x, y, k)
@@ -342,7 +345,9 @@ func (k *Kernel[T]) RunPooled(m *Mat[T], x, y []T, p *Pool[T]) {
 	if m.Format != k.Format {
 		formatMismatch(k, m)
 	}
-	k.run(m, x, y, exec[T]{plan: m.PlanFor(p.s.threads), pool: p})
+	plan := m.PlanFor(p.s.threads)
+	p.s.countSerial(plan, k.Strategies)
+	k.run(m, x, y, exec[T]{plan: plan, pool: p})
 }
 
 // BatchKernel is one SpMM (multi-vector SpMV) implementation for one format:
@@ -408,7 +413,9 @@ func (b *BatchKernel[T]) RunPooled(m *Mat[T], xb, yb []T, k int, p *Pool[T]) {
 	if k <= 0 {
 		return
 	}
-	b.run(m, xb, yb, k, exec[T]{plan: m.PlanForBatch(p.s.threads, k), pool: p})
+	plan := m.PlanForBatch(p.s.threads, k)
+	p.s.countSerial(plan, b.Strategies)
+	b.run(m, xb, yb, k, exec[T]{plan: plan, pool: p})
 }
 
 // Library is the full kernel collection for one element type.
@@ -470,6 +477,38 @@ func (l *Library[T]) ForFormat(f matrix.Format) []*Kernel[T] { return l.byFormat
 
 // Lookup returns the kernel with the given name, or nil.
 func (l *Library[T]) Lookup(name string) *Kernel[T] { return l.byName[name] }
+
+// partitionStrategies are the strategies that say how a kernel's work is
+// split across threads, as opposed to what each thread's loop body does.
+// StratRowMajor counts because the DIA/ELL row-parallel kernels imply it: a
+// row partition can only be walked row by row.
+const partitionStrategies = StratParallel | StratNNZBalance | StratRowMajor
+
+// ParallelSibling returns the kernel to bind in k's place when more than one
+// thread is available: k itself when it already carries StratParallel,
+// otherwise the kernel of the same format and template parameters that keeps
+// every strategy k has and adds partitioning strategies only — StratParallel
+// and whichever of the others its family offers, the most winning (CSR and
+// COO get their nnz-balanced partition). Every parallel kernel runs k's
+// serial body when the plan says Serial, so the swap changes nothing at one
+// thread. A family with no such member (hyb_basic, bcsr_basic) keeps k.
+func (l *Library[T]) ParallelSibling(k *Kernel[T]) *Kernel[T] {
+	if k.Strategies&StratParallel != 0 {
+		return k
+	}
+	best := k
+	for _, c := range l.byFormat[k.Format] {
+		if c.Strategies&StratParallel == 0 || c.Params != k.Params ||
+			c.Strategies&k.Strategies != k.Strategies ||
+			c.Strategies&^partitionStrategies != k.Strategies&^partitionStrategies {
+			continue
+		}
+		if best == k || c.Strategies.Count() > best.Strategies.Count() {
+			best = c
+		}
+	}
+	return best
+}
 
 // ForFormatBatch returns all batched kernels registered for a format.
 func (l *Library[T]) ForFormatBatch(f matrix.Format) []*BatchKernel[T] { return l.batchByFormat[f] }

@@ -3,10 +3,25 @@ package kernels
 import "smat/internal/matrix"
 
 // serialWork is the estimated-work cutoff below which parallel kernels run
-// their serial body: under ~8k multiply-adds the fan-out barrier costs more
-// than it saves. The estimate counts stored entries (including padding), not
-// rows, so a short-and-fat matrix still parallelises while a tall matrix
-// with a handful of nonzeros per chunk no longer does.
+// their serial body. The estimate counts stored entries (including padding),
+// not rows, so a short-and-fat matrix still parallelises while a tall matrix
+// with a handful of nonzeros per chunk does not.
+//
+// The value is read off a measurement: the cutoff sweep in BENCH_steady.json
+// (smat-bench -experiment steady, 2 threads) times each format's one-thread
+// kernel against its pooled sibling from 1 k to 1 M stored entries. Back to
+// back — the workers still polling when the next call arrives, the state of
+// a MulVec stream — the pool loses at 1 k – 2 k entries and wins 1.4–2× from
+// 4 k or 8 k up, depending on the sweep (derived_serial_work: the smallest
+// size from which it wins in every format). The constant is the upper edge
+// of that band. The sweep's other column, the first call after an idle gap
+// that has let the workers park, pays an OS wake and wins only from 131 k –
+// 524 k entries (derived_gapped_work); the constant does not follow that
+// column, because a cutoff there forfeits the pool on every stream in
+// between, while the loss it avoids is bounded by one wake (12–30 µs below
+// 100 k entries) per idle gap. PoolStats.Woken counts those dispatches.
+// One constant, no option: re-run the sweep and edit this line when the
+// barrier or the box of record changes.
 const serialWork = 8192
 
 // Plan is a matrix's cached execution plan for one thread count: every work
@@ -60,6 +75,15 @@ func (m *Mat[T]) PlanFor(threads int) *Plan {
 	return p
 }
 
+// Partitioned returns a second handle on m's storage whose plans waive the
+// serial cutoff: above one thread every plan it builds is partitioned. The
+// differential oracle checks the parallel paths on its smallest specs through
+// it, and the sweep serialWork is read off (smat-bench -experiment steady)
+// times the pool below the constant. m's own plan cache is not touched.
+func (m *Mat[T]) Partitioned() *Mat[T] {
+	return &Mat[T]{Format: m.Format, CSR: m.CSR, COO: m.COO, DIA: m.DIA, ELL: m.ELL, HYB: m.HYB, BCSR: m.BCSR, partitioned: true}
+}
+
 // PlanForBatch returns the execution plan for a batched multiply of width k:
 // the same row/entry partitions as PlanFor, but with the serial-cutoff work
 // estimate scaled by k — a matrix too small to parallelise one vector may
@@ -84,7 +108,10 @@ func (m *Mat[T]) PlanForBatch(threads, k int) *Plan {
 
 func newPlan[T matrix.Float](m *Mat[T], threads, batchK int) *Plan {
 	p := &Plan{Threads: threads, BatchK: batchK}
-	work := 0
+	work, cutoff := 0, serialWork
+	if m.partitioned {
+		cutoff = 0
+	}
 	switch m.Format {
 	case matrix.FormatCSR:
 		work = m.CSR.NNZ()
@@ -101,7 +128,7 @@ func newPlan[T matrix.Float](m *Mat[T], threads, batchK int) *Plan {
 	}
 	// A batched multiply does k times the work per stored entry, so the
 	// cutoff compares against the scaled estimate.
-	if threads <= 1 || work*batchK < serialWork {
+	if threads <= 1 || work*batchK < cutoff {
 		p.Serial = true
 		return p
 	}
@@ -117,7 +144,7 @@ func newPlan[T matrix.Float](m *Mat[T], threads, batchK int) *Plan {
 		p.RowBounds = evenBounds(m.ELL.Rows, threads)
 	case matrix.FormatHYB:
 		p.RowBounds = evenBounds(m.HYB.ELL.Rows, threads)
-		if m.HYB.COO.NNZ()*batchK < serialWork {
+		if m.HYB.COO.NNZ()*batchK < cutoff {
 			p.TailSerial = true
 		} else {
 			p.EntryBounds = cooBounds(m.HYB.COO, threads)

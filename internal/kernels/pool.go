@@ -22,31 +22,68 @@ type Pool[T matrix.Float] struct {
 	s *poolState[T]
 }
 
+// spinIters is the barrier's spin budget: how many times a worker polls the
+// generation after finishing a chunk — and the dispatcher polls the countdown
+// after finishing chunk 0 — before parking on its channel. One poll is an
+// uncontended atomic load (≈ 0.7 ns on the box of record), so the budget is
+// ≈ 100 µs, about what waking a parked worker through the OS costs there:
+// long enough that a back-to-back MulVec stream, or a request's ten products
+// after its tuning, finds its workers still spinning and pays no wake, and
+// bounded so that an idle
+// or abandoned pool stops burning its cores — and a worker notices Close —
+// within that time. BENCH_steady.json's cutoff sweep records what the budget
+// buys (back-to-back column) and what a dispatch costs once it has run out
+// (idle-gap column).
+const spinIters = 1 << 17
+
+// poolWorker is one worker's parking spot: parked advertises that the worker
+// has stopped spinning and is (about to be) blocked on wake.
+type poolWorker struct {
+	parked atomic.Bool
+	wake   chan struct{}
+}
+
 // poolState is the worker-visible part of the pool. Workers hold only this
 // inner struct, so an abandoned Pool becomes unreachable, its finalizer
 // runs, and the workers exit instead of leaking.
 type poolState[T matrix.Float] struct {
 	threads int
+	// spin is spinIters when every pool thread can own a processor
+	// (threads ≤ GOMAXPROCS at construction) and 0 otherwise: on an
+	// oversubscribed pool a spinning goroutine only delays the chunk it is
+	// waiting for, so both sides park at once.
+	spin int
 
 	mu      sync.Mutex // owns the dispatch fields and worker startup
 	started bool
 	closed  bool
 
-	// Dispatch state, written under mu before the workers are woken:
-	// wake[i] hands chunk i+1 to worker i, and the last worker to finish
-	// signals done (the barrier the dispatcher blocks on). Exactly one of
-	// fn (SpMV dispatch) and job (generic chunked dispatch, e.g. SpGEMM)
-	// is non-nil per dispatch.
-	fn      rangeFn[T]
-	job     func(chunk, lo, hi int)
-	mat     *Mat[T]
-	x, y    []T
-	k       int
-	bounds  []int
+	// Dispatch state, written under mu before the generation is bumped and
+	// read by the workers after they observe the bump. Exactly one of fn
+	// (SpMV dispatch) and job (generic chunked dispatch, e.g. SpGEMM) is
+	// non-nil per dispatch.
+	fn     rangeFn[T]
+	job    func(chunk, lo, hi int)
+	mat    *Mat[T]
+	x, y   []T
+	k      int
+	bounds []int
+
+	// The barrier. gen publishes a dispatch: every worker sees each bump
+	// exactly once, runs chunk i+1 when the dispatch has one, and decrements
+	// pending; the dispatcher waits for pending to reach zero. waiting
+	// advertises that the dispatcher has stopped spinning and is (about to
+	// be) blocked on done.
+	gen     atomic.Uint32
 	pending atomic.Int32
-	wake    []chan struct{}
+	waiting atomic.Bool
+	workers []*poolWorker
 	done    chan struct{}
 	stop    chan struct{}
+	exited  sync.WaitGroup
+
+	// Live counters, one increment per dispatch; see PoolStats.
+	pooled, woken, overflow, serialCutoff atomic.Uint64
 
 	// arena is the SpGEMM scratch attached to this pool, handed out under
 	// its own lock (arenaOf) so repeated products reuse it while concurrent
@@ -55,16 +92,40 @@ type poolState[T matrix.Float] struct {
 	arena   *spgemmArena[T]
 }
 
+// PoolStats counts what the pool's dispatches did; see Pool.Stats.
+type PoolStats struct {
+	// Pooled is the number of parallel dispatches the persistent workers ran.
+	Pooled uint64
+	// Woken is how many of those found a worker parked — they followed an
+	// idle gap longer than the spin budget — and paid an OS wake for it.
+	Woken uint64
+	// Overflow is the number of parallel dispatches that found the pool busy
+	// with another dispatch (or closed) and fell back to per-call goroutines.
+	Overflow uint64
+	// SerialCutoff is the number of calls a parallel kernel ran serially
+	// because the matrix's estimated work sat below the plan's cutoff.
+	SerialCutoff uint64
+}
+
 // NewPool builds a worker pool with the given thread fan-out; threads ≤ 0
 // resolves GOMAXPROCS once, here, instead of on every kernel call.
 func NewPool[T matrix.Float](threads int) *Pool[T] {
+	procs := runtime.GOMAXPROCS(0)
 	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
+		threads = procs
 	}
 	s := &poolState[T]{
 		threads: threads,
 		done:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
+	}
+	if threads <= procs {
+		s.spin = spinIters
+		if raceEnabled {
+			// The race detector makes a poll some thirty times dearer; keep
+			// the budget's duration, not its count.
+			s.spin >>= 5
+		}
 	}
 	p := &Pool[T]{s: s}
 	runtime.SetFinalizer(p, func(p *Pool[T]) { p.s.shutdown() })
@@ -74,13 +135,38 @@ func NewPool[T matrix.Float](threads int) *Pool[T] {
 // Threads returns the pool's resolved thread count.
 func (p *Pool[T]) Threads() int { return p.s.threads }
 
-// Close stops the workers. Kernels may still be dispatched to a closed pool;
-// they fall back to per-call goroutine fan-out.
+// Stats snapshots the pool's dispatch counters.
+func (p *Pool[T]) Stats() PoolStats {
+	return PoolStats{
+		Pooled:       p.s.pooled.Load(),
+		Woken:        p.s.woken.Load(),
+		Overflow:     p.s.overflow.Load(),
+		SerialCutoff: p.s.serialCutoff.Load(),
+	}
+}
+
+// countSerial records a serial-cutoff hit: a parallel kernel on a parallel
+// pool whose plan says the matrix is too small to fan out.
+//
+//smat:hotpath
+func (s *poolState[T]) countSerial(plan *Plan, strat Strategy) {
+	if plan.Serial && s.threads > 1 && strat&StratParallel != 0 {
+		s.serialCutoff.Add(1)
+	}
+}
+
+// Close stops the workers and returns once they have exited. Kernels may
+// still be dispatched to a closed pool; they fall back to per-call goroutine
+// fan-out.
 func (p *Pool[T]) Close() {
 	runtime.SetFinalizer(p, nil)
 	p.s.shutdown()
+	p.s.exited.Wait()
 }
 
+// shutdown closes the stop channel. It takes mu, so it waits out a dispatch
+// in flight: when stop closes every worker is spinning or parked, and a
+// spinning worker parks — and sees stop — within its spin budget.
 func (s *poolState[T]) shutdown() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -90,33 +176,77 @@ func (s *poolState[T]) shutdown() {
 	}
 }
 
-// tryRun dispatches the bounds chunks across the workers, returning false
-// when the pool is busy with another SpMV or closed (the caller then falls
-// back to spawning). The dispatching goroutine computes chunk 0 itself and
-// blocks on the completion barrier. The whole dispatch allocates nothing.
+// run dispatches the bounds chunks across the workers, returning false when
+// the pool is busy with another dispatch or closed (the caller then falls
+// back to spawning). Exactly one of fn and job is non-nil. The whole dispatch
+// allocates nothing.
+//
+// The protocol: write the job fields, arm the countdown, bump the generation
+// (the publish — workers that are still spinning pick it up from there), hand
+// a wake token to each worker that advertised a park, run chunk 0, then wait
+// for the countdown: spin for the budget, then advertise the park, re-check,
+// and block on done. A worker releases done only after claiming that
+// advertisement; a claim by a worker still finishing the previous dispatch
+// wakes the dispatcher early, which is why the wait re-reads the countdown.
 //
 //smat:wake-barrier
-func (s *poolState[T]) tryRun(bounds []int, fn rangeFn[T], m *Mat[T], x, y []T, k int) bool {
+func (s *poolState[T]) run(bounds []int, fn rangeFn[T], job func(chunk, lo, hi int), m *Mat[T], x, y []T, k int) bool {
 	if !s.mu.TryLock() {
+		s.overflow.Add(1)
 		return false
 	}
 	defer s.mu.Unlock()
-	nchunks := len(bounds) - 1
-	if s.closed || nchunks > s.threads {
+	if s.closed || len(bounds)-1 > s.threads {
+		s.overflow.Add(1)
 		return false
 	}
 	if !s.started {
 		s.start()
 	}
-	s.fn, s.mat, s.x, s.y, s.k, s.bounds = fn, m, x, y, k, bounds
-	s.pending.Store(int32(nchunks - 1))
-	for w := 0; w < nchunks-1; w++ {
-		s.wake[w] <- struct{}{}
+	s.fn, s.job, s.mat, s.x, s.y, s.k, s.bounds = fn, job, m, x, y, k, bounds
+	s.pending.Store(int32(len(s.workers)))
+	s.gen.Add(1)
+	woke := false
+	for _, w := range s.workers {
+		if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+			w.wake <- struct{}{}
+			woke = true
+		}
 	}
-	fn(m, x, y, k, bounds[0], bounds[1])
-	<-s.done
-	s.fn, s.mat, s.x, s.y, s.bounds = nil, nil, nil, nil, nil
+	s.chunk(0)
+	spin := s.spin
+	if woke {
+		// The woken worker is queued on this processor until an idle one
+		// steals it: parking at once runs it here, spinning would make it
+		// wait for the thief's OS wake.
+		spin = 0
+		s.woken.Add(1)
+	}
+	for spins := 0; s.pending.Load() != 0; spins++ {
+		if spins < spin {
+			continue
+		}
+		s.waiting.Store(true)
+		if s.pending.Load() == 0 && s.waiting.CompareAndSwap(true, false) {
+			break
+		}
+		<-s.done
+	}
+	s.fn, s.job, s.mat, s.x, s.y, s.bounds = nil, nil, nil, nil, nil, nil
+	s.pooled.Add(1)
 	return true
+}
+
+// chunk runs chunk c of the published dispatch on the calling goroutine.
+//
+//smat:hotpath
+func (s *poolState[T]) chunk(c int) {
+	lo, hi := s.bounds[c], s.bounds[c+1]
+	if s.job != nil {
+		s.job(c, lo, hi)
+	} else {
+		s.fn(s.mat, s.x, s.y, s.k, lo, hi)
+	}
 }
 
 // RunChunks executes fn over the half-open chunks of bounds — chunk c covers
@@ -135,37 +265,10 @@ func (p *Pool[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
 		fn(0, bounds[0], bounds[1])
 		return
 	}
-	if p != nil && p.s.tryRunJob(bounds, fn) {
+	if p != nil && p.s.run(bounds, nil, fn, nil, nil, nil, 0) {
 		return
 	}
 	spawnJobChunks(bounds, fn)
-}
-
-// tryRunJob is tryRun's generic-job twin: same ownership, wake, and barrier
-// protocol, with s.job carrying the closure instead of the SpMV quintuple.
-//
-//smat:wake-barrier
-func (s *poolState[T]) tryRunJob(bounds []int, fn func(chunk, lo, hi int)) bool {
-	if !s.mu.TryLock() {
-		return false
-	}
-	defer s.mu.Unlock()
-	nchunks := len(bounds) - 1
-	if s.closed || nchunks > s.threads {
-		return false
-	}
-	if !s.started {
-		s.start()
-	}
-	s.job, s.bounds = fn, bounds
-	s.pending.Store(int32(nchunks - 1))
-	for w := 0; w < nchunks-1; w++ {
-		s.wake[w] <- struct{}{}
-	}
-	fn(0, bounds[0], bounds[1])
-	<-s.done
-	s.job, s.bounds = nil, nil
-	return true
 }
 
 // spawnJobChunks is RunChunks' pool-less fallback: a goroutine per chunk
@@ -188,35 +291,65 @@ func spawnJobChunks(bounds []int, fn func(chunk, lo, hi int)) {
 // dispatch, so pools that only ever see serial work cost no goroutines.
 func (s *poolState[T]) start() {
 	s.started = true
-	s.wake = make([]chan struct{}, s.threads-1)
-	for i := range s.wake {
-		s.wake[i] = make(chan struct{})
-		go s.worker(i)
+	s.workers = make([]*poolWorker, s.threads-1)
+	s.exited.Add(len(s.workers))
+	for i := range s.workers {
+		// One token of slack: the dispatcher's send never blocks on a worker
+		// that is between its advertisement and its receive.
+		s.workers[i] = &poolWorker{wake: make(chan struct{}, 1)}
+		go s.worker(i, s.gen.Load())
 	}
 }
 
-// worker executes chunk i+1 of each dispatch it is woken for; the last
-// worker to finish releases the dispatcher's barrier. The field reads are
-// ordered by the wake send (before) and the pending decrement (after), so
-// the dispatcher never reuses the slots while a worker still reads them.
+// worker executes chunk i+1 of each dispatch; the last worker to finish
+// releases the dispatcher's barrier. seen is the last generation this worker
+// has served. The job-field reads are ordered by the generation bump (before)
+// and the pending decrement (after), so the dispatcher never reuses the slots
+// while a worker still reads them. A dispatch with fewer chunks than threads
+// still counts every worker in, which keeps "who reads the fields of which
+// generation" a question with one answer.
 //
 //smat:hotpath
 //smat:wake-barrier
-func (s *poolState[T]) worker(i int) {
+func (s *poolState[T]) worker(i int, seen uint32) {
+	w := s.workers[i]
 	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.wake[i]:
-			if job := s.job; job != nil {
-				job(i+1, s.bounds[i+1], s.bounds[i+2])
-			} else {
-				s.fn(s.mat, s.x, s.y, s.k, s.bounds[i+1], s.bounds[i+2])
+		g := s.gen.Load()
+		for spins := 0; g == seen && spins < s.spin; spins++ {
+			g = s.gen.Load()
+		}
+		if g == seen {
+			// Budget spent: advertise the park, then look again — a bump
+			// that raced the advertisement is served without blocking.
+			w.parked.Store(true)
+			if g = s.gen.Load(); g == seen {
+				select {
+				case <-s.stop:
+					s.exited.Done()
+					return
+				case <-w.wake:
+				}
+				// A token only says "look again": a dispatcher that was slow
+				// to walk the workers hands one to a worker that has already
+				// served its dispatch and parked since.
+				continue
 			}
-			if s.pending.Add(-1) == 0 {
-				s.done <- struct{}{}
+			if !w.parked.CompareAndSwap(true, false) {
+				<-w.wake // the dispatcher claimed the park first; take its token
 			}
 		}
+		seen = g
+		if i+1 < len(s.bounds)-1 {
+			s.chunk(i + 1)
+		}
+		if s.pending.Add(-1) == 0 && s.waiting.Load() && s.waiting.CompareAndSwap(true, false) {
+			s.done <- struct{}{}
+		}
+		// Yield before spinning: a worker that was woken onto the dispatcher's
+		// own processor hands it back here instead of spinning on it while
+		// the dispatcher sits runnable behind it. On a processor of its own
+		// the yield returns at once.
+		runtime.Gosched()
 	}
 }
 

@@ -1,0 +1,165 @@
+package kernels
+
+import (
+	"math/rand"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// chunkCounter counts executions per chunk; the barrier tests require every
+// chunk of every dispatch to run exactly once.
+type chunkCounter [8]atomic.Int64
+
+func (c *chunkCounter) run(chunk, _, _ int) { c[chunk].Add(1) }
+
+// idle busy-waits n polls of an atomic — the unit the pool's own spin budget
+// is counted in, so a gap of n polls sits at a known place relative to the
+// budget whatever the machine's speed and whether the race detector is on.
+func idle(n int) {
+	var cell atomic.Uint32
+	for i := 0; i < n; i++ {
+		cell.Load()
+	}
+}
+
+// TestPoolBarrierLostWakeupStress drives ≥ 1e5 dispatches through pools of
+// 2, 3 and 8 threads with idle gaps drawn from both sides of the spin budget,
+// so dispatches land on workers that are spinning, advertising a park,
+// parked, and waking. Each round is a full dispatch followed by a two-chunk
+// one (the two-phase shape of the HYB kernels, and a dispatch in which most
+// workers have no chunk). A lost wake-up hangs the test; a worker serving a
+// dispatch twice or not at all shows in the per-chunk counts.
+func TestPoolBarrierLostWakeupStress(t *testing.T) {
+	rounds := 20000
+	if testing.Short() {
+		rounds = 4000
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, threads := range []int{2, 3, 8} {
+		p := NewPool[float64](threads)
+		budget := spinIters // gaps straddle the budget even on pools that do not spin
+		if raceEnabled {
+			budget >>= 5
+		}
+		full := make([]int, threads+1)
+		for i := range full {
+			full[i] = i
+		}
+		pair := []int{0, 1, 2}
+		var counts chunkCounter
+		for r := 1; r <= rounds; r++ {
+			if rng.Intn(10) == 0 {
+				idle(rng.Intn(2 * budget))
+			}
+			p.RunChunks(full, counts.run)
+			p.RunChunks(pair, counts.run)
+			for c := 0; c < threads; c++ {
+				want := int64(r)
+				if c < 2 {
+					want = 2 * int64(r)
+				}
+				if got := counts[c].Load(); got != want {
+					t.Fatalf("threads=%d round %d: chunk %d ran %d times, want %d", threads, r, c, got, want)
+				}
+			}
+		}
+		if st := p.Stats(); st.Pooled != uint64(2*rounds) || st.Overflow != 0 {
+			t.Errorf("threads=%d: stats %+v, want %d pooled dispatches and no overflow", threads, st, 2*rounds)
+		}
+		p.Close()
+	}
+}
+
+// waitGoroutines polls until the goroutine count is back at base, running
+// the collector each time so an abandoned pool's finalizer gets its turn.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want the baseline %d", what, runtime.NumGoroutine(), base)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitParked polls until every worker has advertised its park.
+func waitParked(t *testing.T, p *Pool[float64]) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for i := range p.s.workers {
+		for !p.s.workers[i].parked.Load() {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %d never parked", i)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+// TestPoolShutdownWhileSpinningAndParked: Close returns with the workers
+// gone, and an abandoned pool's finalizer sheds them, whether shutdown finds
+// them inside their spin budget or blocked on the wake channel.
+func TestPoolShutdownWhileSpinningAndParked(t *testing.T) {
+	bounds := []int{0, 1, 2}
+	var counts chunkCounter
+	base := runtime.NumGoroutine()
+
+	for _, park := range []bool{false, true} {
+		p := NewPool[float64](2)
+		p.RunChunks(bounds, counts.run)
+		if park {
+			waitParked(t, p)
+		}
+		p.Close()
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("Close (parked=%v) returned with %d goroutines, baseline %d", park, n, base)
+		}
+		p.RunChunks(bounds, counts.run) // closed: spawns, must not hang
+		if st := p.Stats(); st.Pooled != 1 || st.Overflow != 1 {
+			t.Errorf("stats %+v, want one pooled dispatch and one overflow after Close", st)
+		}
+	}
+
+	for _, park := range []bool{false, true} {
+		func() {
+			p := NewPool[float64](2)
+			p.RunChunks(bounds, counts.run)
+			if park {
+				waitParked(t, p)
+			}
+		}() // abandoned without Close
+		waitGoroutines(t, base, "abandoned pool")
+	}
+}
+
+// TestPoolStatsCountWokenDispatches: a dispatch that finds its worker parked
+// counts as woken, one that follows at once does not.
+func TestPoolStatsCountWokenDispatches(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("on one processor the pool does not spin: every dispatch wakes its worker")
+	}
+	bounds := []int{0, 1, 2}
+	var counts chunkCounter
+	p := NewPool[float64](2)
+	defer p.Close()
+	p.RunChunks(bounds, counts.run)
+	waitParked(t, p)
+	before := p.Stats()
+	p.RunChunks(bounds, counts.run)
+	if st := p.Stats(); st.Pooled != before.Pooled+1 || st.Woken != before.Woken+1 {
+		t.Errorf("dispatch onto a parked worker moved the counters from %+v to %+v; want one pooled, one woken", before, st)
+	}
+	// Back-to-back dispatches catch the worker polling at least once in a
+	// hundred tries, however the scheduler treats the pair.
+	before = p.Stats()
+	for i := 0; i < 100; i++ {
+		p.RunChunks(bounds, counts.run)
+	}
+	if st := p.Stats(); st.Pooled != before.Pooled+100 || st.Woken-before.Woken >= 100 {
+		t.Errorf("100 back-to-back dispatches moved the counters from %+v to %+v; want 100 pooled, fewer woken", before, st)
+	}
+}

@@ -151,19 +151,34 @@ func checkBatchKernel[T matrix.Float](bk *kernels.BatchKernel[T], mat *kernels.M
 		}
 
 		// Property 3 (batched): spawned and pooled execution agree with the
-		// serial batched result bit for bit at every thread count.
+		// serial batched result bit for bit at every thread count, under
+		// the engine's own plan and, where that leaves something unsplit,
+		// under the forced partition.
+		forced := mat.Partitioned()
 		for _, th := range opt.Threads {
-			ySpawn := runNaN(func(yb []T) { bk.Run(mat, xb, yb, k, th) }, rows*k)
-			if i, ok := bitMismatch(ySerial, ySpawn); ok {
-				return fmt.Errorf("oracle: %s/%s: k=%d spawned run at %d threads differs from serial at yb[%d]: %g vs %g",
-					spec, bk.Name, k, th, i, float64(ySpawn[i]), float64(ySerial[i]))
+			plan := mat.PlanForBatch(th, k)
+			handles := []*kernels.Mat[T]{mat}
+			if th > 1 && (plan.Serial || plan.TailSerial) {
+				handles = append(handles, forced)
 			}
-			yPooled := runNaN(func(yb []T) { bk.RunPooled(mat, xb, yb, k, pools[th]) }, rows*k)
-			if i, ok := bitMismatch(ySerial, yPooled); ok {
-				return fmt.Errorf("oracle: %s/%s: k=%d pooled run at %d threads differs from serial at yb[%d]: %g vs %g",
-					spec, bk.Name, k, th, i, float64(yPooled[i]), float64(ySerial[i]))
+			for _, h := range handles {
+				what := "engine plan"
+				if h == forced {
+					what = "forced partition"
+				}
+				ySpawn := runNaN(func(yb []T) { bk.Run(h, xb, yb, k, th) }, rows*k)
+				if i, ok := bitMismatch(ySerial, ySpawn); ok {
+					return fmt.Errorf("oracle: %s/%s: k=%d spawned run (%s) at %d threads differs from serial at yb[%d]: %g vs %g",
+						spec, bk.Name, k, what, th, i, float64(ySpawn[i]), float64(ySerial[i]))
+				}
+				yPooled := runNaN(func(yb []T) { bk.RunPooled(h, xb, yb, k, pools[th]) }, rows*k)
+				if i, ok := bitMismatch(ySerial, yPooled); ok {
+					return fmt.Errorf("oracle: %s/%s: k=%d pooled run (%s) at %d threads differs from serial at yb[%d]: %g vs %g",
+						spec, bk.Name, k, what, th, i, float64(yPooled[i]), float64(ySerial[i]))
+				}
 			}
-			if th > 1 && !mat.PlanForBatch(th, k).Serial {
+			cov.notePlan(plan, mat.Format)
+			if th > 1 && !plan.Serial {
 				cov.Parallel[bk.Name] = true
 			}
 		}

@@ -45,8 +45,13 @@ type Coverage struct {
 	// Kernels holds every kernel name that executed.
 	Kernels map[string]bool
 	// Parallel holds every kernel name that executed a genuinely
-	// partitioned (non-serial) plan.
+	// partitioned (non-serial) plan of the engine's own choosing.
 	Parallel map[string]bool
+	// Plans holds the shapes of the engine's own plans that ran above one
+	// thread: PlanSerial (under the cutoff), PlanPartitioned, and for HYB
+	// PlanTailSerial (parallel ELL phase, serial COO tail) and
+	// PlanTailPartitioned.
+	Plans map[string]bool
 	// Conversions holds every parameterized conversion variant (keyed
 	// "format/params") that converted and passed the full differential
 	// check, so the suite can assert the whole conversion-level parameter
@@ -60,6 +65,7 @@ func NewCoverage() *Coverage {
 		Formats:     make(map[matrix.Format]bool),
 		Kernels:     make(map[string]bool),
 		Parallel:    make(map[string]bool),
+		Plans:       make(map[string]bool),
 		Conversions: make(map[string]bool),
 	}
 }
@@ -75,8 +81,34 @@ func (c *Coverage) Merge(other *Coverage) {
 	for k := range other.Parallel {
 		c.Parallel[k] = true
 	}
+	for k := range other.Plans {
+		c.Plans[k] = true
+	}
 	for k := range other.Conversions {
 		c.Conversions[k] = true
+	}
+}
+
+// The plan shapes Coverage.Plans records.
+const (
+	PlanSerial          = "serial"
+	PlanPartitioned     = "partitioned"
+	PlanTailSerial      = "hyb-tail-serial"
+	PlanTailPartitioned = "hyb-tail-partitioned"
+)
+
+// notePlan records the shape of one of the engine's own plans.
+func (c *Coverage) notePlan(p *kernels.Plan, f matrix.Format) {
+	switch {
+	case p.Threads <= 1:
+	case p.Serial:
+		c.Plans[PlanSerial] = true
+	case f == matrix.FormatHYB && p.TailSerial:
+		c.Plans[PlanTailSerial] = true
+	case f == matrix.FormatHYB:
+		c.Plans[PlanTailPartitioned] = true
+	default:
+		c.Plans[PlanPartitioned] = true
 	}
 }
 
@@ -243,11 +275,18 @@ func checkConverted[T matrix.Float](lib *kernels.Library[T], mat *kernels.Mat[T]
 		return fmt.Errorf("oracle: %s/%s: round trip changed the matrix", spec, f)
 	}
 
-	// Every plan partition must tile its work range exactly.
+	// Every plan partition must tile its work range exactly: the plan the
+	// engine picks, and the one a Partitioned handle forces on every spec
+	// however small, so the parallel paths are checked on the degenerate
+	// shapes too.
+	forced := mat.Partitioned()
 	for _, th := range opt.Threads {
-		if err := checkPlan(mat.PlanFor(th), mat, th); err != nil {
-			return fmt.Errorf("oracle: %s/%s: %w", spec, f, err)
+		for _, h := range []*kernels.Mat[T]{mat, forced} {
+			if err := checkPlan(h.PlanFor(th), h, th); err != nil {
+				return fmt.Errorf("oracle: %s/%s: %w", spec, f, err)
+			}
 		}
+		cov.notePlan(mat.PlanFor(th), f)
 	}
 
 	for _, k := range lib.ForFormat(f) {
@@ -288,16 +327,30 @@ func checkKernel[T matrix.Float](k *kernels.Kernel[T], mat *kernels.Mat[T], ref 
 	// Property 3: spawned and pooled execution agree with serial bit for
 	// bit at every thread count (all partitions split on row boundaries, so
 	// per-element accumulation order is identical by construction).
+	// Under the plan the engine picks and, where that plan leaves something
+	// unsplit — the whole matrix below its cutoff, a short HYB tail — also
+	// under the forced partition, which splits even the degenerate shapes.
+	forced := mat.Partitioned()
 	for _, th := range opt.Threads {
-		ySpawn := runNaN(func(y []T) { k.Run(mat, x, y, th) }, rows)
-		if r, ok := bitMismatch(ySerial, ySpawn); ok {
-			return fmt.Errorf("oracle: %s/%s: spawned run at %d threads differs from serial at y[%d]: %g vs %g",
-				spec, k.Name, th, r, float64(ySpawn[r]), float64(ySerial[r]))
+		handles := []*kernels.Mat[T]{mat}
+		if p := mat.PlanFor(th); th > 1 && (p.Serial || p.TailSerial) {
+			handles = append(handles, forced)
 		}
-		yPooled := runNaN(func(y []T) { k.RunPooled(mat, x, y, pools[th]) }, rows)
-		if r, ok := bitMismatch(ySerial, yPooled); ok {
-			return fmt.Errorf("oracle: %s/%s: pooled run at %d threads differs from serial at y[%d]: %g vs %g",
-				spec, k.Name, th, r, float64(yPooled[r]), float64(ySerial[r]))
+		for _, h := range handles {
+			what := "engine plan"
+			if h == forced {
+				what = "forced partition"
+			}
+			ySpawn := runNaN(func(y []T) { k.Run(h, x, y, th) }, rows)
+			if r, ok := bitMismatch(ySerial, ySpawn); ok {
+				return fmt.Errorf("oracle: %s/%s: spawned run (%s) at %d threads differs from serial at y[%d]: %g vs %g",
+					spec, k.Name, what, th, r, float64(ySpawn[r]), float64(ySerial[r]))
+			}
+			yPooled := runNaN(func(y []T) { k.RunPooled(h, x, y, pools[th]) }, rows)
+			if r, ok := bitMismatch(ySerial, yPooled); ok {
+				return fmt.Errorf("oracle: %s/%s: pooled run (%s) at %d threads differs from serial at y[%d]: %g vs %g",
+					spec, k.Name, what, th, r, float64(yPooled[r]), float64(ySerial[r]))
+			}
 		}
 		if th > 1 && !mat.PlanFor(th).Serial {
 			cov.Parallel[k.Name] = true

@@ -59,6 +59,15 @@ func runSuite[T matrix.Float](t *testing.T) {
 		}
 	}
 
+	// Every shape of plan the engine picks on its own must have run above
+	// one thread: the serial body under the cutoff, a full partition, and
+	// HYB's parallel ELL phase with a serial and with a partitioned tail.
+	for _, shape := range []string{PlanSerial, PlanPartitioned, PlanTailSerial, PlanTailPartitioned} {
+		if !cov.Plans[shape] {
+			t.Errorf("no spec ran a %s engine plan above one thread", shape)
+		}
+	}
+
 	// Parameter-space reach: every searched unroll depth must have executed
 	// through some kernel instance (depths 1 and 4 ride on the fixed menu,
 	// the rest on parameterized registrations), and every conversion-level

@@ -164,8 +164,15 @@ type Tuner[T Float] struct {
 	defaultIters int
 }
 
-// CacheStats reports the tuner's decision-cache counters; see Tuner.Stats.
+// Stats reports the tuner's live counters — the decision cache's (embedded
+// CacheStats) and the worker pool's (Pool); see Tuner.Stats.
+type Stats = autotune.Stats
+
+// CacheStats is the decision-cache part of Stats.
 type CacheStats = autotune.CacheStats
+
+// PoolStats is the worker-pool part of Stats.
+type PoolStats = kernels.PoolStats
 
 // tunerConfig collects the Option settings before they are translated to
 // the runtime configuration.
@@ -181,8 +188,17 @@ type tunerConfig struct {
 // Option configures NewTuner.
 type Option func(*tunerConfig)
 
-// WithThreads sets the kernel thread fan-out. n ≤ 0 selects the model's
-// trained configuration (capped to GOMAXPROCS), which is also the default.
+// WithThreads sets the kernel thread fan-out (capped to GOMAXPROCS). n ≤ 0
+// selects the model's trained configuration, which is also the default.
+//
+// The model's per-format kernel picks were searched at the model's thread
+// count. A tuner at another count keeps each pick's loop body and binds the
+// partitioning its own count needs: above one thread a serial pick is
+// replaced by its parallel sibling (csr_unroll4 → csr_parallel_nnz_unroll4),
+// whose serial body is the pick itself, so WithThreads(1) runs exactly what
+// the model names. Operators of a tuner above one thread run matrices over
+// the engine's work cutoff on the tuner's worker pool and smaller ones
+// serially; Tuner.Stats reports which happened.
 func WithThreads(n int) Option {
 	return func(c *tunerConfig) { c.threads = n }
 }
@@ -280,10 +296,14 @@ func (t *Tuner[T]) Threads() int { return t.inner.Threads() }
 // optimisation for deterministic shutdown, not an obligation.
 func (t *Tuner[T]) Close() { t.inner.Close() }
 
-// Stats snapshots the tuner's decision-cache counters: hits, misses,
-// singleflight-shared waits, LRU evictions and low-confidence refreshes.
-// The zero value is returned when caching is disabled.
-func (t *Tuner[T]) Stats() CacheStats { return t.inner.Stats() }
+// Stats snapshots the tuner's live counters. The decision cache's — hits,
+// misses, singleflight-shared waits, LRU evictions, low-confidence refreshes
+// — are zero when caching is disabled. Pool says what the operators'
+// MulVec/MulVecBatch calls did with the worker pool: dispatches the
+// persistent workers ran (and how many of those followed an idle gap and had
+// to wake a parked worker), dispatches that found the pool busy and spawned
+// goroutines instead, and calls that stayed serial under the work cutoff.
+func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
 
 // TuneOption carries per-call tuning intent into Tune, CSRSpMV and
 // CSRSpMVBatch. Options are variadic additions — calls without any behave
