@@ -17,10 +17,7 @@ package autotune
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
-	"smat/internal/kernels"
 	"smat/internal/matrix"
 )
 
@@ -166,220 +163,4 @@ func validForHint(opts TuneOptions) func(CacheEntry) bool {
 		return e.Format == matrix.FormatCSR ||
 			(e.ConvertSec > 0 && e.SpMVSec > 0 && e.IncumbentSec > 0)
 	}
-}
-
-// accountAmortization fills the payoff-model fields of a freshly decided
-// non-CSR decision: the chosen format's per-SpMV rate, the tuned-CSR
-// incumbent's rate, and the break-even iteration count they imply together
-// with the already-measured conversion time. Rates the fallback already
-// measured are reused; otherwise a bounded probe (same budget policy as the
-// batch-crossover probe) runs on the steady-state pooled path.
-func (t *Tuner[T]) accountAmortization(m *matrix.CSR[T], d *Decision, op *Operator[T]) {
-	if d.Chosen == matrix.FormatCSR || m.NNZ() == 0 {
-		return
-	}
-	start := time.Now()
-	defer func() { d.AmortProbeSec = time.Since(start).Seconds() }()
-
-	measure := t.probeBudget(d)
-	flops := float64(kernels.FLOPs(m.NNZ()))
-
-	if g, ok := d.Measured[d.Chosen]; ok && g > 0 {
-		d.ChosenSpMVSec = flops / (g * 1e9)
-	} else {
-		e := op.eng.Load()
-		x := make([]T, m.Cols)
-		for i := range x {
-			x[i] = 1
-		}
-		y := make([]T, m.Rows)
-		d.ChosenSpMVSec = MeasureSecPerOp(func() { e.kernel.RunPooled(e.mat, x, y, t.pool) }, measure)
-	}
-
-	if g, ok := d.Measured[matrix.FormatCSR]; ok && g > 0 {
-		d.IncumbentSec = flops / (g * 1e9)
-	} else {
-		mat := &kernels.Mat[T]{Format: matrix.FormatCSR, CSR: m}
-		k := t.kernelFor(matrix.FormatCSR)
-		x := make([]T, m.Cols)
-		for i := range x {
-			x[i] = 1
-		}
-		y := make([]T, m.Rows)
-		d.IncumbentSec = MeasureSecPerOp(func() { k.RunPooled(mat, x, y, t.pool) }, measure)
-	}
-
-	d.BreakEvenIters = BreakEven(d.ConvertSec, d.IncumbentSec, d.ChosenSpMVSec)
-}
-
-// incumbent builds the tuned-CSR operator the amortised path serves: the
-// zero-conversion-cost default of the payoff model. No probes run — the CSR
-// input is wrapped as-is with the model's CSR kernel and the default batch
-// crossover.
-//
-//smat:atomic-init
-func (t *Tuner[T]) incumbent(m *matrix.CSR[T]) *Operator[T] {
-	mat := &kernels.Mat[T]{Format: matrix.FormatCSR, CSR: m}
-	op := newOperator(mat, t.kernelFor(matrix.FormatCSR), t.pool, m.NNZ())
-	e := op.eng.Load()
-	e.batch = t.lib.BatchForParams(matrix.FormatCSR, t.paramsFor(matrix.FormatCSR))
-	e.batchCrossover = defaultBatchCrossover
-	return op
-}
-
-// incumbentDecision rewrites d to serve the tuned-CSR incumbent op and
-// records why (the hint overrode the asymptotic winner), including the
-// incumbent's own parameters.
-func (t *Tuner[T]) incumbentDecision(d *Decision, op *Operator[T]) {
-	e := op.eng.Load()
-	d.Amortized = true
-	d.Converted = true
-	d.Chosen = matrix.FormatCSR
-	d.Kernel = e.kernel.Name
-	d.Params = t.decisionParams(matrix.FormatCSR, e.kernel)
-	d.BatchCrossover = 0
-	if e.batch != nil {
-		d.Params.BatchTile = e.batch.Params.BatchTile
-		d.BatchCrossover = defaultBatchCrossover
-	}
-}
-
-// amortize weighs a freshly decided (leader-path) operator against the
-// caller's iteration hint. The asymptotic operator already exists — its
-// conversion doubled as the cost probe — so when the hint says conversion
-// does not pay, the materialised format is discarded and the tuned-CSR
-// incumbent served instead; the conversion cost was bounded probe work,
-// already accounted in the decision's overhead.
-func (t *Tuner[T]) amortize(m *matrix.CSR[T], d *Decision, op *Operator[T], opts TuneOptions) *Operator[T] {
-	if opts.Iterations <= 0 || d.Chosen == matrix.FormatCSR || opts.Iterations >= d.BreakEvenIters {
-		d.Converted = true
-		return op
-	}
-	inc := t.incumbent(m)
-	t.incumbentDecision(d, inc)
-	return inc
-}
-
-// applyAmortized materialises a cached decision under the caller's options.
-// Without an iteration hint (or with a cached CSR winner) it is the plain
-// inline apply. With a hint, the cached cost measurements decide: below
-// break-even the tuned-CSR incumbent is served and nothing is converted at
-// all; at or above it the conversion runs — inline when opts.SyncConvert is
-// set, otherwise in the background while the incumbent serves the first
-// calls, swapped in atomically when ready.
-func (t *Tuner[T]) applyAmortized(m *matrix.CSR[T], d *Decision, entry CacheEntry, opts TuneOptions) (*Operator[T], error) {
-	d.Asymptotic = entry.Format
-	if opts.Iterations <= 0 || entry.Format == matrix.FormatCSR {
-		return t.apply(m, d, entry)
-	}
-
-	d.ChosenSpMVSec = entry.SpMVSec
-	d.IncumbentSec = entry.IncumbentSec
-	d.BreakEvenIters = BreakEven(entry.ConvertSec, entry.IncumbentSec, entry.SpMVSec)
-
-	if opts.Iterations < d.BreakEvenIters {
-		// Too few iterations to pay for the conversion: the whole point of
-		// the amortised cache hit is that nothing is converted here.
-		op := t.incumbent(m)
-		d.CacheHit = true
-		d.Predicted = entry.Format
-		d.PredictedOK = true
-		d.Confidence = entry.Confidence
-		t.incumbentDecision(d, op)
-		return op, nil
-	}
-
-	if opts.SyncConvert || (runtime.GOMAXPROCS(0) == 1 && opts.HoldConversion == nil) {
-		// Inline conversion: requested explicitly, or forced because a
-		// single-CPU process has no spare core to pay the conversion off the
-		// critical path — backgrounding there only delays the swap behind the
-		// serving goroutine. A HoldConversion channel overrides the CPU check:
-		// it exists precisely to pin the background protocol open for tests
-		// and the differential oracle.
-		return t.apply(m, d, entry)
-	}
-
-	// Amortised winner with enough iterations ahead: serve tuned CSR now,
-	// build entry.Format in the background, swap when ready.
-	op := t.incumbent(m)
-	op.convDone = make(chan struct{})
-	op.convState.Store(int32(ConvertPending))
-	d.CacheHit = true
-	d.Predicted = entry.Format
-	d.PredictedOK = true
-	d.Confidence = entry.Confidence
-	d.Chosen = entry.Format
-	d.Kernel = t.kernelFor(entry.Format).Name
-	d.Params = entry.Params
-	d.ConvertSec = entry.ConvertSec // the cost being paid in the background
-	d.Converted = false
-	cross := entry.BatchCrossover
-	if cross < 2 {
-		cross = defaultBatchCrossover
-	}
-	if t.lib.BatchForParams(entry.Format, entry.Params) != nil {
-		d.BatchCrossover = cross
-	}
-	go t.convertWorker(op, m, entry, cross, opts.HoldConversion)
-	return op, nil
-}
-
-// convertWorker is the single background conversion worker of one operator:
-// it materialises the amortised winner and publishes it with one atomic
-// engine store. The state transition to ConvertDone happens after the store,
-// so an observer that sees Done is guaranteed the next call serves the new
-// format. Failure (fill guard on a fingerprint-colliding matrix) leaves the
-// operator serving tuned CSR permanently — correct, just not faster.
-//
-//smat:syncsafe
-//smat:atomic-publish
-func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], entry CacheEntry, crossover int, hold <-chan struct{}) {
-	defer close(op.convDone)
-	if hold != nil {
-		<-hold
-	}
-	mat, _, err := kernels.ConvertTimedParams(m, entry.Format, t.model.MaxFill, entry.Params)
-	if err != nil {
-		op.convState.Store(int32(ConvertFailed))
-		return
-	}
-	e := &engine[T]{
-		mat:            mat,
-		kernel:         t.kernelFor(entry.Format),
-		batch:          t.lib.BatchForParams(entry.Format, entry.Params),
-		batchCrossover: crossover,
-	}
-	op.eng.Store(e)
-	op.convState.Store(int32(ConvertDone))
-}
-
-// tuneHinted materialises the caller's format hint directly, bypassing both
-// the model and the decision cache. The conversion is timed (it is the
-// eager-convert reference point of the payoff model) but never weighed: the
-// hint pins the format regardless of the iteration hint, so BreakEvenIters
-// is left unset here.
-func (t *Tuner[T]) tuneHinted(m *matrix.CSR[T], d *Decision, opts TuneOptions) (*Operator[T], error) {
-	f := opts.FormatHint
-	k := t.kernelFor(f)
-	if k == nil {
-		return nil, fmt.Errorf("autotune: no kernel registered for hinted format %v", f)
-	}
-	mat, timing, err := kernels.ConvertTimedParams(m, f, t.model.MaxFill, t.paramsFor(f))
-	d.ConvertSec = timing.Sec
-	if err != nil {
-		return nil, err
-	}
-	d.ConvertStored = timing.Stored
-	d.Predicted = f
-	d.PredictedOK = true
-	d.Confidence = 1
-	d.Chosen = f
-	d.Asymptotic = f
-	d.Kernel = k.Name
-	d.Params = t.decisionParams(f, k)
-	d.Converted = true
-	op := newOperator(mat, k, t.pool, m.NNZ())
-	t.accountCSRBaseline(m, d)
-	t.bindBatch(op, d)
-	return op, nil
 }

@@ -3,6 +3,7 @@ package autotune
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestBreakEvenArithmetic(t *testing.T) {
 }
 
 func TestTuneOptsRejectsNegativeIterations(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatCSR, 0.99), 1)
+	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
 	defer tuner.Close()
 	m := gen.RandomUniform[float64](50, 50, 3, rand.New(rand.NewSource(21)))
 	if _, _, err := tuner.TuneOpts(m, TuneOptions{Iterations: -1}); err == nil {
@@ -104,7 +105,7 @@ func m2key[T matrix.Float](m *matrix.CSR[T]) features.Key {
 // cached non-CSR winner must not be converted at all — the operator serves
 // tuned CSR and says so.
 func TestAmortizedCacheHitBelowBreakEven(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
 	seedAmortized(tuner, m, 2)
@@ -137,7 +138,7 @@ func TestAmortizedCacheHitBelowBreakEven(t *testing.T) {
 // TestAmortizedCacheHitSyncConvert: at or past break-even with SyncConvert,
 // the conversion runs inline exactly as an eager cache hit.
 func TestAmortizedCacheHitSyncConvert(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
 	seedAmortized(tuner, m, 2)
@@ -162,7 +163,7 @@ func TestAmortizedCacheHitSyncConvert(t *testing.T) {
 // operator serves tuned CSR immediately, converts in the background, and
 // swaps — correct answers on both sides of the swap.
 func TestAmortizedCacheHitAsyncSwap(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
 	seedAmortized(tuner, m, 2)
@@ -193,11 +194,43 @@ func TestAmortizedCacheHitAsyncSwap(t *testing.T) {
 	checkAgainstDense(t, op, m) // served from the swapped-in engine
 }
 
+// TestAmortizedCacheHitFollowsCPUCount: past break-even with neither
+// SyncConvert nor a hold, where the conversion runs is the process's CPU
+// count's call — in the background with a core to spare, inline on one CPU.
+// CI runs this package at -cpu 1,2 so both sides execute.
+func TestAmortizedCacheHitFollowsCPUCount(t *testing.T) {
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
+	defer tuner.Close()
+	m := intDiagonal(300)
+	seedAmortized(tuner, m, 2)
+
+	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.CacheHit || d.Chosen != matrix.FormatDIA || d.Amortized {
+		t.Fatalf("decision = %+v, want a DIA cache hit", d)
+	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		if !d.Converted || op.ConversionState() != ConvertNone || op.Format() != matrix.FormatDIA {
+			t.Errorf("one CPU: converted %v, state %v, serving %v; want DIA converted inline", d.Converted, op.ConversionState(), op.Format())
+		}
+	} else {
+		if d.Converted {
+			t.Error("spare CPUs: decision reports an inline conversion, want a background swap")
+		}
+		if st := op.AwaitConversion(); st != ConvertDone || op.Format() != matrix.FormatDIA {
+			t.Errorf("spare CPUs: state %v serving %v after the swap, want done on DIA", st, op.Format())
+		}
+	}
+	checkAgainstDense(t, op, m)
+}
+
 // TestHintValidationRefreshesCostlessEntry: a cached non-CSR entry without
 // amortisation measurements cannot answer an iteration-hinted request — it
 // must be refreshed, not blindly applied.
 func TestHintValidationRefreshesCostlessEntry(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
 	tuner.Cache().Put(m2key(m), CacheEntry{Format: matrix.FormatDIA, Confidence: 1, Measured: true})
@@ -233,7 +266,7 @@ func TestHintValidationRefreshesCostlessEntry(t *testing.T) {
 // carry the payoff measurements, and an iteration hint of 1 must never leave
 // the caller with a conversion that cannot pay off.
 func TestLeaderRecordsAmortization(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(2000)
 	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 1})
@@ -271,7 +304,7 @@ func TestLeaderRecordsAmortization(t *testing.T) {
 // -race this fails loudly if the swap races the scratch handoff; the value
 // checks fail if a torn engine ever serves a wrong product.
 func TestSwapWindowRace(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(200)
 	// NeverBatch crossover forces every batched call through loopVectors,
@@ -334,7 +367,7 @@ func TestSwapSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabledAutotune {
 		t.Skip("allocation accounting is not stable under -race")
 	}
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(500)
 	seedAmortized(tuner, m, NeverBatch)

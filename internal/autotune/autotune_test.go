@@ -229,7 +229,7 @@ func modelAlways(f matrix.Format, conf float64) *Model {
 }
 
 func TestTunerConfidentPredictionPath(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	m := gen.MultiDiagonal[float64](1000, []int{-1, 0, 1}, rand.New(rand.NewSource(2)))
 	op, d, err := tuner.Tune(m)
 	if err != nil {
@@ -262,7 +262,7 @@ func TestTunerConfidentPredictionPath(t *testing.T) {
 }
 
 func TestTunerLowConfidenceFallsBack(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.30), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.30), Config{Threads: 2})
 	m := gen.RandomUniform[float64](2000, 2000, 5, rand.New(rand.NewSource(3)))
 	op, d, err := tuner.Tune(m)
 	if err != nil {
@@ -299,7 +299,7 @@ func TestTunerInfeasiblePredictionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	op, d, err := tuner.Tune(m)
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestTunerGroupOrderPrefersDIA(t *testing.T) {
 	model := modelAlways(matrix.FormatCSR, 0.99)
 	model.Ruleset.Rules = append(model.Ruleset.Rules,
 		mining.Rule{Class: int(matrix.FormatDIA), Confidence: 0.95})
-	tuner := NewTuner[float64](model, 2)
+	tuner := New[float64](model, Config{Threads: 2})
 	m := gen.MultiDiagonal[float64](500, []int{0, 2}, rand.New(rand.NewSource(4)))
 	_, d, err := tuner.Tune(m)
 	if err != nil {
@@ -333,7 +333,7 @@ func TestTunerGroupOrderPrefersDIA(t *testing.T) {
 }
 
 func TestTunerFloat32(t *testing.T) {
-	tuner := NewTuner[float32](modelAlways(matrix.FormatELL, 0.99), 2)
+	tuner := New[float32](modelAlways(matrix.FormatELL, 0.99), Config{Threads: 2})
 	rng := rand.New(rand.NewSource(5))
 	m64 := gen.ConstantDegree[float64](800, 4, rng)
 	// Rebuild as float32.
@@ -379,7 +379,7 @@ func TestEndToEndTrainedTunerPicksDIAForStencil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuner := NewTuner[float64](res.Model, 2)
+	tuner := New[float64](res.Model, Config{Threads: 2})
 	m := gen.Laplacian2D5pt[float64](120, 120)
 	op, d, err := tuner.Tune(m)
 	if err != nil {
@@ -406,7 +406,7 @@ func TestEndToEndTrainedTunerPicksDIAForStencil(t *testing.T) {
 }
 
 func TestTunerEmptyMatrix(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatDIA, 0.99), 1)
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 1})
 	m, err := matrix.FromTriples[float64](10, 10, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +430,7 @@ func TestTunerEmptyMatrix(t *testing.T) {
 }
 
 func TestTunerOneByOne(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatCSR, 0.99), 1)
+	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
 	m, err := matrix.FromTriples(1, 1, []matrix.Triple[float64]{{Row: 0, Col: 0, Val: 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +454,7 @@ func TestDecisionOverheadZeroBaseline(t *testing.T) {
 }
 
 func TestOperatorDims(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatCOO, 0.99), 1)
+	tuner := New[float64](modelAlways(matrix.FormatCOO, 0.99), Config{Threads: 1})
 	m, err := matrix.FromTriples(3, 7, []matrix.Triple[float64]{{Row: 1, Col: 2, Val: 1}})
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func batchInput(n, k int) (xs [][]float64, xb []float64) {
 // exact regardless of summation order.
 func TestMulVecBatchMatchesColumnwise(t *testing.T) {
 	for _, f := range matrix.Formats {
-		tuner := NewTuner[float64](modelAlways(f, 0.99), 2)
+		tuner := New[float64](modelAlways(f, 0.99), Config{Threads: 2})
 		defer tuner.Close()
 		m := gen.MultiDiagonal[float64](400, []int{-2, 0, 3}, rand.New(rand.NewSource(11)))
 		op, d, err := tuner.Tune(m)
@@ -72,7 +72,7 @@ func TestMulVecBatchMatchesColumnwise(t *testing.T) {
 // tuning run records a probed crossover (a probe width or NeverBatch) and a
 // non-zero probe time for non-empty matrices.
 func TestMulVecBatchCrossoverRecorded(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatCSR, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := gen.RandomUniform[float64](1000, 1000, 8, rand.New(rand.NewSource(12)))
 	op, d, err := tuner.Tune(m)
@@ -102,7 +102,7 @@ func TestMulVecBatchCrossoverRecorded(t *testing.T) {
 // TestCacheHitReusesCrossover: the second tuner call for an identical
 // fingerprint must bind the leader's measured crossover without re-probing.
 func TestCacheHitReusesCrossover(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatELL, 0.99), 2)
+	tuner := New[float64](modelAlways(matrix.FormatELL, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := gen.ConstantDegree[float64](600, 5, rand.New(rand.NewSource(13)))
 	op1, d1, err := tuner.Tune(m)
@@ -132,7 +132,7 @@ func TestCacheHitReusesCrossover(t *testing.T) {
 
 // TestMulVecBatchEdgeWidths: k = 0 is a no-op and negative k panics.
 func TestMulVecBatchEdgeWidths(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatCSR, 0.99), 1)
+	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
 	defer tuner.Close()
 	m := gen.RandomUniform[float64](50, 50, 3, rand.New(rand.NewSource(14)))
 	op, _, err := tuner.Tune(m)
@@ -152,7 +152,7 @@ func TestMulVecBatchEdgeWidths(t *testing.T) {
 // TestMulVecBatchShapePanics: mis-sized interleaved buffers must panic with
 // the shape message, not read out of range.
 func TestMulVecBatchShapePanics(t *testing.T) {
-	tuner := NewTuner[float64](modelAlways(matrix.FormatCSR, 0.99), 1)
+	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
 	defer tuner.Close()
 	m := gen.RandomUniform[float64](20, 30, 2, rand.New(rand.NewSource(15)))
 	op, _, err := tuner.Tune(m)
@@ -183,7 +183,7 @@ func TestMulVecBatchZeroAlloc(t *testing.T) {
 	if raceEnabledAutotune {
 		t.Skip("allocation accounting is not stable under -race")
 	}
-	tuner := NewTuner[float64](modelAlways(matrix.FormatCSR, 0.99), 4)
+	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 4})
 	defer tuner.Close()
 	m := gen.RandomUniform[float64](5000, 5000, 6, rand.New(rand.NewSource(16)))
 	op, _, err := tuner.Tune(m)

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -29,132 +30,324 @@ func shippedPicks(t *testing.T, f matrix.Format, conf float64) *Model {
 	return m
 }
 
+// bindingWant is the non-timing contract of one binding path: what the
+// decision must say and what the operator must serve once the path has
+// settled. Zero-valued formats are not special: every field is compared.
+type bindingWant struct {
+	// chosen and asymptotic are Decision.Chosen / Asymptotic; served is
+	// op.Format() after any background conversion has finished.
+	chosen, asymptotic, served matrix.Format
+	predictedOK, usedFallback  bool
+	cacheHit, amortized        bool
+	converted                  bool
+	state                      ConversionState
+	// params is Decision.Params: resolved from the model, the kernel and the
+	// bound batch tile on paths that decide or serve the incumbent, the cache
+	// entry's verbatim on hits.
+	params kernels.Params
+	// probed says the batch crossover was measured on this call (a leader);
+	// otherwise crossover is the value the decision and the engine of the
+	// chosen format must carry (the entry's, or the default).
+	probed    bool
+	crossover int
+}
+
+// wantParams is what a deciding path records for format f on tuner tn:
+// the model's knobs, the bound kernel's unroll depth, the bound batch tile.
+func wantParams(tn *Tuner[float64], f matrix.Format) kernels.Params {
+	p := tn.paramsFor(f)
+	if u := tn.kernelFor(f).Params.Unroll; u != 0 {
+		p.Unroll = u
+	}
+	if b := tn.lib.BatchForParams(f, p); b != nil {
+		p.BatchTile = b.Params.BatchTile
+	}
+	return p
+}
+
+// collisionMatrix has an anti-diagonal plus a scattered entry per row: DIA's
+// fill guard rejects it, every other format converts.
+func collisionMatrix(t *testing.T) *matrix.CSR[float64] {
+	t.Helper()
+	n := 2000
+	var ts []matrix.Triple[float64]
+	for i := 0; i < n; i++ {
+		ts = append(ts, matrix.Triple[float64]{Row: i, Col: n - 1 - i, Val: 1})
+		ts = append(ts, matrix.Triple[float64]{Row: i, Col: (i*7 + 3) % n, Val: 1})
+	}
+	m, err := matrix.FromTriples(n, n, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// costedEntry is a measured cache entry for f whose synthetic costs put
+// break-even at 10 iterations.
+func costedEntry(f matrix.Format) CacheEntry {
+	return CacheEntry{Format: f, Confidence: 1, Measured: true, ConvertSec: 1, SpMVSec: 0.1, IncumbentSec: 0.2}
+}
+
+type bindingResult struct {
+	tn   *Tuner[float64]
+	m    *matrix.CSR[float64] // the matrix tuned (a path may substitute its own)
+	op   *Operator[float64]
+	d    *Decision
+	want bindingWant
+}
+
 // bindingPaths are the ways a tuner comes to bind a kernel. Each returns the
-// operator in its final state and the decision that describes it.
+// operator in its final state, the decision that describes it, and the
+// contract the pair must meet.
 var bindingPaths = []struct {
 	name string
-	tune func(t *testing.T, model func(conf float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) (*Tuner[float64], *Operator[float64], *Decision)
+	tune func(t *testing.T, model func(conf float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult
 }{
-	{"prediction", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], _ matrix.Format) (*Tuner[float64], *Operator[float64], *Decision) {
+	{"prediction", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
 		op, d, err := tn.Tune(m)
-		if err != nil || d.UsedFallback {
-			t.Fatalf("Tune: err %v, decision %+v", err, d)
+		if err != nil {
+			t.Fatalf("Tune: %v", err)
 		}
-		return tn, op, d
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, converted: true, probed: true}}
 	}},
-	{"fallback", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], _ matrix.Format) (*Tuner[float64], *Operator[float64], *Decision) {
+	{"fallback", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], _ matrix.Format) bindingResult {
 		tn := New[float64](model(0.30), Config{Threads: threads})
 		op, d, err := tn.Tune(m)
-		if err != nil || !d.UsedFallback {
-			t.Fatalf("Tune: err %v, decision %+v", err, d)
+		if err != nil {
+			t.Fatalf("Tune: %v", err)
 		}
-		return tn, op, d
+		// Whichever format measured fastest: the contract is that decision
+		// and operator agree on it.
+		return bindingResult{tn, m, op, d, bindingWant{chosen: d.Chosen, asymptotic: d.Chosen, served: d.Chosen, usedFallback: true, converted: true, probed: true}}
 	}},
-	{"format-hint", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) (*Tuner[float64], *Operator[float64], *Decision) {
+	{"format-hint", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
 		op, d, err := tn.TuneOpts(m, TuneOptions{FormatHint: f, HasFormatHint: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tn, op, d
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, converted: true, probed: true}}
 	}},
-	{"no-fallback", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], _ matrix.Format) (*Tuner[float64], *Operator[float64], *Decision) {
+	{"no-fallback", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.30), Config{Threads: threads, DisableFallback: true})
 		op, d, err := tn.Tune(m)
-		if err != nil || d.UsedFallback {
-			t.Fatalf("Tune: err %v, decision %+v", err, d)
+		if err != nil {
+			t.Fatalf("Tune: %v", err)
 		}
-		return tn, op, d
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, converted: true, probed: true}}
 	}},
-	{"cache-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], _ matrix.Format) (*Tuner[float64], *Operator[float64], *Decision) {
+	{"cache-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		if _, _, err := tn.Tune(m); err != nil {
+		_, lead, err := tn.Tune(m)
+		if err != nil {
 			t.Fatal(err)
 		}
 		op, d, err := tn.Tune(m)
-		if err != nil || !d.CacheHit {
-			t.Fatalf("second Tune: err %v, decision %+v", err, d)
+		if err != nil {
+			t.Fatalf("second Tune: %v", err)
 		}
-		return tn, op, d
+		// The hit binds the leader's parameters and probed crossover.
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true,
+			params: lead.Params, crossover: lead.BatchCrossover}}
 	}},
-	{"amortised-incumbent", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) (*Tuner[float64], *Operator[float64], *Decision) {
+	{"amortised-incumbent", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		tn.Cache().Put(m2key(m), CacheEntry{Format: f, Confidence: 1, Measured: true, ConvertSec: 1, SpMVSec: 0.1, IncumbentSec: 0.2})
+		tn.Cache().Put(m2key(m), costedEntry(f))
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 2})
-		if err != nil || (f != matrix.FormatCSR && !d.Amortized) {
-			t.Fatalf("TuneOpts: err %v, decision %+v", err, d)
+		if err != nil {
+			t.Fatalf("TuneOpts: %v", err)
 		}
-		return tn, op, d
+		// Two iterations cannot pay for a conversion: tuned CSR serves, with
+		// its own parameters and the default crossover. A cached CSR winner
+		// is a plain hit.
+		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: f, served: matrix.FormatCSR, predictedOK: true, cacheHit: true,
+			amortized: f != matrix.FormatCSR, converted: true, crossover: defaultBatchCrossover}}
 	}},
-	{"background-swap", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) (*Tuner[float64], *Operator[float64], *Decision) {
+	{"background-swap", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		tn.Cache().Put(m2key(m), CacheEntry{Format: f, Confidence: 1, Measured: true, ConvertSec: 1, SpMVSec: 0.1, IncumbentSec: 0.2})
+		entry := costedEntry(f)
+		entry.BatchCrossover = 8
+		tn.Cache().Put(m2key(m), entry)
+		hold := make(chan struct{})
+		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true, crossover: 8}
+		if f != matrix.FormatCSR {
+			if st := op.ConversionState(); st != ConvertPending || op.Format() != matrix.FormatCSR {
+				t.Errorf("before release: state %v serving %v, want pending on CSR", st, op.Format())
+			}
+			want.converted, want.state = false, ConvertDone
+		}
+		close(hold)
+		op.AwaitConversion()
+		return bindingResult{tn, m, op, d, want}
+	}},
+	{"sync-convert-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
+		tn := New[float64](model(0.99), Config{Threads: threads})
+		tn.Cache().Put(m2key(m), costedEntry(f))
+		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, SyncConvert: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true, crossover: defaultBatchCrossover}}
+	}},
+	{"collision-redecide", func(t *testing.T, model func(float64) *Model, threads int, _ *matrix.CSR[float64], _ matrix.Format) bindingResult {
+		// The cached DIA entry does not fit this matrix: the inline conversion
+		// fails and the tuner decides locally — here a confident CSR rule —
+		// under the same iteration hint. Nothing of the rejected entry may
+		// survive into the decision.
+		m := collisionMatrix(t)
+		local := model(0.99)
+		local.Ruleset = modelAlways(matrix.FormatCSR, 0.99).Ruleset
+		tn := New[float64](local, Config{Threads: threads})
+		tn.Cache().Put(m2key(m), costedEntry(matrix.FormatDIA))
+		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, SyncConvert: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.BreakEvenIters != 0 || d.ChosenSpMVSec != 0 || d.IncumbentSec != 0 || d.ConvertSec != 0 {
+			t.Errorf("local CSR decision carries payoff numbers break-even %d, chosen %gs, incumbent %gs, convert %gs; want none",
+				d.BreakEvenIters, d.ChosenSpMVSec, d.IncumbentSec, d.ConvertSec)
+		}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: matrix.FormatCSR, served: matrix.FormatCSR, predictedOK: true, converted: true, probed: true}}
+	}},
+	{"background-swap-fill-guard", func(t *testing.T, model func(float64) *Model, threads int, _ *matrix.CSR[float64], _ matrix.Format) bindingResult {
+		// The same collision met in the background: the worker's conversion
+		// fails, the operator keeps serving the tuned-CSR incumbent, and the
+		// decision keeps describing the swap that was scheduled.
+		m := collisionMatrix(t)
+		tn := New[float64](model(0.99), Config{Threads: threads})
+		tn.Cache().Put(m2key(m), costedEntry(matrix.FormatDIA))
 		hold := make(chan struct{})
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
 		if err != nil {
 			t.Fatal(err)
 		}
 		close(hold)
-		if st := op.AwaitConversion(); f != matrix.FormatCSR && st != ConvertDone {
-			t.Fatalf("conversion state %v, want done", st)
-		}
-		return tn, op, d
+		op.AwaitConversion()
+		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatDIA, asymptotic: matrix.FormatDIA, served: matrix.FormatCSR, predictedOK: true, cacheHit: true,
+			state: ConvertFailed, crossover: defaultBatchCrossover}}
 	}},
+}
+
+// checkBindingContract compares one settled path against its contract.
+func checkBindingContract(t *testing.T, label string, r bindingResult) {
+	t.Helper()
+	d, w := r.d, r.want
+	if d.Chosen != w.chosen || d.Asymptotic != w.asymptotic || r.op.Format() != w.served {
+		t.Errorf("%s: chosen %v asymptotic %v served %v, want %v %v %v", label, d.Chosen, d.Asymptotic, r.op.Format(), w.chosen, w.asymptotic, w.served)
+	}
+	if d.PredictedOK != w.predictedOK || d.UsedFallback != w.usedFallback || d.CacheHit != w.cacheHit || d.Amortized != w.amortized || d.Converted != w.converted {
+		t.Errorf("%s: predictedOK %v usedFallback %v cacheHit %v amortized %v converted %v, want %v %v %v %v %v", label,
+			d.PredictedOK, d.UsedFallback, d.CacheHit, d.Amortized, d.Converted, w.predictedOK, w.usedFallback, w.cacheHit, w.amortized, w.converted)
+	}
+	if st := r.op.ConversionState(); st != w.state {
+		t.Errorf("%s: conversion state %v, want %v", label, st, w.state)
+	}
+	if want := r.tn.kernelFor(w.chosen).Name; d.Kernel != want {
+		t.Errorf("%s: decision names kernel %s, this tuner binds %s for %v", label, d.Kernel, want, w.chosen)
+	}
+	if want := r.tn.kernelFor(w.served).Name; r.op.KernelName() != want {
+		t.Errorf("%s: operator serves kernel %s, this tuner binds %s for %v", label, r.op.KernelName(), want, w.served)
+	}
+
+	// Paths that decide (or fall back to the incumbent) resolve the
+	// parameters themselves; hits on a seeded entry report the entry's.
+	params := w.params
+	if !w.cacheHit || w.amortized {
+		params = wantParams(r.tn, w.chosen)
+	}
+	if d.Params != params {
+		t.Errorf("%s: params %+v, want %+v", label, d.Params, params)
+	}
+
+	// The engine serves the batch kernel of the format it holds, and its
+	// crossover is the decision's whenever the decision describes it.
+	e := r.op.eng.Load()
+	if want := r.tn.lib.BatchForParams(w.served, params); w.served == w.chosen && e.batch != want {
+		t.Errorf("%s: engine batch kernel %v, want %v", label, e.batch, want)
+	}
+	if e.batch == nil || e.batch.Format != w.served {
+		t.Errorf("%s: engine batch kernel %+v is not bound for the served format %v", label, e.batch, w.served)
+	}
+	crossover := w.crossover
+	if w.probed {
+		crossover = d.BatchCrossover
+		ok := crossover == NeverBatch
+		for _, k := range batchProbeWidths {
+			ok = ok || crossover == k
+		}
+		if !ok || d.BatchProbeSec <= 0 {
+			t.Errorf("%s: crossover %d probed in %gs, want a probe width or NeverBatch and a positive probe time", label, crossover, d.BatchProbeSec)
+		}
+	} else {
+		if crossover < 2 {
+			crossover = defaultBatchCrossover
+		}
+		if d.BatchCrossover != crossover || d.BatchProbeSec != 0 {
+			t.Errorf("%s: crossover %d probed in %gs, want %d without a probe", label, d.BatchCrossover, d.BatchProbeSec, crossover)
+		}
+	}
+	if want := crossover; w.served == w.chosen && e.batchCrossover != want {
+		t.Errorf("%s: engine crossover %d, want %d", label, e.batchCrossover, want)
+	} else if w.served != w.chosen && e.batchCrossover != defaultBatchCrossover {
+		t.Errorf("%s: incumbent engine crossover %d, want the default %d", label, e.batchCrossover, defaultBatchCrossover)
+	}
 }
 
 // TestBindingFollowsTunerThreads is the contract of the thread-aware
 // binding, on the shipped model's picks: whichever way the tuner comes to
 // choose a format, a tuner above one thread serves a StratParallel kernel,
 // and a one-thread tuner serves exactly the kernel the model names — the
-// binding before this contract existed — with bit-for-bit its result.
+// binding before this contract existed — with bit-for-bit its result. On
+// every path and at both thread counts the decision and the operator meet
+// the path's whole non-timing contract (checkBindingContract).
 func TestBindingFollowsTunerThreads(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("a tuner's threads are capped at GOMAXPROCS; the contract needs two")
 	}
 	lib := kernels.NewLibrary[float64]()
 	// Banded, so every format converts within the fallback's fill limit.
-	m := gen.MultiDiagonal[float64](4000, []int{-1, 0, 1}, rand.New(rand.NewSource(12)))
-	x := make([]float64, m.Cols)
-	for i := range x {
-		x[i] = 1 + float64(i%7)/8
-	}
+	banded := gen.MultiDiagonal[float64](4000, []int{-1, 0, 1}, rand.New(rand.NewSource(12)))
 	for _, f := range matrix.Formats {
 		model := func(conf float64) *Model { return shippedPicks(t, f, conf) }
-		named := lib.Lookup(model(1).Kernels[f.String()])
 		for _, path := range bindingPaths {
 			for _, threads := range []int{1, 4} {
-				tn, op, d := path.tune(t, model, threads, m, f)
+				label := fmt.Sprintf("%s/%s/threads=%d", f, path.name, threads)
+				r := path.tune(t, model, threads, banded, f)
+				tn, op, m := r.tn, r.op, r.m
+				checkBindingContract(t, label, r)
 				served := lib.Lookup(op.KernelName())
-				if d.Kernel != served.Name {
-					t.Errorf("%s/%s/threads=%d: decision says %s, operator serves %s", f, path.name, threads, d.Kernel, served.Name)
-				}
 				if threads > 1 {
 					if served.Strategies&kernels.StratParallel == 0 {
-						t.Errorf("%s/%s/threads=%d: serves %s, which lacks StratParallel", f, path.name, tn.Threads(), served.Name)
+						t.Errorf("%s: serves %s, which lacks StratParallel", label, served.Name)
 					}
 					tn.Close()
 					continue
 				}
 				// One thread: the model's own name for the format served, and
 				// that kernel's bits.
-				want := named
-				if op.Format() != f { // fallback or amortisation chose another format
-					want = lib.Lookup(model(1).Kernels[op.Format().String()])
-				}
+				want := lib.Lookup(model(1).Kernels[op.Format().String()])
 				if served != want {
-					t.Errorf("%s/%s/threads=1: serves %s, the model names %s", f, path.name, served.Name, want.Name)
+					t.Errorf("%s: serves %s, the model names %s", label, served.Name, want.Name)
 				}
 				mat, err := kernels.ConvertWithParams(m, op.Format(), 0, tn.paramsFor(op.Format()))
 				if err != nil {
 					t.Fatal(err)
+				}
+				x := make([]float64, m.Cols)
+				for i := range x {
+					x[i] = 1 + float64(i%7)/8
 				}
 				got, ref := make([]float64, m.Rows), make([]float64, m.Rows)
 				op.MulVec(x, got)
 				want.Run(mat, x, ref, 1)
 				for i := range got {
 					if got[i] != ref[i] {
-						t.Fatalf("%s/%s/threads=1: y[%d] = %g, %s alone gives %g", f, path.name, i, got[i], want.Name, ref[i])
+						t.Fatalf("%s: y[%d] = %g, %s alone gives %g", label, i, got[i], want.Name, ref[i])
 					}
 				}
 				tn.Close()

@@ -18,15 +18,16 @@ const DefaultCacheSize = 1024
 // requests while costing only a few kilobytes of fixed overhead.
 const cacheShards = 64
 
-// CacheEntry is one cached tuning decision: the winning format and kernel
-// for a feature fingerprint, plus how the decision was reached. Confidence
+// CacheEntry is one cached tuning decision: the winning format for a feature
+// fingerprint, plus how the decision was reached. It names no kernel: a hit
+// binds the hitting tuner's own kernel for the format, so tuners at different
+// thread counts can share one cache. Confidence
 // is the matched rule-group confidence for model predictions and 1 for
 // measured (execute-and-measure) winners; Measured separates the two so a
 // low-confidence predicted entry can later be refreshed by a tuner that is
 // willing to measure.
 type CacheEntry struct {
 	Format     matrix.Format
-	Kernel     string
 	Confidence float64
 	Measured   bool
 	// Params carries the leader's kernel parameters (conversion knobs like
@@ -79,8 +80,8 @@ func (s CacheStats) HitRate() float64 {
 // decisions with singleflight deduplication: N concurrent requests for the
 // same un-tuned fingerprint trigger exactly one tuning run while the rest
 // block on its result. All methods are safe for concurrent use. The cache
-// stores decisions (format + kernel name), not operators, so one cache can
-// be shared by tuners of different element types.
+// stores decisions (format + parameters), not operators, so one cache can be
+// shared by tuners of different element types and thread counts.
 type Cache struct {
 	capacity int // total bound; each shard holds capacity/cacheShards
 	shards   [cacheShards]cacheShard

@@ -102,7 +102,7 @@ func TestLoadModelV1BackCompat(t *testing.T) {
 	if back.Params != nil {
 		t.Errorf("v1 model loaded with non-nil Params: %+v", back.Params)
 	}
-	tn := NewTuner[float64](back, 2)
+	tn := New[float64](back, Config{Threads: 2})
 	defer tn.Close()
 	for _, f := range matrix.Formats {
 		if p := tn.paramsFor(f); !p.IsZero() {

@@ -12,7 +12,10 @@ import (
 )
 
 // Decision records everything about one runtime tuning decision, feeding the
-// paper's Table 3 (prediction, fallback, overhead in CSR-SpMV units).
+// paper's Table 3 (prediction, fallback, overhead in CSR-SpMV units). The
+// provenance, choice and payoff fields are written once, by the record stage,
+// onto a record that starts fresh for every attempt: they describe this
+// call's own stages and nothing else.
 type Decision struct {
 	Features features.Features
 
@@ -91,11 +94,15 @@ type Decision struct {
 	// chosen format has no batched kernel registered.
 	BatchCrossover int
 
-	// Timing breakdown (seconds). ConvertSec is the measured conversion time
-	// on paths that converted inline, and the cached leader's measurement on
-	// the background-conversion path (where it is excluded from Overhead —
-	// the worker pays it off the caller's critical path). AmortProbeSec is
-	// the cost of the per-SpMV rate probes behind BreakEvenIters.
+	// Timing breakdown (seconds); each field is written by exactly one stage
+	// of the pipeline (stages.go). FeatureSec: extract. FallbackSec: the
+	// execute-and-measure selector, its baseline run and candidate
+	// conversions included. CSRSpMVSec, AmortProbeSec (the per-SpMV rate
+	// probes behind BreakEvenIters) and BatchProbeSec: the leader's probe.
+	// ConvertSec: record — the conversion this call performed for the chosen
+	// format, or, while a background conversion is pending, the cached
+	// leader's measurement of it (excluded from Overhead: the worker pays it
+	// off the caller's critical path). Stages that did not run leave zero.
 	FeatureSec    float64
 	ConvertSec    float64
 	FallbackSec   float64
@@ -163,16 +170,6 @@ type Operator[T matrix.Float] struct {
 	// format.
 	convState atomic.Int32
 	convDone  chan struct{}
-}
-
-// newOperator wraps a materialised matrix and kernel in an operator whose
-// engine pointer is already published.
-//
-//smat:atomic-publish
-func newOperator[T matrix.Float](mat *kernels.Mat[T], k *kernels.Kernel[T], pool *kernels.Pool[T], nnz int) *Operator[T] {
-	op := &Operator[T]{pool: pool, nnz: nnz}
-	op.eng.Store(&engine[T]{mat: mat, kernel: k})
-	return op
 }
 
 // MulVec computes y = A·x on the steady-state execution path: the work
@@ -391,15 +388,6 @@ func New[T matrix.Float](model *Model, cfg Config) *Tuner[T] {
 	}
 }
 
-// NewTuner builds a runtime tuner from a trained model. threads ≤ 0 uses the
-// model's trained thread count capped to GOMAXPROCS.
-//
-// Deprecated: use New, which also configures the decision cache and
-// fallback behaviour.
-func NewTuner[T matrix.Float](model *Model, threads int) *Tuner[T] {
-	return New[T](model, Config{Threads: threads})
-}
-
 // Threads returns the tuner's thread configuration.
 func (t *Tuner[T]) Threads() int { return t.threads }
 
@@ -476,13 +464,17 @@ func (t *Tuner[T]) paramsFor(f matrix.Format) kernels.Params {
 	return t.model.Params[f.String()]
 }
 
-// decisionParams merges the model's format-level parameters with the chosen
-// kernel instance's own (the unroll depth rides on the registered instance,
-// the conversion knobs on the model).
-func (t *Tuner[T]) decisionParams(f matrix.Format, k *kernels.Kernel[T]) kernels.Params {
-	p := t.paramsFor(f)
-	if k != nil && k.Params.Unroll != 0 {
-		p.Unroll = k.Params.Unroll
+// resolvedParams is the full parameter point behind an engine: the model's
+// format-level conversion knobs, the bound kernel instance's unroll depth
+// and the bound batch kernel's register tile (the searched width, or the
+// format's default when the model carried none).
+func (t *Tuner[T]) resolvedParams(e *engine[T]) kernels.Params {
+	p := t.paramsFor(e.kernel.Format)
+	if u := e.kernel.Params.Unroll; u != 0 {
+		p.Unroll = u
+	}
+	if e.batch != nil {
+		p.BatchTile = e.batch.Params.BatchTile
 	}
 	return p
 }
@@ -520,113 +512,52 @@ func (t *Tuner[T]) Tune(m *matrix.CSR[T]) (*Operator[T], *Decision, error) {
 // TuneOpts is Tune with per-call options: the decision becomes "best format
 // given opts.Iterations remaining SpMVs", with tuned CSR as the
 // zero-conversion-cost incumbent, and opts.FormatHint can bypass the
-// decision entirely. See TuneOptions for the exact semantics of each field.
+// decision entirely. See TuneOptions for the exact semantics of each field,
+// and stages.go for the stages each path below is made of.
 func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *Decision, error) {
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
 	}
-	d := &Decision{IterationHint: opts.Iterations}
-
-	start := time.Now()
-	d.Features = features.Extract(m)
-	d.FeatureSec = time.Since(start).Seconds()
-
+	tn := t.extract(m, opts)
 	if opts.HasFormatHint {
-		op, err := t.tuneHinted(m, d, opts)
-		return op, d, err
+		return tn.finish(tn.hinted())
 	}
-
 	if t.cache == nil {
-		op, err := t.decide(m, d)
-		if err != nil {
-			return nil, d, err
-		}
-		return t.amortize(m, d, op, opts), d, nil
+		return tn.finish(tn.lead())
 	}
 
-	key := d.Features.Key()
-	var leaderOp *Operator[T]
-	entry, fromCache, err := t.cache.DoValidated(key, t.refreshBelow(), validForHint(opts), func() (CacheEntry, error) {
-		op, err := t.decide(m, d)
+	var led *choice[T]
+	entry, fromCache, err := t.cache.DoValidated(tn.base.Features.Key(), t.refreshBelow(), validForHint(opts), func() (CacheEntry, error) {
+		c, err := tn.lead()
 		if err != nil {
 			return CacheEntry{}, err
 		}
-		leaderOp = op
-		conf := d.Confidence
-		if d.UsedFallback {
-			conf = 1 // measured ground truth
-		}
-		// The entry records the asymptotic decision plus the leader's payoff
-		// measurements; amortisation against a hint is recomputed per hit.
-		return CacheEntry{
-			Format:         d.Chosen,
-			Kernel:         d.Kernel,
-			Confidence:     conf,
-			Measured:       d.UsedFallback,
-			Params:         d.Params,
-			BatchCrossover: d.BatchCrossover,
-			ConvertSec:     d.ConvertSec,
-			SpMVSec:        d.ChosenSpMVSec,
-			IncumbentSec:   d.IncumbentSec,
-		}, nil
+		led = c
+		return tn.entry(c), nil
 	})
-	if err != nil {
-		return nil, d, err
-	}
-	if !fromCache {
-		return t.amortize(m, d, leaderOp, opts), d, nil
+	if err != nil || !fromCache {
+		return tn.finish(led, err)
 	}
 	// The decision came from the cache (or from a concurrent leader tuning
 	// an identical-fingerprint matrix): apply it to this matrix.
-	op, err := t.applyAmortized(m, d, entry, opts)
-	if err != nil {
-		// The cached format does not fit this matrix — a fingerprint
-		// collision with a structurally different matrix. Decide locally
-		// without disturbing the cached entry.
-		op, err = t.decide(m, d)
-		if err != nil {
-			return nil, d, err
-		}
-		op = t.amortize(m, d, op, opts)
+	if tn.serve(tn.cached(entry)) == nil {
+		return tn.op, tn.d, nil
 	}
-	return op, d, err
+	// The cached format does not fit this matrix — a fingerprint collision
+	// with a structurally different matrix. Decide locally, on a fresh
+	// record, without disturbing the cached entry.
+	return tn.finish(tn.lead())
 }
 
-// apply materialises a cached decision for one concrete matrix: convert to
-// the cached format and bind the cached kernel. It fails only when the
-// format's zero-fill guard rejects this particular matrix.
-//
-//smat:atomic-init
-func (t *Tuner[T]) apply(m *matrix.CSR[T], d *Decision, entry CacheEntry) (*Operator[T], error) {
-	mat, timing, err := kernels.ConvertTimedParams(m, entry.Format, t.model.MaxFill, entry.Params)
-	d.ConvertSec = timing.Sec
+// finish serves a leader's or a hint's choice and returns TuneOpts' results.
+func (tn *tuning[T]) finish(c *choice[T], err error) (*Operator[T], *Decision, error) {
+	if err == nil {
+		err = tn.serve(c)
+	}
 	if err != nil {
-		return nil, err
+		return nil, tn.d, err
 	}
-	d.ConvertStored = timing.Stored
-	k := t.kernelFor(entry.Format)
-	d.CacheHit = true
-	d.Predicted = entry.Format
-	d.PredictedOK = true
-	d.Confidence = entry.Confidence
-	d.Chosen = entry.Format
-	d.Kernel = k.Name
-	d.Params = entry.Params
-	d.Converted = true
-	op := newOperator(mat, k, t.pool, m.NNZ())
-	// Reuse the leader's measured crossover instead of re-probing: cache hits
-	// stay measurement-free. Entries predating the probe (< 2 can never be a
-	// real crossover) fall back to the register-tile width.
-	e := op.eng.Load()
-	e.batch = t.lib.BatchForParams(entry.Format, entry.Params)
-	e.batchCrossover = entry.BatchCrossover
-	if e.batchCrossover < 2 {
-		e.batchCrossover = defaultBatchCrossover
-	}
-	if e.batch != nil {
-		d.BatchCrossover = e.batchCrossover
-	}
-	return op, nil
+	return tn.op, tn.d, nil
 }
 
 // refreshBelow is the confidence bar under which a cached, un-measured
@@ -638,187 +569,6 @@ func (t *Tuner[T]) refreshBelow() float64 {
 		return 0
 	}
 	return t.threshold
-}
-
-// decide runs the model + fallback decision procedure on an already
-// feature-extracted matrix, filling d and returning the asymptotically best
-// operator (conversion cost not yet weighed — amortize does that against the
-// caller's iteration hint).
-func (t *Tuner[T]) decide(m *matrix.CSR[T], d *Decision) (*Operator[T], error) {
-	fv := d.Features.Vector()
-
-	// Rule groups in DIA → ELL → CSR → COO order (Section 6): the first
-	// group with a matching rule above the confidence threshold wins.
-	for _, f := range matrix.Formats {
-		conf, matched := t.groupConfidence(fv, f)
-		if !matched {
-			continue
-		}
-		if conf > t.threshold && t.formatFeasible(f, &d.Features, t.model.MaxFill) {
-			d.Predicted = f
-			d.PredictedOK = true
-			d.Confidence = conf
-			break
-		}
-	}
-
-	if d.PredictedOK {
-		mat, timing, err := kernels.ConvertTimedParams(m, d.Predicted, t.model.MaxFill, t.paramsFor(d.Predicted))
-		d.ConvertSec = timing.Sec
-		if err == nil {
-			d.ConvertStored = timing.Stored
-			d.Chosen = d.Predicted
-			k := t.kernelFor(d.Chosen)
-			d.Kernel = k.Name
-			d.Params = t.decisionParams(d.Chosen, k)
-			op := newOperator(mat, k, t.pool, m.NNZ())
-			t.finish(m, d, op)
-			return op, nil
-		}
-		// Fill guard rejected the predicted format; fall through to
-		// measurement (or the best-effort pick when fallback is off).
-		d.PredictedOK = false
-	}
-
-	if t.noFallback {
-		op, err := t.bestEffort(m, d, fv)
-		if err != nil {
-			return nil, err
-		}
-		t.finish(m, d, op)
-		return op, nil
-	}
-
-	op, err := t.fallback(m, d)
-	if err != nil {
-		return nil, err
-	}
-	t.finish(m, d, op)
-	return op, nil
-}
-
-// finish completes a freshly decided operator: record the CSR baseline,
-// probe the amortisation rates behind BreakEvenIters, and bind the batch
-// kernel. d.Chosen at this point is the asymptotic winner.
-func (t *Tuner[T]) finish(m *matrix.CSR[T], d *Decision, op *Operator[T]) {
-	t.accountCSRBaseline(m, d)
-	d.Asymptotic = d.Chosen
-	t.accountAmortization(m, d, op)
-	t.bindBatch(op, d)
-}
-
-// batchProbeWidths are the batch widths the crossover probe times, ordered:
-// the first width where the tiled kernel matches k independent single-vector
-// runs becomes the operator's crossover.
-var batchProbeWidths = [...]int{2, 4, 8}
-
-// bindBatch attaches the format's tiled SpMM kernel to a freshly decided
-// operator and measures the batch-width crossover, recording it in the
-// decision (and hence the cache). Formats without a registered batch kernel
-// leave BatchCrossover at 0 and MulVecBatch always loops.
-//
-//smat:atomic-init
-func (t *Tuner[T]) bindBatch(op *Operator[T], d *Decision) {
-	e := op.eng.Load()
-	e.batchCrossover = NeverBatch
-	e.batch = t.lib.BatchForParams(e.mat.Format, d.Params)
-	if e.batch == nil {
-		return
-	}
-	// Record the register tile actually bound (the searched width, or the
-	// format's default when the model carried none) so the cache entry and
-	// the decision report the full parameter set.
-	d.Params.BatchTile = e.batch.Params.BatchTile
-	if op.nnz == 0 {
-		// Nothing to measure; both paths are trivially cheap, so prefer the
-		// tiled kernel (one pass instead of k) at every width.
-		e.batchCrossover = batchProbeWidths[0]
-		d.BatchCrossover = e.batchCrossover
-		return
-	}
-	start := time.Now()
-	e.batchCrossover = t.measureCrossover(op, d)
-	d.BatchProbeSec = time.Since(start).Seconds()
-	d.BatchCrossover = e.batchCrossover
-}
-
-// probeBudget calibrates a measurement budget against this matrix's own
-// basic CSR-SpMV time (once known): a few CSR-SpMV executions per timing,
-// never less than 10µs, so probes on small matrices stay near the paper's
-// overhead envelope instead of burning the full default MinTime.
-func (t *Tuner[T]) probeBudget(d *Decision) MeasureOptions {
-	measure := t.measure
-	if budget := time.Duration(3 * d.CSRSpMVSec * float64(time.Second)); budget > 0 && budget < measure.MinTime {
-		if budget < 10*time.Microsecond {
-			budget = 10 * time.Microsecond
-		}
-		measure.MinTime = budget
-	}
-	return measure
-}
-
-// measureCrossover times the loop-over-vectors path against the tiled SpMM
-// kernel at each probe width and returns the first width where the tiled
-// pass costs no more than k trips through the loop (NeverBatch when the loop
-// wins everywhere). The loop is timed as MulVecBatch runs it — per vector a
-// gather, the tuned single-vector kernel, a scatter — at width 2: the kernel
-// alone undercounts it by the two strided passes, by more the faster the
-// bound kernel is. The probe budget is calibrated like the fallback's.
-func (t *Tuner[T]) measureCrossover(op *Operator[T], d *Decision) int {
-	e := op.eng.Load()
-	rows, cols := e.mat.Dims()
-	maxK := batchProbeWidths[len(batchProbeWidths)-1]
-	// All-ones input: any k-prefix of the buffer is a valid interleaved batch
-	// of k identical vectors, so one allocation serves every probed width.
-	xb := make([]T, cols*maxK)
-	for i := range xb {
-		xb[i] = 1
-	}
-	yb := make([]T, rows*maxK)
-
-	measure := t.probeBudget(d)
-	perVector := MeasureSecPerOp(func() { op.loopVectors(e, xb[:cols*2], yb[:rows*2], 2) }, measure) / 2
-	e.scratch.Store(nil) // the loop's buffers: an operator never batched keeps none
-	for _, k := range batchProbeWidths {
-		sec := MeasureSecPerOp(func() { e.batch.RunPooled(e.mat, xb[:cols*k], yb[:rows*k], k, op.pool) }, measure)
-		if sec <= perVector*float64(k) {
-			return k
-		}
-	}
-	return NeverBatch
-}
-
-// bestEffort is the no-fallback decision: the highest-confidence matching,
-// feasible rule group wins regardless of the threshold; with no match the
-// ruleset default (CSR) is used. The low confidence is recorded so a cached
-// copy of this decision can be refreshed by a measuring tuner.
-func (t *Tuner[T]) bestEffort(m *matrix.CSR[T], d *Decision, fv []float64) (*Operator[T], error) {
-	best := matrix.FormatCSR
-	bestConf := 0.0
-	for _, f := range matrix.Formats {
-		conf, matched := t.groupConfidence(fv, f)
-		if matched && conf > bestConf && t.formatFeasible(f, &d.Features, t.model.MaxFill) {
-			best, bestConf = f, conf
-		}
-	}
-	mat, timing, err := kernels.ConvertTimedParams(m, best, t.model.MaxFill, t.paramsFor(best))
-	if err != nil {
-		// The fill guard can still reject a feature-feasible format on edge
-		// cases; CSR always converts.
-		best, bestConf = matrix.FormatCSR, 0
-		mat, timing, err = kernels.ConvertTimedParams(m, best, t.model.MaxFill, t.paramsFor(best))
-		if err != nil {
-			return nil, err
-		}
-	}
-	d.ConvertSec = timing.Sec
-	d.ConvertStored = timing.Stored
-	d.Confidence = bestConf
-	d.Chosen = best
-	k := t.kernelFor(best)
-	d.Kernel = k.Name
-	d.Params = t.decisionParams(best, k)
-	return newOperator(mat, k, t.pool, m.NNZ()), nil
 }
 
 // groupConfidence returns the confidence of the first rule of class f (in
@@ -833,12 +583,6 @@ func (t *Tuner[T]) groupConfidence(fv []float64, f matrix.Format) (float64, bool
 	return 0, false
 }
 
-// fallbackMaxFill is the tighter zero-fill bound of the execute-and-measure
-// path: a DIA/ELL representation padding more than this multiple of NNZ
-// cannot win, and converting it just to measure it would blow the fallback
-// budget far past the paper's ~16 CSR-SpMV executions.
-const fallbackMaxFill = 3.0
-
 // feasible predicts from the already-extracted features whether converting
 // to f stays within the given fill limit, without touching the matrix.
 func feasible(f matrix.Format, ft *features.Features, maxFill float64) bool {
@@ -850,89 +594,4 @@ func feasible(f matrix.Format, ft *features.Features, maxFill float64) bool {
 	default:
 		return true
 	}
-}
-
-// fallback is the execute-and-measure path: benchmark every feasible format
-// once and keep the fastest, reusing the winner's conversion. Conversion
-// time is measured per format as a side effect (it is structure-dependent),
-// feeding the amortisation payoff model.
-func (t *Tuner[T]) fallback(m *matrix.CSR[T], d *Decision) (*Operator[T], error) {
-	d.UsedFallback = true
-	d.Measured = map[matrix.Format]float64{}
-	start := time.Now()
-	defer func() { d.FallbackSec = time.Since(start).Seconds() }()
-
-	x := make([]T, m.Cols)
-	for i := range x {
-		x[i] = T(1)
-	}
-	y := make([]T, m.Rows)
-	flops := kernels.FLOPs(m.NNZ())
-
-	// Calibrate the per-format measurement budget against this matrix's own
-	// basic CSR-SpMV time, so the whole fallback stays near the paper's ~16
-	// CSR-SpMV executions regardless of matrix size.
-	basicCSR := t.lib.Basic(matrix.FormatCSR)
-	csrMat := &kernels.Mat[T]{Format: matrix.FormatCSR, CSR: m}
-	st := time.Now()
-	basicCSR.Run(csrMat, x, y, 1)
-	csrSec := time.Since(st).Seconds()
-	d.CSRSpMVSec = csrSec
-	measure := t.probeBudget(d)
-
-	var bestOp *Operator[T]
-	var bestTiming kernels.ConvertTiming
-	best := -1.0
-	maxFill := fallbackMaxFill
-	if t.model.MaxFill < maxFill {
-		maxFill = t.model.MaxFill
-	}
-	for _, f := range matrix.Formats {
-		if !t.formatFeasible(f, &d.Features, maxFill) {
-			continue
-		}
-		mat, timing, err := kernels.ConvertTimedParams(m, f, maxFill, t.paramsFor(f))
-		if err != nil {
-			continue
-		}
-		k := t.kernelFor(f)
-		// Measure on the pooled steady-state path — the regime the chosen
-		// operator will actually run in.
-		sec := MeasureSecPerOp(func() { k.RunPooled(mat, x, y, t.pool) }, measure)
-		g := GFLOPS(flops, sec)
-		d.Measured[f] = g
-		if g > best {
-			best = g
-			bestOp = newOperator(mat, k, t.pool, m.NNZ())
-			bestTiming = timing
-			d.Params = t.decisionParams(f, k)
-		}
-	}
-	if bestOp == nil {
-		return nil, fmt.Errorf("autotune: no feasible format for %dx%d matrix", m.Rows, m.Cols)
-	}
-	d.Chosen = bestOp.Format()
-	d.Kernel = bestOp.KernelName()
-	d.ConvertSec = bestTiming.Sec
-	d.ConvertStored = bestTiming.Stored
-	return bestOp, nil
-}
-
-// accountCSRBaseline fills Decision.CSRSpMVSec (the paper's overhead unit)
-// with the cost of one basic CSR SpMV, measured with a single run so the
-// accounting itself stays cheap.
-func (t *Tuner[T]) accountCSRBaseline(m *matrix.CSR[T], d *Decision) {
-	if d.CSRSpMVSec > 0 || m.NNZ() == 0 {
-		return
-	}
-	basic := t.lib.Basic(matrix.FormatCSR)
-	mat := &kernels.Mat[T]{Format: matrix.FormatCSR, CSR: m}
-	x := make([]T, m.Cols)
-	for i := range x {
-		x[i] = 1
-	}
-	y := make([]T, m.Rows)
-	st := time.Now()
-	basic.Run(mat, x, y, 1)
-	d.CSRSpMVSec = time.Since(st).Seconds()
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"smat/internal/features"
 	"smat/internal/gen"
 	"smat/internal/matrix"
 )
@@ -174,34 +173,43 @@ func TestSharedCacheRefreshAcrossTuners(t *testing.T) {
 func TestTuneCacheCollisionFallsBackToLocalDecision(t *testing.T) {
 	// Force a pathological collision: seed the cache with a DIA decision
 	// under the fingerprint of a matrix for which DIA is infeasible. Tune
-	// must recover with a local decision and must not disturb the entry.
-	n := 2000
-	var ts []matrix.Triple[float64]
-	for i := 0; i < n; i++ {
-		ts = append(ts, matrix.Triple[float64]{Row: i, Col: n - 1 - i, Val: 1})
-		ts = append(ts, matrix.Triple[float64]{Row: i, Col: (i*7 + 3) % n, Val: 1})
-	}
-	m, err := matrix.FromTriples(n, n, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
-	feat := features.Extract(m)
-	key := feat.Key()
-	tuner.Cache().Put(key, CacheEntry{Format: matrix.FormatDIA, Kernel: "dia_basic", Confidence: 1, Measured: true})
+	// must recover with a local decision and must not disturb the entry —
+	// asymptotically, and under an iteration hint that makes the entry's
+	// costs part of the rejected attempt: the returned decision describes
+	// only the local one.
+	m := collisionMatrix(t)
+	key := m2key(m)
+	for _, c := range []struct {
+		name  string
+		entry CacheEntry
+		opts  TuneOptions
+	}{
+		{"asymptotic", CacheEntry{Format: matrix.FormatDIA, Confidence: 1, Measured: true}, TuneOptions{}},
+		{"hinted-sync", costedEntry(matrix.FormatDIA), TuneOptions{Iterations: 1 << 20, SyncConvert: true}},
+	} {
+		tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
+		tuner.Cache().Put(key, c.entry)
 
-	op, d, err := tuner.Tune(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.CacheHit {
-		t.Error("infeasible cached format reported as a hit")
-	}
-	if d.Chosen == matrix.FormatDIA || op.Format() == matrix.FormatDIA {
-		t.Errorf("chose infeasible DIA (decision %+v)", d)
-	}
-	if e, ok := tuner.Cache().Get(key); !ok || e.Format != matrix.FormatDIA {
-		t.Error("collision recovery disturbed the cached entry")
+		op, d, err := tuner.TuneOpts(m, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.CacheHit {
+			t.Errorf("%s: infeasible cached format reported as a hit", c.name)
+		}
+		if d.Chosen == matrix.FormatDIA || op.Format() == matrix.FormatDIA {
+			t.Errorf("%s: chose infeasible DIA (decision %+v)", c.name, d)
+		}
+		// The local decision is a confident CSR rule: nothing to pay off, so
+		// no payoff number may be reported — least of all the entry's.
+		if d.Asymptotic != matrix.FormatCSR || d.BreakEvenIters != 0 || d.ChosenSpMVSec != 0 || d.IncumbentSec != 0 || d.ConvertSec != 0 {
+			t.Errorf("%s: asymptotic %v with break-even %d, chosen %gs, incumbent %gs, convert %gs; want CSR and no payoff numbers",
+				c.name, d.Asymptotic, d.BreakEvenIters, d.ChosenSpMVSec, d.IncumbentSec, d.ConvertSec)
+		}
+		if e, ok := tuner.Cache().Get(key); !ok || e != c.entry {
+			t.Errorf("%s: collision recovery disturbed the cached entry: %+v", c.name, e)
+		}
+		tuner.Close()
 	}
 }
 

@@ -1,0 +1,579 @@
+// The staged tuning pipeline. Every TuneOpts call runs a subset of
+//
+//	extract → select → payoff → build → probe → record
+//
+// over one per-call state. A leader (cache miss, format hint, or no cache)
+// runs select → build → probe → payoff: its conversion doubles as the cost
+// probe, so the payoff is weighed last. A cache hit runs select → payoff →
+// build, so nothing is converted below break-even. Both end in serve, which
+// records the decision and publishes the engine. DESIGN.md §11 has the
+// stage × path table.
+package autotune
+
+import (
+	"fmt"
+	"runtime"
+	"time"
+
+	"smat/internal/features"
+	"smat/internal/kernels"
+	"smat/internal/matrix"
+)
+
+// tuning is the state of one TuneOpts call, shared by its stages.
+type tuning[T matrix.Float] struct {
+	t    *Tuner[T]
+	m    *matrix.CSR[T]
+	opts TuneOptions
+
+	// op is the operator under construction: the crossover probe runs its
+	// loop path, serve publishes its engine.
+	op *Operator[T]
+
+	// base is what extract learned. Every attempt (begin) records onto a
+	// fresh copy d, so a re-decide after a fingerprint collision inherits
+	// nothing from the attempt it replaces.
+	base Decision
+	d    *Decision
+
+	// inc is the call's tuned-CSR engine, built on first use; x and y the
+	// one probe workspace, allocated on first use.
+	inc  *engine[T]
+	x, y []T
+}
+
+// choice is what a selector hands the rest of the pipeline: the format to
+// serve asymptotically, how it was arrived at, and whatever the selector
+// learned on the way.
+type choice[T matrix.Float] struct {
+	format     matrix.Format
+	params     kernels.Params // the knobs to convert and bind with
+	confidence float64
+	predicted  bool // selected without measuring: hint, cache entry, confident rule group
+	cacheHit   bool
+
+	// The payoff model's inputs, zero while unknown: the cache selector
+	// copies the entry's for a hinted request, the measuring selector records
+	// the rates it timed, the leader's probe fills in the rest.
+	convertSec, spmvSec, incumbentSec float64
+	breakEven                         int
+	// crossover is the cached batch crossover; below 2 when none was probed.
+	crossover int
+
+	// eng is the format materialised, once it has been — by a selector that
+	// had to convert to select, or by the build stage — and convert that
+	// conversion's timing.
+	eng     *engine[T]
+	convert kernels.ConvertTiming
+}
+
+// extract is the first stage: the Table 2 features, timed once per call.
+func (t *Tuner[T]) extract(m *matrix.CSR[T], opts TuneOptions) *tuning[T] {
+	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{pool: t.pool, nnz: m.NNZ()}}
+	tn.base.IterationHint = opts.Iterations
+	start := time.Now()
+	tn.base.Features = features.Extract(m)
+	tn.base.FeatureSec = time.Since(start).Seconds()
+	return tn
+}
+
+// begin starts an attempt on a fresh record.
+func (tn *tuning[T]) begin() {
+	d := tn.base
+	tn.d = &d
+}
+
+// hinted is the format-hint selector's path: the hint pins the format, so
+// the choice is built and its batch crossover probed, but never weighed —
+// the payoff rates are not measured and BreakEvenIters stays unset.
+func (tn *tuning[T]) hinted() (*choice[T], error) {
+	tn.begin()
+	f := tn.opts.FormatHint
+	c := &choice[T]{format: f, params: tn.t.paramsFor(f), confidence: 1, predicted: true}
+	if err := tn.materialise(c); err != nil {
+		return nil, err
+	}
+	tn.probe(c, false)
+	return c, nil
+}
+
+// cached is the cache selector, starting a hit's attempt: the entry's
+// format, parameters and crossover, and — for a request carrying an
+// iteration hint — its costs and the break-even point they imply. An
+// un-hinted hit is asymptotic and carries no payoff numbers.
+func (tn *tuning[T]) cached(entry CacheEntry) *choice[T] {
+	tn.begin()
+	c := &choice[T]{format: entry.Format, params: entry.Params, confidence: entry.Confidence,
+		predicted: true, cacheHit: true, crossover: entry.BatchCrossover}
+	if tn.opts.Iterations > 0 && entry.Format != matrix.FormatCSR {
+		c.convertSec, c.spmvSec, c.incumbentSec = entry.ConvertSec, entry.SpMVSec, entry.IncumbentSec
+		c.breakEven = BreakEven(entry.ConvertSec, entry.IncumbentSec, entry.SpMVSec)
+	}
+	return c
+}
+
+// lead is the leader's path — select → build → probe — returning the
+// asymptotic choice materialised and costed; serve weighs it against the
+// iteration hint.
+func (tn *tuning[T]) lead() (*choice[T], error) {
+	tn.begin()
+	c, err := tn.choose()
+	if err != nil {
+		return nil, err
+	}
+	tn.probe(c, true)
+	return c, nil
+}
+
+// choose is the leader's select and build: the model's confident pick if it
+// converts, otherwise execute-and-measure — or, with fallback off, the
+// model's best effort.
+func (tn *tuning[T]) choose() (*choice[T], error) {
+	if c, ok := tn.confident(); ok && tn.materialise(c) == nil {
+		return c, nil
+	}
+	// No confident prediction, or the fill guard rejected it.
+	if !tn.t.noFallback {
+		return tn.measure()
+	}
+	c := tn.bestEffort()
+	if tn.materialise(c) != nil {
+		// The fill guard can still reject a feature-feasible format on edge
+		// cases; CSR always converts.
+		c = &choice[T]{format: matrix.FormatCSR, params: tn.t.paramsFor(matrix.FormatCSR)}
+		if err := tn.materialise(c); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// confident is the model selector: rule groups in DIA → ELL → CSR → COO
+// order (Section 6); the first group with a matching rule above the
+// confidence threshold, feasible for this matrix, wins.
+func (tn *tuning[T]) confident() (*choice[T], bool) {
+	t, ft := tn.t, &tn.d.Features
+	fv := ft.Vector()
+	for _, f := range matrix.Formats {
+		if conf, ok := t.groupConfidence(fv, f); ok && conf > t.threshold && t.formatFeasible(f, ft, t.model.MaxFill) {
+			return &choice[T]{format: f, params: t.paramsFor(f), confidence: conf, predicted: true}, true
+		}
+	}
+	return nil, false
+}
+
+// bestEffort is the model selector with fallback off: the highest-confidence
+// matching, feasible rule group wins regardless of the threshold; with no
+// match the ruleset default (CSR) is used. The low confidence is recorded so
+// a cached copy of this decision can be refreshed by a measuring tuner.
+func (tn *tuning[T]) bestEffort() *choice[T] {
+	t, ft := tn.t, &tn.d.Features
+	fv := ft.Vector()
+	c := &choice[T]{format: matrix.FormatCSR}
+	for _, f := range matrix.Formats {
+		if conf, ok := t.groupConfidence(fv, f); ok && conf > c.confidence && t.formatFeasible(f, ft, t.model.MaxFill) {
+			c.format, c.confidence = f, conf
+		}
+	}
+	c.params = t.paramsFor(c.format)
+	return c
+}
+
+// fallbackMaxFill is the tighter zero-fill bound of the execute-and-measure
+// path: a DIA/ELL representation padding more than this multiple of NNZ
+// cannot win, and converting it just to measure it would blow the fallback
+// budget far past the paper's ~16 CSR-SpMV executions.
+const fallbackMaxFill = 3.0
+
+// measure is the execute-and-measure selector: build every feasible format,
+// time it once on the pooled steady-state path — the regime the chosen
+// operator will run in — and keep the fastest, conversion included. The
+// per-format budget is calibrated against this matrix's own basic CSR-SpMV
+// time, so the whole selector stays near the paper's ~16 CSR-SpMV executions
+// regardless of matrix size. Conversion time and the two payoff rates are
+// measured as a side effect.
+func (tn *tuning[T]) measure() (*choice[T], error) {
+	t, d, m := tn.t, tn.d, tn.m
+	d.UsedFallback = true
+	d.Measured = map[matrix.Format]float64{}
+	start := time.Now()
+	defer func() { d.FallbackSec = time.Since(start).Seconds() }()
+
+	tn.baseline()
+	budget := t.probeBudget(d)
+	x, y := tn.vectors()
+	flops := kernels.FLOPs(m.NNZ())
+	maxFill := min(fallbackMaxFill, t.model.MaxFill)
+
+	var best *choice[T]
+	bestGFLOPS, csrSec := -1.0, 0.0
+	for _, f := range matrix.Formats {
+		if !t.formatFeasible(f, &d.Features, maxFill) {
+			continue
+		}
+		p := t.paramsFor(f)
+		e, timing, err := t.build(m, f, p, maxFill, 0)
+		if err != nil {
+			continue
+		}
+		sec := MeasureSecPerOp(func() { e.kernel.RunPooled(e.mat, x, y, t.pool) }, budget)
+		g := GFLOPS(flops, sec)
+		d.Measured[f] = g
+		if f == matrix.FormatCSR {
+			csrSec = sec
+		}
+		if g > bestGFLOPS {
+			bestGFLOPS = g
+			best = &choice[T]{format: f, params: p, eng: e, convert: timing, spmvSec: sec}
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("autotune: no feasible format for %dx%d matrix", m.Rows, m.Cols)
+	}
+	best.incumbentSec = csrSec
+	return best, nil
+}
+
+// outcome is the payoff stage's verdict on a choice.
+type outcome int
+
+const (
+	// serveChosen: the operator serves the chosen format, converted before
+	// TuneOpts returns.
+	serveChosen outcome = iota
+	// serveIncumbent: the iteration hint cannot pay for the conversion; the
+	// operator serves tuned CSR and nothing is converted.
+	serveIncumbent
+	// serveSwap: the operator serves tuned CSR now and swaps to the chosen
+	// format when a background conversion finishes.
+	serveSwap
+)
+
+// payoff weighs a choice whose conversion pays off from breakEven SpMVs on
+// against the caller's options. Without an iteration hint, or with nothing to
+// convert, the choice is served as is; below break-even tuned CSR serves
+// instead. At or above it the conversion runs — inline when SyncConvert asks
+// for it or when a single-CPU process has no spare core to pay it off the
+// critical path (backgrounding there only delays the swap behind the serving
+// goroutine), otherwise in the background. A HoldConversion channel overrides
+// the CPU check: it exists precisely to pin the background protocol open for
+// tests and the differential oracle.
+func payoff(f matrix.Format, breakEven int, opts TuneOptions, cpus int) outcome {
+	switch {
+	case opts.Iterations <= 0 || f == matrix.FormatCSR:
+		return serveChosen
+	case opts.Iterations < breakEven:
+		return serveIncumbent
+	case opts.SyncConvert || (cpus == 1 && opts.HoldConversion == nil):
+		return serveChosen
+	}
+	return serveSwap
+}
+
+// bind resolves everything about an engine but its matrix: this tuner's
+// kernel for the format, the batch kernel of the parameters' register tile
+// (nil when the format has none), and the batch crossover — the register-tile
+// width when none was probed (below 2 can never be a real crossover).
+func (t *Tuner[T]) bind(f matrix.Format, p kernels.Params, crossover int) (*engine[T], error) {
+	k := t.kernelFor(f)
+	if k == nil {
+		return nil, fmt.Errorf("autotune: no kernel registered for format %v", f)
+	}
+	if crossover < 2 {
+		crossover = defaultBatchCrossover
+	}
+	return &engine[T]{kernel: k, batch: t.lib.BatchForParams(f, p), batchCrossover: crossover}, nil
+}
+
+// build is the one materialise-and-bind site: every engine — a selector's
+// candidate, a cache hit's format, the tuned-CSR incumbent, the background
+// worker's swap target — is the matrix converted with the given parameters
+// under the given fill limit, bound by bind. It fails when the tuner serves
+// no kernel for the format or the format's zero-fill guard rejects this
+// particular matrix.
+func (t *Tuner[T]) build(m *matrix.CSR[T], f matrix.Format, p kernels.Params, maxFill float64, crossover int) (*engine[T], kernels.ConvertTiming, error) {
+	e, err := t.bind(f, p, crossover)
+	if err != nil {
+		return nil, kernels.ConvertTiming{}, err
+	}
+	mat, timing, err := kernels.ConvertTimedParams(m, f, maxFill, p)
+	if err != nil {
+		return nil, timing, err
+	}
+	e.mat = mat
+	return e, timing, nil
+}
+
+// materialise is the build stage for a choice no selector has built yet.
+func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
+	c.eng, c.convert, err = tn.t.build(tn.m, c.format, c.params, tn.t.model.MaxFill, c.crossover)
+	return err
+}
+
+// incumbent returns the call's tuned-CSR engine: the zero-conversion-cost
+// default of the payoff model, the input wrapped as-is with the tuner's CSR
+// kernel and the default batch crossover. The baseline and the incumbent
+// rate are timed on it, and below break-even it is what the operator serves.
+func (tn *tuning[T]) incumbent() *engine[T] {
+	if tn.inc == nil {
+		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
+		tn.inc, _, _ = tn.t.build(tn.m, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill, 0)
+	}
+	return tn.inc
+}
+
+// batchProbeWidths are the batch widths the crossover probe times, ordered:
+// the first width where the tiled kernel matches k independent single-vector
+// runs becomes the operator's crossover.
+var batchProbeWidths = [...]int{2, 4, 8}
+
+// space returns the call's one probe workspace: an all-ones input of the
+// widest probed batch and an output to match. Any k-prefix is a valid
+// interleaved batch of k identical vectors, so one allocation serves every
+// probe of the call.
+func (tn *tuning[T]) space() (xb, yb []T) {
+	if tn.x == nil {
+		maxK := batchProbeWidths[len(batchProbeWidths)-1]
+		tn.x = make([]T, tn.m.Cols*maxK)
+		for i := range tn.x {
+			tn.x[i] = 1
+		}
+		tn.y = make([]T, tn.m.Rows*maxK)
+	}
+	return tn.x, tn.y
+}
+
+// vectors is the workspace's width-1 prefix: one all-ones x and its y.
+func (tn *tuning[T]) vectors() (x, y []T) {
+	xb, yb := tn.space()
+	return xb[:tn.m.Cols], yb[:tn.m.Rows]
+}
+
+// probe is the leader-only measurement stage, all on the call's one
+// workspace: the CSR baseline, the payoff rates of a choice that will be
+// weighed, and the batch crossover of its engine. An empty matrix has
+// nothing to measure; both batch paths are trivially cheap there, so the
+// tiled kernel (one pass instead of k) is preferred at every width.
+func (tn *tuning[T]) probe(c *choice[T], weigh bool) {
+	e := c.eng
+	if tn.m.NNZ() == 0 {
+		e.batchCrossover = batchProbeWidths[0]
+		return
+	}
+	tn.baseline()
+	if weigh && c.format != matrix.FormatCSR {
+		tn.rates(c)
+	}
+	if e.batch != nil {
+		start := time.Now()
+		e.batchCrossover = tn.measureCrossover(e)
+		tn.d.BatchProbeSec = time.Since(start).Seconds()
+	}
+}
+
+// baseline fills Decision.CSRSpMVSec — the paper's overhead unit and the
+// yardstick of every probe budget — with the cost of one basic CSR SpMV,
+// measured once per call with a single run so the accounting itself stays
+// cheap.
+func (tn *tuning[T]) baseline() {
+	if tn.d.CSRSpMVSec > 0 {
+		return
+	}
+	x, y := tn.vectors()
+	mat := tn.incumbent().mat
+	basic := tn.t.lib.Basic(matrix.FormatCSR)
+	start := time.Now()
+	basic.Run(mat, x, y, 1)
+	tn.d.CSRSpMVSec = time.Since(start).Seconds()
+}
+
+// probeBudget calibrates a measurement budget against this matrix's own
+// basic CSR-SpMV time (once known): a few CSR-SpMV executions per timing,
+// never less than 10µs, so probes on small matrices stay near the paper's
+// overhead envelope instead of burning the full default MinTime.
+func (t *Tuner[T]) probeBudget(d *Decision) MeasureOptions {
+	measure := t.measure
+	if budget := time.Duration(3 * d.CSRSpMVSec * float64(time.Second)); budget > 0 && budget < measure.MinTime {
+		if budget < 10*time.Microsecond {
+			budget = 10 * time.Microsecond
+		}
+		measure.MinTime = budget
+	}
+	return measure
+}
+
+// rates fills the payoff model of a built non-CSR choice: the chosen
+// format's per-SpMV rate, the tuned-CSR incumbent's, and the break-even
+// iteration count they imply together with the conversion time build
+// measured. Rates the measuring selector already timed are reused; the rest
+// run as bounded probes on the steady-state pooled path.
+func (tn *tuning[T]) rates(c *choice[T]) {
+	t := tn.t
+	start := time.Now()
+	defer func() { tn.d.AmortProbeSec = time.Since(start).Seconds() }()
+
+	budget := t.probeBudget(tn.d)
+	x, y := tn.vectors()
+	if c.spmvSec <= 0 {
+		e := c.eng
+		c.spmvSec = MeasureSecPerOp(func() { e.kernel.RunPooled(e.mat, x, y, t.pool) }, budget)
+	}
+	if c.incumbentSec <= 0 {
+		inc := tn.incumbent()
+		c.incumbentSec = MeasureSecPerOp(func() { inc.kernel.RunPooled(inc.mat, x, y, t.pool) }, budget)
+	}
+	c.breakEven = BreakEven(c.convert.Sec, c.incumbentSec, c.spmvSec)
+}
+
+// measureCrossover times the loop-over-vectors path against the tiled SpMM
+// kernel at each probe width and returns the first width where the tiled
+// pass costs no more than k trips through the loop (NeverBatch when the loop
+// wins everywhere). The loop is timed as MulVecBatch runs it — per vector a
+// gather, the tuned single-vector kernel, a scatter — at width 2: the kernel
+// alone undercounts it by the two strided passes, by more the faster the
+// bound kernel is. Its gather/scatter pair is lent from the workspace's last
+// vector, which the width-2 prefix does not reach, and taken back before the
+// tiled kernel runs over the whole buffer: an operator never batched keeps
+// no loop buffers.
+func (tn *tuning[T]) measureCrossover(e *engine[T]) int {
+	t, op := tn.t, tn.op
+	rows, cols := e.mat.Dims()
+	xb, yb := tn.space()
+	last := batchProbeWidths[len(batchProbeWidths)-1] - 1
+
+	budget := t.probeBudget(tn.d)
+	e.scratch.Store(&batchScratch[T]{x: xb[cols*last:], y: yb[rows*last:]})
+	perVector := MeasureSecPerOp(func() { op.loopVectors(e, xb[:cols*2], yb[:rows*2], 2) }, budget) / 2
+	e.scratch.Store(nil)
+	for _, k := range batchProbeWidths {
+		sec := MeasureSecPerOp(func() { e.batch.RunPooled(e.mat, xb[:cols*k], yb[:rows*k], k, t.pool) }, budget)
+		if sec <= perVector*float64(k) {
+			return k
+		}
+	}
+	return NeverBatch
+}
+
+// entry is the cache's view of a leader's choice: the asymptotic decision
+// plus the leader's payoff measurements. Amortisation against a hint is
+// recomputed per hit. A measured winner is ground truth: confidence 1.
+func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
+	entry := CacheEntry{
+		Format:       c.format,
+		Confidence:   c.confidence,
+		Measured:     tn.d.UsedFallback,
+		Params:       tn.t.resolvedParams(c.eng),
+		ConvertSec:   c.convert.Sec,
+		SpMVSec:      c.spmvSec,
+		IncumbentSec: c.incumbentSec,
+	}
+	if entry.Measured {
+		entry.Confidence = 1
+	}
+	if c.eng.batch != nil {
+		entry.BatchCrossover = c.eng.batchCrossover
+	}
+	return entry
+}
+
+// serve is the shared tail of every path: weigh the choice (payoff), build
+// whatever is served and not built yet, record the decision, publish the
+// engine. It fails only on a cache hit whose format does not fit this matrix
+// or this tuner — a fingerprint collision — and then nothing is published.
+//
+//smat:atomic-publish
+func (tn *tuning[T]) serve(c *choice[T]) error {
+	t, op := tn.t, tn.op
+	out := payoff(c.format, c.breakEven, tn.opts, runtime.GOMAXPROCS(0))
+	if out == serveSwap && c.eng != nil {
+		// Already converted: the leader's conversion doubled as its cost
+		// probe (and a format hint always converts inline).
+		out = serveChosen
+	}
+
+	if out == serveChosen && c.eng == nil {
+		if err := tn.materialise(c); err != nil {
+			return err
+		}
+	}
+
+	// e is the engine served now; described the one the decision describes —
+	// the swap target while a background conversion is pending.
+	e, described := c.eng, c.eng
+	switch out {
+	case serveIncumbent:
+		e = tn.incumbent()
+		described = e
+	case serveSwap:
+		var err error
+		if described, err = t.bind(c.format, c.params, c.crossover); err != nil {
+			return err
+		}
+		e = tn.incumbent()
+		op.convDone = make(chan struct{})
+		op.convState.Store(int32(ConvertPending))
+	}
+	tn.record(c, out, described)
+	op.eng.Store(e)
+	if out == serveSwap {
+		go t.convertWorker(op, tn.m, c.format, c.params, c.crossover, tn.opts.HoldConversion)
+	}
+	return nil
+}
+
+// record is the last stage and the only writer of the decision's provenance,
+// choice and payoff fields: what was selected and how (c), what the payoff
+// stage made of it (out), and the engine the decision describes.
+func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
+	d := tn.d
+	if c.predicted {
+		d.Predicted, d.PredictedOK = c.format, true
+	}
+	d.Confidence = c.confidence
+	d.CacheHit = c.cacheHit
+
+	d.Asymptotic = c.format
+	d.BreakEvenIters = c.breakEven
+	d.ChosenSpMVSec, d.IncumbentSec = c.spmvSec, c.incumbentSec
+	d.Amortized = out == serveIncumbent
+	d.Converted = out != serveSwap
+	d.ConvertSec, d.ConvertStored = c.convert.Sec, c.convert.Stored
+	if out == serveSwap {
+		d.ConvertSec = c.convertSec // the cost being paid in the background
+	}
+
+	d.Chosen = e.kernel.Format
+	d.Kernel = e.kernel.Name
+	// A hit reports the entry's parameters as cached; a decision made here —
+	// or overridden here, by the incumbent — resolves its own.
+	d.Params = c.params
+	if !c.cacheHit || d.Amortized {
+		d.Params = tn.t.resolvedParams(e)
+	}
+	if e.batch != nil {
+		d.BatchCrossover = e.batchCrossover
+	}
+}
+
+// convertWorker is the single background conversion worker of one operator:
+// it builds the amortised winner and publishes it with one atomic engine
+// store. The state transition to ConvertDone happens after the store, so an
+// observer that sees Done is guaranteed the next call serves the new format.
+// Failure (fill guard on a fingerprint-colliding matrix) leaves the operator
+// serving tuned CSR permanently — correct, just not faster.
+//
+//smat:syncsafe
+//smat:atomic-publish
+func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], f matrix.Format, p kernels.Params, crossover int, hold <-chan struct{}) {
+	defer close(op.convDone)
+	if hold != nil {
+		<-hold
+	}
+	e, _, err := t.build(m, f, p, t.model.MaxFill, crossover)
+	if err != nil {
+		op.convState.Store(int32(ConvertFailed))
+		return
+	}
+	op.eng.Store(e)
+	op.convState.Store(int32(ConvertDone))
+}

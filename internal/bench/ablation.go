@@ -55,7 +55,7 @@ func AblationThreshold(cfg Config, thresholds []float64) *AblationThresholdResul
 	for _, th := range thresholds {
 		model := *cfg.Model
 		model.ConfidenceThreshold = th
-		tuner := autotune.NewTuner[float64](&model, cfg.Threads)
+		tuner := autotune.New[float64](&model, autotune.Config{Threads: cfg.Threads})
 		row := AblationThresholdRow{Threshold: th}
 		var ovSum float64
 		fallbacks := 0

@@ -160,7 +160,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 		row.BaseMS = float64(dBase.Microseconds()) / 1000
 		row.BaseIters = itBase
 
-		tuner := autotune.NewTuner[float64](cfg.Model, cfg.Threads)
+		tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
 		tuneStart := time.Now()
 		var formats []string
 		err = h.Bind(func(m *matrix.CSR[float64]) (amg.SpMV[float64], error) {

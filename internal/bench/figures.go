@@ -104,14 +104,14 @@ func Figure9(cfg Config) *Figure9Result {
 			{cfg.Threads, &row.SPA, &row.DPA},
 			{cfg.ThreadsB, &row.SPB, &row.DPB},
 		} {
-			t64 := autotune.NewTuner[float64](cfg.Model, p.threads)
+			t64 := autotune.New[float64](cfg.Model, autotune.Config{Threads: p.threads})
 			if op, _, err := t64.Tune(m64); err == nil {
 				*p.dp = measureOperator[float64](op, m64.Cols, m64.Rows, m64.NNZ(), cfg.Measure)
 				if p.threads == cfg.Threads {
 					row.FormatA = op.Format()
 				}
 			}
-			t32 := autotune.NewTuner[float32](cfg.Model, p.threads)
+			t32 := autotune.New[float32](cfg.Model, autotune.Config{Threads: p.threads})
 			if op, _, err := t32.Tune(m32); err == nil {
 				*p.sp = measureOperator[float32](op, m32.Cols, m32.Rows, m32.NNZ(), cfg.Measure)
 			}
@@ -206,7 +206,7 @@ func figure10Row(cfg Config, e *corpus.Entry) Figure10Row {
 		return autotune.MeasureSecPerOp(op, cfg.Measure)
 	}
 	// Double precision.
-	t64 := autotune.NewTuner[float64](cfg.Model, cfg.Threads)
+	t64 := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
 	if op, _, err := t64.Tune(m64); err == nil {
 		row.SmatDP = measureOperator[float64](op, m64.Cols, m64.Rows, m64.NNZ(), cfg.Measure)
 	}
@@ -217,7 +217,7 @@ func figure10Row(cfg Config, e *corpus.Entry) Figure10Row {
 		}
 	}
 	// Single precision.
-	t32 := autotune.NewTuner[float32](cfg.Model, cfg.Threads)
+	t32 := autotune.New[float32](cfg.Model, autotune.Config{Threads: cfg.Threads})
 	if op, _, err := t32.Tune(m32); err == nil {
 		row.SmatSP = measureOperator[float32](op, m32.Cols, m32.Rows, m32.NNZ(), cfg.Measure)
 	}

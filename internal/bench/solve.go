@@ -208,7 +208,7 @@ func cgRows(cfg Config, trials int, res *SolveResult) error {
 	runBase() // warm
 	baseSec := bestOfSec(trials, runBase)
 
-	tuner := autotune.NewTuner[float64](cfg.Model, cfg.Threads)
+	tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
 	defer tuner.Close()
 	tuneStart := time.Now()
 	op, _, err := tuner.TuneOpts(a, autotune.TuneOptions{Iterations: maxIter})
@@ -307,7 +307,7 @@ func amgPCGRows(cfg Config, trials int, res *SolveResult) error {
 	const tol, maxIter = 1e-8, 100
 	n := scaledGrid(300, cfg.Scale)
 	a := gen.Laplacian2D9pt[float64](n, n)
-	tuner := autotune.NewTuner[float64](cfg.Model, cfg.Threads)
+	tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
 	defer tuner.Close()
 	h, err := amg.SetupPooled(a, amg.Options{}, tuner.Pool())
 	if err != nil {

@@ -43,7 +43,7 @@ type Table3Row struct {
 func Table3(cfg Config) *Table3Result {
 	cfg = cfg.withDefaults()
 	res := &Table3Result{}
-	tuner := autotune.NewTuner[float64](cfg.Model, cfg.Threads)
+	tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
 	labeler := autotune.NewLabeler(cfg.choice(), cfg.Threads, cfg.Measure)
 
 	var predSum, fbSum float64

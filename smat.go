@@ -103,6 +103,12 @@ type tunedSlot[T Float] struct {
 	key   optsKey
 }
 
+// serves reports whether the slot holds t's operator for the options behind
+// key; an empty slot serves nobody.
+func (s *tunedSlot[T]) serves(t *Tuner[T], key optsKey) bool {
+	return s != nil && s.owner == t && s.key == key
+}
+
 // FromEntries assembles a matrix from unordered coordinate entries
 // (duplicates are summed, zeros dropped).
 func FromEntries[T Float](rows, cols int, entries []Entry[T]) (*Matrix[T], error) {
@@ -174,19 +180,15 @@ type CacheStats = autotune.CacheStats
 // PoolStats is the worker-pool part of Stats.
 type PoolStats = kernels.PoolStats
 
-// tunerConfig collects the Option settings before they are translated to
-// the runtime configuration.
-type tunerConfig struct {
-	threads      int
-	cacheSize    int
-	cache        *autotune.Cache
-	noFallback   bool
-	confidence   float64
+// Option configures NewTuner.
+type Option func(*settings)
+
+// settings is what the Options write: the runtime tuner's Config itself,
+// plus the one default the public layer keeps (WithDefaultIterations).
+type settings struct {
+	autotune.Config
 	defaultIters int
 }
-
-// Option configures NewTuner.
-type Option func(*tunerConfig)
 
 // WithThreads sets the kernel thread fan-out (capped to GOMAXPROCS). n ≤ 0
 // selects the model's trained configuration, which is also the default.
@@ -200,19 +202,18 @@ type Option func(*tunerConfig)
 // the engine's work cutoff on the tuner's worker pool and smaller ones
 // serially; Tuner.Stats reports which happened.
 func WithThreads(n int) Option {
-	return func(c *tunerConfig) { c.threads = n }
+	return func(c *settings) { c.Threads = n }
 }
 
 // WithCacheSize bounds the feature-keyed decision cache to roughly n
 // entries (LRU-evicted beyond that). n ≤ 0 disables caching entirely; the
 // default is autotune's DefaultCacheSize (1024).
 func WithCacheSize(n int) Option {
-	return func(c *tunerConfig) {
+	return func(c *settings) {
 		if n <= 0 {
-			c.cacheSize = -1
-		} else {
-			c.cacheSize = n
+			n = -1
 		}
+		c.CacheSize = n
 	}
 }
 
@@ -222,14 +223,14 @@ func WithCacheSize(n int) Option {
 // with their low confidence recorded, so a measuring tuner sharing the
 // cache (WithCacheFrom) can later refresh them with ground truth.
 func WithoutFallback() Option {
-	return func(c *tunerConfig) { c.noFallback = true }
+	return func(c *settings) { c.DisableFallback = true }
 }
 
 // WithConfidenceThreshold overrides the model's trained confidence
 // threshold (0 < th ≤ 1): predictions at or below th take the fallback
 // path. It also sets the refresh bar for cached low-confidence decisions.
 func WithConfidenceThreshold(th float64) Option {
-	return func(c *tunerConfig) { c.confidence = th }
+	return func(c *settings) { c.ConfidenceThreshold = th }
 }
 
 // WithCacheFrom shares other's decision cache with the new tuner, so a
@@ -238,10 +239,10 @@ func WithConfidenceThreshold(th float64) Option {
 // overrides WithCacheSize; if other has caching disabled, so does the new
 // tuner.
 func WithCacheFrom[T Float](other *Tuner[T]) Option {
-	return func(c *tunerConfig) {
-		c.cache = other.inner.Cache()
-		if c.cache == nil {
-			c.cacheSize = -1
+	return func(c *settings) {
+		c.Cache = other.inner.Cache()
+		if c.Cache == nil {
+			c.CacheSize = -1
 		}
 	}
 }
@@ -251,12 +252,7 @@ func WithCacheFrom[T Float](other *Tuner[T]) Option {
 // always takes precedence (see TuneOption for the full precedence rules).
 // n ≤ 0 clears the default, restoring asymptotic tuning.
 func WithDefaultIterations(n int) Option {
-	return func(c *tunerConfig) {
-		if n < 0 {
-			n = 0
-		}
-		c.defaultIters = n
-	}
+	return func(c *settings) { c.defaultIters = max(n, 0) }
 }
 
 // NewTuner builds a runtime tuner for a model. With no options it uses the
@@ -265,25 +261,11 @@ func WithDefaultIterations(n int) Option {
 //	tuner := smat.NewTuner[float64](model,
 //	    smat.WithThreads(8), smat.WithCacheSize(4096))
 func NewTuner[T Float](model *Model, opts ...Option) *Tuner[T] {
-	var c tunerConfig
+	var c settings
 	for _, o := range opts {
 		o(&c)
 	}
-	return &Tuner[T]{inner: autotune.New[T](model, autotune.Config{
-		Threads:             c.threads,
-		CacheSize:           c.cacheSize,
-		Cache:               c.cache,
-		DisableFallback:     c.noFallback,
-		ConfidenceThreshold: c.confidence,
-	}), defaultIters: c.defaultIters}
-}
-
-// NewTunerThreads builds a runtime tuner with the pre-options positional
-// signature. threads ≤ 0 selects the model's trained configuration.
-//
-// Deprecated: use NewTuner with WithThreads.
-func NewTunerThreads[T Float](model *Model, threads int) *Tuner[T] {
-	return NewTuner[T](model, WithThreads(threads))
+	return &Tuner[T]{inner: autotune.New[T](model, c.Config), defaultIters: c.defaultIters}
 }
 
 // Threads returns the tuner's thread configuration.
@@ -395,20 +377,15 @@ func (t *Tuner[T]) resolveOptions(opts []TuneOption) (autotune.TuneOptions, opts
 // operator together with the decision record. Tune always runs the tuning
 // procedure (served from the decision cache when a structurally identical
 // matrix was tuned before) and atomically replaces the operator cached on
-// the matrix handle for CSRSpMV. Per-call options refine the decision; see
-// TuneOption.
+// the matrix handle for CSRSpMV; like a first CSRSpMV it holds the handle's
+// tuning mutex, so tuning passes on one handle run one at a time. Per-call
+// options refine the decision; see TuneOption.
 func (t *Tuner[T]) Tune(a *Matrix[T], opts ...TuneOption) (*Operator[T], error) {
-	o, key, err := t.resolveOptions(opts)
+	s, err := t.slot(a, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	op, dec, err := t.inner.TuneOpts(a.csr, o)
-	if err != nil {
-		return nil, err
-	}
-	out := &Operator[T]{op: op, dec: dec}
-	a.tuned.Store(&tunedSlot[T]{op: out, owner: t, key: key})
-	return out, nil
+	return s.op, nil
 }
 
 // CSRSpMV is the paper's unified interface (SMAT_xCSR_SpMV): it computes
@@ -438,15 +415,9 @@ func (t *Tuner[T]) CSRSpMV(a *Matrix[T], x, y []T, opts ...TuneOption) error {
 	if matrix.SlicesOverlap(x, y) {
 		return fmt.Errorf("smat: CSRSpMV x and y share memory; SpMV reads x while writing y")
 	}
-	o, key, err := t.resolveOptions(opts)
+	s, err := t.slot(a, opts, false)
 	if err != nil {
 		return err
-	}
-	s := a.tuned.Load()
-	if s == nil || s.owner != t || s.key != key {
-		if s, err = a.tuneOnce(t, o, key); err != nil {
-			return err
-		}
 	}
 	s.op.MulVec(x, y)
 	return nil
@@ -477,26 +448,35 @@ func (t *Tuner[T]) CSRSpMVBatch(a *Matrix[T], xb, yb []T, k int, opts ...TuneOpt
 	if k == 0 {
 		return nil
 	}
-	o, key, err := t.resolveOptions(opts)
+	s, err := t.slot(a, opts, false)
 	if err != nil {
 		return err
-	}
-	s := a.tuned.Load()
-	if s == nil || s.owner != t || s.key != key {
-		if s, err = a.tuneOnce(t, o, key); err != nil {
-			return err
-		}
 	}
 	s.op.MulVecBatch(xb, yb, k)
 	return nil
 }
 
-// tuneOnce tunes a for t under the handle's mutex, so concurrent first
-// uses of one matrix run exactly one tuning pass instead of racing.
-func (a *Matrix[T]) tuneOnce(t *Tuner[T], o autotune.TuneOptions, key optsKey) (*tunedSlot[T], error) {
+// slot resolves a call's options and returns the handle's operator slot for
+// them: lock-free when the slot already holds t's operator for the same
+// options, tuned first otherwise — and always when retune is set (Tune).
+func (t *Tuner[T]) slot(a *Matrix[T], opts []TuneOption, retune bool) (*tunedSlot[T], error) {
+	o, key, err := t.resolveOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	if s := a.tuned.Load(); !retune && s.serves(t, key) {
+		return s, nil
+	}
+	return a.tune(t, o, key, retune)
+}
+
+// tune tunes a for t under the handle's mutex, so concurrent first uses of
+// one matrix run exactly one tuning pass instead of racing: unless retune is
+// set, a slot another caller filled meanwhile is reused.
+func (a *Matrix[T]) tune(t *Tuner[T], o autotune.TuneOptions, key optsKey, retune bool) (*tunedSlot[T], error) {
 	a.tuneMu.Lock()
 	defer a.tuneMu.Unlock()
-	if s := a.tuned.Load(); s != nil && s.owner == t && s.key == key {
+	if s := a.tuned.Load(); !retune && s.serves(t, key) {
 		return s, nil
 	}
 	op, dec, err := t.inner.TuneOpts(a.csr, o)
