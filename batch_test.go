@@ -104,8 +104,9 @@ func TestCSRSpMVBatchMatchesLoopedCSRSpMV(t *testing.T) {
 	}
 }
 
-// TestDecisionReportsBatchCrossover pins the public Decision plumbing: a
-// tuned operator for a stock format exposes a usable crossover value.
+// TestDecisionReportsBatchCrossover pins the public Decision plumbing: the
+// crossover is read live from the operator — 0 until a batched call has
+// measured it, a usable width from then on — and Tuner.Stats counts the probe.
 func TestDecisionReportsBatchCrossover(t *testing.T) {
 	tn := NewTuner[float64](HeuristicModel(), WithThreads(2))
 	defer tn.Close()
@@ -114,9 +115,19 @@ func TestDecisionReportsBatchCrossover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := op.Decision()
-	if d.BatchCrossover < 2 {
-		t.Errorf("BatchCrossover = %d, want ≥ 2 (a measured width or NeverBatch)", d.BatchCrossover)
+	if d := op.Decision(); d.BatchCrossover != 0 || d.Overhead <= 0 {
+		t.Errorf("before any batched call: BatchCrossover = %d, Overhead = %g; want 0 and a positive tuning cost", d.BatchCrossover, d.Overhead)
+	}
+	const k = 4
+	rows, cols := a.Dims()
+	if err := tn.CSRSpMVBatch(a, make([]float64, cols*k), make([]float64, rows*k), k); err != nil {
+		t.Fatal(err)
+	}
+	if d := op.Decision(); d.BatchCrossover < 2 {
+		t.Errorf("after a batched call: BatchCrossover = %d, want ≥ 2 (a measured width or NeverBatch)", d.BatchCrossover)
+	}
+	if st := tn.Stats(); st.BatchProbes != 1 || st.BatchProbeSec <= 0 {
+		t.Errorf("Stats reports %d probes in %gs, want the one the batched call ran", st.BatchProbes, st.BatchProbeSec)
 	}
 }
 

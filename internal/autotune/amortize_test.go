@@ -262,6 +262,40 @@ func TestHintValidationRefreshesCostlessEntry(t *testing.T) {
 	}
 }
 
+// TestUnhintedLeaderCachesNoRates: without an iteration hint nothing consumes
+// the payoff rates, so a predicting leader does not measure them and caches
+// its entry without. Hint-free requests hit that entry; the first hinted one
+// finds it stale, leads again with the rate probe, and from then on hinted
+// requests hit too.
+func TestUnhintedLeaderCachesNoRates(t *testing.T) {
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
+	defer tuner.Close()
+	m := intDiagonal(2000)
+	_, d, err := tuner.Tune(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, ok := tuner.Cache().Get(m2key(m))
+	if d.AmortProbeSec != 0 || d.BreakEvenIters != 0 || !ok || entry.SpMVSec != 0 || entry.IncumbentSec != 0 {
+		t.Fatalf("un-hinted leader probed rates: decision %+v, entry %+v", d, entry)
+	}
+	if _, d, err = tuner.Tune(m); err != nil || !d.CacheHit {
+		t.Fatalf("hint-free request on the rate-less entry: hit %v, err %v", d.CacheHit, err)
+	}
+	for i, wantHit := range []bool{false, true} {
+		_, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 1 << 20, SyncConvert: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.CacheHit != wantHit || d.BreakEvenIters < 1 || (d.AmortProbeSec > 0) == wantHit {
+			t.Errorf("hinted request %d: hit %v break-even %d rate probe %gs, want hit %v", i, d.CacheHit, d.BreakEvenIters, d.AmortProbeSec, wantHit)
+		}
+	}
+	if st := tuner.Stats(); st.Refreshes != 1 {
+		t.Errorf("%d refreshes, want the one hinted re-lead", st.Refreshes)
+	}
+}
+
 // TestLeaderRecordsAmortization: a fresh (cache-miss) non-CSR decision must
 // carry the payoff measurements, and an iteration hint of 1 must never leave
 // the caller with a conversion that cannot pay off.
@@ -358,6 +392,93 @@ func TestSwapWindowRace(t *testing.T) {
 	if op.Format() != matrix.FormatDIA {
 		t.Errorf("post-swap format = %v, want DIA", op.Format())
 	}
+}
+
+// TestConcurrentFirstBatchProbesOncePerEngine is the lazy probe's race test:
+// 8 goroutines make their first MulVecBatch together — at widths on either
+// side of the default crossover, so callers that find the probe claimed take
+// both paths — on a fresh operator, and on one whose background swap lands
+// under them. Each engine that serves a batched call is probed by exactly one
+// caller, the swapped-in engine included, and every product is exact (the
+// probing caller's too, computed after the probe has scribbled over its
+// output buffer).
+func TestConcurrentFirstBatchProbesOncePerEngine(t *testing.T) {
+	const goroutines = 8
+	widths := [...]int{3, 8}
+	m := intDiagonal(300)
+	hammer := func(t *testing.T, op *Operator[float64], iters int, at func(g, i int)) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make([]error, goroutines)
+		start := make(chan struct{})
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				k := widths[g%len(widths)]
+				xb, want := batchOnesInput(m.Cols, k), denseBatchRef(m, k)
+				yb := make([]float64, m.Rows*k)
+				<-start
+				for i := 0; i < iters; i++ {
+					at(g, i)
+					op.MulVecBatch(xb, yb, k)
+					for j := range yb {
+						if yb[j] != want[j] {
+							errs[g] = errAt(g, i, j, yb[j], want[j])
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("fresh", func(t *testing.T) {
+		tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
+		defer tuner.Close()
+		op, _, err := tuner.Tune(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammer(t, op, 20, func(int, int) {})
+		if st := tuner.Stats(); st.BatchProbes != 1 || !probedWidth(op.BatchCrossover()) {
+			t.Errorf("%d probes, crossover %d; want one probe and a probed width", st.BatchProbes, op.BatchCrossover())
+		}
+	})
+
+	t.Run("pending-swap", func(t *testing.T) {
+		tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
+		defer tuner.Close()
+		seedAmortized(tuner, m, 0) // no operator of the entry has batched yet
+		hold := make(chan struct{})
+		op, _, err := tuner.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammer(t, op, 60, func(g, i int) {
+			if g == 0 && i == 20 {
+				close(hold) // the incumbent has been probed by now; swap under the callers
+			}
+		})
+		if st := op.AwaitConversion(); st != ConvertDone {
+			t.Fatalf("conversion state after hammering = %v, want done", st)
+		}
+		hammer(t, op, 5, func(int, int) {}) // the swap may have landed after the last call above
+		if st := tuner.Stats(); st.BatchProbes != 2 || !probedWidth(op.BatchCrossover()) {
+			t.Errorf("%d probes, crossover %d; want one per engine (incumbent, swapped-in) and a probed width", st.BatchProbes, op.BatchCrossover())
+		}
+		// The swapped-in engine is the entry's: its width is published.
+		if entry, _ := tuner.Cache().Get(m2key(m)); entry.BatchCrossover != op.BatchCrossover() {
+			t.Errorf("entry crossover %d, the DIA engine measured %d", entry.BatchCrossover, op.BatchCrossover())
+		}
+	})
 }
 
 // TestSwapSteadyStateZeroAlloc: after the swap lands and one warm-up call

@@ -34,15 +34,12 @@ func TestMulVecBatchMatchesColumnwise(t *testing.T) {
 		tuner := New[float64](modelAlways(f, 0.99), Config{Threads: 2})
 		defer tuner.Close()
 		m := gen.MultiDiagonal[float64](400, []int{-2, 0, 3}, rand.New(rand.NewSource(11)))
-		op, d, err := tuner.Tune(m)
+		op, _, err := tuner.Tune(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if op.eng.Load().batch == nil {
 			t.Fatalf("%v: no batch kernel bound", f)
-		}
-		if d.BatchCrossover == 0 {
-			t.Fatalf("%v: crossover not recorded in decision", f)
 		}
 		for _, k := range []int{1, 2, 3, 4, 5, 8} {
 			xs, xb := batchInput(m.Cols, k)
@@ -52,7 +49,7 @@ func TestMulVecBatchMatchesColumnwise(t *testing.T) {
 				op.MulVec(xs[j], want[j])
 			}
 			for _, crossover := range []int{2, NeverBatch} { // tiled path, loop path
-				op.eng.Load().batchCrossover = crossover
+				op.eng.Load().crossover.Store(int32(crossover))
 				yb := make([]float64, m.Rows*k)
 				op.MulVecBatch(xb, yb, k)
 				for j := 0; j < k; j++ {
@@ -68,66 +65,157 @@ func TestMulVecBatchMatchesColumnwise(t *testing.T) {
 	}
 }
 
-// TestMulVecBatchCrossoverRecorded pins the Decision contract: a fresh
-// tuning run records a probed crossover (a probe width or NeverBatch) and a
-// non-zero probe time for non-empty matrices.
-func TestMulVecBatchCrossoverRecorded(t *testing.T) {
-	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 2})
-	defer tuner.Close()
-	m := gen.RandomUniform[float64](1000, 1000, 8, rand.New(rand.NewSource(12)))
-	op, d, err := tuner.Tune(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid := d.BatchCrossover == NeverBatch
+// probedWidth reports whether c is something the crossover probe can return.
+func probedWidth(c int) bool {
 	for _, w := range batchProbeWidths {
-		if d.BatchCrossover == w {
-			valid = true
+		if c == w {
+			return true
 		}
 	}
-	if !valid {
-		t.Errorf("BatchCrossover = %d, want a probe width or NeverBatch", d.BatchCrossover)
-	}
-	if op.eng.Load().batchCrossover != d.BatchCrossover {
-		t.Errorf("operator crossover %d differs from decision %d", op.eng.Load().batchCrossover, d.BatchCrossover)
-	}
-	if d.BatchProbeSec <= 0 {
-		t.Errorf("BatchProbeSec = %g, want > 0", d.BatchProbeSec)
-	}
-	if d.Overhead() <= 0 {
-		t.Errorf("Overhead = %g, want > 0 (probe cost must be accounted)", d.Overhead())
+	return c == NeverBatch
+}
+
+// TestMulVecBatchCrossoverRecorded pins the lazy contract: tuning
+// measures no crossover and spends nothing on one; single-vector traffic,
+// batched or not, never triggers the probe; the first call of two or more
+// vectors runs it exactly once — whether it lends its own buffers (k at the
+// widest probe width) or the probe has to bring a workspace (k below it) —
+// and the operator, the tuner's counters and the result all show it.
+func TestMulVecBatchCrossoverRecorded(t *testing.T) {
+	m := gen.RandomUniform[float64](1000, 1000, 8, rand.New(rand.NewSource(12)))
+	for _, k := range []int{2, 3, 8, 11} {
+		tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 2})
+		op, d, err := tuner.Tune(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.BatchProbeSec != 0 || op.BatchCrossover() != 0 {
+			t.Errorf("k=%d: fresh tune reports crossover %d probed in %gs, want none measured yet",
+				k, op.BatchCrossover(), d.BatchProbeSec)
+		}
+		if d.Overhead() <= 0 {
+			t.Errorf("k=%d: Overhead = %g, want > 0", k, d.Overhead())
+		}
+
+		xs, xb := batchInput(m.Cols, k)
+		y := make([]float64, m.Rows)
+		op.MulVec(xs[0], y)
+		op.MulVecBatch(xs[0], y, 1)
+		if st := tuner.Stats(); st.BatchProbes != 0 || op.BatchCrossover() != 0 {
+			t.Errorf("k=%d: single-vector calls ran %d probes, crossover %d; want neither", k, st.BatchProbes, op.BatchCrossover())
+		}
+
+		// The probing call lends its buffers, so its own product is computed
+		// last and must be whole.
+		yb := make([]float64, m.Rows*k)
+		op.MulVecBatch(xb, yb, k)
+		for j := 0; j < k; j++ {
+			op.MulVec(xs[j], y)
+			for i := range y {
+				if yb[i*k+j] != y[i] {
+					t.Fatalf("k=%d: probing call's y[%d][col %d] = %g, want %g", k, i, j, yb[i*k+j], y[i])
+				}
+			}
+		}
+		c := op.BatchCrossover()
+		st := tuner.Stats()
+		if !probedWidth(c) || st.BatchProbes != 1 || st.BatchProbeSec <= 0 {
+			t.Errorf("k=%d: after the first batched call crossover %d, %d probes in %gs; want a probe width or NeverBatch from one timed probe",
+				k, c, st.BatchProbes, st.BatchProbeSec)
+		}
+		op.MulVecBatch(xb, yb, k)
+		if again := tuner.Stats(); again.BatchProbes != 1 || op.BatchCrossover() != c {
+			t.Errorf("k=%d: second batched call moved the probe count to %d and the crossover %d → %d", k, again.BatchProbes, c, op.BatchCrossover())
+		}
+		tuner.Close()
 	}
 }
 
-// TestCacheHitReusesCrossover: the second tuner call for an identical
-// fingerprint must bind the leader's measured crossover without re-probing.
-func TestCacheHitReusesCrossover(t *testing.T) {
-	tuner := New[float64](modelAlways(matrix.FormatELL, 0.99), Config{Threads: 2})
+// TestEmptyMatrixCrossoverUnmeasured: with no entries there is nothing to
+// time; the first batched call settles on the narrowest width at once.
+func TestEmptyMatrixCrossoverUnmeasured(t *testing.T) {
+	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
 	defer tuner.Close()
+	m, err := matrix.FromTriples[float64](6, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, _, err := tuner.Tune(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yb := []float64{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
+	op.MulVecBatch(make([]float64, 10), yb, 2)
+	for i, v := range yb {
+		if v != 0 {
+			t.Fatalf("yb[%d] = %g, want 0", i, v)
+		}
+	}
+	if c := op.BatchCrossover(); c != batchProbeWidths[0] {
+		t.Errorf("empty matrix crossover %d, want %d", c, batchProbeWidths[0])
+	}
+}
+
+// TestCacheHitReusesCrossover: once any operator of a cache entry has run a
+// batched call, its measured width is on the entry, and every later hit binds
+// it — a second handle's first batched call does not probe. When the leader
+// never batched, the first hit that does probes for itself and publishes.
+func TestCacheHitReusesCrossover(t *testing.T) {
 	m := gen.ConstantDegree[float64](600, 5, rand.New(rand.NewSource(13)))
-	op1, d1, err := tuner.Tune(m)
-	if err != nil {
-		t.Fatal(err)
+	const k = 8
+	_, xb := batchInput(m.Cols, k)
+	yb := make([]float64, m.Rows*k)
+	for _, leaderBatches := range []bool{true, false} {
+		tuner := New[float64](modelAlways(matrix.FormatELL, 0.99), Config{Threads: 2})
+		lead, _, err := tuner.Tune(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leaderBatches {
+			lead.MulVecBatch(xb, yb, k)
+		}
+		entry, ok := tuner.Cache().Get(m2key(m))
+		if !ok || entry.BatchCrossover != lead.BatchCrossover() || probedWidth(entry.BatchCrossover) != leaderBatches {
+			t.Fatalf("leader batched %v: entry %+v (present %v) against the leader's crossover %d", leaderBatches, entry, ok, lead.BatchCrossover())
+		}
+
+		hit, d, err := tuner.Tune(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.CacheHit {
+			t.Fatal("second tune missed the cache")
+		}
+		if hit.BatchCrossover() != entry.BatchCrossover {
+			t.Errorf("leader batched %v: hit bound crossover %d, the entry carries %d",
+				leaderBatches, hit.BatchCrossover(), entry.BatchCrossover)
+		}
+		before := tuner.Stats().BatchProbes
+		hit.MulVecBatch(xb, yb, k)
+		probes := tuner.Stats().BatchProbes - before
+		if leaderBatches && probes != 0 {
+			t.Errorf("hit on a probed entry ran %d probes on its first batched call, want 0", probes)
+		}
+		if !leaderBatches {
+			// The hit probed for itself, and told the cache: the third handle
+			// inherits the width.
+			entry, _ = tuner.Cache().Get(m2key(m))
+			if probes != 1 || !probedWidth(hit.BatchCrossover()) || entry.BatchCrossover != hit.BatchCrossover() {
+				t.Errorf("hit on an unprobed entry: %d probes, crossover %d, entry now %d; want one probe, published",
+					probes, hit.BatchCrossover(), entry.BatchCrossover)
+			}
+			third, _, err := tuner.Tune(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			third.MulVecBatch(xb, yb, k)
+			if got := tuner.Stats().BatchProbes - before; got != 1 || third.BatchCrossover() != hit.BatchCrossover() {
+				t.Errorf("third handle: %d probes in all, crossover %d; want the second handle's one probe and its width %d",
+					got, third.BatchCrossover(), hit.BatchCrossover())
+			}
+		}
+		tuner.Close()
 	}
-	op2, d2, err := tuner.Tune(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d2.CacheHit {
-		t.Fatal("second tune missed the cache")
-	}
-	if d2.BatchProbeSec != 0 {
-		t.Errorf("cache hit re-ran the crossover probe (%gs)", d2.BatchProbeSec)
-	}
-	want := d1.BatchCrossover
-	if want < 2 {
-		want = defaultBatchCrossover
-	}
-	if op2.eng.Load().batchCrossover != want || d2.BatchCrossover != want {
-		t.Errorf("cache hit crossover = %d (decision %d), want %d",
-			op2.eng.Load().batchCrossover, d2.BatchCrossover, want)
-	}
-	_ = op1
 }
 
 // TestMulVecBatchEdgeWidths: k = 0 is a no-op and negative k panics.
@@ -176,9 +264,10 @@ func TestMulVecBatchShapePanics(t *testing.T) {
 	}
 }
 
-// TestMulVecBatchZeroAlloc is the serving contract: after one warm-up call,
-// MulVecBatch allocates nothing on either path (the loop path's gather and
-// scatter scratch is cached on the operator).
+// TestMulVecBatchZeroAlloc is the serving contract: after the first call —
+// which probes the crossover — and one warm-up call per path, MulVecBatch
+// allocates nothing on either path (the loop path's gather and scatter
+// scratch is cached on the engine).
 func TestMulVecBatchZeroAlloc(t *testing.T) {
 	if raceEnabledAutotune {
 		t.Skip("allocation accounting is not stable under -race")
@@ -193,8 +282,15 @@ func TestMulVecBatchZeroAlloc(t *testing.T) {
 	for _, k := range []int{2, 5, 8} {
 		_, xb := batchInput(m.Cols, k)
 		yb := make([]float64, m.Rows*k)
+		op.MulVecBatch(xb, yb, k) // at k = 2 the operator's first batched call: the probe
+		if !probedWidth(op.BatchCrossover()) {
+			t.Fatalf("k=%d: crossover %d after a batched call, want it probed", k, op.BatchCrossover())
+		}
+		if allocs := testing.AllocsPerRun(20, func() { op.MulVecBatch(xb, yb, k) }); allocs != 0 {
+			t.Errorf("k=%d at the probed crossover %d: %.1f allocs per steady-state call, want 0", k, op.BatchCrossover(), allocs)
+		}
 		for _, crossover := range []int{2, NeverBatch} { // tiled path, loop path
-			op.eng.Load().batchCrossover = crossover
+			op.eng.Load().crossover.Store(int32(crossover))
 			op.MulVecBatch(xb, yb, k) // warm: plan, workers, loop scratch
 			if allocs := testing.AllocsPerRun(20, func() { op.MulVecBatch(xb, yb, k) }); allocs != 0 {
 				t.Errorf("k=%d crossover=%d: %.1f allocs per steady-state call, want 0", k, crossover, allocs)

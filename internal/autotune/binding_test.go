@@ -45,10 +45,10 @@ type bindingWant struct {
 	// bound batch tile on paths that decide or serve the incumbent, the cache
 	// entry's verbatim on hits.
 	params kernels.Params
-	// probed says the batch crossover was measured on this call (a leader);
-	// otherwise crossover is the value the decision and the engine of the
-	// chosen format must carry (the entry's, or the default).
-	probed    bool
+	// crossover is the batch crossover the engine of the chosen format is
+	// bound with: the cache entry's when it carries one, otherwise 0 — no
+	// path measures one while tuning, and the engine probes on its first
+	// batched call.
 	crossover int
 }
 
@@ -109,7 +109,7 @@ var bindingPaths = []struct {
 		if err != nil {
 			t.Fatalf("Tune: %v", err)
 		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, converted: true, probed: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, converted: true}}
 	}},
 	{"fallback", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], _ matrix.Format) bindingResult {
 		tn := New[float64](model(0.30), Config{Threads: threads})
@@ -119,7 +119,7 @@ var bindingPaths = []struct {
 		}
 		// Whichever format measured fastest: the contract is that decision
 		// and operator agree on it.
-		return bindingResult{tn, m, op, d, bindingWant{chosen: d.Chosen, asymptotic: d.Chosen, served: d.Chosen, usedFallback: true, converted: true, probed: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: d.Chosen, asymptotic: d.Chosen, served: d.Chosen, usedFallback: true, converted: true}}
 	}},
 	{"format-hint", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
@@ -127,7 +127,7 @@ var bindingPaths = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, converted: true, probed: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, converted: true}}
 	}},
 	{"no-fallback", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.30), Config{Threads: threads, DisableFallback: true})
@@ -135,21 +135,24 @@ var bindingPaths = []struct {
 		if err != nil {
 			t.Fatalf("Tune: %v", err)
 		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, converted: true, probed: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, converted: true}}
 	}},
 	{"cache-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		_, lead, err := tn.Tune(m)
+		leader, lead, err := tn.Tune(m)
 		if err != nil {
 			t.Fatal(err)
 		}
+		const k = 2
+		leader.MulVecBatch(make([]float64, m.Cols*k), make([]float64, m.Rows*k), k)
 		op, d, err := tn.Tune(m)
 		if err != nil {
 			t.Fatalf("second Tune: %v", err)
 		}
-		// The hit binds the leader's parameters and probed crossover.
+		// The hit binds the leader's parameters and the crossover the
+		// leader's batched call measured and wrote back.
 		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true,
-			params: lead.Params, crossover: lead.BatchCrossover}}
+			params: lead.Params, crossover: leader.BatchCrossover()}}
 	}},
 	{"amortised-incumbent", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
@@ -159,10 +162,10 @@ var bindingPaths = []struct {
 			t.Fatalf("TuneOpts: %v", err)
 		}
 		// Two iterations cannot pay for a conversion: tuned CSR serves, with
-		// its own parameters and the default crossover. A cached CSR winner
-		// is a plain hit.
+		// its own parameters and no crossover yet. A cached CSR winner is a
+		// plain hit.
 		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: f, served: matrix.FormatCSR, predictedOK: true, cacheHit: true,
-			amortized: f != matrix.FormatCSR, converted: true, crossover: defaultBatchCrossover}}
+			amortized: f != matrix.FormatCSR, converted: true}}
 	}},
 	{"background-swap", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
@@ -192,7 +195,7 @@ var bindingPaths = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true, crossover: defaultBatchCrossover}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true}}
 	}},
 	{"collision-redecide", func(t *testing.T, model func(float64) *Model, threads int, _ *matrix.CSR[float64], _ matrix.Format) bindingResult {
 		// The cached DIA entry does not fit this matrix: the inline conversion
@@ -212,7 +215,7 @@ var bindingPaths = []struct {
 			t.Errorf("local CSR decision carries payoff numbers break-even %d, chosen %gs, incumbent %gs, convert %gs; want none",
 				d.BreakEvenIters, d.ChosenSpMVSec, d.IncumbentSec, d.ConvertSec)
 		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: matrix.FormatCSR, served: matrix.FormatCSR, predictedOK: true, converted: true, probed: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: matrix.FormatCSR, served: matrix.FormatCSR, predictedOK: true, converted: true}}
 	}},
 	{"background-swap-fill-guard", func(t *testing.T, model func(float64) *Model, threads int, _ *matrix.CSR[float64], _ matrix.Format) bindingResult {
 		// The same collision met in the background: the worker's conversion
@@ -229,7 +232,7 @@ var bindingPaths = []struct {
 		close(hold)
 		op.AwaitConversion()
 		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatDIA, asymptotic: matrix.FormatDIA, served: matrix.FormatCSR, predictedOK: true, cacheHit: true,
-			state: ConvertFailed, crossover: defaultBatchCrossover}}
+			state: ConvertFailed}}
 	}},
 }
 
@@ -273,28 +276,32 @@ func checkBindingContract(t *testing.T, label string, r bindingResult) {
 	if e.batch == nil || e.batch.Format != w.served {
 		t.Errorf("%s: engine batch kernel %+v is not bound for the served format %v", label, e.batch, w.served)
 	}
-	crossover := w.crossover
-	if w.probed {
-		crossover = d.BatchCrossover
-		ok := crossover == NeverBatch
-		for _, k := range batchProbeWidths {
-			ok = ok || crossover == k
-		}
-		if !ok || d.BatchProbeSec <= 0 {
-			t.Errorf("%s: crossover %d probed in %gs, want a probe width or NeverBatch and a positive probe time", label, crossover, d.BatchProbeSec)
-		}
-	} else {
-		if crossover < 2 {
-			crossover = defaultBatchCrossover
-		}
-		if d.BatchCrossover != crossover || d.BatchProbeSec != 0 {
-			t.Errorf("%s: crossover %d probed in %gs, want %d without a probe", label, d.BatchCrossover, d.BatchProbeSec, crossover)
-		}
+	// No path measures a crossover while tuning: the engine of the chosen
+	// format carries the entry's or none, the incumbent of a failed or
+	// declined conversion none.
+	if d.BatchProbeSec != 0 {
+		t.Errorf("%s: decision reports %gs of crossover probe, want none while tuning", label, d.BatchProbeSec)
 	}
-	if want := crossover; w.served == w.chosen && e.batchCrossover != want {
-		t.Errorf("%s: engine crossover %d, want %d", label, e.batchCrossover, want)
-	} else if w.served != w.chosen && e.batchCrossover != defaultBatchCrossover {
-		t.Errorf("%s: incumbent engine crossover %d, want the default %d", label, e.batchCrossover, defaultBatchCrossover)
+	bound := w.crossover
+	if w.served != w.chosen {
+		bound = 0
+	}
+	if got := int(e.crossover.Load()); got != bound || r.op.BatchCrossover() != bound {
+		t.Errorf("%s: engine bound with crossover %d (live %d), want %d", label, got, r.op.BatchCrossover(), bound)
+	}
+
+	// The first batched call probes exactly when nothing was bound, and
+	// leaves a probed width either way.
+	const k = 3
+	before := r.tn.Stats().BatchProbes
+	r.op.MulVecBatch(make([]float64, r.m.Cols*k), make([]float64, r.m.Rows*k), k)
+	probes, want := r.tn.Stats().BatchProbes-before, uint64(0)
+	if bound == 0 {
+		want = 1
+	}
+	if probes != want || !probedWidth(r.op.BatchCrossover()) {
+		t.Errorf("%s: first batched call on a crossover of %d ran %d probes and left %d, want %d and a probed width",
+			label, bound, probes, r.op.BatchCrossover(), want)
 	}
 }
 

@@ -35,9 +35,11 @@ type CacheEntry struct {
 	// tile): cache hits convert and bind with the same parameters, so a
 	// parameterized decision survives the cache unchanged.
 	Params kernels.Params
-	// BatchCrossover is the leader's measured batch-width crossover (see
-	// Decision.BatchCrossover); cache hits reuse it instead of re-probing.
-	// Zero means the probe never ran — appliers substitute a default.
+	// BatchCrossover is the measured batch-width crossover of Format under
+	// Params, written back by the first operator of the entry to run a
+	// batched call (SetBatchCrossover); hits bind it and never probe. Zero
+	// means no operator has batched yet — a hit then probes on its own first
+	// batched call and publishes the width here.
 	BatchCrossover int
 	// ConvertSec, SpMVSec and IncumbentSec are the leader's amortisation
 	// measurements: seconds to convert the leader's matrix to Format, the
@@ -231,6 +233,24 @@ func (c *Cache) Put(key features.Key, entry CacheEntry) {
 	s.mu.Lock()
 	c.insertLocked(s, key, entry)
 	s.mu.Unlock()
+}
+
+// SetBatchCrossover records the batch crossover an operator measured on an
+// engine of format f, where p is what key's entry held for parameters when
+// the operator was tuned. It is a no-op unless the entry still names that
+// engine: one evicted since, or replaced by a refresh that chose another
+// format or other parameters, is left alone — the width was not measured on
+// what it describes — and so is an entry for another format than the engine's
+// (the tuned-CSR incumbent of a conversion declined or still pending).
+func (c *Cache) SetBatchCrossover(key features.Key, f matrix.Format, p kernels.Params, crossover int) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.entries[key]; ok {
+		if n := el.Value.(*cacheNode); n.entry.Format == f && n.entry.Params == p {
+			n.entry.BatchCrossover = crossover
+		}
+	}
 }
 
 // insertLocked adds or refreshes an entry in s, evicting from the LRU tail

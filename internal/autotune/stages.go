@@ -6,8 +6,10 @@
 // runs select → build → probe → payoff: its conversion doubles as the cost
 // probe, so the payoff is weighed last. A cache hit runs select → payoff →
 // build, so nothing is converted below break-even. Both end in serve, which
-// records the decision and publishes the engine. DESIGN.md §11 has the
-// stage × path table.
+// records the decision and publishes the engine. A probe runs only where the
+// call itself consumes its answer: the payoff rates under an iteration hint,
+// and the batch crossover not here at all but on the engine's first batched
+// call (Operator.probeCrossover). DESIGN.md §11 has the stage × path table.
 package autotune
 
 import (
@@ -26,8 +28,7 @@ type tuning[T matrix.Float] struct {
 	m    *matrix.CSR[T]
 	opts TuneOptions
 
-	// op is the operator under construction: the crossover probe runs its
-	// loop path, serve publishes its engine.
+	// op is the operator under construction; serve publishes its engine.
 	op *Operator[T]
 
 	// base is what extract learned. Every attempt (begin) records onto a
@@ -37,7 +38,8 @@ type tuning[T matrix.Float] struct {
 	d    *Decision
 
 	// inc is the call's tuned-CSR engine, built on first use; x and y the
-	// one probe workspace, allocated on first use.
+	// one probe workspace — an all-ones input and its output — allocated on
+	// first use.
 	inc  *engine[T]
 	x, y []T
 }
@@ -57,7 +59,8 @@ type choice[T matrix.Float] struct {
 	// the rates it timed, the leader's probe fills in the rest.
 	convertSec, spmvSec, incumbentSec float64
 	breakEven                         int
-	// crossover is the cached batch crossover; below 2 when none was probed.
+	// crossover is the cached batch crossover; below 2 when no operator of
+	// the entry has measured one yet.
 	crossover int
 
 	// eng is the format materialised, once it has been — by a selector that
@@ -69,7 +72,7 @@ type choice[T matrix.Float] struct {
 
 // extract is the first stage: the Table 2 features, timed once per call.
 func (t *Tuner[T]) extract(m *matrix.CSR[T], opts TuneOptions) *tuning[T] {
-	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{pool: t.pool, nnz: m.NNZ()}}
+	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{t: t, pool: t.pool, nnz: m.NNZ()}}
 	tn.base.IterationHint = opts.Iterations
 	start := time.Now()
 	tn.base.Features = features.Extract(m)
@@ -84,8 +87,8 @@ func (tn *tuning[T]) begin() {
 }
 
 // hinted is the format-hint selector's path: the hint pins the format, so
-// the choice is built and its batch crossover probed, but never weighed —
-// the payoff rates are not measured and BreakEvenIters stays unset.
+// the choice is built but never weighed — the payoff rates are not measured
+// and BreakEvenIters stays unset.
 func (tn *tuning[T]) hinted() (*choice[T], error) {
 	tn.begin()
 	f := tn.opts.FormatHint
@@ -113,15 +116,17 @@ func (tn *tuning[T]) cached(entry CacheEntry) *choice[T] {
 }
 
 // lead is the leader's path — select → build → probe — returning the
-// asymptotic choice materialised and costed; serve weighs it against the
-// iteration hint.
+// asymptotic choice materialised and, under an iteration hint, costed; serve
+// weighs it against the hint. Without one the payoff stage serves the choice
+// whatever its rates, so they are not measured: the entry is cached without
+// them, and validForHint makes the first hinted request lead again.
 func (tn *tuning[T]) lead() (*choice[T], error) {
 	tn.begin()
 	c, err := tn.choose()
 	if err != nil {
 		return nil, err
 	}
-	tn.probe(c, true)
+	tn.probe(c, tn.opts.Iterations > 0)
 	return c, nil
 }
 
@@ -200,7 +205,7 @@ func (tn *tuning[T]) measure() (*choice[T], error) {
 	defer func() { d.FallbackSec = time.Since(start).Seconds() }()
 
 	tn.baseline()
-	budget := t.probeBudget(d)
+	budget := t.probeBudget(d.CSRSpMVSec)
 	x, y := tn.vectors()
 	flops := kernels.FLOPs(m.NNZ())
 	maxFill := min(fallbackMaxFill, t.model.MaxFill)
@@ -272,17 +277,19 @@ func payoff(f matrix.Format, breakEven int, opts TuneOptions, cpus int) outcome 
 
 // bind resolves everything about an engine but its matrix: this tuner's
 // kernel for the format, the batch kernel of the parameters' register tile
-// (nil when the format has none), and the batch crossover — the register-tile
-// width when none was probed (below 2 can never be a real crossover).
+// (nil when the format has none), and the batch crossover a cache entry
+// carried. Without one (below 2 can never be a real crossover) the cell stays
+// 0 and the engine's first batched call measures it.
 func (t *Tuner[T]) bind(f matrix.Format, p kernels.Params, crossover int) (*engine[T], error) {
 	k := t.kernelFor(f)
 	if k == nil {
 		return nil, fmt.Errorf("autotune: no kernel registered for format %v", f)
 	}
-	if crossover < 2 {
-		crossover = defaultBatchCrossover
+	e := &engine[T]{kernel: k, batch: t.lib.BatchForParams(f, p)}
+	if crossover >= 2 {
+		e.crossover.Store(int32(crossover))
 	}
-	return &engine[T]{kernel: k, batch: t.lib.BatchForParams(f, p), batchCrossover: crossover}, nil
+	return e, nil
 }
 
 // build is the one materialise-and-bind site: every engine — a selector's
@@ -312,8 +319,8 @@ func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
 
 // incumbent returns the call's tuned-CSR engine: the zero-conversion-cost
 // default of the payoff model, the input wrapped as-is with the tuner's CSR
-// kernel and the default batch crossover. The baseline and the incumbent
-// rate are timed on it, and below break-even it is what the operator serves.
+// kernel. The baseline and the incumbent rate are timed on it, and below
+// break-even it is what the operator serves.
 func (tn *tuning[T]) incumbent() *engine[T] {
 	if tn.inc == nil {
 		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
@@ -322,52 +329,28 @@ func (tn *tuning[T]) incumbent() *engine[T] {
 	return tn.inc
 }
 
-// batchProbeWidths are the batch widths the crossover probe times, ordered:
-// the first width where the tiled kernel matches k independent single-vector
-// runs becomes the operator's crossover.
-var batchProbeWidths = [...]int{2, 4, 8}
-
-// space returns the call's one probe workspace: an all-ones input of the
-// widest probed batch and an output to match. Any k-prefix is a valid
-// interleaved batch of k identical vectors, so one allocation serves every
-// probe of the call.
-func (tn *tuning[T]) space() (xb, yb []T) {
+// vectors returns the call's one probe workspace: an all-ones x and its y.
+func (tn *tuning[T]) vectors() (x, y []T) {
 	if tn.x == nil {
-		maxK := batchProbeWidths[len(batchProbeWidths)-1]
-		tn.x = make([]T, tn.m.Cols*maxK)
+		tn.x = make([]T, tn.m.Cols)
 		for i := range tn.x {
 			tn.x[i] = 1
 		}
-		tn.y = make([]T, tn.m.Rows*maxK)
+		tn.y = make([]T, tn.m.Rows)
 	}
 	return tn.x, tn.y
 }
 
-// vectors is the workspace's width-1 prefix: one all-ones x and its y.
-func (tn *tuning[T]) vectors() (x, y []T) {
-	xb, yb := tn.space()
-	return xb[:tn.m.Cols], yb[:tn.m.Rows]
-}
-
-// probe is the leader-only measurement stage, all on the call's one
-// workspace: the CSR baseline, the payoff rates of a choice that will be
-// weighed, and the batch crossover of its engine. An empty matrix has
-// nothing to measure; both batch paths are trivially cheap there, so the
-// tiled kernel (one pass instead of k) is preferred at every width.
+// probe is the leader-only measurement stage, on the call's one workspace:
+// the CSR baseline, and the payoff rates of a choice that will be weighed.
+// An empty matrix has nothing to measure.
 func (tn *tuning[T]) probe(c *choice[T], weigh bool) {
-	e := c.eng
 	if tn.m.NNZ() == 0 {
-		e.batchCrossover = batchProbeWidths[0]
 		return
 	}
 	tn.baseline()
 	if weigh && c.format != matrix.FormatCSR {
 		tn.rates(c)
-	}
-	if e.batch != nil {
-		start := time.Now()
-		e.batchCrossover = tn.measureCrossover(e)
-		tn.d.BatchProbeSec = time.Since(start).Seconds()
 	}
 }
 
@@ -391,9 +374,9 @@ func (tn *tuning[T]) baseline() {
 // basic CSR-SpMV time (once known): a few CSR-SpMV executions per timing,
 // never less than 10µs, so probes on small matrices stay near the paper's
 // overhead envelope instead of burning the full default MinTime.
-func (t *Tuner[T]) probeBudget(d *Decision) MeasureOptions {
+func (t *Tuner[T]) probeBudget(csrSpMVSec float64) MeasureOptions {
 	measure := t.measure
-	if budget := time.Duration(3 * d.CSRSpMVSec * float64(time.Second)); budget > 0 && budget < measure.MinTime {
+	if budget := time.Duration(3 * csrSpMVSec * float64(time.Second)); budget > 0 && budget < measure.MinTime {
 		if budget < 10*time.Microsecond {
 			budget = 10 * time.Microsecond
 		}
@@ -412,7 +395,7 @@ func (tn *tuning[T]) rates(c *choice[T]) {
 	start := time.Now()
 	defer func() { tn.d.AmortProbeSec = time.Since(start).Seconds() }()
 
-	budget := t.probeBudget(tn.d)
+	budget := t.probeBudget(tn.d.CSRSpMVSec)
 	x, y := tn.vectors()
 	if c.spmvSec <= 0 {
 		e := c.eng
@@ -425,38 +408,11 @@ func (tn *tuning[T]) rates(c *choice[T]) {
 	c.breakEven = BreakEven(c.convert.Sec, c.incumbentSec, c.spmvSec)
 }
 
-// measureCrossover times the loop-over-vectors path against the tiled SpMM
-// kernel at each probe width and returns the first width where the tiled
-// pass costs no more than k trips through the loop (NeverBatch when the loop
-// wins everywhere). The loop is timed as MulVecBatch runs it — per vector a
-// gather, the tuned single-vector kernel, a scatter — at width 2: the kernel
-// alone undercounts it by the two strided passes, by more the faster the
-// bound kernel is. Its gather/scatter pair is lent from the workspace's last
-// vector, which the width-2 prefix does not reach, and taken back before the
-// tiled kernel runs over the whole buffer: an operator never batched keeps
-// no loop buffers.
-func (tn *tuning[T]) measureCrossover(e *engine[T]) int {
-	t, op := tn.t, tn.op
-	rows, cols := e.mat.Dims()
-	xb, yb := tn.space()
-	last := batchProbeWidths[len(batchProbeWidths)-1] - 1
-
-	budget := t.probeBudget(tn.d)
-	e.scratch.Store(&batchScratch[T]{x: xb[cols*last:], y: yb[rows*last:]})
-	perVector := MeasureSecPerOp(func() { op.loopVectors(e, xb[:cols*2], yb[:rows*2], 2) }, budget) / 2
-	e.scratch.Store(nil)
-	for _, k := range batchProbeWidths {
-		sec := MeasureSecPerOp(func() { e.batch.RunPooled(e.mat, xb[:cols*k], yb[:rows*k], k, t.pool) }, budget)
-		if sec <= perVector*float64(k) {
-			return k
-		}
-	}
-	return NeverBatch
-}
-
 // entry is the cache's view of a leader's choice: the asymptotic decision
-// plus the leader's payoff measurements. Amortisation against a hint is
-// recomputed per hit. A measured winner is ground truth: confidence 1.
+// plus whatever payoff measurements the leader took. Amortisation against a
+// hint is recomputed per hit. A measured winner is ground truth: confidence
+// 1. The batch crossover is not the leader's to give: the first operator of
+// the entry to run a batched call writes it back (Cache.SetBatchCrossover).
 func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 	entry := CacheEntry{
 		Format:       c.format,
@@ -469,9 +425,6 @@ func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 	}
 	if entry.Measured {
 		entry.Confidence = 1
-	}
-	if c.eng.batch != nil {
-		entry.BatchCrossover = c.eng.batchCrossover
 	}
 	return entry
 }
@@ -514,6 +467,7 @@ func (tn *tuning[T]) serve(c *choice[T]) error {
 		op.convState.Store(int32(ConvertPending))
 	}
 	tn.record(c, out, described)
+	op.csrSpMVSec = tn.d.CSRSpMVSec
 	op.eng.Store(e)
 	if out == serveSwap {
 		go t.convertWorker(op, tn.m, c.format, c.params, c.crossover, tn.opts.HoldConversion)
@@ -549,9 +503,6 @@ func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
 	d.Params = c.params
 	if !c.cacheHit || d.Amortized {
 		d.Params = tn.t.resolvedParams(e)
-	}
-	if e.batch != nil {
-		d.BatchCrossover = e.batchCrossover
 	}
 }
 

@@ -71,8 +71,11 @@ func allocated(f func()) uint64 {
 // TestProbeWorkspaceBudget is the allocation budget of the probe stage, in
 // vector-lengths (one []float64 of the matrix dimension): beyond feature
 // extraction and the conversions it performs, a leader tune allocates the one
-// probe workspace — an x and a y of the widest probed batch — and nothing
-// else of vector size, whichever selector led; a cache hit allocates none.
+// probe workspace — an x and a y, for the baseline and the rates — and
+// nothing else of vector size, whichever selector led and with or without an
+// iteration hint; a cache hit allocates none. The batch-crossover probe owns
+// no buffers of the tune's: it runs on the first batched call, in that
+// call's.
 func TestProbeWorkspaceBudget(t *testing.T) {
 	if raceEnabledAutotune {
 		t.Skip("allocation accounting is not stable under -race")
@@ -80,7 +83,7 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 	const n = 100_000
 	m := gen.MultiDiagonal[float64](n, []int{-1, 0, 1}, rand.New(rand.NewSource(31)))
 	const vectorLength = n * 8
-	workspace := 2 * batchProbeWidths[len(batchProbeWidths)-1]
+	const workspace = 2
 
 	converting := func(maxFill float64, formats ...matrix.Format) uint64 {
 		return allocated(func() {
@@ -96,17 +99,19 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		model     *Model
+		opts      TuneOptions
 		converted uint64 // bytes of the conversions the leader performs
 	}{
-		{"predicted-CSR", modelAlways(matrix.FormatCSR, 0.99), 0},
-		{"predicted-DIA", modelAlways(matrix.FormatDIA, 0.99), converting(DefaultMaxFill, matrix.FormatDIA)},
-		{"measured", modelAlways(matrix.FormatDIA, 0.30), converting(fallbackMaxFill, matrix.Formats[:]...)},
+		{"predicted-CSR", modelAlways(matrix.FormatCSR, 0.99), TuneOptions{}, 0},
+		{"predicted-DIA", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{}, converting(DefaultMaxFill, matrix.FormatDIA)},
+		{"predicted-DIA-hinted", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{Iterations: 1 << 20, SyncConvert: true}, converting(DefaultMaxFill, matrix.FormatDIA)},
+		{"measured", modelAlways(matrix.FormatDIA, 0.30), TuneOptions{}, converting(fallbackMaxFill, matrix.Formats[:]...)},
 	} {
 		tuner := New[float64](c.model, Config{Threads: 2})
 		var d *Decision
 		tune := func() {
 			var err error
-			if _, d, err = tuner.Tune(m); err != nil {
+			if _, d, err = tuner.TuneOpts(m, c.opts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -115,10 +120,10 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 		}
 
 		lead := vectors(allocated(tune), c.converted)
-		if d.CacheHit || d.CSRSpMVSec <= 0 || d.BatchProbeSec <= 0 {
+		if d.CacheHit || d.CSRSpMVSec <= 0 {
 			t.Fatalf("%s: first tune did not lead and probe: %+v", c.name, d)
 		}
-		if lead < float64(workspace) || lead >= float64(workspace+1) {
+		if lead < workspace || lead >= workspace+1 {
 			t.Errorf("%s: leader allocated %.2f vector-lengths beyond extraction and conversion, want the %d of one probe workspace",
 				c.name, lead, workspace)
 		}
@@ -137,32 +142,42 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 }
 
 // TestLeaderDecisionOwnsItsSeconds: each Decision second is written by one
-// stage, so on a leader they are all present exactly when their stage ran.
+// stage, so on a leader they are present exactly when their stage ran — and a
+// stage runs only when the call consumes its answer: the payoff rates only
+// under an iteration hint, the batch crossover never while tuning.
 func TestLeaderDecisionOwnsItsSeconds(t *testing.T) {
 	m := gen.MultiDiagonal[float64](3000, []int{-1, 0, 1}, rand.New(rand.NewSource(32)))
 	for _, c := range []struct {
 		conf              float64
+		iterations        int
 		hint              bool
 		fallback, weighed bool
 	}{
-		{conf: 0.99, weighed: true},
-		{conf: 0.30, fallback: true, weighed: true},
+		{conf: 0.99},
+		{conf: 0.99, iterations: 1 << 20, weighed: true},
+		{conf: 0.30, fallback: true},
+		{conf: 0.30, iterations: 1 << 20, fallback: true, weighed: true},
 		{conf: 0.99, hint: true},
+		{conf: 0.99, iterations: 1 << 20, hint: true},
 	} {
 		tuner := New[float64](modelAlways(matrix.FormatDIA, c.conf), Config{Threads: 2, CacheSize: -1})
-		_, d, err := tuner.TuneOpts(m, TuneOptions{FormatHint: matrix.FormatDIA, HasFormatHint: c.hint})
+		op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: c.iterations, SyncConvert: true, FormatHint: matrix.FormatDIA, HasFormatHint: c.hint})
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("conf %.2f hint %v", c.conf, c.hint)
-		if d.FeatureSec <= 0 || d.CSRSpMVSec <= 0 || d.BatchProbeSec <= 0 {
-			t.Errorf("%s: extract/baseline/crossover seconds %g %g %g, want all positive", label, d.FeatureSec, d.CSRSpMVSec, d.BatchProbeSec)
+		label := fmt.Sprintf("conf %.2f iterations %d hint %v", c.conf, c.iterations, c.hint)
+		if d.FeatureSec <= 0 || d.CSRSpMVSec <= 0 {
+			t.Errorf("%s: extract/baseline seconds %g %g, want both positive", label, d.FeatureSec, d.CSRSpMVSec)
+		}
+		if d.BatchProbeSec != 0 || op.BatchCrossover() != 0 {
+			t.Errorf("%s: crossover %d probed in %gs while tuning, want neither", label, op.BatchCrossover(), d.BatchProbeSec)
 		}
 		if (d.FallbackSec > 0) != c.fallback {
 			t.Errorf("%s: FallbackSec %g, fallback ran: %v", label, d.FallbackSec, c.fallback)
 		}
-		if weighed := d.AmortProbeSec > 0 && d.BreakEvenIters > 0; weighed != (c.weighed && d.Chosen != matrix.FormatCSR) {
-			t.Errorf("%s: AmortProbeSec %g break-even %d on a %v choice, weighed: %v", label, d.AmortProbeSec, d.BreakEvenIters, d.Chosen, c.weighed)
+		weighed := c.weighed && d.Asymptotic != matrix.FormatCSR
+		if (d.AmortProbeSec > 0) != weighed || (d.BreakEvenIters > 0) != weighed {
+			t.Errorf("%s: AmortProbeSec %g break-even %d on an asymptotic %v, weighed: %v", label, d.AmortProbeSec, d.BreakEvenIters, d.Asymptotic, c.weighed)
 		}
 		tuner.Close()
 	}

@@ -158,7 +158,7 @@ func convertSteadyAllocs(t *autotune.Tuner[float64], m *matrix.CSR[float64]) (fl
 // class and each k, time-to-k-SpMVs under the never / eager / amortized
 // policies, all acquiring their operator through the same TuneOpts entry
 // point so the three policies pay comparable acquisition costs. The decision
-// cache is warmed by one asymptotic leader tune per class, so the amortised
+// cache is warmed by one hinted leader tune per class, so the amortised
 // policy exercises the cache-hit path with recorded payoff measurements —
 // the configuration the background swap is designed for.
 func ConvertBench(cfg Config) *ConvertResult {
@@ -172,7 +172,7 @@ func ConvertBench(cfg Config) *ConvertResult {
 			continue
 		}
 		s := s
-		if err := oracle.CheckConvertSwap[float64](&s, matrix.FormatDIA, oracle.Options{}); err != nil {
+		if _, err := oracle.CheckConvertSwap[float64](&s, matrix.FormatDIA, oracle.Options{}); err != nil {
 			res.SwapOracleErr = err.Error()
 		} else {
 			res.SwapOracleOK = true
@@ -188,8 +188,10 @@ func ConvertBench(cfg Config) *ConvertResult {
 		tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
 
 		// Warm the decision cache: the leader pays the full decision once,
-		// recording conversion cost and the two per-SpMV rates.
-		_, lead, err := tuner.Tune(w.m)
+		// recording conversion cost and — because it carries an iteration
+		// hint; an un-hinted leader measures no rates — the two per-SpMV
+		// rates. SyncConvert keeps it on the leader's own inline path.
+		_, lead, err := tuner.TuneOpts(w.m, autotune.TuneOptions{Iterations: convertKs[len(convertKs)-1], SyncConvert: true})
 		if err != nil {
 			fmt.Fprintf(cfg.Out, "(%s: leader tune failed: %v)\n", w.class, err)
 			tuner.Close()

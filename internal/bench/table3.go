@@ -6,7 +6,6 @@ import (
 
 	"smat/internal/autotune"
 	"smat/internal/corpus"
-	"smat/internal/matrix"
 )
 
 // Table3Result reproduces Table 3: per representative matrix, the model's
@@ -15,34 +14,40 @@ import (
 // the decision overhead in CSR-SpMV multiples — plus aggregate accuracy over
 // the held-out evaluation split.
 type Table3Result struct {
-	Rows []Table3Row
+	Threads int         `json:"threads"`
+	Scale   float64     `json:"scale"`
+	Rows    []Table3Row `json:"rows"`
 	// EvalAccuracy is the fraction of sampled evaluation matrices where
 	// SMAT's final choice matches the measured best format.
-	EvalAccuracy float64
-	EvalN        int
+	EvalAccuracy float64 `json:"eval_accuracy"`
+	EvalN        int     `json:"eval_n"`
 	// MeanOverheadPredicted / MeanOverheadFallback split the overhead by
 	// decision path (the paper: ≈2–5× predicted, ≈15–16× fallback).
-	MeanOverheadPredicted float64
-	MeanOverheadFallback  float64
+	MeanOverheadPredicted float64 `json:"mean_overhead_predicted_spmv"`
+	MeanOverheadFallback  float64 `json:"mean_overhead_fallback_spmv"`
 }
 
-// Table3Row is one matrix's decision audit.
+// Table3Row is one matrix's decision audit. Overhead is Decision.Overhead:
+// the tuning stages' seconds — extraction, any fallback, conversion, the rate
+// probe under an iteration hint (none here) — over CSRSpMVSec, one basic
+// CSR-SpMV on the same matrix.
 type Table3Row struct {
-	Number     int
-	Name       string
-	Prediction string // predicted format or "confidence<TH"
-	Execution  string // formats measured by the fallback, or "-"
-	SmatChoice matrix.Format
-	BestFormat matrix.Format
-	Right      bool
-	Overhead   float64
+	Number     int     `json:"number"`
+	Name       string  `json:"name"`
+	Prediction string  `json:"prediction"` // predicted format or "confidence<TH"
+	Execution  string  `json:"execution"`  // formats measured by the fallback, or "-"
+	SmatChoice string  `json:"smat_choice"`
+	BestFormat string  `json:"best_format"`
+	Right      bool    `json:"right"`
+	Overhead   float64 `json:"overhead_spmv"`
+	CSRSpMVSec float64 `json:"csr_spmv_sec"`
 }
 
 // Table3 audits the runtime decision on every representative matrix and
 // aggregates accuracy over the evaluation split.
 func Table3(cfg Config) *Table3Result {
 	cfg = cfg.withDefaults()
-	res := &Table3Result{}
+	res := &Table3Result{Threads: cfg.Threads, Scale: cfg.Scale}
 	tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
 	labeler := autotune.NewLabeler(cfg.choice(), cfg.Threads, cfg.Measure)
 
@@ -77,10 +82,10 @@ func Table3(cfg Config) *Table3Result {
 		} else {
 			row.Execution = "-"
 		}
-		row.SmatChoice = dec.Chosen
-		row.BestFormat = labeler.Label(m).Best
+		row.SmatChoice = dec.Chosen.String()
+		row.BestFormat = labeler.Label(m).Best.String()
 		row.Right = row.SmatChoice == row.BestFormat
-		row.Overhead = dec.Overhead()
+		row.Overhead, row.CSRSpMVSec = dec.Overhead(), dec.CSRSpMVSec
 		if dec.UsedFallback {
 			fbSum += row.Overhead
 			fbN++
@@ -137,7 +142,7 @@ func Table3(cfg Config) *Table3Result {
 			acc = "R"
 		}
 		t.add(fmt.Sprint(row.Number), row.Name, row.Prediction, row.Execution,
-			row.SmatChoice.String(), row.BestFormat.String(), acc, f2(row.Overhead))
+			row.SmatChoice, row.BestFormat, acc, f2(row.Overhead))
 	}
 	fmt.Fprintln(cfg.Out, "Table 3: SMAT decision analysis (overhead in CSR-SpMV multiples)")
 	t.print(cfg.Out)

@@ -10,7 +10,6 @@ import (
 	"smat/internal/features"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
-	"smat/internal/mining"
 )
 
 // swapBatchWidths are the batch widths CheckConvertSwap drives through the
@@ -18,7 +17,9 @@ import (
 // (the seeded crossover is swapCrossover, between the two).
 var swapBatchWidths = [...]int{3, 8}
 
-// swapCrossover is the batch crossover seeded into the cache entry.
+// swapCrossover is the batch crossover seeded into the cache entry: the
+// swapped-in engine binds it and never probes. The tuned-CSR incumbent has no
+// entry to inherit from and measures its own on its first batched call.
 const swapCrossover = 4
 
 // swapGoroutines hammer the operator through the swap window; swapIters is
@@ -39,7 +40,11 @@ const (
 // checked, at every thread count in opt.Threads:
 //
 //  1. Pre-swap the operator serves the tuned-CSR incumbent bit for bit, and
-//     that answer is within the rounding bound of the float64 reference.
+//     that answer is within the rounding bound of the float64 reference —
+//     for batched calls in every state of the incumbent's lazy crossover
+//     probe: while another caller holds it (the default crossover), on the
+//     call that runs it, and once its width is published. The probe runs
+//     once; the swapped-in engine, bound with the seeded crossover, never.
 //  2. Mid-swap — swapGoroutines concurrent callers straddling the moment the
 //     hold is released — every MulVec and MulVecBatch result is bit-for-bit
 //     one of exactly two vectors: the CSR answer or the target-format answer.
@@ -51,10 +56,15 @@ const (
 // float64 reference, so "one of the two" can never launder a wrong result.
 // A target that the fill guard rejects or that has no registered kernel is
 // skipped, mirroring Check's skip rule. The error reports the first violated
-// property.
-func CheckConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options) error {
+// property; the Coverage records the probe states the operators were checked
+// in (all three, unless the target was skipped).
+func CheckConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options) (*Coverage, error) {
 	opt = opt.withDefaults()
+	cov := NewCoverage()
+	return cov, checkConvertSwap[T](s, target, opt, cov)
+}
 
+func checkConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options, cov *Coverage) error {
 	ref, err := BuildCSR[T](s)
 	if err != nil {
 		return err
@@ -118,7 +128,7 @@ func CheckConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options
 	}
 
 	for _, th := range opt.Threads {
-		if err := checkSwapAtThreads(ref, target, th, opt, x, yCSR, yTgt, ybTgt, want, absSum, eps, name); err != nil {
+		if err := checkSwapAtThreads(ref, target, th, opt, x, yCSR, yTgt, ybTgt, want, absSum, eps, name, cov); err != nil {
 			return err
 		}
 	}
@@ -128,19 +138,12 @@ func CheckConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options
 // checkSwapAtThreads runs one full pre/mid/post-swap pass on a fresh tuner
 // configured for th threads.
 func checkSwapAtThreads[T matrix.Float](ref *matrix.CSR[T], target matrix.Format, th int, opt Options,
-	x, yCSR, yTgt []T, ybTgt map[int][]T, want, absSum []float64, eps float64, name string) error {
+	x, yCSR, yTgt []T, ybTgt map[int][]T, want, absSum []float64, eps float64, name string, cov *Coverage) error {
 
-	// A minimal model: the ruleset never fires, so every decision the seeded
-	// cache does not answer would fall through to measurement — which this
-	// check never reaches.
-	model := &autotune.Model{
-		Threads:             th,
-		ConfidenceThreshold: 0.5,
-		MaxFill:             opt.MaxFill,
-		Kernels:             map[string]string{},
-		Ruleset:             &mining.Ruleset{Default: int(matrix.FormatCSR)},
-	}
-	tuner := autotune.New[T](model, autotune.Config{Threads: th})
+	// The ruleset never fires, so every decision the seeded cache does not
+	// answer would fall through to measurement — which this check never
+	// reaches.
+	tuner := autotune.New[T](silentModel(th, opt.MaxFill), autotune.Config{Threads: th})
 	defer tuner.Close()
 
 	// Seed the decision cache with the target format and synthetic payoff
@@ -181,16 +184,48 @@ func checkSwapAtThreads[T matrix.Float](ref *matrix.CSR[T], target matrix.Format
 		return fmt.Errorf("oracle: %s: convert-swap at %d threads: pre-swap y[%d] = %g, CSR answer %g",
 			name, th, r, float64(yPre[r]), float64(yCSR[r]))
 	}
-	ybCSR := make(map[int][]T, len(swapBatchWidths))
-	for _, k := range swapBatchWidths {
-		k := k
+	// Batched, in the three states of the incumbent's crossover probe. While
+	// the probe is held every call takes the default crossover; then the first
+	// call measures (in a private workspace at the narrow width, which comes
+	// first) and publishes; from there on the crossover is fixed, so the
+	// answers recorded now are the CSR side of property 2.
+	batched := func(k int, state string) ([]T, error) {
 		xb := replicateColumns(x, k)
 		yb := runNaN(func(yb []T) { op.MulVecBatch(xb, yb, k) }, rows*k)
-		if err := swapBatchRefCheck(ref, yb, k, want, absSum, eps,
-			fmt.Sprintf("%s: pre-swap batch k=%d at %d threads", name, k, th)); err != nil {
+		return yb, swapBatchRefCheck(ref, yb, k, want, absSum, eps,
+			fmt.Sprintf("%s: pre-swap batch k=%d at %d threads, %s", name, k, th, state))
+	}
+	unhold, ok := op.HoldBatchProbe()
+	if !ok {
+		return fmt.Errorf("oracle: %s: convert-swap at %d threads: the fresh incumbent's crossover probe is already claimed or settled", name, th)
+	}
+	for _, k := range swapBatchWidths {
+		if _, err = batched(k, ProbeMidProbe); err != nil {
+			break
+		}
+	}
+	unhold()
+	if err != nil {
+		return err
+	}
+	if c, n := op.BatchCrossover(), tuner.Stats().BatchProbes; c != 0 || n != 0 {
+		return fmt.Errorf("oracle: %s: convert-swap at %d threads: calls during a held probe left crossover %d after %d probes", name, th, c, n)
+	}
+	cov.Probes[ProbeMidProbe] = true
+
+	ybCSR := make(map[int][]T, len(swapBatchWidths))
+	for i, k := range swapBatchWidths {
+		state := ProbeProbed
+		if i == 0 {
+			state = ProbeUnprobed
+		}
+		if ybCSR[k], err = batched(k, state); err != nil {
 			return err
 		}
-		ybCSR[k] = yb
+		if c, n := op.BatchCrossover(), tuner.Stats().BatchProbes; c < 2 || n != 1 {
+			return fmt.Errorf("oracle: %s: convert-swap at %d threads: %s call left crossover %d after %d probes, want a measured width from one probe", name, th, state, c, n)
+		}
+		cov.Probes[state] = true
 	}
 
 	// Property 2: hammer the operator through the swap window. Goroutine 0
@@ -268,6 +303,12 @@ func checkSwapAtThreads[T matrix.Float](ref *matrix.CSR[T], target matrix.Format
 			return fmt.Errorf("oracle: %s: convert-swap at %d threads: post-swap batch k=%d yb[%d] = %g, target answer %g",
 				name, th, k, r, float64(yb[r]), float64(ybTgt[k][r]))
 		}
+	}
+	// The swapped-in engine bound the seeded crossover: through the whole
+	// window only the incumbent ever probed.
+	if c, n := op.BatchCrossover(), tuner.Stats().BatchProbes; c != swapCrossover || n != 1 {
+		return fmt.Errorf("oracle: %s: convert-swap at %d threads: post-swap crossover %d after %d probes, want the seeded %d and the incumbent's one probe",
+			name, th, c, n, swapCrossover)
 	}
 	return nil
 }

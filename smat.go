@@ -171,7 +171,8 @@ type Tuner[T Float] struct {
 }
 
 // Stats reports the tuner's live counters — the decision cache's (embedded
-// CacheStats) and the worker pool's (Pool); see Tuner.Stats.
+// CacheStats), the worker pool's (Pool) and the lazy batch-crossover probes'
+// (BatchProbes, BatchProbeSec); see Tuner.Stats.
 type Stats = autotune.Stats
 
 // CacheStats is the decision-cache part of Stats.
@@ -285,6 +286,9 @@ func (t *Tuner[T]) Close() { t.inner.Close() }
 // persistent workers ran (and how many of those followed an idle gap and had
 // to wake a parked worker), dispatches that found the pool busy and spawned
 // goroutines instead, and calls that stayed serial under the work cutoff.
+// BatchProbes and BatchProbeSec count the batch-crossover probes the
+// operators' first batched calls ran, and the seconds those calls spent in
+// them (see Decision.BatchCrossover).
 func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
 
 // TuneOption carries per-call tuning intent into Tune, CSRSpMV and
@@ -430,7 +434,9 @@ func (t *Tuner[T]) CSRSpMV(a *Matrix[T], x, y []T, opts ...TuneOption) error {
 // ordinary []T vectors). The matrix is tuned on first use exactly as in
 // CSRSpMV; the batched product then runs either the format's register-tiled
 // SpMM kernel or a loop over the single-vector kernel, whichever side of the
-// measured crossover k falls on (see Decision.BatchCrossover). k = 0 is a
+// measured crossover k falls on. The crossover is measured by the first call
+// with k ≥ 2 on a structure the tuner has not batched before, ahead of that
+// call's own product (see Decision.BatchCrossover). k = 0 is a
 // no-op; a negative k, mis-sized buffers, or xb/yb sharing memory return an
 // error before any kernel runs. Per-call options behave as in CSRSpMV.
 func (t *Tuner[T]) CSRSpMVBatch(a *Matrix[T], xb, yb []T, k int, opts ...TuneOption) error {
@@ -513,10 +519,12 @@ func (o *Operator[T]) MulVec(x, y []T) { o.op.MulVec(x, y) }
 // column c of X at xb[c*k : (c+1)*k] and yb receives row r of Y at
 // yb[r*k : (r+1)*k] (see Batch for packing helpers). Batches at or above the
 // measured crossover width run the format's register-tiled SpMM kernel; the
-// rest loop the tuned single-vector kernel. Like MulVec this is the
-// steady-state path — repeated calls allocate nothing — and panics on a
-// negative k, mis-sized buffers, or overlapping xb/yb; the error-returning
-// entry point is Tuner.CSRSpMVBatch.
+// rest loop the tuned single-vector kernel. The first call with k ≥ 2 measures
+// that crossover before computing its product, unless the decision cache
+// already carried it (see Decision.BatchCrossover). From then on this is the
+// steady-state path, like MulVec: repeated calls allocate nothing. It panics
+// on a negative k, mis-sized buffers, or overlapping xb/yb; the
+// error-returning entry point is Tuner.CSRSpMVBatch.
 func (o *Operator[T]) MulVecBatch(xb, yb []T, k int) { o.op.MulVecBatch(xb, yb, k) }
 
 // Format returns the storage format the operator currently serves. While a
@@ -571,7 +579,7 @@ func (o *Operator[T]) Decision() Decision {
 		Amortized:      o.dec.Amortized,
 		Converted:      o.dec.Converted,
 		ConvertSec:     o.dec.ConvertSec,
-		BatchCrossover: o.dec.BatchCrossover,
+		BatchCrossover: o.op.BatchCrossover(),
 		Overhead:       o.dec.Overhead(),
 	}
 }
@@ -646,11 +654,18 @@ type Decision struct {
 	ConvertSec float64
 	// BatchCrossover is the measured batch width at or above which
 	// MulVecBatch runs the register-tiled SpMM kernel instead of looping the
-	// single-vector kernel. It is NeverBatch when the loop won at every
-	// probed width and 0 when the chosen format has no batched kernel.
+	// single-vector kernel, read live from the operator: tuning does not
+	// measure it, the first MulVecBatch / CSRSpMVBatch of two or more vectors
+	// does (and later operators of the same structure inherit the width
+	// through the decision cache). It is 0 while no batched call has run yet
+	// — or the served format has no batched kernel — and NeverBatch when the
+	// loop won at every probed width. While a background conversion is
+	// pending it describes the tuned-CSR representation being served.
 	BatchCrossover int
 	// Overhead is the total decision cost in multiples of one basic
-	// CSR-SpMV execution (the paper's Table 3 unit). Cache hits skip the
+	// CSR-SpMV execution (the paper's Table 3 unit): what the tuning call
+	// itself spent. The batch-crossover probe is no part of it — it runs on
+	// the first batched call, and Tuner.Stats reports it. Cache hits skip the
 	// baseline measurement, so their Overhead is reported as 0.
 	Overhead float64
 }
