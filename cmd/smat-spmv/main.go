@@ -80,8 +80,13 @@ func main() {
 	} else {
 		fmt.Printf("decision: model not confident, execute-and-measure fallback\n")
 	}
-	fmt.Printf("chosen: %s via kernel %s (tuning %s, %.1fx CSR-SpMV)\n",
-		d.Chosen, d.Kernel, tuneTime.Round(time.Microsecond), d.Overhead)
+	// The overhead ratio exists only where the tune measured its unit (the
+	// fallback; an iteration hint): a predicted decision runs no kernel.
+	cost := fmt.Sprintf("tuning %s", tuneTime.Round(time.Microsecond))
+	if d.Overhead > 0 {
+		cost += fmt.Sprintf(", %.1fx CSR-SpMV", d.Overhead)
+	}
+	fmt.Printf("chosen: %s via kernel %s (%s)\n", d.Chosen, d.Kernel, cost)
 
 	x := make([]float64, cols)
 	for i := range x {

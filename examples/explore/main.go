@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"time"
 
 	"smat"
 	"smat/internal/gen"
@@ -42,10 +43,12 @@ func main() {
 		f := a.Features()
 		fmt.Printf("%s\n", c.name)
 		fmt.Printf("  features: %s\n", f.String())
+		start := time.Now()
 		op, err := tuner.Tune(a)
 		if err != nil {
 			log.Fatal(err)
 		}
+		tuneTime := time.Since(start)
 		d := op.Decision()
 		switch {
 		case d.PredictedOK:
@@ -53,8 +56,13 @@ func main() {
 		default:
 			fmt.Printf("  decision: no confident rule matched -> execute-and-measure fallback\n")
 		}
-		fmt.Printf("  chosen:   %s via %s (decision cost %.1fx one CSR-SpMV)\n\n",
-			d.Chosen, d.Kernel, d.Overhead)
+		// Only a measuring decision knows its cost in CSR-SpMVs: a predicted
+		// one runs no kernel, so there is no unit to divide by.
+		cost := fmt.Sprintf("decision cost %s", tuneTime.Round(time.Microsecond))
+		if d.Overhead > 0 {
+			cost += fmt.Sprintf(", %.1fx one CSR-SpMV", d.Overhead)
+		}
+		fmt.Printf("  chosen:   %s via %s (%s)\n\n", d.Chosen, d.Kernel, cost)
 	}
 
 	// Reordering changes the structure SMAT sees: a banded matrix hidden

@@ -256,8 +256,9 @@ func TestTunerConfidentPredictionPath(t *testing.T) {
 	if !matrix.VecApproxEqual(got, want, 1e-9) {
 		t.Error("tuned operator produced wrong result")
 	}
-	if d.Overhead() <= 0 {
-		t.Errorf("overhead = %g, want > 0", d.Overhead())
+	// A confident prediction runs no kernel: there is no baseline to divide by.
+	if d.CSRSpMVSec != 0 || d.Overhead() != 0 || d.TuneSec() <= 0 {
+		t.Errorf("baseline %gs, overhead %g over %gs of tuning; want an unmeasured baseline", d.CSRSpMVSec, d.Overhead(), d.TuneSec())
 	}
 }
 
@@ -282,6 +283,10 @@ func TestTunerLowConfidenceFallsBack(t *testing.T) {
 	}
 	if op == nil || op.NNZ() != m.NNZ() {
 		t.Error("fallback operator malformed")
+	}
+	// The fallback spends the CSR baseline, so it reports its overhead.
+	if d.Overhead() <= 0 {
+		t.Errorf("overhead = %g, want > 0", d.Overhead())
 	}
 }
 

@@ -93,8 +93,8 @@ func TestMulVecBatchCrossoverRecorded(t *testing.T) {
 			t.Errorf("k=%d: fresh tune reports crossover %d probed in %gs, want none measured yet",
 				k, op.BatchCrossover(), d.BatchProbeSec)
 		}
-		if d.Overhead() <= 0 {
-			t.Errorf("k=%d: Overhead = %g, want > 0", k, d.Overhead())
+		if d.TuneSec() <= 0 {
+			t.Errorf("k=%d: TuneSec = %g, want > 0", k, d.TuneSec())
 		}
 
 		xs, xb := batchInput(m.Cols, k)

@@ -88,15 +88,20 @@ type Decision struct {
 	ConvertStored int
 
 	// Timing breakdown (seconds); each field is written by exactly one stage
-	// of the pipeline (stages.go). FeatureSec: extract. FallbackSec: the
-	// execute-and-measure selector, its baseline run and candidate
-	// conversions included. CSRSpMVSec and AmortProbeSec (the per-SpMV rate
-	// probes behind BreakEvenIters, run only under an iteration hint): the
-	// leader's probe. ConvertSec: record — the conversion this call performed
-	// for the chosen format, or, while a background conversion is pending,
-	// the cached leader's measurement of it (excluded from Overhead: the
-	// worker pays it off the caller's critical path). Stages that did not run
-	// leave zero.
+	// of the pipeline (stages.go). FeatureSec: extract — the structure scan
+	// and the features derived from it. FallbackSec: the execute-and-measure
+	// selector, its baseline run and candidate conversions included.
+	// AmortProbeSec: the leader's probe — the per-SpMV rate probes behind
+	// BreakEvenIters and their baseline run, only under an iteration hint.
+	// ConvertSec: record — the conversion this call performed for the chosen
+	// format, or, while a background conversion is pending, the cached
+	// leader's measurement of it (excluded from TuneSec: the worker pays it
+	// off the caller's critical path). Stages that did not run leave zero.
+	//
+	// CSRSpMVSec is one basic CSR SpMV on this matrix, the yardstick of the
+	// probe budgets — measured by the two stages that spend one (the
+	// execute-and-measure selector, the payoff rates) and 0 on every other
+	// path: a predicted, format-hinted or cache-hit tune runs no kernel.
 	//
 	// BatchProbeSec is 0 on every decision: the batch crossover is no stage of
 	// tuning. The engine measures it on its first MulVecBatch of two or more
@@ -111,19 +116,27 @@ type Decision struct {
 	CSRSpMVSec    float64
 }
 
+// TuneSec returns the seconds the tuning call spent in its stages: the
+// numerator of the paper's Table 3 overhead.
+func (d *Decision) TuneSec() float64 {
+	convert := d.ConvertSec
+	if !d.Converted && d.CacheHit {
+		// Background conversion: the worker pays ConvertSec off the caller's
+		// critical path, so it is not part of the caller-visible cost.
+		convert = 0
+	}
+	return d.FeatureSec + convert + d.FallbackSec + d.AmortProbeSec
+}
+
 // Overhead returns the total decision cost in multiples of one basic
-// CSR-SpMV execution, the unit of the paper's Table 3.
+// CSR-SpMV execution, the unit of the paper's Table 3 — or 0 when the tune
+// did not measure that unit (see CSRSpMVSec): a caller that wants the ratio
+// on such a path divides TuneSec by its own measurement of the unit.
 func (d *Decision) Overhead() float64 {
 	if d.CSRSpMVSec <= 0 {
 		return 0
 	}
-	convert := d.ConvertSec
-	if !d.Converted && d.CacheHit {
-		// Background conversion: the worker pays ConvertSec off the caller's
-		// critical path, so it is not part of the caller-visible overhead.
-		convert = 0
-	}
-	return (d.FeatureSec + convert + d.FallbackSec + d.AmortProbeSec) / d.CSRSpMVSec
+	return d.TuneSec() / d.CSRSpMVSec
 }
 
 // engine is the swappable execution state of an Operator: the matrix
@@ -169,8 +182,8 @@ type Operator[T matrix.Float] struct {
 	nnz  int
 
 	// What the crossover probe needs from the tune that built the operator:
-	// the leader's basic CSR-SpMV seconds to budget from (0 on a cache hit,
-	// which measured nothing), and the decision-cache entry the measured
+	// the tune's basic CSR-SpMV seconds to budget from (0 unless it measured
+	// them: see Decision.CSRSpMVSec), and the decision-cache entry the measured
 	// width is written back to, named by its key and the parameters it held
 	// when the operator was tuned — cache is nil for an operator that
 	// bypassed the cache (a format hint, a tuner without one).
@@ -309,8 +322,8 @@ func (o *Operator[T]) probeCrossover(e *engine[T], xb, yb []T, k int) int {
 // buffer is a valid width-k′ timing input, xb is only read, and yb is
 // overwritten by the caller's product afterwards. A narrower caller gets a
 // private all-ones workspace that is garbage once the probe returns. Each
-// timing is budgeted in multiples of the leader's basic CSR-SpMV time, or on
-// a cache hit — which measured none — of one run of the bound kernel.
+// timing is budgeted in multiples of the tune's basic CSR-SpMV time, or — the
+// tune having measured none — of one run of the bound kernel.
 func (o *Operator[T]) measureCrossover(e *engine[T], xb, yb []T, k int) int {
 	if o.nnz == 0 {
 		return batchProbeWidths[0]
@@ -667,6 +680,16 @@ func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *
 		return nil, nil, err
 	}
 	tn := t.extract(m, opts)
+	if err := tn.run(); err != nil {
+		return nil, tn.d, err
+	}
+	return tn.op, tn.d, nil
+}
+
+// run takes an extracted call down its path — format hint, no cache, cache
+// leader or cache hit — to a served operator (tn.op) and its decision (tn.d).
+func (tn *tuning[T]) run() error {
+	t, opts := tn.t, tn.opts
 	if opts.HasFormatHint {
 		return tn.finish(tn.hinted())
 	}
@@ -693,7 +716,7 @@ func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *
 	// The decision came from the cache (or from a concurrent leader tuning
 	// an identical-fingerprint matrix): apply it to this matrix.
 	if tn.serve(tn.cached(entry)) == nil {
-		return tn.op, tn.d, nil
+		return nil
 	}
 	// The cached format does not fit this matrix — a fingerprint collision
 	// with a structurally different matrix. Decide locally, on a fresh
@@ -701,15 +724,12 @@ func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *
 	return tn.finish(tn.lead())
 }
 
-// finish serves a leader's or a hint's choice and returns TuneOpts' results.
-func (tn *tuning[T]) finish(c *choice[T], err error) (*Operator[T], *Decision, error) {
-	if err == nil {
-		err = tn.serve(c)
-	}
+// finish serves a leader's or a hint's choice.
+func (tn *tuning[T]) finish(c *choice[T], err error) error {
 	if err != nil {
-		return nil, tn.d, err
+		return err
 	}
-	return tn.op, tn.d, nil
+	return tn.serve(c)
 }
 
 // refreshBelow is the confidence bar under which a cached, un-measured

@@ -6,10 +6,14 @@
 // runs select → build → probe → payoff: its conversion doubles as the cost
 // probe, so the payoff is weighed last. A cache hit runs select → payoff →
 // build, so nothing is converted below break-even. Both end in serve, which
-// records the decision and publishes the engine. A probe runs only where the
-// call itself consumes its answer: the payoff rates under an iteration hint,
-// and the batch crossover not here at all but on the engine's first batched
-// call (Operator.probeCrossover). DESIGN.md §11 has the stage × path table.
+// records the decision and publishes the engine. The matrix structure is read
+// once, by extract: the features and every conversion work from that scan.
+// A kernel runs only where the call itself consumes the measurement: the CSR
+// baseline and the candidates in the execute-and-measure selector, the payoff
+// rates under an iteration hint, and the batch crossover not here at all but
+// on the engine's first batched call (Operator.probeCrossover). A predicted,
+// format-hinted or cache-hit tune runs none. DESIGN.md §11 has the stage ×
+// path table.
 package autotune
 
 import (
@@ -26,6 +30,7 @@ import (
 type tuning[T matrix.Float] struct {
 	t    *Tuner[T]
 	m    *matrix.CSR[T]
+	s    *matrix.Structure // Scan(m): extract's one pass over the structure
 	opts TuneOptions
 
 	// op is the operator under construction; serve publishes its engine.
@@ -70,12 +75,14 @@ type choice[T matrix.Float] struct {
 	convert kernels.ConvertTiming
 }
 
-// extract is the first stage: the Table 2 features, timed once per call.
+// extract is the first stage: the structure scan and the Table 2 features it
+// yields, timed once per call.
 func (t *Tuner[T]) extract(m *matrix.CSR[T], opts TuneOptions) *tuning[T] {
 	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{t: t, pool: t.pool, nnz: m.NNZ()}}
 	tn.base.IterationHint = opts.Iterations
 	start := time.Now()
-	tn.base.Features = features.Extract(m)
+	tn.s = matrix.Scan(m)
+	tn.base.Features = features.FromStructure(tn.s)
 	tn.base.FeatureSec = time.Since(start).Seconds()
 	return tn
 }
@@ -96,7 +103,6 @@ func (tn *tuning[T]) hinted() (*choice[T], error) {
 	if err := tn.materialise(c); err != nil {
 		return nil, err
 	}
-	tn.probe(c, false)
 	return c, nil
 }
 
@@ -119,14 +125,17 @@ func (tn *tuning[T]) cached(entry CacheEntry) *choice[T] {
 // asymptotic choice materialised and, under an iteration hint, costed; serve
 // weighs it against the hint. Without one the payoff stage serves the choice
 // whatever its rates, so they are not measured: the entry is cached without
-// them, and validForHint makes the first hinted request lead again.
+// them, and validForHint makes the first hinted request lead again. CSR has
+// nothing to pay off and an empty matrix nothing to measure.
 func (tn *tuning[T]) lead() (*choice[T], error) {
 	tn.begin()
 	c, err := tn.choose()
 	if err != nil {
 		return nil, err
 	}
-	tn.probe(c, tn.opts.Iterations > 0)
+	if tn.opts.Iterations > 0 && c.format != matrix.FormatCSR && tn.m.NNZ() > 0 {
+		tn.rates(c)
+	}
 	return c, nil
 }
 
@@ -217,7 +226,7 @@ func (tn *tuning[T]) measure() (*choice[T], error) {
 			continue
 		}
 		p := t.paramsFor(f)
-		e, timing, err := t.build(m, f, p, maxFill, 0)
+		e, timing, err := tn.candidate(f, p, maxFill)
 		if err != nil {
 			continue
 		}
@@ -237,6 +246,15 @@ func (tn *tuning[T]) measure() (*choice[T], error) {
 	}
 	best.incumbentSec = csrSec
 	return best, nil
+}
+
+// candidate builds one format for the measuring selector. Its CSR candidate
+// is the call's incumbent, so a call binds one CSR engine.
+func (tn *tuning[T]) candidate(f matrix.Format, p kernels.Params, maxFill float64) (*engine[T], kernels.ConvertTiming, error) {
+	if f == matrix.FormatCSR {
+		return tn.incumbent(), kernels.ConvertTiming{Format: f, Stored: tn.m.Stored()}, nil
+	}
+	return tn.t.build(tn.m, tn.s, f, p, maxFill, 0)
 }
 
 // outcome is the payoff stage's verdict on a choice.
@@ -295,15 +313,15 @@ func (t *Tuner[T]) bind(f matrix.Format, p kernels.Params, crossover int) (*engi
 // build is the one materialise-and-bind site: every engine — a selector's
 // candidate, a cache hit's format, the tuned-CSR incumbent, the background
 // worker's swap target — is the matrix converted with the given parameters
-// under the given fill limit, bound by bind. It fails when the tuner serves
-// no kernel for the format or the format's zero-fill guard rejects this
-// particular matrix.
-func (t *Tuner[T]) build(m *matrix.CSR[T], f matrix.Format, p kernels.Params, maxFill float64, crossover int) (*engine[T], kernels.ConvertTiming, error) {
+// under the given fill limit, from the call's structure scan s, bound by
+// bind. It fails when the tuner serves no kernel for the format or the
+// format's zero-fill guard rejects this particular matrix.
+func (t *Tuner[T]) build(m *matrix.CSR[T], s *matrix.Structure, f matrix.Format, p kernels.Params, maxFill float64, crossover int) (*engine[T], kernels.ConvertTiming, error) {
 	e, err := t.bind(f, p, crossover)
 	if err != nil {
 		return nil, kernels.ConvertTiming{}, err
 	}
-	mat, timing, err := kernels.ConvertTimedParams(m, f, maxFill, p)
+	mat, timing, err := kernels.ConvertTimedParams(m, s, f, maxFill, p)
 	if err != nil {
 		return nil, timing, err
 	}
@@ -313,18 +331,19 @@ func (t *Tuner[T]) build(m *matrix.CSR[T], f matrix.Format, p kernels.Params, ma
 
 // materialise is the build stage for a choice no selector has built yet.
 func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
-	c.eng, c.convert, err = tn.t.build(tn.m, c.format, c.params, tn.t.model.MaxFill, c.crossover)
+	c.eng, c.convert, err = tn.t.build(tn.m, tn.s, c.format, c.params, tn.t.model.MaxFill, c.crossover)
 	return err
 }
 
 // incumbent returns the call's tuned-CSR engine: the zero-conversion-cost
 // default of the payoff model, the input wrapped as-is with the tuner's CSR
-// kernel. The baseline and the incumbent rate are timed on it, and below
-// break-even it is what the operator serves.
+// kernel. The baseline and the incumbent rate are timed on it, it is the
+// measuring selector's CSR candidate, and below break-even it is what the
+// operator serves.
 func (tn *tuning[T]) incumbent() *engine[T] {
 	if tn.inc == nil {
 		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
-		tn.inc, _, _ = tn.t.build(tn.m, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill, 0)
+		tn.inc, _, _ = tn.t.build(tn.m, tn.s, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill, 0)
 	}
 	return tn.inc
 }
@@ -341,23 +360,10 @@ func (tn *tuning[T]) vectors() (x, y []T) {
 	return tn.x, tn.y
 }
 
-// probe is the leader-only measurement stage, on the call's one workspace:
-// the CSR baseline, and the payoff rates of a choice that will be weighed.
-// An empty matrix has nothing to measure.
-func (tn *tuning[T]) probe(c *choice[T], weigh bool) {
-	if tn.m.NNZ() == 0 {
-		return
-	}
-	tn.baseline()
-	if weigh && c.format != matrix.FormatCSR {
-		tn.rates(c)
-	}
-}
-
-// baseline fills Decision.CSRSpMVSec — the paper's overhead unit and the
-// yardstick of every probe budget — with the cost of one basic CSR SpMV,
-// measured once per call with a single run so the accounting itself stays
-// cheap.
+// baseline fills Decision.CSRSpMVSec — the paper's overhead unit — with the
+// cost of one basic CSR SpMV, measured once per call with a single run. It is
+// the yardstick of the probe budgets, so only the two stages that spend one
+// run it: the measuring selector and the payoff rates.
 func (tn *tuning[T]) baseline() {
 	if tn.d.CSRSpMVSec > 0 {
 		return
@@ -385,16 +391,18 @@ func (t *Tuner[T]) probeBudget(csrSpMVSec float64) MeasureOptions {
 	return measure
 }
 
-// rates fills the payoff model of a built non-CSR choice: the chosen
-// format's per-SpMV rate, the tuned-CSR incumbent's, and the break-even
-// iteration count they imply together with the conversion time build
-// measured. Rates the measuring selector already timed are reused; the rest
-// run as bounded probes on the steady-state pooled path.
+// rates is the leader's probe stage: it fills the payoff model of a built
+// non-CSR choice with the chosen format's per-SpMV rate, the tuned-CSR
+// incumbent's, and the break-even iteration count they imply together with
+// the conversion time build measured. Rates the measuring selector already
+// timed are reused; the rest run as bounded probes on the steady-state pooled
+// path, on the call's one workspace.
 func (tn *tuning[T]) rates(c *choice[T]) {
 	t := tn.t
 	start := time.Now()
 	defer func() { tn.d.AmortProbeSec = time.Since(start).Seconds() }()
 
+	tn.baseline()
 	budget := t.probeBudget(tn.d.CSRSpMVSec)
 	x, y := tn.vectors()
 	if c.spmvSec <= 0 {
@@ -470,7 +478,7 @@ func (tn *tuning[T]) serve(c *choice[T]) error {
 	op.csrSpMVSec = tn.d.CSRSpMVSec
 	op.eng.Store(e)
 	if out == serveSwap {
-		go t.convertWorker(op, tn.m, c.format, c.params, c.crossover, tn.opts.HoldConversion)
+		go t.convertWorker(op, tn.m, tn.s, c.format, c.params, c.crossover, tn.opts.HoldConversion)
 	}
 	return nil
 }
@@ -515,12 +523,12 @@ func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
 //
 //smat:syncsafe
 //smat:atomic-publish
-func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], f matrix.Format, p kernels.Params, crossover int, hold <-chan struct{}) {
+func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], s *matrix.Structure, f matrix.Format, p kernels.Params, crossover int, hold <-chan struct{}) {
 	defer close(op.convDone)
 	if hold != nil {
 		<-hold
 	}
-	e, _, err := t.build(m, f, p, t.model.MaxFill, crossover)
+	e, _, err := t.build(m, s, f, p, t.model.MaxFill, crossover)
 	if err != nil {
 		op.convState.Store(int32(ConvertFailed))
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"smat/internal/features"
@@ -68,14 +69,14 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestProbeWorkspaceBudget is the allocation budget of the probe stage, in
-// vector-lengths (one []float64 of the matrix dimension): beyond feature
-// extraction and the conversions it performs, a leader tune allocates the one
-// probe workspace — an x and a y, for the baseline and the rates — and
-// nothing else of vector size, whichever selector led and with or without an
-// iteration hint; a cache hit allocates none. The batch-crossover probe owns
-// no buffers of the tune's: it runs on the first batched call, in that
-// call's.
+// TestProbeWorkspaceBudget is the allocation budget of a tune, in
+// vector-lengths (one []float64 of the matrix dimension), beyond feature
+// extraction and the conversions it performs from the extracted structure. A
+// tune that measures — the execute-and-measure selector, the payoff rates
+// under an iteration hint — allocates the one probe workspace, an x and a y,
+// and nothing else of vector size. A predicted leader runs no kernel and
+// allocates none, like a cache hit. The batch-crossover probe owns no buffers
+// of the tune's: it runs on the first batched call, in that call's.
 func TestProbeWorkspaceBudget(t *testing.T) {
 	if raceEnabledAutotune {
 		t.Skip("allocation accounting is not stable under -race")
@@ -83,12 +84,12 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 	const n = 100_000
 	m := gen.MultiDiagonal[float64](n, []int{-1, 0, 1}, rand.New(rand.NewSource(31)))
 	const vectorLength = n * 8
-	const workspace = 2
+	s := matrix.Scan(m)
 
 	converting := func(maxFill float64, formats ...matrix.Format) uint64 {
 		return allocated(func() {
 			for _, f := range formats {
-				if _, err := kernels.ConvertWithParams(m, f, maxFill, kernels.Params{}); err != nil {
+				if _, err := kernels.ConvertFrom(m, s, f, maxFill, kernels.Params{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -101,11 +102,13 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 		model     *Model
 		opts      TuneOptions
 		converted uint64 // bytes of the conversions the leader performs
+		workspace int    // vector-lengths of probe workspace the leader needs
 	}{
-		{"predicted-CSR", modelAlways(matrix.FormatCSR, 0.99), TuneOptions{}, 0},
-		{"predicted-DIA", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{}, converting(DefaultMaxFill, matrix.FormatDIA)},
-		{"predicted-DIA-hinted", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{Iterations: 1 << 20, SyncConvert: true}, converting(DefaultMaxFill, matrix.FormatDIA)},
-		{"measured", modelAlways(matrix.FormatDIA, 0.30), TuneOptions{}, converting(fallbackMaxFill, matrix.Formats[:]...)},
+		{"predicted-CSR", modelAlways(matrix.FormatCSR, 0.99), TuneOptions{}, 0, 0},
+		{"predicted-DIA", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{}, converting(DefaultMaxFill, matrix.FormatDIA), 0},
+		{"hinted-format-ELL", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{FormatHint: matrix.FormatELL, HasFormatHint: true}, converting(DefaultMaxFill, matrix.FormatELL), 0},
+		{"predicted-DIA-hinted", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{Iterations: 1 << 20, SyncConvert: true}, converting(DefaultMaxFill, matrix.FormatDIA), 2},
+		{"measured", modelAlways(matrix.FormatDIA, 0.30), TuneOptions{}, converting(fallbackMaxFill, matrix.FormatCOO, matrix.FormatDIA, matrix.FormatELL), 2},
 	} {
 		tuner := New[float64](c.model, Config{Threads: 2})
 		var d *Decision
@@ -120,12 +123,16 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 		}
 
 		lead := vectors(allocated(tune), c.converted)
-		if d.CacheHit || d.CSRSpMVSec <= 0 {
-			t.Fatalf("%s: first tune did not lead and probe: %+v", c.name, d)
+		if d.CacheHit || (d.CSRSpMVSec > 0) != (c.workspace > 0) {
+			t.Fatalf("%s: first tune did not lead, or measured a baseline it has no use for (or none where it has): %+v", c.name, d)
 		}
-		if lead < workspace || lead >= workspace+1 {
-			t.Errorf("%s: leader allocated %.2f vector-lengths beyond extraction and conversion, want the %d of one probe workspace",
-				c.name, lead, workspace)
+		if lead < float64(c.workspace) || lead >= float64(c.workspace)+1 {
+			t.Errorf("%s: leader allocated %.2f vector-lengths beyond extraction and conversion, want %d",
+				c.name, lead, c.workspace)
+		}
+		if c.opts.HasFormatHint {
+			tuner.Close()
+			continue // a format hint bypasses the cache
 		}
 
 		// The hit converts the leader's winner and allocates no workspace.
@@ -141,10 +148,154 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 	}
 }
 
+// TestPredictedLeaderRunsNoKernel counts what a tune executes: a confident
+// prediction, a format hint and a cache hit run no kernel before the caller's
+// own multiply — the probe workspace is never allocated, no baseline is
+// recorded, and a library that counts every kernel execution (the baseline's
+// serial Run included, which the pool counters cannot see) counts none. The
+// caller's first MulVec is the first run. The two paths that spend the
+// baseline still measure it.
+func TestPredictedLeaderRunsNoKernel(t *testing.T) {
+	m := gen.MultiDiagonal[float64](3000, []int{-1, 0, 1}, rand.New(rand.NewSource(33)))
+	x, y := make([]float64, m.Cols), make([]float64, m.Rows)
+
+	counting := func(model *Model) (*Tuner[float64], *atomic.Int64) {
+		tuner := New[float64](model, Config{Threads: 2})
+		runs := new(atomic.Int64)
+		tuner.lib = tuner.lib.Observed(func() { runs.Add(1) })
+		tuner.bound = resolveKernels(model, tuner.lib, tuner.threads)
+		return tuner, runs
+	}
+	tune := func(tuner *Tuner[float64], opts TuneOptions) *tuning[float64] {
+		tn := tuner.extract(m, opts)
+		if err := tn.run(); err != nil {
+			t.Fatal(err)
+		}
+		return tn
+	}
+
+	for _, c := range []struct {
+		name     string
+		opts     TuneOptions
+		cacheHit bool
+	}{
+		{name: "confident"},
+		{name: "format hint", opts: TuneOptions{FormatHint: matrix.FormatELL, HasFormatHint: true}},
+		{name: "cache hit", cacheHit: true},
+	} {
+		tuner, runs := counting(modelAlways(matrix.FormatDIA, 0.99))
+		if c.cacheHit {
+			tune(tuner, TuneOptions{}) // the leader whose entry the call under test hits
+		}
+		tn := tune(tuner, c.opts)
+		if tn.d.CacheHit != c.cacheHit || tn.d.UsedFallback {
+			t.Fatalf("%s: took another path: %+v", c.name, tn.d)
+		}
+		if tn.x != nil || tn.y != nil || tn.d.CSRSpMVSec != 0 || tn.d.Overhead() != 0 {
+			t.Errorf("%s: probe workspace allocated: %v, baseline %gs; want neither", c.name, tn.x != nil, tn.d.CSRSpMVSec)
+		}
+		if got := runs.Load(); got != 0 {
+			t.Errorf("%s: %d kernel runs before the caller's own, want 0", c.name, got)
+		}
+		tn.op.MulVec(x, y)
+		if got := runs.Load(); got != 1 {
+			t.Errorf("%s: %d kernel runs after the first MulVec, want 1", c.name, got)
+		}
+		tuner.Close()
+	}
+
+	for _, c := range []struct {
+		name string
+		conf float64
+		opts TuneOptions
+	}{
+		{"fallback", 0.30, TuneOptions{}},
+		{"iteration hint", 0.99, TuneOptions{Iterations: 1 << 20, SyncConvert: true}},
+	} {
+		tuner, runs := counting(modelAlways(matrix.FormatDIA, c.conf))
+		tn := tune(tuner, c.opts)
+		if tn.x == nil || tn.d.CSRSpMVSec <= 0 || tn.d.Overhead() <= 0 || runs.Load() == 0 {
+			t.Errorf("%s: workspace %v, baseline %gs, overhead %g, %d kernel runs; want a measured baseline",
+				c.name, tn.x != nil, tn.d.CSRSpMVSec, tn.d.Overhead(), runs.Load())
+		}
+		tuner.Close()
+	}
+}
+
+// TestFallbackBindsOneCSREngine: the measuring selector's CSR candidate is
+// the call's incumbent — with every other format's kernel unbound CSR wins,
+// on that engine.
+func TestFallbackBindsOneCSREngine(t *testing.T) {
+	m := gen.RandomUniform[float64](2000, 2000, 5, rand.New(rand.NewSource(34)))
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.30), Config{Threads: 2, CacheSize: -1})
+	defer tuner.Close()
+	tuner.bound = map[matrix.Format]*kernels.Kernel[float64]{matrix.FormatCSR: tuner.bound[matrix.FormatCSR]}
+	tn := tuner.extract(m, TuneOptions{})
+	tn.begin()
+	c, err := tn.measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.format != matrix.FormatCSR || len(tn.d.Measured) != 1 {
+		t.Fatalf("fallback chose %v from %v, want CSR alone", c.format, tn.d.Measured)
+	}
+	if c.eng != tn.inc || c.eng.mat.CSR != m {
+		t.Error("CSR won the fallback on a second CSR engine, want the incumbent wrapping the input")
+	}
+}
+
+// TestCOOEngineAliasesInput: a COO engine is a view of the caller's matrix —
+// its column indices and values are the input's own arrays, as the CSR
+// engine's are; only the row indices are the engine's — whether the tune
+// converted inline or the background worker swapped it in.
+func TestCOOEngineAliasesInput(t *testing.T) {
+	m := gen.RandomUniform[float64](500, 500, 6, rand.New(rand.NewSource(35)))
+	check := func(label string, op *Operator[float64]) {
+		t.Helper()
+		coo := op.eng.Load().mat.COO
+		if coo == nil {
+			t.Fatalf("%s: operator serves %v, want COO", label, op.Format())
+		}
+		if &coo.Vals[0] != &m.Vals[0] || &coo.ColIdx[0] != &m.ColIdx[0] {
+			t.Errorf("%s: COO engine copied the input's values or column indices", label)
+		}
+		if len(coo.RowIdx) != m.NNZ() || &coo.RowIdx[0] == &m.RowPtr[0] || &coo.RowIdx[0] == &m.ColIdx[0] {
+			t.Errorf("%s: COO engine's row indices are not its own", label)
+		}
+		checkAgainstDense(t, op, m)
+	}
+
+	tuner := New[float64](modelAlways(matrix.FormatCOO, 0.99), Config{Threads: 2})
+	defer tuner.Close()
+	op, _, err := tuner.Tune(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("inline", op)
+
+	// A costed entry past break-even: the hit serves tuned CSR and swaps.
+	tuner.Cache().Put(m2key(m), CacheEntry{Format: matrix.FormatCOO, Confidence: 1, Measured: true,
+		ConvertSec: 1.0, SpMVSec: 0.1, IncumbentSec: 0.2})
+	hold := make(chan struct{})
+	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100, HoldConversion: hold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.CacheHit || d.Converted || op.Format() != matrix.FormatCSR {
+		t.Fatalf("decision %+v serving %v, want a pending COO conversion behind tuned CSR", d, op.Format())
+	}
+	close(hold)
+	if st := op.AwaitConversion(); st != ConvertDone {
+		t.Fatalf("AwaitConversion = %v, want done", st)
+	}
+	check("background swap", op)
+}
+
 // TestLeaderDecisionOwnsItsSeconds: each Decision second is written by one
 // stage, so on a leader they are present exactly when their stage ran — and a
-// stage runs only when the call consumes its answer: the payoff rates only
-// under an iteration hint, the batch crossover never while tuning.
+// stage runs only when the call consumes its answer: the baseline only under
+// the measuring selector or the payoff rates, the payoff rates only under an
+// iteration hint, the batch crossover never while tuning.
 func TestLeaderDecisionOwnsItsSeconds(t *testing.T) {
 	m := gen.MultiDiagonal[float64](3000, []int{-1, 0, 1}, rand.New(rand.NewSource(32)))
 	for _, c := range []struct {
@@ -166,8 +317,8 @@ func TestLeaderDecisionOwnsItsSeconds(t *testing.T) {
 			t.Fatal(err)
 		}
 		label := fmt.Sprintf("conf %.2f iterations %d hint %v", c.conf, c.iterations, c.hint)
-		if d.FeatureSec <= 0 || d.CSRSpMVSec <= 0 {
-			t.Errorf("%s: extract/baseline seconds %g %g, want both positive", label, d.FeatureSec, d.CSRSpMVSec)
+		if d.FeatureSec <= 0 {
+			t.Errorf("%s: extract seconds %g, want positive", label, d.FeatureSec)
 		}
 		if d.BatchProbeSec != 0 || op.BatchCrossover() != 0 {
 			t.Errorf("%s: crossover %d probed in %gs while tuning, want neither", label, op.BatchCrossover(), d.BatchProbeSec)
@@ -178,6 +329,9 @@ func TestLeaderDecisionOwnsItsSeconds(t *testing.T) {
 		weighed := c.weighed && d.Asymptotic != matrix.FormatCSR
 		if (d.AmortProbeSec > 0) != weighed || (d.BreakEvenIters > 0) != weighed {
 			t.Errorf("%s: AmortProbeSec %g break-even %d on an asymptotic %v, weighed: %v", label, d.AmortProbeSec, d.BreakEvenIters, d.Asymptotic, c.weighed)
+		}
+		if measured := c.fallback || weighed; (d.CSRSpMVSec > 0) != measured || (d.Overhead() > 0) != measured {
+			t.Errorf("%s: baseline %gs, overhead %g; a baseline was spent: %v", label, d.CSRSpMVSec, d.Overhead(), measured)
 		}
 		tuner.Close()
 	}

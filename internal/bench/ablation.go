@@ -39,8 +39,9 @@ func AblationThreshold(cfg Config, thresholds []float64) *AblationThresholdResul
 
 	// Pre-label the sample once.
 	type sample struct {
-		m    *matrix.CSR[float64]
-		best matrix.Format
+		m       *matrix.CSR[float64]
+		best    matrix.Format
+		unitSec float64 // one basic CSR-SpMV: the overhead unit
 	}
 	var samples []sample
 	for i, e := range eval {
@@ -48,7 +49,7 @@ func AblationThreshold(cfg Config, thresholds []float64) *AblationThresholdResul
 			continue
 		}
 		m := e.Matrix()
-		samples = append(samples, sample{m, labeler.Label(m).Best})
+		samples = append(samples, sample{m, labeler.Label(m).Best, csrUnitSec(m, cfg.Measure)})
 	}
 
 	res := &AblationThresholdResult{}
@@ -71,7 +72,7 @@ func AblationThreshold(cfg Config, thresholds []float64) *AblationThresholdResul
 			if dec.UsedFallback {
 				fallbacks++
 			}
-			ovSum += dec.Overhead()
+			ovSum += overheadSpMV(dec, s.unitSec)
 			row.N++
 		}
 		if row.N > 0 {

@@ -89,6 +89,30 @@ func measureOperator[T matrix.Float](op interface{ MulVec(x, y []T) }, cols, row
 	return autotune.GFLOPS(kernels.FLOPs(nnz), sec)
 }
 
+// csrUnitSec times one basic single-thread CSR SpMV on m: the unit of the
+// paper's Table 3 overhead. The tuner measures it only where it spends one
+// (Decision.CSRSpMVSec), so the experiments that report overhead on every
+// path time it themselves.
+func csrUnitSec(m *matrix.CSR[float64], opts autotune.MeasureOptions) float64 {
+	basic := kernels.NewLibrary[float64]().Basic(matrix.FormatCSR)
+	mat := &kernels.Mat[float64]{Format: matrix.FormatCSR, CSR: m}
+	x := make([]float64, m.Cols)
+	for i := range x {
+		x[i] = 1
+	}
+	y := make([]float64, m.Rows)
+	return autotune.MeasureSecPerOp(func() { basic.Run(mat, x, y, 1) }, opts)
+}
+
+// overheadSpMV is a decision's cost in multiples of unitSec, the matrix's
+// csrUnitSec; 0 for a unit too small to time (an empty matrix).
+func overheadSpMV(dec *autotune.Decision, unitSec float64) float64 {
+	if unitSec <= 0 {
+		return 0
+	}
+	return dec.TuneSec() / unitSec
+}
+
 // castCSR converts an assembled float64 matrix to float32 for the
 // single-precision axis of Figures 9 and 10.
 func castCSR(m *matrix.CSR[float64]) *matrix.CSR[float32] {

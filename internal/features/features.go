@@ -159,88 +159,42 @@ func (k Key) Hash() uint64 {
 	return h
 }
 
-// Extract computes all feature parameters in two passes over the matrix, as
-// the paper's runtime does: one combined pass for diagonal and row-degree
-// statistics (DIA/ELL/CSR parameters) and one computation over the degree
-// histogram for the power-law exponent (the COO parameter).
+// Extract computes all feature parameters from one scan of the matrix
+// structure.
 func Extract[T matrix.Float](m *matrix.CSR[T]) Features {
-	f := Features{M: m.Rows, N: m.Cols, NNZ: m.NNZ()}
-	if m.Rows == 0 {
-		f.R = RNone
+	return FromStructure(matrix.Scan(m))
+}
+
+// FromStructure derives the Table 2 parameters from a structure scan, without
+// touching the matrix: the row-degree statistics (CSR/ELL parameters) from the
+// scan's integer sums, the diagonal situation (DIA parameters) from its
+// tally, and the power-law exponent (the COO parameter) from its degree
+// histogram. Every sum runs in a fixed order, so equal structures give
+// bit-identical features.
+func FromStructure(s *matrix.Structure) Features {
+	f := Features{M: s.Rows, N: s.Cols, NNZ: s.NNZ, R: RNone}
+	if s.Rows == 0 {
 		return f
 	}
-
-	// Pass 1: diagonals and row degrees together. Diagonal occupancy is
-	// counted in a flat array indexed by offset+(rows-1) when the matrix is
-	// dense enough to plausibly touch a fair share of its Rows+Cols-1
-	// diagonals: one increment per nonzero keeps feature extraction within a
-	// few CSR-SpMV executions, which is what makes the paper's 2–5× decision
-	// overhead achievable. Hypersparse matrices (NNZ far below the diagonal
-	// count) would pay more for allocating and sweeping that array than for
-	// the nonzeros themselves, so they tally into a map bounded by NNZ
-	// entries instead.
-	base := m.Rows - 1
-	hypersparse := f.NNZ < (m.Rows+m.Cols)/8
-	var diagFlat []int32
-	var diagMap map[int]int32
-	if hypersparse {
-		diagMap = make(map[int]int32, f.NNZ)
-	} else {
-		diagFlat = make([]int32, m.Rows+m.Cols-1)
-	}
-	maxRD := 0
-	degrees := make([]int, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		deg := m.RowPtr[r+1] - m.RowPtr[r]
-		degrees[r] = deg
-		if deg > maxRD {
-			maxRD = deg
-		}
-		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
-			if hypersparse {
-				diagMap[m.ColIdx[jj]-r]++
-			} else {
-				diagFlat[m.ColIdx[jj]-r+base]++
-			}
-		}
-	}
-	f.MaxRD = float64(maxRD)
+	f.MaxRD = float64(s.MaxDeg)
 	f.AverRD = float64(f.NNZ) / float64(f.M)
-	var acc float64
-	for _, d := range degrees {
-		diff := float64(d) - f.AverRD
-		acc += diff * diff
-	}
-	f.VarRD = acc / float64(f.M)
+	f.VarRD = s.DegreeVariance()
 
+	f.Ndiags = len(s.DiagOffsets)
 	trueDiags := 0
-	countDiag := func(off int, cnt int32) {
-		f.Ndiags++
-		if float64(cnt) >= TrueDiagOccupancy*float64(diagLength(m.Rows, m.Cols, off)) {
+	for i, off := range s.DiagOffsets {
+		if float64(s.DiagCounts[i]) >= TrueDiagOccupancy*float64(diagLength(s.Rows, s.Cols, off)) {
 			trueDiags++
-		}
-	}
-	if hypersparse {
-		for off, cnt := range diagMap {
-			countDiag(off, cnt)
-		}
-	} else {
-		for idx, cnt := range diagFlat {
-			if cnt != 0 {
-				countDiag(idx-base, cnt)
-			}
 		}
 	}
 	if f.Ndiags > 0 {
 		f.NTdiagsRatio = float64(trueDiags) / float64(f.Ndiags)
 		f.ERDIA = float64(f.NNZ) / (float64(f.Ndiags) * float64(f.M))
 	}
-	if maxRD > 0 {
+	if s.MaxDeg > 0 {
 		f.ERELL = float64(f.NNZ) / (f.MaxRD * float64(f.M))
 	}
-
-	// Pass 2: power-law exponent from the degree histogram.
-	f.R = PowerLawExponent(degrees)
+	f.R = PowerLawExponent(s.DegHist)
 	return f
 }
 

@@ -93,16 +93,26 @@ func TestExtractTridiagonal(t *testing.T) {
 	}
 }
 
-func TestPowerLawExponentRecoversKnownExponent(t *testing.T) {
-	// Synthesize a degree list whose histogram follows n(k) = C·k^(-2.5).
-	var degrees []int
-	for k := 1; k <= 60; k++ {
-		cnt := int(math.Round(20000 * math.Pow(float64(k), -2.5)))
-		for i := 0; i < cnt; i++ {
-			degrees = append(degrees, k)
+// histogram tallies a degree list the way matrix.Scan does: hist[k] rows of
+// degree k.
+func histogram(degrees []int) []int {
+	var hist []int
+	for _, d := range degrees {
+		for d >= len(hist) {
+			hist = append(hist, 0)
 		}
+		hist[d]++
 	}
-	r := PowerLawExponent(degrees)
+	return hist
+}
+
+func TestPowerLawExponentRecoversKnownExponent(t *testing.T) {
+	// Synthesize a histogram that follows n(k) = C·k^(-2.5).
+	hist := make([]int, 61)
+	for k := 1; k <= 60; k++ {
+		hist[k] = int(math.Round(20000 * math.Pow(float64(k), -2.5)))
+	}
+	r := PowerLawExponent(hist)
 	if math.Abs(r-2.5) > 0.15 {
 		t.Errorf("fitted R = %g, want ≈2.5", r)
 	}
@@ -116,11 +126,11 @@ func TestPowerLawExponentRejectsNonScaleFree(t *testing.T) {
 			uniform = append(uniform, k)
 		}
 	}
-	if r := PowerLawExponent(uniform); r != RNone {
+	if r := PowerLawExponent(histogram(uniform)); r != RNone {
 		t.Errorf("uniform degrees: R = %g, want RNone", r)
 	}
 	// Too few distinct degrees.
-	if r := PowerLawExponent([]int{3, 3, 3, 3, 5, 5}); r != RNone {
+	if r := PowerLawExponent(histogram([]int{3, 3, 3, 3, 5, 5})); r != RNone {
 		t.Errorf("two distinct degrees: R = %g, want RNone", r)
 	}
 	// Increasing distribution (more high-degree than low): slope positive.
@@ -130,14 +140,14 @@ func TestPowerLawExponentRejectsNonScaleFree(t *testing.T) {
 			increasing = append(increasing, k)
 		}
 	}
-	if r := PowerLawExponent(increasing); r != RNone {
+	if r := PowerLawExponent(histogram(increasing)); r != RNone {
 		t.Errorf("increasing distribution: R = %g, want RNone", r)
 	}
 	// Empty and all-zero.
 	if r := PowerLawExponent(nil); r != RNone {
 		t.Errorf("empty degrees: R = %g, want RNone", r)
 	}
-	if r := PowerLawExponent([]int{0, 0, 0}); r != RNone {
+	if r := PowerLawExponent(histogram([]int{0, 0, 0})); r != RNone {
 		t.Errorf("all-zero degrees: R = %g, want RNone", r)
 	}
 }
@@ -188,11 +198,9 @@ func TestFeatureInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestExtractHypersparseAgreesWithDense pins the map-based diagonal tally
-// against the flat-array path: the same matrix pushed through both (by
-// padding it with extra nonzeros until it leaves the hypersparse regime
-// would change it, so instead we compare a hypersparse extraction against a
-// brute-force diagonal count) must agree on every diagonal statistic.
+// TestExtractHypersparseAgreesWithDense pins the hypersparse (sorted-offset)
+// diagonal tally of matrix.Scan against a brute-force diagonal count: they
+// must agree on every diagonal statistic.
 func TestExtractHypersparseAgreesWithDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	// 100k × 100k with 60 nonzeros: NNZ << (Rows+Cols)/8, firmly hypersparse.
@@ -240,7 +248,7 @@ func TestExtractHypersparseAgreesWithDense(t *testing.T) {
 func TestExtractRegimeBoundary(t *testing.T) {
 	// A 1000×1000 tridiagonal band restricted to the first b rows: with
 	// b = 100 the matrix has ~300 nonzeros > (2000)/8 = 250 (flat path),
-	// with b = 70 it has ~210 < 250 (map path). Both must report the same
+	// with b = 70 it has ~210 < 250 (sorted path). Both must report the same
 	// three diagonals.
 	for _, b := range []int{70, 100} {
 		n := 1000

@@ -15,28 +15,32 @@ const minDistinctDegrees = 4
 // rejected, otherwise every irregular matrix looks like a small-world graph.
 const minFitQuality = 0.75
 
-// PowerLawExponent fits P(k) ~ k^(-R) to the degree histogram of `degrees`
-// by least squares on log P(k) vs. log k and returns R. It returns RNone
-// when the distribution is not scale-free: too few distinct degrees, a
-// non-decaying fit (R ≤ 0), or a poor fit quality.
-func PowerLawExponent(degrees []int) float64 {
-	hist := make(map[int]int)
-	total := 0
-	for _, d := range degrees {
-		if d > 0 {
-			hist[d]++
-			total++
+// PowerLawExponent fits P(k) ~ k^(-R) to a row-degree histogram — hist[k] is
+// the number of rows with k entries; hist[0] is ignored — by least squares on
+// log P(k) vs. log k and returns R. It returns RNone when the distribution is
+// not scale-free: too few distinct degrees, a non-decaying fit (R ≤ 0), or a
+// poor fit quality. The sums run in ascending k, so the result is a pure
+// function of the histogram.
+func PowerLawExponent(hist []int) float64 {
+	distinct, total := 0, 0
+	for k := 1; k < len(hist); k++ {
+		if hist[k] > 0 {
+			distinct++
+			total += hist[k]
 		}
 	}
-	if len(hist) < minDistinctDegrees || total == 0 {
+	if distinct < minDistinctDegrees {
 		return RNone
 	}
 	// Least squares over (log k, log P(k)).
 	var sx, sy, sxx, sxy, syy float64
-	n := float64(len(hist))
-	for k, cnt := range hist {
+	n := float64(distinct)
+	for k := 1; k < len(hist); k++ {
+		if hist[k] == 0 {
+			continue
+		}
 		x := math.Log(float64(k))
-		y := math.Log(float64(cnt) / float64(total))
+		y := math.Log(float64(hist[k]) / float64(total))
 		sx += x
 		sy += y
 		sxx += x * x
@@ -59,9 +63,12 @@ func PowerLawExponent(degrees []int) float64 {
 	}
 	intercept := (sy - slope*sx) / n
 	var ssRes float64
-	for k, cnt := range hist {
+	for k := 1; k < len(hist); k++ {
+		if hist[k] == 0 {
+			continue
+		}
 		x := math.Log(float64(k))
-		y := math.Log(float64(cnt) / float64(total))
+		y := math.Log(float64(hist[k]) / float64(total))
 		e := y - (slope*x + intercept)
 		ssRes += e * e
 	}

@@ -48,24 +48,27 @@ func BenchmarkKernels(b *testing.B) {
 }
 
 // BenchmarkConvert measures format conversion cost (part of SMAT's decision
-// overhead accounting).
+// overhead accounting), per format on its characteristic workload: stand-alone
+// — Convert, which reads the structure itself — and scan-fed, as the tuner
+// converts, from the record feature extraction already holds.
 func BenchmarkConvert(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	m := gen.RandomUniform[float64](20000, 20000, 8, rng)
-	banded := gen.Laplacian2D5pt[float64](200, 200)
-	cases := []struct {
-		name string
-		m    *matrix.CSR[float64]
-		f    matrix.Format
-	}{
-		{"to_coo", m, matrix.FormatCOO},
-		{"to_ell", m, matrix.FormatELL},
-		{"to_dia_banded", banded, matrix.FormatDIA},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
+	for f, m := range benchWorkloads() {
+		if f == matrix.FormatCSR {
+			continue // wraps the input: nothing to measure
+		}
+		s := matrix.Scan(m)
+		b.Run(f.String()+"/standalone", func(b *testing.B) {
+			b.SetBytes(int64(m.NNZ() * 16))
 			for i := 0; i < b.N; i++ {
-				if _, err := Convert(c.m, c.f, 0); err != nil {
+				if _, err := Convert(m, f, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(f.String()+"/scanfed", func(b *testing.B) {
+			b.SetBytes(int64(m.NNZ() * 16))
+			for i := 0; i < b.N; i++ {
+				if _, err := ConvertFrom(m, s, f, 0, Params{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"smat/internal/matrix"
 )
@@ -199,55 +198,11 @@ type ConvertTiming struct {
 	Stored int
 }
 
-// ConvertTimed is Convert with the stopwatch attached: it materialises the
-// matrix in the requested format and reports how long the conversion took and
-// how many slots it wrote. CSR "conversion" wraps the input in place and
-// reports zero seconds — CSR is the zero-cost incumbent of the amortisation
-// model.
-func ConvertTimed[T matrix.Float](m *matrix.CSR[T], f matrix.Format, maxFill float64) (*Mat[T], ConvertTiming, error) {
-	if f == matrix.FormatCSR {
-		return &Mat[T]{Format: f, CSR: m}, ConvertTiming{Format: f, Stored: m.Stored()}, nil
-	}
-	start := time.Now()
-	out, err := Convert(m, f, maxFill)
-	sec := time.Since(start).Seconds()
-	if err != nil {
-		return nil, ConvertTiming{Format: f, Sec: sec}, err
-	}
-	return out, ConvertTiming{Format: f, Sec: sec, Stored: out.Stored()}, nil
-}
-
 // Convert materialises a CSR matrix in the requested format. maxFill bounds
 // DIA/ELL zero-fill as a multiple of NNZ (≤0: unlimited); conversion to an
 // unsuitable format returns matrix.ErrFillExplosion.
 func Convert[T matrix.Float](m *matrix.CSR[T], f matrix.Format, maxFill float64) (*Mat[T], error) {
-	switch f {
-	case matrix.FormatCSR:
-		return &Mat[T]{Format: f, CSR: m}, nil
-	case matrix.FormatCOO:
-		return &Mat[T]{Format: f, COO: m.ToCOO()}, nil
-	case matrix.FormatDIA:
-		d, err := m.ToDIA(maxFill)
-		if err != nil {
-			return nil, err
-		}
-		return &Mat[T]{Format: f, DIA: d}, nil
-	case matrix.FormatELL:
-		e, err := m.ToELL(maxFill)
-		if err != nil {
-			return nil, err
-		}
-		return &Mat[T]{Format: f, ELL: e}, nil
-	case matrix.FormatHYB:
-		return &Mat[T]{Format: f, HYB: m.ToHYB(-1)}, nil
-	case matrix.FormatBCSR:
-		b, err := m.ToBCSR(0, 0, maxFill)
-		if err != nil {
-			return nil, err
-		}
-		return &Mat[T]{Format: f, BCSR: b}, nil
-	}
-	return nil, fmt.Errorf("kernels: unknown format %v", f)
+	return ConvertFrom(m, nil, f, maxFill, Params{})
 }
 
 // Kernel is one SpMV implementation for one format. Params identifies the
@@ -470,6 +425,31 @@ func (l *Library[T]) RegisterBatch(b *BatchKernel[T]) {
 	}
 	l.batchByFormat[b.Format] = append(l.batchByFormat[b.Format], b)
 	l.batchByName[b.Name] = b
+}
+
+// Observed returns a copy of the library whose every single-vector kernel
+// calls hook each time it executes, by Run or RunPooled, pooled or serial. It
+// is the seam for tests that count kernel executions: a serial Run never
+// reaches a pool, so PoolStats cannot see it. Batch kernels are shared
+// unchanged.
+func (l *Library[T]) Observed(hook func()) *Library[T] {
+	out := &Library[T]{
+		byFormat:      make(map[matrix.Format][]*Kernel[T], len(l.byFormat)),
+		byName:        make(map[string]*Kernel[T], len(l.byName)),
+		batchByFormat: l.batchByFormat,
+		batchByName:   l.batchByName,
+	}
+	for _, ks := range l.byFormat {
+		for _, k := range ks {
+			observed, run := *k, k.run
+			observed.run = func(m *Mat[T], x, y []T, ex exec[T]) {
+				hook()
+				run(m, x, y, ex)
+			}
+			out.Register(&observed)
+		}
+	}
+	return out
 }
 
 // ForFormat returns all kernels registered for a format.

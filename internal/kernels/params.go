@@ -113,36 +113,74 @@ func DefaultBatchTile(f matrix.Format) int {
 	}
 }
 
-// ConvertWithParams is Convert with the conversion-time knobs applied: the
-// BCSR block shape and the HYB width-cut percentile. Zero-valued knobs fall
-// back to Convert's defaults (auto block shape, 0.3 cut).
-func ConvertWithParams[T matrix.Float](m *matrix.CSR[T], f matrix.Format, maxFill float64, p Params) (*Mat[T], error) {
+// ConvertFrom is the one conversion site. The conversion-time knobs of p
+// apply — the BCSR block shape and the HYB width-cut percentile; zero values
+// select the defaults (auto block shape, 0.3 cut). s is matrix.Scan(m) when
+// the caller holds it — the tuner does, from feature extraction — and nil
+// otherwise: DIA takes its diagonals and ELL its width from the record
+// instead of reading the structure again, and their fill guards reject from
+// it without touching the matrix. The COO representation is a view sharing
+// m's ColIdx and Vals (matrix.CSR.ToCOO), as the CSR one shares all of m.
+func ConvertFrom[T matrix.Float](m *matrix.CSR[T], s *matrix.Structure, f matrix.Format, maxFill float64, p Params) (*Mat[T], error) {
 	switch f {
-	case matrix.FormatBCSR:
-		if p.BlockR > 0 && p.BlockC > 0 {
-			b, err := m.ToBCSR(p.BlockR, p.BlockC, maxFill)
-			if err != nil {
-				return nil, err
-			}
-			return &Mat[T]{Format: f, BCSR: b}, nil
+	case matrix.FormatCSR:
+		return &Mat[T]{Format: f, CSR: m}, nil
+	case matrix.FormatCOO:
+		return &Mat[T]{Format: f, COO: m.ToCOO()}, nil
+	case matrix.FormatDIA:
+		if s == nil {
+			s = matrix.Scan(m)
 		}
+		d, err := m.ToDIAFrom(s, maxFill)
+		if err != nil {
+			return nil, err
+		}
+		return &Mat[T]{Format: f, DIA: d}, nil
+	case matrix.FormatELL:
+		var e *matrix.ELL[T]
+		var err error
+		if s != nil {
+			e, err = m.ToELLFrom(s, maxFill)
+		} else {
+			e, err = m.ToELL(maxFill)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &Mat[T]{Format: f, ELL: e}, nil
 	case matrix.FormatHYB:
+		width := -1
 		if p.HybCut > 0 {
-			return &Mat[T]{Format: f, HYB: m.ToHYB(matrix.HybSplitWidth(m, p.HybCut))}, nil
+			width = matrix.HybSplitWidth(m, p.HybCut)
 		}
+		return &Mat[T]{Format: f, HYB: m.ToHYB(width)}, nil
+	case matrix.FormatBCSR:
+		b, err := m.ToBCSR(p.BlockR, p.BlockC, maxFill)
+		if err != nil {
+			return nil, err
+		}
+		return &Mat[T]{Format: f, BCSR: b}, nil
 	}
-	return Convert(m, f, maxFill)
+	return nil, fmt.Errorf("kernels: unknown format %v", f)
 }
 
-// ConvertTimedParams is ConvertWithParams with the stopwatch attached (see
-// ConvertTimed). Decisions that carry tuned Params must materialise through
-// it so cache hits rebuild the exact representation the leader measured.
-func ConvertTimedParams[T matrix.Float](m *matrix.CSR[T], f matrix.Format, maxFill float64, p Params) (*Mat[T], ConvertTiming, error) {
+// ConvertWithParams is Convert with the conversion-time knobs applied.
+func ConvertWithParams[T matrix.Float](m *matrix.CSR[T], f matrix.Format, maxFill float64, p Params) (*Mat[T], error) {
+	return ConvertFrom(m, nil, f, maxFill, p)
+}
+
+// ConvertTimedParams is ConvertFrom with the stopwatch attached: it reports
+// how long the conversion took and how many slots it wrote. CSR "conversion"
+// wraps the input in place and reports zero seconds — CSR is the zero-cost
+// incumbent of the amortisation model. Decisions that carry tuned Params
+// must materialise through it so cache hits rebuild the exact representation
+// the leader measured.
+func ConvertTimedParams[T matrix.Float](m *matrix.CSR[T], s *matrix.Structure, f matrix.Format, maxFill float64, p Params) (*Mat[T], ConvertTiming, error) {
 	if f == matrix.FormatCSR {
 		return &Mat[T]{Format: f, CSR: m}, ConvertTiming{Format: f, Stored: m.Stored()}, nil
 	}
 	start := time.Now()
-	out, err := ConvertWithParams(m, f, maxFill, p)
+	out, err := ConvertFrom(m, s, f, maxFill, p)
 	sec := time.Since(start).Seconds()
 	if err != nil {
 		return nil, ConvertTiming{Format: f, Sec: sec}, err

@@ -3,6 +3,7 @@ package matrix
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -61,19 +62,24 @@ func FromTriples[T Float](rows, cols int, ts []Triple[T]) (*CSR[T], error) {
 	return m, nil
 }
 
-// ToCOO converts CSR to coordinate form. The result shares no storage with
-// the receiver and is sorted by (row, col).
+// ToCOO returns the matrix in coordinate form, sorted by (row, col), as a
+// view: RowIdx is built, ColIdx and Vals are the receiver's own slices.
+// Nothing reads a COO matrix by writing to it, and a CSR matrix handed to the
+// tuner is immutable from then on (smat.NewCSR uses the caller's slices
+// directly, and the tuned CSR operator aliases them the same way), so the two
+// copies would only double the conversion's memory traffic.
 func (m *CSR[T]) ToCOO() *COO[T] {
 	out := &COO[T]{
 		Rows:   m.Rows,
 		Cols:   m.Cols,
 		RowIdx: make([]int, m.NNZ()),
-		ColIdx: append([]int(nil), m.ColIdx...),
-		Vals:   append([]T(nil), m.Vals...),
+		ColIdx: m.ColIdx,
+		Vals:   m.Vals,
 	}
 	for r := 0; r < m.Rows; r++ {
-		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
-			out.RowIdx[jj] = r
+		row := out.RowIdx[m.RowPtr[r]:m.RowPtr[r+1]]
+		for i := range row {
+			row[i] = r
 		}
 	}
 	return out
@@ -130,53 +136,44 @@ func (m *COO[T]) canonical() bool {
 	return true
 }
 
-// DiagCount returns the number of distinct occupied diagonals and, for
-// convenience, the sorted offsets. It is shared by ToDIA and the feature
-// extractor.
-func (m *CSR[T]) DiagCount() (n int, offsets []int) {
-	// A diagonal's offset c-r ranges over [-(Rows-1), Cols-1]; a flat
-	// occupancy array keeps this pass at one increment per nonzero.
-	if m.Rows == 0 || m.Cols == 0 {
-		return 0, nil
-	}
-	occupied := make([]bool, m.Rows+m.Cols-1)
-	base := m.Rows - 1
-	for r := 0; r < m.Rows; r++ {
-		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
-			occupied[m.ColIdx[jj]-r+base] = true
-		}
-	}
-	for idx, on := range occupied {
-		if on {
-			offsets = append(offsets, idx-base)
-		}
-	}
-	return len(offsets), offsets
+// fillExceeds reports whether storing `stored` element slots for nnz
+// nonzeros breaks the fill limit (≤0 means unlimited).
+func fillExceeds(stored, nnz int, maxFillRatio float64) bool {
+	return maxFillRatio > 0 && nnz > 0 && float64(stored) > maxFillRatio*float64(nnz)
 }
 
 // ToDIA converts to diagonal storage. maxFillRatio bounds the stored-element
 // count as a multiple of NNZ (≤0 means unlimited); conversion fails with
 // ErrFillExplosion beyond it.
 func (m *CSR[T]) ToDIA(maxFillRatio float64) (*DIA[T], error) {
-	_, offsets := m.DiagCount()
-	stored := len(offsets) * m.Rows
-	if maxFillRatio > 0 && m.NNZ() > 0 && float64(stored) > maxFillRatio*float64(m.NNZ()) {
+	return m.ToDIAFrom(Scan(m), maxFillRatio)
+}
+
+// ToDIAFrom is ToDIA for a caller that already holds s = Scan(m): the stored
+// diagonals are the record's, so the fill guard is arithmetic and the matrix
+// is read once, to place its values.
+func (m *CSR[T]) ToDIAFrom(s *Structure, maxFillRatio float64) (*DIA[T], error) {
+	s.of(m.Rows, m.Cols, m.NNZ())
+	stored := len(s.DiagOffsets) * m.Rows
+	if fillExceeds(stored, m.NNZ(), maxFillRatio) {
 		return nil, fmt.Errorf("%w: DIA would store %d elements for %d nonzeros",
 			ErrFillExplosion, stored, m.NNZ())
 	}
-	d := &DIA[T]{Rows: m.Rows, Cols: m.Cols, Offsets: offsets, Data: make([]T, stored)}
-	if len(offsets) == 0 {
+	// The record is shared; the DIA matrix owns its offsets.
+	d := &DIA[T]{Rows: m.Rows, Cols: m.Cols, Offsets: slices.Clone(s.DiagOffsets), Data: make([]T, stored)}
+	if len(d.Offsets) == 0 {
 		return d, nil
 	}
-	// Flat offset→diagonal-index table (offsets span rows+cols-1 slots).
-	pos := make([]int32, m.Rows+m.Cols-1)
-	base := m.Rows - 1
-	for i, off := range offsets {
-		pos[off+base] = int32(i)
+	// Flat offset→diagonal-index table over the occupied band.
+	lo := d.Offsets[0]
+	pos := make([]int32, d.Offsets[len(d.Offsets)-1]-lo+1)
+	for i, off := range d.Offsets {
+		pos[off-lo] = int32(i)
 	}
 	for r := 0; r < m.Rows; r++ {
+		shift := r + lo
 		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
-			dgi := int(pos[m.ColIdx[jj]-r+base])
+			dgi := int(pos[m.ColIdx[jj]-shift])
 			d.Data[dgi*m.Rows+r] = m.Vals[jj]
 		}
 	}
@@ -219,9 +216,20 @@ func (m *CSR[T]) MaxRowDegree() int {
 // ToELL converts to ELLPACK storage with Width = MaxRowDegree. maxFillRatio
 // bounds the stored-element count as a multiple of NNZ (≤0 means unlimited).
 func (m *CSR[T]) ToELL(maxFillRatio float64) (*ELL[T], error) {
-	width := m.MaxRowDegree()
+	return m.toELL(m.MaxRowDegree(), maxFillRatio)
+}
+
+// ToELLFrom is ToELL for a caller that already holds s = Scan(m): the width
+// is the record's maximum row degree.
+func (m *CSR[T]) ToELLFrom(s *Structure, maxFillRatio float64) (*ELL[T], error) {
+	s.of(m.Rows, m.Cols, m.NNZ())
+	return m.toELL(s.MaxDeg, maxFillRatio)
+}
+
+// toELL pads every row to width, which must be the maximum row degree.
+func (m *CSR[T]) toELL(width int, maxFillRatio float64) (*ELL[T], error) {
 	stored := width * m.Rows
-	if maxFillRatio > 0 && m.NNZ() > 0 && float64(stored) > maxFillRatio*float64(m.NNZ()) {
+	if fillExceeds(stored, m.NNZ(), maxFillRatio) {
 		return nil, fmt.Errorf("%w: ELL would store %d elements for %d nonzeros",
 			ErrFillExplosion, stored, m.NNZ())
 	}

@@ -3,6 +3,7 @@ package matrix
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -179,15 +180,10 @@ func TestToELLFillGuard(t *testing.T) {
 
 func TestDiagCount(t *testing.T) {
 	m := paperCSR(t)
-	n, offs := m.DiagCount()
-	if n != 3 {
-		t.Fatalf("DiagCount = %d, want 3", n)
-	}
-	want := []int{-2, 0, 1}
-	for i := range want {
-		if offs[i] != want[i] {
-			t.Fatalf("offsets = %v, want %v", offs, want)
-		}
+	// The occupied diagonals are Scan's tally: ToDIA and the feature
+	// extractor both read it there.
+	if offs, want := Scan(m).DiagOffsets, []int{-2, 0, 1}; !slices.Equal(offs, want) {
+		t.Fatalf("offsets = %v, want %v", offs, want)
 	}
 }
 

@@ -664,8 +664,11 @@ type Decision struct {
 	BatchCrossover int
 	// Overhead is the total decision cost in multiples of one basic
 	// CSR-SpMV execution (the paper's Table 3 unit): what the tuning call
-	// itself spent. The batch-crossover probe is no part of it — it runs on
-	// the first batched call, and Tuner.Stats reports it. Cache hits skip the
-	// baseline measurement, so their Overhead is reported as 0.
+	// itself spent. It is 0 unless the tune measured a CSR baseline — the
+	// execute-and-measure fallback, or a leader under an iteration hint: a
+	// confident prediction, a format hint and a cache hit run no kernel
+	// before the caller's own, so they have no unit to report in (time the
+	// call to see their cost). The batch-crossover probe is no part of it —
+	// it runs on the first batched call, and Tuner.Stats reports it.
 	Overhead float64
 }
