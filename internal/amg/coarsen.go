@@ -1,9 +1,6 @@
 package amg
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // Coarsening selects the coarse-grid point-selection algorithm.
 type Coarsening int
@@ -37,17 +34,59 @@ type lambdaItem struct {
 	point  int
 }
 
+// lambdaHeap is a max-heap of lambdaItems on lambda. init, push and pop
+// sift exactly as container/heap does — same comparisons, same swaps — so
+// ties between equal measures break as they always have and the C/F split
+// is the one coarsenRSReference (the container/heap version, kept in the
+// tests) produces. What the typed heap drops is the boxing: container/heap
+// moves items through interface{}, one allocation per push and per pop,
+// which was most of a set-up's time.
 type lambdaHeap []lambdaItem
 
-func (h lambdaHeap) Len() int            { return len(h) }
-func (h lambdaHeap) Less(i, j int) bool  { return h[i].lambda > h[j].lambda }
-func (h lambdaHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *lambdaHeap) Push(x interface{}) { *h = append(*h, x.(lambdaItem)) }
-func (h *lambdaHeap) Pop() interface{} {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
+func (h lambdaHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h *lambdaHeap) push(it lambdaItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].lambda > s[i].lambda) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *lambdaHeap) pop() lambdaItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	s.down(0, n)
+	*h = s[:n]
+	return s[n]
+}
+
+func (h lambdaHeap) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].lambda > h[j].lambda {
+			j = j2
+		}
+		if !(h[j].lambda > h[i].lambda) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // coarsenRS runs classical Ruge–Stüben first-pass coarsening: repeatedly
@@ -63,10 +102,10 @@ func coarsenRS(g *strengthGraph) []int8 {
 		lambda[i] = g.stPtr[i+1] - g.stPtr[i]
 		h = append(h, lambdaItem{lambda[i], i})
 	}
-	heap.Init(&h)
+	h.init()
 	assigned := 0
-	for assigned < n && h.Len() > 0 {
-		it := heap.Pop(&h).(lambdaItem)
+	for assigned < n && len(h) > 0 {
+		it := h.pop()
 		i := it.point
 		if split[i] != unassigned || it.lambda != lambda[i] {
 			continue // stale entry
@@ -89,7 +128,7 @@ func coarsenRS(g *strengthGraph) []int8 {
 			for _, k := range g.strongDeps(j) {
 				if split[k] == unassigned {
 					lambda[k]++
-					heap.Push(&h, lambdaItem{lambda[k], k})
+					h.push(lambdaItem{lambda[k], k})
 				}
 			}
 		}

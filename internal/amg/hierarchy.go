@@ -98,8 +98,20 @@ type Level[T matrix.Float] struct {
 
 	aOp, pOp, rOp SpMV[T]
 
+	// vec runs this level's vector phases (Jacobi update, residual,
+	// correction) on aOp's worker pool when aOp lends one and the level is
+	// large enough to split; bindOps keeps it pointed at the current aOp.
+	vec solve.Vec[T]
+
 	// Workspaces sized to this level.
 	x, b, tmp []T
+}
+
+// bindOps installs the level's operators (p and r are nil on the coarsest
+// level) and rebinds the vector backend to the new A-operator.
+func (lvl *Level[T]) bindOps(a, p, r SpMV[T]) {
+	lvl.aOp, lvl.pOp, lvl.rOp = a, p, r
+	lvl.vec.Bind(a, lvl.A.Rows)
 }
 
 // Hierarchy is a fully set-up AMG preconditioner/solver.
@@ -168,10 +180,10 @@ func SetupPooled[T matrix.Float](a *matrix.CSR[T], opts Options, pool *kernels.P
 		lvl.x = make([]T, lvl.A.Rows)
 		lvl.b = make([]T, lvl.A.Rows)
 		lvl.tmp = make([]T, lvl.A.Rows)
-		lvl.aOp = csrOp[T]{lvl.A}
-		if lvl.P != nil {
-			lvl.pOp = csrOp[T]{lvl.P}
-			lvl.rOp = csrOp[T]{lvl.R}
+		if lvl.P == nil {
+			lvl.bindOps(csrOp[T]{lvl.A}, nil, nil)
+		} else {
+			lvl.bindOps(csrOp[T]{lvl.A}, csrOp[T]{lvl.P}, csrOp[T]{lvl.R})
 		}
 	}
 	var err error
@@ -186,21 +198,20 @@ func SetupPooled[T matrix.Float](a *matrix.CSR[T], opts Options, pool *kernels.P
 // operators produced by the factory — the SMAT integration point.
 func (h *Hierarchy[T]) Bind(factory OperatorFactory[T]) error {
 	for li, lvl := range h.Levels {
-		op, err := factory(lvl.A)
+		a, err := factory(lvl.A)
 		if err != nil {
 			return fmt.Errorf("amg: bind level %d A: %w", li, err)
 		}
-		lvl.aOp = op
+		var p, r SpMV[T]
 		if lvl.P != nil {
-			if op, err = factory(lvl.P); err != nil {
+			if p, err = factory(lvl.P); err != nil {
 				return fmt.Errorf("amg: bind level %d P: %w", li, err)
 			}
-			lvl.pOp = op
-			if op, err = factory(lvl.R); err != nil {
+			if r, err = factory(lvl.R); err != nil {
 				return fmt.Errorf("amg: bind level %d R: %w", li, err)
 			}
-			lvl.rOp = op
 		}
+		lvl.bindOps(a, p, r)
 	}
 	return nil
 }

@@ -100,12 +100,7 @@ func (h *Hierarchy[T]) smooth(lvl *Level[T], b, x []T) {
 		}
 	default: // weighted Jacobi: x += ω D⁻¹ (b − A x), one SpMV per sweep.
 		lvl.aOp.MulVec(x, lvl.tmp)
-		omega := T(h.opts.Omega)
-		for i := range x {
-			if d := lvl.Diag[i]; d != 0 {
-				x[i] += omega * (b[i] - lvl.tmp[i]) / d
-			}
-		}
+		lvl.vec.Jacobi(T(h.opts.Omega), b, lvl.tmp, lvl.Diag, x)
 	}
 }
 
@@ -122,9 +117,7 @@ func (h *Hierarchy[T]) vcycle(li int, b, x []T) {
 	}
 	// Residual r = b − A x.
 	lvl.aOp.MulVec(x, lvl.tmp)
-	for i := range lvl.tmp {
-		lvl.tmp[i] = b[i] - lvl.tmp[i]
-	}
+	lvl.vec.Residual(b, lvl.tmp, lvl.tmp)
 	// Restrict and recurse (once for a V-cycle, Gamma times for W-cycles).
 	next := h.Levels[li+1]
 	lvl.rOp.MulVec(lvl.tmp, next.b)
@@ -134,9 +127,7 @@ func (h *Hierarchy[T]) vcycle(li int, b, x []T) {
 	}
 	// Prolong and correct.
 	lvl.pOp.MulVec(next.x, lvl.tmp)
-	for i := range x {
-		x[i] += lvl.tmp[i]
-	}
+	lvl.vec.Axpy(1, lvl.tmp, x)
 	for s := 0; s < h.opts.Nu2; s++ {
 		h.smooth(lvl, b, x)
 	}
@@ -167,11 +158,7 @@ func (h *Hierarchy[T]) Solve(b, x []T, tol float64, maxIter int) SolveStats {
 		h.VCycle(b, x)
 		stats.Iterations++
 		lvl.aOp.MulVec(x, lvl.tmp)
-		res := 0.0
-		for i := range b {
-			d := float64(b[i] - lvl.tmp[i])
-			res += d * d
-		}
+		res := lvl.vec.Residual(b, lvl.tmp, lvl.tmp)
 		stats.RelResidual = math.Sqrt(res) / normB
 		if stats.RelResidual <= tol {
 			stats.Converged = true

@@ -216,6 +216,21 @@ func (o *Operator[T]) MulVec(x, y []T) {
 	e.kernel.RunPooled(e.mat, x, y, o.pool)
 }
 
+// RunChunks runs fn over the chunks of bounds on the tuner's worker pool —
+// the workers MulVec dispatches to — or, when the pool is busy with another
+// caller or closed, on the caller in chunk order. With Threads it implements
+// solve.Pooled: an iterative solver runs its vector phases here, between two
+// MulVec calls, so the workers never idle long enough to park.
+//
+//smat:hotpath
+func (o *Operator[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
+	o.pool.RunChunksInline(bounds, fn)
+}
+
+// Threads returns the worker pool's thread count: the most chunks RunChunks
+// runs concurrently.
+func (o *Operator[T]) Threads() int { return o.pool.Threads() }
+
 // NeverBatch is the batch crossover recorded when the tiled SpMM kernel lost
 // to the loop-over-vectors path at every probed width: no realistic k reaches
 // it, so MulVecBatch always loops.

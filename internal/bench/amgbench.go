@@ -74,21 +74,24 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 // configurations (cljp coarsening on a 3D 7-point problem, Ruge–Stüben on a
 // 2D 9-point problem).
 type Table4Result struct {
-	Rows []Table4Row
+	Machine Machine     `json:"machine"`
+	Threads int         `json:"threads"`
+	Scale   float64     `json:"scale"`
+	Rows    []Table4Row `json:"rows"`
 }
 
 // Table4Row is one solver configuration.
 type Table4Row struct {
-	Name      string
-	Rows      int
-	Levels    int
-	BaseMS    float64 // plain-CSR solve time
-	SmatMS    float64 // SMAT-bound solve time
-	TuneMS    float64 // one-time SMAT tuning of all level operators
-	Speedup   float64
-	BaseIters int
-	SmatIters int
-	Formats   []string // chosen format per level operator A_l
+	Name      string   `json:"name"`
+	Rows      int      `json:"rows"`
+	Levels    int      `json:"levels"`
+	BaseMS    float64  `json:"base_ms"` // plain-CSR solve time
+	SmatMS    float64  `json:"smat_ms"` // SMAT-bound solve time
+	TuneMS    float64  `json:"tune_ms"` // one-time SMAT tuning of all level operators
+	Speedup   float64  `json:"speedup"`
+	BaseIters int      `json:"base_iters"`
+	SmatIters int      `json:"smat_iters"`
+	Formats   []string `json:"formats"` // chosen format per level operator A_l
 }
 
 // csrFactory binds levels to the parallel CSR kernel: the fixed-format
@@ -110,7 +113,7 @@ func (f spmvFunc[T]) MulVec(x, y []T) { f(x, y) }
 // binding and reports solve-phase times.
 func Table4(cfg Config) (*Table4Result, error) {
 	cfg = cfg.withDefaults()
-	res := &Table4Result{}
+	res := &Table4Result{Machine: machineRecord(), Threads: cfg.Threads, Scale: cfg.Scale}
 	configs := []struct {
 		name  string
 		build func() *matrix.CSR[float64]
@@ -183,6 +186,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 		}
 		solve() // warm-up
 		dSmat, itSmat := solve()
+		tuner.Close()
 		row.SmatMS = float64(dSmat.Microseconds()) / 1000
 		row.SmatIters = itSmat
 		if row.SmatMS > 0 {

@@ -23,7 +23,10 @@ import (
 // oracle fields embed the differential acceptance runs so the artifact
 // records that the fast paths were cross-checked, not just timed.
 type SolveResult struct {
-	Rows []SolveRow `json:"rows"`
+	Machine Machine    `json:"machine"`
+	Threads int        `json:"threads"`
+	Scale   float64    `json:"scale"`
+	Rows    []SolveRow `json:"rows"`
 
 	SpGEMMOracleOK  bool   `json:"spgemm_oracle_ok"`
 	SpGEMMOracleErr string `json:"spgemm_oracle_err,omitempty"`
@@ -44,8 +47,33 @@ type SolveRow struct {
 	Speedup     float64 `json:"speedup,omitempty"`
 	Iterations  int     `json:"iterations,omitempty"`
 	ItersPerSec float64 `json:"iters_per_sec,omitempty"`
+	IterUs      float64 `json:"iter_us,omitempty"`
 	PerRHSSec   float64 `json:"per_rhs_sec,omitempty"`
-	Detail      string  `json:"detail,omitempty"`
+	// Pool is what the tuner's worker pool did during the timed solves of a
+	// tuned row (a Tuner.Stats().Pool delta): WokenShare = Woken ÷ Pooled is
+	// the share of dispatches that found a worker parked and paid an OS wake
+	// — the cost of leaving the pool idle between two products.
+	Pool       *kernels.PoolStats `json:"pool,omitempty"`
+	WokenShare float64            `json:"woken_share,omitempty"`
+	Detail     string             `json:"detail,omitempty"`
+}
+
+// poolDelta returns what the pool did between two Stats snapshots.
+func poolDelta(before, after kernels.PoolStats) *kernels.PoolStats {
+	return &kernels.PoolStats{
+		Pooled:       after.Pooled - before.Pooled,
+		Woken:        after.Woken - before.Woken,
+		Overflow:     after.Overflow - before.Overflow,
+		SerialCutoff: after.SerialCutoff - before.SerialCutoff,
+	}
+}
+
+// wokenShare is Woken ÷ Pooled, 0 when nothing was dispatched.
+func wokenShare(p *kernels.PoolStats) float64 {
+	if p.Pooled == 0 {
+		return 0
+	}
+	return float64(p.Woken) / float64(p.Pooled)
 }
 
 // bestOfSec runs f trials times and returns the fastest wall-clock
@@ -75,7 +103,7 @@ func SolveBench(cfg Config) (*SolveResult, error) {
 	if trials < 1 {
 		trials = 3
 	}
-	res := &SolveResult{}
+	res := &SolveResult{Machine: machineRecord(), Threads: cfg.Threads, Scale: cfg.Scale}
 
 	if err := galerkinRows(cfg, trials, res); err != nil {
 		return nil, err
@@ -88,7 +116,7 @@ func SolveBench(cfg Config) (*SolveResult, error) {
 	}
 	solveOracleRows(cfg, res)
 
-	t := &table{header: []string{"Case", "N", "NNZ", "Thr", "Base(ms)", "Time(ms)", "Speedup", "Iters", "It/s", "PerRHS(ms)"}}
+	t := &table{header: []string{"Case", "N", "NNZ", "Thr", "Base(ms)", "Time(ms)", "Speedup", "Iters", "us/It", "Woken/Pooled", "PerRHS(ms)"}}
 	ms := func(s float64) string {
 		if s == 0 {
 			return "-"
@@ -100,9 +128,13 @@ func SolveBench(cfg Config) (*SolveResult, error) {
 		if r.Speedup > 0 {
 			sp = f2(r.Speedup) + "x"
 		}
+		woken := "-"
+		if r.Pool != nil {
+			woken = fmt.Sprintf("%d/%d", r.Pool.Woken, r.Pool.Pooled)
+		}
 		t.add(r.Case, fmt.Sprint(r.N), fmt.Sprint(r.NNZ), fmt.Sprint(r.Threads),
 			ms(r.BaselineSec), ms(r.Sec), sp, fmt.Sprint(r.Iterations),
-			f2(r.ItersPerSec), ms(r.PerRHSSec))
+			f2(r.IterUs), woken, ms(r.PerRHSSec))
 	}
 	fmt.Fprintln(cfg.Out, "Solver workloads: tuned Krylov solves and parallel Galerkin setup")
 	t.print(cfg.Out)
@@ -178,13 +210,32 @@ func galerkinRows(cfg Config, trials int, res *SolveResult) error {
 
 // cgRows times CG to convergence through the tuned operator (with the
 // iteration hint, so conversion amortizes) against the fixed-CSR reference
-// library, then single-RHS CG ×k against BlockCG through the batched path.
+// library on the benchmark of record's two Laplacians, then single-RHS CG ×k
+// against BlockCG through the batched path on the first.
 func cgRows(cfg Config, trials int, res *SolveResult) error {
+	n2, n3 := scaledGrid(320, cfg.Scale), scaledGrid(56, cfg.Scale)
+	maxIter := 20 * n2
+	tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
+	defer tuner.Close()
+
+	lap2d := gen.Laplacian2D5pt[float64](n2, n2)
+	op, err := cgProblemRows(cfg, trials, res, tuner, "lap2d5", lap2d, maxIter)
+	if err != nil {
+		return err
+	}
+	blockCGRows(cfg, trials, res, op, lap2d, maxIter)
+	_, err = cgProblemRows(cfg, trials, res, tuner, "lap3d7", gen.Laplacian3D7pt[float64](n3, n3, n3), maxIter)
+	return err
+}
+
+// cgProblemRows adds one system's fixed and tuned rows and returns the tuned
+// operator. The tuned row carries the pool's dispatch counters over the
+// timed solves: with the solver's vector phases on the operator's pool the
+// workers are still spinning when each product arrives (Woken ≪ Pooled);
+// serial phases let them park between any two.
+func cgProblemRows(cfg Config, trials int, res *SolveResult, tuner *autotune.Tuner[float64], name string, a *matrix.CSR[float64], maxIter int) (*autotune.Operator[float64], error) {
 	const tol = 1e-8
-	n := scaledGrid(220, cfg.Scale)
-	a := gen.Laplacian2D5pt[float64](n, n)
 	rows := a.Rows
-	maxIter := 20 * n
 	b := make([]float64, rows)
 	for i := range b {
 		b[i] = 1 + float64(i%5)/8
@@ -196,64 +247,69 @@ func cgRows(cfg Config, trials int, res *SolveResult) error {
 	lib := refblas.New[float64](cfg.Threads)
 	baseOp := spmvFunc[float64](func(xv, yv []float64) { lib.CSRGeMV(a, xv, yv) })
 	var ws solve.CGScratch[float64]
-	var baseStats solve.Stats
-	runBase := func() {
-		clear(x)
-		st, err := solve.CGWith[float64](&ws, baseOp, nil, b, x, tol, maxIter)
-		baseStats = st
-		if err != nil {
-			panic(err) // SPD Laplacian: breakdown is impossible
+	var stats solve.Stats
+	run := func(op solve.Operator[float64]) func() {
+		return func() {
+			clear(x)
+			st, err := solve.CGWith[float64](&ws, op, nil, b, x, tol, maxIter)
+			stats = st
+			if err != nil {
+				panic(err) // SPD Laplacian: breakdown is impossible
+			}
 		}
 	}
+	runBase := run(baseOp)
 	runBase() // warm
 	baseSec := bestOfSec(trials, runBase)
+	baseIters := stats.Iterations
 
-	tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
-	defer tuner.Close()
 	tuneStart := time.Now()
 	op, _, err := tuner.TuneOpts(a, autotune.TuneOptions{Iterations: maxIter})
 	if err != nil {
-		return fmt.Errorf("bench: solve: tune: %w", err)
+		return nil, fmt.Errorf("bench: solve: tune %s: %w", name, err)
 	}
 	op.AwaitConversion()
 	tuneSec := time.Since(tuneStart).Seconds()
-	var tunedStats solve.Stats
-	runTuned := func() {
-		clear(x)
-		st, err := solve.CGWith[float64](&ws, op, nil, b, x, tol, maxIter)
-		tunedStats = st
-		if err != nil {
-			panic(err)
-		}
-	}
+	runTuned := run(op)
 	runTuned() // warm
+	before := tuner.Stats().Pool
 	tunedSec := bestOfSec(trials, runTuned)
+	pool := poolDelta(before, tuner.Stats().Pool)
 
 	res.Rows = append(res.Rows, SolveRow{
-		Case: "cg/fixed_csr", N: rows, NNZ: a.NNZ(), Threads: cfg.Threads,
-		Sec: baseSec, Iterations: baseStats.Iterations,
-		ItersPerSec: float64(baseStats.Iterations) / baseSec,
+		Case: "cg/fixed_csr/" + name, N: rows, NNZ: a.NNZ(), Threads: cfg.Threads,
+		Sec: baseSec, Iterations: baseIters,
+		ItersPerSec: float64(baseIters) / baseSec,
+		IterUs:      baseSec * 1e6 / float64(baseIters),
 		Detail:      "refblas CSRGeMV baseline",
 	})
 	res.Rows = append(res.Rows, SolveRow{
-		Case: "cg/tuned", N: rows, NNZ: a.NNZ(), Threads: cfg.Threads,
+		Case: "cg/tuned/" + name, N: rows, NNZ: a.NNZ(), Threads: cfg.Threads,
 		Sec: tunedSec, BaselineSec: baseSec, Speedup: baseSec / tunedSec,
-		Iterations:  tunedStats.Iterations,
-		ItersPerSec: float64(tunedStats.Iterations) / tunedSec,
-		Detail:      fmt.Sprintf("format=%s kernel=%s tune+convert=%.2fms", op.Format(), op.KernelName(), tuneSec*1e3),
+		Iterations:  stats.Iterations,
+		ItersPerSec: float64(stats.Iterations) / tunedSec,
+		IterUs:      tunedSec * 1e6 / float64(stats.Iterations),
+		Pool:        pool, WokenShare: wokenShare(pool),
+		Detail: fmt.Sprintf("format=%s kernel=%s tune+convert=%.2fms", op.Format(), op.KernelName(), tuneSec*1e3),
 	})
+	return op, nil
+}
 
-	// Multi-RHS: k independent right-hand sides, solved one CG at a time
-	// versus one BlockCG driving the batched SpMM path.
-	const k = 8
+// blockCGRows solves k independent right-hand sides one CG at a time versus
+// one BlockCG driving the batched SpMM path.
+func blockCGRows(cfg Config, trials int, res *SolveResult, op *autotune.Operator[float64], a *matrix.CSR[float64], maxIter int) {
+	const tol, k = 1e-8, 8
+	rows := a.Rows
 	bb := make([]float64, rows*k)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < k; j++ {
 			bb[i*k+j] = 1 + float64((i+3*j)%7)/8
 		}
 	}
+	x := make([]float64, rows)
 	xb := make([]float64, rows*k)
 	bcol := make([]float64, rows)
+	var ws solve.CGScratch[float64]
 	var singleIters int
 	runSingle := func() {
 		singleIters = 0
@@ -296,7 +352,6 @@ func cgRows(cfg Config, trials int, res *SolveResult) error {
 		ItersPerSec: float64(blockStats.Iterations) / blockSec,
 		Detail:      "one BlockCG through MulVecBatch",
 	})
-	return nil
 }
 
 // amgPCGRows times an end-to-end AMG-preconditioned CG solve: hierarchy
@@ -343,14 +398,18 @@ func amgPCGRows(cfg Config, trials int, res *SolveResult) error {
 		return err
 	}
 	run() // warm
+	before := tuner.Stats().Pool
 	tunedSec := bestOfSec(trials, run)
+	pool := poolDelta(before, tuner.Stats().Pool)
 
 	res.Rows = append(res.Rows, SolveRow{
 		Case: "amg_pcg/tuned_bind", N: a.Rows, NNZ: a.NNZ(), Threads: cfg.Threads,
 		Sec: tunedSec, BaselineSec: baseSec, Speedup: baseSec / tunedSec,
 		Iterations:  stats.Iterations,
 		ItersPerSec: float64(stats.Iterations) / tunedSec,
-		Detail:      fmt.Sprintf("%d levels, pooled fused setup, base iters %d", len(h.Levels), baseIters),
+		IterUs:      tunedSec * 1e6 / float64(stats.Iterations),
+		Pool:        pool, WokenShare: wokenShare(pool),
+		Detail: fmt.Sprintf("%d levels, pooled fused setup, base iters %d", len(h.Levels), baseIters),
 	})
 	return nil
 }

@@ -26,7 +26,7 @@ type SteadyResult struct {
 	Rows           []SteadyRow `json:"rows"`
 	GeoMeanSpeedup float64     `json:"geomean_speedup"`
 
-	// Cutoff is the serial-vs-pooled size sweep kernels.serialWork is read
+	// Cutoff is the serial-vs-pooled size sweep kernels.SerialWork is read
 	// off, CutoffGapUs the idle gap of its gapped column. DerivedSerialWork
 	// is the smallest swept size from which the pooled path wins back to back
 	// in every format — the constant's column — and DerivedGappedWork the
@@ -205,7 +205,7 @@ var cutoffSerialKernels = []struct {
 
 // cutoffSweep times serial against pooled from ~1k to ~1M stored entries
 // (scaled by cfg.Scale at the top end) per format and derives the smallest
-// size from which pooled wins in every format: back to back (serialWork's
+// size from which pooled wins in every format: back to back (SerialWork's
 // column) and on the first call after the gap.
 func cutoffSweep(cfg Config, lib *kernels.Library[float64], pool *kernels.Pool[float64], res *SteadyResult) {
 	rng := rand.New(rand.NewSource(cfg.Seed))

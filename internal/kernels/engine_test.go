@@ -69,7 +69,7 @@ func engineCases() map[string]*matrix.CSR[float64] {
 		"single-row":      intCSR(rng, 1, 400, 250),
 		"single-col":      intCSR(rng, 400, 1, 1),
 		"empty":           empty,
-		"banded-parallel": gen.Laplacian2D5pt[float64](150, 150), // 22500 rows, integer values, > serialWork
+		"banded-parallel": gen.Laplacian2D5pt[float64](150, 150), // 22500 rows, integer values, > SerialWork
 	}
 }
 
@@ -144,7 +144,7 @@ func TestPoolConcurrentDistinctMatrices(t *testing.T) {
 	xs := make([][]float64, goroutines)
 	wants := make([][]float64, goroutines)
 	for g := 0; g < goroutines; g++ {
-		m := gen.Laplacian2D5pt[float64](60+g, 60+g) // > serialWork nonzeros, integer values
+		m := gen.Laplacian2D5pt[float64](60+g, 60+g) // > SerialWork nonzeros, integer values
 		mats[g] = &Mat[float64]{Format: matrix.FormatCSR, CSR: m}
 		xs[g] = intVector(m.Cols)
 		wants[g] = make([]float64, m.Rows)

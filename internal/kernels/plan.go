@@ -2,7 +2,7 @@ package kernels
 
 import "smat/internal/matrix"
 
-// serialWork is the estimated-work cutoff below which parallel kernels run
+// SerialWork is the estimated-work cutoff below which parallel kernels run
 // their serial body. The estimate counts stored entries (including padding),
 // not rows, so a short-and-fat matrix still parallelises while a tall matrix
 // with a handful of nonzeros per chunk does not.
@@ -22,7 +22,7 @@ import "smat/internal/matrix"
 // 100 k entries) per idle gap. PoolStats.Woken counts those dispatches.
 // One constant, no option: re-run the sweep and edit this line when the
 // barrier or the box of record changes.
-const serialWork = 8192
+const SerialWork = 8192
 
 // Plan is a matrix's cached execution plan for one thread count: every work
 // partition a kernel of its format may need, computed once on first use and
@@ -78,7 +78,7 @@ func (m *Mat[T]) PlanFor(threads int) *Plan {
 // Partitioned returns a second handle on m's storage whose plans waive the
 // serial cutoff: above one thread every plan it builds is partitioned. The
 // differential oracle checks the parallel paths on its smallest specs through
-// it, and the sweep serialWork is read off (smat-bench -experiment steady)
+// it, and the sweep SerialWork is read off (smat-bench -experiment steady)
 // times the pool below the constant. m's own plan cache is not touched.
 func (m *Mat[T]) Partitioned() *Mat[T] {
 	return &Mat[T]{Format: m.Format, CSR: m.CSR, COO: m.COO, DIA: m.DIA, ELL: m.ELL, HYB: m.HYB, BCSR: m.BCSR, partitioned: true}
@@ -108,7 +108,7 @@ func (m *Mat[T]) PlanForBatch(threads, k int) *Plan {
 
 func newPlan[T matrix.Float](m *Mat[T], threads, batchK int) *Plan {
 	p := &Plan{Threads: threads, BatchK: batchK}
-	work, cutoff := 0, serialWork
+	work, cutoff := 0, SerialWork
 	if m.partitioned {
 		cutoff = 0
 	}

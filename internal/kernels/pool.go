@@ -95,16 +95,17 @@ type poolState[T matrix.Float] struct {
 // PoolStats counts what the pool's dispatches did; see Pool.Stats.
 type PoolStats struct {
 	// Pooled is the number of parallel dispatches the persistent workers ran.
-	Pooled uint64
+	Pooled uint64 `json:"pooled"`
 	// Woken is how many of those found a worker parked — they followed an
 	// idle gap longer than the spin budget — and paid an OS wake for it.
-	Woken uint64
+	Woken uint64 `json:"woken"`
 	// Overflow is the number of parallel dispatches that found the pool busy
-	// with another dispatch (or closed) and fell back to per-call goroutines.
-	Overflow uint64
+	// with another dispatch (or closed) and fell back to per-call goroutines
+	// (kernels, RunChunks) or to the caller's own goroutine (RunChunksInline).
+	Overflow uint64 `json:"overflow"`
 	// SerialCutoff is the number of calls a parallel kernel ran serially
 	// because the matrix's estimated work sat below the plan's cutoff.
-	SerialCutoff uint64
+	SerialCutoff uint64 `json:"serial_cutoff"`
 }
 
 // NewPool builds a worker pool with the given thread fan-out; threads ≤ 0
@@ -257,18 +258,47 @@ func (s *poolState[T]) chunk(c int) {
 // This is the dispatch substrate for non-SpMV row-blocked work (SpGEMM,
 // Galerkin products) that wants the same threads without new goroutines.
 func (p *Pool[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
-	nchunks := len(bounds) - 1
-	if nchunks <= 0 {
+	if !p.tryChunks(bounds, fn) {
+		spawnJobChunks(bounds, fn)
+	}
+}
+
+// RunChunksInline is RunChunks for sweeps too short to pay for a goroutine
+// (a solver's vector phases: tens of microseconds): when the pool declines
+// the dispatch, the chunks run on the caller, in chunk order. The dispatch
+// allocates nothing either way, and a per-chunk result does not depend on
+// who ran the chunk, so a caller that reduces its chunks in order gets the
+// same bits from a free, a busy and a closed pool. PoolStats.Overflow counts
+// the declined dispatches.
+//
+//smat:hotpath
+func (p *Pool[T]) RunChunksInline(bounds []int, fn func(chunk, lo, hi int)) {
+	if p.tryChunks(bounds, fn) {
 		return
 	}
-	if nchunks == 1 {
+	lo := 0
+	for edge, hi := range bounds { // chunk edge-1 ends at edge
+		if edge > 0 {
+			fn(edge-1, lo, hi)
+		}
+		lo = hi
+	}
+}
+
+// tryChunks runs the chunks when that needs no fallback — none or one chunk
+// on the caller, several on the workers — and reports false when the pool is
+// nil or declined them.
+//
+//smat:hotpath
+func (p *Pool[T]) tryChunks(bounds []int, fn func(chunk, lo, hi int)) bool {
+	switch nchunks := len(bounds) - 1; {
+	case nchunks <= 0:
+		return true
+	case nchunks == 1:
 		fn(0, bounds[0], bounds[1])
-		return
+		return true
 	}
-	if p != nil && p.s.run(bounds, nil, fn, nil, nil, nil, 0) {
-		return
-	}
-	spawnJobChunks(bounds, fn)
+	return p != nil && p.s.run(bounds, nil, fn, nil, nil, nil, 0)
 }
 
 // spawnJobChunks is RunChunks' pool-less fallback: a goroutine per chunk

@@ -3,7 +3,9 @@ package oracle
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"smat/internal/amg"
 	"smat/internal/autotune"
 	"smat/internal/gen"
 	"smat/internal/matrix"
@@ -53,22 +55,28 @@ func (o serialOp[T]) MulVecBatch(xb, yb []T, k int) {
 }
 
 // CheckSolvers runs the residual-checked differential solver suite: every
-// solver in internal/solve driven by a tuned operator (tuned with an
-// iteration hint, the long-solve path) against the same solve driven by
-// the trusted serial CSR reference, at every thread count in opt.Threads.
+// solver in internal/solve, and AMG-preconditioned CG from internal/amg,
+// driven by tuned operators (tuned with an iteration hint, the long-solve
+// path) against the same solve driven by the trusted serial CSR reference,
+// at every thread count in opt.Threads. The systems are larger than the
+// kernels' serial cutoff, so above one thread what is graded is the pooled
+// path: products and the solvers' vector phases on the tuner's workers.
 //
 // A solver run only counts if it converges, and no solver is trusted to
 // grade itself: every solution — tuned or reference, single or block — is
 // re-checked by recomputing ‖b − A·x‖₂/‖b‖₂ from scratch in float64. The
 // tuned and reference solutions must also agree to the conditioning-scaled
 // bound, so a tuned kernel that converged to the wrong answer cannot hide
-// behind its own residual.
+// behind its own residual. And a tuned solve must repeat: a second run at
+// the same thread count returns the same bits and the same statistics,
+// because the pooled reductions sum their chunks in chunk order.
 func CheckSolvers[T matrix.Float](opt Options) error {
 	opt = opt.withDefaults()
 	tol := solveTolOf[T]()
 
-	// SPD system with a known generator: 2D 5-point Laplacian.
-	a := gen.Laplacian2D5pt[T](20, 20)
+	// SPD system with a known generator: 3D 7-point Laplacian, 9261 unknowns
+	// (condition number ≈ 200: float32 can reach its tolerance).
+	a := gen.Laplacian3D7pt[T](21, 21, 21)
 	n := a.Rows
 	b := make([]T, n)
 	g := lcg{s: 40}
@@ -77,7 +85,7 @@ func CheckSolvers[T matrix.Float](opt Options) error {
 	}
 
 	// Nonsymmetric convection-diffusion chain for BiCGSTAB.
-	ns := convectionDiffusion[T](250)
+	ns := convectionDiffusion[T](9000)
 	bns := make([]T, ns.Rows)
 	for i := range bns {
 		bns[i] = T(val(g.intn(16)))
@@ -87,6 +95,42 @@ func CheckSolvers[T matrix.Float](opt Options) error {
 		if err := checkSolversAtThreads(a, ns, b, bns, th, tol, opt); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// solverCase is one tuned-versus-reference comparison: both closures solve
+// a·x = b into the (zeroed) vector they are handed.
+type solverCase[T matrix.Float] struct {
+	what             string
+	a                *matrix.CSR[T]
+	b                []T
+	tuned, reference func(x []T) (solve.Stats, error)
+}
+
+// check runs the case: tuned and reference solves converge, pass the
+// independent residual check and agree; the tuned solve repeats bit for bit.
+func (c solverCase[T]) check(th int, tol float64) error {
+	xT, xR, again := make([]T, len(c.b)), make([]T, len(c.b)), make([]T, len(c.b))
+	st, err := c.tuned(xT)
+	if err != nil || !st.Converged {
+		return fmt.Errorf("oracle: solvers at %d threads: tuned %s stats %+v err %v", th, c.what, st, err)
+	}
+	sr, err := c.reference(xR)
+	if err != nil || !sr.Converged {
+		return fmt.Errorf("oracle: solvers at %d threads: reference %s stats %+v err %v", th, c.what, sr, err)
+	}
+	if err := residualCheck(c.a, c.b, xT, tol, "tuned "+c.what, th); err != nil {
+		return err
+	}
+	if err := residualCheck(c.a, c.b, xR, tol, "reference "+c.what, th); err != nil {
+		return err
+	}
+	if err := solutionsAgree(xT, xR, tol, c.what, th); err != nil {
+		return err
+	}
+	if st2, err := c.tuned(again); err != nil || st2 != st || !slices.Equal(again, xT) {
+		return fmt.Errorf("oracle: solvers at %d threads: tuned %s does not repeat: stats %+v then %+v (err %v)", th, c.what, st, st2, err)
 	}
 	return nil
 }
@@ -103,56 +147,58 @@ func checkSolversAtThreads[T matrix.Float](a, ns *matrix.CSR[T], b, bns []T, th 
 	tuner := autotune.New[T](model, autotune.Config{Threads: th})
 	defer tuner.Close()
 	// The iteration hint is the long-solve contract: solvers announce their
-	// budget so the tuner may amortize a conversion across it.
-	op, _, err := tuner.TuneOpts(a, autotune.TuneOptions{Iterations: maxIter})
+	// budget so the tuner may amortize a conversion across it. The solves
+	// start once a background conversion has landed: one that straddled the
+	// swap would be correct (CheckConvertSwap) but not repeatable.
+	tune := func(m *matrix.CSR[T]) (*autotune.Operator[T], error) {
+		op, _, err := tuner.TuneOpts(m, autotune.TuneOptions{Iterations: maxIter})
+		if err != nil {
+			return nil, fmt.Errorf("oracle: solvers at %d threads: tune: %w", th, err)
+		}
+		op.AwaitConversion()
+		return op, nil
+	}
+	op, err := tune(a)
 	if err != nil {
-		return fmt.Errorf("oracle: solvers at %d threads: tune: %w", th, err)
-	}
-	opNS, _, err := tuner.TuneOpts(ns, autotune.TuneOptions{Iterations: maxIter})
-	if err != nil {
-		return fmt.Errorf("oracle: solvers at %d threads: tune nonsymmetric: %w", th, err)
-	}
-
-	// CG: tuned vs reference.
-	xT := make([]T, len(b))
-	xR := make([]T, len(b))
-	st, err := solve.CG[T](op, nil, b, xT, tol, maxIter)
-	if err != nil || !st.Converged {
-		return fmt.Errorf("oracle: solvers at %d threads: tuned CG stats %+v err %v", th, st, err)
-	}
-	sr, err := solve.CG[T](serialOp[T]{a}, nil, b, xR, tol, maxIter)
-	if err != nil || !sr.Converged {
-		return fmt.Errorf("oracle: solvers at %d threads: reference CG stats %+v err %v", th, sr, err)
-	}
-	if err := residualCheck(a, b, xT, tol, "tuned CG", th); err != nil {
 		return err
 	}
-	if err := residualCheck(a, b, xR, tol, "reference CG", th); err != nil {
+	opNS, err := tune(ns)
+	if err != nil {
 		return err
 	}
-	if err := solutionsAgree(xT, xR, tol, "CG", th); err != nil {
+	h, err := amg.SetupPooled(a, amg.Options{}, tuner.Pool())
+	if err != nil {
+		return fmt.Errorf("oracle: solvers at %d threads: amg setup: %w", th, err)
+	}
+	if err := h.Bind(func(m *matrix.CSR[T]) (amg.SpMV[T], error) { return tune(m) }); err != nil {
 		return err
 	}
 
-	// BiCGSTAB on the nonsymmetric system: tuned vs reference.
-	yT := make([]T, len(bns))
-	yR := make([]T, len(bns))
-	st, err = solve.BiCGSTAB[T](opNS, nil, bns, yT, tol, maxIter)
-	if err != nil || !st.Converged {
-		return fmt.Errorf("oracle: solvers at %d threads: tuned BiCGSTAB stats %+v err %v", th, st, err)
+	referenceCG := func(x []T) (solve.Stats, error) { return solve.CG[T](serialOp[T]{a}, nil, b, x, tol, maxIter) }
+	cases := []solverCase[T]{
+		{"CG", a, b,
+			func(x []T) (solve.Stats, error) { return solve.CG[T](op, nil, b, x, tol, maxIter) },
+			referenceCG},
+		{"BiCGSTAB", ns, bns,
+			func(x []T) (solve.Stats, error) { return solve.BiCGSTAB[T](opNS, nil, bns, x, tol, maxIter) },
+			func(x []T) (solve.Stats, error) { return solve.BiCGSTAB[T](serialOp[T]{ns}, nil, bns, x, tol, maxIter) }},
+		{"AMG-PCG", a, b,
+			func(x []T) (solve.Stats, error) { return solve.Stats(h.SolvePCG(b, x, tol, maxIter)), nil },
+			referenceCG},
 	}
-	sr, err = solve.BiCGSTAB[T](serialOp[T]{ns}, nil, bns, yR, tol, maxIter)
-	if err != nil || !sr.Converged {
-		return fmt.Errorf("oracle: solvers at %d threads: reference BiCGSTAB stats %+v err %v", th, sr, err)
+	for _, c := range cases {
+		if err := c.check(th, tol); err != nil {
+			return err
+		}
 	}
-	if err := residualCheck(ns, bns, yT, tol, "tuned BiCGSTAB", th); err != nil {
-		return err
-	}
-	if err := residualCheck(ns, bns, yR, tol, "reference BiCGSTAB", th); err != nil {
-		return err
-	}
-	if err := solutionsAgree(yT, yR, tol, "BiCGSTAB", th); err != nil {
-		return err
+	// What was graded above one thread must be the pooled path: a CG
+	// iteration is the product plus three vector phases, all dispatched.
+	if tuner.Threads() > 1 {
+		before := tuner.Stats().Pool.Pooled
+		st, _ := solve.CG[T](op, nil, b, make([]T, len(b)), tol, maxIter)
+		if got := tuner.Stats().Pool.Pooled - before; got < 3*uint64(st.Iterations) {
+			return fmt.Errorf("oracle: solvers at %d threads: %d pooled dispatches in %d CG iterations: the vector phases did not run on the pool", th, got, st.Iterations)
+		}
 	}
 
 	// Block CG through the tuned batched path vs k independent reference

@@ -10,8 +10,8 @@ import (
 // accumulate in float64 across four independent partial sums: the unrolled
 // lanes break the loop-carried dependence on the accumulator, and the
 // float64 carry keeps float32 solves from losing the residual's low bits.
-// These run once or twice per solver iteration on full-length vectors, so
-// they are annotated hot and kept allocation-free.
+// They run several times per solver iteration, so they are annotated hot
+// and kept allocation-free.
 
 // Dot returns ⟨a, b⟩ accumulated in float64. The slices must have equal
 // length.
@@ -106,14 +106,68 @@ func blockDots8[T matrix.Float](a, b []T, out []float64) {
 	out[4], out[5], out[6], out[7] = s4, s5, s6, s7
 }
 
-// axpy computes y += α·x elementwise in T precision.
+// The functions below are the chunk bodies of Vec's phases (vec.go): each is
+// written for a sub-range and is only ever called on one. The reducing ones
+// use Dot's four-lane float64 accumulation, so at one chunk a fused sweep
+// returns the bits a separate Dot over its output would.
+
+// dot2 returns ⟨a, b⟩ and ⟨a, c⟩ from one pass over a.
 //
 //smat:hotpath
-func axpy[T matrix.Float](alpha T, x, y []T) {
-	y = y[:len(x)]
-	for i := range x {
-		y[i] += alpha * x[i]
+func dot2[T matrix.Float](a, b, c []T) (ab, ac float64) {
+	b, c = b[:len(a)], c[:len(a)]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	i := 0
+	for ; i+3 < len(a); i += 4 {
+		a0, a1, a2, a3 := float64(a[i]), float64(a[i+1]), float64(a[i+2]), float64(a[i+3])
+		s0 += a0 * float64(b[i])
+		s1 += a1 * float64(b[i+1])
+		s2 += a2 * float64(b[i+2])
+		s3 += a3 * float64(b[i+3])
+		t0 += a0 * float64(c[i])
+		t1 += a1 * float64(c[i+1])
+		t2 += a2 * float64(c[i+2])
+		t3 += a3 * float64(c[i+3])
 	}
+	for ; i < len(a); i++ {
+		s0 += float64(a[i]) * float64(b[i])
+		t0 += float64(a[i]) * float64(c[i])
+	}
+	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
+}
+
+// cgUpdate fuses the CG solution and residual updates — x += α·p,
+// r −= α·ap — with the new residual's ⟨r, r⟩: one pass over four vectors
+// instead of three passes over two, two and one.
+//
+//smat:hotpath
+func cgUpdate[T matrix.Float](alpha T, p, ap, x, r []T) float64 {
+	n := len(x)
+	p, ap, r = p[:n], ap[:n], r[:n]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+3 < n; i += 4 {
+		x[i] += alpha * p[i]
+		x[i+1] += alpha * p[i+1]
+		x[i+2] += alpha * p[i+2]
+		x[i+3] += alpha * p[i+3]
+		v0 := r[i] - alpha*ap[i]
+		v1 := r[i+1] - alpha*ap[i+1]
+		v2 := r[i+2] - alpha*ap[i+2]
+		v3 := r[i+3] - alpha*ap[i+3]
+		r[i], r[i+1], r[i+2], r[i+3] = v0, v1, v2, v3
+		s0 += float64(v0) * float64(v0)
+		s1 += float64(v1) * float64(v1)
+		s2 += float64(v2) * float64(v2)
+		s3 += float64(v3) * float64(v3)
+	}
+	for ; i < n; i++ {
+		x[i] += alpha * p[i]
+		v := r[i] - alpha*ap[i]
+		r[i] = v
+		s0 += float64(v) * float64(v)
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // xpay computes p = z + β·p elementwise in T precision (the CG direction
@@ -127,26 +181,110 @@ func xpay[T matrix.Float](z []T, beta T, p []T) {
 	}
 }
 
-// cgUpdate fuses the CG solution and residual updates: x += α·p,
-// r −= α·ap. One pass over four vectors instead of two over two.
+// residual computes r = b − α·w and returns ⟨r, r⟩. r may alias b or w.
 //
 //smat:hotpath
-func cgUpdate[T matrix.Float](alpha T, p, ap, x, r []T) {
-	n := len(x)
-	p, ap, r = p[:n], ap[:n], r[:n]
-	for i := 0; i < n; i++ {
-		x[i] += alpha * p[i]
-		r[i] -= alpha * ap[i]
+func residual[T matrix.Float](b []T, alpha T, w, r []T) float64 {
+	n := len(r)
+	b, w = b[:n], w[:n]
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+3 < n; i += 4 {
+		v0 := b[i] - alpha*w[i]
+		v1 := b[i+1] - alpha*w[i+1]
+		v2 := b[i+2] - alpha*w[i+2]
+		v3 := b[i+3] - alpha*w[i+3]
+		r[i], r[i+1], r[i+2], r[i+3] = v0, v1, v2, v3
+		s0 += float64(v0) * float64(v0)
+		s1 += float64(v1) * float64(v1)
+		s2 += float64(v2) * float64(v2)
+		s3 += float64(v3) * float64(v3)
+	}
+	for ; i < n; i++ {
+		v := b[i] - alpha*w[i]
+		r[i] = v
+		s0 += float64(v) * float64(v)
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// residualDot is residual that also returns ⟨q, r⟩ of the new r.
+//
+//smat:hotpath
+func residualDot[T matrix.Float](b []T, alpha T, w, r, q []T) (rr, qr float64) {
+	n := len(r)
+	b, w, q = b[:n], w[:n], q[:n]
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	i := 0
+	for ; i+3 < n; i += 4 {
+		v0 := b[i] - alpha*w[i]
+		v1 := b[i+1] - alpha*w[i+1]
+		v2 := b[i+2] - alpha*w[i+2]
+		v3 := b[i+3] - alpha*w[i+3]
+		r[i], r[i+1], r[i+2], r[i+3] = v0, v1, v2, v3
+		s0 += float64(v0) * float64(v0)
+		s1 += float64(v1) * float64(v1)
+		s2 += float64(v2) * float64(v2)
+		s3 += float64(v3) * float64(v3)
+		t0 += float64(q[i]) * float64(v0)
+		t1 += float64(q[i+1]) * float64(v1)
+		t2 += float64(q[i+2]) * float64(v2)
+		t3 += float64(q[i+3]) * float64(v3)
+	}
+	for ; i < n; i++ {
+		v := b[i] - alpha*w[i]
+		r[i] = v
+		s0 += float64(v) * float64(v)
+		t0 += float64(q[i]) * float64(v)
+	}
+	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
+}
+
+// axpy computes y += α·x elementwise in T precision.
+//
+//smat:hotpath
+func axpy[T matrix.Float](alpha T, x, y []T) {
+	y = y[:len(x)]
+	for i := range x {
+		y[i] += alpha * x[i]
 	}
 }
 
-// residual computes r = b − w elementwise (w holding A·x).
+// axpy2 computes x += α·p, then x += ω·s, in one pass (BiCGSTAB's solution
+// update; the two roundings are those of the two separate updates).
 //
 //smat:hotpath
-func residual[T matrix.Float](b, w, r []T) {
-	n := len(r)
-	b, w = b[:n], w[:n]
+func axpy2[T matrix.Float](alpha T, p []T, omega T, s, x []T) {
+	n := len(x)
+	p, s = p[:n], s[:n]
 	for i := 0; i < n; i++ {
-		r[i] = b[i] - w[i]
+		xi := x[i] + alpha*p[i]
+		x[i] = xi + omega*s[i]
+	}
+}
+
+// direction computes p = r + β·(p − ω·w) (BiCGSTAB's direction update).
+//
+//smat:hotpath
+func direction[T matrix.Float](r []T, beta, omega T, w, p []T) {
+	n := len(p)
+	r, w = r[:n], w[:n]
+	for i := 0; i < n; i++ {
+		pi := p[i] - omega*w[i]
+		p[i] = r[i] + beta*pi
+	}
+}
+
+// jacobi computes x += ω·(b − w)/d over the rows whose diagonal d is
+// nonzero (one weighted-Jacobi sweep, w holding A·x).
+//
+//smat:hotpath
+func jacobi[T matrix.Float](omega T, b, w, d, x []T) {
+	n := len(x)
+	b, w, d = b[:n], w[:n], d[:n]
+	for i := 0; i < n; i++ {
+		if di := d[i]; di != 0 {
+			x[i] += omega * (b[i] - w[i]) / di
+		}
 	}
 }

@@ -11,6 +11,14 @@
 // a few percent per SpMV — or 2-3× per vector on the batched path — is the
 // difference the paper's Figure 11 measures on end-to-end workloads.
 //
+// The vector work between two products — inner products, updates, residuals
+// — goes through one backend (Vec): fused sweeps that read each vector once
+// per phase. An operator that also implements Pooled lends the backend its
+// worker pool, and the sweeps run chunked on the workers that ran the
+// product; any other operator gets the same sweeps as one chunk on the
+// caller. Reductions sum their chunks in chunk order, so a solve is
+// bit-repeatable at a given thread count.
+//
 // All inner products accumulate in float64 regardless of the element type,
 // and every solver detects breakdown (an indefinite or singular operator,
 // NaN poisoning) and returns ErrBreakdown instead of iterating on garbage.
@@ -24,7 +32,9 @@ import (
 
 // Operator is the minimal SpMV contract the solvers iterate:
 // y = A·x. It is satisfied by *smat.Operator, *autotune.Operator, the AMG
-// level operators, and any fixed-format reference product.
+// level operators, and any fixed-format reference product. An Operator that
+// also implements Pooled (the first two do) has the solvers' vector phases
+// run on its worker pool.
 type Operator[T matrix.Float] interface {
 	MulVec(x, y []T)
 }

@@ -1,0 +1,259 @@
+package solve
+
+import (
+	"smat/internal/kernels"
+	"smat/internal/matrix"
+)
+
+// Pooled is the optional interface an Operator implements to lend the
+// solvers its worker pool: the vector phases between two products then run
+// as chunked sweeps on the workers that ran the product, instead of one
+// serial pass on the caller while those workers spin out their budget and
+// park. *smat.Operator and *autotune.Operator implement it; an operator
+// without it (a closure over a reference product, a plain CSR loop) gets
+// the same phases as one chunk on the caller.
+//
+// RunChunks must call fn once per chunk — chunk c covering
+// [bounds[c], bounds[c+1]) — and return when all have finished. When it
+// cannot run them concurrently it runs them on the caller in chunk order
+// (kernels.Pool.RunChunksInline); it must not allocate. Threads is the
+// largest chunk count it accepts.
+type Pooled interface {
+	RunChunks(bounds []int, fn func(chunk, lo, hi int))
+	Threads() int
+}
+
+// Vec is the solvers' vector backend: every BLAS-1 phase of CG, BiCGSTAB
+// and the AMG cycle is one of its fused sweeps, each vector read once per
+// phase. Bound to a Pooled operator and a length above the kernels' serial
+// cutoff it splits the index range into one 8-aligned chunk per thread and
+// dispatches them on the operator's pool; otherwise the same body runs as
+// one chunk on the caller — there is no second, serial copy of any solver
+// loop.
+//
+// Reductions are deterministic: each chunk accumulates in float64 across
+// the four lanes Dot uses and writes its partial to its own cache line, and
+// the partials are summed in chunk order on the caller. The result depends
+// on the chunk count (so on the thread count) and on nothing else — not on
+// which goroutine ran a chunk, nor on whether the pool took the dispatch.
+//
+// A Vec allocates in Bind when the length or thread count changes and
+// nowhere else. It is not safe for concurrent use.
+type Vec[T matrix.Float] struct {
+	pool   Pooled
+	bounds []int
+	part   []partial
+	body   func(chunk, lo, hi int) // v.chunk, bound once: a phase creates no funcval
+
+	// The running phase and its arguments, set by the phase method and read
+	// by the chunks (the pool's dispatch barrier orders both directions).
+	op            vecOp
+	alpha, beta   T
+	a, b, c, d, e []T
+}
+
+// partial is one chunk's reduction slot, padded to a cache line so that
+// neighbouring chunks' stores do not share one.
+type partial struct {
+	s0, s1 float64
+	_      [48]byte
+}
+
+type vecOp uint8
+
+const (
+	opDot vecOp = iota
+	opDot2
+	opCGUpdate
+	opXpay
+	opResidual
+	opResidualDot
+	opAxpy
+	opAxpy2
+	opDirection
+	opJacobi
+)
+
+// Bind points the backend at operator a's pool (if it lends one) for
+// vectors of length n.
+func (v *Vec[T]) Bind(a Operator[T], n int) {
+	p, _ := a.(Pooled)
+	chunks := 1
+	if p != nil && n >= kernels.SerialWork {
+		chunks = max(p.Threads(), 1)
+	}
+	v.pool = p
+	if v.body == nil {
+		v.body = v.chunk
+	}
+	if len(v.bounds) == chunks+1 && v.bounds[chunks] == n {
+		return
+	}
+	v.bounds = chunkBounds(n, chunks)
+	v.part = make([]partial, chunks)
+}
+
+// chunkBounds splits [0, n) into equal chunks whose interior edges are
+// multiples of 8 elements (a cache line of float64), so no two chunks write
+// the same line of a line-aligned vector.
+func chunkBounds(n, chunks int) []int {
+	bounds := make([]int, chunks+1)
+	for c := 1; c < chunks; c++ {
+		bounds[c] = min((c*n/chunks+7)&^7, n)
+	}
+	bounds[chunks] = n
+	return bounds
+}
+
+// run executes phase op over the bound range and drops the argument
+// references, so a long-lived scratch does not pin a caller's vectors.
+//
+//smat:hotpath
+func (v *Vec[T]) run(op vecOp) {
+	v.op = op
+	if len(v.bounds) == 2 {
+		v.chunk(0, 0, v.bounds[1])
+	} else {
+		v.pool.RunChunks(v.bounds, v.body)
+	}
+	v.a, v.b, v.c, v.d, v.e = nil, nil, nil, nil, nil
+}
+
+// sums adds the chunks' partials in chunk order.
+//
+//smat:hotpath
+func (v *Vec[T]) sums() (s0, s1 float64) {
+	s0, s1 = v.part[0].s0, v.part[0].s1
+	for c := 1; c < len(v.part); c++ {
+		s0 += v.part[c].s0
+		s1 += v.part[c].s1
+	}
+	return s0, s1
+}
+
+// chunk runs the current phase on [lo, hi) and stores the chunk's partials.
+//
+//smat:hotpath
+func (v *Vec[T]) chunk(c, lo, hi int) {
+	s := &v.part[c]
+	switch v.op {
+	case opDot:
+		s.s0 = Dot(v.a[lo:hi], v.b[lo:hi])
+	case opDot2:
+		s.s0, s.s1 = dot2(v.a[lo:hi], v.b[lo:hi], v.c[lo:hi])
+	case opCGUpdate:
+		s.s0 = cgUpdate(v.alpha, v.a[lo:hi], v.b[lo:hi], v.c[lo:hi], v.d[lo:hi])
+	case opXpay:
+		xpay(v.a[lo:hi], v.beta, v.b[lo:hi])
+	case opResidual:
+		s.s0 = residual(v.a[lo:hi], v.alpha, v.b[lo:hi], v.c[lo:hi])
+	case opResidualDot:
+		s.s0, s.s1 = residualDot(v.a[lo:hi], v.alpha, v.b[lo:hi], v.c[lo:hi], v.d[lo:hi])
+	case opAxpy:
+		axpy(v.alpha, v.a[lo:hi], v.b[lo:hi])
+	case opAxpy2:
+		axpy2(v.alpha, v.a[lo:hi], v.beta, v.b[lo:hi], v.c[lo:hi])
+	case opDirection:
+		direction(v.a[lo:hi], v.alpha, v.beta, v.b[lo:hi], v.c[lo:hi])
+	case opJacobi:
+		jacobi(v.alpha, v.a[lo:hi], v.b[lo:hi], v.c[lo:hi], v.d[lo:hi])
+	}
+}
+
+// dot returns ⟨a, b⟩.
+//
+//smat:hotpath
+func (v *Vec[T]) dot(a, b []T) float64 {
+	v.a, v.b = a, b
+	v.run(opDot)
+	s, _ := v.sums()
+	return s
+}
+
+// dot2 returns ⟨a, b⟩ and ⟨a, c⟩ from one sweep over a.
+//
+//smat:hotpath
+func (v *Vec[T]) dot2(a, b, c []T) (ab, ac float64) {
+	v.a, v.b, v.c = a, b, c
+	v.run(opDot2)
+	return v.sums()
+}
+
+// cgUpdate applies the CG step x += α·p, r −= α·ap and returns ⟨r, r⟩ of
+// the new r, accumulated while its values are still in registers.
+//
+//smat:hotpath
+func (v *Vec[T]) cgUpdate(alpha T, p, ap, x, r []T) float64 {
+	v.alpha, v.a, v.b, v.c, v.d = alpha, p, ap, x, r
+	v.run(opCGUpdate)
+	s, _ := v.sums()
+	return s
+}
+
+// xpay computes p = z + β·p (the CG direction update).
+//
+//smat:hotpath
+func (v *Vec[T]) xpay(z []T, beta T, p []T) {
+	v.beta, v.a, v.b = beta, z, p
+	v.run(opXpay)
+}
+
+// Residual computes r = b − w and returns ‖r‖₂². r may alias w.
+//
+//smat:hotpath
+func (v *Vec[T]) Residual(b, w, r []T) float64 {
+	return v.residual(b, 1, w, r)
+}
+
+// residual computes r = b − α·w and returns ‖r‖₂².
+//
+//smat:hotpath
+func (v *Vec[T]) residual(b []T, alpha T, w, r []T) float64 {
+	v.alpha, v.a, v.b, v.c = alpha, b, w, r
+	v.run(opResidual)
+	s, _ := v.sums()
+	return s
+}
+
+// residualDot computes r = b − α·w and returns ‖r‖₂² and ⟨q, r⟩.
+//
+//smat:hotpath
+func (v *Vec[T]) residualDot(b []T, alpha T, w, r, q []T) (rr, qr float64) {
+	v.alpha, v.a, v.b, v.c, v.d = alpha, b, w, r, q
+	v.run(opResidualDot)
+	return v.sums()
+}
+
+// Axpy computes y += α·x.
+//
+//smat:hotpath
+func (v *Vec[T]) Axpy(alpha T, x, y []T) {
+	v.alpha, v.a, v.b = alpha, x, y
+	v.run(opAxpy)
+}
+
+// axpy2 computes x += α·p + ω·s in one sweep over x.
+//
+//smat:hotpath
+func (v *Vec[T]) axpy2(alpha T, p []T, omega T, s, x []T) {
+	v.alpha, v.beta, v.a, v.b, v.c = alpha, omega, p, s, x
+	v.run(opAxpy2)
+}
+
+// direction computes p = r + β·(p − ω·w) (the BiCGSTAB direction update).
+//
+//smat:hotpath
+func (v *Vec[T]) direction(r []T, beta, omega T, w, p []T) {
+	v.alpha, v.beta, v.a, v.b, v.c = beta, omega, r, w, p
+	v.run(opDirection)
+}
+
+// Jacobi applies one weighted-Jacobi correction x += ω·(b − w)/d with w
+// holding A·x and d the diagonal of A; rows with a zero diagonal are left
+// alone.
+//
+//smat:hotpath
+func (v *Vec[T]) Jacobi(omega T, b, w, d, x []T) {
+	v.alpha, v.a, v.b, v.c, v.d = omega, b, w, d, x
+	v.run(opJacobi)
+}

@@ -527,6 +527,18 @@ func (o *Operator[T]) MulVec(x, y []T) { o.op.MulVec(x, y) }
 // error-returning entry point is Tuner.CSRSpMVBatch.
 func (o *Operator[T]) MulVecBatch(xb, yb []T, k int) { o.op.MulVecBatch(xb, yb, k) }
 
+// RunChunks runs fn over the chunks of bounds — chunk c covering
+// [bounds[c], bounds[c+1]) — on the tuner's worker pool, or on the caller in
+// chunk order when the pool is busy or closed. With Threads it implements
+// solve.Pooled, which is how the solvers in internal/solve and internal/amg
+// run their vector phases on the workers that run MulVec.
+func (o *Operator[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
+	o.op.RunChunks(bounds, fn)
+}
+
+// Threads returns the thread count of the tuner's worker pool.
+func (o *Operator[T]) Threads() int { return o.op.Threads() }
+
 // Format returns the storage format the operator currently serves. While a
 // background conversion is pending (see ConversionState) this is the
 // tuned-CSR incumbent's format; it becomes Decision.Chosen once the swap

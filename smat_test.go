@@ -3,12 +3,14 @@ package smat
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"smat/internal/gen"
 	"smat/internal/matrix"
+	"smat/internal/solve"
 )
 
 func diagEntries(n int) []Entry[float64] {
@@ -256,5 +258,39 @@ func TestFloat32PublicAPI(t *testing.T) {
 		if y[i] != 2*float32(i) {
 			t.Fatalf("y[%d] = %g, want %g", i, y[i], 2*float32(i))
 		}
+	}
+}
+
+// TestOperatorLendsPoolToSolvers: the public Operator implements
+// solve.Pooled, so a CG solve through it dispatches its vector phases — not
+// just its products — on the tuner's workers, and repeats bit for bit.
+func TestOperatorLendsPoolToSolvers(t *testing.T) {
+	var _ solve.Pooled = (*Operator[float64])(nil)
+	m := gen.Laplacian2D5pt[float64](100, 100) // 10000 unknowns: above the serial cutoff
+	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	defer tuner.Close()
+	a, err := NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := tuner.Tune(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, m.Rows)
+	for i := range b {
+		b[i] = 1 + float64(i%5)/8
+	}
+	x, again := make([]float64, m.Rows), make([]float64, m.Rows)
+	before := tuner.Stats().Pool.Pooled
+	st, err := solve.CG[float64](op, nil, b, x, 1e-8, 2000)
+	if err != nil || !st.Converged {
+		t.Fatalf("CG: stats %+v err %v", st, err)
+	}
+	if got := tuner.Stats().Pool.Pooled - before; op.Threads() > 1 && got < 4*uint64(st.Iterations) {
+		t.Errorf("%d pooled dispatches in %d iterations, want the product and three vector phases of each", got, st.Iterations)
+	}
+	if st2, err := solve.CG[float64](op, nil, b, again, 1e-8, 2000); err != nil || st2 != st || !slices.Equal(again, x) {
+		t.Errorf("second solve differs: %+v then %+v (err %v)", st, st2, err)
 	}
 }
