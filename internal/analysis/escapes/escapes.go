@@ -72,7 +72,7 @@ func (c Config) withDefaults() Config {
 type hotRange struct {
 	file       string // module-relative path
 	start, end int    // line range, inclusive
-	name       string // function name ("runCSRParallel.func" for closures)
+	name       string // function name ("hybPhases.func" for closures)
 }
 
 // Current compiles the module and returns the sorted, normalised escape

@@ -24,7 +24,7 @@ func TestCollectHotRanges(t *testing.T) {
 	}
 	for _, want := range []string{
 		"internal/kernels/csr.go:csrRowRange",
-		"internal/kernels/csr.go:runCSRParallel.func", // factory closure, not the factory
+		"internal/kernels/hyb.go:hybPhases.func", // factory closure, not the factory
 		"internal/kernels/kernels.go:RunPooled",
 		"internal/kernels/bcsr.go:bcsrGenericRange",
 		"internal/autotune/runtime.go:MulVec",
@@ -33,7 +33,7 @@ func TestCollectHotRanges(t *testing.T) {
 			t.Errorf("annotated body %s not collected", want)
 		}
 	}
-	if _, ok := byName["internal/kernels/csr.go:runCSRParallel"]; ok {
+	if _, ok := byName["internal/kernels/hyb.go:hybPhases"]; ok {
 		t.Error("factory body itself must not be gated, only its returned closure")
 	}
 }

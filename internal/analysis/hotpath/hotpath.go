@@ -15,7 +15,7 @@
 // at registration but whose returned closure runs per call, use
 //
 //	//smat:hotpath-factory
-//	func runCSRParallel[T matrix.Float]() runFn[T] { ... }
+//	func hybPhases[T matrix.Float](ell, tail rangeFn[T]) runFn[T] { ... }
 //
 // which exempts the factory's setup statements and checks the bodies of the
 // func literals it returns.

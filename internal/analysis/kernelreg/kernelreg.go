@@ -1,40 +1,37 @@
 // Package kernelreg implements the smat-lint analyzer that cross-checks the
-// kernel registry against the format universe and the plan layer.
+// kernel tables against the format universe and the plan layer.
 //
-// The analyzer activates on any package that declares a top-level function
-// named allKernels (the kernel registry root; internal/kernels in this
-// repository). It gathers every kernel entry registered by provider
-// functions — top-level functions returning a slice of *Kernel or
-// *BatchKernel — and checks:
+// The analyzer activates on any package that declares a top-level type named
+// family (the kernel-table row container; internal/kernels in this
+// repository). It gathers every family composite literal — a format constant
+// plus a single and a batch slice of body rows — and the package's
+// partitions table (partition constant → name fragment), and checks:
 //
-//   - kernel names are unique, non-empty string literals (single-vector and
-//     batched kernels live in separate lookup namespaces, so uniqueness is
-//     per namespace); parameterized registrations may instead template the
-//     name through a call to a top-level function whose first argument is a
-//     non-empty literal base (e.g. ParamName("bcsr_batch_parallel", p) →
-//     "bcsr_batch_parallel_t2") — such names get their suffix at
-//     registration, so static uniqueness is left to the registry's runtime
-//     duplicate panic;
-//   - every entry's run field is a top-level function (optionally a generic
-//     instantiation) or a call to a top-level factory — never a closure or a
-//     variable, so registration is the only place function values are built
-//     (the PR 2 funcval trick that keeps pooled dispatch allocation-free);
-//   - every factory binds its chunk functions once, in the factory body:
-//     conversions to the chunk type (rangeFn) must wrap top-level functions
-//     and must not appear inside the returned per-call closure;
-//   - a parameter-bound factory (one taking value parameters, like an unroll
-//     depth or register-tile width) must resolve those parameters at bind
-//     time: referencing a factory parameter inside the returned closure
-//     would re-dispatch on the parameter every call instead of running the
-//     pre-bound funcval;
-//   - every factory-returned closure handles the serial plan cutoff (an
-//     ex.plan.Serial branch), so small matrices never pay the fan-out;
-//   - every exported constant of the registry's Format type — wherever that
-//     type is defined — has at least one registered kernel and at least one
-//     strategy-free basic kernel (the scoreboard anchor);
-//   - once the package registers any batched kernel, every format constant
-//     also has a batched kernel and a strategy-free batched anchor, so the
-//     batched serving path never silently loses a format;
+//   - a row's name, alone and suffix fragments are string literals and name
+//     is non-empty, so every instance name (name + the partition's fragment,
+//     or alone on the whole instance, + suffix) is known statically; instance
+//     names are unique per namespace (single-vector and batched kernels
+//     resolve through separate lookups);
+//   - every row has a body: a chunk that is a top-level function (optionally
+//     a generic instantiation) — never a closure or a variable, so building
+//     the table is the only place function values are materialised (the
+//     funcval trick that keeps pooled dispatch allocation-free) — or a
+//     hand-written run that is a top-level function or a call to a top-level
+//     factory; and is instantiated over at least one declared partition;
+//   - a run factory binds its chunk functions once: conversions to the chunk
+//     type (rangeFn) must wrap top-level functions and must not appear inside
+//     the returned per-call closure; a value parameter of the factory (an
+//     unroll depth, a tile width) must not be referenced inside the closure,
+//     which would re-dispatch on it every call — chunk-typed parameters are
+//     already-bound funcvals and may be; and the closure handles the serial
+//     plan cutoff (an ex.plan.Serial branch), so small matrices never pay the
+//     fan-out;
+//   - every exported constant of the tables' Format type — wherever that
+//     type is defined — has a family with single-vector rows and a
+//     strategy-free, parameter-free row instantiated whole (the scoreboard
+//     anchor), and, once the package has any batched row, batched rows with a
+//     strategy-free one instantiated whole, so the batched serving path never
+//     silently loses a format;
 //   - the package's newPlan function has a partitioner case for every such
 //     format constant.
 package kernelreg
@@ -42,6 +39,7 @@ package kernelreg
 import (
 	"go/ast"
 	"go/constant"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -51,171 +49,231 @@ import (
 // Analyzer is the kernelreg analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "kernelreg",
-	Doc:  "cross-check the kernel registry: top-level chunk funcs, unique names, full format and partitioner coverage",
+	Doc:  "cross-check the kernel tables: top-level chunk funcs, unique instance names, full format and partitioner coverage",
 	Run:  run,
 }
 
-// entry is one registered kernel gathered from a provider function.
-type entry struct {
-	lit        *ast.CompositeLit
-	name       string
-	nameOK     bool
-	templated  bool // name built by a templating call; suffix applied at registration
-	format     *types.Const
-	strategies bool // true when the Strategies field is present and nonzero
-	batch      bool // true for BatchKernel entries
-	runExpr    ast.Expr
+// table is one family literal's contribution to a namespace.
+type table struct {
+	lit    *ast.CompositeLit
+	rows   int
+	anchor bool
+}
+
+type checker struct {
+	pass      *framework.Pass
+	decls     map[string]*ast.FuncDecl
+	frags     map[string]string // partition constant → name fragment
+	factories map[string]bool   // run factories already checked
+	seen      map[string]bool   // instance names, batch ones prefixed
+	// single and batch index the tables by format constant name.
+	single, batch map[string]*table
 }
 
 func run(pass *framework.Pass) error {
-	decls := topLevelFuncs(pass.Files)
-	if _, ok := decls["allKernels"]; !ok {
-		return nil // not a kernel-registry package
+	root := pass.Pkg.Scope().Lookup("family")
+	if _, ok := root.(*types.TypeName); !ok {
+		return nil // not a kernel-table package
 	}
-
-	entries, formatType := collectEntries(pass, decls)
-	if len(entries) == 0 {
-		return nil
+	c := &checker{pass: pass, decls: map[string]*ast.FuncDecl{}, frags: map[string]string{}, factories: map[string]bool{},
+		seen: map[string]bool{}, single: map[string]*table{}, batch: map[string]*table{}}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+				c.decls[fd.Name.Name] = fd
+			}
+		}
 	}
+	c.collectFragments()
 
-	checkNames(pass, entries)
-	checkRunFields(pass, decls, entries)
+	var formatType *types.Named
+	framework.Preorder(pass.Files, func(n ast.Node) {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok || namedTypeName(pass.Info.TypeOf(lit)) != "family" {
+			return
+		}
+		fields := keyed(lit)
+		format := constObj(pass, fields["format"])
+		if format == nil {
+			pass.Reportf(lit.Pos(), "family format must be a declared format constant")
+			return
+		}
+		formatType, _ = format.Type().(*types.Named)
+		c.single[format.Name()] = c.checkRows(lit, fields["single"], false)
+		c.batch[format.Name()] = c.checkRows(lit, fields["batch"], true)
+	})
 	if formatType != nil {
-		consts := formatConstants(pass, formatType)
-		checkFormatCoverage(pass, decls["allKernels"], entries, consts)
-		checkBatchCoverage(pass, decls, entries, consts)
-		checkPlanCoverage(pass, decls, consts)
+		consts := formatConstants(formatType)
+		c.checkCoverage(root.Pos(), consts)
+		c.checkPlanCoverage(root.Pos(), consts)
 	}
 	return nil
 }
 
-// topLevelFuncs indexes the package's function declarations by name.
-func topLevelFuncs(files []*ast.File) map[string]*ast.FuncDecl {
-	out := map[string]*ast.FuncDecl{}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-				out[fd.Name.Name] = fd
+// collectFragments reads the package-level partitions table: a composite
+// literal keyed by partition constant whose elements carry a literal frag.
+func (c *checker) collectFragments() {
+	framework.Preorder(c.pass.Files, func(n ast.Node) {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok || len(spec.Names) != 1 || spec.Names[0].Name != "partitions" || len(spec.Values) != 1 {
+			return
+		}
+		if c.pass.Pkg.Scope().Lookup("partitions") != c.pass.Info.Defs[spec.Names[0]] {
+			return // a local of the same name
+		}
+		lit, _ := spec.Values[0].(*ast.CompositeLit)
+		for part, val := range keyed(lit) {
+			row, _ := val.(*ast.CompositeLit)
+			if frag, ok := stringLit(keyed(row)["frag"]); ok {
+				c.frags[part] = frag
+			} else {
+				c.pass.Reportf(val.Pos(), "partition %s must carry a string-literal frag", part)
+			}
+		}
+	})
+}
+
+// checkRows validates one namespace's rows of a family literal.
+func (c *checker) checkRows(fam *ast.CompositeLit, rows ast.Expr, batch bool) *table {
+	t := &table{lit: fam}
+	list, _ := rows.(*ast.CompositeLit)
+	if list == nil {
+		return t
+	}
+	for _, el := range list.Elts {
+		row, ok := el.(*ast.CompositeLit)
+		if !ok {
+			c.pass.Reportf(el.Pos(), "table row must be a body literal")
+			continue
+		}
+		t.rows++
+		fields := keyed(row)
+		name, okName := stringLit(fields["name"])
+		alone, okAlone := stringLit(fields["alone"])
+		suffix, okSuffix := stringLit(fields["suffix"])
+		if !okName || !okAlone || !okSuffix || name == "" {
+			c.pass.Reportf(row.Pos(), "row name must be a non-empty string literal, alone and suffix string literals")
+			continue
+		}
+		c.checkBody(row, name+suffix, fields)
+		over, _ := fields["over"].(*ast.CompositeLit)
+		if over == nil || len(over.Elts) == 0 {
+			c.pass.Reportf(row.Pos(), "row %q is instantiated over no partition", name+suffix)
+			continue
+		}
+		for _, p := range over.Elts {
+			part := constObj(c.pass, p)
+			if part == nil {
+				c.pass.Reportf(p.Pos(), "row %q partition must be a declared partition constant", name+suffix)
+				continue
+			}
+			frag, declared := c.frags[part.Name()]
+			if !declared {
+				c.pass.Reportf(p.Pos(), "partition %s has no entry in the partitions table", part.Name())
+				continue
+			}
+			whole := constant.Sign(part.Val()) == 0
+			if whole {
+				frag = alone
+				if isZero(c.pass, fields["strat"]) && (batch || fields["params"] == nil) {
+					t.anchor = true
+				}
+			}
+			instance := name + frag + suffix
+			key := instance
+			if batch {
+				key = "batch\x00" + instance
+			}
+			if c.seen[key] {
+				c.pass.Reportf(p.Pos(), "duplicate kernel name %q in the tables", instance)
+			}
+			c.seen[key] = true
+		}
+	}
+	return t
+}
+
+// checkBody validates a row's chunk and run fields and the factory behind a
+// call-form run.
+func (c *checker) checkBody(row *ast.CompositeLit, label string, fields map[string]ast.Expr) {
+	chunk, run := fields["chunk"], fields["run"]
+	switch {
+	case chunk == nil && run == nil:
+		c.pass.Reportf(row.Pos(), "row %q has no chunk or run function", label)
+	case chunk != nil:
+		if _, ok := ast.Unparen(chunk).(*ast.FuncLit); ok {
+			c.pass.Reportf(chunk.Pos(), "row %q chunk must be a top-level function, not a closure", label)
+		} else if _, ok := topLevelFuncName(c.pass, chunk); !ok {
+			c.pass.Reportf(chunk.Pos(), "row %q chunk must be a top-level function", label)
+		}
+	}
+	switch v := ast.Unparen(run).(type) {
+	case nil:
+	case *ast.FuncLit:
+		c.pass.Reportf(v.Pos(), "row %q run must be a top-level function, not a closure", label)
+	case *ast.CallExpr:
+		name, ok := topLevelFuncName(c.pass, v.Fun)
+		if !ok {
+			c.pass.Reportf(v.Pos(), "row %q run factory must be a top-level function call", label)
+		} else if fd := c.decls[name]; fd != nil && !c.factories[name] {
+			c.factories[name] = true
+			checkFactory(c.pass, fd)
+		}
+	default:
+		if _, ok := topLevelFuncName(c.pass, run); !ok {
+			c.pass.Reportf(run.Pos(), "row %q run must be a top-level function or factory call", label)
+		}
+	}
+}
+
+// keyed indexes a composite literal's key: value elements by key identifier.
+func keyed(lit *ast.CompositeLit) map[string]ast.Expr {
+	out := map[string]ast.Expr{}
+	if lit == nil {
+		return out
+	}
+	for _, el := range lit.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			if key, ok := kv.Key.(*ast.Ident); ok {
+				out[key.Name] = kv.Value
 			}
 		}
 	}
 	return out
 }
 
-// collectEntries gathers kernel composite literals from every provider (a
-// top-level function returning a slice of Kernel or BatchKernel, by value or
-// pointer) and the Format field's named type.
-func collectEntries(pass *framework.Pass, decls map[string]*ast.FuncDecl) ([]*entry, *types.Named) {
-	var entries []*entry
-	var formatType *types.Named
-	for _, fd := range decls {
-		if fd.Body == nil || !returnsKernelSlice(pass, fd) {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
-			}
-			tv, ok := pass.Info.Types[lit]
-			if !ok {
-				return true
-			}
-			kind, ok := kernelTypeName(tv.Type)
-			if !ok {
-				return true
-			}
-			e := &entry{lit: lit, batch: kind == "BatchKernel"}
-			for _, el := range lit.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				key, ok := kv.Key.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				switch key.Name {
-				case "Name":
-					if b, ok := kv.Value.(*ast.BasicLit); ok {
-						e.name = strings.Trim(b.Value, `"`)
-						e.nameOK = e.name != ""
-					} else if base, ok := templatedName(pass, kv.Value); ok {
-						e.name = base
-						e.nameOK = true
-						e.templated = true
-					}
-					if !e.nameOK {
-						pass.Reportf(kv.Value.Pos(), "kernel name must be a non-empty string literal or a templating call with a literal base")
-					}
-				case "Format":
-					if tv, ok := pass.Info.Types[kv.Value]; ok && tv.Value != nil {
-						if c := constObj(pass, kv.Value); c != nil {
-							e.format = c
-							if named, ok := c.Type().(*types.Named); ok {
-								formatType = named
-							}
-						}
-					}
-					if e.format == nil {
-						pass.Reportf(kv.Value.Pos(), "kernel Format must be a declared format constant")
-					}
-				case "Strategies":
-					if tv, ok := pass.Info.Types[kv.Value]; ok && tv.Value != nil {
-						if v, ok := constant.Int64Val(tv.Value); ok && v != 0 {
-							e.strategies = true
-						}
-					} else {
-						e.strategies = true // non-constant: assume strategic
-					}
-				case "run":
-					e.runExpr = kv.Value
-				}
-			}
-			entries = append(entries, e)
-			return false
-		})
+// stringLit reads a string literal; an absent field is the empty string.
+func stringLit(e ast.Expr) (string, bool) {
+	if e == nil {
+		return "", true
 	}
-	return entries, formatType
-}
-
-func returnsKernelSlice(pass *framework.Pass, fd *ast.FuncDecl) bool {
-	obj, ok := pass.Info.Defs[fd.Name]
-	if !ok {
-		return false
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != 1 {
-		return false
-	}
-	sl, ok := sig.Results().At(0).Type().Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	_, ok = kernelTypeName(sl.Elem())
-	return ok
-}
-
-// kernelTypeName reports whether t is a (pointer to a) registry entry type
-// and which of the two namespaces it belongs to.
-func kernelTypeName(t types.Type) (string, bool) {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
+	b, ok := e.(*ast.BasicLit)
+	if !ok || b.Kind != token.STRING {
 		return "", false
 	}
-	switch name := named.Obj().Name(); name {
-	case "Kernel", "BatchKernel":
-		return name, true
+	return strings.Trim(b.Value, "\"`"), true
+}
+
+// isZero reports an absent field or a constant zero.
+func isZero(pass *framework.Pass, e ast.Expr) bool {
+	if e == nil {
+		return true
 	}
-	return "", false
+	tv, ok := pass.Info.Types[e]
+	return ok && tv.Value != nil && constant.Sign(tv.Value) == 0
+}
+
+// namedTypeName is the name of t's (instantiated) defined type, if any.
+func namedTypeName(t types.Type) string {
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }
 
 // constObj resolves the expression to the constant object it denotes.
 func constObj(pass *framework.Pass, e ast.Expr) *types.Const {
-	switch e := ast.Unparen(e).(type) {
+	switch e := e.(type) {
 	case *ast.Ident:
 		c, _ := pass.Info.Uses[e].(*types.Const)
 		return c
@@ -224,80 +282,6 @@ func constObj(pass *framework.Pass, e ast.Expr) *types.Const {
 		return c
 	}
 	return nil
-}
-
-// templatedName accepts a kernel name built by a call to a top-level
-// templating function whose first argument is a non-empty string literal —
-// the per-instance suffix (e.g. "_2x4", "_t8") is appended at registration,
-// so the literal base is what the lint can anchor on statically.
-func templatedName(pass *framework.Pass, e ast.Expr) (string, bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 {
-		return "", false
-	}
-	if _, ok := topLevelFuncName(pass, call.Fun); !ok {
-		return "", false
-	}
-	b, ok := call.Args[0].(*ast.BasicLit)
-	if !ok {
-		return "", false
-	}
-	base := strings.Trim(b.Value, `"`)
-	return base, base != ""
-}
-
-func checkNames(pass *framework.Pass, entries []*entry) {
-	// Single-vector and batched kernels resolve through separate library
-	// lookups, so a name may legally appear once in each namespace.
-	seen := map[string]bool{}
-	for _, e := range entries {
-		if !e.nameOK {
-			continue
-		}
-		if e.templated {
-			// The suffix that makes templated instances unique is computed at
-			// registration; the registry's duplicate panic is the arbiter.
-			continue
-		}
-		key := e.name
-		if e.batch {
-			key = "batch\x00" + e.name
-		}
-		if seen[key] {
-			pass.Reportf(e.lit.Pos(), "duplicate kernel name %q in the registry", e.name)
-		}
-		seen[key] = true
-	}
-}
-
-// checkRunFields validates each entry's run field and the factories behind
-// call-form entries.
-func checkRunFields(pass *framework.Pass, decls map[string]*ast.FuncDecl, entries []*entry) {
-	checkedFactories := map[string]bool{}
-	for _, e := range entries {
-		if e.runExpr == nil {
-			pass.Reportf(e.lit.Pos(), "kernel %q has no run function", e.name)
-			continue
-		}
-		switch v := ast.Unparen(e.runExpr).(type) {
-		case *ast.FuncLit:
-			pass.Reportf(v.Pos(), "kernel %q run must be a top-level function, not a closure", e.name)
-		case *ast.CallExpr:
-			name, ok := topLevelFuncName(pass, v.Fun)
-			if !ok {
-				pass.Reportf(v.Pos(), "kernel %q run factory must be a top-level function call", e.name)
-				continue
-			}
-			if fd := decls[name]; fd != nil && !checkedFactories[name] {
-				checkedFactories[name] = true
-				checkFactory(pass, fd)
-			}
-		default:
-			if _, ok := topLevelFuncName(pass, e.runExpr); !ok {
-				pass.Reportf(e.runExpr.Pos(), "kernel %q run must be a top-level function or factory call", e.name)
-			}
-		}
-	}
 }
 
 // topLevelFuncName resolves an identifier or generic instantiation to a
@@ -325,9 +309,10 @@ func topLevelFuncName(pass *framework.Pass, e ast.Expr) (string, bool) {
 	return fn.Name(), true
 }
 
-// checkFactory validates one parallel-kernel factory: chunk funcvals bound
-// at the top of the factory (to top-level functions), a returned closure,
-// and a serial-cutoff branch inside that closure.
+// checkFactory validates one hand-written runner factory: chunk funcvals
+// bound in the factory body (to top-level functions), a returned closure
+// that references no value parameter of the factory, and a serial-cutoff
+// branch inside that closure.
 func checkFactory(pass *framework.Pass, fd *ast.FuncDecl) {
 	var returned []*ast.FuncLit
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -347,76 +332,55 @@ func checkFactory(pass *framework.Pass, fd *ast.FuncDecl) {
 		pass.Reportf(fd.Pos(), "kernel factory %s must return its per-call closure", fd.Name.Name)
 		return
 	}
-
-	inReturned := func(pos ast.Node) *ast.FuncLit {
+	inReturned := func(n ast.Node) bool {
 		for _, lit := range returned {
-			if lit.Pos() <= pos.Pos() && pos.Pos() < lit.End() {
-				return lit
+			if lit.Pos() <= n.Pos() && n.Pos() < lit.End() {
+				return true
 			}
 		}
-		return nil
+		return false
 	}
 
+	// Value parameters must be resolved at bind time; chunk-typed ones are
+	// the bound funcvals themselves.
+	params := map[types.Object]bool{}
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			if obj := pass.Info.Defs[name]; obj != nil && namedTypeName(obj.Type()) != "rangeFn" {
+				params[obj] = true
+			}
+		}
+	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isChunkConversion(pass, call) {
-			return true
-		}
-		if inReturned(call) != nil {
-			pass.Reportf(call.Pos(), "factory %s converts a chunk function inside the per-call closure; bind the funcval once in the factory body", fd.Name.Name)
-			return true
-		}
-		if _, ok := topLevelFuncName(pass, call.Args[0]); !ok {
-			pass.Reportf(call.Args[0].Pos(), "factory %s chunk must be a top-level function, not a closure or local value", fd.Name.Name)
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if !isChunkConversion(pass, n) {
+				break
+			}
+			if inReturned(n) {
+				pass.Reportf(n.Pos(), "factory %s converts a chunk function inside the per-call closure; bind the funcval once in the factory body", fd.Name.Name)
+			} else if _, ok := topLevelFuncName(pass, n.Args[0]); !ok {
+				pass.Reportf(n.Args[0].Pos(), "factory %s chunk must be a top-level function, not a closure or local value", fd.Name.Name)
+			}
+		case *ast.Ident:
+			if params[pass.Info.Uses[n]] && inReturned(n) {
+				pass.Reportf(n.Pos(), "factory %s references parameter %s inside the per-call closure; resolve it to a bound funcval in the factory body", fd.Name.Name, n.Name)
+			}
 		}
 		return true
 	})
-
 	for _, lit := range returned {
 		if !mentionsSerial(lit.Body) {
 			pass.Reportf(lit.Pos(), "factory %s closure never checks the plan's Serial cutoff", fd.Name.Name)
 		}
-	}
-
-	// Parameter-bound factories must resolve their parameters at bind time:
-	// a factory parameter referenced inside the per-call closure re-dispatches
-	// on the parameter every call instead of running a pre-bound funcval.
-	params := map[types.Object]bool{}
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			for _, name := range field.Names {
-				if obj := pass.Info.Defs[name]; obj != nil {
-					params[obj] = true
-				}
-			}
-		}
-	}
-	if len(params) == 0 {
-		return
-	}
-	for _, lit := range returned {
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if obj := pass.Info.Uses[id]; obj != nil && params[obj] {
-				pass.Reportf(id.Pos(), "factory %s references parameter %s inside the per-call closure; resolve it to a bound funcval in the factory body", fd.Name.Name, id.Name)
-			}
-			return true
-		})
 	}
 }
 
 // isChunkConversion reports a conversion to the package's chunk func type
 // (a defined type named rangeFn).
 func isChunkConversion(pass *framework.Pass, call *ast.CallExpr) bool {
-	if len(call.Args) != 1 || !framework.IsTypeExpr(pass.Info, call.Fun) {
-		return false
-	}
-	t := pass.Info.Types[call.Fun].Type
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "rangeFn"
+	return len(call.Args) == 1 && framework.IsTypeExpr(pass.Info, call.Fun) &&
+		namedTypeName(pass.Info.Types[call.Fun].Type) == "rangeFn"
 }
 
 func mentionsSerial(body *ast.BlockStmt) bool {
@@ -432,103 +396,69 @@ func mentionsSerial(body *ast.BlockStmt) bool {
 
 // formatConstants returns the exported constants of the format type from its
 // defining package (which may be the analyzed package itself).
-func formatConstants(pass *framework.Pass, formatType *types.Named) []*types.Const {
+func formatConstants(formatType *types.Named) []*types.Const {
 	scope := formatType.Obj().Pkg().Scope()
-	sameType := func(t types.Type) bool {
-		named, ok := t.(*types.Named)
-		return ok && named.Obj() == formatType.Obj()
-	}
 	var out []*types.Const
 	for _, name := range scope.Names() {
 		c, ok := scope.Lookup(name).(*types.Const)
-		if ok && c.Exported() && sameType(c.Type()) {
+		if !ok {
+			continue
+		}
+		if named, _ := c.Type().(*types.Named); ok && c.Exported() && named != nil && named.Obj() == formatType.Obj() {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-func checkFormatCoverage(pass *framework.Pass, at *ast.FuncDecl, entries []*entry, consts []*types.Const) {
-	covered := map[string]bool{}
-	basic := map[string]bool{}
-	for _, e := range entries {
-		if e.format == nil || e.batch {
-			continue
-		}
-		covered[e.format.Name()] = true
-		if !e.strategies {
-			basic[e.format.Name()] = true
-		}
+// checkCoverage requires every format constant to have a family with
+// single-vector rows and an anchor among them, and — once the package has any
+// batched row — the same over the batched namespace. A missing family is
+// reported at the family type, a missing anchor at the family literal.
+func (c *checker) checkCoverage(root token.Pos, consts []*types.Const) {
+	anyBatch := false
+	for _, t := range c.batch {
+		anyBatch = anyBatch || t.rows > 0
 	}
-	for _, c := range consts {
-		if !covered[c.Name()] {
-			pass.Reportf(at.Pos(), "format %s has no registered kernel", c.Name())
-		} else if !basic[c.Name()] {
-			pass.Reportf(at.Pos(), "format %s has no basic (strategy-free) kernel to anchor the scoreboard", c.Name())
-		}
-	}
-}
-
-// checkBatchCoverage mirrors checkFormatCoverage over the batched namespace:
-// once the package registers any batched kernel, every format constant must
-// keep a batched kernel and a strategy-free batched anchor. Reported at the
-// allBatchKernels root when one exists, else at allKernels.
-func checkBatchCoverage(pass *framework.Pass, decls map[string]*ast.FuncDecl, entries []*entry, consts []*types.Const) {
-	covered := map[string]bool{}
-	basic := map[string]bool{}
-	any := false
-	for _, e := range entries {
-		if !e.batch || e.format == nil {
-			continue
-		}
-		any = true
-		covered[e.format.Name()] = true
-		if !e.strategies {
-			basic[e.format.Name()] = true
-		}
-	}
-	if !any {
-		return
-	}
-	at := decls["allBatchKernels"]
-	if at == nil {
-		at = decls["allKernels"]
-	}
-	for _, c := range consts {
-		if !covered[c.Name()] {
-			pass.Reportf(at.Pos(), "format %s has no registered batch kernel", c.Name())
-		} else if !basic[c.Name()] {
-			pass.Reportf(at.Pos(), "format %s has no basic (strategy-free) batch kernel", c.Name())
+	for _, fc := range consts {
+		for _, ns := range []struct {
+			kind   string
+			tables map[string]*table
+			on     bool
+		}{{"", c.single, true}, {"batch ", c.batch, anyBatch}} {
+			switch t := ns.tables[fc.Name()]; {
+			case !ns.on:
+			case t == nil || t.rows == 0:
+				c.pass.Reportf(root, "format %s has no registered %skernel", fc.Name(), ns.kind)
+			case !t.anchor:
+				c.pass.Reportf(t.lit.Pos(), "format %s has no basic (strategy-free) %skernel instantiated whole", fc.Name(), ns.kind)
+			}
 		}
 	}
 }
 
 // checkPlanCoverage requires a newPlan function whose switch cases mention
 // every format constant.
-func checkPlanCoverage(pass *framework.Pass, decls map[string]*ast.FuncDecl, consts []*types.Const) {
-	np, ok := decls["newPlan"]
-	if !ok || np.Body == nil {
-		if ak := decls["allKernels"]; ak != nil {
-			pass.Reportf(ak.Pos(), "kernel package has no newPlan partitioner function")
-		}
+func (c *checker) checkPlanCoverage(root token.Pos, consts []*types.Const) {
+	np := c.decls["newPlan"]
+	if np == nil || np.Body == nil {
+		c.pass.Reportf(root, "kernel package has no newPlan partitioner function")
 		return
 	}
 	cased := map[string]bool{}
 	ast.Inspect(np.Body, func(n ast.Node) bool {
-		cc, ok := n.(*ast.CaseClause)
-		if !ok {
-			return true
-		}
-		for _, e := range cc.List {
-			if c := constObj(pass, e); c != nil {
-				cased[c.Name()] = true
+		if cc, ok := n.(*ast.CaseClause); ok {
+			for _, e := range cc.List {
+				if fc := constObj(c.pass, e); fc != nil {
+					cased[fc.Name()] = true
+				}
 			}
 		}
 		return true
 	})
-	for _, c := range consts {
-		if !cased[c.Name()] {
-			pass.Reportf(np.Pos(), "format %s has no partitioner case in newPlan", c.Name())
+	for _, fc := range consts {
+		if !cased[fc.Name()] {
+			c.pass.Reportf(np.Pos(), "format %s has no partitioner case in newPlan", fc.Name())
 		}
 	}
 }

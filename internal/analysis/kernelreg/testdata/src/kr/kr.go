@@ -1,6 +1,7 @@
-// Package kr is the kernelreg analyzer fixture: a miniature kernel registry
-// mirroring internal/kernels (Kernel entries, rangeFn chunk funcvals, a
-// newPlan partitioner) with deliberate registry violations.
+// Package kr is the kernelreg analyzer fixture: miniature kernel tables
+// mirroring internal/kernels (family literals of body rows, a partitions
+// fragment table, rangeFn chunk funcvals, a newPlan partitioner) with
+// deliberate violations.
 package kr
 
 // Format mirrors matrix.Format.
@@ -27,51 +28,64 @@ type runFn func(ex exec)
 
 type rangeFn func(ex exec, lo, hi int)
 
-// Kernel mirrors kernels.Kernel.
-type Kernel struct {
-	Name       string
-	Format     Format
-	Strategies int
-	run        runFn
+type partition int
+
+const (
+	whole partition = iota
+	byRows
+	byNNZ
+	byNowhere
+)
+
+// partitions mirrors kernels.partitions; byNowhere has no entry.
+var partitions = map[partition]struct {
+	frag  string
+	strat int
+}{
+	whole:  {frag: ""},
+	byRows: {frag: "-par", strat: 1},
+	byNNZ:  {frag: "-par", strat: 3},
 }
 
-type batchFn func(ex exec, k int)
-
-// BatchKernel mirrors kernels.BatchKernel; its entries live in a separate
-// lookup namespace.
-type BatchKernel struct {
-	Name       string
-	Format     Format
-	Strategies int
-	run        batchFn
+// body mirrors kernels.body.
+type body struct {
+	name, alone, suffix string
+	strat               int
+	params              int
+	chunk               rangeFn
+	run                 runFn
+	over                []partition
 }
 
-// --- chunk and serial bodies (top-level funcvals) -------------------------
+// family mirrors kernels.family. DIA has no family at all.
+type family struct { // want `format FormatDIA has no registered kernel` `format FormatDIA has no registered batch kernel`
+	format        Format
+	single, batch []body
+}
 
-func csrSerial(ex exec)            {}
-func cooSerial(ex exec)            {}
-func ellSerial(ex exec)            {}
-func hybSerial(ex exec)            {}
+// --- chunk bodies and hand-written runners (top-level funcvals) -----------
+
 func csrChunk(ex exec, lo, hi int) {}
+func cooChunk(ex exec, lo, hi int) {}
 func ellChunk(ex exec, lo, hi int) {}
-func csrBatch(ex exec, k int)      {}
-func cooBatch(ex exec, k int)      {}
-func ellBatch(ex exec, k int)      {}
-func hybBatch(ex exec, k int)      {}
+func hybWhole(ex exec)             {}
 
-var ellVar runFn = ellSerial
+var ellVar rangeFn = ellChunk
 
-// --- factories ------------------------------------------------------------
+var nameVar = "ell"
 
-// goodFactory binds the chunk funcval once and honours the serial cutoff.
-func goodFactory() runFn {
-	chunk := rangeFn(csrChunk)
+// --- run factories --------------------------------------------------------
+
+// goodFactory takes already-bound chunk funcvals and honours the serial
+// cutoff; referencing them inside the closure is the point.
+func goodFactory(first, second rangeFn) runFn {
 	return func(ex exec) {
 		if ex.plan.Serial {
-			csrSerial(ex)
+			first(ex, 0, 2)
 			return
 		}
-		chunk(ex, 0, 1)
+		first(ex, 0, 1)
+		second(ex, 1, 2)
 	}
 }
 
@@ -79,7 +93,6 @@ func goodFactory() runFn {
 func badFactoryConvInClosure() runFn {
 	return func(ex exec) {
 		if ex.plan.Serial {
-			ellSerial(ex)
 			return
 		}
 		chunk := rangeFn(ellChunk) // want `inside the per-call closure`
@@ -109,119 +122,94 @@ func badFactoryLocalChunk() runFn {
 
 // badFactoryNoLit never returns a closure at all.
 func badFactoryNoLit() runFn { // want `must return its per-call closure`
-	return runFn(ellSerial)
+	return runFn(hybWhole)
 }
 
-// --- parameterized registrations ------------------------------------------
-
-// paramName mirrors kernels.ParamName: a top-level name-templating helper
-// whose literal first argument anchors the lint; the per-instance suffix is
-// appended at registration.
-func paramName(base string, tile int) string { return base }
-
-var nameVar = "csr-par"
-
-// pickChunk is a selector helper: it holds the per-parameter conversions so
-// parameter-bound factories resolve a funcval at bind time.
-func pickChunk(tile int) rangeFn {
-	if tile == 2 {
-		return rangeFn(csrChunk)
-	}
-	return rangeFn(ellChunk)
-}
-
-// goodParamFactory binds the parameter to a funcval once; the closure never
-// sees the parameter.
-func goodParamFactory(tile int) runFn {
-	chunk := pickChunk(tile)
-	return func(ex exec) {
-		if ex.plan.Serial {
-			csrSerial(ex)
-			return
-		}
-		chunk(ex, 0, 1)
-	}
-}
-
-// badParamFactory re-dispatches on the parameter inside the per-call closure.
+// badParamFactory re-dispatches on a value parameter inside the per-call
+// closure.
 func badParamFactory(tile int) runFn {
 	chunk := rangeFn(csrChunk)
 	return func(ex exec) {
-		if ex.plan.Serial {
-			csrSerial(ex)
-			return
-		}
-		if tile == 2 { // want `references parameter tile inside the per-call closure`
-			csrSerial(ex)
+		if ex.plan.Serial || tile == 2 { // want `references parameter tile inside the per-call closure`
 			return
 		}
 		chunk(ex, 0, 1)
 	}
 }
 
-// --- registry -------------------------------------------------------------
+// --- tables ---------------------------------------------------------------
 
-func allKernels() []*Kernel { // want `format FormatDIA has no registered kernel` `format FormatHYB has no basic`
-	base := []*Kernel{
-		{Name: "csr-serial", Format: FormatCSR, run: csrSerial},
-		{Name: "csr-par", Format: FormatCSR, Strategies: 1, run: goodFactory()},
-		{Name: "csr-serial", Format: FormatCSR, run: csrSerial}, // want `duplicate kernel name`
-		{Name: "coo-serial", Format: FormatCOO, run: cooSerial},
-		{Name: "coo-norun", Format: FormatCOO},                                         // want `has no run function`
-		{Name: "coo-closure", Format: FormatCOO, Strategies: 1, run: func(ex exec) {}}, // want `not a closure`
-		{Name: "ell-serial", Format: FormatELL, run: ellSerial},
-		{Name: "ell-var", Format: FormatELL, Strategies: 1, run: ellVar}, // want `top-level function or factory call`
-		{Name: "ell-conv-in-closure", Format: FormatELL, Strategies: 2, run: badFactoryConvInClosure()},
-		{Name: "ell-no-serial", Format: FormatELL, Strategies: 4, run: badFactoryNoSerial()},
-		{Name: "ell-local-chunk", Format: FormatELL, Strategies: 8, run: badFactoryLocalChunk()},
-		{Name: "ell-no-lit", Format: FormatELL, Strategies: 16, run: badFactoryNoLit()},
-		{Name: "", Format: FormatCSR, run: csrSerial}, // want `non-empty string literal`
-		// Templated instances: same literal base, per-instance suffix at
-		// registration — no duplicate report, factories still checked.
-		{Name: paramName("csr-par", 2), Format: FormatCSR, Strategies: 1, run: goodParamFactory(2)},
-		{Name: paramName("csr-par", 8), Format: FormatCSR, Strategies: 1, run: goodParamFactory(8)},
-		{Name: paramName("csr-par-bad", 2), Format: FormatCSR, Strategies: 1, run: badParamFactory(2)},
-		{Name: paramName("", 4), Format: FormatCSR, run: csrSerial},      // want `non-empty string literal`
-		{Name: paramName(nameVar, 4), Format: FormatCSR, run: csrSerial}, // want `non-empty string literal`
-	}
-	return append(base, hybKernels()...)
-}
-
-// hybKernels is a second provider; its entries are gathered too. HYB has
-// only a strategic kernel, so the basic-kernel check fires (at allKernels).
-func hybKernels() []*Kernel {
-	return []*Kernel{
-		{Name: "hyb-split", Format: FormatHYB, Strategies: 1, run: hybSerial},
+// csrTable: "csr-par" is produced twice in the single namespace (byRows and
+// byNNZ share a fragment); the batched namespace may reuse single names but
+// not its own.
+func csrTable() family {
+	return family{
+		format: FormatCSR,
+		single: []body{
+			{name: "csr", alone: "-serial", chunk: csrChunk, over: []partition{whole, byRows}},
+			{name: "csr", chunk: csrChunk, strat: 2, over: []partition{byNNZ}}, // want `duplicate kernel name "csr-par"`
+			{name: "csr", suffix: "-u2", params: 2, chunk: csrChunk, over: []partition{byNNZ}},
+		},
+		batch: []body{
+			{name: "csr", alone: "-serial", params: 4, chunk: csrChunk, over: []partition{whole, byRows}},
+			{name: "csr", alone: "-serial", params: 2, chunk: csrChunk, over: []partition{whole}}, // want `duplicate kernel name "csr-serial"`
+		},
 	}
 }
 
-// goodBatchFactory binds its chunk once and honours the serial cutoff, like
-// the single-vector factories.
-func goodBatchFactory() batchFn {
-	chunk := rangeFn(csrChunk)
-	return func(ex exec, k int) {
-		if ex.plan.Serial {
-			csrBatch(ex, k)
-			return
-		}
-		chunk(ex, 0, 1)
+// cooTable: rows without a body, with a closure, over nothing, over an
+// undeclared partition.
+func cooTable() family {
+	return family{
+		format: FormatCOO,
+		single: []body{
+			{name: "coo", alone: "-serial", chunk: cooChunk, over: []partition{whole}},
+			{name: "coo", suffix: "-nobody", over: []partition{whole}},                                       // want `has no chunk or run function`
+			{name: "coo", suffix: "-closure", chunk: func(ex exec, lo, hi int) {}, over: []partition{whole}}, // want `not a closure`
+			{name: "coo", suffix: "-nowhere", chunk: cooChunk},                                               // want `instantiated over no partition`
+			{name: "coo", suffix: "-lost", chunk: cooChunk, over: []partition{byNowhere}},                    // want `partition byNowhere has no entry`
+		},
+		batch: []body{
+			{name: "coo-batch", params: 4, chunk: cooChunk, over: []partition{whole, byRows}},
+		},
 	}
 }
 
-// allBatchKernels is the batched registry root. FormatDIA has no batched
-// kernel and FormatHYB has no strategy-free batched anchor; "csr-serial"
-// legally reuses a single-vector name (separate namespace), while the
-// duplicate within the batched namespace fires.
-func allBatchKernels() []*BatchKernel { // want `format FormatDIA has no registered batch kernel` `format FormatHYB has no basic \(strategy-free\) batch kernel`
-	return []*BatchKernel{
-		{Name: "csr-batch", Format: FormatCSR, run: csrBatch},
-		{Name: "csr-batch-par", Format: FormatCSR, Strategies: 1, run: goodBatchFactory()},
-		{Name: "csr-batch", Format: FormatCSR, run: csrBatch}, // want `duplicate kernel name`
-		{Name: "csr-serial", Format: FormatCSR, run: csrBatch},
-		{Name: "coo-batch", Format: FormatCOO, run: cooBatch},
-		{Name: "ell-batch", Format: FormatELL, run: ellBatch},
-		{Name: "ell-batch-closure", Format: FormatELL, Strategies: 1, run: func(ex exec, k int) {}}, // want `not a closure`
-		{Name: "hyb-batch-par", Format: FormatHYB, Strategies: 1, run: hybBatch},
+// ellTable: chunk and run values that are not top-level functions, the bad
+// factories, and names that are not literals.
+func ellTable() family {
+	return family{
+		format: FormatELL,
+		single: []body{
+			{name: "ell", alone: "-serial", chunk: ellChunk, over: []partition{whole}},
+			{name: "ell", suffix: "-var", chunk: ellVar, over: []partition{byRows}}, // want `chunk must be a top-level function`
+			{name: "ell", suffix: "-good", run: goodFactory(ellChunk, cooChunk), over: []partition{byRows}},
+			{name: "ell", suffix: "-conv", run: badFactoryConvInClosure(), over: []partition{byRows}},
+			{name: "ell", suffix: "-noserial", run: badFactoryNoSerial(), over: []partition{byRows}},
+			{name: "ell", suffix: "-local", run: badFactoryLocalChunk(), over: []partition{byRows}},
+			{name: "ell", suffix: "-nolit", run: badFactoryNoLit(), over: []partition{byRows}},
+			{name: "ell", suffix: "-param", run: badParamFactory(2), over: []partition{byRows}},
+			{name: "ell", suffix: "-runclosure", run: func(ex exec) {}, over: []partition{byRows}}, // want `run must be a top-level function, not a closure`
+			{name: "", chunk: ellChunk, over: []partition{whole}},                                  // want `non-empty string literal`
+			{name: nameVar, chunk: ellChunk, over: []partition{whole}},                             // want `non-empty string literal`
+		},
+		batch: []body{
+			{name: "ell-batch", params: 8, chunk: ellChunk, over: []partition{whole}},
+		},
+	}
+}
+
+// hybTable: the only whole single row is strategic and the only batched row
+// is never instantiated whole, so neither namespace has an anchor.
+func hybTable() family {
+	return family{ // want `format FormatHYB has no basic \(strategy-free\) kernel` `format FormatHYB has no basic \(strategy-free\) batch kernel`
+		format: FormatHYB,
+		single: []body{
+			{name: "hyb", strat: 1, run: hybWhole, over: []partition{whole}},
+		},
+		batch: []body{
+			{name: "hyb-batch", params: 8, chunk: ellChunk, over: []partition{byRows}},
+		},
 	}
 }
 

@@ -30,6 +30,24 @@ func shippedPicks(t *testing.T, f matrix.Format, conf float64) *Model {
 	return m
 }
 
+// TestShippedModelBindings pins what the committed model.json binds: its own
+// four names at one thread, their thread-aware forms above — the kernels the
+// benchmark of record runs at its two threads.
+func TestShippedModelBindings(t *testing.T) {
+	model := shippedPicks(t, matrix.FormatCSR, 1)
+	lib := kernels.NewLibrary[float64]()
+	for threads, want := range map[int]map[matrix.Format]string{
+		1: {matrix.FormatCSR: "csr_unroll4", matrix.FormatCOO: "coo_unroll4", matrix.FormatDIA: "dia_blocked", matrix.FormatELL: "ell_width_parallel"},
+		2: {matrix.FormatCSR: "csr_parallel_nnz_unroll4", matrix.FormatCOO: "coo_parallel_unroll4", matrix.FormatDIA: "dia_blocked_parallel", matrix.FormatELL: "ell_width_parallel"},
+	} {
+		for f, k := range resolveKernels(model, lib, threads) {
+			if k.Name != want[f] {
+				t.Errorf("threads=%d: %v binds %s, want %s", threads, f, k.Name, want[f])
+			}
+		}
+	}
+}
+
 // bindingWant is the non-timing contract of one binding path: what the
 // decision must say and what the operator must serve once the path has
 // settled. Zero-valued formats are not special: every field is compared.
@@ -341,7 +359,7 @@ func TestBindingFollowsTunerThreads(t *testing.T) {
 				if served != want {
 					t.Errorf("%s: serves %s, the model names %s", label, served.Name, want.Name)
 				}
-				mat, err := kernels.ConvertWithParams(m, op.Format(), 0, tn.paramsFor(op.Format()))
+				mat, err := kernels.ConvertFrom(m, nil, op.Format(), 0, tn.paramsFor(op.Format()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -379,7 +397,7 @@ func TestSharedCacheBindsPerTuner(t *testing.T) {
 	defer four.Close()
 
 	serial := model.Kernels[matrix.FormatCSR.String()]
-	parallel := lib.ParallelSibling(lib.Lookup(serial)).Name
+	parallel := lib.Threaded(lib.Lookup(serial)).Name
 	if serial == parallel {
 		t.Fatalf("shipped CSR pick %s is its own parallel sibling; the test needs a serial pick", serial)
 	}

@@ -40,16 +40,6 @@ func NewLabeler(choice KernelChoice, threads int, measure MeasureOptions) *Label
 	}
 }
 
-// kernelFor resolves the kernel to use for a format.
-func (l *Labeler) kernelFor(f matrix.Format) *kernels.Kernel[float64] {
-	if name, ok := l.choice[f]; ok {
-		if k := l.lib.Lookup(name); k != nil {
-			return k
-		}
-	}
-	return l.lib.Basic(f)
-}
-
 // Label measures the matrix in every feasible format and returns the
 // winner. The exhaustive measurement is the paper's off-line ground truth
 // (and the cost SMAT's learning model exists to avoid at runtime).
@@ -67,7 +57,7 @@ func (l *Labeler) Label(m *matrix.CSR[float64]) Label {
 		if err != nil {
 			continue
 		}
-		k := l.kernelFor(f)
+		k := resolveKernel(l.lib, l.choice[f], f)
 		sec := MeasureSecPerOp(func() { k.Run(mat, x, y, l.threads) }, l.measure)
 		g := GFLOPS(flops, sec)
 		lbl.GFLOPS[f] = g

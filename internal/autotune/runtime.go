@@ -604,22 +604,27 @@ func (t *Tuner[T]) Stats() Stats {
 	return st
 }
 
+// resolveKernel is the only place a kernel name becomes a kernel: the
+// library's kernel of that name when it is one of format f's, else (no name,
+// an unknown one, another format's) f's basic kernel.
+func resolveKernel[T matrix.Float](lib *kernels.Library[T], name string, f matrix.Format) *kernels.Kernel[T] {
+	if k := lib.Lookup(name); k != nil && k.Format == f {
+		return k
+	}
+	return lib.Basic(f)
+}
+
 // resolveKernels builds a tuner's per-format kernel table: the model's pick
-// (the format's basic kernel when the model names none, or names one the
-// library does not have for that format), and at more than one thread its
-// parallel sibling. The model's scoreboard ran at model.Threads; a tuner at
-// another thread count keeps the searched loop body and takes the
-// partitioning its own configuration needs. This is the only place a kernel
-// name becomes a kernel.
+// and, at more than one thread, its thread-aware form (kernels.Library.
+// Threaded). The model's scoreboard ran at model.Threads; a tuner at another
+// thread count keeps the searched loop body and takes the partitioning its
+// own configuration needs.
 func resolveKernels[T matrix.Float](model *Model, lib *kernels.Library[T], threads int) map[matrix.Format]*kernels.Kernel[T] {
 	bound := make(map[matrix.Format]*kernels.Kernel[T], len(matrix.Formats))
 	for _, f := range matrix.Formats {
-		k := lib.Lookup(model.Kernels[f.String()])
-		if k == nil || k.Format != f {
-			k = lib.Basic(f)
-		}
+		k := resolveKernel(lib, model.Kernels[f.String()], f)
 		if threads > 1 {
-			k = lib.ParallelSibling(k)
+			k = lib.Threaded(k)
 		}
 		bound[f] = k
 	}

@@ -1,8 +1,9 @@
 package autotune
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"smat/internal/features"
 	"smat/internal/gen"
@@ -106,44 +107,40 @@ func searchFormat(lib *kernels.Library[float64], f matrix.Format, cfg SearchConf
 		x[i] = 1 + float64(i%7)/7
 	}
 	y := make([]float64, probe.Rows)
-	flops := kernels.FLOPs(probe.NNZ())
 
-	// Step 1: the performance record table.
-	res := SearchResult{Format: f, StrategyScores: map[string]int{}, KernelScores: map[string]int{}}
-	perf := map[kernels.Strategy]float64{}
-	name := map[kernels.Strategy]string{}
+	// Step 1: the performance record table, over the zero-Params instances:
+	// one kernel per strategy set. The parameter walk (SearchMatrixParams)
+	// covers the rest.
+	res := SearchResult{Format: f}
 	for _, k := range lib.ForFormat(f) {
 		if !k.Params.IsZero() {
-			// Parameterized instances share a strategy bitmask with their
-			// template (and with each other); scoring them here would collide
-			// in the per-combo table. The parameter walk measures them.
 			continue
 		}
 		sec := MeasureSecPerOp(func() { k.Run(mat, x, y, cfg.Threads) }, cfg.Measure)
-		g := GFLOPS(flops, sec)
-		res.Table = append(res.Table, PerfRecord{Kernel: k.Name, Strategies: k.Strategies, GFLOPS: g})
-		perf[k.Strategies] = g
-		name[k.Strategies] = k.Name
+		res.Table = append(res.Table, PerfRecord{Kernel: k.Name, Strategies: k.Strategies, GFLOPS: GFLOPS(kernels.FLOPs(probe.NNZ()), sec)})
 	}
+	res.StrategyScores, res.KernelScores, res.Best = scoreTable(res.Table)
+	return res
+}
 
-	// Step 2: the scoreboard. Every implementation is compared against the
-	// implementations having exactly one less strategy; the differing
-	// strategy is marked +1 on a gain, -1 on a loss, 0 within the paper's
-	// 0.01 GFLOPS indifference band.
+// scoreTable is step 2 of the search, the scoreboard, as a pure function of
+// the performance record table (one record per strategy set). Every
+// implementation is compared against the implementations having exactly one
+// less strategy; the differing strategy is marked +1 on a gain, -1 on a loss,
+// 0 within the paper's 0.01 GFLOPS indifference band. An implementation with
+// no such neighbour at all (coo_parallel: COO's partition is two bits and
+// neither exists alone) is compared against its nearest registered strict
+// subset instead, and the differing strategies move together. An
+// implementation's score is the sum of its strategies' scores; the best wins,
+// ties break on raw GFLOPS.
+func scoreTable(table []PerfRecord) (strategyScores, kernelScores map[string]int, best string) {
+	ranked := slices.Clone(table)
+	slices.SortFunc(ranked, func(a, b PerfRecord) int { return cmp.Compare(a.Strategies, b.Strategies) })
 	scores := map[kernels.Strategy]int{}
-	for combo, g := range perf {
-		if combo == 0 {
-			continue
-		}
+	mark := func(bits kernels.Strategy, g, base float64) {
 		for _, sn := range kernels.StrategyNames {
-			if combo&sn.S == 0 {
-				continue
-			}
-			base, ok := perf[combo&^sn.S]
-			if !ok {
-				continue // no registered implementation with one less strategy
-			}
 			switch {
+			case bits&sn.S == 0:
 			case g-base > indifferenceGFLOPS:
 				scores[sn.S]++
 			case base-g > indifferenceGFLOPS:
@@ -151,39 +148,48 @@ func searchFormat(lib *kernels.Library[float64], f matrix.Format, cfg SearchConf
 			}
 		}
 	}
-	for _, sn := range kernels.StrategyNames {
-		if s, ok := scores[sn.S]; ok {
-			res.StrategyScores[sn.Name] = s
+	for _, r := range ranked {
+		var nearest *PerfRecord // the strict subset with the most strategies
+		neighbour := false
+		for i := range ranked {
+			base := &ranked[i]
+			switch diff := r.Strategies &^ base.Strategies; {
+			case diff == 0 || base.Strategies&^r.Strategies != 0: // not a strict subset
+			case diff.Count() == 1:
+				mark(diff, r.GFLOPS, base.GFLOPS)
+				neighbour = true
+			case nearest == nil || base.Strategies.Count() > nearest.Strategies.Count():
+				nearest = base
+			}
+		}
+		if nearest != nil && !neighbour {
+			mark(r.Strategies&^nearest.Strategies, r.GFLOPS, nearest.GFLOPS)
 		}
 	}
-
-	// Implementation score = sum of its strategies' scores; best wins, ties
-	// break on raw GFLOPS.
-	bestName, bestScore, bestG := "", -1<<30, 0.0
-	combos := make([]kernels.Strategy, 0, len(perf))
-	for combo := range perf {
-		combos = append(combos, combo)
+	strategyScores, kernelScores = map[string]int{}, map[string]int{}
+	for _, sn := range kernels.StrategyNames {
+		if s, ok := scores[sn.S]; ok {
+			strategyScores[sn.Name] = s
+		}
 	}
-	sort.Slice(combos, func(i, j int) bool { return combos[i] < combos[j] })
-	for _, combo := range combos {
+	bestScore, bestG := -1<<30, 0.0
+	for _, r := range ranked {
 		score := 0
 		for _, sn := range kernels.StrategyNames {
-			if combo&sn.S != 0 {
+			if r.Strategies&sn.S != 0 {
 				score += scores[sn.S]
 			}
 		}
-		res.KernelScores[name[combo]] = score
-		if score > bestScore || (score == bestScore && perf[combo] > bestG) {
-			bestName, bestScore, bestG = name[combo], score, perf[combo]
+		kernelScores[r.Kernel] = score
+		if score > bestScore || (score == bestScore && r.GFLOPS > bestG) {
+			best, bestScore, bestG = r.Kernel, score, r.GFLOPS
 		}
 	}
-	res.Best = bestName
-	return res
+	return strategyScores, kernelScores, best
 }
 
 // ParamChoice maps each format to its searched kernel parameters. A missing
-// or zero entry means the fixed menu (the hand-enumerated kernels with their
-// built-in constants) won.
+// or zero entry means a zero-Params kernel on the default conversion won.
 type ParamChoice map[matrix.Format]kernels.Params
 
 // searchMaxBlockFill prunes BCSR block shapes during the parameter walk: a
@@ -256,7 +262,7 @@ func SearchMatrixParams(lib *kernels.Library[float64], m *matrix.CSR[float64], f
 	y := make([]float64, m.Rows)
 	flops := kernels.FLOPs(m.NNZ())
 	for _, cp := range paramConvCandidates(m, f, &res) {
-		mat, err := kernels.ConvertWithParams(m, f, DefaultMaxFill, cp)
+		mat, err := kernels.ConvertFrom(m, nil, f, DefaultMaxFill, cp)
 		if err != nil {
 			continue
 		}

@@ -213,7 +213,7 @@ func cutoffSweep(cfg Config, lib *kernels.Library[float64], pool *kernels.Pool[f
 	top := int(float64(1<<20) * cfg.Scale)
 	for _, c := range cutoffSerialKernels {
 		serial := lib.Lookup(c.kernel)
-		pooled := lib.ParallelSibling(serial)
+		pooled := lib.Threaded(serial)
 		var warmFrom, coldFrom winsFrom
 		for stored := 1 << 10; stored <= top; stored <<= 1 {
 			m := c.build(stored, rng)

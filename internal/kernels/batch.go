@@ -1,7 +1,5 @@
 package kernels
 
-import "smat/internal/matrix"
-
 // Batched (multi-vector) SpMV: Y = A·X for k right-hand sides held in the
 // interleaved layout xb[col*k+j] / yb[row*k+j]. Interleaving makes the k
 // values per matrix column contiguous, so each loaded vals[jj]/colIdx[jj]
@@ -17,29 +15,4 @@ import "smat/internal/matrix"
 // remainder loop runs regardless of tile width, so csr_batch is bit-for-bit
 // csr_basic, dia_batch is bit-for-bit dia_rowmajor, and so on (pinned by the
 // batched oracle). The unsuffixed kernels use DefaultBatchTile(format); the
-// other widths are registered as parameter instances (see params.go).
-
-// allBatchKernels returns the stock batched kernels. Like allKernels, the
-// parallel variants bind their chunk functions at registration; every
-// parallel body degrades to its serial body below the plan's (k-scaled)
-// cutoff. HYB/BCSR batch kernels are opt-in via RegisterHYB/RegisterBCSR.
-func allBatchKernels[T matrix.Float]() []*BatchKernel[T] {
-	return []*BatchKernel[T]{
-		// CSR family.
-		{Name: "csr_batch", Format: matrix.FormatCSR, Strategies: 0, Params: Params{BatchTile: 4}, run: runCSRBatch[T]},
-		{Name: "csr_batch_unroll4", Format: matrix.FormatCSR, Strategies: StratUnroll4, Params: Params{BatchTile: 4}, run: runCSRBatchUnroll4[T]},
-		{Name: "csr_batch_parallel", Format: matrix.FormatCSR, Strategies: StratParallel | StratNNZBalance, Params: Params{BatchTile: 4}, run: runCSRBatchParallel[T]()},
-		{Name: "csr_batch_parallel_unroll4", Format: matrix.FormatCSR, Strategies: StratParallel | StratNNZBalance | StratUnroll4, Params: Params{BatchTile: 4}, run: runCSRBatchParallelUnroll4[T]()},
-		// COO family.
-		{Name: "coo_batch", Format: matrix.FormatCOO, Strategies: 0, Params: Params{BatchTile: 4}, run: runCOOBatch[T]},
-		{Name: "coo_batch_parallel", Format: matrix.FormatCOO, Strategies: StratParallel | StratNNZBalance, Params: Params{BatchTile: 4}, run: runCOOBatchParallel[T]()},
-		// DIA family (row-major by construction: the interleaved Y tile makes
-		// write-once row traversal the natural batched order; the default
-		// double-wide tile amortises the strided diagonal walk).
-		{Name: "dia_batch", Format: matrix.FormatDIA, Strategies: 0, Params: Params{BatchTile: 8}, run: runDIABatch[T]},
-		{Name: "dia_batch_parallel", Format: matrix.FormatDIA, Strategies: StratParallel, Params: Params{BatchTile: 8}, run: runDIABatchParallel[T]()},
-		// ELL family (row-major, same reasoning as DIA).
-		{Name: "ell_batch", Format: matrix.FormatELL, Strategies: 0, Params: Params{BatchTile: 8}, run: runELLBatch[T]},
-		{Name: "ell_batch_parallel", Format: matrix.FormatELL, Strategies: StratParallel, Params: Params{BatchTile: 8}, run: runELLBatchParallel[T]()},
-	}
-}
+// other widths are rows of their own in each family's table.

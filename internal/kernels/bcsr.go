@@ -229,13 +229,8 @@ func bcsrDispatchRange[T matrix.Float](m *matrix.BCSR[T], x, y []T, lo, hi int) 
 }
 
 //smat:hotpath
-func runBCSRBasic[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	bcsrGenericRange(m.BCSR, x, y, 0, m.BCSR.BlockRows())
-}
-
-//smat:hotpath
-func runBCSRBlockSpec[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	bcsrDispatchRange(m.BCSR, x, y, 0, m.BCSR.BlockRows())
+func bcsrGenericChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
+	bcsrGenericRange(m.BCSR, x, y, lo, hi)
 }
 
 //smat:hotpath
@@ -243,61 +238,27 @@ func bcsrChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	bcsrDispatchRange(m.BCSR, x, y, lo, hi)
 }
 
-//smat:hotpath-factory
-func runBCSRBlockSpecParallel[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](bcsrChunk[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			bcsrDispatchRange(m.BCSR, x, y, 0, m.BCSR.BlockRows())
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
+// bcsrFamily is the BCSR table (opt-in via RegisterBCSR). Work items are
+// block rows. bcsr_basic, the any-shape body, has no partitioned instance.
+func bcsrFamily[T matrix.Float]() family[T] {
+	return family[T]{
+		format: matrix.FormatBCSR,
+		single: []body[T]{
+			{name: "bcsr", alone: "_basic", chunk: bcsrGenericChunk[T],
+				over: []partition{whole}},
+			{name: "bcsr_blockspec", strat: StratWidthSpec, chunk: bcsrChunk[T],
+				over: []partition{whole, byRows}, threaded: byRows},
+		},
+		batch: []body[T]{
+			{name: "bcsr_batch", params: Params{BatchTile: 4}, chunk: bcsrBatchChunk[T],
+				over: []partition{whole, byRows}},
+			{name: "bcsr_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: bcsrBatchChunkT2[T],
+				over: []partition{byRows}},
+			{name: "bcsr_batch", suffix: "_t8", params: Params{BatchTile: 8}, chunk: bcsrBatchChunkT8[T],
+				over: []partition{byRows}},
+		},
 	}
-}
-
-// bcsrKernels returns the extension kernels (opt-in via RegisterBCSR).
-func bcsrKernels[T matrix.Float]() []*Kernel[T] {
-	return []*Kernel[T]{
-		{Name: "bcsr_basic", Format: matrix.FormatBCSR, Strategies: 0, run: runBCSRBasic[T]},
-		{Name: "bcsr_blockspec", Format: matrix.FormatBCSR, Strategies: StratWidthSpec, run: runBCSRBlockSpec[T]},
-		{Name: "bcsr_blockspec_parallel", Format: matrix.FormatBCSR, Strategies: StratWidthSpec | StratParallel, run: runBCSRBlockSpecParallel[T]()},
-	}
-}
-
-// bcsrBatchKernels returns the batched extension kernels, registered
-// alongside the single-vector ones by RegisterBCSR.
-func bcsrBatchKernels[T matrix.Float]() []*BatchKernel[T] {
-	return []*BatchKernel[T]{
-		{Name: "bcsr_batch", Format: matrix.FormatBCSR, Strategies: 0, Params: Params{BatchTile: 4}, run: runBCSRBatch[T]},
-		{Name: "bcsr_batch_parallel", Format: matrix.FormatBCSR, Strategies: StratParallel, Params: Params{BatchTile: 4}, run: runBCSRBatchParallel[T]()},
-	}
-}
-
-// bcsrParamBatchKernels returns the register-tile instances of the batched
-// BCSR kernel (see params.go for the stock-format analogue).
-func bcsrParamBatchKernels[T matrix.Float]() []*BatchKernel[T] {
-	var out []*BatchKernel[T]
-	for _, t := range BatchTiles {
-		if t == DefaultBatchTile(matrix.FormatBCSR) {
-			continue
-		}
-		p := Params{BatchTile: t}
-		out = append(out, &BatchKernel[T]{Name: ParamName("bcsr_batch_parallel", p),
-			Format: matrix.FormatBCSR, Strategies: StratParallel,
-			Params: p, run: runBCSRBatchParallelTile[T](t)})
-	}
-	return out
 }
 
 // RegisterBCSR adds the blocked-CSR kernels to the library.
-func (l *Library[T]) RegisterBCSR() {
-	for _, k := range bcsrKernels[T]() {
-		l.Register(k)
-	}
-	for _, b := range bcsrBatchKernels[T]() {
-		l.RegisterBatch(b)
-	}
-	for _, b := range bcsrParamBatchKernels[T]() {
-		l.RegisterBatch(b)
-	}
-}
+func (l *Library[T]) RegisterBCSR() { l.instantiate(bcsrFamily[T]()) }

@@ -65,23 +65,6 @@ func bcsrBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	bcsrBatchRange(m.BCSR, xb, yb, k, lo, hi)
 }
 
-//smat:hotpath
-func runBCSRBatch[T matrix.Float](m *Mat[T], xb, yb []T, k int, _ exec[T]) {
-	bcsrBatchRange(m.BCSR, xb, yb, k, 0, m.BCSR.BlockRows())
-}
-
-//smat:hotpath-factory
-func runBCSRBatchParallel[T matrix.Float]() batchFn[T] {
-	chunk := rangeFn[T](bcsrBatchChunk[T])
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			bcsrBatchRange(m.BCSR, xb, yb, k, 0, m.BCSR.BlockRows())
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, xb, yb, k)
-	}
-}
-
 // bcsrBatchRangeT2 is the two-accumulator tile of the generic block body.
 //
 //smat:hotpath
@@ -196,32 +179,4 @@ func bcsrBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 //smat:hotpath
 func bcsrBatchChunkT8[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	bcsrBatchRangeT8(m.BCSR, xb, yb, k, lo, hi)
-}
-
-// bcsrBatchChunkTile resolves the chunk body for a register-tile width at
-// registration.
-func bcsrBatchChunkTile[T matrix.Float](tile int) rangeFn[T] {
-	switch tile {
-	case 2:
-		return rangeFn[T](bcsrBatchChunkT2[T])
-	case 8:
-		return rangeFn[T](bcsrBatchChunkT8[T])
-	default:
-		return rangeFn[T](bcsrBatchChunk[T])
-	}
-}
-
-// runBCSRBatchParallelTile instantiates the parallel batched BCSR kernel at a
-// register-tile width, resolved to a chunk funcval at bind time.
-//
-//smat:hotpath-factory
-func runBCSRBatchParallelTile[T matrix.Float](tile int) batchFn[T] {
-	chunk := bcsrBatchChunkTile[T](tile)
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			chunk(m, xb, yb, k, 0, m.BCSR.BlockRows())
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, xb, yb, k)
-	}
 }

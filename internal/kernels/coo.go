@@ -33,18 +33,6 @@ func cooRangeUnroll4[T matrix.Float](m *matrix.COO[T], x, y []T, lo, hi int) {
 	}
 }
 
-//smat:hotpath
-func runCOOBasic[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	clear(y)
-	cooRange(m.COO, x, y, 0, m.COO.NNZ())
-}
-
-//smat:hotpath
-func runCOOUnroll4[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	clear(y)
-	cooRangeUnroll4(m.COO, x, y, 0, m.COO.NNZ())
-}
-
 // cooBounds splits the entry range into roughly nnz-balanced chunks whose
 // boundaries fall on row boundaries, so concurrent chunks never write the
 // same y element. Computed once per matrix by the execution plan.
@@ -74,9 +62,7 @@ func cooBounds[T matrix.Float](m *matrix.COO[T], threads int) []int {
 // cooChunkRows returns the half-open row range owned by the entry chunk
 // [lo, hi): from the chunk's first row up to the next chunk's first row.
 // Leading empty rows attach to the first chunk and every gap attaches to the
-// chunk before it, so chunk-local clears cover each row of y exactly once —
-// this replaces the serial O(rows) clear(y) that used to precede every
-// parallel COO SpMV.
+// chunk before it, so chunk-local clears cover each row of y exactly once.
 //
 //smat:hotpath
 func cooChunkRows[T matrix.Float](c *matrix.COO[T], lo, hi int) (rLo, rHi int) {
@@ -105,28 +91,25 @@ func cooChunkUnroll4[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	cooRangeUnroll4(m.COO, x, y, lo, hi)
 }
 
-//smat:hotpath-factory
-func runCOOParallel[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](cooChunk[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			clear(y)
-			cooRange(m.COO, x, y, 0, m.COO.NNZ())
-			return
-		}
-		ex.dispatch(ex.plan.EntryBounds, chunk, m, x, y, 1)
-	}
-}
-
-//smat:hotpath-factory
-func runCOOParallelUnroll4[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](cooChunkUnroll4[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			clear(y)
-			cooRangeUnroll4(m.COO, x, y, 0, m.COO.NNZ())
-			return
-		}
-		ex.dispatch(ex.plan.EntryBounds, chunk, m, x, y, 1)
+// cooFamily is the COO table. A COO chunk clears the rows it owns before it
+// accumulates, so the unsplit instance — one chunk over every entry — clears
+// all of y: the serial kernel and the parallel kernel's chunk are one body.
+func cooFamily[T matrix.Float]() family[T] {
+	return family[T]{
+		format: matrix.FormatCOO,
+		single: []body[T]{
+			{name: "coo", alone: "_basic", chunk: cooChunk[T],
+				over: []partition{whole, byEntries}, threaded: byEntries},
+			{name: "coo", suffix: "_unroll4", strat: StratUnroll4, chunk: cooChunkUnroll4[T],
+				over: []partition{whole, byEntries}, threaded: byEntries},
+		},
+		batch: []body[T]{
+			{name: "coo_batch", params: Params{BatchTile: 4}, chunk: cooBatchChunk[T],
+				over: []partition{whole, byEntries}},
+			{name: "coo_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: cooBatchChunkT2[T],
+				over: []partition{byEntries}},
+			{name: "coo_batch", suffix: "_t8", params: Params{BatchTile: 8}, chunk: cooBatchChunkT8[T],
+				over: []partition{byEntries}},
+		},
 	}
 }

@@ -72,12 +72,6 @@ func cooBatchRangeT8[T matrix.Float](m *matrix.COO[T], xb, yb []T, k, lo, hi int
 	}
 }
 
-//smat:hotpath
-func runCOOBatch[T matrix.Float](m *Mat[T], xb, yb []T, k int, _ exec[T]) {
-	clear(yb)
-	cooBatchRange(m.COO, xb, yb, k, 0, m.COO.NNZ())
-}
-
 // cooBatchChunk clears and accumulates the rows owned by entry chunk
 // [lo, hi); chunk boundaries fall on row boundaries (cooBounds), so the
 // scaled row ranges never overlap across concurrent chunks.
@@ -89,34 +83,8 @@ func cooBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	cooBatchRange(m.COO, xb, yb, k, lo, hi)
 }
 
-//smat:hotpath-factory
-func runCOOBatchParallel[T matrix.Float]() batchFn[T] {
-	chunk := rangeFn[T](cooBatchChunk[T])
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			clear(yb)
-			cooBatchRange(m.COO, xb, yb, k, 0, m.COO.NNZ())
-			return
-		}
-		ex.dispatch(ex.plan.EntryBounds, chunk, m, xb, yb, k)
-	}
-}
-
-// Accumulate-only chunk adapters for the non-default tile widths (used by the
-// serial branch, which clears yb wholesale first, and by the HYB tail).
-//
-//smat:hotpath
-func cooBatchAccChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	cooBatchRangeT2(m.COO, xb, yb, k, lo, hi)
-}
-
-//smat:hotpath
-func cooBatchAccChunkT8[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	cooBatchRangeT8(m.COO, xb, yb, k, lo, hi)
-}
-
-// Clear-then-accumulate chunks for the parallel phase, mirroring
-// cooBatchChunk at the other tile widths.
+// cooBatchChunkT2 / cooBatchChunkT8 are cooBatchChunk at the other tile
+// widths.
 //
 //smat:hotpath
 func cooBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
@@ -130,53 +98,4 @@ func cooBatchChunkT8[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	rLo, rHi := cooChunkRows(m.COO, lo, hi)
 	clear(yb[rLo*k : rHi*k])
 	cooBatchRangeT8(m.COO, xb, yb, k, lo, hi)
-}
-
-// cooBatchAccTile / cooBatchChunkTile resolve the accumulate-only and
-// clear-then-accumulate chunk bodies for a register-tile width at
-// registration.
-func cooBatchAccTile[T matrix.Float](tile int) rangeFn[T] {
-	switch tile {
-	case 2:
-		return rangeFn[T](cooBatchAccChunkT2[T])
-	case 8:
-		return rangeFn[T](cooBatchAccChunkT8[T])
-	default:
-		return rangeFn[T](cooBatchAccChunk[T])
-	}
-}
-
-func cooBatchChunkTile[T matrix.Float](tile int) rangeFn[T] {
-	switch tile {
-	case 2:
-		return rangeFn[T](cooBatchChunkT2[T])
-	case 8:
-		return rangeFn[T](cooBatchChunkT8[T])
-	default:
-		return rangeFn[T](cooBatchChunk[T])
-	}
-}
-
-// runCOOBatchParallelTile instantiates the parallel batched COO kernel at a
-// register-tile width, both funcvals resolved at bind time.
-//
-//smat:hotpath-factory
-func runCOOBatchParallelTile[T matrix.Float](tile int) batchFn[T] {
-	acc := cooBatchAccTile[T](tile)
-	chunk := cooBatchChunkTile[T](tile)
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			clear(yb)
-			acc(m, xb, yb, k, 0, m.COO.NNZ())
-			return
-		}
-		ex.dispatch(ex.plan.EntryBounds, chunk, m, xb, yb, k)
-	}
-}
-
-// cooBatchAccChunk is the default-tile accumulate-only adapter.
-//
-//smat:hotpath
-func cooBatchAccChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	cooBatchRange(m.COO, xb, yb, k, lo, hi)
 }

@@ -39,7 +39,7 @@ func csrRowRangeUnroll4[T matrix.Float](m *matrix.CSR[T], x, y []T, lo, hi int) 
 	}
 }
 
-// csrChunk / csrChunkUnroll4 adapt the row loops to the engine's chunk
+// csrChunk / csrChunkUnroll4 adapt the row loops to the table's chunk
 // signature (top-level functions so pool dispatch never allocates).
 //
 //smat:hotpath
@@ -50,64 +50,6 @@ func csrChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 //smat:hotpath
 func csrChunkUnroll4[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	csrRowRangeUnroll4(m.CSR, x, y, lo, hi)
-}
-
-//smat:hotpath
-func runCSRBasic[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	csrRowRange(m.CSR, x, y, 0, m.CSR.Rows)
-}
-
-//smat:hotpath
-func runCSRUnroll4[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	csrRowRangeUnroll4(m.CSR, x, y, 0, m.CSR.Rows)
-}
-
-//smat:hotpath-factory
-func runCSRParallel[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](csrChunk[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			csrRowRange(m.CSR, x, y, 0, m.CSR.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
-	}
-}
-
-//smat:hotpath-factory
-func runCSRParallelUnroll4[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](csrChunkUnroll4[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			csrRowRangeUnroll4(m.CSR, x, y, 0, m.CSR.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
-	}
-}
-
-//smat:hotpath-factory
-func runCSRParallelNNZ[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](csrChunk[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			csrRowRange(m.CSR, x, y, 0, m.CSR.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.NNZBounds, chunk, m, x, y, 1)
-	}
-}
-
-//smat:hotpath-factory
-func runCSRParallelNNZUnroll4[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](csrChunkUnroll4[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			csrRowRangeUnroll4(m.CSR, x, y, 0, m.CSR.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.NNZBounds, chunk, m, x, y, 1)
-	}
 }
 
 // csrRowRangeUnroll2 / csrRowRangeUnroll8 are the remaining points of the
@@ -166,33 +108,32 @@ func csrChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	csrRowRangeUnroll8(m.CSR, x, y, lo, hi)
 }
 
-// csrChunkUnroll resolves the chunk body for an unroll depth — called once at
-// registration by the parameterized factory, never per SpMV.
-func csrChunkUnroll[T matrix.Float](u int) rangeFn[T] {
-	switch u {
-	case 2:
-		return rangeFn[T](csrChunkUnroll2[T])
-	case 8:
-		return rangeFn[T](csrChunkUnroll8[T])
-	case 4:
-		return rangeFn[T](csrChunkUnroll4[T])
-	default:
-		return rangeFn[T](csrChunk[T])
-	}
-}
-
-// runCSRParallelNNZUnroll instantiates the NNZ-balanced parallel CSR kernel
-// at an unroll depth: the depth is resolved to a chunk funcval here, at bind
-// time, so the returned closure carries no per-call parameter dispatch.
-//
-//smat:hotpath-factory
-func runCSRParallelNNZUnroll[T matrix.Float](u int) runFn[T] {
-	chunk := csrChunkUnroll[T](u)
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			chunk(m, x, y, 1, 0, m.CSR.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.NNZBounds, chunk, m, x, y, 1)
+// csrFamily is the CSR table. Single-vector bodies run over even rows and
+// over nnz-balanced rows; the searched unroll depths the built-in bodies do
+// not cover (UnrollDepths) exist in the nnz-balanced form only, the one a
+// threaded tuner binds. The batched bodies are in csr_batch.go.
+func csrFamily[T matrix.Float]() family[T] {
+	return family[T]{
+		format: matrix.FormatCSR,
+		single: []body[T]{
+			{name: "csr", alone: "_basic", chunk: csrChunk[T],
+				over: []partition{whole, byRows, byNNZ}, threaded: byNNZ},
+			{name: "csr", suffix: "_unroll4", strat: StratUnroll4, chunk: csrChunkUnroll4[T],
+				over: []partition{whole, byRows, byNNZ}, threaded: byNNZ},
+			{name: "csr", suffix: "_u2", strat: StratUnroll4, params: Params{Unroll: 2}, chunk: csrChunkUnroll2[T],
+				over: []partition{byNNZ}},
+			{name: "csr", suffix: "_u8", strat: StratUnroll4, params: Params{Unroll: 8}, chunk: csrChunkUnroll8[T],
+				over: []partition{byNNZ}},
+		},
+		batch: []body[T]{
+			{name: "csr_batch", params: Params{BatchTile: 4}, chunk: csrBatchChunk[T],
+				over: []partition{whole, byNNZSole}},
+			{name: "csr_batch", suffix: "_unroll4", strat: StratUnroll4, params: Params{BatchTile: 4}, chunk: csrBatchChunkUnroll4[T],
+				over: []partition{whole, byNNZSole}},
+			{name: "csr_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: csrBatchChunkT2[T],
+				over: []partition{byNNZSole}},
+			{name: "csr_batch", suffix: "_t8", params: Params{BatchTile: 8}, chunk: csrBatchChunkT8[T],
+				over: []partition{byNNZSole}},
+		},
 	}
 }

@@ -89,40 +89,6 @@ func csrBatchChunkUnroll4[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) 
 	csrBatchRangeUnroll4(m.CSR, xb, yb, k, lo, hi)
 }
 
-//smat:hotpath
-func runCSRBatch[T matrix.Float](m *Mat[T], xb, yb []T, k int, _ exec[T]) {
-	csrBatchRange(m.CSR, xb, yb, k, 0, m.CSR.Rows)
-}
-
-//smat:hotpath
-func runCSRBatchUnroll4[T matrix.Float](m *Mat[T], xb, yb []T, k int, _ exec[T]) {
-	csrBatchRangeUnroll4(m.CSR, xb, yb, k, 0, m.CSR.Rows)
-}
-
-//smat:hotpath-factory
-func runCSRBatchParallel[T matrix.Float]() batchFn[T] {
-	chunk := rangeFn[T](csrBatchChunk[T])
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			csrBatchRange(m.CSR, xb, yb, k, 0, m.CSR.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.NNZBounds, chunk, m, xb, yb, k)
-	}
-}
-
-//smat:hotpath-factory
-func runCSRBatchParallelUnroll4[T matrix.Float]() batchFn[T] {
-	chunk := rangeFn[T](csrBatchChunkUnroll4[T])
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			csrBatchRangeUnroll4(m.CSR, xb, yb, k, 0, m.CSR.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.NNZBounds, chunk, m, xb, yb, k)
-	}
-}
-
 // csrBatchRangeT2 is csrBatchRange at tile width two.
 //
 //smat:hotpath
@@ -196,32 +162,4 @@ func csrBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 //smat:hotpath
 func csrBatchChunkT8[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	csrBatchRangeT8(m.CSR, xb, yb, k, lo, hi)
-}
-
-// csrBatchChunkTile resolves the chunk body for a register-tile width —
-// called once at registration, never per call.
-func csrBatchChunkTile[T matrix.Float](tile int) rangeFn[T] {
-	switch tile {
-	case 2:
-		return rangeFn[T](csrBatchChunkT2[T])
-	case 8:
-		return rangeFn[T](csrBatchChunkT8[T])
-	default:
-		return rangeFn[T](csrBatchChunk[T])
-	}
-}
-
-// runCSRBatchParallelTile instantiates the NNZ-balanced parallel batched CSR
-// kernel at a register-tile width, resolved to a chunk funcval at bind time.
-//
-//smat:hotpath-factory
-func runCSRBatchParallelTile[T matrix.Float](tile int) batchFn[T] {
-	chunk := csrBatchChunkTile[T](tile)
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			chunk(m, xb, yb, k, 0, m.CSR.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.NNZBounds, chunk, m, xb, yb, k)
-	}
 }

@@ -6,7 +6,7 @@ import "smat/internal/matrix"
 // contiguous x reads, accumulating into y once per diagonal.
 //
 //smat:hotpath
-func runDIABasic[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
+func runDIABasic[T matrix.Float](m *Mat[T], x, y []T, _ int, _ exec[T]) {
 	d := m.DIA
 	clear(y)
 	for i, k := range d.Offsets {
@@ -23,7 +23,7 @@ func runDIABasic[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
 // runDIAUnroll4 unrolls the per-diagonal loop by four.
 //
 //smat:hotpath
-func runDIAUnroll4[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
+func runDIAUnroll4[T matrix.Float](m *Mat[T], x, y []T, _ int, _ exec[T]) {
 	d := m.DIA
 	clear(y)
 	for i, k := range d.Offsets {
@@ -94,11 +94,6 @@ func diaRowRangeUnroll4[T matrix.Float](d *matrix.DIA[T], x, y []T, lo, hi int) 
 }
 
 //smat:hotpath
-func runDIARowMajor[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	diaRowRange(m.DIA, x, y, 0, m.DIA.Rows)
-}
-
-//smat:hotpath
 func diaChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	diaRowRange(m.DIA, x, y, lo, hi)
 }
@@ -106,30 +101,6 @@ func diaChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 //smat:hotpath
 func diaChunkUnroll4[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	diaRowRangeUnroll4(m.DIA, x, y, lo, hi)
-}
-
-//smat:hotpath-factory
-func runDIAParallel[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](diaChunk[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			diaRowRange(m.DIA, x, y, 0, m.DIA.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
-	}
-}
-
-//smat:hotpath-factory
-func runDIAParallelUnroll4[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](diaChunkUnroll4[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			diaRowRangeUnroll4(m.DIA, x, y, 0, m.DIA.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
-	}
 }
 
 // diaRowRangeUnroll2 / diaRowRangeUnroll8 extend the diagonal-loop unrolling
@@ -209,31 +180,38 @@ func diaChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	diaRowRangeUnroll8(m.DIA, x, y, lo, hi)
 }
 
-// diaChunkUnroll resolves the chunk body for an unroll depth at registration.
-func diaChunkUnroll[T matrix.Float](u int) rangeFn[T] {
-	switch u {
-	case 2:
-		return rangeFn[T](diaChunkUnroll2[T])
-	case 8:
-		return rangeFn[T](diaChunkUnroll8[T])
-	case 4:
-		return rangeFn[T](diaChunkUnroll4[T])
-	default:
-		return rangeFn[T](diaChunk[T])
-	}
-}
-
-// runDIAParallelUnroll instantiates the row-major parallel DIA kernel at an
-// unroll depth, resolved to a chunk funcval at bind time.
-//
-//smat:hotpath-factory
-func runDIAParallelUnroll[T matrix.Float](u int) runFn[T] {
-	chunk := diaChunkUnroll[T](u)
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			chunk(m, x, y, 1, 0, m.DIA.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
+// diaFamily is the DIA table. dia_basic and dia_unroll4 are the paper's
+// diagonal-major traversals, hand-written runners with no partitioned form;
+// a threaded tuner binds the row-major body in their place. The row-major
+// unrolled bodies exist only partitioned. The batched bodies (dia_batch.go)
+// are row-major by construction — the interleaved Y tile makes write-once row
+// traversal the natural batched order — and carry no traversal bit.
+func diaFamily[T matrix.Float]() family[T] {
+	return family[T]{
+		format: matrix.FormatDIA,
+		single: []body[T]{
+			{name: "dia", alone: "_basic", run: runDIABasic[T],
+				over: []partition{whole}, threaded: byRows},
+			{name: "dia", suffix: "_unroll4", strat: StratUnroll4, run: runDIAUnroll4[T],
+				over: []partition{whole}, threaded: byRows},
+			{name: "dia", alone: "_rowmajor", strat: StratRowMajor, chunk: diaChunk[T],
+				over: []partition{whole, byRows}, threaded: byRows},
+			{name: "dia", suffix: "_unroll4", strat: StratRowMajor | StratUnroll4, chunk: diaChunkUnroll4[T],
+				over: []partition{byRows}},
+			{name: "dia_blocked", strat: StratCacheBlock, chunk: diaBlockedChunk[T],
+				over: []partition{whole, byRows}, threaded: byRows},
+			{name: "dia", suffix: "_u2", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 2}, chunk: diaChunkUnroll2[T],
+				over: []partition{byRows}},
+			{name: "dia", suffix: "_u8", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 8}, chunk: diaChunkUnroll8[T],
+				over: []partition{byRows}},
+		},
+		batch: []body[T]{
+			{name: "dia_batch", params: Params{BatchTile: 8}, chunk: diaBatchChunk[T],
+				over: []partition{whole, byRows}},
+			{name: "dia_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: diaBatchChunkT2[T],
+				over: []partition{byRows}},
+			{name: "dia_batch", suffix: "_t4", params: Params{BatchTile: 4}, chunk: diaBatchChunkT4[T],
+				over: []partition{byRows}},
+		},
 	}
 }

@@ -72,23 +72,6 @@ func diaBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	diaBatchRange(m.DIA, xb, yb, k, lo, hi)
 }
 
-//smat:hotpath
-func runDIABatch[T matrix.Float](m *Mat[T], xb, yb []T, k int, _ exec[T]) {
-	diaBatchRange(m.DIA, xb, yb, k, 0, m.DIA.Rows)
-}
-
-//smat:hotpath-factory
-func runDIABatchParallel[T matrix.Float]() batchFn[T] {
-	chunk := rangeFn[T](diaBatchChunk[T])
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			diaBatchRange(m.DIA, xb, yb, k, 0, m.DIA.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, xb, yb, k)
-	}
-}
-
 // diaBatchRangeT2 is the two-accumulator tile.
 //
 //smat:hotpath
@@ -165,32 +148,4 @@ func diaBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 //smat:hotpath
 func diaBatchChunkT4[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	diaBatchRangeT4(m.DIA, xb, yb, k, lo, hi)
-}
-
-// diaBatchChunkTile resolves the chunk body for a register-tile width at
-// registration.
-func diaBatchChunkTile[T matrix.Float](tile int) rangeFn[T] {
-	switch tile {
-	case 2:
-		return rangeFn[T](diaBatchChunkT2[T])
-	case 4:
-		return rangeFn[T](diaBatchChunkT4[T])
-	default:
-		return rangeFn[T](diaBatchChunk[T])
-	}
-}
-
-// runDIABatchParallelTile instantiates the parallel batched DIA kernel at a
-// register-tile width, resolved to a chunk funcval at bind time.
-//
-//smat:hotpath-factory
-func runDIABatchParallelTile[T matrix.Float](tile int) batchFn[T] {
-	chunk := diaBatchChunkTile[T](tile)
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			chunk(m, xb, yb, k, 0, m.DIA.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, xb, yb, k)
-	}
 }

@@ -41,23 +41,6 @@ func diaBlockedRange[T matrix.Float](d *matrix.DIA[T], x, y []T, lo, hi int) {
 }
 
 //smat:hotpath
-func runDIABlocked[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	diaBlockedRange(m.DIA, x, y, 0, m.DIA.Rows)
-}
-
-//smat:hotpath
 func diaBlockedChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	diaBlockedRange(m.DIA, x, y, lo, hi)
-}
-
-//smat:hotpath-factory
-func runDIABlockedParallel[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](diaBlockedChunk[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			diaBlockedRange(m.DIA, x, y, 0, m.DIA.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
-	}
 }

@@ -7,7 +7,7 @@ import "smat/internal/matrix"
 // nothing.
 //
 //smat:hotpath
-func runELLBasic[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
+func runELLBasic[T matrix.Float](m *Mat[T], x, y []T, _ int, _ exec[T]) {
 	e := m.ELL
 	clear(y)
 	for n := 0; n < e.Width; n++ {
@@ -22,7 +22,7 @@ func runELLBasic[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
 // runELLUnroll4 unrolls the slot-major row loop by four.
 //
 //smat:hotpath
-func runELLUnroll4[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
+func runELLUnroll4[T matrix.Float](m *Mat[T], x, y []T, _ int, _ exec[T]) {
 	e := m.ELL
 	clear(y)
 	for n := 0; n < e.Width; n++ {
@@ -77,11 +77,6 @@ func ellRowRangeUnroll4[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) 
 }
 
 //smat:hotpath
-func runELLRowMajor[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	ellRowRange(m.ELL, x, y, 0, m.ELL.Rows)
-}
-
-//smat:hotpath
 func ellChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	ellRowRange(m.ELL, x, y, lo, hi)
 }
@@ -89,30 +84,6 @@ func ellChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 //smat:hotpath
 func ellChunkUnroll4[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	ellRowRangeUnroll4(m.ELL, x, y, lo, hi)
-}
-
-//smat:hotpath-factory
-func runELLParallel[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](ellChunk[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			ellRowRange(m.ELL, x, y, 0, m.ELL.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
-	}
-}
-
-//smat:hotpath-factory
-func runELLParallelUnroll4[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](ellChunkUnroll4[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			ellRowRangeUnroll4(m.ELL, x, y, 0, m.ELL.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
-	}
 }
 
 // ellRowRangeUnroll2 / ellRowRangeUnroll8 extend the slot-loop unrolling to
@@ -168,31 +139,35 @@ func ellChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	ellRowRangeUnroll8(m.ELL, x, y, lo, hi)
 }
 
-// ellChunkUnroll resolves the chunk body for an unroll depth at registration.
-func ellChunkUnroll[T matrix.Float](u int) rangeFn[T] {
-	switch u {
-	case 2:
-		return rangeFn[T](ellChunkUnroll2[T])
-	case 8:
-		return rangeFn[T](ellChunkUnroll8[T])
-	case 4:
-		return rangeFn[T](ellChunkUnroll4[T])
-	default:
-		return rangeFn[T](ellChunk[T])
-	}
-}
-
-// runELLParallelUnroll instantiates the row-major parallel ELL kernel at an
-// unroll depth, resolved to a chunk funcval at bind time.
-//
-//smat:hotpath-factory
-func runELLParallelUnroll[T matrix.Float](u int) runFn[T] {
-	chunk := ellChunkUnroll[T](u)
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			chunk(m, x, y, 1, 0, m.ELL.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
+// ellFamily is the ELL table, shaped like diaFamily: ell_basic and
+// ell_unroll4 are the paper's slot-major traversals, hand-written and handed
+// over to the row-major body above one thread.
+func ellFamily[T matrix.Float]() family[T] {
+	return family[T]{
+		format: matrix.FormatELL,
+		single: []body[T]{
+			{name: "ell", alone: "_basic", run: runELLBasic[T],
+				over: []partition{whole}, threaded: byRows},
+			{name: "ell", suffix: "_unroll4", strat: StratUnroll4, run: runELLUnroll4[T],
+				over: []partition{whole}, threaded: byRows},
+			{name: "ell", alone: "_rowmajor", strat: StratRowMajor, chunk: ellChunk[T],
+				over: []partition{whole, byRows}, threaded: byRows},
+			{name: "ell", suffix: "_unroll4", strat: StratRowMajor | StratUnroll4, chunk: ellChunkUnroll4[T],
+				over: []partition{byRows}},
+			{name: "ell_width", strat: StratWidthSpec, chunk: ellWidthChunk[T],
+				over: []partition{whole, byRows}, threaded: byRows},
+			{name: "ell", suffix: "_u2", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 2}, chunk: ellChunkUnroll2[T],
+				over: []partition{byRows}},
+			{name: "ell", suffix: "_u8", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 8}, chunk: ellChunkUnroll8[T],
+				over: []partition{byRows}},
+		},
+		batch: []body[T]{
+			{name: "ell_batch", params: Params{BatchTile: 8}, chunk: ellBatchChunk[T],
+				over: []partition{whole, byRows}},
+			{name: "ell_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: ellBatchChunkT2[T],
+				over: []partition{byRows}},
+			{name: "ell_batch", suffix: "_t4", params: Params{BatchTile: 4}, chunk: ellBatchChunkT4[T],
+				over: []partition{byRows}},
+		},
 	}
 }

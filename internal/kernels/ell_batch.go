@@ -63,23 +63,6 @@ func ellBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	ellBatchRange(m.ELL, xb, yb, k, lo, hi)
 }
 
-//smat:hotpath
-func runELLBatch[T matrix.Float](m *Mat[T], xb, yb []T, k int, _ exec[T]) {
-	ellBatchRange(m.ELL, xb, yb, k, 0, m.ELL.Rows)
-}
-
-//smat:hotpath-factory
-func runELLBatchParallel[T matrix.Float]() batchFn[T] {
-	chunk := rangeFn[T](ellBatchChunk[T])
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			ellBatchRange(m.ELL, xb, yb, k, 0, m.ELL.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, xb, yb, k)
-	}
-}
-
 // ellBatchRangeT2 is the two-accumulator tile.
 //
 //smat:hotpath
@@ -148,32 +131,4 @@ func ellBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 //smat:hotpath
 func ellBatchChunkT4[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	ellBatchRangeT4(m.ELL, xb, yb, k, lo, hi)
-}
-
-// ellBatchChunkTile resolves the chunk body for a register-tile width at
-// registration.
-func ellBatchChunkTile[T matrix.Float](tile int) rangeFn[T] {
-	switch tile {
-	case 2:
-		return rangeFn[T](ellBatchChunkT2[T])
-	case 4:
-		return rangeFn[T](ellBatchChunkT4[T])
-	default:
-		return rangeFn[T](ellBatchChunk[T])
-	}
-}
-
-// runELLBatchParallelTile instantiates the parallel batched ELL kernel at a
-// register-tile width, resolved to a chunk funcval at bind time.
-//
-//smat:hotpath-factory
-func runELLBatchParallelTile[T matrix.Float](tile int) batchFn[T] {
-	chunk := ellBatchChunkTile[T](tile)
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		if ex.plan.Serial {
-			chunk(m, xb, yb, k, 0, m.ELL.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, xb, yb, k)
-	}
 }

@@ -47,23 +47,6 @@ func ellWidthRange[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) {
 }
 
 //smat:hotpath
-func runELLWidth[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	ellWidthRange(m.ELL, x, y, 0, m.ELL.Rows)
-}
-
-//smat:hotpath
 func ellWidthChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	ellWidthRange(m.ELL, x, y, lo, hi)
-}
-
-//smat:hotpath-factory
-func runELLWidthParallel[T matrix.Float]() runFn[T] {
-	chunk := rangeFn[T](ellWidthChunk[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
-		if ex.plan.Serial {
-			ellWidthRange(m.ELL, x, y, 0, m.ELL.Rows)
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, chunk, m, x, y, 1)
-	}
 }

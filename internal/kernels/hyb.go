@@ -9,7 +9,7 @@ import "smat/internal/matrix"
 // extensibility claim in action.
 
 //smat:hotpath
-func runHYBBasic[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
+func runHYBBasic[T matrix.Float](m *Mat[T], x, y []T, _ int, _ exec[T]) {
 	h := m.HYB
 	clear(y)
 	e := h.ELL
@@ -24,13 +24,6 @@ func runHYBBasic[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
 }
 
 //smat:hotpath
-func runHYBWidth[T matrix.Float](m *Mat[T], x, y []T, _ exec[T]) {
-	h := m.HYB
-	ellWidthRange(h.ELL, x, y, 0, h.ELL.Rows)
-	cooRange(h.COO, x, y, 0, h.COO.NNZ())
-}
-
-//smat:hotpath
 func hybELLChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	ellWidthRange(m.HYB.ELL, x, y, lo, hi)
 }
@@ -40,74 +33,56 @@ func hybCOOChunk[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	cooRange(m.HYB.COO, x, y, lo, hi)
 }
 
+// hybPhases builds the two-phase HYB runner from an ELL-part chunk (which
+// writes every y element of its rows) and a COO-tail chunk (which accumulates
+// on top). It is the one runner the table does not generate: two bodies over
+// two partitions with a barrier between them.
+//
 //smat:hotpath-factory
-func runHYBWidthParallel[T matrix.Float]() runFn[T] {
-	ellChunk := rangeFn[T](hybELLChunk[T])
-	cooChunk := rangeFn[T](hybCOOChunk[T])
-	return func(m *Mat[T], x, y []T, ex exec[T]) {
+func hybPhases[T matrix.Float](ell, tail rangeFn[T]) runFn[T] {
+	return func(m *Mat[T], x, y []T, k int, ex exec[T]) {
 		h := m.HYB
 		if ex.plan.Serial {
-			ellWidthRange(h.ELL, x, y, 0, h.ELL.Rows)
-			cooRange(h.COO, x, y, 0, h.COO.NNZ())
+			ell(m, x, y, k, 0, h.ELL.Rows)
+			tail(m, x, y, k, 0, h.COO.NNZ())
 			return
 		}
-		ex.dispatch(ex.plan.RowBounds, ellChunk, m, x, y, 1)
+		ex.dispatch(ex.plan.RowBounds, ell, m, x, y, k)
 		// The COO tail accumulates after the ELL phase completes (the ELL pass
 		// wrote every y element); tail chunks are row-aligned, so the parallel
 		// phase has no write conflicts either.
 		if ex.plan.TailSerial {
-			cooRange(h.COO, x, y, 0, h.COO.NNZ())
+			tail(m, x, y, k, 0, h.COO.NNZ())
 			return
 		}
-		ex.dispatch(ex.plan.EntryBounds, cooChunk, m, x, y, 1)
+		ex.dispatch(ex.plan.EntryBounds, tail, m, x, y, k)
 	}
 }
 
-// hybKernels returns the extension kernels. They are not part of
-// allKernels: callers opt in with Library.RegisterHYB (keeping the stock
-// four-format system identical to the paper's).
-func hybKernels[T matrix.Float]() []*Kernel[T] {
-	return []*Kernel[T]{
-		{Name: "hyb_basic", Format: matrix.FormatHYB, Strategies: 0, run: runHYBBasic[T]},
-		{Name: "hyb_width", Format: matrix.FormatHYB, Strategies: StratWidthSpec, run: runHYBWidth[T]},
-		{Name: "hyb_width_parallel", Format: matrix.FormatHYB, Strategies: StratWidthSpec | StratParallel, run: runHYBWidthParallel[T]()},
+// hybFamily is the HYB table: hyb_basic's slot-major sweep and the two-phase
+// runner at each ELL body. A batched row's tile is its ELL pass's; the COO
+// tail runs COO's default four-wide body, narrowed to two at tile two. The
+// family is not part of NewLibrary: callers opt in with RegisterHYB (keeping
+// the stock four-format system identical to the paper's).
+func hybFamily[T matrix.Float]() family[T] {
+	return family[T]{
+		format: matrix.FormatHYB,
+		single: []body[T]{
+			{name: "hyb", alone: "_basic", run: runHYBBasic[T],
+				over: []partition{whole}},
+			{name: "hyb_width", strat: StratWidthSpec, run: hybPhases[T](hybELLChunk[T], hybCOOChunk[T]),
+				over: []partition{whole, byRows}, threaded: byRows},
+		},
+		batch: []body[T]{
+			{name: "hyb_batch", params: Params{BatchTile: 8}, run: hybPhases[T](hybELLBatchChunk[T], hybCOOBatchChunk[T]),
+				over: []partition{whole, byRows}},
+			{name: "hyb_batch", suffix: "_t2", params: Params{BatchTile: 2}, run: hybPhases[T](hybELLBatchChunkT2[T], hybCOOBatchChunkT2[T]),
+				over: []partition{byRows}},
+			{name: "hyb_batch", suffix: "_t4", params: Params{BatchTile: 4}, run: hybPhases[T](hybELLBatchChunkT4[T], hybCOOBatchChunk[T]),
+				over: []partition{byRows}},
+		},
 	}
-}
-
-// hybBatchKernels returns the batched extension kernels, registered
-// alongside the single-vector ones by RegisterHYB.
-func hybBatchKernels[T matrix.Float]() []*BatchKernel[T] {
-	return []*BatchKernel[T]{
-		{Name: "hyb_batch", Format: matrix.FormatHYB, Strategies: 0, Params: Params{BatchTile: 8}, run: runHYBBatch[T]},
-		{Name: "hyb_batch_parallel", Format: matrix.FormatHYB, Strategies: StratParallel, Params: Params{BatchTile: 8}, run: runHYBBatchParallel[T]()},
-	}
-}
-
-// hybParamBatchKernels returns the register-tile instances of the batched
-// HYB kernel (see params.go for the stock-format analogue).
-func hybParamBatchKernels[T matrix.Float]() []*BatchKernel[T] {
-	var out []*BatchKernel[T]
-	for _, t := range BatchTiles {
-		if t == DefaultBatchTile(matrix.FormatHYB) {
-			continue
-		}
-		p := Params{BatchTile: t}
-		out = append(out, &BatchKernel[T]{Name: ParamName("hyb_batch_parallel", p),
-			Format: matrix.FormatHYB, Strategies: StratParallel,
-			Params: p, run: runHYBBatchParallelTile[T](t)})
-	}
-	return out
 }
 
 // RegisterHYB adds the hybrid-format kernels to the library.
-func (l *Library[T]) RegisterHYB() {
-	for _, k := range hybKernels[T]() {
-		l.Register(k)
-	}
-	for _, b := range hybBatchKernels[T]() {
-		l.RegisterBatch(b)
-	}
-	for _, b := range hybParamBatchKernels[T]() {
-		l.RegisterBatch(b)
-	}
-}
+func (l *Library[T]) RegisterHYB() { l.instantiate(hybFamily[T]()) }

@@ -4,17 +4,10 @@ import "smat/internal/matrix"
 
 // HYB batched kernels: the ELL part runs the batched row-major loop (writing
 // every yb element), then the COO overflow accumulates on top with the
-// batched COO loop — the same two-phase shape as the single-vector HYB
-// kernels. At k=1 the per-element addition sequence matches hyb_basic
-// (sequential over ELL slots, then tail entries in order), so the batched
-// oracle pins them bit-for-bit.
-
-//smat:hotpath
-func runHYBBatch[T matrix.Float](m *Mat[T], xb, yb []T, k int, _ exec[T]) {
-	h := m.HYB
-	ellBatchRange(h.ELL, xb, yb, k, 0, h.ELL.Rows)
-	cooBatchRange(h.COO, xb, yb, k, 0, h.COO.NNZ())
-}
+// batched COO loop — the same two-phase runner (hybPhases) as the
+// single-vector HYB kernels, over these chunks. At k=1 the per-element
+// addition sequence matches hyb_basic (sequential over ELL slots, then tail
+// entries in order), so the batched oracle pins them bit-for-bit.
 
 //smat:hotpath
 func hybELLBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
@@ -26,30 +19,7 @@ func hybCOOBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	cooBatchRange(m.HYB.COO, xb, yb, k, lo, hi)
 }
 
-//smat:hotpath-factory
-func runHYBBatchParallel[T matrix.Float]() batchFn[T] {
-	ellChunk := rangeFn[T](hybELLBatchChunk[T])
-	cooChunk := rangeFn[T](hybCOOBatchChunk[T])
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		h := m.HYB
-		if ex.plan.Serial {
-			ellBatchRange(h.ELL, xb, yb, k, 0, h.ELL.Rows)
-			cooBatchRange(h.COO, xb, yb, k, 0, h.COO.NNZ())
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, ellChunk, m, xb, yb, k)
-		// As in the single-vector kernel, the COO tail accumulates after the
-		// ELL phase's barrier; tail chunks stay row-aligned.
-		if ex.plan.TailSerial {
-			cooBatchRange(h.COO, xb, yb, k, 0, h.COO.NNZ())
-			return
-		}
-		ex.dispatch(ex.plan.EntryBounds, cooChunk, m, xb, yb, k)
-	}
-}
-
-// Tile-width instances of the HYB phases: the chosen register tile applies
-// to both the ELL pass and the COO overflow.
+// Tile-width instances of the HYB phases.
 //
 //smat:hotpath
 func hybELLBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
@@ -64,56 +34,4 @@ func hybELLBatchChunkT4[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 //smat:hotpath
 func hybCOOBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	cooBatchRangeT2(m.HYB.COO, xb, yb, k, lo, hi)
-}
-
-//smat:hotpath
-func hybCOOBatchChunkT8[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	cooBatchRangeT8(m.HYB.COO, xb, yb, k, lo, hi)
-}
-
-// hybELLBatchChunkTile / hybCOOBatchChunkTile resolve the phase bodies for a
-// register-tile width at registration.
-func hybELLBatchChunkTile[T matrix.Float](tile int) rangeFn[T] {
-	switch tile {
-	case 2:
-		return rangeFn[T](hybELLBatchChunkT2[T])
-	case 4:
-		return rangeFn[T](hybELLBatchChunkT4[T])
-	default:
-		return rangeFn[T](hybELLBatchChunk[T])
-	}
-}
-
-func hybCOOBatchChunkTile[T matrix.Float](tile int) rangeFn[T] {
-	switch tile {
-	case 2:
-		return rangeFn[T](hybCOOBatchChunkT2[T])
-	case 8:
-		return rangeFn[T](hybCOOBatchChunkT8[T])
-	default:
-		return rangeFn[T](hybCOOBatchChunk[T])
-	}
-}
-
-// runHYBBatchParallelTile instantiates the parallel batched HYB kernel at a
-// register-tile width, both phase funcvals resolved at bind time.
-//
-//smat:hotpath-factory
-func runHYBBatchParallelTile[T matrix.Float](tile int) batchFn[T] {
-	ellChunk := hybELLBatchChunkTile[T](tile)
-	cooChunk := hybCOOBatchChunkTile[T](tile)
-	return func(m *Mat[T], xb, yb []T, k int, ex exec[T]) {
-		h := m.HYB
-		if ex.plan.Serial {
-			ellChunk(m, xb, yb, k, 0, h.ELL.Rows)
-			cooChunk(m, xb, yb, k, 0, h.COO.NNZ())
-			return
-		}
-		ex.dispatch(ex.plan.RowBounds, ellChunk, m, xb, yb, k)
-		if ex.plan.TailSerial {
-			cooChunk(m, xb, yb, k, 0, h.COO.NNZ())
-			return
-		}
-		ex.dispatch(ex.plan.EntryBounds, cooChunk, m, xb, yb, k)
-	}
 }

@@ -1,9 +1,11 @@
 // Package kernels implements SMAT's kernel library: for each storage format,
 // a family of SpMV implementations assembled from optimization strategies
 // (loop unrolling, row-parallel execution, nonzero-balanced partitioning,
-// traversal order). The scoreboard search in internal/autotune picks the best
-// member per format for the host "architecture configuration" (thread count),
-// mirroring the paper's Section 5.2.
+// traversal order). Each family is one table of loop bodies and the
+// partitions they run over, expanded into kernels by one generator and run by
+// one runner (table.go). The scoreboard search in internal/autotune picks the
+// best member per format for the host "architecture configuration" (thread
+// count), mirroring the paper's Section 5.2.
 package kernels
 
 import (
@@ -205,23 +207,24 @@ func Convert[T matrix.Float](m *matrix.CSR[T], f matrix.Format, maxFill float64)
 	return ConvertFrom(m, nil, f, maxFill, Params{})
 }
 
-// Kernel is one SpMV implementation for one format. Params identifies the
-// template-parameter point the kernel was instantiated from; the zero Params
-// marks the hand-enumerated fixed menu (see params.go).
+// Kernel is one SpMV implementation for one format: an instance of a family's
+// table (see table.go). Params identifies the template-parameter point of its
+// loop body; the zero Params is the body with its built-in constants.
 type Kernel[T matrix.Float] struct {
 	Name       string
 	Format     matrix.Format
 	Strategies Strategy
 	Params     Params
-	run        runFn[T]
+	binding[T]
+	// threaded names the kernel Library.Threaded returns; empty means the
+	// kernel itself.
+	threaded string
 }
 
-// runFn is a kernel body. Parallel kernels are built by factories that bind
-// their chunk function values once at registration: materialising a generic
-// function value inside generic code allocates (it captures the type
-// dictionary), and doing that per call would break the steady-state
-// zero-allocation contract.
-type runFn[T matrix.Float] func(m *Mat[T], x, y []T, ex exec[T])
+// runFn is a hand-written runner, for the few kernels that are not one chunk
+// body over one partition (see body.run). k is the batch width, 1 for a
+// single vector.
+type runFn[T matrix.Float] func(m *Mat[T], x, y []T, k int, ex exec[T])
 
 // exec carries the execution engine through one kernel invocation: the
 // matrix's cached plan plus (optionally) the persistent worker pool. It is a
@@ -283,7 +286,7 @@ func (k *Kernel[T]) Run(m *Mat[T], x, y []T, threads int) {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	k.run(m, x, y, exec[T]{plan: m.PlanFor(threads)})
+	k.run(m, x, y, 1, exec[T]{plan: m.PlanFor(threads)})
 }
 
 // RunPooled computes y = A·x on a persistent worker pool: the thread count
@@ -302,7 +305,7 @@ func (k *Kernel[T]) RunPooled(m *Mat[T], x, y []T, p *Pool[T]) {
 	}
 	plan := m.PlanFor(p.s.threads)
 	p.s.countSerial(plan, k.Strategies)
-	k.run(m, x, y, exec[T]{plan: plan, pool: p})
+	k.run(m, x, y, 1, exec[T]{plan: plan, pool: p})
 }
 
 // BatchKernel is one SpMM (multi-vector SpMV) implementation for one format:
@@ -315,14 +318,10 @@ type BatchKernel[T matrix.Float] struct {
 	Strategies Strategy
 	// Params.BatchTile records the instance's register-tile width (every
 	// batch kernel has one; see DefaultBatchTile); the remaining knobs are
-	// zero for the fixed menu.
+	// zero.
 	Params Params
-	run    batchFn[T]
+	binding[T]
 }
-
-// batchFn is a batched kernel body; like runFn, parallel bodies are built by
-// factories that bind their chunk function values once at registration.
-type batchFn[T matrix.Float] func(m *Mat[T], xb, yb []T, k int, ex exec[T])
 
 // batchFormatMismatch mirrors formatMismatch for batched kernels; kept out of
 // line so the hot Run/RunPooled bodies stay allocation-free.
@@ -390,17 +389,8 @@ func NewLibrary[T matrix.Float]() *Library[T] {
 		batchByFormat: make(map[matrix.Format][]*BatchKernel[T]),
 		batchByName:   make(map[string]*BatchKernel[T]),
 	}
-	for _, k := range allKernels[T]() {
-		l.Register(k)
-	}
-	for _, k := range paramKernels[T]() {
-		l.Register(k)
-	}
-	for _, b := range allBatchKernels[T]() {
-		l.RegisterBatch(b)
-	}
-	for _, b := range paramBatchKernels[T]() {
-		l.RegisterBatch(b)
+	for _, fam := range []family[T]{csrFamily[T](), cooFamily[T](), diaFamily[T](), ellFamily[T]()} {
+		l.instantiate(fam)
 	}
 	return l
 }
@@ -441,11 +431,11 @@ func (l *Library[T]) Observed(hook func()) *Library[T] {
 	}
 	for _, ks := range l.byFormat {
 		for _, k := range ks {
-			observed, run := *k, k.run
-			observed.run = func(m *Mat[T], x, y []T, ex exec[T]) {
+			observed, inner := *k, k.binding
+			observed.binding = binding[T]{part: inner.part, hand: func(m *Mat[T], x, y []T, width int, ex exec[T]) {
 				hook()
-				run(m, x, y, ex)
-			}
+				inner.run(m, x, y, width, ex)
+			}}
 			out.Register(&observed)
 		}
 	}
@@ -458,36 +448,19 @@ func (l *Library[T]) ForFormat(f matrix.Format) []*Kernel[T] { return l.byFormat
 // Lookup returns the kernel with the given name, or nil.
 func (l *Library[T]) Lookup(name string) *Kernel[T] { return l.byName[name] }
 
-// partitionStrategies are the strategies that say how a kernel's work is
-// split across threads, as opposed to what each thread's loop body does.
-// StratRowMajor counts because the DIA/ELL row-parallel kernels imply it: a
-// row partition can only be walked row by row.
-const partitionStrategies = StratParallel | StratNNZBalance | StratRowMajor
-
-// ParallelSibling returns the kernel to bind in k's place when more than one
-// thread is available: k itself when it already carries StratParallel,
-// otherwise the kernel of the same format and template parameters that keeps
-// every strategy k has and adds partitioning strategies only — StratParallel
-// and whichever of the others its family offers, the most winning (CSR and
-// COO get their nnz-balanced partition). Every parallel kernel runs k's
-// serial body when the plan says Serial, so the swap changes nothing at one
-// thread. A family with no such member (hyb_basic, bcsr_basic) keeps k.
-func (l *Library[T]) ParallelSibling(k *Kernel[T]) *Kernel[T] {
-	if k.Strategies&StratParallel != 0 {
-		return k
+// Threaded returns the kernel to bind in k's place when more than one thread
+// is available: k itself when it is already partitioned, otherwise the
+// instance of the same loop body over the partition its table row names
+// (nnz-balanced rows for CSR, entries for COO, rows elsewhere; the row-major
+// body for the diagonal- and slot-major traversals). Every partitioned
+// instance runs the unsplit one's arithmetic when the plan says Serial, so
+// the swap changes nothing at one thread. hyb_basic and bcsr_basic have no
+// partitioned form and keep k.
+func (l *Library[T]) Threaded(k *Kernel[T]) *Kernel[T] {
+	if t := l.byName[k.threaded]; t != nil {
+		return t
 	}
-	best := k
-	for _, c := range l.byFormat[k.Format] {
-		if c.Strategies&StratParallel == 0 || c.Params != k.Params ||
-			c.Strategies&k.Strategies != k.Strategies ||
-			c.Strategies&^partitionStrategies != k.Strategies&^partitionStrategies {
-			continue
-		}
-		if best == k || c.Strategies.Count() > best.Strategies.Count() {
-			best = c
-		}
-	}
-	return best
+	return k
 }
 
 // ForFormatBatch returns all batched kernels registered for a format.
@@ -562,39 +535,6 @@ func (l *Library[T]) Basic(f matrix.Format) *Kernel[T] {
 		}
 	}
 	return nil
-}
-
-func allKernels[T matrix.Float]() []*Kernel[T] {
-	return []*Kernel[T]{
-		// CSR family.
-		{Name: "csr_basic", Format: matrix.FormatCSR, Strategies: 0, run: runCSRBasic[T]},
-		{Name: "csr_unroll4", Format: matrix.FormatCSR, Strategies: StratUnroll4, run: runCSRUnroll4[T]},
-		{Name: "csr_parallel", Format: matrix.FormatCSR, Strategies: StratParallel, run: runCSRParallel[T]()},
-		{Name: "csr_parallel_unroll4", Format: matrix.FormatCSR, Strategies: StratParallel | StratUnroll4, run: runCSRParallelUnroll4[T]()},
-		{Name: "csr_parallel_nnz", Format: matrix.FormatCSR, Strategies: StratParallel | StratNNZBalance, run: runCSRParallelNNZ[T]()},
-		{Name: "csr_parallel_nnz_unroll4", Format: matrix.FormatCSR, Strategies: StratParallel | StratNNZBalance | StratUnroll4, run: runCSRParallelNNZUnroll4[T]()},
-		// COO family.
-		{Name: "coo_basic", Format: matrix.FormatCOO, Strategies: 0, run: runCOOBasic[T]},
-		{Name: "coo_unroll4", Format: matrix.FormatCOO, Strategies: StratUnroll4, run: runCOOUnroll4[T]},
-		{Name: "coo_parallel", Format: matrix.FormatCOO, Strategies: StratParallel | StratNNZBalance, run: runCOOParallel[T]()},
-		{Name: "coo_parallel_unroll4", Format: matrix.FormatCOO, Strategies: StratParallel | StratNNZBalance | StratUnroll4, run: runCOOParallelUnroll4[T]()},
-		// DIA family.
-		{Name: "dia_basic", Format: matrix.FormatDIA, Strategies: 0, run: runDIABasic[T]},
-		{Name: "dia_unroll4", Format: matrix.FormatDIA, Strategies: StratUnroll4, run: runDIAUnroll4[T]},
-		{Name: "dia_rowmajor", Format: matrix.FormatDIA, Strategies: StratRowMajor, run: runDIARowMajor[T]},
-		{Name: "dia_parallel", Format: matrix.FormatDIA, Strategies: StratParallel | StratRowMajor, run: runDIAParallel[T]()},
-		{Name: "dia_parallel_unroll4", Format: matrix.FormatDIA, Strategies: StratParallel | StratRowMajor | StratUnroll4, run: runDIAParallelUnroll4[T]()},
-		{Name: "dia_blocked", Format: matrix.FormatDIA, Strategies: StratCacheBlock, run: runDIABlocked[T]},
-		{Name: "dia_blocked_parallel", Format: matrix.FormatDIA, Strategies: StratCacheBlock | StratParallel, run: runDIABlockedParallel[T]()},
-		// ELL family.
-		{Name: "ell_basic", Format: matrix.FormatELL, Strategies: 0, run: runELLBasic[T]},
-		{Name: "ell_unroll4", Format: matrix.FormatELL, Strategies: StratUnroll4, run: runELLUnroll4[T]},
-		{Name: "ell_rowmajor", Format: matrix.FormatELL, Strategies: StratRowMajor, run: runELLRowMajor[T]},
-		{Name: "ell_parallel", Format: matrix.FormatELL, Strategies: StratParallel | StratRowMajor, run: runELLParallel[T]()},
-		{Name: "ell_parallel_unroll4", Format: matrix.FormatELL, Strategies: StratParallel | StratRowMajor | StratUnroll4, run: runELLParallelUnroll4[T]()},
-		{Name: "ell_width", Format: matrix.FormatELL, Strategies: StratWidthSpec, run: runELLWidth[T]},
-		{Name: "ell_width_parallel", Format: matrix.FormatELL, Strategies: StratWidthSpec | StratParallel, run: runELLWidthParallel[T]()},
-	}
 }
 
 // FLOPs returns the floating-point operation count of one SpMV on a matrix

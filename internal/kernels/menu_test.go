@@ -1,0 +1,183 @@
+package kernels
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"smat/internal/matrix"
+)
+
+// The kernel menu, pinned: every registered (Name, Format, Strategies,
+// Params) with HYB and BCSR opted in, sorted by name. The tables in this
+// package generate it; names are what model.json, features.db.jsonl, the
+// BENCH artifacts, refblas and benchmark/ resolve, so a row changes here only
+// when a kernel is deliberately added, removed or renamed.
+var goldenKernels = []string{
+	"bcsr_basic BCSR basic default",
+	"bcsr_blockspec BCSR widthspec default",
+	"bcsr_blockspec_parallel BCSR parallel+widthspec default",
+	"coo_basic COO basic default",
+	"coo_parallel COO parallel+nnzbalance default",
+	"coo_parallel_unroll4 COO parallel+unroll4+nnzbalance default",
+	"coo_unroll4 COO unroll4 default",
+	"csr_basic CSR basic default",
+	"csr_parallel CSR parallel default",
+	"csr_parallel_nnz CSR parallel+nnzbalance default",
+	"csr_parallel_nnz_u2 CSR parallel+unroll4+nnzbalance u2",
+	"csr_parallel_nnz_u8 CSR parallel+unroll4+nnzbalance u8",
+	"csr_parallel_nnz_unroll4 CSR parallel+unroll4+nnzbalance default",
+	"csr_parallel_unroll4 CSR parallel+unroll4 default",
+	"csr_unroll4 CSR unroll4 default",
+	"dia_basic DIA basic default",
+	"dia_blocked DIA cacheblock default",
+	"dia_blocked_parallel DIA parallel+cacheblock default",
+	"dia_parallel DIA parallel+rowmajor default",
+	"dia_parallel_u2 DIA parallel+unroll4+rowmajor u2",
+	"dia_parallel_u8 DIA parallel+unroll4+rowmajor u8",
+	"dia_parallel_unroll4 DIA parallel+unroll4+rowmajor default",
+	"dia_rowmajor DIA rowmajor default",
+	"dia_unroll4 DIA unroll4 default",
+	"ell_basic ELL basic default",
+	"ell_parallel ELL parallel+rowmajor default",
+	"ell_parallel_u2 ELL parallel+unroll4+rowmajor u2",
+	"ell_parallel_u8 ELL parallel+unroll4+rowmajor u8",
+	"ell_parallel_unroll4 ELL parallel+unroll4+rowmajor default",
+	"ell_rowmajor ELL rowmajor default",
+	"ell_unroll4 ELL unroll4 default",
+	"ell_width ELL widthspec default",
+	"ell_width_parallel ELL parallel+widthspec default",
+	"hyb_basic HYB basic default",
+	"hyb_width HYB widthspec default",
+	"hyb_width_parallel HYB parallel+widthspec default",
+}
+
+var goldenBatchKernels = []string{
+	"bcsr_batch BCSR basic t4",
+	"bcsr_batch_parallel BCSR parallel t4",
+	"bcsr_batch_parallel_t2 BCSR parallel t2",
+	"bcsr_batch_parallel_t8 BCSR parallel t8",
+	"coo_batch COO basic t4",
+	"coo_batch_parallel COO parallel+nnzbalance t4",
+	"coo_batch_parallel_t2 COO parallel+nnzbalance t2",
+	"coo_batch_parallel_t8 COO parallel+nnzbalance t8",
+	"csr_batch CSR basic t4",
+	"csr_batch_parallel CSR parallel+nnzbalance t4",
+	"csr_batch_parallel_t2 CSR parallel+nnzbalance t2",
+	"csr_batch_parallel_t8 CSR parallel+nnzbalance t8",
+	"csr_batch_parallel_unroll4 CSR parallel+unroll4+nnzbalance t4",
+	"csr_batch_unroll4 CSR unroll4 t4",
+	"dia_batch DIA basic t8",
+	"dia_batch_parallel DIA parallel t8",
+	"dia_batch_parallel_t2 DIA parallel t2",
+	"dia_batch_parallel_t4 DIA parallel t4",
+	"ell_batch ELL basic t8",
+	"ell_batch_parallel ELL parallel t8",
+	"ell_batch_parallel_t2 ELL parallel t2",
+	"ell_batch_parallel_t4 ELL parallel t4",
+	"hyb_batch HYB basic t8",
+	"hyb_batch_parallel HYB parallel t8",
+	"hyb_batch_parallel_t2 HYB parallel t2",
+	"hyb_batch_parallel_t4 HYB parallel t4",
+}
+
+// allFormats is matrix.Formats plus the two opt-in extension formats.
+var allFormats = append(matrix.Formats[:], matrix.FormatHYB, matrix.FormatBCSR)
+
+func fullLibrary[T matrix.Float]() *Library[T] {
+	lib := NewLibrary[T]()
+	lib.RegisterHYB()
+	lib.RegisterBCSR()
+	return lib
+}
+
+func checkGoldenMenu[T matrix.Float](t *testing.T) {
+	lib := fullLibrary[T]()
+	var single, batch []string
+	for _, f := range allFormats {
+		for _, k := range lib.ForFormat(f) {
+			single = append(single, fmt.Sprintf("%s %s %s %s", k.Name, k.Format, k.Strategies, k.Params))
+		}
+		for _, b := range lib.ForFormatBatch(f) {
+			batch = append(batch, fmt.Sprintf("%s %s %s %s", b.Name, b.Format, b.Strategies, b.Params))
+		}
+	}
+	slices.Sort(single)
+	slices.Sort(batch)
+	if !slices.Equal(single, goldenKernels) {
+		t.Errorf("single-vector menu changed:\n got %q\nwant %q", single, goldenKernels)
+	}
+	if !slices.Equal(batch, goldenBatchKernels) {
+		t.Errorf("batched menu changed:\n got %q\nwant %q", batch, goldenBatchKernels)
+	}
+}
+
+func TestGoldenMenu(t *testing.T) {
+	t.Run("float64", checkGoldenMenu[float64])
+	t.Run("float32", checkGoldenMenu[float32])
+}
+
+// TestFamilyTables checks the tables the menu is generated from, row by row:
+// every row has a body (a chunk or a hand-written runner, not both) and at
+// least one partition, every partition a row is instantiated over selects
+// bounds on a partitioned plan of the row's format, and every format has the
+// strategy-free anchor the scoreboard and the serving path start from — a
+// zero-Params single-vector row and a batched row at the format's default
+// tile, both instantiated whole.
+func TestFamilyTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	csr := randCSR(rng, 64, 64, 0.2)
+	families := []family[float64]{
+		csrFamily[float64](), cooFamily[float64](), diaFamily[float64](),
+		ellFamily[float64](), hybFamily[float64](), bcsrFamily[float64](),
+	}
+	covered := map[matrix.Format]bool{}
+	for _, fam := range families {
+		covered[fam.format] = true
+		mat, err := Convert(csr, fam.format, 0)
+		if err != nil {
+			t.Fatalf("Convert to %v: %v", fam.format, err)
+		}
+		plan := mat.Partitioned().PlanFor(3)
+		if plan.Serial {
+			t.Fatalf("%v: forced plan is serial", fam.format)
+		}
+		for _, ns := range []struct {
+			kind     string
+			rows     []body[float64]
+			defaults Params
+		}{
+			{"single", fam.single, Params{}},
+			{"batch", fam.batch, Params{BatchTile: DefaultBatchTile(fam.format)}},
+		} {
+			anchor := false
+			for i := range ns.rows {
+				b := &ns.rows[i]
+				row := fmt.Sprintf("%v %s row %d (%s)", fam.format, ns.kind, i, b.name+b.suffix)
+				if (b.chunk == nil) == (b.run == nil) {
+					t.Errorf("%s: want exactly one of chunk and run", row)
+				}
+				if len(b.over) == 0 {
+					t.Errorf("%s: instantiated over no partition", row)
+				}
+				for _, p := range b.over {
+					if p != whole && len(p.bounds(plan)) < 2 {
+						t.Errorf("%s: partition %d selects no bounds on a partitioned %v plan", row, p, fam.format)
+					}
+				}
+				if b.strat == 0 && b.params == ns.defaults && slices.Contains(b.over, whole) {
+					anchor = true
+				}
+			}
+			if !anchor {
+				t.Errorf("%v: no strategy-free default-parameter %s row instantiated whole", fam.format, ns.kind)
+			}
+		}
+	}
+	for _, f := range allFormats {
+		if !covered[f] {
+			t.Errorf("format %v has no family table", f)
+		}
+	}
+}

@@ -7,11 +7,11 @@ import (
 	"smat/internal/matrix"
 )
 
-// Params describes one point in the kernel-template parameter space: instead
-// of enumerating every implementation by hand, kernels are instantiated from
-// these knobs (the AlphaSparse-lite design in DESIGN §12). A zero Params means
-// "the fixed menu's defaults" everywhere, so the struct is carried through
-// decisions, the cache, and the model without a presence flag.
+// Params describes one point in the kernel-template parameter space (the
+// AlphaSparse-lite design in DESIGN §12): the knobs of a table row's loop
+// body and of the conversion that feeds it. A zero Params means "the built-in
+// defaults" everywhere, so the struct is carried through decisions, the
+// cache, and the model without a presence flag.
 type Params struct {
 	// Unroll is the inner-loop unroll depth (independent partial
 	// accumulators) of the row/slot/diagonal product: one of UnrollDepths.
@@ -74,19 +74,13 @@ func (p Params) String() string {
 	return s
 }
 
-// ParamName templates a registered instance name from a base kernel family
-// name and the instance's Params, e.g. ParamName("bcsr", Params{BlockR: 2,
-// BlockC: 4}) == "bcsr_2x4". The kernelreg analyzer recognises this call
-// shape in registry providers (the base must stay a string literal there).
-func ParamName(base string, p Params) string { return base + p.Suffix() }
-
 // The searched parameter space. The scoreboard walk measures these points per
 // training matrix, pruned by the feature-guided rules in
 // internal/autotune/scoreboard.go.
 var (
 	// UnrollDepths is the searched inner-loop unroll space. Depths 1 and 4
-	// are covered by the fixed menu (basic and *_unroll4 kernels); 2 and 8
-	// are registered as parameter instances.
+	// are the zero-Params bodies (basic and *_unroll4 kernels); 2 and 8 are
+	// table rows with Params.Unroll set.
 	UnrollDepths = []int{1, 2, 4, 8}
 	// BCSRShapes is the searched register-block shape space (r×c).
 	BCSRShapes = [][2]int{{2, 2}, {2, 4}, {4, 2}, {4, 4}, {8, 2}}
@@ -164,11 +158,6 @@ func ConvertFrom[T matrix.Float](m *matrix.CSR[T], s *matrix.Structure, f matrix
 	return nil, fmt.Errorf("kernels: unknown format %v", f)
 }
 
-// ConvertWithParams is Convert with the conversion-time knobs applied.
-func ConvertWithParams[T matrix.Float](m *matrix.CSR[T], f matrix.Format, maxFill float64, p Params) (*Mat[T], error) {
-	return ConvertFrom(m, nil, f, maxFill, p)
-}
-
 // ConvertTimedParams is ConvertFrom with the stopwatch attached: it reports
 // how long the conversion took and how many slots it wrote. CSR "conversion"
 // wraps the input in place and reports zero seconds — CSR is the zero-cost
@@ -186,61 +175,4 @@ func ConvertTimedParams[T matrix.Float](m *matrix.CSR[T], s *matrix.Structure, f
 		return nil, ConvertTiming{Format: f, Sec: sec}, err
 	}
 	return out, ConvertTiming{Format: f, Sec: sec, Stored: out.Stored()}, nil
-}
-
-// paramKernels returns the stock single-vector parameter instances: the
-// unroll depths the fixed menu does not cover, instantiated through the same
-// factory-funcval machinery as the hand-enumerated kernels (chunk funcvals
-// bound once at registration, so the pooled hot path stays allocation-free).
-func paramKernels[T matrix.Float]() []*Kernel[T] {
-	var out []*Kernel[T]
-	for _, u := range UnrollDepths {
-		if u == 1 || u == 4 {
-			continue // the fixed menu's basic and *_unroll4 kernels
-		}
-		p := Params{Unroll: u}
-		out = append(out,
-			&Kernel[T]{Name: ParamName("csr_parallel_nnz", p), Format: matrix.FormatCSR,
-				Strategies: StratParallel | StratNNZBalance | StratUnroll4, Params: p,
-				run: runCSRParallelNNZUnroll[T](u)},
-			&Kernel[T]{Name: ParamName("dia_parallel", p), Format: matrix.FormatDIA,
-				Strategies: StratParallel | StratRowMajor | StratUnroll4, Params: p,
-				run: runDIAParallelUnroll[T](u)},
-			&Kernel[T]{Name: ParamName("ell_parallel", p), Format: matrix.FormatELL,
-				Strategies: StratParallel | StratRowMajor | StratUnroll4, Params: p,
-				run: runELLParallelUnroll[T](u)},
-		)
-	}
-	return out
-}
-
-// paramBatchKernels returns the stock batched parameter instances: for every
-// format, the register-tile widths its unsuffixed kernels do not already use,
-// so all of BatchTiles is reachable through BatchForParams.
-func paramBatchKernels[T matrix.Float]() []*BatchKernel[T] {
-	var out []*BatchKernel[T]
-	for _, t := range BatchTiles {
-		p := Params{BatchTile: t}
-		if t != DefaultBatchTile(matrix.FormatCSR) {
-			out = append(out, &BatchKernel[T]{Name: ParamName("csr_batch_parallel", p),
-				Format: matrix.FormatCSR, Strategies: StratParallel | StratNNZBalance,
-				Params: p, run: runCSRBatchParallelTile[T](t)})
-		}
-		if t != DefaultBatchTile(matrix.FormatCOO) {
-			out = append(out, &BatchKernel[T]{Name: ParamName("coo_batch_parallel", p),
-				Format: matrix.FormatCOO, Strategies: StratParallel | StratNNZBalance,
-				Params: p, run: runCOOBatchParallelTile[T](t)})
-		}
-		if t != DefaultBatchTile(matrix.FormatDIA) {
-			out = append(out, &BatchKernel[T]{Name: ParamName("dia_batch_parallel", p),
-				Format: matrix.FormatDIA, Strategies: StratParallel,
-				Params: p, run: runDIABatchParallelTile[T](t)})
-		}
-		if t != DefaultBatchTile(matrix.FormatELL) {
-			out = append(out, &BatchKernel[T]{Name: ParamName("ell_batch_parallel", p),
-				Format: matrix.FormatELL, Strategies: StratParallel,
-				Params: p, run: runELLBatchParallelTile[T](t)})
-		}
-	}
-	return out
 }

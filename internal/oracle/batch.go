@@ -91,7 +91,7 @@ func CheckBatch[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (
 		// parameter variant, so each BCSR block shape and HYB width cut is
 		// exercised by every registered batch tile width too.
 		for _, p := range append([]kernels.Params{{}}, paramVariants(f)...) {
-			mat, err := kernels.ConvertWithParams(ref, f, opt.MaxFill, p)
+			mat, err := kernels.ConvertFrom(ref, nil, f, opt.MaxFill, p)
 			if errors.Is(err, matrix.ErrFillExplosion) {
 				continue
 			}

@@ -262,7 +262,7 @@ func Check[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (*Cove
 		// must satisfy the same invariants, round trip, plan partitioning and
 		// differential properties as the default.
 		for _, p := range append([]kernels.Params{{}}, paramVariants(f)...) {
-			mat, err := kernels.ConvertWithParams(ref, f, opt.MaxFill, p)
+			mat, err := kernels.ConvertFrom(ref, nil, f, opt.MaxFill, p)
 			if errors.Is(err, matrix.ErrFillExplosion) {
 				continue
 			}
