@@ -17,6 +17,32 @@ import (
 
 var fastMeasure = MeasureOptions{MinTime: 100 * time.Microsecond, Trials: 1}
 
+// TestMeasureSecPerOpCountsCalibration counts invocations. A calibration run
+// that meets MinTime on its own is the first of N ≥ 2 trials, so they are N
+// runs; before a single trial it stays a warm-up, and one that falls short of
+// MinTime is a warm-up followed by N trials of the same repetition count.
+func TestMeasureSecPerOpCountsCalibration(t *testing.T) {
+	for _, c := range []struct{ trials, calls int }{{1, 2}, {2, 2}, {3, 3}} {
+		// Each call spans at least one clock tick, the smallest MinTime.
+		calls := 0
+		got := timeTrials(func() {
+			calls++
+			for start := time.Now(); time.Since(start) <= 0; {
+			}
+		}, MeasureOptions{MinTime: 1, Trials: c.trials})
+		if calls != c.calls || len(got) != c.trials {
+			t.Errorf("%d trials of a long-enough op: %d calls, %d results; want %d calls", c.trials, calls, len(got), c.calls)
+		}
+
+		// A call far shorter than MinTime is repeated: 1 + trials·reps calls.
+		calls = 0
+		got = timeTrials(func() { calls++ }, MeasureOptions{MinTime: 20 * time.Millisecond, Trials: c.trials})
+		if reps := (calls - 1) / c.trials; len(got) != c.trials || (calls-1)%c.trials != 0 || reps < 2 {
+			t.Errorf("%d trials of a short op: %d calls, %d results; want 1 + %d·reps calls with reps ≥ 2", c.trials, calls, len(got), c.trials)
+		}
+	}
+}
+
 func TestMeasureSecPerOp(t *testing.T) {
 	n := 0
 	sec := MeasureSecPerOp(func() {
@@ -213,6 +239,12 @@ func TestLoadModelRejectsCorrupt(t *testing.T) {
 
 // modelAlways builds a hand-made model with a single always-matching rule.
 func modelAlways(f matrix.Format, conf float64) *Model {
+	return modelRules(mining.Rule{Class: int(f), Confidence: conf})
+}
+
+// modelRules builds a hand-made model around the given rules; with none, no
+// rule group ever matches.
+func modelRules(rules ...mining.Rule) *Model {
 	return &Model{
 		Version:             1,
 		Threads:             2,
@@ -222,7 +254,7 @@ func modelAlways(f matrix.Format, conf float64) *Model {
 		Ruleset: &mining.Ruleset{
 			AttrNames:  features.AttributeNames,
 			ClassNames: classNames(),
-			Rules:      []mining.Rule{{Class: int(f), Confidence: conf}},
+			Rules:      rules,
 			Default:    int(matrix.FormatCSR),
 		},
 	}
@@ -275,11 +307,16 @@ func TestTunerLowConfidenceFallsBack(t *testing.T) {
 	if len(d.Measured) == 0 {
 		t.Fatal("fallback measured nothing")
 	}
-	bestG := d.Measured[d.Chosen]
+	// The winner is the fastest contender, or the incumbent when nothing beat
+	// it by the margin.
+	csrG, bestG := d.Measured[matrix.FormatCSR], d.Measured[d.Chosen]
 	for f, g := range d.Measured {
-		if g > bestG {
+		if g > bestG && (d.Chosen != matrix.FormatCSR || g > csrG*(1+fallbackMargin)) {
 			t.Errorf("fallback chose %v (%g) over faster %v (%g)", d.Chosen, bestG, f, g)
 		}
+	}
+	if d.Chosen != matrix.FormatCSR && bestG <= csrG*(1+fallbackMargin) {
+		t.Errorf("fallback left CSR (%g) for %v (%g) inside the margin", csrG, d.Chosen, bestG)
 	}
 	if op == nil || op.NNZ() != m.NNZ() {
 		t.Error("fallback operator malformed")

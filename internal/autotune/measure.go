@@ -8,6 +8,7 @@
 package autotune
 
 import (
+	"slices"
 	"time"
 )
 
@@ -31,31 +32,43 @@ func (o MeasureOptions) withDefaults() MeasureOptions {
 	return o
 }
 
-// MeasureSecPerOp times op and returns the best-case seconds per invocation.
-// One warm-up invocation runs first (it also calibrates the repetition
-// count).
+// MeasureSecPerOp times op and returns the best-case seconds per invocation
+// over opts.Trials trials (see timeTrials for what a trial runs).
 func MeasureSecPerOp(op func(), opts MeasureOptions) float64 {
+	return slices.Min(timeTrials(op, opts))
+}
+
+// timeTrials is the one timing loop: it returns each trial's seconds per
+// invocation, in run order. The first invocation calibrates the repetition
+// count a trial needs to accumulate MinTime. When that run alone meets MinTime
+// and more trials follow, it is the first of them — a long-enough op timed
+// over N ≥ 2 trials runs N times, not N+1, and the best of them forgives a
+// cold first one. Otherwise it is a warm-up: a single trial must not be the
+// op's first run (first-use allocations, cold caches, parked workers), and a
+// short op is repeated within every trial.
+func timeTrials(op func(), opts MeasureOptions) []float64 {
 	opts = opts.withDefaults()
-	// Warm-up and calibration run.
+	trials := make([]float64, 0, opts.Trials)
 	start := time.Now()
 	op()
 	once := time.Since(start)
 	reps := 1
-	if once > 0 && once < opts.MinTime {
+	switch {
+	case once >= opts.MinTime:
+		if opts.Trials > 1 {
+			trials = append(trials, once.Seconds())
+		}
+	case once > 0:
 		reps = int(opts.MinTime/once) + 1
 	}
-	best := 0.0
-	for trial := 0; trial < opts.Trials; trial++ {
+	for len(trials) < opts.Trials {
 		start = time.Now()
 		for i := 0; i < reps; i++ {
 			op()
 		}
-		sec := time.Since(start).Seconds() / float64(reps)
-		if trial == 0 || sec < best {
-			best = sec
-		}
+		trials = append(trials, time.Since(start).Seconds()/float64(reps))
 	}
-	return best
+	return trials
 }
 
 // GFLOPS converts an operation count and per-op seconds to GFLOPS.

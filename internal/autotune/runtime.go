@@ -26,7 +26,9 @@ type Decision struct {
 	Confidence  float64
 
 	// UsedFallback reports that the execute-and-measure path ran; Measured
-	// holds its per-format GFLOPS.
+	// holds the GFLOPS of each format it timed — the contenders only (tuned
+	// CSR plus the formats the ruleset left open): a feasible format absent
+	// from the map was not measured, not slower.
 	UsedFallback bool
 	Measured     map[matrix.Format]float64
 
@@ -90,7 +92,7 @@ type Decision struct {
 	// Timing breakdown (seconds); each field is written by exactly one stage
 	// of the pipeline (stages.go). FeatureSec: extract — the structure scan
 	// and the features derived from it. FallbackSec: the execute-and-measure
-	// selector, its baseline run and candidate conversions included.
+	// selector, its contenders' conversions and runs included.
 	// AmortProbeSec: the leader's probe — the per-SpMV rate probes behind
 	// BreakEvenIters and their baseline run, only under an iteration hint.
 	// ConvertSec: record — the conversion this call performed for the chosen
@@ -98,10 +100,12 @@ type Decision struct {
 	// leader's measurement of it (excluded from TuneSec: the worker pays it
 	// off the caller's critical path). Stages that did not run leave zero.
 	//
-	// CSRSpMVSec is one basic CSR SpMV on this matrix, the yardstick of the
-	// probe budgets — measured by the two stages that spend one (the
-	// execute-and-measure selector, the payoff rates) and 0 on every other
-	// path: a predicted, format-hinted or cache-hit tune runs no kernel.
+	// CSRSpMVSec is one CSR SpMV on this matrix, the unit of Overhead. On the
+	// execute-and-measure path it is the tuned-CSR incumbent's first timed run
+	// (pooled, cold: the first kernel the call runs); under an iteration hint
+	// on a predicted leader it is one run of the basic serial CSR kernel, the
+	// yardstick of the rate probes' budget. It is 0 on every other path: a
+	// predicted, format-hinted or cache-hit tune runs no kernel.
 	//
 	// BatchProbeSec is 0 on every decision: the batch crossover is no stage of
 	// tuning. The engine measures it on its first MulVecBatch of two or more
@@ -128,10 +132,10 @@ func (d *Decision) TuneSec() float64 {
 	return d.FeatureSec + convert + d.FallbackSec + d.AmortProbeSec
 }
 
-// Overhead returns the total decision cost in multiples of one basic
-// CSR-SpMV execution, the unit of the paper's Table 3 — or 0 when the tune
-// did not measure that unit (see CSRSpMVSec): a caller that wants the ratio
-// on such a path divides TuneSec by its own measurement of the unit.
+// Overhead returns the total decision cost in multiples of one CSR-SpMV
+// execution, the unit of the paper's Table 3 — or 0 when the tune did not
+// measure that unit (see CSRSpMVSec): a caller that wants the ratio on such a
+// path divides TuneSec by its own measurement of the unit.
 func (d *Decision) Overhead() float64 {
 	if d.CSRSpMVSec <= 0 {
 		return 0
@@ -182,8 +186,8 @@ type Operator[T matrix.Float] struct {
 	nnz  int
 
 	// What the crossover probe needs from the tune that built the operator:
-	// the tune's basic CSR-SpMV seconds to budget from (0 unless it measured
-	// them: see Decision.CSRSpMVSec), and the decision-cache entry the measured
+	// the tune's CSR-SpMV seconds to budget from (0 unless it measured them:
+	// see Decision.CSRSpMVSec), and the decision-cache entry the measured
 	// width is written back to, named by its key and the parameters it held
 	// when the operator was tuned — cache is nil for an operator that
 	// bypassed the cache (a format hint, a tuner without one).
@@ -337,8 +341,8 @@ func (o *Operator[T]) probeCrossover(e *engine[T], xb, yb []T, k int) int {
 // buffer is a valid width-k′ timing input, xb is only read, and yb is
 // overwritten by the caller's product afterwards. A narrower caller gets a
 // private all-ones workspace that is garbage once the probe returns. Each
-// timing is budgeted in multiples of the tune's basic CSR-SpMV time, or — the
-// tune having measured none — of one run of the bound kernel.
+// timing is budgeted in multiples of the tune's CSR-SpMV time, or — the tune
+// having measured none — of one run of the bound kernel.
 func (o *Operator[T]) measureCrossover(e *engine[T], xb, yb []T, k int) int {
 	if o.nnz == 0 {
 		return batchProbeWidths[0]

@@ -8,12 +8,12 @@
 // build, so nothing is converted below break-even. Both end in serve, which
 // records the decision and publishes the engine. The matrix structure is read
 // once, by extract: the features and every conversion work from that scan.
-// A kernel runs only where the call itself consumes the measurement: the CSR
-// baseline and the candidates in the execute-and-measure selector, the payoff
-// rates under an iteration hint, and the batch crossover not here at all but
-// on the engine's first batched call (Operator.probeCrossover). A predicted,
-// format-hinted or cache-hit tune runs none. DESIGN.md §11 has the stage ×
-// path table.
+// A kernel runs only where the call itself consumes the measurement: two runs
+// of each contender in the execute-and-measure selector, the CSR baseline and
+// the payoff rates under an iteration hint, and the batch crossover not here
+// at all but on the engine's first batched call (Operator.probeCrossover). A
+// predicted, format-hinted or cache-hit tune runs none. DESIGN.md §11 has the
+// stage × path table.
 package autotune
 
 import (
@@ -148,7 +148,7 @@ func (tn *tuning[T]) choose() (*choice[T], error) {
 	}
 	// No confident prediction, or the fill guard rejected it.
 	if !tn.t.noFallback {
-		return tn.measure()
+		return tn.measure(), nil
 	}
 	c := tn.bestEffort()
 	if tn.materialise(c) != nil {
@@ -199,53 +199,97 @@ func (tn *tuning[T]) bestEffort() *choice[T] {
 // budget far past the paper's ~16 CSR-SpMV executions.
 const fallbackMaxFill = 3.0
 
-// measure is the execute-and-measure selector: build every feasible format,
-// time it once on the pooled steady-state path — the regime the chosen
-// operator will run in — and keep the fastest, conversion included. The
-// per-format budget is calibrated against this matrix's own basic CSR-SpMV
-// time, so the whole selector stays near the paper's ~16 CSR-SpMV executions
-// regardless of matrix size. Conversion time and the two payoff rates are
-// measured as a side effect.
-func (tn *tuning[T]) measure() (*choice[T], error) {
-	t, d, m := tn.t, tn.d, tn.m
+// fallbackMargin is the relative gain a challenger must show over the
+// tuned-CSR incumbent to take a tune off it (pickMeasured).
+const fallbackMargin = 0.03
+
+// contenders lists the formats the measuring selector times, a pure function
+// of the features and the ruleset: the tuned-CSR incumbent first, then every
+// format whose rule group matched the features — at whatever confidence; a
+// confident group gets here when its conversion failed — and that fits
+// maxFill. A ruleset with no opinion at all (no group matched, CSR's
+// included) leaves every feasible format open.
+func (t *Tuner[T]) contenders(ft *features.Features, maxFill float64) []matrix.Format {
+	fv := ft.Vector()
+	var matched [len(matrix.Formats)]bool
+	opinion := false
+	for i, f := range matrix.Formats {
+		_, matched[i] = t.groupConfidence(fv, f)
+		opinion = opinion || matched[i]
+	}
+	out := []matrix.Format{matrix.FormatCSR}
+	for i, f := range matrix.Formats {
+		if f != matrix.FormatCSR && (matched[i] || !opinion) && t.formatFeasible(f, ft, maxFill) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// pickMeasured is the measuring selector's verdict over the contenders' best
+// seconds per SpMV, the incumbent's at index 0: the fastest challenger that
+// beats the incumbent by more than fallbackMargin, else the incumbent — a tie,
+// a gain inside the margin or an unresolvable timing is no reason to leave the
+// format that costs no conversion. Challengers compete on plain speed: only
+// the incumbent's bar carries the margin.
+func pickMeasured(secs []float64) int {
+	win, bar := 0, secs[0]/(1+fallbackMargin)
+	for i := 1; i < len(secs); i++ {
+		if secs[i] < bar {
+			win, bar = i, secs[i]
+		}
+	}
+	return win
+}
+
+// measure is the execute-and-measure selector. It times only the formats the
+// ruleset left open (contenders), twice each on the pooled steady-state path
+// — the regime the chosen operator will run in — and runs no other kernel.
+// The contenders are built first and timed back to back, so the workers are
+// woken once, by the incumbent's first run: that run is the call's CSR-SpMV
+// unit (Decision.CSRSpMVSec) and the warm-up every later run profits from. Its
+// second run comes last, so the bar a challenger has to clear was set under
+// conditions at least as warm as the challenger's own. Conversion time and the
+// two payoff rates are measured as a side effect. A contender whose kernel is
+// unbound or whose conversion the fill guard rejects drops out; the incumbent
+// cannot.
+func (tn *tuning[T]) measure() *choice[T] {
+	t, d := tn.t, tn.d
 	d.UsedFallback = true
-	d.Measured = map[matrix.Format]float64{}
 	start := time.Now()
 	defer func() { d.FallbackSec = time.Since(start).Seconds() }()
 
-	tn.baseline()
-	budget := t.probeBudget(d.CSRSpMVSec)
-	x, y := tn.vectors()
-	flops := kernels.FLOPs(m.NNZ())
 	maxFill := min(fallbackMaxFill, t.model.MaxFill)
-
-	var best *choice[T]
-	bestGFLOPS, csrSec := -1.0, 0.0
-	for _, f := range matrix.Formats {
-		if !t.formatFeasible(f, &d.Features, maxFill) {
-			continue
-		}
+	var built []*choice[T]
+	for _, f := range t.contenders(&d.Features, maxFill) {
 		p := t.paramsFor(f)
-		e, timing, err := tn.candidate(f, p, maxFill)
-		if err != nil {
-			continue
-		}
-		sec := MeasureSecPerOp(func() { e.kernel.RunPooled(e.mat, x, y, t.pool) }, budget)
-		g := GFLOPS(flops, sec)
-		d.Measured[f] = g
-		if f == matrix.FormatCSR {
-			csrSec = sec
-		}
-		if g > bestGFLOPS {
-			bestGFLOPS = g
-			best = &choice[T]{format: f, params: p, eng: e, convert: timing, spmvSec: sec}
+		if e, timing, err := tn.candidate(f, p, maxFill); err == nil {
+			built = append(built, &choice[T]{format: f, params: p, eng: e, convert: timing})
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("autotune: no feasible format for %dx%d matrix", m.Rows, m.Cols)
+
+	x, y := tn.vectors()
+	run := func(c *choice[T]) float64 {
+		start := time.Now()
+		c.eng.kernel.RunPooled(c.eng.mat, x, y, t.pool)
+		return time.Since(start).Seconds()
 	}
-	best.incumbentSec = csrSec
-	return best, nil
+	secs := make([]float64, len(built))
+	d.CSRSpMVSec = run(built[0])
+	for i, c := range built[1:] {
+		secs[i+1] = min(run(c), run(c))
+	}
+	secs[0] = min(d.CSRSpMVSec, run(built[0]))
+
+	flops := kernels.FLOPs(tn.m.NNZ())
+	d.Measured = make(map[matrix.Format]float64, len(built))
+	for i, c := range built {
+		c.spmvSec = secs[i]
+		d.Measured[c.format] = GFLOPS(flops, secs[i])
+	}
+	best := built[pickMeasured(secs)]
+	best.incumbentSec = secs[0]
+	return best
 }
 
 // candidate builds one format for the measuring selector. Its CSR candidate
@@ -337,9 +381,9 @@ func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
 
 // incumbent returns the call's tuned-CSR engine: the zero-conversion-cost
 // default of the payoff model, the input wrapped as-is with the tuner's CSR
-// kernel. The baseline and the incumbent rate are timed on it, it is the
-// measuring selector's CSR candidate, and below break-even it is what the
-// operator serves.
+// kernel. The incumbent rate is timed on it (and the baseline on its matrix),
+// it is the measuring selector's first contender, and below break-even it is
+// what the operator serves.
 func (tn *tuning[T]) incumbent() *engine[T] {
 	if tn.inc == nil {
 		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
@@ -362,8 +406,9 @@ func (tn *tuning[T]) vectors() (x, y []T) {
 
 // baseline fills Decision.CSRSpMVSec — the paper's overhead unit — with the
 // cost of one basic CSR SpMV, measured once per call with a single run. It is
-// the yardstick of the probe budgets, so only the two stages that spend one
-// run it: the measuring selector and the payoff rates.
+// the yardstick of the rate probes' budget, so only that stage runs it — and
+// not after the measuring selector, whose incumbent's first run is the unit
+// already.
 func (tn *tuning[T]) baseline() {
 	if tn.d.CSRSpMVSec > 0 {
 		return

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"smat/internal/gen"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
+	"smat/internal/mining"
 )
 
 // TestPayoffOutcomes pins the payoff stage over its whole input space:
@@ -69,6 +71,19 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// conversionBytes returns the heap bytes converting m to each of the formats
+// once, from its scan s, allocates.
+func conversionBytes(t *testing.T, m *matrix.CSR[float64], s *matrix.Structure, maxFill float64, formats ...matrix.Format) uint64 {
+	t.Helper()
+	return allocated(func() {
+		for _, f := range formats {
+			if _, err := kernels.ConvertFrom(m, s, f, maxFill, kernels.Params{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestProbeWorkspaceBudget is the allocation budget of a tune, in
 // vector-lengths (one []float64 of the matrix dimension), beyond feature
 // extraction and the conversions it performs from the extracted structure. A
@@ -87,15 +102,21 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 	s := matrix.Scan(m)
 
 	converting := func(maxFill float64, formats ...matrix.Format) uint64 {
-		return allocated(func() {
-			for _, f := range formats {
-				if _, err := kernels.ConvertFrom(m, s, f, maxFill, kernels.Params{}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+		return conversionBytes(t, m, s, maxFill, formats...)
 	}
 	extracting := allocated(func() { features.Extract(m) })
+	// A measuring leader converts its challengers: every contender but the
+	// tuned-CSR incumbent at their head.
+	ft := features.FromStructure(s)
+	challengers := func(model *Model) []matrix.Format {
+		tuner := New[float64](model, Config{Threads: 2})
+		defer tuner.Close()
+		return tuner.contenders(&ft, fallbackMaxFill)[1:]
+	}
+	oneGroup, noOpinion := modelAlways(matrix.FormatDIA, 0.30), modelRules()
+	if got := challengers(oneGroup); len(got) != 1 || got[0] != matrix.FormatDIA {
+		t.Fatalf("one sub-threshold DIA group leaves %v open beside CSR, want DIA alone", got)
+	}
 
 	for _, c := range []struct {
 		name      string
@@ -108,7 +129,8 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 		{"predicted-DIA", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{}, converting(DefaultMaxFill, matrix.FormatDIA), 0},
 		{"hinted-format-ELL", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{FormatHint: matrix.FormatELL, HasFormatHint: true}, converting(DefaultMaxFill, matrix.FormatELL), 0},
 		{"predicted-DIA-hinted", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{Iterations: 1 << 20, SyncConvert: true}, converting(DefaultMaxFill, matrix.FormatDIA), 2},
-		{"measured", modelAlways(matrix.FormatDIA, 0.30), TuneOptions{}, converting(fallbackMaxFill, matrix.FormatCOO, matrix.FormatDIA, matrix.FormatELL), 2},
+		{"measured-no-opinion", noOpinion, TuneOptions{}, converting(fallbackMaxFill, challengers(noOpinion)...), 2},
+		{"measured-one-group", oneGroup, TuneOptions{}, converting(fallbackMaxFill, matrix.FormatDIA), 2},
 	} {
 		tuner := New[float64](c.model, Config{Threads: 2})
 		var d *Decision
@@ -232,15 +254,144 @@ func TestFallbackBindsOneCSREngine(t *testing.T) {
 	tuner.bound = map[matrix.Format]*kernels.Kernel[float64]{matrix.FormatCSR: tuner.bound[matrix.FormatCSR]}
 	tn := tuner.extract(m, TuneOptions{})
 	tn.begin()
-	c, err := tn.measure()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := tn.measure()
 	if c.format != matrix.FormatCSR || len(tn.d.Measured) != 1 {
 		t.Fatalf("fallback chose %v from %v, want CSR alone", c.format, tn.d.Measured)
 	}
 	if c.eng != tn.inc || c.eng.mat.CSR != m {
 		t.Error("CSR won the fallback on a second CSR engine, want the incumbent wrapping the input")
+	}
+}
+
+// TestFallbackContenders pins the measuring selector's candidate list over
+// features × ruleset: tuned CSR first, then the feasible formats whose rule
+// group matched at any confidence, and every feasible format only when no
+// group matched at all.
+func TestFallbackContenders(t *testing.T) {
+	const (
+		csr, coo, dia, ell = matrix.FormatCSR, matrix.FormatCOO, matrix.FormatDIA, matrix.FormatELL
+		erDIA              = 8 // features.AttributeNames index of ER_DIA
+	)
+	rule := func(f matrix.Format, conf float64, conds ...mining.Condition) mining.Rule {
+		return mining.Rule{Class: int(f), Confidence: conf, Conds: conds}
+	}
+	dense := features.Features{ERDIA: 0.9, ERELL: 0.8}             // everything fits
+	gappy := features.Features{ERDIA: 0.2, ERELL: 0.8}             // DIA pads 5× > fallbackMaxFill
+	ragged := features.Features{ERDIA: 1.0 / 400, ERELL: 1.0 / 30} // neither padded format fits
+	// sparseDIA matches gappy and ragged, not dense.
+	sparseDIA := mining.Condition{Attr: erDIA, Op: mining.OpLE, Threshold: 0.5}
+	for _, c := range []struct {
+		name  string
+		ft    features.Features
+		rules []mining.Rule
+		want  []matrix.Format
+	}{
+		{"no rules: every feasible format", dense, nil, []matrix.Format{csr, dia, ell, coo}},
+		{"no rules: the fill guard still applies", gappy, nil, []matrix.Format{csr, ell, coo}},
+		{"no rules, nothing padded fits", ragged, nil, []matrix.Format{csr, coo}},
+		{"rules that do not match are no opinion", dense, []mining.Rule{rule(coo, 0.9, sparseDIA)}, []matrix.Format{csr, dia, ell, coo}},
+		{"one sub-threshold group", dense, []mining.Rule{rule(coo, 0.82)}, []matrix.Format{csr, coo}},
+		{"one group through a matching condition", gappy, []mining.Rule{rule(coo, 0.82, sparseDIA)}, []matrix.Format{csr, coo}},
+		{"two groups, listed in evaluation order", dense, []mining.Rule{rule(coo, 0.4), rule(dia, 0.6)}, []matrix.Format{csr, dia, coo}},
+		{"a matched group the fill guard rejects", gappy, []mining.Rule{rule(dia, 0.6), rule(coo, 0.4)}, []matrix.Format{csr, coo}},
+		{"only an infeasible group: the incumbent alone", gappy, []mining.Rule{rule(dia, 0.99)}, []matrix.Format{csr}},
+		{"only the CSR group", dense, []mining.Rule{rule(csr, 0.5)}, []matrix.Format{csr}},
+		{"a confident group whose conversion failed is still a contender", dense, []mining.Rule{rule(ell, 0.99)}, []matrix.Format{csr, ell}},
+	} {
+		tuner := New[float64](modelRules(c.rules...), Config{Threads: 1, CacheSize: -1})
+		if got := tuner.contenders(&c.ft, fallbackMaxFill); !slices.Equal(got, c.want) {
+			t.Errorf("%s: contenders %v, want %v", c.name, got, c.want)
+		}
+		tuner.Close()
+	}
+}
+
+// TestPickMeasured pins the measuring selector's verdict: the incumbent keeps
+// a tie and any gain inside the margin, a clear win goes to the fastest
+// challenger, and a challenger is held to the incumbent's bar only — never to
+// a margin over another challenger.
+func TestPickMeasured(t *testing.T) {
+	edge := 1 / (1 + fallbackMargin) // the bar for an incumbent at 1.0
+	for _, c := range []struct {
+		name string
+		secs []float64
+		want int
+	}{
+		{"incumbent alone", []float64{1}, 0},
+		{"tie", []float64{1, 1}, 0},
+		{"slower challenger", []float64{1, 1.5}, 0},
+		{"gain inside the margin", []float64{1, edge * 1.001}, 0},
+		{"gain exactly the margin", []float64{1, edge}, 0},
+		{"clear win", []float64{1, edge * 0.999}, 1},
+		{"fastest of two winners", []float64{1, 0.8, 0.5}, 2},
+		{"second winner ahead by less than the margin", []float64{1, 0.80, 0.79}, 2},
+		{"first winner stays ahead of a slower one", []float64{1, 0.79, 0.80}, 1},
+		{"a challenger inside the margin does not raise the bar", []float64{1, 0.99, 0.96}, 2},
+		{"unresolved timings", []float64{0, 0}, 0},
+	} {
+		if got := pickMeasured(c.secs); got != c.want {
+			t.Errorf("%s: pickMeasured(%v) = %d, want %d", c.name, c.secs, got, c.want)
+		}
+	}
+}
+
+// TestFallbackRunsTwoPerContender counts what the measuring selector executes
+// and allocates: two runs of each contender's bound kernel and no other — no
+// basic-CSR baseline through the library — one conversion per challenger, and
+// the one probe workspace. The CSR-SpMV unit is the incumbent's first run.
+func TestFallbackRunsTwoPerContender(t *testing.T) {
+	const n = 20_000
+	m := gen.MultiDiagonal[float64](n, []int{-1, 0, 1}, rand.New(rand.NewSource(36)))
+	s := matrix.Scan(m)
+	for _, c := range []struct {
+		name  string
+		model *Model
+		want  []matrix.Format
+	}{
+		{"one sub-threshold group", modelAlways(matrix.FormatDIA, 0.30), []matrix.Format{matrix.FormatCSR, matrix.FormatDIA}},
+		{"no opinion", modelRules(), []matrix.Format{matrix.FormatCSR, matrix.FormatDIA, matrix.FormatELL, matrix.FormatCOO}},
+	} {
+		tuner := New[float64](c.model, Config{Threads: 2, CacheSize: -1})
+		// The bound kernels and the library's own (a baseline's route to
+		// csr_basic) count separately.
+		var bound, unbound atomic.Int64
+		tuner.bound = resolveKernels(c.model, tuner.lib.Observed(func() { bound.Add(1) }), tuner.threads)
+		tuner.lib = tuner.lib.Observed(func() { unbound.Add(1) })
+
+		tn := tuner.extract(m, TuneOptions{})
+		tn.begin()
+		if got := tuner.contenders(&tn.d.Features, fallbackMaxFill); !slices.Equal(got, c.want) {
+			t.Fatalf("%s: contenders %v, want %v", c.name, got, c.want)
+		}
+		var picked *choice[float64]
+		total := allocated(func() { picked = tn.measure() })
+		d := tn.d
+
+		if got := bound.Load(); got != int64(2*len(c.want)) {
+			t.Errorf("%s: %d runs of bound kernels, want 2 per contender = %d", c.name, got, 2*len(c.want))
+		}
+		if got := unbound.Load(); got != 0 {
+			t.Errorf("%s: %d kernel runs outside the contenders' (a csr_basic baseline?), want 0", c.name, got)
+		}
+		if len(d.Measured) != len(c.want) {
+			t.Errorf("%s: measured %v, want exactly %v", c.name, d.Measured, c.want)
+		}
+		for _, f := range c.want {
+			if d.Measured[f] <= 0 {
+				t.Errorf("%s: contender %v has no measured rate in %v", c.name, f, d.Measured)
+			}
+		}
+		if picked.incumbentSec <= 0 || d.CSRSpMVSec < picked.incumbentSec {
+			t.Errorf("%s: unit %gs against an incumbent best of %gs; want the incumbent's first run, no faster than its best",
+				c.name, d.CSRSpMVSec, picked.incumbentSec)
+		}
+		if !raceEnabledAutotune { // allocation accounting is not stable under -race
+			extra := (float64(total) - float64(conversionBytes(t, m, s, fallbackMaxFill, c.want[1:]...))) / (n * 8)
+			if extra < 2 || extra >= 3 {
+				t.Errorf("%s: selector allocated %.2f vector-lengths beyond one conversion per challenger, want the workspace's 2", c.name, extra)
+			}
+		}
+		tuner.Close()
 	}
 }
 

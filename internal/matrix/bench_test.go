@@ -11,6 +11,19 @@ func benchMatrix(b *testing.B) *CSR[float64] {
 	return randCSR(rng, 2000, 2000, 0.005)
 }
 
+// BenchmarkValidate is the per-request check of the serving path (NewCSR),
+// reported as benchmark/ reports it (matrix.validate_ns_per_nnz).
+func BenchmarkValidate(b *testing.B) {
+	m := benchMatrix(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/nnz")
+}
+
 func BenchmarkSpGEMM(b *testing.B) {
 	m := benchMatrix(b)
 	b.ResetTimer()

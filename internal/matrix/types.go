@@ -183,21 +183,32 @@ func (m *CSR[T]) Validate() error {
 	if m.RowPtr[m.Rows] != len(m.Vals) {
 		return fmt.Errorf("csr: RowPtr[last] = %d, want %d", m.RowPtr[m.Rows], len(m.Vals))
 	}
-	for i := 0; i < m.Rows; i++ {
-		if m.RowPtr[i] > m.RowPtr[i+1] {
+	// The per-entry loop works on locals and one re-sliced row, so it reloads
+	// nothing through m and checks no bound per entry.
+	cols, ncols := m.ColIdx, m.Cols
+	lo := 0
+	for i, hi := range m.RowPtr[1:] {
+		if lo > hi {
 			return fmt.Errorf("csr: RowPtr not monotone at row %d", i)
 		}
+		// A row end past the stored entries breaks monotonicity further down;
+		// the entries that do exist are checked first, then the overshoot.
+		end := min(hi, len(cols))
 		prev := -1
-		for jj := m.RowPtr[i]; jj < m.RowPtr[i+1]; jj++ {
-			c := m.ColIdx[jj]
-			if c < 0 || c >= m.Cols {
-				return fmt.Errorf("csr: column %d out of range in row %d", c, i)
-			}
-			if c <= prev {
+		for _, c := range cols[lo:end] {
+			// prev ≥ -1, so c ≤ prev also catches every negative column.
+			if c <= prev || c >= ncols {
+				if c < 0 || c >= ncols {
+					return fmt.Errorf("csr: column %d out of range in row %d", c, i)
+				}
 				return fmt.Errorf("csr: columns not strictly increasing in row %d", i)
 			}
 			prev = c
 		}
+		if hi > end {
+			return fmt.Errorf("csr: RowPtr[%d] = %d past the %d stored entries", i+1, hi, len(cols))
+		}
+		lo = hi
 	}
 	return nil
 }

@@ -108,6 +108,15 @@ func TestCSRValidateRejectsCorruption(t *testing.T) {
 	check("len mismatch", func(m *CSR[float64]) { m.Vals = m.Vals[:8] })
 }
 
+// TestCSRValidateRowEndPastEntries: a row end beyond the stored entries, with
+// every column before it in order, is an error — not an out-of-range read.
+func TestCSRValidateRowEndPastEntries(t *testing.T) {
+	m := &CSR[float64]{Rows: 2, Cols: 4, RowPtr: []int{0, 9, 4}, ColIdx: []int{0, 1, 2, 3}, Vals: []float64{1, 2, 3, 4}}
+	if err := m.Validate(); err == nil {
+		t.Error("Validate accepted RowPtr[1] = 9 over 4 stored entries")
+	}
+}
+
 func TestCOOValidateRejectsCorruption(t *testing.T) {
 	check := func(name string, corrupt func(*COO[float64])) {
 		m := paperCSR(t).ToCOO()

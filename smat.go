@@ -674,13 +674,14 @@ type Decision struct {
 	// loop won at every probed width. While a background conversion is
 	// pending it describes the tuned-CSR representation being served.
 	BatchCrossover int
-	// Overhead is the total decision cost in multiples of one basic
-	// CSR-SpMV execution (the paper's Table 3 unit): what the tuning call
-	// itself spent. It is 0 unless the tune measured a CSR baseline — the
-	// execute-and-measure fallback, or a leader under an iteration hint: a
-	// confident prediction, a format hint and a cache hit run no kernel
-	// before the caller's own, so they have no unit to report in (time the
-	// call to see their cost). The batch-crossover probe is no part of it —
-	// it runs on the first batched call, and Tuner.Stats reports it.
+	// Overhead is the total decision cost in multiples of one CSR-SpMV
+	// execution (the paper's Table 3 unit): what the tuning call itself
+	// spent. It is 0 unless the tune timed that unit — the execute-and-measure
+	// fallback (its tuned-CSR incumbent's first run), or a leader under an
+	// iteration hint (one basic CSR-SpMV): a confident prediction, a format
+	// hint and a cache hit run no kernel before the caller's own, so they have
+	// no unit to report in (time the call to see their cost). The
+	// batch-crossover probe is no part of it — it runs on the first batched
+	// call, and Tuner.Stats reports it.
 	Overhead float64
 }
