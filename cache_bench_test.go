@@ -1,15 +1,19 @@
 // Benchmarks and checks for the serving runtime's decision cache: a cold
 // Tune (execute-and-measure regime) against a cache-hit Tune on a corpus
-// representative matrix. cmd/smat-bench -experiment cache prints the same
-// comparison as a table.
+// representative matrix, and a whole served request on a re-submitted
+// pattern. cmd/smat-bench -experiment cache prints the first comparison as a
+// table; benchmark/'s serve_hit workload is the second end to end.
 package smat_test
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"smat"
 	"smat/internal/corpus"
+	"smat/internal/gen"
+	"smat/internal/matrix"
 )
 
 // cacheBenchMatrix builds a corpus representative matrix (pkustk14, the
@@ -66,6 +70,57 @@ func BenchmarkTuneCacheHit(b *testing.B) {
 	st := tuner.Stats()
 	b.ReportMetric(float64(st.Hits), "cache-hits")
 	b.ReportMetric(100*st.HitRate(), "hit-rate-%")
+}
+
+// BenchmarkServeRequest is the head of one served request on a pattern the
+// tuner knows: smat.NewCSR on the template's index arrays under new values
+// (validation and signing) and the first CSRSpMV on the handle (structure
+// index hit, decision-cache hit, conversion, one multiply) — what a request
+// pays before its steady-state calls, per stored entry, one pattern of some
+// 50 k entries per format class.
+func BenchmarkServeRequest(b *testing.B) {
+	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	for _, c := range []struct {
+		class smat.Format
+		m     *matrix.CSR[float64]
+	}{
+		{smat.FormatDIA, gen.Laplacian2D5pt[float64](100, 100)},
+		{smat.FormatELL, gen.BipartiteIncidence[float64](12000, 6000, 4, rng(1))},
+		{smat.FormatCSR, gen.RandomUniform[float64](900, 900, 60, rng(2))},
+		{smat.FormatCOO, gen.PreferentialAttachment[float64](8000, 3, rng(3))},
+	} {
+		b.Run(c.class.String(), func(b *testing.B) {
+			m := c.m
+			tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
+			defer tuner.Close()
+			x, y := make([]float64, m.Cols), make([]float64, m.Rows)
+			for i := range x {
+				x[i] = 1
+			}
+			vals := [2][]float64{m.Vals, values(m.NNZ(), 1)}
+			request := func(i int) *smat.Matrix[float64] {
+				a, err := smat.NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, vals[i%2])
+				if err == nil {
+					err = tuner.CSRSpMV(a, x, y, smat.WithSyncConvert())
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				return a
+			}
+			request(0) // prime: the one scan and the one decision
+			b.ResetTimer()
+			var last *smat.Matrix[float64]
+			for i := 1; i <= b.N; i++ {
+				last = request(i)
+			}
+			b.StopTimer()
+			if d := last.Operator().Decision(); !d.StructureHit || !d.CacheHit || d.Chosen != c.class {
+				b.Fatalf("request served %v: structure hit %v, cache hit %v", d.Chosen, d.StructureHit, d.CacheHit)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/nnz")
+		})
+	}
 }
 
 // TestCacheHitTuningSpeedup asserts what the cache-hit path guarantees on a

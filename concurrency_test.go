@@ -7,6 +7,7 @@ import (
 
 	"smat/internal/gen"
 	"smat/internal/matrix"
+	"smat/internal/oracle"
 )
 
 // TestConcurrentCSRSpMVSharedAndDistinct hammers one Tuner from many
@@ -262,6 +263,82 @@ func TestConcurrentTuneAndStats(t *testing.T) {
 			return
 		default:
 			_ = tuner.Stats()
+		}
+	}
+}
+
+// TestConcurrentResubmittedPattern pushes one sparsity pattern through one
+// tuner — and through a second tuner sharing its cache — from many
+// goroutines at once, each wrapping it in new handles under its own values,
+// half of them in their own copy of the index arrays. All of them read, and
+// the first few write, one record of the structure index: it is published
+// once per scan and never written after, which is what the race detector
+// checks here; every product is checked row by row against the serial
+// reference. However the first submissions interleave, one pattern is
+// remembered, at most one scan per goroutine and tuner ran, and every other
+// request was a structure hit.
+func TestConcurrentResubmittedPattern(t *testing.T) {
+	const (
+		goroutines = 12
+		iters      = 30
+	)
+	owner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	defer owner.Close()
+	sharing := NewTuner[float64](HeuristicModel(), WithThreads(1), WithCacheFrom(owner))
+	defer sharing.Close()
+
+	for _, m := range []*matrix.CSR[float64]{
+		gen.MultiDiagonal[float64](3000, []int{-2, 0, 1}, rand.New(rand.NewSource(1))), // DIA: the record's diagonals are read
+		gen.ConstantDegree[float64](3000, 4, rand.New(rand.NewSource(2))),              // ELL: its width
+	} {
+		before := owner.Stats()
+		x := make([]float64, m.Cols)
+		for i := range x {
+			x[i] = float64((i*13)%31-15) / 8
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				tuner := owner
+				if g%3 == 2 {
+					tuner = sharing
+				}
+				rowPtr, colIdx := m.RowPtr, m.ColIdx
+				if g%2 == 1 {
+					rowPtr, colIdx = append([]int(nil), rowPtr...), append([]int(nil), colIdx...)
+				}
+				rng := rand.New(rand.NewSource(int64(g)))
+				vals, y := make([]float64, m.NNZ()), make([]float64, m.Rows)
+				<-start
+				for i := 0; i < iters; i++ {
+					for j := range vals {
+						vals[j] = float64(rng.Intn(15)+1) / 8
+					}
+					a, err := NewCSR(m.Rows, m.Cols, rowPtr, colIdx, vals)
+					if err == nil {
+						err = tuner.CSRSpMV(a, x, y, WithSyncConvert())
+					}
+					if err == nil {
+						err = oracle.CheckProduct(a.CSR(), x, y, "concurrent re-submission")
+					}
+					if err != nil {
+						t.Errorf("goroutine %d request %d: %v", g, i, err)
+						return
+					}
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+
+		st := owner.Stats() // the shared cache's counters
+		hits, total := st.StructureHits-before.StructureHits, uint64(goroutines*iters)
+		if st.Structures-before.Structures != 1 || hits >= total || hits < total-goroutines {
+			t.Errorf("%d patterns remembered and %d structure hits over %d requests from %d goroutines",
+				st.Structures-before.Structures, hits, total, goroutines)
 		}
 	}
 }

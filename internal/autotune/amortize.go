@@ -49,6 +49,15 @@ type TuneOptions struct {
 	// conversion only delays the swap behind the serving goroutine.
 	SyncConvert bool
 
+	// Pattern is the matrix's sparsity-pattern signature (matrix.CSR.Sign) when
+	// the caller computed one while validating, zero otherwise. A signed
+	// matrix takes part in the cache's structure index: the first tune of a
+	// pattern scans it and remembers the result, later ones — other values on
+	// the same pattern, in whatever arrays — recall it and skip the scan. It
+	// must be the signature of the arrays as they are now; a stale or
+	// colliding one costs a rescan, not a wrong product (see tuning.run).
+	Pattern matrix.Signature
+
 	// HoldConversion, when non-nil, makes the background conversion worker
 	// block until the channel is closed before it starts converting. It
 	// exists for tests and the differential oracle, which need to pin the

@@ -67,6 +67,11 @@ type CacheStats struct {
 	Evictions, Refreshes uint64
 	// Size is the current entry count, Capacity the configured bound.
 	Size, Capacity int
+	// StructureHits counts tunes whose matrix came with a pattern signature
+	// the structure index knew, and so ran no structure scan; Structures is the
+	// index's current record count, bounded by Capacity like Size.
+	StructureHits uint64
+	Structures    int
 }
 
 // HitRate returns the fraction of lookups served without a tuning run.
@@ -84,23 +89,76 @@ func (s CacheStats) HitRate() float64 {
 // block on its result. All methods are safe for concurrent use. The cache
 // stores decisions (format + parameters), not operators, so one cache can be
 // shared by tuners of different element types and thread counts.
+//
+// Beside the decisions it keeps the structure index: what a tune learned from
+// scanning a signed matrix (structureRecord), per exact pattern, under the
+// same shards, the same LRU policy and the same bound.
 type Cache struct {
-	capacity int // total bound; each shard holds capacity/cacheShards
+	capacity int // bound of either index; each shard holds capacity/cacheShards
 	shards   [cacheShards]cacheShard
 
-	hits, misses, shared, evictions, refreshes atomic.Uint64
+	hits, misses, shared, evictions, refreshes, structureHits atomic.Uint64
 }
 
 type cacheShard struct {
-	mu       sync.Mutex
-	lru      list.List // front = most recently used; values are *cacheNode
-	entries  map[features.Key]*list.Element
-	inflight map[features.Key]*flight
+	mu         sync.Mutex
+	decisions  lru[features.Key, CacheEntry]
+	inflight   map[features.Key]*flight
+	structures lru[structureKey, *structureRecord]
 }
 
-type cacheNode struct {
-	key   features.Key
-	entry CacheEntry
+// lru is a map that remembers the order its keys were last used in, so the
+// owner can drop the stalest. The zero value is not ready: see NewCache.
+type lru[K comparable, V any] struct {
+	order list.List // front = most recently used; values are *lruNode[K, V]
+	byKey map[K]*list.Element
+}
+
+type lruNode[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// get returns a pointer to key's value, marking it most recently used, or
+// nil. The pointer is good while the owner's lock is held.
+func (l *lru[K, V]) get(key K) *V {
+	el, ok := l.byKey[key]
+	if !ok {
+		return nil
+	}
+	l.order.MoveToFront(el)
+	return &el.Value.(*lruNode[K, V]).val
+}
+
+// peek is get for a reader that is no user: the order stays.
+func (l *lru[K, V]) peek(key K) *V {
+	if el, ok := l.byKey[key]; ok {
+		return &el.Value.(*lruNode[K, V]).val
+	}
+	return nil
+}
+
+// put sets key's value, marking it most recently used; a new key first evicts
+// from the stale end until fewer than bound keys are held. It returns the
+// number evicted.
+func (l *lru[K, V]) put(key K, val V, bound int) (evicted int) {
+	if p := l.get(key); p != nil {
+		*p = val
+		return 0
+	}
+	for ; l.order.Len() >= bound; evicted++ {
+		delete(l.byKey, l.order.Remove(l.order.Back()).(*lruNode[K, V]).key)
+	}
+	l.byKey[key] = l.order.PushFront(&lruNode[K, V]{key: key, val: val})
+	return evicted
+}
+
+// remove drops key, if held.
+func (l *lru[K, V]) remove(key K) {
+	if el, ok := l.byKey[key]; ok {
+		l.order.Remove(el)
+		delete(l.byKey, key)
+	}
 }
 
 // flight is one in-progress tuning run that waiters block on.
@@ -120,8 +178,10 @@ func NewCache(capacity int) *Cache {
 	}
 	c := &Cache{capacity: capacity}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[features.Key]*list.Element)
-		c.shards[i].inflight = make(map[features.Key]*flight)
+		s := &c.shards[i]
+		s.decisions.byKey = make(map[features.Key]*list.Element)
+		s.inflight = make(map[features.Key]*flight)
+		s.structures.byKey = make(map[structureKey]*list.Element)
 	}
 	return c
 }
@@ -164,19 +224,15 @@ func (c *Cache) DoValidated(key features.Key, refreshBelow float64, valid func(C
 	s := c.shard(key)
 	for {
 		s.mu.Lock()
-		if el, ok := s.entries[key]; ok {
-			n := el.Value.(*cacheNode)
-			if (n.entry.Measured || n.entry.Confidence >= refreshBelow) && (valid == nil || valid(n.entry)) {
-				s.lru.MoveToFront(el)
-				entry := n.entry
+		if p := s.decisions.get(key); p != nil {
+			if entry := *p; (entry.Measured || entry.Confidence >= refreshBelow) && (valid == nil || valid(entry)) {
 				s.mu.Unlock()
 				c.hits.Add(1)
 				return entry, true, nil
 			}
 			// Stale low-confidence (or validation-failing) entry: drop it and
 			// re-tune below.
-			s.lru.Remove(el)
-			delete(s.entries, key)
+			s.decisions.remove(key)
 			c.refreshes.Add(1)
 		}
 		if f, ok := s.inflight[key]; ok {
@@ -220,9 +276,8 @@ func (c *Cache) Get(key features.Key) (CacheEntry, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		return el.Value.(*cacheNode).entry, true
+	if p := s.decisions.get(key); p != nil {
+		return *p, true
 	}
 	return CacheEntry{}, false
 }
@@ -246,51 +301,90 @@ func (c *Cache) SetBatchCrossover(key features.Key, f matrix.Format, p kernels.P
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		if n := el.Value.(*cacheNode); n.entry.Format == f && n.entry.Params == p {
-			n.entry.BatchCrossover = crossover
-		}
+	if entry := s.decisions.peek(key); entry != nil && entry.Format == f && entry.Params == p {
+		entry.BatchCrossover = crossover
 	}
 }
 
 // insertLocked adds or refreshes an entry in s, evicting from the LRU tail
 // to stay within the per-shard bound. Caller holds s.mu.
 func (c *Cache) insertLocked(s *cacheShard, key features.Key, entry CacheEntry) {
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheNode).entry = entry
-		s.lru.MoveToFront(el)
-		return
+	c.evictions.Add(uint64(s.decisions.put(key, entry, c.perShardCap())))
+}
+
+// structureKey names one exact sparsity pattern: its content signature, and
+// the shape — free to compare, and what matrix.Layout panics on.
+type structureKey struct {
+	sig             matrix.Signature
+	rows, cols, nnz int
+}
+
+// structureRecord is the symbolic half of a tune, everything extract derives
+// from RowPtr and ColIdx alone: the Table 2 features and the layout the DIA
+// and ELL conversions work from. It is immutable once remembered, shared by
+// every tune that recalls it, and O(stored diagonals) in size — it holds no
+// per-row or per-column array and none of the caller's.
+type structureRecord struct {
+	features features.Features
+	layout   matrix.Layout
+}
+
+func (c *Cache) structureShard(k structureKey) *cacheShard {
+	return &c.shards[uint64(k.sig)%cacheShards]
+}
+
+// recallStructure returns the record remembered for k, counting the hit.
+func (c *Cache) recallStructure(k structureKey) *structureRecord {
+	s := c.structureShard(k)
+	s.mu.Lock()
+	p := s.structures.get(k)
+	s.mu.Unlock()
+	if p == nil {
+		return nil
 	}
-	for cap := c.perShardCap(); s.lru.Len() >= cap; {
-		back := s.lru.Back()
-		delete(s.entries, back.Value.(*cacheNode).key)
-		s.lru.Remove(back)
-		c.evictions.Add(1)
-	}
-	s.entries[key] = s.lru.PushFront(&cacheNode{key: key, entry: entry})
+	c.structureHits.Add(1)
+	return *p
+}
+
+// rememberStructure files rec under k, replacing what was there. Structure
+// evictions are not counted: Evictions is the decisions'.
+func (c *Cache) rememberStructure(k structureKey, rec *structureRecord) {
+	s := c.structureShard(k)
+	s.mu.Lock()
+	s.structures.put(k, rec, c.perShardCap())
+	s.mu.Unlock()
 }
 
 // Len returns the current number of cached entries.
 func (c *Cache) Len() int {
-	n := 0
+	n, _ := c.sizes()
+	return n
+}
+
+// sizes counts the decisions and the structure records held.
+func (c *Cache) sizes() (decisions, structures int) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.entries)
+		decisions += len(s.decisions.byKey)
+		structures += len(s.structures.byKey)
 		s.mu.Unlock()
 	}
-	return n
+	return decisions, structures
 }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
+	size, structures := c.sizes()
 	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Shared:    c.shared.Load(),
-		Evictions: c.evictions.Load(),
-		Refreshes: c.refreshes.Load(),
-		Size:      c.Len(),
-		Capacity:  c.capacity,
+		Hits:          c.hits.Load(),
+		Misses:        c.misses.Load(),
+		Shared:        c.shared.Load(),
+		Evictions:     c.evictions.Load(),
+		Refreshes:     c.refreshes.Load(),
+		Size:          size,
+		Capacity:      c.capacity,
+		StructureHits: c.structureHits.Load(),
+		Structures:    structures,
 	}
 }

@@ -38,6 +38,13 @@ type Decision struct {
 	// Confidence describe the cached entry.
 	CacheHit bool
 
+	// StructureHit reports that Features — and the layout the conversion
+	// worked from — were recalled from the cache's structure index under the
+	// matrix's pattern signature (TuneOptions.Pattern), not scanned: the tune
+	// did not read RowPtr or ColIdx before converting. It is independent of
+	// CacheHit, which is about the decision.
+	StructureHit bool
+
 	// Chosen is the format the returned operator serves (or, for a pending
 	// background conversion, will serve once the swap lands); Kernel the
 	// implementation name.
@@ -710,9 +717,25 @@ func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *
 	return tn.op, tn.d, nil
 }
 
-// run takes an extracted call down its path — format hint, no cache, cache
-// leader or cache hit — to a served operator (tn.op) and its decision (tn.d).
+// run takes an extracted call down its path to a served operator (tn.op) and
+// its decision (tn.d). A call that recalled its structure and was told by a
+// conversion that the record is another pattern's (two patterns, one
+// signature) has decided nothing yet — the features it keyed on were the other
+// pattern's too: it scans, which replaces the record, and starts over on a
+// fresh Decision. A collision costs that one scan and never a wrong product.
 func (tn *tuning[T]) run() error {
+	err := tn.decide()
+	if tn.base.StructureHit && foreign(err) {
+		start := time.Now()
+		tn.scan()
+		tn.base.FeatureSec += time.Since(start).Seconds()
+		err = tn.decide()
+	}
+	return err
+}
+
+// decide is the path proper: format hint, no cache, cache leader or cache hit.
+func (tn *tuning[T]) decide() error {
 	t, opts := tn.t, tn.opts
 	if opts.HasFormatHint {
 		return tn.finish(tn.hinted())
@@ -739,8 +762,9 @@ func (tn *tuning[T]) run() error {
 	}
 	// The decision came from the cache (or from a concurrent leader tuning
 	// an identical-fingerprint matrix): apply it to this matrix.
-	if tn.serve(tn.cached(entry)) == nil {
-		return nil
+	err = tn.serve(tn.cached(entry))
+	if err == nil || foreign(err) {
+		return err
 	}
 	// The cached format does not fit this matrix — a fingerprint collision
 	// with a structurally different matrix. Decide locally, on a fresh

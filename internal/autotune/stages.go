@@ -7,7 +7,9 @@
 // probe, so the payoff is weighed last. A cache hit runs select → payoff →
 // build, so nothing is converted below break-even. Both end in serve, which
 // records the decision and publishes the engine. The matrix structure is read
-// once, by extract: the features and every conversion work from that scan.
+// at most once, by extract: the features and every conversion work from that
+// scan — or, for a signed matrix whose pattern the cache's structure index
+// remembers, from the remembered record, and the structure is not read at all.
 // A kernel runs only where the call itself consumes the measurement: two runs
 // of each contender in the execute-and-measure selector, the CSR baseline and
 // the payoff rates under an iteration hint, and the batch crossover not here
@@ -17,6 +19,7 @@
 package autotune
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -30,7 +33,7 @@ import (
 type tuning[T matrix.Float] struct {
 	t    *Tuner[T]
 	m    *matrix.CSR[T]
-	s    *matrix.Structure // Scan(m): extract's one pass over the structure
+	lay  *matrix.Layout // of m: extract's one scan, or the structure index's memory of one
 	opts TuneOptions
 
 	// op is the operator under construction; serve publishes its engine.
@@ -75,16 +78,68 @@ type choice[T matrix.Float] struct {
 	convert kernels.ConvertTiming
 }
 
-// extract is the first stage: the structure scan and the Table 2 features it
-// yields, timed once per call.
+// extract is the first stage: the symbolic half of the tune — the Table 2
+// features and the conversions' layout, which depend on RowPtr and ColIdx
+// alone — recalled from the structure index when the matrix is signed and the
+// index knows its pattern, scanned otherwise. Timed once per call.
 func (t *Tuner[T]) extract(m *matrix.CSR[T], opts TuneOptions) *tuning[T] {
 	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{t: t, pool: t.pool, nnz: m.NNZ()}}
 	tn.base.IterationHint = opts.Iterations
 	start := time.Now()
-	tn.s = matrix.Scan(m)
-	tn.base.Features = features.FromStructure(tn.s)
+	if !tn.recall() {
+		tn.scan()
+	}
 	tn.base.FeatureSec = time.Since(start).Seconds()
 	return tn
+}
+
+// pattern is the call's key in the structure index; ok is false for an
+// unsigned matrix or a tuner without a cache, which have no part in it.
+func (tn *tuning[T]) pattern() (k structureKey, ok bool) {
+	k = structureKey{sig: tn.opts.Pattern, rows: tn.m.Rows, cols: tn.m.Cols, nnz: tn.m.NNZ()}
+	return k, tn.t.cache != nil && k.sig != 0
+}
+
+// recall takes the features and the layout from the structure index, if it
+// remembers the call's pattern. What it returns was scanned from a matrix of
+// this signature and shape: this very pattern, unless two patterns share a
+// signature — the conversions check (matrix.ErrStructureMismatch), and run
+// starts over from a scan.
+func (tn *tuning[T]) recall() bool {
+	k, ok := tn.pattern()
+	if !ok {
+		return false
+	}
+	rec := tn.t.cache.recallStructure(k)
+	if rec == nil {
+		return false
+	}
+	tn.lay, tn.base.Features, tn.base.StructureHit = &rec.layout, rec.features, true
+	return true
+}
+
+// foreign reports that a conversion refused the call's layout as another
+// pattern's. Only a recalled layout can be; the attempt that hit it is void —
+// its features are the other pattern's too — and run starts over from a scan.
+func foreign(err error) bool { return errors.Is(err, matrix.ErrStructureMismatch) }
+
+// scan reads the structure of the matrix, once, and has the structure index
+// remember what it found — less the diagonals when DIA does not fit the
+// model's fill limit, so that a record stays O(features) on a matrix with
+// O(rows+cols) diagonals; kernels.ConvertFrom scans again for the rare DIA
+// conversion that misses them (a tuner sharing the cache under a wider limit,
+// a format hint).
+func (tn *tuning[T]) scan() {
+	s := matrix.Scan(tn.m)
+	lay := s.Layout // a copy: the call keeps the layout, not the tallies
+	tn.lay, tn.base.Features, tn.base.StructureHit = &lay, features.FromStructure(s), false
+	if k, ok := tn.pattern(); ok {
+		rec := &structureRecord{features: tn.base.Features, layout: lay}
+		if !feasible(matrix.FormatDIA, &rec.features, tn.t.model.MaxFill) {
+			rec.layout.DiagOffsets = nil
+		}
+		tn.t.cache.rememberStructure(k, rec)
+	}
 }
 
 // begin starts an attempt on a fresh record.
@@ -143,15 +198,23 @@ func (tn *tuning[T]) lead() (*choice[T], error) {
 // converts, otherwise execute-and-measure — or, with fallback off, the
 // model's best effort.
 func (tn *tuning[T]) choose() (*choice[T], error) {
-	if c, ok := tn.confident(); ok && tn.materialise(c) == nil {
-		return c, nil
+	if c, ok := tn.confident(); ok {
+		switch err := tn.materialise(c); {
+		case err == nil:
+			return c, nil
+		case foreign(err):
+			return nil, err
+		}
 	}
 	// No confident prediction, or the fill guard rejected it.
 	if !tn.t.noFallback {
-		return tn.measure(), nil
+		return tn.measure()
 	}
 	c := tn.bestEffort()
-	if tn.materialise(c) != nil {
+	if err := tn.materialise(c); err != nil {
+		if foreign(err) {
+			return nil, err
+		}
 		// The fill guard can still reject a feature-feasible format on edge
 		// cases; CSR always converts.
 		c = &choice[T]{format: matrix.FormatCSR, params: tn.t.paramsFor(matrix.FormatCSR)}
@@ -252,8 +315,10 @@ func pickMeasured(secs []float64) int {
 // conditions at least as warm as the challenger's own. Conversion time and the
 // two payoff rates are measured as a side effect. A contender whose kernel is
 // unbound or whose conversion the fill guard rejects drops out; the incumbent
-// cannot.
-func (tn *tuning[T]) measure() *choice[T] {
+// cannot. A contender that does not convert because the layout is another
+// pattern's ends the attempt: the features the contenders came from are that
+// pattern's too.
+func (tn *tuning[T]) measure() (*choice[T], error) {
 	t, d := tn.t, tn.d
 	d.UsedFallback = true
 	start := time.Now()
@@ -263,7 +328,11 @@ func (tn *tuning[T]) measure() *choice[T] {
 	var built []*choice[T]
 	for _, f := range t.contenders(&d.Features, maxFill) {
 		p := t.paramsFor(f)
-		if e, timing, err := tn.candidate(f, p, maxFill); err == nil {
+		e, timing, err := tn.candidate(f, p, maxFill)
+		if foreign(err) {
+			return nil, err
+		}
+		if err == nil {
 			built = append(built, &choice[T]{format: f, params: p, eng: e, convert: timing})
 		}
 	}
@@ -289,7 +358,7 @@ func (tn *tuning[T]) measure() *choice[T] {
 	}
 	best := built[pickMeasured(secs)]
 	best.incumbentSec = secs[0]
-	return best
+	return best, nil
 }
 
 // candidate builds one format for the measuring selector. Its CSR candidate
@@ -298,7 +367,7 @@ func (tn *tuning[T]) candidate(f matrix.Format, p kernels.Params, maxFill float6
 	if f == matrix.FormatCSR {
 		return tn.incumbent(), kernels.ConvertTiming{Format: f, Stored: tn.m.Stored()}, nil
 	}
-	return tn.t.build(tn.m, tn.s, f, p, maxFill, 0)
+	return tn.t.build(tn.m, tn.lay, f, p, maxFill, 0)
 }
 
 // outcome is the payoff stage's verdict on a choice.
@@ -357,15 +426,16 @@ func (t *Tuner[T]) bind(f matrix.Format, p kernels.Params, crossover int) (*engi
 // build is the one materialise-and-bind site: every engine — a selector's
 // candidate, a cache hit's format, the tuned-CSR incumbent, the background
 // worker's swap target — is the matrix converted with the given parameters
-// under the given fill limit, from the call's structure scan s, bound by
-// bind. It fails when the tuner serves no kernel for the format or the
-// format's zero-fill guard rejects this particular matrix.
-func (t *Tuner[T]) build(m *matrix.CSR[T], s *matrix.Structure, f matrix.Format, p kernels.Params, maxFill float64, crossover int) (*engine[T], kernels.ConvertTiming, error) {
+// under the given fill limit, from the call's layout, bound by bind. It fails
+// when the tuner serves no kernel for the format, the format's zero-fill guard
+// rejects this particular matrix, or the layout is not this matrix's
+// (matrix.ErrStructureMismatch: only a remembered one can be).
+func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, maxFill float64, crossover int) (*engine[T], kernels.ConvertTiming, error) {
 	e, err := t.bind(f, p, crossover)
 	if err != nil {
 		return nil, kernels.ConvertTiming{}, err
 	}
-	mat, timing, err := kernels.ConvertTimedParams(m, s, f, maxFill, p)
+	mat, timing, err := kernels.ConvertTimedParams(m, lay, f, maxFill, p)
 	if err != nil {
 		return nil, timing, err
 	}
@@ -375,7 +445,7 @@ func (t *Tuner[T]) build(m *matrix.CSR[T], s *matrix.Structure, f matrix.Format,
 
 // materialise is the build stage for a choice no selector has built yet.
 func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
-	c.eng, c.convert, err = tn.t.build(tn.m, tn.s, c.format, c.params, tn.t.model.MaxFill, c.crossover)
+	c.eng, c.convert, err = tn.t.build(tn.m, tn.lay, c.format, c.params, tn.t.model.MaxFill, c.crossover)
 	return err
 }
 
@@ -387,7 +457,7 @@ func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
 func (tn *tuning[T]) incumbent() *engine[T] {
 	if tn.inc == nil {
 		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
-		tn.inc, _, _ = tn.t.build(tn.m, tn.s, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill, 0)
+		tn.inc, _, _ = tn.t.build(tn.m, tn.lay, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill, 0)
 	}
 	return tn.inc
 }
@@ -485,7 +555,8 @@ func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 // serve is the shared tail of every path: weigh the choice (payoff), build
 // whatever is served and not built yet, record the decision, publish the
 // engine. It fails only on a cache hit whose format does not fit this matrix
-// or this tuner — a fingerprint collision — and then nothing is published.
+// or this tuner — a fingerprint collision — or on a remembered layout that is
+// another pattern's, and then nothing is published.
 //
 //smat:atomic-publish
 func (tn *tuning[T]) serve(c *choice[T]) error {
@@ -523,7 +594,7 @@ func (tn *tuning[T]) serve(c *choice[T]) error {
 	op.csrSpMVSec = tn.d.CSRSpMVSec
 	op.eng.Store(e)
 	if out == serveSwap {
-		go t.convertWorker(op, tn.m, tn.s, c.format, c.params, c.crossover, tn.opts.HoldConversion)
+		go t.convertWorker(op, tn.m, tn.lay, c.format, c.params, c.crossover, tn.opts.HoldConversion)
 	}
 	return nil
 }
@@ -563,17 +634,18 @@ func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
 // it builds the amortised winner and publishes it with one atomic engine
 // store. The state transition to ConvertDone happens after the store, so an
 // observer that sees Done is guaranteed the next call serves the new format.
-// Failure (fill guard on a fingerprint-colliding matrix) leaves the operator
-// serving tuned CSR permanently — correct, just not faster.
+// Failure (the fill guard on a fingerprint-colliding matrix, a remembered
+// layout that is another pattern's) leaves the operator serving tuned CSR
+// permanently — correct, just not faster.
 //
 //smat:syncsafe
 //smat:atomic-publish
-func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], s *matrix.Structure, f matrix.Format, p kernels.Params, crossover int, hold <-chan struct{}) {
+func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, crossover int, hold <-chan struct{}) {
 	defer close(op.convDone)
 	if hold != nil {
 		<-hold
 	}
-	e, _, err := t.build(m, s, f, p, t.model.MaxFill, crossover)
+	e, _, err := t.build(m, lay, f, p, t.model.MaxFill, crossover)
 	if err != nil {
 		op.convState.Store(int32(ConvertFailed))
 		return

@@ -77,7 +77,7 @@ func conversionBytes(t *testing.T, m *matrix.CSR[float64], s *matrix.Structure, 
 	t.Helper()
 	return allocated(func() {
 		for _, f := range formats {
-			if _, err := kernels.ConvertFrom(m, s, f, maxFill, kernels.Params{}); err != nil {
+			if _, err := kernels.ConvertFrom(m, &s.Layout, f, maxFill, kernels.Params{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -254,7 +254,10 @@ func TestFallbackBindsOneCSREngine(t *testing.T) {
 	tuner.bound = map[matrix.Format]*kernels.Kernel[float64]{matrix.FormatCSR: tuner.bound[matrix.FormatCSR]}
 	tn := tuner.extract(m, TuneOptions{})
 	tn.begin()
-	c := tn.measure()
+	c, err := tn.measure()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.format != matrix.FormatCSR || len(tn.d.Measured) != 1 {
 		t.Fatalf("fallback chose %v from %v, want CSR alone", c.format, tn.d.Measured)
 	}
@@ -364,7 +367,7 @@ func TestFallbackRunsTwoPerContender(t *testing.T) {
 			t.Fatalf("%s: contenders %v, want %v", c.name, got, c.want)
 		}
 		var picked *choice[float64]
-		total := allocated(func() { picked = tn.measure() })
+		total := allocated(func() { picked, _ = tn.measure() })
 		d := tn.d
 
 		if got := bound.Load(); got != int64(2*len(c.want)) {

@@ -68,7 +68,7 @@ func BenchmarkConvert(b *testing.B) {
 		b.Run(f.String()+"/scanfed", func(b *testing.B) {
 			b.SetBytes(int64(m.NNZ() * 16))
 			for i := 0; i < b.N; i++ {
-				if _, err := ConvertFrom(m, s, f, 0, Params{}); err != nil {
+				if _, err := ConvertFrom(m, &s.Layout, f, 0, Params{}); err != nil {
 					b.Fatal(err)
 				}
 			}

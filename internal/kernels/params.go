@@ -109,23 +109,27 @@ func DefaultBatchTile(f matrix.Format) int {
 
 // ConvertFrom is the one conversion site. The conversion-time knobs of p
 // apply — the BCSR block shape and the HYB width-cut percentile; zero values
-// select the defaults (auto block shape, 0.3 cut). s is matrix.Scan(m) when
-// the caller holds it — the tuner does, from feature extraction — and nil
-// otherwise: DIA takes its diagonals and ELL its width from the record
-// instead of reading the structure again, and their fill guards reject from
-// it without touching the matrix. The COO representation is a view sharing
-// m's ColIdx and Vals (matrix.CSR.ToCOO), as the CSR one shares all of m.
-func ConvertFrom[T matrix.Float](m *matrix.CSR[T], s *matrix.Structure, f matrix.Format, maxFill float64, p Params) (*Mat[T], error) {
+// select the defaults (auto block shape, 0.3 cut). l is matrix.Scan(m)'s Layout
+// when the caller holds it — the tuner does, from feature extraction or from
+// its structure index — and nil otherwise: DIA takes its diagonals and ELL its
+// width from the record instead of reading the structure again, and their fill
+// guards reject from it without touching the matrix. A record that dropped
+// its diagonals (a remembered one may) is as good as none to DIA, which scans;
+// a record of m's shape that is not m's fails with
+// matrix.ErrStructureMismatch. The COO
+// representation is a view sharing m's ColIdx and Vals (matrix.CSR.ToCOO), as
+// the CSR one shares all of m.
+func ConvertFrom[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64, p Params) (*Mat[T], error) {
 	switch f {
 	case matrix.FormatCSR:
 		return &Mat[T]{Format: f, CSR: m}, nil
 	case matrix.FormatCOO:
 		return &Mat[T]{Format: f, COO: m.ToCOO()}, nil
 	case matrix.FormatDIA:
-		if s == nil {
-			s = matrix.Scan(m)
+		if l == nil || l.DiagOffsets == nil {
+			l = &matrix.Scan(m).Layout
 		}
-		d, err := m.ToDIAFrom(s, maxFill)
+		d, err := m.ToDIAFrom(l, maxFill)
 		if err != nil {
 			return nil, err
 		}
@@ -133,8 +137,8 @@ func ConvertFrom[T matrix.Float](m *matrix.CSR[T], s *matrix.Structure, f matrix
 	case matrix.FormatELL:
 		var e *matrix.ELL[T]
 		var err error
-		if s != nil {
-			e, err = m.ToELLFrom(s, maxFill)
+		if l != nil {
+			e, err = m.ToELLFrom(l, maxFill)
 		} else {
 			e, err = m.ToELL(maxFill)
 		}
@@ -164,12 +168,12 @@ func ConvertFrom[T matrix.Float](m *matrix.CSR[T], s *matrix.Structure, f matrix
 // incumbent of the amortisation model. Decisions that carry tuned Params
 // must materialise through it so cache hits rebuild the exact representation
 // the leader measured.
-func ConvertTimedParams[T matrix.Float](m *matrix.CSR[T], s *matrix.Structure, f matrix.Format, maxFill float64, p Params) (*Mat[T], ConvertTiming, error) {
+func ConvertTimedParams[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64, p Params) (*Mat[T], ConvertTiming, error) {
 	if f == matrix.FormatCSR {
 		return &Mat[T]{Format: f, CSR: m}, ConvertTiming{Format: f, Stored: m.Stored()}, nil
 	}
 	start := time.Now()
-	out, err := ConvertFrom(m, s, f, maxFill, p)
+	out, err := ConvertFrom(m, l, f, maxFill, p)
 	sec := time.Since(start).Seconds()
 	if err != nil {
 		return nil, ConvertTiming{Format: f, Sec: sec}, err

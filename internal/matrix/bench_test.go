@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -12,16 +13,23 @@ func benchMatrix(b *testing.B) *CSR[float64] {
 }
 
 // BenchmarkValidate is the per-request check of the serving path (NewCSR),
-// reported as benchmark/ reports it (matrix.validate_ns_per_nnz).
+// reported as benchmark/ reports it (matrix.validate_ns_per_nnz), at the two
+// ends of the row-length range: ≈ 3 entries a row, where the per-row work
+// shows, and ≈ 60, where the per-entry loop does. About 60 k entries each.
 func BenchmarkValidate(b *testing.B) {
-	m := benchMatrix(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.Validate(); err != nil {
-			b.Fatal(err)
-		}
+	for _, deg := range []int{3, 60} {
+		b.Run(fmt.Sprintf("deg%d", deg), func(b *testing.B) {
+			rows := 60000 / deg
+			m := randCSR(rand.New(rand.NewSource(1)), rows, rows, float64(deg)/float64(rows))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/nnz")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/nnz")
 }
 
 func BenchmarkSpGEMM(b *testing.B) {

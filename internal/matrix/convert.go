@@ -15,6 +15,13 @@ import (
 // conversion refuses rather than allocating.
 var ErrFillExplosion = errors.New("matrix: conversion would exceed fill limit")
 
+// ErrStructureMismatch is returned by ToDIAFrom and ToELLFrom when the Layout
+// they were handed has the matrix's shape but not its pattern: an entry on a
+// diagonal the record does not list, a row longer than its width, or a listed
+// diagonal or width no entry reaches. Nothing is returned with it; the caller
+// scans the matrix and converts again.
+var ErrStructureMismatch = errors.New("matrix: structure record does not describe this matrix's pattern")
+
 // Triple is one (row, col, value) entry, the input unit for FromTriples.
 type Triple[T Float] struct {
 	Row, Col int
@@ -146,36 +153,60 @@ func fillExceeds(stored, nnz int, maxFillRatio float64) bool {
 // count as a multiple of NNZ (≤0 means unlimited); conversion fails with
 // ErrFillExplosion beyond it.
 func (m *CSR[T]) ToDIA(maxFillRatio float64) (*DIA[T], error) {
-	return m.ToDIAFrom(Scan(m), maxFillRatio)
+	return m.ToDIAFrom(&Scan(m).Layout, maxFillRatio)
 }
 
-// ToDIAFrom is ToDIA for a caller that already holds s = Scan(m): the stored
-// diagonals are the record's, so the fill guard is arithmetic and the matrix
-// is read once, to place its values.
-func (m *CSR[T]) ToDIAFrom(s *Structure, maxFillRatio float64) (*DIA[T], error) {
-	s.of(m.Rows, m.Cols, m.NNZ())
-	stored := len(s.DiagOffsets) * m.Rows
+// ToDIAFrom is ToDIA for a caller that already holds l = Scan(m).Layout: the
+// stored diagonals are the record's, so the fill guard is arithmetic and the
+// matrix is read once, to place its values. The record is checked as it is
+// used — every entry must fall on a listed diagonal and every listed diagonal
+// must receive one — so a record of another pattern yields
+// ErrStructureMismatch, never a misplaced entry.
+func (m *CSR[T]) ToDIAFrom(l *Layout, maxFillRatio float64) (*DIA[T], error) {
+	l.of(m.Rows, m.Cols, m.NNZ())
+	stored := len(l.DiagOffsets) * m.Rows
 	if fillExceeds(stored, m.NNZ(), maxFillRatio) {
 		return nil, fmt.Errorf("%w: DIA would store %d elements for %d nonzeros",
 			ErrFillExplosion, stored, m.NNZ())
 	}
 	// The record is shared; the DIA matrix owns its offsets.
-	d := &DIA[T]{Rows: m.Rows, Cols: m.Cols, Offsets: slices.Clone(s.DiagOffsets), Data: make([]T, stored)}
+	d := &DIA[T]{Rows: m.Rows, Cols: m.Cols, Offsets: slices.Clone(l.DiagOffsets), Data: make([]T, stored)}
 	if len(d.Offsets) == 0 {
+		if m.NNZ() > 0 {
+			return nil, ErrStructureMismatch
+		}
 		return d, nil
 	}
-	// Flat offset→diagonal-index table over the occupied band.
+	// Flat offset→diagonal-index table over the record's band, −1 where the
+	// record lists no diagonal. unseen counts the listed diagonals no entry has
+	// reached yet: on a band that is zero after a few rows, and the marking is
+	// off the loop's path from then on.
 	lo := d.Offsets[0]
 	pos := make([]int32, d.Offsets[len(d.Offsets)-1]-lo+1)
+	for i := range pos {
+		pos[i] = -1
+	}
 	for i, off := range d.Offsets {
 		pos[off-lo] = int32(i)
 	}
+	seen, unseen := make([]bool, len(d.Offsets)), len(d.Offsets)
 	for r := 0; r < m.Rows; r++ {
 		shift := r + lo
 		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
-			dgi := int(pos[m.ColIdx[jj]-shift])
+			at := m.ColIdx[jj] - shift
+			if uint(at) >= uint(len(pos)) || pos[at] < 0 {
+				return nil, ErrStructureMismatch
+			}
+			dgi := int(pos[at])
+			if unseen > 0 && !seen[dgi] {
+				seen[dgi] = true
+				unseen--
+			}
 			d.Data[dgi*m.Rows+r] = m.Vals[jj]
 		}
+	}
+	if unseen > 0 {
+		return nil, ErrStructureMismatch
 	}
 	return d, nil
 }
@@ -219,14 +250,16 @@ func (m *CSR[T]) ToELL(maxFillRatio float64) (*ELL[T], error) {
 	return m.toELL(m.MaxRowDegree(), maxFillRatio)
 }
 
-// ToELLFrom is ToELL for a caller that already holds s = Scan(m): the width
-// is the record's maximum row degree.
-func (m *CSR[T]) ToELLFrom(s *Structure, maxFillRatio float64) (*ELL[T], error) {
-	s.of(m.Rows, m.Cols, m.NNZ())
-	return m.toELL(s.MaxDeg, maxFillRatio)
+// ToELLFrom is ToELL for a caller that already holds l = Scan(m).Layout: the
+// width is the record's maximum row degree, checked against every row as it is
+// placed (ErrStructureMismatch).
+func (m *CSR[T]) ToELLFrom(l *Layout, maxFillRatio float64) (*ELL[T], error) {
+	l.of(m.Rows, m.Cols, m.NNZ())
+	return m.toELL(l.MaxDeg, maxFillRatio)
 }
 
-// toELL pads every row to width, which must be the maximum row degree.
+// toELL pads every row to width, which must be the maximum row degree: a row
+// longer than width, or no row as long, is ErrStructureMismatch.
 func (m *CSR[T]) toELL(width int, maxFillRatio float64) (*ELL[T], error) {
 	stored := width * m.Rows
 	if fillExceeds(stored, m.NNZ(), maxFillRatio) {
@@ -240,13 +273,24 @@ func (m *CSR[T]) toELL(width int, maxFillRatio float64) (*ELL[T], error) {
 		ColIdx: make([]int, stored),
 		Data:   make([]T, stored),
 	}
+	reached := width == 0
 	for r := 0; r < m.Rows; r++ {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		if hi-lo >= width {
+			if hi-lo > width {
+				return nil, ErrStructureMismatch
+			}
+			reached = true
+		}
 		slot := 0
-		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
+		for jj := lo; jj < hi; jj++ {
 			e.ColIdx[slot*m.Rows+r] = m.ColIdx[jj]
 			e.Data[slot*m.Rows+r] = m.Vals[jj]
 			slot++
 		}
+	}
+	if !reached {
+		return nil, ErrStructureMismatch
 	}
 	return e, nil
 }

@@ -174,3 +174,55 @@ func FuzzConvertRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzConvertForeignStructure hands each of two valid patterns of equal shape
+// and entry count the other's structure scan: the scan-fed DIA and ELL
+// conversions must return ErrStructureMismatch or exactly the stand-alone
+// conversion — never panic, misplace an entry or pad beyond the matrix's own
+// width or diagonals. It is what lets a structure record be looked up under a
+// hash: whatever comes back is checked by the conversion that uses it. The
+// two signatures must differ exactly when the patterns do.
+func FuzzConvertForeignStructure(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 4, 2, 0, 0, 1, 1, 2, 2, 3, 3})                                     // two diagonals' halves
+	f.Add([]byte{5, 5, 5, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0}) // main diagonal vs. a shifted one
+	f.Add([]byte{3, 6, 3, 0, 0, 0, 1, 0, 2, 0, 0, 1, 1, 2, 2})                         // one full row vs. one entry a row
+	f.Add([]byte{6, 6, 4, 0, 5, 1, 4, 2, 3, 3, 2, 5, 0, 4, 1, 3, 2, 2, 3})             // anti-diagonal halves
+	f.Add([]byte{2, 2, 1, 0, 0, 0, 0})                                                 // the same pattern twice
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		rows, cols, split := int(data[0])%49, int(data[1])%49, int(data[2])
+		if rows == 0 || cols == 0 {
+			return
+		}
+		var ta, tb []Triple[float64]
+		for data = data[3:]; len(data) >= 2 && len(ta)+len(tb) < 256; data = data[2:] {
+			tr := Triple[float64]{Row: int(data[0]) % rows, Col: int(data[1]) % cols, Val: 1}
+			if len(ta) < split {
+				ta = append(ta, tr)
+			} else {
+				tb = append(tb, tr)
+			}
+		}
+		a, errA := FromTriples(rows, cols, ta)
+		b, errB := FromTriples(rows, cols, tb)
+		if errA != nil || errB != nil {
+			t.Fatalf("in-range input rejected: %v, %v", errA, errB)
+		}
+		n := min(a.NNZ(), b.NNZ())
+		a, b = truncated(a, n), truncated(b, n)
+		sa, errA := a.Sign()
+		sb, errB := b.Sign()
+		if errA != nil || errB != nil {
+			t.Fatalf("truncation broke a matrix: %v, %v", errA, errB)
+		}
+		if (sa == sb) != samePattern(a, b) {
+			t.Fatalf("signatures %#x and %#x for patterns that are the same: %v", sa, sb, samePattern(a, b))
+		}
+		checkForeignLayout(t, a, b)
+		checkForeignLayout(t, b, a)
+	})
+}

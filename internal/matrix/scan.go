@@ -5,35 +5,49 @@ import (
 	"slices"
 )
 
+// Layout is the part of a structure scan the DIA and ELL conversions consume:
+// the shape they must agree with, ELL's width and DIA's diagonals. It is
+// O(stored diagonals) however large the matrix — small enough to remember per
+// pattern (internal/autotune's structure index). A Layout is immutable. One
+// that did not come from scanning the very matrix it is handed with is caught,
+// not trusted: ToDIAFrom and ToELLFrom check it against every entry they place
+// (ErrStructureMismatch).
+type Layout struct {
+	Rows, Cols, NNZ int
+
+	// MaxDeg is the largest row degree.
+	MaxDeg int
+
+	// DiagOffsets lists the occupied diagonals' offsets (column − row) in
+	// increasing order. A remembered Layout may have dropped them (nil): it
+	// then serves ELL only, and kernels.ConvertFrom scans for DIA.
+	DiagOffsets []int
+}
+
 // Structure is what one pass over a CSR matrix's RowPtr and ColIdx learns
 // about its sparsity pattern: the row-degree distribution and the diagonal
 // tally. The paper's Table 2 features are arithmetic on it
-// (features.FromStructure), and so are the DIA and ELL conversions' shapes
-// and fill guards (ToDIAFrom, ToELLFrom) — so a tune that extracts features
-// and then converts reads the pattern once. A Structure is immutable and
-// describes exactly the matrix it was scanned from.
+// (features.FromStructure), and its Layout shapes the DIA and ELL conversions
+// and their fill guards — so a tune that extracts features and then converts
+// reads the pattern once. A Structure is immutable and describes exactly the
+// matrix it was scanned from.
 type Structure struct {
-	Rows, Cols, NNZ int
+	Layout
 
-	// MaxDeg is the largest row degree, SumDeg2 the exact Σ deg² over rows
-	// (Σ deg is NNZ) and DegHist[k] the number of rows with k stored
-	// entries, for k in [0, MaxDeg].
-	MaxDeg  int
+	// SumDeg2 is the exact Σ deg² over rows (Σ deg is NNZ) and DegHist[k] the
+	// number of rows with k stored entries, for k in [0, MaxDeg].
 	SumDeg2 uint64
 	DegHist []int
 
-	// DiagOffsets lists the occupied diagonals' offsets (column − row) in
-	// increasing order; DiagCounts[i] is the number of stored entries on
-	// diagonal DiagOffsets[i].
-	DiagOffsets []int
-	DiagCounts  []int32
+	// DiagCounts[i] is the number of stored entries on diagonal DiagOffsets[i].
+	DiagCounts []int32
 }
 
 // Scan reads the sparsity pattern of m once. It relies on the CSR invariant
 // that column indices increase within a row: a row's first and last entries
 // bound the diagonals it touches.
 func Scan[T Float](m *CSR[T]) *Structure {
-	s := &Structure{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ()}
+	s := &Structure{Layout: Layout{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ()}}
 	rowPtr := m.RowPtr[:m.Rows+1]
 	maxDeg, sumDeg2 := 0, uint64(0)
 	for r := 0; r < m.Rows; r++ {
@@ -131,11 +145,12 @@ func (s *Structure) DegreeVariance() float64 {
 	return (float64(hi)*(1<<64) + float64(lo)) / (rows * rows)
 }
 
-// of panics unless s was scanned from a matrix of m's shape: handing a
-// conversion another matrix's record is a caller bug that would otherwise
-// surface as silently misplaced entries.
-func (s *Structure) of(rows, cols, nnz int) {
-	if s.Rows != rows || s.Cols != cols || s.NNZ != nnz {
-		panic("matrix: Structure does not describe this matrix")
+// of panics unless l was scanned from a matrix of m's shape: handing a
+// conversion the record of a differently shaped matrix is a caller bug. A
+// record of the right shape and the wrong pattern is not: see
+// ErrStructureMismatch.
+func (l *Layout) of(rows, cols, nnz int) {
+	if l.Rows != rows || l.Cols != cols || l.NNZ != nnz {
+		panic("matrix: Layout does not describe this matrix")
 	}
 }

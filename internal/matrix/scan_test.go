@@ -55,7 +55,7 @@ func TestScanFeedsConversions(t *testing.T) {
 		s := matrix.Scan(m)
 		for _, maxFill := range []float64{0, 1, 3, 20} {
 			want, wantErr := diaReference(m, maxFill)
-			got, gotErr := m.ToDIAFrom(s, maxFill)
+			got, gotErr := m.ToDIAFrom(&s.Layout, maxFill)
 			alone, aloneErr := m.ToDIA(maxFill)
 			switch {
 			case wantErr != nil:
@@ -73,7 +73,7 @@ func TestScanFeedsConversions(t *testing.T) {
 			}
 
 			wantE, wantErr := m.ToELL(maxFill)
-			gotE, gotErr := m.ToELLFrom(s, maxFill)
+			gotE, gotErr := m.ToELLFrom(&s.Layout, maxFill)
 			switch {
 			case wantErr != nil:
 				if !errors.Is(gotErr, matrix.ErrFillExplosion) {
@@ -87,7 +87,7 @@ func TestScanFeedsConversions(t *testing.T) {
 		}
 
 		// The record outlives its conversions untouched.
-		if d, err := m.ToDIAFrom(s, 0); err == nil && len(d.Offsets) > 0 {
+		if d, err := m.ToDIAFrom(&s.Layout, 0); err == nil && len(d.Offsets) > 0 {
 			d.Offsets[0] = 1 << 30
 			if fresh := matrix.Scan(m); !slices.Equal(s.DiagOffsets, fresh.DiagOffsets) {
 				t.Errorf("%s: writing a converted DIA's offsets reached the structure record", spec.Name)
@@ -155,5 +155,5 @@ func TestConvertFromForeignRecordPanics(t *testing.T) {
 			t.Error("ToELLFrom accepted another matrix's structure record")
 		}
 	}()
-	_, _ = a.ToELLFrom(matrix.Scan(b), 0)
+	_, _ = a.ToELLFrom(&matrix.Scan(b).Layout, 0)
 }

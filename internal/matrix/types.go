@@ -10,6 +10,7 @@ package matrix
 
 import (
 	"fmt"
+	"math/rand/v2"
 )
 
 // Float is the set of element types supported by every format and kernel.
@@ -166,51 +167,128 @@ func (m *DIA[T]) Stored() int { return len(m.Data) }
 // Stored returns the number of element slots including row padding.
 func (m *ELL[T]) Stored() int { return len(m.Data) }
 
-// Validate checks the structural invariants of the CSR representation.
+// Validate checks the structural invariants of the CSR representation. It
+// writes nothing: the matrix carries no mark of having been checked.
 func (m *CSR[T]) Validate() error {
+	_, err := m.Sign()
+	return err
+}
+
+// Signature is a 64-bit content hash of a CSR sparsity pattern — RowPtr and
+// ColIdx, never the values — under a multiplier drawn once per process: equal
+// patterns sign equally within a process, however their arrays are held, and
+// a signature means nothing to another process. Zero is no pattern's signature;
+// it stands for "unsigned". A signature identifies a pattern the way any hash
+// does, almost surely: what is looked up under one must be checked against the
+// matrix before it is trusted (ErrStructureMismatch).
+type Signature uint64
+
+// signMul is the per-process odd multiplier of Sign's two polynomial chains:
+// the only process-wide state a signature has.
+var signMul = rand.Uint64() | 1
+
+// Sign is Validate that also returns the pattern's signature: the validation
+// pass reads every row pointer and column index anyway, so it folds them into
+// the hash as it goes — multiply-add chains over each row's columns, seeded
+// with the row's end and length, and one over the rows.
+func (m *CSR[T]) Sign() (Signature, error) {
 	if m.Rows < 0 || m.Cols < 0 {
-		return fmt.Errorf("csr: negative dimensions %dx%d", m.Rows, m.Cols)
+		return 0, fmt.Errorf("csr: negative dimensions %dx%d", m.Rows, m.Cols)
 	}
 	if len(m.RowPtr) != m.Rows+1 {
-		return fmt.Errorf("csr: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
+		return 0, fmt.Errorf("csr: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
 	}
 	if len(m.ColIdx) != len(m.Vals) {
-		return fmt.Errorf("csr: ColIdx length %d != Vals length %d", len(m.ColIdx), len(m.Vals))
+		return 0, fmt.Errorf("csr: ColIdx length %d != Vals length %d", len(m.ColIdx), len(m.Vals))
 	}
 	if m.RowPtr[0] != 0 {
-		return fmt.Errorf("csr: RowPtr[0] = %d, want 0", m.RowPtr[0])
+		return 0, fmt.Errorf("csr: RowPtr[0] = %d, want 0", m.RowPtr[0])
 	}
 	if m.RowPtr[m.Rows] != len(m.Vals) {
-		return fmt.Errorf("csr: RowPtr[last] = %d, want %d", m.RowPtr[m.Rows], len(m.Vals))
+		return 0, fmt.Errorf("csr: RowPtr[last] = %d, want %d", m.RowPtr[m.Rows], len(m.Vals))
 	}
-	// The per-entry loop works on locals and one re-sliced row, so it reloads
-	// nothing through m and checks no bound per entry.
-	cols, ncols := m.ColIdx, m.Cols
+	h, bad := signPattern(m.RowPtr[1:], m.ColIdx, m.Cols, signMul)
+	if bad >= 0 {
+		return 0, m.rowError(bad)
+	}
+	// The chains carry nothing from high bits to low ones; one avalanche round
+	// lets users of the signature take any of its bits.
+	h ^= h >> 32
+	h *= signRowMul
+	h ^= h >> 29
+	if h == 0 {
+		h = 1
+	}
+	return Signature(h), nil
+}
+
+// signPattern is Sign's pass over the rows, whose ends are rowEnds: it returns
+// the hash, or the index of the first row that breaks an invariant. It is its
+// own function, free of the matrix and of error construction, so that the
+// per-entry loop keeps its values in registers (as a generic method that also
+// builds the errors it spilled them, at twice the cost per entry).
+func signPattern(rowEnds, cols []int, ncols int, mul uint64) (h uint64, bad int) {
+	h = mul
 	lo := 0
-	for i, hi := range m.RowPtr[1:] {
-		if lo > hi {
-			return fmt.Errorf("csr: RowPtr not monotone at row %d", i)
+	for i, hi := range rowEnds {
+		if lo > hi || hi > len(cols) {
+			return 0, i
 		}
-		// A row end past the stored entries breaks monotonicity further down;
-		// the entries that do exist are checked first, then the overshoot.
-		end := min(hi, len(cols))
+		// Two entries a step, each on its own multiply-add chain: one chain runs
+		// at its latency, two hide under the checks. prev ≥ -1, so c ≤ prev also
+		// catches every negative column, and a pair's larger column bounds both.
 		prev := -1
-		for _, c := range cols[lo:end] {
-			// prev ≥ -1, so c ≤ prev also catches every negative column.
-			if c <= prev || c >= ncols {
-				if c < 0 || c >= ncols {
-					return fmt.Errorf("csr: column %d out of range in row %d", c, i)
-				}
-				return fmt.Errorf("csr: columns not strictly increasing in row %d", i)
+		even, odd := uint64(hi), uint64(hi-lo)
+		k := lo
+		for ; k+1 < hi; k += 2 {
+			c0, c1 := cols[k], cols[k+1]
+			if c0 <= prev || c1 <= c0 || c1 >= ncols {
+				return 0, i
 			}
-			prev = c
+			prev = c1
+			even = even*mul + uint64(c0)
+			odd = odd*mul + uint64(c1)
 		}
-		if hi > end {
-			return fmt.Errorf("csr: RowPtr[%d] = %d past the %d stored entries", i+1, hi, len(cols))
+		if k < hi {
+			c := cols[k]
+			if c <= prev || c >= ncols {
+				return 0, i
+			}
+			even = even*mul + uint64(c)
 		}
+		h = h*signRowMul + (even + odd*signLaneMul)
 		lo = hi
 	}
-	return nil
+	return h, -1
+}
+
+// signRowMul is the fixed odd multiplier of the chain over the rows,
+// signLaneMul the one that sets a row's second chain apart from its first.
+const (
+	signRowMul  = 0xff51afd7ed558ccd
+	signLaneMul = 0xc4ceb9fe1a85ec53
+)
+
+// rowError names what signPattern found wrong with row i: a row end before
+// its start; else the first bad entry among those that exist; else a row end
+// past the stored entries (which breaks monotonicity further down, so the
+// entries are reported first).
+func (m *CSR[T]) rowError(i int) error {
+	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+	if lo > hi {
+		return fmt.Errorf("csr: RowPtr not monotone at row %d", i)
+	}
+	prev := -1
+	for _, c := range m.ColIdx[lo:min(hi, len(m.ColIdx))] {
+		if c < 0 || c >= m.Cols {
+			return fmt.Errorf("csr: column %d out of range in row %d", c, i)
+		}
+		if c <= prev {
+			return fmt.Errorf("csr: columns not strictly increasing in row %d", i)
+		}
+		prev = c
+	}
+	return fmt.Errorf("csr: RowPtr[%d] = %d past the %d stored entries", i+1, hi, len(m.ColIdx))
 }
 
 // Validate checks the structural invariants of the COO representation.

@@ -367,3 +367,21 @@ func swapBatchRefCheck[T matrix.Float](ref *matrix.CSR[T], yb []T, k int, want, 
 	}
 	return nil
 }
+
+// CheckProduct verifies y = m·x row by row against a float64 product
+// accumulated serially straight off m's arrays, within the per-row rounding
+// bound; a NaN in y is an element nothing wrote (poison y first). It is the
+// check for a caller that produced y its own way — through a tuner, a
+// remembered structure, a forced collision — and wants the suite's verdict on
+// it.
+func CheckProduct[T matrix.Float](m *matrix.CSR[T], x, y []T, what string) error {
+	want, absSum := make([]float64, m.Rows), make([]float64, m.Rows)
+	for r := range want {
+		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
+			p := float64(m.Vals[jj]) * float64(x[m.ColIdx[jj]])
+			want[r] += p
+			absSum[r] += math.Abs(p)
+		}
+	}
+	return swapRefCheck(m, y, 1, 0, want, absSum, epsOf[T](), what)
+}

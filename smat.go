@@ -85,6 +85,9 @@ type Entry[T Float] struct {
 // CSRSpMV for the ownership rules.
 type Matrix[T Float] struct {
 	csr *matrix.CSR[T]
+	// sig is the pattern signature NewCSR's validation pass computed; zero on
+	// a handle built any other way.
+	sig matrix.Signature
 
 	// tuned is the per-handle decision slot: loaded lock-free on the hot
 	// path, replaced atomically after tuning. tuneMu serialises tuning for
@@ -126,12 +129,25 @@ func FromEntries[T Float](rows, cols int, entries []Entry[T]) (*Matrix[T], error
 // NewCSR wraps raw CSR arrays (rowPtr of length rows+1, colIdx and vals of
 // length nnz, columns strictly increasing within each row). The arrays are
 // used directly, not copied; the caller must not mutate them afterwards.
+//
+// The validation pass also signs the sparsity pattern — a hash of the contents
+// of rowPtr and colIdx — and a tuner remembers, per signature, what scanning
+// that pattern told it (the Table 2 features, the DIA/ELL layout; bounded by
+// WithCacheSize, shared by WithCacheFrom). Submitting a pattern again with
+// new values — the same arrays or an equal copy of them — therefore pays
+// validation and the value layout, not the structure scan
+// (Decision.StructureHit, Stats().StructureHits). Identity is by content: arrays
+// rewritten in place to another pattern and wrapped again sign differently and
+// are scanned, and what is remembered is checked against the matrix as it is
+// used, never trusted on the hash. Nothing of the caller's arrays is retained
+// by that memory.
 func NewCSR[T Float](rows, cols int, rowPtr, colIdx []int, vals []T) (*Matrix[T], error) {
 	m := &matrix.CSR[T]{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Vals: vals}
-	if err := m.Validate(); err != nil {
+	sig, err := m.Sign()
+	if err != nil {
 		return nil, err
 	}
-	return &Matrix[T]{csr: m}, nil
+	return &Matrix[T]{csr: m, sig: sig}, nil
 }
 
 // ReadMatrixMarket parses a Matrix Market (.mtx) coordinate stream.
@@ -485,6 +501,7 @@ func (a *Matrix[T]) tune(t *Tuner[T], o autotune.TuneOptions, key optsKey, retun
 	if s := a.tuned.Load(); !retune && s.serves(t, key) {
 		return s, nil
 	}
+	o.Pattern = a.sig
 	op, dec, err := t.inner.TuneOpts(a.csr, o)
 	if err != nil {
 		return nil, err
@@ -582,6 +599,7 @@ func (o *Operator[T]) Decision() Decision {
 		Confidence:     o.dec.Confidence,
 		UsedFallback:   o.dec.UsedFallback,
 		CacheHit:       o.dec.CacheHit,
+		StructureHit:   o.dec.StructureHit,
 		Chosen:         o.dec.Chosen,
 		Kernel:         o.dec.Kernel,
 		Params:         o.dec.Params,
@@ -631,6 +649,12 @@ type Decision struct {
 	// feature-keyed cache: no rule evaluation or measurement ran, only
 	// feature extraction and format conversion.
 	CacheHit bool
+	// StructureHit reports that the tuner had seen this exact sparsity pattern
+	// before (a handle from NewCSR, matched by content) and worked from what it
+	// remembered of it: the call read the structure only to convert. It says
+	// nothing about the decision — a pattern can be known and its fingerprint's
+	// decision evicted, or the reverse.
+	StructureHit bool
 	// Chosen is the final storage format the operator uses (or, while a
 	// background conversion is pending, will use once the swap lands); Kernel
 	// the name of the implementation bound to it.
