@@ -80,6 +80,9 @@ func main() {
 	} else {
 		fmt.Printf("decision: model not confident, execute-and-measure fallback\n")
 	}
+	if d.ColumnPassSkipped {
+		fmt.Printf("decision: taken from the row pass alone (Ndiags=? NTdiags_ratio=? ER_DIA=?: column indices not read)\n")
+	}
 	// The overhead ratio exists only where the tune measured its unit (the
 	// fallback; an iteration hint): a predicted decision runs no kernel.
 	cost := fmt.Sprintf("tuning %s", tuneTime.Round(time.Microsecond))

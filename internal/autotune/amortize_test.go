@@ -85,7 +85,7 @@ func intDiagonal(n int) *matrix.CSR[float64] {
 // (break-even at k = 10) in the tuner's cache for m's fingerprint, so the
 // amortisation paths run deterministically regardless of machine speed.
 func seedAmortized[T matrix.Float](tuner *Tuner[T], m *matrix.CSR[T], crossover int) {
-	tuner.Cache().Put(m2key(m), CacheEntry{
+	tuner.Cache().Put(m2key(tuner, m), CacheEntry{
 		Format:         matrix.FormatDIA,
 		Confidence:     1,
 		Measured:       true,
@@ -96,9 +96,10 @@ func seedAmortized[T matrix.Float](tuner *Tuner[T], m *matrix.CSR[T], crossover 
 	})
 }
 
-func m2key[T matrix.Float](m *matrix.CSR[T]) features.Key {
-	f := features.Extract(m)
-	return f.Key()
+// m2key is the key t files m's decision under: of the features its extract
+// stage settles for, the diagonal ones zero when the row pass decides m.
+func m2key[T matrix.Float](t *Tuner[T], m *matrix.CSR[T]) features.Key {
+	return t.extract(m, TuneOptions{}).base.Features.Key()
 }
 
 // TestAmortizedCacheHitBelowBreakEven: with too few iterations ahead, a
@@ -233,7 +234,7 @@ func TestHintValidationRefreshesCostlessEntry(t *testing.T) {
 	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
-	tuner.Cache().Put(m2key(m), CacheEntry{Format: matrix.FormatDIA, Confidence: 1, Measured: true})
+	tuner.Cache().Put(m2key(tuner, m), CacheEntry{Format: matrix.FormatDIA, Confidence: 1, Measured: true})
 
 	// Without a hint the costless entry is a perfectly good cache hit.
 	_, d0, err := tuner.Tune(m)
@@ -257,7 +258,7 @@ func TestHintValidationRefreshesCostlessEntry(t *testing.T) {
 	if d.ChosenSpMVSec <= 0 || d.IncumbentSec <= 0 || d.ConvertSec <= 0 {
 		t.Errorf("refresh did not measure amortisation rates: %+v", d)
 	}
-	if entry, ok := tuner.Cache().Get(m2key(m)); !ok || entry.SpMVSec <= 0 || entry.IncumbentSec <= 0 {
+	if entry, ok := tuner.Cache().Get(m2key(tuner, m)); !ok || entry.SpMVSec <= 0 || entry.IncumbentSec <= 0 {
 		t.Errorf("refreshed entry lacks cost measurements: %+v", entry)
 	}
 }
@@ -275,7 +276,7 @@ func TestUnhintedLeaderCachesNoRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, ok := tuner.Cache().Get(m2key(m))
+	entry, ok := tuner.Cache().Get(m2key(tuner, m))
 	if d.AmortProbeSec != 0 || d.BreakEvenIters != 0 || !ok || entry.SpMVSec != 0 || entry.IncumbentSec != 0 {
 		t.Fatalf("un-hinted leader probed rates: decision %+v, entry %+v", d, entry)
 	}
@@ -475,7 +476,7 @@ func TestConcurrentFirstBatchProbesOncePerEngine(t *testing.T) {
 			t.Errorf("%d probes, crossover %d; want one per engine (incumbent, swapped-in) and a probed width", st.BatchProbes, op.BatchCrossover())
 		}
 		// The swapped-in engine is the entry's: its width is published.
-		if entry, _ := tuner.Cache().Get(m2key(m)); entry.BatchCrossover != op.BatchCrossover() {
+		if entry, _ := tuner.Cache().Get(m2key(tuner, m)); entry.BatchCrossover != op.BatchCrossover() {
 			t.Errorf("entry crossover %d, the DIA engine measured %d", entry.BatchCrossover, op.BatchCrossover())
 		}
 	})

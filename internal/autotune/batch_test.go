@@ -174,7 +174,7 @@ func TestCacheHitReusesCrossover(t *testing.T) {
 		if leaderBatches {
 			lead.MulVecBatch(xb, yb, k)
 		}
-		entry, ok := tuner.Cache().Get(m2key(m))
+		entry, ok := tuner.Cache().Get(m2key(tuner, m))
 		if !ok || entry.BatchCrossover != lead.BatchCrossover() || probedWidth(entry.BatchCrossover) != leaderBatches {
 			t.Fatalf("leader batched %v: entry %+v (present %v) against the leader's crossover %d", leaderBatches, entry, ok, lead.BatchCrossover())
 		}
@@ -199,7 +199,7 @@ func TestCacheHitReusesCrossover(t *testing.T) {
 		if !leaderBatches {
 			// The hit probed for itself, and told the cache: the third handle
 			// inherits the width.
-			entry, _ = tuner.Cache().Get(m2key(m))
+			entry, _ = tuner.Cache().Get(m2key(tuner, m))
 			if probes != 1 || !probedWidth(hit.BatchCrossover()) || entry.BatchCrossover != hit.BatchCrossover() {
 				t.Errorf("hit on an unprobed entry: %d probes, crossover %d, entry now %d; want one probe, published",
 					probes, hit.BatchCrossover(), entry.BatchCrossover)

@@ -174,7 +174,7 @@ var bindingPaths = []struct {
 	}},
 	{"amortised-incumbent", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		tn.Cache().Put(m2key(m), costedEntry(f))
+		tn.Cache().Put(m2key(tn, m), costedEntry(f))
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 2})
 		if err != nil {
 			t.Fatalf("TuneOpts: %v", err)
@@ -189,7 +189,7 @@ var bindingPaths = []struct {
 		tn := New[float64](model(0.99), Config{Threads: threads})
 		entry := costedEntry(f)
 		entry.BatchCrossover = 8
-		tn.Cache().Put(m2key(m), entry)
+		tn.Cache().Put(m2key(tn, m), entry)
 		hold := make(chan struct{})
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
 		if err != nil {
@@ -208,7 +208,7 @@ var bindingPaths = []struct {
 	}},
 	{"sync-convert-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		tn.Cache().Put(m2key(m), costedEntry(f))
+		tn.Cache().Put(m2key(tn, m), costedEntry(f))
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, SyncConvert: true})
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +224,7 @@ var bindingPaths = []struct {
 		local := model(0.99)
 		local.Ruleset = modelAlways(matrix.FormatCSR, 0.99).Ruleset
 		tn := New[float64](local, Config{Threads: threads})
-		tn.Cache().Put(m2key(m), costedEntry(matrix.FormatDIA))
+		tn.Cache().Put(m2key(tn, m), costedEntry(matrix.FormatDIA))
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, SyncConvert: true})
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +241,7 @@ var bindingPaths = []struct {
 		// decision keeps describing the swap that was scheduled.
 		m := collisionMatrix(t)
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		tn.Cache().Put(m2key(m), costedEntry(matrix.FormatDIA))
+		tn.Cache().Put(m2key(tn, m), costedEntry(matrix.FormatDIA))
 		hold := make(chan struct{})
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
 		if err != nil {

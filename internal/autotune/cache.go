@@ -327,6 +327,10 @@ type structureKey struct {
 type structureRecord struct {
 	features features.Features
 	layout   matrix.Layout
+	// band is the width of the band of diagonals the entries lie in
+	// (matrix.Structure.Band): what bounds the diagonal features of a record
+	// whose scan stopped after the row pass (features.DiagBounds).
+	band int
 }
 
 func (c *Cache) structureShard(k structureKey) *cacheShard {
@@ -337,13 +341,15 @@ func (c *Cache) structureShard(k structureKey) *cacheShard {
 func (c *Cache) recallStructure(k structureKey) *structureRecord {
 	s := c.structureShard(k)
 	s.mu.Lock()
-	p := s.structures.get(k)
-	s.mu.Unlock()
-	if p == nil {
-		return nil
+	var rec *structureRecord
+	if p := s.structures.get(k); p != nil {
+		rec = *p // under the lock: a concurrent rememberStructure writes the slot
 	}
-	c.structureHits.Add(1)
-	return *p
+	s.mu.Unlock()
+	if rec != nil {
+		c.structureHits.Add(1)
+	}
+	return rec
 }
 
 // rememberStructure files rec under k, replacing what was there. Structure

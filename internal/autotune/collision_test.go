@@ -57,7 +57,11 @@ func halfAndHalf(n, lo, hi int) *matrix.CSR[float64] {
 // the tune rescans (no structure hit reported), serves the format from the
 // matrix's own structure, and leaves the right record behind, so the next
 // tune of the pattern is a structure hit that converts cleanly. COO and CSR
-// consume nothing of it.
+// consume nothing of it. A planted record of the row pass alone — what a tune
+// the row pass decided leaves behind — is another pattern's just the same:
+// ELL takes its width from it and catches it; DIA takes nothing, the column
+// pass it asks for is a whole scan of the matrix itself, which replaces the
+// record.
 func TestForcedSignatureCollision(t *testing.T) {
 	const n = 4000
 	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -66,17 +70,21 @@ func TestForcedSignatureCollision(t *testing.T) {
 		format       matrix.Format
 		m, other     *matrix.CSR[float64]
 		caughtByConv bool
+		rowsOnly     bool
 	}{
 		// Same three-diagonal count, other offsets: entries would land on
 		// diagonals the record does not list.
-		{"DIA", matrix.FormatDIA, gen.MultiDiagonal[float64](n, []int{-1, 0, 2}, rng(1)), gen.MultiDiagonal[float64](n, []int{-2, 0, 1}, rng(2)), true},
+		{"DIA", matrix.FormatDIA, gen.MultiDiagonal[float64](n, []int{-1, 0, 2}, rng(1)), gen.MultiDiagonal[float64](n, []int{-2, 0, 1}, rng(2)), true, false},
+		{"DIA, row-pass record", matrix.FormatDIA, gen.MultiDiagonal[float64](n, []int{-1, 0, 2}, rng(1)), gen.MultiDiagonal[float64](n, []int{-2, 0, 1}, rng(2)), false, true},
 		// Three entries a row against two and four: the record's width is one
 		// no row of the matrix reaches — and, the other way round, one its
 		// rows overflow.
-		{"ELL too wide", matrix.FormatELL, halfAndHalf(n, 3, 3), halfAndHalf(n, 2, 4), true},
-		{"ELL too narrow", matrix.FormatELL, halfAndHalf(n, 2, 4), halfAndHalf(n, 3, 3), true},
-		{"COO", matrix.FormatCOO, halfAndHalf(n, 3, 3), halfAndHalf(n, 2, 4), false},
-		{"CSR", matrix.FormatCSR, halfAndHalf(n, 3, 3), halfAndHalf(n, 2, 4), false},
+		{"ELL too wide", matrix.FormatELL, halfAndHalf(n, 3, 3), halfAndHalf(n, 2, 4), true, false},
+		{"ELL too narrow", matrix.FormatELL, halfAndHalf(n, 2, 4), halfAndHalf(n, 3, 3), true, false},
+		{"ELL too wide, row-pass record", matrix.FormatELL, halfAndHalf(n, 3, 3), halfAndHalf(n, 2, 4), true, true},
+		{"ELL too narrow, row-pass record", matrix.FormatELL, halfAndHalf(n, 2, 4), halfAndHalf(n, 3, 3), true, true},
+		{"COO", matrix.FormatCOO, halfAndHalf(n, 3, 3), halfAndHalf(n, 2, 4), false, false},
+		{"CSR", matrix.FormatCSR, halfAndHalf(n, 3, 3), halfAndHalf(n, 2, 4), false, true},
 	} {
 		if c.m.NNZ() != c.other.NNZ() {
 			t.Fatalf("%s: %d and %d entries: not a possible collision", c.name, c.m.NNZ(), c.other.NNZ())
@@ -103,7 +111,7 @@ func TestForcedSignatureCollision(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			autotune.PlantStructure(tuner.Cache(), c.m, c.other)
+			autotune.PlantStructure(tuner.Cache(), c.m, c.other, c.rowsOnly)
 			opts := autotune.TuneOptions{Pattern: sig}
 			if path.hint {
 				opts.FormatHint, opts.HasFormatHint = c.format, true
@@ -113,8 +121,11 @@ func TestForcedSignatureCollision(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 			product(t, op, c.m, what)
-			if d.StructureHit == c.caughtByConv {
-				t.Errorf("%s: structure hit %v on a planted record, want %v", what, d.StructureHit, !c.caughtByConv)
+			// The measuring selector reads every feature: its call replaces a
+			// row-pass record by a scan of its own before a conversion sees it.
+			caught := c.caughtByConv && !(c.rowsOnly && path.conf < 0.85)
+			if d.StructureHit == caught {
+				t.Errorf("%s: structure hit %v on a planted record, want %v", what, d.StructureHit, !caught)
 			}
 			if confident := path.conf > 0.85; confident && d.Chosen != c.format {
 				t.Errorf("%s: chose %v", what, d.Chosen)

@@ -11,15 +11,33 @@ import (
 var ModelAlways = modelAlways
 
 // PlantStructure forces a signature collision: it files what scanning of
-// yields — features and full layout — in c's structure index under the
-// pattern of under, which must have of's shape and entry count. The next
-// signed tune of under recalls another pattern's record.
-func PlantStructure[T matrix.Float](c *Cache, under, of *matrix.CSR[T]) {
+// yields — features and layout, of both passes or of the row pass alone — in
+// c's structure index under the pattern of under, which must have of's shape
+// and entry count. The next signed tune of under recalls another pattern's
+// record.
+func PlantStructure[T matrix.Float](c *Cache, under, of *matrix.CSR[T], rowsOnly bool) {
 	sig, err := under.Sign()
 	if err != nil {
 		panic(err)
 	}
-	s := matrix.Scan(of)
+	s := matrix.ScanRows(of)
+	if !rowsOnly {
+		matrix.ScanColumns(of, s)
+	}
 	c.rememberStructure(structureKey{sig: sig, rows: under.Rows, cols: under.Cols, nnz: under.NNZ()},
-		&structureRecord{features: features.FromStructure(s), layout: s.Layout})
+		&structureRecord{features: features.FromStructure(s), layout: s.Layout, band: s.Band()})
+}
+
+// TuneFullScan is TuneOpts with the extract stage forced through both passes
+// of the scan whatever the row pass decides: the tuner the two-phase extract is
+// held to.
+func (t *Tuner[T]) TuneFullScan(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *Decision, error) {
+	tn := t.extract(m, opts)
+	if tn.base.ColumnPassSkipped {
+		tn.columns(nil)
+	}
+	if err := tn.run(); err != nil {
+		return nil, tn.d, err
+	}
+	return tn.op, tn.d, nil
 }

@@ -9,6 +9,7 @@ import (
 	"smat/internal/features"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
+	"smat/internal/mining"
 )
 
 // Decision records everything about one runtime tuning decision, feeding the
@@ -17,6 +18,8 @@ import (
 // onto a record that starts fresh for every attempt: they describe this
 // call's own stages and nothing else.
 type Decision struct {
+	// Features is what extract learned of the matrix. When ColumnPassSkipped
+	// is set, Ndiags, NTdiagsRatio and ERDIA are zero and unknown.
 	Features features.Features
 
 	// Predicted is the model's format when PredictedOK; Confidence is the
@@ -41,9 +44,17 @@ type Decision struct {
 	// StructureHit reports that Features — and the layout the conversion
 	// worked from — were recalled from the cache's structure index under the
 	// matrix's pattern signature (TuneOptions.Pattern), not scanned: the tune
-	// did not read RowPtr or ColIdx before converting. It is independent of
-	// CacheHit, which is about the decision.
+	// did not read RowPtr or ColIdx before converting — unless the record was
+	// one of the row pass alone and this call needed the diagonals after all
+	// (ColumnPassSkipped is then false). It is independent of CacheHit, which
+	// is about the decision.
 	StructureHit bool
+
+	// ColumnPassSkipped reports that the tune never read ColIdx to decide: the
+	// O(rows) pass over RowPtr settled the ruleset on a confident ELL, CSR or
+	// COO pick — the full features' pick — or a format hint asked for no
+	// diagonal. The decision cache is keyed by Features as they stand.
+	ColumnPassSkipped bool
 
 	// Chosen is the format the returned operator serves (or, for a pending
 	// background conversion, will serve once the swap lands); Kernel the
@@ -97,7 +108,8 @@ type Decision struct {
 	ConvertStored int
 
 	// Timing breakdown (seconds); each field is written by exactly one stage
-	// of the pipeline (stages.go). FeatureSec: extract — the structure scan
+	// of the pipeline (stages.go). FeatureSec: extract — whatever of the
+	// structure scan ran, a column pass a later stage had to ask for included,
 	// and the features derived from it. FallbackSec: the execute-and-measure
 	// selector, its contenders' conversions and runs included.
 	// AmortProbeSec: the leader's probe — the per-SpMV rate probes behind
@@ -505,6 +517,9 @@ type Tuner[T matrix.Float] struct {
 	// nanoseconds spent in them (Stats).
 	batchProbes     atomic.Uint64
 	batchProbeNanos atomic.Int64
+
+	// Tunes that returned without having read ColIdx (Stats).
+	columnPassesSkipped atomic.Uint64
 }
 
 // Config configures a runtime tuner beyond the model itself.
@@ -599,15 +614,20 @@ type Stats struct {
 	// those calls spent probing before computing their own product.
 	BatchProbes   uint64
 	BatchProbeSec float64
+	// ColumnPassesSkipped counts the tunes whose decision reports
+	// ColumnPassSkipped: working from a record of the row pass alone, scanned
+	// or recalled, they never read the column indices.
+	ColumnPassesSkipped uint64
 }
 
 // Stats snapshots the tuner's counters; the cache part is zero when caching
 // is disabled.
 func (t *Tuner[T]) Stats() Stats {
 	st := Stats{
-		Pool:          t.pool.Stats(),
-		BatchProbes:   t.batchProbes.Load(),
-		BatchProbeSec: time.Duration(t.batchProbeNanos.Load()).Seconds(),
+		Pool:                t.pool.Stats(),
+		BatchProbes:         t.batchProbes.Load(),
+		BatchProbeSec:       time.Duration(t.batchProbeNanos.Load()).Seconds(),
+		ColumnPassesSkipped: t.columnPassesSkipped.Load(),
 	}
 	if t.cache != nil {
 		st.CacheStats = t.cache.Stats()
@@ -714,6 +734,9 @@ func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *
 	if err := tn.run(); err != nil {
 		return nil, tn.d, err
 	}
+	if tn.d.ColumnPassSkipped {
+		t.columnPassesSkipped.Add(1)
+	}
 	return tn.op, tn.d, nil
 }
 
@@ -726,9 +749,7 @@ func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *
 func (tn *tuning[T]) run() error {
 	err := tn.decide()
 	if tn.base.StructureHit && foreign(err) {
-		start := time.Now()
-		tn.scan()
-		tn.base.FeatureSec += time.Since(start).Seconds()
+		tn.read(false)
 		err = tn.decide()
 	}
 	return err
@@ -791,16 +812,25 @@ func (t *Tuner[T]) refreshBelow() float64 {
 	return t.threshold
 }
 
-// groupConfidence returns the confidence of the first rule of class f (in
-// ruleset order) matching the feature vector.
-func (t *Tuner[T]) groupConfidence(fv []float64, f matrix.Format) (float64, bool) {
+// groupConfidence walks the rules of class f, in ruleset order, over the box
+// [lo, hi] of feature vectors: True with the confidence of the class's first
+// matching rule when it matches everywhere in the box and every rule of the
+// class ahead of it nowhere, False when none matches anywhere, Open otherwise.
+// On a point box it is the first match or none.
+func (t *Tuner[T]) groupConfidence(lo, hi []float64, f matrix.Format) (float64, mining.Tri) {
 	for i := range t.model.Ruleset.Rules {
 		r := &t.model.Ruleset.Rules[i]
-		if r.Class == int(f) && r.Matches(fv) {
-			return r.Confidence, true
+		if r.Class != int(f) {
+			continue
+		}
+		switch r.Over(lo, hi) {
+		case mining.True:
+			return r.Confidence, mining.True
+		case mining.Open:
+			return 0, mining.Open
 		}
 	}
-	return 0, false
+	return 0, mining.False
 }
 
 // feasible predicts from the already-extracted features whether converting

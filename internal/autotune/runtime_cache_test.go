@@ -178,7 +178,6 @@ func TestTuneCacheCollisionFallsBackToLocalDecision(t *testing.T) {
 	// costs part of the rejected attempt: the returned decision describes
 	// only the local one.
 	m := collisionMatrix(t)
-	key := m2key(m)
 	for _, c := range []struct {
 		name  string
 		entry CacheEntry
@@ -188,6 +187,7 @@ func TestTuneCacheCollisionFallsBackToLocalDecision(t *testing.T) {
 		{"hinted-sync", costedEntry(matrix.FormatDIA), TuneOptions{Iterations: 1 << 20, SyncConvert: true}},
 	} {
 		tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
+		key := m2key(tuner, m)
 		tuner.Cache().Put(key, c.entry)
 
 		op, d, err := tuner.TuneOpts(m, c.opts)
@@ -214,36 +214,57 @@ func TestTuneCacheCollisionFallsBackToLocalDecision(t *testing.T) {
 }
 
 func TestConcurrentTuneSingleflightOnTuner(t *testing.T) {
-	// 32 goroutines tune structurally identical matrices through one tuner
-	// with a slow (fallback) decision path: exactly one tuning run may
-	// execute; everyone else blocks on it or hits the cache.
-	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.30), Config{Threads: 1})
+	// 32 goroutines make the first calls on structurally identical matrices
+	// through one tuner: exactly one tuning run may execute; everyone else
+	// blocks on it or hits the cache. Once with a slow (fallback) decision path
+	// on unsigned matrices, every call scanning both passes, and once with a
+	// decision the row pass takes on signed copies of one pattern: whichever
+	// calls scan, and whichever recall what another just remembered, none reads
+	// the columns and all key the same entry.
 	const goroutines = 32
 	base := gen.RandomUniform[float64](1200, 1200, 6, rand.New(rand.NewSource(100)))
-	mats := make([]*matrix.CSR[float64], goroutines)
-	for i := range mats {
-		mats[i] = cloneScaled(base, float64(i+1))
-	}
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			op, _, err := tuner.Tune(mats[i])
-			if err != nil || op == nil {
-				t.Errorf("Tune: %v", err)
+	for _, c := range []struct {
+		model   *Model
+		sign    bool
+		skipped uint64
+	}{
+		{modelAlways(matrix.FormatDIA, 0.30), false, 0},
+		{modelAlways(matrix.FormatCOO, 0.99), true, goroutines},
+	} {
+		tuner := New[float64](c.model, Config{Threads: 1})
+		mats := make([]*matrix.CSR[float64], goroutines)
+		opts := make([]TuneOptions, goroutines)
+		for i := range mats {
+			mats[i] = cloneScaled(base, float64(i+1))
+			if c.sign {
+				opts[i] = signed(t, mats[i])
 			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	st := tuner.Stats()
-	if st.Misses != 1 {
-		t.Errorf("misses = %d, want exactly 1 tuning run (stats %+v)", st.Misses, st)
-	}
-	if st.Hits+st.Shared != goroutines-1 {
-		t.Errorf("hits+shared = %d, want %d (stats %+v)", st.Hits+st.Shared, goroutines-1, st)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < goroutines; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				op, d, err := tuner.TuneOpts(mats[i], opts[i])
+				if err != nil || op == nil || d.ColumnPassSkipped != (c.skipped > 0) {
+					t.Errorf("TuneOpts: column pass skipped %v, err %v", d.ColumnPassSkipped, err)
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		st := tuner.Stats()
+		if st.Misses != 1 {
+			t.Errorf("misses = %d, want exactly 1 tuning run (stats %+v)", st.Misses, st)
+		}
+		if st.Hits+st.Shared != goroutines-1 {
+			t.Errorf("hits+shared = %d, want %d (stats %+v)", st.Hits+st.Shared, goroutines-1, st)
+		}
+		if st.ColumnPassesSkipped != c.skipped || (c.sign && st.Structures != 1) {
+			t.Errorf("%d column passes skipped over %d remembered patterns, want %d over 1 (stats %+v)", st.ColumnPassesSkipped, st.Structures, c.skipped, st)
+		}
+		tuner.Close()
 	}
 }

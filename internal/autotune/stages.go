@@ -10,6 +10,8 @@
 // at most once, by extract: the features and every conversion work from that
 // scan — or, for a signed matrix whose pattern the cache's structure index
 // remembers, from the remembered record, and the structure is not read at all.
+// The scan is two passes, and the O(nnz) one over ColIdx runs only when the
+// O(rows) one over RowPtr leaves the model's verdict open (decided).
 // A kernel runs only where the call itself consumes the measurement: two runs
 // of each contender in the execute-and-measure selector, the CSR baseline and
 // the payoff rates under an iteration hint, and the batch crossover not here
@@ -27,13 +29,14 @@ import (
 	"smat/internal/features"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
+	"smat/internal/mining"
 )
 
 // tuning is the state of one TuneOpts call, shared by its stages.
 type tuning[T matrix.Float] struct {
 	t    *Tuner[T]
 	m    *matrix.CSR[T]
-	lay  *matrix.Layout // of m: extract's one scan, or the structure index's memory of one
+	rec  *structureRecord // of m: extract's one scan, or the structure index's memory of one
 	opts TuneOptions
 
 	// op is the operator under construction; serve publishes its engine.
@@ -81,16 +84,32 @@ type choice[T matrix.Float] struct {
 // extract is the first stage: the symbolic half of the tune — the Table 2
 // features and the conversions' layout, which depend on RowPtr and ColIdx
 // alone — recalled from the structure index when the matrix is signed and the
-// index knows its pattern, scanned otherwise. Timed once per call.
+// index knows its pattern, scanned otherwise.
 func (t *Tuner[T]) extract(m *matrix.CSR[T], opts TuneOptions) *tuning[T] {
 	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{t: t, pool: t.pool, nnz: m.NNZ()}}
 	tn.base.IterationHint = opts.Iterations
-	start := time.Now()
-	if !tn.recall() {
-		tn.scan()
-	}
-	tn.base.FeatureSec = time.Since(start).Seconds()
+	tn.read(true)
 	return tn
+}
+
+// read is extract's work, timed: the record recalled if it may be and is
+// known, the row pass otherwise, then the column pass unless the call is
+// decided without it. A record that was read is remembered, bounds included.
+func (tn *tuning[T]) read(recall bool) {
+	start := time.Now()
+	var s *matrix.Structure
+	tn.base.StructureHit = recall && tn.recall()
+	if !tn.base.StructureHit {
+		s = matrix.ScanRows(tn.m)
+		tn.adopt(tn.t.newRecord(s, features.FromStructure(s)))
+	}
+	switch {
+	case !tn.decided():
+		tn.columns(s)
+	case s != nil:
+		tn.remember()
+	}
+	tn.base.FeatureSec += time.Since(start).Seconds()
 }
 
 // pattern is the call's key in the structure index; ok is false for an
@@ -100,11 +119,11 @@ func (tn *tuning[T]) pattern() (k structureKey, ok bool) {
 	return k, tn.t.cache != nil && k.sig != 0
 }
 
-// recall takes the features and the layout from the structure index, if it
-// remembers the call's pattern. What it returns was scanned from a matrix of
-// this signature and shape: this very pattern, unless two patterns share a
-// signature — the conversions check (matrix.ErrStructureMismatch), and run
-// starts over from a scan.
+// recall takes the record from the structure index, if it remembers the call's
+// pattern. What it returns was scanned from a matrix of this signature and
+// shape: this very pattern, unless two patterns share a signature — the
+// conversions check (matrix.ErrStructureMismatch), and run starts over from a
+// scan.
 func (tn *tuning[T]) recall() bool {
 	k, ok := tn.pattern()
 	if !ok {
@@ -114,7 +133,7 @@ func (tn *tuning[T]) recall() bool {
 	if rec == nil {
 		return false
 	}
-	tn.lay, tn.base.Features, tn.base.StructureHit = &rec.layout, rec.features, true
+	tn.adopt(rec)
 	return true
 }
 
@@ -123,23 +142,78 @@ func (tn *tuning[T]) recall() bool {
 // its features are the other pattern's too — and run starts over from a scan.
 func foreign(err error) bool { return errors.Is(err, matrix.ErrStructureMismatch) }
 
-// scan reads the structure of the matrix, once, and has the structure index
-// remember what it found — less the diagonals when DIA does not fit the
-// model's fill limit, so that a record stays O(features) on a matrix with
-// O(rows+cols) diagonals; kernels.ConvertFrom scans again for the rare DIA
-// conversion that misses them (a tuner sharing the cache under a wider limit,
-// a format hint).
-func (tn *tuning[T]) scan() {
-	s := matrix.Scan(tn.m)
-	lay := s.Layout // a copy: the call keeps the layout, not the tallies
-	tn.lay, tn.base.Features, tn.base.StructureHit = &lay, features.FromStructure(s), false
-	if k, ok := tn.pattern(); ok {
-		rec := &structureRecord{features: tn.base.Features, layout: lay}
-		if !feasible(matrix.FormatDIA, &rec.features, tn.t.model.MaxFill) {
-			rec.layout.DiagOffsets = nil
-		}
-		tn.t.cache.rememberStructure(k, rec)
+// newRecord is what a tune keeps of a scan and its features — less the
+// diagonals when DIA does not fit the model's fill limit, so that a record
+// stays O(features) on a matrix with O(rows+cols) diagonals;
+// kernels.ConvertFrom scans again for the rare DIA conversion that misses them
+// (a tuner sharing the cache under a wider limit, a format hint).
+func (t *Tuner[T]) newRecord(s *matrix.Structure, ft features.Features) *structureRecord {
+	rec := &structureRecord{features: ft, layout: s.Layout, band: s.Band()}
+	if !feasible(matrix.FormatDIA, &rec.features, t.model.MaxFill) {
+		rec.layout.DiagOffsets = nil
 	}
+	return rec
+}
+
+// adopt makes rec the call's record of its matrix.
+func (tn *tuning[T]) adopt(rec *structureRecord) {
+	tn.rec, tn.base.Features, tn.base.ColumnPassSkipped = rec, rec.features, !rec.features.DiagsKnown()
+}
+
+// remember files the call's record in the structure index.
+func (tn *tuning[T]) remember() {
+	if k, ok := tn.pattern(); ok {
+		tn.t.cache.rememberStructure(k, tn.rec)
+	}
+}
+
+// decided reports that the column pass cannot change what the call does: the
+// diagonal features are known, or a format hint pins a format that takes
+// nothing from them, or the ruleset over the row pass's bounds settles on a
+// confident pick other than DIA — the full features' pick, by construction.
+// An open group, a DIA pick (it converts from the diagonals) and no confident
+// pick (measure and bestEffort read every feature) are not decided.
+func (tn *tuning[T]) decided() bool {
+	switch {
+	case !tn.base.ColumnPassSkipped:
+		return true
+	case tn.opts.HasFormatHint:
+		return tn.opts.FormatHint != matrix.FormatDIA
+	}
+	f, _, v := tn.t.predict(tn.rec)
+	return v == mining.True && f != matrix.FormatDIA
+}
+
+// columns is the one place the column pass runs: over s, the call's row pass —
+// or, for a call that recalled its record, as half of a whole scan that takes
+// nothing from that record (it may be another pattern's). The full record
+// replaces the call's and the structure index's.
+func (tn *tuning[T]) columns(s *matrix.Structure) {
+	var ft features.Features
+	if s != nil {
+		matrix.ScanColumns(tn.m, s)
+		ft = tn.rec.features
+		ft.Diagonals(s)
+	} else {
+		s = matrix.Scan(tn.m)
+		ft = features.FromStructure(s)
+	}
+	tn.adopt(tn.t.newRecord(s, ft))
+	tn.remember()
+}
+
+// full returns the attempt's features, every one known: measure and bestEffort,
+// which read the diagonal ones, take them from here and nowhere else. A decided
+// call that gets here after all — the fill guard rejected its pick — runs the
+// column pass now, on extract's clock.
+func (tn *tuning[T]) full() *features.Features {
+	if tn.base.ColumnPassSkipped {
+		start := time.Now()
+		tn.columns(nil)
+		tn.base.FeatureSec += time.Since(start).Seconds()
+		tn.d.Features, tn.d.ColumnPassSkipped, tn.d.FeatureSec = tn.base.Features, false, tn.base.FeatureSec
+	}
+	return &tn.d.Features
 }
 
 // begin starts an attempt on a fresh record.
@@ -225,18 +299,43 @@ func (tn *tuning[T]) choose() (*choice[T], error) {
 	return c, nil
 }
 
-// confident is the model selector: rule groups in DIA → ELL → CSR → COO
-// order (Section 6); the first group with a matching rule above the
-// confidence threshold, feasible for this matrix, wins.
+// confident is the model selector over the call's record, which extract left
+// either exact or decided: the pick predict is sure of, if any.
 func (tn *tuning[T]) confident() (*choice[T], bool) {
-	t, ft := tn.t, &tn.d.Features
-	fv := ft.Vector()
-	for _, f := range matrix.Formats {
-		if conf, ok := t.groupConfidence(fv, f); ok && conf > t.threshold && t.formatFeasible(f, ft, t.model.MaxFill) {
-			return &choice[T]{format: f, params: t.paramsFor(f), confidence: conf, predicted: true}, true
-		}
+	f, conf, v := tn.t.predict(tn.rec)
+	if v != mining.True {
+		return nil, false
 	}
-	return nil, false
+	return &choice[T]{format: f, params: tn.t.paramsFor(f), confidence: conf, predicted: true}, true
+}
+
+// predict is the ruleset's verdict on a record: rule groups in DIA → ELL → CSR
+// → COO order (Section 6); the first group with a matching rule above the
+// confidence threshold, feasible for the matrix, wins. The groups are
+// evaluated over the box the record bounds its features by: True (that pick)
+// and False (no confident pick) hold for every vector in the box, the matrix's
+// own included; Open means a group's match or feasibility depends on where in
+// the box it lies, and never comes of a full record, whose box is a point.
+// Feasibility reads ER_DIA alone of the bounded features and rises with it, so
+// the box's low corner settles "fits" and its high corner "cannot".
+func (t *Tuner[T]) predict(rec *structureRecord) (matrix.Format, float64, mining.Tri) {
+	lo, hi := rec.features.DiagBounds(rec.band)
+	lv, hv := lo.Vector(), hi.Vector()
+	for _, f := range matrix.Formats {
+		conf, v := t.groupConfidence(lv, hv, f)
+		if v == mining.False || (v == mining.True && !(conf > t.threshold)) {
+			continue
+		}
+		fits, mayFit := t.formatFeasible(f, &lo, t.model.MaxFill), t.formatFeasible(f, &hi, t.model.MaxFill)
+		switch {
+		case !mayFit:
+			continue
+		case v == mining.True && fits:
+			return f, conf, mining.True
+		}
+		return 0, 0, mining.Open
+	}
+	return 0, 0, mining.False
 }
 
 // bestEffort is the model selector with fallback off: the highest-confidence
@@ -244,11 +343,11 @@ func (tn *tuning[T]) confident() (*choice[T], bool) {
 // match the ruleset default (CSR) is used. The low confidence is recorded so
 // a cached copy of this decision can be refreshed by a measuring tuner.
 func (tn *tuning[T]) bestEffort() *choice[T] {
-	t, ft := tn.t, &tn.d.Features
+	t, ft := tn.t, tn.full()
 	fv := ft.Vector()
 	c := &choice[T]{format: matrix.FormatCSR}
 	for _, f := range matrix.Formats {
-		if conf, ok := t.groupConfidence(fv, f); ok && conf > c.confidence && t.formatFeasible(f, ft, t.model.MaxFill) {
+		if conf, v := t.groupConfidence(fv, fv, f); v == mining.True && conf > c.confidence && t.formatFeasible(f, ft, t.model.MaxFill) {
 			c.format, c.confidence = f, conf
 		}
 	}
@@ -277,7 +376,8 @@ func (t *Tuner[T]) contenders(ft *features.Features, maxFill float64) []matrix.F
 	var matched [len(matrix.Formats)]bool
 	opinion := false
 	for i, f := range matrix.Formats {
-		_, matched[i] = t.groupConfidence(fv, f)
+		_, v := t.groupConfidence(fv, fv, f)
+		matched[i] = v == mining.True
 		opinion = opinion || matched[i]
 	}
 	out := []matrix.Format{matrix.FormatCSR}
@@ -326,7 +426,7 @@ func (tn *tuning[T]) measure() (*choice[T], error) {
 
 	maxFill := min(fallbackMaxFill, t.model.MaxFill)
 	var built []*choice[T]
-	for _, f := range t.contenders(&d.Features, maxFill) {
+	for _, f := range t.contenders(tn.full(), maxFill) {
 		p := t.paramsFor(f)
 		e, timing, err := tn.candidate(f, p, maxFill)
 		if foreign(err) {
@@ -367,7 +467,7 @@ func (tn *tuning[T]) candidate(f matrix.Format, p kernels.Params, maxFill float6
 	if f == matrix.FormatCSR {
 		return tn.incumbent(), kernels.ConvertTiming{Format: f, Stored: tn.m.Stored()}, nil
 	}
-	return tn.t.build(tn.m, tn.lay, f, p, maxFill, 0)
+	return tn.t.build(tn.m, &tn.rec.layout, f, p, maxFill, 0)
 }
 
 // outcome is the payoff stage's verdict on a choice.
@@ -445,7 +545,7 @@ func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, 
 
 // materialise is the build stage for a choice no selector has built yet.
 func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
-	c.eng, c.convert, err = tn.t.build(tn.m, tn.lay, c.format, c.params, tn.t.model.MaxFill, c.crossover)
+	c.eng, c.convert, err = tn.t.build(tn.m, &tn.rec.layout, c.format, c.params, tn.t.model.MaxFill, c.crossover)
 	return err
 }
 
@@ -457,7 +557,7 @@ func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
 func (tn *tuning[T]) incumbent() *engine[T] {
 	if tn.inc == nil {
 		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
-		tn.inc, _, _ = tn.t.build(tn.m, tn.lay, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill, 0)
+		tn.inc, _, _ = tn.t.build(tn.m, &tn.rec.layout, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill, 0)
 	}
 	return tn.inc
 }
@@ -594,7 +694,7 @@ func (tn *tuning[T]) serve(c *choice[T]) error {
 	op.csrSpMVSec = tn.d.CSRSpMVSec
 	op.eng.Store(e)
 	if out == serveSwap {
-		go t.convertWorker(op, tn.m, tn.lay, c.format, c.params, c.crossover, tn.opts.HoldConversion)
+		go t.convertWorker(op, tn.m, &tn.rec.layout, c.format, c.params, c.crossover, tn.opts.HoldConversion)
 	}
 	return nil
 }

@@ -428,7 +428,7 @@ func TestCOOEngineAliasesInput(t *testing.T) {
 	check("inline", op)
 
 	// A costed entry past break-even: the hit serves tuned CSR and swaps.
-	tuner.Cache().Put(m2key(m), CacheEntry{Format: matrix.FormatCOO, Confidence: 1, Measured: true,
+	tuner.Cache().Put(m2key(tuner, m), CacheEntry{Format: matrix.FormatCOO, Confidence: 1, Measured: true,
 		ConvertSec: 1.0, SpMVSec: 0.1, IncumbentSec: 0.2})
 	hold := make(chan struct{})
 	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100, HoldConversion: hold})

@@ -38,7 +38,11 @@ func revalued(m *matrix.CSR[float64], copyArrays bool, seed int64) *matrix.CSR[f
 // arrays or in copies — is one structure hit, with the decision cache's hits
 // and misses counted as they always were, the features bit-identical to a
 // scan's and the same format served. An unsigned tune of the same matrix has
-// no part in the index.
+// no part in the index. The record is whichever the first tune computed: where
+// the row pass decided it (ELL, COO, CSR here) no tune of the pattern ever
+// reads the column indices — first, recalled, or recalled after the decision
+// cache has dropped the pattern's entry and the ruleset decides again, from
+// the remembered bounds.
 func TestStructureHitsCountResubmissions(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -55,8 +59,10 @@ func TestStructureHitsCountResubmissions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if first.StructureHit || first.CacheHit || first.Chosen != c.want {
-			t.Fatalf("%s: first tune: structure hit %v, cache hit %v, chose %v", c.name, first.StructureHit, first.CacheHit, first.Chosen)
+		skipped := c.want != matrix.FormatDIA
+		if first.StructureHit || first.CacheHit || first.Chosen != c.want || first.ColumnPassSkipped != skipped || first.Features.DiagsKnown() == skipped {
+			t.Fatalf("%s: first tune: structure hit %v, cache hit %v, chose %v, column pass skipped %v, features %+v",
+				c.name, first.StructureHit, first.CacheHit, first.Chosen, first.ColumnPassSkipped, first.Features)
 		}
 		const n = 7
 		for i := 0; i < n; i++ {
@@ -65,7 +71,7 @@ func TestStructureHitsCountResubmissions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !d.StructureHit || !d.CacheHit || d.Chosen != c.want || d.Features != first.Features {
+			if !d.StructureHit || !d.CacheHit || d.Chosen != c.want || d.Features != first.Features || d.ColumnPassSkipped != skipped {
 				t.Errorf("%s: re-submission %d: structure hit %v, cache hit %v, chose %v, features equal %v",
 					c.name, i, d.StructureHit, d.CacheHit, d.Chosen, d.Features == first.Features)
 			}
@@ -77,6 +83,26 @@ func TestStructureHitsCountResubmissions(t *testing.T) {
 		if st.StructureHits != n || st.Structures != 1 || st.Hits != n+1 || st.Misses != 1 {
 			t.Errorf("%s: %d structure hits over %d records, %d hits, %d misses; want %d over 1, %d, 1",
 				c.name, st.StructureHits, st.Structures, st.Hits, st.Misses, n, n+1)
+		}
+
+		// The decision cache loses the entry, the structure index keeps the
+		// pattern: the tune leads again, from the record as remembered.
+		key := m2key(tuner, c.m)
+		shard := tuner.cache.shard(key)
+		shard.mu.Lock()
+		shard.decisions.remove(key)
+		shard.mu.Unlock()
+		_, d, err := tuner.TuneOpts(c.m, signed(t, c.m))
+		if err != nil || !d.StructureHit || d.CacheHit || d.Chosen != c.want || d.Features != first.Features || d.ColumnPassSkipped != skipped {
+			t.Errorf("%s: after the decision's eviction: structure hit %v, cache hit %v, chose %v, column pass skipped %v, features equal %v, err %v",
+				c.name, d.StructureHit, d.CacheHit, d.Chosen, d.ColumnPassSkipped, d.Features == first.Features, err)
+		}
+		wantSkipped := uint64(0)
+		if skipped {
+			wantSkipped = n + 3 // the first tune, its re-submissions, the unsigned one, the one that led again
+		}
+		if got := tuner.Stats().ColumnPassesSkipped; got != wantSkipped {
+			t.Errorf("%s: %d tunes counted as skipping the column pass, want %d", c.name, got, wantSkipped)
 		}
 		tuner.Close()
 	}
@@ -178,13 +204,16 @@ func TestStructureRecordIsSlim(t *testing.T) {
 		t.Errorf("a remembered pattern retains %d bytes at 2 000 rows and %d at 200 000", small, large)
 	}
 
-	// A band keeps its diagonals: that is what a DIA hit converts from.
+	// A band the model may send to DIA keeps its diagonals: that is what a
+	// DIA hit converts from.
+	banded := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
+	defer banded.Close()
 	band := gen.MultiDiagonal[float64](50_000, []int{-3, 0, 2}, rand.New(rand.NewSource(9)))
 	opts := signed(t, band)
-	if _, _, err := tuner.TuneOpts(band, opts); err != nil {
+	if _, _, err := banded.TuneOpts(band, opts); err != nil {
 		t.Fatal(err)
 	}
-	rec := tuner.cache.recallStructure(structureKey{sig: opts.Pattern, rows: band.Rows, cols: band.Cols, nnz: band.NNZ()})
+	rec := banded.cache.recallStructure(structureKey{sig: opts.Pattern, rows: band.Rows, cols: band.Cols, nnz: band.NNZ()})
 	if rec == nil || len(rec.layout.DiagOffsets) != 3 {
 		t.Errorf("a three-diagonal band remembered %+v", rec)
 	}

@@ -33,6 +33,8 @@ type Features struct {
 	MaxRD  float64 `json:"max_rd"`  // max nonzeros per row
 	VarRD  float64 `json:"var_rd"`  // Σ|deg−aver|² / M
 
+	// The three parameters below need the O(nnz) pass over the column
+	// indices; a record of the row pass alone leaves them zero (DiagsKnown).
 	Ndiags       int     `json:"ndiags"`        // occupied diagonals
 	NTdiagsRatio float64 `json:"ntdiags_ratio"` // "true" diagonals / Ndiags
 	ERDIA        float64 `json:"er_dia"`        // NNZ / (Ndiags·M)
@@ -58,14 +60,19 @@ func (f *Features) Vector() []float64 {
 }
 
 // String formats the record in the paper's Section 5.1 style, e.g.
-// "{9801, 9801, 9, 1.0, 87025, 9, 0.35, 0.99, 0.99, inf}".
+// "{9801, 9801, 9, 1.0, 87025, 9, 0.35, 0.99, 0.99, inf}". The diagonal
+// parameters of a record that does not know them (DiagsKnown) print as "?".
 func (f *Features) String() string {
 	r := fmt.Sprintf("%.2f", f.R)
 	if f.R >= RNone {
 		r = "inf"
 	}
-	return fmt.Sprintf("{M=%d N=%d NNZ=%d aver_RD=%.2f max_RD=%.0f var_RD=%.2f Ndiags=%d NTdiags_ratio=%.2f ER_DIA=%.3f ER_ELL=%.3f R=%s}",
-		f.M, f.N, f.NNZ, f.AverRD, f.MaxRD, f.VarRD, f.Ndiags, f.NTdiagsRatio, f.ERDIA, f.ERELL, r)
+	diags := "Ndiags=? NTdiags_ratio=? ER_DIA=?"
+	if f.DiagsKnown() {
+		diags = fmt.Sprintf("Ndiags=%d NTdiags_ratio=%.2f ER_DIA=%.3f", f.Ndiags, f.NTdiagsRatio, f.ERDIA)
+	}
+	return fmt.Sprintf("{M=%d N=%d NNZ=%d aver_RD=%.2f max_RD=%.0f var_RD=%.2f %s ER_ELL=%.3f R=%s}",
+		f.M, f.N, f.NNZ, f.AverRD, f.MaxRD, f.VarRD, diags, f.ERELL, r)
 }
 
 // Key is a quantized fingerprint of a feature record, designed so that
@@ -167,10 +174,13 @@ func Extract[T matrix.Float](m *matrix.CSR[T]) Features {
 
 // FromStructure derives the Table 2 parameters from a structure scan, without
 // touching the matrix: the row-degree statistics (CSR/ELL parameters) from the
-// scan's integer sums, the diagonal situation (DIA parameters) from its
-// tally, and the power-law exponent (the COO parameter) from its degree
-// histogram. Every sum runs in a fixed order, so equal structures give
-// bit-identical features.
+// scan's integer sums, the power-law exponent (the COO parameter) from its
+// degree histogram, and the diagonal situation (DIA parameters) from its
+// tally. Every sum runs in a fixed order, so equal structures give
+// bit-identical features. A record of the row pass alone (matrix.ScanRows) has
+// no tally: Ndiags, NTdiags_ratio and ER_DIA are then left zero — unknown, see
+// DiagsKnown — DiagBounds says what the row pass does know of them, and
+// Diagonals fills them in once the column pass has run.
 func FromStructure(s *matrix.Structure) Features {
 	f := Features{M: s.Rows, N: s.Cols, NNZ: s.NNZ, R: RNone}
 	if s.Rows == 0 {
@@ -179,23 +189,57 @@ func FromStructure(s *matrix.Structure) Features {
 	f.MaxRD = float64(s.MaxDeg)
 	f.AverRD = float64(f.NNZ) / float64(f.M)
 	f.VarRD = s.DegreeVariance()
+	if s.MaxDeg > 0 {
+		f.ERELL = float64(f.NNZ) / (f.MaxRD * float64(f.M))
+	}
+	f.R = PowerLawExponent(s.DegHist)
+	f.Diagonals(s)
+	return f
+}
 
+// Diagonals sets the three parameters only the column pass determines, from
+// the tally of s, the structure the rest of f came from.
+func (f *Features) Diagonals(s *matrix.Structure) {
 	f.Ndiags = len(s.DiagOffsets)
+	if f.Ndiags == 0 {
+		return
+	}
 	trueDiags := 0
 	for i, off := range s.DiagOffsets {
 		if float64(s.DiagCounts[i]) >= TrueDiagOccupancy*float64(diagLength(s.Rows, s.Cols, off)) {
 			trueDiags++
 		}
 	}
-	if f.Ndiags > 0 {
-		f.NTdiagsRatio = float64(trueDiags) / float64(f.Ndiags)
-		f.ERDIA = float64(f.NNZ) / (float64(f.Ndiags) * float64(f.M))
+	f.NTdiagsRatio = float64(trueDiags) / float64(f.Ndiags)
+	f.ERDIA = erDIA(f.NNZ, f.Ndiags, f.M)
+}
+
+func erDIA(nnz, ndiags, m int) float64 { return float64(nnz) / (float64(ndiags) * float64(m)) }
+
+// DiagsKnown reports whether Ndiags, NTdiags_ratio and ER_DIA hold values. A
+// non-empty matrix occupies at least one diagonal, so Ndiags = 0 on one means
+// the column pass that counts them did not run.
+func (f *Features) DiagsKnown() bool { return f.Ndiags > 0 || f.NNZ == 0 }
+
+// DiagBounds returns the box [lo, hi] the record lies in, field by field: the
+// record itself twice over when its diagonal parameters are known, and
+// otherwise what the row pass bounds them by, band being the width of the band
+// of diagonals the entries lie in (matrix.Structure.Band). A row's entries lie
+// on distinct diagonals and a diagonal holds at most min(M, N) entries, so
+// Ndiags ≥ max(max_RD, ⌈NNZ/min(M, N)⌉); it cannot exceed the band or NNZ.
+// ER_DIA falls with Ndiags — its bounds are its own formula at Ndiags' — and
+// so never exceeds ER_ELL; NTdiags_ratio is a fraction.
+func (f *Features) DiagBounds(band int) (lo, hi Features) {
+	lo, hi = *f, *f
+	if f.DiagsKnown() {
+		return lo, hi
 	}
-	if s.MaxDeg > 0 {
-		f.ERELL = float64(f.NNZ) / (f.MaxRD * float64(f.M))
-	}
-	f.R = PowerLawExponent(s.DegHist)
-	return f
+	side := min(f.M, f.N)
+	lo.Ndiags = max(int(f.MaxRD), (f.NNZ+side-1)/side)
+	hi.Ndiags = min(band, f.NNZ)
+	lo.ERDIA, hi.ERDIA = erDIA(f.NNZ, hi.Ndiags, f.M), erDIA(f.NNZ, lo.Ndiags, f.M)
+	hi.NTdiagsRatio = 1
+	return lo, hi
 }
 
 // diagLength is the number of in-matrix positions on the diagonal with the

@@ -32,6 +32,37 @@ func BenchmarkValidate(b *testing.B) {
 	}
 }
 
+// BenchmarkScan times the structure scan's two halves and their sum on a
+// uniform-random matrix of ≈ 20 entries a row: the O(rows) pass a tune always
+// pays, the O(nnz) pass it pays only when the ruleset needs the diagonals, and
+// both back to back (Scan). ns/nnz, as benchmark/ reports extraction.
+func BenchmarkScan(b *testing.B) {
+	m := randCSR(rand.New(rand.NewSource(1)), 4000, 4000, 0.005)
+	perNNZ := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/nnz")
+	}
+	b.Run("rows", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = ScanRows(m)
+		}
+		perNNZ(b)
+	})
+	b.Run("columns", func(b *testing.B) {
+		rows := ScanRows(m)
+		for i := 0; i < b.N; i++ {
+			s := *rows
+			ScanColumns(m, &s)
+		}
+		perNNZ(b)
+	})
+	b.Run("both", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = Scan(m)
+		}
+		perNNZ(b)
+	})
+}
+
 func BenchmarkSpGEMM(b *testing.B) {
 	m := benchMatrix(b)
 	b.ResetTimer()

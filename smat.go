@@ -188,7 +188,8 @@ type Tuner[T Float] struct {
 
 // Stats reports the tuner's live counters — the decision cache's (embedded
 // CacheStats), the worker pool's (Pool) and the lazy batch-crossover probes'
-// (BatchProbes, BatchProbeSec); see Tuner.Stats.
+// (BatchProbes, BatchProbeSec) and the tunes that never read the column indices
+// (ColumnPassesSkipped); see Tuner.Stats.
 type Stats = autotune.Stats
 
 // CacheStats is the decision-cache part of Stats.
@@ -304,7 +305,8 @@ func (t *Tuner[T]) Close() { t.inner.Close() }
 // goroutines instead, and calls that stayed serial under the work cutoff.
 // BatchProbes and BatchProbeSec count the batch-crossover probes the
 // operators' first batched calls ran, and the seconds those calls spent in
-// them (see Decision.BatchCrossover).
+// them (see Decision.BatchCrossover). ColumnPassesSkipped counts the tunes
+// whose decision reports ColumnPassSkipped.
 func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
 
 // TuneOption carries per-call tuning intent into Tune, CSRSpMV and
@@ -594,23 +596,24 @@ const (
 // accounting).
 func (o *Operator[T]) Decision() Decision {
 	return Decision{
-		Predicted:      o.dec.Predicted,
-		PredictedOK:    o.dec.PredictedOK,
-		Confidence:     o.dec.Confidence,
-		UsedFallback:   o.dec.UsedFallback,
-		CacheHit:       o.dec.CacheHit,
-		StructureHit:   o.dec.StructureHit,
-		Chosen:         o.dec.Chosen,
-		Kernel:         o.dec.Kernel,
-		Params:         o.dec.Params,
-		IterationHint:  o.dec.IterationHint,
-		Asymptotic:     o.dec.Asymptotic,
-		BreakEvenIters: o.dec.BreakEvenIters,
-		Amortized:      o.dec.Amortized,
-		Converted:      o.dec.Converted,
-		ConvertSec:     o.dec.ConvertSec,
-		BatchCrossover: o.op.BatchCrossover(),
-		Overhead:       o.dec.Overhead(),
+		Predicted:         o.dec.Predicted,
+		PredictedOK:       o.dec.PredictedOK,
+		Confidence:        o.dec.Confidence,
+		UsedFallback:      o.dec.UsedFallback,
+		CacheHit:          o.dec.CacheHit,
+		StructureHit:      o.dec.StructureHit,
+		ColumnPassSkipped: o.dec.ColumnPassSkipped,
+		Chosen:            o.dec.Chosen,
+		Kernel:            o.dec.Kernel,
+		Params:            o.dec.Params,
+		IterationHint:     o.dec.IterationHint,
+		Asymptotic:        o.dec.Asymptotic,
+		BreakEvenIters:    o.dec.BreakEvenIters,
+		Amortized:         o.dec.Amortized,
+		Converted:         o.dec.Converted,
+		ConvertSec:        o.dec.ConvertSec,
+		BatchCrossover:    o.op.BatchCrossover(),
+		Overhead:          o.dec.Overhead(),
 	}
 }
 
@@ -655,6 +658,13 @@ type Decision struct {
 	// nothing about the decision — a pattern can be known and its fingerprint's
 	// decision evicted, or the reverse.
 	StructureHit bool
+	// ColumnPassSkipped reports that the tune decided without reading the
+	// column indices: the O(rows) pass over the row pointers gives eight of
+	// the eleven Table 2 features and bounds the three diagonal ones, and when
+	// the ruleset evaluated over those bounds settles on a confident ELL, CSR
+	// or COO pick — the pick the full features would make — the O(nnz) pass
+	// that counts diagonals never runs (nor for a format hint other than DIA).
+	ColumnPassSkipped bool
 	// Chosen is the final storage format the operator uses (or, while a
 	// background conversion is pending, will use once the swap lands); Kernel
 	// the name of the implementation bound to it.

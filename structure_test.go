@@ -87,15 +87,28 @@ func TestResubmittedPatternSkipsTheScan(t *testing.T) {
 				rowPtr, colIdx, how = append([]int(nil), rowPtr...), append([]int(nil), colIdx...), ": copied arrays"
 			}
 			d := serve(t, tuner, name+how, m.Rows, m.Cols, rowPtr, colIdx, values(m.NNZ(), int64(i)))
-			if !d.StructureHit || !d.CacheHit || d.UsedFallback || d.Chosen != first.Chosen {
-				t.Errorf("%s%s: structure hit %v, cache hit %v, fallback %v, chose %v after %v",
-					name, how, d.StructureHit, d.CacheHit, d.UsedFallback, d.Chosen, first.Chosen)
+			if !d.StructureHit || !d.CacheHit || d.UsedFallback || d.Chosen != first.Chosen || d.ColumnPassSkipped != first.ColumnPassSkipped {
+				t.Errorf("%s%s: structure hit %v, cache hit %v, fallback %v, chose %v after %v, column pass skipped %v after %v",
+					name, how, d.StructureHit, d.CacheHit, d.UsedFallback, d.Chosen, first.Chosen, d.ColumnPassSkipped, first.ColumnPassSkipped)
 			}
 		}
 		st := tuner.Stats()
 		if st.StructureHits != n || st.Structures != 1 || st.Hits != n || st.Misses != 1 {
 			t.Errorf("%s: %d structure hits over %d patterns, %d cache hits, %d misses; want %d over 1, %d, 1",
 				name, st.StructureHits, st.Structures, st.Hits, st.Misses, n, n)
+		}
+		// What is remembered is what the first tune read: a DIA pick needs the
+		// diagonals, a power-law graph's COO pick is settled by the row pass —
+		// and then no submission of the pattern reads its column indices.
+		if first.Chosen == smat.FormatDIA && first.ColumnPassSkipped || name == "power-law" && !first.ColumnPassSkipped {
+			t.Errorf("%s: chose %v, column pass skipped: %v", name, first.Chosen, first.ColumnPassSkipped)
+		}
+		wantSkipped := uint64(0)
+		if first.ColumnPassSkipped {
+			wantSkipped = n + 1
+		}
+		if st.ColumnPassesSkipped != wantSkipped {
+			t.Errorf("%s: %d tunes counted as skipping the column pass, want %d", name, st.ColumnPassesSkipped, wantSkipped)
 		}
 
 		// (c) Rewrite the arrays in place: every row keeps its length and
