@@ -74,22 +74,10 @@ func main() {
 		log.Fatal(err)
 	}
 	tuneTime := time.Since(start)
-	d := op.Decision()
-	if d.PredictedOK {
-		fmt.Printf("decision: predicted %s (confidence %.2f)\n", d.Predicted, d.Confidence)
-	} else {
-		fmt.Printf("decision: model not confident, execute-and-measure fallback\n")
-	}
-	if d.ColumnPassSkipped {
-		fmt.Printf("decision: taken from the row pass alone (Ndiags=? NTdiags_ratio=? ER_DIA=?: column indices not read)\n")
-	}
-	// The overhead ratio exists only where the tune measured its unit (the
-	// fallback; an iteration hint): a predicted decision runs no kernel.
-	cost := fmt.Sprintf("tuning %s", tuneTime.Round(time.Microsecond))
-	if d.Overhead > 0 {
-		cost += fmt.Sprintf(", %.1fx CSR-SpMV", d.Overhead)
-	}
-	fmt.Printf("chosen: %s via kernel %s (%s)\n", d.Chosen, d.Kernel, cost)
+	// The decision's overhead ratio exists only where the tune measured its
+	// unit (the fallback; an iteration hint): a predicted one runs no kernel.
+	fmt.Printf("decision: %s\n", op.Decision())
+	fmt.Printf("tuning: %s\n", tuneTime.Round(time.Microsecond))
 
 	x := make([]float64, cols)
 	for i := range x {

@@ -53,6 +53,30 @@ func ExampleTuner_Tune() {
 	// Output: format: DIA predicted: true
 }
 
+// ExampleDecision_String is the one-line rendering, one decision per path: a
+// confident prediction that never read the column indices, an
+// execute-and-measure fallback under an iteration hint too short to pay for
+// the winner, and a cache hit on a remembered pattern.
+func ExampleDecision_String() {
+	fmt.Println(smat.Decision{
+		PredictedOK: true, Predicted: smat.FormatELL, Confidence: 0.97, ColumnPassSkipped: true,
+		Chosen: smat.FormatELL, Kernel: "ell_parallel_u8", Params: smat.Params{Unroll: 8}, Converted: true,
+	})
+	fmt.Println(smat.Decision{
+		UsedFallback: true, Confidence: 1,
+		Chosen: smat.FormatCSR, Kernel: "csr_parallel_nnz_unroll4", Converted: true,
+		IterationHint: 10, Asymptotic: smat.FormatCOO, BreakEvenIters: 40, Amortized: true, Overhead: 6.54,
+	})
+	fmt.Println(smat.Decision{
+		PredictedOK: true, Predicted: smat.FormatDIA, Confidence: 1, CacheHit: true, StructureHit: true,
+		Chosen: smat.FormatDIA, Kernel: "dia_blocked_parallel", Converted: true,
+	})
+	// Output:
+	// predicted (confidence 0.97), column pass skipped: ELL via ell_parallel_u8, params u8
+	// execute-and-measure fallback: CSR via csr_parallel_nnz_unroll4, COO breaks even at 40 SpMVs (hint 10: serving tuned CSR), overhead 6.5x CSR-SpMV
+	// cache hit (confidence 1.00), structure hit: DIA via dia_blocked_parallel
+}
+
 // ExampleReadMatrixMarket loads a matrix from the Matrix Market exchange
 // format.
 func ExampleReadMatrixMarket() {

@@ -49,20 +49,10 @@ func main() {
 			log.Fatal(err)
 		}
 		tuneTime := time.Since(start)
-		d := op.Decision()
-		switch {
-		case d.PredictedOK:
-			fmt.Printf("  decision: model predicted %s (confidence %.2f)\n", d.Predicted, d.Confidence)
-		default:
-			fmt.Printf("  decision: no confident rule matched -> execute-and-measure fallback\n")
-		}
 		// Only a measuring decision knows its cost in CSR-SpMVs: a predicted
 		// one runs no kernel, so there is no unit to divide by.
-		cost := fmt.Sprintf("decision cost %s", tuneTime.Round(time.Microsecond))
-		if d.Overhead > 0 {
-			cost += fmt.Sprintf(", %.1fx one CSR-SpMV", d.Overhead)
-		}
-		fmt.Printf("  chosen:   %s via %s (%s)\n\n", d.Chosen, d.Kernel, cost)
+		fmt.Printf("  decision: %s\n", op.Decision())
+		fmt.Printf("  tuning:   %s\n\n", tuneTime.Round(time.Microsecond))
 	}
 
 	// Reordering changes the structure SMAT sees: a banded matrix hidden

@@ -53,8 +53,7 @@ func main() {
 	d := op.Decision()
 	fmt.Printf("link matrix: %d nodes, %d edges\n", nodes, a.NNZ())
 	fmt.Printf("features: R=%.2f (power-law exponent)\n", a.Features().R)
-	fmt.Printf("SMAT chose %s (kernel %s, predicted=%v conf=%.2f)\n",
-		d.Chosen, d.Kernel, d.PredictedOK, d.Confidence)
+	fmt.Printf("decision: %s\n", d)
 
 	rank := make([]float64, nodes)
 	next := make([]float64, nodes)

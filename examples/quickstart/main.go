@@ -55,18 +55,7 @@ func main() {
 	// The decision is cached on the handle; inspect it without re-tuning.
 	d := a.Operator().Decision()
 	fmt.Printf("matrix: %d x %d, %d nonzeros\n", n, n, a.NNZ())
-	fmt.Printf("SMAT chose %s (kernel %s)\n", d.Chosen, d.Kernel)
-	if d.PredictedOK {
-		fmt.Printf("decided by model prediction with confidence %.2f\n", d.Confidence)
-	} else {
-		fmt.Printf("decided by execute-and-measure fallback\n")
-	}
-	if d.Asymptotic != d.Chosen {
-		fmt.Printf("hint of %d SpMVs kept tuned CSR: %s breaks even at %d\n",
-			d.IterationHint, d.Asymptotic, d.BreakEvenIters)
-	} else if d.BreakEvenIters > 0 {
-		fmt.Printf("conversion to %s breaks even after %d SpMVs\n", d.Chosen, d.BreakEvenIters)
-	}
+	fmt.Printf("decision: %s\n", d)
 	// For the interior rows of this operator, (A·1)_i = -1 + 2 - 1 = 0.
 	fmt.Printf("y[0]=%g y[1]=%g ... y[n-1]=%g\n", y[0], y[1], y[n-1])
 }

@@ -21,7 +21,7 @@
 //   - a run factory binds its chunk functions once: conversions to the chunk
 //     type (rangeFn) must wrap top-level functions and must not appear inside
 //     the returned per-call closure; a value parameter of the factory (an
-//     unroll depth, a tile width) must not be referenced inside the closure,
+//     unroll depth) must not be referenced inside the closure,
 //     which would re-dispatch on it every call — chunk-typed parameters are
 //     already-bound funcvals and may be; and the closure handles the serial
 //     plan cutoff (an ex.plan.Serial branch), so small matrices never pay the
@@ -29,9 +29,9 @@
 //   - every exported constant of the tables' Format type — wherever that
 //     type is defined — has a family with single-vector rows and a
 //     strategy-free, parameter-free row instantiated whole (the scoreboard
-//     anchor), and, once the package has any batched row, batched rows with a
-//     strategy-free one instantiated whole, so the batched serving path never
-//     silently loses a format;
+//     anchor), and, once the package has any batched row, batched rows with
+//     such a row too, so the batched serving path never silently loses a
+//     format;
 //   - the package's newPlan function has a partitioner case for every such
 //     format constant.
 package kernelreg
@@ -175,7 +175,7 @@ func (c *checker) checkRows(fam *ast.CompositeLit, rows ast.Expr, batch bool) *t
 			whole := constant.Sign(part.Val()) == 0
 			if whole {
 				frag = alone
-				if isZero(c.pass, fields["strat"]) && (batch || fields["params"] == nil) {
+				if isZero(c.pass, fields["strat"]) && fields["params"] == nil {
 					t.anchor = true
 				}
 			}

@@ -151,8 +151,8 @@ func csrTable() family {
 			{name: "csr", suffix: "-u2", params: 2, chunk: csrChunk, over: []partition{byNNZ}},
 		},
 		batch: []body{
-			{name: "csr", alone: "-serial", params: 4, chunk: csrChunk, over: []partition{whole, byRows}},
-			{name: "csr", alone: "-serial", params: 2, chunk: csrChunk, over: []partition{whole}}, // want `duplicate kernel name "csr-serial"`
+			{name: "csr", alone: "-serial", chunk: csrChunk, over: []partition{whole, byRows}},
+			{name: "csr", alone: "-serial", chunk: csrChunk, over: []partition{whole}}, // want `duplicate kernel name "csr-serial"`
 		},
 	}
 }
@@ -170,7 +170,7 @@ func cooTable() family {
 			{name: "coo", suffix: "-lost", chunk: cooChunk, over: []partition{byNowhere}},                    // want `partition byNowhere has no entry`
 		},
 		batch: []body{
-			{name: "coo-batch", params: 4, chunk: cooChunk, over: []partition{whole, byRows}},
+			{name: "coo-batch", chunk: cooChunk, over: []partition{whole, byRows}},
 		},
 	}
 }
@@ -194,7 +194,7 @@ func ellTable() family {
 			{name: nameVar, chunk: ellChunk, over: []partition{whole}},                             // want `non-empty string literal`
 		},
 		batch: []body{
-			{name: "ell-batch", params: 8, chunk: ellChunk, over: []partition{whole}},
+			{name: "ell-batch", chunk: ellChunk, over: []partition{whole}},
 		},
 	}
 }
@@ -208,7 +208,7 @@ func hybTable() family {
 			{name: "hyb", strat: 1, run: hybWhole, over: []partition{whole}},
 		},
 		batch: []body{
-			{name: "hyb-batch", params: 8, chunk: ellChunk, over: []partition{byRows}},
+			{name: "hyb-batch", chunk: ellChunk, over: []partition{byRows}},
 		},
 	}
 }

@@ -121,8 +121,8 @@ const (
 	// serves the converted format.
 	ConvertDone
 	// ConvertFailed: the background conversion failed (the fill guard can
-	// reject a fingerprint-colliding matrix); the operator serves tuned CSR
-	// permanently, which is always correct.
+	// reject a fingerprint-colliding matrix) or panicked; the operator serves
+	// tuned CSR permanently, which is always correct.
 	ConvertFailed
 )
 

@@ -195,6 +195,52 @@ func TestAmortizedCacheHitAsyncSwap(t *testing.T) {
 	checkAgainstDense(t, op, m) // served from the swapped-in engine
 }
 
+// TestBackgroundConversionPanicContained: a panic on the conversion worker —
+// a goroutine no caller can recover on — ends the conversion, not the
+// process: the state is ConvertFailed, AwaitConversion returns, and the
+// operator keeps serving the tuned-CSR incumbent, bit for bit.
+func TestBackgroundConversionPanicContained(t *testing.T) {
+	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
+	defer tuner.Close()
+	m := intDiagonal(300)
+	seedAmortized(tuner, m, 2)
+
+	hold := make(chan struct{})
+	op, _, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100, HoldConversion: hold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := op.ConversionState(); st != ConvertPending {
+		t.Fatalf("ConversionState = %v, want pending", st)
+	}
+	x := make([]float64, m.Cols)
+	for i := range x {
+		x[i] = 1 / float64(i+3)
+	}
+	before := make([]float64, m.Rows)
+	op.MulVec(x, before)
+
+	tuner.FailConversions()
+	close(hold)
+	if st := op.AwaitConversion(); st != ConvertFailed {
+		t.Fatalf("AwaitConversion = %v, want failed", st)
+	}
+	if st := op.ConversionState(); st != ConvertFailed {
+		t.Errorf("ConversionState = %v, want failed", st)
+	}
+	if op.Format() != matrix.FormatCSR {
+		t.Errorf("format after the panic = %v, want the CSR incumbent", op.Format())
+	}
+	after := make([]float64, m.Rows)
+	op.MulVec(x, after)
+	for i := range after {
+		if after[i] != before[i] {
+			t.Fatalf("row %d: %v after the panic, %v before", i, after[i], before[i])
+		}
+	}
+	checkAgainstDense(t, op, m)
+}
+
 // TestAmortizedCacheHitFollowsCPUCount: past break-even with neither
 // SyncConvert nor a hold, where the conversion runs is the process's CPU
 // count's call — in the background with a core to spare, inline on one CPU.

@@ -59,9 +59,9 @@ type bindingWant struct {
 	cacheHit, amortized        bool
 	converted                  bool
 	state                      ConversionState
-	// params is Decision.Params: resolved from the model, the kernel and the
-	// bound batch tile on paths that decide or serve the incumbent, the cache
-	// entry's verbatim on hits.
+	// params is Decision.Params: resolved from the model and the kernel on
+	// paths that decide or serve the incumbent, the cache entry's verbatim on
+	// hits.
 	params kernels.Params
 	// crossover is the batch crossover the engine of the chosen format is
 	// bound with: the cache entry's when it carries one, otherwise 0 — no
@@ -71,14 +71,11 @@ type bindingWant struct {
 }
 
 // wantParams is what a deciding path records for format f on tuner tn:
-// the model's knobs, the bound kernel's unroll depth, the bound batch tile.
+// the model's knobs and the bound kernel's unroll depth.
 func wantParams(tn *Tuner[float64], f matrix.Format) kernels.Params {
 	p := tn.paramsFor(f)
 	if u := tn.kernelFor(f).Params.Unroll; u != 0 {
 		p.Unroll = u
-	}
-	if b := tn.lib.BatchForParams(f, p); b != nil {
-		p.BatchTile = b.Params.BatchTile
 	}
 	return p
 }
@@ -288,11 +285,8 @@ func checkBindingContract(t *testing.T, label string, r bindingResult) {
 	// The engine serves the batch kernel of the format it holds, and its
 	// crossover is the decision's whenever the decision describes it.
 	e := r.op.eng.Load()
-	if want := r.tn.lib.BatchForParams(w.served, params); w.served == w.chosen && e.batch != want {
-		t.Errorf("%s: engine batch kernel %v, want %v", label, e.batch, want)
-	}
-	if e.batch == nil || e.batch.Format != w.served {
-		t.Errorf("%s: engine batch kernel %+v is not bound for the served format %v", label, e.batch, w.served)
+	if want := r.tn.lib.BatchFor(w.served); e.batch == nil || e.batch != want {
+		t.Errorf("%s: engine batch kernel %+v, want the served format %v's %+v", label, e.batch, w.served, want)
 	}
 	// No path measures a crossover while tuning: the engine of the chosen
 	// format carries the entry's or none, the incumbent of a failed or

@@ -31,9 +31,9 @@ type CacheEntry struct {
 	Confidence float64
 	Measured   bool
 	// Params carries the leader's kernel parameters (conversion knobs like
-	// the BCSR block shape or the HYB width cut, plus the batch register
-	// tile): cache hits convert and bind with the same parameters, so a
-	// parameterized decision survives the cache unchanged.
+	// the BCSR block shape or the HYB width cut, plus the unroll depth):
+	// cache hits convert with the same parameters, so a parameterized
+	// decision survives the cache unchanged.
 	Params kernels.Params
 	// BatchCrossover is the measured batch-width crossover of Format under
 	// Params, written back by the first operator of the entry to run a

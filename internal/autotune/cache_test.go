@@ -38,14 +38,14 @@ func TestCacheDoCachesAndHits(t *testing.T) {
 	calls := 0
 	tune := func() (CacheEntry, error) {
 		calls++
-		return CacheEntry{Format: matrix.FormatDIA, Params: kernels.Params{BatchTile: 2}, Confidence: 0.9}, nil
+		return CacheEntry{Format: matrix.FormatDIA, Params: kernels.Params{Unroll: 2}, Confidence: 0.9}, nil
 	}
 	e, fromCache, err := c.Do(keyN(1), 0, tune)
 	if err != nil || fromCache || e.Format != matrix.FormatDIA {
 		t.Fatalf("first Do: entry=%+v fromCache=%v err=%v", e, fromCache, err)
 	}
 	e, fromCache, err = c.Do(keyN(1), 0, tune)
-	if err != nil || !fromCache || e.Format != matrix.FormatDIA || e.Params.BatchTile != 2 {
+	if err != nil || !fromCache || e.Format != matrix.FormatDIA || e.Params.Unroll != 2 {
 		t.Fatalf("second Do: entry=%+v fromCache=%v err=%v", e, fromCache, err)
 	}
 	if calls != 1 {
@@ -150,7 +150,7 @@ func TestCacheRefreshLowConfidence(t *testing.T) {
 // other parameters, or gone, is not overwritten.
 func TestCacheSetBatchCrossoverMatchesEntry(t *testing.T) {
 	c := NewCache(128)
-	p := kernels.Params{BatchTile: 4}
+	p := kernels.Params{Unroll: 4}
 	entry := CacheEntry{Format: matrix.FormatELL, Params: p, Confidence: 0.9, ConvertSec: 1, SpMVSec: 0.1, IncumbentSec: 0.2}
 	c.Put(keyN(1), entry)
 
@@ -161,7 +161,7 @@ func TestCacheSetBatchCrossoverMatchesEntry(t *testing.T) {
 		p    kernels.Params
 	}{
 		{"another format", keyN(1), matrix.FormatCSR, p},
-		{"other parameters", keyN(1), matrix.FormatELL, kernels.Params{BatchTile: 8}},
+		{"other parameters", keyN(1), matrix.FormatELL, kernels.Params{Unroll: 8}},
 		{"no entry", keyN(2), matrix.FormatELL, p},
 	} {
 		c.SetBatchCrossover(miss.key, miss.f, miss.p, 8)

@@ -13,8 +13,7 @@ import (
 
 // fullParams exercises every Params field at once.
 var fullParams = kernels.Params{
-	Unroll: 8, BlockR: 2, BlockC: 4, BatchTile: 2,
-	HybCut: 0.5, DIAMinDensity: 0.05,
+	Unroll: 8, BlockR: 2, BlockC: 4, HybCut: 0.5,
 }
 
 func TestDecisionJSONRoundTripParams(t *testing.T) {
@@ -58,9 +57,9 @@ func TestModelParamsRoundTrip(t *testing.T) {
 	m.Version = ModelSchemaVersion
 	m.Params = map[string]kernels.Params{
 		matrix.FormatELL.String():  {Unroll: 8},
-		matrix.FormatDIA.String():  {Unroll: 2, DIAMinDensity: 0.05},
+		matrix.FormatDIA.String():  {Unroll: 2},
 		matrix.FormatBCSR.String(): {BlockR: 8, BlockC: 2},
-		matrix.FormatHYB.String():  {HybCut: 0.1, BatchTile: 2},
+		matrix.FormatHYB.String():  {HybCut: 0.1},
 	}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -129,7 +128,7 @@ func TestDatabaseParamsRoundTrip(t *testing.T) {
 	db.AppendParams("blocked", "test", f,
 		Label{Best: matrix.FormatDIA, GFLOPS: map[matrix.Format]float64{matrix.FormatDIA: 3}},
 		map[matrix.Format]kernels.Params{
-			matrix.FormatDIA: {Unroll: 8, DIAMinDensity: 0.05},
+			matrix.FormatDIA: {Unroll: 8},
 			matrix.FormatELL: {Unroll: 2},
 		})
 	var buf bytes.Buffer
@@ -147,7 +146,7 @@ func TestDatabaseParamsRoundTrip(t *testing.T) {
 	if last.Schema != DatabaseSchemaVersion {
 		t.Errorf("schema %d, want %d", last.Schema, DatabaseSchemaVersion)
 	}
-	if got := last.Params["DIA"]; got != (kernels.Params{Unroll: 8, DIAMinDensity: 0.05}) {
+	if got := last.Params["DIA"]; got != (kernels.Params{Unroll: 8}) {
 		t.Errorf("DIA params = %+v", got)
 	}
 	if got := last.Params["ELL"]; got != (kernels.Params{Unroll: 2}) {
@@ -160,6 +159,47 @@ func TestDatabaseParamsRoundTrip(t *testing.T) {
 	// Mixed-schema databases must still retrain (params are advisory).
 	if _, err := TrainFromDatabase(back, nil, TrainConfig{Threads: 2}); err != nil {
 		t.Fatalf("mixed-schema database does not retrain: %v", err)
+	}
+}
+
+// TestLoadersIgnoreRetiredParamKeys: files written while Params still had a
+// batch register tile and a DIA density floor load, and the two keys read as
+// nothing.
+func TestLoadersIgnoreRetiredParamKeys(t *testing.T) {
+	const retired = `{"unroll":8,"batch_tile":2,"dia_min_density":0.05}`
+	want := kernels.Params{Unroll: 8}
+
+	m := modelAlways(matrix.FormatDIA, 0.95)
+	m.Version = ModelSchemaVersion
+	m.Params = map[string]kernels.Params{"DIA": want}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["params"] = json.RawMessage(`{"DIA":` + retired + `}`)
+	data, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadModel(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("model with retired keys: %v", err)
+	}
+	if got := back.Params["DIA"]; got != want {
+		t.Errorf("model DIA params = %+v, want %+v", got, want)
+	}
+
+	row := `{"schema":2,"name":"x","features":{},"best":"DIA","params":{"DIA":` + retired + `}}` + "\n"
+	db, err := LoadDatabase(strings.NewReader(row))
+	if err != nil {
+		t.Fatalf("database row with retired keys: %v", err)
+	}
+	if got := db.Records[0].Params["DIA"]; got != want {
+		t.Errorf("database DIA params = %+v, want %+v", got, want)
 	}
 }
 
@@ -190,7 +230,7 @@ func TestSearchMatrixParamsPrunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ft := features.Extract(m)
-	if ft.ERDIA >= kernels.DefaultDIAMinDensity {
+	if feasible(matrix.FormatDIA, &ft, DefaultMaxFill) {
 		t.Skipf("spec not hypersparse enough: ERDIA=%g", ft.ERDIA)
 	}
 	res := SearchMatrixParams(lib, m, &ft, matrix.FormatDIA, 1, fastMeasure)

@@ -64,10 +64,9 @@ type Decision struct {
 
 	// Params records the tunable parameters behind the decision: the
 	// conversion-level knobs the operator's matrix was materialised with
-	// (BCSR block shape, HYB width cut), the chosen kernel instance's unroll
-	// depth, and the batch register tile bound by the crossover probe. The
-	// zero value means the fixed menu — a v1 model, or a format the search
-	// left at its defaults.
+	// (BCSR block shape, HYB width cut) and the chosen kernel instance's
+	// unroll depth. The zero value means the fixed menu — a v1 model, or a
+	// format the search left at its defaults.
 	Params kernels.Params
 
 	// IterationHint is the caller's expected number of remaining SpMVs
@@ -261,7 +260,7 @@ const NeverBatch = 1 << 30
 
 // defaultBatchCrossover serves a batched call that arrives while another
 // caller's probe of the engine is in flight: tile from width 4 — the
-// register-tile width, past which the tiled kernels pay no remainder cost.
+// narrowest register tile, from which no column is left to the scalar loop.
 const defaultBatchCrossover = 4
 
 // crossoverClaimed is the engine.crossover value between a caller's claim of
@@ -677,34 +676,13 @@ func (t *Tuner[T]) paramsFor(f matrix.Format) kernels.Params {
 }
 
 // resolvedParams is the full parameter point behind an engine: the model's
-// format-level conversion knobs, the bound kernel instance's unroll depth
-// and the bound batch kernel's register tile (the searched width, or the
-// format's default when the model carried none).
+// format-level conversion knobs and the bound kernel instance's unroll depth.
 func (t *Tuner[T]) resolvedParams(e *engine[T]) kernels.Params {
 	p := t.paramsFor(e.kernel.Format)
 	if u := e.kernel.Params.Unroll; u != 0 {
 		p.Unroll = u
 	}
-	if e.batch != nil {
-		p.BatchTile = e.batch.Params.BatchTile
-	}
 	return p
-}
-
-// formatFeasible is feasible plus the model's searched DIA density gate: a
-// v2 model that tuned DIA under a minimum diagonal density re-applies that
-// bound at prediction time, so a hypersparse tally never converts to DIA on
-// a rule match alone.
-func (t *Tuner[T]) formatFeasible(f matrix.Format, ft *features.Features, maxFill float64) bool {
-	if !feasible(f, ft, maxFill) {
-		return false
-	}
-	if f == matrix.FormatDIA {
-		if dmin := t.paramsFor(f).DIAMinDensity; dmin > 0 && ft.ERDIA < dmin {
-			return false
-		}
-	}
-	return true
 }
 
 // Tune runs the paper's Figure 7 runtime procedure on a CSR matrix: feature

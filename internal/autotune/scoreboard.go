@@ -251,7 +251,7 @@ func paramConvCandidates(m *matrix.CSR[float64], f matrix.Format, res *ParamSear
 func SearchMatrixParams(lib *kernels.Library[float64], m *matrix.CSR[float64], ft *features.Features, f matrix.Format, threads int, measure MeasureOptions) ParamSearchResult {
 	measure = measure.withDefaults()
 	res := ParamSearchResult{Format: f}
-	if f == matrix.FormatDIA && ft != nil && ft.ERDIA < kernels.DefaultDIAMinDensity {
+	if f == matrix.FormatDIA && ft != nil && !feasible(f, ft, DefaultMaxFill) {
 		res.Pruned = append(res.Pruned, "dia: diagonal density below threshold")
 		return res
 	}
@@ -280,11 +280,6 @@ func SearchMatrixParams(lib *kernels.Library[float64], m *matrix.CSR[float64], f
 				res.FixedGFLOPS, res.FixedKernel = g, k.Name
 			}
 		}
-	}
-	if f == matrix.FormatDIA && res.Kernel != "" {
-		// Record the density gate the walk ran under: the runtime re-applies
-		// it before trusting a DIA prediction on a hypersparse tally.
-		res.Params.DIAMinDensity = kernels.DefaultDIAMinDensity
 	}
 	return res
 }

@@ -326,7 +326,7 @@ func (t *Tuner[T]) predict(rec *structureRecord) (matrix.Format, float64, mining
 		if v == mining.False || (v == mining.True && !(conf > t.threshold)) {
 			continue
 		}
-		fits, mayFit := t.formatFeasible(f, &lo, t.model.MaxFill), t.formatFeasible(f, &hi, t.model.MaxFill)
+		fits, mayFit := feasible(f, &lo, t.model.MaxFill), feasible(f, &hi, t.model.MaxFill)
 		switch {
 		case !mayFit:
 			continue
@@ -347,7 +347,7 @@ func (tn *tuning[T]) bestEffort() *choice[T] {
 	fv := ft.Vector()
 	c := &choice[T]{format: matrix.FormatCSR}
 	for _, f := range matrix.Formats {
-		if conf, v := t.groupConfidence(fv, fv, f); v == mining.True && conf > c.confidence && t.formatFeasible(f, ft, t.model.MaxFill) {
+		if conf, v := t.groupConfidence(fv, fv, f); v == mining.True && conf > c.confidence && feasible(f, ft, t.model.MaxFill) {
 			c.format, c.confidence = f, conf
 		}
 	}
@@ -382,7 +382,7 @@ func (t *Tuner[T]) contenders(ft *features.Features, maxFill float64) []matrix.F
 	}
 	out := []matrix.Format{matrix.FormatCSR}
 	for i, f := range matrix.Formats {
-		if f != matrix.FormatCSR && (matched[i] || !opinion) && t.formatFeasible(f, ft, maxFill) {
+		if f != matrix.FormatCSR && (matched[i] || !opinion) && feasible(f, ft, maxFill) {
 			out = append(out, f)
 		}
 	}
@@ -507,16 +507,16 @@ func payoff(f matrix.Format, breakEven int, opts TuneOptions, cpus int) outcome 
 }
 
 // bind resolves everything about an engine but its matrix: this tuner's
-// kernel for the format, the batch kernel of the parameters' register tile
-// (nil when the format has none), and the batch crossover a cache entry
-// carried. Without one (below 2 can never be a real crossover) the cell stays
-// 0 and the engine's first batched call measures it.
-func (t *Tuner[T]) bind(f matrix.Format, p kernels.Params, crossover int) (*engine[T], error) {
+// kernel for the format, the format's batch kernel (nil when it has none),
+// and the batch crossover a cache entry carried. Without one (below 2 can
+// never be a real crossover) the cell stays 0 and the engine's first batched
+// call measures it.
+func (t *Tuner[T]) bind(f matrix.Format, crossover int) (*engine[T], error) {
 	k := t.kernelFor(f)
 	if k == nil {
 		return nil, fmt.Errorf("autotune: no kernel registered for format %v", f)
 	}
-	e := &engine[T]{kernel: k, batch: t.lib.BatchForParams(f, p)}
+	e := &engine[T]{kernel: k, batch: t.lib.BatchFor(f)}
 	if crossover >= 2 {
 		e.crossover.Store(int32(crossover))
 	}
@@ -531,7 +531,7 @@ func (t *Tuner[T]) bind(f matrix.Format, p kernels.Params, crossover int) (*engi
 // rejects this particular matrix, or the layout is not this matrix's
 // (matrix.ErrStructureMismatch: only a remembered one can be).
 func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, maxFill float64, crossover int) (*engine[T], kernels.ConvertTiming, error) {
-	e, err := t.bind(f, p, crossover)
+	e, err := t.bind(f, crossover)
 	if err != nil {
 		return nil, kernels.ConvertTiming{}, err
 	}
@@ -683,7 +683,7 @@ func (tn *tuning[T]) serve(c *choice[T]) error {
 		described = e
 	case serveSwap:
 		var err error
-		if described, err = t.bind(c.format, c.params, c.crossover); err != nil {
+		if described, err = t.bind(c.format, c.crossover); err != nil {
 			return err
 		}
 		e = tn.incumbent()
@@ -736,12 +736,19 @@ func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
 // observer that sees Done is guaranteed the next call serves the new format.
 // Failure (the fill guard on a fingerprint-colliding matrix, a remembered
 // layout that is another pattern's) leaves the operator serving tuned CSR
-// permanently — correct, just not faster.
+// permanently — correct, just not faster. So does a panic: this goroutine has
+// no caller to unwind to, so an escaped one would end the process over an
+// optimisation the operator can serve without.
 //
 //smat:syncsafe
 //smat:atomic-publish
 func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, crossover int, hold <-chan struct{}) {
 	defer close(op.convDone)
+	defer func() {
+		if recover() != nil {
+			op.convState.Store(int32(ConvertFailed))
+		}
+	}()
 	if hold != nil {
 		<-hold
 	}

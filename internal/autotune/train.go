@@ -35,8 +35,9 @@ type Model struct {
 	Kernels             map[string]string `json:"kernels"` // format name -> kernel name
 	// Params is the schema-v2 addition: the per-format tunable parameters the
 	// off-line search settled on (conversion-level knobs like BCSR block shape
-	// and the HYB width cut, plus the batch register tile). Absent in v1
-	// models, where the zero Params — the fixed menu — applies everywhere.
+	// and the HYB width cut, plus the unroll depth). Absent in v1 models,
+	// where the zero Params — the fixed menu — applies everywhere. Keys a
+	// Params no longer has (batch_tile, dia_min_density) load and are ignored.
 	Params  map[string]kernels.Params `json:"params,omitempty"`
 	Ruleset *mining.Ruleset           `json:"ruleset"`
 }

@@ -7,12 +7,13 @@ package kernels
 // arithmetic-intensity lever single-vector SpMV lacks (every A element read
 // from memory buys exactly one FLOP pair there).
 //
-// All batch kernels tile the RHS dimension with a register tile whose width
-// is a template parameter (Params.BatchTile, one of BatchTiles): full tiles
-// keep that many independent accumulators live per matrix entry, and the
-// remainder columns fall back to a scalar column loop whose accumulation
-// order matches the format's single-vector kernel — at k=1 only the
-// remainder loop runs regardless of tile width, so csr_batch is bit-for-bit
-// csr_basic, dia_batch is bit-for-bit dia_rowmajor, and so on (pinned by the
-// batched oracle). The unsuffixed kernels use DefaultBatchTile(format); the
-// other widths are rows of their own in each family's table.
+// Every batch kernel tiles the RHS dimension with one cascade of register
+// tiles: an eight-wide pass (eight independent accumulators live per loaded
+// matrix entry), then a four-wide pass, then a scalar column loop over the
+// k mod 4 columns left. A column's accumulation order does not depend on the
+// tile it falls in, so the product's bits do not depend on how k splits into
+// tiles; the scalar loop's order matches the format's single-vector kernel —
+// at k=1 it is all that runs, so csr_batch is bit-for-bit csr_basic,
+// dia_batch is bit-for-bit dia_rowmajor, and so on (pinned by the batched
+// oracle). One body per format: a narrower tile alone loses to the cascade
+// (EXPERIMENTS.md, "One tiled body per format").

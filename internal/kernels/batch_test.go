@@ -152,6 +152,70 @@ func TestBatchKernelWidth1BitForBitWithPairedKernel(t *testing.T) {
 	}
 }
 
+// TestTileGroupingKeepsBits pins what lets one cascade stand in for every
+// tile width: a column's bits do not depend on the tile it falls in. On random
+// (non-integer) values, for every batch kernel of every format and
+// k ∈ {1…9, 12, 16, 17}, each aligned group of four columns inside the tiled
+// prefix equals the k=4 product over those four vectors — so an eight-wide
+// tile is its two four-wide halves, and k=12 is 8 + 4 — and each remainder
+// column equals the kernel's own k=1 product of that vector. The four-wide
+// pass and the scalar loop are the parent's, so these are the parent's bits.
+func TestTileGroupingKeepsBits(t *testing.T) {
+	lib := fullLibrary[float64]()
+	rng := rand.New(rand.NewSource(26))
+	const n = 150
+	var ts []matrix.Triple[float64]
+	for r := 0; r < n; r++ {
+		for c := 0; c < 1+r%13; c++ {
+			ts = append(ts, matrix.Triple[float64]{Row: r, Col: rng.Intn(n), Val: rng.NormFloat64()})
+		}
+	}
+	m, err := matrix.FromTriples(n, n, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kmax = 17
+	xs := make([][]float64, kmax)
+	for j := range xs {
+		xs[j] = make([]float64, n)
+		for i := range xs[j] {
+			xs[j][i] = rng.NormFloat64()
+		}
+	}
+	for _, f := range allFormats {
+		mat, err := Convert(m, f, 0)
+		if err != nil {
+			t.Fatalf("convert to %v: %v", f, err)
+		}
+		mat = mat.Partitioned() // the parallel rows run their partitions
+		for _, bk := range lib.ForFormatBatch(f) {
+			run := func(cols [][]float64) []float64 {
+				k := len(cols)
+				yb := make([]float64, n*k)
+				bk.Run(mat, packInterleaved(cols, k, n), yb, k, 3)
+				return yb
+			}
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17} {
+				got := run(xs[:k])
+				for lo, width := 0, 4; lo < k; lo += width {
+					if lo+width > k {
+						width = 1
+					}
+					want := run(xs[lo : lo+width])
+					for i := 0; i < n; i++ {
+						for j := 0; j < width; j++ {
+							if g, w := got[i*k+lo+j], want[i*width+j]; g != w {
+								t.Fatalf("%s k=%d: y[%d][col %d] = %v, the k=%d product from column %d gives %v",
+									bk.Name, k, i, lo+j, g, width, lo, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBatchWidthZeroIsNoOp: k=0 must return without touching yb.
 func TestBatchWidthZeroIsNoOp(t *testing.T) {
 	lib := NewLibrary[float64]()

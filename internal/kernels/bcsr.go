@@ -250,12 +250,8 @@ func bcsrFamily[T matrix.Float]() family[T] {
 				over: []partition{whole, byRows}, threaded: byRows},
 		},
 		batch: []body[T]{
-			{name: "bcsr_batch", params: Params{BatchTile: 4}, chunk: bcsrBatchChunk[T],
+			{name: "bcsr_batch", chunk: bcsrBatchChunk[T],
 				over: []partition{whole, byRows}},
-			{name: "bcsr_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: bcsrBatchChunkT2[T],
-				over: []partition{byRows}},
-			{name: "bcsr_batch", suffix: "_t8", params: Params{BatchTile: 8}, chunk: bcsrBatchChunkT8[T],
-				over: []partition{byRows}},
 		},
 	}
 }

@@ -104,12 +104,8 @@ func cooFamily[T matrix.Float]() family[T] {
 				over: []partition{whole, byEntries}, threaded: byEntries},
 		},
 		batch: []body[T]{
-			{name: "coo_batch", params: Params{BatchTile: 4}, chunk: cooBatchChunk[T],
+			{name: "coo_batch", chunk: cooBatchChunk[T],
 				over: []partition{whole, byEntries}},
-			{name: "coo_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: cooBatchChunkT2[T],
-				over: []partition{byEntries}},
-			{name: "coo_batch", suffix: "_t8", params: Params{BatchTile: 8}, chunk: cooBatchChunkT8[T],
-				over: []partition{byEntries}},
 		},
 	}
 }

@@ -3,53 +3,14 @@ package kernels
 import "smat/internal/matrix"
 
 // cooBatchRange accumulates entries [lo, hi) into yb for k interleaved
-// right-hand sides at COO's default register-tile width of four. Callers must
-// have zeroed the affected rows of yb. The per-entry column loop is the
-// unit-stride streak the interleaved layout buys: one rows[i]/cols[i]/vals[i]
-// load feeds k multiply-adds. At k=1 only the remainder step runs, matching
-// cooRange's order (bit-for-bit coo_basic). cooBatchRangeT2/T8 are the other
-// searched tile widths (BatchTiles).
+// right-hand sides with the tile cascade (batch.go). Callers must have zeroed
+// the affected rows of yb. The per-entry column loop is the unit-stride
+// streak the interleaved layout buys: one rows[i]/cols[i]/vals[i] load feeds
+// k multiply-adds. At k=1 only the remainder step runs, matching cooRange's
+// order (bit-for-bit coo_basic).
 //
 //smat:hotpath
 func cooBatchRange[T matrix.Float](m *matrix.COO[T], xb, yb []T, k, lo, hi int) {
-	rows, cols, vals := m.RowIdx, m.ColIdx, m.Vals
-	for i := lo; i < hi; i++ {
-		v := vals[i]
-		yr := yb[rows[i]*k:]
-		xc := xb[cols[i]*k:]
-		j := 0
-		for ; j+4 <= k; j += 4 {
-			yr[j] += v * xc[j]
-			yr[j+1] += v * xc[j+1]
-			yr[j+2] += v * xc[j+2]
-			yr[j+3] += v * xc[j+3]
-		}
-		for ; j < k; j++ {
-			yr[j] += v * xc[j]
-		}
-	}
-}
-
-//smat:hotpath
-func cooBatchRangeT2[T matrix.Float](m *matrix.COO[T], xb, yb []T, k, lo, hi int) {
-	rows, cols, vals := m.RowIdx, m.ColIdx, m.Vals
-	for i := lo; i < hi; i++ {
-		v := vals[i]
-		yr := yb[rows[i]*k:]
-		xc := xb[cols[i]*k:]
-		j := 0
-		for ; j+2 <= k; j += 2 {
-			yr[j] += v * xc[j]
-			yr[j+1] += v * xc[j+1]
-		}
-		for ; j < k; j++ {
-			yr[j] += v * xc[j]
-		}
-	}
-}
-
-//smat:hotpath
-func cooBatchRangeT8[T matrix.Float](m *matrix.COO[T], xb, yb []T, k, lo, hi int) {
 	rows, cols, vals := m.RowIdx, m.ColIdx, m.Vals
 	for i := lo; i < hi; i++ {
 		v := vals[i]
@@ -66,6 +27,12 @@ func cooBatchRangeT8[T matrix.Float](m *matrix.COO[T], xb, yb []T, k, lo, hi int
 			yr[j+6] += v * xc[j+6]
 			yr[j+7] += v * xc[j+7]
 		}
+		for ; j+4 <= k; j += 4 {
+			yr[j] += v * xc[j]
+			yr[j+1] += v * xc[j+1]
+			yr[j+2] += v * xc[j+2]
+			yr[j+3] += v * xc[j+3]
+		}
 		for ; j < k; j++ {
 			yr[j] += v * xc[j]
 		}
@@ -81,21 +48,4 @@ func cooBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	rLo, rHi := cooChunkRows(m.COO, lo, hi)
 	clear(yb[rLo*k : rHi*k])
 	cooBatchRange(m.COO, xb, yb, k, lo, hi)
-}
-
-// cooBatchChunkT2 / cooBatchChunkT8 are cooBatchChunk at the other tile
-// widths.
-//
-//smat:hotpath
-func cooBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	rLo, rHi := cooChunkRows(m.COO, lo, hi)
-	clear(yb[rLo*k : rHi*k])
-	cooBatchRangeT2(m.COO, xb, yb, k, lo, hi)
-}
-
-//smat:hotpath
-func cooBatchChunkT8[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	rLo, rHi := cooChunkRows(m.COO, lo, hi)
-	clear(yb[rLo*k : rHi*k])
-	cooBatchRangeT8(m.COO, xb, yb, k, lo, hi)
 }

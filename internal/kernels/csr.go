@@ -126,14 +126,10 @@ func csrFamily[T matrix.Float]() family[T] {
 				over: []partition{byNNZ}},
 		},
 		batch: []body[T]{
-			{name: "csr_batch", params: Params{BatchTile: 4}, chunk: csrBatchChunk[T],
+			{name: "csr_batch", chunk: csrBatchChunk[T],
 				over: []partition{whole, byNNZSole}},
-			{name: "csr_batch", suffix: "_unroll4", strat: StratUnroll4, params: Params{BatchTile: 4}, chunk: csrBatchChunkUnroll4[T],
+			{name: "csr_batch", suffix: "_unroll4", strat: StratUnroll4, chunk: csrBatchChunkUnroll4[T],
 				over: []partition{whole, byNNZSole}},
-			{name: "csr_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: csrBatchChunkT2[T],
-				over: []partition{byNNZSole}},
-			{name: "csr_batch", suffix: "_t8", params: Params{BatchTile: 8}, chunk: csrBatchChunkT8[T],
-				over: []partition{byNNZSole}},
 		},
 	}
 }

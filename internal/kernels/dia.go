@@ -206,12 +206,8 @@ func diaFamily[T matrix.Float]() family[T] {
 				over: []partition{byRows}},
 		},
 		batch: []body[T]{
-			{name: "dia_batch", params: Params{BatchTile: 8}, chunk: diaBatchChunk[T],
+			{name: "dia_batch", chunk: diaBatchChunk[T],
 				over: []partition{whole, byRows}},
-			{name: "dia_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: diaBatchChunkT2[T],
-				over: []partition{byRows}},
-			{name: "dia_batch", suffix: "_t4", params: Params{BatchTile: 4}, chunk: diaBatchChunkT4[T],
-				over: []partition{byRows}},
 		},
 	}
 }

@@ -3,16 +3,15 @@ package kernels
 import "smat/internal/matrix"
 
 // diaBatchRange computes rows [lo, hi) of Y = A·X for k interleaved
-// right-hand sides with a row-major traversal at DIA's default register-tile
-// width of eight: the register tile over the RHS dimension lets each row's
+// right-hand sides with a row-major traversal and the tile cascade
+// (batch.go): the register tile over the RHS dimension lets each row's
 // diagonal walk write its yb tile exactly once. The eight-accumulator pass
 // halves how often the strided diagonal data is re-walked — DIA's
 // per-nonzero cost is dominated by the offset bounds check and the
 // stride-Rows data load, so amortising them is what pushes the per-vector
 // win past a narrower tile — with a four-wide middle pass before the scalar
 // remainder. The remainder columns use diaRowRange's accumulation order, so
-// k=1 is bit-for-bit dia_rowmajor. diaBatchRangeT2/T4 are the narrower
-// searched tile widths (BatchTiles).
+// k=1 is bit-for-bit dia_rowmajor.
 //
 //smat:hotpath
 func diaBatchRange[T matrix.Float](d *matrix.DIA[T], xb, yb []T, k, lo, hi int) {
@@ -70,82 +69,4 @@ func diaBatchRange[T matrix.Float](d *matrix.DIA[T], xb, yb []T, k, lo, hi int) 
 //smat:hotpath
 func diaBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	diaBatchRange(m.DIA, xb, yb, k, lo, hi)
-}
-
-// diaBatchRangeT2 is the two-accumulator tile.
-//
-//smat:hotpath
-func diaBatchRangeT2[T matrix.Float](d *matrix.DIA[T], xb, yb []T, k, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		yr := yb[r*k : (r+1)*k]
-		j := 0
-		for ; j+2 <= k; j += 2 {
-			var s0, s1 T
-			for i, off := range d.Offsets {
-				c := r + off
-				if c >= 0 && c < d.Cols {
-					v := d.Data[i*d.Rows+r]
-					xc := xb[c*k+j : c*k+j+2]
-					s0 += v * xc[0]
-					s1 += v * xc[1]
-				}
-			}
-			yr[j], yr[j+1] = s0, s1
-		}
-		for ; j < k; j++ {
-			var sum T
-			for i, off := range d.Offsets {
-				c := r + off
-				if c >= 0 && c < d.Cols {
-					sum += d.Data[i*d.Rows+r] * xb[c*k+j]
-				}
-			}
-			yr[j] = sum
-		}
-	}
-}
-
-// diaBatchRangeT4 is the four-accumulator tile without the double-wide pass.
-//
-//smat:hotpath
-func diaBatchRangeT4[T matrix.Float](d *matrix.DIA[T], xb, yb []T, k, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		yr := yb[r*k : (r+1)*k]
-		j := 0
-		for ; j+4 <= k; j += 4 {
-			var s0, s1, s2, s3 T
-			for i, off := range d.Offsets {
-				c := r + off
-				if c >= 0 && c < d.Cols {
-					v := d.Data[i*d.Rows+r]
-					xc := xb[c*k+j : c*k+j+4]
-					s0 += v * xc[0]
-					s1 += v * xc[1]
-					s2 += v * xc[2]
-					s3 += v * xc[3]
-				}
-			}
-			yr[j], yr[j+1], yr[j+2], yr[j+3] = s0, s1, s2, s3
-		}
-		for ; j < k; j++ {
-			var sum T
-			for i, off := range d.Offsets {
-				c := r + off
-				if c >= 0 && c < d.Cols {
-					sum += d.Data[i*d.Rows+r] * xb[c*k+j]
-				}
-			}
-			yr[j] = sum
-		}
-	}
-}
-
-//smat:hotpath
-func diaBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	diaBatchRangeT2(m.DIA, xb, yb, k, lo, hi)
-}
-
-//smat:hotpath
-func diaBatchChunkT4[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	diaBatchRangeT4(m.DIA, xb, yb, k, lo, hi)
 }

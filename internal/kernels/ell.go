@@ -162,12 +162,8 @@ func ellFamily[T matrix.Float]() family[T] {
 				over: []partition{byRows}},
 		},
 		batch: []body[T]{
-			{name: "ell_batch", params: Params{BatchTile: 8}, chunk: ellBatchChunk[T],
+			{name: "ell_batch", chunk: ellBatchChunk[T],
 				over: []partition{whole, byRows}},
-			{name: "ell_batch", suffix: "_t2", params: Params{BatchTile: 2}, chunk: ellBatchChunkT2[T],
-				over: []partition{byRows}},
-			{name: "ell_batch", suffix: "_t4", params: Params{BatchTile: 4}, chunk: ellBatchChunkT4[T],
-				over: []partition{byRows}},
 		},
 	}
 }

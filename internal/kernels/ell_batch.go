@@ -3,13 +3,12 @@ package kernels
 import "smat/internal/matrix"
 
 // ellBatchRange computes rows [lo, hi) of Y = A·X for k interleaved
-// right-hand sides, row-major, at ELL's default register-tile width of
-// eight: one pass over each row's slots with a register tile over the RHS
-// dimension; the eight-accumulator pass halves how often the stride-Rows
-// slot data and column indices are re-walked per row, with a four-wide
-// middle pass before the scalar remainder. Remainder columns use
-// ellRowRange's accumulation order, so k=1 is bit-for-bit ell_rowmajor.
-// ellBatchRangeT2/T4 are the narrower searched tile widths (BatchTiles).
+// right-hand sides, row-major, with the tile cascade (batch.go): one pass
+// over each row's slots with a register tile over the RHS dimension; the
+// eight-accumulator pass halves how often the stride-Rows slot data and
+// column indices are re-walked per row, with a four-wide middle pass before
+// the scalar remainder. Remainder columns use ellRowRange's accumulation
+// order, so k=1 is bit-for-bit ell_rowmajor.
 //
 //smat:hotpath
 func ellBatchRange[T matrix.Float](e *matrix.ELL[T], xb, yb []T, k, lo, hi int) {
@@ -61,74 +60,4 @@ func ellBatchRange[T matrix.Float](e *matrix.ELL[T], xb, yb []T, k, lo, hi int) 
 //smat:hotpath
 func ellBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	ellBatchRange(m.ELL, xb, yb, k, lo, hi)
-}
-
-// ellBatchRangeT2 is the two-accumulator tile.
-//
-//smat:hotpath
-func ellBatchRangeT2[T matrix.Float](e *matrix.ELL[T], xb, yb []T, k, lo, hi int) {
-	w, rows := e.Width, e.Rows
-	for r := lo; r < hi; r++ {
-		yr := yb[r*k : (r+1)*k]
-		j := 0
-		for ; j+2 <= k; j += 2 {
-			var s0, s1 T
-			for n := 0; n < w; n++ {
-				v := e.Data[n*rows+r]
-				c := int(e.ColIdx[n*rows+r])
-				xc := xb[c*k+j : c*k+j+2]
-				s0 += v * xc[0]
-				s1 += v * xc[1]
-			}
-			yr[j], yr[j+1] = s0, s1
-		}
-		for ; j < k; j++ {
-			var sum T
-			for n := 0; n < w; n++ {
-				sum += e.Data[n*rows+r] * xb[e.ColIdx[n*rows+r]*k+j]
-			}
-			yr[j] = sum
-		}
-	}
-}
-
-// ellBatchRangeT4 is the four-accumulator tile without the double-wide pass.
-//
-//smat:hotpath
-func ellBatchRangeT4[T matrix.Float](e *matrix.ELL[T], xb, yb []T, k, lo, hi int) {
-	w, rows := e.Width, e.Rows
-	for r := lo; r < hi; r++ {
-		yr := yb[r*k : (r+1)*k]
-		j := 0
-		for ; j+4 <= k; j += 4 {
-			var s0, s1, s2, s3 T
-			for n := 0; n < w; n++ {
-				v := e.Data[n*rows+r]
-				c := int(e.ColIdx[n*rows+r])
-				xc := xb[c*k+j : c*k+j+4]
-				s0 += v * xc[0]
-				s1 += v * xc[1]
-				s2 += v * xc[2]
-				s3 += v * xc[3]
-			}
-			yr[j], yr[j+1], yr[j+2], yr[j+3] = s0, s1, s2, s3
-		}
-		for ; j < k; j++ {
-			var sum T
-			for n := 0; n < w; n++ {
-				sum += e.Data[n*rows+r] * xb[e.ColIdx[n*rows+r]*k+j]
-			}
-			yr[j] = sum
-		}
-	}
-}
-
-//smat:hotpath
-func ellBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	ellBatchRangeT2(m.ELL, xb, yb, k, lo, hi)
-}
-
-//smat:hotpath
-func ellBatchChunkT4[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	ellBatchRangeT4(m.ELL, xb, yb, k, lo, hi)
 }

@@ -60,10 +60,9 @@ func hybPhases[T matrix.Float](ell, tail rangeFn[T]) runFn[T] {
 }
 
 // hybFamily is the HYB table: hyb_basic's slot-major sweep and the two-phase
-// runner at each ELL body. A batched row's tile is its ELL pass's; the COO
-// tail runs COO's default four-wide body, narrowed to two at tile two. The
-// family is not part of NewLibrary: callers opt in with RegisterHYB (keeping
-// the stock four-format system identical to the paper's).
+// runner at each ELL body. The family is not part of NewLibrary: callers opt
+// in with RegisterHYB (keeping the stock four-format system identical to the
+// paper's).
 func hybFamily[T matrix.Float]() family[T] {
 	return family[T]{
 		format: matrix.FormatHYB,
@@ -74,12 +73,8 @@ func hybFamily[T matrix.Float]() family[T] {
 				over: []partition{whole, byRows}, threaded: byRows},
 		},
 		batch: []body[T]{
-			{name: "hyb_batch", params: Params{BatchTile: 8}, run: hybPhases[T](hybELLBatchChunk[T], hybCOOBatchChunk[T]),
+			{name: "hyb_batch", run: hybPhases[T](hybELLBatchChunk[T], hybCOOBatchChunk[T]),
 				over: []partition{whole, byRows}},
-			{name: "hyb_batch", suffix: "_t2", params: Params{BatchTile: 2}, run: hybPhases[T](hybELLBatchChunkT2[T], hybCOOBatchChunkT2[T]),
-				over: []partition{byRows}},
-			{name: "hyb_batch", suffix: "_t4", params: Params{BatchTile: 4}, run: hybPhases[T](hybELLBatchChunkT4[T], hybCOOBatchChunk[T]),
-				over: []partition{byRows}},
 		},
 	}
 }

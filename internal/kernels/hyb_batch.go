@@ -18,20 +18,3 @@ func hybELLBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 func hybCOOBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	cooBatchRange(m.HYB.COO, xb, yb, k, lo, hi)
 }
-
-// Tile-width instances of the HYB phases.
-//
-//smat:hotpath
-func hybELLBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	ellBatchRangeT2(m.HYB.ELL, xb, yb, k, lo, hi)
-}
-
-//smat:hotpath
-func hybELLBatchChunkT4[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	ellBatchRangeT4(m.HYB.ELL, xb, yb, k, lo, hi)
-}
-
-//smat:hotpath
-func hybCOOBatchChunkT2[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	cooBatchRangeT2(m.HYB.COO, xb, yb, k, lo, hi)
-}

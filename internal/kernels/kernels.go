@@ -316,10 +316,6 @@ type BatchKernel[T matrix.Float] struct {
 	Name       string
 	Format     matrix.Format
 	Strategies Strategy
-	// Params.BatchTile records the instance's register-tile width (every
-	// batch kernel has one; see DefaultBatchTile); the remaining knobs are
-	// zero.
-	Params Params
 	binding[T]
 }
 
@@ -484,22 +480,6 @@ func (l *Library[T]) BatchFor(f matrix.Format) *BatchKernel[T] {
 		}
 	}
 	return basic
-}
-
-// BatchForParams returns the batched kernel for a format at the requested
-// register-tile width (Params.BatchTile), falling back to BatchFor's default
-// when the width is zero or no instance at that width is registered. Like
-// BatchFor it prefers the parallel variant; every one degrades to its serial
-// body below the plan cutoff.
-func (l *Library[T]) BatchForParams(f matrix.Format, p Params) *BatchKernel[T] {
-	if p.BatchTile != 0 {
-		for _, b := range l.batchByFormat[f] {
-			if b.Strategies&StratParallel != 0 && b.Params.BatchTile == p.BatchTile {
-				return b
-			}
-		}
-	}
-	return l.BatchFor(f)
 }
 
 // BatchNames returns all registered batch kernel names grouped by format

@@ -10,7 +10,8 @@ import (
 )
 
 // The kernel menu, pinned: every registered (Name, Format, Strategies,
-// Params) with HYB and BCSR opted in, sorted by name. The tables in this
+// Params) — a batched kernel has no Params — with HYB and BCSR opted in,
+// sorted by name. The tables in this
 // package generate it; names are what model.json, features.db.jsonl, the
 // BENCH artifacts, refblas and benchmark/ resolve, so a row changes here only
 // when a kernel is deliberately added, removed or renamed.
@@ -54,32 +55,20 @@ var goldenKernels = []string{
 }
 
 var goldenBatchKernels = []string{
-	"bcsr_batch BCSR basic t4",
-	"bcsr_batch_parallel BCSR parallel t4",
-	"bcsr_batch_parallel_t2 BCSR parallel t2",
-	"bcsr_batch_parallel_t8 BCSR parallel t8",
-	"coo_batch COO basic t4",
-	"coo_batch_parallel COO parallel+nnzbalance t4",
-	"coo_batch_parallel_t2 COO parallel+nnzbalance t2",
-	"coo_batch_parallel_t8 COO parallel+nnzbalance t8",
-	"csr_batch CSR basic t4",
-	"csr_batch_parallel CSR parallel+nnzbalance t4",
-	"csr_batch_parallel_t2 CSR parallel+nnzbalance t2",
-	"csr_batch_parallel_t8 CSR parallel+nnzbalance t8",
-	"csr_batch_parallel_unroll4 CSR parallel+unroll4+nnzbalance t4",
-	"csr_batch_unroll4 CSR unroll4 t4",
-	"dia_batch DIA basic t8",
-	"dia_batch_parallel DIA parallel t8",
-	"dia_batch_parallel_t2 DIA parallel t2",
-	"dia_batch_parallel_t4 DIA parallel t4",
-	"ell_batch ELL basic t8",
-	"ell_batch_parallel ELL parallel t8",
-	"ell_batch_parallel_t2 ELL parallel t2",
-	"ell_batch_parallel_t4 ELL parallel t4",
-	"hyb_batch HYB basic t8",
-	"hyb_batch_parallel HYB parallel t8",
-	"hyb_batch_parallel_t2 HYB parallel t2",
-	"hyb_batch_parallel_t4 HYB parallel t4",
+	"bcsr_batch BCSR basic",
+	"bcsr_batch_parallel BCSR parallel",
+	"coo_batch COO basic",
+	"coo_batch_parallel COO parallel+nnzbalance",
+	"csr_batch CSR basic",
+	"csr_batch_parallel CSR parallel+nnzbalance",
+	"csr_batch_parallel_unroll4 CSR parallel+unroll4+nnzbalance",
+	"csr_batch_unroll4 CSR unroll4",
+	"dia_batch DIA basic",
+	"dia_batch_parallel DIA parallel",
+	"ell_batch ELL basic",
+	"ell_batch_parallel ELL parallel",
+	"hyb_batch HYB basic",
+	"hyb_batch_parallel HYB parallel",
 }
 
 // allFormats is matrix.Formats plus the two opt-in extension formats.
@@ -100,7 +89,7 @@ func checkGoldenMenu[T matrix.Float](t *testing.T) {
 			single = append(single, fmt.Sprintf("%s %s %s %s", k.Name, k.Format, k.Strategies, k.Params))
 		}
 		for _, b := range lib.ForFormatBatch(f) {
-			batch = append(batch, fmt.Sprintf("%s %s %s %s", b.Name, b.Format, b.Strategies, b.Params))
+			batch = append(batch, fmt.Sprintf("%s %s %s", b.Name, b.Format, b.Strategies))
 		}
 	}
 	slices.Sort(single)
@@ -122,9 +111,8 @@ func TestGoldenMenu(t *testing.T) {
 // every row has a body (a chunk or a hand-written runner, not both) and at
 // least one partition, every partition a row is instantiated over selects
 // bounds on a partitioned plan of the row's format, and every format has the
-// strategy-free anchor the scoreboard and the serving path start from — a
-// zero-Params single-vector row and a batched row at the format's default
-// tile, both instantiated whole.
+// strategy-free anchor the scoreboard and the serving path start from: a
+// zero-Params row instantiated whole, single-vector and batched.
 func TestFamilyTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	csr := randCSR(rng, 64, 64, 0.2)
@@ -144,12 +132,11 @@ func TestFamilyTables(t *testing.T) {
 			t.Fatalf("%v: forced plan is serial", fam.format)
 		}
 		for _, ns := range []struct {
-			kind     string
-			rows     []body[float64]
-			defaults Params
+			kind string
+			rows []body[float64]
 		}{
-			{"single", fam.single, Params{}},
-			{"batch", fam.batch, Params{BatchTile: DefaultBatchTile(fam.format)}},
+			{"single", fam.single},
+			{"batch", fam.batch},
 		} {
 			anchor := false
 			for i := range ns.rows {
@@ -166,12 +153,12 @@ func TestFamilyTables(t *testing.T) {
 						t.Errorf("%s: partition %d selects no bounds on a partitioned %v plan", row, p, fam.format)
 					}
 				}
-				if b.strat == 0 && b.params == ns.defaults && slices.Contains(b.over, whole) {
+				if b.strat == 0 && b.params.IsZero() && slices.Contains(b.over, whole) {
 					anchor = true
 				}
 			}
 			if !anchor {
-				t.Errorf("%v: no strategy-free default-parameter %s row instantiated whole", fam.format, ns.kind)
+				t.Errorf("%v: no strategy-free zero-Params %s row instantiated whole", fam.format, ns.kind)
 			}
 		}
 	}

@@ -22,26 +22,18 @@ type Params struct {
 	// means matrix.BestBlockSize picks.
 	BlockR int `json:"block_r,omitempty"`
 	BlockC int `json:"block_c,omitempty"`
-	// BatchTile is the register-tile width of the batched (multi-vector)
-	// kernels: how many right-hand sides each loaded matrix entry feeds. One
-	// of BatchTiles; zero means DefaultBatchTile(format).
-	BatchTile int `json:"batch_tile,omitempty"`
 	// HybCut is the ELL→HYB width-cut padding-allowance percentile handed to
 	// matrix.HybSplitWidth at conversion time. Zero means the default 0.3.
 	HybCut float64 `json:"hyb_cut,omitempty"`
-	// DIAMinDensity is the minimum ER_DIA (nnz over stored slots) at which
-	// the parameter search considers DIA at all — the hypersparse-diagonal
-	// pruning rule. Zero means DefaultDIAMinDensity.
-	DIAMinDensity float64 `json:"dia_min_density,omitempty"`
 }
 
 // IsZero reports whether every knob is at its default.
 func (p Params) IsZero() bool { return p == Params{} }
 
 // Suffix renders the instance-distinguishing name suffix, e.g. "_2x4" for a
-// block shape, "_u8" for an unroll depth, "_t2" for a batch tile — empty for
-// the zero Params. Conversion-only knobs (HybCut, DIAMinDensity) never name
-// kernel instances and contribute nothing.
+// block shape, "_u8" for an unroll depth — empty for the zero Params. The
+// conversion-only HybCut never names a kernel instance and contributes
+// nothing.
 func (p Params) Suffix() string {
 	s := ""
 	if p.BlockR > 0 && p.BlockC > 0 {
@@ -49,9 +41,6 @@ func (p Params) Suffix() string {
 	}
 	if p.Unroll > 0 {
 		s += fmt.Sprintf("_u%d", p.Unroll)
-	}
-	if p.BatchTile > 0 {
-		s += fmt.Sprintf("_t%d", p.BatchTile)
 	}
 	return s
 }
@@ -64,9 +53,6 @@ func (p Params) String() string {
 	s := p.Suffix()
 	if p.HybCut > 0 {
 		s += fmt.Sprintf("_h%g", p.HybCut)
-	}
-	if p.DIAMinDensity > 0 {
-		s += fmt.Sprintf("_d%g", p.DIAMinDensity)
 	}
 	if len(s) > 0 && s[0] == '_' {
 		s = s[1:]
@@ -84,28 +70,9 @@ var (
 	UnrollDepths = []int{1, 2, 4, 8}
 	// BCSRShapes is the searched register-block shape space (r×c).
 	BCSRShapes = [][2]int{{2, 2}, {2, 4}, {4, 2}, {4, 4}, {8, 2}}
-	// BatchTiles is the searched batched register-tile width space.
-	BatchTiles = []int{2, 4, 8}
 	// HybCuts is the searched ELL→HYB width-cut padding-allowance space.
 	HybCuts = []float64{0.1, 0.3, 0.5}
 )
-
-// DefaultDIAMinDensity is the hypersparse-diagonal pruning floor: when the
-// occupied fraction of DIA's stored slots (ER_DIA) falls below it, the
-// parameter search skips DIA candidates without measuring them.
-const DefaultDIAMinDensity = 0.05
-
-// DefaultBatchTile returns the register-tile width the format's unsuffixed
-// batch kernels use: DIA/ELL/HYB amortise their strided per-row walks with a
-// double-wide eight-accumulator tile, the indexed formats keep four.
-func DefaultBatchTile(f matrix.Format) int {
-	switch f {
-	case matrix.FormatDIA, matrix.FormatELL, matrix.FormatHYB:
-		return 8
-	default:
-		return 4
-	}
-}
 
 // ConvertFrom is the one conversion site. The conversion-time knobs of p
 // apply — the BCSR block shape and the HYB width-cut percentile; zero values

@@ -41,6 +41,7 @@ package smat
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -57,9 +58,9 @@ type Float = matrix.Float
 type Format = matrix.Format
 
 // Params is one point in the tunable kernel-template parameter space (unroll
-// depth, BCSR block shape, HYB width cut, DIA density floor, batch register
-// tile). The zero value means the fixed menu's defaults everywhere; trained
-// v2 models carry per-format points chosen by the off-line parameter search.
+// depth, BCSR block shape, HYB width cut). The zero value means the fixed
+// menu's defaults everywhere; trained v2 models carry per-format points
+// chosen by the off-line parameter search.
 type Params = kernels.Params
 
 // The four basic storage formats of the paper's Section 2.1.
@@ -321,14 +322,7 @@ func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
 // keyed by the effective options, so alternating option sets on one handle
 // re-tunes (cheaply, via the decision cache) rather than serving a stale
 // operator.
-type TuneOption func(*tuneCall)
-
-// tuneCall accumulates per-call options before validation.
-type tuneCall struct {
-	opts    autotune.TuneOptions
-	iterSet bool
-	err     error
-}
+type TuneOption func(*autotune.TuneOptions)
 
 // optsKey is the comparable fingerprint of the effective per-call options
 // under which a handle's cached operator was tuned. SyncConvert is excluded:
@@ -348,13 +342,13 @@ type optsKey struct {
 // error from the call carrying the option: an estimate of zero remaining
 // operations means there is nothing to tune for.
 func WithIterations(n int) TuneOption {
-	return func(c *tuneCall) {
+	return func(o *autotune.TuneOptions) {
+		// 0 is TuneOptions' "no hint": a rejected n goes in negative, which
+		// no accepted hint is, and slot turns it into the error.
+		o.Iterations = n
 		if n <= 0 {
-			c.err = fmt.Errorf("smat: WithIterations(%d): iteration hint must be positive", n)
-			return
+			o.Iterations = -1
 		}
-		c.opts.Iterations = n
-		c.iterSet = true
 	}
 }
 
@@ -364,9 +358,9 @@ func WithIterations(n int) TuneOption {
 // registered for the format or its fill guard rejects the matrix. The hint
 // takes precedence over any iteration hint.
 func WithFormatHint(f Format) TuneOption {
-	return func(c *tuneCall) {
-		c.opts.FormatHint = f
-		c.opts.HasFormatHint = true
+	return func(o *autotune.TuneOptions) {
+		o.FormatHint = f
+		o.HasFormatHint = true
 	}
 }
 
@@ -375,24 +369,7 @@ func WithFormatHint(f Format) TuneOption {
 // when nothing would be converted (CSR winner, or an iteration hint below
 // the break-even point).
 func WithSyncConvert() TuneOption {
-	return func(c *tuneCall) { c.opts.SyncConvert = true }
-}
-
-// resolveOptions folds per-call options over the tuner-level defaults and
-// returns the effective internal options plus the slot key they imply.
-func (t *Tuner[T]) resolveOptions(opts []TuneOption) (autotune.TuneOptions, optsKey, error) {
-	var c tuneCall
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.err != nil {
-		return autotune.TuneOptions{}, optsKey{}, c.err
-	}
-	if !c.iterSet {
-		c.opts.Iterations = t.defaultIters
-	}
-	key := optsKey{iters: c.opts.Iterations, hint: c.opts.FormatHint, hasHint: c.opts.HasFormatHint}
-	return c.opts, key, nil
+	return func(o *autotune.TuneOptions) { o.SyncConvert = true }
 }
 
 // Tune selects the format and kernel for a matrix and returns the tuned
@@ -480,14 +457,19 @@ func (t *Tuner[T]) CSRSpMVBatch(a *Matrix[T], xb, yb []T, k int, opts ...TuneOpt
 	return nil
 }
 
-// slot resolves a call's options and returns the handle's operator slot for
-// them: lock-free when the slot already holds t's operator for the same
-// options, tuned first otherwise — and always when retune is set (Tune).
+// slot applies a call's options over the tuner-level default and returns the
+// handle's operator slot for them: lock-free when the slot already holds t's
+// operator for the same options, tuned first otherwise — and always when
+// retune is set (Tune).
 func (t *Tuner[T]) slot(a *Matrix[T], opts []TuneOption, retune bool) (*tunedSlot[T], error) {
-	o, key, err := t.resolveOptions(opts)
-	if err != nil {
-		return nil, err
+	o := autotune.TuneOptions{Iterations: t.defaultIters}
+	for _, opt := range opts {
+		opt(&o)
 	}
+	if o.Iterations < 0 {
+		return nil, fmt.Errorf("smat: WithIterations: iteration hint must be positive")
+	}
+	key := optsKey{iters: o.Iterations, hint: o.FormatHint, hasHint: o.HasFormatHint}
 	if s := a.tuned.Load(); !retune && s.serves(t, key) {
 		return s, nil
 	}
@@ -671,9 +653,9 @@ type Decision struct {
 	Chosen Format
 	Kernel string
 	// Params records the tunable parameters behind the operator: the
-	// conversion-level knobs its matrix was materialised with, the chosen
-	// kernel instance's unroll depth, and the bound batch register tile.
-	// The zero value means the fixed menu (a v1 model, or defaults won).
+	// conversion-level knobs its matrix was materialised with and the chosen
+	// kernel instance's unroll depth. The zero value means the fixed menu (a
+	// v1 model, or defaults won).
 	Params Params
 	// IterationHint echoes the effective WithIterations /
 	// WithDefaultIterations value the decision was made under; 0 means the
@@ -718,4 +700,49 @@ type Decision struct {
 	// batch-crossover probe is no part of it — it runs on the first batched
 	// call, and Tuner.Stats reports it.
 	Overhead float64
+}
+
+// String renders the decision on one line: the path that produced it and its
+// confidence, what the tune did not have to read (StructureHit,
+// ColumnPassSkipped), the chosen format and kernel, Params when not the
+// defaults, then — each only when the tune measured it — the break-even point
+// and the overhead.
+func (d Decision) String() string {
+	var b strings.Builder
+	switch {
+	case d.CacheHit:
+		fmt.Fprintf(&b, "cache hit (confidence %.2f)", d.Confidence)
+	case d.UsedFallback:
+		b.WriteString("execute-and-measure fallback")
+	case d.PredictedOK:
+		fmt.Fprintf(&b, "predicted (confidence %.2f)", d.Confidence)
+	default:
+		fmt.Fprintf(&b, "best match without fallback (confidence %.2f)", d.Confidence)
+	}
+	if d.StructureHit {
+		b.WriteString(", structure hit")
+	}
+	if d.ColumnPassSkipped {
+		b.WriteString(", column pass skipped")
+	}
+	fmt.Fprintf(&b, ": %s via %s", d.Chosen, d.Kernel)
+	if !d.Params.IsZero() {
+		fmt.Fprintf(&b, ", params %s", d.Params)
+	}
+	if !d.Converted {
+		b.WriteString(" (conversion pending)")
+	}
+	switch {
+	case d.BreakEvenIters == NeverAmortize:
+		fmt.Fprintf(&b, ", %s never breaks even", d.Asymptotic)
+	case d.BreakEvenIters > 0:
+		fmt.Fprintf(&b, ", %s breaks even at %d SpMVs", d.Asymptotic, d.BreakEvenIters)
+	}
+	if d.Amortized {
+		fmt.Fprintf(&b, " (hint %d: serving tuned CSR)", d.IterationHint)
+	}
+	if d.Overhead > 0 {
+		fmt.Fprintf(&b, ", overhead %.1fx CSR-SpMV", d.Overhead)
+	}
+	return b.String()
 }
