@@ -1,14 +1,20 @@
 // Package bce implements smat-lint's bounds-check-elimination regression
 // gate.
 //
-// The parameterized kernel templates earn their measured wins partly by
-// keeping the inner loops free of bounds checks: the unrolled bodies are
-// written so the compiler can prove every index in range (slicing to the
-// chunk, `_ = s[n-1]` pin patterns, len-bounded loops). A harmless-looking
-// refactor — reordering a slice header load, hoisting an index computation,
-// widening an induction variable — can silently resurrect an IsInBounds
-// branch per element and eat the 1.19–3× speedups the bench artifacts
-// record. The compiler will tell us, but only if asked: this gate runs
+// The kernels earn part of their measured wins by keeping bounds checks out
+// of the element loops. The single-vector bodies a tuner binds
+// (csrRowRangeUnroll2/4/8, cooRangeUnroll4, ellWidthRange, diaBlockedRange)
+// are written so the only check left per element is the data-dependent
+// gather (x[col], and y[row] for COO): operands are cut to the row, chunk or
+// tile once — a slice check per row, group or tile — and the loops range over
+// slices of one proven length. The other bodies are not check-free: the
+// paper's Figure 2 loops, the row-major unrolled DIA/ELL bodies and the
+// batched cascades still carry a check per unrolled lane, and the baseline
+// says so entry by entry. Either way a harmless-looking refactor —
+// reordering a slice header load, hoisting an index computation, widening an
+// induction variable — can silently resurrect an IsInBounds branch per
+// element and eat the speedups the bench artifacts record. The compiler will
+// tell us, but only if asked: this gate runs
 // `go build -gcflags=-d=ssa/check_bce/debug=1`, keeps the "Found
 // IsInBounds" / "Found IsSliceInBounds" diagnostics landing inside
 // //smat:hotpath bodies (and hotpath-factory closures), and diffs them
@@ -18,14 +24,16 @@
 // Entries are keyed "file:function: Found IsInBounds xN" where N counts
 // distinct source positions (after go.shape collapsing) inside the body, so
 // the baseline is insensitive to line renumbering but sensitive to a check
-// appearing at a new position. The compile is shared with the escapes gate
-// (both request compilediag.EscapesAndBCEFlags), so the two gates cost one
-// compiler pass between them.
+// appearing at a new position. A check inside an inlined callee is reported
+// at the call, so it counts once per call site in the caller. The compile is
+// shared with the escapes gate (both request compilediag.EscapesAndBCEFlags),
+// so the two gates cost one compiler pass between them.
 package bce
 
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -158,6 +166,9 @@ func Update(cfg Config) ([]string, error) {
 		"function. Regenerate with smat-lint -update-bce; a residual check in",
 		"an unroll kernel needs a tracking comment here explaining why BCE",
 		"cannot prove it away yet.",
+		// smat-lint compiles the module with the toolchain it was built by
+		// (`go run` uses one for both), and prove's reach moves by release.
+		fmt.Sprintf("Produced with %s %s/%s.", runtime.Version(), runtime.GOOS, runtime.GOARCH),
 	}
 	path := filepath.Join(cfg.ModuleDir, cfg.BaselinePath)
 	if err := compilediag.WriteBaseline(path, header, current); err != nil {

@@ -22,10 +22,14 @@ func benchWorkloads() map[matrix.Format]*matrix.CSR[float64] {
 
 // BenchmarkKernels measures every registered kernel on its format's
 // characteristic workload (the per-kernel rows behind the scoreboard
-// search's performance record table).
+// search's performance record table), then ell_width beside the row-major
+// loop at widths above its straight-line arms. It reports ns/nnz and GFLOP/s
+// and no MB/s: the bytes a product streams depend on the format (CSR 16 B per
+// nonzero, COO 24, DIA no indices, DIA and ELL their fill), and one constant
+// per nonzero is wrong for all but one of them.
 func BenchmarkKernels(b *testing.B) {
 	lib := NewLibrary[float64]()
-	for f, m := range benchWorkloads() {
+	run := func(prefix string, m *matrix.CSR[float64], f matrix.Format, kernels []*Kernel[float64]) {
 		mat, err := Convert(m, f, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -35,15 +39,24 @@ func BenchmarkKernels(b *testing.B) {
 			x[i] = 1
 		}
 		y := make([]float64, m.Rows)
-		for _, k := range lib.ForFormat(f) {
-			b.Run(k.Name, func(b *testing.B) {
-				b.SetBytes(int64(m.NNZ() * 16))
+		for _, k := range kernels {
+			b.Run(prefix+k.Name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					k.Run(mat, x, y, 0)
 				}
-				b.ReportMetric(float64(FLOPs(m.NNZ()))/1e9*float64(b.N)/b.Elapsed().Seconds(), "gflops")
+				perOp := b.Elapsed().Seconds() / float64(b.N)
+				b.ReportMetric(perOp*1e9/float64(m.NNZ()), "ns/nnz")
+				b.ReportMetric(float64(FLOPs(m.NNZ()))/1e9/perOp, "gflops")
 			})
 		}
+	}
+	for f, m := range benchWorkloads() {
+		run("", m, f, lib.ForFormat(f))
+	}
+	rng := rand.New(rand.NewSource(2))
+	for _, w := range []int{6, 9, 16} {
+		run(fmt.Sprintf("width=%d/", w), gen.ConstantDegree[float64](200000/w, w, rng), matrix.FormatELL,
+			[]*Kernel[float64]{lib.Lookup("ell_width"), lib.Lookup("ell_rowmajor")})
 	}
 }
 

@@ -16,20 +16,26 @@ func cooRange[T matrix.Float](m *matrix.COO[T], x, y []T, lo, hi int) {
 // cooRangeUnroll4 is cooRange unrolled by four. Entries are row-sorted, so
 // consecutive entries may hit the same y element; the unrolled body keeps the
 // read-modify-write order per element by accumulating through memory exactly
-// as the scalar loop does (only the index arithmetic is unrolled).
+// as the scalar loop does (only the index arithmetic is unrolled). The three
+// arrays are cut to the chunk and to one length, and a group of four is cut
+// from each at once (one slice check for the three), so the checks left per
+// element are the two gathers, y[row] and x[col].
 //
 //smat:hotpath
 func cooRangeUnroll4[T matrix.Float](m *matrix.COO[T], x, y []T, lo, hi int) {
-	rows, cols, vals := m.RowIdx, m.ColIdx, m.Vals
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		y[rows[i]] += vals[i] * x[cols[i]]
-		y[rows[i+1]] += vals[i+1] * x[cols[i+1]]
-		y[rows[i+2]] += vals[i+2] * x[cols[i+2]]
-		y[rows[i+3]] += vals[i+3] * x[cols[i+3]]
+	rows := m.RowIdx[lo:hi]
+	cols, vals := m.ColIdx[lo:hi][:len(rows)], m.Vals[lo:hi][:len(rows)]
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		r, c, v := rows[i:i+4:i+4], cols[i:i+4:i+4], vals[i:i+4:i+4]
+		y[r[0]] += v[0] * x[c[0]]
+		y[r[1]] += v[1] * x[c[1]]
+		y[r[2]] += v[2] * x[c[2]]
+		y[r[3]] += v[3] * x[c[3]]
 	}
-	for ; i < hi; i++ {
-		y[rows[i]] += vals[i] * x[cols[i]]
+	rows, cols, vals = rows[i:], cols[i:], vals[i:]
+	for k, r := range rows {
+		y[r] += vals[k] * x[cols[k]]
 	}
 }
 

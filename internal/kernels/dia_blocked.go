@@ -2,42 +2,82 @@ package kernels
 
 import "smat/internal/matrix"
 
-// diaBlockSize is the row-tile size of the cache-blocked DIA traversal: 2048
-// float64 elements of y (16KiB) stay resident in L1 while every diagonal
-// crosses the tile.
-const diaBlockSize = 2048
+// tileRows is the row-tile size of the grouped column-major traversals
+// (diaBlockedRange, ellWidthRange): 2048 float64 elements of y (16KiB) stay
+// resident in L1 while every diagonal or slot crosses the tile.
+const tileRows = 2048
 
 // diaBlockedRange computes rows [lo, hi) with the diagonal-major traversal
-// tiled over rows: within a tile, y is re-read from cache instead of memory,
-// removing the paper's "Y written once per diagonal" penalty while keeping
-// DIA's contiguous x access.
+// tiled over rows and grouped over diagonals. Offsets are strictly increasing
+// (DIA.Validate), so the rows where every diagonal lies inside the matrix are
+// one interval, [-Offsets[0], Cols-Offsets[nd-1]) — a property of the matrix,
+// not of the chunk. Over a tile of those interior rows the diagonals are cut
+// to the tile (diaCut) and taken in register groups: the leading one to four
+// initialise y, the rest follow four at a time, so y is touched once per
+// group and the element loops index nothing the compiler has not bounded. The
+// rows before and after the interior, where some diagonal leaves the matrix,
+// take the guarded row-major loop: padding outside the matrix is never
+// multiplied, zero fill inside it is.
 //
 //smat:hotpath
 func diaBlockedRange[T matrix.Float](d *matrix.DIA[T], x, y []T, lo, hi int) {
-	for rb := lo; rb < hi; rb += diaBlockSize {
-		re := rb + diaBlockSize
-		if re > hi {
-			re = hi
+	nd := len(d.Offsets)
+	if nd == 0 {
+		clear(y[lo:hi])
+		return
+	}
+	iLo, iHi := max(lo, -d.Offsets[0]), min(hi, d.Cols-d.Offsets[nd-1])
+	if iLo >= iHi {
+		iLo, iHi = hi, hi // no interior row in the chunk
+	}
+	diaRowRange(d, x, y, lo, iLo)
+	head := (nd-1)&3 + 1
+	for rb := iLo; rb < iHi; rb += tileRows {
+		yt := y[rb:min(rb+tileRows, iHi)]
+		d0, x0 := diaCut(d, x, 0, rb, len(yt))
+		switch head {
+		case 1:
+			for r := range yt {
+				yt[r] = d0[r] * x0[r]
+			}
+		case 2:
+			d1, x1 := diaCut(d, x, 1, rb, len(yt))
+			for r := range yt {
+				yt[r] = d0[r]*x0[r] + d1[r]*x1[r]
+			}
+		case 3:
+			d1, x1 := diaCut(d, x, 1, rb, len(yt))
+			d2, x2 := diaCut(d, x, 2, rb, len(yt))
+			for r := range yt {
+				yt[r] = d0[r]*x0[r] + d1[r]*x1[r] + d2[r]*x2[r]
+			}
+		case 4:
+			d1, x1 := diaCut(d, x, 1, rb, len(yt))
+			d2, x2 := diaCut(d, x, 2, rb, len(yt))
+			d3, x3 := diaCut(d, x, 3, rb, len(yt))
+			for r := range yt {
+				yt[r] = (d0[r]*x0[r] + d1[r]*x1[r]) + (d2[r]*x2[r] + d3[r]*x3[r])
+			}
 		}
-		clear(y[rb:re])
-		for i, k := range d.Offsets {
-			iStart := rb
-			if s := -k; s > iStart {
-				iStart = s
-			}
-			iEnd := re
-			if e := d.Cols - k; e < iEnd {
-				iEnd = e
-			}
-			if iStart >= iEnd {
-				continue
-			}
-			diag := d.Data[i*d.Rows:]
-			for r := iStart; r < iEnd; r++ {
-				y[r] += diag[r] * x[r+k]
+		for i := head; i < nd; i += 4 {
+			d0, x0 := diaCut(d, x, i, rb, len(yt))
+			d1, x1 := diaCut(d, x, i+1, rb, len(yt))
+			d2, x2 := diaCut(d, x, i+2, rb, len(yt))
+			d3, x3 := diaCut(d, x, i+3, rb, len(yt))
+			for r := range yt {
+				yt[r] += (d0[r]*x0[r] + d1[r]*x1[r]) + (d2[r]*x2[r] + d3[r]*x3[r])
 			}
 		}
 	}
+	diaRowRange(d, x, y, iHi, hi)
+}
+
+// diaCut cuts diagonal i and the stretch of x it multiplies to the n interior
+// rows from rb.
+//
+//smat:hotpath
+func diaCut[T matrix.Float](d *matrix.DIA[T], x []T, i, rb, n int) (diag, xs []T) {
+	return d.Data[i*d.Rows+rb:][:n], x[rb+d.Offsets[i]:][:n]
 }
 
 //smat:hotpath
