@@ -131,6 +131,25 @@ func TestMulVecBatchCrossoverRecorded(t *testing.T) {
 	}
 }
 
+// TestCrossoverProbesWidthThree: width 3 has a timing of its own. An engine
+// whose tiled kernel loses to the loop at two vectors and wins at three
+// settles on 3 — not on 4, as it did when 3 was not a probe width — and the
+// probe stops timing at the first width that wins.
+func TestCrossoverProbesWidthThree(t *testing.T) {
+	tile := map[int]float64{2: 2.5, 3: 2.9, 4: 3.1, 8: 5} // seconds per tiled pass; the loop costs 1 s per vector
+	var timed []int
+	got := firstWinningWidth(1, func(w int) float64 {
+		timed = append(timed, w)
+		return tile[w]
+	})
+	if got != 3 || len(timed) != 2 || timed[0] != 2 || timed[1] != 3 {
+		t.Errorf("crossover %d after timing widths %v, want 3 after [2 3]", got, timed)
+	}
+	if got := firstWinningWidth(1, func(w int) float64 { return float64(w) + 0.5 }); got != NeverBatch {
+		t.Errorf("a tile that loses at every width gave crossover %d, want NeverBatch", got)
+	}
+}
+
 // TestEmptyMatrixCrossoverUnmeasured: with no entries there is nothing to
 // time; the first batched call settles on the narrowest width at once.
 func TestEmptyMatrixCrossoverUnmeasured(t *testing.T) {

@@ -316,8 +316,11 @@ func (o *Operator[T]) MulVecBatch(xb, yb []T, k int) {
 
 // batchProbeWidths are the batch widths the crossover probe times, ordered:
 // the first width where the tiled kernel matches k independent single-vector
-// runs becomes the engine's crossover.
-var batchProbeWidths = [...]int{2, 4, 8}
+// runs becomes the engine's crossover. Width 3 is probed for itself: the
+// tiled kernel takes it as one three-column lane, and a k = 3 call routed by
+// the width-2 timing alone follows a near-tie (the tile and the loop cost
+// about the same at two vectors) instead of a measurement of its own width.
+var batchProbeWidths = [...]int{2, 3, 4, 8}
 
 // probeCrossover is MulVecBatch's first-use slow path, kept out of line so
 // the hot body pays one atomic load for it. One caller per engine claims the
@@ -381,9 +384,17 @@ func (o *Operator[T]) measureCrossover(e *engine[T], xb, yb []T, k int) int {
 	budget := o.t.probeBudget(unit)
 
 	perVector := MeasureSecPerOp(func() { o.loopVectors(e, xb[:cols*2], yb[:rows*2], 2) }, budget) / 2
+	return firstWinningWidth(perVector, func(w int) float64 {
+		return MeasureSecPerOp(func() { e.batch.RunPooled(e.mat, xb[:cols*w], yb[:rows*w], w, o.pool) }, budget)
+	})
+}
+
+// firstWinningWidth is the crossover rule: the narrowest probe width whose
+// tiled pass (tileSec(w), timed only until one wins) costs no more than w
+// trips through the loop at perVector seconds each; NeverBatch when none does.
+func firstWinningWidth(perVector float64, tileSec func(w int) float64) int {
 	for _, w := range batchProbeWidths {
-		sec := MeasureSecPerOp(func() { e.batch.RunPooled(e.mat, xb[:cols*w], yb[:rows*w], w, o.pool) }, budget)
-		if sec <= perVector*float64(w) {
+		if tileSec(w) <= perVector*float64(w) {
 			return w
 		}
 	}

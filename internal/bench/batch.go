@@ -12,10 +12,12 @@ import (
 
 // BatchResult is the batched-serving experiment: per-vector SpMV throughput
 // as the batch width grows, across the four format-affinity classes. Width 1
-// is the single-vector kernel (the serving baseline); larger widths run the
-// format's register-tiled SpMM kernel, whose per-vector speedup comes from
-// amortising every matrix-element load over the whole register tile.
+// is the single-vector kernel a tuner at this thread count binds (the serving
+// baseline); larger widths run the format's register-tiled SpMM kernel, whose
+// per-vector speedup comes from amortising every matrix-element load over the
+// whole register tile.
 type BatchResult struct {
+	Machine Machine    `json:"machine"`
 	Threads int        `json:"threads"`
 	Scale   float64    `json:"scale"`
 	Widths  []int      `json:"widths"`
@@ -36,9 +38,10 @@ type BatchRow struct {
 	SpeedupVs1 float64 `json:"speedup_vs_k1"`
 }
 
-// batchWidths is the width sweep: the single-vector baseline, a sub-tile
-// batch, the register tile, and two full-tile multiples.
-var batchWidths = []int{1, 2, 4, 8, 16}
+// batchWidths is the width sweep: the single-vector baseline, the two
+// sub-tile widths (one lane of two columns, one of three), the four-wide
+// tile, the eight-wide tile and a multiple of it.
+var batchWidths = []int{1, 2, 3, 4, 8, 16}
 
 // batchWorkloads builds one matrix per format-affinity class (the corpus
 // grouping of Table 1): a banded stencil for DIA, a constant-degree graph
@@ -64,11 +67,13 @@ func batchWorkloads(cfg Config) []struct {
 
 // BatchBench runs the batched multi-vector SpMV experiment and prints the
 // per-vector throughput table. Each class is materialised in its affine
-// format; width 1 runs the parallel single-vector kernel pooled, larger
-// widths the format's batched SpMM kernel pooled, all on warmed plans.
+// format; width 1 runs, pooled, the single-vector kernel a tuner binds for
+// that format — the model's pick in its threaded form, as
+// autotune.resolveKernels takes it — larger widths the format's batched SpMM
+// kernel pooled, all on warmed plans.
 func BatchBench(cfg Config) *BatchResult {
 	cfg = cfg.withDefaults()
-	res := &BatchResult{Threads: cfg.Threads, Scale: cfg.Scale, Widths: batchWidths}
+	res := &BatchResult{Machine: machineRecord(), Threads: cfg.Threads, Scale: cfg.Scale, Widths: batchWidths}
 
 	lib := kernels.NewLibrary[float64]()
 	pool := kernels.NewPool[float64](cfg.Threads)
@@ -83,12 +88,12 @@ func BatchBench(cfg Config) *BatchResult {
 		nnz := w.m.NNZ()
 		flops := kernels.FLOPs(nnz)
 
-		single := lib.Basic(w.format)
-		for _, k := range lib.ForFormat(w.format) {
-			if k.Strategies&kernels.StratParallel != 0 && k.Strategies&kernels.StratWidthSpec == 0 {
-				single = k
-				break
-			}
+		single := lib.Lookup(cfg.Model.Kernels[w.format.String()])
+		if single == nil || single.Format != w.format {
+			single = lib.Basic(w.format)
+		}
+		if cfg.Threads > 1 {
+			single = lib.Threaded(single)
 		}
 		batch := lib.BatchFor(w.format)
 		if batch == nil {

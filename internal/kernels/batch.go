@@ -7,13 +7,33 @@ package kernels
 // arithmetic-intensity lever single-vector SpMV lacks (every A element read
 // from memory buys exactly one FLOP pair there).
 //
-// Every batch kernel tiles the RHS dimension with one cascade of register
-// tiles: an eight-wide pass (eight independent accumulators live per loaded
-// matrix entry), then a four-wide pass, then a scalar column loop over the
-// k mod 4 columns left. A column's accumulation order does not depend on the
-// tile it falls in, so the product's bits do not depend on how k splits into
-// tiles; the scalar loop's order matches the format's single-vector kernel —
-// at k=1 it is all that runs, so csr_batch is bit-for-bit csr_basic,
-// dia_batch is bit-for-bit dia_rowmajor, and so on (pinned by the batched
-// oracle). One body per format: a narrower tile alone loses to the cascade
-// (EXPERIMENTS.md, "One tiled body per format").
+// The four bodies a tuner binds (csr_batch, coo_batch, ell_batch, dia_batch;
+// hyb_batch runs the ELL and COO ones) take the k columns in lanes of constant
+// width: eight columns at a time while eight remain, then four, then the last
+// three, two or one together — each lane one pass over the matrix data it
+// needs, its accumulators in registers; no width re-walks a row once per
+// column. bcsr_batch, which no tuned call reaches, keeps the cascade they
+// replaced: the same eight- and four-wide tiles, then a scalar loop over the
+// k mod 4 columns left. The four are written like the swept single-vector
+// bodies (DESIGN §7, "Loop bodies"): the operands are cut, outside the element
+// loops, to lengths the compiler can carry — an entry's stretch of xb and its
+// row of yb to the lane's width (xb[p:p+W:p+W]) — so the one check left per
+// entry and lane is that cut at a data-dependent column. DIA and ELL run the tiled traversal of their
+// single-vector kernels: batchTileRows(k) rows of yb at a time, cleared, then
+// crossed by the diagonals or slots four at a time, each group loading a
+// row's lane of yb once, adding its products in order and storing it back.
+//
+// A column's products are added in the matrix's entry order starting from +0
+// whatever lane the column falls in, so a product's bits do not depend on how
+// k splits into lanes, on the chunking or on the thread count, and they are
+// the bits of the row-at-a-time cascade these bodies replaced
+// (TestBatchBodiesKeepParentBits, TestTileGroupingKeepsBits). At k=1 the order
+// is the format's basic single-vector kernel's: csr_batch is bit-for-bit
+// csr_basic, dia_batch is bit-for-bit dia_rowmajor, and so on (pinned by the
+// batched oracle). One body per format: a narrower tile alone loses to the
+// cascade (EXPERIMENTS.md, "One tiled body per format").
+
+// batchTileRows is the row-tile size of the batched DIA/ELL traversals at
+// width k: the tile's k·rows elements of yb are the tileRows elements of y the
+// single-vector traversals keep in L1.
+func batchTileRows(k int) int { return max(tileRows/k, 1) }

@@ -104,13 +104,12 @@ func TestBatchKernelWidth1BitForBitWithPairedKernel(t *testing.T) {
 	lib.RegisterHYB()
 	lib.RegisterBCSR()
 	pairs := map[string]string{
-		"csr_batch":         "csr_basic",
-		"csr_batch_unroll4": "csr_unroll4",
-		"coo_batch":         "coo_basic",
-		"dia_batch":         "dia_rowmajor",
-		"ell_batch":         "ell_rowmajor",
-		"hyb_batch":         "hyb_basic",
-		"bcsr_batch":        "bcsr_basic",
+		"csr_batch":  "csr_basic",
+		"coo_batch":  "coo_basic",
+		"dia_batch":  "dia_rowmajor",
+		"ell_batch":  "ell_rowmajor",
+		"hyb_batch":  "hyb_basic",
+		"bcsr_batch": "bcsr_basic",
 	}
 
 	rng := rand.New(rand.NewSource(21))
@@ -284,12 +283,10 @@ func TestBatchPooledZeroAlloc(t *testing.T) {
 			xb[i] = float64(1 + i%5)
 		}
 		yb := make([]float64, m.Rows*k)
-		for _, name := range []string{"csr_batch_parallel", "csr_batch_parallel_unroll4"} {
-			bk := lib.LookupBatch(name)
-			bk.RunPooled(mat, xb, yb, k, pool) // warm: plan + workers
-			if allocs := testing.AllocsPerRun(50, func() { bk.RunPooled(mat, xb, yb, k, pool) }); allocs != 0 {
-				t.Errorf("%s k=%d: %.1f allocs per steady-state call, want 0", name, k, allocs)
-			}
+		bk := lib.LookupBatch("csr_batch_parallel")
+		bk.RunPooled(mat, xb, yb, k, pool) // warm: plan + workers
+		if allocs := testing.AllocsPerRun(50, func() { bk.RunPooled(mat, xb, yb, k, pool) }); allocs != 0 {
+			t.Errorf("%s k=%d: %.1f allocs per steady-state call, want 0", bk.Name, k, allocs)
 		}
 	}
 }

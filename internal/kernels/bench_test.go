@@ -23,7 +23,9 @@ func benchWorkloads() map[matrix.Format]*matrix.CSR[float64] {
 // BenchmarkKernels measures every registered kernel on its format's
 // characteristic workload (the per-kernel rows behind the scoreboard
 // search's performance record table), then ell_width beside the row-major
-// loop at widths above its straight-line arms. It reports ns/nnz and GFLOP/s
+// loop at widths above its straight-line arms, then each format's serial
+// batched body at k = 2, 3, 4, 8 in ns per (nonzero × vector) — the number a
+// single-vector row's ns/nnz is compared with. It reports ns/nnz and GFLOP/s
 // and no MB/s: the bytes a product streams depend on the format (CSR 16 B per
 // nonzero, COO 24, DIA no indices, DIA and ELL their fill), and one constant
 // per nonzero is wrong for all but one of them.
@@ -57,6 +59,28 @@ func BenchmarkKernels(b *testing.B) {
 	for _, w := range []int{6, 9, 16} {
 		run(fmt.Sprintf("width=%d/", w), gen.ConstantDegree[float64](200000/w, w, rng), matrix.FormatELL,
 			[]*Kernel[float64]{lib.Lookup("ell_width"), lib.Lookup("ell_rowmajor")})
+	}
+	for f, m := range benchWorkloads() {
+		mat, err := Convert(m, f, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bk := lib.ForFormatBatch(f)[0] // the serial row: one chunk, the body alone
+		for _, k := range []int{2, 3, 4, 8} {
+			xb := make([]float64, m.Cols*k)
+			for i := range xb {
+				xb[i] = 1
+			}
+			yb := make([]float64, m.Rows*k)
+			b.Run(fmt.Sprintf("%s/k=%d", bk.Name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					bk.Run(mat, xb, yb, k, 1)
+				}
+				perOp := b.Elapsed().Seconds() / float64(b.N)
+				b.ReportMetric(perOp*1e9/float64(m.NNZ()*k), "ns/(nnz·k)")
+				b.ReportMetric(float64(FLOPs(m.NNZ())*int64(k))/1e9/perOp, "gflops")
+			})
+		}
 	}
 }
 

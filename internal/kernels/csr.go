@@ -156,8 +156,6 @@ func csrFamily[T matrix.Float]() family[T] {
 		batch: []body[T]{
 			{name: "csr_batch", chunk: csrBatchChunk[T],
 				over: []partition{whole, byNNZSole}},
-			{name: "csr_batch", suffix: "_unroll4", strat: StratUnroll4, chunk: csrBatchChunkUnroll4[T],
-				over: []partition{whole, byNNZSole}},
 		},
 	}
 }

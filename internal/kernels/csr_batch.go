@@ -3,110 +3,75 @@ package kernels
 import "smat/internal/matrix"
 
 // csrBatchRange computes rows [lo, hi) of Y = A·X for k interleaved
-// right-hand sides with the tile cascade (batch.go): eight accumulators per
-// loaded matrix entry, then four, then the scalar remainder in csrRowRange's
-// accumulation order, so k=1 is bit-for-bit csr_basic.
+// right-hand sides, one walk over each row per lane (batch.go): the row's
+// entries are cut once (cols, vs), eight accumulators take eight columns per
+// entry, then four, then the last three, two or one together, each entry's
+// stretch of xb cut to the lane's constant width — the one check per entry
+// and lane. The eight-wide lane cuts xb twice, four and four: the second
+// check splits the loop body in two, so a half's four products are live at a
+// time and the eight accumulators stay in registers (one cut of eight spills
+// two of them; neither form moves the k=8 time beyond the box's noise, the
+// lanes below eight are where this body beats the indexed cascade). Per
+// column the products are added in entry order from +0 (csrRowRange's order),
+// so k=1 is bit-for-bit csr_basic.
 //
 //smat:hotpath
 func csrBatchRange[T matrix.Float](m *matrix.CSR[T], xb, yb []T, k, lo, hi int) {
 	rowPtr, colIdx, vals := m.RowPtr, m.ColIdx, m.Vals
 	for i := lo; i < hi; i++ {
 		start, end := rowPtr[i], rowPtr[i+1]
-		yr := yb[i*k : (i+1)*k]
+		cols := colIdx[start:end]
+		vs := vals[start:end][:len(cols)]
+		yr := yb[i*k:][:k]
 		j := 0
 		for ; j+8 <= k; j += 8 {
 			var s0, s1, s2, s3, s4, s5, s6, s7 T
-			for jj := start; jj < end; jj++ {
-				v := vals[jj]
-				xc := xb[colIdx[jj]*k+j : colIdx[jj]*k+j+8]
-				s0 += v * xc[0]
-				s1 += v * xc[1]
-				s2 += v * xc[2]
-				s3 += v * xc[3]
-				s4 += v * xc[4]
-				s5 += v * xc[5]
-				s6 += v * xc[6]
-				s7 += v * xc[7]
+			for n, c := range cols {
+				p := c*k + j
+				v, a := vs[n], xb[p:p+4:p+4]
+				s0, s1, s2, s3 = s0+v*a[0], s1+v*a[1], s2+v*a[2], s3+v*a[3]
+				b := xb[p+4 : p+8 : p+8]
+				s4, s5, s6, s7 = s4+v*b[0], s5+v*b[1], s6+v*b[2], s7+v*b[3]
 			}
-			yr[j], yr[j+1], yr[j+2], yr[j+3] = s0, s1, s2, s3
-			yr[j+4], yr[j+5], yr[j+6], yr[j+7] = s4, s5, s6, s7
+			y := yr[j : j+8 : j+8]
+			y[0], y[1], y[2], y[3], y[4], y[5], y[6], y[7] = s0, s1, s2, s3, s4, s5, s6, s7
 		}
-		for ; j+4 <= k; j += 4 {
+		if j+4 <= k {
 			var s0, s1, s2, s3 T
-			for jj := start; jj < end; jj++ {
-				v := vals[jj]
-				xc := xb[colIdx[jj]*k+j:]
-				s0 += v * xc[0]
-				s1 += v * xc[1]
-				s2 += v * xc[2]
-				s3 += v * xc[3]
+			for n, c := range cols {
+				p := c*k + j
+				v, a := vs[n], xb[p:p+4:p+4]
+				s0, s1, s2, s3 = s0+v*a[0], s1+v*a[1], s2+v*a[2], s3+v*a[3]
 			}
-			yr[j], yr[j+1], yr[j+2], yr[j+3] = s0, s1, s2, s3
+			y := yr[j : j+4 : j+4]
+			y[0], y[1], y[2], y[3] = s0, s1, s2, s3
+			j += 4
 		}
-		for ; j < k; j++ {
-			var sum T
-			for jj := start; jj < end; jj++ {
-				sum += xb[colIdx[jj]*k+j] * vals[jj]
+		switch k - j {
+		case 3:
+			var s0, s1, s2 T
+			for n, c := range cols {
+				p := c*k + j
+				v, a := vs[n], xb[p:p+3:p+3]
+				s0, s1, s2 = s0+v*a[0], s1+v*a[1], s2+v*a[2]
 			}
-			yr[j] = sum
-		}
-	}
-}
-
-// csrBatchRangeUnroll4 is csrBatchRange with the remainder-column inner
-// product additionally unrolled by four over the nonzeros (csrRowRangeUnroll4's
-// order, so k=1 is bit-for-bit csr_unroll4). Full tiles already carry their
-// independent accumulators across the RHS dimension and stay as they are.
-//
-//smat:hotpath
-func csrBatchRangeUnroll4[T matrix.Float](m *matrix.CSR[T], xb, yb []T, k, lo, hi int) {
-	rowPtr, colIdx, vals := m.RowPtr, m.ColIdx, m.Vals
-	for i := lo; i < hi; i++ {
-		start, end := rowPtr[i], rowPtr[i+1]
-		yr := yb[i*k : (i+1)*k]
-		j := 0
-		for ; j+8 <= k; j += 8 {
-			var s0, s1, s2, s3, s4, s5, s6, s7 T
-			for jj := start; jj < end; jj++ {
-				v := vals[jj]
-				xc := xb[colIdx[jj]*k+j : colIdx[jj]*k+j+8]
-				s0 += v * xc[0]
-				s1 += v * xc[1]
-				s2 += v * xc[2]
-				s3 += v * xc[3]
-				s4 += v * xc[4]
-				s5 += v * xc[5]
-				s6 += v * xc[6]
-				s7 += v * xc[7]
+			y := yr[j : j+3 : j+3]
+			y[0], y[1], y[2] = s0, s1, s2
+		case 2:
+			var s0, s1 T
+			for n, c := range cols {
+				p := c*k + j
+				v, a := vs[n], xb[p:p+2:p+2]
+				s0, s1 = s0+v*a[0], s1+v*a[1]
 			}
-			yr[j], yr[j+1], yr[j+2], yr[j+3] = s0, s1, s2, s3
-			yr[j+4], yr[j+5], yr[j+6], yr[j+7] = s4, s5, s6, s7
-		}
-		for ; j+4 <= k; j += 4 {
-			var s0, s1, s2, s3 T
-			for jj := start; jj < end; jj++ {
-				v := vals[jj]
-				xc := xb[colIdx[jj]*k+j:]
-				s0 += v * xc[0]
-				s1 += v * xc[1]
-				s2 += v * xc[2]
-				s3 += v * xc[3]
+			y := yr[j : j+2 : j+2]
+			y[0], y[1] = s0, s1
+		case 1:
+			var s T
+			for n, c := range cols {
+				s += vs[n] * xb[c*k+j]
 			}
-			yr[j], yr[j+1], yr[j+2], yr[j+3] = s0, s1, s2, s3
-		}
-		for ; j < k; j++ {
-			var s0, s1, s2, s3 T
-			jj := start
-			for ; jj+4 <= end; jj += 4 {
-				s0 += xb[colIdx[jj]*k+j] * vals[jj]
-				s1 += xb[colIdx[jj+1]*k+j] * vals[jj+1]
-				s2 += xb[colIdx[jj+2]*k+j] * vals[jj+2]
-				s3 += xb[colIdx[jj+3]*k+j] * vals[jj+3]
-			}
-			for ; jj < end; jj++ {
-				s0 += xb[colIdx[jj]*k+j] * vals[jj]
-			}
-			yr[j] = (s0 + s1) + (s2 + s3)
+			yr[j] = s
 		}
 	}
 }
@@ -114,9 +79,4 @@ func csrBatchRangeUnroll4[T matrix.Float](m *matrix.CSR[T], xb, yb []T, k, lo, h
 //smat:hotpath
 func csrBatchChunk[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
 	csrBatchRange(m.CSR, xb, yb, k, lo, hi)
-}
-
-//smat:hotpath
-func csrBatchChunkUnroll4[T matrix.Float](m *Mat[T], xb, yb []T, k, lo, hi int) {
-	csrBatchRangeUnroll4(m.CSR, xb, yb, k, lo, hi)
 }

@@ -183,9 +183,9 @@ func diaChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 // diaFamily is the DIA table. dia_basic and dia_unroll4 are the paper's
 // diagonal-major traversals, hand-written runners with no partitioned form;
 // a threaded tuner binds the row-major body in their place. The row-major
-// unrolled bodies exist only partitioned. The batched bodies (dia_batch.go)
-// are row-major by construction — the interleaved Y tile makes write-once row
-// traversal the natural batched order — and carry no traversal bit.
+// unrolled bodies exist only partitioned. The batched body (dia_batch.go)
+// is row-ranged, dia_blocked's tile traversal inside its chunk, and carries no
+// traversal bit.
 func diaFamily[T matrix.Float]() family[T] {
 	return family[T]{
 		format: matrix.FormatDIA,

@@ -2,7 +2,7 @@ package kernels
 
 import "smat/internal/matrix"
 
-// HYB batched kernels: the ELL part runs the batched row-major loop (writing
+// HYB batched kernels: the ELL part runs the batched ELL body (writing
 // every yb element), then the COO overflow accumulates on top with the
 // batched COO loop — the same two-phase runner (hybPhases) as the
 // single-vector HYB kernels, over these chunks. At k=1 the per-element

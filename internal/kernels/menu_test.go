@@ -61,8 +61,6 @@ var goldenBatchKernels = []string{
 	"coo_batch_parallel COO parallel+nnzbalance",
 	"csr_batch CSR basic",
 	"csr_batch_parallel CSR parallel+nnzbalance",
-	"csr_batch_parallel_unroll4 CSR parallel+unroll4+nnzbalance",
-	"csr_batch_unroll4 CSR unroll4",
 	"dia_batch DIA basic",
 	"dia_batch_parallel DIA parallel",
 	"ell_batch ELL basic",

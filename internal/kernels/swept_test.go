@@ -42,14 +42,14 @@ func sameRows(lo, hi int) (int, int) { return lo, hi }
 // randDIA builds a DIA matrix with random values inside the matrix and NaN in
 // the padding outside it: a body that multiplies padding poisons its row (or
 // indexes x out of range).
-func randDIA(rng *rand.Rand, rows, cols int, offsets []int) *matrix.DIA[float64] {
-	d := &matrix.DIA[float64]{Rows: rows, Cols: cols, Offsets: offsets, Data: make([]float64, len(offsets)*rows)}
+func randDIA[T matrix.Float](rng *rand.Rand, rows, cols int, offsets []int) *matrix.DIA[T] {
+	d := &matrix.DIA[T]{Rows: rows, Cols: cols, Offsets: offsets, Data: make([]T, len(offsets)*rows)}
 	for i, k := range offsets {
 		for r := 0; r < rows; r++ {
 			if c := r + k; c >= 0 && c < cols {
-				d.Data[i*rows+r] = rng.NormFloat64()
+				d.Data[i*rows+r] = T(rng.NormFloat64())
 			} else {
-				d.Data[i*rows+r] = math.NaN()
+				d.Data[i*rows+r] = T(math.NaN())
 			}
 		}
 	}
@@ -58,13 +58,13 @@ func randDIA(rng *rand.Rand, rows, cols int, offsets []int) *matrix.DIA[float64]
 
 // randELL builds an ELL matrix whose row r holds r mod (width+1) random
 // entries and padding (value 0, column 0) after them.
-func randELL(rng *rand.Rand, rows, cols, width int) *matrix.ELL[float64] {
-	e := &matrix.ELL[float64]{Rows: rows, Cols: cols, Width: width,
-		ColIdx: make([]int, width*rows), Data: make([]float64, width*rows)}
+func randELL[T matrix.Float](rng *rand.Rand, rows, cols, width int) *matrix.ELL[T] {
+	e := &matrix.ELL[T]{Rows: rows, Cols: cols, Width: width,
+		ColIdx: make([]int, width*rows), Data: make([]T, width*rows)}
 	for r := 0; r < rows; r++ {
 		for s := 0; s < r%(width+1); s++ {
 			e.ColIdx[s*rows+r] = rng.Intn(cols)
-			e.Data[s*rows+r] = rng.NormFloat64()
+			e.Data[s*rows+r] = T(rng.NormFloat64())
 		}
 	}
 	return e
@@ -117,7 +117,7 @@ func sweptCases(t *testing.T) []sweptCase {
 	var cases []sweptCase
 
 	dia := func(name string, rows, cols int, offsets []int, extra ...[]int) {
-		mat := &Mat[float64]{Format: matrix.FormatDIA, DIA: randDIA(rng, rows, cols, offsets)}
+		mat := &Mat[float64]{Format: matrix.FormatDIA, DIA: randDIA[float64](rng, rows, cols, offsets)}
 		cases = append(cases, sweptCase{
 			name: "dia_blocked/" + name, mat: mat, swept: diaBlockedChunk[float64],
 			basic:  func(x, y []float64) { runDIABasic(mat, x, y, 1, exec[float64]{}) },
@@ -147,7 +147,7 @@ func sweptCases(t *testing.T) []sweptCase {
 
 	for w := 0; w <= 9; w++ {
 		for _, rows := range []int{13, tileRows + 37} {
-			e := randELL(rng, rows, 300, w)
+			e := randELL[float64](rng, rows, 300, w)
 			mat := &Mat[float64]{Format: matrix.FormatELL, ELL: e}
 			c := sweptCase{
 				name: fmt.Sprintf("ell_width/w=%d/rows=%d", w, rows), mat: mat, swept: ellWidthChunk[float64],
