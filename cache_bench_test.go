@@ -164,13 +164,13 @@ func TestCacheHitTuningSpeedup(t *testing.T) {
 	coldSec := minOver(3, func() error { _, err := cold.Tune(a); return err })
 	t.Logf("cold %.3gs vs cache hit %.3gs (%.1fx)", coldSec, hitSec, coldSec/hitSec)
 
-	if !d.CacheHit || d.UsedFallback || d.Overhead != 0 || d.BreakEvenIters != 0 || d.BatchCrossover != 0 {
+	if !d.CacheHit || d.UsedFallback || d.Overhead != 0 || d.BreakEvenIters != 0 {
 		t.Errorf("cache-hit decision measured something: %+v", d)
 	}
 	if st.Hits-primed.Hits != hits || st.Misses != primed.Misses {
 		t.Errorf("stats count %d hits and %d misses over %d hit tunes (stats %+v)", st.Hits-primed.Hits, st.Misses-primed.Misses, hits, st)
 	}
-	if st.Pool != primed.Pool || st.BatchProbes != primed.BatchProbes {
-		t.Errorf("cache hits ran kernels: pool %+v → %+v, batch probes %d → %d", primed.Pool, st.Pool, primed.BatchProbes, st.BatchProbes)
+	if st.Pool != primed.Pool {
+		t.Errorf("cache hits ran kernels: pool %+v → %+v", primed.Pool, st.Pool)
 	}
 }

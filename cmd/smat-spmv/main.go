@@ -97,6 +97,4 @@ func main() {
 		st.Hits, st.Misses, st.Shared, st.Size, st.Capacity)
 	fmt.Printf("worker pool: %d pooled dispatches (%d woke a parked worker), %d overflowed to spawn, %d calls serial under the work cutoff\n",
 		st.Pool.Pooled, st.Pool.Woken, st.Pool.Overflow, st.Pool.SerialCutoff)
-	fmt.Printf("batch crossover: %d probes run by first batched calls (%s)\n",
-		st.BatchProbes, time.Duration(st.BatchProbeSec*float64(time.Second)).Round(time.Microsecond))
 }

@@ -40,16 +40,7 @@
 //     such a function — polling is the point — the one-Load rule below keeps
 //     applying to pointer slots;
 //   - a //smat:atomic-publish function must actually publish: at least one
-//     atomic Store (or Swap/CompareAndSwap) in its body;
-//   - a //smat:atomic-claim function works on a value that is already
-//     published and changes it through one integer cell, claim first: it
-//     must contain a CompareAndSwap; every Store or Swap of an integer or
-//     boolean cell must be preceded (dominated) by a CompareAndSwap of the
-//     same cell — without the claim two callers both do the work and the
-//     later Store overwrites the earlier; and nothing is written through the
-//     receiver or a parameter except by atomic methods — the cell is the only
-//     thing about a published value that may change (the engine's lazy batch
-//     crossover: claim, measure, publish the width).
+//     atomic Store (or Swap/CompareAndSwap) in its body.
 //
 // _test.go files are exempt: tests legitimately poke protocol internals.
 package atomicorder
@@ -260,9 +251,6 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, d
 	if dirs["smat:wake-barrier"] {
 		checkWakeBarrier(pass, cfg, calls, sends, recvs, writes)
 	}
-	if dirs["smat:atomic-claim"] {
-		checkClaim(pass, cfg, calls, writes, params, fd)
-	}
 
 	// Rule: an atomic-publish function actually publishes.
 	if fd != nil && dirs["smat:atomic-publish"] {
@@ -277,45 +265,6 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, d
 			pass.Reportf(fd.Name.Pos(),
 				"function is annotated //smat:atomic-publish but performs no atomic Store/Swap/CompareAndSwap")
 		}
-	}
-}
-
-// checkClaim applies the claim-then-publish rules (see the package comment)
-// to one //smat:atomic-claim function body.
-func checkClaim(pass *framework.Pass, cfg *framework.CFG, calls []atomCall, writes []fieldWrite, params []*types.Var, fd *ast.FuncDecl) {
-	claims := false
-	for _, ac := range calls {
-		if ac.method == "CompareAndSwap" {
-			claims = true
-		}
-		if ac.pointer || (ac.method != "Store" && ac.method != "Swap") {
-			continue
-		}
-		claimed := false
-		for _, c := range calls {
-			if c.method == "CompareAndSwap" && c.slot == ac.slot && c.pos.Before(ac.pos, cfg) {
-				claimed = true
-				break
-			}
-		}
-		if !claimed {
-			pass.Reportf(ac.call.Pos(),
-				"%s.%s in a //smat:atomic-claim function is not preceded by a CompareAndSwap claim of %s; two callers can both do the work and the later publish overwrites the earlier",
-				ac.slot, ac.method, ac.slot)
-		}
-	}
-	for _, w := range writes {
-		for _, p := range params {
-			if w.base == p {
-				pass.Reportf(w.node.Pos(),
-					"plain write to %s in a //smat:atomic-claim function; the value is already published and its claimed cell is the only thing that may change",
-					types.ExprString(w.expr))
-			}
-		}
-	}
-	if fd != nil && !claims {
-		pass.Reportf(fd.Name.Pos(),
-			"function is annotated //smat:atomic-claim but performs no CompareAndSwap")
 	}
 }
 

@@ -30,13 +30,12 @@ func TestRealTreeClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 
-	// The tuner's protocol surface is its two publishers, one claimer and no
+	// The tuner's protocol surface is its two publishers and no
 	// pre-publication exception: every engine is built whole by one function
-	// (Tuner.build) before serve or the conversion worker stores it, so
-	// nothing in the package writes through a loaded snapshot; the one thing
-	// that changes on a published engine is its batch-crossover cell, claimed
-	// and then published by the first batched call's probe.
-	want := map[string]string{"serve": "smat:atomic-publish", "convertWorker": "smat:atomic-publish", "probeCrossover": "smat:atomic-claim"}
+	// (Tuner.build) before serve or the conversion worker stores it, and
+	// nothing changes on a published engine, so nothing in the package writes
+	// through a loaded snapshot.
+	want := map[string]string{"serve": "smat:atomic-publish", "convertWorker": "smat:atomic-publish"}
 	got := map[string]string{}
 	for _, pkg := range pkgs {
 		if pkg.ImportPath != "smat/internal/autotune" {

@@ -80,52 +80,6 @@ func (b *slotBox) plainAccess() *atomic.Int32 {
 	return &b.state // want `plain access to atomic field`
 }
 
-// goodClaim is the healthy lazy measurement on an already-published box:
-// claim the cell, do the work, publish the result through the same cell; a
-// caller that loses the claim takes a default and touches nothing; quiet.
-//
-//smat:atomic-claim
-func (b *slotBox) goodClaim(measure func() int32) int32 {
-	if !b.state.CompareAndSwap(0, -1) {
-		return 4
-	}
-	w := measure()
-	b.state.Store(w)
-	return w
-}
-
-// publishUnclaimed checks and then stores: two callers both see 0, both
-// measure, and the slower one's width overwrites the faster one's. The claim
-// that follows the store protects nothing.
-//
-//smat:atomic-claim
-func (b *slotBox) publishUnclaimed(measure func() int32) {
-	if b.state.Load() == 0 {
-		b.state.Store(measure()) // want `not preceded by a CompareAndSwap claim`
-	}
-	b.state.CompareAndSwap(-1, 0)
-}
-
-// claimThenPlainWrite holds the claim and then updates a plain field of the
-// published box: readers that never look at the cell race the write.
-//
-//smat:atomic-claim
-func (b *slotBox) claimThenPlainWrite(measure func() int32) {
-	if !b.state.CompareAndSwap(0, -1) {
-		return
-	}
-	w := measure()
-	b.n = int(w) // want `plain write to b.n in a //smat:atomic-claim function`
-	b.state.Store(w)
-}
-
-// claimless says it claims but never does.
-//
-//smat:atomic-claim
-func (b *slotBox) claimless() int { // want `performs no CompareAndSwap`
-	return b.n
-}
-
 type barrier struct {
 	job     func()
 	gen     atomic.Uint32

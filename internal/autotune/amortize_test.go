@@ -84,15 +84,14 @@ func intDiagonal(n int) *matrix.CSR[float64] {
 // seedAmortized plants a measured DIA decision with synthetic costs
 // (break-even at k = 10) in the tuner's cache for m's fingerprint, so the
 // amortisation paths run deterministically regardless of machine speed.
-func seedAmortized[T matrix.Float](tuner *Tuner[T], m *matrix.CSR[T], crossover int) {
+func seedAmortized[T matrix.Float](tuner *Tuner[T], m *matrix.CSR[T]) {
 	tuner.Cache().Put(m2key(tuner, m), CacheEntry{
-		Format:         matrix.FormatDIA,
-		Confidence:     1,
-		Measured:       true,
-		BatchCrossover: crossover,
-		ConvertSec:     1.0,
-		SpMVSec:        0.1,
-		IncumbentSec:   0.2,
+		Format:       matrix.FormatDIA,
+		Confidence:   1,
+		Measured:     true,
+		ConvertSec:   1.0,
+		SpMVSec:      0.1,
+		IncumbentSec: 0.2,
 	})
 }
 
@@ -109,7 +108,7 @@ func TestAmortizedCacheHitBelowBreakEven(t *testing.T) {
 	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
-	seedAmortized(tuner, m, 2)
+	seedAmortized(tuner, m)
 
 	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 9})
 	if err != nil {
@@ -142,7 +141,7 @@ func TestAmortizedCacheHitSyncConvert(t *testing.T) {
 	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
-	seedAmortized(tuner, m, 2)
+	seedAmortized(tuner, m)
 
 	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 10, SyncConvert: true})
 	if err != nil {
@@ -167,7 +166,7 @@ func TestAmortizedCacheHitAsyncSwap(t *testing.T) {
 	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
-	seedAmortized(tuner, m, 2)
+	seedAmortized(tuner, m)
 
 	hold := make(chan struct{})
 	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100, HoldConversion: hold})
@@ -203,7 +202,7 @@ func TestBackgroundConversionPanicContained(t *testing.T) {
 	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
-	seedAmortized(tuner, m, 2)
+	seedAmortized(tuner, m)
 
 	hold := make(chan struct{})
 	op, _, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100, HoldConversion: hold})
@@ -249,7 +248,7 @@ func TestAmortizedCacheHitFollowsCPUCount(t *testing.T) {
 	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
-	seedAmortized(tuner, m, 2)
+	seedAmortized(tuner, m)
 
 	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100})
 	if err != nil {
@@ -379,18 +378,15 @@ func TestLeaderRecordsAmortization(t *testing.T) {
 	checkAgainstDense(t, op, m)
 }
 
-// TestSwapWindowRace is the scratch-handoff regression test: 8 goroutines
-// hammer MulVecBatch on the loop path (per-engine gather/scatter scratch)
-// while the background conversion swaps the engine underneath them. Under
-// -race this fails loudly if the swap races the scratch handoff; the value
-// checks fail if a torn engine ever serves a wrong product.
+// TestSwapWindowRace: 8 goroutines hammer MulVecBatch while the background
+// conversion swaps the engine underneath them. Under -race this fails loudly
+// if the swap races a call in flight; the value checks fail if a torn engine
+// ever serves a wrong product.
 func TestSwapWindowRace(t *testing.T) {
 	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(200)
-	// NeverBatch crossover forces every batched call through loopVectors,
-	// the path that detaches and re-parks the scratch pair.
-	seedAmortized(tuner, m, NeverBatch)
+	seedAmortized(tuner, m)
 
 	hold := make(chan struct{})
 	op, _, err := tuner.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
@@ -441,14 +437,12 @@ func TestSwapWindowRace(t *testing.T) {
 	}
 }
 
-// TestConcurrentFirstBatchProbesOncePerEngine is the lazy probe's race test:
-// 8 goroutines make their first MulVecBatch together — at widths on either
-// side of the default crossover, so callers that find the probe claimed take
-// both paths — on a fresh operator, and on one whose background swap lands
-// under them. Each engine that serves a batched call is probed by exactly one
-// caller, the swapped-in engine included, and every product is exact (the
-// probing caller's too, computed after the probe has scribbled over its
-// output buffer).
+// TestConcurrentFirstBatchProbesOncePerEngine: 8 goroutines make their first
+// MulVecBatch calls together, at widths 3 and 8, on a fresh operator and on
+// one whose background swap lands under them. Nothing is probed on a first
+// call any more (the name is the lazy crossover probe's, which this test used
+// to count): each engine that serves a batched call was bound to its own
+// format's tiled kernel when it was built, and every product is exact.
 func TestConcurrentFirstBatchProbesOncePerEngine(t *testing.T) {
 	const goroutines = 8
 	widths := [...]int{3, 8}
@@ -486,6 +480,12 @@ func TestConcurrentFirstBatchProbesOncePerEngine(t *testing.T) {
 			}
 		}
 	}
+	boundTo := func(t *testing.T, e *engine[float64], f matrix.Format) {
+		t.Helper()
+		if e.batch == nil || e.batch.Format != f || e.mat.Format != f {
+			t.Errorf("engine serves %v with batch kernel %v, want %v's", e.mat.Format, e.batch, f)
+		}
+	}
 
 	t.Run("fresh", func(t *testing.T) {
 		tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
@@ -494,43 +494,36 @@ func TestConcurrentFirstBatchProbesOncePerEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		boundTo(t, op.eng.Load(), matrix.FormatDIA)
 		hammer(t, op, 20, func(int, int) {})
-		if st := tuner.Stats(); st.BatchProbes != 1 || !probedWidth(op.BatchCrossover()) {
-			t.Errorf("%d probes, crossover %d; want one probe and a probed width", st.BatchProbes, op.BatchCrossover())
-		}
 	})
 
 	t.Run("pending-swap", func(t *testing.T) {
 		tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 		defer tuner.Close()
-		seedAmortized(tuner, m, 0) // no operator of the entry has batched yet
+		seedAmortized(tuner, m)
 		hold := make(chan struct{})
 		op, _, err := tuner.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
 		if err != nil {
 			t.Fatal(err)
 		}
+		boundTo(t, op.eng.Load(), matrix.FormatCSR) // the tuned-CSR incumbent
 		hammer(t, op, 60, func(g, i int) {
 			if g == 0 && i == 20 {
-				close(hold) // the incumbent has been probed by now; swap under the callers
+				close(hold) // swap under the callers
 			}
 		})
 		if st := op.AwaitConversion(); st != ConvertDone {
 			t.Fatalf("conversion state after hammering = %v, want done", st)
 		}
+		boundTo(t, op.eng.Load(), matrix.FormatDIA)
 		hammer(t, op, 5, func(int, int) {}) // the swap may have landed after the last call above
-		if st := tuner.Stats(); st.BatchProbes != 2 || !probedWidth(op.BatchCrossover()) {
-			t.Errorf("%d probes, crossover %d; want one per engine (incumbent, swapped-in) and a probed width", st.BatchProbes, op.BatchCrossover())
-		}
-		// The swapped-in engine is the entry's: its width is published.
-		if entry, _ := tuner.Cache().Get(m2key(tuner, m)); entry.BatchCrossover != op.BatchCrossover() {
-			t.Errorf("entry crossover %d, the DIA engine measured %d", entry.BatchCrossover, op.BatchCrossover())
-		}
 	})
 }
 
-// TestSwapSteadyStateZeroAlloc: after the swap lands and one warm-up call
-// re-seeds the new engine's scratch, the pooled path allocates nothing —
-// the conversion must not add steady-state cost.
+// TestSwapSteadyStateZeroAlloc: after the swap lands and one warm-up call of
+// each kind on the new engine, the pooled path allocates nothing — the
+// conversion must not add steady-state cost.
 func TestSwapSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabledAutotune {
 		t.Skip("allocation accounting is not stable under -race")
@@ -538,7 +531,7 @@ func TestSwapSteadyStateZeroAlloc(t *testing.T) {
 	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(500)
-	seedAmortized(tuner, m, NeverBatch)
+	seedAmortized(tuner, m)
 
 	hold := make(chan struct{})
 	op, _, err := tuner.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
@@ -548,7 +541,7 @@ func TestSwapSteadyStateZeroAlloc(t *testing.T) {
 	const k = 3
 	xb := batchOnesInput(m.Cols, k)
 	yb := make([]float64, m.Rows*k)
-	op.MulVecBatch(xb, yb, k) // pre-swap warm-up (incumbent scratch)
+	op.MulVecBatch(xb, yb, k) // pre-swap warm-up
 
 	close(hold)
 	if st := op.AwaitConversion(); st != ConvertDone {
@@ -557,7 +550,7 @@ func TestSwapSteadyStateZeroAlloc(t *testing.T) {
 	x := make([]float64, m.Cols)
 	y := make([]float64, m.Rows)
 	op.MulVec(x, y)           // warm the swapped-in engine's plan
-	op.MulVecBatch(xb, yb, k) // seed the new engine's scratch
+	op.MulVecBatch(xb, yb, k) // and its batch plan
 	if allocs := testing.AllocsPerRun(20, func() { op.MulVec(x, y) }); allocs != 0 {
 		t.Errorf("MulVec after swap: %.1f allocs per call, want 0", allocs)
 	}

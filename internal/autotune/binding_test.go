@@ -63,11 +63,6 @@ type bindingWant struct {
 	// paths that decide or serve the incumbent, the cache entry's verbatim on
 	// hits.
 	params kernels.Params
-	// crossover is the batch crossover the engine of the chosen format is
-	// bound with: the cache entry's when it carries one, otherwise 0 — no
-	// path measures one while tuning, and the engine probes on its first
-	// batched call.
-	crossover int
 }
 
 // wantParams is what a deciding path records for format f on tuner tn:
@@ -154,20 +149,17 @@ var bindingPaths = []struct {
 	}},
 	{"cache-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		leader, lead, err := tn.Tune(m)
+		_, lead, err := tn.Tune(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const k = 2
-		leader.MulVecBatch(make([]float64, m.Cols*k), make([]float64, m.Rows*k), k)
 		op, d, err := tn.Tune(m)
 		if err != nil {
 			t.Fatalf("second Tune: %v", err)
 		}
-		// The hit binds the leader's parameters and the crossover the
-		// leader's batched call measured and wrote back.
+		// The hit binds the leader's parameters.
 		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true,
-			params: lead.Params, crossover: leader.BatchCrossover()}}
+			params: lead.Params}}
 	}},
 	{"amortised-incumbent", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
@@ -177,22 +169,19 @@ var bindingPaths = []struct {
 			t.Fatalf("TuneOpts: %v", err)
 		}
 		// Two iterations cannot pay for a conversion: tuned CSR serves, with
-		// its own parameters and no crossover yet. A cached CSR winner is a
-		// plain hit.
+		// its own parameters. A cached CSR winner is a plain hit.
 		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: f, served: matrix.FormatCSR, predictedOK: true, cacheHit: true,
 			amortized: f != matrix.FormatCSR, converted: true}}
 	}},
 	{"background-swap", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		entry := costedEntry(f)
-		entry.BatchCrossover = 8
-		tn.Cache().Put(m2key(tn, m), entry)
+		tn.Cache().Put(m2key(tn, m), costedEntry(f))
 		hold := make(chan struct{})
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true, crossover: 8}
+		want := bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true}
 		if f != matrix.FormatCSR {
 			if st := op.ConversionState(); st != ConvertPending || op.Format() != matrix.FormatCSR {
 				t.Errorf("before release: state %v serving %v, want pending on CSR", st, op.Format())
@@ -282,38 +271,10 @@ func checkBindingContract(t *testing.T, label string, r bindingResult) {
 		t.Errorf("%s: params %+v, want %+v", label, d.Params, params)
 	}
 
-	// The engine serves the batch kernel of the format it holds, and its
-	// crossover is the decision's whenever the decision describes it.
+	// The engine serves the batch kernel of the format it holds.
 	e := r.op.eng.Load()
 	if want := r.tn.lib.BatchFor(w.served); e.batch == nil || e.batch != want {
 		t.Errorf("%s: engine batch kernel %+v, want the served format %v's %+v", label, e.batch, w.served, want)
-	}
-	// No path measures a crossover while tuning: the engine of the chosen
-	// format carries the entry's or none, the incumbent of a failed or
-	// declined conversion none.
-	if d.BatchProbeSec != 0 {
-		t.Errorf("%s: decision reports %gs of crossover probe, want none while tuning", label, d.BatchProbeSec)
-	}
-	bound := w.crossover
-	if w.served != w.chosen {
-		bound = 0
-	}
-	if got := int(e.crossover.Load()); got != bound || r.op.BatchCrossover() != bound {
-		t.Errorf("%s: engine bound with crossover %d (live %d), want %d", label, got, r.op.BatchCrossover(), bound)
-	}
-
-	// The first batched call probes exactly when nothing was bound, and
-	// leaves a probed width either way.
-	const k = 3
-	before := r.tn.Stats().BatchProbes
-	r.op.MulVecBatch(make([]float64, r.m.Cols*k), make([]float64, r.m.Rows*k), k)
-	probes, want := r.tn.Stats().BatchProbes-before, uint64(0)
-	if bound == 0 {
-		want = 1
-	}
-	if probes != want || !probedWidth(r.op.BatchCrossover()) {
-		t.Errorf("%s: first batched call on a crossover of %d ran %d probes and left %d, want %d and a probed width",
-			label, bound, probes, r.op.BatchCrossover(), want)
 	}
 }
 

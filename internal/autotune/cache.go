@@ -35,12 +35,6 @@ type CacheEntry struct {
 	// cache hits convert with the same parameters, so a parameterized
 	// decision survives the cache unchanged.
 	Params kernels.Params
-	// BatchCrossover is the measured batch-width crossover of Format under
-	// Params, written back by the first operator of the entry to run a
-	// batched call (SetBatchCrossover); hits bind it and never probe. Zero
-	// means no operator has batched yet — a hit then probes on its own first
-	// batched call and publishes the width here.
-	BatchCrossover int
 	// ConvertSec, SpMVSec and IncumbentSec are the leader's amortisation
 	// measurements: seconds to convert the leader's matrix to Format, the
 	// converted operator's per-SpMV seconds, and the tuned-CSR incumbent's
@@ -128,14 +122,6 @@ func (l *lru[K, V]) get(key K) *V {
 	}
 	l.order.MoveToFront(el)
 	return &el.Value.(*lruNode[K, V]).val
-}
-
-// peek is get for a reader that is no user: the order stays.
-func (l *lru[K, V]) peek(key K) *V {
-	if el, ok := l.byKey[key]; ok {
-		return &el.Value.(*lruNode[K, V]).val
-	}
-	return nil
 }
 
 // put sets key's value, marking it most recently used; a new key first evicts
@@ -288,22 +274,6 @@ func (c *Cache) Put(key features.Key, entry CacheEntry) {
 	s.mu.Lock()
 	c.insertLocked(s, key, entry)
 	s.mu.Unlock()
-}
-
-// SetBatchCrossover records the batch crossover an operator measured on an
-// engine of format f, where p is what key's entry held for parameters when
-// the operator was tuned. It is a no-op unless the entry still names that
-// engine: one evicted since, or replaced by a refresh that chose another
-// format or other parameters, is left alone — the width was not measured on
-// what it describes — and so is an entry for another format than the engine's
-// (the tuned-CSR incumbent of a conversion declined or still pending).
-func (c *Cache) SetBatchCrossover(key features.Key, f matrix.Format, p kernels.Params, crossover int) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if entry := s.decisions.peek(key); entry != nil && entry.Format == f && entry.Params == p {
-		entry.BatchCrossover = crossover
-	}
 }
 
 // insertLocked adds or refreshes an entry in s, evicting from the LRU tail

@@ -144,50 +144,6 @@ func TestCacheRefreshLowConfidence(t *testing.T) {
 	}
 }
 
-// TestCacheSetBatchCrossoverMatchesEntry: the write-back lands only on the
-// entry the probing engine was built from — same format, same parameters —
-// and touches nothing else about it; an entry refreshed to another format or
-// other parameters, or gone, is not overwritten.
-func TestCacheSetBatchCrossoverMatchesEntry(t *testing.T) {
-	c := NewCache(128)
-	p := kernels.Params{Unroll: 4}
-	entry := CacheEntry{Format: matrix.FormatELL, Params: p, Confidence: 0.9, ConvertSec: 1, SpMVSec: 0.1, IncumbentSec: 0.2}
-	c.Put(keyN(1), entry)
-
-	for _, miss := range []struct {
-		name string
-		key  features.Key
-		f    matrix.Format
-		p    kernels.Params
-	}{
-		{"another format", keyN(1), matrix.FormatCSR, p},
-		{"other parameters", keyN(1), matrix.FormatELL, kernels.Params{Unroll: 8}},
-		{"no entry", keyN(2), matrix.FormatELL, p},
-	} {
-		c.SetBatchCrossover(miss.key, miss.f, miss.p, 8)
-		if got, _ := c.Get(keyN(1)); got != entry {
-			t.Fatalf("%s: entry became %+v", miss.name, got)
-		}
-		if _, ok := c.Get(keyN(2)); ok {
-			t.Fatalf("%s: write-back created an entry", miss.name)
-		}
-	}
-
-	c.SetBatchCrossover(keyN(1), matrix.FormatELL, p, 8)
-	entry.BatchCrossover = 8
-	if got, _ := c.Get(keyN(1)); got != entry {
-		t.Errorf("matching write-back: entry %+v, want %+v", got, entry)
-	}
-
-	// A refresh between the hit and its probe wins.
-	refreshed := CacheEntry{Format: matrix.FormatDIA, Params: p, Confidence: 1, Measured: true}
-	c.Put(keyN(1), refreshed)
-	c.SetBatchCrossover(keyN(1), matrix.FormatELL, p, 2)
-	if got, _ := c.Get(keyN(1)); got != refreshed {
-		t.Errorf("write-back after a refresh: entry %+v, want %+v untouched", got, refreshed)
-	}
-}
-
 func TestCacheErrorNotCached(t *testing.T) {
 	c := NewCache(64)
 	boom := errors.New("boom")

@@ -124,18 +124,18 @@ type Decision struct {
 	// on a predicted leader it is one run of the basic serial CSR kernel, the
 	// yardstick of the rate probes' budget. It is 0 on every other path: a
 	// predicted, format-hinted or cache-hit tune runs no kernel.
-	//
-	// BatchProbeSec is 0 on every decision: the batch crossover is no stage of
-	// tuning. The engine measures it on its first MulVecBatch of two or more
-	// vectors (Operator.BatchCrossover reads it, Tuner.Stats reports the
-	// probes' seconds), so it is no part of Overhead either. The field remains
-	// for readers of the per-stage breakdown.
 	FeatureSec    float64
 	ConvertSec    float64
 	FallbackSec   float64
-	BatchProbeSec float64
 	AmortProbeSec float64
 	CSRSpMVSec    float64
+
+	// BatchProbeSec is 0 on every decision.
+	//
+	// Deprecated: nothing measures a batch crossover (MulVecBatch runs the
+	// tiled kernel at every k ≥ 2); the field stays for benchmark/, which
+	// reads it.
+	BatchProbeSec float64
 }
 
 // TuneSec returns the seconds the tuning call spent in its stages: the
@@ -161,32 +161,16 @@ func (d *Decision) Overhead() float64 {
 	return d.TuneSec() / d.CSRSpMVSec
 }
 
-// engine is the swappable execution state of an Operator: the matrix
-// materialised in one format, bound to that format's kernels and batch
-// crossover. The background conversion worker builds a new engine off
+// engine is the swappable, immutable execution state of an Operator: the
+// matrix materialised in one format, bound to that format's single-vector and
+// tiled SpMM kernels. The background conversion worker builds a new engine off
 // to the side and publishes it with a single atomic store; calls already in
 // flight keep the engine they loaded, so a swap can never tear a running
 // SpMV.
 type engine[T matrix.Float] struct {
 	mat    *kernels.Mat[T]
 	kernel *kernels.Kernel[T]
-
-	// batch is the format's tiled SpMM kernel (nil when none is registered)
-	// and crossover the width at which it starts beating the
-	// loop-over-vectors path; see MulVecBatch. crossover is the one thing
-	// about an engine that changes after it is published: it starts at 0
-	// unless a cache entry supplied a measured width, the first batched call
-	// claims the probe (crossoverClaimed) and stores what it measured, once.
-	batch     *kernels.BatchKernel[T]
-	crossover atomic.Int32
-
-	// scratch is the loop path's reusable gather/scatter buffer pair,
-	// detached (Swap) while in use so concurrent calls never share it. It
-	// lives on the engine, not the operator: an in-flight MulVecBatch parks
-	// its scratch back on the engine it ran on, so an operator swap can
-	// neither hand one format's buffers to another nor strand a detached
-	// pair on a still-running call.
-	scratch atomic.Pointer[batchScratch[T]]
+	batch  *kernels.BatchKernel[T]
 }
 
 // Operator is a tuned SpMV: the matrix materialised in its chosen format
@@ -199,20 +183,8 @@ type engine[T matrix.Float] struct {
 // concurrent with but never torn by a swap.
 type Operator[T matrix.Float] struct {
 	eng  atomic.Pointer[engine[T]]
-	t    *Tuner[T]
 	pool *kernels.Pool[T]
 	nnz  int
-
-	// What the crossover probe needs from the tune that built the operator:
-	// the tune's CSR-SpMV seconds to budget from (0 unless it measured them:
-	// see Decision.CSRSpMVSec), and the decision-cache entry the measured
-	// width is written back to, named by its key and the parameters it held
-	// when the operator was tuned — cache is nil for an operator that
-	// bypassed the cache (a format hint, a tuner without one).
-	csrSpMVSec float64
-	cache      *Cache
-	key        features.Key
-	params     kernels.Params
 
 	// convState tracks the background-conversion lifecycle (ConversionState
 	// values); convDone is closed by the worker once the swap — or its
@@ -253,31 +225,13 @@ func (o *Operator[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
 // runs concurrently.
 func (o *Operator[T]) Threads() int { return o.pool.Threads() }
 
-// NeverBatch is the batch crossover recorded when the tiled SpMM kernel lost
-// to the loop-over-vectors path at every probed width: no realistic k reaches
-// it, so MulVecBatch always loops.
-const NeverBatch = 1 << 30
-
-// defaultBatchCrossover serves a batched call that arrives while another
-// caller's probe of the engine is in flight: tile from width 4 — the
-// narrowest register tile, from which no column is left to the scalar loop.
-const defaultBatchCrossover = 4
-
-// crossoverClaimed is the engine.crossover value between a caller's claim of
-// the probe and its publication of the measured width. Like 0 it is below
-// every real crossover (2 is the narrowest batch).
-const crossoverClaimed = -1
-
 // MulVecBatch computes Y = A·X for k right-hand sides held interleaved:
 // column c of X occupies xb[c*k : (c+1)*k] (one value per RHS), row r of Y
 // likewise yb[r*k : (r+1)*k], so len(xb) = Cols·k and len(yb) = Rows·k.
 // Batches of one run the tuned single-vector kernel directly; larger batches
-// take the tiled SpMM kernel when k clears the measured crossover and the
-// loop-over-vectors path otherwise. The crossover is measured here, not at
-// tune time: the first call with k ≥ 2 on an engine that inherited none from
-// the decision cache probes it (probeCrossover) before computing its product.
-// From the second call on this is the steady-state path, like MulVec:
-// repeated calls allocate nothing. k = 0 is a no-op; a negative k, mis-sized
+// run the format's tiled SpMM kernel, one pass over the matrix for all k
+// columns. This is the steady-state path, like MulVec: from the second call
+// on it allocates nothing. k = 0 is a no-op; a negative k, mis-sized
 // buffers, or xb/yb sharing memory panic (the error-returning entry point is
 // Tuner.CSRSpMVBatch in the root package).
 //
@@ -301,163 +255,7 @@ func (o *Operator[T]) MulVecBatch(xb, yb []T, k int) {
 		e.kernel.RunPooled(e.mat, xb, yb, o.pool)
 		return
 	}
-	if e.batch != nil {
-		crossover := int(e.crossover.Load())
-		if crossover < 2 {
-			crossover = o.probeCrossover(e, xb, yb, k)
-		}
-		if k >= crossover {
-			e.batch.RunPooled(e.mat, xb, yb, k, o.pool)
-			return
-		}
-	}
-	o.loopVectors(e, xb, yb, k)
-}
-
-// batchProbeWidths are the batch widths the crossover probe times, ordered:
-// the first width where the tiled kernel matches k independent single-vector
-// runs becomes the engine's crossover. Width 3 is probed for itself: the
-// tiled kernel takes it as one three-column lane, and a k = 3 call routed by
-// the width-2 timing alone follows a near-tie (the tile and the loop cost
-// about the same at two vectors) instead of a measurement of its own width.
-var batchProbeWidths = [...]int{2, 3, 4, 8}
-
-// probeCrossover is MulVecBatch's first-use slow path, kept out of line so
-// the hot body pays one atomic load for it. One caller per engine claims the
-// probe, measures, and publishes the width — on the engine, then on the
-// decision-cache entry the operator was tuned under, so later hits bind it
-// and never probe. A caller that finds the probe claimed does not wait: it
-// takes the default crossover for this one call.
-//
-//go:noinline
-//smat:atomic-claim
-func (o *Operator[T]) probeCrossover(e *engine[T], xb, yb []T, k int) int {
-	if !e.crossover.CompareAndSwap(0, crossoverClaimed) {
-		return defaultBatchCrossover
-	}
-	start := time.Now()
-	crossover := o.measureCrossover(e, xb, yb, k)
-	e.crossover.Store(int32(crossover))
-	if o.cache != nil {
-		o.cache.SetBatchCrossover(o.key, e.kernel.Format, o.params, crossover)
-	}
-	o.t.batchProbes.Add(1)
-	o.t.batchProbeNanos.Add(int64(time.Since(start)))
-	return crossover
-}
-
-// measureCrossover times the loop-over-vectors path against the tiled SpMM
-// kernel at each probe width and returns the first width where the tiled
-// pass costs no more than k trips through the loop (NeverBatch when the loop
-// wins everywhere). An empty matrix has nothing to measure; both paths are
-// trivially cheap there, so the tiled kernel (one pass instead of k) is
-// preferred at every width.
-//
-// The loop is timed as MulVecBatch runs it — per vector a gather, the tuned
-// single-vector kernel, a scatter — at width 2: the kernel alone undercounts
-// it by the two strided passes, by more the faster the bound kernel is.
-//
-// The probe owns no buffers where it can help it. A caller at least as wide
-// as the widest probe lends its own: any k′-prefix of a width-k interleaved
-// buffer is a valid width-k′ timing input, xb is only read, and yb is
-// overwritten by the caller's product afterwards. A narrower caller gets a
-// private all-ones workspace that is garbage once the probe returns. Each
-// timing is budgeted in multiples of the tune's CSR-SpMV time, or — the tune
-// having measured none — of one run of the bound kernel.
-func (o *Operator[T]) measureCrossover(e *engine[T], xb, yb []T, k int) int {
-	if o.nnz == 0 {
-		return batchProbeWidths[0]
-	}
-	rows, cols := e.mat.Dims()
-	if widest := batchProbeWidths[len(batchProbeWidths)-1]; k < widest {
-		xb, yb = make([]T, cols*widest), make([]T, rows*widest)
-		for i := range xb {
-			xb[i] = 1
-		}
-	}
-	unit := o.csrSpMVSec
-	if unit <= 0 {
-		start := time.Now()
-		e.kernel.RunPooled(e.mat, xb[:cols], yb[:rows], o.pool)
-		unit = time.Since(start).Seconds()
-	}
-	budget := o.t.probeBudget(unit)
-
-	perVector := MeasureSecPerOp(func() { o.loopVectors(e, xb[:cols*2], yb[:rows*2], 2) }, budget) / 2
-	return firstWinningWidth(perVector, func(w int) float64 {
-		return MeasureSecPerOp(func() { e.batch.RunPooled(e.mat, xb[:cols*w], yb[:rows*w], w, o.pool) }, budget)
-	})
-}
-
-// firstWinningWidth is the crossover rule: the narrowest probe width whose
-// tiled pass (tileSec(w), timed only until one wins) costs no more than w
-// trips through the loop at perVector seconds each; NeverBatch when none does.
-func firstWinningWidth(perVector float64, tileSec func(w int) float64) int {
-	for _, w := range batchProbeWidths {
-		if tileSec(w) <= perVector*float64(w) {
-			return w
-		}
-	}
-	return NeverBatch
-}
-
-// BatchCrossover returns the serving engine's batch crossover as it stands:
-// the width at or above which MulVecBatch takes the tiled SpMM kernel,
-// NeverBatch when the loop won at every probed width, and 0 while no batched
-// call has measured it yet (or the format has no batched kernel).
-func (o *Operator[T]) BatchCrossover() int {
-	e := o.eng.Load()
-	if c := int(e.crossover.Load()); e.batch != nil && c >= 2 {
-		return c
-	}
-	return 0
-}
-
-// HoldBatchProbe claims the serving engine's crossover probe without running
-// it, exactly as a concurrent first caller would, and returns the function
-// that gives the claim back. While it is held every MulVecBatch on that
-// engine takes the default crossover. It exists for tests and the
-// differential oracle, which need the mid-probe state pinned rather than
-// raced for; ok is false when the engine is past its claim already.
-func (o *Operator[T]) HoldBatchProbe() (release func(), ok bool) {
-	e := o.eng.Load()
-	if e.batch == nil || !e.crossover.CompareAndSwap(0, crossoverClaimed) {
-		return nil, false
-	}
-	return func() { e.crossover.Store(0) }, true
-}
-
-// batchScratch is the loop-over-vectors gather/scatter buffer pair. It is
-// cached on the serving engine after the first loop-path call:
-// AllocsPerRun-style steady-state accounting sees zero allocations.
-type batchScratch[T matrix.Float] struct {
-	x, y []T
-}
-
-// loopVectors is MulVecBatch's small-k path: gather each RHS column from the
-// interleaved buffer, run the tuned single-vector kernel, scatter the result
-// back. The scratch pair is detached from the engine while in use, so a
-// concurrent call allocates its own instead of corrupting the product — and
-// it is parked back on the engine it was taken from, so an operator swap
-// mid-call neither races these buffers nor strands them: a superseded
-// engine's scratch is garbage-collected with the engine itself.
-func (o *Operator[T]) loopVectors(e *engine[T], xb, yb []T, k int) {
-	rows, cols := e.mat.Dims()
-	s := e.scratch.Swap(nil)
-	if s == nil {
-		s = &batchScratch[T]{x: make([]T, cols), y: make([]T, rows)}
-	}
-	x, y := s.x, s.y
-	for j := 0; j < k; j++ {
-		for c := 0; c < cols; c++ {
-			x[c] = xb[c*k+j]
-		}
-		e.kernel.RunPooled(e.mat, x, y, o.pool)
-		for r := 0; r < rows; r++ {
-			yb[r*k+j] = y[r]
-		}
-	}
-	e.scratch.Store(s)
+	e.batch.RunPooled(e.mat, xb, yb, k, o.pool)
 }
 
 // checkOverlap rejects an x/y pair sharing memory. The address comparison
@@ -507,7 +305,7 @@ func (o *Operator[T]) Dims() (rows, cols int) { return o.eng.Load().mat.Dims() }
 
 // Tuner is the runtime component: it holds a trained model and produces
 // tuned operators from CSR inputs. All methods are safe for concurrent use:
-// the decision cache is sharded and singleflight-deduplicated, the probe
+// the decision cache is sharded and singleflight-deduplicated, the
 // counters are atomics, and the rest of the tuner state is immutable after
 // construction.
 type Tuner[T matrix.Float] struct {
@@ -522,11 +320,6 @@ type Tuner[T matrix.Float] struct {
 	// bound is the kernel every bind site uses for a format: the model's
 	// pick resolved for this tuner's thread count (see resolveKernels).
 	bound map[matrix.Format]*kernels.Kernel[T]
-
-	// The lazy crossover probes this tuner's operators have run, and the
-	// nanoseconds spent in them (Stats).
-	batchProbes     atomic.Uint64
-	batchProbeNanos atomic.Int64
 
 	// Tunes that returned without having read ColIdx (Stats).
 	columnPassesSkipped atomic.Uint64
@@ -611,19 +404,13 @@ func (t *Tuner[T]) Cache() *Cache { return t.cache }
 
 // Stats is a point-in-time snapshot of a tuner's live counters: the decision
 // cache's (promoted, so st.Hits reads as before), the worker pool's, and the
-// lazy batch-crossover probes'.
+// count of tunes that skipped the column pass.
 type Stats struct {
 	CacheStats
 	// Pool counts what the operators' parallel dispatches did: ran on the
 	// persistent workers (waking them or not), overflowed to per-call
 	// goroutines, or stayed serial under the plan's work cutoff.
 	Pool kernels.PoolStats
-	// BatchProbes counts the crossover probes the tuner's operators ran on a
-	// first batched call (at most one per engine; none for an engine that
-	// inherited a measured width from the cache), BatchProbeSec the seconds
-	// those calls spent probing before computing their own product.
-	BatchProbes   uint64
-	BatchProbeSec float64
 	// ColumnPassesSkipped counts the tunes whose decision reports
 	// ColumnPassSkipped: working from a record of the row pass alone, scanned
 	// or recalled, they never read the column indices.
@@ -635,8 +422,6 @@ type Stats struct {
 func (t *Tuner[T]) Stats() Stats {
 	st := Stats{
 		Pool:                t.pool.Stats(),
-		BatchProbes:         t.batchProbes.Load(),
-		BatchProbeSec:       time.Duration(t.batchProbeNanos.Load()).Seconds(),
 		ColumnPassesSkipped: t.columnPassesSkipped.Load(),
 	}
 	if t.cache != nil {
@@ -754,11 +539,8 @@ func (tn *tuning[T]) decide() error {
 		return tn.finish(tn.lead())
 	}
 
-	// Whichever way the operator comes out of the cache path, the crossover
-	// its first batched call measures is published to the entry it led or hit.
-	tn.op.cache, tn.op.key = t.cache, tn.base.Features.Key()
 	var led *choice[T]
-	entry, fromCache, err := t.cache.DoValidated(tn.op.key, t.refreshBelow(), validForHint(opts), func() (CacheEntry, error) {
+	entry, fromCache, err := t.cache.DoValidated(tn.base.Features.Key(), t.refreshBelow(), validForHint(opts), func() (CacheEntry, error) {
 		c, err := tn.lead()
 		if err != nil {
 			return CacheEntry{}, err
@@ -766,7 +548,6 @@ func (tn *tuning[T]) decide() error {
 		led = c
 		return tn.entry(c), nil
 	})
-	tn.op.params = entry.Params
 	if err != nil || !fromCache {
 		return tn.finish(led, err)
 	}

@@ -13,11 +13,9 @@
 // The scan is two passes, and the O(nnz) one over ColIdx runs only when the
 // O(rows) one over RowPtr leaves the model's verdict open (decided).
 // A kernel runs only where the call itself consumes the measurement: two runs
-// of each contender in the execute-and-measure selector, the CSR baseline and
-// the payoff rates under an iteration hint, and the batch crossover not here
-// at all but on the engine's first batched call (Operator.probeCrossover). A
-// predicted, format-hinted or cache-hit tune runs none. DESIGN.md §11 has the
-// stage × path table.
+// of each contender in the execute-and-measure selector, and the CSR baseline
+// and the payoff rates under an iteration hint. A predicted, format-hinted or
+// cache-hit tune runs none. DESIGN.md §11 has the stage × path table.
 package autotune
 
 import (
@@ -70,9 +68,6 @@ type choice[T matrix.Float] struct {
 	// the rates it timed, the leader's probe fills in the rest.
 	convertSec, spmvSec, incumbentSec float64
 	breakEven                         int
-	// crossover is the cached batch crossover; below 2 when no operator of
-	// the entry has measured one yet.
-	crossover int
 
 	// eng is the format materialised, once it has been — by a selector that
 	// had to convert to select, or by the build stage — and convert that
@@ -86,7 +81,7 @@ type choice[T matrix.Float] struct {
 // alone — recalled from the structure index when the matrix is signed and the
 // index knows its pattern, scanned otherwise.
 func (t *Tuner[T]) extract(m *matrix.CSR[T], opts TuneOptions) *tuning[T] {
-	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{t: t, pool: t.pool, nnz: m.NNZ()}}
+	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{pool: t.pool, nnz: m.NNZ()}}
 	tn.base.IterationHint = opts.Iterations
 	tn.read(true)
 	return tn
@@ -236,13 +231,13 @@ func (tn *tuning[T]) hinted() (*choice[T], error) {
 }
 
 // cached is the cache selector, starting a hit's attempt: the entry's
-// format, parameters and crossover, and — for a request carrying an
+// format and parameters, and — for a request carrying an
 // iteration hint — its costs and the break-even point they imply. An
 // un-hinted hit is asymptotic and carries no payoff numbers.
 func (tn *tuning[T]) cached(entry CacheEntry) *choice[T] {
 	tn.begin()
 	c := &choice[T]{format: entry.Format, params: entry.Params, confidence: entry.Confidence,
-		predicted: true, cacheHit: true, crossover: entry.BatchCrossover}
+		predicted: true, cacheHit: true}
 	if tn.opts.Iterations > 0 && entry.Format != matrix.FormatCSR {
 		c.convertSec, c.spmvSec, c.incumbentSec = entry.ConvertSec, entry.SpMVSec, entry.IncumbentSec
 		c.breakEven = BreakEven(entry.ConvertSec, entry.IncumbentSec, entry.SpMVSec)
@@ -467,7 +462,7 @@ func (tn *tuning[T]) candidate(f matrix.Format, p kernels.Params, maxFill float6
 	if f == matrix.FormatCSR {
 		return tn.incumbent(), kernels.ConvertTiming{Format: f, Stored: tn.m.Stored()}, nil
 	}
-	return tn.t.build(tn.m, &tn.rec.layout, f, p, maxFill, 0)
+	return tn.t.build(tn.m, &tn.rec.layout, f, p, maxFill)
 }
 
 // outcome is the payoff stage's verdict on a choice.
@@ -507,20 +502,15 @@ func payoff(f matrix.Format, breakEven int, opts TuneOptions, cpus int) outcome 
 }
 
 // bind resolves everything about an engine but its matrix: this tuner's
-// kernel for the format, the format's batch kernel (nil when it has none),
-// and the batch crossover a cache entry carried. Without one (below 2 can
-// never be a real crossover) the cell stays 0 and the engine's first batched
-// call measures it.
-func (t *Tuner[T]) bind(f matrix.Format, crossover int) (*engine[T], error) {
-	k := t.kernelFor(f)
-	if k == nil {
+// kernel for the format and the format's tiled SpMM kernel. It fails for a
+// format with no bound kernel or no batched kernel; neither happens for the
+// four formats a tuner selects from.
+func (t *Tuner[T]) bind(f matrix.Format) (*engine[T], error) {
+	k, b := t.kernelFor(f), t.lib.BatchFor(f)
+	if k == nil || b == nil {
 		return nil, fmt.Errorf("autotune: no kernel registered for format %v", f)
 	}
-	e := &engine[T]{kernel: k, batch: t.lib.BatchFor(f)}
-	if crossover >= 2 {
-		e.crossover.Store(int32(crossover))
-	}
-	return e, nil
+	return &engine[T]{kernel: k, batch: b}, nil
 }
 
 // build is the one materialise-and-bind site: every engine — a selector's
@@ -530,8 +520,8 @@ func (t *Tuner[T]) bind(f matrix.Format, crossover int) (*engine[T], error) {
 // when the tuner serves no kernel for the format, the format's zero-fill guard
 // rejects this particular matrix, or the layout is not this matrix's
 // (matrix.ErrStructureMismatch: only a remembered one can be).
-func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, maxFill float64, crossover int) (*engine[T], kernels.ConvertTiming, error) {
-	e, err := t.bind(f, crossover)
+func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, maxFill float64) (*engine[T], kernels.ConvertTiming, error) {
+	e, err := t.bind(f)
 	if err != nil {
 		return nil, kernels.ConvertTiming{}, err
 	}
@@ -545,7 +535,7 @@ func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, 
 
 // materialise is the build stage for a choice no selector has built yet.
 func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
-	c.eng, c.convert, err = tn.t.build(tn.m, &tn.rec.layout, c.format, c.params, tn.t.model.MaxFill, c.crossover)
+	c.eng, c.convert, err = tn.t.build(tn.m, &tn.rec.layout, c.format, c.params, tn.t.model.MaxFill)
 	return err
 }
 
@@ -557,7 +547,7 @@ func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
 func (tn *tuning[T]) incumbent() *engine[T] {
 	if tn.inc == nil {
 		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
-		tn.inc, _, _ = tn.t.build(tn.m, &tn.rec.layout, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill, 0)
+		tn.inc, _, _ = tn.t.build(tn.m, &tn.rec.layout, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill)
 	}
 	return tn.inc
 }
@@ -634,8 +624,7 @@ func (tn *tuning[T]) rates(c *choice[T]) {
 // entry is the cache's view of a leader's choice: the asymptotic decision
 // plus whatever payoff measurements the leader took. Amortisation against a
 // hint is recomputed per hit. A measured winner is ground truth: confidence
-// 1. The batch crossover is not the leader's to give: the first operator of
-// the entry to run a batched call writes it back (Cache.SetBatchCrossover).
+// 1.
 func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 	entry := CacheEntry{
 		Format:       c.format,
@@ -683,7 +672,7 @@ func (tn *tuning[T]) serve(c *choice[T]) error {
 		described = e
 	case serveSwap:
 		var err error
-		if described, err = t.bind(c.format, c.crossover); err != nil {
+		if described, err = t.bind(c.format); err != nil {
 			return err
 		}
 		e = tn.incumbent()
@@ -691,10 +680,9 @@ func (tn *tuning[T]) serve(c *choice[T]) error {
 		op.convState.Store(int32(ConvertPending))
 	}
 	tn.record(c, out, described)
-	op.csrSpMVSec = tn.d.CSRSpMVSec
 	op.eng.Store(e)
 	if out == serveSwap {
-		go t.convertWorker(op, tn.m, &tn.rec.layout, c.format, c.params, c.crossover, tn.opts.HoldConversion)
+		go t.convertWorker(op, tn.m, &tn.rec.layout, c.format, c.params, tn.opts.HoldConversion)
 	}
 	return nil
 }
@@ -742,7 +730,7 @@ func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
 //
 //smat:syncsafe
 //smat:atomic-publish
-func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, crossover int, hold <-chan struct{}) {
+func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, hold <-chan struct{}) {
 	defer close(op.convDone)
 	defer func() {
 		if recover() != nil {
@@ -752,7 +740,7 @@ func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], lay *matrix.
 	if hold != nil {
 		<-hold
 	}
-	e, _, err := t.build(m, lay, f, p, t.model.MaxFill, crossover)
+	e, _, err := t.build(m, lay, f, p, t.model.MaxFill)
 	if err != nil {
 		op.convState.Store(int32(ConvertFailed))
 		return

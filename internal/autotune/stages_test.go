@@ -90,8 +90,7 @@ func conversionBytes(t *testing.T, m *matrix.CSR[float64], s *matrix.Structure, 
 // tune that measures — the execute-and-measure selector, the payoff rates
 // under an iteration hint — allocates the one probe workspace, an x and a y,
 // and nothing else of vector size. A predicted leader runs no kernel and
-// allocates none, like a cache hit. The batch-crossover probe owns no buffers
-// of the tune's: it runs on the first batched call, in that call's.
+// allocates none, like a cache hit.
 func TestProbeWorkspaceBudget(t *testing.T) {
 	if raceEnabledAutotune {
 		t.Skip("allocation accounting is not stable under -race")
@@ -449,7 +448,7 @@ func TestCOOEngineAliasesInput(t *testing.T) {
 // stage, so on a leader they are present exactly when their stage ran — and a
 // stage runs only when the call consumes its answer: the baseline only under
 // the measuring selector or the payoff rates, the payoff rates only under an
-// iteration hint, the batch crossover never while tuning.
+// iteration hint.
 func TestLeaderDecisionOwnsItsSeconds(t *testing.T) {
 	m := gen.MultiDiagonal[float64](3000, []int{-1, 0, 1}, rand.New(rand.NewSource(32)))
 	for _, c := range []struct {
@@ -466,16 +465,13 @@ func TestLeaderDecisionOwnsItsSeconds(t *testing.T) {
 		{conf: 0.99, iterations: 1 << 20, hint: true},
 	} {
 		tuner := New[float64](modelAlways(matrix.FormatDIA, c.conf), Config{Threads: 2, CacheSize: -1})
-		op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: c.iterations, SyncConvert: true, FormatHint: matrix.FormatDIA, HasFormatHint: c.hint})
+		_, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: c.iterations, SyncConvert: true, FormatHint: matrix.FormatDIA, HasFormatHint: c.hint})
 		if err != nil {
 			t.Fatal(err)
 		}
 		label := fmt.Sprintf("conf %.2f iterations %d hint %v", c.conf, c.iterations, c.hint)
 		if d.FeatureSec <= 0 {
 			t.Errorf("%s: extract seconds %g, want positive", label, d.FeatureSec)
-		}
-		if d.BatchProbeSec != 0 || op.BatchCrossover() != 0 {
-			t.Errorf("%s: crossover %d probed in %gs while tuning, want neither", label, op.BatchCrossover(), d.BatchProbeSec)
 		}
 		if (d.FallbackSec > 0) != c.fallback {
 			t.Errorf("%s: FallbackSec %g, fallback ran: %v", label, d.FallbackSec, c.fallback)

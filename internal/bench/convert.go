@@ -116,8 +116,9 @@ func convertTimeToK(t *autotune.Tuner[float64], m *matrix.CSR[float64],
 }
 
 // convertSteadyAllocs measures mallocs per call on the post-swap pooled
-// serving path: a background-converted operator alternating MulVec and
-// loop-path MulVecBatch after one warm-up of each.
+// serving path: a background-converted operator alternating MulVec and a
+// three-vector MulVecBatch (the swapped-in format's tiled kernel) after one
+// warm-up of each.
 func convertSteadyAllocs(t *autotune.Tuner[float64], m *matrix.CSR[float64]) (float64, error) {
 	// A pre-closed hold channel forces the background-swap protocol even on
 	// a single-CPU machine, so this measures the genuinely post-swap engine.
@@ -129,7 +130,7 @@ func convertSteadyAllocs(t *autotune.Tuner[float64], m *matrix.CSR[float64]) (fl
 	}
 	op.AwaitConversion()
 
-	const bw = 3 // below any crossover: the loop path and its engine scratch
+	const bw = 3
 	x := make([]float64, m.Cols)
 	for i := range x {
 		x[i] = 1 + float64(i%7)/8
@@ -172,7 +173,7 @@ func ConvertBench(cfg Config) *ConvertResult {
 			continue
 		}
 		s := s
-		if _, err := oracle.CheckConvertSwap[float64](&s, matrix.FormatDIA, oracle.Options{}); err != nil {
+		if err := oracle.CheckConvertSwap[float64](&s, matrix.FormatDIA, oracle.Options{}); err != nil {
 			res.SwapOracleErr = err.Error()
 		} else {
 			res.SwapOracleOK = true

@@ -44,10 +44,9 @@ func xBatch[T matrix.Float](cols, k int) (xb []T, cols64 [][]float64) {
 // paths must agree with the serial batched result bit for bit at every
 // thread count. Width 0 must be a no-op and width 1 must satisfy the same
 // per-column bound as any other width. Then the same sweep runs through a
-// tuned operator of every stock format at every thread count, in each state of
-// its lazy crossover probe (checkOperatorBatch). The returned Coverage reports
-// which batch kernels executed, which ran genuinely partitioned plans, and
-// which probe states the operators were checked in.
+// tuned operator of every stock format at every thread count
+// (checkOperatorBatch). The returned Coverage reports which batch kernels
+// executed and which ran genuinely partitioned plans.
 func CheckBatch[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (*Coverage, error) {
 	opt = opt.withDefaults()
 	cov := NewCoverage()
@@ -110,7 +109,7 @@ func CheckBatch[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (
 		}
 	}
 	for _, th := range opt.Threads {
-		if err := checkOperatorBatch(ref, th, want, absSum, eps, opt, cov, s.Name); err != nil {
+		if err := checkOperatorBatch(ref, th, want, absSum, eps, opt, s.Name); err != nil {
 			return cov, err
 		}
 	}
@@ -151,37 +150,14 @@ func checkBatchColumns[T matrix.Float](ref *matrix.CSR[T], yb []T, k int, want, 
 }
 
 // checkOperatorBatch drives the width sweep through Operator.MulVecBatch —
-// the path that picks between the tiled kernel and the loop over vectors by
-// a crossover measured on first use — for every stock format the spec
-// converts to, on a tuner at th threads. Each operator is checked in the
-// three states of that probe, in the order they can be pinned:
-//
-//   - mid-probe: the probe claimed by someone else (HoldBatchProbe), so every
-//     call takes the default crossover and none measures;
-//   - unprobed: the claim given back, the next call of two or more vectors
-//     runs the probe — in its own buffers when it is wide enough to lend them,
-//     in a private workspace otherwise; the first width alternates so both
-//     happen — and its product, computed last, must be whole;
-//   - probed: every width again at the published crossover, no further probe.
+// the tuned single-vector kernel at k = 1, the format's tiled kernel above —
+// for every stock format the spec converts to, on a tuner at th threads.
 func checkOperatorBatch[T matrix.Float](ref *matrix.CSR[T], th int, want, absSum [][]float64, eps float64,
-	opt Options, cov *Coverage, spec string) error {
+	opt Options, spec string) error {
 
 	tuner := autotune.New[T](silentModel(th, opt.MaxFill), autotune.Config{Threads: th, CacheSize: -1})
 	defer tuner.Close()
-	sweep := func(op *autotune.Operator[T], widths []int, what string) error {
-		for _, k := range widths {
-			xb, _ := xBatch[T](ref.Cols, k)
-			yb := runNaN(func(yb []T) { op.MulVecBatch(xb, yb, k) }, ref.Rows*k)
-			if err := checkBatchColumns(ref, yb, k, want, absSum, eps, what); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	probes := func() uint64 { return tuner.Stats().BatchProbes }
-
-	for i, f := range matrix.Formats {
-		ran := probes() // one per operator checked so far
+	for _, f := range matrix.Formats {
 		op, _, err := tuner.TuneOpts(ref, autotune.TuneOptions{FormatHint: f, HasFormatHint: true})
 		if errors.Is(err, matrix.ErrFillExplosion) {
 			continue
@@ -190,38 +166,13 @@ func checkOperatorBatch[T matrix.Float](ref *matrix.CSR[T], th int, want, absSum
 		if err != nil {
 			return fmt.Errorf("oracle: %s: tune: %w", name, err)
 		}
-
-		release, ok := op.HoldBatchProbe()
-		if !ok {
-			return fmt.Errorf("oracle: %s: a fresh operator's crossover probe is already claimed or settled", name)
+		for _, k := range batchWidths {
+			xb, _ := xBatch[T](ref.Cols, k)
+			yb := runNaN(func(yb []T) { op.MulVecBatch(xb, yb, k) }, ref.Rows*k)
+			if err := checkBatchColumns(ref, yb, k, want, absSum, eps, name); err != nil {
+				return err
+			}
 		}
-		err = sweep(op, batchWidths, name+", mid-probe")
-		release()
-		if err != nil {
-			return err
-		}
-		if got := op.BatchCrossover(); got != 0 || probes() != ran {
-			return fmt.Errorf("oracle: %s: calls during a held probe left crossover %d after %d probes, want none measured", name, got, probes())
-		}
-		cov.Probes[ProbeMidProbe] = true
-
-		first := []int{8, 5}[(i+th)%2]
-		if err := sweep(op, []int{first}, name+", unprobed"); err != nil {
-			return err
-		}
-		settled := op.BatchCrossover()
-		if settled < 2 || probes() != ran+1 {
-			return fmt.Errorf("oracle: %s: first batched call (k=%d) left crossover %d after %d probes, want a measured width from one probe", name, first, settled, probes())
-		}
-		cov.Probes[ProbeUnprobed] = true
-
-		if err := sweep(op, batchWidths, name+", probed"); err != nil {
-			return err
-		}
-		if got := op.BatchCrossover(); got != settled || probes() != ran+1 {
-			return fmt.Errorf("oracle: %s: crossover moved %d → %d (%d probes) after it was published", name, settled, got, probes())
-		}
-		cov.Probes[ProbeProbed] = true
 	}
 	return nil
 }

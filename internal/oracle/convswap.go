@@ -13,14 +13,9 @@ import (
 )
 
 // swapBatchWidths are the batch widths CheckConvertSwap drives through the
-// operator: 3 exercises the loop-over-vectors path, 8 the tiled SpMM path
-// (the seeded crossover is swapCrossover, between the two).
+// operator's tiled SpMM kernel: 3 is one three-column lane, 8 one eight-wide
+// lane.
 var swapBatchWidths = [...]int{3, 8}
-
-// swapCrossover is the batch crossover seeded into the cache entry: the
-// swapped-in engine binds it and never probes. The tuned-CSR incumbent has no
-// entry to inherit from and measures its own on its first batched call.
-const swapCrossover = 4
 
 // swapGoroutines hammer the operator through the swap window; swapIters is
 // how many products each one computes. The hold channel is released a few
@@ -40,11 +35,8 @@ const (
 // checked, at every thread count in opt.Threads:
 //
 //  1. Pre-swap the operator serves the tuned-CSR incumbent bit for bit, and
-//     that answer is within the rounding bound of the float64 reference —
-//     for batched calls in every state of the incumbent's lazy crossover
-//     probe: while another caller holds it (the default crossover), on the
-//     call that runs it, and once its width is published. The probe runs
-//     once; the swapped-in engine, bound with the seeded crossover, never.
+//     that answer — single-vector and batched — is within the rounding bound
+//     of the float64 reference.
 //  2. Mid-swap — swapGoroutines concurrent callers straddling the moment the
 //     hold is released — every MulVec and MulVecBatch result is bit-for-bit
 //     one of exactly two vectors: the CSR answer or the target-format answer.
@@ -56,15 +48,9 @@ const (
 // float64 reference, so "one of the two" can never launder a wrong result.
 // A target that the fill guard rejects or that has no registered kernel is
 // skipped, mirroring Check's skip rule. The error reports the first violated
-// property; the Coverage records the probe states the operators were checked
-// in (all three, unless the target was skipped).
-func CheckConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options) (*Coverage, error) {
+// property.
+func CheckConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options) error {
 	opt = opt.withDefaults()
-	cov := NewCoverage()
-	return cov, checkConvertSwap[T](s, target, opt, cov)
-}
-
-func checkConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options, cov *Coverage) error {
 	ref, err := BuildCSR[T](s)
 	if err != nil {
 		return err
@@ -109,26 +95,19 @@ func checkConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options
 		return err
 	}
 
-	// The allowed post-swap batch answers: the tiled kernel's serial result
-	// where the seeded crossover selects it, the loop path's column-wise
-	// replication of the single-vector answer otherwise.
+	// The allowed post-swap batch answers: the target's tiled kernel, serial.
 	tgtB := lib.BatchFor(target)
 	ybTgt := make(map[int][]T, len(swapBatchWidths))
 	for _, k := range swapBatchWidths {
-		if tgtB != nil && k >= swapCrossover {
-			xb := replicateColumns(x, k)
-			k := k
-			ybTgt[k] = runNaN(func(yb []T) { tgtB.Run(tgtMat, xb, yb, k, 1) }, s.Rows*k)
-			if err := swapBatchRefCheck(ref, ybTgt[k], k, want, absSum, eps, name+": target batch answer"); err != nil {
-				return err
-			}
-		} else {
-			ybTgt[k] = replicateColumns(yTgt, k)
+		xb := replicateColumns(x, k)
+		ybTgt[k] = runNaN(func(yb []T) { tgtB.Run(tgtMat, xb, yb, k, 1) }, s.Rows*k)
+		if err := swapBatchRefCheck(ref, ybTgt[k], k, want, absSum, eps, name+": target batch answer"); err != nil {
+			return err
 		}
 	}
 
 	for _, th := range opt.Threads {
-		if err := checkSwapAtThreads(ref, target, th, opt, x, yCSR, yTgt, ybTgt, want, absSum, eps, name, cov); err != nil {
+		if err := checkSwapAtThreads(ref, target, th, opt, x, yCSR, yTgt, ybTgt, want, absSum, eps, name); err != nil {
 			return err
 		}
 	}
@@ -138,7 +117,7 @@ func checkConvertSwap[T matrix.Float](s *Spec, target matrix.Format, opt Options
 // checkSwapAtThreads runs one full pre/mid/post-swap pass on a fresh tuner
 // configured for th threads.
 func checkSwapAtThreads[T matrix.Float](ref *matrix.CSR[T], target matrix.Format, th int, opt Options,
-	x, yCSR, yTgt []T, ybTgt map[int][]T, want, absSum []float64, eps float64, name string, cov *Coverage) error {
+	x, yCSR, yTgt []T, ybTgt map[int][]T, want, absSum []float64, eps float64, name string) error {
 
 	// The ruleset never fires, so every decision the seeded cache does not
 	// answer would fall through to measurement — which this check never
@@ -151,13 +130,12 @@ func checkSwapAtThreads[T matrix.Float](ref *matrix.CSR[T], target matrix.Format
 	// the conversion — in the background, pinned by the hold channel.
 	fv := features.Extract(ref)
 	tuner.Cache().Put(fv.Key(), autotune.CacheEntry{
-		Format:         target,
-		Confidence:     1,
-		Measured:       true,
-		BatchCrossover: swapCrossover,
-		ConvertSec:     1e-9,
-		SpMVSec:        0.1,
-		IncumbentSec:   0.2,
+		Format:       target,
+		Confidence:   1,
+		Measured:     true,
+		ConvertSec:   1e-9,
+		SpMVSec:      0.1,
+		IncumbentSec: 0.2,
 	})
 
 	hold := make(chan struct{})
@@ -184,48 +162,16 @@ func checkSwapAtThreads[T matrix.Float](ref *matrix.CSR[T], target matrix.Format
 		return fmt.Errorf("oracle: %s: convert-swap at %d threads: pre-swap y[%d] = %g, CSR answer %g",
 			name, th, r, float64(yPre[r]), float64(yCSR[r]))
 	}
-	// Batched, in the three states of the incumbent's crossover probe. While
-	// the probe is held every call takes the default crossover; then the first
-	// call measures (in a private workspace at the narrow width, which comes
-	// first) and publishes; from there on the crossover is fixed, so the
-	// answers recorded now are the CSR side of property 2.
-	batched := func(k int, state string) ([]T, error) {
-		xb := replicateColumns(x, k)
-		yb := runNaN(func(yb []T) { op.MulVecBatch(xb, yb, k) }, rows*k)
-		return yb, swapBatchRefCheck(ref, yb, k, want, absSum, eps,
-			fmt.Sprintf("%s: pre-swap batch k=%d at %d threads, %s", name, k, th, state))
-	}
-	unhold, ok := op.HoldBatchProbe()
-	if !ok {
-		return fmt.Errorf("oracle: %s: convert-swap at %d threads: the fresh incumbent's crossover probe is already claimed or settled", name, th)
-	}
-	for _, k := range swapBatchWidths {
-		if _, err = batched(k, ProbeMidProbe); err != nil {
-			break
-		}
-	}
-	unhold()
-	if err != nil {
-		return err
-	}
-	if c, n := op.BatchCrossover(), tuner.Stats().BatchProbes; c != 0 || n != 0 {
-		return fmt.Errorf("oracle: %s: convert-swap at %d threads: calls during a held probe left crossover %d after %d probes", name, th, c, n)
-	}
-	cov.Probes[ProbeMidProbe] = true
-
+	// Batched: the incumbent's tiled answers, recorded now, are the CSR side
+	// of property 2.
 	ybCSR := make(map[int][]T, len(swapBatchWidths))
-	for i, k := range swapBatchWidths {
-		state := ProbeProbed
-		if i == 0 {
-			state = ProbeUnprobed
-		}
-		if ybCSR[k], err = batched(k, state); err != nil {
+	for _, k := range swapBatchWidths {
+		xb := replicateColumns(x, k)
+		ybCSR[k] = runNaN(func(yb []T) { op.MulVecBatch(xb, yb, k) }, rows*k)
+		if err := swapBatchRefCheck(ref, ybCSR[k], k, want, absSum, eps,
+			fmt.Sprintf("%s: pre-swap batch k=%d at %d threads", name, k, th)); err != nil {
 			return err
 		}
-		if c, n := op.BatchCrossover(), tuner.Stats().BatchProbes; c < 2 || n != 1 {
-			return fmt.Errorf("oracle: %s: convert-swap at %d threads: %s call left crossover %d after %d probes, want a measured width from one probe", name, th, state, c, n)
-		}
-		cov.Probes[state] = true
 	}
 
 	// Property 2: hammer the operator through the swap window. Goroutine 0
@@ -296,7 +242,6 @@ func checkSwapAtThreads[T matrix.Float](ref *matrix.CSR[T], target matrix.Format
 			name, th, r, float64(yPost[r]), float64(yTgt[r]))
 	}
 	for _, k := range swapBatchWidths {
-		k := k
 		xb := replicateColumns(x, k)
 		yb := runNaN(func(yb []T) { op.MulVecBatch(xb, yb, k) }, rows*k)
 		if r, bad := bitMismatch(ybTgt[k], yb); bad {
@@ -304,18 +249,11 @@ func checkSwapAtThreads[T matrix.Float](ref *matrix.CSR[T], target matrix.Format
 				name, th, k, r, float64(yb[r]), float64(ybTgt[k][r]))
 		}
 	}
-	// The swapped-in engine bound the seeded crossover: through the whole
-	// window only the incumbent ever probed.
-	if c, n := op.BatchCrossover(), tuner.Stats().BatchProbes; c != swapCrossover || n != 1 {
-		return fmt.Errorf("oracle: %s: convert-swap at %d threads: post-swap crossover %d after %d probes, want the seeded %d and the incumbent's one probe",
-			name, th, c, n, swapCrossover)
-	}
 	return nil
 }
 
 // replicateColumns interleaves k identical copies of v into the batched
-// layout: out[c*k+j] = v[c]. With identical columns, every batch column of a
-// loop-path product must be bit-for-bit the single-vector answer.
+// layout: out[c*k+j] = v[c].
 func replicateColumns[T matrix.Float](v []T, k int) []T {
 	out := make([]T, len(v)*k)
 	for c, val := range v {

@@ -23,11 +23,9 @@ func TestCheckConvertSwap(t *testing.T) {
 			target := target
 			t.Run(c.spec.Name+"/"+target.String(), func(t *testing.T) {
 				t.Parallel()
-				cov, err := CheckConvertSwap[float64](&c.spec, target, Options{})
-				if err != nil {
+				if err := CheckConvertSwap[float64](&c.spec, target, Options{}); err != nil {
 					t.Fatal(err)
 				}
-				assertProbeStatesCovered(t, cov)
 			})
 		}
 	}
@@ -38,9 +36,7 @@ func TestCheckConvertSwap(t *testing.T) {
 // element-type generic.
 func TestCheckConvertSwapFloat32(t *testing.T) {
 	s := diagBanded()
-	cov, err := CheckConvertSwap[float32](&s, matrix.FormatELL, Options{Threads: []int{1, 3}})
-	if err != nil {
+	if err := CheckConvertSwap[float32](&s, matrix.FormatELL, Options{Threads: []int{1, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	assertProbeStatesCovered(t, cov)
 }

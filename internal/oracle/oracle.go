@@ -57,10 +57,6 @@ type Coverage struct {
 	// check, so the suite can assert the whole conversion-level parameter
 	// space — every BCSR block shape, every HYB width cut — was reached.
 	Conversions map[string]bool
-	// Probes holds the states of the lazy batch-crossover probe in which a
-	// tuned operator's MulVecBatch was checked: ProbeUnprobed, ProbeMidProbe
-	// and ProbeProbed.
-	Probes map[string]bool
 }
 
 // NewCoverage returns an empty coverage accumulator.
@@ -71,7 +67,6 @@ func NewCoverage() *Coverage {
 		Parallel:    make(map[string]bool),
 		Plans:       make(map[string]bool),
 		Conversions: make(map[string]bool),
-		Probes:      make(map[string]bool),
 	}
 }
 
@@ -92,9 +87,6 @@ func (c *Coverage) Merge(other *Coverage) {
 	for k := range other.Conversions {
 		c.Conversions[k] = true
 	}
-	for k := range other.Probes {
-		c.Probes[k] = true
-	}
 }
 
 // The plan shapes Coverage.Plans records.
@@ -104,19 +96,6 @@ const (
 	PlanTailSerial      = "hyb-tail-serial"
 	PlanTailPartitioned = "hyb-tail-partitioned"
 )
-
-// The probe states Coverage.Probes records: a batched call on an engine whose
-// crossover nobody has measured (the call runs the probe, then its product),
-// a call that finds the probe claimed by another caller (it takes the default
-// crossover), and a call after the width has been published.
-const (
-	ProbeUnprobed = "unprobed"
-	ProbeMidProbe = "mid-probe"
-	ProbeProbed   = "probed"
-)
-
-// ProbeStates lists the three, for reach assertions.
-var ProbeStates = []string{ProbeUnprobed, ProbeMidProbe, ProbeProbed}
 
 // notePlan records the shape of one of the engine's own plans.
 func (c *Coverage) notePlan(p *kernels.Plan, f matrix.Format) {

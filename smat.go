@@ -188,9 +188,8 @@ type Tuner[T Float] struct {
 }
 
 // Stats reports the tuner's live counters — the decision cache's (embedded
-// CacheStats), the worker pool's (Pool) and the lazy batch-crossover probes'
-// (BatchProbes, BatchProbeSec) and the tunes that never read the column indices
-// (ColumnPassesSkipped); see Tuner.Stats.
+// CacheStats), the worker pool's (Pool) and the tunes that never read the
+// column indices (ColumnPassesSkipped); see Tuner.Stats.
 type Stats = autotune.Stats
 
 // CacheStats is the decision-cache part of Stats.
@@ -304,10 +303,8 @@ func (t *Tuner[T]) Close() { t.inner.Close() }
 // persistent workers ran (and how many of those followed an idle gap and had
 // to wake a parked worker), dispatches that found the pool busy and spawned
 // goroutines instead, and calls that stayed serial under the work cutoff.
-// BatchProbes and BatchProbeSec count the batch-crossover probes the
-// operators' first batched calls ran, and the seconds those calls spent in
-// them (see Decision.BatchCrossover). ColumnPassesSkipped counts the tunes
-// whose decision reports ColumnPassSkipped.
+// ColumnPassesSkipped counts the tunes whose decision reports
+// ColumnPassSkipped.
 func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
 
 // TuneOption carries per-call tuning intent into Tune, CSRSpMV and
@@ -427,12 +424,9 @@ func (t *Tuner[T]) CSRSpMV(a *Matrix[T], x, y []T, opts ...TuneOption) error {
 // xb[c*k : (c+1)*k] and row r of Y occupies yb[r*k : (r+1)*k], so xb must
 // have length Cols·k and yb length Rows·k (use Batch to pack and unpack
 // ordinary []T vectors). The matrix is tuned on first use exactly as in
-// CSRSpMV; the batched product then runs either the format's register-tiled
-// SpMM kernel or a loop over the single-vector kernel, whichever side of the
-// measured crossover k falls on. The crossover is measured by the first call
-// with k ≥ 2 on a structure the tuner has not batched before, ahead of that
-// call's own product (see Decision.BatchCrossover). k = 0 is a
-// no-op; a negative k, mis-sized buffers, or xb/yb sharing memory return an
+// CSRSpMV; the batched product then runs the format's register-tiled SpMM
+// kernel, one pass over the matrix for all k vectors (k = 1 runs the tuned
+// single-vector kernel). k = 0 is a no-op; a negative k, mis-sized buffers, or xb/yb sharing memory return an
 // error before any kernel runs. Per-call options behave as in CSRSpMV.
 func (t *Tuner[T]) CSRSpMVBatch(a *Matrix[T], xb, yb []T, k int, opts ...TuneOption) error {
 	if k < 0 {
@@ -518,12 +512,10 @@ func (o *Operator[T]) MulVec(x, y []T) { o.op.MulVec(x, y) }
 
 // MulVecBatch computes Y = A·X for k interleaved right-hand sides: xb holds
 // column c of X at xb[c*k : (c+1)*k] and yb receives row r of Y at
-// yb[r*k : (r+1)*k] (see Batch for packing helpers). Batches at or above the
-// measured crossover width run the format's register-tiled SpMM kernel; the
-// rest loop the tuned single-vector kernel. The first call with k ≥ 2 measures
-// that crossover before computing its product, unless the decision cache
-// already carried it (see Decision.BatchCrossover). From then on this is the
-// steady-state path, like MulVec: repeated calls allocate nothing. It panics
+// yb[r*k : (r+1)*k] (see Batch for packing helpers). Batches of two or more
+// run the format's register-tiled SpMM kernel, a batch of one the tuned
+// single-vector kernel. This is the steady-state path, like MulVec: from the
+// second call on it allocates nothing. It panics
 // on a negative k, mis-sized buffers, or overlapping xb/yb; the
 // error-returning entry point is Tuner.CSRSpMVBatch.
 func (o *Operator[T]) MulVecBatch(xb, yb []T, k int) { o.op.MulVecBatch(xb, yb, k) }
@@ -594,15 +586,17 @@ func (o *Operator[T]) Decision() Decision {
 		Amortized:         o.dec.Amortized,
 		Converted:         o.dec.Converted,
 		ConvertSec:        o.dec.ConvertSec,
-		BatchCrossover:    o.op.BatchCrossover(),
+		BatchCrossover:    2,
 		Overhead:          o.dec.Overhead(),
 	}
 }
 
-// NeverBatch is the Decision.BatchCrossover sentinel recorded when the tiled
-// SpMM kernel lost to looping the single-vector kernel at every measured
-// batch width: MulVecBatch always takes the loop path.
-const NeverBatch = autotune.NeverBatch
+// NeverBatch was the Decision.BatchCrossover sentinel for an operator whose
+// batched calls always looped the single-vector kernel. It is never reported.
+//
+// Deprecated: MulVecBatch has no loop path; Decision.BatchCrossover is
+// always 2.
+const NeverBatch = 1 << 30
 
 // NeverAmortize is the Decision.BreakEvenIters sentinel recorded when
 // converting can never pay off: the converted format is not actually faster
@@ -680,15 +674,11 @@ type Decision struct {
 	// ConvertSec is the measured (or, on the background path, cached)
 	// conversion time in seconds for the chosen format.
 	ConvertSec float64
-	// BatchCrossover is the measured batch width at or above which
-	// MulVecBatch runs the register-tiled SpMM kernel instead of looping the
-	// single-vector kernel, read live from the operator: tuning does not
-	// measure it, the first MulVecBatch / CSRSpMVBatch of two or more vectors
-	// does (and later operators of the same structure inherit the width
-	// through the decision cache). It is 0 while no batched call has run yet
-	// — or the served format has no batched kernel — and NeverBatch when the
-	// loop won at every probed width. While a background conversion is
-	// pending it describes the tuned-CSR representation being served.
+	// BatchCrossover is the narrowest batch width MulVecBatch runs the
+	// register-tiled SpMM kernel at: always 2.
+	//
+	// Deprecated: nothing is measured; every batch of two or more vectors
+	// runs the tiled kernel.
 	BatchCrossover int
 	// Overhead is the total decision cost in multiples of one CSR-SpMV
 	// execution (the paper's Table 3 unit): what the tuning call itself
@@ -696,9 +686,7 @@ type Decision struct {
 	// fallback (its tuned-CSR incumbent's first run), or a leader under an
 	// iteration hint (one basic CSR-SpMV): a confident prediction, a format
 	// hint and a cache hit run no kernel before the caller's own, so they have
-	// no unit to report in (time the call to see their cost). The
-	// batch-crossover probe is no part of it — it runs on the first batched
-	// call, and Tuner.Stats reports it.
+	// no unit to report in (time the call to see their cost).
 	Overhead float64
 }
 
