@@ -101,7 +101,7 @@ func BenchmarkServeRequest(b *testing.B) {
 			request := func(i int) *smat.Matrix[float64] {
 				a, err := smat.NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, vals[i%2])
 				if err == nil {
-					err = tuner.CSRSpMV(a, x, y, smat.WithSyncConvert())
+					err = tuner.CSRSpMV(a, x, y)
 				}
 				if err != nil {
 					b.Fatal(err)

@@ -319,7 +319,7 @@ func TestConcurrentResubmittedPattern(t *testing.T) {
 					}
 					a, err := NewCSR(m.Rows, m.Cols, rowPtr, colIdx, vals)
 					if err == nil {
-						err = tuner.CSRSpMV(a, x, y, WithSyncConvert())
+						err = tuner.CSRSpMV(a, x, y)
 					}
 					if err == nil {
 						err = oracle.CheckProduct(a.CSR(), x, y, "concurrent re-submission")

@@ -60,16 +60,16 @@ func ExampleTuner_Tune() {
 func ExampleDecision_String() {
 	fmt.Println(smat.Decision{
 		PredictedOK: true, Predicted: smat.FormatELL, Confidence: 0.97, ColumnPassSkipped: true,
-		Chosen: smat.FormatELL, Kernel: "ell_parallel_u8", Params: smat.Params{Unroll: 8}, Converted: true,
+		Chosen: smat.FormatELL, Kernel: "ell_parallel_u8", Params: smat.Params{Unroll: 8},
 	})
 	fmt.Println(smat.Decision{
 		UsedFallback: true, Confidence: 1,
-		Chosen: smat.FormatCSR, Kernel: "csr_parallel_nnz_unroll4", Converted: true,
+		Chosen: smat.FormatCSR, Kernel: "csr_parallel_nnz_unroll4",
 		IterationHint: 10, Asymptotic: smat.FormatCOO, BreakEvenIters: 40, Amortized: true, Overhead: 6.54,
 	})
 	fmt.Println(smat.Decision{
 		PredictedOK: true, Predicted: smat.FormatDIA, Confidence: 1, CacheHit: true, StructureHit: true,
-		Chosen: smat.FormatDIA, Kernel: "dia_blocked_parallel", Converted: true,
+		Chosen: smat.FormatDIA, Kernel: "dia_blocked_parallel",
 	})
 	// Output:
 	// predicted (confidence 0.97), column pass skipped: ELL via ell_parallel_u8, params u8

@@ -3,11 +3,10 @@
 // the lock-free hot paths correct, which neither the race detector (it needs
 // a racing execution) nor vet can check structurally.
 //
-// The engine-swap design (autotune.Operator), the tuned-handle slot
-// (smat.Matrix) and the worker pool barrier (kernels.Pool) all follow one
-// pattern: build a value completely, publish it with a single atomic store,
-// and have every consumer take one atomic load and treat the snapshot as
-// immutable. The analyzer checks that pattern on the framework's SSA-lite
+// The tuned-handle slot (smat.Matrix), the plan cache (kernels.Mat) and the
+// worker pool barrier (kernels.Pool) all follow one pattern: build a value
+// completely, publish it with a single atomic store, and have every consumer
+// take one atomic load and treat the snapshot as immutable. The analyzer checks that pattern on the framework's SSA-lite
 // layer (CFG + dominance + reaching definitions):
 //
 //   - a pointer passed to an atomic Store must not be mutated afterwards:
@@ -17,9 +16,7 @@
 //     initializations — when a zero-value `var p *T` definition reaches the
 //     Store, the publish is not dominated by initialization;
 //   - a snapshot obtained from an atomic Load is read-only; writing through
-//     it mutates shared state outside the protocol. Pre-publication setup
-//     (filling in an engine the caller just created) is the one legitimate
-//     exception and must carry the //smat:atomic-init directive;
+//     it mutates shared state outside the protocol;
 //   - one function takes one Load per slot: a second load of the same slot
 //     may observe a swapped value, tearing a computation across two engines;
 //   - an atomic field is only touched through its atomic methods — any plain
@@ -38,9 +35,7 @@
 //     dispatch through: spinning peers read those fields the moment the
 //     generation moves. Integer and boolean cells may be loaded repeatedly in
 //     such a function — polling is the point — the one-Load rule below keeps
-//     applying to pointer slots;
-//   - a //smat:atomic-publish function must actually publish: at least one
-//     atomic Store (or Swap/CompareAndSwap) in its body.
+//     applying to pointer slots.
 //
 // _test.go files are exempt: tests legitimately poke protocol internals.
 package atomicorder
@@ -86,12 +81,11 @@ func run(pass *framework.Pass) error {
 				continue
 			}
 			dirs := framework.FuncDirectives(fd)
-			checkFunc(pass, fd.Body, framework.SigVars(pass.Info, fd.Recv, fd.Type), dirs, fd)
+			checkFunc(pass, fd.Body, framework.SigVars(pass.Info, fd.Recv, fd.Type), dirs)
 			// Closures get their own CFG; they inherit the enclosing
-			// declaration's directives (an atomic-init constructor's helper
-			// closure is still pre-publication code).
+			// declaration's directives.
 			for _, fl := range framework.FuncLitsIn(fd.Body) {
-				checkFunc(pass, fl.Body, framework.SigVars(pass.Info, nil, fl.Type), dirs, nil)
+				checkFunc(pass, fl.Body, framework.SigVars(pass.Info, nil, fl.Type), dirs)
 			}
 		}
 	}
@@ -118,9 +112,8 @@ type fieldWrite struct {
 	pos  framework.Pos
 }
 
-// checkFunc applies every rule to one function body. fd is nil for function
-// literals (the declaration-level rules skip them).
-func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, dirs map[string]bool, fd *ast.FuncDecl) {
+// checkFunc applies every rule to one function body.
+func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, dirs map[string]bool) {
 	cfg := framework.BuildCFG(body)
 	rd := framework.BuildReachingDefs(cfg, pass.Info, params)
 
@@ -200,17 +193,14 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, d
 		}
 	}
 
-	// Rule: snapshots from an atomic Load are immutable unless the function
-	// is marked as pre-publication initialization.
-	if !dirs["smat:atomic-init"] {
-		for _, w := range writes {
-			for _, d := range rd.At(w.base, w.pos) {
-				if lc, ok := loadCallOf(pass.Info, d.RHS); ok {
-					pass.Reportf(w.node.Pos(),
-						"write through atomic Load snapshot %s (loaded from %s); consumers must treat loaded state as immutable — annotate the function //smat:atomic-init if this is pre-publication setup",
-						w.base.Name(), lc)
-					break
-				}
+	// Rule: snapshots from an atomic Load are immutable.
+	for _, w := range writes {
+		for _, d := range rd.At(w.base, w.pos) {
+			if lc, ok := loadCallOf(pass.Info, d.RHS); ok {
+				pass.Reportf(w.node.Pos(),
+					"write through atomic Load snapshot %s (loaded from %s); consumers must treat loaded state as immutable",
+					w.base.Name(), lc)
+				break
 			}
 		}
 	}
@@ -250,21 +240,6 @@ func checkFunc(pass *framework.Pass, body *ast.BlockStmt, params []*types.Var, d
 
 	if dirs["smat:wake-barrier"] {
 		checkWakeBarrier(pass, cfg, calls, sends, recvs, writes)
-	}
-
-	// Rule: an atomic-publish function actually publishes.
-	if fd != nil && dirs["smat:atomic-publish"] {
-		published := false
-		for _, ac := range calls {
-			if publishMethods[ac.method] {
-				published = true
-				break
-			}
-		}
-		if !published {
-			pass.Reportf(fd.Name.Pos(),
-				"function is annotated //smat:atomic-publish but performs no atomic Store/Swap/CompareAndSwap")
-		}
 	}
 }
 

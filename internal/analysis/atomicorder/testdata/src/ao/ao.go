@@ -1,4 +1,4 @@
-// Package ao is the atomicorder fixture: a miniature engine-swap + worker
+// Package ao is the atomicorder fixture: a miniature publish slot + worker
 // barrier protocol with one seeded violation of every rule the analyzer
 // reports, next to healthy twins that must stay quiet.
 package ao
@@ -13,12 +13,9 @@ type payload struct {
 type slotBox struct {
 	slot  atomic.Pointer[payload]
 	state atomic.Int32
-	n     int
 }
 
 // goodPublish builds the payload completely and then publishes it; quiet.
-//
-//smat:atomic-publish
 func (b *slotBox) goodPublish(n int) {
 	p := &payload{data: make([]float64, n), ready: true}
 	b.slot.Store(p)
@@ -46,15 +43,6 @@ func (b *slotBox) publishMaybeZero(n int) {
 func (b *slotBox) writeThroughSnapshot() {
 	p := b.slot.Load()
 	p.ready = false // want `write through atomic Load snapshot`
-}
-
-// initThroughSnapshot performs the same write, but the operator it fills in
-// is not yet shared — the directive marks it pre-publication setup; quiet.
-//
-//smat:atomic-init
-func (b *slotBox) initThroughSnapshot() {
-	p := b.slot.Load()
-	p.ready = true
 }
 
 // doubleLoad takes two snapshots of one slot; a swap between them tears the
@@ -186,11 +174,4 @@ func (b *barrier) lateJobField(job func()) {
 	b.pending.Store(1)
 	b.gen.Add(1)
 	b.job = job // want `written after the generation publish`
-}
-
-// silentPublish claims to publish but never stores.
-//
-//smat:atomic-publish
-func (b *slotBox) silentPublish() int { // want `performs no atomic Store`
-	return b.n
 }

@@ -1,5 +1,5 @@
 // Amortization-aware tuning: conversion cost as a first-class input to the
-// format decision, and background conversion with an atomic operator swap.
+// format decision.
 //
 // The paper's runtime procedure picks the asymptotically best format — the
 // right answer for a matrix that lives forever. A matrix that will see only
@@ -8,10 +8,8 @@
 //	convertSec + k·chosenSec ≤ k·incumbentSec
 //
 // against tuned CSR, the incumbent that costs nothing to convert to (the
-// input already is CSR). This file implements that comparison (BreakEven),
-// the per-call options carrying k, and the background conversion worker that
-// lets a long-lived matrix start serving from tuned CSR immediately while
-// the amortised winner is built off the critical path.
+// input already is CSR). This file implements that comparison (BreakEven)
+// and the per-call options carrying k.
 package autotune
 
 import (
@@ -28,8 +26,7 @@ type TuneOptions struct {
 	// will run (k in the payoff model). 0 means no estimate: tune
 	// asymptotically. Negative values are rejected. With an estimate, a
 	// non-CSR winner is only converted to when k reaches its break-even
-	// point — and on a warm decision cache the conversion happens in the
-	// background while first calls serve tuned CSR (see SyncConvert).
+	// point, and then before TuneOpts returns.
 	Iterations int
 
 	// FormatHint forces the operator's format when HasFormatHint is set,
@@ -41,12 +38,10 @@ type TuneOptions struct {
 	FormatHint    matrix.Format
 	HasFormatHint bool
 
-	// SyncConvert forces an amortised non-CSR winner to be converted inline
-	// before TuneOpts returns, instead of in the background. It has no
-	// effect when nothing would be converted (CSR winner, or k below
-	// break-even). A single-CPU process (GOMAXPROCS 1) behaves as if
-	// SyncConvert were always set: with no spare core, backgrounding the
-	// conversion only delays the swap behind the serving goroutine.
+	// SyncConvert has no effect.
+	//
+	// Deprecated: every conversion runs before TuneOpts returns; the field
+	// stays for benchmark/, which sets it.
 	SyncConvert bool
 
 	// Pattern is the matrix's sparsity-pattern signature (matrix.CSR.Sign) when
@@ -57,13 +52,6 @@ type TuneOptions struct {
 	// must be the signature of the arrays as they are now; a stale or
 	// colliding one costs a rescan, not a wrong product (see tuning.run).
 	Pattern matrix.Signature
-
-	// HoldConversion, when non-nil, makes the background conversion worker
-	// block until the channel is closed before it starts converting. It
-	// exists for tests and the differential oracle, which need to pin the
-	// operator in its pre-swap state and release the swap at a chosen
-	// moment. Production callers leave it nil.
-	HoldConversion <-chan struct{}
 }
 
 // validate rejects option combinations with no defined meaning.
@@ -104,58 +92,6 @@ func BreakEven(convertSec, incumbentSec, chosenSec float64) int {
 		return NeverAmortize
 	}
 	return int(be)
-}
-
-// ConversionState reports where an operator stands in the background
-// conversion lifecycle.
-type ConversionState int32
-
-const (
-	// ConvertNone: the operator was born in its final format; no background
-	// conversion was ever scheduled.
-	ConvertNone ConversionState = iota
-	// ConvertPending: a worker is building the amortised winner; calls serve
-	// the tuned-CSR incumbent until the swap lands.
-	ConvertPending
-	// ConvertDone: the background conversion finished and the operator now
-	// serves the converted format.
-	ConvertDone
-	// ConvertFailed: the background conversion failed (the fill guard can
-	// reject a fingerprint-colliding matrix) or panicked; the operator serves
-	// tuned CSR permanently, which is always correct.
-	ConvertFailed
-)
-
-// String returns a stable lower-case name for the state.
-func (s ConversionState) String() string {
-	switch s {
-	case ConvertNone:
-		return "none"
-	case ConvertPending:
-		return "pending"
-	case ConvertDone:
-		return "done"
-	case ConvertFailed:
-		return "failed"
-	default:
-		return fmt.Sprintf("ConversionState(%d)", int32(s))
-	}
-}
-
-// ConversionState reports the operator's background-conversion state.
-func (o *Operator[T]) ConversionState() ConversionState {
-	return ConversionState(o.convState.Load())
-}
-
-// AwaitConversion blocks until a pending background conversion has either
-// swapped in the converted engine or failed, then returns the final state.
-// It returns immediately (ConvertNone) for operators born in their final
-// format.
-func (o *Operator[T]) AwaitConversion() ConversionState {
-	if o.convDone != nil {
-		<-o.convDone
-	}
-	return o.ConversionState()
 }
 
 // validForHint returns the cache-entry validation predicate for a tuning

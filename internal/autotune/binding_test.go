@@ -53,12 +53,10 @@ func TestShippedModelBindings(t *testing.T) {
 // settled. Zero-valued formats are not special: every field is compared.
 type bindingWant struct {
 	// chosen and asymptotic are Decision.Chosen / Asymptotic; served is
-	// op.Format() after any background conversion has finished.
+	// op.Format().
 	chosen, asymptotic, served matrix.Format
 	predictedOK, usedFallback  bool
 	cacheHit, amortized        bool
-	converted                  bool
-	state                      ConversionState
 	// params is Decision.Params: resolved from the model and the kernel on
 	// paths that decide or serve the incumbent, the cache entry's verbatim on
 	// hits.
@@ -107,8 +105,8 @@ type bindingResult struct {
 }
 
 // bindingPaths are the ways a tuner comes to bind a kernel. Each returns the
-// operator in its final state, the decision that describes it, and the
-// contract the pair must meet.
+// operator, the decision that describes it, and the contract the pair must
+// meet.
 var bindingPaths = []struct {
 	name string
 	tune func(t *testing.T, model func(conf float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult
@@ -119,7 +117,7 @@ var bindingPaths = []struct {
 		if err != nil {
 			t.Fatalf("Tune: %v", err)
 		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, converted: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true}}
 	}},
 	{"fallback", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], _ matrix.Format) bindingResult {
 		tn := New[float64](model(0.30), Config{Threads: threads})
@@ -129,7 +127,7 @@ var bindingPaths = []struct {
 		}
 		// Whichever format measured fastest: the contract is that decision
 		// and operator agree on it.
-		return bindingResult{tn, m, op, d, bindingWant{chosen: d.Chosen, asymptotic: d.Chosen, served: d.Chosen, usedFallback: true, converted: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: d.Chosen, asymptotic: d.Chosen, served: d.Chosen, usedFallback: true}}
 	}},
 	{"format-hint", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
@@ -137,7 +135,7 @@ var bindingPaths = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, converted: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true}}
 	}},
 	{"no-fallback", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.30), Config{Threads: threads, DisableFallback: true})
@@ -145,7 +143,7 @@ var bindingPaths = []struct {
 		if err != nil {
 			t.Fatalf("Tune: %v", err)
 		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, converted: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f}}
 	}},
 	{"cache-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
@@ -158,7 +156,7 @@ var bindingPaths = []struct {
 			t.Fatalf("second Tune: %v", err)
 		}
 		// The hit binds the leader's parameters.
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true,
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true,
 			params: lead.Params}}
 	}},
 	{"amortised-incumbent", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
@@ -171,35 +169,17 @@ var bindingPaths = []struct {
 		// Two iterations cannot pay for a conversion: tuned CSR serves, with
 		// its own parameters. A cached CSR winner is a plain hit.
 		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: f, served: matrix.FormatCSR, predictedOK: true, cacheHit: true,
-			amortized: f != matrix.FormatCSR, converted: true}}
+			amortized: f != matrix.FormatCSR}}
 	}},
-	{"background-swap", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
+	{"hinted-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
+		// Past break-even: the hit converts before TuneOpts returns.
 		tn := New[float64](model(0.99), Config{Threads: threads})
 		tn.Cache().Put(m2key(tn, m), costedEntry(f))
-		hold := make(chan struct{})
-		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
+		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true}
-		if f != matrix.FormatCSR {
-			if st := op.ConversionState(); st != ConvertPending || op.Format() != matrix.FormatCSR {
-				t.Errorf("before release: state %v serving %v, want pending on CSR", st, op.Format())
-			}
-			want.converted, want.state = false, ConvertDone
-		}
-		close(hold)
-		op.AwaitConversion()
-		return bindingResult{tn, m, op, d, want}
-	}},
-	{"sync-convert-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
-		tn := New[float64](model(0.99), Config{Threads: threads})
-		tn.Cache().Put(m2key(tn, m), costedEntry(f))
-		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, SyncConvert: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true, converted: true}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true}}
 	}},
 	{"collision-redecide", func(t *testing.T, model func(float64) *Model, threads int, _ *matrix.CSR[float64], _ matrix.Format) bindingResult {
 		// The cached DIA entry does not fit this matrix: the inline conversion
@@ -211,7 +191,7 @@ var bindingPaths = []struct {
 		local.Ruleset = modelAlways(matrix.FormatCSR, 0.99).Ruleset
 		tn := New[float64](local, Config{Threads: threads})
 		tn.Cache().Put(m2key(tn, m), costedEntry(matrix.FormatDIA))
-		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, SyncConvert: true})
+		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,24 +199,7 @@ var bindingPaths = []struct {
 			t.Errorf("local CSR decision carries payoff numbers break-even %d, chosen %gs, incumbent %gs, convert %gs; want none",
 				d.BreakEvenIters, d.ChosenSpMVSec, d.IncumbentSec, d.ConvertSec)
 		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: matrix.FormatCSR, served: matrix.FormatCSR, predictedOK: true, converted: true}}
-	}},
-	{"background-swap-fill-guard", func(t *testing.T, model func(float64) *Model, threads int, _ *matrix.CSR[float64], _ matrix.Format) bindingResult {
-		// The same collision met in the background: the worker's conversion
-		// fails, the operator keeps serving the tuned-CSR incumbent, and the
-		// decision keeps describing the swap that was scheduled.
-		m := collisionMatrix(t)
-		tn := New[float64](model(0.99), Config{Threads: threads})
-		tn.Cache().Put(m2key(tn, m), costedEntry(matrix.FormatDIA))
-		hold := make(chan struct{})
-		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20, HoldConversion: hold})
-		if err != nil {
-			t.Fatal(err)
-		}
-		close(hold)
-		op.AwaitConversion()
-		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatDIA, asymptotic: matrix.FormatDIA, served: matrix.FormatCSR, predictedOK: true, cacheHit: true,
-			state: ConvertFailed}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: matrix.FormatCSR, served: matrix.FormatCSR, predictedOK: true}}
 	}},
 }
 
@@ -247,12 +210,9 @@ func checkBindingContract(t *testing.T, label string, r bindingResult) {
 	if d.Chosen != w.chosen || d.Asymptotic != w.asymptotic || r.op.Format() != w.served {
 		t.Errorf("%s: chosen %v asymptotic %v served %v, want %v %v %v", label, d.Chosen, d.Asymptotic, r.op.Format(), w.chosen, w.asymptotic, w.served)
 	}
-	if d.PredictedOK != w.predictedOK || d.UsedFallback != w.usedFallback || d.CacheHit != w.cacheHit || d.Amortized != w.amortized || d.Converted != w.converted {
-		t.Errorf("%s: predictedOK %v usedFallback %v cacheHit %v amortized %v converted %v, want %v %v %v %v %v", label,
-			d.PredictedOK, d.UsedFallback, d.CacheHit, d.Amortized, d.Converted, w.predictedOK, w.usedFallback, w.cacheHit, w.amortized, w.converted)
-	}
-	if st := r.op.ConversionState(); st != w.state {
-		t.Errorf("%s: conversion state %v, want %v", label, st, w.state)
+	if d.PredictedOK != w.predictedOK || d.UsedFallback != w.usedFallback || d.CacheHit != w.cacheHit || d.Amortized != w.amortized {
+		t.Errorf("%s: predictedOK %v usedFallback %v cacheHit %v amortized %v, want %v %v %v %v", label,
+			d.PredictedOK, d.UsedFallback, d.CacheHit, d.Amortized, w.predictedOK, w.usedFallback, w.cacheHit, w.amortized)
 	}
 	if want := r.tn.kernelFor(w.chosen).Name; d.Kernel != want {
 		t.Errorf("%s: decision names kernel %s, this tuner binds %s for %v", label, d.Kernel, want, w.chosen)
@@ -272,7 +232,7 @@ func checkBindingContract(t *testing.T, label string, r bindingResult) {
 	}
 
 	// The engine serves the batch kernel of the format it holds.
-	e := r.op.eng.Load()
+	e := r.op.eng
 	if want := r.tn.lib.BatchFor(w.served); e.batch == nil || e.batch != want {
 		t.Errorf("%s: engine batch kernel %+v, want the served format %v's %+v", label, e.batch, w.served, want)
 	}

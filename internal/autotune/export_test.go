@@ -28,12 +28,6 @@ func PlantStructure[T matrix.Float](c *Cache, under, of *matrix.CSR[T], rowsOnly
 		&structureRecord{features: features.FromStructure(s), layout: s.Layout, band: s.Band()})
 }
 
-// FailConversions plants a panic in every engine t binds from now on: the
-// kernel library goes, so bind dereferences nil. Engines already bound keep
-// serving. It is the fault convertWorker's recover contains; call it while
-// no tune is in flight other than a held background conversion.
-func (t *Tuner[T]) FailConversions() { t.lib = nil }
-
 // TuneFullScan is TuneOpts with the extract stage forced through both passes
 // of the scan whatever the row pass decides: the tuner the two-phase extract is
 // held to.

@@ -56,8 +56,7 @@ type Decision struct {
 	// diagonal. The decision cache is keyed by Features as they stand.
 	ColumnPassSkipped bool
 
-	// Chosen is the format the returned operator serves (or, for a pending
-	// background conversion, will serve once the swap lands); Kernel the
+	// Chosen is the format the returned operator serves; Kernel the
 	// implementation name.
 	Chosen matrix.Format
 	Kernel string
@@ -92,12 +91,6 @@ type Decision struct {
 	// cannot pay for the conversion.
 	Amortized bool
 
-	// Converted reports that the returned operator was already materialised
-	// in its final (Chosen) format when tuning returned. It is false only
-	// while a background conversion is pending — see
-	// Operator.ConversionState.
-	Converted bool
-
 	// ChosenSpMVSec and IncumbentSec are the per-SpMV seconds of the chosen
 	// format and of the tuned-CSR incumbent — the two rates of the payoff
 	// model behind BreakEvenIters. ConvertStored is the number of element
@@ -114,9 +107,7 @@ type Decision struct {
 	// AmortProbeSec: the leader's probe — the per-SpMV rate probes behind
 	// BreakEvenIters and their baseline run, only under an iteration hint.
 	// ConvertSec: record — the conversion this call performed for the chosen
-	// format, or, while a background conversion is pending, the cached
-	// leader's measurement of it (excluded from TuneSec: the worker pays it
-	// off the caller's critical path). Stages that did not run leave zero.
+	// format. Stages that did not run leave zero.
 	//
 	// CSRSpMVSec is one CSR SpMV on this matrix, the unit of Overhead. On the
 	// execute-and-measure path it is the tuned-CSR incumbent's first timed run
@@ -141,13 +132,7 @@ type Decision struct {
 // TuneSec returns the seconds the tuning call spent in its stages: the
 // numerator of the paper's Table 3 overhead.
 func (d *Decision) TuneSec() float64 {
-	convert := d.ConvertSec
-	if !d.Converted && d.CacheHit {
-		// Background conversion: the worker pays ConvertSec off the caller's
-		// critical path, so it is not part of the caller-visible cost.
-		convert = 0
-	}
-	return d.FeatureSec + convert + d.FallbackSec + d.AmortProbeSec
+	return d.FeatureSec + d.ConvertSec + d.FallbackSec + d.AmortProbeSec
 }
 
 // Overhead returns the total decision cost in multiples of one CSR-SpMV
@@ -161,12 +146,9 @@ func (d *Decision) Overhead() float64 {
 	return d.TuneSec() / d.CSRSpMVSec
 }
 
-// engine is the swappable, immutable execution state of an Operator: the
-// matrix materialised in one format, bound to that format's single-vector and
-// tiled SpMM kernels. The background conversion worker builds a new engine off
-// to the side and publishes it with a single atomic store; calls already in
-// flight keep the engine they loaded, so a swap can never tear a running
-// SpMV.
+// engine is the immutable execution state of an Operator: the matrix
+// materialised in one format, bound to that format's single-vector and tiled
+// SpMM kernels.
 type engine[T matrix.Float] struct {
 	mat    *kernels.Mat[T]
 	kernel *kernels.Kernel[T]
@@ -175,23 +157,12 @@ type engine[T matrix.Float] struct {
 
 // Operator is a tuned SpMV: the matrix materialised in its chosen format
 // bound to its chosen kernel and the tuner's persistent worker pool. It is
-// what SMAT_xCSR_SpMV hands back.
-//
-// The execution state lives behind one atomic engine pointer so a background
-// conversion (see TuneOptions.Iterations) can swap the serving format
-// mid-stream: every call loads the engine once and runs it to completion,
-// concurrent with but never torn by a swap.
+// what SMAT_xCSR_SpMV hands back. Its engine is set once, before TuneOpts
+// returns it, and never changes.
 type Operator[T matrix.Float] struct {
-	eng  atomic.Pointer[engine[T]]
+	eng  *engine[T]
 	pool *kernels.Pool[T]
 	nnz  int
-
-	// convState tracks the background-conversion lifecycle (ConversionState
-	// values); convDone is closed by the worker once the swap — or its
-	// failure — is final. convDone is nil for operators born in their final
-	// format.
-	convState atomic.Int32
-	convDone  chan struct{}
 }
 
 // MulVec computes y = A·x on the steady-state execution path: the work
@@ -206,7 +177,7 @@ type Operator[T matrix.Float] struct {
 //smat:hotpath
 func (o *Operator[T]) MulVec(x, y []T) {
 	checkOverlap(x, y)
-	e := o.eng.Load()
+	e := o.eng
 	e.kernel.RunPooled(e.mat, x, y, o.pool)
 }
 
@@ -243,7 +214,7 @@ func (o *Operator[T]) MulVecBatch(xb, yb []T, k int) {
 	if k == 0 {
 		return
 	}
-	e := o.eng.Load()
+	e := o.eng
 	rows, cols := e.mat.Dims()
 	if len(xb) != cols*k || len(yb) != rows*k {
 		batchShapeMismatch(rows, cols, len(xb), len(yb), k)
@@ -289,19 +260,17 @@ func batchShapeMismatch(rows, cols, lx, ly, k int) {
 		rows, cols, k, cols*k, rows*k, lx, ly))
 }
 
-// Format returns the storage format the operator currently serves. While a
-// background conversion is pending this is the tuned-CSR incumbent's format;
-// it becomes Decision.Chosen once the swap lands.
-func (o *Operator[T]) Format() matrix.Format { return o.eng.Load().mat.Format }
+// Format returns the storage format the operator serves: Decision.Chosen.
+func (o *Operator[T]) Format() matrix.Format { return o.eng.mat.Format }
 
-// KernelName returns the implementation the operator currently serves.
-func (o *Operator[T]) KernelName() string { return o.eng.Load().kernel.Name }
+// KernelName returns the implementation the operator serves.
+func (o *Operator[T]) KernelName() string { return o.eng.kernel.Name }
 
 // NNZ returns the operator's nonzero count.
 func (o *Operator[T]) NNZ() int { return o.nnz }
 
 // Dims returns the operator's dimensions.
-func (o *Operator[T]) Dims() (rows, cols int) { return o.eng.Load().mat.Dims() }
+func (o *Operator[T]) Dims() (rows, cols int) { return o.eng.mat.Dims() }
 
 // Tuner is the runtime component: it holds a trained model and produces
 // tuned operators from CSR inputs. All methods are safe for concurrent use:

@@ -184,7 +184,7 @@ func TestTuneCacheCollisionFallsBackToLocalDecision(t *testing.T) {
 		opts  TuneOptions
 	}{
 		{"asymptotic", CacheEntry{Format: matrix.FormatDIA, Confidence: 1, Measured: true}, TuneOptions{}},
-		{"hinted-sync", costedEntry(matrix.FormatDIA), TuneOptions{Iterations: 1 << 20, SyncConvert: true}},
+		{"hinted", costedEntry(matrix.FormatDIA), TuneOptions{Iterations: 1 << 20}},
 	} {
 		tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
 		key := m2key(tuner, m)

@@ -6,10 +6,11 @@
 // runs select → build → probe → payoff: its conversion doubles as the cost
 // probe, so the payoff is weighed last. A cache hit runs select → payoff →
 // build, so nothing is converted below break-even. Both end in serve, which
-// records the decision and publishes the engine. The matrix structure is read
-// at most once, by extract: the features and every conversion work from that
-// scan — or, for a signed matrix whose pattern the cache's structure index
-// remembers, from the remembered record, and the structure is not read at all.
+// records the decision and hands the operator its engine. The matrix
+// structure is read at most once, by extract: the features and every
+// conversion work from that scan — or, for a signed matrix whose pattern the
+// cache's structure index remembers, from the remembered record, and the
+// structure is not read at all.
 // The scan is two passes, and the O(nnz) one over ColIdx runs only when the
 // O(rows) one over RowPtr leaves the model's verdict open (decided).
 // A kernel runs only where the call itself consumes the measurement: two runs
@@ -21,7 +22,6 @@ package autotune
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"smat/internal/features"
@@ -37,7 +37,7 @@ type tuning[T matrix.Float] struct {
 	rec  *structureRecord // of m: extract's one scan, or the structure index's memory of one
 	opts TuneOptions
 
-	// op is the operator under construction; serve publishes its engine.
+	// op is the operator under construction; serve sets its engine.
 	op *Operator[T]
 
 	// base is what extract learned. Every attempt (begin) records onto a
@@ -63,11 +63,12 @@ type choice[T matrix.Float] struct {
 	predicted  bool // selected without measuring: hint, cache entry, confident rule group
 	cacheHit   bool
 
-	// The payoff model's inputs, zero while unknown: the cache selector
-	// copies the entry's for a hinted request, the measuring selector records
-	// the rates it timed, the leader's probe fills in the rest.
-	convertSec, spmvSec, incumbentSec float64
-	breakEven                         int
+	// The payoff model's rates and break-even, zero while unknown: the cache
+	// selector copies the entry's for a hinted request, the measuring
+	// selector records the rates it timed, the leader's probe fills in the
+	// rest.
+	spmvSec, incumbentSec float64
+	breakEven             int
 
 	// eng is the format materialised, once it has been — by a selector that
 	// had to convert to select, or by the build stage — and convert that
@@ -239,7 +240,7 @@ func (tn *tuning[T]) cached(entry CacheEntry) *choice[T] {
 	c := &choice[T]{format: entry.Format, params: entry.Params, confidence: entry.Confidence,
 		predicted: true, cacheHit: true}
 	if tn.opts.Iterations > 0 && entry.Format != matrix.FormatCSR {
-		c.convertSec, c.spmvSec, c.incumbentSec = entry.ConvertSec, entry.SpMVSec, entry.IncumbentSec
+		c.spmvSec, c.incumbentSec = entry.SpMVSec, entry.IncumbentSec
 		c.breakEven = BreakEven(entry.ConvertSec, entry.IncumbentSec, entry.SpMVSec)
 	}
 	return c
@@ -475,30 +476,17 @@ const (
 	// serveIncumbent: the iteration hint cannot pay for the conversion; the
 	// operator serves tuned CSR and nothing is converted.
 	serveIncumbent
-	// serveSwap: the operator serves tuned CSR now and swaps to the chosen
-	// format when a background conversion finishes.
-	serveSwap
 )
 
 // payoff weighs a choice whose conversion pays off from breakEven SpMVs on
-// against the caller's options. Without an iteration hint, or with nothing to
-// convert, the choice is served as is; below break-even tuned CSR serves
-// instead. At or above it the conversion runs — inline when SyncConvert asks
-// for it or when a single-CPU process has no spare core to pay it off the
-// critical path (backgrounding there only delays the swap behind the serving
-// goroutine), otherwise in the background. A HoldConversion channel overrides
-// the CPU check: it exists precisely to pin the background protocol open for
-// tests and the differential oracle.
-func payoff(f matrix.Format, breakEven int, opts TuneOptions, cpus int) outcome {
-	switch {
-	case opts.Iterations <= 0 || f == matrix.FormatCSR:
-		return serveChosen
-	case opts.Iterations < breakEven:
+// against the caller's iteration hint. Without one, or with nothing to
+// convert, or at or above break-even, the choice is served; below break-even
+// tuned CSR serves instead.
+func payoff(f matrix.Format, breakEven, iterations int) outcome {
+	if iterations > 0 && f != matrix.FormatCSR && iterations < breakEven {
 		return serveIncumbent
-	case opts.SyncConvert || (cpus == 1 && opts.HoldConversion == nil):
-		return serveChosen
 	}
-	return serveSwap
+	return serveChosen
 }
 
 // bind resolves everything about an engine but its matrix: this tuner's
@@ -514,9 +502,9 @@ func (t *Tuner[T]) bind(f matrix.Format) (*engine[T], error) {
 }
 
 // build is the one materialise-and-bind site: every engine — a selector's
-// candidate, a cache hit's format, the tuned-CSR incumbent, the background
-// worker's swap target — is the matrix converted with the given parameters
-// under the given fill limit, from the call's layout, bound by bind. It fails
+// candidate, a cache hit's format, the tuned-CSR incumbent — is the matrix
+// converted with the given parameters under the given fill limit, from the
+// call's layout, bound by bind. It fails
 // when the tuner serves no kernel for the format, the format's zero-fill guard
 // rejects this particular matrix, or the layout is not this matrix's
 // (matrix.ErrStructureMismatch: only a remembered one can be).
@@ -642,54 +630,30 @@ func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 }
 
 // serve is the shared tail of every path: weigh the choice (payoff), build
-// whatever is served and not built yet, record the decision, publish the
-// engine. It fails only on a cache hit whose format does not fit this matrix
-// or this tuner — a fingerprint collision — or on a remembered layout that is
-// another pattern's, and then nothing is published.
-//
-//smat:atomic-publish
+// whatever is served and not built yet, record the decision, set the
+// operator's engine. It fails only on a cache hit whose format does not fit
+// this matrix or this tuner — a fingerprint collision — or on a remembered
+// layout that is another pattern's, and then the operator gets no engine.
 func (tn *tuning[T]) serve(c *choice[T]) error {
-	t, op := tn.t, tn.op
-	out := payoff(c.format, c.breakEven, tn.opts, runtime.GOMAXPROCS(0))
-	if out == serveSwap && c.eng != nil {
-		// Already converted: the leader's conversion doubled as its cost
-		// probe (and a format hint always converts inline).
-		out = serveChosen
-	}
-
-	if out == serveChosen && c.eng == nil {
+	out := payoff(c.format, c.breakEven, tn.opts.Iterations)
+	e := c.eng
+	switch {
+	case out == serveIncumbent:
+		e = tn.incumbent()
+	case e == nil:
 		if err := tn.materialise(c); err != nil {
 			return err
 		}
+		e = c.eng
 	}
-
-	// e is the engine served now; described the one the decision describes —
-	// the swap target while a background conversion is pending.
-	e, described := c.eng, c.eng
-	switch out {
-	case serveIncumbent:
-		e = tn.incumbent()
-		described = e
-	case serveSwap:
-		var err error
-		if described, err = t.bind(c.format); err != nil {
-			return err
-		}
-		e = tn.incumbent()
-		op.convDone = make(chan struct{})
-		op.convState.Store(int32(ConvertPending))
-	}
-	tn.record(c, out, described)
-	op.eng.Store(e)
-	if out == serveSwap {
-		go t.convertWorker(op, tn.m, &tn.rec.layout, c.format, c.params, tn.opts.HoldConversion)
-	}
+	tn.record(c, out, e)
+	tn.op.eng = e
 	return nil
 }
 
 // record is the last stage and the only writer of the decision's provenance,
 // choice and payoff fields: what was selected and how (c), what the payoff
-// stage made of it (out), and the engine the decision describes.
+// stage made of it (out), and the engine the operator serves.
 func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
 	d := tn.d
 	if c.predicted {
@@ -702,11 +666,7 @@ func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
 	d.BreakEvenIters = c.breakEven
 	d.ChosenSpMVSec, d.IncumbentSec = c.spmvSec, c.incumbentSec
 	d.Amortized = out == serveIncumbent
-	d.Converted = out != serveSwap
 	d.ConvertSec, d.ConvertStored = c.convert.Sec, c.convert.Stored
-	if out == serveSwap {
-		d.ConvertSec = c.convertSec // the cost being paid in the background
-	}
 
 	d.Chosen = e.kernel.Format
 	d.Kernel = e.kernel.Name
@@ -716,35 +676,4 @@ func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
 	if !c.cacheHit || d.Amortized {
 		d.Params = tn.t.resolvedParams(e)
 	}
-}
-
-// convertWorker is the single background conversion worker of one operator:
-// it builds the amortised winner and publishes it with one atomic engine
-// store. The state transition to ConvertDone happens after the store, so an
-// observer that sees Done is guaranteed the next call serves the new format.
-// Failure (the fill guard on a fingerprint-colliding matrix, a remembered
-// layout that is another pattern's) leaves the operator serving tuned CSR
-// permanently — correct, just not faster. So does a panic: this goroutine has
-// no caller to unwind to, so an escaped one would end the process over an
-// optimisation the operator can serve without.
-//
-//smat:syncsafe
-//smat:atomic-publish
-func (t *Tuner[T]) convertWorker(op *Operator[T], m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, hold <-chan struct{}) {
-	defer close(op.convDone)
-	defer func() {
-		if recover() != nil {
-			op.convState.Store(int32(ConvertFailed))
-		}
-	}()
-	if hold != nil {
-		<-hold
-	}
-	e, _, err := t.build(m, lay, f, p, t.model.MaxFill)
-	if err != nil {
-		op.convState.Store(int32(ConvertFailed))
-		return
-	}
-	op.eng.Store(e)
-	op.convState.Store(int32(ConvertDone))
 }

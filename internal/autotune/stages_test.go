@@ -17,47 +17,26 @@ import (
 
 // TestPayoffOutcomes pins the payoff stage over its whole input space:
 // iteration hint none / below / at / above a break-even of 10, a CSR or a
-// non-CSR choice, SyncConvert, a HoldConversion channel, one or four CPUs.
+// non-CSR choice.
 func TestPayoffOutcomes(t *testing.T) {
 	const breakEven = 10
-	hold := make(chan struct{})
 	for _, iters := range []int{0, breakEven - 1, breakEven, breakEven + 1} {
 		for _, f := range []matrix.Format{matrix.FormatCSR, matrix.FormatDIA} {
-			for _, sync := range []bool{false, true} {
-				for _, held := range []bool{false, true} {
-					for _, cpus := range []int{1, 4} {
-						opts := TuneOptions{Iterations: iters, SyncConvert: sync}
-						if held {
-							opts.HoldConversion = hold
-						}
-						var want outcome
-						switch {
-						case iters == 0, f == matrix.FormatCSR:
-							want = serveChosen // asymptotic, or nothing to convert
-						case iters < breakEven:
-							want = serveIncumbent
-						case sync:
-							want = serveChosen
-						case cpus == 1 && !held:
-							want = serveChosen // no spare core: convert inline
-						default:
-							want = serveSwap
-						}
-						if got := payoff(f, breakEven, opts, cpus); got != want {
-							t.Errorf("payoff(%v, break-even %d, iterations %d, sync %v, held %v, %d cpus) = %d, want %d",
-								f, breakEven, iters, sync, held, cpus, got, want)
-						}
-					}
-				}
+			want := serveChosen // asymptotic, nothing to convert, or at/above break-even
+			if iters > 0 && f != matrix.FormatCSR && iters < breakEven {
+				want = serveIncumbent
+			}
+			if got := payoff(f, breakEven, iters); got != want {
+				t.Errorf("payoff(%v, break-even %d, iterations %d) = %d, want %d", f, breakEven, iters, got, want)
 			}
 		}
 	}
 	// A choice that never amortises serves tuned CSR at any hint; one whose
 	// rates were never probed (break-even 0: an empty matrix) is served as is.
-	if got := payoff(matrix.FormatDIA, NeverAmortize, TuneOptions{Iterations: 1 << 20, SyncConvert: true}, 4); got != serveIncumbent {
+	if got := payoff(matrix.FormatDIA, NeverAmortize, 1<<20); got != serveIncumbent {
 		t.Errorf("never-amortising choice: outcome %d, want the incumbent", got)
 	}
-	if got := payoff(matrix.FormatDIA, 0, TuneOptions{Iterations: 1, SyncConvert: true}, 4); got != serveChosen {
+	if got := payoff(matrix.FormatDIA, 0, 1); got != serveChosen {
 		t.Errorf("unprobed choice: outcome %d, want the choice", got)
 	}
 }
@@ -127,7 +106,7 @@ func TestProbeWorkspaceBudget(t *testing.T) {
 		{"predicted-CSR", modelAlways(matrix.FormatCSR, 0.99), TuneOptions{}, 0, 0},
 		{"predicted-DIA", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{}, converting(DefaultMaxFill, matrix.FormatDIA), 0},
 		{"hinted-format-ELL", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{FormatHint: matrix.FormatELL, HasFormatHint: true}, converting(DefaultMaxFill, matrix.FormatELL), 0},
-		{"predicted-DIA-hinted", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{Iterations: 1 << 20, SyncConvert: true}, converting(DefaultMaxFill, matrix.FormatDIA), 2},
+		{"predicted-DIA-hinted", modelAlways(matrix.FormatDIA, 0.99), TuneOptions{Iterations: 1 << 20}, converting(DefaultMaxFill, matrix.FormatDIA), 2},
 		{"measured-no-opinion", noOpinion, TuneOptions{}, converting(fallbackMaxFill, challengers(noOpinion)...), 2},
 		{"measured-one-group", oneGroup, TuneOptions{}, converting(fallbackMaxFill, matrix.FormatDIA), 2},
 	} {
@@ -231,7 +210,7 @@ func TestPredictedLeaderRunsNoKernel(t *testing.T) {
 		opts TuneOptions
 	}{
 		{"fallback", 0.30, TuneOptions{}},
-		{"iteration hint", 0.99, TuneOptions{Iterations: 1 << 20, SyncConvert: true}},
+		{"iteration hint", 0.99, TuneOptions{Iterations: 1 << 20}},
 	} {
 		tuner, runs := counting(modelAlways(matrix.FormatDIA, c.conf))
 		tn := tune(tuner, c.opts)
@@ -399,13 +378,13 @@ func TestFallbackRunsTwoPerContender(t *testing.T) {
 
 // TestCOOEngineAliasesInput: a COO engine is a view of the caller's matrix —
 // its column indices and values are the input's own arrays, as the CSR
-// engine's are; only the row indices are the engine's — whether the tune
-// converted inline or the background worker swapped it in.
+// engine's are; only the row indices are the engine's — whether a leader or a
+// hinted cache hit converted it.
 func TestCOOEngineAliasesInput(t *testing.T) {
 	m := gen.RandomUniform[float64](500, 500, 6, rand.New(rand.NewSource(35)))
 	check := func(label string, op *Operator[float64]) {
 		t.Helper()
-		coo := op.eng.Load().mat.COO
+		coo := op.eng.mat.COO
 		if coo == nil {
 			t.Fatalf("%s: operator serves %v, want COO", label, op.Format())
 		}
@@ -424,24 +403,18 @@ func TestCOOEngineAliasesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("inline", op)
+	check("leader", op)
 
-	// A costed entry past break-even: the hit serves tuned CSR and swaps.
-	tuner.Cache().Put(m2key(tuner, m), CacheEntry{Format: matrix.FormatCOO, Confidence: 1, Measured: true,
-		ConvertSec: 1.0, SpMVSec: 0.1, IncumbentSec: 0.2})
-	hold := make(chan struct{})
-	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100, HoldConversion: hold})
+	// A costed entry past break-even: the hit converts.
+	tuner.Cache().Put(m2key(tuner, m), costedEntry(matrix.FormatCOO))
+	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.CacheHit || d.Converted || op.Format() != matrix.FormatCSR {
-		t.Fatalf("decision %+v serving %v, want a pending COO conversion behind tuned CSR", d, op.Format())
+	if !d.CacheHit {
+		t.Fatalf("decision %+v, want a cache hit", d)
 	}
-	close(hold)
-	if st := op.AwaitConversion(); st != ConvertDone {
-		t.Fatalf("AwaitConversion = %v, want done", st)
-	}
-	check("background swap", op)
+	check("hinted hit", op)
 }
 
 // TestLeaderDecisionOwnsItsSeconds: each Decision second is written by one
@@ -465,7 +438,7 @@ func TestLeaderDecisionOwnsItsSeconds(t *testing.T) {
 		{conf: 0.99, iterations: 1 << 20, hint: true},
 	} {
 		tuner := New[float64](modelAlways(matrix.FormatDIA, c.conf), Config{Threads: 2, CacheSize: -1})
-		_, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: c.iterations, SyncConvert: true, FormatHint: matrix.FormatDIA, HasFormatHint: c.hint})
+		_, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: c.iterations, FormatHint: matrix.FormatDIA, HasFormatHint: c.hint})
 		if err != nil {
 			t.Fatal(err)
 		}

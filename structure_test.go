@@ -57,7 +57,7 @@ func serve(t *testing.T, tuner *smat.Tuner[float64], what string, rows, cols int
 	for i := range y {
 		y[i] = math.NaN()
 	}
-	if err := tuner.CSRSpMV(a, x, y, smat.WithSyncConvert()); err != nil {
+	if err := tuner.CSRSpMV(a, x, y); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	if err := oracle.CheckProduct(a.CSR(), x, y, what); err != nil {
