@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"smat/internal/gen"
 	"smat/internal/kernels"
@@ -386,5 +387,57 @@ func TestStatsReportPoolWork(t *testing.T) {
 	sop.MulVec(make([]float64, small.Cols), make([]float64, small.Rows))
 	if st := tn.Stats().Pool; st.SerialCutoff != before.SerialCutoff+1 || st.Pooled != before.Pooled {
 		t.Errorf("one MulVec on %d nonzeros moved the pool counters from %+v to %+v; want one serial-cutoff hit", small.NNZ(), before, st)
+	}
+}
+
+// TestTuneWarmsPoolForLargeConversions is a cold-tune-shaped sequence: a fresh
+// tuner, a DIA matrix of ≈ 40 k entries, and an idle gap before each later
+// tune long enough for the pool's worker to park. The first tune starts the
+// worker before anything is dispatched, each later one wakes it as the tune
+// starts (Warmed +1 each), and every tune converts on it (Pooled +1 each).
+// Whether the conversion then finds the worker still polling (Woken +0)
+// depends on the scan and the allocation ahead of it being shorter than the
+// worker's OS wake plus its spin budget — on this matrix they are close, so
+// that count is logged, not held (the pool's own tests hold Warm's contract).
+// A matrix below kernels.ConvertWork neither warms the pool nor converts on it.
+func TestTuneWarmsPoolForLargeConversions(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a tuner's threads are capped at GOMAXPROCS; the pool needs two")
+	}
+	m := gen.Laplacian2D5pt[float64](90, 90)
+	if m.NNZ() < kernels.ConvertWork {
+		t.Fatalf("%d nonzeros is below the conversion cutoff %d", m.NNZ(), kernels.ConvertWork)
+	}
+	tn := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2, CacheSize: -1})
+	defer tn.Close()
+	woken := 0
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			time.Sleep(20 * time.Millisecond) // far past the spin budget, under load too
+		}
+		before := tn.Stats().Pool
+		op, _, err := tn.Tune(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op.Format() != matrix.FormatDIA {
+			t.Fatalf("tune %d served %v, want DIA", i, op.Format())
+		}
+		st := tn.Stats().Pool
+		if st.Warmed != before.Warmed+1 || st.Pooled != before.Pooled+1 {
+			t.Errorf("tune %d moved the pool counters from %+v to %+v; want one worker warmed, one pooled conversion", i, before, st)
+		}
+		woken += int(st.Woken - before.Woken)
+	}
+	t.Logf("%d of 4 conversions woke the worker after all", woken)
+
+	small := gen.Laplacian2D5pt[float64](40, 40)
+	fresh := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2, CacheSize: -1})
+	defer fresh.Close()
+	if _, _, err := fresh.Tune(small); err != nil {
+		t.Fatal(err)
+	}
+	if st := fresh.Stats().Pool; st != (kernels.PoolStats{}) {
+		t.Errorf("a tune of %d nonzeros moved the pool counters to %+v; want no warm-up and a serial conversion", small.NNZ(), st)
 	}
 }

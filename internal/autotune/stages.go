@@ -80,8 +80,13 @@ type choice[T matrix.Float] struct {
 // extract is the first stage: the symbolic half of the tune — the Table 2
 // features and the conversions' layout, which depend on RowPtr and ColIdx
 // alone — recalled from the structure index when the matrix is signed and the
-// index knows its pattern, scanned otherwise.
+// index knows its pattern, scanned otherwise. A matrix large enough for its
+// conversion to run on the pool (kernels.ConvertWork) wakes the workers first,
+// so that their OS wake overlaps the scan, not the conversion.
 func (t *Tuner[T]) extract(m *matrix.CSR[T], opts TuneOptions) *tuning[T] {
+	if t.threads > 1 && m.NNZ() >= kernels.ConvertWork {
+		t.pool.Warm()
+	}
 	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{pool: t.pool, nnz: m.NNZ()}}
 	tn.base.IterationHint = opts.Iterations
 	tn.read(true)
@@ -504,7 +509,7 @@ func (t *Tuner[T]) bind(f matrix.Format) (*engine[T], error) {
 // build is the one materialise-and-bind site: every engine — a selector's
 // candidate, a cache hit's format, the tuned-CSR incumbent — is the matrix
 // converted with the given parameters under the given fill limit, from the
-// call's layout, bound by bind. It fails
+// call's layout on the tuner's pool, bound by bind. It fails
 // when the tuner serves no kernel for the format, the format's zero-fill guard
 // rejects this particular matrix, or the layout is not this matrix's
 // (matrix.ErrStructureMismatch: only a remembered one can be).
@@ -513,7 +518,7 @@ func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, 
 	if err != nil {
 		return nil, kernels.ConvertTiming{}, err
 	}
-	mat, timing, err := kernels.ConvertTimedParams(m, lay, f, maxFill, p)
+	mat, timing, err := kernels.ConvertTimedParams(m, lay, f, maxFill, p, t.pool)
 	if err != nil {
 		return nil, timing, err
 	}

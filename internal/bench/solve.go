@@ -65,6 +65,7 @@ func poolDelta(before, after kernels.PoolStats) *kernels.PoolStats {
 		Woken:        after.Woken - before.Woken,
 		Overflow:     after.Overflow - before.Overflow,
 		SerialCutoff: after.SerialCutoff - before.SerialCutoff,
+		Warmed:       after.Warmed - before.Warmed,
 	}
 }
 

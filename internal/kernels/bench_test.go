@@ -85,30 +85,42 @@ func BenchmarkKernels(b *testing.B) {
 }
 
 // BenchmarkConvert measures format conversion cost (part of SMAT's decision
-// overhead accounting), per format on its characteristic workload: stand-alone
-// — Convert, which reads the structure itself — and scan-fed, as the tuner
-// converts, from the record feature extraction already holds.
+// overhead accounting), per format on its characteristic workload, in ns per
+// nonzero: stand-alone — Convert, which reads the structure itself —,
+// scan-fed, as a serial tuner converts, from the record feature extraction
+// already holds, and pooled, as a two-thread tuner converts: scan-fed, in
+// row chunks on a pool whose workers the back-to-back iterations keep
+// spinning.
 func BenchmarkConvert(b *testing.B) {
+	pool := NewPool[float64](2)
+	defer pool.Close()
 	for f, m := range benchWorkloads() {
 		if f == matrix.FormatCSR {
 			continue // wraps the input: nothing to measure
 		}
 		s := matrix.Scan(m)
-		b.Run(f.String()+"/standalone", func(b *testing.B) {
-			b.SetBytes(int64(m.NNZ() * 16))
-			for i := 0; i < b.N; i++ {
-				if _, err := Convert(m, f, 0); err != nil {
-					b.Fatal(err)
+		run := func(name string, convert func() error) {
+			b.Run(f.String()+"/"+name, func(b *testing.B) {
+				b.SetBytes(int64(m.NNZ() * 16))
+				for i := 0; i < b.N; i++ {
+					if err := convert(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
+				b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(m.NNZ()), "ns/nnz")
+			})
+		}
+		run("standalone", func() error {
+			_, err := Convert(m, f, 0)
+			return err
 		})
-		b.Run(f.String()+"/scanfed", func(b *testing.B) {
-			b.SetBytes(int64(m.NNZ() * 16))
-			for i := 0; i < b.N; i++ {
-				if _, err := ConvertFrom(m, &s.Layout, f, 0, Params{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+		run("scanfed", func() error {
+			_, err := ConvertFrom(m, &s.Layout, f, 0, Params{})
+			return err
+		})
+		run("pooled", func() error {
+			_, _, err := ConvertTimedParams(m, &s.Layout, f, 0, Params{}, pool)
+			return err
 		})
 	}
 }

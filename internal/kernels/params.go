@@ -87,28 +87,31 @@ var (
 // representation is a view sharing m's ColIdx and Vals (matrix.CSR.ToCOO), as
 // the CSR one shares all of m.
 func ConvertFrom[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64, p Params) (*Mat[T], error) {
+	return convert(m, l, f, maxFill, p, matrix.Split{})
+}
+
+// convert is ConvertFrom with the DIA, ELL and COO conversions run in the
+// row chunks of sp; the other formats ignore it.
+func convert[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64, p Params, sp matrix.Split) (*Mat[T], error) {
 	switch f {
 	case matrix.FormatCSR:
 		return &Mat[T]{Format: f, CSR: m}, nil
 	case matrix.FormatCOO:
-		return &Mat[T]{Format: f, COO: m.ToCOO()}, nil
+		return &Mat[T]{Format: f, COO: m.ToCOOSplit(sp)}, nil
 	case matrix.FormatDIA:
 		if l == nil || l.DiagOffsets == nil {
 			l = &matrix.Scan(m).Layout
 		}
-		d, err := m.ToDIAFrom(l, maxFill)
+		d, err := m.ToDIAFrom(l, maxFill, sp)
 		if err != nil {
 			return nil, err
 		}
 		return &Mat[T]{Format: f, DIA: d}, nil
 	case matrix.FormatELL:
-		var e *matrix.ELL[T]
-		var err error
-		if l != nil {
-			e, err = m.ToELLFrom(l, maxFill)
-		} else {
-			e, err = m.ToELL(maxFill)
+		if l == nil {
+			l = &matrix.Layout{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ(), MaxDeg: m.MaxRowDegree()}
 		}
+		e, err := m.ToELLFrom(l, maxFill, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -134,13 +137,20 @@ func ConvertFrom[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Fo
 // wraps the input in place and reports zero seconds — CSR is the zero-cost
 // incumbent of the amortisation model. Decisions that carry tuned Params
 // must materialise through it so cache hits rebuild the exact representation
-// the leader measured.
-func ConvertTimedParams[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64, p Params) (*Mat[T], ConvertTiming, error) {
+// the leader measured. From ConvertWork nonzeros up, on a pool of more than
+// one thread, the DIA, ELL and COO conversions run in nnz-balanced row chunks
+// on the pool's workers (matrix.Split: the same bits as one chunk); a nil
+// pool converts on the caller.
+func ConvertTimedParams[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64, p Params, pool *Pool[T]) (*Mat[T], ConvertTiming, error) {
 	if f == matrix.FormatCSR {
 		return &Mat[T]{Format: f, CSR: m}, ConvertTiming{Format: f, Stored: m.Stored()}, nil
 	}
 	start := time.Now()
-	out, err := ConvertFrom(m, l, f, maxFill, p)
+	var sp matrix.Split
+	if pool != nil && pool.Threads() > 1 && m.NNZ() >= ConvertWork {
+		sp = matrix.Split{Bounds: nnzBalancedRowBounds(m.RowPtr, pool.Threads()), Run: pool.RunChunksInline}
+	}
+	out, err := convert(m, l, f, maxFill, p, sp)
 	sec := time.Since(start).Seconds()
 	if err != nil {
 		return nil, ConvertTiming{Format: f, Sec: sec}, err

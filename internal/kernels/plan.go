@@ -24,6 +24,20 @@ import "smat/internal/matrix"
 // barrier or the box of record changes.
 const SerialWork = 8192
 
+// ConvertWork is the nonzero count from which a tune's DIA, ELL and COO
+// conversions run in row chunks on the tuner's pool (ConvertTimedParams), and
+// from which the tuner wakes the pool's workers as the tune starts
+// (Pool.Warm), so that the OS wake overlaps the structure scan instead of the
+// split. It sits above SerialWork because a conversion is one dispatch per
+// tune, after an idle gap: it always pays a wake, where a MulVec stream finds
+// its workers still spinning from the call before. The value is read off a
+// sweep of cold_tune's op cost at 8 k / 16 k / 32 k / 64 k against the
+// unsplit parent (DESIGN §11, EXPERIMENTS "Pooled conversion"): 16 k had the
+// lowest median, and beat 32 k in 6 of 6 head-to-head pairs. One constant, no
+// option: re-run the sweep and edit this line when the barrier or the box of
+// record changes.
+const ConvertWork = 16384
+
 // Plan is a matrix's cached execution plan for one thread count: every work
 // partition a kernel of its format may need, computed once on first use and
 // reused by each subsequent Run/RunPooled. Before plans, the partition was

@@ -82,8 +82,9 @@ type poolState[T matrix.Float] struct {
 	stop    chan struct{}
 	exited  sync.WaitGroup
 
-	// Live counters, one increment per dispatch; see PoolStats.
-	pooled, woken, overflow, serialCutoff atomic.Uint64
+	// Live counters, one increment per dispatch (warmed: per worker readied);
+	// see PoolStats.
+	pooled, woken, overflow, serialCutoff, warmed atomic.Uint64
 
 	// arena is the SpGEMM scratch attached to this pool, handed out under
 	// its own lock (arenaOf) so repeated products reuse it while concurrent
@@ -106,6 +107,8 @@ type PoolStats struct {
 	// SerialCutoff is the number of calls a parallel kernel ran serially
 	// because the matrix's estimated work sat below the plan's cutoff.
 	SerialCutoff uint64 `json:"serial_cutoff"`
+	// Warmed is the number of workers Warm woke from a park or started.
+	Warmed uint64 `json:"warmed"`
 }
 
 // NewPool builds a worker pool with the given thread fan-out; threads ≤ 0
@@ -143,6 +146,7 @@ func (p *Pool[T]) Stats() PoolStats {
 		Woken:        p.s.woken.Load(),
 		Overflow:     p.s.overflow.Load(),
 		SerialCutoff: p.s.serialCutoff.Load(),
+		Warmed:       p.s.warmed.Load(),
 	}
 }
 
@@ -236,6 +240,39 @@ func (s *poolState[T]) run(bounds []int, fn rangeFn[T], job func(chunk, lo, hi i
 	s.fn, s.job, s.mat, s.x, s.y, s.bounds = nil, nil, nil, nil, nil, nil
 	s.pooled.Add(1)
 	return true
+}
+
+// Warm readies the workers for a dispatch the caller expects shortly: it
+// starts them if the pool has not started them yet, and hands a wake token to
+// each worker that advertised a park, without publishing a dispatch — the
+// token says "look again", and a worker that finds no new generation spins
+// its budget before parking again. A dispatch inside that budget then finds
+// the workers polling, and the OS wake was paid while the caller did
+// something else. On a busy pool (its workers are awake anyway) and on a
+// closed one it does nothing; it never blocks and allocates nothing once the
+// workers are started. PoolStats.Warmed counts the workers it readied.
+//
+//smat:wake-barrier
+func (p *Pool[T]) Warm() {
+	s := p.s
+	if !s.mu.TryLock() {
+		return
+	}
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		return
+	case !s.started:
+		s.start()
+		s.warmed.Add(uint64(len(s.workers)))
+		return
+	}
+	for _, w := range s.workers {
+		if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+			s.warmed.Add(1)
+			w.wake <- struct{}{}
+		}
+	}
 }
 
 // chunk runs chunk c of the published dispatch on the calling goroutine.

@@ -163,3 +163,105 @@ func TestPoolStatsCountWokenDispatches(t *testing.T) {
 		t.Errorf("100 back-to-back dispatches moved the counters from %+v to %+v; want 100 pooled, fewer woken", before, st)
 	}
 }
+
+// TestPoolWarmSparesTheDispatchAWake: Warm hands a parked worker its token,
+// so a dispatch that follows inside the spin budget finds no park to claim
+// and counts no wake, where the same dispatch without Warm counts one. On a
+// pool that does not spin (one processor) the worker parks again at once and
+// only completion and the Warmed count are checked.
+func TestPoolWarmSparesTheDispatchAWake(t *testing.T) {
+	bounds := []int{0, 1, 2}
+	var counts chunkCounter
+	p := NewPool[float64](2)
+	defer p.Close()
+	p.RunChunks(bounds, counts.run)
+	spins := p.s.spin > 0
+
+	// The scheduler may stall the test between Warm and the dispatch for a
+	// whole spin budget: a few attempts, one clean one is the contract.
+	warmedClean := false
+	for attempt := 0; attempt < 5 && !warmedClean; attempt++ {
+		waitParked(t, p)
+		before := p.Stats()
+		p.Warm()
+		p.RunChunks(bounds, counts.run)
+		st := p.Stats()
+		if st.Warmed != before.Warmed+1 || st.Pooled != before.Pooled+1 {
+			t.Fatalf("Warm on a parked worker, then a dispatch, moved the counters from %+v to %+v; want one warmed, one pooled", before, st)
+		}
+		warmedClean = !spins || st.Woken == before.Woken
+	}
+	if !warmedClean {
+		t.Error("every dispatch right after Warm still counted a wake")
+	}
+
+	waitParked(t, p)
+	before := p.Stats()
+	p.RunChunks(bounds, counts.run)
+	if st := p.Stats(); st.Warmed != before.Warmed || (spins && st.Woken != before.Woken+1) {
+		t.Errorf("a dispatch onto a parked worker without Warm moved the counters from %+v to %+v; want one woken, none warmed", before, st)
+	}
+	for c := 0; c < 2; c++ {
+		if got := counts[c].Load(); got != counts[0].Load() {
+			t.Fatalf("chunk %d ran %d times, chunk 0 %d", c, got, counts[0].Load())
+		}
+	}
+}
+
+// TestPoolWarmStartsWorkers: on a pool no dispatch has started yet, Warm
+// starts the workers — each counts as warmed — and the first dispatch runs on
+// them.
+func TestPoolWarmStartsWorkers(t *testing.T) {
+	p := NewPool[float64](3)
+	defer p.Close()
+	p.Warm()
+	if !p.s.started || len(p.s.workers) != 2 {
+		t.Fatalf("Warm on an unstarted pool left started=%v with %d workers; want 2", p.s.started, len(p.s.workers))
+	}
+	var counts chunkCounter
+	p.RunChunks([]int{0, 1, 2, 3}, counts.run)
+	if st := p.Stats(); st.Warmed != 2 || st.Pooled != 1 || st.Overflow != 0 {
+		t.Errorf("stats %+v, want two warmed and one pooled dispatch", st)
+	}
+}
+
+// TestPoolWarmNoOpWhenClosedOrBusy: a closed pool starts nothing, and a pool
+// in the middle of a dispatch — its workers are awake — is left alone.
+func TestPoolWarmNoOpWhenClosedOrBusy(t *testing.T) {
+	closed := NewPool[float64](2)
+	closed.Close()
+	closed.Warm()
+	if closed.s.started || closed.Stats() != (PoolStats{}) {
+		t.Errorf("Warm on a closed pool: started=%v, stats %+v", closed.s.started, closed.Stats())
+	}
+
+	p := NewPool[float64](2)
+	defer p.Close()
+	var counts chunkCounter
+	p.RunChunks([]int{0, 1, 2}, counts.run)
+	waitParked(t, p)
+	p.RunChunks([]int{0, 1, 2}, func(chunk, lo, hi int) {
+		if chunk == 0 {
+			p.Warm() // the dispatcher holds the pool
+		}
+		counts.run(chunk, lo, hi)
+	})
+	if st := p.Stats(); st.Warmed != 0 || st.Pooled != 2 {
+		t.Errorf("Warm inside a dispatch: stats %+v, want none warmed, two pooled", st)
+	}
+}
+
+// TestPoolWarmAllocatesNothing: once the workers are started, Warm allocates
+// nothing, parked workers or not.
+func TestPoolWarmAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on synchronisation")
+	}
+	p := NewPool[float64](2)
+	defer p.Close()
+	p.Warm()
+	waitParked(t, p)
+	if n := testing.AllocsPerRun(100, p.Warm); n != 0 {
+		t.Errorf("Warm allocated %v times a call", n)
+	}
+}

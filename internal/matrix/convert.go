@@ -22,6 +22,41 @@ var ErrFillExplosion = errors.New("matrix: conversion would exceed fill limit")
 // scans the matrix and converts again.
 var ErrStructureMismatch = errors.New("matrix: structure record does not describe this matrix's pattern")
 
+// Split is how a conversion runs over the matrix's rows: Bounds cut [0, Rows)
+// into chunks — chunk c covers rows [Bounds[c], Bounds[c+1]) — and Run runs
+// a body over every chunk of its bounds, returning when all have run
+// (kernels.Pool.RunChunksInline has its signature). Nil Bounds, or bounds of
+// one chunk, run on the caller, so the zero Split is the serial conversion.
+// Each chunk writes only its own rows and keeps its own verdicts, merged
+// after the run, so the result — the error included — does not depend on
+// the Split.
+type Split struct {
+	Bounds []int
+	Run    func(bounds []int, fn func(chunk, lo, hi int))
+}
+
+// chunks returns how many chunks sp cuts rows into. Bounds that do not cover
+// exactly [0, rows) are a caller bug.
+func (sp Split) chunks(rows int) int {
+	b := sp.Bounds
+	if b == nil {
+		return 1
+	}
+	if len(b) < 2 || b[0] != 0 || b[len(b)-1] != rows {
+		panic("matrix: Split bounds do not cover the matrix's rows")
+	}
+	return len(b) - 1
+}
+
+// run runs body over the chunks sp cuts rows into.
+func (sp Split) run(rows int, body func(chunk, lo, hi int)) {
+	if sp.chunks(rows) == 1 {
+		body(0, 0, rows)
+		return
+	}
+	sp.Run(sp.Bounds, body)
+}
+
 // Triple is one (row, col, value) entry, the input unit for FromTriples.
 type Triple[T Float] struct {
 	Row, Col int
@@ -75,7 +110,10 @@ func FromTriples[T Float](rows, cols int, ts []Triple[T]) (*CSR[T], error) {
 // tuner is immutable from then on (smat.NewCSR uses the caller's slices
 // directly, and the tuned CSR operator aliases them the same way), so the two
 // copies would only double the conversion's memory traffic.
-func (m *CSR[T]) ToCOO() *COO[T] {
+func (m *CSR[T]) ToCOO() *COO[T] { return m.ToCOOSplit(Split{}) }
+
+// ToCOOSplit is ToCOO with RowIdx filled in the row chunks of sp.
+func (m *CSR[T]) ToCOOSplit(sp Split) *COO[T] {
 	out := &COO[T]{
 		Rows:   m.Rows,
 		Cols:   m.Cols,
@@ -83,13 +121,19 @@ func (m *CSR[T]) ToCOO() *COO[T] {
 		ColIdx: m.ColIdx,
 		Vals:   m.Vals,
 	}
-	for r := 0; r < m.Rows; r++ {
-		row := out.RowIdx[m.RowPtr[r]:m.RowPtr[r+1]]
+	sp.run(m.Rows, func(_, lo, hi int) { m.cooRows(out.RowIdx, lo, hi) })
+	return out
+}
+
+// cooRows is COO's row-range body: the row index of every entry of rows
+// [lo, hi).
+func (m *CSR[T]) cooRows(rowIdx []int, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		row := rowIdx[m.RowPtr[r]:m.RowPtr[r+1]]
 		for i := range row {
 			row[i] = r
 		}
 	}
-	return out
 }
 
 // ToCSR converts COO back to CSR. Entries already sorted by (row, col) with
@@ -153,16 +197,16 @@ func fillExceeds(stored, nnz int, maxFillRatio float64) bool {
 // count as a multiple of NNZ (≤0 means unlimited); conversion fails with
 // ErrFillExplosion beyond it.
 func (m *CSR[T]) ToDIA(maxFillRatio float64) (*DIA[T], error) {
-	return m.ToDIAFrom(&Scan(m).Layout, maxFillRatio)
+	return m.ToDIAFrom(&Scan(m).Layout, maxFillRatio, Split{})
 }
 
-// ToDIAFrom is ToDIA for a caller that already holds l = Scan(m).Layout: the
-// stored diagonals are the record's, so the fill guard is arithmetic and the
-// matrix is read once, to place its values. The record is checked as it is
-// used — every entry must fall on a listed diagonal and every listed diagonal
-// must receive one — so a record of another pattern yields
-// ErrStructureMismatch, never a misplaced entry.
-func (m *CSR[T]) ToDIAFrom(l *Layout, maxFillRatio float64) (*DIA[T], error) {
+// ToDIAFrom is ToDIA for a caller that already holds l = Scan(m).Layout, run
+// in the row chunks of sp: the stored diagonals are the record's, so the fill
+// guard is arithmetic and the matrix is read once, to place its values. The
+// record is checked as it is used — every entry must fall on a listed
+// diagonal and every listed diagonal must receive one — so a record of
+// another pattern yields ErrStructureMismatch, never a misplaced entry.
+func (m *CSR[T]) ToDIAFrom(l *Layout, maxFillRatio float64, sp Split) (*DIA[T], error) {
 	l.of(m.Rows, m.Cols, m.NNZ())
 	stored := len(l.DiagOffsets) * m.Rows
 	if fillExceeds(stored, m.NNZ(), maxFillRatio) {
@@ -171,44 +215,80 @@ func (m *CSR[T]) ToDIAFrom(l *Layout, maxFillRatio float64) (*DIA[T], error) {
 	}
 	// The record is shared; the DIA matrix owns its offsets.
 	d := &DIA[T]{Rows: m.Rows, Cols: m.Cols, Offsets: slices.Clone(l.DiagOffsets), Data: make([]T, stored)}
-	if len(d.Offsets) == 0 {
+	ndiags := len(d.Offsets)
+	if ndiags == 0 {
 		if m.NNZ() > 0 {
 			return nil, ErrStructureMismatch
 		}
 		return d, nil
 	}
 	// Flat offset→diagonal-index table over the record's band, −1 where the
-	// record lists no diagonal. unseen counts the listed diagonals no entry has
-	// reached yet: on a band that is zero after a few rows, and the marking is
-	// off the loop's path from then on.
-	lo := d.Offsets[0]
-	pos := make([]int32, d.Offsets[len(d.Offsets)-1]-lo+1)
+	// record lists no diagonal.
+	base := d.Offsets[0]
+	pos := make([]int32, d.Offsets[ndiags-1]-base+1)
 	for i := range pos {
 		pos[i] = -1
 	}
 	for i, off := range d.Offsets {
-		pos[off-lo] = int32(i)
+		pos[off-base] = int32(i)
 	}
-	seen, unseen := make([]bool, len(d.Offsets)), len(d.Offsets)
-	for r := 0; r < m.Rows; r++ {
-		shift := r + lo
+	// Each chunk marks the diagonals its rows reach in a row of seen of its
+	// own; a diagonal no chunk reached is one the record lists in excess.
+	chunks := sp.chunks(m.Rows)
+	seen, verdicts := make([]bool, chunks*ndiags), make([]diaVerdict, chunks)
+	sp.run(m.Rows, func(c, lo, hi int) {
+		verdicts[c] = m.diaRows(d.Data, pos, base, seen[c*ndiags:(c+1)*ndiags], lo, hi)
+	})
+	reached := false
+	for _, v := range verdicts {
+		if v.foreign {
+			return nil, ErrStructureMismatch
+		}
+		reached = reached || v.unseen == 0
+	}
+	for i := 0; !reached && i < ndiags; i++ {
+		hit := false
+		for c := 0; !hit && c < chunks; c++ {
+			hit = seen[c*ndiags+i]
+		}
+		if !hit {
+			return nil, ErrStructureMismatch
+		}
+	}
+	return d, nil
+}
+
+// diaVerdict is what one chunk of a DIA conversion learned of the record:
+// foreign, an entry on no listed diagonal; unseen, how many listed diagonals
+// its rows did not reach.
+type diaVerdict struct {
+	foreign bool
+	unseen  int
+}
+
+// diaRows is DIA's row-range body: it places rows [lo, hi) into data through
+// pos, the offset − base → diagonal-index table, and marks in seen the
+// diagonals they reach. unseen counts the diagonals not reached yet: on a
+// band that is zero after a few rows, and the marking is off the loop's path
+// from then on. It stops at the first entry on no listed diagonal.
+func (m *CSR[T]) diaRows(data []T, pos []int32, base int, seen []bool, lo, hi int) diaVerdict {
+	unseen := len(seen)
+	for r := lo; r < hi; r++ {
+		shift := r + base
 		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
 			at := m.ColIdx[jj] - shift
 			if uint(at) >= uint(len(pos)) || pos[at] < 0 {
-				return nil, ErrStructureMismatch
+				return diaVerdict{foreign: true}
 			}
 			dgi := int(pos[at])
 			if unseen > 0 && !seen[dgi] {
 				seen[dgi] = true
 				unseen--
 			}
-			d.Data[dgi*m.Rows+r] = m.Vals[jj]
+			data[dgi*m.Rows+r] = m.Vals[jj]
 		}
 	}
-	if unseen > 0 {
-		return nil, ErrStructureMismatch
-	}
-	return d, nil
+	return diaVerdict{unseen: unseen}
 }
 
 // ToCSR converts diagonal storage back to CSR, dropping zero fill.
@@ -247,20 +327,17 @@ func (m *CSR[T]) MaxRowDegree() int {
 // ToELL converts to ELLPACK storage with Width = MaxRowDegree. maxFillRatio
 // bounds the stored-element count as a multiple of NNZ (≤0 means unlimited).
 func (m *CSR[T]) ToELL(maxFillRatio float64) (*ELL[T], error) {
-	return m.toELL(m.MaxRowDegree(), maxFillRatio)
+	l := Layout{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ(), MaxDeg: m.MaxRowDegree()}
+	return m.ToELLFrom(&l, maxFillRatio, Split{})
 }
 
-// ToELLFrom is ToELL for a caller that already holds l = Scan(m).Layout: the
-// width is the record's maximum row degree, checked against every row as it is
-// placed (ErrStructureMismatch).
-func (m *CSR[T]) ToELLFrom(l *Layout, maxFillRatio float64) (*ELL[T], error) {
+// ToELLFrom is ToELL for a caller that already holds l = Scan(m).Layout, run
+// in the row chunks of sp: every row is padded to the record's maximum row
+// degree, which must be m's — a row longer than it, or no row as long, is
+// ErrStructureMismatch.
+func (m *CSR[T]) ToELLFrom(l *Layout, maxFillRatio float64, sp Split) (*ELL[T], error) {
 	l.of(m.Rows, m.Cols, m.NNZ())
-	return m.toELL(l.MaxDeg, maxFillRatio)
-}
-
-// toELL pads every row to width, which must be the maximum row degree: a row
-// longer than width, or no row as long, is ErrStructureMismatch.
-func (m *CSR[T]) toELL(width int, maxFillRatio float64) (*ELL[T], error) {
+	width := l.MaxDeg
 	stored := width * m.Rows
 	if fillExceeds(stored, m.NNZ(), maxFillRatio) {
 		return nil, fmt.Errorf("%w: ELL would store %d elements for %d nonzeros",
@@ -273,26 +350,47 @@ func (m *CSR[T]) toELL(width int, maxFillRatio float64) (*ELL[T], error) {
 		ColIdx: make([]int, stored),
 		Data:   make([]T, stored),
 	}
+	verdicts := make([]ellVerdict, sp.chunks(m.Rows))
+	sp.run(m.Rows, func(c, lo, hi int) { verdicts[c] = m.ellRows(e.ColIdx, e.Data, width, lo, hi) })
 	reached := width == 0
-	for r := 0; r < m.Rows; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		if hi-lo >= width {
-			if hi-lo > width {
-				return nil, ErrStructureMismatch
-			}
-			reached = true
+	for _, v := range verdicts {
+		if v.longer {
+			return nil, ErrStructureMismatch
 		}
-		slot := 0
-		for jj := lo; jj < hi; jj++ {
-			e.ColIdx[slot*m.Rows+r] = m.ColIdx[jj]
-			e.Data[slot*m.Rows+r] = m.Vals[jj]
-			slot++
-		}
+		reached = reached || v.reached
 	}
 	if !reached {
 		return nil, ErrStructureMismatch
 	}
 	return e, nil
+}
+
+// ellVerdict is what one chunk of an ELL conversion learned of the width:
+// longer, a row exceeds it; reached, a row is as long.
+type ellVerdict struct {
+	longer, reached bool
+}
+
+// ellRows is ELL's row-range body: it pads rows [lo, hi) to width into the
+// slot-major colIdx and data, and stops at the first row longer than that.
+func (m *CSR[T]) ellRows(colIdx []int, data []T, width, lo, hi int) ellVerdict {
+	var v ellVerdict
+	for r := lo; r < hi; r++ {
+		first, end := m.RowPtr[r], m.RowPtr[r+1]
+		if end-first >= width {
+			if end-first > width {
+				return ellVerdict{longer: true}
+			}
+			v.reached = true
+		}
+		slot := 0
+		for jj := first; jj < end; jj++ {
+			colIdx[slot*m.Rows+r] = m.ColIdx[jj]
+			data[slot*m.Rows+r] = m.Vals[jj]
+			slot++
+		}
+	}
+	return v
 }
 
 // ToCSR converts ELLPACK storage back to CSR, dropping padding.

@@ -179,7 +179,7 @@ func FuzzConvertRoundTrip(f *testing.F) {
 // and entry count the other's structure scan: the scan-fed DIA and ELL
 // conversions must return ErrStructureMismatch or exactly the stand-alone
 // conversion — never panic, misplace an entry or pad beyond the matrix's own
-// width or diagonals. It is what lets a structure record be looked up under a
+// width or diagonals — and in three row chunks the verdict of one. It is what lets a structure record be looked up under a
 // hash: whatever comes back is checked by the conversion that uses it. The
 // two signatures must differ exactly when the patterns do.
 func FuzzConvertForeignStructure(f *testing.F) {

@@ -125,25 +125,35 @@ func samePattern(a, b *CSR[float64]) bool {
 
 // checkForeignLayout is the contract of the scan-fed conversions for a
 // layout of the right shape from whatever pattern: they return
-// ErrStructureMismatch, or exactly what the stand-alone conversion returns.
+// ErrStructureMismatch, or exactly what the stand-alone conversion returns —
+// in one chunk and in three alike.
 func checkForeignLayout(t *testing.T, m, other *CSR[float64]) {
 	t.Helper()
 	l := &Scan(other).Layout
-	if d, err := m.ToDIAFrom(l, 0); err == nil {
-		want, _ := m.ToDIA(0)
-		if !slices.Equal(d.Offsets, want.Offsets) || !slices.Equal(d.Data, want.Data) {
-			t.Fatalf("DIA from a foreign layout: offsets %v, stand-alone %v", d.Offsets, want.Offsets)
+	var errs [2][2]error // [chunking][DIA, ELL]
+	for i, sp := range []Split{{}, evenSplit(m.Rows, 3)} {
+		chunks := sp.chunks(m.Rows)
+		d, err := m.ToDIAFrom(l, 0, sp)
+		if errs[i][0] = err; err == nil {
+			want, _ := m.ToDIA(0)
+			if !slices.Equal(d.Offsets, want.Offsets) || !slices.Equal(d.Data, want.Data) {
+				t.Fatalf("DIA from a foreign layout in %d chunks: offsets %v, stand-alone %v", chunks, d.Offsets, want.Offsets)
+			}
+		} else if !errors.Is(err, ErrStructureMismatch) {
+			t.Fatalf("DIA from a foreign layout in %d chunks: %v", chunks, err)
 		}
-	} else if !errors.Is(err, ErrStructureMismatch) {
-		t.Fatalf("DIA from a foreign layout: %v", err)
+		e, err := m.ToELLFrom(l, 0, sp)
+		if errs[i][1] = err; err == nil {
+			want, _ := m.ToELL(0)
+			if e.Width != want.Width || !slices.Equal(e.ColIdx, want.ColIdx) || !slices.Equal(e.Data, want.Data) {
+				t.Fatalf("ELL from a foreign layout in %d chunks: width %d, stand-alone %d", chunks, e.Width, want.Width)
+			}
+		} else if !errors.Is(err, ErrStructureMismatch) {
+			t.Fatalf("ELL from a foreign layout in %d chunks: %v", chunks, err)
+		}
 	}
-	if e, err := m.ToELLFrom(l, 0); err == nil {
-		want, _ := m.ToELL(0)
-		if e.Width != want.Width || !slices.Equal(e.ColIdx, want.ColIdx) || !slices.Equal(e.Data, want.Data) {
-			t.Fatalf("ELL from a foreign layout: width %d, stand-alone %d", e.Width, want.Width)
-		}
-	} else if !errors.Is(err, ErrStructureMismatch) {
-		t.Fatalf("ELL from a foreign layout: %v", err)
+	if !sameVerdict(errs[1][0], errs[0][0]) || !sameVerdict(errs[1][1], errs[0][1]) {
+		t.Fatalf("a foreign layout in three chunks: DIA %v, ELL %v; in one: %v, %v", errs[1][0], errs[1][1], errs[0][0], errs[0][1])
 	}
 }
 
@@ -167,10 +177,10 @@ func TestConvertFromForeignLayout(t *testing.T) {
 		{"the same pattern in other arrays", pattern(4, []int{0, 1}, []int{1}, []int{2}), pattern(4, []int{0, 1}, []int{1}, []int{2}), false, false},
 	} {
 		l := &Scan(c.other).Layout
-		if _, err := c.m.ToDIAFrom(l, 0); errors.Is(err, ErrStructureMismatch) != c.dia {
+		if _, err := c.m.ToDIAFrom(l, 0, Split{}); errors.Is(err, ErrStructureMismatch) != c.dia {
 			t.Errorf("%s: DIA conversion returned %v", c.name, err)
 		}
-		if _, err := c.m.ToELLFrom(l, 0); errors.Is(err, ErrStructureMismatch) != c.ell {
+		if _, err := c.m.ToELLFrom(l, 0, Split{}); errors.Is(err, ErrStructureMismatch) != c.ell {
 			t.Errorf("%s: ELL conversion returned %v", c.name, err)
 		}
 		checkForeignLayout(t, c.m, c.other)
@@ -178,7 +188,7 @@ func TestConvertFromForeignLayout(t *testing.T) {
 		// A remembered layout may have dropped its diagonals: no use to DIA.
 		slim := *l
 		slim.DiagOffsets = nil
-		if _, err := c.m.ToDIAFrom(&slim, 0); !errors.Is(err, ErrStructureMismatch) {
+		if _, err := c.m.ToDIAFrom(&slim, 0, Split{}); !errors.Is(err, ErrStructureMismatch) {
 			t.Errorf("%s: DIA conversion from a layout without diagonals returned %v", c.name, err)
 		}
 	}
