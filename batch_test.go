@@ -116,9 +116,9 @@ func TestDecisionReportsBatchCrossover(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No iteration hint was given, so only the fallback measured a baseline.
-	if d := op.Decision(); d.BatchCrossover != 2 || (d.Overhead > 0) != d.UsedFallback {
+	if d := op.Decision(); d.BatchCrossover != 2 || (d.Overhead() > 0) != d.UsedFallback {
 		t.Errorf("before any batched call: BatchCrossover = %d, Overhead = %g (fallback: %v); want 2, and an overhead exactly where the tune measured its unit",
-			d.BatchCrossover, d.Overhead, d.UsedFallback)
+			d.BatchCrossover, d.Overhead(), d.UsedFallback)
 	}
 	const k = 4
 	rows, cols := a.Dims()

@@ -139,7 +139,7 @@ func TestCacheHitTuningSpeedup(t *testing.T) {
 	if _, err := warm.Tune(a); err != nil {
 		t.Fatal(err)
 	}
-	if d := a.Operator().Decision(); !d.UsedFallback || d.CacheHit || d.Overhead <= 0 {
+	if d := a.Operator().Decision(); !d.UsedFallback || d.CacheHit || d.Overhead() <= 0 {
 		t.Fatalf("priming decision did not take the fallback: %+v", d)
 	}
 	primed := warm.Stats()
@@ -164,7 +164,7 @@ func TestCacheHitTuningSpeedup(t *testing.T) {
 	coldSec := minOver(3, func() error { _, err := cold.Tune(a); return err })
 	t.Logf("cold %.3gs vs cache hit %.3gs (%.1fx)", coldSec, hitSec, coldSec/hitSec)
 
-	if !d.CacheHit || d.UsedFallback || d.Overhead != 0 || d.BreakEvenIters != 0 {
+	if !d.CacheHit || d.UsedFallback || d.Overhead() != 0 || d.BreakEvenIters != 0 {
 		t.Errorf("cache-hit decision measured something: %+v", d)
 	}
 	if st.Hits-primed.Hits != hits || st.Misses != primed.Misses {

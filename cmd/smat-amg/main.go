@@ -115,7 +115,7 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("  level operator %2d: %d rows → %s (%s)\n", level, m.Rows, dec.Chosen, dec.Kernel)
+		fmt.Printf("  level operator %2d: %d rows: %s\n", level, m.Rows, dec)
 		level++
 		return op, nil
 	}); err != nil {

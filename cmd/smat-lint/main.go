@@ -16,11 +16,8 @@
 //	            load snapshots, one load per slot, wake-barrier ordering
 //
 // Compiler-feedback gates (each on by default, run concurrently with the
-// analyzers; all three share the process-wide build memo so escapes+bce cost
-// one compile and inline a second):
+// analyzers, one compile each):
 //
-//	-escapes  hot-path bodies gaining a heap escape missing from
-//	          internal/analysis/escapes/baseline.txt fail the run
 //	-bce      hot-path bodies gaining a bounds check missing from
 //	          internal/analysis/bce/baseline.txt fail the run
 //	-inline   -m=2 decisions are checked against
@@ -28,12 +25,14 @@
 //	          must stay inlinable within their recorded cost (+slack),
 //	          noinline entries must stay out of line
 //
-// After an intentional change, -update-escapes / -update-bce rewrite the
-// respective baseline, -update-baselines rewrites both in one build, and
-// -update-inline rewrites the recorded costs in the inline policy
+// After an intentional change, -update-bce rewrites the bounds-check
+// baseline (-update-baselines is the same), and -update-inline rewrites the
+// recorded costs in the inline policy
 // (violations other than cost drift still have to be resolved by hand).
 // Regenerating the bce baseline drops its per-entry tracking comments; see
 // the baseline header for the restore workflow.
+// Heap escapes on the hot path have no gate here: the kernels' zero-allocation
+// tests run every registered kernel pooled and fail on the first allocation.
 //
 // -json emits findings as one JSON object per line instead of plain text.
 //
@@ -52,7 +51,6 @@ import (
 	"smat/internal/analysis/atomicorder"
 	"smat/internal/analysis/bce"
 	"smat/internal/analysis/benchjson"
-	"smat/internal/analysis/escapes"
 	"smat/internal/analysis/framework"
 	"smat/internal/analysis/hotpath"
 	"smat/internal/analysis/inlinegate"
@@ -95,13 +93,11 @@ func main() {
 	var (
 		runList         = flag.String("run", "", "comma-separated analyzer names (default: all)")
 		tests           = flag.Bool("tests", true, "also analyze test files")
-		escGate         = flag.Bool("escapes", true, "run the escape-analysis regression gate")
 		bceGate         = flag.Bool("bce", true, "run the bounds-check regression gate")
 		inlineGate      = flag.Bool("inline", true, "run the inlining policy gate")
-		updateEscapes   = flag.Bool("update-escapes", false, "rewrite the escape baseline from the current build")
 		updateBCE       = flag.Bool("update-bce", false, "rewrite the bounds-check baseline from the current build")
 		updateInline    = flag.Bool("update-inline", false, "rewrite the inline policy's recorded costs from the current build")
-		updateBaselines = flag.Bool("update-baselines", false, "rewrite the escape and bounds-check baselines together (one shared build)")
+		updateBaselines = flag.Bool("update-baselines", false, "rewrite the bounds-check baseline (same as -update-bce)")
 		jsonOut         = flag.Bool("json", false, "emit findings as one JSON object per line")
 		parallel        = flag.Bool("parallel", true, "analyze packages on parallel goroutines")
 	)
@@ -111,7 +107,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 	if *updateBaselines {
-		*updateEscapes, *updateBCE = true, true
+		*updateBCE = true
 	}
 
 	analyzers, err := selectAnalyzers(*runList)
@@ -120,39 +116,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The three gates compile the module with diagnostic gcflags; kick them
-	// off first so the builds overlap the loader's type-checking. Escapes
-	// and bce share one build (identical flags memoized in compilediag);
-	// inline needs its own -m=2 build.
+	// The gates compile the module with diagnostic gcflags; kick them off
+	// first so the builds overlap the loader's type-checking.
 	gates := newGateRunner()
-	if *updateEscapes {
-		gates.add("escapes", func() ([]finding, error) {
-			entries, err := escapes.Update(escapes.Config{})
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(os.Stderr, "escapes: baseline rewritten with %d entries\n", len(entries))
-			return nil, nil
-		})
-	} else if *escGate {
-		gates.add("escapes", func() ([]finding, error) {
-			fresh, stale, err := escapes.Check(escapes.Config{})
-			if err != nil {
-				return nil, err
-			}
-			var out []finding
-			for _, e := range fresh {
-				out = append(out, gateFinding("escapes", e,
-					"new hot-path heap escape (rerun with -update-escapes if intentional)"))
-			}
-			for _, e := range stale {
-				f := gateFinding("escapes", e, "baseline entry no longer produced")
-				f.Note = true
-				out = append(out, f)
-			}
-			return out, nil
-		})
-	}
 	if *updateBCE {
 		gates.add("bce", func() ([]finding, error) {
 			entries, err := bce.Update(bce.Config{})

@@ -13,7 +13,7 @@ import (
 // every field populated, exit status 1.
 func TestJSONOutputDecodes(t *testing.T) {
 	cmd := exec.Command("go", "run", "./cmd/smat-lint",
-		"-json", "-tests=false", "-escapes=false", "-bce=false", "-inline=false",
+		"-json", "-tests=false", "-bce=false", "-inline=false",
 		"./internal/analysis/syncsafety/testdata/src/ss")
 	cmd.Dir = "../.."
 	var stdout, stderr bytes.Buffer

@@ -65,7 +65,7 @@ func ExampleDecision_String() {
 	fmt.Println(smat.Decision{
 		UsedFallback: true, Confidence: 1,
 		Chosen: smat.FormatCSR, Kernel: "csr_parallel_nnz_unroll4",
-		IterationHint: 10, Asymptotic: smat.FormatCOO, BreakEvenIters: 40, Amortized: true, Overhead: 6.54,
+		IterationHint: 10, Asymptotic: smat.FormatCOO, BreakEvenIters: 40, Amortized: true, FeatureSec: 6.54, CSRSpMVSec: 1,
 	})
 	fmt.Println(smat.Decision{
 		PredictedOK: true, Predicted: smat.FormatDIA, Confidence: 1, CacheHit: true, StructureHit: true,

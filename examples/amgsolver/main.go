@@ -40,7 +40,7 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("  %7d-row operator -> %s (%s)\n", m.Rows, dec.Chosen, dec.Kernel)
+		fmt.Printf("  %7d-row operator: %s\n", m.Rows, dec)
 		return op, nil
 	}); err != nil {
 		log.Fatal(err)

@@ -25,9 +25,7 @@
 // distinct source positions (after go.shape collapsing) inside the body, so
 // the baseline is insensitive to line renumbering but sensitive to a check
 // appearing at a new position. A check inside an inlined callee is reported
-// at the call, so it counts once per call site in the caller. The compile is
-// shared with the escapes gate (both request compilediag.EscapesAndBCEFlags),
-// so the two gates cost one compiler pass between them.
+// at the call, so it counts once per call site in the caller.
 package bce
 
 import (
@@ -79,7 +77,7 @@ func (c Config) withDefaults() Config {
 // boundsCheckKinds are the check_bce diagnostic messages, in report order.
 var boundsCheckKinds = []string{"Found IsInBounds", "Found IsSliceInBounds"}
 
-// Current compiles the module with the shared escapes+bce flag set and
+// Current compiles the module with compilediag.BCEFlags and
 // returns the sorted baseline entries: one per (hot function, check kind)
 // with the count of distinct check positions.
 func Current(cfg Config) ([]string, error) {
@@ -89,7 +87,7 @@ func Current(cfg Config) ([]string, error) {
 		return nil, err
 	}
 	hot := compilediag.HotSpans(spans)
-	out, err := compilediag.Build(cfg.ModuleDir, cfg.GcflagsScope, compilediag.EscapesAndBCEFlags, cfg.Patterns...)
+	out, err := compilediag.Build(cfg.ModuleDir, cfg.GcflagsScope, compilediag.BCEFlags, cfg.Patterns...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,15 +1,9 @@
 // Package compilediag is the shared substrate of smat-lint's
-// compiler-feedback gates (escapes, bce, inlinegate): it runs `go build`
-// with diagnostic gcflags, memoizes the output per (module, flags) so
-// concurrent gates sharing a flag set pay for one compile, parses the
-// file:line:col diagnostic stream, normalizes generic shape names, locates
-// annotated hot bodies, and reads/writes/diffs baseline files.
-//
-// Memoization matters for more than speed: the escapes and bce gates
-// deliberately request the *same* build (-m=1 plus the check_bce debug flag)
-// so one compiler invocation feeds both, while inlinegate needs -m=2 — whose
-// extra inlining changes the escape-diagnostic set, which is why the two
-// builds cannot be merged into one.
+// compiler-feedback gates (bce, inlinegate): it runs `go build` with
+// diagnostic gcflags, memoizes the output per (module, flags) so repeated
+// requests for a flag set pay for one compile, parses the file:line:col
+// diagnostic stream, normalizes generic shape names, locates annotated hot
+// bodies, and reads/writes/diffs baseline files.
 package compilediag
 
 import (
@@ -29,15 +23,12 @@ import (
 	"smat/internal/analysis/framework"
 )
 
-// EscapesAndBCEFlags is the gcflags set shared by the escapes and bce gates:
-// -m=1 emits escape decisions, the check_bce debug flag emits one "Found
-// Is(Slice)InBounds" line per surviving bounds check, and the two streams
-// interleave harmlessly on stderr.
-const EscapesAndBCEFlags = "-m=1 -d=ssa/check_bce/debug=1"
+// BCEFlags is the gcflags set of the bce gate: the check_bce debug flag
+// emits one "Found Is(Slice)InBounds" line per surviving bounds check.
+const BCEFlags = "-d=ssa/check_bce/debug=1"
 
-// InlineFlags is the gcflags set for the inlining gate. -m=2 includes
-// inlining costs and cannot-inline reasons; it is NOT shared with the
-// escapes build because deeper inlining exposes additional escape sites.
+// InlineFlags is the gcflags set for the inlining gate: -m=2 includes
+// inlining costs and cannot-inline reasons.
 const InlineFlags = "-m=2"
 
 // buildCache memoizes compiler output per (absolute module dir, scope,
@@ -54,10 +45,10 @@ type buildEntry struct {
 }
 
 // Build compiles the module with `-gcflags=scope=flags` and returns the
-// compiler's stderr. Output is memoized for the life of the process, so the
-// escapes and bce gates running concurrently with identical flags trigger a
-// single build. The go build cache replays diagnostics for unchanged
-// packages, so even cold calls are cheap after the first CI compile.
+// compiler's stderr. Output is memoized for the life of the process, so
+// repeated requests with identical flags trigger a single build. The go
+// build cache replays diagnostics for unchanged packages, so even cold calls
+// are cheap after the first CI compile.
 func Build(moduleDir, scope, flags string, patterns ...string) (string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

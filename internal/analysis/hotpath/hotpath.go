@@ -33,8 +33,9 @@
 //     values.
 //
 // Calls to unannotated functions are allowed: cold helpers (plan
-// construction, mismatch panics) live behind ordinary calls, and the escape
-// gate (internal/analysis/escapes) backstops what syntax cannot see.
+// construction, mismatch panics) live behind ordinary calls, and the
+// kernels' zero-allocation tests (TestSteadyStatePathZeroAlloc,
+// TestBatchPooledZeroAlloc) backstop what syntax cannot see.
 package hotpath
 
 import (

@@ -57,7 +57,7 @@ type TuneOptions struct {
 // validate rejects option combinations with no defined meaning.
 func (o *TuneOptions) validate() error {
 	if o.Iterations < 0 {
-		return fmt.Errorf("autotune: negative iteration hint %d", o.Iterations)
+		return fmt.Errorf("autotune: the iteration hint must be positive")
 	}
 	return nil
 }

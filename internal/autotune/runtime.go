@@ -3,6 +3,7 @@ package autotune
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -13,10 +14,12 @@ import (
 )
 
 // Decision records everything about one runtime tuning decision, feeding the
-// paper's Table 3 (prediction, fallback, overhead in CSR-SpMV units). The
-// provenance, choice and payoff fields are written once, by the record stage,
-// onto a record that starts fresh for every attempt: they describe this
-// call's own stages and nothing else.
+// paper's Table 3 (prediction, fallback, overhead in CSR-SpMV units). Exactly
+// one of three paths produced it: a confident model prediction (PredictedOK,
+// no CacheHit), the execute-and-measure fallback (UsedFallback), or the
+// decision cache (CacheHit). The provenance, choice and payoff fields are
+// written once, by the record stage, onto a record that starts fresh for
+// every attempt: they describe this call's own stages and nothing else.
 type Decision struct {
 	// Features is what extract learned of the matrix. When ColumnPassSkipped
 	// is set, Ndiags, NTdiagsRatio and ERDIA are zero and unknown.
@@ -127,6 +130,13 @@ type Decision struct {
 	// tiled kernel at every k ≥ 2); the field stays for benchmark/, which
 	// reads it.
 	BatchProbeSec float64
+
+	// BatchCrossover is the narrowest batch width MulVecBatch runs the
+	// register-tiled SpMM kernel at: 2 on every decision TuneOpts returns.
+	//
+	// Deprecated: nothing is measured; every batch of two or more vectors
+	// runs the tiled kernel. The field stays for benchmark/, which reads it.
+	BatchCrossover int
 }
 
 // TuneSec returns the seconds the tuning call spent in its stages: the
@@ -146,6 +156,48 @@ func (d *Decision) Overhead() float64 {
 	return d.TuneSec() / d.CSRSpMVSec
 }
 
+// String renders the decision on one line: the path that produced it and its
+// confidence, what the tune did not have to read (StructureHit,
+// ColumnPassSkipped), the chosen format and kernel, Params when not the
+// defaults, then — each only when the tune measured it — the break-even point
+// and the overhead.
+func (d Decision) String() string {
+	var b strings.Builder
+	switch {
+	case d.CacheHit:
+		fmt.Fprintf(&b, "cache hit (confidence %.2f)", d.Confidence)
+	case d.UsedFallback:
+		b.WriteString("execute-and-measure fallback")
+	case d.PredictedOK:
+		fmt.Fprintf(&b, "predicted (confidence %.2f)", d.Confidence)
+	default:
+		fmt.Fprintf(&b, "best match without fallback (confidence %.2f)", d.Confidence)
+	}
+	if d.StructureHit {
+		b.WriteString(", structure hit")
+	}
+	if d.ColumnPassSkipped {
+		b.WriteString(", column pass skipped")
+	}
+	fmt.Fprintf(&b, ": %s via %s", d.Chosen, d.Kernel)
+	if !d.Params.IsZero() {
+		fmt.Fprintf(&b, ", params %s", d.Params)
+	}
+	switch {
+	case d.BreakEvenIters == NeverAmortize:
+		fmt.Fprintf(&b, ", %s never breaks even", d.Asymptotic)
+	case d.BreakEvenIters > 0:
+		fmt.Fprintf(&b, ", %s breaks even at %d SpMVs", d.Asymptotic, d.BreakEvenIters)
+	}
+	if d.Amortized {
+		fmt.Fprintf(&b, " (hint %d: serving tuned CSR)", d.IterationHint)
+	}
+	if o := d.Overhead(); o > 0 {
+		fmt.Fprintf(&b, ", overhead %.1fx CSR-SpMV", o)
+	}
+	return b.String()
+}
+
 // engine is the immutable execution state of an Operator: the matrix
 // materialised in one format, bound to that format's single-vector and tiled
 // SpMM kernels.
@@ -157,13 +209,23 @@ type engine[T matrix.Float] struct {
 
 // Operator is a tuned SpMV: the matrix materialised in its chosen format
 // bound to its chosen kernel and the tuner's persistent worker pool. It is
-// what SMAT_xCSR_SpMV hands back. Its engine is set once, before TuneOpts
-// returns it, and never changes.
+// what SMAT_xCSR_SpMV hands back. Its engine and its decision are set once,
+// before TuneOpts returns it, and never change.
 type Operator[T matrix.Float] struct {
 	eng  *engine[T]
+	dec  *Decision
 	pool *kernels.Pool[T]
 	nnz  int
 }
+
+// Decision returns the record of the tune that produced the operator.
+func (o *Operator[T]) Decision() Decision { return *o.dec }
+
+// AwaitConversion returns at once.
+//
+// Deprecated: an operator is in its final format when TuneOpts returns it;
+// the method stays for benchmark/, which calls it.
+func (o *Operator[T]) AwaitConversion() {}
 
 // MulVec computes y = A·x on the steady-state execution path: the work
 // partition comes from the matrix's cached plan and parallel chunks run on
@@ -480,6 +542,8 @@ func (t *Tuner[T]) TuneOpts(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *
 	if tn.d.ColumnPassSkipped {
 		t.columnPassesSkipped.Add(1)
 	}
+	tn.d.BatchCrossover = 2
+	tn.op.dec = tn.d
 	return tn.op, tn.d, nil
 }
 

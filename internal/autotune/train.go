@@ -194,6 +194,15 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("autotune: model has %d classes, want %d",
 			len(m.Ruleset.ClassNames), len(classNames()))
 	}
+	// The tuner evaluates the rules over the Table 2 feature vector: an
+	// attribute past it would index out of range at the first tune.
+	if len(m.Ruleset.AttrNames) != len(features.AttributeNames) {
+		return nil, fmt.Errorf("autotune: model has %d attributes, want %d",
+			len(m.Ruleset.AttrNames), len(features.AttributeNames))
+	}
+	if err := m.Ruleset.Validate(); err != nil {
+		return nil, fmt.Errorf("autotune: %w", err)
+	}
 	if m.ConfidenceThreshold <= 0 || m.ConfidenceThreshold > 1 {
 		return nil, fmt.Errorf("autotune: confidence threshold %g outside (0,1]", m.ConfidenceThreshold)
 	}

@@ -178,27 +178,40 @@ func TestPoolConcurrentDistinctMatrices(t *testing.T) {
 	}
 }
 
-// TestCSRSteadyStatePathZeroAlloc is the engine's allocation contract: once
-// the plan is cached and the workers are up, a pooled CSR SpMV performs zero
-// heap allocations per call.
-func TestCSRSteadyStatePathZeroAlloc(t *testing.T) {
+// TestSteadyStatePathZeroAlloc is the engine's allocation contract: once the
+// plan is cached and the workers are up, every registered single-vector
+// kernel of every format, the HYB and BCSR extensions included, performs zero
+// heap allocations per pooled call. The fixture is a 2D Laplacian above
+// SerialWork, which every format converts without padding much, so the
+// parallel kernels dispatch to the workers.
+func TestSteadyStatePathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under -race")
 	}
-	rng := rand.New(rand.NewSource(3))
-	m := intCSR(rng, 5000, 5000, 6) // ~30k nonzeros: parallel path
-	mat := &Mat[float64]{Format: matrix.FormatCSR, CSR: m}
+	m := gen.Laplacian2D5pt[float64](48, 48) // 11 k nonzeros: parallel path
 	lib := NewLibrary[float64]()
+	lib.RegisterHYB()
+	lib.RegisterBCSR()
 	x := intVector(m.Cols)
 	y := make([]float64, m.Rows)
 	pool := NewPool[float64](4)
 	defer pool.Close()
-	for _, name := range []string{"csr_parallel", "csr_parallel_nnz", "csr_parallel_nnz_unroll4"} {
-		k := lib.Lookup(name)
-		k.RunPooled(mat, x, y, pool) // warm: compute the plan, start the workers
-		if allocs := testing.AllocsPerRun(100, func() { k.RunPooled(mat, x, y, pool) }); allocs != 0 {
-			t.Errorf("%s: %.1f allocs per steady-state call, want 0", name, allocs)
+	kernels := 0
+	for _, f := range append(append([]matrix.Format{}, matrix.Formats[:]...), matrix.FormatHYB, matrix.FormatBCSR) {
+		mat, err := Convert(m, f, 0)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
 		}
+		for _, k := range lib.ForFormat(f) {
+			k.RunPooled(mat, x, y, pool) // warm: compute the plan, start the workers
+			if allocs := testing.AllocsPerRun(20, func() { k.RunPooled(mat, x, y, pool) }); allocs != 0 {
+				t.Errorf("%s: %.1f allocs per steady-state call, want 0", k.Name, allocs)
+			}
+			kernels++
+		}
+	}
+	if kernels != len(lib.byName) {
+		t.Errorf("ran %d kernels of the %d registered", kernels, len(lib.byName))
 	}
 	if st := pool.Stats(); st.Pooled < 300 {
 		t.Errorf("stats %+v: the calls did not run on the workers", st)

@@ -265,8 +265,7 @@ func (ex exec[T]) dispatch(bounds []int, fn rangeFn[T], m *Mat[T], x, y []T, k i
 // formatMismatch reports a kernel applied to the wrong format. The message
 // formatting lives out of line — and is kept there with go:noinline — so the
 // hot Run/RunPooled bodies stay allocation-free on the match path and the
-// escape-analysis gate doesn't see the panic path's Sprintf inlined into
-// them.
+// panic path's Sprintf is never inlined into them.
 //
 //go:noinline
 func formatMismatch[T matrix.Float](k *Kernel[T], m *Mat[T]) {

@@ -22,13 +22,16 @@ func DecodeRuleset(r io.Reader) (*Ruleset, error) {
 	if err := json.NewDecoder(r).Decode(&rs); err != nil {
 		return nil, fmt.Errorf("mining: decode ruleset: %w", err)
 	}
-	if err := rs.validate(); err != nil {
+	if err := rs.Validate(); err != nil {
 		return nil, err
 	}
 	return &rs, nil
 }
 
-func (rs *Ruleset) validate() error {
+// Validate checks the ruleset's internal consistency: a default and rule
+// classes among ClassNames, conditions on attributes among AttrNames with a
+// known operator, confidences in [0,1].
+func (rs *Ruleset) Validate() error {
 	if len(rs.ClassNames) == 0 {
 		return fmt.Errorf("mining: ruleset has no classes")
 	}

@@ -83,7 +83,7 @@ func TestOperatorAccessors(t *testing.T) {
 		t.Error("empty kernel name")
 	}
 	d := op.Decision()
-	if d.Chosen != FormatDIA || d.Overhead < 0 {
+	if d.Chosen != FormatDIA || d.Overhead() < 0 {
 		t.Errorf("decision %+v", d)
 	}
 }

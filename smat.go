@@ -39,7 +39,6 @@ package smat
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -102,12 +101,12 @@ type Matrix[T Float] struct {
 type tunedSlot[T Float] struct {
 	op    *Operator[T]
 	owner *Tuner[T]
-	key   optsKey
+	key   autotune.TuneOptions
 }
 
-// serves reports whether the slot holds t's operator for the options behind
-// key; an empty slot serves nobody.
-func (s *tunedSlot[T]) serves(t *Tuner[T], key optsKey) bool {
+// serves reports whether the slot holds t's operator for the options key; an
+// empty slot serves nobody.
+func (s *tunedSlot[T]) serves(t *Tuner[T], key autotune.TuneOptions) bool {
 	return s != nil && s.owner == t && s.key == key
 }
 
@@ -319,14 +318,6 @@ func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
 // operator.
 type TuneOption func(*autotune.TuneOptions)
 
-// optsKey is the comparable fingerprint of the effective per-call options
-// under which a handle's cached operator was tuned.
-type optsKey struct {
-	iters   int
-	hint    Format
-	hasHint bool
-}
-
 // WithIterations tells the tuner the matrix is expected to serve n more
 // SpMV operations (a batch of width k counts as k). The decision becomes
 // "best format given n remaining SpMVs": a non-CSR winner is adopted only
@@ -337,7 +328,7 @@ type optsKey struct {
 func WithIterations(n int) TuneOption {
 	return func(o *autotune.TuneOptions) {
 		// 0 is TuneOptions' "no hint": a rejected n goes in negative, which
-		// no accepted hint is, and slot turns it into the error.
+		// no accepted hint is, and TuneOpts turns it into the error.
 		o.Iterations = n
 		if n <= 0 {
 			o.Iterations = -1
@@ -452,35 +443,30 @@ func (t *Tuner[T]) CSRSpMVBatch(a *Matrix[T], xb, yb []T, k int, opts ...TuneOpt
 // operator for the same options, tuned first otherwise — and always when
 // retune is set (Tune).
 func (t *Tuner[T]) slot(a *Matrix[T], opts []TuneOption, retune bool) (*tunedSlot[T], error) {
-	o := autotune.TuneOptions{Iterations: t.defaultIters}
+	o := autotune.TuneOptions{Iterations: t.defaultIters, Pattern: a.sig}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.Iterations < 0 {
-		return nil, fmt.Errorf("smat: WithIterations: iteration hint must be positive")
-	}
-	key := optsKey{iters: o.Iterations, hint: o.FormatHint, hasHint: o.HasFormatHint}
-	if s := a.tuned.Load(); !retune && s.serves(t, key) {
+	if s := a.tuned.Load(); !retune && s.serves(t, o) {
 		return s, nil
 	}
-	return a.tune(t, o, key, retune)
+	return a.tune(t, o, retune)
 }
 
 // tune tunes a for t under the handle's mutex, so concurrent first uses of
 // one matrix run exactly one tuning pass instead of racing: unless retune is
 // set, a slot another caller filled meanwhile is reused.
-func (a *Matrix[T]) tune(t *Tuner[T], o autotune.TuneOptions, key optsKey, retune bool) (*tunedSlot[T], error) {
+func (a *Matrix[T]) tune(t *Tuner[T], o autotune.TuneOptions, retune bool) (*tunedSlot[T], error) {
 	a.tuneMu.Lock()
 	defer a.tuneMu.Unlock()
-	if s := a.tuned.Load(); !retune && s.serves(t, key) {
+	if s := a.tuned.Load(); !retune && s.serves(t, o) {
 		return s, nil
 	}
-	o.Pattern = a.sig
-	op, dec, err := t.inner.TuneOpts(a.csr, o)
+	op, _, err := t.inner.TuneOpts(a.csr, o)
 	if err != nil {
 		return nil, err
 	}
-	s := &tunedSlot[T]{op: &Operator[T]{op: op, dec: dec}, owner: t, key: key}
+	s := &tunedSlot[T]{op: &Operator[T]{op}, owner: t, key: o}
 	a.tuned.Store(s)
 	return s, nil
 }
@@ -495,75 +481,12 @@ func (a *Matrix[T]) Operator() *Operator[T] {
 	return nil
 }
 
-// Operator is a tuned SpMV bound to its chosen format and kernel.
-type Operator[T Float] struct {
-	op  *autotune.Operator[T]
-	dec *autotune.Decision
-}
-
-// MulVec computes y = A·x. x and y must not share memory (kernels clear y
-// and then accumulate reads of x); MulVec panics on an overlapping pair —
-// the error-returning entry point is Tuner.CSRSpMV.
-func (o *Operator[T]) MulVec(x, y []T) { o.op.MulVec(x, y) }
-
-// MulVecBatch computes Y = A·X for k interleaved right-hand sides: xb holds
-// column c of X at xb[c*k : (c+1)*k] and yb receives row r of Y at
-// yb[r*k : (r+1)*k] (see Batch for packing helpers). Batches of two or more
-// run the format's register-tiled SpMM kernel, a batch of one the tuned
-// single-vector kernel. This is the steady-state path, like MulVec: from the
-// second call on it allocates nothing. It panics
-// on a negative k, mis-sized buffers, or overlapping xb/yb; the
-// error-returning entry point is Tuner.CSRSpMVBatch.
-func (o *Operator[T]) MulVecBatch(xb, yb []T, k int) { o.op.MulVecBatch(xb, yb, k) }
-
-// RunChunks runs fn over the chunks of bounds — chunk c covering
-// [bounds[c], bounds[c+1]) — on the tuner's worker pool, or on the caller in
-// chunk order when the pool is busy or closed. With Threads it implements
-// solve.Pooled, which is how the solvers in internal/solve and internal/amg
-// run their vector phases on the workers that run MulVec.
-func (o *Operator[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
-	o.op.RunChunks(bounds, fn)
-}
-
-// Threads returns the thread count of the tuner's worker pool.
-func (o *Operator[T]) Threads() int { return o.op.Threads() }
-
-// Format returns the storage format the operator serves: Decision().Chosen.
-func (o *Operator[T]) Format() Format { return o.op.Format() }
-
-// KernelName returns the kernel implementation the operator serves.
-func (o *Operator[T]) KernelName() string { return o.op.KernelName() }
-
-// AwaitConversion returns at once.
-//
-// Deprecated: an operator is in its final format when Tune returns it; the
-// method stays for benchmark/, which calls it.
-func (o *Operator[T]) AwaitConversion() {}
-
-// Decision returns the full runtime decision record (prediction, confidence,
-// cache provenance, fallback measurements, amortisation and overhead
-// accounting).
-func (o *Operator[T]) Decision() Decision {
-	return Decision{
-		Predicted:         o.dec.Predicted,
-		PredictedOK:       o.dec.PredictedOK,
-		Confidence:        o.dec.Confidence,
-		UsedFallback:      o.dec.UsedFallback,
-		CacheHit:          o.dec.CacheHit,
-		StructureHit:      o.dec.StructureHit,
-		ColumnPassSkipped: o.dec.ColumnPassSkipped,
-		Chosen:            o.dec.Chosen,
-		Kernel:            o.dec.Kernel,
-		Params:            o.dec.Params,
-		IterationHint:     o.dec.IterationHint,
-		Asymptotic:        o.dec.Asymptotic,
-		BreakEvenIters:    o.dec.BreakEvenIters,
-		Amortized:         o.dec.Amortized,
-		ConvertSec:        o.dec.ConvertSec,
-		BatchCrossover:    2,
-		Overhead:          o.dec.Overhead(),
-	}
-}
+// Operator is a tuned SpMV bound to its chosen format and kernel: MulVec and
+// MulVecBatch run it, Decision says how it was chosen, and RunChunks with
+// Threads lends its worker pool to the solvers (solve.Pooled). MulVec and
+// MulVecBatch panic on mis-sized or overlapping vectors; the error-returning
+// entry points are Tuner.CSRSpMV and Tuner.CSRSpMVBatch.
+type Operator[T Float] struct{ *autotune.Operator[T] }
 
 // NeverBatch was the Decision.BatchCrossover sentinel for an operator whose
 // batched calls always looped the single-vector kernel. It is never reported.
@@ -578,125 +501,10 @@ const NeverBatch = 1 << 30
 // conversion cost.
 const NeverAmortize = autotune.NeverAmortize
 
-// Decision summarises how SMAT chose the operator's format. Exactly one of
-// three paths produced it: a confident model prediction (PredictedOK, no
-// CacheHit), the execute-and-measure fallback (UsedFallback), or the
-// decision cache (CacheHit).
-type Decision struct {
-	// Predicted is the format the model (or, on a cache hit, the cached
-	// entry) selected; it is meaningful only when PredictedOK is true.
-	Predicted Format
-	// PredictedOK reports that the decision was made without measuring:
-	// either a rule group matched above the confidence threshold, or the
-	// decision cache supplied the answer.
-	PredictedOK bool
-	// Confidence is the matched rule-group confidence factor in (0, 1].
-	// Fallback-measured decisions are cached with confidence 1 (ground
-	// truth), so on a cache hit this reflects how the entry was created.
-	Confidence float64
-	// UsedFallback reports that the execute-and-measure path ran on this
-	// call. It is false on a cache hit even when the cached entry was
-	// originally measured.
-	UsedFallback bool
-	// CacheHit reports that the decision came from the tuner's
-	// feature-keyed cache: no rule evaluation or measurement ran, only
-	// feature extraction and format conversion.
-	CacheHit bool
-	// StructureHit reports that the tuner had seen this exact sparsity pattern
-	// before (a handle from NewCSR, matched by content) and worked from what it
-	// remembered of it: the call read the structure only to convert. It says
-	// nothing about the decision — a pattern can be known and its fingerprint's
-	// decision evicted, or the reverse.
-	StructureHit bool
-	// ColumnPassSkipped reports that the tune decided without reading the
-	// column indices: the O(rows) pass over the row pointers gives eight of
-	// the eleven Table 2 features and bounds the three diagonal ones, and when
-	// the ruleset evaluated over those bounds settles on a confident ELL, CSR
-	// or COO pick — the pick the full features would make — the O(nnz) pass
-	// that counts diagonals never runs (nor for a format hint other than DIA).
-	ColumnPassSkipped bool
-	// Chosen is the storage format the operator uses; Kernel the name of the
-	// implementation bound to it.
-	Chosen Format
-	Kernel string
-	// Params records the tunable parameters behind the operator: the
-	// conversion-level knobs its matrix was materialised with and the chosen
-	// kernel instance's unroll depth. The zero value means the fixed menu (a
-	// v1 model, or defaults won).
-	Params Params
-	// IterationHint echoes the effective WithIterations /
-	// WithDefaultIterations value the decision was made under; 0 means the
-	// decision is asymptotic and the amortisation fields below are purely
-	// informational.
-	IterationHint int
-	// Asymptotic is the format tuning would choose for a matrix that lives
-	// forever. Chosen differs from it only when the iteration hint made
-	// converting uneconomical (Amortized).
-	Asymptotic Format
-	// BreakEvenIters is the SpMV count at which converting to Asymptotic
-	// pays off against serving tuned CSR: 0 when Asymptotic is CSR,
-	// NeverAmortize when the converted format never beats it.
-	BreakEvenIters int
-	// Amortized reports that the iteration hint overrode the asymptotic
-	// winner and the operator serves tuned CSR instead.
-	Amortized bool
-	// ConvertSec is the measured conversion time in seconds for the chosen
-	// format.
-	ConvertSec float64
-	// BatchCrossover is the narrowest batch width MulVecBatch runs the
-	// register-tiled SpMM kernel at: always 2.
-	//
-	// Deprecated: nothing is measured; every batch of two or more vectors
-	// runs the tiled kernel.
-	BatchCrossover int
-	// Overhead is the total decision cost in multiples of one CSR-SpMV
-	// execution (the paper's Table 3 unit): what the tuning call itself
-	// spent. It is 0 unless the tune timed that unit — the execute-and-measure
-	// fallback (its tuned-CSR incumbent's first run), or a leader under an
-	// iteration hint (one basic CSR-SpMV): a confident prediction, a format
-	// hint and a cache hit run no kernel before the caller's own, so they have
-	// no unit to report in (time the call to see their cost).
-	Overhead float64
-}
-
-// String renders the decision on one line: the path that produced it and its
-// confidence, what the tune did not have to read (StructureHit,
-// ColumnPassSkipped), the chosen format and kernel, Params when not the
-// defaults, then — each only when the tune measured it — the break-even point
-// and the overhead.
-func (d Decision) String() string {
-	var b strings.Builder
-	switch {
-	case d.CacheHit:
-		fmt.Fprintf(&b, "cache hit (confidence %.2f)", d.Confidence)
-	case d.UsedFallback:
-		b.WriteString("execute-and-measure fallback")
-	case d.PredictedOK:
-		fmt.Fprintf(&b, "predicted (confidence %.2f)", d.Confidence)
-	default:
-		fmt.Fprintf(&b, "best match without fallback (confidence %.2f)", d.Confidence)
-	}
-	if d.StructureHit {
-		b.WriteString(", structure hit")
-	}
-	if d.ColumnPassSkipped {
-		b.WriteString(", column pass skipped")
-	}
-	fmt.Fprintf(&b, ": %s via %s", d.Chosen, d.Kernel)
-	if !d.Params.IsZero() {
-		fmt.Fprintf(&b, ", params %s", d.Params)
-	}
-	switch {
-	case d.BreakEvenIters == NeverAmortize:
-		fmt.Fprintf(&b, ", %s never breaks even", d.Asymptotic)
-	case d.BreakEvenIters > 0:
-		fmt.Fprintf(&b, ", %s breaks even at %d SpMVs", d.Asymptotic, d.BreakEvenIters)
-	}
-	if d.Amortized {
-		fmt.Fprintf(&b, " (hint %d: serving tuned CSR)", d.IterationHint)
-	}
-	if d.Overhead > 0 {
-		fmt.Fprintf(&b, ", overhead %.1fx CSR-SpMV", d.Overhead)
-	}
-	return b.String()
-}
+// Decision is the record of the tune behind an operator: how the format was
+// chosen (a confident prediction, the execute-and-measure fallback or the
+// decision cache), what the tune read and skipped, the payoff arithmetic
+// under an iteration hint, the Table 2 features and the seconds each stage
+// spent. Overhead() is the tune's cost in CSR-SpMV executions, 0 on a path
+// that never ran one; String renders the record on one line.
+type Decision = autotune.Decision
