@@ -17,7 +17,7 @@ func TestShippedModelLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shipped model does not load: %v", err)
 	}
-	if len(model.Ruleset.Rules) == 0 {
+	if len(model.Classes[0].Ruleset.Rules) == 0 {
 		t.Fatal("shipped model has no rules")
 	}
 	tuner := NewTuner[float64](model, WithThreads(1))
@@ -50,11 +50,13 @@ func TestShippedDatabaseLoads(t *testing.T) {
 	if len(db.Records) < 1000 {
 		t.Fatalf("shipped database has %d records, want the full training run", len(db.Records))
 	}
-	res, err := autotune.TrainFromDatabase(db, nil, autotune.TrainConfig{})
+	res, err := autotune.TrainFromDatabase(db, autotune.TrainConfig{})
 	if err != nil {
 		t.Fatalf("retraining from shipped database failed: %v", err)
 	}
-	if res.TrainAccuracy < 0.85 {
-		t.Errorf("retrained accuracy %.2f, want ≥0.85", res.TrainAccuracy)
+	for _, cl := range res.Classes {
+		if cl.TrainAccuracy < 0.85 {
+			t.Errorf("%d threads: retrained accuracy %.2f, want ≥0.85", cl.Threads, cl.TrainAccuracy)
+		}
 	}
 }

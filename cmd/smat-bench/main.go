@@ -7,7 +7,7 @@
 // Experiments: table1, figure1, figure3, figure6, figure9, figure10,
 // table3, table4, ablation-threshold, ablation-tailoring,
 // ablation-features, ablation-scoreboard, extensions, cache, steady,
-// batch, convert, search, solve, all.
+// batch, convert, search, solve, selection, all.
 //
 // Every experiment has a machine-readable JSON artifact named
 // BENCH_<experiment>.json; pass -json-dir to write them (the steady
@@ -84,6 +84,8 @@ func experimentTable() []experiment {
 			run: func(cfg bench.Config) (any, error) { return bench.Search(cfg), nil }},
 		{name: "solve", artifact: "BENCH_solve.json",
 			run: func(cfg bench.Config) (any, error) { return bench.SolveBench(cfg) }},
+		{name: "selection", artifact: "BENCH_selection.json",
+			run: func(cfg bench.Config) (any, error) { return bench.Selection(cfg), nil }},
 	}
 }
 
@@ -92,7 +94,7 @@ func main() {
 	log.SetPrefix("smat-bench: ")
 
 	var (
-		experimentID = flag.String("experiment", "all", "experiment id (table1, figure1, figure3, figure6, figure9, figure10, table3, table4, ablation-*, extensions, cache, steady, batch, convert, search, solve, all)")
+		experimentID = flag.String("experiment", "all", "experiment id (table1, figure1, figure3, figure6, figure9, figure10, table3, table4, ablation-*, extensions, cache, steady, batch, convert, search, solve, selection, all)")
 		modelPath    = flag.String("model", "", "trained model JSON (default: built-in heuristic model)")
 		scale        = flag.Float64("scale", 0.25, "workload size scale (0,1]")
 		stride       = flag.Int("stride", 8, "corpus sampling stride for corpus-wide experiments")
@@ -104,6 +106,8 @@ func main() {
 		dataDir      = flag.String("data-dir", "", "write plot-ready .tsv series per experiment into this directory")
 		jsonDir      = flag.String("json-dir", "", "write each experiment's BENCH_<name>.json artifact into this directory")
 		steadyOut    = flag.String("steady-out", "BENCH_steady.json", "JSON artifact path for the steady experiment (empty = don't write)")
+		baseline     = flag.String("baseline-model", "", "selection: a second model to evaluate beside -model")
+		dbPath       = flag.String("db", "", "selection: the feature database to cross-validate on")
 	)
 	flag.Parse()
 
@@ -114,7 +118,7 @@ func main() {
 			log.Fatal(err)
 		}
 		model = m
-		log.Printf("loaded model %s (%d rules, threshold %.2f)", *modelPath, len(m.Ruleset.Rules), m.ConfidenceThreshold)
+		log.Printf("loaded model %s (%d classes, threshold %.2f)", *modelPath, len(m.Classes), m.ConfidenceThreshold)
 	} else {
 		log.Print("using built-in heuristic model (train one with smat-train for best accuracy)")
 	}
@@ -132,6 +136,26 @@ func main() {
 		Seed:    *seed,
 		Out:     os.Stdout,
 		DataDir: *dataDir,
+	}
+
+	if *baseline != "" {
+		m, err := smat.LoadModelFile(*baseline)
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg.Baseline = m
+	}
+	if *dbPath != "" {
+		f, err := os.Open(*dbPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		db, err := autotune.LoadDatabase(f)
+		f.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
+		cfg.Database = db
 	}
 
 	for _, dir := range []string{*dataDir, *jsonDir} {

@@ -16,6 +16,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -54,8 +55,12 @@ func main() {
 			}
 			model = m
 		}
+		n := *threads
+		if n <= 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
 		choice := autotune.KernelChoice{}
-		for name, kernel := range model.Kernels {
+		for name, kernel := range model.Class(n).Kernels {
 			if f, err := matrix.ParseFormat(name); err == nil {
 				choice[f] = kernel
 			}

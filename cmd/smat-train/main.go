@@ -1,11 +1,12 @@
 // Command smat-train runs SMAT's off-line stage: it generates the synthetic
 // matrix corpus, searches the kernel library with the scoreboard algorithm,
-// labels the training matrices by exhaustive measurement, learns the ruleset
-// model, and writes the model JSON for smat-bench / smat-spmv / smat-amg.
+// labels the training matrices by exhaustive measurement at every thread
+// class, learns one ruleset per class, and writes the model JSON for
+// smat-bench / smat-spmv / smat-amg.
 //
 // Usage:
 //
-//	smat-train -out model.json [-scale 0.25] [-train-n 2055] [-threads N] [-fast]
+//	smat-train -out model.json [-scale 1] [-train-n 2055] [-threads 1,2] [-skip-search] [-fast]
 package main
 
 import (
@@ -13,6 +14,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
 	"smat/internal/autotune"
@@ -26,20 +30,21 @@ func main() {
 	log.SetPrefix("smat-train: ")
 
 	var (
-		out     = flag.String("out", "model.json", "output model path")
-		scale   = flag.Float64("scale", 0.25, "corpus matrix size scale (0,1]")
-		trainN  = flag.Int("train-n", 2055, "number of training matrices (paper: 2055)")
-		threads = flag.Int("threads", 0, "architecture thread configuration (0 = GOMAXPROCS)")
-		seed    = flag.Int64("seed", 1, "corpus and split seed")
-		fast    = flag.Bool("fast", false, "fast mode: short timings, no kernel search")
-		quiet   = flag.Bool("quiet", false, "suppress progress output")
-		dbOut   = flag.String("db-out", "", "also write the feature database (JSON lines)")
-		dbIn    = flag.String("db-in", "", "retrain from an existing feature database, skipping all measurement")
+		out        = flag.String("out", "model.json", "output model path")
+		scale      = flag.Float64("scale", 1, "corpus matrix size scale (0,1]")
+		trainN     = flag.Int("train-n", 2055, "number of training matrices (paper: 2055)")
+		threads    = flag.String("threads", "", "comma-separated thread classes to train (default: 1 and min(GOMAXPROCS, 4))")
+		skipSearch = flag.Bool("skip-search", false, "label with the tuned partitioned kernels instead of running the kernel search")
+		seed       = flag.Int64("seed", 1, "corpus and split seed")
+		fast       = flag.Bool("fast", false, "fast mode: short timings, no kernel search")
+		quiet      = flag.Bool("quiet", false, "suppress progress output")
+		dbOut      = flag.String("db-out", "", "also write the feature database (JSON lines)")
+		dbIn       = flag.String("db-in", "", "retrain from an existing feature database, skipping all measurement")
 	)
 	flag.Parse()
 
 	if *dbIn != "" {
-		retrainFromDatabase(*dbIn, *out, *threads)
+		retrainFromDatabase(*dbIn, *out)
 		return
 	}
 
@@ -48,11 +53,13 @@ func main() {
 	log.Printf("corpus: %d matrices (%d train, %d eval), scale %g", len(c.Entries), len(train), len(eval), *scale)
 
 	cfg := autotune.TrainConfig{
-		Threads: *threads,
+		Threads: threadClasses(*threads),
 		Seed:    *seed,
 	}
-	if *fast {
+	if *skipSearch || *fast {
 		cfg.SkipKernelSearch = true
+	}
+	if *fast {
 		cfg.Measure = autotune.MeasureOptions{MinTime: 200 * time.Microsecond, Trials: 1}
 	}
 	if !*quiet {
@@ -69,26 +76,26 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("training took %s", time.Since(start).Round(time.Second))
-	for _, s := range res.Search {
-		log.Printf("kernel search %-3s: best %-26s strategy scores %v", s.Format, s.Best, s.StrategyScores)
-	}
-	for _, w := range res.ParamSearch {
-		if w.Kernel == "" {
-			continue
+	for _, cl := range res.Classes {
+		for _, s := range cl.Search {
+			log.Printf("[%d threads] kernel search %-3s: best %-26s strategy scores %v", cl.Threads, s.Format, s.Best, s.StrategyScores)
 		}
-		log.Printf("param search  %-3s: best %-26s params %-10s %.2f GFLOPS (fixed menu %s %.2f), %d candidates pruned",
-			w.Format, w.Kernel, w.Params.String(), w.GFLOPS, w.FixedKernel, w.FixedGFLOPS, len(w.Pruned))
+		for _, w := range cl.ParamSearch {
+			if w.Kernel == "" {
+				continue
+			}
+			log.Printf("[%d threads] param search  %-3s: best %-26s params %-10s %.2f GFLOPS (fixed menu %s %.2f), %d candidates pruned",
+				cl.Threads, w.Format, w.Kernel, w.Params.String(), w.GFLOPS, w.FixedKernel, w.FixedGFLOPS, len(w.Pruned))
+		}
+		logClass(cl)
+		// Label distribution, Table 1 style.
+		counts := map[matrix.Format]int{}
+		for _, l := range cl.Labels {
+			counts[l.Best]++
+		}
+		log.Printf("[%d threads] training label distribution: CSR %d, COO %d, DIA %d, ELL %d", cl.Threads,
+			counts[matrix.FormatCSR], counts[matrix.FormatCOO], counts[matrix.FormatDIA], counts[matrix.FormatELL])
 	}
-	log.Printf("ruleset: %d rules tailored to %d; training accuracy %.1f%%",
-		res.FullRules, res.TailoredRules, 100*res.TrainAccuracy)
-
-	// Label distribution, Table 1 style.
-	counts := map[matrix.Format]int{}
-	for _, l := range res.Labels {
-		counts[l.Best]++
-	}
-	log.Printf("training label distribution: CSR %d, COO %d, DIA %d, ELL %d",
-		counts[matrix.FormatCSR], counts[matrix.FormatCOO], counts[matrix.FormatDIA], counts[matrix.FormatELL])
 
 	if *dbOut != "" {
 		df, err := os.Create(*dbOut)
@@ -101,21 +108,34 @@ func main() {
 		df.Close()
 		log.Printf("feature database (%d records) written to %s", len(res.Database.Records), *dbOut)
 	}
+	save(res.Model, *out)
+}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
+// threadClasses parses -threads; empty is 1 and min(GOMAXPROCS, 4).
+func threadClasses(s string) []int {
+	if s == "" {
+		return []int{1, min(runtime.GOMAXPROCS(0), 4)}
 	}
-	defer f.Close()
-	if err := res.Model.Save(f); err != nil {
-		log.Fatal(err)
+	var out []int
+	for _, f := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 1 {
+			log.Fatalf("-threads: %q is not a positive thread count", f)
+		}
+		out = append(out, n)
 	}
-	fmt.Printf("model written to %s\n", *out)
+	return out
+}
+
+// logClass prints one class's ruleset summary.
+func logClass(cl autotune.ClassResult) {
+	log.Printf("[%d threads] ruleset: %d rules tailored to %d; training accuracy %.1f%%",
+		cl.Threads, cl.FullRules, cl.TailoredRules, 100*cl.TrainAccuracy)
 }
 
 // retrainFromDatabase relearns a model from stored records: the paper's
 // reusable-training path (no matrix is built, no kernel is run).
-func retrainFromDatabase(dbPath, outPath string, threads int) {
+func retrainFromDatabase(dbPath, outPath string) {
 	f, err := os.Open(dbPath)
 	if err != nil {
 		log.Fatal(err)
@@ -125,22 +145,29 @@ func retrainFromDatabase(dbPath, outPath string, threads int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := autotune.TrainFromDatabase(db, nil, autotune.TrainConfig{Threads: threads})
+	res, err := autotune.TrainFromDatabase(db, autotune.TrainConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("retrained from %d records: %d rules tailored to %d, accuracy %.1f%%",
-		len(db.Records), res.FullRules, res.TailoredRules, 100*res.TrainAccuracy)
-	if _, cv, err := mining.CrossValidate(res.Dataset, 5, mining.TreeConfig{}, 1); err == nil {
-		log.Printf("5-fold cross-validation accuracy: %.1f%%", 100*cv)
+	log.Printf("retrained from %d records", len(db.Records))
+	for _, cl := range res.Classes {
+		logClass(cl)
+		if _, cv, err := mining.CrossValidate(cl.Dataset, 5, autotune.DefaultTree(), 1); err == nil {
+			log.Printf("[%d threads] 5-fold cross-validation accuracy: %.1f%%", cl.Threads, 100*cv)
+		}
 	}
-	of, err := os.Create(outPath)
+	save(res.Model, outPath)
+}
+
+// save writes the model to path.
+func save(m *autotune.Model, path string) {
+	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer of.Close()
-	if err := res.Model.Save(of); err != nil {
+	defer f.Close()
+	if err := m.Save(f); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("model written to %s\n", outPath)
+	fmt.Printf("model written to %s\n", path)
 }

@@ -32,8 +32,8 @@ func main() {
 	}
 
 	model := smat.HeuristicModel()
-	fmt.Printf("model: %d rules, confidence threshold %.2f\n\n", len(model.Ruleset.Rules), model.ConfidenceThreshold)
 	tuner := smat.NewTuner[float64](model)
+	fmt.Printf("model: %d rules, confidence threshold %.2f\n\n", len(model.Class(tuner.Threads()).Ruleset.Rules), model.ConfidenceThreshold)
 
 	for _, c := range cases {
 		a, err := smat.NewCSR(c.m.Rows, c.m.Cols, c.m.RowPtr, c.m.ColIdx, c.m.Vals)

@@ -69,13 +69,11 @@ func TestTunedHierarchyCycleOnPool(t *testing.T) {
 	want := make([]float64, a.Rows)
 	ref := serial.SolvePCG(b, want, 1e-8, 100)
 
-	model := &autotune.Model{
-		Threads:             2,
-		ConfidenceThreshold: 0.5,
-		MaxFill:             8,
-		Kernels:             map[string]string{},
-		Ruleset:             &mining.Ruleset{Default: int(matrix.FormatCSR)},
-	}
+	model := autotune.NewModel(0.5, 8, autotune.ModelClass{
+		Threads: 2,
+		Kernels: map[string]string{},
+		Ruleset: &mining.Ruleset{Default: int(matrix.FormatCSR)},
+	})
 	tuner := autotune.New[float64](model, autotune.Config{Threads: 2})
 	defer tuner.Close()
 	h, err := SetupPooled(a, Options{}, tuner.Pool())

@@ -117,6 +117,38 @@ func TestSearchKernelsCoversAllFormats(t *testing.T) {
 	}
 }
 
+// TestSearchedClassBindsPartitionedKernels: with the kernel search on, a
+// two-thread class binds a partitioned instance for every format — the
+// scoreboard ranks the whole menu, a class binds from the partitioned part —
+// and the model names what its labels were timed with.
+func TestSearchedClassBindsPartitionedKernels(t *testing.T) {
+	res, err := Train(tinyTrainingSet()[:12], TrainConfig{
+		Threads:    []int{2},
+		Measure:    fastMeasure,
+		ProbeScale: 0.05,
+		Seed:       1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	class := res.Model.Classes[0]
+	if len(res.Classes[0].Search) == 0 {
+		t.Fatal("the kernel search did not run")
+	}
+	for f, k := range resolveKernels(&class, kernels.NewLibrary[float64]()) {
+		if k.Strategies&kernels.StratParallel == 0 || class.Kernels[f.String()] != k.Name {
+			t.Errorf("%v: class names %q, binds %s (%v); want a partitioned kernel it names", f, class.Kernels[f.String()], k.Name, k.Strategies)
+		}
+	}
+	for _, lbl := range res.Classes[0].Labels {
+		for f, name := range lbl.Kernels {
+			if name != class.Kernels[f.String()] {
+				t.Errorf("%v labeled with %s, the class binds %s", f, name, class.Kernels[f.String()])
+			}
+		}
+	}
+}
+
 func TestLabelerMeasuresFeasibleFormats(t *testing.T) {
 	l := NewLabeler(nil, 2, fastMeasure)
 	// A banded matrix: all four formats feasible.
@@ -168,7 +200,7 @@ func tinyTrainingSet() []*corpus.Entry {
 
 func TestTrainProducesWorkingModel(t *testing.T) {
 	res, err := Train(tinyTrainingSet(), TrainConfig{
-		Threads:          2,
+		Threads:          []int{2},
 		Measure:          fastMeasure,
 		SkipKernelSearch: true,
 		Seed:             1,
@@ -176,19 +208,20 @@ func TestTrainProducesWorkingModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Model == nil || res.Model.Ruleset == nil {
+	if res.Model == nil || res.Model.Classes[0].Ruleset == nil {
 		t.Fatal("no model produced")
 	}
-	if len(res.Model.Ruleset.Rules) == 0 {
+	if len(res.Model.Classes[0].Ruleset.Rules) == 0 {
 		t.Fatal("empty ruleset")
 	}
-	if res.TailoredRules > res.FullRules {
-		t.Errorf("tailored %d > full %d rules", res.TailoredRules, res.FullRules)
+	cl := res.Classes[0]
+	if cl.TailoredRules > cl.FullRules {
+		t.Errorf("tailored %d > full %d rules", cl.TailoredRules, cl.FullRules)
 	}
-	if res.TrainAccuracy < 0.5 {
-		t.Errorf("training accuracy %g, want ≥0.5", res.TrainAccuracy)
+	if cl.TrainAccuracy < 0.5 {
+		t.Errorf("training accuracy %g, want ≥0.5", cl.TrainAccuracy)
 	}
-	if len(res.Labels) != len(res.Dataset.Examples) {
+	if len(cl.Labels) != len(cl.Dataset.Examples) {
 		t.Error("labels/examples length mismatch")
 	}
 }
@@ -201,7 +234,7 @@ func TestTrainRejectsEmptySet(t *testing.T) {
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	res, err := Train(tinyTrainingSet(), TrainConfig{
-		Threads:          2,
+		Threads:          []int{2},
 		Measure:          fastMeasure,
 		SkipKernelSearch: true,
 	})
@@ -216,9 +249,9 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Threads != res.Model.Threads ||
+	if back.Classes[0].Threads != res.Model.Classes[0].Threads || len(back.Classes) != len(res.Model.Classes) ||
 		back.ConfidenceThreshold != res.Model.ConfidenceThreshold ||
-		len(back.Ruleset.Rules) != len(res.Model.Ruleset.Rules) {
+		len(back.Classes[0].Ruleset.Rules) != len(res.Model.Classes[0].Ruleset.Rules) {
 		t.Error("round trip changed model")
 	}
 }
@@ -226,9 +259,11 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 func TestLoadModelRejectsCorrupt(t *testing.T) {
 	cases := []string{
 		"not json",
-		`{"version":1}`,
-		`{"version":1,"confidence_threshold":0.9,"ruleset":{"class_names":["A"],"attr_names":[],"rules":[],"default":0}}`,
-		`{"version":1,"confidence_threshold":7,"ruleset":{"class_names":["CSR","COO","DIA","ELL"],"attr_names":[],"rules":[],"default":0}}`,
+		`{"version":2}`,
+		`{"version":2,"confidence_threshold":0.9,"classes":[{"threads":1,"ruleset":{"class_names":["A"],"attr_names":[],"rules":[],"default":0}}]}`,
+		`{"version":2,"confidence_threshold":7,"classes":[{"threads":1,"ruleset":{"class_names":["CSR","COO","DIA","ELL"],"attr_names":[],"rules":[],"default":0}}]}`,
+		// A schema-1 model: one flat ruleset, no classes.
+		`{"version":1,"threads":1,"confidence_threshold":0.9,"ruleset":{"class_names":["CSR","COO","DIA","ELL"],"attr_names":[],"rules":[],"default":0}}`,
 	}
 	for i, c := range cases {
 		if _, err := LoadModel(strings.NewReader(c)); err == nil {
@@ -245,19 +280,16 @@ func modelAlways(f matrix.Format, conf float64) *Model {
 // modelRules builds a hand-made model around the given rules; with none, no
 // rule group ever matches.
 func modelRules(rules ...mining.Rule) *Model {
-	return &Model{
-		Version:             1,
-		Threads:             2,
-		ConfidenceThreshold: 0.85,
-		MaxFill:             DefaultMaxFill,
-		Kernels:             map[string]string{},
+	return NewModel(0.85, DefaultMaxFill, ModelClass{
+		Threads: 2,
+		Kernels: map[string]string{},
 		Ruleset: &mining.Ruleset{
 			AttrNames:  features.AttributeNames,
 			ClassNames: classNames(),
 			Rules:      rules,
 			Default:    int(matrix.FormatCSR),
 		},
-	}
+	})
 }
 
 func TestTunerConfidentPredictionPath(t *testing.T) {
@@ -361,7 +393,7 @@ func TestTunerGroupOrderPrefersDIA(t *testing.T) {
 	// Two always-matching confident rules: DIA and CSR. The DIA group is
 	// checked first (the paper's ordering), so DIA must win.
 	model := modelAlways(matrix.FormatCSR, 0.99)
-	model.Ruleset.Rules = append(model.Ruleset.Rules,
+	model.Classes[0].Ruleset.Rules = append(model.Classes[0].Ruleset.Rules,
 		mining.Rule{Class: int(matrix.FormatDIA), Confidence: 0.95})
 	tuner := New[float64](model, Config{Threads: 2})
 	m := gen.MultiDiagonal[float64](500, []int{0, 2}, rand.New(rand.NewSource(4)))
@@ -414,7 +446,7 @@ func TestEndToEndTrainedTunerPicksDIAForStencil(t *testing.T) {
 	// unmistakably diagonal matrix down a sensible path (DIA predicted, or a
 	// fallback that measures DIA among the candidates).
 	res, err := Train(tinyTrainingSet(), TrainConfig{
-		Threads:          2,
+		Threads:          []int{2},
 		Measure:          fastMeasure,
 		SkipKernelSearch: true,
 	})

@@ -14,8 +14,9 @@ import (
 )
 
 // shippedPicks loads the repository's model.json and returns a model that
-// keeps its kernel picks, parameters and fill limit but always predicts f
-// with the given confidence — the shipped binding under a forced decision.
+// keeps its classes' kernel picks, parameters and fill limit but always
+// predicts f with the given confidence — the shipped binding under a forced
+// decision.
 func shippedPicks(t *testing.T, f matrix.Format, conf float64) *Model {
 	t.Helper()
 	file, err := os.Open("../../model.json")
@@ -27,25 +28,80 @@ func shippedPicks(t *testing.T, f matrix.Format, conf float64) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Ruleset = modelAlways(f, conf).Ruleset
+	rs := modelAlways(f, conf).Classes[0].Ruleset
+	for i := range m.Classes {
+		m.Classes[i].Ruleset = rs
+	}
 	return m
 }
 
-// TestShippedModelBindings pins what the committed model.json binds: its own
-// four names at one thread, their thread-aware forms above — the kernels the
-// benchmark of record runs at its two threads.
+// TestShippedModelBindings pins what the committed model.json binds: a class
+// for one thread and one for two — the benchmark of record's count — each
+// naming the partitioned kernels the single-vector bodies were tuned for.
 func TestShippedModelBindings(t *testing.T) {
 	model := shippedPicks(t, matrix.FormatCSR, 1)
 	lib := kernels.NewLibrary[float64]()
-	for threads, want := range map[int]map[matrix.Format]string{
-		1: {matrix.FormatCSR: "csr_unroll4", matrix.FormatCOO: "coo_unroll4", matrix.FormatDIA: "dia_blocked", matrix.FormatELL: "ell_width_parallel"},
-		2: {matrix.FormatCSR: "csr_parallel_nnz_unroll4", matrix.FormatCOO: "coo_parallel_unroll4", matrix.FormatDIA: "dia_blocked_parallel", matrix.FormatELL: "ell_width_parallel"},
-	} {
-		for f, k := range resolveKernels(model, lib, threads) {
-			if k.Name != want[f] {
+	want := map[matrix.Format]string{matrix.FormatCSR: "csr_parallel_nnz_unroll4", matrix.FormatCOO: "coo_parallel_unroll4",
+		matrix.FormatDIA: "dia_blocked_parallel", matrix.FormatELL: "ell_width_parallel"}
+	if len(model.Classes) != 2 || model.Classes[0].Threads != 1 || model.Classes[1].Threads != 2 {
+		t.Fatalf("shipped classes %+v, want one at 1 thread and one at 2", model.Classes)
+	}
+	for _, threads := range []int{1, 2} {
+		class := model.Class(threads)
+		if class.Threads != threads {
+			t.Errorf("threads=%d runs the class of %d", threads, class.Threads)
+		}
+		for f, k := range resolveKernels(class, lib) {
+			if k.Name != want[f] || k.Strategies&kernels.StratParallel == 0 {
 				t.Errorf("threads=%d: %v binds %s, want %s", threads, f, k.Name, want[f])
 			}
 		}
+	}
+}
+
+// TestNewPicksThreadClass: a tuner runs the class trained at the largest
+// thread count not above its own — on a two-class model, the one-thread class
+// at one thread and the two-thread class at two and at four — and binds that
+// class's kernels.
+func TestNewPicksThreadClass(t *testing.T) {
+	one, two := modelAlways(matrix.FormatCSR, 0.99).Classes[0], modelAlways(matrix.FormatCOO, 0.99).Classes[0]
+	one.Threads, one.Kernels = 1, map[string]string{"CSR": "csr_parallel_nnz"}
+	two.Threads, two.Kernels = 2, map[string]string{"CSR": "csr_parallel_nnz_unroll4"}
+	model := NewModel(0.85, DefaultMaxFill, two, one)
+	for threads, want := range map[int]int{1: 1, 2: 2, 4: 2} {
+		if got := model.Class(threads).Threads; got != want {
+			t.Errorf("Class(%d) is the class of %d threads, want %d", threads, got, want)
+		}
+		tn := New[float64](model, Config{Threads: threads})
+		if c := model.Class(tn.Threads()); tn.class != c || tn.kernelFor(matrix.FormatCSR).Name != c.Kernels["CSR"] {
+			t.Errorf("a tuner at %d threads runs the class of %d and binds %s, want %d and %s",
+				tn.Threads(), tn.class.Threads, tn.kernelFor(matrix.FormatCSR).Name, c.Threads, c.Kernels["CSR"])
+		}
+		tn.Close()
+	}
+}
+
+// TestLabelTimesTheBoundKernel: at two threads the labeler records, for every
+// format it times, the kernel a tuner of its class binds, and times it on the
+// pool, as the operator will run it.
+func TestLabelTimesTheBoundKernel(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a tuner's threads are capped at GOMAXPROCS; the pool needs two")
+	}
+	l := NewLabeler(KernelChoice{matrix.FormatCSR: "csr_parallel_nnz_unroll4", matrix.FormatELL: "ell_width_parallel"}, 2, fastMeasure)
+	defer l.Close()
+	m := gen.MultiDiagonal[float64](20000, []int{-1, 0, 1}, rand.New(rand.NewSource(3)))
+	lbl := l.Label(m)
+	if lbl.Threads != 2 || len(lbl.Kernels) != len(matrix.Formats) {
+		t.Fatalf("label at %d threads names kernels %v; want 2 and every format", lbl.Threads, lbl.Kernels)
+	}
+	for f, name := range lbl.Kernels {
+		if k := l.t.kernelFor(f); name != k.Name {
+			t.Errorf("%v timed with %s, the tuner binds %s", f, name, k.Name)
+		}
+	}
+	if st := l.t.Stats().Pool; st.Pooled == 0 || st.SerialCutoff != 0 {
+		t.Errorf("pool counters %+v after labeling %d nonzeros; want every run pooled", st, m.NNZ())
 	}
 }
 
@@ -188,8 +244,10 @@ var bindingPaths = []struct {
 		// under the same iteration hint. Nothing of the rejected entry may
 		// survive into the decision.
 		m := collisionMatrix(t)
-		local := model(0.99)
-		local.Ruleset = modelAlways(matrix.FormatCSR, 0.99).Ruleset
+		local, rs := model(0.99), modelAlways(matrix.FormatCSR, 0.99).Classes[0].Ruleset
+		for i := range local.Classes {
+			local.Classes[i].Ruleset = rs
+		}
 		tn := New[float64](local, Config{Threads: threads})
 		tn.Cache().Put(m2key(tn, m), costedEntry(matrix.FormatDIA))
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20})
@@ -239,11 +297,11 @@ func checkBindingContract(t *testing.T, label string, r bindingResult) {
 	}
 }
 
-// TestBindingFollowsTunerThreads is the contract of the thread-aware
-// binding, on the shipped model's picks: whichever way the tuner comes to
-// choose a format, a tuner above one thread serves a StratParallel kernel,
-// and a one-thread tuner serves exactly the kernel the model names — the
-// binding before this contract existed — with bit-for-bit its result. On
+// TestBindingFollowsTunerThreads is the contract of the per-class binding,
+// on the shipped model's picks: whichever way the tuner comes to choose a
+// format, a tuner above one thread serves a StratParallel kernel, and a
+// one-thread tuner serves exactly the kernel its class names with bit-for-bit
+// that kernel's one-thread result. On
 // every path and at both thread counts the decision and the operator meet
 // the path's whole non-timing contract (checkBindingContract).
 func TestBindingFollowsTunerThreads(t *testing.T) {
@@ -271,7 +329,7 @@ func TestBindingFollowsTunerThreads(t *testing.T) {
 				}
 				// One thread: the model's own name for the format served, and
 				// that kernel's bits.
-				want := lib.Lookup(model(1).Kernels[op.Format().String()])
+				want := lib.Lookup(model(1).Classes[0].Kernels[op.Format().String()])
 				if served != want {
 					t.Errorf("%s: serves %s, the model names %s", label, served.Name, want.Name)
 				}
@@ -297,7 +355,8 @@ func TestBindingFollowsTunerThreads(t *testing.T) {
 	}
 }
 
-// TestSharedCacheBindsPerTuner: two tuners at one and four threads share a
+// TestSharedCacheBindsPerTuner: two tuners at one and four threads, running
+// the two classes of a model that name different CSR kernels, share a
 // decision cache. A hit on an entry the other tuner wrote binds the hitting
 // tuner's own kernel for the format, not the name the entry carries — in
 // both directions.
@@ -305,18 +364,15 @@ func TestSharedCacheBindsPerTuner(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("a tuner's threads are capped at GOMAXPROCS; the test needs two")
 	}
-	lib := kernels.NewLibrary[float64]()
-	model := shippedPicks(t, matrix.FormatCSR, 0.99)
+	const serial, parallel = "csr_parallel_nnz", "csr_parallel_nnz_unroll4"
+	shipped := shippedPicks(t, matrix.FormatCSR, 0.99)
+	low, high := shipped.Classes[0], shipped.Classes[1]
+	low.Kernels, high.Kernels = map[string]string{"CSR": serial}, map[string]string{"CSR": parallel}
+	model := NewModel(shipped.ConfidenceThreshold, shipped.MaxFill, low, high)
 	one := New[float64](model, Config{Threads: 1})
 	defer one.Close()
 	four := New[float64](model, Config{Threads: 4, Cache: one.Cache()})
 	defer four.Close()
-
-	serial := model.Kernels[matrix.FormatCSR.String()]
-	parallel := lib.Threaded(lib.Lookup(serial)).Name
-	if serial == parallel {
-		t.Fatalf("shipped CSR pick %s is its own parallel sibling; the test needs a serial pick", serial)
-	}
 	for _, c := range []struct {
 		name          string
 		leader, hit   *Tuner[float64]

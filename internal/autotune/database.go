@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"smat/internal/features"
 	"smat/internal/kernels"
@@ -12,23 +14,24 @@ import (
 	"smat/internal/mining"
 )
 
-// DatabaseSchemaVersion is the newest record schema this build writes.
-// Version-1 rows (no schema field, no params) load unchanged and retrain
-// byte-identically: the parameter map is purely additive.
+// DatabaseSchemaVersion is the record schema this build reads and writes:
+// every row carries it, and the thread count its timings were taken at.
 const DatabaseSchemaVersion = 2
 
 // Record is one row of the feature database (the "Feature Database" box of
 // the paper's Figure 4): a matrix's identity, its Table 2 feature values,
-// and its measured per-format performance with the resulting best-format
-// label. Schema-v2 rows additionally carry the per-format winning kernel
-// parameters from the labeling-time parameter walk.
+// and its performance measured at Threads — per format, the GFLOPS of the
+// kernel it was timed with and the non-zero parameters it ran at — with the
+// resulting best-format label.
 type Record struct {
-	Schema   int                       `json:"schema,omitempty"`
+	Schema   int                       `json:"schema"`
+	Threads  int                       `json:"threads"`
 	Name     string                    `json:"name"`
 	Domain   string                    `json:"domain,omitempty"`
 	Features features.Features         `json:"features"`
 	Best     string                    `json:"best"`
 	GFLOPS   map[string]float64        `json:"gflops,omitempty"`
+	Kernels  map[string]string         `json:"kernels,omitempty"`
 	Params   map[string]kernels.Params `json:"params,omitempty"`
 }
 
@@ -39,30 +42,29 @@ type Database struct {
 	Records []Record
 }
 
-// Append adds a labeled matrix to the database as a schema-v1 row.
+// Append adds a labeled matrix to the database.
 func (db *Database) Append(name, domain string, f features.Features, lbl Label) {
-	db.AppendParams(name, domain, f, lbl, nil)
-}
-
-// AppendParams adds a labeled matrix together with its per-format winning
-// kernel parameters. A nil or empty params map produces a plain v1 row, so
-// databases mixing both schemas stay valid.
-func (db *Database) AppendParams(name, domain string, f features.Features, lbl Label, params map[matrix.Format]kernels.Params) {
-	g := make(map[string]float64, len(lbl.GFLOPS))
-	for fmtID, v := range lbl.GFLOPS {
-		g[fmtID.String()] = v
-	}
 	rec := Record{
+		Schema:   DatabaseSchemaVersion,
+		Threads:  lbl.Threads,
 		Name:     name,
 		Domain:   domain,
 		Features: f,
 		Best:     lbl.Best.String(),
-		GFLOPS:   g,
+		GFLOPS:   make(map[string]float64, len(lbl.GFLOPS)),
 	}
-	if len(params) > 0 {
-		rec.Schema = DatabaseSchemaVersion
-		rec.Params = make(map[string]kernels.Params, len(params))
-		for fmtID, p := range params {
+	for fmtID, v := range lbl.GFLOPS {
+		rec.GFLOPS[fmtID.String()] = v
+	}
+	if len(lbl.Kernels) > 0 {
+		rec.Kernels = make(map[string]string, len(lbl.Kernels))
+		for fmtID, k := range lbl.Kernels {
+			rec.Kernels[fmtID.String()] = k
+		}
+	}
+	if len(lbl.Params) > 0 {
+		rec.Params = make(map[string]kernels.Params, len(lbl.Params))
+		for fmtID, p := range lbl.Params {
 			rec.Params[fmtID.String()] = p
 		}
 	}
@@ -82,7 +84,9 @@ func (db *Database) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadDatabase reads a JSON-lines database written by Save.
+// LoadDatabase reads a JSON-lines database written by Save. A row of another
+// schema, without a thread count, with an unknown label, or with a negative
+// or non-finite feature or GFLOPS value is an error.
 func LoadDatabase(r io.Reader) (*Database, error) {
 	db := &Database{}
 	sc := bufio.NewScanner(r)
@@ -98,11 +102,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		if err := json.Unmarshal(text, &rec); err != nil {
 			return nil, fmt.Errorf("autotune: database line %d: %w", line, err)
 		}
-		if rec.Schema > DatabaseSchemaVersion {
-			return nil, fmt.Errorf("autotune: database line %d: schema version %d is newer than this build supports (%d)",
-				line, rec.Schema, DatabaseSchemaVersion)
-		}
-		if _, err := matrix.ParseFormat(rec.Best); err != nil {
+		if err := rec.validate(); err != nil {
 			return nil, fmt.Errorf("autotune: database line %d: %w", line, err)
 		}
 		db.Records = append(db.Records, rec)
@@ -113,14 +113,52 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	return db, nil
 }
 
-// Dataset converts the database into the learner's input.
-func (db *Database) Dataset() (*mining.Dataset, error) {
+// validate checks one loaded row.
+func (rec *Record) validate() error {
+	if rec.Schema != DatabaseSchemaVersion {
+		return fmt.Errorf("schema version %d; this build reads version %d", rec.Schema, DatabaseSchemaVersion)
+	}
+	if rec.Threads < 1 {
+		return fmt.Errorf("thread count %d", rec.Threads)
+	}
+	if _, err := matrix.ParseFormat(rec.Best); err != nil {
+		return err
+	}
+	measured := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+	for i, v := range rec.Features.Vector() {
+		if !measured(v) {
+			return fmt.Errorf("feature %s = %g", features.AttributeNames[i], v)
+		}
+	}
+	for f, v := range rec.GFLOPS {
+		if !measured(v) {
+			return fmt.Errorf("%s GFLOPS = %g", f, v)
+		}
+	}
+	return nil
+}
+
+// Threads returns the thread counts the database holds rows for, ascending.
+func (db *Database) Threads() []int {
+	var out []int
+	for i := range db.Records {
+		out = append(out, db.Records[i].Threads)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Dataset converts the rows timed at threads into the learner's input.
+func (db *Database) Dataset(threads int) (*mining.Dataset, error) {
 	ds := &mining.Dataset{
 		AttrNames:  features.AttributeNames,
 		ClassNames: classNames(),
 	}
 	for i := range db.Records {
 		rec := &db.Records[i]
+		if rec.Threads != threads {
+			continue
+		}
 		f, err := matrix.ParseFormat(rec.Best)
 		if err != nil {
 			return nil, fmt.Errorf("autotune: record %d (%s): %w", i, rec.Name, err)
@@ -137,47 +175,62 @@ func (db *Database) Dataset() (*mining.Dataset, error) {
 	return ds, nil
 }
 
+// kernels is the per-format kernel the rows timed at threads were labeled
+// with: the binding of the labeler that wrote them, one kernel per format.
+// Rows of one class that name two kernels for a format are an error.
+func (db *Database) kernels(threads int) (map[string]string, error) {
+	out := map[string]string{}
+	for i := range db.Records {
+		rec := &db.Records[i]
+		if rec.Threads != threads {
+			continue
+		}
+		for f, k := range rec.Kernels {
+			if prev, ok := out[f]; ok && prev != k {
+				return nil, fmt.Errorf("autotune: record %d (%s): %s timed with %s, earlier %d-thread rows with %s",
+					i, rec.Name, f, k, threads, prev)
+			}
+			out[f] = k
+		}
+	}
+	return out, nil
+}
+
 // TrainFromDatabase learns a model from an existing feature database,
-// skipping all measurement. kernels carries the per-format kernel choice for
-// the target architecture (from a previous scoreboard search; nil selects
-// the basic kernels).
-func TrainFromDatabase(db *Database, choice KernelChoice, cfg TrainConfig) (*TrainResult, error) {
+// skipping all measurement: one class per thread count the rows were timed
+// at, each binding the kernels its rows were labeled with.
+func TrainFromDatabase(db *Database, cfg TrainConfig) (*TrainResult, error) {
 	if len(db.Records) == 0 {
 		return nil, fmt.Errorf("autotune: empty database")
 	}
-	if cfg.TailorLoss <= 0 {
-		cfg.TailorLoss = 0.01
+	cfg = cfg.withDefaults()
+	res := &TrainResult{}
+	var classes []ModelClass
+	for _, threads := range db.Threads() {
+		ds, err := db.Dataset(threads)
+		if err != nil {
+			return nil, err
+		}
+		tree, err := mining.BuildTree(ds, cfg.Tree)
+		if err != nil {
+			return nil, fmt.Errorf("autotune: train from database (%d threads): %w", threads, err)
+		}
+		full := mining.RulesFromTree(tree, ds).SimplifyConditions(ds)
+		tailored := full.Tailor(ds, cfg.TailorLoss)
+		res.Classes = append(res.Classes, ClassResult{
+			Threads:       threads,
+			Dataset:       ds,
+			FullRuleset:   full,
+			FullRules:     len(full.Rules),
+			TailoredRules: len(tailored.Rules),
+			TrainAccuracy: tailored.Accuracy(ds),
+		})
+		kmap, err := db.kernels(threads)
+		if err != nil {
+			return nil, err
+		}
+		classes = append(classes, ModelClass{Threads: threads, Kernels: kmap, Ruleset: tailored})
 	}
-	if cfg.ConfidenceThreshold <= 0 {
-		cfg.ConfidenceThreshold = DefaultConfidenceThreshold
-	}
-	ds, err := db.Dataset()
-	if err != nil {
-		return nil, err
-	}
-	res := &TrainResult{Dataset: ds}
-	tree, err := mining.BuildTree(ds, cfg.Tree)
-	if err != nil {
-		return nil, fmt.Errorf("autotune: train from database: %w", err)
-	}
-	full := mining.RulesFromTree(tree, ds).SimplifyConditions(ds)
-	tailored := full.Tailor(ds, cfg.TailorLoss)
-	res.FullRuleset = full
-	res.FullRules = len(full.Rules)
-	res.TailoredRules = len(tailored.Rules)
-	res.TrainAccuracy = tailored.Accuracy(ds)
-
-	kmap := map[string]string{}
-	for f, name := range choice {
-		kmap[f.String()] = name
-	}
-	res.Model = &Model{
-		Version:             1,
-		Threads:             cfg.Threads,
-		ConfidenceThreshold: cfg.ConfidenceThreshold,
-		MaxFill:             DefaultMaxFill,
-		Kernels:             kmap,
-		Ruleset:             tailored,
-	}
+	res.Model = NewModel(cfg.ConfidenceThreshold, DefaultMaxFill, classes...)
 	return res, nil
 }

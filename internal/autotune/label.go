@@ -1,9 +1,12 @@
 package autotune
 
 import (
+	"runtime"
+
 	"smat/internal/features"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
+	"smat/internal/mining"
 )
 
 // DefaultMaxFill bounds DIA/ELL zero-fill during labeling and fallback
@@ -11,87 +14,108 @@ import (
 // are skipped as infeasible rather than measured.
 const DefaultMaxFill = 20.0
 
-// Label is the measured ground truth for one matrix: per-format GFLOPS
-// (using each format's chosen kernel) and the winner.
+// Label is the measured ground truth for one matrix at one thread count: per
+// format, the GFLOPS of the kernel it was timed with and the parameters it
+// ran at (non-zero ones only), and the winner.
 type Label struct {
-	Best   matrix.Format
-	GFLOPS map[matrix.Format]float64
+	Best    matrix.Format
+	GFLOPS  map[matrix.Format]float64
+	Kernels map[matrix.Format]string
+	Params  map[matrix.Format]kernels.Params
+	Threads int
 }
 
-// Labeler measures matrices to produce training labels.
+// Labeler measures matrices to produce training labels the way a tuner runs
+// them: each format converted by the tuner's build stage and timed on the
+// kernel the tuner binds for it, on the tuner's worker pool.
 type Labeler struct {
-	lib     *kernels.Library[float64]
-	choice  KernelChoice
-	threads int
+	t *Tuner[float64]
+	// class is what the labeler's tuner runs: its kernels name what the
+	// tuner binds per format, the class a model trained on its labels ships.
+	class   *ModelClass
 	measure MeasureOptions
-	maxFill float64
 }
 
-// NewLabeler builds a labeler that evaluates each format with the kernel the
-// scoreboard search chose (choice may be nil: each format's best is then
-// taken as its basic implementation).
+// NewLabeler builds a labeler timing at threads (≤ 0: GOMAXPROCS; capped to
+// it) with the kernel chosen per format (choice may be nil: every format then
+// takes its default kernel, see resolveKernel).
 func NewLabeler(choice KernelChoice, threads int, measure MeasureOptions) *Labeler {
-	return &Labeler{
-		lib:     kernels.NewLibrary[float64](),
-		choice:  choice,
-		threads: threads,
-		measure: measure.withDefaults(),
-		maxFill: DefaultMaxFill,
-	}
+	return newLabeler(choice, nil, threads, measure)
 }
 
-// Label measures the matrix in every feasible format and returns the
-// winner. The exhaustive measurement is the paper's off-line ground truth
-// (and the cost SMAT's learning model exists to avoid at runtime).
+// newLabeler is NewLabeler converting with the searched per-format params.
+func newLabeler(choice KernelChoice, params ParamChoice, threads int, measure MeasureOptions) *Labeler {
+	if threads <= 0 {
+		threads = runtime.GOMAXPROCS(0)
+	}
+	class := ModelClass{
+		Threads: threads,
+		Kernels: make(map[string]string, len(choice)),
+		Ruleset: &mining.Ruleset{AttrNames: features.AttributeNames, ClassNames: classNames(), Default: int(matrix.FormatCSR)},
+	}
+	for f, name := range choice {
+		class.Kernels[f.String()] = name
+	}
+	for f, p := range params {
+		if class.Params == nil {
+			class.Params = map[string]kernels.Params{}
+		}
+		class.Params[f.String()] = p
+	}
+	t := New[float64](NewModel(DefaultConfidenceThreshold, DefaultMaxFill, class), Config{Threads: threads, CacheSize: -1})
+	// Name what the tuner bound: a choice naming no usable kernel resolves to
+	// the format's default.
+	clear(t.class.Kernels)
+	for f, k := range t.bound {
+		if k != nil {
+			t.class.Kernels[f.String()] = k.Name
+		}
+	}
+	return &Labeler{t: t, class: t.class, measure: measure.withDefaults()}
+}
+
+// Close stops the labeler's worker pool.
+func (l *Labeler) Close() { l.t.Close() }
+
+// Label measures the matrix in every feasible format and returns the winner
+// by the execute-and-measure verdict (pickMeasured): the fastest format when
+// it beats CSR, which costs no conversion, by the fallback's margin, else
+// CSR. The exhaustive measurement is the paper's off-line ground truth (and
+// the cost SMAT's learning model exists to avoid at runtime).
 func (l *Labeler) Label(m *matrix.CSR[float64]) Label {
-	lbl := Label{Best: matrix.FormatCSR, GFLOPS: map[matrix.Format]float64{}}
+	t := l.t
+	lbl := Label{Best: matrix.FormatCSR, GFLOPS: map[matrix.Format]float64{}, Kernels: map[matrix.Format]string{}, Threads: t.threads}
 	x := make([]float64, m.Cols)
 	for i := range x {
 		x[i] = 1 + float64(i%5)/5
 	}
 	y := make([]float64, m.Rows)
+	lay := &matrix.Scan(m).Layout
 	flops := kernels.FLOPs(m.NNZ())
-	best := 0.0
+	// CSR first: pickMeasured's incumbent.
+	formats := []matrix.Format{matrix.FormatCSR}
+	var secs []float64
 	for _, f := range matrix.Formats {
-		mat, err := kernels.Convert(m, f, l.maxFill)
+		if f != matrix.FormatCSR {
+			formats = append(formats, f)
+		}
+	}
+	for _, f := range formats {
+		e, _, err := t.build(m, lay, f, t.paramsFor(f), DefaultMaxFill)
 		if err != nil {
 			continue
 		}
-		k := resolveKernel(l.lib, l.choice[f], f)
-		sec := MeasureSecPerOp(func() { k.Run(mat, x, y, l.threads) }, l.measure)
-		g := GFLOPS(flops, sec)
-		lbl.GFLOPS[f] = g
-		if g > best {
-			best = g
-			lbl.Best = f
+		sec := MeasureSecPerOp(func() { e.kernel.RunPooled(e.mat, x, y, t.pool) }, l.measure)
+		lbl.GFLOPS[f], lbl.Kernels[f] = GFLOPS(flops, sec), e.kernel.Name
+		if p := t.resolvedParams(e); !p.IsZero() {
+			if lbl.Params == nil {
+				lbl.Params = map[matrix.Format]kernels.Params{}
+			}
+			lbl.Params[f] = p
 		}
+		formats[len(secs)] = f
+		secs = append(secs, sec)
 	}
+	lbl.Best = formats[pickMeasured(secs)]
 	return lbl
-}
-
-// LabelParams is Label with the per-matrix parameter walk: each format's
-// ground truth is the best over its whole tunable space (kernel instances ×
-// conversion parameters, feature-pruned), and the winning parameters are
-// returned per format so the database can record them. ft is the matrix's
-// already-extracted feature row; formats whose walk was fully pruned or
-// infeasible are absent from both maps.
-func (l *Labeler) LabelParams(m *matrix.CSR[float64], ft *features.Features) (Label, map[matrix.Format]kernels.Params) {
-	lbl := Label{Best: matrix.FormatCSR, GFLOPS: map[matrix.Format]float64{}}
-	params := map[matrix.Format]kernels.Params{}
-	best := 0.0
-	for _, f := range matrix.Formats {
-		res := SearchMatrixParams(l.lib, m, ft, f, l.threads, l.measure)
-		if res.Kernel == "" {
-			continue
-		}
-		lbl.GFLOPS[f] = res.GFLOPS
-		if !res.Params.IsZero() {
-			params[f] = res.Params
-		}
-		if res.GFLOPS > best {
-			best = res.GFLOPS
-			lbl.Best = f
-		}
-	}
-	return lbl, params
 }

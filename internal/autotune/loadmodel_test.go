@@ -50,7 +50,7 @@ func TestLoadModelRejectsOutOfRangeIndices(t *testing.T) {
 		if err := json.Unmarshal(data, &m); err != nil {
 			t.Fatal(err)
 		}
-		c.edit(m["ruleset"].(map[string]any))
+		c.edit(m["classes"].([]any)[0].(map[string]any)["ruleset"].(map[string]any))
 		edited, err := json.Marshal(m)
 		if err != nil {
 			t.Fatal(err)

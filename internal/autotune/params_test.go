@@ -54,8 +54,7 @@ func TestDecisionJSONRoundTripParams(t *testing.T) {
 
 func TestModelParamsRoundTrip(t *testing.T) {
 	m := modelAlways(matrix.FormatELL, 0.95)
-	m.Version = ModelSchemaVersion
-	m.Params = map[string]kernels.Params{
+	m.Classes[0].Params = map[string]kernels.Params{
 		matrix.FormatELL.String():  {Unroll: 8},
 		matrix.FormatDIA.String():  {Unroll: 2},
 		matrix.FormatBCSR.String(): {BlockR: 8, BlockC: 2},
@@ -72,40 +71,12 @@ func TestModelParamsRoundTrip(t *testing.T) {
 	if back.Version != ModelSchemaVersion {
 		t.Errorf("version %d, want %d", back.Version, ModelSchemaVersion)
 	}
-	if len(back.Params) != len(m.Params) {
-		t.Fatalf("%d param entries, want %d", len(back.Params), len(m.Params))
+	if len(back.Classes[0].Params) != len(m.Classes[0].Params) {
+		t.Fatalf("%d param entries, want %d", len(back.Classes[0].Params), len(m.Classes[0].Params))
 	}
-	for f, p := range m.Params {
-		if back.Params[f] != p {
-			t.Errorf("params[%s] = %+v, want %+v", f, back.Params[f], p)
-		}
-	}
-}
-
-func TestLoadModelV1BackCompat(t *testing.T) {
-	// A v1 model (no params key) must load with a nil parameter map, and the
-	// tuner built from it must resolve every format to the zero (fixed-menu)
-	// parameters.
-	m := modelAlways(matrix.FormatCSR, 0.95)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `"params"`) {
-		t.Fatalf("v1 model serialised a params key: %s", buf.String())
-	}
-	back, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Params != nil {
-		t.Errorf("v1 model loaded with non-nil Params: %+v", back.Params)
-	}
-	tn := New[float64](back, Config{Threads: 2})
-	defer tn.Close()
-	for _, f := range matrix.Formats {
-		if p := tn.paramsFor(f); !p.IsZero() {
-			t.Errorf("v1 model: paramsFor(%s) = %+v, want zero", f, p)
+	for f, p := range m.Classes[0].Params {
+		if back.Classes[0].Params[f] != p {
+			t.Errorf("params[%s] = %+v, want %+v", f, back.Classes[0].Params[f], p)
 		}
 	}
 }
@@ -123,14 +94,15 @@ func TestLoadModelRejectsNewerVersion(t *testing.T) {
 }
 
 func TestDatabaseParamsRoundTrip(t *testing.T) {
-	db := sampleDatabase() // schema-v1 rows
+	db := sampleDatabase() // rows without parameters
 	f := db.Records[0].Features
-	db.AppendParams("blocked", "test", f,
-		Label{Best: matrix.FormatDIA, GFLOPS: map[matrix.Format]float64{matrix.FormatDIA: 3}},
-		map[matrix.Format]kernels.Params{
+	db.Append("blocked", "test", f, Label{
+		Best: matrix.FormatDIA, GFLOPS: map[matrix.Format]float64{matrix.FormatDIA: 3}, Threads: 2,
+		Params: map[matrix.Format]kernels.Params{
 			matrix.FormatDIA: {Unroll: 8},
 			matrix.FormatELL: {Unroll: 2},
-		})
+		},
+	})
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -143,8 +115,8 @@ func TestDatabaseParamsRoundTrip(t *testing.T) {
 		t.Fatalf("%d records, want %d", len(back.Records), len(db.Records))
 	}
 	last := back.Records[len(back.Records)-1]
-	if last.Schema != DatabaseSchemaVersion {
-		t.Errorf("schema %d, want %d", last.Schema, DatabaseSchemaVersion)
+	if last.Schema != DatabaseSchemaVersion || last.Threads != 2 {
+		t.Errorf("schema %d, %d threads; want %d, 2", last.Schema, last.Threads, DatabaseSchemaVersion)
 	}
 	if got := last.Params["DIA"]; got != (kernels.Params{Unroll: 8}) {
 		t.Errorf("DIA params = %+v", got)
@@ -152,13 +124,13 @@ func TestDatabaseParamsRoundTrip(t *testing.T) {
 	if got := last.Params["ELL"]; got != (kernels.Params{Unroll: 2}) {
 		t.Errorf("ELL params = %+v", got)
 	}
-	// The v1 rows in front must stay schema-free and param-free.
-	if back.Records[0].Schema != 0 || back.Records[0].Params != nil {
-		t.Errorf("v1 row gained schema/params: %+v", back.Records[0])
+	// Every row carries the schema, those without parameters too.
+	if back.Records[0].Schema != DatabaseSchemaVersion || back.Records[0].Params != nil {
+		t.Errorf("parameter-free row: %+v", back.Records[0])
 	}
-	// Mixed-schema databases must still retrain (params are advisory).
-	if _, err := TrainFromDatabase(back, nil, TrainConfig{Threads: 2}); err != nil {
-		t.Fatalf("mixed-schema database does not retrain: %v", err)
+	// Rows with and without parameters retrain together (params are advisory).
+	if _, err := TrainFromDatabase(back, TrainConfig{}); err != nil {
+		t.Fatalf("database does not retrain: %v", err)
 	}
 }
 
@@ -170,8 +142,7 @@ func TestLoadersIgnoreRetiredParamKeys(t *testing.T) {
 	want := kernels.Params{Unroll: 8}
 
 	m := modelAlways(matrix.FormatDIA, 0.95)
-	m.Version = ModelSchemaVersion
-	m.Params = map[string]kernels.Params{"DIA": want}
+	m.Classes[0].Params = map[string]kernels.Params{"DIA": want}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -180,7 +151,15 @@ func TestLoadersIgnoreRetiredParamKeys(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
-	raw["params"] = json.RawMessage(`{"DIA":` + retired + `}`)
+	var classes []map[string]json.RawMessage
+	if err := json.Unmarshal(raw["classes"], &classes); err != nil {
+		t.Fatal(err)
+	}
+	classes[0]["params"] = json.RawMessage(`{"DIA":` + retired + `}`)
+	var err error
+	if raw["classes"], err = json.Marshal(classes); err != nil {
+		t.Fatal(err)
+	}
 	data, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -189,11 +168,11 @@ func TestLoadersIgnoreRetiredParamKeys(t *testing.T) {
 	if err != nil {
 		t.Fatalf("model with retired keys: %v", err)
 	}
-	if got := back.Params["DIA"]; got != want {
+	if got := back.Classes[0].Params["DIA"]; got != want {
 		t.Errorf("model DIA params = %+v, want %+v", got, want)
 	}
 
-	row := `{"schema":2,"name":"x","features":{},"best":"DIA","params":{"DIA":` + retired + `}}` + "\n"
+	row := `{"schema":2,"threads":1,"name":"x","features":{},"best":"DIA","params":{"DIA":` + retired + `}}` + "\n"
 	db, err := LoadDatabase(strings.NewReader(row))
 	if err != nil {
 		t.Fatalf("database row with retired keys: %v", err)
@@ -204,7 +183,7 @@ func TestLoadersIgnoreRetiredParamKeys(t *testing.T) {
 }
 
 func TestLoadDatabaseRejectsNewerSchema(t *testing.T) {
-	row := `{"schema":3,"name":"x","features":{},"best":"CSR"}` + "\n"
+	row := `{"schema":3,"threads":1,"name":"x","features":{},"best":"CSR"}` + "\n"
 	if _, err := LoadDatabase(strings.NewReader(row)); err == nil {
 		t.Fatal("record from a newer schema accepted")
 	}

@@ -340,7 +340,10 @@ func (o *Operator[T]) Dims() (rows, cols int) { return o.eng.mat.Dims() }
 // counters are atomics, and the rest of the tuner state is immutable after
 // construction.
 type Tuner[T matrix.Float] struct {
-	model      *Model
+	model *Model
+	// class is the model class for this tuner's thread count (Model.Class):
+	// its ruleset decides, its kernels are bound, its parameters convert.
+	class      *ModelClass
 	lib        *kernels.Library[T]
 	threads    int
 	pool       *kernels.Pool[T]
@@ -348,19 +351,21 @@ type Tuner[T matrix.Float] struct {
 	cache      *Cache
 	threshold  float64
 	noFallback bool
-	// bound is the kernel every bind site uses for a format: the model's
-	// pick resolved for this tuner's thread count (see resolveKernels).
+	// bound is the kernel every bind site uses for a format: the class's
+	// pick (see resolveKernel).
 	bound map[matrix.Format]*kernels.Kernel[T]
 
-	// Tunes that returned without having read ColIdx (Stats).
-	columnPassesSkipped atomic.Uint64
+	// Tunes that returned without having read ColIdx, execute-and-measure
+	// selections, and those whose measured winner was the ruleset's best
+	// guess below the threshold (Stats).
+	columnPassesSkipped, fallbacks, fallbackAgreed atomic.Uint64
 }
 
 // Config configures a runtime tuner beyond the model itself.
 type Config struct {
-	// Threads is the kernel thread fan-out; ≤ 0 uses the model's trained
-	// thread count, and either is capped to GOMAXPROCS. The tuner binds the
-	// model's kernel picks for this count (see resolveKernels).
+	// Threads is the kernel thread fan-out, capped to GOMAXPROCS; ≤ 0 uses
+	// GOMAXPROCS. The tuner runs the model's class for this count
+	// (Model.Class).
 	Threads int
 	// CacheSize bounds the feature-keyed decision cache: 0 selects
 	// DefaultCacheSize, a negative value disables caching entirely.
@@ -381,12 +386,10 @@ type Config struct {
 // New builds a runtime tuner from a trained model and a Config.
 func New[T matrix.Float](model *Model, cfg Config) *Tuner[T] {
 	threads := cfg.Threads
-	if threads <= 0 {
-		threads = model.Threads
-	}
 	if max := runtime.GOMAXPROCS(0); threads <= 0 || threads > max {
 		threads = max
 	}
+	class := model.Class(threads)
 	cache := cfg.Cache
 	if cache == nil && cfg.CacheSize >= 0 {
 		cache = NewCache(cfg.CacheSize)
@@ -398,9 +401,10 @@ func New[T matrix.Float](model *Model, cfg Config) *Tuner[T] {
 	lib := kernels.NewLibrary[T]()
 	return &Tuner[T]{
 		model:   model,
+		class:   class,
 		lib:     lib,
 		threads: threads,
-		bound:   resolveKernels(model, lib, threads),
+		bound:   resolveKernels(class, lib),
 		// The persistent worker pool resolves the effective thread count
 		// once, here; every operator the tuner produces shares it.
 		pool: kernels.NewPool[T](threads),
@@ -446,6 +450,12 @@ type Stats struct {
 	// ColumnPassSkipped: working from a record of the row pass alone, scanned
 	// or recalled, they never read the column indices.
 	ColumnPassesSkipped uint64
+	// Fallbacks counts the execute-and-measure selections; FallbackAgreed
+	// those whose measured winner was the format the ruleset's
+	// highest-confidence matching, feasible group named below the threshold
+	// — the pick a no-fallback tuner makes. Their ratio is how often the
+	// model's guess was right where it was not sure.
+	Fallbacks, FallbackAgreed uint64
 }
 
 // Stats snapshots the tuner's counters; the cache part is zero when caching
@@ -454,6 +464,8 @@ func (t *Tuner[T]) Stats() Stats {
 	st := Stats{
 		Pool:                t.pool.Stats(),
 		ColumnPassesSkipped: t.columnPassesSkipped.Load(),
+		Fallbacks:           t.fallbacks.Load(),
+		FallbackAgreed:      t.fallbackAgreed.Load(),
 	}
 	if t.cache != nil {
 		st.CacheStats = t.cache.Stats()
@@ -461,29 +473,31 @@ func (t *Tuner[T]) Stats() Stats {
 	return st
 }
 
+// defaultKernels is what a format binds when its class names no kernel for
+// it: the basic loop body over its partition, whose one-thread arithmetic is
+// the basic kernel's.
+var defaultKernels = map[matrix.Format]string{
+	matrix.FormatCSR: "csr_parallel_nnz",
+	matrix.FormatCOO: "coo_parallel",
+	matrix.FormatDIA: "dia_parallel",
+	matrix.FormatELL: "ell_parallel",
+}
+
 // resolveKernel is the only place a kernel name becomes a kernel: the
 // library's kernel of that name when it is one of format f's, else (no name,
-// an unknown one, another format's) f's basic kernel.
+// an unknown one, another format's) f's default kernel.
 func resolveKernel[T matrix.Float](lib *kernels.Library[T], name string, f matrix.Format) *kernels.Kernel[T] {
 	if k := lib.Lookup(name); k != nil && k.Format == f {
 		return k
 	}
-	return lib.Basic(f)
+	return lib.Lookup(defaultKernels[f])
 }
 
-// resolveKernels builds a tuner's per-format kernel table: the model's pick
-// and, at more than one thread, its thread-aware form (kernels.Library.
-// Threaded). The model's scoreboard ran at model.Threads; a tuner at another
-// thread count keeps the searched loop body and takes the partitioning its
-// own configuration needs.
-func resolveKernels[T matrix.Float](model *Model, lib *kernels.Library[T], threads int) map[matrix.Format]*kernels.Kernel[T] {
+// resolveKernels builds a tuner's per-format kernel table from its class.
+func resolveKernels[T matrix.Float](class *ModelClass, lib *kernels.Library[T]) map[matrix.Format]*kernels.Kernel[T] {
 	bound := make(map[matrix.Format]*kernels.Kernel[T], len(matrix.Formats))
 	for _, f := range matrix.Formats {
-		k := resolveKernel(lib, model.Kernels[f.String()], f)
-		if threads > 1 {
-			k = lib.Threaded(k)
-		}
-		bound[f] = k
+		bound[f] = resolveKernel(lib, class.Kernels[f.String()], f)
 	}
 	return bound
 }
@@ -492,14 +506,10 @@ func resolveKernels[T matrix.Float](model *Model, lib *kernels.Library[T], threa
 // format the tuner does not serve.
 func (t *Tuner[T]) kernelFor(f matrix.Format) *kernels.Kernel[T] { return t.bound[f] }
 
-// paramsFor resolves the model's searched parameters for a format: the zero
-// Params (fixed menu) for v1 models and for formats the search left at
-// their defaults.
+// paramsFor resolves the class's searched parameters for a format: the zero
+// Params (fixed menu) for formats the search left at their defaults.
 func (t *Tuner[T]) paramsFor(f matrix.Format) kernels.Params {
-	if t.model.Params == nil {
-		return kernels.Params{}
-	}
-	return t.model.Params[f.String()]
+	return t.class.Params[f.String()]
 }
 
 // resolvedParams is the full parameter point behind an engine: the model's
@@ -621,8 +631,8 @@ func (t *Tuner[T]) refreshBelow() float64 {
 // class ahead of it nowhere, False when none matches anywhere, Open otherwise.
 // On a point box it is the first match or none.
 func (t *Tuner[T]) groupConfidence(lo, hi []float64, f matrix.Format) (float64, mining.Tri) {
-	for i := range t.model.Ruleset.Rules {
-		r := &t.model.Ruleset.Rules[i]
+	for i := range t.class.Ruleset.Rules {
+		r := &t.class.Ruleset.Rules[i]
 		if r.Class != int(f) {
 			continue
 		}

@@ -24,7 +24,8 @@ type PerfRecord struct {
 	GFLOPS     float64
 }
 
-// SearchResult reports the scoreboard search for one format.
+// SearchResult reports the scoreboard search for one format. Best is the
+// highest-scoring partitioned instance (partitionedBest).
 type SearchResult struct {
 	Format         matrix.Format
 	Table          []PerfRecord
@@ -119,8 +120,25 @@ func searchFormat(lib *kernels.Library[float64], f matrix.Format, cfg SearchConf
 		sec := MeasureSecPerOp(func() { k.Run(mat, x, y, cfg.Threads) }, cfg.Measure)
 		res.Table = append(res.Table, PerfRecord{Kernel: k.Name, Strategies: k.Strategies, GFLOPS: GFLOPS(kernels.FLOPs(probe.NNZ()), sec)})
 	}
-	res.StrategyScores, res.KernelScores, res.Best = scoreTable(res.Table)
+	res.StrategyScores, res.KernelScores, _ = scoreTable(res.Table)
+	res.Best = partitionedBest(res.Table, res.KernelScores)
 	return res
+}
+
+// partitionedBest is the scoreboard's pick among the partitioned instances,
+// the ones a model class binds at any thread count (they run the unsplit
+// arithmetic at one thread): the highest kernel score, ties on GFLOPS.
+func partitionedBest(table []PerfRecord, kernelScores map[string]int) string {
+	best, bestScore, bestG := "", 0, 0.0
+	for _, r := range table {
+		if r.Strategies&kernels.StratParallel == 0 {
+			continue
+		}
+		if s := kernelScores[r.Kernel]; best == "" || s > bestScore || (s == bestScore && r.GFLOPS > bestG) {
+			best, bestScore, bestG = r.Kernel, s, r.GFLOPS
+		}
+	}
+	return best
 }
 
 // scoreTable is step 2 of the search, the scoreboard, as a pure function of
@@ -286,9 +304,9 @@ func SearchMatrixParams(lib *kernels.Library[float64], m *matrix.CSR[float64], f
 
 // SearchKernelsParams runs the scoreboard kernel search and then walks each
 // format's tunable parameter space on the same probe matrix. The parameter
-// walk overrides the scoreboard's per-format choice only when a parameterized
-// instance beats the best fixed-menu candidate by more than the indifference
-// band; the winning parameters feed the schema-v2 model.
+// walk overrides the scoreboard's per-format choice only when a partitioned,
+// parameterized instance beats the best fixed-menu candidate by more than the
+// indifference band; the winning parameters feed the model class.
 func SearchKernelsParams(cfg SearchConfig) (KernelChoice, ParamChoice, []SearchResult, []ParamSearchResult) {
 	cfg.Measure = cfg.Measure.withDefaults()
 	if cfg.ProbeScale <= 0 || cfg.ProbeScale > 1 {
@@ -309,7 +327,8 @@ func SearchKernelsParams(cfg SearchConfig) (KernelChoice, ParamChoice, []SearchR
 		walk := SearchMatrixParams(lib, probe, &ft, f, cfg.Threads, cfg.Measure)
 		walks = append(walks, walk)
 		gainGFLOPS := walk.GFLOPS - walk.FixedGFLOPS
-		if walk.Kernel != "" && !walk.Params.IsZero() && gainGFLOPS > indifferenceGFLOPS {
+		if k := lib.Lookup(walk.Kernel); k != nil && k.Strategies&kernels.StratParallel != 0 &&
+			!walk.Params.IsZero() && gainGFLOPS > indifferenceGFLOPS {
 			choice[f] = walk.Kernel
 			params[f] = walk.Params
 		}

@@ -125,13 +125,19 @@ func TestScoreboardUnchangedWhereNeighboursExist(t *testing.T) {
 }
 
 // TestLabelerResolvesThroughTheOneResolver: a KernelChoice naming another
-// format's kernel, or no registered kernel, labels with the format's basic
-// kernel instead of running a mismatched one (which panics).
+// format's kernel, or no registered kernel, labels with the format's default
+// kernel — the basic body, partitioned — instead of running a mismatched one
+// (which panics).
 func TestLabelerResolvesThroughTheOneResolver(t *testing.T) {
 	lib := kernels.NewLibrary[float64]()
 	for _, name := range []string{"dia_basic", "no_such_kernel", ""} {
-		if k := resolveKernel(lib, name, matrix.FormatCSR); k != lib.Basic(matrix.FormatCSR) {
-			t.Errorf("resolveKernel(%q, CSR) = %s, want csr_basic", name, k.Name)
+		if k := resolveKernel(lib, name, matrix.FormatCSR); k.Name != "csr_parallel_nnz" {
+			t.Errorf("resolveKernel(%q, CSR) = %s, want csr_parallel_nnz", name, k.Name)
+		}
+	}
+	for _, f := range matrix.Formats {
+		if k := resolveKernel(lib, "", f); k == nil || k.Format != f || k.Strategies&kernels.StratParallel == 0 {
+			t.Errorf("%v's default kernel %+v is not a partitioned %v kernel", f, k, f)
 		}
 	}
 	if k := resolveKernel(lib, "csr_unroll4", matrix.FormatCSR); k.Name != "csr_unroll4" {

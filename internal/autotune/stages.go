@@ -344,16 +344,22 @@ func (t *Tuner[T]) predict(rec *structureRecord) (matrix.Format, float64, mining
 // match the ruleset default (CSR) is used. The low confidence is recorded so
 // a cached copy of this decision can be refreshed by a measuring tuner.
 func (tn *tuning[T]) bestEffort() *choice[T] {
-	t, ft := tn.t, tn.full()
+	f, conf := tn.t.bestGuess(tn.full())
+	return &choice[T]{format: f, confidence: conf, params: tn.t.paramsFor(f)}
+}
+
+// bestGuess is the ruleset's pick regardless of the threshold: the
+// highest-confidence matching, feasible rule group, or CSR, the ruleset
+// default, when none matches.
+func (t *Tuner[T]) bestGuess(ft *features.Features) (matrix.Format, float64) {
 	fv := ft.Vector()
-	c := &choice[T]{format: matrix.FormatCSR}
+	best, conf := matrix.FormatCSR, 0.0
 	for _, f := range matrix.Formats {
-		if conf, v := t.groupConfidence(fv, fv, f); v == mining.True && conf > c.confidence && feasible(f, ft, t.model.MaxFill) {
-			c.format, c.confidence = f, conf
+		if c, v := t.groupConfidence(fv, fv, f); v == mining.True && c > conf && feasible(f, ft, t.model.MaxFill) {
+			best, conf = f, c
 		}
 	}
-	c.params = t.paramsFor(c.format)
-	return c
+	return best, conf
 }
 
 // fallbackMaxFill is the tighter zero-fill bound of the execute-and-measure
@@ -418,16 +424,18 @@ func pickMeasured(secs []float64) int {
 // unbound or whose conversion the fill guard rejects drops out; the incumbent
 // cannot. A contender that does not convert because the layout is another
 // pattern's ends the attempt: the features the contenders came from are that
-// pattern's too.
+// pattern's too. A selection counts in Stats, and as agreed when its winner is
+// the ruleset's best guess.
 func (tn *tuning[T]) measure() (*choice[T], error) {
 	t, d := tn.t, tn.d
 	d.UsedFallback = true
 	start := time.Now()
 	defer func() { d.FallbackSec = time.Since(start).Seconds() }()
 
+	ft := tn.full()
 	maxFill := min(fallbackMaxFill, t.model.MaxFill)
 	var built []*choice[T]
-	for _, f := range t.contenders(tn.full(), maxFill) {
+	for _, f := range t.contenders(ft, maxFill) {
 		p := t.paramsFor(f)
 		e, timing, err := tn.candidate(f, p, maxFill)
 		if foreign(err) {
@@ -459,6 +467,10 @@ func (tn *tuning[T]) measure() (*choice[T], error) {
 	}
 	best := built[pickMeasured(secs)]
 	best.incumbentSec = secs[0]
+	t.fallbacks.Add(1)
+	if guess, _ := t.bestGuess(ft); guess == best.format {
+		t.fallbackAgreed.Add(1)
+	}
 	return best, nil
 }
 

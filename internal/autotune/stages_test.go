@@ -163,7 +163,7 @@ func TestPredictedLeaderRunsNoKernel(t *testing.T) {
 		tuner := New[float64](model, Config{Threads: 2})
 		runs := new(atomic.Int64)
 		tuner.lib = tuner.lib.Observed(func() { runs.Add(1) })
-		tuner.bound = resolveKernels(model, tuner.lib, tuner.threads)
+		tuner.bound = resolveKernels(tuner.class, tuner.lib)
 		return tuner, runs
 	}
 	tune := func(tuner *Tuner[float64], opts TuneOptions) *tuning[float64] {
@@ -336,7 +336,7 @@ func TestFallbackRunsTwoPerContender(t *testing.T) {
 		// The bound kernels and the library's own (a baseline's route to
 		// csr_basic) count separately.
 		var bound, unbound atomic.Int64
-		tuner.bound = resolveKernels(c.model, tuner.lib.Observed(func() { bound.Add(1) }), tuner.threads)
+		tuner.bound = resolveKernels(tuner.class, tuner.lib.Observed(func() { bound.Add(1) }))
 		tuner.lib = tuner.lib.Observed(func() { unbound.Add(1) })
 
 		tn := tuner.extract(m, TuneOptions{})

@@ -1,10 +1,12 @@
 package autotune
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 
 	"smat/internal/corpus"
 	"smat/internal/features"
@@ -18,28 +20,66 @@ import (
 // the execute-and-measure fallback runs (Section 6).
 const DefaultConfidenceThreshold = 0.85
 
-// ModelSchemaVersion is the newest model schema this build writes. Version 1
-// models (no parameter map) load unchanged: a nil Params map means every
-// format runs its fixed-menu kernel with default parameters.
+// ModelSchemaVersion is the model schema this build reads and writes: one
+// class per trained thread count.
 const ModelSchemaVersion = 2
 
-// Model is the serialisable artifact of the off-line stage: the tailored
-// ruleset, the per-format kernel choice for the trained architecture
-// configuration, and the runtime thresholds. Generated once per architecture
-// and reused for every input matrix.
-type Model struct {
-	Version             int               `json:"version"`
-	Threads             int               `json:"threads"`
-	ConfidenceThreshold float64           `json:"confidence_threshold"`
-	MaxFill             float64           `json:"max_fill"`
-	Kernels             map[string]string `json:"kernels"` // format name -> kernel name
-	// Params is the schema-v2 addition: the per-format tunable parameters the
-	// off-line search settled on (conversion-level knobs like BCSR block shape
-	// and the HYB width cut, plus the unroll depth). Absent in v1 models,
-	// where the zero Params — the fixed menu — applies everywhere. Keys a
-	// Params no longer has (batch_tile, dia_min_density) load and are ignored.
+// ModelClass is what the off-line stage learned at one thread count: the
+// tailored ruleset, the kernel each format was labeled with — the one a tuner
+// of the class binds — and the per-format searched parameters. The kernels
+// are partitioned instances, which run the unsplit arithmetic at one thread.
+type ModelClass struct {
+	Threads int               `json:"threads"`
+	Kernels map[string]string `json:"kernels"` // format name -> kernel name
+	// Params is the per-format tunable parameters the off-line search settled
+	// on (conversion-level knobs like BCSR block shape and the HYB width cut,
+	// plus the unroll depth); a format absent from it runs the zero Params,
+	// the fixed menu. Keys a Params no longer has (batch_tile,
+	// dia_min_density) load and are ignored.
 	Params  map[string]kernels.Params `json:"params,omitempty"`
 	Ruleset *mining.Ruleset           `json:"ruleset"`
+}
+
+// Model is the serialisable artifact of the off-line stage: one ModelClass
+// per trained thread count and the runtime thresholds they share. Generated
+// once per architecture and reused for every input matrix; a tuner runs the
+// class Class picks for its own thread count.
+type Model struct {
+	Version             int          `json:"version"`
+	ConfidenceThreshold float64      `json:"confidence_threshold"`
+	MaxFill             float64      `json:"max_fill"`
+	Classes             []ModelClass `json:"classes"` // ascending Threads
+	// Ruleset is the last class's ruleset, the one a tuner at the highest
+	// trained thread count runs; NewModel and LoadModel set it.
+	//
+	// Deprecated: read Class(threads).Ruleset. Kept only because benchmark/
+	// replays Model.Ruleset in its traces.
+	Ruleset *mining.Ruleset `json:"-"`
+}
+
+// NewModel assembles a model from at least one class.
+func NewModel(threshold, maxFill float64, classes ...ModelClass) *Model {
+	m := &Model{Version: ModelSchemaVersion, ConfidenceThreshold: threshold, MaxFill: maxFill, Classes: classes}
+	m.index()
+	return m
+}
+
+// index sorts the classes by thread count and sets the deprecated Ruleset.
+func (m *Model) index() {
+	slices.SortFunc(m.Classes, func(a, b ModelClass) int { return cmp.Compare(a.Threads, b.Threads) })
+	m.Ruleset = m.Classes[len(m.Classes)-1].Ruleset
+}
+
+// Class returns the class a tuner at the given thread count runs: the one
+// with the largest Threads not above it, or the lowest when all are above.
+func (m *Model) Class(threads int) *ModelClass {
+	c := &m.Classes[0]
+	for i := range m.Classes {
+		if m.Classes[i].Threads <= threads {
+			c = &m.Classes[i]
+		}
+	}
+	return c
 }
 
 // classNames maps mining class indices to format names; class index is the
@@ -55,12 +95,14 @@ func classNames() []string {
 
 // TrainConfig controls the off-line training stage.
 type TrainConfig struct {
-	// Threads is the architecture configuration being trained (≤0:
-	// GOMAXPROCS).
-	Threads int
+	// Threads lists the architecture configurations to train, one model
+	// class each, capped to GOMAXPROCS; every matrix is labeled at each
+	// (empty: GOMAXPROCS).
+	Threads []int
 	// Measure controls each labeling measurement.
 	Measure MeasureOptions
-	// Tree configures the decision-tree inducer.
+	// Tree configures the decision-tree inducer (nil AttrWeights: those of
+	// DefaultTree).
 	Tree mining.TreeConfig
 	// TailorLoss is the allowed training-accuracy loss of rule tailoring
 	// (default 0.01, the paper's 1%).
@@ -68,8 +110,8 @@ type TrainConfig struct {
 	// ConfidenceThreshold for the runtime (default
 	// DefaultConfidenceThreshold).
 	ConfidenceThreshold float64
-	// SkipKernelSearch labels with basic kernels instead of running the
-	// scoreboard search first (used by fast tests).
+	// SkipKernelSearch labels every class with labelKernels instead of
+	// running the scoreboard search first.
 	SkipKernelSearch bool
 	// ProbeScale scales the kernel-search probe matrices.
 	ProbeScale float64
@@ -79,13 +121,77 @@ type TrainConfig struct {
 	Progress func(done, total int)
 }
 
+// labelKernels is the kernel per format training labels with when it skips
+// the scoreboard search: the partitioned bodies the single-vector kernels
+// were tuned for, which the search settles on at one and two threads on a
+// 2-vCPU x86 box.
+var labelKernels = KernelChoice{
+	matrix.FormatCSR: "csr_parallel_nnz_unroll4",
+	matrix.FormatCOO: "coo_parallel_unroll4",
+	matrix.FormatDIA: "dia_blocked_parallel",
+	matrix.FormatELL: "ell_width_parallel",
+}
+
+// columnPassWeight scales the gain ratio of the three attributes only the
+// column pass fills in (Ndiags, NTdiags_ratio, ER_DIA) when the tree picks a
+// split: a ruleset that decides on what the row pass bounds lets a tune skip
+// the O(nnz) pass (tuning.decided), so a diagonal split has to be that much
+// more informative to be taken.
+const columnPassWeight = 0.3
+
+// DefaultTree is the tree configuration training uses unless told
+// otherwise: the column-pass attributes weighted by columnPassWeight.
+func DefaultTree() mining.TreeConfig {
+	w := make([]float64, len(features.AttributeNames))
+	for i, name := range features.AttributeNames {
+		w[i] = 1
+		switch name {
+		case "Ndiags", "NTdiags_ratio", "ER_DIA":
+			w[i] = columnPassWeight
+		}
+	}
+	return mining.TreeConfig{AttrWeights: w}
+}
+
+func (cfg TrainConfig) withDefaults() TrainConfig {
+	if cfg.Tree.AttrWeights == nil {
+		cfg.Tree.AttrWeights = DefaultTree().AttrWeights
+	}
+	procs := runtime.GOMAXPROCS(0)
+	threads := []int{procs}
+	if len(cfg.Threads) > 0 {
+		threads = make([]int, len(cfg.Threads))
+		for i, n := range cfg.Threads {
+			threads[i] = min(max(n, 1), procs)
+		}
+		slices.Sort(threads)
+		threads = slices.Compact(threads)
+	}
+	cfg.Threads = threads
+	if cfg.TailorLoss <= 0 {
+		cfg.TailorLoss = 0.01
+	}
+	if cfg.ConfidenceThreshold <= 0 {
+		cfg.ConfidenceThreshold = DefaultConfidenceThreshold
+	}
+	return cfg
+}
+
 // TrainResult is the trained model plus the artifacts of the off-line stage.
 type TrainResult struct {
-	Model         *Model
+	Model    *Model
+	Database *Database
+	// Classes holds one entry per trained thread count, ascending, like the
+	// model's.
+	Classes []ClassResult
+}
+
+// ClassResult is the off-line stage's record of one thread class.
+type ClassResult struct {
+	Threads       int
 	Search        []SearchResult
 	ParamSearch   []ParamSearchResult
 	Labels        []Label
-	Database      *Database
 	Dataset       *mining.Dataset
 	FullRuleset   *mining.Ruleset
 	FullRules     int
@@ -93,77 +199,67 @@ type TrainResult struct {
 	TrainAccuracy float64
 }
 
-// Train runs the complete off-line stage on the given corpus entries:
-// scoreboard kernel search, exhaustive labeling, feature extraction, tree
-// induction, rule extraction and tailoring.
+// Train runs the complete off-line stage on the given corpus entries, once
+// per thread class: scoreboard kernel search, exhaustive labeling, feature
+// extraction, tree induction, rule extraction and tailoring. Each matrix is
+// built and its features extracted once, then labeled at every class.
 func Train(entries []*corpus.Entry, cfg TrainConfig) (*TrainResult, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("autotune: empty training set")
 	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = runtime.GOMAXPROCS(0)
-	}
-	if cfg.TailorLoss <= 0 {
-		cfg.TailorLoss = 0.01
-	}
-	if cfg.ConfidenceThreshold <= 0 {
-		cfg.ConfidenceThreshold = DefaultConfidenceThreshold
-	}
+	cfg = cfg.withDefaults()
 
-	res := &TrainResult{}
-	var choice KernelChoice
-	var params ParamChoice
-	if cfg.SkipKernelSearch {
-		choice = KernelChoice{}
-	} else {
-		choice, params, res.Search, res.ParamSearch = SearchKernelsParams(SearchConfig{
-			Threads:    cfg.Threads,
-			ProbeScale: cfg.ProbeScale,
-			Measure:    cfg.Measure,
-			Seed:       cfg.Seed,
-		})
+	type class struct {
+		labeler     *Labeler
+		search      []SearchResult
+		paramSearch []ParamSearchResult
+		labels      []Label
+	}
+	classes := make([]*class, len(cfg.Threads))
+	for i, threads := range cfg.Threads {
+		c := &class{}
+		choice, params := labelKernels, ParamChoice(nil)
+		if !cfg.SkipKernelSearch {
+			choice, params, c.search, c.paramSearch = SearchKernelsParams(SearchConfig{
+				Threads:    threads,
+				ProbeScale: cfg.ProbeScale,
+				Measure:    cfg.Measure,
+				Seed:       cfg.Seed,
+			})
+		}
+		c.labeler = newLabeler(choice, params, threads, cfg.Measure)
+		defer c.labeler.Close()
+		classes[i] = c
 	}
 
 	// Labeling phase: measure every training matrix into the feature
-	// database (the paper's Figure 4 "Feature Database"). With the kernel
-	// search on, labeling walks each format's parameter space per matrix and
-	// the database rows record the winning parameters (schema v2).
-	labeler := NewLabeler(choice, cfg.Threads, cfg.Measure)
+	// database (the paper's Figure 4 "Feature Database"), one row per matrix
+	// and class, each format timed on the kernel its class binds.
 	db := &Database{}
 	for i, e := range entries {
 		m := e.Matrix()
 		f := features.Extract(m)
-		var lbl Label
-		if cfg.SkipKernelSearch {
-			lbl = labeler.Label(m)
+		for _, c := range classes {
+			lbl := c.labeler.Label(m)
 			db.Append(e.Name, e.Domain, f, lbl)
-		} else {
-			var perMatrix map[matrix.Format]kernels.Params
-			lbl, perMatrix = labeler.LabelParams(m, &f)
-			db.AppendParams(e.Name, e.Domain, f, lbl, perMatrix)
+			c.labels = append(c.labels, lbl)
 		}
-		res.Labels = append(res.Labels, lbl)
 		if cfg.Progress != nil {
 			cfg.Progress(i+1, len(entries))
 		}
 	}
 
 	// Learning phase: everything after labeling is measurement-free and
-	// shared with TrainFromDatabase.
-	learned, err := TrainFromDatabase(db, choice, cfg)
+	// shared with TrainFromDatabase. Each class binds what its labeler bound.
+	learned, err := TrainFromDatabase(db, cfg)
 	if err != nil {
 		return nil, err
 	}
-	learned.Search = res.Search
-	learned.ParamSearch = res.ParamSearch
-	learned.Labels = res.Labels
 	learned.Database = db
-	if len(params) > 0 {
-		learned.Model.Version = ModelSchemaVersion
-		learned.Model.Params = map[string]kernels.Params{}
-		for f, p := range params {
-			learned.Model.Params[f.String()] = p
-		}
+	for i, c := range classes {
+		lc, mc := &learned.Classes[i], &learned.Model.Classes[i]
+		lc.Search, lc.ParamSearch, lc.Labels = c.search, c.paramSearch, c.labels
+		mc.Kernels, mc.Params = c.labeler.class.Kernels, c.labeler.class.Params
 	}
 	return learned, nil
 }
@@ -175,33 +271,31 @@ func (m *Model) Save(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// LoadModel reads a model written by Save and validates it. Both schema
-// versions load: a v1 model simply has no parameter map, so every format
-// runs with the zero (fixed-menu) parameters.
+// LoadModel reads a model written by Save and validates it: the current
+// schema, at least one class, distinct positive thread counts, and rulesets
+// over the four basic formats and the Table 2 attributes.
 func LoadModel(r io.Reader) (*Model, error) {
 	var m Model
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("autotune: load model: %w", err)
 	}
-	if m.Version > ModelSchemaVersion {
-		return nil, fmt.Errorf("autotune: model schema version %d is newer than this build supports (%d)",
+	if m.Version != ModelSchemaVersion {
+		return nil, fmt.Errorf("autotune: model schema version %d; this build reads version %d (retrain with smat-train)",
 			m.Version, ModelSchemaVersion)
 	}
-	if m.Ruleset == nil {
-		return nil, fmt.Errorf("autotune: model has no ruleset")
+	if len(m.Classes) == 0 {
+		return nil, fmt.Errorf("autotune: model has no thread class")
 	}
-	if len(m.Ruleset.ClassNames) != len(classNames()) {
-		return nil, fmt.Errorf("autotune: model has %d classes, want %d",
-			len(m.Ruleset.ClassNames), len(classNames()))
-	}
-	// The tuner evaluates the rules over the Table 2 feature vector: an
-	// attribute past it would index out of range at the first tune.
-	if len(m.Ruleset.AttrNames) != len(features.AttributeNames) {
-		return nil, fmt.Errorf("autotune: model has %d attributes, want %d",
-			len(m.Ruleset.AttrNames), len(features.AttributeNames))
-	}
-	if err := m.Ruleset.Validate(); err != nil {
-		return nil, fmt.Errorf("autotune: %w", err)
+	seen := map[int]bool{}
+	for i := range m.Classes {
+		c := &m.Classes[i]
+		if c.Threads < 1 || seen[c.Threads] {
+			return nil, fmt.Errorf("autotune: model class %d: thread count %d is not positive or repeats", i, c.Threads)
+		}
+		seen[c.Threads] = true
+		if err := validRuleset(c.Ruleset); err != nil {
+			return nil, fmt.Errorf("autotune: model class %d (%d threads): %w", i, c.Threads, err)
+		}
 	}
 	if m.ConfidenceThreshold <= 0 || m.ConfidenceThreshold > 1 {
 		return nil, fmt.Errorf("autotune: confidence threshold %g outside (0,1]", m.ConfidenceThreshold)
@@ -209,5 +303,22 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if m.MaxFill <= 0 {
 		m.MaxFill = DefaultMaxFill
 	}
+	m.index()
 	return &m, nil
+}
+
+// validRuleset checks what the tuner relies on of a loaded ruleset.
+func validRuleset(rs *mining.Ruleset) error {
+	if rs == nil {
+		return fmt.Errorf("no ruleset")
+	}
+	if len(rs.ClassNames) != len(classNames()) {
+		return fmt.Errorf("%d classes, want %d", len(rs.ClassNames), len(classNames()))
+	}
+	// The tuner evaluates the rules over the Table 2 feature vector: an
+	// attribute past it would index out of range at the first tune.
+	if len(rs.AttrNames) != len(features.AttributeNames) {
+		return fmt.Errorf("%d attributes, want %d", len(rs.AttrNames), len(features.AttributeNames))
+	}
+	return rs.Validate()
 }

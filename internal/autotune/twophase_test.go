@@ -42,9 +42,10 @@ func equivalenceInputs() map[string]*matrix.CSR[float64] {
 // the same decision — the same path (predicted or measured), and for a
 // prediction the same format, confidence and kernel; for a measurement, whose
 // winner is a timing, the same contenders — on every input, under the shipped
-// model, the heuristic one and a freshly trained one. Where the column pass was
-// skipped the features are the full ones less the three it would have filled
-// in. No decision cache: each tune leads.
+// model at each of its two classes (one thread and two), the heuristic one and a
+// freshly trained one. Where the column pass was skipped the features are the
+// full ones less the three it would have filled in. No decision cache: each
+// tune leads.
 func TestTwoPhaseExtractDecidesAsTheFullScan(t *testing.T) {
 	f, err := os.Open("../../model.json")
 	if err != nil {
@@ -56,7 +57,7 @@ func TestTwoPhaseExtractDecidesAsTheFullScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	trained, err := autotune.Train(corpus.New(0.02, 1234).Sample(60), autotune.TrainConfig{
-		Threads: 2, Seed: 1, SkipKernelSearch: true,
+		Threads: []int{2}, Seed: 1, SkipKernelSearch: true,
 		Measure: autotune.MeasureOptions{MinTime: 100 * time.Microsecond, Trials: 1},
 	})
 	if err != nil {
@@ -64,14 +65,16 @@ func TestTwoPhaseExtractDecidesAsTheFullScan(t *testing.T) {
 	}
 	inputs := equivalenceInputs()
 	for _, c := range []struct {
-		name  string
-		model *autotune.Model
+		name    string
+		model   *autotune.Model
+		threads int
 	}{
-		{"shipped", shipped},
-		{"heuristic", smat.HeuristicModel()},
-		{"trained", trained.Model},
+		{"shipped/1", shipped, 1},
+		{"shipped/2", shipped, 2},
+		{"heuristic", smat.HeuristicModel(), 2},
+		{"trained", trained.Model, 2},
 	} {
-		tuner := autotune.New[float64](c.model, autotune.Config{Threads: 2, CacheSize: -1})
+		tuner := autotune.New[float64](c.model, autotune.Config{Threads: c.threads, CacheSize: -1})
 		skipped := map[matrix.Format]int{}
 		for name, m := range inputs {
 			what := c.name + "/" + name
@@ -154,7 +157,7 @@ func TestFillGuardRejectionRunsTheColumnPass(t *testing.T) {
 	}
 	full := features.Extract(m)
 	model := autotune.ModelAlways(matrix.FormatELL, 0.99)
-	model.Ruleset.Rules = append(model.Ruleset.Rules, mining.Rule{Class: int(matrix.FormatCOO), Confidence: 0.5})
+	model.Classes[0].Ruleset.Rules = append(model.Classes[0].Ruleset.Rules, mining.Rule{Class: int(matrix.FormatCOO), Confidence: 0.5})
 	model.MaxFill = 1 / full.ERELL
 	if _, err := m.ToELL(model.MaxFill); err == nil {
 		t.Fatalf("premise gone: ELL converts under a fill limit of 1/ER_ELL = %v", model.MaxFill)

@@ -109,11 +109,12 @@ func AblationTailoring(cfg Config) (*AblationTailoringResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	cl := &res.Classes[0]
 	out := &AblationTailoringResult{
-		FullRules:        res.FullRules,
-		TailoredRules:    res.TailoredRules,
-		FullAccuracy:     res.FullRuleset.Accuracy(evalDS),
-		TailoredAccuracy: res.Model.Ruleset.Accuracy(evalDS),
+		FullRules:        cl.FullRules,
+		TailoredRules:    cl.TailoredRules,
+		FullAccuracy:     cl.FullRuleset.Accuracy(evalDS),
+		TailoredAccuracy: res.Model.Classes[0].Ruleset.Accuracy(evalDS),
 	}
 	fmt.Fprintln(cfg.Out, "Ablation: rule tailoring")
 	t := &table{header: []string{"Ruleset", "Rules", "EvalAccuracy"}}
@@ -168,7 +169,8 @@ func AblationFeatures(cfg Config) (*AblationFeaturesResult, error) {
 		}
 		return out
 	}
-	redTrain := project(res.Dataset)
+	cl := &res.Classes[0]
+	redTrain := project(cl.Dataset)
 	redEval := project(evalDS)
 	tree, err := mining.BuildTree(redTrain, mining.TreeConfig{})
 	if err != nil {
@@ -177,7 +179,7 @@ func AblationFeatures(cfg Config) (*AblationFeaturesResult, error) {
 	reduced := mining.RulesFromTree(tree, redTrain)
 
 	out := &AblationFeaturesResult{
-		FullAccuracy:    res.FullRuleset.Accuracy(evalDS),
+		FullAccuracy:    cl.FullRuleset.Accuracy(evalDS),
 		ReducedAccuracy: reduced.Accuracy(redEval),
 		Dropped:         dropped,
 	}
@@ -202,7 +204,7 @@ func trainForAblation(cfg Config) (*autotune.TrainResult, *mining.Dataset, error
 		trainSample = append(trainSample, e)
 	}
 	res, err := autotune.Train(trainSample, autotune.TrainConfig{
-		Threads:          cfg.Threads,
+		Threads:          []int{cfg.Threads},
 		Measure:          cfg.Measure,
 		SkipKernelSearch: true,
 		Seed:             cfg.Seed,
@@ -210,10 +212,12 @@ func trainForAblation(cfg Config) (*autotune.TrainResult, *mining.Dataset, error
 	if err != nil {
 		return nil, nil, err
 	}
-	// Label the held-out set with the same (basic) kernels the training
-	// labels used, so both splits share one ground truth.
-	labeler := autotune.NewLabeler(nil, cfg.Threads, cfg.Measure)
-	evalDS := &mining.Dataset{AttrNames: res.Dataset.AttrNames, ClassNames: res.Dataset.ClassNames}
+	// Label the held-out set with the kernels the training labels used, so
+	// both splits share one ground truth.
+	labeler := autotune.NewLabeler(kernelChoice(&res.Model.Classes[0]), cfg.Threads, cfg.Measure)
+	defer labeler.Close()
+	ds := res.Classes[0].Dataset
+	evalDS := &mining.Dataset{AttrNames: ds.AttrNames, ClassNames: ds.ClassNames}
 	for i, e := range eval {
 		if cfg.Stride > 1 && i%cfg.Stride != 0 {
 			continue

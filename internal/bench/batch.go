@@ -68,8 +68,8 @@ func batchWorkloads(cfg Config) []struct {
 // BatchBench runs the batched multi-vector SpMV experiment and prints the
 // per-vector throughput table. Each class is materialised in its affine
 // format; width 1 runs, pooled, the single-vector kernel a tuner binds for
-// that format — the model's pick in its threaded form, as
-// autotune.resolveKernels takes it — larger widths the format's batched SpMM
+// that format — the pick of the model's class for the thread count —
+// larger widths the format's batched SpMM
 // kernel pooled, all on warmed plans.
 func BatchBench(cfg Config) *BatchResult {
 	cfg = cfg.withDefaults()
@@ -88,12 +88,9 @@ func BatchBench(cfg Config) *BatchResult {
 		nnz := w.m.NNZ()
 		flops := kernels.FLOPs(nnz)
 
-		single := lib.Lookup(cfg.Model.Kernels[w.format.String()])
+		single := lib.Lookup(cfg.Model.Class(cfg.Threads).Kernels[w.format.String()])
 		if single == nil || single.Format != w.format {
 			single = lib.Basic(w.format)
-		}
-		if cfg.Threads > 1 {
-			single = lib.Threaded(single)
 		}
 		batch := lib.BatchFor(w.format)
 		if batch == nil {

@@ -29,6 +29,11 @@ type Config struct {
 	// Model drives SMAT decisions (required; cmd/smat-bench loads a trained
 	// model or falls back to the heuristic one).
 	Model *autotune.Model
+	// Baseline, when set, is a second model the selection experiment
+	// evaluates beside Model; Database, when set, the feature database its
+	// k-fold accuracy is computed on.
+	Baseline *autotune.Model
+	Database *autotune.Database
 	// Measure controls timing windows.
 	Measure autotune.MeasureOptions
 	// Stride samples every k-th corpus entry in corpus-wide experiments
@@ -65,10 +70,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// choice extracts the model's per-format kernel choice.
-func (c Config) choice() autotune.KernelChoice {
+// choice extracts the per-format kernel choice of the model's class for
+// c.Threads.
+func (c Config) choice() autotune.KernelChoice { return kernelChoice(c.Model.Class(c.Threads)) }
+
+// kernelChoice is a model class's kernel table keyed by format.
+func kernelChoice(class *autotune.ModelClass) autotune.KernelChoice {
 	out := autotune.KernelChoice{}
-	for name, kernel := range c.Model.Kernels {
+	for name, kernel := range class.Kernels {
 		f, err := matrix.ParseFormat(name)
 		if err == nil {
 			out[f] = kernel

@@ -181,24 +181,24 @@ func Steady(cfg Config) *SteadyResult {
 // BLAS-1 phase, or after a request's tuning — so the gap is twice the budget.
 const cutoffGap = 200 * time.Microsecond
 
-// cutoffSerialKernels names, per format, the serial kernel the sweep times:
-// the shipped model's one-thread picks. The pooled side is the parallel
-// sibling the tuner binds in its place.
-var cutoffSerialKernels = []struct {
+// cutoffKernels names, per format, the kernel the sweep times: the shipped
+// model's pick, a partitioned instance, run serially (its one-thread
+// arithmetic) against pooled.
+var cutoffKernels = []struct {
 	format matrix.Format
 	kernel string
 	build  func(stored int, rng *rand.Rand) *matrix.CSR[float64]
 }{
-	{matrix.FormatCSR, "csr_unroll4", func(s int, rng *rand.Rand) *matrix.CSR[float64] {
+	{matrix.FormatCSR, "csr_parallel_nnz_unroll4", func(s int, rng *rand.Rand) *matrix.CSR[float64] {
 		return gen.RandomUniform[float64](s/8, s/8, 8, rng)
 	}},
-	{matrix.FormatCOO, "coo_unroll4", func(s int, rng *rand.Rand) *matrix.CSR[float64] {
+	{matrix.FormatCOO, "coo_parallel_unroll4", func(s int, rng *rand.Rand) *matrix.CSR[float64] {
 		return gen.RandomUniform[float64](s/8, s/8, 8, rng)
 	}},
-	{matrix.FormatDIA, "dia_blocked", func(s int, rng *rand.Rand) *matrix.CSR[float64] {
+	{matrix.FormatDIA, "dia_blocked_parallel", func(s int, rng *rand.Rand) *matrix.CSR[float64] {
 		return gen.MultiDiagonal[float64](s/5, []int{-2, -1, 0, 1, 2}, rng)
 	}},
-	{matrix.FormatELL, "ell_width", func(s int, rng *rand.Rand) *matrix.CSR[float64] {
+	{matrix.FormatELL, "ell_width_parallel", func(s int, rng *rand.Rand) *matrix.CSR[float64] {
 		return gen.ConstantDegree[float64](s/4, 4, rng)
 	}},
 }
@@ -211,9 +211,9 @@ func cutoffSweep(cfg Config, lib *kernels.Library[float64], pool *kernels.Pool[f
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res.CutoffGapUs = float64(cutoffGap.Microseconds())
 	top := int(float64(1<<20) * cfg.Scale)
-	for _, c := range cutoffSerialKernels {
+	for _, c := range cutoffKernels {
 		serial := lib.Lookup(c.kernel)
-		pooled := lib.Threaded(serial)
+		pooled := serial
 		var warmFrom, coldFrom winsFrom
 		for stored := 1 << 10; stored <= top; stored <<= 1 {
 			m := c.build(stored, rng)

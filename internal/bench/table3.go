@@ -26,6 +26,11 @@ type Table3Result struct {
 	// decision path (the paper: ≈2–5× predicted, ≈15–16× fallback).
 	MeanOverheadPredicted float64 `json:"mean_overhead_predicted_spmv"`
 	MeanOverheadFallback  float64 `json:"mean_overhead_fallback_spmv"`
+	// Fallbacks and FallbackAgreed are the tuner's counters over the whole
+	// run (Stats): execute-and-measure selections, and those whose measured
+	// winner was the ruleset's best guess below the threshold.
+	Fallbacks      uint64 `json:"fallbacks"`
+	FallbackAgreed uint64 `json:"fallback_agreed"`
 }
 
 // Table3Row is one matrix's decision audit. Overhead is the tuning stages'
@@ -137,6 +142,8 @@ func Table3(cfg Config) *Table3Result {
 	if fbN > 0 {
 		res.MeanOverheadFallback = fbSum / float64(fbN)
 	}
+	st := tuner.Stats()
+	res.Fallbacks, res.FallbackAgreed = st.Fallbacks, st.FallbackAgreed
 
 	t := &table{header: []string{"No.", "Matrix", "Model Prediction", "Execution", "SMAT", "Best", "Acc", "Overhead"}}
 	for _, row := range res.Rows {
@@ -153,5 +160,9 @@ func Table3(cfg Config) *Table3Result {
 	fmt.Fprintf(cfg.Out, "evaluation-set accuracy: %.1f%% over %d matrices\n", 100*res.EvalAccuracy, res.EvalN)
 	fmt.Fprintf(cfg.Out, "mean overhead: predicted path %.1fx, fallback path %.1fx\n",
 		res.MeanOverheadPredicted, res.MeanOverheadFallback)
+	if res.Fallbacks > 0 {
+		fmt.Fprintf(cfg.Out, "model agreement: the fallback's winner was the ruleset's best guess in %d of %d (%.0f%%)\n",
+			res.FallbackAgreed, res.Fallbacks, 100*float64(res.FallbackAgreed)/float64(res.Fallbacks))
+	}
 	return res
 }

@@ -247,7 +247,7 @@ func bcsrFamily[T matrix.Float]() family[T] {
 			{name: "bcsr", alone: "_basic", chunk: bcsrGenericChunk[T],
 				over: []partition{whole}},
 			{name: "bcsr_blockspec", strat: StratWidthSpec, chunk: bcsrChunk[T],
-				over: []partition{whole, byRows}, threaded: byRows},
+				over: []partition{whole, byRows}},
 		},
 		batch: []body[T]{
 			{name: "bcsr_batch", chunk: bcsrBatchChunk[T],

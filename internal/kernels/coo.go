@@ -105,9 +105,9 @@ func cooFamily[T matrix.Float]() family[T] {
 		format: matrix.FormatCOO,
 		single: []body[T]{
 			{name: "coo", alone: "_basic", chunk: cooChunk[T],
-				over: []partition{whole, byEntries}, threaded: byEntries},
+				over: []partition{whole, byEntries}},
 			{name: "coo", suffix: "_unroll4", strat: StratUnroll4, chunk: cooChunkUnroll4[T],
-				over: []partition{whole, byEntries}, threaded: byEntries},
+				over: []partition{whole, byEntries}},
 		},
 		batch: []body[T]{
 			{name: "coo_batch", chunk: cooBatchChunk[T],

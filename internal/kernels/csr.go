@@ -139,15 +139,15 @@ func csrChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 // csrFamily is the CSR table. Single-vector bodies run over even rows and
 // over nnz-balanced rows; the searched unroll depths the built-in bodies do
 // not cover (UnrollDepths) exist in the nnz-balanced form only, the one a
-// threaded tuner binds. The batched bodies are in csr_batch.go.
+// model names. The batched bodies are in csr_batch.go.
 func csrFamily[T matrix.Float]() family[T] {
 	return family[T]{
 		format: matrix.FormatCSR,
 		single: []body[T]{
 			{name: "csr", alone: "_basic", chunk: csrChunk[T],
-				over: []partition{whole, byRows, byNNZ}, threaded: byNNZ},
+				over: []partition{whole, byRows, byNNZ}},
 			{name: "csr", suffix: "_unroll4", strat: StratUnroll4, chunk: csrChunkUnroll4[T],
-				over: []partition{whole, byRows, byNNZ}, threaded: byNNZ},
+				over: []partition{whole, byRows, byNNZ}},
 			{name: "csr", suffix: "_u2", strat: StratUnroll4, params: Params{Unroll: 2}, chunk: csrChunkUnroll2[T],
 				over: []partition{byNNZ}},
 			{name: "csr", suffix: "_u8", strat: StratUnroll4, params: Params{Unroll: 8}, chunk: csrChunkUnroll8[T],

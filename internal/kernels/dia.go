@@ -182,7 +182,7 @@ func diaChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 
 // diaFamily is the DIA table. dia_basic and dia_unroll4 are the paper's
 // diagonal-major traversals, hand-written runners with no partitioned form;
-// a threaded tuner binds the row-major body in their place. The row-major
+// a model names a partitioned row-major body instead. The row-major
 // unrolled bodies exist only partitioned. The batched body (dia_batch.go)
 // is row-ranged, dia_blocked's tile traversal inside its chunk, and carries no
 // traversal bit.
@@ -191,15 +191,15 @@ func diaFamily[T matrix.Float]() family[T] {
 		format: matrix.FormatDIA,
 		single: []body[T]{
 			{name: "dia", alone: "_basic", run: runDIABasic[T],
-				over: []partition{whole}, threaded: byRows},
+				over: []partition{whole}},
 			{name: "dia", suffix: "_unroll4", strat: StratUnroll4, run: runDIAUnroll4[T],
-				over: []partition{whole}, threaded: byRows},
+				over: []partition{whole}},
 			{name: "dia", alone: "_rowmajor", strat: StratRowMajor, chunk: diaChunk[T],
-				over: []partition{whole, byRows}, threaded: byRows},
+				over: []partition{whole, byRows}},
 			{name: "dia", suffix: "_unroll4", strat: StratRowMajor | StratUnroll4, chunk: diaChunkUnroll4[T],
 				over: []partition{byRows}},
 			{name: "dia_blocked", strat: StratCacheBlock, chunk: diaBlockedChunk[T],
-				over: []partition{whole, byRows}, threaded: byRows},
+				over: []partition{whole, byRows}},
 			{name: "dia", suffix: "_u2", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 2}, chunk: diaChunkUnroll2[T],
 				over: []partition{byRows}},
 			{name: "dia", suffix: "_u8", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 8}, chunk: diaChunkUnroll8[T],

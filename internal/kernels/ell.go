@@ -140,22 +140,22 @@ func ellChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 }
 
 // ellFamily is the ELL table, shaped like diaFamily: ell_basic and
-// ell_unroll4 are the paper's slot-major traversals, hand-written and handed
-// over to the row-major body above one thread.
+// ell_unroll4 are the paper's slot-major traversals, hand-written, with no
+// partitioned form.
 func ellFamily[T matrix.Float]() family[T] {
 	return family[T]{
 		format: matrix.FormatELL,
 		single: []body[T]{
 			{name: "ell", alone: "_basic", run: runELLBasic[T],
-				over: []partition{whole}, threaded: byRows},
+				over: []partition{whole}},
 			{name: "ell", suffix: "_unroll4", strat: StratUnroll4, run: runELLUnroll4[T],
-				over: []partition{whole}, threaded: byRows},
+				over: []partition{whole}},
 			{name: "ell", alone: "_rowmajor", strat: StratRowMajor, chunk: ellChunk[T],
-				over: []partition{whole, byRows}, threaded: byRows},
+				over: []partition{whole, byRows}},
 			{name: "ell", suffix: "_unroll4", strat: StratRowMajor | StratUnroll4, chunk: ellChunkUnroll4[T],
 				over: []partition{byRows}},
 			{name: "ell_width", strat: StratWidthSpec, chunk: ellWidthChunk[T],
-				over: []partition{whole, byRows}, threaded: byRows},
+				over: []partition{whole, byRows}},
 			{name: "ell", suffix: "_u2", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 2}, chunk: ellChunkUnroll2[T],
 				over: []partition{byRows}},
 			{name: "ell", suffix: "_u8", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 8}, chunk: ellChunkUnroll8[T],

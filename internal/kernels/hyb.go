@@ -70,7 +70,7 @@ func hybFamily[T matrix.Float]() family[T] {
 			{name: "hyb", alone: "_basic", run: runHYBBasic[T],
 				over: []partition{whole}},
 			{name: "hyb_width", strat: StratWidthSpec, run: hybPhases[T](hybELLChunk[T], hybCOOChunk[T]),
-				over: []partition{whole, byRows}, threaded: byRows},
+				over: []partition{whole, byRows}},
 		},
 		batch: []body[T]{
 			{name: "hyb_batch", run: hybPhases[T](hybELLBatchChunk[T], hybCOOBatchChunk[T]),

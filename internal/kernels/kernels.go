@@ -216,9 +216,6 @@ type Kernel[T matrix.Float] struct {
 	Strategies Strategy
 	Params     Params
 	binding[T]
-	// threaded names the kernel Library.Threaded returns; empty means the
-	// kernel itself.
-	threaded string
 }
 
 // runFn is a hand-written runner, for the few kernels that are not one chunk
@@ -442,21 +439,6 @@ func (l *Library[T]) ForFormat(f matrix.Format) []*Kernel[T] { return l.byFormat
 
 // Lookup returns the kernel with the given name, or nil.
 func (l *Library[T]) Lookup(name string) *Kernel[T] { return l.byName[name] }
-
-// Threaded returns the kernel to bind in k's place when more than one thread
-// is available: k itself when it is already partitioned, otherwise the
-// instance of the same loop body over the partition its table row names
-// (nnz-balanced rows for CSR, entries for COO, rows elsewhere; the row-major
-// body for the diagonal- and slot-major traversals). Every partitioned
-// instance runs the unsplit one's arithmetic when the plan says Serial, so
-// the swap changes nothing at one thread. hyb_basic and bcsr_basic have no
-// partitioned form and keep k.
-func (l *Library[T]) Threaded(k *Kernel[T]) *Kernel[T] {
-	if t := l.byName[k.threaded]; t != nil {
-		return t
-	}
-	return k
-}
 
 // ForFormatBatch returns all batched kernels registered for a format.
 func (l *Library[T]) ForFormatBatch(f matrix.Format) []*BatchKernel[T] { return l.batchByFormat[f] }

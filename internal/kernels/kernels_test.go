@@ -315,70 +315,3 @@ func TestMatDims(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelSiblingTable pins the thread-aware form (Library.Threaded) of
-// every registered kernel: serial kernels gain partitioning strategies and
-// nothing else, parallel ones — the whole parameterized space among them —
-// map to themselves, and the two extension basics have no partitioned form.
-// A row added to a family's table must be added here.
-func TestParallelSiblingTable(t *testing.T) {
-	// The strategies that say how work is split, not what the loop body does.
-	// StratRowMajor counts: a row partition can only be walked row by row.
-	const partitionStrategies = StratParallel | StratNNZBalance | StratRowMajor
-	lib := fullLibrary[float64]()
-	want := map[string]string{
-		"csr_basic":      "csr_parallel_nnz",
-		"csr_unroll4":    "csr_parallel_nnz_unroll4",
-		"coo_basic":      "coo_parallel",
-		"coo_unroll4":    "coo_parallel_unroll4",
-		"dia_basic":      "dia_parallel",
-		"dia_unroll4":    "dia_parallel_unroll4",
-		"dia_rowmajor":   "dia_parallel",
-		"dia_blocked":    "dia_blocked_parallel",
-		"ell_basic":      "ell_parallel",
-		"ell_unroll4":    "ell_parallel_unroll4",
-		"ell_rowmajor":   "ell_parallel",
-		"ell_width":      "ell_width_parallel",
-		"hyb_basic":      "hyb_basic",
-		"hyb_width":      "hyb_width_parallel",
-		"bcsr_basic":     "bcsr_basic",
-		"bcsr_blockspec": "bcsr_blockspec_parallel",
-	}
-	var all []*Kernel[float64]
-	for _, f := range allFormats {
-		all = append(all, lib.ForFormat(f)...)
-	}
-	for _, k := range all {
-		name := k.Name
-		sib := lib.Threaded(k)
-		if k.Strategies&StratParallel != 0 {
-			if sib != k {
-				t.Errorf("%s is parallel but maps to %s", name, sib.Name)
-			}
-			if _, listed := want[name]; listed {
-				t.Errorf("%s is parallel and must not be in the serial table", name)
-			}
-			continue
-		}
-		if !k.Params.IsZero() {
-			t.Errorf("%s: a serial parameter instance; give it a table row", name)
-		}
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: serial kernel missing from the sibling table (maps to %s)", name, sib.Name)
-			continue
-		}
-		if sib.Name != w {
-			t.Errorf("%s maps to %s, want %s", name, sib.Name, w)
-		}
-		if sib != k {
-			if added := sib.Strategies &^ k.Strategies; added&^partitionStrategies != 0 || added&StratParallel == 0 {
-				t.Errorf("%s → %s adds %v; only partitioning strategies may be added", name, sib.Name, added)
-			}
-		}
-		delete(want, name)
-	}
-	for name := range want {
-		t.Errorf("table row %s names no registered kernel", name)
-	}
-}

@@ -74,12 +74,6 @@ type body[T matrix.Float] struct {
 	chunk rangeFn[T]
 	run   runFn[T]
 	over  []partition
-	// threaded is the partition whose instance a tuner with more than one
-	// thread binds in place of the whole one (every partitioned instance runs
-	// the whole one's arithmetic under a Serial plan). A row not instantiated
-	// over it names another row's instance: the diagonal- and slot-major
-	// bodies hand over to the row-major one with their name and suffix.
-	threaded partition
 }
 
 // instance is the name of the row's instance over p.
@@ -113,11 +107,7 @@ func (l *Library[T]) instantiate(fam family[T]) {
 	for i := range fam.single {
 		b := &fam.single[i]
 		for _, p := range b.over {
-			k := &Kernel[T]{Name: b.instance(p), Format: fam.format, Strategies: b.strategies(p), Params: b.params, binding: b.bind(p)}
-			if p == whole {
-				k.threaded = b.instance(b.threaded)
-			}
-			l.Register(k)
+			l.Register(&Kernel[T]{Name: b.instance(p), Format: fam.format, Strategies: b.strategies(p), Params: b.params, binding: b.bind(p)})
 		}
 	}
 	for i := range fam.batch {

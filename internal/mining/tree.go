@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -16,6 +17,10 @@ type TreeConfig struct {
 	// smaller prunes harder. 0 selects the C4.5 default 0.25; negative
 	// disables pruning.
 	PruneCF float64
+	// AttrWeights, when set, holds one weight per attribute that scales its
+	// gain ratio in split selection (nil: all 1): an attribute that costs
+	// more to compute wins a split only by being that much more informative.
+	AttrWeights []float64
 }
 
 func (c TreeConfig) withDefaults() TreeConfig {
@@ -57,6 +62,9 @@ func BuildTree(ds *Dataset, cfg TreeConfig) (*Tree, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	if cfg.AttrWeights != nil && len(cfg.AttrWeights) != len(ds.AttrNames) {
+		return nil, fmt.Errorf("mining: %d attribute weights for %d attributes", len(cfg.AttrWeights), len(ds.AttrNames))
+	}
 	idx := make([]int, len(ds.Examples))
 	for i := range idx {
 		idx[i] = i
@@ -82,7 +90,7 @@ func grow(ds *Dataset, idx []int, cfg TreeConfig, depth int) *node {
 	if cfg.MaxDepth > 0 && depth >= cfg.MaxDepth {
 		return n
 	}
-	attr, threshold, ok := bestSplit(ds, idx, counts, cfg.MinLeaf)
+	attr, threshold, ok := bestSplit(ds, idx, counts, cfg)
 	if !ok {
 		return n
 	}
@@ -118,9 +126,11 @@ func entropy(counts []int, total int) float64 {
 }
 
 // bestSplit finds the (attribute, threshold) pair with the highest gain
-// ratio among splits with positive information gain, considering candidate
-// thresholds midway between consecutive distinct attribute values.
-func bestSplit(ds *Dataset, idx []int, counts []int, minLeaf int) (attr int, threshold float64, ok bool) {
+// ratio, weighted by cfg.AttrWeights, among splits with positive information
+// gain, considering candidate thresholds midway between consecutive distinct
+// attribute values.
+func bestSplit(ds *Dataset, idx []int, counts []int, cfg TreeConfig) (attr int, threshold float64, ok bool) {
+	minLeaf := cfg.MinLeaf
 	total := len(idx)
 	baseH := entropy(counts, total)
 	bestRatio := 0.0
@@ -166,6 +176,9 @@ func bestSplit(ds *Dataset, idx []int, counts []int, minLeaf int) (attr int, thr
 				continue
 			}
 			ratio := gain / splitInfo
+			if cfg.AttrWeights != nil {
+				ratio *= cfg.AttrWeights[a]
+			}
 			if ratio > bestRatio {
 				bestRatio = ratio
 				attr = a

@@ -120,13 +120,11 @@ func CheckBatch[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (
 // decides nothing by itself, so a check that forces the format or seeds the
 // decision cache controls exactly what the operator serves.
 func silentModel(threads int, maxFill float64) *autotune.Model {
-	return &autotune.Model{
-		Threads:             threads,
-		ConfidenceThreshold: 0.5,
-		MaxFill:             maxFill,
-		Kernels:             map[string]string{},
-		Ruleset:             &mining.Ruleset{Default: int(matrix.FormatCSR)},
-	}
+	return autotune.NewModel(0.5, maxFill, autotune.ModelClass{
+		Threads: threads,
+		Kernels: map[string]string{},
+		Ruleset: &mining.Ruleset{Default: int(matrix.FormatCSR)},
+	})
 }
 
 // checkBatchColumns holds every column of one interleaved batch product to

@@ -137,13 +137,11 @@ func (c solverCase[T]) check(th int, tol float64) error {
 
 func checkSolversAtThreads[T matrix.Float](a, ns *matrix.CSR[T], b, bns []T, th int, tol float64, opt Options) error {
 	const maxIter = 4000
-	model := &autotune.Model{
-		Threads:             th,
-		ConfidenceThreshold: 0.5,
-		MaxFill:             opt.MaxFill,
-		Kernels:             map[string]string{},
-		Ruleset:             &mining.Ruleset{Default: int(matrix.FormatCSR)},
-	}
+	model := autotune.NewModel(0.5, opt.MaxFill, autotune.ModelClass{
+		Threads: th,
+		Kernels: map[string]string{},
+		Ruleset: &mining.Ruleset{Default: int(matrix.FormatCSR)},
+	})
 	tuner := autotune.New[T](model, autotune.Config{Threads: th})
 	defer tuner.Close()
 	// The iteration hint is the long-solve contract: solvers announce their

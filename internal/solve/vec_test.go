@@ -385,13 +385,11 @@ func TestVectorPhaseFallsBackInOrder(t *testing.T) {
 // the production Pooled implementation.
 func tunedOp(t *testing.T, a *matrix.CSR[float64]) (*autotune.Operator[float64], *autotune.Tuner[float64]) {
 	t.Helper()
-	model := &autotune.Model{
-		Threads:             2,
-		ConfidenceThreshold: 0.5,
-		MaxFill:             8,
-		Kernels:             map[string]string{},
-		Ruleset:             &mining.Ruleset{Default: int(matrix.FormatCSR)},
-	}
+	model := autotune.NewModel(0.5, 8, autotune.ModelClass{
+		Threads: 2,
+		Kernels: map[string]string{},
+		Ruleset: &mining.Ruleset{Default: int(matrix.FormatCSR)},
+	})
 	tuner := autotune.New[float64](model, autotune.Config{Threads: 2})
 	op, _, err := tuner.TuneOpts(a, autotune.TuneOptions{})
 	if err != nil {

@@ -12,8 +12,9 @@ import (
 	"smat/internal/mining"
 )
 
-// Model is the serialisable artifact of the off-line stage: the learned
-// ruleset, per-format kernel choices and runtime thresholds.
+// Model is the serialisable artifact of the off-line stage: per trained
+// thread count, the learned ruleset and per-format kernel choices; and the
+// runtime thresholds.
 type Model = autotune.Model
 
 // Features holds the Table 2 sparse-structure parameters of a matrix.
@@ -41,8 +42,8 @@ type TrainOptions struct {
 	// TrainN is the number of training matrices (default 2055, the paper's
 	// split; the rest of the 2386-matrix corpus is held out).
 	TrainN int
-	// Threads is the architecture configuration to train for (≤0:
-	// GOMAXPROCS).
+	// Threads is the architecture configuration to train the model's one
+	// class for (≤0: GOMAXPROCS).
 	Threads int
 	// Seed makes the corpus and split deterministic.
 	Seed int64
@@ -69,10 +70,12 @@ func TrainModel(o TrainOptions) (*Model, error) {
 	c := corpus.New(o.Scale, o.Seed)
 	train, _ := c.Split(o.TrainN, o.Seed)
 	cfg := autotune.TrainConfig{
-		Threads:          o.Threads,
 		Seed:             o.Seed,
 		Progress:         o.Progress,
 		SkipKernelSearch: o.Fast,
+	}
+	if o.Threads > 0 {
+		cfg.Threads = []int{o.Threads}
 	}
 	if o.Fast {
 		cfg.Measure = autotune.MeasureOptions{Trials: 1}
@@ -152,11 +155,8 @@ func HeuristicModel() *Model {
 			Class: int(matrix.FormatCSR), Confidence: 0.87,
 		},
 	}
-	return &Model{
-		Version:             1,
-		Threads:             0,
-		ConfidenceThreshold: autotune.DefaultConfidenceThreshold,
-		MaxFill:             autotune.DefaultMaxFill,
+	return autotune.NewModel(autotune.DefaultConfidenceThreshold, autotune.DefaultMaxFill, autotune.ModelClass{
+		Threads: 1,
 		Kernels: map[string]string{
 			matrix.FormatCSR.String(): "csr_parallel_nnz",
 			matrix.FormatCOO.String(): "coo_parallel",
@@ -172,5 +172,5 @@ func HeuristicModel() *Model {
 			Rules:   rules,
 			Default: int(matrix.FormatCSR),
 		},
-	}
+	})
 }

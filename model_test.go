@@ -3,6 +3,7 @@ package smat
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"smat/internal/matrix"
@@ -23,7 +24,7 @@ func TestLoadModelFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Ruleset.Rules) != len(HeuristicModel().Ruleset.Rules) {
+	if len(m.Classes[0].Ruleset.Rules) != len(HeuristicModel().Classes[0].Ruleset.Rules) {
 		t.Error("loaded model differs")
 	}
 	if _, err := LoadModelFile(filepath.Join(dir, "missing.json")); err == nil {
@@ -47,12 +48,12 @@ func TestHeuristicModelIsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.KernelName() != m.Kernels[FormatDIA.String()] {
+	if op.KernelName() != m.Classes[0].Kernels[FormatDIA.String()] {
 		t.Errorf("kernel %q, want the model's DIA choice %q",
-			op.KernelName(), m.Kernels[FormatDIA.String()])
+			op.KernelName(), m.Classes[0].Kernels[FormatDIA.String()])
 	}
 	// Rule classes must be within the four basic formats.
-	for i, r := range m.Ruleset.Rules {
+	for i, r := range m.Classes[0].Ruleset.Rules {
 		if r.Class < 0 || r.Class > int(matrix.FormatELL) {
 			t.Errorf("rule %d class %d outside basic formats", i, r.Class)
 		}
@@ -63,6 +64,17 @@ func TestTunerThreadsClamped(t *testing.T) {
 	tuner := NewTuner[float64](HeuristicModel(), WithThreads(10000))
 	if tuner.Threads() < 1 {
 		t.Error("threads < 1")
+	}
+}
+
+// TestDefaultThreadsAreGOMAXPROCS: a tuner built without WithThreads runs at
+// GOMAXPROCS, whatever thread counts its model was trained at — the heuristic
+// model's one class is trained at one thread, and runs at every count.
+func TestDefaultThreadsAreGOMAXPROCS(t *testing.T) {
+	tuner := NewTuner[float64](HeuristicModel())
+	defer tuner.Close()
+	if got, want := tuner.Threads(), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("default tuner runs at %d threads, want GOMAXPROCS = %d", got, want)
 	}
 }
 
@@ -97,7 +109,7 @@ func TestTrainModelDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model == nil || model.Ruleset == nil {
+	if model == nil || model.Classes[0].Ruleset == nil {
 		t.Fatal("no model")
 	}
 }

@@ -206,16 +206,14 @@ type settings struct {
 }
 
 // WithThreads sets the kernel thread fan-out (capped to GOMAXPROCS). n ≤ 0
-// selects the model's trained configuration, which is also the default.
+// selects GOMAXPROCS, which is also the default.
 //
-// The model's per-format kernel picks were searched at the model's thread
-// count. A tuner at another count keeps each pick's loop body and binds the
-// partitioning its own count needs: above one thread a serial pick is
-// replaced by its parallel sibling (csr_unroll4 → csr_parallel_nnz_unroll4),
-// whose serial body is the pick itself, so WithThreads(1) runs exactly what
-// the model names. Operators of a tuner above one thread run matrices over
-// the engine's work cutoff on the tuner's worker pool and smaller ones
-// serially; Tuner.Stats reports which happened.
+// A model holds one class per trained thread count; the tuner runs the class
+// trained at the largest count not above its own (Model.Class): its ruleset
+// decides and its kernels — partitioned instances, which run their unsplit
+// arithmetic at one thread — are bound. Operators of a tuner above one
+// thread run matrices over the engine's work cutoff on the tuner's worker
+// pool and smaller ones serially; Tuner.Stats reports which happened.
 func WithThreads(n int) Option {
 	return func(c *settings) { c.Threads = n }
 }

@@ -185,7 +185,7 @@ func TestModelSaveLoadViaPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ConfidenceThreshold != m.ConfidenceThreshold || len(back.Ruleset.Rules) != len(m.Ruleset.Rules) {
+	if back.ConfidenceThreshold != m.ConfidenceThreshold || len(back.Classes[0].Ruleset.Rules) != len(m.Classes[0].Ruleset.Rules) {
 		t.Error("round trip changed model")
 	}
 }
@@ -212,7 +212,7 @@ func TestTrainModelTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model.Ruleset == nil || len(model.Ruleset.Rules) == 0 {
+	if model.Classes[0].Ruleset == nil || len(model.Classes[0].Ruleset.Rules) == 0 {
 		t.Fatal("trained model empty")
 	}
 	// The trained model must drive a working tuner.
