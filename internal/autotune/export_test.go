@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"smat/internal/features"
+	"smat/internal/kernels"
 	"smat/internal/matrix"
 )
 
@@ -41,3 +42,7 @@ func (t *Tuner[T]) TuneFullScan(m *matrix.CSR[T], opts TuneOptions) (*Operator[T
 	}
 	return tn.op, tn.d, nil
 }
+
+// ServedMat is the representation the operator serves, for tests that hold
+// two tunes' conversions to the same bits.
+func (o *Operator[T]) ServedMat() *kernels.Mat[T] { return o.eng.mat }

@@ -54,9 +54,12 @@ type Decision struct {
 	StructureHit bool
 
 	// ColumnPassSkipped reports that the tune never read ColIdx to decide: the
-	// O(rows) pass over RowPtr settled the ruleset on a confident ELL, CSR or
-	// COO pick — the full features' pick — or a format hint asked for no
-	// diagonal. The decision cache is keyed by Features as they stand.
+	// O(rows) pass over RowPtr settled the ruleset on a confident pick — the
+	// full features' pick — that is ELL, CSR or COO, or DIA when that pass
+	// also proved every diagonal of the band occupied (the conversion takes
+	// the band as its diagonals); or a format hint asked for no diagonal, or
+	// for DIA on such a band. The decision cache is keyed by Features as they
+	// stand.
 	ColumnPassSkipped bool
 
 	// Chosen is the format the returned operator serves; Kernel the

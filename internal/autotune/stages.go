@@ -143,15 +143,25 @@ func (tn *tuning[T]) recall() bool {
 // its features are the other pattern's too — and run starts over from a scan.
 func foreign(err error) bool { return errors.Is(err, matrix.ErrStructureMismatch) }
 
-// newRecord is what a tune keeps of a scan and its features — less the
-// diagonals when DIA does not fit the model's fill limit, so that a record
-// stays O(features) on a matrix with O(rows+cols) diagonals;
-// kernels.ConvertFrom scans again for the rare DIA conversion that misses them
-// (a tuner sharing the cache under a wider limit, a format hint).
+// newRecord is what a tune keeps of a scan and its features: the layout, whose
+// diagonals are the column pass's tally or, on a record of the row pass alone,
+// the whole band when the row pass proves every diagonal of it occupied
+// (features.Features.BandFull) — less the diagonals when DIA does not fit the
+// model's fill limit, so that a record stays O(features) on a matrix with
+// O(rows+cols) diagonals; kernels.ConvertFrom scans again for the rare DIA
+// conversion that misses them (a tuner sharing the cache under a wider limit, a
+// format hint). A proven band's fill is known, since ER_DIA's bounds meet.
 func (t *Tuner[T]) newRecord(s *matrix.Structure, ft features.Features) *structureRecord {
 	rec := &structureRecord{features: ft, layout: s.Layout, band: s.Band()}
-	if !feasible(matrix.FormatDIA, &rec.features, t.model.MaxFill) {
+	switch lo, _ := ft.DiagBounds(rec.band); {
+	case !feasible(matrix.FormatDIA, &lo, t.model.MaxFill):
 		rec.layout.DiagOffsets = nil
+	case !ft.DiagsKnown() && ft.BandFull(rec.band):
+		offs := make([]int, rec.band)
+		for i := range offs {
+			offs[i] = s.BandLo + i
+		}
+		rec.layout.DiagOffsets = offs
 	}
 	return rec
 }
@@ -171,18 +181,21 @@ func (tn *tuning[T]) remember() {
 // decided reports that the column pass cannot change what the call does: the
 // diagonal features are known, or a format hint pins a format that takes
 // nothing from them, or the ruleset over the row pass's bounds settles on a
-// confident pick other than DIA — the full features' pick, by construction.
-// An open group, a DIA pick (it converts from the diagonals) and no confident
-// pick (measure and bestEffort read every feature) are not decided.
+// confident pick other than DIA — the full features' pick, by construction. A
+// DIA hint or pick is decided too when the record already lists the diagonals
+// DIA converts from: the row pass proved them (newRecord). An open group, any
+// other DIA pick and no confident pick (measure and bestEffort read every
+// feature) are not decided.
 func (tn *tuning[T]) decided() bool {
+	diagonals := tn.rec.layout.DiagOffsets != nil
 	switch {
 	case !tn.base.ColumnPassSkipped:
 		return true
 	case tn.opts.HasFormatHint:
-		return tn.opts.FormatHint != matrix.FormatDIA
+		return tn.opts.FormatHint != matrix.FormatDIA || diagonals
 	}
 	f, _, v := tn.t.predict(tn.rec)
-	return v == mining.True && f != matrix.FormatDIA
+	return v == mining.True && (f != matrix.FormatDIA || diagonals)
 }
 
 // columns is the one place the column pass runs: over s, the call's row pass —

@@ -242,6 +242,16 @@ func (f *Features) DiagBounds(band int) (lo, hi Features) {
 	return lo, hi
 }
 
+// BandFull reports that the row pass proves every diagonal of the band
+// occupied: DiagBounds' lower bound on Ndiags reaches band, the most diagonals
+// the entries can lie on, so the occupied ones are exactly the band's. The
+// record's DIA layout is then known without the column pass, though
+// NTdiags_ratio, which needs the per-diagonal counts, is not.
+func (f *Features) BandFull(band int) bool {
+	lo, _ := f.DiagBounds(band)
+	return lo.Ndiags == band
+}
+
 // diagLength is the number of in-matrix positions on the diagonal with the
 // given offset.
 func diagLength(rows, cols, off int) int {

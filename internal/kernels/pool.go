@@ -36,6 +36,14 @@ type Pool[T matrix.Float] struct {
 // (idle-gap column).
 const spinIters = 1 << 17
 
+// warmWindow is how many spin budgets a worker polls for after a wake token
+// that carried no dispatch, and after it starts: Warm's caller expects a
+// dispatch shortly but not within one budget — a tune's column pass and
+// allocation can take twice that before its conversion dispatches — so a
+// warmed worker polls until the next generation or for this many budgets,
+// whichever comes first. Serving a dispatch puts it back on one budget.
+const warmWindow = 4
+
 // poolWorker is one worker's parking spot: parked advertises that the worker
 // has stopped spinning and is (about to be) blocked on wake.
 type poolWorker struct {
@@ -245,9 +253,10 @@ func (s *poolState[T]) run(bounds []int, fn rangeFn[T], job func(chunk, lo, hi i
 // Warm readies the workers for a dispatch the caller expects shortly: it
 // starts them if the pool has not started them yet, and hands a wake token to
 // each worker that advertised a park, without publishing a dispatch — the
-// token says "look again", and a worker that finds no new generation spins
-// its budget before parking again. A dispatch inside that budget then finds
-// the workers polling, and the OS wake was paid while the caller did
+// token says "look again", and a worker that finds no new generation polls
+// for warmWindow spin budgets before parking again (an oversubscribed pool,
+// which does not spin, parks at once). A dispatch inside that window then
+// finds the workers polling, and the OS wake was paid while the caller did
 // something else. On a busy pool (its workers are awake anyway) and on a
 // closed one it does nothing; it never blocks and allocates nothing once the
 // workers are started. PoolStats.Warmed counts the workers it readied.
@@ -374,15 +383,18 @@ func (s *poolState[T]) start() {
 // and the pending decrement (after), so the dispatcher never reuses the slots
 // while a worker still reads them. A dispatch with fewer chunks than threads
 // still counts every worker in, which keeps "who reads the fields of which
-// generation" a question with one answer.
+// generation" a question with one answer. A worker that has not served a
+// dispatch since it started or took a token polls for the warm window, one
+// that has for the spin budget.
 //
 //smat:hotpath
 //smat:wake-barrier
 func (s *poolState[T]) worker(i int, seen uint32) {
 	w := s.workers[i]
+	budget := warmWindow * s.spin
 	for {
 		g := s.gen.Load()
-		for spins := 0; g == seen && spins < s.spin; spins++ {
+		for spins := 0; g == seen && spins < budget; spins++ {
 			g = s.gen.Load()
 		}
 		if g == seen {
@@ -398,14 +410,16 @@ func (s *poolState[T]) worker(i int, seen uint32) {
 				}
 				// A token only says "look again": a dispatcher that was slow
 				// to walk the workers hands one to a worker that has already
-				// served its dispatch and parked since.
+				// served its dispatch and parked since, and Warm hands one
+				// ahead of a dispatch.
+				budget = warmWindow * s.spin
 				continue
 			}
 			if !w.parked.CompareAndSwap(true, false) {
 				<-w.wake // the dispatcher claimed the park first; take its token
 			}
 		}
-		seen = g
+		seen, budget = g, s.spin
 		if i+1 < len(s.bounds)-1 {
 			s.chunk(i + 1)
 		}

@@ -165,10 +165,11 @@ func TestPoolStatsCountWokenDispatches(t *testing.T) {
 }
 
 // TestPoolWarmSparesTheDispatchAWake: Warm hands a parked worker its token,
-// so a dispatch that follows inside the spin budget finds no park to claim
-// and counts no wake, where the same dispatch without Warm counts one. On a
-// pool that does not spin (one processor) the worker parks again at once and
-// only completion and the Warmed count are checked.
+// so a dispatch that follows inside the warm window — here two spin budgets
+// after Warm, past the budget a worker polls for after a dispatch — finds no
+// park to claim and counts no wake, where the same dispatch without Warm
+// counts one. On a pool that does not spin (one processor) the worker parks
+// again at once and only completion and the Warmed count are checked.
 func TestPoolWarmSparesTheDispatchAWake(t *testing.T) {
 	bounds := []int{0, 1, 2}
 	var counts chunkCounter
@@ -184,6 +185,7 @@ func TestPoolWarmSparesTheDispatchAWake(t *testing.T) {
 		waitParked(t, p)
 		before := p.Stats()
 		p.Warm()
+		idle(2 * p.s.spin)
 		p.RunChunks(bounds, counts.run)
 		st := p.Stats()
 		if st.Warmed != before.Warmed+1 || st.Pooled != before.Pooled+1 {
@@ -205,6 +207,42 @@ func TestPoolWarmSparesTheDispatchAWake(t *testing.T) {
 		if got := counts[c].Load(); got != counts[0].Load() {
 			t.Fatalf("chunk %d ran %d times, chunk 0 %d", c, got, counts[0].Load())
 		}
+	}
+}
+
+// TestPoolWarmOversubscribedNeverSpins: on a pool with more threads than
+// processors neither a worker that served a dispatch nor one that Warm readied
+// polls at all — a spinning goroutine there only delays the one it waits for —
+// so after Warm every worker parks again by itself, and the dispatch that
+// follows finds them parked and counts the wake Warm could not spare.
+func TestPoolWarmOversubscribedNeverSpins(t *testing.T) {
+	threads := runtime.GOMAXPROCS(0) + 1
+	p := NewPool[float64](threads)
+	defer p.Close()
+	if p.s.spin != 0 {
+		t.Fatalf("a pool of %d threads on %d processors polls for %d after a dispatch and %d after Warm; want none",
+			threads, runtime.GOMAXPROCS(0), p.s.spin, warmWindow*p.s.spin)
+	}
+	bounds := make([]int, threads+1)
+	for i := range bounds {
+		bounds[i] = i
+	}
+	var ran atomic.Int64
+	run := func(_, lo, hi int) { ran.Add(int64(hi - lo)) }
+	p.RunChunks(bounds, run)
+	for round := 0; round < 3; round++ {
+		waitParked(t, p)
+		before := p.Stats()
+		p.Warm()
+		waitParked(t, p) // Warm took every advertisement: these are new ones
+		p.RunChunks(bounds, run)
+		if st := p.Stats(); st.Warmed != before.Warmed+uint64(threads-1) || st.Pooled != before.Pooled+1 || st.Woken != before.Woken+1 {
+			t.Errorf("round %d: Warm, the workers' park, then a dispatch moved the counters from %+v to %+v; want %d warmed, one pooled, one woken",
+				round, before, st, threads-1)
+		}
+	}
+	if got := ran.Load(); got != int64(4*threads) {
+		t.Errorf("four dispatches of %d unit chunks ran %d units", threads, got)
 	}
 }
 
