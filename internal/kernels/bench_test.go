@@ -90,17 +90,35 @@ func BenchmarkKernels(b *testing.B) {
 // scan-fed, as a serial tuner converts, from the record feature extraction
 // already holds, and pooled, as a two-thread tuner converts: scan-fed, in
 // row chunks on a pool whose workers the back-to-back iterations keep
-// spinning.
+// spinning. ELL runs twice: on its workload, whose rows all hold four
+// entries (ELL-uniform: a view of the matrix's arrays), and on one whose rows
+// hold three to five (ELL-padded: a copy padded to five).
 func BenchmarkConvert(b *testing.B) {
 	pool := NewPool[float64](2)
 	defer pool.Close()
+	type workload struct {
+		name string
+		f    matrix.Format
+		m    *matrix.CSR[float64]
+	}
+	var cases []workload
 	for f, m := range benchWorkloads() {
-		if f == matrix.FormatCSR {
+		switch f {
+		case matrix.FormatCSR:
 			continue // wraps the input: nothing to measure
+		case matrix.FormatELL:
+			cases = append(cases, workload{"ELL-uniform", f, m})
+		default:
+			cases = append(cases, workload{f.String(), f, m})
 		}
+	}
+	cases = append(cases, workload{"ELL-padded", matrix.FormatELL,
+		gen.NearConstantDegree[float64](50000, 4, 1, rand.New(rand.NewSource(4)))})
+	for _, c := range cases {
+		f, m := c.f, c.m
 		s := matrix.Scan(m)
 		run := func(name string, convert func() error) {
-			b.Run(f.String()+"/"+name, func(b *testing.B) {
+			b.Run(c.name+"/"+name, func(b *testing.B) {
 				b.SetBytes(int64(m.NNZ() * 16))
 				for i := 0; i < b.N; i++ {
 					if err := convert(); err != nil {

@@ -2,9 +2,9 @@ package kernels
 
 import "smat/internal/matrix"
 
-// tileRows is the row-tile size of the grouped column-major traversals
-// (diaBlockedRange, ellWidthRange): 2048 float64 elements of y (16KiB) stay
-// resident in L1 while every diagonal or slot crosses the tile.
+// tileRows is the row-tile size of the grouped diagonal-major traversal
+// (diaBlockedRange): 2048 float64 elements of y (16KiB) stay resident in L1
+// while every diagonal crosses the tile.
 const tileRows = 2048
 
 // diaBlockedRange computes rows [lo, hi) with the diagonal-major traversal

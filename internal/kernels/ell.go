@@ -2,54 +2,47 @@ package kernels
 
 import "smat/internal/matrix"
 
-// runELLBasic is the paper's Figure 2(d) loop: column(slot)-major traversal
-// of the packed dense matrix. Padding slots carry value 0 and contribute
-// nothing.
+// runELLBasic is the paper's Figure 2(d) loop on the row-major layout: each
+// row's Width slots in order, accumulated from +0. Padding slots carry value
+// 0 and contribute nothing.
 //
 //smat:hotpath
 func runELLBasic[T matrix.Float](m *Mat[T], x, y []T, _ int, _ exec[T]) {
-	e := m.ELL
-	clear(y)
-	for n := 0; n < e.Width; n++ {
-		data := e.Data[n*e.Rows : (n+1)*e.Rows]
-		idx := e.ColIdx[n*e.Rows : (n+1)*e.Rows]
-		for i := 0; i < e.Rows; i++ {
-			y[i] += data[i] * x[idx[i]]
-		}
-	}
+	ellRowRange(m.ELL, x, y, 0, m.ELL.Rows)
 }
 
-// runELLUnroll4 unrolls the slot-major row loop by four.
+// runELLUnroll4 unrolls the row loop by four: four rows' slots side by side,
+// each row on an accumulator of its own.
 //
 //smat:hotpath
 func runELLUnroll4[T matrix.Float](m *Mat[T], x, y []T, _ int, _ exec[T]) {
 	e := m.ELL
-	clear(y)
-	for n := 0; n < e.Width; n++ {
-		data := e.Data[n*e.Rows : (n+1)*e.Rows]
-		idx := e.ColIdx[n*e.Rows : (n+1)*e.Rows]
-		i := 0
-		for ; i+4 <= e.Rows; i += 4 {
-			y[i] += data[i] * x[idx[i]]
-			y[i+1] += data[i+1] * x[idx[i+1]]
-			y[i+2] += data[i+2] * x[idx[i+2]]
-			y[i+3] += data[i+3] * x[idx[i+3]]
+	w := e.Width
+	r := 0
+	for ; r+4 <= e.Rows; r += 4 {
+		data, idx := e.Data[r*w:(r+4)*w], e.ColIdx[r*w:(r+4)*w]
+		var s0, s1, s2, s3 T
+		for n := 0; n < w; n++ {
+			s0 += data[n] * x[idx[n]]
+			s1 += data[w+n] * x[idx[w+n]]
+			s2 += data[2*w+n] * x[idx[2*w+n]]
+			s3 += data[3*w+n] * x[idx[3*w+n]]
 		}
-		for ; i < e.Rows; i++ {
-			y[i] += data[i] * x[idx[i]]
-		}
+		y[r], y[r+1], y[r+2], y[r+3] = s0, s1, s2, s3
 	}
+	ellRowRange(e, x, y, r, e.Rows)
 }
 
-// ellRowRange computes rows [lo, hi) row-major: one pass over each row's
-// slots, writing y once per row.
+// ellRowRange computes rows [lo, hi): one pass over each row's slots, writing
+// y once per row.
 //
 //smat:hotpath
 func ellRowRange[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) {
+	w := e.Width
 	for r := lo; r < hi; r++ {
 		var sum T
-		for n := 0; n < e.Width; n++ {
-			sum += e.Data[n*e.Rows+r] * x[e.ColIdx[n*e.Rows+r]]
+		for k := r * w; k < (r+1)*w; k++ {
+			sum += e.Data[k] * x[e.ColIdx[k]]
 		}
 		y[r] = sum
 	}
@@ -59,18 +52,19 @@ func ellRowRange[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) {
 //
 //smat:hotpath
 func ellRowRangeUnroll4[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) {
-	w, rows := e.Width, e.Rows
+	w := e.Width
 	for r := lo; r < hi; r++ {
+		data, idx := e.Data[r*w:(r+1)*w], e.ColIdx[r*w:(r+1)*w]
 		var s0, s1, s2, s3 T
 		n := 0
 		for ; n+4 <= w; n += 4 {
-			s0 += e.Data[n*rows+r] * x[e.ColIdx[n*rows+r]]
-			s1 += e.Data[(n+1)*rows+r] * x[e.ColIdx[(n+1)*rows+r]]
-			s2 += e.Data[(n+2)*rows+r] * x[e.ColIdx[(n+2)*rows+r]]
-			s3 += e.Data[(n+3)*rows+r] * x[e.ColIdx[(n+3)*rows+r]]
+			s0 += data[n] * x[idx[n]]
+			s1 += data[n+1] * x[idx[n+1]]
+			s2 += data[n+2] * x[idx[n+2]]
+			s3 += data[n+3] * x[idx[n+3]]
 		}
 		for ; n < w; n++ {
-			s0 += e.Data[n*rows+r] * x[e.ColIdx[n*rows+r]]
+			s0 += data[n] * x[idx[n]]
 		}
 		y[r] = (s0 + s1) + (s2 + s3)
 	}
@@ -91,16 +85,17 @@ func ellChunkUnroll4[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 //
 //smat:hotpath
 func ellRowRangeUnroll2[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) {
-	w, rows := e.Width, e.Rows
+	w := e.Width
 	for r := lo; r < hi; r++ {
+		data, idx := e.Data[r*w:(r+1)*w], e.ColIdx[r*w:(r+1)*w]
 		var s0, s1 T
 		n := 0
 		for ; n+2 <= w; n += 2 {
-			s0 += e.Data[n*rows+r] * x[e.ColIdx[n*rows+r]]
-			s1 += e.Data[(n+1)*rows+r] * x[e.ColIdx[(n+1)*rows+r]]
+			s0 += data[n] * x[idx[n]]
+			s1 += data[n+1] * x[idx[n+1]]
 		}
 		for ; n < w; n++ {
-			s0 += e.Data[n*rows+r] * x[e.ColIdx[n*rows+r]]
+			s0 += data[n] * x[idx[n]]
 		}
 		y[r] = s0 + s1
 	}
@@ -108,22 +103,23 @@ func ellRowRangeUnroll2[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) 
 
 //smat:hotpath
 func ellRowRangeUnroll8[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) {
-	w, rows := e.Width, e.Rows
+	w := e.Width
 	for r := lo; r < hi; r++ {
+		data, idx := e.Data[r*w:(r+1)*w], e.ColIdx[r*w:(r+1)*w]
 		var s0, s1, s2, s3, s4, s5, s6, s7 T
 		n := 0
 		for ; n+8 <= w; n += 8 {
-			s0 += e.Data[n*rows+r] * x[e.ColIdx[n*rows+r]]
-			s1 += e.Data[(n+1)*rows+r] * x[e.ColIdx[(n+1)*rows+r]]
-			s2 += e.Data[(n+2)*rows+r] * x[e.ColIdx[(n+2)*rows+r]]
-			s3 += e.Data[(n+3)*rows+r] * x[e.ColIdx[(n+3)*rows+r]]
-			s4 += e.Data[(n+4)*rows+r] * x[e.ColIdx[(n+4)*rows+r]]
-			s5 += e.Data[(n+5)*rows+r] * x[e.ColIdx[(n+5)*rows+r]]
-			s6 += e.Data[(n+6)*rows+r] * x[e.ColIdx[(n+6)*rows+r]]
-			s7 += e.Data[(n+7)*rows+r] * x[e.ColIdx[(n+7)*rows+r]]
+			s0 += data[n] * x[idx[n]]
+			s1 += data[n+1] * x[idx[n+1]]
+			s2 += data[n+2] * x[idx[n+2]]
+			s3 += data[n+3] * x[idx[n+3]]
+			s4 += data[n+4] * x[idx[n+4]]
+			s5 += data[n+5] * x[idx[n+5]]
+			s6 += data[n+6] * x[idx[n+6]]
+			s7 += data[n+7] * x[idx[n+7]]
 		}
 		for ; n < w; n++ {
-			s0 += e.Data[n*rows+r] * x[e.ColIdx[n*rows+r]]
+			s0 += data[n] * x[idx[n]]
 		}
 		y[r] = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
 	}
@@ -140,7 +136,7 @@ func ellChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 }
 
 // ellFamily is the ELL table, shaped like diaFamily: ell_basic and
-// ell_unroll4 are the paper's slot-major traversals, hand-written, with no
+// ell_unroll4 are the paper's whole-matrix loops, hand-written, with no
 // partitioned form.
 func ellFamily[T matrix.Float]() family[T] {
 	return family[T]{

@@ -2,68 +2,70 @@ package kernels
 
 import "smat/internal/matrix"
 
-// ellWidthRange computes rows [lo, hi) with diaBlockedRange's traversal over
-// ELL's column-major slots: a tile of rows at a time, the slots cut to the
-// tile (ellCut) and taken in register groups — the leading one to four
-// initialise y, the rest follow four at a time. A matrix of width one to four
-// is its leading group alone: straight-line code with no slot loop, the
-// scalar-code analogue of the vectorisation that makes ELL attractive on SIMD
-// hardware. The only check left per element is the x[col] gather. Every row
-// of an ELL matrix holds all its slots, so there are no boundary rows; padding
-// slots carry value 0 at column 0 and are multiplied like any other.
+// ellWidthRange computes rows [lo, hi) a row at a time over ELL's row-major
+// slots, each row's result formed in a register and stored once. A row's
+// slots are taken in groups: the leading one to four form the sum, the rest
+// follow four at a time, each group's products added pairwise. A matrix of
+// width one to four is its leading group alone: straight-line code per row
+// with no slot loop, the scalar-code analogue of the vectorisation that
+// makes ELL attractive on SIMD hardware. Every row of an ELL matrix holds all
+// its slots, so a row's stretch of Data and ColIdx is cut once, to a length
+// the compiler can carry, and the only check left per element is the x[col]
+// gather. Padding slots carry value 0 at column 0 and are multiplied like any
+// other.
 //
 //smat:hotpath
 func ellWidthRange[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) {
 	w := e.Width
-	if w == 0 {
-		clear(y[lo:hi])
-		return
-	}
-	head := (w-1)&3 + 1
-	for rb := lo; rb < hi; rb += tileRows {
-		yt := y[rb:min(rb+tileRows, hi)]
-		d0, i0 := ellCut(e, 0, rb, len(yt))
-		switch head {
-		case 1:
-			for r := range yt {
-				yt[r] = d0[r] * x[i0[r]]
-			}
-		case 2:
-			d1, i1 := ellCut(e, 1, rb, len(yt))
-			for r := range yt {
-				yt[r] = d0[r]*x[i0[r]] + d1[r]*x[i1[r]]
-			}
-		case 3:
-			d1, i1 := ellCut(e, 1, rb, len(yt))
-			d2, i2 := ellCut(e, 2, rb, len(yt))
-			for r := range yt {
-				yt[r] = d0[r]*x[i0[r]] + d1[r]*x[i1[r]] + d2[r]*x[i2[r]]
-			}
-		case 4:
-			d1, i1 := ellCut(e, 1, rb, len(yt))
-			d2, i2 := ellCut(e, 2, rb, len(yt))
-			d3, i3 := ellCut(e, 3, rb, len(yt))
-			for r := range yt {
-				yt[r] = (d0[r]*x[i0[r]] + d1[r]*x[i1[r]]) + (d2[r]*x[i2[r]] + d3[r]*x[i3[r]])
-			}
+	yr := y[lo:hi]
+	data, idx := e.Data[lo*w:hi*w], e.ColIdx[lo*w:hi*w]
+	switch w {
+	case 0:
+		clear(yr)
+	case 1:
+		data, idx = data[:len(yr)], idx[:len(yr)]
+		for r := range yr {
+			yr[r] = data[r] * x[idx[r]]
 		}
-		for s := head; s < w; s += 4 {
-			d0, i0 := ellCut(e, s, rb, len(yt))
-			d1, i1 := ellCut(e, s+1, rb, len(yt))
-			d2, i2 := ellCut(e, s+2, rb, len(yt))
-			d3, i3 := ellCut(e, s+3, rb, len(yt))
-			for r := range yt {
-				yt[r] += (d0[r]*x[i0[r]] + d1[r]*x[i1[r]]) + (d2[r]*x[i2[r]] + d3[r]*x[i3[r]])
+	case 2:
+		for r := range yr {
+			d, c := data[2*r:2*r+2:2*r+2], idx[2*r:2*r+2:2*r+2]
+			yr[r] = d[0]*x[c[0]] + d[1]*x[c[1]]
+		}
+	case 3:
+		for r := range yr {
+			d, c := data[3*r:3*r+3:3*r+3], idx[3*r:3*r+3:3*r+3]
+			yr[r] = d[0]*x[c[0]] + d[1]*x[c[1]] + d[2]*x[c[2]]
+		}
+	case 4:
+		for r := range yr {
+			d, c := data[4*r:4*r+4:4*r+4], idx[4*r:4*r+4:4*r+4]
+			yr[r] = (d[0]*x[c[0]] + d[1]*x[c[1]]) + (d[2]*x[c[2]] + d[3]*x[c[3]])
+		}
+	default:
+		head := (w-1)&3 + 1
+		for r := range yr {
+			d, c := data[r*w:(r+1)*w], idx[r*w:(r+1)*w]
+			c = c[:len(d)]
+			d4, c4 := d[:4:4], c[:4:4]
+			var s T
+			switch head {
+			case 1:
+				s = d4[0] * x[c4[0]]
+			case 2:
+				s = d4[0]*x[c4[0]] + d4[1]*x[c4[1]]
+			case 3:
+				s = d4[0]*x[c4[0]] + d4[1]*x[c4[1]] + d4[2]*x[c4[2]]
+			default:
+				s = (d4[0]*x[c4[0]] + d4[1]*x[c4[1]]) + (d4[2]*x[c4[2]] + d4[3]*x[c4[3]])
 			}
+			for n := head; n+4 <= len(d); n += 4 {
+				d4, c4 := d[n:n+4:n+4], c[n:n+4:n+4]
+				s += (d4[0]*x[c4[0]] + d4[1]*x[c4[1]]) + (d4[2]*x[c4[2]] + d4[3]*x[c4[3]])
+			}
+			yr[r] = s
 		}
 	}
-}
-
-// ellCut cuts slot s's values and columns to the n rows from rb.
-//
-//smat:hotpath
-func ellCut[T matrix.Float](e *matrix.ELL[T], s, rb, n int) (data []T, idx []int) {
-	return e.Data[s*e.Rows+rb:][:n], e.ColIdx[s*e.Rows+rb:][:n]
 }
 
 //smat:hotpath

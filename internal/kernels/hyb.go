@@ -11,15 +11,7 @@ import "smat/internal/matrix"
 //smat:hotpath
 func runHYBBasic[T matrix.Float](m *Mat[T], x, y []T, _ int, _ exec[T]) {
 	h := m.HYB
-	clear(y)
-	e := h.ELL
-	for n := 0; n < e.Width; n++ {
-		data := e.Data[n*e.Rows : (n+1)*e.Rows]
-		idx := e.ColIdx[n*e.Rows : (n+1)*e.Rows]
-		for i := 0; i < e.Rows; i++ {
-			y[i] += data[i] * x[idx[i]]
-		}
-	}
+	ellRowRange(h.ELL, x, y, 0, h.ELL.Rows)
 	cooRange(h.COO, x, y, 0, h.COO.NNZ())
 }
 
@@ -59,7 +51,7 @@ func hybPhases[T matrix.Float](ell, tail rangeFn[T]) runFn[T] {
 	}
 }
 
-// hybFamily is the HYB table: hyb_basic's slot-major sweep and the two-phase
+// hybFamily is the HYB table: hyb_basic's row-major sweep and the two-phase
 // runner at each ELL body. The family is not part of NewLibrary: callers opt
 // in with RegisterHYB (keeping the stock four-format system identical to the
 // paper's).

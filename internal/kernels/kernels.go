@@ -29,9 +29,10 @@ const (
 	// StratNNZBalance partitions work by equal nonzero count instead of
 	// equal row count (only meaningful together with StratParallel).
 	StratNNZBalance
-	// StratRowMajor traverses DIA/ELL storage row-by-row instead of the
-	// paper's default diagonal-/column-major order, writing each y element
-	// once.
+	// StratRowMajor traverses DIA storage row-by-row instead of the paper's
+	// default diagonal-major order, writing each y element once. ELL is
+	// stored row-major, so every ELL body runs row by row; on ELL the flag
+	// marks the row-range bodies a partition hands rows to.
 	StratRowMajor
 	// StratCacheBlock tiles the row dimension so the diagonal-major DIA
 	// traversal re-reads y from L1 instead of memory.

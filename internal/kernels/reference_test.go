@@ -91,15 +91,15 @@ func refCOOBatchRange[T matrix.Float](m *matrix.COO[T], xb, yb []T, k, lo, hi in
 }
 
 func refELLBatchRange[T matrix.Float](e *matrix.ELL[T], xb, yb []T, k, lo, hi int) {
-	w, rows := e.Width, e.Rows
+	w := e.Width
 	for r := lo; r < hi; r++ {
 		yr := yb[r*k : (r+1)*k]
 		j := 0
 		for ; j+8 <= k; j += 8 {
 			var s0, s1, s2, s3, s4, s5, s6, s7 T
 			for n := 0; n < w; n++ {
-				v := e.Data[n*rows+r]
-				c := int(e.ColIdx[n*rows+r])
+				v := e.Data[r*w+n]
+				c := int(e.ColIdx[r*w+n])
 				xc := xb[c*k+j : c*k+j+8]
 				s0 += v * xc[0]
 				s1 += v * xc[1]
@@ -116,8 +116,8 @@ func refELLBatchRange[T matrix.Float](e *matrix.ELL[T], xb, yb []T, k, lo, hi in
 		for ; j+4 <= k; j += 4 {
 			var s0, s1, s2, s3 T
 			for n := 0; n < w; n++ {
-				v := e.Data[n*rows+r]
-				c := int(e.ColIdx[n*rows+r])
+				v := e.Data[r*w+n]
+				c := int(e.ColIdx[r*w+n])
 				xc := xb[c*k+j : c*k+j+4]
 				s0 += v * xc[0]
 				s1 += v * xc[1]
@@ -129,7 +129,7 @@ func refELLBatchRange[T matrix.Float](e *matrix.ELL[T], xb, yb []T, k, lo, hi in
 		for ; j < k; j++ {
 			var sum T
 			for n := 0; n < w; n++ {
-				sum += e.Data[n*rows+r] * xb[e.ColIdx[n*rows+r]*k+j]
+				sum += e.Data[r*w+n] * xb[e.ColIdx[r*w+n]*k+j]
 			}
 			yr[j] = sum
 		}
@@ -250,8 +250,10 @@ func batchCases[T matrix.Float](t *testing.T) []batchCase[T] {
 	for w := 0; w <= 9; w++ {
 		for _, rows := range []int{13, batchTileRows(8) + 37} {
 			e := randELL[T](rng, rows, 300, w)
-			for i := 0; i < len(e.Data); i += 3 {
-				e.Data[i] = T(math.Abs(float64(e.Data[i])))
+			for r := 0; r < rows; r += 3 {
+				for i := r * w; i < (r+1)*w; i++ {
+					e.Data[i] = T(math.Abs(float64(e.Data[i])))
+				}
 			}
 			cases = append(cases, batchCase[T]{
 				name: fmt.Sprintf("ell/w=%d/rows=%d", w, rows), mat: &Mat[T]{Format: matrix.FormatELL, ELL: e}, body: ellBatchChunk[T],

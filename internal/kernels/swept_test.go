@@ -63,8 +63,8 @@ func randELL[T matrix.Float](rng *rand.Rand, rows, cols, width int) *matrix.ELL[
 		ColIdx: make([]int, width*rows), Data: make([]T, width*rows)}
 	for r := 0; r < rows; r++ {
 		for s := 0; s < r%(width+1); s++ {
-			e.ColIdx[s*rows+r] = rng.Intn(cols)
-			e.Data[s*rows+r] = T(rng.NormFloat64())
+			e.ColIdx[r*width+s] = rng.Intn(cols)
+			e.Data[r*width+s] = T(rng.NormFloat64())
 		}
 	}
 	return e
@@ -73,7 +73,7 @@ func randELL[T matrix.Float](rng *rand.Rand, rows, cols, width int) *matrix.ELL[
 // ellSlotOrder is ell_width's summation order before the grouped tile, which
 // widths one to four keep: the row's slots in one expression, paired at four.
 func ellSlotOrder(e *matrix.ELL[float64], x, y []float64) {
-	p := func(s, r int) float64 { return e.Data[s*e.Rows+r] * x[e.ColIdx[s*e.Rows+r]] }
+	p := func(s, r int) float64 { return e.Data[r*e.Width+s] * x[e.ColIdx[r*e.Width+s]] }
 	for r := 0; r < e.Rows; r++ {
 		switch e.Width {
 		case 1:

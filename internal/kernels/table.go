@@ -68,9 +68,9 @@ type body[T matrix.Float] struct {
 	params Params // the template point of a single-vector body: its unroll depth
 	// chunk computes work items [lo, hi); run, set instead of chunk, is a
 	// hand-written runner for what is not one body over one partition: the
-	// diagonal-major DIA and slot-major ELL traversals, which sweep the whole
-	// matrix once per diagonal or slot and have no row range to hand out, and
-	// HYB's ELL pass followed by its COO tail.
+	// diagonal-major DIA traversals, which sweep the whole matrix once per
+	// diagonal and have no row range to hand out, the paper's whole-matrix ELL
+	// loops, and HYB's ELL pass followed by its COO tail.
 	chunk rangeFn[T]
 	run   runFn[T]
 	over  []partition

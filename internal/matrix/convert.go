@@ -126,12 +126,27 @@ func (m *CSR[T]) ToCOOSplit(sp Split) *COO[T] {
 }
 
 // cooRows is COO's row-range body: the row index of every entry of rows
-// [lo, hi).
+// [lo, hi). Each row writes its index into four slots from its first entry
+// whatever its length, then loops only over the entries past four: on short,
+// irregular rows a loop whose trip count changes row to row mispredicts once
+// a row. A short row's spare writes land on later rows' slots, which those
+// rows overwrite after it. They never pass the chunk's last entry,
+// RowPtr[hi]: the next chunk's rows may be written already, by another
+// worker.
 func (m *CSR[T]) cooRows(rowIdx []int, lo, hi int) {
+	rowIdx = rowIdx[:m.RowPtr[hi]]
 	for r := lo; r < hi; r++ {
-		row := rowIdx[m.RowPtr[r]:m.RowPtr[r+1]]
-		for i := range row {
-			row[i] = r
+		first, end := m.RowPtr[r], m.RowPtr[r+1]
+		if first+4 <= len(rowIdx) {
+			four := rowIdx[first : first+4 : first+4]
+			four[0], four[1], four[2], four[3] = r, r, r, r
+		} else {
+			for i := first; i < end; i++ {
+				rowIdx[i] = r
+			}
+		}
+		for i := first + 4; i < end; i++ {
+			rowIdx[i] = r
 		}
 	}
 }
@@ -334,7 +349,11 @@ func (m *CSR[T]) ToELL(maxFillRatio float64) (*ELL[T], error) {
 // ToELLFrom is ToELL for a caller that already holds l = Scan(m).Layout, run
 // in the row chunks of sp: every row is padded to the record's maximum row
 // degree, which must be m's — a row longer than it, or no row as long, is
-// ErrStructureMismatch.
+// ErrStructureMismatch. When every row holds exactly that many entries —
+// RowPtr[r] == r·width throughout, an O(rows) check of m's own row pointers
+// that trusts nothing of the record — m's ColIdx and Vals already are the
+// row-major ELL arrays, and the result is a view sharing them, as ToCOO's is.
+// Any other matrix is copied into padded arrays of its own.
 func (m *CSR[T]) ToELLFrom(l *Layout, maxFillRatio float64, sp Split) (*ELL[T], error) {
 	l.of(m.Rows, m.Cols, m.NNZ())
 	width := l.MaxDeg
@@ -343,13 +362,12 @@ func (m *CSR[T]) ToELLFrom(l *Layout, maxFillRatio float64, sp Split) (*ELL[T], 
 		return nil, fmt.Errorf("%w: ELL would store %d elements for %d nonzeros",
 			ErrFillExplosion, stored, m.NNZ())
 	}
-	e := &ELL[T]{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		Width:  width,
-		ColIdx: make([]int, stored),
-		Data:   make([]T, stored),
+	e := &ELL[T]{Rows: m.Rows, Cols: m.Cols, Width: width}
+	if m.Rows > 0 && uniformRows(m.RowPtr, width) {
+		e.ColIdx, e.Data = m.ColIdx[:stored:stored], m.Vals[:stored:stored]
+		return e, nil
 	}
+	e.ColIdx, e.Data = make([]int, stored), make([]T, stored)
 	verdicts := make([]ellVerdict, sp.chunks(m.Rows))
 	sp.run(m.Rows, func(c, lo, hi int) { verdicts[c] = m.ellRows(e.ColIdx, e.Data, width, lo, hi) })
 	reached := width == 0
@@ -365,14 +383,25 @@ func (m *CSR[T]) ToELLFrom(l *Layout, maxFillRatio float64, sp Split) (*ELL[T], 
 	return e, nil
 }
 
+// uniformRows reports whether every row of rowPtr holds width entries.
+func uniformRows(rowPtr []int, width int) bool {
+	for r, p := range rowPtr {
+		if p != r*width {
+			return false
+		}
+	}
+	return true
+}
+
 // ellVerdict is what one chunk of an ELL conversion learned of the width:
 // longer, a row exceeds it; reached, a row is as long.
 type ellVerdict struct {
 	longer, reached bool
 }
 
-// ellRows is ELL's row-range body: it pads rows [lo, hi) to width into the
-// slot-major colIdx and data, and stops at the first row longer than that.
+// ellRows is ELL's row-range body: it copies rows [lo, hi) into their
+// width-long stretches of the row-major colIdx and data, whose padding the
+// allocation left zero, and stops at the first row longer than width.
 func (m *CSR[T]) ellRows(colIdx []int, data []T, width, lo, hi int) ellVerdict {
 	var v ellVerdict
 	for r := lo; r < hi; r++ {
@@ -383,11 +412,9 @@ func (m *CSR[T]) ellRows(colIdx []int, data []T, width, lo, hi int) ellVerdict {
 			}
 			v.reached = true
 		}
-		slot := 0
-		for jj := first; jj < end; jj++ {
-			colIdx[slot*m.Rows+r] = m.ColIdx[jj]
-			data[slot*m.Rows+r] = m.Vals[jj]
-			slot++
+		cols, vals := colIdx[r*width:][:end-first], data[r*width:][:end-first]
+		for i, c := range m.ColIdx[first:end] {
+			cols[i], vals[i] = c, m.Vals[first+i]
 		}
 	}
 	return v
@@ -397,9 +424,9 @@ func (m *CSR[T]) ellRows(colIdx []int, data []T, width, lo, hi int) ellVerdict {
 func (m *ELL[T]) ToCSR() *CSR[T] {
 	var ts []Triple[T]
 	for r := 0; r < m.Rows; r++ {
-		for slot := 0; slot < m.Width; slot++ {
-			if v := m.Data[slot*m.Rows+r]; v != 0 {
-				ts = append(ts, Triple[T]{Row: r, Col: m.ColIdx[slot*m.Rows+r], Val: v})
+		for k := r * m.Width; k < (r+1)*m.Width; k++ {
+			if v := m.Data[k]; v != 0 {
+				ts = append(ts, Triple[T]{Row: r, Col: m.ColIdx[k], Val: v})
 			}
 		}
 	}

@@ -90,12 +90,12 @@ func TestPaperExampleELL(t *testing.T) {
 	}
 	// Row 2 has three entries: columns 0, 2, 3.
 	for slot, wantCol := range []int{0, 2, 3} {
-		if got := e.ColIdx[slot*e.Rows+2]; got != wantCol {
+		if got := e.ColIdx[2*e.Width+slot]; got != wantCol {
 			t.Errorf("row 2 slot %d col = %d, want %d", slot, got, wantCol)
 		}
 	}
 	// Row 0 has two entries; slot 2 is padding.
-	if e.Data[2*e.Rows+0] != 0 {
+	if e.Data[0*e.Width+2] != 0 {
 		t.Error("row 0 slot 2 should be zero padding")
 	}
 }
@@ -301,4 +301,57 @@ func TestFromTriplesNegativeDims(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestUniformELLSharesCSRArrays: a matrix whose rows all hold the width is
+// its own row-major ELL form, and converting it is a view — the ELL arrays
+// are the matrix's ColIdx and Vals, and nothing of O(nnz) is allocated. One
+// short row makes it a padded copy of its own. A record of another pattern of
+// the same shape is checked against the matrix's row pointers, never trusted:
+// ErrStructureMismatch, whichever of the two is uniform.
+func TestUniformELLSharesCSRArrays(t *testing.T) {
+	uniform := pattern(5, []int{0, 1, 4}, []int{1, 2, 3}, []int{0, 2, 4}, []int{2, 3, 4})
+	l := &Scan(uniform).Layout
+	e, err := uniform.ToELLFrom(l, 0, Split{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Width != 3 || &e.ColIdx[0] != &uniform.ColIdx[0] || &e.Data[0] != &uniform.Vals[0] {
+		t.Fatalf("uniform rows: width %d, arrays shared %v/%v; want width 3 and a view", e.Width,
+			&e.ColIdx[0] == &uniform.ColIdx[0], &e.Data[0] == &uniform.Vals[0])
+	}
+	if err := e.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.ToCSR().Equal(uniform) {
+		t.Error("uniform view does not round-trip")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { uniform.ToELLFrom(l, 0, Split{}) }); allocs > 1 {
+		t.Errorf("uniform view: %v allocations a conversion, want the header alone", allocs)
+	}
+
+	short := pattern(5, []int{0, 1, 4}, []int{1, 2, 3}, []int{0, 2}, []int{2, 3, 4})
+	p, err := short.ToELLFrom(&Scan(short).Layout, 0, Split{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &p.ColIdx[0] == &short.ColIdx[0] || &p.Data[0] == &short.Vals[0] {
+		t.Fatal("one short row: the ELL arrays alias the matrix's")
+	}
+	wantCols := []int{0, 1, 4, 1, 2, 3, 0, 2, 0, 2, 3, 4}
+	wantData := []float64{1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 10, 11}
+	if p.Width != 3 || !slices.Equal(p.ColIdx, wantCols) || !slices.Equal(p.Data, wantData) {
+		t.Errorf("one short row: width %d, ColIdx %v, Data %v; want 3, %v, %v", p.Width, p.ColIdx, p.Data, wantCols, wantData)
+	}
+
+	// Same shape and entry count, rows of 2, 4, 3 and 3 entries.
+	ragged := pattern(5, []int{0, 1}, []int{0, 1, 2, 3}, []int{0, 2, 4}, []int{2, 3, 4})
+	if _, err := uniform.ToELLFrom(&Scan(ragged).Layout, 0, Split{}); !errors.Is(err, ErrStructureMismatch) {
+		t.Errorf("uniform matrix, ragged record: %v", err)
+	}
+	if _, err := ragged.ToELLFrom(l, 0, Split{}); !errors.Is(err, ErrStructureMismatch) {
+		t.Errorf("ragged matrix, uniform record: %v", err)
+	}
+	checkForeignLayout(t, uniform, ragged)
+	checkForeignLayout(t, ragged, uniform)
 }

@@ -184,11 +184,14 @@ func FuzzConvertRoundTrip(f *testing.F) {
 // two signatures must differ exactly when the patterns do.
 func FuzzConvertForeignStructure(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{4, 4, 2, 0, 0, 1, 1, 2, 2, 3, 3})                                     // two diagonals' halves
-	f.Add([]byte{5, 5, 5, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0}) // main diagonal vs. a shifted one
-	f.Add([]byte{3, 6, 3, 0, 0, 0, 1, 0, 2, 0, 0, 1, 1, 2, 2})                         // one full row vs. one entry a row
-	f.Add([]byte{6, 6, 4, 0, 5, 1, 4, 2, 3, 3, 2, 5, 0, 4, 1, 3, 2, 2, 3})             // anti-diagonal halves
-	f.Add([]byte{2, 2, 1, 0, 0, 0, 0})                                                 // the same pattern twice
+	f.Add([]byte{4, 4, 2, 0, 0, 1, 1, 2, 2, 3, 3})                                                 // two diagonals' halves
+	f.Add([]byte{5, 5, 5, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0})             // main diagonal vs. a shifted one
+	f.Add([]byte{3, 6, 3, 0, 0, 0, 1, 0, 2, 0, 0, 1, 1, 2, 2})                                     // one full row vs. one entry a row
+	f.Add([]byte{6, 6, 4, 0, 5, 1, 4, 2, 3, 3, 2, 5, 0, 4, 1, 3, 2, 2, 3})                         // anti-diagonal halves
+	f.Add([]byte{2, 2, 1, 0, 0, 0, 0})                                                             // the same pattern twice
+	f.Add([]byte{3, 4, 6, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 0, 2, 0, 3, 1, 0, 1, 3, 2, 0, 2, 1}) // two patterns of width two in every row
+	f.Add([]byte{3, 4, 6, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 0, 0, 0, 1, 0, 2, 1, 1, 2, 0, 2, 3}) // width two in every row vs. rows of 3, 1, 2
+	f.Add([]byte{4, 3, 4, 0, 0, 1, 1, 2, 2, 3, 0, 0, 1, 1, 2, 2, 0, 3, 1})                         // one entry a row, two ways
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {

@@ -96,8 +96,8 @@ func (m *CSR[T]) ToHYB(width int) *HYB[T] {
 		slot := 0
 		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
 			if slot < width {
-				ell.ColIdx[slot*m.Rows+r] = m.ColIdx[jj]
-				ell.Data[slot*m.Rows+r] = m.Vals[jj]
+				ell.ColIdx[r*width+slot] = m.ColIdx[jj]
+				ell.Data[r*width+slot] = m.Vals[jj]
 				slot++
 				continue
 			}
@@ -112,10 +112,11 @@ func (m *CSR[T]) ToHYB(width int) *HYB[T] {
 // ToCSR converts hybrid storage back to CSR.
 func (m *HYB[T]) ToCSR() *CSR[T] {
 	var ts []Triple[T]
-	for r := 0; r < m.ELL.Rows; r++ {
-		for slot := 0; slot < m.ELL.Width; slot++ {
-			if v := m.ELL.Data[slot*m.ELL.Rows+r]; v != 0 {
-				ts = append(ts, Triple[T]{Row: r, Col: m.ELL.ColIdx[slot*m.ELL.Rows+r], Val: v})
+	e := m.ELL
+	for r := 0; r < e.Rows; r++ {
+		for k := r * e.Width; k < (r+1)*e.Width; k++ {
+			if v := e.Data[k]; v != 0 {
+				ts = append(ts, Triple[T]{Row: r, Col: e.ColIdx[k], Val: v})
 			}
 		}
 	}

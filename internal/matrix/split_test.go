@@ -149,6 +149,55 @@ func TestConversionChunkingKeepsBits(t *testing.T) {
 	}
 }
 
+// TestShortRowChunksKeepBits: on rows of zero to three entries, shorter than
+// any unrolled write, the DIA, ELL and COO conversions return the serial
+// result whether their chunks run concurrently or one after another in
+// reverse order — a chunk that wrote past its last entry would overwrite rows
+// the next chunk wrote before it.
+func TestShortRowChunksKeepBits(t *testing.T) {
+	const rows, cols = 41, 43
+	var ts []Triple[float64]
+	for r := 0; r < rows; r++ {
+		for j := 0; j < (r*7)%4; j++ {
+			c := (r*5 + j*11) % cols
+			ts = append(ts, Triple[float64]{Row: r, Col: c, Val: float64(r*cols+c+1) / 8})
+		}
+	}
+	m, err := FromTriples(rows, cols, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &Scan(m).Layout
+	wantC := m.ToCOO()
+	wantD, err := m.ToDIAFrom(l, 0, Split{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantE, err := m.ToELLFrom(l, 0, Split{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := func(bounds []int, fn func(chunk, lo, hi int)) {
+		for c := len(bounds) - 2; c >= 0; c-- {
+			fn(c, bounds[c], bounds[c+1])
+		}
+	}
+	for name, sp := range splits(rows) {
+		for order, run := range map[string]func([]int, func(int, int, int)){"concurrent": goRun, "reversed": reversed} {
+			sp.Run = run
+			if got := m.ToCOOSplit(sp); !slices.Equal(got.RowIdx, wantC.RowIdx) {
+				t.Errorf("COO, %s, %s: RowIdx %v, serial %v", name, order, got.RowIdx, wantC.RowIdx)
+			}
+			if d, err := m.ToDIAFrom(l, 0, sp); err != nil || !bitsEqual(d.Data, wantD.Data) {
+				t.Errorf("DIA, %s, %s: %v, or other bits than the serial conversion", name, order, err)
+			}
+			if e, err := m.ToELLFrom(l, 0, sp); err != nil || !slices.Equal(e.ColIdx, wantE.ColIdx) || !bitsEqual(e.Data, wantE.Data) {
+				t.Errorf("ELL, %s, %s: %v, or other bits than the serial conversion", name, order, err)
+			}
+		}
+	}
+}
+
 // TestSplitBoundsMustCoverRows: bounds that leave rows out are a caller bug,
 // not a shorter conversion.
 func TestSplitBoundsMustCoverRows(t *testing.T) {

@@ -56,11 +56,13 @@ type DIA[T Float] struct {
 }
 
 // ELL is the ELLPACK format. Every row stores exactly Width entries
-// (zero-padded beyond its actual nonzeros) in column-major order:
+// (zero-padded beyond its actual nonzeros) in row-major order:
 //
-//	slot j of row r is Data[j*Rows + r] with column ColIdx[j*Rows + r]
+//	slot j of row r is Data[r*Width + j] with column ColIdx[r*Width + j]
 //
-// Padding slots have value 0 and column index 0.
+// Padding slots have value 0 and column index 0. A CSR matrix whose rows all
+// hold Width entries is already this layout: its ELL form (ToELLFrom) is a
+// view sharing the matrix's ColIdx and Vals, the way its COO form shares them.
 type ELL[T Float] struct {
 	Rows, Cols int
 	Width      int
