@@ -147,8 +147,8 @@ func BenchmarkAblationScoreboard(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionFormats measures the opt-in HYB and BCSR extension
-// formats against the basic four on their home workloads (DESIGN.md:
+// BenchmarkExtensionFormats measures the opt-in HYB extension format against
+// the basic four on its home workload and two others (DESIGN.md:
 // extensibility).
 func BenchmarkExtensionFormats(b *testing.B) {
 	cfg := benchCfg(b)

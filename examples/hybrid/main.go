@@ -94,41 +94,4 @@ func main() {
 	fmt.Printf("\nHYB split: ELL width %d (%d entries) + COO tail (%d entries)\n",
 		h.ELL.Width, h.ELL.NNZ(), h.COO.NNZ())
 
-	// Second extension: BCSR (register blocking à la Sparsity/OSKI) on a
-	// matrix of dense 4x4 blocks — a vector-valued FEM discretisation shape.
-	lib.RegisterBCSR()
-	var bts []matrix.Triple[float64]
-	nb := 8000
-	for b := 0; b < 6*nb; b++ {
-		bi := rng.Intn(nb)
-		bj := bi + rng.Intn(9) - 4
-		if bj < 0 || bj >= nb {
-			bj = bi
-		}
-		for lr := 0; lr < 4; lr++ {
-			for lc := 0; lc < 4; lc++ {
-				bts = append(bts, matrix.Triple[float64]{Row: bi*4 + lr, Col: bj*4 + lc, Val: 1})
-			}
-		}
-	}
-	bm, err := matrix.FromTriples(4*nb, 4*nb, bts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	br, bc := matrix.BestBlockSize(bm)
-	fmt.Printf("\nblock-structured matrix: %d rows, %d nonzeros, selected block size %dx%d (fill %.2fx)\n",
-		bm.Rows, bm.NNZ(), br, bc, matrix.BlockFill(bm, br, bc))
-	for _, f := range []matrix.Format{matrix.FormatCSR, matrix.FormatBCSR} {
-		mat, err := kernels.Convert(bm, f, 8)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bestName, best := "", 0.0
-		for _, k := range lib.ForFormat(f) {
-			if g := measure(k, mat); g > best {
-				best, bestName = g, k.Name
-			}
-		}
-		fmt.Printf("  %-4s: %5.2f GFLOPS  (%s)\n", f, best, bestName)
-	}
 }

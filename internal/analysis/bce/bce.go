@@ -33,7 +33,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 
 	"smat/internal/analysis/compilediag"
 )
@@ -173,10 +172,4 @@ func Update(cfg Config) ([]string, error) {
 		return nil, err
 	}
 	return current, nil
-}
-
-// Describe renders a fresh-entry failure for the driver.
-func Describe(fresh []string) string {
-	return fmt.Sprintf("new bounds checks in hot paths (run `go build -gcflags=all=-d=ssa/check_bce/debug=1` to locate, or accept with -update-bce):\n  %s",
-		strings.Join(fresh, "\n  "))
 }

@@ -659,18 +659,6 @@ func SigVars(info *types.Info, recv *ast.FieldList, typ *ast.FuncType) []*types.
 	return out
 }
 
-// NodePositions builds the node → Pos index of a CFG for analyzers that
-// need to relate two statements' execution order.
-func NodePositions(c *CFG) map[ast.Node]Pos {
-	out := map[ast.Node]Pos{}
-	for bi, bl := range c.Blocks {
-		for ni, n := range bl.Nodes {
-			out[n] = Pos{Block: bi, Index: ni}
-		}
-	}
-	return out
-}
-
 // String renders the CFG for debugging.
 func (c *CFG) String() string {
 	s := ""

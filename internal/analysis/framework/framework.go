@@ -116,27 +116,6 @@ func Preorder(files []*ast.File, fn func(ast.Node)) {
 	}
 }
 
-// HasDirective reports whether the declaration's doc comment group carries
-// the given comment directive line (e.g. name "smat:hotpath" matches a
-// "//smat:hotpath" line). Directives follow the Go convention: no space
-// after "//", optionally followed by an argument after a space.
-func HasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := c.Text
-		if !strings.HasPrefix(text, "//") {
-			continue
-		}
-		rest := text[2:]
-		if rest == name || strings.HasPrefix(rest, name+" ") {
-			return true
-		}
-	}
-	return false
-}
-
 // FuncDirectives returns the directive set ("smat:hotpath", ...) present on
 // a function declaration's doc comment.
 func FuncDirectives(fd *ast.FuncDecl) map[string]bool {

@@ -30,8 +30,8 @@ type CacheEntry struct {
 	Format     matrix.Format
 	Confidence float64
 	Measured   bool
-	// Params carries the leader's kernel parameters (conversion knobs like
-	// the BCSR block shape or the HYB width cut, plus the unroll depth):
+	// Params carries the leader's kernel parameters (the HYB width cut, a
+	// conversion knob, plus the unroll depth):
 	// cache hits convert with the same parameters, so a parameterized
 	// decision survives the cache unchanged.
 	Params kernels.Params

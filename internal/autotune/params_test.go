@@ -12,9 +12,7 @@ import (
 )
 
 // fullParams exercises every Params field at once.
-var fullParams = kernels.Params{
-	Unroll: 8, BlockR: 2, BlockC: 4, HybCut: 0.5,
-}
+var fullParams = kernels.Params{Unroll: 8, HybCut: 0.5}
 
 func TestDecisionJSONRoundTripParams(t *testing.T) {
 	d := Decision{
@@ -47,7 +45,7 @@ func TestDecisionJSONRoundTripParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "unroll") || strings.Contains(string(data), "block_r") {
+	if strings.Contains(string(data), "unroll") || strings.Contains(string(data), "hyb_cut") {
 		t.Errorf("zero Params leaked fields into JSON: %s", data)
 	}
 }
@@ -55,10 +53,9 @@ func TestDecisionJSONRoundTripParams(t *testing.T) {
 func TestModelParamsRoundTrip(t *testing.T) {
 	m := modelAlways(matrix.FormatELL, 0.95)
 	m.Classes[0].Params = map[string]kernels.Params{
-		matrix.FormatELL.String():  {Unroll: 8},
-		matrix.FormatDIA.String():  {Unroll: 2},
-		matrix.FormatBCSR.String(): {BlockR: 8, BlockC: 2},
-		matrix.FormatHYB.String():  {HybCut: 0.1},
+		matrix.FormatELL.String(): {Unroll: 8},
+		matrix.FormatDIA.String(): {Unroll: 2},
+		matrix.FormatHYB.String(): {HybCut: 0.1},
 	}
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -135,10 +132,10 @@ func TestDatabaseParamsRoundTrip(t *testing.T) {
 }
 
 // TestLoadersIgnoreRetiredParamKeys: files written while Params still had a
-// batch register tile and a DIA density floor load, and the two keys read as
-// nothing.
+// batch register tile, a DIA density floor and a register-block shape load,
+// and the retired keys read as nothing.
 func TestLoadersIgnoreRetiredParamKeys(t *testing.T) {
-	const retired = `{"unroll":8,"batch_tile":2,"dia_min_density":0.05}`
+	const retired = `{"unroll":8,"batch_tile":2,"dia_min_density":0.05,"block_r":8,"block_c":2}`
 	want := kernels.Params{Unroll: 8}
 
 	m := modelAlways(matrix.FormatDIA, 0.95)
@@ -189,12 +186,10 @@ func TestLoadDatabaseRejectsNewerSchema(t *testing.T) {
 	}
 }
 
-// TestSearchMatrixParamsPrunes pins the feature-guided pruning rules: a
-// hypersparse diagonal tally skips the whole DIA walk, and an over-padding
-// BCSR block shape is dropped before conversion.
+// TestSearchMatrixParamsPrunes pins the feature-guided pruning rule: a
+// hypersparse diagonal tally skips the whole DIA walk.
 func TestSearchMatrixParamsPrunes(t *testing.T) {
 	lib := kernels.NewLibrary[float64]()
-	lib.RegisterBCSR()
 
 	// 1000×1000 identity plus one far corner entry: two occupied diagonals,
 	// each stored full-length, so ER_DIA ≈ 0.5 — but with a scattered band the
@@ -215,13 +210,5 @@ func TestSearchMatrixParamsPrunes(t *testing.T) {
 	res := SearchMatrixParams(lib, m, &ft, matrix.FormatDIA, 1, fastMeasure)
 	if res.Kernel != "" || len(res.Pruned) == 0 {
 		t.Errorf("hypersparse DIA walk not pruned: %+v", res)
-	}
-
-	// The same single-row matrix makes every large block shape pure padding:
-	// at least the 8×2 shape must be pruned by the fill bound.
-	res = SearchMatrixParams(lib, m, &ft, matrix.FormatBCSR, 1, fastMeasure)
-	pruned := strings.Join(res.Pruned, ";")
-	if !strings.Contains(pruned, "_8x2") {
-		t.Errorf("8x2 block shape not pruned on a single-row matrix: %+v", res.Pruned)
 	}
 }

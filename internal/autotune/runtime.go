@@ -69,7 +69,7 @@ type Decision struct {
 
 	// Params records the tunable parameters behind the decision: the
 	// conversion-level knobs the operator's matrix was materialised with
-	// (BCSR block shape, HYB width cut) and the chosen kernel instance's
+	// (the HYB width cut) and the chosen kernel instance's
 	// unroll depth. The zero value means the fixed menu — a v1 model, or a
 	// format the search left at its defaults.
 	Params kernels.Params

@@ -210,12 +210,6 @@ func scoreTable(table []PerfRecord) (strategyScores, kernelScores map[string]int
 // or zero entry means a zero-Params kernel on the default conversion won.
 type ParamChoice map[matrix.Format]kernels.Params
 
-// searchMaxBlockFill prunes BCSR block shapes during the parameter walk: a
-// shape whose padding stores more than this multiple of NNZ moves more zeros
-// than the block structure can pay back, so it is skipped without being
-// converted or measured.
-const searchMaxBlockFill = 1.75
-
 // ParamSearchResult reports the parameter walk for one format on one matrix.
 type ParamSearchResult struct {
 	Format matrix.Format
@@ -234,23 +228,12 @@ type ParamSearchResult struct {
 }
 
 // paramConvCandidates enumerates the conversion-level parameter candidates
-// for a format, pruning with the already-extracted features: BCSR block
-// shapes are skipped when their measured fill-in exceeds searchMaxBlockFill,
-// and the whole DIA walk is skipped upstream when the diagonal tally is
-// hypersparse. The zero Params (the format's default conversion) is always
-// the first candidate.
-func paramConvCandidates(m *matrix.CSR[float64], f matrix.Format, res *ParamSearchResult) []kernels.Params {
+// for a format: the zero Params (the format's default conversion) first, then
+// for HYB every searched width cut. (The whole DIA walk is skipped upstream
+// when the diagonal tally is hypersparse.)
+func paramConvCandidates(f matrix.Format) []kernels.Params {
 	out := []kernels.Params{{}}
-	switch f {
-	case matrix.FormatBCSR:
-		for _, sh := range kernels.BCSRShapes {
-			if fill := matrix.BlockFill(m, sh[0], sh[1]); fill > searchMaxBlockFill {
-				res.Pruned = append(res.Pruned, kernels.Params{BlockR: sh[0], BlockC: sh[1]}.Suffix()+": block fill-in over bound")
-				continue
-			}
-			out = append(out, kernels.Params{BlockR: sh[0], BlockC: sh[1]})
-		}
-	case matrix.FormatHYB:
+	if f == matrix.FormatHYB {
 		for _, cut := range kernels.HybCuts {
 			out = append(out, kernels.Params{HybCut: cut})
 		}
@@ -259,13 +242,12 @@ func paramConvCandidates(m *matrix.CSR[float64], f matrix.Format, res *ParamSear
 }
 
 // SearchMatrixParams walks the tunable parameter space of one format on one
-// matrix: every conversion-level candidate (BCSR block shape, ELL→HYB width
-// cut) crossed with every registered kernel instance of the format (unroll
-// depths ride in as parameterized registrations). Feature guards prune the
-// walk before anything is converted or timed — hypersparse diagonal tallies
-// skip DIA entirely, over-padding block shapes are dropped — so the search
-// stays within the same measurement budget class as the scoreboard. ft may
-// be nil to disable feature pruning.
+// matrix: every conversion-level candidate (ELL→HYB width cut) crossed with
+// every registered kernel instance of the format (unroll depths ride in as
+// parameterized registrations). A feature guard prunes the walk before
+// anything is converted or timed — a hypersparse diagonal tally skips DIA
+// entirely — so the search stays within the same measurement budget class as
+// the scoreboard. ft may be nil to disable feature pruning.
 func SearchMatrixParams(lib *kernels.Library[float64], m *matrix.CSR[float64], ft *features.Features, f matrix.Format, threads int, measure MeasureOptions) ParamSearchResult {
 	measure = measure.withDefaults()
 	res := ParamSearchResult{Format: f}
@@ -279,7 +261,7 @@ func SearchMatrixParams(lib *kernels.Library[float64], m *matrix.CSR[float64], f
 	}
 	y := make([]float64, m.Rows)
 	flops := kernels.FLOPs(m.NNZ())
-	for _, cp := range paramConvCandidates(m, f, &res) {
+	for _, cp := range paramConvCandidates(f) {
 		mat, err := kernels.ConvertFrom(m, nil, f, DefaultMaxFill, cp)
 		if err != nil {
 			continue

@@ -32,10 +32,10 @@ type ModelClass struct {
 	Threads int               `json:"threads"`
 	Kernels map[string]string `json:"kernels"` // format name -> kernel name
 	// Params is the per-format tunable parameters the off-line search settled
-	// on (conversion-level knobs like BCSR block shape and the HYB width cut,
-	// plus the unroll depth); a format absent from it runs the zero Params,
-	// the fixed menu. Keys a Params no longer has (batch_tile,
-	// dia_min_density) load and are ignored.
+	// on (the HYB width cut, a conversion-level knob, plus the unroll depth);
+	// a format absent from it runs the zero Params, the fixed menu. Keys a
+	// Params no longer has (batch_tile, dia_min_density, block_r, block_c)
+	// load and are ignored.
 	Params  map[string]kernels.Params `json:"params,omitempty"`
 	Ruleset *mining.Ruleset           `json:"ruleset"`
 }

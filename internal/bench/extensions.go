@@ -10,7 +10,7 @@ import (
 	"smat/internal/matrix"
 )
 
-// ExtensionsResult measures the opt-in extension formats (HYB, BCSR) against
+// ExtensionsResult measures the opt-in extension format (HYB) against
 // the basic four on their home-turf workloads — the quantitative half of the
 // paper's extensibility claim (the qualitative half being that adding them
 // touched only the registry).
@@ -27,14 +27,13 @@ type ExtensionsRow struct {
 	Best   matrix.Format
 }
 
-// Extensions measures every registered format (including HYB and BCSR) on a
-// skewed-regular workload (HYB territory) and a block-structured workload
-// (BCSR territory).
+// Extensions measures every registered format (including HYB) on a
+// skewed-regular workload (HYB territory), a block-structured workload and a
+// stencil (DIA territory).
 func Extensions(cfg Config) *ExtensionsResult {
 	cfg = cfg.withDefaults()
 	lib := kernels.NewLibrary[float64]()
 	lib.RegisterHYB()
-	lib.RegisterBCSR()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	dim := func(n int) int {
@@ -51,7 +50,7 @@ func Extensions(cfg Config) *ExtensionsResult {
 		{"skewed-regular (HYB territory)", func() *matrix.CSR[float64] {
 			return skewedRegular(dim(120000), rng)
 		}},
-		{"block-structured (BCSR territory)", func() *matrix.CSR[float64] {
+		{"block-structured", func() *matrix.CSR[float64] {
 			return blockStructured(dim(30000), rng)
 		}},
 		{"stencil (DIA territory)", func() *matrix.CSR[float64] {
@@ -59,8 +58,7 @@ func Extensions(cfg Config) *ExtensionsResult {
 			return gen.Laplacian2D5pt[float64](k, k)
 		}},
 	}
-	formats := append(append([]matrix.Format{}, matrix.Formats[:]...),
-		matrix.FormatHYB, matrix.FormatBCSR)
+	formats := append(append([]matrix.Format{}, matrix.Formats[:]...), matrix.FormatHYB)
 
 	res := &ExtensionsResult{}
 	for _, w := range workloads {
@@ -95,15 +93,14 @@ func Extensions(cfg Config) *ExtensionsResult {
 		res.Rows = append(res.Rows, row)
 	}
 
-	t := &table{header: []string{"Workload", "CSR", "COO", "DIA", "ELL", "HYB", "BCSR", "Best"}}
+	t := &table{header: []string{"Workload", "CSR", "COO", "DIA", "ELL", "HYB", "Best"}}
 	for _, row := range res.Rows {
 		t.add(row.Workload,
 			row.GFLOPS[matrix.FormatCSR], row.GFLOPS[matrix.FormatCOO],
 			row.GFLOPS[matrix.FormatDIA], row.GFLOPS[matrix.FormatELL],
-			row.GFLOPS[matrix.FormatHYB], row.GFLOPS[matrix.FormatBCSR],
-			row.Best.String())
+			row.GFLOPS[matrix.FormatHYB], row.Best.String())
 	}
-	fmt.Fprintln(cfg.Out, "Extensions: HYB and BCSR vs the basic formats (GFLOPS, best kernel per format)")
+	fmt.Fprintln(cfg.Out, "Extensions: HYB vs the basic formats (GFLOPS, best kernel per format)")
 	t.print(cfg.Out)
 	t.saveTSV(cfg, "extensions")
 	return res

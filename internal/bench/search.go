@@ -48,11 +48,11 @@ type SearchBenchRow struct {
 }
 
 // searchFormats is the space the experiment walks: the basic four plus the
-// opt-in extension formats, whose conversion-level knobs (BCSR block shape,
-// HYB width cut) carry most of the parameter space.
+// opt-in HYB, whose conversion-level knob (the width cut) joins the unroll
+// depths in the parameter space.
 var searchFormats = []matrix.Format{
 	matrix.FormatCSR, matrix.FormatCOO, matrix.FormatDIA, matrix.FormatELL,
-	matrix.FormatHYB, matrix.FormatBCSR,
+	matrix.FormatHYB,
 }
 
 // Search runs the parameterized-search experiment.
@@ -60,7 +60,6 @@ func Search(cfg Config) *SearchBenchResult {
 	cfg = cfg.withDefaults()
 	lib := kernels.NewLibrary[float64]()
 	lib.RegisterHYB()
-	lib.RegisterBCSR()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	dim := func(n int) int {
@@ -92,9 +91,6 @@ func Search(cfg Config) *SearchBenchResult {
 		}},
 		{"block-4x4", func() *matrix.CSR[float64] {
 			return blockStructured(dim(30000), rng)
-		}},
-		{"block-8x2", func() *matrix.CSR[float64] {
-			return tallBlockStructured(dim(30000), rng)
 		}},
 	}
 
@@ -178,32 +174,4 @@ func geomeanOf(rows []SearchBenchRow, pick func(SearchBenchRow) float64) float64
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// tallBlockStructured builds a banded matrix of dense 8×2 blocks — a shape
-// the fixed menu's automatic block-size picker never tries (its candidate
-// list is square-biased), so the searched 8×2 instantiation is the only way
-// to match the matrix's natural tiling.
-func tallBlockStructured(n int, rng *rand.Rand) *matrix.CSR[float64] {
-	nbr, nbc := n/8, n/2
-	var ts []matrix.Triple[float64]
-	for bi := 0; bi < nbr; bi++ {
-		base := bi * 4 // keep the band near the diagonal in block-column units
-		for _, off := range []int{-2, 0, 2, 4} {
-			bj := base + off + rng.Intn(2)
-			if bj < 0 || bj >= nbc {
-				continue
-			}
-			for lr := 0; lr < 8; lr++ {
-				for lc := 0; lc < 2; lc++ {
-					ts = append(ts, matrix.Triple[float64]{Row: bi*8 + lr, Col: bj*2 + lc, Val: 1})
-				}
-			}
-		}
-	}
-	m, err := matrix.FromTriples(nbr*8, nbc*2, ts)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

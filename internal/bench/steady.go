@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
@@ -106,13 +104,12 @@ func Steady(cfg Config) *SteadyResult {
 
 	lib := kernels.NewLibrary[float64]()
 	lib.RegisterHYB()
-	lib.RegisterBCSR()
 	pool := kernels.NewPool[float64](cfg.Threads)
 	defer pool.Close()
 
 	formats := []matrix.Format{
 		matrix.FormatCSR, matrix.FormatCOO, matrix.FormatDIA,
-		matrix.FormatELL, matrix.FormatHYB, matrix.FormatBCSR,
+		matrix.FormatELL, matrix.FormatHYB,
 	}
 
 	logSum, logN := 0.0, 0
@@ -323,14 +320,4 @@ func interleavedMedians(trials, calls int, gap time.Duration, runners []func()) 
 		}
 	}
 	return best
-}
-
-// SaveJSON writes the result as an indented JSON artifact (the BENCH_steady
-// file committed alongside the code).
-func (r *SteadyResult) SaveJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

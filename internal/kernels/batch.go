@@ -12,9 +12,7 @@ package kernels
 // width: eight columns at a time while eight remain, then four, then the last
 // three, two or one together — each lane one pass over the matrix data it
 // needs, its accumulators in registers; no width re-walks a row once per
-// column. bcsr_batch, which no tuned call reaches, keeps the cascade they
-// replaced: the same eight- and four-wide tiles, then a scalar loop over the
-// k mod 4 columns left. The four are written like the swept single-vector
+// column. The four are written like the swept single-vector
 // bodies (DESIGN §7, "Loop bodies"): the operands are cut, outside the element
 // loops, to lengths the compiler can carry — an entry's stretch of xb and its
 // row of yb to the lane's width (xb[p:p+W:p+W]) — so the one check left per

@@ -91,8 +91,7 @@ type Mat[T matrix.Float] struct {
 	COO    *matrix.COO[T]
 	DIA    *matrix.DIA[T]
 	ELL    *matrix.ELL[T]
-	HYB    *matrix.HYB[T]  // extension format, see matrix.FormatHYB
-	BCSR   *matrix.BCSR[T] // extension format, see matrix.FormatBCSR
+	HYB    *matrix.HYB[T] // extension format, see matrix.FormatHYB
 
 	// plan caches the execution plan (work partition) for the most recent
 	// thread count; see PlanFor.
@@ -119,8 +118,6 @@ func (m *Mat[T]) Dims() (rows, cols int) {
 		return m.ELL.Rows, m.ELL.Cols
 	case matrix.FormatHYB:
 		return m.HYB.Rows(), m.HYB.Cols()
-	case matrix.FormatBCSR:
-		return m.BCSR.Rows, m.BCSR.Cols
 	}
 	panic("kernels: invalid format")
 }
@@ -141,8 +138,6 @@ func (m *Mat[T]) Validate() error {
 		return m.ELL.Validate()
 	case matrix.FormatHYB:
 		return m.HYB.Validate()
-	case matrix.FormatBCSR:
-		return m.BCSR.Validate()
 	}
 	return fmt.Errorf("kernels: invalid format %v", m.Format)
 }
@@ -162,8 +157,6 @@ func (m *Mat[T]) ToCSR() *matrix.CSR[T] {
 		return m.ELL.ToCSR()
 	case matrix.FormatHYB:
 		return m.HYB.ToCSR()
-	case matrix.FormatBCSR:
-		return m.BCSR.ToCSR()
 	}
 	panic("kernels: invalid format")
 }
@@ -183,8 +176,6 @@ func (m *Mat[T]) Stored() int {
 		return m.ELL.Stored()
 	case matrix.FormatHYB:
 		return m.HYB.Stored()
-	case matrix.FormatBCSR:
-		return m.BCSR.Stored()
 	}
 	panic("kernels: invalid format")
 }
@@ -462,18 +453,6 @@ func (l *Library[T]) BatchFor(f matrix.Format) *BatchKernel[T] {
 		}
 	}
 	return basic
-}
-
-// BatchNames returns all registered batch kernel names grouped by format
-// order.
-func (l *Library[T]) BatchNames() []string {
-	var names []string
-	for _, f := range matrix.Formats {
-		for _, b := range l.batchByFormat[f] {
-			names = append(names, b.Name)
-		}
-	}
-	return names
 }
 
 // Names returns all registered kernel names grouped by format order.

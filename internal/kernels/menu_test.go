@@ -10,15 +10,12 @@ import (
 )
 
 // The kernel menu, pinned: every registered (Name, Format, Strategies,
-// Params) — a batched kernel has no Params — with HYB and BCSR opted in,
+// Params) — a batched kernel has no Params — with HYB opted in,
 // sorted by name. The tables in this
 // package generate it; names are what model.json, features.db.jsonl, the
 // BENCH artifacts, refblas and benchmark/ resolve, so a row changes here only
 // when a kernel is deliberately added, removed or renamed.
 var goldenKernels = []string{
-	"bcsr_basic BCSR basic default",
-	"bcsr_blockspec BCSR widthspec default",
-	"bcsr_blockspec_parallel BCSR parallel+widthspec default",
 	"coo_basic COO basic default",
 	"coo_parallel COO parallel+nnzbalance default",
 	"coo_parallel_unroll4 COO parallel+unroll4+nnzbalance default",
@@ -55,8 +52,6 @@ var goldenKernels = []string{
 }
 
 var goldenBatchKernels = []string{
-	"bcsr_batch BCSR basic",
-	"bcsr_batch_parallel BCSR parallel",
 	"coo_batch COO basic",
 	"coo_batch_parallel COO parallel+nnzbalance",
 	"csr_batch CSR basic",
@@ -69,13 +64,12 @@ var goldenBatchKernels = []string{
 	"hyb_batch_parallel HYB parallel",
 }
 
-// allFormats is matrix.Formats plus the two opt-in extension formats.
-var allFormats = append(matrix.Formats[:], matrix.FormatHYB, matrix.FormatBCSR)
+// allFormats is matrix.Formats plus the opt-in HYB extension format.
+var allFormats = append(matrix.Formats[:], matrix.FormatHYB)
 
 func fullLibrary[T matrix.Float]() *Library[T] {
 	lib := NewLibrary[T]()
 	lib.RegisterHYB()
-	lib.RegisterBCSR()
 	return lib
 }
 
@@ -116,7 +110,7 @@ func TestFamilyTables(t *testing.T) {
 	csr := randCSR(rng, 64, 64, 0.2)
 	families := []family[float64]{
 		csrFamily[float64](), cooFamily[float64](), diaFamily[float64](),
-		ellFamily[float64](), hybFamily[float64](), bcsrFamily[float64](),
+		ellFamily[float64](), hybFamily[float64](),
 	}
 	covered := map[matrix.Format]bool{}
 	for _, fam := range families {

@@ -17,11 +17,6 @@ type Params struct {
 	// accumulators) of the row/slot/diagonal product: one of UnrollDepths.
 	// Zero means the kernel's own fixed depth.
 	Unroll int `json:"unroll,omitempty"`
-	// BlockR, BlockC are the BCSR register-block shape used at conversion
-	// time; the block-specialised kernels dispatch on the stored shape. Zero
-	// means matrix.BestBlockSize picks.
-	BlockR int `json:"block_r,omitempty"`
-	BlockC int `json:"block_c,omitempty"`
 	// HybCut is the ELL→HYB width-cut padding-allowance percentile handed to
 	// matrix.HybSplitWidth at conversion time. Zero means the default 0.3.
 	HybCut float64 `json:"hyb_cut,omitempty"`
@@ -30,19 +25,14 @@ type Params struct {
 // IsZero reports whether every knob is at its default.
 func (p Params) IsZero() bool { return p == Params{} }
 
-// Suffix renders the instance-distinguishing name suffix, e.g. "_2x4" for a
-// block shape, "_u8" for an unroll depth — empty for the zero Params. The
-// conversion-only HybCut never names a kernel instance and contributes
-// nothing.
+// Suffix renders the instance-distinguishing name suffix, e.g. "_u8" for an
+// unroll depth — empty at the default depth. The conversion-only HybCut never
+// names a kernel instance and contributes nothing.
 func (p Params) Suffix() string {
-	s := ""
-	if p.BlockR > 0 && p.BlockC > 0 {
-		s += fmt.Sprintf("_%dx%d", p.BlockR, p.BlockC)
-	}
 	if p.Unroll > 0 {
-		s += fmt.Sprintf("_u%d", p.Unroll)
+		return fmt.Sprintf("_u%d", p.Unroll)
 	}
-	return s
+	return ""
 }
 
 // String renders the non-default knobs for logs and bench artifacts.
@@ -68,15 +58,13 @@ var (
 	// are the zero-Params bodies (basic and *_unroll4 kernels); 2 and 8 are
 	// table rows with Params.Unroll set.
 	UnrollDepths = []int{1, 2, 4, 8}
-	// BCSRShapes is the searched register-block shape space (r×c).
-	BCSRShapes = [][2]int{{2, 2}, {2, 4}, {4, 2}, {4, 4}, {8, 2}}
 	// HybCuts is the searched ELL→HYB width-cut padding-allowance space.
 	HybCuts = []float64{0.1, 0.3, 0.5}
 )
 
-// ConvertFrom is the one conversion site. The conversion-time knobs of p
-// apply — the BCSR block shape and the HYB width-cut percentile; zero values
-// select the defaults (auto block shape, 0.3 cut). l is matrix.Scan(m)'s Layout
+// ConvertFrom is the one conversion site. The conversion-time knob of p
+// applies — the HYB width-cut percentile; zero selects the default 0.3 cut.
+// l is matrix.Scan(m)'s Layout
 // when the caller holds it — the tuner does, from feature extraction or from
 // its structure index — and nil otherwise: DIA takes its diagonals and ELL its
 // width from the record instead of reading the structure again, and their fill
@@ -122,12 +110,6 @@ func convert[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format
 			width = matrix.HybSplitWidth(m, p.HybCut)
 		}
 		return &Mat[T]{Format: f, HYB: m.ToHYB(width)}, nil
-	case matrix.FormatBCSR:
-		b, err := m.ToBCSR(p.BlockR, p.BlockC, maxFill)
-		if err != nil {
-			return nil, err
-		}
-		return &Mat[T]{Format: f, BCSR: b}, nil
 	}
 	return nil, fmt.Errorf("kernels: unknown format %v", f)
 }

@@ -55,8 +55,8 @@ type Plan struct {
 	// (or Threads is 1): parallel kernels take their serial body and the
 	// bounds slices below are nil.
 	Serial bool
-	// RowBounds splits the row dimension evenly (CSR/ELL/DIA rows, BCSR
-	// block rows): chunk t covers rows [RowBounds[t], RowBounds[t+1]).
+	// RowBounds splits the row dimension evenly (CSR/ELL/DIA/HYB rows):
+	// chunk t covers rows [RowBounds[t], RowBounds[t+1]).
 	RowBounds []int
 	// NNZBounds splits CSR rows into chunks of roughly equal nonzero count
 	// (the nnz-balanced kernels' partition).
@@ -95,7 +95,7 @@ func (m *Mat[T]) PlanFor(threads int) *Plan {
 // it, and the sweep SerialWork is read off (smat-bench -experiment steady)
 // times the pool below the constant. m's own plan cache is not touched.
 func (m *Mat[T]) Partitioned() *Mat[T] {
-	return &Mat[T]{Format: m.Format, CSR: m.CSR, COO: m.COO, DIA: m.DIA, ELL: m.ELL, HYB: m.HYB, BCSR: m.BCSR, partitioned: true}
+	return &Mat[T]{Format: m.Format, CSR: m.CSR, COO: m.COO, DIA: m.DIA, ELL: m.ELL, HYB: m.HYB, partitioned: true}
 }
 
 // PlanForBatch returns the execution plan for a batched multiply of width k:
@@ -137,8 +137,6 @@ func newPlan[T matrix.Float](m *Mat[T], threads, batchK int) *Plan {
 		work = m.ELL.Rows * m.ELL.Width
 	case matrix.FormatHYB:
 		work = m.HYB.ELL.Rows*m.HYB.ELL.Width + m.HYB.COO.NNZ()
-	case matrix.FormatBCSR:
-		work = len(m.BCSR.Blocks)
 	}
 	// A batched multiply does k times the work per stored entry, so the
 	// cutoff compares against the scaled estimate.
@@ -163,8 +161,6 @@ func newPlan[T matrix.Float](m *Mat[T], threads, batchK int) *Plan {
 		} else {
 			p.EntryBounds = cooBounds(m.HYB.COO, threads)
 		}
-	case matrix.FormatBCSR:
-		p.RowBounds = evenBounds(m.BCSR.BlockRows(), threads)
 	}
 	return p
 }

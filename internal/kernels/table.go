@@ -17,7 +17,7 @@ type partition uint8
 const (
 	// whole is no split: the caller runs the body over [0, extent).
 	whole partition = iota
-	// byRows is Plan.RowBounds: even ranges of rows (BCSR: block rows).
+	// byRows is Plan.RowBounds: even ranges of rows.
 	byRows
 	// byNNZ is Plan.NNZBounds: CSR row ranges of equal nonzero count.
 	byNNZ
@@ -149,7 +149,7 @@ func (b *binding[T]) run(m *Mat[T], x, y []T, k int, ex exec[T]) {
 }
 
 // extent is the number of work items a chunk body ranges over: COO entries,
-// BCSR block rows, rows elsewhere (HYB has its own runner).
+// rows elsewhere (HYB has its own runner).
 //
 //smat:hotpath
 func (m *Mat[T]) extent() int {
@@ -162,8 +162,6 @@ func (m *Mat[T]) extent() int {
 		return m.DIA.Rows
 	case matrix.FormatELL:
 		return m.ELL.Rows
-	case matrix.FormatBCSR:
-		return m.BCSR.BlockRows()
 	}
 	return 0
 }

@@ -109,13 +109,6 @@ func BenchmarkConversions(b *testing.B) {
 			_ = m.ToHYB(-1)
 		}
 	})
-	b.Run("ToBCSR2x2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.ToBCSR(2, 2, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkFromTriples(b *testing.B) {

@@ -161,17 +161,6 @@ func FuzzConvertRoundTrip(f *testing.F) {
 		if !m.Equal(h.ToCSR()) {
 			t.Fatal("HYB round trip changed matrix")
 		}
-
-		if b, err := m.ToBCSR(0, 0, 8); err == nil {
-			if err := b.Validate(); err != nil {
-				t.Fatalf("BCSR: %v", err)
-			}
-			if !m.Equal(b.ToCSR()) {
-				t.Fatal("BCSR round trip changed matrix")
-			}
-		} else if !errors.Is(err, ErrFillExplosion) {
-			t.Fatalf("BCSR conversion: %v", err)
-		}
 	})
 }
 

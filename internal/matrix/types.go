@@ -98,8 +98,6 @@ func (f Format) String() string {
 		return "ELL"
 	case FormatHYB:
 		return "HYB"
-	case FormatBCSR:
-		return "BCSR"
 	default:
 		return fmt.Sprintf("Format(%d)", int(f))
 	}
@@ -118,8 +116,6 @@ func ParseFormat(s string) (Format, error) {
 		return FormatELL, nil
 	case "HYB", "hyb":
 		return FormatHYB, nil
-	case "BCSR", "bcsr":
-		return FormatBCSR, nil
 	}
 	return 0, fmt.Errorf("matrix: unknown format %q", s)
 }

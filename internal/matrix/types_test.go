@@ -151,6 +151,9 @@ func TestFormatStringAndParse(t *testing.T) {
 	if _, err := ParseFormat("XYZ"); err == nil {
 		t.Error("ParseFormat accepted unknown format")
 	}
+	if _, err := ParseFormat("BCSR"); err == nil {
+		t.Error("ParseFormat accepted the removed BCSR format")
+	}
 	if s := Format(99).String(); s != "Format(99)" {
 		t.Errorf("unknown format String() = %q", s)
 	}

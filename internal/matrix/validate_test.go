@@ -228,55 +228,3 @@ func TestHYBValidate(t *testing.T) {
 		t.Errorf("0x0: %v", err)
 	}
 }
-
-func validBCSR() *BCSR[float64] {
-	return &BCSR[float64]{
-		Rows: 3, Cols: 5, BR: 2, BC: 2,
-		RowPtr: []int{0, 1, 3},
-		ColIdx: []int{0, 1, 2},
-		Blocks: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0},
-	}
-}
-
-func TestBCSRValidate(t *testing.T) {
-	if err := validBCSR().Validate(); err != nil {
-		t.Fatalf("valid BCSR rejected: %v", err)
-	}
-	cases := map[string]func(*BCSR[float64]){
-		"zero-block":        func(m *BCSR[float64]) { m.BR = 0 },
-		"negative-block":    func(m *BCSR[float64]) { m.BC = -1 },
-		"negative-rows":     func(m *BCSR[float64]) { m.Rows = -1 },
-		"rowptr-length":     func(m *BCSR[float64]) { m.RowPtr = m.RowPtr[:2] },
-		"blocks-length":     func(m *BCSR[float64]) { m.Blocks = m.Blocks[:8] },
-		"rowptr-endpoints":  func(m *BCSR[float64]) { m.RowPtr[2] = 2 },
-		"rowptr-monotone":   func(m *BCSR[float64]) { m.RowPtr[1] = 3; m.RowPtr[2] = 3; m.RowPtr[0] = 3 },
-		"blockcol-range":    func(m *BCSR[float64]) { m.ColIdx[2] = 3 },
-		"blockcol-negative": func(m *BCSR[float64]) { m.ColIdx[0] = -1 },
-		"blockcol-unsorted": func(m *BCSR[float64]) { m.ColIdx[1], m.ColIdx[2] = 2, 1 },
-		"blockcol-dup":      func(m *BCSR[float64]) { m.ColIdx[2] = 1 },
-	}
-	for name, corrupt := range cases {
-		m := validBCSR()
-		corrupt(m)
-		if err := m.Validate(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestBCSRValidateEmptyDims(t *testing.T) {
-	empty := &BCSR[float64]{BR: 2, BC: 2, RowPtr: []int{0}}
-	if err := empty.Validate(); err != nil {
-		t.Errorf("0x0: %v", err)
-	}
-	zeroCols := &BCSR[float64]{Rows: 3, Cols: 0, BR: 2, BC: 2, RowPtr: []int{0, 0, 0}}
-	if err := zeroCols.Validate(); err != nil {
-		t.Errorf("3x0: %v", err)
-	}
-	// With zero block columns no block can be stored.
-	bad := &BCSR[float64]{Rows: 3, Cols: 0, BR: 2, BC: 2,
-		RowPtr: []int{0, 1, 1}, ColIdx: []int{0}, Blocks: make([]float64, 4)}
-	if err := bad.Validate(); err == nil {
-		t.Error("block in 3x0 accepted")
-	}
-}

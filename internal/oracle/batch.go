@@ -87,7 +87,7 @@ func CheckBatch[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (
 
 	for _, f := range checkFormats {
 		// As in Check: the default conversion plus every conversion-level
-		// parameter variant, so each BCSR block shape and HYB width cut is
+		// parameter variant, so each HYB width cut is
 		// exercised by every registered batch kernel too.
 		for _, p := range append([]kernels.Params{{}}, paramVariants(f)...) {
 			mat, err := kernels.ConvertFrom(ref, nil, f, opt.MaxFill, p)

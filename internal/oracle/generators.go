@@ -106,8 +106,8 @@ func denseSmall() Spec {
 	return s
 }
 
-// denseBlock embeds a fully dense 8x8 block in an otherwise sparse matrix —
-// the structure BCSR blocking is built for and ELL padding hates.
+// denseBlock embeds a fully dense 8x8 block in an otherwise sparse matrix:
+// block structure run through the stock formats, the shape ELL padding hates.
 func denseBlock() Spec {
 	s := Spec{Name: "dense-block", Rows: 16, Cols: 16}
 	for r := 4; r < 12; r++ {

@@ -15,7 +15,7 @@ type Options struct {
 	// of the always-run serial pass). Default: 1, 2, 3 and 8 — odd counts
 	// catch remainder-chunk bugs that powers of two hide.
 	Threads []int
-	// MaxFill bounds DIA/ELL/BCSR zero-fill as a multiple of NNZ; formats
+	// MaxFill bounds DIA/ELL zero-fill as a multiple of NNZ; formats
 	// rejected by the fill guard are skipped, not failed. Default 8.
 	MaxFill float64
 	// TolScale scales the per-row rounding bound (default 1). It exists for
@@ -55,7 +55,7 @@ type Coverage struct {
 	// Conversions holds every parameterized conversion variant (keyed
 	// "format/params") that converted and passed the full differential
 	// check, so the suite can assert the whole conversion-level parameter
-	// space — every BCSR block shape, every HYB width cut — was reached.
+	// space — every HYB width cut — was reached.
 	Conversions map[string]bool
 }
 
@@ -119,26 +119,19 @@ func ConversionKey(f matrix.Format, p kernels.Params) string {
 }
 
 // paramVariants lists the conversion-level parameter instantiations a format
-// supports beyond its default conversion: every searched BCSR block shape and
-// every ELL→HYB width cut. The differential suite walks each variant with the
-// format's full kernel registry, so a shape-specialised interior that
-// mis-indexes its padding shows up as a reference mismatch.
+// supports beyond its default conversion: every searched ELL→HYB width cut.
+// The differential suite walks each variant with the format's full kernel
+// registry, so a split that mis-indexes its padding or its tail shows up as a
+// reference mismatch.
 func paramVariants(f matrix.Format) []kernels.Params {
-	switch f {
-	case matrix.FormatBCSR:
-		out := make([]kernels.Params, 0, len(kernels.BCSRShapes))
-		for _, sh := range kernels.BCSRShapes {
-			out = append(out, kernels.Params{BlockR: sh[0], BlockC: sh[1]})
-		}
-		return out
-	case matrix.FormatHYB:
-		out := make([]kernels.Params, 0, len(kernels.HybCuts))
-		for _, cut := range kernels.HybCuts {
-			out = append(out, kernels.Params{HybCut: cut})
-		}
-		return out
+	if f != matrix.FormatHYB {
+		return nil
 	}
-	return nil
+	out := make([]kernels.Params, 0, len(kernels.HybCuts))
+	for _, cut := range kernels.HybCuts {
+		out = append(out, kernels.Params{HybCut: cut})
+	}
+	return out
 }
 
 // xVector builds the deterministic input vector: values on the exact k/8
@@ -189,7 +182,7 @@ func reference(s *Spec, x64 []float64) (want, absSum []float64, err error) {
 // kernels still get their conversion, Validate and round-trip checks.
 var checkFormats = []matrix.Format{
 	matrix.FormatCSR, matrix.FormatCOO, matrix.FormatDIA, matrix.FormatELL,
-	matrix.FormatHYB, matrix.FormatBCSR,
+	matrix.FormatHYB,
 }
 
 // Check runs the full differential suite for one spec against one kernel
@@ -237,7 +230,7 @@ func Check[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (*Cove
 
 	for _, f := range checkFormats {
 		// The default conversion first, then every conversion-level parameter
-		// variant (BCSR block shapes, HYB width cuts): each instantiation
+		// variant (HYB width cuts): each instantiation
 		// must satisfy the same invariants, round trip, plan partitioning and
 		// differential properties as the default.
 		for _, p := range append([]kernels.Params{{}}, paramVariants(f)...) {
@@ -419,8 +412,6 @@ func checkPlan[T matrix.Float](p *kernels.Plan, m *kernels.Mat[T], threads int) 
 			return err
 		}
 		return checkRowAligned(p.EntryBounds, m.HYB.COO.RowIdx)
-	case matrix.FormatBCSR:
-		return checkBounds(p.RowBounds, m.BCSR.BlockRows(), "RowBounds")
 	}
 	return fmt.Errorf("plan check: unknown format %v", m.Format)
 }
