@@ -111,16 +111,52 @@ func BenchmarkConversions(b *testing.B) {
 	})
 }
 
+// BenchmarkFromTriples times assembly per triple (-benchmem gives the
+// bytes): "uniform" is 50 k triples at random over 5000×5000; "road" ≈ 1.1 M
+// triples of a road-network-like graph, each node linked both ways to 1–3
+// near neighbours, in the order internal/gen's RoadNetwork emits them; "hub"
+// one row of 2^16 entries in descending column order, where a quadratic
+// row sort would show.
 func BenchmarkFromTriples(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	ts := make([]Triple[float64], 50000)
-	for i := range ts {
-		ts[i] = Triple[float64]{Row: rng.Intn(5000), Col: rng.Intn(5000), Val: 1}
+	uniform := make([]Triple[float64], 50000)
+	for i := range uniform {
+		uniform[i] = Triple[float64]{Row: rng.Intn(5000), Col: rng.Intn(5000), Val: 1}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FromTriples(5000, 5000, ts); err != nil {
-			b.Fatal(err)
+	const nodes = 280000
+	road := make([]Triple[float64], 0, 6*nodes)
+	for v := 0; v < nodes; v++ {
+		for d := rng.Intn(3); d >= 0; d-- {
+			u := v + 1 + rng.Intn(8)
+			if u >= nodes {
+				u = v - (u - v)
+			}
+			val := 0.5 + rng.Float64()
+			road = append(road, Triple[float64]{Row: v, Col: u, Val: val}, Triple[float64]{Row: u, Col: v, Val: val})
 		}
+	}
+	const hubLen = 1 << 16
+	hub := make([]Triple[float64], hubLen)
+	for i := range hub {
+		hub[i] = Triple[float64]{Row: 0, Col: hubLen - 1 - i, Val: 1}
+	}
+	for _, c := range []struct {
+		name       string
+		rows, cols int
+		ts         []Triple[float64]
+	}{
+		{"uniform", 5000, 5000, uniform},
+		{"road", nodes, nodes, road},
+		{"hub", 1, hubLen, hub},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FromTriples(c.rows, c.cols, c.ts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(c.ts)), "ns/triple")
+		})
 	}
 }

@@ -8,7 +8,8 @@ import (
 // decodeRawTriples maps fuzzer bytes onto dimensions and triples WITHOUT
 // clamping: bytes decode as signed, so negative dimensions and out-of-range
 // coordinates — exactly the inputs FromTriples must reject rather than
-// panic on or silently accept — are reachable.
+// panic on or silently accept — are reachable. Values are tenths, whose
+// sums depend on the order they are added in.
 func decodeRawTriples(data []byte) (rows, cols int, ts []Triple[float64]) {
 	if len(data) < 2 {
 		return 0, 0, nil
@@ -19,7 +20,7 @@ func decodeRawTriples(data []byte) (rows, cols int, ts []Triple[float64]) {
 		ts = append(ts, Triple[float64]{
 			Row: int(int8(data[0])),
 			Col: int(int8(data[1])),
-			Val: float64(int8(data[2])) / 8,
+			Val: float64(int8(data[2])) / 10,
 		})
 		data = data[3:]
 	}
@@ -30,7 +31,7 @@ func decodeRawTriples(data []byte) (rows, cols int, ts []Triple[float64]) {
 // invalid input (negative dimensions, out-of-range coordinates) returns an
 // error — never a panic, never a silently invalid matrix — and valid input
 // yields a Validate-clean CSR whose entries are exactly the per-coordinate
-// sums of the triples.
+// sums of the triples in input order, bit for bit the stable reference.
 func FuzzFromTriples(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 4, 0, 0, 8, 1, 2, 16})
@@ -38,8 +39,15 @@ func FuzzFromTriples(f *testing.F) {
 	f.Add([]byte{4, 0xfe, 0, 0, 8})         // cols = -2
 	f.Add([]byte{4, 4, 9, 0, 8})            // row out of range
 	f.Add([]byte{4, 4, 0, 0xf0, 8})         // negative column
-	f.Add([]byte{4, 4, 1, 1, 8, 1, 1, 248}) // cancelling duplicate (+1, -1)
+	f.Add([]byte{4, 4, 1, 1, 8, 1, 1, 248}) // cancelling duplicate (+0.8, -0.8)
 	f.Add([]byte{0, 7, 0, 0, 8})            // 0xN with an out-of-range triple
+	// One row of 40 entries over 8 columns, descending: the stable sort of a
+	// long row, with duplicates five deep.
+	long := []byte{1, 8}
+	for k := 0; k < 40; k++ {
+		long = append(long, 0, byte(7-k/5), byte(3*k+1))
+	}
+	f.Add(long)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, cols, ts := decodeRawTriples(data)
@@ -62,14 +70,17 @@ func FuzzFromTriples(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("constructed matrix invalid: %v", err)
 		}
+		if err := sameBits(m, stableReference(rows, cols, ts)); err != nil {
+			t.Fatalf("differs from the stable reference: %v", err)
+		}
 		sums := make(map[[2]int]float64)
 		for _, tr := range ts {
 			sums[[2]int{tr.Row, tr.Col}] += tr.Val
 		}
 		nnz := 0
 		for rc, want := range sums {
-			// Values are exact eighths, so duplicate summing is exact and
-			// zero sums are exactly zero.
+			// Each coordinate's sum is taken in input order, as FromTriples
+			// takes it, so the two agree to the bit.
 			if got := m.At(rc[0], rc[1]); got != want {
 				t.Fatalf("At(%d,%d) = %g, want %g", rc[0], rc[1], got, want)
 			}

@@ -111,8 +111,11 @@ func (s *tunedSlot[T]) serves(t *Tuner[T], key autotune.TuneOptions) bool {
 	return s != nil && s.owner == t && s.key == key
 }
 
-// FromEntries assembles a matrix from unordered coordinate entries
-// (duplicates are summed, zeros dropped).
+// FromEntries assembles a matrix from unordered coordinate entries:
+// duplicates are summed in the order they appear in entries, and zeros,
+// including sums that cancel, are dropped. It costs O(nnz + rows) (a
+// counting sort by row; a row of d > 32 entries out of column order adds
+// O(d log d)) and allocates the matrix and one copy of the entries.
 func FromEntries[T Float](rows, cols int, entries []Entry[T]) (*Matrix[T], error) {
 	ts := make([]matrix.Triple[T], len(entries))
 	for i, e := range entries {
@@ -149,7 +152,9 @@ func NewCSR[T Float](rows, cols int, rowPtr, colIdx []int, vals []T) (*Matrix[T]
 	return &Matrix[T]{csr: m, sig: sig}, nil
 }
 
-// ReadMatrixMarket parses a Matrix Market (.mtx) coordinate stream.
+// ReadMatrixMarket parses a Matrix Market (.mtx) coordinate stream and
+// assembles it as FromEntries does, in O(nnz + rows): entries repeated in
+// the file are summed in file order, zeros dropped.
 func ReadMatrixMarket(r io.Reader) (*Matrix[float64], error) {
 	m, err := mmio.Read(r)
 	if err != nil {
