@@ -7,7 +7,9 @@
 package gen
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 
 	"smat/internal/matrix"
 )
@@ -51,7 +53,7 @@ func Laplacian2D9pt[T matrix.Float](nx, ny int) *matrix.CSR[T] {
 // ordering directly in sorted CSR order.
 func stencil2D[T matrix.Float](nx, ny int, offsets [][2]int, coeff func(di, dj int) T) *matrix.CSR[T] {
 	n := nx * ny
-	m := &matrix.CSR[T]{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	m := newCSR[T](n, n, n*len(offsets))
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
 			row := j*nx + i
@@ -73,10 +75,10 @@ func stencil2D[T matrix.Float](nx, ny int, offsets [][2]int, coeff func(di, dj i
 // paper's "cljp 7pt" AMG input).
 func Laplacian3D7pt[T matrix.Float](nx, ny, nz int) *matrix.CSR[T] {
 	n := nx * ny * nz
-	m := &matrix.CSR[T]{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
 	offsets := [][3]int{
 		{0, 0, -1}, {0, -1, 0}, {-1, 0, 0}, {0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1},
 	}
+	m := newCSR[T](n, n, n*len(offsets))
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
@@ -103,7 +105,7 @@ func Laplacian3D7pt[T matrix.Float](nx, ny, nz int) *matrix.CSR[T] {
 // MultiDiagonal returns an n×n matrix with fully dense diagonals at the
 // given offsets: the ideal DIA matrix (NTdiags_ratio = 1).
 func MultiDiagonal[T matrix.Float](n int, offsets []int, rng *rand.Rand) *matrix.CSR[T] {
-	var ts []matrix.Triple[T]
+	ts := make([]matrix.Triple[T], 0, diagonalLength(n, offsets))
 	for _, off := range offsets {
 		for r := 0; r < n; r++ {
 			c := r + off
@@ -124,7 +126,7 @@ func MultiDiagonal[T matrix.Float](n int, offsets []int, rng *rand.Rand) *matrix
 // DIA-shaped matrix with controllable zero padding (sweeps NTdiags_ratio and
 // ER_DIA).
 func SparseDiagonal[T matrix.Float](n int, offsets []int, fill float64, rng *rand.Rand) *matrix.CSR[T] {
-	var ts []matrix.Triple[T]
+	ts := make([]matrix.Triple[T], 0, sizeHint(diagonalLength(n, offsets), min(max(fill, 0), 1), 1)+1)
 	for _, off := range offsets {
 		for r := 0; r < n; r++ {
 			c := r + off
@@ -149,20 +151,10 @@ func ConstantDegree[T matrix.Float](n, deg int, rng *rand.Rand) *matrix.CSR[T] {
 	if deg > n {
 		deg = n
 	}
-	m := &matrix.CSR[T]{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	m := newCSR[T](n, n, n*deg)
 	cols := make([]int, 0, deg)
-	seen := make(map[int]bool, deg)
 	for r := 0; r < n; r++ {
-		cols = cols[:0]
-		clear(seen)
-		for len(cols) < deg {
-			c := rng.Intn(n)
-			if !seen[c] {
-				seen[c] = true
-				cols = append(cols, c)
-			}
-		}
-		insertionSort(cols)
+		cols = drawDistinct(cols, n, deg, rng)
 		for _, c := range cols {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Vals = append(m.Vals, value[T](rng))
@@ -175,9 +167,9 @@ func ConstantDegree[T matrix.Float](n, deg int, rng *rand.Rand) *matrix.CSR[T] {
 // NearConstantDegree is ConstantDegree with per-row degree jitter of ±jitter
 // (sweeps var_RD and ER_ELL just below the ideal).
 func NearConstantDegree[T matrix.Float](n, deg, jitter int, rng *rand.Rand) *matrix.CSR[T] {
-	m := &matrix.CSR[T]{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	cols := make([]int, 0, deg+jitter)
-	seen := make(map[int]bool)
+	most := min(max(deg+max(jitter, 0), 1), n)
+	m := newCSR[T](n, n, n*most)
+	cols := make([]int, 0, most)
 	for r := 0; r < n; r++ {
 		d := deg
 		if jitter > 0 {
@@ -189,16 +181,7 @@ func NearConstantDegree[T matrix.Float](n, deg, jitter int, rng *rand.Rand) *mat
 		if d > n {
 			d = n
 		}
-		cols = cols[:0]
-		clear(seen)
-		for len(cols) < d {
-			c := rng.Intn(n)
-			if !seen[c] {
-				seen[c] = true
-				cols = append(cols, c)
-			}
-		}
-		insertionSort(cols)
+		cols = drawDistinct(cols, n, d, rng)
 		for _, c := range cols {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Vals = append(m.Vals, value[T](rng))
@@ -212,7 +195,12 @@ func NearConstantDegree[T matrix.Float](n, deg, jitter int, rng *rand.Rand) *mat
 // independently with the probability that yields ≈nnzPerRow nonzeros per row
 // on average: an irregular, unstructured (CSR-leaning) matrix.
 func RandomUniform[T matrix.Float](rows, cols int, nnzPerRow float64, rng *rand.Rand) *matrix.CSR[T] {
-	m := &matrix.CSR[T]{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	// A row's degree is at most 4 · 1.75 · nnzPerRow (a heavy row at the top
+	// of the draw) and averages at most 1.15 · nnzPerRow + 1 (the draw's mean
+	// nnzPerRow, one row in 20 at four times it, and the clamp to one).
+	most := min(max(int(7*nnzPerRow), 1), cols)
+	m := newCSR[T](rows, cols, sizeHint(rows, 1.15*nnzPerRow+1, most))
+	var sample []int
 	for r := 0; r < rows; r++ {
 		// Draw the row degree from a geometric-ish mixture for irregularity.
 		d := int(nnzPerRow * (0.25 + 1.5*rng.Float64()))
@@ -225,8 +213,8 @@ func RandomUniform[T matrix.Float](rows, cols int, nnzPerRow float64, rng *rand.
 		if d > cols {
 			d = cols
 		}
-		cols2 := sampleDistinct(cols, d, rng)
-		for _, c := range cols2 {
+		sample = sampleDistinct(sample, cols, d, rng)
+		for _, c := range sample {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Vals = append(m.Vals, value[T](rng))
 		}
@@ -239,7 +227,7 @@ func RandomUniform[T matrix.Float](rows, cols int, nnzPerRow float64, rng *rand.
 // along the diagonal (circuit/chemistry-like local coupling).
 func BlockDiagonal[T matrix.Float](nBlocks, blockSize int, rng *rand.Rand) *matrix.CSR[T] {
 	n := nBlocks * blockSize
-	m := &matrix.CSR[T]{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	m := newCSR[T](n, n, n*blockSize)
 	for b := 0; b < nBlocks; b++ {
 		base := b * blockSize
 		for i := 0; i < blockSize; i++ {
@@ -253,37 +241,61 @@ func BlockDiagonal[T matrix.Float](nBlocks, blockSize int, rng *rand.Rand) *matr
 	return m
 }
 
-// insertionSort sorts a small int slice in place.
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
+// newCSR returns an empty rows×cols matrix whose ColIdx and Vals have room
+// for capacity entries, for a generator that appends its rows in order.
+func newCSR[T matrix.Float](rows, cols, capacity int) *matrix.CSR[T] {
+	return &matrix.CSR[T]{
+		Rows: rows, Cols: cols, RowPtr: make([]int, rows+1),
+		ColIdx: make([]int, 0, capacity), Vals: make([]T, 0, capacity),
 	}
 }
 
-// sampleDistinct draws k distinct values from [0, n) and returns them sorted.
-func sampleDistinct(n, k int, rng *rand.Rand) []int {
-	if k >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
+// diagonalLength is how many positions of an n×n matrix the diagonals at
+// offsets cover.
+func diagonalLength(n int, offsets []int) int {
+	total := 0
+	for _, off := range offsets {
+		total += max(n-max(off, -off), 0)
 	}
-	seen := make(map[int]bool, k)
-	out := make([]int, 0, k)
-	for len(out) < k {
+	return total
+}
+
+// sizeHint is the capacity to preallocate for what n independent draws
+// append when each appends between 0 and most entries, mean at most mean:
+// four of the largest possible standard deviations (most/2 a draw) above
+// the expected total, and never more than n·most. A run that appends more
+// grows the slice as append does.
+func sizeHint(n int, mean float64, most int) int {
+	spread := 2 * math.Sqrt(float64(n)) * float64(most)
+	return min(n*most, int(float64(n)*mean+spread))
+}
+
+// drawDistinct draws k distinct values from [0, n), k ≤ n, into dst[:0] and
+// returns them sorted. A draw equal to one already taken is rejected and
+// drawn again. The sample is kept sorted as it grows, so the check is a
+// binary search and the insertion a copy of the larger values: a linear
+// scan, or a sort once the sample is drawn, is O(k²) on the rows of a few
+// hundred entries that RandomUniform draws.
+func drawDistinct(dst []int, n, k int, rng *rand.Rand) []int {
+	dst = dst[:0]
+	for len(dst) < k {
 		c := rng.Intn(n)
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
+		if i, taken := slices.BinarySearch(dst, c); !taken {
+			dst = slices.Insert(dst, i, c)
 		}
 	}
-	insertionSort(out)
-	return out
+	return dst
+}
+
+// sampleDistinct is drawDistinct for any k: when k ≥ n it returns all of
+// [0, n) and draws nothing.
+func sampleDistinct(dst []int, n, k int, rng *rand.Rand) []int {
+	if k >= n {
+		dst = dst[:0]
+		for i := 0; i < n; i++ {
+			dst = append(dst, i)
+		}
+		return dst
+	}
+	return drawDistinct(dst, n, k, rng)
 }

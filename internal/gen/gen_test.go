@@ -240,7 +240,7 @@ func TestSampleDistinctProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(100)
 		k := rng.Intn(n + 20) // may exceed n
-		s := sampleDistinct(n, k, rng)
+		s := sampleDistinct(nil, n, k, rng)
 		wantLen := k
 		if wantLen > n {
 			wantLen = n
@@ -268,23 +268,5 @@ func TestGeneratorsDeterministicPerSeed(t *testing.T) {
 	b := RandomUniform[float64](100, 100, 5, rand.New(rand.NewSource(99)))
 	if !a.Equal(b) {
 		t.Error("same seed produced different matrices")
-	}
-}
-
-func TestKroneckerGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := KroneckerGraph[float64](3, 4, rng)
-	validate(t, g)
-	if g.Rows != 81 {
-		t.Fatalf("rows = %d, want 3^4 = 81", g.Rows)
-	}
-	f := features.Extract(g)
-	if f.MaxRD < 2*f.AverRD {
-		t.Errorf("Kronecker degrees not skewed: max %g aver %g", f.MaxRD, f.AverRD)
-	}
-	// Deterministic per seed.
-	g2 := KroneckerGraph[float64](3, 4, rand.New(rand.NewSource(11)))
-	if !g.Equal(g2) {
-		t.Error("not deterministic")
 	}
 }

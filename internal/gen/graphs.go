@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"slices"
 
 	"smat/internal/matrix"
 )
@@ -15,24 +16,30 @@ func PreferentialAttachment[T matrix.Float](n, edgesPerNode int, rng *rand.Rand)
 	if edgesPerNode < 1 {
 		edgesPerNode = 1
 	}
-	type edge struct{ a, b int }
-	var edges []edge
-	// repeated holds one entry per half-edge: sampling an index uniformly
-	// samples a node with probability proportional to its degree.
-	var repeated []int
 	seed := edgesPerNode + 1
 	if seed > n {
 		seed = n
 	}
+	edges := seed*(seed-1)/2 + (n-seed)*edgesPerNode
+	// repeated holds one entry per half-edge: sampling an index uniformly
+	// samples a node with probability proportional to its degree.
+	repeated := make([]int, 0, 2*edges)
+	// ts holds each edge (a, b) as (a, b) then (b, a); the values are drawn
+	// once the structure is complete.
+	ts := make([]matrix.Triple[T], 0, 2*edges+1)
+	addEdge := func(a, b int) {
+		repeated = append(repeated, a, b)
+		ts = append(ts, matrix.Triple[T]{Row: a, Col: b}, matrix.Triple[T]{Row: b, Col: a})
+	}
 	// Seed clique.
 	for i := 0; i < seed; i++ {
 		for j := i + 1; j < seed; j++ {
-			edges = append(edges, edge{i, j})
-			repeated = append(repeated, i, j)
+			addEdge(i, j)
 		}
 	}
+	attached := make([]int, 0, edgesPerNode)
 	for v := seed; v < n; v++ {
-		attached := map[int]bool{}
+		attached = attached[:0]
 		for len(attached) < edgesPerNode {
 			var u int
 			if len(repeated) == 0 {
@@ -40,19 +47,16 @@ func PreferentialAttachment[T matrix.Float](n, edgesPerNode int, rng *rand.Rand)
 			} else {
 				u = repeated[rng.Intn(len(repeated))]
 			}
-			if u == v || attached[u] {
+			if u == v || slices.Contains(attached, u) {
 				continue
 			}
-			attached[u] = true
-			edges = append(edges, edge{v, u})
-			repeated = append(repeated, v, u)
+			attached = append(attached, u)
+			addEdge(v, u)
 		}
 	}
-	var ts []matrix.Triple[T]
-	for _, e := range edges {
+	for k := 0; k < len(ts); k += 2 {
 		v := value[T](rng)
-		ts = append(ts, matrix.Triple[T]{Row: e.a, Col: e.b, Val: v})
-		ts = append(ts, matrix.Triple[T]{Row: e.b, Col: e.a, Val: v})
+		ts[k].Val, ts[k+1].Val = v, v
 	}
 	m, err := matrix.FromTriples(n, n, ts)
 	if err != nil {
@@ -70,7 +74,7 @@ func RMAT[T matrix.Float](scale, edgeFactor int, rng *rand.Rand) *matrix.CSR[T] 
 	n := 1 << scale
 	nEdges := edgeFactor * n
 	const a, b, c = 0.57, 0.19, 0.19
-	var ts []matrix.Triple[T]
+	ts := make([]matrix.Triple[T], 0, max(nEdges, 0)+1)
 	for e := 0; e < nEdges; e++ {
 		row, col := 0, 0
 		for bit := n >> 1; bit >= 1; bit >>= 1 {
@@ -103,7 +107,8 @@ func RMAT[T matrix.Float](scale, edgeFactor int, rng *rand.Rand) *matrix.CSR[T] 
 // structure of road networks (very low, nearly uniform degree, huge
 // diameter) such as the paper's roadNet-CA and europe_osm representatives.
 func RoadNetwork[T matrix.Float](n int, rng *rand.Rand) *matrix.CSR[T] {
-	var ts []matrix.Triple[T]
+	// A node draws 1–3 edges, two triples each.
+	ts := make([]matrix.Triple[T], 0, sizeHint(max(n, 0), 4, 6)+1)
 	for v := 0; v < n; v++ {
 		deg := 1 + rng.Intn(3)
 		for d := 0; d < deg; d++ {
@@ -134,38 +139,15 @@ func RoadNetwork[T matrix.Float](n int, rng *rand.Rand) *matrix.CSR[T] {
 // combinatorial matrices such as ch7-9-b3 and shar_te2-b2 are of this kind:
 // rectangular, constant row degree).
 func BipartiteIncidence[T matrix.Float](rows, cols, deg int, rng *rand.Rand) *matrix.CSR[T] {
-	m := &matrix.CSR[T]{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	m := newCSR[T](rows, cols, rows*min(deg, cols))
+	var sample []int
 	for r := 0; r < rows; r++ {
-		for _, c := range sampleDistinct(cols, deg, rng) {
+		sample = sampleDistinct(sample, cols, deg, rng)
+		for _, c := range sample {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Vals = append(m.Vals, value[T](rng))
 		}
 		m.RowPtr[r+1] = len(m.Vals)
 	}
 	return m
-}
-
-// KroneckerGraph returns the power-th Kronecker power of a random small
-// initiator adjacency matrix: a deterministic self-similar graph in the
-// Graph500 style, with heavily skewed degrees (another occupant of the
-// paper's COO territory).
-func KroneckerGraph[T matrix.Float](initiatorSize, power int, rng *rand.Rand) *matrix.CSR[T] {
-	var ts []matrix.Triple[T]
-	for r := 0; r < initiatorSize; r++ {
-		for c := 0; c < initiatorSize; c++ {
-			// Dense-ish initiator with self-loops keeps the product connected.
-			if r == c || rng.Float64() < 0.5 {
-				ts = append(ts, matrix.Triple[T]{Row: r, Col: c, Val: value[T](rng)})
-			}
-		}
-	}
-	g, err := matrix.FromTriples(initiatorSize, initiatorSize, ts)
-	if err != nil {
-		panic(err)
-	}
-	out := g
-	for p := 1; p < power; p++ {
-		out = matrix.Kron(out, g)
-	}
-	return out
 }

@@ -209,32 +209,3 @@ func Identity[T Float](n int) *CSR[T] {
 	}
 	return m
 }
-
-// Kron computes the Kronecker product A ⊗ B: the (ia·Brows+ib,
-// ja·Bcols+jb) entry is A[ia,ja]·B[ib,jb]. Kronecker powers of a small
-// initiator generate the self-similar graphs of the Graph500 benchmark
-// family.
-func Kron[T Float](a, b *CSR[T]) *CSR[T] {
-	out := &CSR[T]{
-		Rows:   a.Rows * b.Rows,
-		Cols:   a.Cols * b.Cols,
-		RowPtr: make([]int, a.Rows*b.Rows+1),
-	}
-	out.ColIdx = make([]int, 0, a.NNZ()*b.NNZ())
-	out.Vals = make([]T, 0, a.NNZ()*b.NNZ())
-	for ia := 0; ia < a.Rows; ia++ {
-		for ib := 0; ib < b.Rows; ib++ {
-			row := ia*b.Rows + ib
-			for ja := a.RowPtr[ia]; ja < a.RowPtr[ia+1]; ja++ {
-				av := a.Vals[ja]
-				base := a.ColIdx[ja] * b.Cols
-				for jb := b.RowPtr[ib]; jb < b.RowPtr[ib+1]; jb++ {
-					out.ColIdx = append(out.ColIdx, base+b.ColIdx[jb])
-					out.Vals = append(out.Vals, av*b.Vals[jb])
-				}
-			}
-			out.RowPtr[row+1] = len(out.Vals)
-		}
-	}
-	return out
-}

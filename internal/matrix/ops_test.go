@@ -209,54 +209,3 @@ func TestDenseMulVec(t *testing.T) {
 		t.Errorf("MulVec = %v, want [17 39]", y)
 	}
 }
-
-func TestKronAgainstDenseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randCSR(rng, 1+rng.Intn(6), 1+rng.Intn(6), 0.5)
-		b := randCSR(rng, 1+rng.Intn(6), 1+rng.Intn(6), 0.5)
-		k := Kron(a, b)
-		if err := k.Validate(); err != nil {
-			t.Logf("invalid Kron result: %v", err)
-			return false
-		}
-		if k.Rows != a.Rows*b.Rows || k.Cols != a.Cols*b.Cols {
-			return false
-		}
-		for ia := 0; ia < a.Rows; ia++ {
-			for ja := 0; ja < a.Cols; ja++ {
-				for ib := 0; ib < b.Rows; ib++ {
-					for jb := 0; jb < b.Cols; jb++ {
-						want := a.At(ia, ja) * b.At(ib, jb)
-						got := k.At(ia*b.Rows+ib, ja*b.Cols+jb)
-						if got != want {
-							return false
-						}
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKronIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randCSR(rng, 6, 6, 0.4)
-	k := Kron(Identity[float64](1), a)
-	if !k.Equal(a) {
-		t.Error("I1 ⊗ A != A")
-	}
-	k2 := Kron(a, Identity[float64](1))
-	if !k2.Equal(a) {
-		t.Error("A ⊗ I1 != A")
-	}
-	// nnz multiplies.
-	b := randCSR(rng, 4, 4, 0.5)
-	if got := Kron(a, b).NNZ(); got != a.NNZ()*b.NNZ() {
-		t.Errorf("nnz = %d, want %d", got, a.NNZ()*b.NNZ())
-	}
-}
