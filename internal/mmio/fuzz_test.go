@@ -15,6 +15,7 @@ func FuzzMMIORead(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n1 1 1\n3 1 -2\n")
 	f.Add("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2 1\n")
 	f.Add("%%MatrixMarket matrix coordinate integer skew-symmetric\n2 2 1\n2 1 7\n")
+	f.Add("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 2\n2 1 7\n2 2 1.5\n")
 	f.Add("")
 	f.Add("%%MatrixMarket matrix coordinate real general\n% c\n\n1 1 0\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n999999 1 0\n")

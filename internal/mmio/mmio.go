@@ -31,7 +31,11 @@ const maxNNZPrealloc = 1 << 20
 
 // Read parses a Matrix Market coordinate stream into CSR. Size-line values
 // are treated as untrusted: dimensions above MaxDim are rejected and the
-// declared nonzero count never drives more than a bounded pre-allocation.
+// declared nonzero count never drives more than a bounded pre-allocation. A
+// skew-symmetric file with a nonzero diagonal entry is malformed and an
+// error. Entries repeated in the file, and the mirrored entries a symmetric
+// file implies, are summed in the order they are read, by
+// matrix.FromTriples in O(nnz + rows).
 func Read(r io.Reader) (*matrix.CSR[float64], error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -86,10 +90,12 @@ func Read(r io.Reader) (*matrix.CSR[float64], error) {
 	// The size line is untrusted input: a crafted header like
 	// "1 1 9000000000000" must not drive a multi-terabyte pre-allocation.
 	// The declared nnz is only a capacity hint, clamped so memory grows with
-	// the entries actually present in the stream.
-	capHint := nnz
-	if capHint > maxNNZPrealloc {
-		capHint = maxNNZPrealloc
+	// the entries actually present in the stream. A symmetric or
+	// skew-symmetric file stores one triangle, and each entry off the
+	// diagonal becomes two triples.
+	capHint := min(nnz, maxNNZPrealloc)
+	if symmetry != "general" {
+		capHint = min(2*capHint, maxNNZPrealloc)
 	}
 	ts := make([]matrix.Triple[float64], 0, capHint)
 	read := 0
@@ -126,6 +132,9 @@ func Read(r io.Reader) (*matrix.CSR[float64], error) {
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("mmio: entry %d (%d,%d) outside %dx%d", read, i, j, rows, cols)
+		}
+		if i == j && v != 0 && symmetry == "skew-symmetric" {
+			return nil, fmt.Errorf("mmio: entry %d (%d,%d) = %g is on the diagonal of a skew-symmetric matrix, which must be zero", read, i, j, v)
 		}
 		ts = append(ts, matrix.Triple[float64]{Row: i - 1, Col: j - 1, Val: v})
 		if i != j {

@@ -90,6 +90,20 @@ func TestReadSkewSymmetric(t *testing.T) {
 	if m.At(1, 0) != 3 || m.At(0, 1) != -3 {
 		t.Errorf("skew mirror wrong: %g / %g", m.At(1, 0), m.At(0, 1))
 	}
+
+	// A skew-symmetric matrix's diagonal is zero: an explicit zero there is
+	// accepted (and dropped), a nonzero is malformed and names its entry.
+	zero := "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 2\n1 1 0\n2 1 3\n"
+	if m, err := Read(strings.NewReader(zero)); err != nil {
+		t.Errorf("explicit zero on the diagonal rejected: %v", err)
+	} else if m.NNZ() != 2 {
+		t.Errorf("explicit zero on the diagonal: nnz %d, want 2", m.NNZ())
+	}
+	nonzero := "%%MatrixMarket matrix coordinate real skew-symmetric\n3 3 2\n2 1 3\n2 2 4.5\n"
+	_, err = Read(strings.NewReader(nonzero))
+	if err == nil || !strings.Contains(err.Error(), "entry 1 (2,2)") {
+		t.Errorf("nonzero diagonal entry: err %v, want one naming entry 1 (2,2)", err)
+	}
 }
 
 func TestReadPattern(t *testing.T) {
