@@ -7,7 +7,7 @@
 // Experiments: table1, figure1, figure3, figure6, figure9, figure10,
 // table3, table4, ablation-threshold, ablation-tailoring,
 // ablation-features, ablation-scoreboard, extensions, cache, steady,
-// batch, convert, search, solve, selection, all.
+// batch, convert, solve, selection, all.
 //
 // Every experiment has a machine-readable JSON artifact named
 // BENCH_<experiment>.json; pass -json-dir to write them (the steady
@@ -80,8 +80,6 @@ func experimentTable() []experiment {
 			run: func(cfg bench.Config) (any, error) { return bench.BatchBench(cfg), nil }},
 		{name: "convert", artifact: "BENCH_convert.json",
 			run: func(cfg bench.Config) (any, error) { return bench.ConvertBench(cfg), nil }},
-		{name: "search", artifact: "BENCH_search.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Search(cfg), nil }},
 		{name: "solve", artifact: "BENCH_solve.json",
 			run: func(cfg bench.Config) (any, error) { return bench.SolveBench(cfg) }},
 		{name: "selection", artifact: "BENCH_selection.json",
@@ -94,7 +92,7 @@ func main() {
 	log.SetPrefix("smat-bench: ")
 
 	var (
-		experimentID = flag.String("experiment", "all", "experiment id (table1, figure1, figure3, figure6, figure9, figure10, table3, table4, ablation-*, extensions, cache, steady, batch, convert, search, solve, selection, all)")
+		experimentID = flag.String("experiment", "all", "experiment id (table1, figure1, figure3, figure6, figure9, figure10, table3, table4, ablation-*, extensions, cache, steady, batch, convert, solve, selection, all)")
 		modelPath    = flag.String("model", "", "trained model JSON (default: built-in heuristic model)")
 		scale        = flag.Float64("scale", 0.25, "workload size scale (0,1]")
 		stride       = flag.Int("stride", 8, "corpus sampling stride for corpus-wide experiments")

@@ -80,13 +80,6 @@ func main() {
 		for _, s := range cl.Search {
 			log.Printf("[%d threads] kernel search %-3s: best %-26s strategy scores %v", cl.Threads, s.Format, s.Best, s.StrategyScores)
 		}
-		for _, w := range cl.ParamSearch {
-			if w.Kernel == "" {
-				continue
-			}
-			log.Printf("[%d threads] param search  %-3s: best %-26s params %-10s %.2f GFLOPS (fixed menu %s %.2f), %d candidates pruned",
-				cl.Threads, w.Format, w.Kernel, w.Params.String(), w.GFLOPS, w.FixedKernel, w.FixedGFLOPS, len(w.Pruned))
-		}
 		logClass(cl)
 		// Label distribution, Table 1 style.
 		counts := map[matrix.Format]int{}

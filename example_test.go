@@ -60,7 +60,7 @@ func ExampleTuner_Tune() {
 func ExampleDecision_String() {
 	fmt.Println(smat.Decision{
 		PredictedOK: true, Predicted: smat.FormatELL, Confidence: 0.97, ColumnPassSkipped: true,
-		Chosen: smat.FormatELL, Kernel: "ell_parallel_u8", Params: smat.Params{Unroll: 8},
+		Chosen: smat.FormatELL, Kernel: "ell_width_parallel",
 	})
 	fmt.Println(smat.Decision{
 		UsedFallback: true, Confidence: 1,
@@ -72,7 +72,7 @@ func ExampleDecision_String() {
 		Chosen: smat.FormatDIA, Kernel: "dia_blocked_parallel",
 	})
 	// Output:
-	// predicted (confidence 0.97), column pass skipped: ELL via ell_parallel_u8, params u8
+	// predicted (confidence 0.97), column pass skipped: ELL via ell_width_parallel
 	// execute-and-measure fallback: CSR via csr_parallel_nnz_unroll4, COO breaks even at 40 SpMVs (hint 10: serving tuned CSR), overhead 6.5x CSR-SpMV
 	// cache hit (confidence 1.00), structure hit: DIA via dia_blocked_parallel
 }

@@ -3,7 +3,7 @@
 //
 // The kernels earn part of their measured wins by keeping bounds checks out
 // of the element loops. The single-vector bodies a tuner binds
-// (csrRowRangeUnroll2/4/8, cooRangeUnroll4, ellWidthRange, diaBlockedRange)
+// (csrRowRangeUnroll4, cooRangeUnroll4, ellWidthRange, diaBlockedRange)
 // are written so the only check left per element is the data-dependent
 // gather (x[col], and y[row] for COO): operands are cut to the row, chunk or
 // tile once — a slice check per row, group or tile — and the loops range over

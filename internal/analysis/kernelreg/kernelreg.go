@@ -28,10 +28,9 @@
 //     fan-out;
 //   - every exported constant of the tables' Format type — wherever that
 //     type is defined — has a family with single-vector rows and a
-//     strategy-free, parameter-free row instantiated whole (the scoreboard
-//     anchor), and, once the package has any batched row, batched rows with
-//     such a row too, so the batched serving path never silently loses a
-//     format;
+//     strategy-free row instantiated whole (the scoreboard anchor), and,
+//     once the package has any batched row, batched rows with such a row
+//     too, so the batched serving path never silently loses a format;
 //   - the package's newPlan function has a partitioner case for every such
 //     format constant.
 package kernelreg
@@ -175,7 +174,7 @@ func (c *checker) checkRows(fam *ast.CompositeLit, rows ast.Expr, batch bool) *t
 			whole := constant.Sign(part.Val()) == 0
 			if whole {
 				frag = alone
-				if isZero(c.pass, fields["strat"]) && fields["params"] == nil {
+				if isZero(c.pass, fields["strat"]) {
 					t.anchor = true
 				}
 			}

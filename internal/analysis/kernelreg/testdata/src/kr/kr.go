@@ -51,7 +51,6 @@ var partitions = map[partition]struct {
 type body struct {
 	name, alone, suffix string
 	strat               int
-	params              int
 	chunk               rangeFn
 	run                 runFn
 	over                []partition
@@ -148,7 +147,6 @@ func csrTable() family {
 		single: []body{
 			{name: "csr", alone: "-serial", chunk: csrChunk, over: []partition{whole, byRows}},
 			{name: "csr", chunk: csrChunk, strat: 2, over: []partition{byNNZ}}, // want `duplicate kernel name "csr-par"`
-			{name: "csr", suffix: "-u2", params: 2, chunk: csrChunk, over: []partition{byNNZ}},
 		},
 		batch: []body{
 			{name: "csr", alone: "-serial", chunk: csrChunk, over: []partition{whole, byRows}},

@@ -93,18 +93,9 @@ func TestSearchKernelsCoversAllFormats(t *testing.T) {
 		}
 	}
 	for _, r := range results {
-		// The performance table covers the fixed menu; parameterized
-		// instances share strategy bitmasks and are scored by the parameter
-		// walk instead.
-		fixed := 0
-		for _, k := range lib.ForFormat(r.Format) {
-			if k.Params.IsZero() {
-				fixed++
-			}
-		}
-		if len(r.Table) != fixed {
+		if want := len(lib.ForFormat(r.Format)); len(r.Table) != want {
 			t.Errorf("%v performance table has %d rows, want %d",
-				r.Format, len(r.Table), fixed)
+				r.Format, len(r.Table), want)
 		}
 		for _, row := range r.Table {
 			if row.GFLOPS <= 0 {

@@ -116,20 +116,6 @@ type bindingWant struct {
 	chosen, asymptotic, served matrix.Format
 	predictedOK, usedFallback  bool
 	cacheHit, amortized        bool
-	// params is Decision.Params: resolved from the model and the kernel on
-	// paths that decide or serve the incumbent, the cache entry's verbatim on
-	// hits.
-	params kernels.Params
-}
-
-// wantParams is what a deciding path records for format f on tuner tn:
-// the model's knobs and the bound kernel's unroll depth.
-func wantParams(tn *Tuner[float64], f matrix.Format) kernels.Params {
-	p := tn.paramsFor(f)
-	if u := tn.kernelFor(f).Params.Unroll; u != 0 {
-		p.Unroll = u
-	}
-	return p
 }
 
 // collisionMatrix has an anti-diagonal plus a scattered entry per row: DIA's
@@ -206,17 +192,14 @@ var bindingPaths = []struct {
 	}},
 	{"cache-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		_, lead, err := tn.Tune(m)
-		if err != nil {
+		if _, _, err := tn.Tune(m); err != nil {
 			t.Fatal(err)
 		}
 		op, d, err := tn.Tune(m)
 		if err != nil {
 			t.Fatalf("second Tune: %v", err)
 		}
-		// The hit binds the leader's parameters.
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true,
-			params: lead.Params}}
+		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true, cacheHit: true}}
 	}},
 	{"amortised-incumbent", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
@@ -225,8 +208,8 @@ var bindingPaths = []struct {
 		if err != nil {
 			t.Fatalf("TuneOpts: %v", err)
 		}
-		// Two iterations cannot pay for a conversion: tuned CSR serves, with
-		// its own parameters. A cached CSR winner is a plain hit.
+		// Two iterations cannot pay for a conversion: tuned CSR serves. A
+		// cached CSR winner is a plain hit.
 		return bindingResult{tn, m, op, d, bindingWant{chosen: matrix.FormatCSR, asymptotic: f, served: matrix.FormatCSR, predictedOK: true, cacheHit: true,
 			amortized: f != matrix.FormatCSR}}
 	}},
@@ -282,16 +265,6 @@ func checkBindingContract(t *testing.T, label string, r bindingResult) {
 		t.Errorf("%s: operator serves kernel %s, this tuner binds %s for %v", label, r.op.KernelName(), want, w.served)
 	}
 
-	// Paths that decide (or fall back to the incumbent) resolve the
-	// parameters themselves; hits on a seeded entry report the entry's.
-	params := w.params
-	if !w.cacheHit || w.amortized {
-		params = wantParams(r.tn, w.chosen)
-	}
-	if d.Params != params {
-		t.Errorf("%s: params %+v, want %+v", label, d.Params, params)
-	}
-
 	// The engine serves the batch kernel of the format it holds.
 	e := r.op.eng
 	if want := r.tn.lib.BatchFor(w.served); e.batch == nil || e.batch != want {
@@ -335,7 +308,7 @@ func TestBindingFollowsTunerThreads(t *testing.T) {
 				if served != want {
 					t.Errorf("%s: serves %s, the model names %s", label, served.Name, want.Name)
 				}
-				mat, err := kernels.ConvertFrom(m, nil, op.Format(), 0, tn.paramsFor(op.Format()))
+				mat, err := kernels.Convert(m, op.Format(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}

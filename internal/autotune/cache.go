@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"smat/internal/features"
-	"smat/internal/kernels"
 	"smat/internal/matrix"
 )
 
@@ -30,11 +29,6 @@ type CacheEntry struct {
 	Format     matrix.Format
 	Confidence float64
 	Measured   bool
-	// Params carries the leader's kernel parameters (the HYB width cut, a
-	// conversion knob, plus the unroll depth):
-	// cache hits convert with the same parameters, so a parameterized
-	// decision survives the cache unchanged.
-	Params kernels.Params
 	// ConvertSec, SpMVSec and IncumbentSec are the leader's amortisation
 	// measurements: seconds to convert the leader's matrix to Format, the
 	// converted operator's per-SpMV seconds, and the tuned-CSR incumbent's

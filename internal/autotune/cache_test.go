@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"smat/internal/features"
-	"smat/internal/kernels"
 	"smat/internal/matrix"
 )
 
@@ -38,14 +37,14 @@ func TestCacheDoCachesAndHits(t *testing.T) {
 	calls := 0
 	tune := func() (CacheEntry, error) {
 		calls++
-		return CacheEntry{Format: matrix.FormatDIA, Params: kernels.Params{Unroll: 2}, Confidence: 0.9}, nil
+		return CacheEntry{Format: matrix.FormatDIA, Confidence: 0.9}, nil
 	}
 	e, fromCache, err := c.Do(keyN(1), 0, tune)
 	if err != nil || fromCache || e.Format != matrix.FormatDIA {
 		t.Fatalf("first Do: entry=%+v fromCache=%v err=%v", e, fromCache, err)
 	}
 	e, fromCache, err = c.Do(keyN(1), 0, tune)
-	if err != nil || !fromCache || e.Format != matrix.FormatDIA || e.Params.Unroll != 2 {
+	if err != nil || !fromCache || e.Format != matrix.FormatDIA || e.Confidence != 0.9 {
 		t.Fatalf("second Do: entry=%+v fromCache=%v err=%v", e, fromCache, err)
 	}
 	if calls != 1 {
@@ -207,9 +206,9 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				k := keyN((g + i) % 40)
 				e, _, err := c.Do(k, 0, func() (CacheEntry, error) {
-					return CacheEntry{Format: matrix.FormatCSR, Confidence: 1, Params: kernels.Params{Unroll: 4}}, nil
+					return CacheEntry{Format: matrix.FormatCSR, Confidence: 1}, nil
 				})
-				if err != nil || e.Format != matrix.FormatCSR || e.Params.Unroll != 4 {
+				if err != nil || e.Format != matrix.FormatCSR || e.Confidence != 1 {
 					t.Errorf("Do: entry=%+v err=%v", e, err)
 					return
 				}

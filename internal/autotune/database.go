@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"smat/internal/features"
-	"smat/internal/kernels"
 	"smat/internal/matrix"
 	"smat/internal/mining"
 )
@@ -21,18 +20,18 @@ const DatabaseSchemaVersion = 2
 // Record is one row of the feature database (the "Feature Database" box of
 // the paper's Figure 4): a matrix's identity, its Table 2 feature values,
 // and its performance measured at Threads — per format, the GFLOPS of the
-// kernel it was timed with and the non-zero parameters it ran at — with the
-// resulting best-format label.
+// kernel it was timed with — with the resulting best-format label. A
+// "params" key, written while kernels carried template parameters, loads and
+// is ignored.
 type Record struct {
-	Schema   int                       `json:"schema"`
-	Threads  int                       `json:"threads"`
-	Name     string                    `json:"name"`
-	Domain   string                    `json:"domain,omitempty"`
-	Features features.Features         `json:"features"`
-	Best     string                    `json:"best"`
-	GFLOPS   map[string]float64        `json:"gflops,omitempty"`
-	Kernels  map[string]string         `json:"kernels,omitempty"`
-	Params   map[string]kernels.Params `json:"params,omitempty"`
+	Schema   int                `json:"schema"`
+	Threads  int                `json:"threads"`
+	Name     string             `json:"name"`
+	Domain   string             `json:"domain,omitempty"`
+	Features features.Features  `json:"features"`
+	Best     string             `json:"best"`
+	GFLOPS   map[string]float64 `json:"gflops,omitempty"`
+	Kernels  map[string]string  `json:"kernels,omitempty"`
 }
 
 // Database is the accumulated training evidence. The paper calls out that
@@ -60,12 +59,6 @@ func (db *Database) Append(name, domain string, f features.Features, lbl Label) 
 		rec.Kernels = make(map[string]string, len(lbl.Kernels))
 		for fmtID, k := range lbl.Kernels {
 			rec.Kernels[fmtID.String()] = k
-		}
-	}
-	if len(lbl.Params) > 0 {
-		rec.Params = make(map[string]kernels.Params, len(lbl.Params))
-		for fmtID, p := range lbl.Params {
-			rec.Params[fmtID.String()] = p
 		}
 	}
 	db.Records = append(db.Records, rec)

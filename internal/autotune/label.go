@@ -15,13 +15,11 @@ import (
 const DefaultMaxFill = 20.0
 
 // Label is the measured ground truth for one matrix at one thread count: per
-// format, the GFLOPS of the kernel it was timed with and the parameters it
-// ran at (non-zero ones only), and the winner.
+// format, the GFLOPS of the kernel it was timed with, and the winner.
 type Label struct {
 	Best    matrix.Format
 	GFLOPS  map[matrix.Format]float64
 	Kernels map[matrix.Format]string
-	Params  map[matrix.Format]kernels.Params
 	Threads int
 }
 
@@ -40,11 +38,6 @@ type Labeler struct {
 // it) with the kernel chosen per format (choice may be nil: every format then
 // takes its default kernel, see resolveKernel).
 func NewLabeler(choice KernelChoice, threads int, measure MeasureOptions) *Labeler {
-	return newLabeler(choice, nil, threads, measure)
-}
-
-// newLabeler is NewLabeler converting with the searched per-format params.
-func newLabeler(choice KernelChoice, params ParamChoice, threads int, measure MeasureOptions) *Labeler {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
@@ -55,12 +48,6 @@ func newLabeler(choice KernelChoice, params ParamChoice, threads int, measure Me
 	}
 	for f, name := range choice {
 		class.Kernels[f.String()] = name
-	}
-	for f, p := range params {
-		if class.Params == nil {
-			class.Params = map[string]kernels.Params{}
-		}
-		class.Params[f.String()] = p
 	}
 	t := New[float64](NewModel(DefaultConfidenceThreshold, DefaultMaxFill, class), Config{Threads: threads, CacheSize: -1})
 	// Name what the tuner bound: a choice naming no usable kernel resolves to
@@ -101,18 +88,12 @@ func (l *Labeler) Label(m *matrix.CSR[float64]) Label {
 		}
 	}
 	for _, f := range formats {
-		e, _, err := t.build(m, lay, f, t.paramsFor(f), DefaultMaxFill)
+		e, _, err := t.build(m, lay, f, DefaultMaxFill)
 		if err != nil {
 			continue
 		}
 		sec := MeasureSecPerOp(func() { e.kernel.RunPooled(e.mat, x, y, t.pool) }, l.measure)
 		lbl.GFLOPS[f], lbl.Kernels[f] = GFLOPS(flops, sec), e.kernel.Name
-		if p := t.resolvedParams(e); !p.IsZero() {
-			if lbl.Params == nil {
-				lbl.Params = map[matrix.Format]kernels.Params{}
-			}
-			lbl.Params[f] = p
-		}
 		formats[len(secs)] = f
 		secs = append(secs, sec)
 	}

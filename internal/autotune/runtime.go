@@ -67,13 +67,6 @@ type Decision struct {
 	Chosen matrix.Format
 	Kernel string
 
-	// Params records the tunable parameters behind the decision: the
-	// conversion-level knobs the operator's matrix was materialised with
-	// (the HYB width cut) and the chosen kernel instance's
-	// unroll depth. The zero value means the fixed menu — a v1 model, or a
-	// format the search left at its defaults.
-	Params kernels.Params
-
 	// IterationHint is the caller's expected number of remaining SpMVs
 	// (TuneOptions.Iterations); 0 when the caller gave none, in which case
 	// the decision is the paper's asymptotic one and the amortisation fields
@@ -161,9 +154,8 @@ func (d *Decision) Overhead() float64 {
 
 // String renders the decision on one line: the path that produced it and its
 // confidence, what the tune did not have to read (StructureHit,
-// ColumnPassSkipped), the chosen format and kernel, Params when not the
-// defaults, then — each only when the tune measured it — the break-even point
-// and the overhead.
+// ColumnPassSkipped), the chosen format and kernel, then — each only when the
+// tune measured it — the break-even point and the overhead.
 func (d Decision) String() string {
 	var b strings.Builder
 	switch {
@@ -183,9 +175,6 @@ func (d Decision) String() string {
 		b.WriteString(", column pass skipped")
 	}
 	fmt.Fprintf(&b, ": %s via %s", d.Chosen, d.Kernel)
-	if !d.Params.IsZero() {
-		fmt.Fprintf(&b, ", params %s", d.Params)
-	}
 	switch {
 	case d.BreakEvenIters == NeverAmortize:
 		fmt.Fprintf(&b, ", %s never breaks even", d.Asymptotic)
@@ -488,7 +477,9 @@ var defaultKernels = map[matrix.Format]string{
 
 // resolveKernel is the only place a kernel name becomes a kernel: the
 // library's kernel of that name when it is one of format f's, else (no name,
-// an unknown one, another format's) f's default kernel.
+// an unknown one, another format's) f's default kernel. LoadModel rejects a
+// class that names an unknown or another format's kernel, so from a loaded
+// model only an absent name takes the default.
 func resolveKernel[T matrix.Float](lib *kernels.Library[T], name string, f matrix.Format) *kernels.Kernel[T] {
 	if k := lib.Lookup(name); k != nil && k.Format == f {
 		return k
@@ -508,22 +499,6 @@ func resolveKernels[T matrix.Float](class *ModelClass, lib *kernels.Library[T]) 
 // kernelFor returns the kernel this tuner binds for a format, nil for a
 // format the tuner does not serve.
 func (t *Tuner[T]) kernelFor(f matrix.Format) *kernels.Kernel[T] { return t.bound[f] }
-
-// paramsFor resolves the class's searched parameters for a format: the zero
-// Params (fixed menu) for formats the search left at their defaults.
-func (t *Tuner[T]) paramsFor(f matrix.Format) kernels.Params {
-	return t.class.Params[f.String()]
-}
-
-// resolvedParams is the full parameter point behind an engine: the model's
-// format-level conversion knobs and the bound kernel instance's unroll depth.
-func (t *Tuner[T]) resolvedParams(e *engine[T]) kernels.Params {
-	p := t.paramsFor(e.kernel.Format)
-	if u := e.kernel.Params.Unroll; u != 0 {
-		p.Unroll = u
-	}
-	return p
-}
 
 // Tune runs the paper's Figure 7 runtime procedure on a CSR matrix: feature
 // extraction, then — unless the feature-keyed decision cache already holds

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"smat/internal/features"
 	"smat/internal/gen"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
@@ -109,14 +108,9 @@ func searchFormat(lib *kernels.Library[float64], f matrix.Format, cfg SearchConf
 	}
 	y := make([]float64, probe.Rows)
 
-	// Step 1: the performance record table, over the zero-Params instances:
-	// one kernel per strategy set. The parameter walk (SearchMatrixParams)
-	// covers the rest.
+	// Step 1: the performance record table, one kernel per strategy set.
 	res := SearchResult{Format: f}
 	for _, k := range lib.ForFormat(f) {
-		if !k.Params.IsZero() {
-			continue
-		}
 		sec := MeasureSecPerOp(func() { k.Run(mat, x, y, cfg.Threads) }, cfg.Measure)
 		res.Table = append(res.Table, PerfRecord{Kernel: k.Name, Strategies: k.Strategies, GFLOPS: GFLOPS(kernels.FLOPs(probe.NNZ()), sec)})
 	}
@@ -204,116 +198,4 @@ func scoreTable(table []PerfRecord) (strategyScores, kernelScores map[string]int
 		}
 	}
 	return strategyScores, kernelScores, best
-}
-
-// ParamChoice maps each format to its searched kernel parameters. A missing
-// or zero entry means a zero-Params kernel on the default conversion won.
-type ParamChoice map[matrix.Format]kernels.Params
-
-// ParamSearchResult reports the parameter walk for one format on one matrix.
-type ParamSearchResult struct {
-	Format matrix.Format
-	// Kernel and Params describe the overall winner ("" when no candidate was
-	// feasible); GFLOPS is its measured rate.
-	Kernel string
-	Params kernels.Params
-	GFLOPS float64
-	// FixedKernel and FixedGFLOPS describe the best fixed-menu candidate
-	// (zero-parameter kernel on the default conversion) over the same
-	// measurements, the baseline the parameter search is judged against.
-	FixedKernel string
-	FixedGFLOPS float64
-	// Pruned lists the candidates the feature guards skipped, for search logs.
-	Pruned []string
-}
-
-// paramConvCandidates enumerates the conversion-level parameter candidates
-// for a format: the zero Params (the format's default conversion) first, then
-// for HYB every searched width cut. (The whole DIA walk is skipped upstream
-// when the diagonal tally is hypersparse.)
-func paramConvCandidates(f matrix.Format) []kernels.Params {
-	out := []kernels.Params{{}}
-	if f == matrix.FormatHYB {
-		for _, cut := range kernels.HybCuts {
-			out = append(out, kernels.Params{HybCut: cut})
-		}
-	}
-	return out
-}
-
-// SearchMatrixParams walks the tunable parameter space of one format on one
-// matrix: every conversion-level candidate (ELL→HYB width cut) crossed with
-// every registered kernel instance of the format (unroll depths ride in as
-// parameterized registrations). A feature guard prunes the walk before
-// anything is converted or timed — a hypersparse diagonal tally skips DIA
-// entirely — so the search stays within the same measurement budget class as
-// the scoreboard. ft may be nil to disable feature pruning.
-func SearchMatrixParams(lib *kernels.Library[float64], m *matrix.CSR[float64], ft *features.Features, f matrix.Format, threads int, measure MeasureOptions) ParamSearchResult {
-	measure = measure.withDefaults()
-	res := ParamSearchResult{Format: f}
-	if f == matrix.FormatDIA && ft != nil && !feasible(f, ft, DefaultMaxFill) {
-		res.Pruned = append(res.Pruned, "dia: diagonal density below threshold")
-		return res
-	}
-	x := make([]float64, m.Cols)
-	for i := range x {
-		x[i] = 1 + float64(i%7)/7
-	}
-	y := make([]float64, m.Rows)
-	flops := kernels.FLOPs(m.NNZ())
-	for _, cp := range paramConvCandidates(f) {
-		mat, err := kernels.ConvertFrom(m, nil, f, DefaultMaxFill, cp)
-		if err != nil {
-			continue
-		}
-		for _, k := range lib.ForFormat(f) {
-			sec := MeasureSecPerOp(func() { k.Run(mat, x, y, threads) }, measure)
-			g := GFLOPS(flops, sec)
-			if g > res.GFLOPS {
-				p := cp
-				if k.Params.Unroll != 0 {
-					p.Unroll = k.Params.Unroll
-				}
-				res.GFLOPS, res.Params, res.Kernel = g, p, k.Name
-			}
-			if cp.IsZero() && k.Params.IsZero() && g > res.FixedGFLOPS {
-				res.FixedGFLOPS, res.FixedKernel = g, k.Name
-			}
-		}
-	}
-	return res
-}
-
-// SearchKernelsParams runs the scoreboard kernel search and then walks each
-// format's tunable parameter space on the same probe matrix. The parameter
-// walk overrides the scoreboard's per-format choice only when a partitioned,
-// parameterized instance beats the best fixed-menu candidate by more than the
-// indifference band; the winning parameters feed the model class.
-func SearchKernelsParams(cfg SearchConfig) (KernelChoice, ParamChoice, []SearchResult, []ParamSearchResult) {
-	cfg.Measure = cfg.Measure.withDefaults()
-	if cfg.ProbeScale <= 0 || cfg.ProbeScale > 1 {
-		cfg.ProbeScale = 1
-	}
-	lib := kernels.NewLibrary[float64]()
-	choice := KernelChoice{}
-	params := ParamChoice{}
-	var results []SearchResult
-	var walks []ParamSearchResult
-	for _, f := range matrix.Formats {
-		res := searchFormat(lib, f, cfg)
-		results = append(results, res)
-		choice[f] = res.Best
-
-		probe := probeMatrix(f, cfg.ProbeScale, cfg.Seed+int64(f))
-		ft := features.Extract(probe)
-		walk := SearchMatrixParams(lib, probe, &ft, f, cfg.Threads, cfg.Measure)
-		walks = append(walks, walk)
-		gainGFLOPS := walk.GFLOPS - walk.FixedGFLOPS
-		if k := lib.Lookup(walk.Kernel); k != nil && k.Strategies&kernels.StratParallel != 0 &&
-			!walk.Params.IsZero() && gainGFLOPS > indifferenceGFLOPS {
-			choice[f] = walk.Kernel
-			params[f] = walk.Params
-		}
-	}
-	return choice, params, results, walks
 }

@@ -11,13 +11,11 @@ import (
 )
 
 // stubTable is a format's performance record table — one record per
-// zero-Params registered kernel — with the given rate per kernel name.
+// registered kernel — with the given rate per kernel name.
 func stubTable(f matrix.Format, rate func(name string) float64) []PerfRecord {
 	var table []PerfRecord
 	for _, k := range kernels.NewLibrary[float64]().ForFormat(f) {
-		if k.Params.IsZero() {
-			table = append(table, PerfRecord{Kernel: k.Name, Strategies: k.Strategies, GFLOPS: rate(k.Name)})
-		}
+		table = append(table, PerfRecord{Kernel: k.Name, Strategies: k.Strategies, GFLOPS: rate(k.Name)})
 	}
 	return table
 }

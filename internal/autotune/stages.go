@@ -58,7 +58,6 @@ type tuning[T matrix.Float] struct {
 // learned on the way.
 type choice[T matrix.Float] struct {
 	format     matrix.Format
-	params     kernels.Params // the knobs to convert and bind with
 	confidence float64
 	predicted  bool // selected without measuring: hint, cache entry, confident rule group
 	cacheHit   bool
@@ -242,7 +241,7 @@ func (tn *tuning[T]) begin() {
 func (tn *tuning[T]) hinted() (*choice[T], error) {
 	tn.begin()
 	f := tn.opts.FormatHint
-	c := &choice[T]{format: f, params: tn.t.paramsFor(f), confidence: 1, predicted: true}
+	c := &choice[T]{format: f, confidence: 1, predicted: true}
 	if err := tn.materialise(c); err != nil {
 		return nil, err
 	}
@@ -250,13 +249,12 @@ func (tn *tuning[T]) hinted() (*choice[T], error) {
 }
 
 // cached is the cache selector, starting a hit's attempt: the entry's
-// format and parameters, and — for a request carrying an
+// format and — for a request carrying an
 // iteration hint — its costs and the break-even point they imply. An
 // un-hinted hit is asymptotic and carries no payoff numbers.
 func (tn *tuning[T]) cached(entry CacheEntry) *choice[T] {
 	tn.begin()
-	c := &choice[T]{format: entry.Format, params: entry.Params, confidence: entry.Confidence,
-		predicted: true, cacheHit: true}
+	c := &choice[T]{format: entry.Format, confidence: entry.Confidence, predicted: true, cacheHit: true}
 	if tn.opts.Iterations > 0 && entry.Format != matrix.FormatCSR {
 		c.spmvSec, c.incumbentSec = entry.SpMVSec, entry.IncumbentSec
 		c.breakEven = BreakEven(entry.ConvertSec, entry.IncumbentSec, entry.SpMVSec)
@@ -305,7 +303,7 @@ func (tn *tuning[T]) choose() (*choice[T], error) {
 		}
 		// The fill guard can still reject a feature-feasible format on edge
 		// cases; CSR always converts.
-		c = &choice[T]{format: matrix.FormatCSR, params: tn.t.paramsFor(matrix.FormatCSR)}
+		c = &choice[T]{format: matrix.FormatCSR}
 		if err := tn.materialise(c); err != nil {
 			return nil, err
 		}
@@ -320,7 +318,7 @@ func (tn *tuning[T]) confident() (*choice[T], bool) {
 	if v != mining.True {
 		return nil, false
 	}
-	return &choice[T]{format: f, params: tn.t.paramsFor(f), confidence: conf, predicted: true}, true
+	return &choice[T]{format: f, confidence: conf, predicted: true}, true
 }
 
 // predict is the ruleset's verdict on a record: rule groups in DIA → ELL → CSR
@@ -358,7 +356,7 @@ func (t *Tuner[T]) predict(rec *structureRecord) (matrix.Format, float64, mining
 // a cached copy of this decision can be refreshed by a measuring tuner.
 func (tn *tuning[T]) bestEffort() *choice[T] {
 	f, conf := tn.t.bestGuess(tn.full())
-	return &choice[T]{format: f, confidence: conf, params: tn.t.paramsFor(f)}
+	return &choice[T]{format: f, confidence: conf}
 }
 
 // bestGuess is the ruleset's pick regardless of the threshold: the
@@ -449,13 +447,12 @@ func (tn *tuning[T]) measure() (*choice[T], error) {
 	maxFill := min(fallbackMaxFill, t.model.MaxFill)
 	var built []*choice[T]
 	for _, f := range t.contenders(ft, maxFill) {
-		p := t.paramsFor(f)
-		e, timing, err := tn.candidate(f, p, maxFill)
+		e, timing, err := tn.candidate(f, maxFill)
 		if foreign(err) {
 			return nil, err
 		}
 		if err == nil {
-			built = append(built, &choice[T]{format: f, params: p, eng: e, convert: timing})
+			built = append(built, &choice[T]{format: f, eng: e, convert: timing})
 		}
 	}
 
@@ -489,11 +486,11 @@ func (tn *tuning[T]) measure() (*choice[T], error) {
 
 // candidate builds one format for the measuring selector. Its CSR candidate
 // is the call's incumbent, so a call binds one CSR engine.
-func (tn *tuning[T]) candidate(f matrix.Format, p kernels.Params, maxFill float64) (*engine[T], kernels.ConvertTiming, error) {
+func (tn *tuning[T]) candidate(f matrix.Format, maxFill float64) (*engine[T], kernels.ConvertTiming, error) {
 	if f == matrix.FormatCSR {
 		return tn.incumbent(), kernels.ConvertTiming{Format: f, Stored: tn.m.Stored()}, nil
 	}
-	return tn.t.build(tn.m, &tn.rec.layout, f, p, maxFill)
+	return tn.t.build(tn.m, &tn.rec.layout, f, maxFill)
 }
 
 // outcome is the payoff stage's verdict on a choice.
@@ -533,17 +530,17 @@ func (t *Tuner[T]) bind(f matrix.Format) (*engine[T], error) {
 
 // build is the one materialise-and-bind site: every engine — a selector's
 // candidate, a cache hit's format, the tuned-CSR incumbent — is the matrix
-// converted with the given parameters under the given fill limit, from the
+// converted under the given fill limit, from the
 // call's layout on the tuner's pool, bound by bind. It fails
 // when the tuner serves no kernel for the format, the format's zero-fill guard
 // rejects this particular matrix, or the layout is not this matrix's
 // (matrix.ErrStructureMismatch: only a remembered one can be).
-func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, p kernels.Params, maxFill float64) (*engine[T], kernels.ConvertTiming, error) {
+func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, maxFill float64) (*engine[T], kernels.ConvertTiming, error) {
 	e, err := t.bind(f)
 	if err != nil {
 		return nil, kernels.ConvertTiming{}, err
 	}
-	mat, timing, err := kernels.ConvertTimedParams(m, lay, f, maxFill, p, t.pool)
+	mat, timing, err := kernels.ConvertTimed(m, lay, f, maxFill, t.pool)
 	if err != nil {
 		return nil, timing, err
 	}
@@ -553,7 +550,7 @@ func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, 
 
 // materialise is the build stage for a choice no selector has built yet.
 func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
-	c.eng, c.convert, err = tn.t.build(tn.m, &tn.rec.layout, c.format, c.params, tn.t.model.MaxFill)
+	c.eng, c.convert, err = tn.t.build(tn.m, &tn.rec.layout, c.format, tn.t.model.MaxFill)
 	return err
 }
 
@@ -565,7 +562,7 @@ func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
 func (tn *tuning[T]) incumbent() *engine[T] {
 	if tn.inc == nil {
 		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
-		tn.inc, _, _ = tn.t.build(tn.m, &tn.rec.layout, matrix.FormatCSR, tn.t.paramsFor(matrix.FormatCSR), tn.t.model.MaxFill)
+		tn.inc, _, _ = tn.t.build(tn.m, &tn.rec.layout, matrix.FormatCSR, tn.t.model.MaxFill)
 	}
 	return tn.inc
 }
@@ -648,7 +645,6 @@ func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 		Format:       c.format,
 		Confidence:   c.confidence,
 		Measured:     tn.d.UsedFallback,
-		Params:       tn.t.resolvedParams(c.eng),
 		ConvertSec:   c.convert.Sec,
 		SpMVSec:      c.spmvSec,
 		IncumbentSec: c.incumbentSec,
@@ -700,10 +696,4 @@ func (tn *tuning[T]) record(c *choice[T], out outcome, e *engine[T]) {
 
 	d.Chosen = e.kernel.Format
 	d.Kernel = e.kernel.Name
-	// A hit reports the entry's parameters as cached; a decision made here —
-	// or overridden here, by the incumbent — resolves its own.
-	d.Params = c.params
-	if !c.cacheHit || d.Amortized {
-		d.Params = tn.t.resolvedParams(e)
-	}
 }

@@ -56,7 +56,7 @@ func conversionBytes(t *testing.T, m *matrix.CSR[float64], s *matrix.Structure, 
 	t.Helper()
 	return allocated(func() {
 		for _, f := range formats {
-			if _, err := kernels.ConvertFrom(m, &s.Layout, f, maxFill, kernels.Params{}); err != nil {
+			if _, err := kernels.ConvertFrom(m, &s.Layout, f, maxFill); err != nil {
 				t.Fatal(err)
 			}
 		}

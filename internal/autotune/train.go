@@ -25,19 +25,14 @@ const DefaultConfidenceThreshold = 0.85
 const ModelSchemaVersion = 2
 
 // ModelClass is what the off-line stage learned at one thread count: the
-// tailored ruleset, the kernel each format was labeled with — the one a tuner
-// of the class binds — and the per-format searched parameters. The kernels
-// are partitioned instances, which run the unsplit arithmetic at one thread.
+// tailored ruleset and the kernel each format was labeled with — the one a
+// tuner of the class binds. The kernels are partitioned instances, which run
+// the unsplit arithmetic at one thread. A "params" key, written while kernels
+// carried template parameters, loads and is ignored.
 type ModelClass struct {
 	Threads int               `json:"threads"`
 	Kernels map[string]string `json:"kernels"` // format name -> kernel name
-	// Params is the per-format tunable parameters the off-line search settled
-	// on (the HYB width cut, a conversion-level knob, plus the unroll depth);
-	// a format absent from it runs the zero Params, the fixed menu. Keys a
-	// Params no longer has (batch_tile, dia_min_density, block_r, block_c)
-	// load and are ignored.
-	Params  map[string]kernels.Params `json:"params,omitempty"`
-	Ruleset *mining.Ruleset           `json:"ruleset"`
+	Ruleset *mining.Ruleset   `json:"ruleset"`
 }
 
 // Model is the serialisable artifact of the off-line stage: one ModelClass
@@ -190,7 +185,6 @@ type TrainResult struct {
 type ClassResult struct {
 	Threads       int
 	Search        []SearchResult
-	ParamSearch   []ParamSearchResult
 	Labels        []Label
 	Dataset       *mining.Dataset
 	FullRuleset   *mining.Ruleset
@@ -210,24 +204,23 @@ func Train(entries []*corpus.Entry, cfg TrainConfig) (*TrainResult, error) {
 	cfg = cfg.withDefaults()
 
 	type class struct {
-		labeler     *Labeler
-		search      []SearchResult
-		paramSearch []ParamSearchResult
-		labels      []Label
+		labeler *Labeler
+		search  []SearchResult
+		labels  []Label
 	}
 	classes := make([]*class, len(cfg.Threads))
 	for i, threads := range cfg.Threads {
 		c := &class{}
-		choice, params := labelKernels, ParamChoice(nil)
+		choice := labelKernels
 		if !cfg.SkipKernelSearch {
-			choice, params, c.search, c.paramSearch = SearchKernelsParams(SearchConfig{
+			choice, c.search = SearchKernels(SearchConfig{
 				Threads:    threads,
 				ProbeScale: cfg.ProbeScale,
 				Measure:    cfg.Measure,
 				Seed:       cfg.Seed,
 			})
 		}
-		c.labeler = newLabeler(choice, params, threads, cfg.Measure)
+		c.labeler = NewLabeler(choice, threads, cfg.Measure)
 		defer c.labeler.Close()
 		classes[i] = c
 	}
@@ -258,8 +251,8 @@ func Train(entries []*corpus.Entry, cfg TrainConfig) (*TrainResult, error) {
 	learned.Database = db
 	for i, c := range classes {
 		lc, mc := &learned.Classes[i], &learned.Model.Classes[i]
-		lc.Search, lc.ParamSearch, lc.Labels = c.search, c.paramSearch, c.labels
-		mc.Kernels, mc.Params = c.labeler.class.Kernels, c.labeler.class.Params
+		lc.Search, lc.Labels = c.search, c.labels
+		mc.Kernels = c.labeler.class.Kernels
 	}
 	return learned, nil
 }
@@ -272,8 +265,9 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // LoadModel reads a model written by Save and validates it: the current
-// schema, at least one class, distinct positive thread counts, and rulesets
-// over the four basic formats and the Table 2 attributes.
+// schema, at least one class, distinct positive thread counts, kernels each
+// registered for the basic format they are named for, and rulesets over the
+// four basic formats and the Table 2 attributes.
 func LoadModel(r io.Reader) (*Model, error) {
 	var m Model
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
@@ -287,6 +281,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("autotune: model has no thread class")
 	}
 	seen := map[int]bool{}
+	lib := kernels.NewLibrary[float64]()
 	for i := range m.Classes {
 		c := &m.Classes[i]
 		if c.Threads < 1 || seen[c.Threads] {
@@ -295,6 +290,9 @@ func LoadModel(r io.Reader) (*Model, error) {
 		seen[c.Threads] = true
 		if err := validRuleset(c.Ruleset); err != nil {
 			return nil, fmt.Errorf("autotune: model class %d (%d threads): %w", i, c.Threads, err)
+		}
+		if err := validKernels(c.Kernels, lib); err != nil {
+			return nil, fmt.Errorf("autotune: model class %d (%d threads): %w; retrain with smat-train", i, c.Threads, err)
 		}
 	}
 	if m.ConfidenceThreshold <= 0 || m.ConfidenceThreshold > 1 {
@@ -305,6 +303,22 @@ func LoadModel(r io.Reader) (*Model, error) {
 	}
 	m.index()
 	return &m, nil
+}
+
+// validKernels checks that every kernel a class names is one the tuner can
+// bind for that format: a registered single-vector kernel of it. A format the
+// class names nothing for binds its default kernel (resolveKernel).
+func validKernels(names map[string]string, lib *kernels.Library[float64]) error {
+	for key, name := range names {
+		i := slices.IndexFunc(matrix.Formats[:], func(f matrix.Format) bool { return f.String() == key })
+		if i < 0 {
+			return fmt.Errorf("kernel %q is named for %q, which is not a basic format", name, key)
+		}
+		if k := lib.Lookup(name); k == nil || k.Format != matrix.Formats[i] {
+			return fmt.Errorf("format %s names kernel %q, which is not a registered %s kernel", key, name, key)
+		}
+	}
+	return nil
 }
 
 // validRuleset checks what the tuner relies on of a loaded ruleset.

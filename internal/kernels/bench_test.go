@@ -133,11 +133,11 @@ func BenchmarkConvert(b *testing.B) {
 			return err
 		})
 		run("scanfed", func() error {
-			_, err := ConvertFrom(m, &s.Layout, f, 0, Params{})
+			_, err := ConvertFrom(m, &s.Layout, f, 0)
 			return err
 		})
 		run("pooled", func() error {
-			_, _, err := ConvertTimedParams(m, &s.Layout, f, 0, Params{}, pool)
+			_, _, err := ConvertTimed(m, &s.Layout, f, 0, pool)
 			return err
 		})
 	}

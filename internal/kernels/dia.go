@@ -103,83 +103,6 @@ func diaChunkUnroll4[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	diaRowRangeUnroll4(m.DIA, x, y, lo, hi)
 }
 
-// diaRowRangeUnroll2 / diaRowRangeUnroll8 extend the diagonal-loop unrolling
-// to the remaining searched depths (UnrollDepths).
-//
-//smat:hotpath
-func diaRowRangeUnroll2[T matrix.Float](d *matrix.DIA[T], x, y []T, lo, hi int) {
-	nd := len(d.Offsets)
-	for r := lo; r < hi; r++ {
-		var s0, s1 T
-		i := 0
-		for ; i+2 <= nd; i += 2 {
-			if c := r + d.Offsets[i]; c >= 0 && c < d.Cols {
-				s0 += d.Data[i*d.Rows+r] * x[c]
-			}
-			if c := r + d.Offsets[i+1]; c >= 0 && c < d.Cols {
-				s1 += d.Data[(i+1)*d.Rows+r] * x[c]
-			}
-		}
-		for ; i < nd; i++ {
-			if c := r + d.Offsets[i]; c >= 0 && c < d.Cols {
-				s0 += d.Data[i*d.Rows+r] * x[c]
-			}
-		}
-		y[r] = s0 + s1
-	}
-}
-
-//smat:hotpath
-func diaRowRangeUnroll8[T matrix.Float](d *matrix.DIA[T], x, y []T, lo, hi int) {
-	nd := len(d.Offsets)
-	for r := lo; r < hi; r++ {
-		var s0, s1, s2, s3, s4, s5, s6, s7 T
-		i := 0
-		for ; i+8 <= nd; i += 8 {
-			if c := r + d.Offsets[i]; c >= 0 && c < d.Cols {
-				s0 += d.Data[i*d.Rows+r] * x[c]
-			}
-			if c := r + d.Offsets[i+1]; c >= 0 && c < d.Cols {
-				s1 += d.Data[(i+1)*d.Rows+r] * x[c]
-			}
-			if c := r + d.Offsets[i+2]; c >= 0 && c < d.Cols {
-				s2 += d.Data[(i+2)*d.Rows+r] * x[c]
-			}
-			if c := r + d.Offsets[i+3]; c >= 0 && c < d.Cols {
-				s3 += d.Data[(i+3)*d.Rows+r] * x[c]
-			}
-			if c := r + d.Offsets[i+4]; c >= 0 && c < d.Cols {
-				s4 += d.Data[(i+4)*d.Rows+r] * x[c]
-			}
-			if c := r + d.Offsets[i+5]; c >= 0 && c < d.Cols {
-				s5 += d.Data[(i+5)*d.Rows+r] * x[c]
-			}
-			if c := r + d.Offsets[i+6]; c >= 0 && c < d.Cols {
-				s6 += d.Data[(i+6)*d.Rows+r] * x[c]
-			}
-			if c := r + d.Offsets[i+7]; c >= 0 && c < d.Cols {
-				s7 += d.Data[(i+7)*d.Rows+r] * x[c]
-			}
-		}
-		for ; i < nd; i++ {
-			if c := r + d.Offsets[i]; c >= 0 && c < d.Cols {
-				s0 += d.Data[i*d.Rows+r] * x[c]
-			}
-		}
-		y[r] = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-	}
-}
-
-//smat:hotpath
-func diaChunkUnroll2[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
-	diaRowRangeUnroll2(m.DIA, x, y, lo, hi)
-}
-
-//smat:hotpath
-func diaChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
-	diaRowRangeUnroll8(m.DIA, x, y, lo, hi)
-}
-
 // diaFamily is the DIA table. dia_basic and dia_unroll4 are the paper's
 // diagonal-major traversals, hand-written runners with no partitioned form;
 // a model names a partitioned row-major body instead. The row-major
@@ -200,10 +123,6 @@ func diaFamily[T matrix.Float]() family[T] {
 				over: []partition{byRows}},
 			{name: "dia_blocked", strat: StratCacheBlock, chunk: diaBlockedChunk[T],
 				over: []partition{whole, byRows}},
-			{name: "dia", suffix: "_u2", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 2}, chunk: diaChunkUnroll2[T],
-				over: []partition{byRows}},
-			{name: "dia", suffix: "_u8", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 8}, chunk: diaChunkUnroll8[T],
-				over: []partition{byRows}},
 		},
 		batch: []body[T]{
 			{name: "dia_batch", chunk: diaBatchChunk[T],

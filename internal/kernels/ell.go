@@ -80,61 +80,6 @@ func ellChunkUnroll4[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
 	ellRowRangeUnroll4(m.ELL, x, y, lo, hi)
 }
 
-// ellRowRangeUnroll2 / ellRowRangeUnroll8 extend the slot-loop unrolling to
-// the remaining searched depths (UnrollDepths).
-//
-//smat:hotpath
-func ellRowRangeUnroll2[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) {
-	w := e.Width
-	for r := lo; r < hi; r++ {
-		data, idx := e.Data[r*w:(r+1)*w], e.ColIdx[r*w:(r+1)*w]
-		var s0, s1 T
-		n := 0
-		for ; n+2 <= w; n += 2 {
-			s0 += data[n] * x[idx[n]]
-			s1 += data[n+1] * x[idx[n+1]]
-		}
-		for ; n < w; n++ {
-			s0 += data[n] * x[idx[n]]
-		}
-		y[r] = s0 + s1
-	}
-}
-
-//smat:hotpath
-func ellRowRangeUnroll8[T matrix.Float](e *matrix.ELL[T], x, y []T, lo, hi int) {
-	w := e.Width
-	for r := lo; r < hi; r++ {
-		data, idx := e.Data[r*w:(r+1)*w], e.ColIdx[r*w:(r+1)*w]
-		var s0, s1, s2, s3, s4, s5, s6, s7 T
-		n := 0
-		for ; n+8 <= w; n += 8 {
-			s0 += data[n] * x[idx[n]]
-			s1 += data[n+1] * x[idx[n+1]]
-			s2 += data[n+2] * x[idx[n+2]]
-			s3 += data[n+3] * x[idx[n+3]]
-			s4 += data[n+4] * x[idx[n+4]]
-			s5 += data[n+5] * x[idx[n+5]]
-			s6 += data[n+6] * x[idx[n+6]]
-			s7 += data[n+7] * x[idx[n+7]]
-		}
-		for ; n < w; n++ {
-			s0 += data[n] * x[idx[n]]
-		}
-		y[r] = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-	}
-}
-
-//smat:hotpath
-func ellChunkUnroll2[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
-	ellRowRangeUnroll2(m.ELL, x, y, lo, hi)
-}
-
-//smat:hotpath
-func ellChunkUnroll8[T matrix.Float](m *Mat[T], x, y []T, _, lo, hi int) {
-	ellRowRangeUnroll8(m.ELL, x, y, lo, hi)
-}
-
 // ellFamily is the ELL table, shaped like diaFamily: ell_basic and
 // ell_unroll4 are the paper's whole-matrix loops, hand-written, with no
 // partitioned form.
@@ -152,10 +97,6 @@ func ellFamily[T matrix.Float]() family[T] {
 				over: []partition{byRows}},
 			{name: "ell_width", strat: StratWidthSpec, chunk: ellWidthChunk[T],
 				over: []partition{whole, byRows}},
-			{name: "ell", suffix: "_u2", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 2}, chunk: ellChunkUnroll2[T],
-				over: []partition{byRows}},
-			{name: "ell", suffix: "_u8", strat: StratRowMajor | StratUnroll4, params: Params{Unroll: 8}, chunk: ellChunkUnroll8[T],
-				over: []partition{byRows}},
 		},
 		batch: []body[T]{
 			{name: "ell_batch", chunk: ellBatchChunk[T],

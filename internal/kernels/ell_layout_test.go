@@ -37,8 +37,8 @@ func (e *slotMajor[T]) cut(s, rb, n int) ([]T, []int) {
 
 // slotLanes is the slot-major row-major loop with depth accumulators: slot n
 // of a full group into lane n mod depth, the tail into lane 0, the lanes
-// combined pairwise — ell_rowmajor at depth 1, ell_parallel_u2/unroll4/u8 at
-// 2, 4, 8, and the per-row order of the slot-major ell_basic, ell_unroll4 and
+// combined pairwise — ell_rowmajor at depth 1, ell_parallel_unroll4 at 4,
+// and the per-row order of the slot-major ell_basic, ell_unroll4 and
 // hyb_basic, which accumulated through y from +0.
 func slotLanes[T matrix.Float](e *slotMajor[T], x, y []T, depth int) {
 	for r := 0; r < e.rows; r++ {
@@ -194,8 +194,8 @@ func sameBitsT[T matrix.Float](a, b []T) int {
 // slot-major one, bit for bit (signed zeros included): the frozen ellWidthRange
 // and ellBatchRange above and the slot-major loops' lane orders, fed a
 // slot-major transpose of the same matrix, at widths 1–9 and 16, k = 1, 2, 3,
-// 4, 8, and — for HYB — at every searched width cut (HybCuts). Each kernel
-// runs serially and partitioned over three threads.
+// 4, 8, and — for HYB — at the default width cut. Each kernel runs serially
+// and partitioned over three threads.
 func TestRowMajorELLKeepsParentBits(t *testing.T) {
 	t.Run("float64", rowMajorKeepsParentBits[float64])
 	t.Run("float32", rowMajorKeepsParentBits[float32])
@@ -210,8 +210,8 @@ func rowMajorKeepsParentBits[T matrix.Float](t *testing.T) {
 	width := func(sm *slotMajor[T], x, y []T) { slotWidthRange(sm, x, y, 0, sm.rows) }
 	parent := map[string]func(sm *slotMajor[T], x, y []T){
 		"ell_basic": lanes(1), "ell_unroll4": lanes(1), "ell_rowmajor": lanes(1), "ell_parallel": lanes(1),
-		"ell_parallel_u2": lanes(2), "ell_parallel_unroll4": lanes(4), "ell_parallel_u8": lanes(8),
-		"ell_width": width, "ell_width_parallel": width,
+		"ell_parallel_unroll4": lanes(4),
+		"ell_width":            width, "ell_width_parallel": width,
 		"hyb_basic": lanes(1), "hyb_width": width, "hyb_width_parallel": width,
 	}
 	for _, f := range []matrix.Format{matrix.FormatELL, matrix.FormatHYB} {
@@ -263,7 +263,7 @@ func rowMajorKeepsParentBits[T matrix.Float](t *testing.T) {
 		check(c.name, &Mat[T]{Format: matrix.FormatELL, ELL: c.e}, c.sm, nil)
 	}
 
-	// HYB: rows of 0–12 entries, a few of 40, cut at every searched width.
+	// HYB: rows of 0–12 entries, a few of 40, cut at the default width.
 	var ts []matrix.Triple[T]
 	const rows, cols = 300, 250
 	for r := 0; r < rows; r++ {
@@ -283,11 +283,9 @@ func rowMajorKeepsParentBits[T matrix.Float](t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range HybCuts {
-		mat, err := ConvertFrom(m, nil, matrix.FormatHYB, 0, Params{HybCut: cut})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("hyb/cut=%g/width=%d", cut, mat.HYB.ELL.Width), mat, transpose(mat.HYB.ELL), mat.HYB.COO)
+	mat, err := Convert(m, matrix.FormatHYB, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	check(fmt.Sprintf("hyb/width=%d", mat.HYB.ELL.Width), mat, transpose(mat.HYB.ELL), mat.HYB.COO)
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"smat/internal/matrix"
 )
@@ -196,17 +197,86 @@ type ConvertTiming struct {
 // DIA/ELL zero-fill as a multiple of NNZ (≤0: unlimited); conversion to an
 // unsuitable format returns matrix.ErrFillExplosion.
 func Convert[T matrix.Float](m *matrix.CSR[T], f matrix.Format, maxFill float64) (*Mat[T], error) {
-	return ConvertFrom(m, nil, f, maxFill, Params{})
+	return ConvertFrom(m, nil, f, maxFill)
+}
+
+// ConvertFrom is the one conversion site; HYB always splits at the default
+// width cut (matrix.CSR.ToHYB(-1)). l is matrix.Scan(m)'s Layout
+// when the caller holds it — the tuner does, from feature extraction or from
+// its structure index — and nil otherwise: DIA takes its diagonals and ELL its
+// width from the record instead of reading the structure again, and their fill
+// guards reject from it without touching the matrix. A record that dropped
+// its diagonals (a remembered one may) is as good as none to DIA, which scans;
+// a record of m's shape that is not m's fails with
+// matrix.ErrStructureMismatch. The COO
+// representation is a view sharing m's ColIdx and Vals (matrix.CSR.ToCOO), as
+// the CSR one shares all of m.
+func ConvertFrom[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64) (*Mat[T], error) {
+	return convert(m, l, f, maxFill, matrix.Split{})
+}
+
+// convert is ConvertFrom with the DIA, ELL and COO conversions run in the
+// row chunks of sp; the other formats ignore it.
+func convert[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64, sp matrix.Split) (*Mat[T], error) {
+	switch f {
+	case matrix.FormatCSR:
+		return &Mat[T]{Format: f, CSR: m}, nil
+	case matrix.FormatCOO:
+		return &Mat[T]{Format: f, COO: m.ToCOOSplit(sp)}, nil
+	case matrix.FormatDIA:
+		if l == nil || l.DiagOffsets == nil {
+			l = &matrix.Scan(m).Layout
+		}
+		d, err := m.ToDIAFrom(l, maxFill, sp)
+		if err != nil {
+			return nil, err
+		}
+		return &Mat[T]{Format: f, DIA: d}, nil
+	case matrix.FormatELL:
+		if l == nil {
+			l = &matrix.Layout{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ(), MaxDeg: m.MaxRowDegree()}
+		}
+		e, err := m.ToELLFrom(l, maxFill, sp)
+		if err != nil {
+			return nil, err
+		}
+		return &Mat[T]{Format: f, ELL: e}, nil
+	case matrix.FormatHYB:
+		return &Mat[T]{Format: f, HYB: m.ToHYB(-1)}, nil
+	}
+	return nil, fmt.Errorf("kernels: unknown format %v", f)
+}
+
+// ConvertTimed is ConvertFrom with the stopwatch attached: it reports
+// how long the conversion took and how many slots it wrote. CSR "conversion"
+// wraps the input in place and reports zero seconds — CSR is the zero-cost
+// incumbent of the amortisation model. From ConvertWork nonzeros up, on a
+// pool of more than one thread, the DIA, ELL and COO conversions run in
+// nnz-balanced row chunks on the pool's workers (matrix.Split: the same bits
+// as one chunk); a nil pool converts on the caller.
+func ConvertTimed[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64, pool *Pool[T]) (*Mat[T], ConvertTiming, error) {
+	if f == matrix.FormatCSR {
+		return &Mat[T]{Format: f, CSR: m}, ConvertTiming{Format: f, Stored: m.Stored()}, nil
+	}
+	start := time.Now()
+	var sp matrix.Split
+	if pool != nil && pool.Threads() > 1 && m.NNZ() >= ConvertWork {
+		sp = matrix.Split{Bounds: nnzBalancedRowBounds(m.RowPtr, pool.Threads()), Run: pool.RunChunksInline}
+	}
+	out, err := convert(m, l, f, maxFill, sp)
+	sec := time.Since(start).Seconds()
+	if err != nil {
+		return nil, ConvertTiming{Format: f, Sec: sec}, err
+	}
+	return out, ConvertTiming{Format: f, Sec: sec, Stored: out.Stored()}, nil
 }
 
 // Kernel is one SpMV implementation for one format: an instance of a family's
-// table (see table.go). Params identifies the template-parameter point of its
-// loop body; the zero Params is the body with its built-in constants.
+// table (see table.go).
 type Kernel[T matrix.Float] struct {
 	Name       string
 	Format     matrix.Format
 	Strategies Strategy
-	Params     Params
 	binding[T]
 }
 
@@ -466,12 +536,11 @@ func (l *Library[T]) Names() []string {
 	return names
 }
 
-// Basic returns the format's reference implementation (no strategies and no
-// template parameters), which anchors the scoreboard search and the paper's
-// overhead unit (CSR-SpMV).
+// Basic returns the format's reference implementation (no strategies), which
+// anchors the scoreboard search and the paper's overhead unit (CSR-SpMV).
 func (l *Library[T]) Basic(f matrix.Format) *Kernel[T] {
 	for _, k := range l.byFormat[f] {
-		if k.Strategies == 0 && k.Params.IsZero() {
+		if k.Strategies == 0 {
 			return k
 		}
 	}

@@ -9,46 +9,39 @@ import (
 	"smat/internal/matrix"
 )
 
-// The kernel menu, pinned: every registered (Name, Format, Strategies,
-// Params) — a batched kernel has no Params — with HYB opted in,
-// sorted by name. The tables in this
-// package generate it; names are what model.json, features.db.jsonl, the
-// BENCH artifacts, refblas and benchmark/ resolve, so a row changes here only
-// when a kernel is deliberately added, removed or renamed.
+// The kernel menu, pinned: every registered (Name, Format, Strategies), with
+// HYB opted in, sorted by name. The tables in this package generate it; names
+// are what model.json, features.db.jsonl, the BENCH artifacts, refblas and
+// benchmark/ resolve, so a row changes here only when a kernel is
+// deliberately added, removed or renamed.
 var goldenKernels = []string{
-	"coo_basic COO basic default",
-	"coo_parallel COO parallel+nnzbalance default",
-	"coo_parallel_unroll4 COO parallel+unroll4+nnzbalance default",
-	"coo_unroll4 COO unroll4 default",
-	"csr_basic CSR basic default",
-	"csr_parallel CSR parallel default",
-	"csr_parallel_nnz CSR parallel+nnzbalance default",
-	"csr_parallel_nnz_u2 CSR parallel+unroll4+nnzbalance u2",
-	"csr_parallel_nnz_u8 CSR parallel+unroll4+nnzbalance u8",
-	"csr_parallel_nnz_unroll4 CSR parallel+unroll4+nnzbalance default",
-	"csr_parallel_unroll4 CSR parallel+unroll4 default",
-	"csr_unroll4 CSR unroll4 default",
-	"dia_basic DIA basic default",
-	"dia_blocked DIA cacheblock default",
-	"dia_blocked_parallel DIA parallel+cacheblock default",
-	"dia_parallel DIA parallel+rowmajor default",
-	"dia_parallel_u2 DIA parallel+unroll4+rowmajor u2",
-	"dia_parallel_u8 DIA parallel+unroll4+rowmajor u8",
-	"dia_parallel_unroll4 DIA parallel+unroll4+rowmajor default",
-	"dia_rowmajor DIA rowmajor default",
-	"dia_unroll4 DIA unroll4 default",
-	"ell_basic ELL basic default",
-	"ell_parallel ELL parallel+rowmajor default",
-	"ell_parallel_u2 ELL parallel+unroll4+rowmajor u2",
-	"ell_parallel_u8 ELL parallel+unroll4+rowmajor u8",
-	"ell_parallel_unroll4 ELL parallel+unroll4+rowmajor default",
-	"ell_rowmajor ELL rowmajor default",
-	"ell_unroll4 ELL unroll4 default",
-	"ell_width ELL widthspec default",
-	"ell_width_parallel ELL parallel+widthspec default",
-	"hyb_basic HYB basic default",
-	"hyb_width HYB widthspec default",
-	"hyb_width_parallel HYB parallel+widthspec default",
+	"coo_basic COO basic",
+	"coo_parallel COO parallel+nnzbalance",
+	"coo_parallel_unroll4 COO parallel+unroll4+nnzbalance",
+	"coo_unroll4 COO unroll4",
+	"csr_basic CSR basic",
+	"csr_parallel CSR parallel",
+	"csr_parallel_nnz CSR parallel+nnzbalance",
+	"csr_parallel_nnz_unroll4 CSR parallel+unroll4+nnzbalance",
+	"csr_parallel_unroll4 CSR parallel+unroll4",
+	"csr_unroll4 CSR unroll4",
+	"dia_basic DIA basic",
+	"dia_blocked DIA cacheblock",
+	"dia_blocked_parallel DIA parallel+cacheblock",
+	"dia_parallel DIA parallel+rowmajor",
+	"dia_parallel_unroll4 DIA parallel+unroll4+rowmajor",
+	"dia_rowmajor DIA rowmajor",
+	"dia_unroll4 DIA unroll4",
+	"ell_basic ELL basic",
+	"ell_parallel ELL parallel+rowmajor",
+	"ell_parallel_unroll4 ELL parallel+unroll4+rowmajor",
+	"ell_rowmajor ELL rowmajor",
+	"ell_unroll4 ELL unroll4",
+	"ell_width ELL widthspec",
+	"ell_width_parallel ELL parallel+widthspec",
+	"hyb_basic HYB basic",
+	"hyb_width HYB widthspec",
+	"hyb_width_parallel HYB parallel+widthspec",
 }
 
 var goldenBatchKernels = []string{
@@ -78,7 +71,7 @@ func checkGoldenMenu[T matrix.Float](t *testing.T) {
 	var single, batch []string
 	for _, f := range allFormats {
 		for _, k := range lib.ForFormat(f) {
-			single = append(single, fmt.Sprintf("%s %s %s %s", k.Name, k.Format, k.Strategies, k.Params))
+			single = append(single, fmt.Sprintf("%s %s %s", k.Name, k.Format, k.Strategies))
 		}
 		for _, b := range lib.ForFormatBatch(f) {
 			batch = append(batch, fmt.Sprintf("%s %s %s", b.Name, b.Format, b.Strategies))
@@ -104,7 +97,7 @@ func TestGoldenMenu(t *testing.T) {
 // least one partition, every partition a row is instantiated over selects
 // bounds on a partitioned plan of the row's format, and every format has the
 // strategy-free anchor the scoreboard and the serving path start from: a
-// zero-Params row instantiated whole, single-vector and batched.
+// row instantiated whole, single-vector and batched.
 func TestFamilyTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	csr := randCSR(rng, 64, 64, 0.2)
@@ -145,12 +138,12 @@ func TestFamilyTables(t *testing.T) {
 						t.Errorf("%s: partition %d selects no bounds on a partitioned %v plan", row, p, fam.format)
 					}
 				}
-				if b.strat == 0 && b.params.IsZero() && slices.Contains(b.over, whole) {
+				if b.strat == 0 && slices.Contains(b.over, whole) {
 					anchor = true
 				}
 			}
 			if !anchor {
-				t.Errorf("%v: no strategy-free zero-Params %s row instantiated whole", fam.format, ns.kind)
+				t.Errorf("%v: no strategy-free %s row instantiated whole", fam.format, ns.kind)
 			}
 		}
 	}

@@ -25,7 +25,7 @@ import "smat/internal/matrix"
 const SerialWork = 8192
 
 // ConvertWork is the nonzero count from which a tune's DIA, ELL and COO
-// conversions run in row chunks on the tuner's pool (ConvertTimedParams), and
+// conversions run in row chunks on the tuner's pool (ConvertTimed), and
 // from which the tuner wakes the pool's workers as the tune starts
 // (Pool.Warm), so that the OS wake overlaps the structure scan instead of the
 // split. It sits above SerialWork because a conversion is one dispatch per

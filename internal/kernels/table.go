@@ -63,9 +63,8 @@ func (p partition) bounds(plan *Plan) []int {
 type body[T matrix.Float] struct {
 	name   string // family, with the body's own tag where it leads ("dia_blocked")
 	alone  string // the whole instance's fragment ("_basic", "_rowmajor")
-	suffix string // the body's tag where it trails ("_unroll4", "_u8")
+	suffix string // the body's tag where it trails ("_unroll4")
 	strat  Strategy
-	params Params // the template point of a single-vector body: its unroll depth
 	// chunk computes work items [lo, hi); run, set instead of chunk, is a
 	// hand-written runner for what is not one body over one partition: the
 	// diagonal-major DIA traversals, which sweep the whole matrix once per
@@ -107,7 +106,7 @@ func (l *Library[T]) instantiate(fam family[T]) {
 	for i := range fam.single {
 		b := &fam.single[i]
 		for _, p := range b.over {
-			l.Register(&Kernel[T]{Name: b.instance(p), Format: fam.format, Strategies: b.strategies(p), Params: b.params, binding: b.bind(p)})
+			l.Register(&Kernel[T]{Name: b.instance(p), Format: fam.format, Strategies: b.strategies(p), binding: b.bind(p)})
 		}
 	}
 	for i := range fam.batch {

@@ -136,7 +136,9 @@ func TestFromTriplesMatchesStableReference(t *testing.T) {
 // TestFromTriplesAllocatesOnlyItsResult: the counting sort allocates the
 // CSR and nothing else — no copy of the triples, no second row-sized array.
 // Rows of at most 32 entries sort in place; the sizes are whole pages, so
-// the large allocations carry no rounding.
+// the large allocations carry no rounding. MemStats.TotalAlloc counts every
+// goroutine of the process, so the test keeps the least of five calls: the
+// call allocates the same bytes each time, anything else only adds.
 func TestFromTriplesAllocatesOnlyItsResult(t *testing.T) {
 	const rows, nnz = 4096 - 2, 40960
 	rng := rand.New(rand.NewSource(3))
@@ -147,15 +149,18 @@ func TestFromTriplesAllocatesOnlyItsResult(t *testing.T) {
 	if _, err := FromTriples(rows, 5000, ts); err != nil { // warm up
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m, err := FromTriples(rows, 5000, ts)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	got := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := FromTriples(rows, 5000, ts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(m)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.KeepAlive(m)
-	got := after.TotalAlloc - before.TotalAlloc
 	if limit := uint64(16*nnz + 8*(rows+2) + 1024); got > limit {
 		t.Errorf("FromTriples allocated %d bytes for %d triples and %d rows, want ≤ %d", got, nnz, rows, limit)
 	}

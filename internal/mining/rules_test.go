@@ -2,6 +2,7 @@ package mining
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -183,7 +184,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	ds := thresholdDataset(400, 0.05, 16)
 	rs := buildRuleset(t, ds)
 	var buf bytes.Buffer
-	if err := rs.EncodeJSON(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(rs); err != nil {
 		t.Fatal(err)
 	}
 	back, err := DecodeRuleset(&buf)

@@ -6,17 +6,10 @@ import (
 	"io"
 )
 
-// EncodeJSON writes the ruleset as indented JSON. All fields (including the
-// RNone sentinel for non-scale-free matrices) are finite, so the encoding is
-// lossless.
-func (rs *Ruleset) EncodeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rs)
-}
-
-// DecodeRuleset reads a ruleset previously written by EncodeJSON and
-// validates its internal consistency.
+// DecodeRuleset reads a JSON-encoded ruleset (encoding/json of a *Ruleset;
+// every field, the RNone sentinel for non-scale-free matrices included, is
+// finite, so the encoding is lossless) and validates its internal
+// consistency.
 func DecodeRuleset(r io.Reader) (*Ruleset, error) {
 	var rs Ruleset
 	if err := json.NewDecoder(r).Decode(&rs); err != nil {

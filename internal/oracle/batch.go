@@ -86,27 +86,19 @@ func CheckBatch[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (
 	}()
 
 	for _, f := range checkFormats {
-		// As in Check: the default conversion plus every conversion-level
-		// parameter variant, so each HYB width cut is
-		// exercised by every registered batch kernel too.
-		for _, p := range append([]kernels.Params{{}}, paramVariants(f)...) {
-			mat, err := kernels.ConvertFrom(ref, nil, f, opt.MaxFill, p)
-			if errors.Is(err, matrix.ErrFillExplosion) {
-				continue
-			}
-			if err != nil {
-				return cov, fmt.Errorf("oracle: %s/%s%s: convert: %w", s.Name, f, p.Suffix(), err)
-			}
-			for _, bk := range lib.ForFormatBatch(f) {
-				if err := checkBatchKernel(bk, mat, ref, want, absSum, eps, opt, pools, cov, s.Name); err != nil {
-					return cov, err
-				}
-			}
-			cov.Formats[f] = true
-			if !p.IsZero() {
-				cov.Conversions[ConversionKey(f, p)] = true
+		mat, err := kernels.ConvertFrom(ref, nil, f, opt.MaxFill)
+		if errors.Is(err, matrix.ErrFillExplosion) {
+			continue
+		}
+		if err != nil {
+			return cov, fmt.Errorf("oracle: %s/%s: convert: %w", s.Name, f, err)
+		}
+		for _, bk := range lib.ForFormatBatch(f) {
+			if err := checkBatchKernel(bk, mat, ref, want, absSum, eps, opt, pools, cov, s.Name); err != nil {
+				return cov, err
 			}
 		}
+		cov.Formats[f] = true
 	}
 	for _, th := range opt.Threads {
 		if err := checkOperatorBatch(ref, th, want, absSum, eps, opt, s.Name); err != nil {

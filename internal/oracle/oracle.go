@@ -52,21 +52,15 @@ type Coverage struct {
 	// PlanTailSerial (parallel ELL phase, serial COO tail) and
 	// PlanTailPartitioned.
 	Plans map[string]bool
-	// Conversions holds every parameterized conversion variant (keyed
-	// "format/params") that converted and passed the full differential
-	// check, so the suite can assert the whole conversion-level parameter
-	// space — every HYB width cut — was reached.
-	Conversions map[string]bool
 }
 
 // NewCoverage returns an empty coverage accumulator.
 func NewCoverage() *Coverage {
 	return &Coverage{
-		Formats:     make(map[matrix.Format]bool),
-		Kernels:     make(map[string]bool),
-		Parallel:    make(map[string]bool),
-		Plans:       make(map[string]bool),
-		Conversions: make(map[string]bool),
+		Formats:  make(map[matrix.Format]bool),
+		Kernels:  make(map[string]bool),
+		Parallel: make(map[string]bool),
+		Plans:    make(map[string]bool),
 	}
 }
 
@@ -83,9 +77,6 @@ func (c *Coverage) Merge(other *Coverage) {
 	}
 	for k := range other.Plans {
 		c.Plans[k] = true
-	}
-	for k := range other.Conversions {
-		c.Conversions[k] = true
 	}
 }
 
@@ -110,28 +101,6 @@ func (c *Coverage) notePlan(p *kernels.Plan, f matrix.Format) {
 	default:
 		c.Plans[PlanPartitioned] = true
 	}
-}
-
-// ConversionKey names one parameterized conversion variant in
-// Coverage.Conversions.
-func ConversionKey(f matrix.Format, p kernels.Params) string {
-	return f.String() + "/" + p.String()
-}
-
-// paramVariants lists the conversion-level parameter instantiations a format
-// supports beyond its default conversion: every searched ELL→HYB width cut.
-// The differential suite walks each variant with the format's full kernel
-// registry, so a split that mis-indexes its padding or its tail shows up as a
-// reference mismatch.
-func paramVariants(f matrix.Format) []kernels.Params {
-	if f != matrix.FormatHYB {
-		return nil
-	}
-	out := make([]kernels.Params, 0, len(kernels.HybCuts))
-	for _, cut := range kernels.HybCuts {
-		out = append(out, kernels.Params{HybCut: cut})
-	}
-	return out
 }
 
 // xVector builds the deterministic input vector: values on the exact k/8
@@ -229,26 +198,17 @@ func Check[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (*Cove
 	}()
 
 	for _, f := range checkFormats {
-		// The default conversion first, then every conversion-level parameter
-		// variant (HYB width cuts): each instantiation
-		// must satisfy the same invariants, round trip, plan partitioning and
-		// differential properties as the default.
-		for _, p := range append([]kernels.Params{{}}, paramVariants(f)...) {
-			mat, err := kernels.ConvertFrom(ref, nil, f, opt.MaxFill, p)
-			if errors.Is(err, matrix.ErrFillExplosion) {
-				continue
-			}
-			if err != nil {
-				return cov, fmt.Errorf("oracle: %s/%s%s: convert: %w", s.Name, f, p.Suffix(), err)
-			}
-			if err := checkConverted(lib, mat, ref, x, want, absSum, eps, opt, pools, cov, s.Name, f); err != nil {
-				return cov, err
-			}
-			cov.Formats[f] = true
-			if !p.IsZero() {
-				cov.Conversions[ConversionKey(f, p)] = true
-			}
+		mat, err := kernels.ConvertFrom(ref, nil, f, opt.MaxFill)
+		if errors.Is(err, matrix.ErrFillExplosion) {
+			continue
 		}
+		if err != nil {
+			return cov, fmt.Errorf("oracle: %s/%s: convert: %w", s.Name, f, err)
+		}
+		if err := checkConverted(lib, mat, ref, x, want, absSum, eps, opt, pools, cov, s.Name, f); err != nil {
+			return cov, err
+		}
+		cov.Formats[f] = true
 	}
 	return cov, nil
 }

@@ -66,50 +66,6 @@ func runSuite[T matrix.Float](t *testing.T) {
 			t.Errorf("no spec ran a %s engine plan above one thread", shape)
 		}
 	}
-
-	// Parameter-space reach: every searched unroll depth must have executed
-	// through some kernel instance (depths 1 and 4 ride on the fixed menu,
-	// the rest on parameterized registrations), and every conversion-level
-	// instantiation — each HYB width cut — must have
-	// converted and passed the differential check somewhere in the suite.
-	assertUnrollDepthsCovered(t, lib, cov)
-	assertConversionsCovered(t, cov)
-}
-
-// assertUnrollDepthsCovered checks every depth in kernels.UnrollDepths ran:
-// the parameterized depths through an executed instance carrying that depth,
-// the fixed-menu depths through the zero-Params kernels (always registered,
-// asserted executed above).
-func assertUnrollDepthsCovered[T matrix.Float](t *testing.T, lib *kernels.Library[T], cov *Coverage) {
-	t.Helper()
-	for _, u := range kernels.UnrollDepths {
-		if u == 1 || u == 4 {
-			continue // the fixed menu's basic and *_unroll4 kernels
-		}
-		found := false
-		for _, f := range allFormats {
-			for _, k := range lib.ForFormat(f) {
-				if k.Params.Unroll == u && cov.Kernels[k.Name] {
-					found = true
-				}
-			}
-		}
-		if !found {
-			t.Errorf("unroll depth %d never executed through a parameter instance", u)
-		}
-	}
-}
-
-// assertConversionsCovered checks every conversion-level parameter
-// instantiation passed the differential check on at least one spec.
-func assertConversionsCovered(t *testing.T, cov *Coverage) {
-	t.Helper()
-	for _, cut := range kernels.HybCuts {
-		key := ConversionKey(matrix.FormatHYB, kernels.Params{HybCut: cut})
-		if !cov.Conversions[key] {
-			t.Errorf("HYB width cut %g never passed the differential check", cut)
-		}
-	}
 }
 
 func TestOracleSuiteFloat64(t *testing.T) { runSuite[float64](t) }
@@ -142,11 +98,6 @@ func runBatchSuite[T matrix.Float](t *testing.T) {
 			}
 		}
 	}
-
-	// Parameter-space reach: the loop above is every batch kernel there is (a
-	// batched kernel has no parameter of its own); the conversion-level
-	// instantiations must have passed under them too.
-	assertConversionsCovered(t, cov)
 }
 
 func TestOracleBatchSuiteFloat64(t *testing.T) { runBatchSuite[float64](t) }

@@ -54,13 +54,6 @@ type Float = matrix.Float
 // Format identifies a sparse storage format.
 type Format = matrix.Format
 
-// Params is one point in the tunable kernel-template parameter space: the
-// unroll depth of a kernel's inner loop and the width cut of an opt-in HYB
-// conversion. The zero value means the fixed menu's defaults everywhere;
-// trained v2 models carry per-format points chosen by the off-line parameter
-// search.
-type Params = kernels.Params
-
 // The four basic storage formats of the paper's Section 2.1.
 const (
 	FormatCSR = matrix.FormatCSR
