@@ -239,6 +239,90 @@ func TestHintValidationRefreshesCostlessEntry(t *testing.T) {
 	}
 }
 
+// withoutLastEntry returns a copy of m whose row r is one entry short.
+func withoutLastEntry(m *matrix.CSR[float64], r int) *matrix.CSR[float64] {
+	cut := m.RowPtr[r+1] - 1
+	out := &matrix.CSR[float64]{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, len(m.RowPtr))}
+	out.ColIdx = append(append(out.ColIdx, m.ColIdx[:cut]...), m.ColIdx[cut+1:]...)
+	out.Vals = append(append(out.Vals, m.Vals[:cut]...), m.Vals[cut+1:]...)
+	for i, p := range m.RowPtr {
+		if i > r {
+			p--
+		}
+		out.RowPtr[i] = p
+	}
+	return out
+}
+
+// TestRaggedHintedHitReleadsUniformView: a uniform ELL matrix converts to a
+// view of its own arrays, so its leader caches a ≈ 0 s ConvertSec. A matrix
+// one entry short in one row has the same features key but pads a copy: its
+// hinted request must lead again, not report the view's break-even, while a
+// uniform matrix still hits.
+func TestRaggedHintedHitReleadsUniformView(t *testing.T) {
+	uniform := gen.ConstantDegree[float64](3000, 8, rand.New(rand.NewSource(1)))
+	ragged := withoutLastEntry(uniform, 0)
+	hint := TuneOptions{Iterations: 1 << 20}
+	newTuner := func(t *testing.T) *Tuner[float64] {
+		tuner := New[float64](modelAlways(matrix.FormatELL, 0.99), Config{Threads: 2})
+		if m2key(tuner, uniform) != m2key(tuner, ragged) {
+			t.Fatal("the uniform and the ragged matrix must share one features key")
+		}
+		return tuner
+	}
+
+	t.Run("planted", func(t *testing.T) {
+		tuner := newTuner(t)
+		defer tuner.Close()
+		// A view's cost: break-even at one SpMV.
+		tuner.Cache().Put(m2key(tuner, uniform), CacheEntry{
+			Format: matrix.FormatELL, Confidence: 1, Measured: true,
+			ConvertSec: 1e-9, SpMVSec: 0.1, IncumbentSec: 0.2, ConvertView: true,
+		})
+		_, d, err := tuner.TuneOpts(uniform, hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.CacheHit || d.BreakEvenIters != 1 {
+			t.Errorf("uniform matrix: hit %v break-even %d, want a hit at the view's 1", d.CacheHit, d.BreakEvenIters)
+		}
+		op, d, err := tuner.TuneOpts(ragged, hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.CacheHit {
+			t.Errorf("ragged matrix took the view's cost: break-even %d", d.BreakEvenIters)
+		}
+		if d.Asymptotic != matrix.FormatELL || d.ConvertStored <= ragged.NNZ() {
+			t.Errorf("ragged matrix chose %v storing %d slots, want ELL timed on its own padded copy", d.Asymptotic, d.ConvertStored)
+		}
+		checkAgainstDense(t, op, ragged)
+	})
+
+	t.Run("led", func(t *testing.T) {
+		tuner := newTuner(t)
+		defer tuner.Close()
+		key := m2key(tuner, uniform)
+		if _, d, err := tuner.TuneOpts(uniform, hint); err != nil || d.CacheHit || d.ConvertStored != uniform.NNZ() {
+			t.Fatalf("uniform leader: err %v hit %v stored %d, want a view of its %d entries", err, d.CacheHit, d.ConvertStored, uniform.NNZ())
+		}
+		if e, _ := tuner.Cache().Get(key); !e.ConvertView {
+			t.Fatalf("uniform leader's entry %+v does not record its view", e)
+		}
+		if _, d, err := tuner.TuneOpts(ragged, hint); err != nil || d.CacheHit {
+			t.Fatalf("ragged request after a view leader: err %v hit %v, want a new lead", err, d.CacheHit)
+		}
+		if e, _ := tuner.Cache().Get(key); e.ConvertView {
+			t.Errorf("ragged leader's entry %+v records a view", e)
+		}
+		// The ragged leader's copy cost overstates a view's; a uniform
+		// matrix may take it.
+		if _, d, err := tuner.TuneOpts(uniform, hint); err != nil || !d.CacheHit {
+			t.Errorf("uniform request after a ragged leader: err %v hit %v, want a hit", err, d.CacheHit)
+		}
+	})
+}
+
 // TestUnhintedLeaderCachesNoRates: without an iteration hint nothing consumes
 // the payoff rates, so a predicting leader does not measure them and caches
 // its entry without. Hint-free requests hit that entry; the first hinted one

@@ -40,6 +40,11 @@ type CacheEntry struct {
 	ConvertSec   float64
 	SpMVSec      float64
 	IncumbentSec float64
+	// ConvertView says the leader's Format form was a view of its own CSR
+	// arrays — ELL of a matrix whose rows all hold the width — so ConvertSec
+	// is a view's ≈ 0 s, not a padded copy's. A hinted hit of a matrix
+	// whose rows are not uniform re-leads rather than take that cost.
+	ConvertView bool
 }
 
 // CacheStats is a point-in-time snapshot of the decision cache counters.

@@ -648,6 +648,7 @@ func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 		ConvertSec:   c.convert.Sec,
 		SpMVSec:      c.spmvSec,
 		IncumbentSec: c.incumbentSec,
+		ConvertView:  c.format == matrix.FormatELL && uniformRows(&tn.d.Features),
 	}
 	if entry.Measured {
 		entry.Confidence = 1

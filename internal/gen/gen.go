@@ -7,7 +7,9 @@
 package gen
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -103,16 +105,144 @@ func Laplacian3D7pt[T matrix.Float](nx, ny, nz int) *matrix.CSR[T] {
 }
 
 // MultiDiagonal returns an n×n matrix with fully dense diagonals at the
-// given offsets: the ideal DIA matrix (NTdiags_ratio = 1).
+// given offsets: the ideal DIA matrix (NTdiags_ratio = 1). On distinct
+// offsets it allocates only its CSR: the values are drawn diagonal by
+// diagonal, in the caller's order, into the ColIdx array, one sequential run
+// a diagonal; one row-major pass moves them into place in Vals, reading one
+// value of each diagonal through the row, and a second writes the columns.
 func MultiDiagonal[T matrix.Float](n int, offsets []int, rng *rand.Rand) *matrix.CSR[T] {
-	ts := make([]matrix.Triple[T], 0, diagonalLength(n, offsets))
+	b, ok := newBand(n, offsets)
+	if !ok || n < 0 {
+		return diagonalTriples[T](n, offsets, 1, false, rng)
+	}
+	rowPtr := make([]int, n+1)
+	b.rows(func(r, lo, hi int) { rowPtr[r+1] = rowPtr[r] + hi - lo })
+	nnz := rowPtr[n]
+	colIdx, vals := make([]int, nnz), make([]T, nnz)
+	// Row r of sorted diagonal j is drawn into colIdx[at[j]+r], as float64
+	// bits.
+	at := b.places()
+	for i, off := range offsets {
+		first, length := diagonalRows(n, off)
+		run := colIdx[at[b.rank[i]]+first:][:length]
+		for k := range run {
+			run[k] = int(math.Float64bits(float64(value[T](rng))))
+		}
+	}
+	b.rows(func(r, lo, hi int) {
+		row := vals[rowPtr[r]:rowPtr[r+1]]
+		for k := range row {
+			row[k] = T(math.Float64frombits(uint64(colIdx[at[lo+k]+r])))
+		}
+	})
+	b.rows(func(r, lo, hi int) {
+		row := colIdx[rowPtr[r]:rowPtr[r+1]]
+		for k := range row {
+			row[k] = r + b.sorted[lo+k]
+		}
+	})
+	return &matrix.CSR[T]{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx, Vals: vals}
+}
+
+// SparseDiagonal returns an n×n matrix with diagonals at the given offsets
+// where each diagonal position is occupied only with probability fill: a
+// DIA-shaped matrix with controllable zero padding (sweeps NTdiags_ratio and
+// ER_DIA). Entry (0, 0) is always stored: one more than its drawn value
+// when offset 0 occupies it, else 1. On distinct offsets it assembles as
+// MultiDiagonal does, the draws recorded in sequence first — the values in
+// the future ColIdx, the occupied positions in a bitset, one bit a diagonal
+// position — so that the rows' lengths are known before anything is placed.
+func SparseDiagonal[T matrix.Float](n int, offsets []int, fill float64, rng *rand.Rand) *matrix.CSR[T] {
+	b, ok := newBand(n, offsets)
+	if !ok || n < 1 {
+		return diagonalTriples[T](n, offsets, fill, true, rng)
+	}
+	size := diagonalLength(n, offsets)
+	at := b.places() // row r of sorted diagonal j is bit at[j]+r
+	occupied := make([]uint64, (size+63)/64)
+	drawn := make([]int, 0, sizeHint(size, min(max(fill, 0), 1), 1)+2)
+	next := make([]int, len(offsets)) // the next value of sorted diagonal j in drawn
+	rowPtr := make([]int, n+1)
+	for i, off := range offsets {
+		j := b.rank[i]
+		next[j] = len(drawn)
+		first, length := diagonalRows(n, off)
+		for r := first; r < first+length; r++ {
+			if rng.Float64() < fill {
+				bit := at[j] + r
+				occupied[bit>>6] |= 1 << (bit & 63)
+				drawn = append(drawn, int(math.Float64bits(float64(value[T](rng)))))
+				rowPtr[r+1]++
+			}
+		}
+	}
+	// Entry (0, 0) is on sorted diagonal j0 when offset 0 is there.
+	j0, diag := slices.BinarySearch(b.sorted, 0)
+	extra := !diag || occupied[at[j0]>>6]&(1<<(at[j0]&63)) == 0
+	if extra {
+		rowPtr[1]++
+		drawn = append(drawn, 0)
+	} else {
+		v := T(math.Float64frombits(uint64(drawn[next[j0]]))) + 1
+		drawn[next[j0]] = int(math.Float64bits(float64(v)))
+	}
+	for r := 0; r < n; r++ {
+		rowPtr[r+1] += rowPtr[r]
+	}
+	// Neither pass branches on the bitset: each position of a row writes
+	// the slot after the row's last placed entry and only an occupied one
+	// moves on. So both arrays hold a slot more than the matrix, and drawn
+	// a value more, read past the last diagonal's last.
+	nnz := rowPtr[n]
+	drawn = append(drawn, 0)
+	vals := make([]T, nnz+1)
+	b.rows(func(r, lo, hi int) {
+		p := rowPtr[r]
+		if r == 0 && extra {
+			vals[p] = 1
+			p++
+		}
+		for j := lo; j < hi; j++ {
+			bit := at[j] + r
+			set := int(occupied[bit>>6] >> (bit & 63) & 1)
+			vals[p] = T(math.Float64frombits(uint64(drawn[next[j]])))
+			next[j] += set
+			p += set
+		}
+	})
+	colIdx := drawn
+	b.rows(func(r, lo, hi int) {
+		p := rowPtr[r]
+		if r == 0 && extra {
+			colIdx[p] = 0
+			p++
+		}
+		for j := lo; j < hi; j++ {
+			bit := at[j] + r
+			colIdx[p] = r + b.sorted[j]
+			p += int(occupied[bit>>6] >> (bit & 63) & 1)
+		}
+	})
+	return &matrix.CSR[T]{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx[:nnz], Vals: vals[:nnz]}
+}
+
+// diagonalTriples is MultiDiagonal (sparse false) or SparseDiagonal built
+// through FromTriples, for offsets that repeat: FromTriples sums a repeated
+// position's values in the order they were drawn. Its draws are the ones the
+// triple-free assembly makes.
+func diagonalTriples[T matrix.Float](n int, offsets []int, fill float64, sparse bool, rng *rand.Rand) *matrix.CSR[T] {
+	ts := make([]matrix.Triple[T], 0, sizeHint(diagonalLength(n, offsets), min(max(fill, 0), 1), 1)+1)
 	for _, off := range offsets {
 		for r := 0; r < n; r++ {
 			c := r + off
-			if c >= 0 && c < n {
+			if c >= 0 && c < n && (!sparse || rng.Float64() < fill) {
 				ts = append(ts, matrix.Triple[T]{Row: r, Col: c, Val: value[T](rng)})
 			}
 		}
+	}
+	if sparse {
+		// Guarantee a nonempty matrix.
+		ts = append(ts, matrix.Triple[T]{Row: 0, Col: 0, Val: 1})
 	}
 	m, err := matrix.FromTriples(n, n, ts)
 	if err != nil {
@@ -121,27 +251,65 @@ func MultiDiagonal[T matrix.Float](n int, offsets []int, rng *rand.Rand) *matrix
 	return m
 }
 
-// SparseDiagonal returns an n×n matrix with diagonals at the given offsets
-// where each diagonal position is occupied only with probability fill: a
-// DIA-shaped matrix with controllable zero padding (sweeps NTdiags_ratio and
-// ER_DIA).
-func SparseDiagonal[T matrix.Float](n int, offsets []int, fill float64, rng *rand.Rand) *matrix.CSR[T] {
-	ts := make([]matrix.Triple[T], 0, sizeHint(diagonalLength(n, offsets), min(max(fill, 0), 1), 1)+1)
-	for _, off := range offsets {
-		for r := 0; r < n; r++ {
-			c := r + off
-			if c >= 0 && c < n && rng.Float64() < fill {
-				ts = append(ts, matrix.Triple[T]{Row: r, Col: c, Val: value[T](rng)})
-			}
+// band is the layout of distinct diagonals in an n×n matrix's row-major
+// CSR: a row holds a contiguous run of the offsets in increasing order.
+type band struct {
+	n      int
+	sorted []int // the offsets, increasing
+	rank   []int // rank[i] is the place of the caller's offsets[i] in sorted
+}
+
+// newBand lays out the diagonals at offsets; it reports false when an
+// offset repeats.
+func newBand(n int, offsets []int) (band, bool) {
+	order := make([]int, len(offsets))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(offsets[a], offsets[b]) })
+	b := band{n: n, sorted: make([]int, len(offsets)), rank: make([]int, len(offsets))}
+	for j, i := range order {
+		b.sorted[j], b.rank[i] = offsets[i], j
+		if j > 0 && b.sorted[j] == b.sorted[j-1] {
+			return band{}, false
 		}
 	}
-	// Guarantee a nonempty matrix.
-	ts = append(ts, matrix.Triple[T]{Row: 0, Col: 0, Val: 1})
-	m, err := matrix.FromTriples(n, n, ts)
-	if err != nil {
-		panic(err)
+	return b, true
+}
+
+// rows calls fn(r, lo, hi) for every row r in order: the diagonals through
+// row r are sorted[lo:hi].
+func (b band) rows(fn func(r, lo, hi int)) {
+	lo, hi := len(b.sorted), len(b.sorted)
+	for r := 0; r < b.n; r++ {
+		for lo > 0 && b.sorted[lo-1] >= -r {
+			lo--
+		}
+		for hi > 0 && b.sorted[hi-1] > b.n-1-r {
+			hi--
+		}
+		fn(r, lo, hi)
 	}
-	return m
+}
+
+// places numbers the diagonals' positions diagonal-major, in sorted order
+// and each diagonal's rows in order: row r of sorted diagonal j is
+// position at[j]+r.
+func (b band) places() []int {
+	at := make([]int, len(b.sorted))
+	next := 0
+	for j, off := range b.sorted {
+		first, length := diagonalRows(b.n, off)
+		at[j] = next - first
+		next += length
+	}
+	return at
+}
+
+// diagonalRows is the first row of an n×n matrix that the diagonal at
+// offset off passes through, and how many rows it covers.
+func diagonalRows(n, off int) (first, length int) {
+	return max(-off, 0), max(n-max(off, -off), 0)
 }
 
 // ConstantDegree returns an n×n matrix with exactly deg random distinct
@@ -152,10 +320,9 @@ func ConstantDegree[T matrix.Float](n, deg int, rng *rand.Rand) *matrix.CSR[T] {
 		deg = n
 	}
 	m := newCSR[T](n, n, n*deg)
-	cols := make([]int, 0, deg)
+	sampler := newDistinct(n)
 	for r := 0; r < n; r++ {
-		cols = drawDistinct(cols, n, deg, rng)
-		for _, c := range cols {
+		for _, c := range sampler.drawDistinct(deg, rng) {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Vals = append(m.Vals, value[T](rng))
 		}
@@ -169,7 +336,7 @@ func ConstantDegree[T matrix.Float](n, deg int, rng *rand.Rand) *matrix.CSR[T] {
 func NearConstantDegree[T matrix.Float](n, deg, jitter int, rng *rand.Rand) *matrix.CSR[T] {
 	most := min(max(deg+max(jitter, 0), 1), n)
 	m := newCSR[T](n, n, n*most)
-	cols := make([]int, 0, most)
+	sampler := newDistinct(n)
 	for r := 0; r < n; r++ {
 		d := deg
 		if jitter > 0 {
@@ -181,8 +348,7 @@ func NearConstantDegree[T matrix.Float](n, deg, jitter int, rng *rand.Rand) *mat
 		if d > n {
 			d = n
 		}
-		cols = drawDistinct(cols, n, d, rng)
-		for _, c := range cols {
+		for _, c := range sampler.drawDistinct(d, rng) {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Vals = append(m.Vals, value[T](rng))
 		}
@@ -200,7 +366,7 @@ func RandomUniform[T matrix.Float](rows, cols int, nnzPerRow float64, rng *rand.
 	// nnzPerRow, one row in 20 at four times it, and the clamp to one).
 	most := min(max(int(7*nnzPerRow), 1), cols)
 	m := newCSR[T](rows, cols, sizeHint(rows, 1.15*nnzPerRow+1, most))
-	var sample []int
+	sampler := newDistinct(cols)
 	for r := 0; r < rows; r++ {
 		// Draw the row degree from a geometric-ish mixture for irregularity.
 		d := int(nnzPerRow * (0.25 + 1.5*rng.Float64()))
@@ -213,8 +379,7 @@ func RandomUniform[T matrix.Float](rows, cols int, nnzPerRow float64, rng *rand.
 		if d > cols {
 			d = cols
 		}
-		sample = sampleDistinct(sample, cols, d, rng)
-		for _, c := range sample {
+		for _, c := range sampler.sampleDistinct(d, rng) {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Vals = append(m.Vals, value[T](rng))
 		}
@@ -255,7 +420,8 @@ func newCSR[T matrix.Float](rows, cols, capacity int) *matrix.CSR[T] {
 func diagonalLength(n int, offsets []int) int {
 	total := 0
 	for _, off := range offsets {
-		total += max(n-max(off, -off), 0)
+		_, length := diagonalRows(n, off)
+		total += length
 	}
 	return total
 }
@@ -270,32 +436,77 @@ func sizeHint(n int, mean float64, most int) int {
 	return min(n*most, int(float64(n)*mean+spread))
 }
 
-// drawDistinct draws k distinct values from [0, n), k ≤ n, into dst[:0] and
-// returns them sorted. A draw equal to one already taken is rejected and
-// drawn again. The sample is kept sorted as it grows, so the check is a
-// binary search and the insertion a copy of the larger values: a linear
-// scan, or a sort once the sample is drawn, is O(k²) on the rows of a few
-// hundred entries that RandomUniform draws.
-func drawDistinct(dst []int, n, k int, rng *rand.Rand) []int {
-	dst = dst[:0]
-	for len(dst) < k {
-		c := rng.Intn(n)
-		if i, taken := slices.BinarySearch(dst, c); !taken {
-			dst = slices.Insert(dst, i, c)
+// distinct draws sorted samples of distinct values from [0, n). Membership
+// is one bit of set, and every bit is clear between draws. It is scratch of
+// the generator call that made it, never shared between goroutines.
+type distinct struct {
+	n      int
+	set    []uint64
+	sample []int
+}
+
+func newDistinct(n int) *distinct {
+	return &distinct{n: n, set: make([]uint64, (n+63)/64)}
+}
+
+// scanWords is how many words of the bitset a draw may cost the scan that
+// reads the sample off it in order; past that, sorting the k drawn values is
+// cheaper.
+const scanWords = 8
+
+// drawDistinct draws k distinct values, k ≤ n, and returns them sorted in a
+// slice the next draw reuses. A draw equal to one already taken is rejected
+// and drawn again. While the bitset is at most scanWords words a draw, the
+// sample is read off it in order by a scan that clears its words; past that
+// the drawn values are kept as they come, sorted in O(k log k), and their
+// words cleared. In the dense regime the sort loses to the scan on constant
+// factors, not on order (DESIGN §2).
+func (s *distinct) drawDistinct(k int, rng *rand.Rand) []int {
+	set, n, dst := s.set, s.n, s.sample[:0]
+	if len(set) <= scanWords*k {
+		for left := k; left > 0; {
+			c := rng.Intn(n)
+			if w, bit := c>>6, uint64(1)<<(c&63); set[w]&bit == 0 {
+				set[w] |= bit
+				left--
+			}
 		}
+		dst = slices.Grow(dst, k)[:k]
+		i := 0
+		for w, word := range set {
+			set[w] = 0
+			for ; word != 0; word &= word - 1 {
+				dst[i] = w<<6 | bits.TrailingZeros64(word)
+				i++
+			}
+		}
+	} else {
+		for len(dst) < k {
+			c := rng.Intn(n)
+			if w, bit := c>>6, uint64(1)<<(c&63); set[w]&bit == 0 {
+				set[w] |= bit
+				dst = append(dst, c)
+			}
+		}
+		for _, c := range dst {
+			set[c>>6] = 0
+		}
+		slices.Sort(dst)
 	}
+	s.sample = dst
 	return dst
 }
 
 // sampleDistinct is drawDistinct for any k: when k ≥ n it returns all of
 // [0, n) and draws nothing.
-func sampleDistinct(dst []int, n, k int, rng *rand.Rand) []int {
-	if k >= n {
-		dst = dst[:0]
-		for i := 0; i < n; i++ {
-			dst = append(dst, i)
-		}
-		return dst
+func (s *distinct) sampleDistinct(k int, rng *rand.Rand) []int {
+	if k < s.n {
+		return s.drawDistinct(k, rng)
 	}
-	return drawDistinct(dst, n, k, rng)
+	dst := s.sample[:0]
+	for i := 0; i < s.n; i++ {
+		dst = append(dst, i)
+	}
+	s.sample = dst
+	return dst
 }

@@ -240,7 +240,7 @@ func TestSampleDistinctProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(100)
 		k := rng.Intn(n + 20) // may exceed n
-		s := sampleDistinct(nil, n, k, rng)
+		s := newDistinct(n).sampleDistinct(k, rng)
 		wantLen := k
 		if wantLen > n {
 			wantLen = n

@@ -140,10 +140,9 @@ func RoadNetwork[T matrix.Float](n int, rng *rand.Rand) *matrix.CSR[T] {
 // rectangular, constant row degree).
 func BipartiteIncidence[T matrix.Float](rows, cols, deg int, rng *rand.Rand) *matrix.CSR[T] {
 	m := newCSR[T](rows, cols, rows*min(deg, cols))
-	var sample []int
+	sampler := newDistinct(cols)
 	for r := 0; r < rows; r++ {
-		sample = sampleDistinct(sample, cols, deg, rng)
-		for _, c := range sample {
+		for _, c := range sampler.sampleDistinct(deg, rng) {
 			m.ColIdx = append(m.ColIdx, c)
 			m.Vals = append(m.Vals, value[T](rng))
 		}
