@@ -17,7 +17,6 @@ import (
 	"math"
 	"slices"
 
-	"smat/internal/features"
 	"smat/internal/matrix"
 )
 
@@ -103,27 +102,20 @@ func BreakEven(convertSec, incumbentSec, chosenSec float64) int {
 }
 
 // validForHint returns the cache-entry validation predicate for a tuning
-// request on the matrix f describes. With an iteration hint, a non-CSR entry
-// must carry the leader's amortisation measurements — otherwise the
-// break-even point cannot be computed and the entry is treated as stale and
-// re-tuned — and a leader's view conversion answers only a matrix that
-// converts to a view too. This is how cached decisions are validated against
-// the iteration hint while staying keyed purely by the structural
-// fingerprint, which rounds small raggedness into the uniform bucket.
-func validForHint(opts TuneOptions, f *features.Features) func(CacheEntry) bool {
+// request on m, whose ELL form is padded to width. With an iteration hint, a
+// non-CSR entry must carry the leader's amortisation measurements —
+// otherwise the break-even point cannot be computed and the entry is treated
+// as stale and re-tuned — and a leader's view conversion answers only a
+// matrix that converts to a view too (matrix.CSR.ELLView). This is how
+// cached decisions are validated against the iteration hint while staying
+// keyed purely by the structural fingerprint, which rounds small raggedness
+// into the uniform bucket.
+func validForHint[T matrix.Float](opts TuneOptions, m *matrix.CSR[T], width int) func(CacheEntry) bool {
 	if opts.Iterations <= 0 {
 		return nil
 	}
-	uniform := uniformRows(f)
 	return func(e CacheEntry) bool {
 		return e.Format == matrix.FormatCSR ||
-			(e.ConvertSec > 0 && e.SpMVSec > 0 && e.IncumbentSec > 0 && (uniform || !e.ConvertView))
+			(e.ConvertSec > 0 && e.SpMVSec > 0 && e.IncumbentSec > 0 && (!e.ConvertView || m.ELLView(width)))
 	}
-}
-
-// uniformRows reports whether every row of the matrix f describes holds
-// max_RD entries: the matrices whose ELL form is a view of their own CSR
-// arrays (matrix.CSR.ToELLFrom).
-func uniformRows(f *features.Features) bool {
-	return f.M > 0 && int(f.MaxRD)*f.M == f.NNZ
 }

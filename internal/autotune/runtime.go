@@ -561,7 +561,7 @@ func (tn *tuning[T]) decide() error {
 	}
 
 	var led *choice[T]
-	entry, fromCache, err := t.cache.DoValidated(tn.base.Features.Key(), t.refreshBelow(), validForHint(opts, &tn.base.Features), func() (CacheEntry, error) {
+	entry, fromCache, err := t.cache.DoValidated(tn.base.Features.Key(), t.refreshBelow(), validForHint(opts, tn.m, tn.rec.layout.MaxDeg), func() (CacheEntry, error) {
 		c, err := tn.lead()
 		if err != nil {
 			return CacheEntry{}, err

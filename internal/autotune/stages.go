@@ -648,7 +648,7 @@ func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 		ConvertSec:   c.convert.Sec,
 		SpMVSec:      c.spmvSec,
 		IncumbentSec: c.incumbentSec,
-		ConvertView:  c.format == matrix.FormatELL && uniformRows(&tn.d.Features),
+		ConvertView:  c.format == matrix.FormatELL && c.convert.Stored == tn.m.NNZ(),
 	}
 	if entry.Measured {
 		entry.Confidence = 1

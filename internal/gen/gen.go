@@ -107,20 +107,21 @@ func Laplacian3D7pt[T matrix.Float](nx, ny, nz int) *matrix.CSR[T] {
 // MultiDiagonal returns an n×n matrix with fully dense diagonals at the
 // given offsets: the ideal DIA matrix (NTdiags_ratio = 1). On distinct
 // offsets it allocates only its CSR: the values are drawn diagonal by
-// diagonal, in the caller's order, into the ColIdx array, one sequential run
-// a diagonal; one row-major pass moves them into place in Vals, reading one
-// value of each diagonal through the row, and a second writes the columns.
+// diagonal, in the caller's order, into the ColIdx array as float64 bits,
+// one sequential run a diagonal; one row-major pass moves them into place in
+// Vals, reading one value of each diagonal through the row, and a second
+// writes the columns. That staging needs an int of 64 bits: on a 32-bit
+// platform, as on repeated offsets, the matrix is assembled from triples.
 func MultiDiagonal[T matrix.Float](n int, offsets []int, rng *rand.Rand) *matrix.CSR[T] {
 	b, ok := newBand(n, offsets)
-	if !ok || n < 0 {
-		return diagonalTriples[T](n, offsets, 1, false, rng)
+	if !ok || n < 0 || bits.UintSize < 64 {
+		return diagonalTriples[T](n, offsets, rng)
 	}
 	rowPtr := make([]int, n+1)
 	b.rows(func(r, lo, hi int) { rowPtr[r+1] = rowPtr[r] + hi - lo })
 	nnz := rowPtr[n]
 	colIdx, vals := make([]int, nnz), make([]T, nnz)
-	// Row r of sorted diagonal j is drawn into colIdx[at[j]+r], as float64
-	// bits.
+	// Row r of sorted diagonal j is drawn into colIdx[at[j]+r].
 	at := b.places()
 	for i, off := range offsets {
 		first, length := diagonalRows(n, off)
@@ -144,106 +145,42 @@ func MultiDiagonal[T matrix.Float](n int, offsets []int, rng *rand.Rand) *matrix
 	return &matrix.CSR[T]{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx, Vals: vals}
 }
 
-// SparseDiagonal returns an n×n matrix with diagonals at the given offsets
-// where each diagonal position is occupied only with probability fill: a
-// DIA-shaped matrix with controllable zero padding (sweeps NTdiags_ratio and
-// ER_DIA). Entry (0, 0) is always stored: one more than its drawn value
-// when offset 0 occupies it, else 1. On distinct offsets it assembles as
-// MultiDiagonal does, the draws recorded in sequence first — the values in
-// the future ColIdx, the occupied positions in a bitset, one bit a diagonal
-// position — so that the rows' lengths are known before anything is placed.
-func SparseDiagonal[T matrix.Float](n int, offsets []int, fill float64, rng *rand.Rand) *matrix.CSR[T] {
-	b, ok := newBand(n, offsets)
-	if !ok || n < 1 {
-		return diagonalTriples[T](n, offsets, fill, true, rng)
-	}
-	size := diagonalLength(n, offsets)
-	at := b.places() // row r of sorted diagonal j is bit at[j]+r
-	occupied := make([]uint64, (size+63)/64)
-	drawn := make([]int, 0, sizeHint(size, min(max(fill, 0), 1), 1)+2)
-	next := make([]int, len(offsets)) // the next value of sorted diagonal j in drawn
-	rowPtr := make([]int, n+1)
-	for i, off := range offsets {
-		j := b.rank[i]
-		next[j] = len(drawn)
-		first, length := diagonalRows(n, off)
-		for r := first; r < first+length; r++ {
-			if rng.Float64() < fill {
-				bit := at[j] + r
-				occupied[bit>>6] |= 1 << (bit & 63)
-				drawn = append(drawn, int(math.Float64bits(float64(value[T](rng)))))
-				rowPtr[r+1]++
-			}
-		}
-	}
-	// Entry (0, 0) is on sorted diagonal j0 when offset 0 is there.
-	j0, diag := slices.BinarySearch(b.sorted, 0)
-	extra := !diag || occupied[at[j0]>>6]&(1<<(at[j0]&63)) == 0
-	if extra {
-		rowPtr[1]++
-		drawn = append(drawn, 0)
-	} else {
-		v := T(math.Float64frombits(uint64(drawn[next[j0]]))) + 1
-		drawn[next[j0]] = int(math.Float64bits(float64(v)))
-	}
-	for r := 0; r < n; r++ {
-		rowPtr[r+1] += rowPtr[r]
-	}
-	// Neither pass branches on the bitset: each position of a row writes
-	// the slot after the row's last placed entry and only an occupied one
-	// moves on. So both arrays hold a slot more than the matrix, and drawn
-	// a value more, read past the last diagonal's last.
-	nnz := rowPtr[n]
-	drawn = append(drawn, 0)
-	vals := make([]T, nnz+1)
-	b.rows(func(r, lo, hi int) {
-		p := rowPtr[r]
-		if r == 0 && extra {
-			vals[p] = 1
-			p++
-		}
-		for j := lo; j < hi; j++ {
-			bit := at[j] + r
-			set := int(occupied[bit>>6] >> (bit & 63) & 1)
-			vals[p] = T(math.Float64frombits(uint64(drawn[next[j]])))
-			next[j] += set
-			p += set
-		}
-	})
-	colIdx := drawn
-	b.rows(func(r, lo, hi int) {
-		p := rowPtr[r]
-		if r == 0 && extra {
-			colIdx[p] = 0
-			p++
-		}
-		for j := lo; j < hi; j++ {
-			bit := at[j] + r
-			colIdx[p] = r + b.sorted[j]
-			p += int(occupied[bit>>6] >> (bit & 63) & 1)
-		}
-	})
-	return &matrix.CSR[T]{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx[:nnz], Vals: vals[:nnz]}
-}
-
-// diagonalTriples is MultiDiagonal (sparse false) or SparseDiagonal built
-// through FromTriples, for offsets that repeat: FromTriples sums a repeated
-// position's values in the order they were drawn. Its draws are the ones the
-// triple-free assembly makes.
-func diagonalTriples[T matrix.Float](n int, offsets []int, fill float64, sparse bool, rng *rand.Rand) *matrix.CSR[T] {
-	ts := make([]matrix.Triple[T], 0, sizeHint(diagonalLength(n, offsets), min(max(fill, 0), 1), 1)+1)
+// diagonalTriples is MultiDiagonal built through FromTriples, which sums a
+// repeated position's values in the order they were drawn. Its draws are the
+// ones the triple-free assembly makes.
+func diagonalTriples[T matrix.Float](n int, offsets []int, rng *rand.Rand) *matrix.CSR[T] {
+	ts := make([]matrix.Triple[T], 0, diagonalLength(n, offsets))
 	for _, off := range offsets {
 		for r := 0; r < n; r++ {
 			c := r + off
-			if c >= 0 && c < n && (!sparse || rng.Float64() < fill) {
+			if c >= 0 && c < n {
 				ts = append(ts, matrix.Triple[T]{Row: r, Col: c, Val: value[T](rng)})
 			}
 		}
 	}
-	if sparse {
-		// Guarantee a nonempty matrix.
-		ts = append(ts, matrix.Triple[T]{Row: 0, Col: 0, Val: 1})
+	m, err := matrix.FromTriples(n, n, ts)
+	if err != nil {
+		panic(err)
 	}
+	return m
+}
+
+// SparseDiagonal returns an n×n matrix with diagonals at the given offsets
+// where each diagonal position is occupied only with probability fill: a
+// DIA-shaped matrix with controllable zero padding (sweeps NTdiags_ratio and
+// ER_DIA).
+func SparseDiagonal[T matrix.Float](n int, offsets []int, fill float64, rng *rand.Rand) *matrix.CSR[T] {
+	ts := make([]matrix.Triple[T], 0, sizeHint(diagonalLength(n, offsets), min(max(fill, 0), 1), 1)+1)
+	for _, off := range offsets {
+		for r := 0; r < n; r++ {
+			c := r + off
+			if c >= 0 && c < n && rng.Float64() < fill {
+				ts = append(ts, matrix.Triple[T]{Row: r, Col: c, Val: value[T](rng)})
+			}
+		}
+	}
+	// Guarantee a nonempty matrix.
+	ts = append(ts, matrix.Triple[T]{Row: 0, Col: 0, Val: 1})
 	m, err := matrix.FromTriples(n, n, ts)
 	if err != nil {
 		panic(err)

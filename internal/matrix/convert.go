@@ -433,7 +433,7 @@ func (m *CSR[T]) ToELLFrom(l *Layout, maxFillRatio float64, sp Split) (*ELL[T], 
 			ErrFillExplosion, stored, m.NNZ())
 	}
 	e := &ELL[T]{Rows: m.Rows, Cols: m.Cols, Width: width}
-	if m.Rows > 0 && uniformRows(m.RowPtr, width) {
+	if m.ELLView(width) {
 		e.ColIdx, e.Data = m.ColIdx[:stored:stored], m.Vals[:stored:stored]
 		return e, nil
 	}
@@ -453,9 +453,14 @@ func (m *CSR[T]) ToELLFrom(l *Layout, maxFillRatio float64, sp Split) (*ELL[T], 
 	return e, nil
 }
 
-// uniformRows reports whether every row of rowPtr holds width entries.
-func uniformRows(rowPtr []int, width int) bool {
-	for r, p := range rowPtr {
+// ELLView reports whether ToELLFrom, padding to width, returns a view of
+// m's own ColIdx and Vals rather than a copy: m has rows and every one holds
+// width entries.
+func (m *CSR[T]) ELLView(width int) bool {
+	if m.Rows == 0 {
+		return false
+	}
+	for r, p := range m.RowPtr {
 		if p != r*width {
 			return false
 		}
