@@ -10,10 +10,9 @@
 // batch, convert, solve, selection, all.
 //
 // Every experiment has a machine-readable JSON artifact named
-// BENCH_<experiment>.json; pass -json-dir to write them (the steady
-// experiment keeps its dedicated -steady-out path). The benchjson analyzer
-// in smat-lint checks that the table below stays total: each experiment
-// declares exactly one artifact and the names agree.
+// BENCH_<experiment>.json; pass -json-dir to write them. main_test.go checks
+// that the table's names are unique and that every committed artifact parses
+// as the envelope writeArtifact produces.
 package main
 
 import (
@@ -33,57 +32,38 @@ import (
 )
 
 // experiment is one row of the experiment table: the name the -experiment
-// flag accepts, the JSON artifact schema the run writes, and the runner
-// returning the serialisable result.
+// flag accepts (its artifact is BENCH_<name>.json) and the runner returning
+// the serialisable result.
 type experiment struct {
-	name     string
-	artifact string
-	run      func(cfg bench.Config) (any, error)
+	name string
+	run  func(cfg bench.Config) (any, error)
 }
 
-// experimentTable declares every experiment in paper order. smat-lint's
-// benchjson analyzer enforces: unique non-empty literal names, artifact ==
-// "BENCH_<name>.json", and a run function per entry.
+// artifact is the file name of the experiment's JSON artifact.
+func (e experiment) artifact() string { return "BENCH_" + e.name + ".json" }
+
+// experimentTable declares every experiment in paper order.
 func experimentTable() []experiment {
 	return []experiment{
-		{name: "table1", artifact: "BENCH_table1.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Table1(cfg), nil }},
-		{name: "figure1", artifact: "BENCH_figure1.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Figure1(cfg) }},
-		{name: "figure3", artifact: "BENCH_figure3.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Figure3(cfg), nil }},
-		{name: "figure6", artifact: "BENCH_figure6.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Figure6(cfg), nil }},
-		{name: "figure9", artifact: "BENCH_figure9.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Figure9(cfg), nil }},
-		{name: "figure10", artifact: "BENCH_figure10.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Figure10(cfg), nil }},
-		{name: "table3", artifact: "BENCH_table3.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Table3(cfg), nil }},
-		{name: "table4", artifact: "BENCH_table4.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Table4(cfg) }},
-		{name: "ablation-threshold", artifact: "BENCH_ablation-threshold.json",
-			run: func(cfg bench.Config) (any, error) { return bench.AblationThreshold(cfg, nil), nil }},
-		{name: "ablation-tailoring", artifact: "BENCH_ablation-tailoring.json",
-			run: func(cfg bench.Config) (any, error) { return bench.AblationTailoring(cfg) }},
-		{name: "ablation-features", artifact: "BENCH_ablation-features.json",
-			run: func(cfg bench.Config) (any, error) { return bench.AblationFeatures(cfg) }},
-		{name: "ablation-scoreboard", artifact: "BENCH_ablation-scoreboard.json",
-			run: func(cfg bench.Config) (any, error) { return bench.AblationScoreboard(cfg), nil }},
-		{name: "extensions", artifact: "BENCH_extensions.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Extensions(cfg), nil }},
-		{name: "cache", artifact: "BENCH_cache.json",
-			run: func(cfg bench.Config) (any, error) { return bench.CacheBench(cfg), nil }},
-		{name: "steady", artifact: "BENCH_steady.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Steady(cfg), nil }},
-		{name: "batch", artifact: "BENCH_batch.json",
-			run: func(cfg bench.Config) (any, error) { return bench.BatchBench(cfg), nil }},
-		{name: "convert", artifact: "BENCH_convert.json",
-			run: func(cfg bench.Config) (any, error) { return bench.ConvertBench(cfg), nil }},
-		{name: "solve", artifact: "BENCH_solve.json",
-			run: func(cfg bench.Config) (any, error) { return bench.SolveBench(cfg) }},
-		{name: "selection", artifact: "BENCH_selection.json",
-			run: func(cfg bench.Config) (any, error) { return bench.Selection(cfg), nil }},
+		{name: "table1", run: func(cfg bench.Config) (any, error) { return bench.Table1(cfg), nil }},
+		{name: "figure1", run: func(cfg bench.Config) (any, error) { return bench.Figure1(cfg) }},
+		{name: "figure3", run: func(cfg bench.Config) (any, error) { return bench.Figure3(cfg), nil }},
+		{name: "figure6", run: func(cfg bench.Config) (any, error) { return bench.Figure6(cfg), nil }},
+		{name: "figure9", run: func(cfg bench.Config) (any, error) { return bench.Figure9(cfg), nil }},
+		{name: "figure10", run: func(cfg bench.Config) (any, error) { return bench.Figure10(cfg), nil }},
+		{name: "table3", run: func(cfg bench.Config) (any, error) { return bench.Table3(cfg), nil }},
+		{name: "table4", run: func(cfg bench.Config) (any, error) { return bench.Table4(cfg) }},
+		{name: "ablation-threshold", run: func(cfg bench.Config) (any, error) { return bench.AblationThreshold(cfg, nil), nil }},
+		{name: "ablation-tailoring", run: func(cfg bench.Config) (any, error) { return bench.AblationTailoring(cfg) }},
+		{name: "ablation-features", run: func(cfg bench.Config) (any, error) { return bench.AblationFeatures(cfg) }},
+		{name: "ablation-scoreboard", run: func(cfg bench.Config) (any, error) { return bench.AblationScoreboard(cfg), nil }},
+		{name: "extensions", run: func(cfg bench.Config) (any, error) { return bench.Extensions(cfg), nil }},
+		{name: "cache", run: func(cfg bench.Config) (any, error) { return bench.CacheBench(cfg), nil }},
+		{name: "steady", run: func(cfg bench.Config) (any, error) { return bench.Steady(cfg), nil }},
+		{name: "batch", run: func(cfg bench.Config) (any, error) { return bench.BatchBench(cfg), nil }},
+		{name: "convert", run: func(cfg bench.Config) (any, error) { return bench.ConvertBench(cfg), nil }},
+		{name: "solve", run: func(cfg bench.Config) (any, error) { return bench.SolveBench(cfg) }},
+		{name: "selection", run: func(cfg bench.Config) (any, error) { return bench.Selection(cfg), nil }},
 	}
 }
 
@@ -103,7 +83,6 @@ func main() {
 		trials       = flag.Int("trials", 3, "measurement trials (fastest wins)")
 		dataDir      = flag.String("data-dir", "", "write plot-ready .tsv series per experiment into this directory")
 		jsonDir      = flag.String("json-dir", "", "write each experiment's BENCH_<name>.json artifact into this directory")
-		steadyOut    = flag.String("steady-out", "BENCH_steady.json", "JSON artifact path for the steady experiment (empty = don't write)")
 		baseline     = flag.String("baseline-model", "", "selection: a second model to evaluate beside -model")
 		dbPath       = flag.String("db", "", "selection: the feature database to cross-validate on")
 	)
@@ -164,16 +143,6 @@ func main() {
 		}
 	}
 
-	artifactPath := func(e experiment) string {
-		if e.name == "steady" {
-			return *steadyOut
-		}
-		if *jsonDir == "" {
-			return ""
-		}
-		return filepath.Join(*jsonDir, e.artifact)
-	}
-
 	run := func(e experiment) {
 		fmt.Printf("\n=== %s ===\n", e.name)
 		start := time.Now()
@@ -181,7 +150,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", e.name, err)
 		}
-		if path := artifactPath(e); path != "" {
+		if *jsonDir != "" {
+			path := filepath.Join(*jsonDir, e.artifact())
 			if err := writeArtifact(path, e.name, res); err != nil {
 				log.Fatalf("%s: writing %s: %v", e.name, path, err)
 			}
@@ -210,9 +180,8 @@ func main() {
 	}
 }
 
-// artifactEnvelope is the committed-artifact schema smat-lint's benchjson
-// analyzer validates: the experiment name (matching the file name), the git
-// provenance of the run, and the experiment's own payload.
+// artifactEnvelope is the artifact schema: the experiment name (matching the
+// file name), the git provenance of the run, and the experiment's own payload.
 type artifactEnvelope struct {
 	Experiment string `json:"experiment"`
 	Git        string `json:"git"`

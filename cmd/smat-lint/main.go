@@ -1,19 +1,17 @@
 // Command smat-lint runs the project's own static analyzers and
-// compiler-feedback gates over the tree:
+// compiler-feedback gates over the tree, tests included:
 //
 //	go run ./cmd/smat-lint ./...
 //
+// Each check is one no other gate makes (DESIGN.md §8 has the audit).
 // Analyzers (select a subset with -run):
 //
-//	hotpath     //smat:hotpath bodies must not allocate or call slow packages
-//	kernelreg   kernel registry: top-level chunk funcs, unique names, format
-//	            and partitioner coverage
-//	syncsafety  copies and hostile storage of sync/atomic-bearing values,
-//	            misaligned 64-bit atomics
-//	benchjson   smat-bench experiment table and committed BENCH_*.json
-//	            artifacts: complete envelopes, per-case timings
-//	atomicorder atomic publish protocols: init-dominated stores, immutable
-//	            load snapshots, one load per slot, wake-barrier ordering
+//	hotpath     //smat:hotpath bodies: no slow calls, defer or boxed panics
+//	kernelreg   kernel-table rows hold top-level functions only; factory
+//	            closures capture no value parameter
+//	syncsafety  raw 64-bit atomics misaligned under 32-bit layout rules
+//	atomicorder one load per atomic pointer slot; wake tokens only for a
+//	            claimed park
 //
 // Compiler-feedback gates (each on by default, run concurrently with the
 // analyzers, one compile each):
@@ -26,21 +24,15 @@
 //	          noinline entries must stay out of line
 //
 // After an intentional change, -update-bce rewrites the bounds-check
-// baseline (-update-baselines is the same), and -update-inline rewrites the
-// recorded costs in the inline policy
+// baseline and -update-inline the recorded costs in the inline policy
 // (violations other than cost drift still have to be resolved by hand).
 // Regenerating the bce baseline drops its per-entry tracking comments; see
 // the baseline header for the restore workflow.
-// Heap escapes on the hot path have no gate here: the kernels' zero-allocation
-// tests run every registered kernel pooled and fail on the first allocation.
-//
-// -json emits findings as one JSON object per line instead of plain text.
 //
 // Exit status: 0 clean, 1 findings or gate regression, 2 usage/load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -50,7 +42,6 @@ import (
 
 	"smat/internal/analysis/atomicorder"
 	"smat/internal/analysis/bce"
-	"smat/internal/analysis/benchjson"
 	"smat/internal/analysis/framework"
 	"smat/internal/analysis/hotpath"
 	"smat/internal/analysis/inlinegate"
@@ -62,19 +53,18 @@ var all = []*framework.Analyzer{
 	hotpath.Analyzer,
 	kernelreg.Analyzer,
 	syncsafety.Analyzer,
-	benchjson.Analyzer,
 	atomicorder.Analyzer,
 }
 
 // finding is the unified output record: an analyzer diagnostic or a gate
-// regression, rendered as text or JSON.
+// regression.
 type finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file,omitempty"`
-	Line     int    `json:"line,omitempty"`
-	Col      int    `json:"col,omitempty"`
-	Message  string `json:"message"`
-	Note     bool   `json:"note,omitempty"` // informational, does not fail the run
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
+	Note     bool // informational, does not fail the run
 }
 
 func (f finding) String() string {
@@ -91,23 +81,16 @@ func (f finding) String() string {
 
 func main() {
 	var (
-		runList         = flag.String("run", "", "comma-separated analyzer names (default: all)")
-		tests           = flag.Bool("tests", true, "also analyze test files")
-		bceGate         = flag.Bool("bce", true, "run the bounds-check regression gate")
-		inlineGate      = flag.Bool("inline", true, "run the inlining policy gate")
-		updateBCE       = flag.Bool("update-bce", false, "rewrite the bounds-check baseline from the current build")
-		updateInline    = flag.Bool("update-inline", false, "rewrite the inline policy's recorded costs from the current build")
-		updateBaselines = flag.Bool("update-baselines", false, "rewrite the bounds-check baseline (same as -update-bce)")
-		jsonOut         = flag.Bool("json", false, "emit findings as one JSON object per line")
-		parallel        = flag.Bool("parallel", true, "analyze packages on parallel goroutines")
+		runList      = flag.String("run", "", "comma-separated analyzer names (default: all)")
+		bceGate      = flag.Bool("bce", true, "run the bounds-check regression gate")
+		inlineGate   = flag.Bool("inline", true, "run the inlining policy gate")
+		updateBCE    = flag.Bool("update-bce", false, "rewrite the bounds-check baseline from the current build")
+		updateInline = flag.Bool("update-inline", false, "rewrite the inline policy's recorded costs from the current build")
 	)
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if *updateBaselines {
-		*updateBCE = true
 	}
 
 	analyzers, err := selectAnalyzers(*runList)
@@ -173,7 +156,7 @@ func main() {
 		})
 	}
 
-	pkgs, err := framework.LoadCached(framework.LoadConfig{Tests: *tests}, patterns...)
+	pkgs, err := framework.Load(framework.LoadConfig{Tests: true}, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smat-lint: load:", err)
 		os.Exit(2)
@@ -189,11 +172,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	runFn := framework.Run
-	if *parallel {
-		runFn = framework.RunParallel
-	}
-	diags, err := runFn(analyzers, pkgs)
+	diags, err := framework.Run(analyzers, pkgs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "smat-lint:", err)
 		os.Exit(2)
@@ -217,19 +196,9 @@ func main() {
 	findings = append(findings, gateFindings...)
 
 	failed := false
-	enc := json.NewEncoder(os.Stdout)
 	for _, f := range findings {
-		if !f.Note {
-			failed = true
-		}
-		if *jsonOut {
-			if err := enc.Encode(f); err != nil {
-				fmt.Fprintln(os.Stderr, "smat-lint: json:", err)
-				os.Exit(2)
-			}
-		} else {
-			fmt.Println(f)
-		}
+		failed = failed || !f.Note
+		fmt.Println(f)
 	}
 	if failed {
 		os.Exit(1)

@@ -1,5 +1,5 @@
 // Package ao is the atomicorder fixture: a miniature publish slot + worker
-// barrier protocol with one seeded violation of every rule the analyzer
+// barrier protocol with one seeded violation of each rule the analyzer
 // reports, next to healthy twins that must stay quiet.
 package ao
 
@@ -21,30 +21,6 @@ func (b *slotBox) goodPublish(n int) {
 	b.slot.Store(p)
 }
 
-// mutateAfterPublish finishes initializing the payload after the store made
-// it visible: a concurrent reader can observe ready still false.
-func (b *slotBox) mutateAfterPublish(n int) {
-	p := &payload{data: make([]float64, n)}
-	b.slot.Store(p)
-	p.ready = true // want `mutated after being atomically published`
-}
-
-// publishMaybeZero publishes a pointer whose zero-value definition still
-// reaches the store on the n <= 0 path.
-func (b *slotBox) publishMaybeZero(n int) {
-	var p *payload
-	if n > 0 {
-		p = &payload{data: make([]float64, n), ready: true}
-	}
-	b.slot.Store(p) // want `may store its zero value`
-}
-
-// writeThroughSnapshot mutates the shared payload through a Load snapshot.
-func (b *slotBox) writeThroughSnapshot() {
-	p := b.slot.Load()
-	p.ready = false // want `write through atomic Load snapshot`
-}
-
 // doubleLoad takes two snapshots of one slot; a swap between them tears the
 // sum across two payloads.
 func (b *slotBox) doubleLoad() int {
@@ -60,12 +36,6 @@ func (b *slotBox) singleLoad() int {
 		return 0
 	}
 	return len(p.data)
-}
-
-// plainAccess lets the atomic cell's address escape, so callers can bypass
-// the protocol entirely.
-func (b *slotBox) plainAccess() *atomic.Int32 {
-	return &b.state // want `plain access to atomic field`
 }
 
 type barrier struct {
@@ -134,18 +104,6 @@ func (b *barrier) goodWorker(seen uint32, budget int) {
 	}
 }
 
-// wakeBeforeArming hands out the token first: a fast worker decrements a
-// stale countdown and releases the dispatcher early.
-//
-//smat:wake-barrier
-func (b *barrier) wakeBeforeArming() {
-	if b.parked.CompareAndSwap(true, false) {
-		b.wake <- struct{}{} // want `not preceded by an atomic countdown`
-	}
-	b.pending.Store(1)
-	b.gen.Add(1)
-}
-
 // wakeUnadvertised sends a token to a worker that never said it parked: the
 // token outlives this dispatch and cuts the worker's next park short.
 //
@@ -154,24 +112,4 @@ func (b *barrier) wakeUnadvertised() {
 	b.pending.Store(1)
 	b.gen.Add(1)
 	b.wake <- struct{}{} // want `not gated on a CompareAndSwap`
-}
-
-// parkWithoutRecheck blocks straight after the advertisement: a generation
-// bump that landed in between sent no token, and the worker sleeps through
-// the dispatch.
-//
-//smat:wake-barrier
-func (b *barrier) parkWithoutRecheck() {
-	b.parked.Store(true)
-	<-b.wake // want `does not follow the park protocol`
-}
-
-// lateJobField publishes the generation and then fills in the job: a
-// spinning worker already runs the previous dispatch's closure.
-//
-//smat:wake-barrier
-func (b *barrier) lateJobField(job func()) {
-	b.pending.Store(1)
-	b.gen.Add(1)
-	b.job = job // want `written after the generation publish`
 }

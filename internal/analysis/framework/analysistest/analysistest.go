@@ -14,9 +14,6 @@
 package analysistest
 
 import (
-	"fmt"
-	"go/ast"
-	"go/token"
 	"regexp"
 	"strings"
 	"testing"
@@ -97,10 +94,4 @@ func Run(t *testing.T, analyzer *framework.Analyzer, dir string) {
 			t.Errorf("%s:%d: no diagnostic matching %q", w.file, w.line, w.raw)
 		}
 	}
-}
-
-// Position is a convenience for fixture debugging.
-func Position(fset *token.FileSet, n ast.Node) string {
-	p := fset.Position(n.Pos())
-	return fmt.Sprintf("%s:%d", p.Filename, p.Line)
 }

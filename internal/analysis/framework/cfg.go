@@ -1,9 +1,8 @@
 // cfg.go implements the framework's SSA-lite layer: a statement-level
-// control-flow graph over one function body, block dominance, forward
-// reachability, and reaching definitions for local variables. It is the
-// substrate the dataflow analyzers (atomicorder) query for "does this
-// initialization dominate that publish?" and "which definitions reach this
-// use?" questions that a purely syntactic walk cannot answer.
+// control-flow graph over one function body and block dominance. It is the
+// substrate atomicorder queries for "does this
+// publish precede that write?" questions that a purely syntactic walk
+// cannot answer.
 //
 // The graph is deliberately modest — no SSA renaming, no interprocedural
 // edges — but it is sound for the protocols it checks: every statement of the
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // Block is one straight-line run of statements. Nodes holds the statements
@@ -367,260 +365,6 @@ func (c *CFG) buildDominators() {
 	}
 }
 
-// Reachable returns the set of block indices reachable from start by
-// following successor edges (start itself is included only when it lies on a
-// cycle).
-func (c *CFG) Reachable(start int) map[int]bool {
-	seen := map[int]bool{}
-	var walk func(*Block)
-	walk = func(b *Block) {
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				seen[s.Index] = true
-				walk(s)
-			}
-		}
-	}
-	walk(c.Blocks[start])
-	return seen
-}
-
-// DefSite is one definition of a local variable: an assignment, a var
-// declaration, a range clause, a type-switch binding, or a function
-// parameter. RHS is the defining expression when the definition has exactly
-// one (nil for zero-value declarations, range/type-switch bindings, params
-// and multi-value assignments).
-type DefSite struct {
-	Var   *types.Var
-	Node  ast.Node
-	RHS   ast.Expr
-	Param bool // parameter or receiver: defined at entry, always initialized
-	Zero  bool // `var x T` with no initializer: the zero value
-	Pos   Pos  // position in the CFG (Pos{0,-1} for parameters)
-}
-
-// ReachingDefs answers "which definitions of v can reach this program
-// point?" for the local variables of one function.
-type ReachingDefs struct {
-	cfg  *CFG
-	defs []*DefSite
-	// in[b] holds the def IDs live at block b's entry.
-	in []map[int]bool
-	// byVar indexes defs by variable.
-	byVar map[*types.Var][]int
-}
-
-// BuildReachingDefs runs the reaching-definitions dataflow over a CFG.
-// fn supplies the function's parameter/receiver/result objects (entry
-// definitions); info resolves identifiers to objects.
-func BuildReachingDefs(c *CFG, info *types.Info, params []*types.Var) *ReachingDefs {
-	r := &ReachingDefs{cfg: c, byVar: map[*types.Var][]int{}}
-	addDef := func(d *DefSite) int {
-		id := len(r.defs)
-		r.defs = append(r.defs, d)
-		r.byVar[d.Var] = append(r.byVar[d.Var], id)
-		return id
-	}
-	for _, p := range params {
-		addDef(&DefSite{Var: p, Param: true, Pos: Pos{Block: 0, Index: -1}})
-	}
-
-	// gen[b]: for each var, the ID of its last definition in block b.
-	gen := make([]map[*types.Var]int, len(c.Blocks))
-	for bi, bl := range c.Blocks {
-		gen[bi] = map[*types.Var]int{}
-		for ni, n := range bl.Nodes {
-			for _, d := range defsOf(n, info) {
-				d.Pos = Pos{Block: bi, Index: ni}
-				id := addDef(d)
-				gen[bi][d.Var] = id
-			}
-		}
-	}
-
-	// Iterate IN/OUT to fixpoint. OUT[b] = gen[b] ∪ (IN[b] − kill[b]).
-	r.in = make([]map[int]bool, len(c.Blocks))
-	out := make([]map[int]bool, len(c.Blocks))
-	for i := range r.in {
-		r.in[i] = map[int]bool{}
-		out[i] = map[int]bool{}
-	}
-	// Entry block starts with the parameter defs.
-	for id, d := range r.defs {
-		if d.Param {
-			r.in[0][id] = true
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for bi, bl := range c.Blocks {
-			in := map[int]bool{}
-			for id := range r.in[bi] {
-				in[id] = true // seeded entry defs
-			}
-			for _, p := range bl.Preds {
-				for id := range out[p.Index] {
-					in[id] = true
-				}
-			}
-			if bi == 0 {
-				for id, d := range r.defs {
-					if d.Param {
-						in[id] = true
-					}
-				}
-			}
-			r.in[bi] = in
-			o := map[int]bool{}
-			for id := range in {
-				if _, killed := gen[bi][r.defs[id].Var]; !killed {
-					o[id] = true
-				}
-			}
-			for _, id := range sortedVals(gen[bi]) {
-				o[id] = true
-			}
-			if !sameSet(o, out[bi]) {
-				out[bi] = o
-				changed = true
-			}
-		}
-	}
-	return r
-}
-
-func sortedVals(m map[*types.Var]int) []int {
-	out := make([]int, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	return out
-}
-
-func sameSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// At returns the definitions of v that can reach the program point just
-// before node index `idx` of block `block`.
-func (r *ReachingDefs) At(v *types.Var, p Pos) []*DefSite {
-	live := map[int]bool{}
-	for id := range r.in[p.Block] {
-		if r.defs[id].Var == v {
-			live[id] = true
-		}
-	}
-	// Apply this block's definitions up to (not including) idx.
-	bl := r.cfg.Blocks[p.Block]
-	for ni := 0; ni < p.Index && ni < len(bl.Nodes); ni++ {
-		for _, id := range r.byVar[v] {
-			d := r.defs[id]
-			if d.Pos.Block == p.Block && d.Pos.Index == ni {
-				for old := range live {
-					delete(live, old)
-				}
-				live[id] = true
-			}
-		}
-	}
-	out := make([]*DefSite, 0, len(live))
-	for _, id := range r.byVar[v] { // deterministic order
-		if live[id] {
-			out = append(out, r.defs[id])
-		}
-	}
-	return out
-}
-
-// Defs returns every definition site of v in the function.
-func (r *ReachingDefs) Defs(v *types.Var) []*DefSite {
-	var out []*DefSite
-	for _, id := range r.byVar[v] {
-		out = append(out, r.defs[id])
-	}
-	return out
-}
-
-// defsOf extracts the variable definitions a single CFG node performs.
-// Nested function literals are skipped: their assignments belong to their own
-// CFG.
-func defsOf(n ast.Node, info *types.Info) []*DefSite {
-	var out []*DefSite
-	local := func(id *ast.Ident) *types.Var {
-		if id == nil || id.Name == "_" {
-			return nil
-		}
-		obj := info.Defs[id]
-		if obj == nil {
-			obj = info.Uses[id]
-		}
-		v, _ := obj.(*types.Var)
-		return v
-	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		oneToOne := len(n.Lhs) == len(n.Rhs)
-		for i, lhs := range n.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue // field/index writes are mutations, not defs
-			}
-			if v := local(id); v != nil {
-				d := &DefSite{Var: v, Node: n}
-				if oneToOne {
-					d.RHS = n.Rhs[i]
-				}
-				out = append(out, d)
-			}
-		}
-	case *ast.DeclStmt:
-		gd, ok := n.Decl.(*ast.GenDecl)
-		if !ok {
-			break
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				if v := local(name); v != nil {
-					d := &DefSite{Var: v, Node: n}
-					if len(vs.Values) == len(vs.Names) {
-						d.RHS = vs.Values[i]
-					} else if len(vs.Values) == 0 {
-						d.Zero = true
-					}
-					out = append(out, d)
-				}
-			}
-		}
-	case *ast.RangeStmt:
-		for _, e := range []ast.Expr{n.Key, n.Value} {
-			if id, ok := e.(*ast.Ident); ok {
-				if v := local(id); v != nil {
-					out = append(out, &DefSite{Var: v, Node: n})
-				}
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		// Handled via the Assign statement recorded in the head block.
-	}
-	if as, ok := n.(ast.Stmt); ok {
-		_ = as
-	}
-	return out
-}
-
 // FuncLitsIn returns every function literal nested anywhere inside n,
 // outermost first, so callers can analyze closure bodies as functions of
 // their own.
@@ -632,30 +376,6 @@ func FuncLitsIn(n ast.Node) []*ast.FuncLit {
 		}
 		return true
 	})
-	return out
-}
-
-// SigVars collects the parameter and receiver variables of a function
-// signature for BuildReachingDefs.
-func SigVars(info *types.Info, recv *ast.FieldList, typ *ast.FuncType) []*types.Var {
-	var out []*types.Var
-	collect := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if v, ok := info.Defs[name].(*types.Var); ok {
-					out = append(out, v)
-				}
-			}
-		}
-	}
-	collect(recv)
-	if typ != nil {
-		collect(typ.Params)
-		collect(typ.Results)
-	}
 	return out
 }
 

@@ -178,12 +178,10 @@ func TestCFGLoopEdges(t *testing.T) {
 		t.Fatalf("statements not all present in CFG:\n%s", c)
 	}
 
-	// The return is reachable both via loop exit and via break.
-	if !c.Reachable(brkPos.Block)[retPos.Block] {
-		t.Errorf("break must reach the return")
-	}
-	if !c.Reachable(bodyPos.Block)[retPos.Block] {
-		t.Errorf("loop body must reach the return via the back edge and exit")
+	// The return is reached via the loop exit as well as via break, so the
+	// break arm does not dominate it.
+	if c.Dominates(brkPos.Block, retPos.Block) {
+		t.Errorf("the break arm must not dominate the return")
 	}
 	// Loop body does not dominate the return (break path skips total += i... but
 	// break is before the add; the add block must not dominate return).
@@ -201,10 +199,6 @@ func TestCFGLoopEdges(t *testing.T) {
 	if condPos.Block < 0 || !condPos.Before(bodyPos, c) {
 		t.Errorf("i == 3 must execute before total += i on every path:\n%s", c)
 	}
-	// The loop body can re-reach itself (back edge).
-	if !c.Reachable(bodyPos.Block)[bodyPos.Block] {
-		t.Errorf("loop body should be on a cycle")
-	}
 }
 
 func TestCFGSwitchAndReturn(t *testing.T) {
@@ -213,11 +207,8 @@ func TestCFGSwitchAndReturn(t *testing.T) {
 	aPos, _ := findNode(c, func(n ast.Node) bool { return isCallNamed(n, "a") })
 	bPos, _ := findNode(c, func(n ast.Node) bool { return isCallNamed(n, "b") })
 	dPos, _ := findNode(c, func(n ast.Node) bool { return isCallNamed(n, "d") })
-	// Every case reaches the join; no case dominates it (default exists).
+	// No case dominates the join (default exists).
 	for _, p := range []Pos{aPos, bPos} {
-		if !c.Reachable(p.Block)[dPos.Block] {
-			t.Errorf("case block %d must reach the join", p.Block)
-		}
 		if c.Dominates(p.Block, dPos.Block) {
 			t.Errorf("case block %d must not dominate the join", p.Block)
 		}
@@ -227,75 +218,8 @@ func TestCFGSwitchAndReturn(t *testing.T) {
 	c = BuildCFG(fd.Body)
 	aPos, _ = findNode(c, func(n ast.Node) bool { return isCallNamed(n, "a") })
 	bPos, _ = findNode(c, func(n ast.Node) bool { return isCallNamed(n, "b") })
-	// a(); return — nothing after the return is reachable from a's block
-	// except via... nothing: b() must not be reachable from a().
-	if c.Reachable(aPos.Block)[bPos.Block] {
-		t.Errorf("early return arm must not reach the else path")
-	}
-}
-
-func TestReachingDefs(t *testing.T) {
-	fd, info := parseFunc(t, cfgSrc, "defs")
-	c := BuildCFG(fd.Body)
-	r := BuildReachingDefs(c, info, SigVars(info, fd.Recv, fd.Type))
-
-	retPos, retNode := findNode(c, func(n ast.Node) bool { _, ok := n.(*ast.ReturnStmt); return ok })
-	ret := retNode.(*ast.ReturnStmt)
-	xv := info.Uses[ret.Results[0].(*ast.Ident)].(*types.Var)
-
-	ds := r.At(xv, retPos)
-	if len(ds) != 2 {
-		t.Fatalf("expected both definitions of x to reach the return, got %d", len(ds))
-	}
-
-	// At the x = 2 assignment itself, only x := 1 reaches.
-	asgPos, _ := findNode(c, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		return ok && as.Tok == token.ASSIGN
-	})
-	ds = r.At(xv, asgPos)
-	if len(ds) != 1 {
-		t.Fatalf("expected one reaching def at x = 2, got %d", len(ds))
-	}
-	if ds[0].RHS == nil {
-		t.Errorf("x := 1 definition should carry its RHS")
-	}
-}
-
-func TestReachingDefsZeroValue(t *testing.T) {
-	fd, info := parseFunc(t, cfgSrc, "zeroThenSet")
-	c := BuildCFG(fd.Body)
-	r := BuildReachingDefs(c, info, SigVars(info, fd.Recv, fd.Type))
-
-	retPos, retNode := findNode(c, func(n ast.Node) bool { _, ok := n.(*ast.ReturnStmt); return ok })
-	ret := retNode.(*ast.ReturnStmt)
-	pv := info.Uses[ret.Results[0].(*ast.Ident)].(*types.Var)
-
-	ds := r.At(pv, retPos)
-	if len(ds) != 2 {
-		t.Fatalf("expected zero-value and assigned defs of p at return, got %d", len(ds))
-	}
-	var sawZero bool
-	for _, d := range ds {
-		if d.Zero {
-			sawZero = true
-		}
-	}
-	if !sawZero {
-		t.Errorf("var p *int declaration should be a zero-value definition")
-	}
-}
-
-func TestParamsAreEntryDefs(t *testing.T) {
-	fd, info := parseFunc(t, cfgSrc, "defs")
-	c := BuildCFG(fd.Body)
-	params := SigVars(info, fd.Recv, fd.Type)
-	if len(params) != 1 {
-		t.Fatalf("expected 1 param var, got %d", len(params))
-	}
-	r := BuildReachingDefs(c, info, params)
-	ds := r.At(params[0], Pos{Block: 0, Index: 0})
-	if len(ds) != 1 || !ds[0].Param {
-		t.Fatalf("parameter should have exactly its entry definition, got %+v", ds)
+	// a(); return — the early-return arm must not dominate b().
+	if c.Dominates(aPos.Block, bPos.Block) || aPos.Before(bPos, c) {
+		t.Errorf("early return arm must not dominate the fall-through path")
 	}
 }

@@ -5,10 +5,11 @@
 // against compiler export data (the same strategy as cmd/vet's unitchecker),
 // and small AST helpers shared by the smat-lint analyzers.
 //
-// The analyzers built on it enforce the invariants the steady-state SpMV
-// engine promises but cannot express in the type system: allocation-free
-// annotated hot paths, a structurally complete kernel registry, and
-// copy-safety of sync/atomic-bearing types.
+// The analyzers built on it enforce the invariants of the steady-state SpMV
+// engine that neither the type system, vet nor the tests can see: no slow
+// calls on annotated hot paths, top-level kernel-table bodies, safe storage
+// and 32-bit alignment of sync/atomic-bearing values, and the atomic publish
+// protocols.
 package framework
 
 import (
@@ -150,11 +151,4 @@ func PkgNameOf(info *types.Info, sel *ast.SelectorExpr) string {
 		return pn.Imported().Path()
 	}
 	return ""
-}
-
-// IsTypeExpr reports whether the call expression is actually a type
-// conversion T(x).
-func IsTypeExpr(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.IsType()
 }

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// loadCache memoizes Load results so the driver, the compiler-feedback gates,
-// and analysistest fixtures sharing one configuration pay the go-list +
-// type-check cost once per process. Keyed by the full configuration: working
-// directory, test inclusion, environment, and pattern list.
+// loadCache memoizes Load results so analysistest fixtures and tests sharing
+// one configuration pay the go-list + type-check cost once per process. Keyed
+// by the full configuration: working directory, test inclusion, environment,
+// and pattern list.
 var loadCache = struct {
 	sync.Mutex
 	m map[string]*loadEntry
@@ -49,47 +49,4 @@ func LoadCached(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	loadCache.Unlock()
 	e.once.Do(func() { e.pkgs, e.err = Load(cfg, patterns...) })
 	return e.pkgs, e.err
-}
-
-// RunParallel is Run with package-level parallelism: each package gets its
-// own goroutine running the full analyzer list (analyzers are pure functions
-// of their Pass, so cross-package concurrency is safe). Results are merged
-// and position-sorted identically to Run; the first analyzer error wins.
-func RunParallel(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	perPkg := make([][]Diagnostic, len(pkgs))
-	errs := make([]error, len(pkgs))
-	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
-		wg.Add(1)
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			perPkg[i], errs[i] = Run(analyzers, []*Package{pkg})
-		}(i, pkg)
-	}
-	wg.Wait()
-	var diags []Diagnostic
-	for i := range pkgs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		diags = append(diags, perPkg[i]...)
-	}
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
-func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return diags[i].Analyzer < diags[j].Analyzer
-	})
 }

@@ -1,21 +1,22 @@
 // Package inlinegate implements smat-lint's inlining-policy gate.
 //
 // The kernel dispatch design leans on two compiler behaviours that nothing
-// in the type system pins down: the small chunk adapters (csrChunk,
-// ellChunkUnroll4, …) and serial-path leaves (csrRowRange, diaRowRange)
-// must stay cheap enough to inline into the closures the registry
-// dispatches, and the outlined panic helpers (formatMismatch,
+// in the type system pins down: the small range leaves (csrRowRange,
+// diaRowRange, …) and tile cuts must stay cheap enough to inline into the
+// chunk adapters the registry dispatches — csrRowRange falling out of line
+// costs csr_basic 28 % more time per nonzero (policy.txt's header has the
+// numbers) — and the outlined panic helpers (formatMismatch,
 // aliasedVectors, …) must stay OUT of line so their format strings don't
 // bloat the hot instruction stream. Both properties silently flip under
-// refactors — one added branch pushes a 78-cost adapter past the budget of
-// 80; someone deletes a go:noinline pragma during a cleanup.
+// refactors: one added branch pushes a leaf past the budget of 80; someone
+// deletes a go:noinline pragma during a cleanup.
 //
 // The gate runs `go build -gcflags=-m=2`, parses the per-function inlining
 // decisions (cost N, "exceeds budget", "marked go:noinline"), and enforces
 // a declarative policy file:
 //
-//	inline internal/kernels/csr.go:csrChunk cost=78
-//	inline internal/kernels/csr.go:csrRowRange cost=66 slack=20
+//	inline internal/kernels/csr.go:csrRowRange cost=66
+//	inline internal/kernels/dia_blocked.go:diaCut cost=22 slack=20
 //	noinline internal/kernels/kernels.go:formatMismatch
 //
 // An `inline` entry fails when the function can no longer be inlined or

@@ -1,24 +1,10 @@
-// Package syncsafety implements the smat-lint analyzer guarding the
-// concurrency-bearing value types beyond what vet's copylocks covers.
-//
-// A type is "guarded" when it transitively contains state from sync or
-// sync/atomic by value — kernels.Mat (atomic plan slot), the worker pool
-// state (mutex + barrier counters), the decision-cache shards (mutex + LRU).
-// Copying such a value forks its lock or atomic cell and silently splits the
-// synchronisation domain. The analyzer reports:
-//
-//   - by-value parameters, results and method receivers of guarded types;
-//   - assignments and range clauses that copy a guarded value out of a
-//     variable, field, element or dereference;
-//   - call arguments passing a guarded value by value;
-//   - slice, map and channel types with guarded element (or key) types:
-//     append reallocation and map rehashing relocate the values bytewise,
-//     and map elements are unaddressable, so their locks are unusable
-//     (fixed-size arrays are allowed — storage in place is fine);
-//   - raw int64/uint64 struct fields passed to sync/atomic functions while
-//     not 8-byte aligned under 32-bit layout rules — these fault on 386/ARM;
-//     move such fields to the front of the struct or use atomic.Int64, which
-//     carries its own alignment.
+// Package syncsafety implements the smat-lint analyzer for the one
+// sync/atomic hazard no other gate sees: raw int64/uint64 struct fields
+// passed to sync/atomic functions while not 8-byte aligned under 32-bit
+// layout rules. Such a call faults on 386/ARM, and no test runs the engine
+// there; move the field to the front of the struct or use atomic.Int64,
+// which carries its own alignment. Copies of sync-bearing values are vet's
+// copylocks.
 package syncsafety
 
 import (
@@ -32,158 +18,17 @@ import (
 // Analyzer is the syncsafety analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "syncsafety",
-	Doc:  "report copies and hostile storage of sync/atomic-bearing values, and misaligned 64-bit atomics",
+	Doc:  "report raw 64-bit atomics on fields misaligned under 32-bit layout rules",
 	Run:  run,
 }
 
-type state struct {
-	pass *framework.Pass
-	memo map[types.Type]string // type -> witness ("sync.Mutex") or ""
-}
-
 func run(pass *framework.Pass) error {
-	s := &state{pass: pass, memo: map[types.Type]string{}}
-
 	framework.Preorder(pass.Files, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			s.checkSignature(n)
-		case *ast.ArrayType:
-			if n.Len == nil { // slice, not array
-				s.checkElem(n, n.Elt, "slice")
-			}
-		case *ast.MapType:
-			s.checkElem(n, n.Key, "map key")
-			s.checkElem(n, n.Value, "map")
-		case *ast.ChanType:
-			s.checkElem(n, n.Value, "channel")
-		case *ast.AssignStmt:
-			for i := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
-				}
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-					continue // discarded, nothing retains the copy
-				}
-				s.checkCopy(n.Rhs[i], "copies")
-			}
-		case *ast.ValueSpec:
-			for _, v := range n.Values {
-				s.checkCopy(v, "copies")
-			}
-		case *ast.RangeStmt:
-			if n.Value != nil && !isBlank(n.Value) {
-				if t := s.exprType(n.Value); t != nil {
-					if w := s.guarded(t); w != "" {
-						pass.Reportf(n.Value.Pos(), "range clause copies %s by value; it contains %s", typeName(t), w)
-					}
-				}
-			}
-		case *ast.CallExpr:
-			s.checkCall(n)
+		if call, ok := n.(*ast.CallExpr); ok {
+			checkAtomic64(pass, call)
 		}
 	})
 	return nil
-}
-
-// guarded returns a witness description ("sync.Mutex") when t transitively
-// holds sync or sync/atomic state by value, or "" otherwise. Indirection
-// (pointers, slices, maps, channels, funcs) breaks the chain: a struct
-// holding *sync.Mutex copies fine.
-func (s *state) guarded(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if w, ok := s.memo[t]; ok {
-		return w
-	}
-	s.memo[t] = "" // cycle guard
-	w := s.guardedUncached(t)
-	s.memo[t] = w
-	return w
-}
-
-func (s *state) guardedUncached(t types.Type) string {
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil && (pkg.Path() == "sync" || pkg.Path() == "sync/atomic") {
-			if _, isStruct := named.Underlying().(*types.Struct); isStruct {
-				return typeName(t)
-			}
-			return "" // sync.Locker etc.: interfaces carry no state
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if w := s.guarded(u.Field(i).Type()); w != "" {
-				return w
-			}
-		}
-	case *types.Array:
-		return s.guarded(u.Elem())
-	}
-	return ""
-}
-
-func typeName(t types.Type) string {
-	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
-}
-
-func (s *state) checkSignature(fd *ast.FuncDecl) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			tv, ok := s.pass.Info.Types[f.Type]
-			if !ok {
-				continue
-			}
-			if w := s.guarded(tv.Type); w != "" {
-				s.pass.Reportf(f.Type.Pos(), "%s passes %s by value; it contains %s (copying splits the sync state)",
-					what, typeName(tv.Type), w)
-			}
-		}
-	}
-	check(fd.Recv, "receiver")
-	check(fd.Type.Params, "parameter")
-	check(fd.Type.Results, "result")
-}
-
-func (s *state) checkElem(at ast.Node, elt ast.Expr, container string) {
-	tv, ok := s.pass.Info.Types[elt]
-	if !ok {
-		return
-	}
-	if w := s.guarded(tv.Type); w != "" {
-		s.pass.Reportf(at.Pos(), "%s of %s stores sync state (%s) by value; growth relocates it bytewise — store pointers instead",
-			container, typeName(tv.Type), w)
-	}
-}
-
-// checkCopy reports expr when it reads a guarded value out of an existing
-// location (variable, field, element, dereference). Fresh composite
-// literals and call results are initialisation, not copies.
-func (s *state) checkCopy(expr ast.Expr, verb string) {
-	src := ast.Unparen(expr)
-	switch src.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
-	}
-	tv, ok := s.pass.Info.Types[src]
-	if !ok || tv.Type == nil || tv.IsType() {
-		return
-	}
-	// Identifiers must denote variables (not types or package names).
-	if id, ok := src.(*ast.Ident); ok {
-		if _, isVar := s.pass.Info.Uses[id].(*types.Var); !isVar {
-			return
-		}
-	}
-	if w := s.guarded(tv.Type); w != "" {
-		s.pass.Reportf(expr.Pos(), "%s %s by value; it contains %s (copying splits the sync state)", verb, typeName(tv.Type), w)
-	}
 }
 
 // atomic64Funcs maps sync/atomic functions operating on raw 64-bit cells.
@@ -195,15 +40,11 @@ var atomic64Funcs = map[string]bool{
 	"CompareAndSwapInt64": true, "CompareAndSwapUint64": true,
 }
 
-func (s *state) checkCall(call *ast.CallExpr) {
-	// By-value guarded arguments.
-	for _, arg := range call.Args {
-		s.checkCopy(arg, "passes")
-	}
-
-	// Misaligned raw 64-bit atomics.
+// checkAtomic64 reports a raw 64-bit atomic on a field that is not 8-byte
+// aligned under 32-bit layout rules.
+func checkAtomic64(pass *framework.Pass, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || framework.PkgNameOf(s.pass.Info, sel) != "sync/atomic" || !atomic64Funcs[sel.Sel.Name] || len(call.Args) == 0 {
+	if !ok || framework.PkgNameOf(pass.Info, sel) != "sync/atomic" || !atomic64Funcs[sel.Sel.Name] || len(call.Args) == 0 {
 		return
 	}
 	addr, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
@@ -214,7 +55,7 @@ func (s *state) checkCall(call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	selection, ok := s.pass.Info.Selections[fieldSel]
+	selection, ok := pass.Info.Selections[fieldSel]
 	if !ok || selection.Kind() != types.FieldVal {
 		return
 	}
@@ -227,29 +68,10 @@ func (s *state) checkCall(call *ast.CallExpr) {
 		if strings.HasSuffix(sel.Sel.Name, "Uint64") {
 			wrapper = "Uint64"
 		}
-		s.pass.Reportf(call.Pos(),
+		pass.Reportf(call.Pos(),
 			"atomic %s on field %s at 32-bit offset %d: not 8-byte aligned on 386/ARM — move the field first or use atomic.%s",
 			sel.Sel.Name, path, off, wrapper)
 	}
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "_"
-}
-
-// exprType resolves an expression's type, falling back to the Defs map for
-// identifiers introduced by the expression itself (range clauses, :=).
-func (s *state) exprType(e ast.Expr) types.Type {
-	if tv, ok := s.pass.Info.Types[e]; ok && tv.Type != nil {
-		return tv.Type
-	}
-	if id, ok := e.(*ast.Ident); ok {
-		if obj, ok := s.pass.Info.Defs[id]; ok && obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
 }
 
 // offset32 computes the byte offset of the selected field under 32-bit (386)

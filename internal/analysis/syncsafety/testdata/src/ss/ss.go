@@ -1,27 +1,7 @@
 // Package ss is the syncsafety analyzer fixture.
 package ss
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// mat mirrors kernels.Mat: a value type with an atomic plan slot.
-type mat struct {
-	rows int
-	plan atomic.Pointer[int]
-}
-
-// shard mirrors the decision cache shard: a mutex-guarded map.
-type shard struct {
-	mu      sync.Mutex
-	entries map[int]int
-}
-
-// pool holds guarded state behind a pointer: copying pool itself is fine.
-type pool struct {
-	s *shard
-}
+import "sync/atomic"
 
 // counters uses raw 64-bit cells after a narrow field: misaligned on 386.
 type counters struct {
@@ -36,60 +16,18 @@ type alignedCounters struct {
 	flag bool
 }
 
-// --- positive cases -------------------------------------------------------
-
-func takesMatByValue(m mat) int { // want `parameter passes ss.mat by value`
-	return m.rows
+// nested reaches a misaligned cell through an embedded struct.
+type nested struct {
+	pad int32
+	alignedCounters
 }
 
-func returnsShardByValue() shard { // want `result passes ss.shard by value`
-	return shard{}
-}
-
-func (m mat) valueReceiver() int { // want `receiver passes ss.mat by value`
-	return m.rows
-}
-
-var matSlice []mat         // want `slice of ss.mat stores sync state`
-var shardMap map[int]shard // want `map of ss.shard stores sync state`
-var matChan chan mat       // want `channel of ss.mat stores sync state`
-
-func copies(p *mat, ms []mat) { // want `slice of ss.mat stores sync state`
-	m := *p // want `copies ss.mat by value`
-	_ = m.rows
-	n := ms[0] // want `copies ss.mat by value`
-	_ = n.rows
-	for _, v := range ms { // want `range clause copies ss.mat by value`
-		_ = v.rows
-	}
-	sink(*p) // want `passes ss.mat by value`
-}
-
-func misaligned(c *counters) {
+func misaligned(c *counters, n *nested) {
 	atomic.AddInt64(&c.hits, 1) // want `not 8-byte aligned`
 	atomic.LoadUint64(&c.miss)  // want `not 8-byte aligned`
-}
-
-// --- negative cases -------------------------------------------------------
-
-func takesMatPointer(m *mat) int { return m.rows }
-
-func takesPool(p pool) *shard { return p.s } // pool holds only a pointer
-
-var matPtrSlice []*mat
-var shardArray [4]shard // fixed arrays store in place: allowed
-
-func initOK() {
-	m := mat{rows: 1} // fresh literal: initialisation, not a copy
-	_ = m.rows
-	s := newShard() // call results are fresh values
-	_ = s
+	atomic.AddInt64(&n.hits, 1) // want `field alignedCounters.hits at 32-bit offset 4`
 }
 
 func aligned(a *alignedCounters) {
 	atomic.AddInt64(&a.hits, 1)
 }
-
-func newShard() *shard { return &shard{entries: map[int]int{}} }
-
-func sink(v any) { _ = v }

@@ -123,7 +123,7 @@ func TestBatchKernelWidth1BitForBitWithPairedKernel(t *testing.T) {
 	}
 
 	for batchName, singleName := range pairs {
-		bk := lib.LookupBatch(batchName)
+		bk := lib.batchByName[batchName]
 		sk := lib.Lookup(singleName)
 		if bk == nil || sk == nil {
 			t.Fatalf("pair %s/%s not registered", batchName, singleName)
@@ -218,7 +218,7 @@ func TestBatchWidthZeroIsNoOp(t *testing.T) {
 	pool := NewPool[float64](2)
 	defer pool.Close()
 	for _, name := range []string{"csr_batch", "csr_batch_parallel"} {
-		bk := lib.LookupBatch(name)
+		bk := lib.batchByName[name]
 		yb := []float64{7, 7, 7}
 		bk.Run(mat, nil, yb[:0], 0, 2)
 		bk.RunPooled(mat, nil, yb[:0], 0, pool)
@@ -248,7 +248,7 @@ func TestBatchEmptyAndDegenerateShapes(t *testing.T) {
 			for i := range yb {
 				yb[i] = 9
 			}
-			lib.LookupBatch("csr_batch_parallel").Run(mat, xb, yb, k, 4)
+			lib.batchByName["csr_batch_parallel"].Run(mat, xb, yb, k, 4)
 			for i, v := range yb {
 				if v != 0 {
 					t.Fatalf("%dx%d k=%d: yb[%d] = %g, want 0", sh.rows, sh.cols, k, i, v)
@@ -277,7 +277,7 @@ func TestBatchPooledZeroAlloc(t *testing.T) {
 			xb[i] = float64(1 + i%5)
 		}
 		yb := make([]float64, m.Rows*k)
-		bk := lib.LookupBatch("csr_batch_parallel")
+		bk := lib.batchByName["csr_batch_parallel"]
 		bk.RunPooled(mat, xb, yb, k, pool) // warm: plan + workers
 		if allocs := testing.AllocsPerRun(50, func() { bk.RunPooled(mat, xb, yb, k, pool) }); allocs != 0 {
 			t.Errorf("%s k=%d: %.1f allocs per steady-state call, want 0", bk.Name, k, allocs)
@@ -328,7 +328,7 @@ func BenchmarkSpMMSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	lib := NewLibrary[float64]()
-	bk := lib.LookupBatch("csr_batch_parallel")
+	bk := lib.batchByName["csr_batch_parallel"]
 	pool := NewPool[float64](8)
 	defer pool.Close()
 	for _, k := range []int{1, 4, 8, 16} {

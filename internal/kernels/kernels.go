@@ -505,9 +505,6 @@ func (l *Library[T]) Lookup(name string) *Kernel[T] { return l.byName[name] }
 // ForFormatBatch returns all batched kernels registered for a format.
 func (l *Library[T]) ForFormatBatch(f matrix.Format) []*BatchKernel[T] { return l.batchByFormat[f] }
 
-// LookupBatch returns the batched kernel with the given name, or nil.
-func (l *Library[T]) LookupBatch(name string) *BatchKernel[T] { return l.batchByName[name] }
-
 // BatchFor returns the batched kernel the serving path should use for a
 // format: the variant carrying StratParallel (every one degrades to its
 // serial body below the plan cutoff), falling back to the format's basic

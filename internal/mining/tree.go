@@ -216,21 +216,11 @@ func (t *Tree) Predict(attrs []float64) int {
 // Size returns the total number of nodes in the tree.
 func (t *Tree) Size() int { return t.root.size() }
 
-// Leaves returns the number of leaf nodes.
-func (t *Tree) Leaves() int { return t.root.leaves() }
-
 func (n *node) size() int {
 	if n.isLeaf() {
 		return 1
 	}
 	return 1 + n.left.size() + n.right.size()
-}
-
-func (n *node) leaves() int {
-	if n.isLeaf() {
-		return 1
-	}
-	return n.left.leaves() + n.right.leaves()
 }
 
 // Accuracy returns the fraction of examples the tree classifies correctly.

@@ -58,8 +58,9 @@ func TestBuildTreeSeparableData(t *testing.T) {
 	if acc := tree.Accuracy(ds); acc != 1.0 {
 		t.Errorf("accuracy on separable data = %g, want 1.0", acc)
 	}
-	if tree.Leaves() > 6 {
-		t.Errorf("tree has %d leaves for a 3-region concept", tree.Leaves())
+	// A binary tree of size s has (s+1)/2 leaves.
+	if leaves := (tree.Size() + 1) / 2; leaves > 6 {
+		t.Errorf("tree has %d leaves for a 3-region concept", leaves)
 	}
 }
 

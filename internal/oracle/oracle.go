@@ -64,22 +64,6 @@ func NewCoverage() *Coverage {
 	}
 }
 
-// Merge folds other into c.
-func (c *Coverage) Merge(other *Coverage) {
-	for f := range other.Formats {
-		c.Formats[f] = true
-	}
-	for k := range other.Kernels {
-		c.Kernels[k] = true
-	}
-	for k := range other.Parallel {
-		c.Parallel[k] = true
-	}
-	for k := range other.Plans {
-		c.Plans[k] = true
-	}
-}
-
 // The plan shapes Coverage.Plans records.
 const (
 	PlanSerial          = "serial"

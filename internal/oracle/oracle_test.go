@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -15,6 +16,14 @@ func fullLibrary[T matrix.Float]() *kernels.Library[T] {
 	lib := kernels.NewLibrary[T]()
 	lib.RegisterHYB()
 	return lib
+}
+
+// merge folds one spec's coverage into the suite's.
+func merge(cov, c *Coverage) {
+	maps.Copy(cov.Formats, c.Formats)
+	maps.Copy(cov.Kernels, c.Kernels)
+	maps.Copy(cov.Parallel, c.Parallel)
+	maps.Copy(cov.Plans, c.Plans)
 }
 
 // allFormats mirrors the exported format set the acceptance criterion
@@ -34,7 +43,7 @@ func runSuite[T matrix.Float](t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cov.Merge(c)
+			merge(cov, c)
 		})
 	}
 
@@ -85,7 +94,7 @@ func runBatchSuite[T matrix.Float](t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cov.Merge(c)
+			merge(cov, c)
 		})
 	}
 	for _, f := range allFormats {

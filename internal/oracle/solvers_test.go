@@ -2,6 +2,11 @@ package oracle
 
 import (
 	"testing"
+
+	"smat/internal/gen"
+	"smat/internal/kernels"
+	"smat/internal/matrix"
+	"smat/internal/solve"
 )
 
 // TestSpGEMMDifferential walks the adversarial structure suite through the
@@ -39,4 +44,91 @@ func TestSolversDifferential(t *testing.T) {
 	if err := CheckSolvers[float32](opt); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestSpGEMMRowsAllocateNothing pins the row bodies' side of the SpGEMM arena
+// contract: on a warm pool a product allocates its result and a fixed set of
+// per-call headers, never anything per row or per chunk. Four times the rows
+// at one chunk, and four chunks at the larger size, must each cost the same
+// number of allocations as the small single-chunk product, for SpGEMM and for
+// both GalerkinRAP strategies (fused on singleton-row R, two-phase
+// otherwise). The row bodies run once per chunk, so the chunk sweep catches
+// an allocation at the top of a body and the row sweep one inside its loop.
+func TestSpGEMMRowsAllocateNothing(t *testing.T) {
+	pool := kernels.NewPool[float64](4)
+	defer pool.Close()
+	allocs := func(n, threads int) [3]float64 {
+		a := gen.Laplacian2D5pt[float64](n, n)
+		id := matrix.Identity[float64](a.Rows)
+		products := [3]func(){
+			func() { kernels.SpGEMM(a, a, pool, threads) },
+			func() { kernels.GalerkinRAP(id, a, id, pool, threads) },
+			func() { kernels.GalerkinRAP(a, a, a, pool, threads) },
+		}
+		var out [3]float64
+		for i, f := range products {
+			out[i] = allocFloor(f)
+		}
+		return out
+	}
+	allocs(64, 4) // warm: size the pool's arena for the larger products
+	base := allocs(32, 1)
+	for _, c := range []struct {
+		n, threads int
+		what       string
+	}{
+		{64, 1, "4096 rows in one chunk"},
+		{64, 4, "4096 rows in four chunks"},
+	} {
+		got := allocs(c.n, c.threads)
+		for i, name := range []string{"SpGEMM", "GalerkinRAP fused", "GalerkinRAP two-phase"} {
+			if got[i] != base[i] {
+				t.Errorf("%s: %.0f allocations at 1024 rows in one chunk, %.0f at %s: the row bodies allocate", name, base[i], got[i], c.what)
+			}
+		}
+	}
+}
+
+// TestBlockCGIterationsAllocateNothing pins the block solver's per-iteration
+// bodies (blockDots, blockDots8, blockUpdate, blockPUpdate): BlockCG
+// allocates its workspace once per call, so a fixed-width solve run to an
+// iteration cap of 5 and of 50 must allocate the same number of times. The
+// operator is the allocation-free serial reference, so any difference is the
+// solver's own. Width 8 takes the register-tiled bodies, width 3 the generic
+// ones.
+func TestBlockCGIterationsAllocateNothing(t *testing.T) {
+	a := gen.Laplacian2D5pt[float64](16, 16)
+	op := serialOp[float64]{a}
+	for _, k := range []int{8, 3} {
+		bb := make([]float64, a.Rows*k)
+		for i := range bb {
+			bb[i] = float64(i%7) - 2.5
+		}
+		xb := make([]float64, len(bb))
+		allocs := func(maxIter int) float64 {
+			return allocFloor(func() {
+				clear(xb)
+				// tol 0: no column converges, so every run reaches the cap.
+				st, err := solve.BlockCG[float64](op, bb, xb, k, 0, maxIter)
+				if err != nil || st.Iterations != maxIter {
+					t.Fatalf("BlockCG k=%d maxIter=%d: stats %+v err %v", k, maxIter, st, err)
+				}
+			})
+		}
+		if short, long := allocs(5), allocs(50); short != long {
+			t.Errorf("BlockCG k=%d: %.0f allocations at 5 iterations, %.0f at 50: the iteration bodies allocate", k, short, long)
+		}
+	}
+}
+
+// allocFloor is f's allocation count per run, the least of three
+// testing.AllocsPerRun averages. The runtime's own background allocations
+// land in the same counter and can lift one average by a whole count; an
+// allocation f makes is in every run, so it stays in the floor.
+func allocFloor(f func()) float64 {
+	low := testing.AllocsPerRun(5, f)
+	for i := 0; i < 2; i++ {
+		low = min(low, testing.AllocsPerRun(5, f))
+	}
+	return low
 }
