@@ -6,8 +6,8 @@
 //
 // Experiments: table1, figure1, figure3, figure6, figure9, figure10,
 // table3, table4, ablation-threshold, ablation-tailoring,
-// ablation-features, ablation-scoreboard, extensions, cache, steady,
-// batch, convert, solve, selection, all.
+// ablation-features, ablation-scoreboard, extensions, steady (the
+// serial-vs-pooled cutoff sweep), batch, convert, solve, selection, all.
 //
 // Every experiment has a machine-readable JSON artifact named
 // BENCH_<experiment>.json; pass -json-dir to write them. main_test.go checks
@@ -58,7 +58,6 @@ func experimentTable() []experiment {
 		{name: "ablation-features", run: func(cfg bench.Config) (any, error) { return bench.AblationFeatures(cfg) }},
 		{name: "ablation-scoreboard", run: func(cfg bench.Config) (any, error) { return bench.AblationScoreboard(cfg), nil }},
 		{name: "extensions", run: func(cfg bench.Config) (any, error) { return bench.Extensions(cfg), nil }},
-		{name: "cache", run: func(cfg bench.Config) (any, error) { return bench.CacheBench(cfg), nil }},
 		{name: "steady", run: func(cfg bench.Config) (any, error) { return bench.Steady(cfg), nil }},
 		{name: "batch", run: func(cfg bench.Config) (any, error) { return bench.BatchBench(cfg), nil }},
 		{name: "convert", run: func(cfg bench.Config) (any, error) { return bench.ConvertBench(cfg), nil }},
@@ -72,7 +71,7 @@ func main() {
 	log.SetPrefix("smat-bench: ")
 
 	var (
-		experimentID = flag.String("experiment", "all", "experiment id (table1, figure1, figure3, figure6, figure9, figure10, table3, table4, ablation-*, extensions, cache, steady, batch, convert, solve, selection, all)")
+		experimentID = flag.String("experiment", "all", "experiment id (table1, figure1, figure3, figure6, figure9, figure10, table3, table4, ablation-*, extensions, steady, batch, convert, solve, selection, all)")
 		modelPath    = flag.String("model", "", "trained model JSON (default: built-in heuristic model)")
 		scale        = flag.Float64("scale", 0.25, "workload size scale (0,1]")
 		stride       = flag.Int("stride", 8, "corpus sampling stride for corpus-wide experiments")
@@ -81,7 +80,6 @@ func main() {
 		seed         = flag.Int64("seed", 1, "workload seed")
 		minTimeMS    = flag.Float64("mintime-ms", 1, "per-measurement minimum timing window (ms)")
 		trials       = flag.Int("trials", 3, "measurement trials (fastest wins)")
-		dataDir      = flag.String("data-dir", "", "write plot-ready .tsv series per experiment into this directory")
 		jsonDir      = flag.String("json-dir", "", "write each experiment's BENCH_<name>.json artifact into this directory")
 		baseline     = flag.String("baseline-model", "", "selection: a second model to evaluate beside -model")
 		dbPath       = flag.String("db", "", "selection: the feature database to cross-validate on")
@@ -109,10 +107,9 @@ func main() {
 			MinTime: time.Duration(*minTimeMS * float64(time.Millisecond)),
 			Trials:  *trials,
 		},
-		Stride:  *stride,
-		Seed:    *seed,
-		Out:     os.Stdout,
-		DataDir: *dataDir,
+		Stride: *stride,
+		Seed:   *seed,
+		Out:    os.Stdout,
 	}
 
 	if *baseline != "" {
@@ -135,11 +132,9 @@ func main() {
 		cfg.Database = db
 	}
 
-	for _, dir := range []string{*dataDir, *jsonDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				log.Fatal(err)
-			}
+	if *jsonDir != "" {
+		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
+			log.Fatal(err)
 		}
 	}
 

@@ -190,7 +190,7 @@ func checkSteadyStateZeroAlloc(t *testing.T, op *Operator[float64], m *matrix.CS
 	if allocs := testing.AllocsPerRun(20, func() { op.MulVec(x, y) }); allocs != 0 {
 		t.Errorf("MulVec: %.1f allocs per steady-state call, want 0", allocs)
 	}
-	for _, k := range []int{2, 5, 8} {
+	for _, k := range []int{2, 3, 5, 8} {
 		_, xb := batchInput(m.Cols, k)
 		yb := make([]float64, m.Rows*k)
 		op.MulVecBatch(xb, yb, k) // warm: the batch plan

@@ -65,7 +65,6 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 	}
 	fmt.Fprintln(cfg.Out, "Figure 1: dynamic sparse structures across AMG levels (GFLOPS per format)")
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "figure1")
 	return res, nil
 }
 
@@ -114,6 +113,9 @@ func (f spmvFunc[T]) MulVec(x, y []T) { f(x, y) }
 func Table4(cfg Config) (*Table4Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Table4Result{Machine: machineRecord(), Threads: cfg.Threads, Scale: cfg.Scale}
+	// A solve is one timed run, not a window of repeated calls: best of at
+	// least three, each after a GC.
+	trials := max(cfg.Measure.Trials, 3)
 	configs := []struct {
 		name  string
 		build func() *matrix.CSR[float64]
@@ -148,20 +150,17 @@ func Table4(cfg Config) (*Table4Result, error) {
 			b[i] = 1
 		}
 		x := make([]float64, a.Rows)
-		solve := func() (time.Duration, int) {
+		var iters int
+		solve := func() {
 			clear(x)
-			start := time.Now()
-			stats := h.Solve(b, x, 1e-8, 100)
-			return time.Since(start), stats.Iterations
+			iters = h.Solve(b, x, 1e-8, 100).Iterations
 		}
 
 		if err := h.Bind(csrFactory(cfg.Threads)); err != nil {
 			return nil, err
 		}
-		solve() // warm-up
-		dBase, itBase := solve()
-		row.BaseMS = float64(dBase.Microseconds()) / 1000
-		row.BaseIters = itBase
+		row.BaseMS = bestOfSec(trials, solve) * 1e3
+		row.BaseIters = iters
 
 		tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
 		tuneStart := time.Now()
@@ -175,6 +174,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 			return op, nil
 		})
 		if err != nil {
+			tuner.Close()
 			return nil, err
 		}
 		row.TuneMS = float64(time.Since(tuneStart).Microseconds()) / 1000
@@ -184,14 +184,10 @@ func Table4(cfg Config) (*Table4Result, error) {
 		for i := 0; i < len(formats); i += 3 {
 			row.Formats = append(row.Formats, formats[i])
 		}
-		solve() // warm-up
-		dSmat, itSmat := solve()
+		row.SmatMS = bestOfSec(trials, solve) * 1e3
+		row.SmatIters = iters
 		tuner.Close()
-		row.SmatMS = float64(dSmat.Microseconds()) / 1000
-		row.SmatIters = itSmat
-		if row.SmatMS > 0 {
-			row.Speedup = row.BaseMS / row.SmatMS
-		}
+		row.Speedup = row.BaseMS / row.SmatMS
 		res.Rows = append(res.Rows, row)
 	}
 
@@ -203,7 +199,6 @@ func Table4(cfg Config) (*Table4Result, error) {
 	}
 	fmt.Fprintln(cfg.Out, "Table 4: SMAT-based AMG solve time vs plain-CSR AMG")
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "table4")
 	return res, nil
 }
 

@@ -147,6 +147,5 @@ func BatchBench(cfg Config) *BatchResult {
 	}
 	fmt.Fprintf(cfg.Out, "Batched multi-vector SpMV: per-vector throughput vs batch width (%d threads)\n", cfg.Threads)
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "batch")
 	return res
 }

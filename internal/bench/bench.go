@@ -6,13 +6,12 @@
 package bench
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+	"math"
 	"runtime"
 	"strings"
+	"time"
 
 	"smat/internal/autotune"
 	"smat/internal/kernels"
@@ -43,9 +42,6 @@ type Config struct {
 	Seed int64
 	// Out receives the printed experiment (default: discard).
 	Out io.Writer
-	// DataDir, when set, receives one tab-separated data file per
-	// experiment (plot-ready series).
-	DataDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -96,6 +92,22 @@ func measureOperator[T matrix.Float](op interface{ MulVec(x, y []T) }, cols, row
 	y := make([]T, rows)
 	sec := autotune.MeasureSecPerOp(func() { op.MulVec(x, y) }, m)
 	return autotune.GFLOPS(kernels.FLOPs(nnz), sec)
+}
+
+// bestOfSec runs f trials times (at least once) and returns the fastest
+// wall-clock seconds: the harness's one timer for work that is not repeated
+// inside a window (a solve, a tune plus k products). A forced GC before every
+// trial keeps garbage left by earlier cases (the Galerkin setups churn
+// through hundreds of MB) from being collected inside a later timing window.
+func bestOfSec(trials int, f func()) float64 {
+	best := math.Inf(1)
+	for t := 0; t < max(trials, 1); t++ {
+		runtime.GC()
+		start := time.Now()
+		f()
+		best = min(best, time.Since(start).Seconds())
+	}
+	return best
 }
 
 // csrUnitSec times one basic single-thread CSR SpMV on m: the unit of the
@@ -177,27 +189,3 @@ func (t *table) print(w io.Writer) {
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// saveTSV writes the table as a tab-separated data file under cfg.DataDir
-// (no-op when DataDir is empty). Errors are reported on cfg.Out rather than
-// failing the experiment: the printed table is the primary artifact.
-func (t *table) saveTSV(cfg Config, name string) {
-	if cfg.DataDir == "" {
-		return
-	}
-	path := filepath.Join(cfg.DataDir, name+".tsv")
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(cfg.Out, "(tsv export failed: %v)\n", err)
-		return
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, strings.Join(t.header, "\t"))
-	for _, row := range t.rows {
-		fmt.Fprintln(w, strings.Join(row, "\t"))
-	}
-	if err := w.Flush(); err != nil {
-		fmt.Fprintf(cfg.Out, "(tsv export failed: %v)\n", err)
-	}
-}

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"smat/internal/autotune"
 	"smat/internal/gen"
@@ -22,11 +19,6 @@ type ConvertResult struct {
 	Threads int     `json:"threads"`
 	Scale   float64 `json:"scale"`
 	Ks      []int   `json:"ks"`
-
-	// SteadyAllocsPerOp is the malloc count per call on the pooled serving
-	// path of a hinted cache hit that converted (MulVec and tiled MulVecBatch
-	// alternating), measured over 200 calls; the steady-state contract is 0.
-	SteadyAllocsPerOp float64 `json:"steady_allocs_per_op"`
 
 	Rows []ConvertRow `json:"rows"`
 }
@@ -79,66 +71,28 @@ func convertWorkloads(cfg Config) []struct {
 }
 
 // convertTimeToK measures the wall-clock seconds from TuneOpts to the k-th
-// completed SpMV, best of trials.
+// completed SpMV, best of trials, and returns the last trial's decision.
 func convertTimeToK(t *autotune.Tuner[float64], m *matrix.CSR[float64],
 	opts autotune.TuneOptions, k, trials int, x, y []float64) (float64, *autotune.Decision, error) {
 
-	best := math.MaxFloat64
 	var d *autotune.Decision
-	for i := 0; i < trials; i++ {
-		start := time.Now()
-		op, di, err := t.TuneOpts(m, opts)
+	var err error
+	sec := bestOfSec(trials, func() {
 		if err != nil {
-			return 0, nil, err
+			return // a tune that failed once fails every trial
 		}
-		for j := 0; j < k; j++ {
+		var op *autotune.Operator[float64]
+		if op, d, err = t.TuneOpts(m, opts); err != nil {
+			return
+		}
+		for range k {
 			op.MulVec(x, y)
 		}
-		sec := time.Since(start).Seconds()
-		if sec < best {
-			best = sec
-		}
-		d = di
-	}
-	return best, d, nil
-}
-
-// convertSteadyAllocs measures mallocs per call on the pooled serving path
-// of an operator a hinted cache hit converted, alternating MulVec and a
-// three-vector MulVecBatch (the converted format's tiled kernel) after one
-// warm-up of each. t's cache must hold m's costed entry.
-func convertSteadyAllocs(t *autotune.Tuner[float64], m *matrix.CSR[float64]) (float64, error) {
-	op, d, err := t.TuneOpts(m, autotune.TuneOptions{Iterations: 1 << 20})
+	})
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	if !d.CacheHit || d.Amortized {
-		return 0, fmt.Errorf("hinted tune served %v without converting a cache hit", d.Chosen)
-	}
-
-	const bw = 3
-	x := make([]float64, m.Cols)
-	for i := range x {
-		x[i] = 1 + float64(i%7)/8
-	}
-	y := make([]float64, m.Rows)
-	xb := make([]float64, m.Cols*bw)
-	for i := range xb {
-		xb[i] = 1 + float64(i%5)/8
-	}
-	yb := make([]float64, m.Rows*bw)
-	op.MulVec(x, y)
-	op.MulVecBatch(xb, yb, bw)
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const calls = 100
-	for i := 0; i < calls; i++ {
-		op.MulVec(x, y)
-		op.MulVecBatch(xb, yb, bw)
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / (2 * calls), nil
+	return sec, d, nil
 }
 
 // ConvertBench runs the amortised-conversion experiment: for each workload
@@ -152,10 +106,7 @@ func ConvertBench(cfg Config) *ConvertResult {
 	cfg = cfg.withDefaults()
 	res := &ConvertResult{Threads: cfg.Threads, Scale: cfg.Scale, Ks: convertKs}
 
-	trials := cfg.Measure.Trials
-	if trials < 3 {
-		trials = 3
-	}
+	trials := max(cfg.Measure.Trials, 3)
 
 	for _, w := range convertWorkloads(cfg) {
 		tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
@@ -217,14 +168,6 @@ func ConvertBench(cfg Config) *ConvertResult {
 				fmt.Fprintf(cfg.Out, "(%s k=%d: %v)\n", w.class, k, err)
 			}
 		}
-
-		if w.class == "dia-affine" && asym != matrix.FormatCSR {
-			allocs, err := convertSteadyAllocs(tuner, w.m)
-			if err != nil {
-				fmt.Fprintf(cfg.Out, "(%s steady allocs: %v)\n", w.class, err)
-			}
-			res.SteadyAllocsPerOp = allocs
-		}
 		tuner.Close()
 	}
 
@@ -243,7 +186,5 @@ func ConvertBench(cfg Config) *ConvertResult {
 	}
 	fmt.Fprintf(cfg.Out, "Amortized conversion: time to k SpMVs by policy (%d threads)\n", cfg.Threads)
 	t.print(cfg.Out)
-	fmt.Fprintf(cfg.Out, "steady-state allocs/op after a converting cache hit: %g\n", res.SteadyAllocsPerOp)
-	t.saveTSV(cfg, "convert")
 	return res
 }

@@ -102,7 +102,6 @@ func Extensions(cfg Config) *ExtensionsResult {
 	}
 	fmt.Fprintln(cfg.Out, "Extensions: HYB vs the basic formats (GFLOPS, best kernel per format)")
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "extensions")
 	return res
 }
 

@@ -126,7 +126,6 @@ func Figure6(cfg Config) *Figure6Result {
 			t.add(iv, f2(p.Percent[i])+"%")
 		}
 		t.print(cfg.Out)
-		t.saveTSV(cfg, "figure6_"+p.Param)
 	}
 	return res
 }

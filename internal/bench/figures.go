@@ -66,7 +66,6 @@ func Figure3(cfg Config) *Figure3Result {
 	}
 	fmt.Fprintln(cfg.Out, "Figure 3: performance variance among storage formats (GFLOPS)")
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "figure3")
 	fmt.Fprintf(cfg.Out, "largest best/worst gap: %.1fx\n", res.MaxGap)
 	return res
 }
@@ -130,7 +129,6 @@ func Figure9(cfg Config) *Figure9Result {
 	fmt.Fprintf(cfg.Out, "Figure 9: SMAT performance (GFLOPS); platform A = %d threads, platform B = %d threads\n",
 		cfg.Threads, cfg.ThreadsB)
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "figure9")
 	fmt.Fprintf(cfg.Out, "peaks: SP(A)=%.1f DP(A)=%.1f SP(B)=%.1f DP(B)=%.1f GFLOPS\n",
 		res.PeakSPA, res.PeakDPA, res.PeakSPB, res.PeakDPB)
 	return res
@@ -191,7 +189,6 @@ func Figure10(cfg Config) *Figure10Result {
 	}
 	fmt.Fprintln(cfg.Out, "Figure 10: SMAT vs fixed-format reference library (GFLOPS)")
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "figure10")
 	fmt.Fprintf(cfg.Out, "evaluation-set average speedup over %d matrices: SP %.2fx, DP %.2fx\n",
 		n, res.AvgSP, res.AvgDP)
 	return res

@@ -144,6 +144,5 @@ func Selection(cfg Config) *SelectionResult {
 	}
 	fmt.Fprintf(cfg.Out, "Selection: held-out accuracy, fallback rate and loss against the labeled best (%d evaluation matrices)\n", res.EvalN)
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "selection")
 	return res
 }

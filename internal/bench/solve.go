@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"time"
 
 	"smat/internal/amg"
@@ -11,7 +9,6 @@ import (
 	"smat/internal/gen"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
-	"smat/internal/oracle"
 	"smat/internal/refblas"
 	"smat/internal/solve"
 )
@@ -20,18 +17,13 @@ import (
 // through the tuned operator versus the fixed-format reference, block versus
 // single-RHS time-to-convergence, and AMG setup-phase Galerkin products
 // (fused row-blocked SpGEMM versus the serial two-pass triple product). The
-// oracle fields embed the differential acceptance runs so the artifact
-// records that the fast paths were cross-checked, not just timed.
+// fast paths' answers are checked by internal/oracle (CheckSpGEMM,
+// CheckSolvers), not here.
 type SolveResult struct {
 	Machine Machine    `json:"machine"`
 	Threads int        `json:"threads"`
 	Scale   float64    `json:"scale"`
 	Rows    []SolveRow `json:"rows"`
-
-	SpGEMMOracleOK  bool   `json:"spgemm_oracle_ok"`
-	SpGEMMOracleErr string `json:"spgemm_oracle_err,omitempty"`
-	SolverOracleOK  bool   `json:"solver_oracle_ok"`
-	SolverOracleErr string `json:"solver_oracle_err,omitempty"`
 }
 
 // SolveRow is one timed case. BaselineSec holds the reference configuration
@@ -77,26 +69,6 @@ func wokenShare(p *kernels.PoolStats) float64 {
 	return float64(p.Woken) / float64(p.Pooled)
 }
 
-// bestOfSec runs f trials times and returns the fastest wall-clock
-// seconds. A forced GC before every trial keeps garbage left by earlier
-// cases (the Galerkin setups churn through hundreds of MB) from being
-// collected inside a later case's timing window.
-func bestOfSec(trials int, f func()) float64 {
-	if trials < 1 {
-		trials = 1
-	}
-	best := math.Inf(1)
-	for t := 0; t < trials; t++ {
-		runtime.GC()
-		start := time.Now()
-		f()
-		if s := time.Since(start).Seconds(); s < best {
-			best = s
-		}
-	}
-	return best
-}
-
 // SolveBench runs the solver-workload experiment.
 func SolveBench(cfg Config) (*SolveResult, error) {
 	cfg = cfg.withDefaults()
@@ -115,7 +87,6 @@ func SolveBench(cfg Config) (*SolveResult, error) {
 	if err := amgPCGRows(cfg, trials, res); err != nil {
 		return nil, err
 	}
-	solveOracleRows(cfg, res)
 
 	t := &table{header: []string{"Case", "N", "NNZ", "Thr", "Base(ms)", "Time(ms)", "Speedup", "Iters", "us/It", "Woken/Pooled", "PerRHS(ms)"}}
 	ms := func(s float64) string {
@@ -139,8 +110,6 @@ func SolveBench(cfg Config) (*SolveResult, error) {
 	}
 	fmt.Fprintln(cfg.Out, "Solver workloads: tuned Krylov solves and parallel Galerkin setup")
 	t.print(cfg.Out)
-	fmt.Fprintf(cfg.Out, "oracle: spgemm ok=%v solvers ok=%v\n", res.SpGEMMOracleOK, res.SolverOracleOK)
-	t.saveTSV(cfg, "solve")
 	return res, nil
 }
 
@@ -411,26 +380,4 @@ func amgPCGRows(cfg Config, trials int, res *SolveResult) error {
 		Detail: fmt.Sprintf("%d levels, pooled fused setup, base iters %d", len(h.Levels), baseIters),
 	})
 	return nil
-}
-
-// solveOracleRows embeds the differential acceptance runs in the artifact:
-// the SpGEMM/Galerkin bit-for-bit and rounding-bound suite over the
-// adversarial structures, and the residual-checked tuned-vs-reference
-// solver suite.
-func solveOracleRows(cfg Config, res *SolveResult) {
-	opt := oracle.Options{Threads: []int{2, 4}}
-	res.SpGEMMOracleOK = true
-	for _, s := range oracle.Specs() {
-		s := s
-		if err := oracle.CheckSpGEMM[float64](&s, opt); err != nil {
-			res.SpGEMMOracleOK = false
-			res.SpGEMMOracleErr = err.Error()
-			break
-		}
-	}
-	res.SolverOracleOK = true
-	if err := oracle.CheckSolvers[float64](oracle.Options{Threads: []int{2}}); err != nil {
-		res.SolverOracleOK = false
-		res.SolverOracleErr = err.Error()
-	}
 }

@@ -73,6 +73,5 @@ func Table1(cfg Config) *Table1Result {
 		fmt.Sprint(res.N))
 	fmt.Fprintln(cfg.Out, "Table 1: application domains and distribution of affinity to each format")
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "table1")
 	return res
 }

@@ -156,7 +156,6 @@ func Table3(cfg Config) *Table3Result {
 	}
 	fmt.Fprintln(cfg.Out, "Table 3: SMAT decision analysis (overhead = tune seconds ÷ one warm basic serial CSR-SpMV on the same matrix)")
 	t.print(cfg.Out)
-	t.saveTSV(cfg, "table3")
 	fmt.Fprintf(cfg.Out, "evaluation-set accuracy: %.1f%% over %d matrices\n", 100*res.EvalAccuracy, res.EvalN)
 	fmt.Fprintf(cfg.Out, "mean overhead: predicted path %.1fx, fallback path %.1fx\n",
 		res.MeanOverheadPredicted, res.MeanOverheadFallback)
