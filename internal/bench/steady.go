@@ -13,22 +13,22 @@ import (
 )
 
 // SteadyResult is the serial-vs-pooled size sweep kernels.SerialWork and the
-// pool's spin budget are read off: per format, the kernel the tuner binds at
-// one thread against its pooled sibling, from ~1k to ~1M stored entries.
-// (The spawn-vs-pooled comparison of every parallel kernel is
-// internal/kernels' BenchmarkSpMVSteadyState.)
+// pool's spin budget are read off: per format, one kernel run at one thread
+// against the same kernel pooled, from ~1k to ~1M stored entries. (The
+// spawn-vs-pooled comparison of every parallel kernel is internal/kernels'
+// BenchmarkSpMVSteadyState.)
 type SteadyResult struct {
 	Threads int         `json:"threads"`
 	Scale   float64     `json:"scale"`
 	Rows    []CutoffRow `json:"rows"`
 
-	// GapUs is the idle gap of the gapped column. DerivedSerialWork is the
+	// CutoffGapUs is the idle gap of the gapped column. DerivedSerialWork is the
 	// smallest swept size from which the pooled path wins back to back in
 	// every format — the constant's column — and DerivedGappedWork the same
 	// for the first call after the gap: the size below which a dispatch that
 	// has to wake its workers loses to the serial body. 0 means the pool
 	// never wins that column at this scale.
-	GapUs             float64 `json:"cutoff_gap_us"`
+	CutoffGapUs       float64 `json:"cutoff_gap_us"`
 	DerivedSerialWork int     `json:"derived_serial_work"`
 	DerivedGappedWork int     `json:"derived_gapped_work"`
 }
@@ -84,7 +84,7 @@ var cutoffKernels = []struct {
 // on the first call after the gap.
 func Steady(cfg Config) *SteadyResult {
 	cfg = cfg.withDefaults()
-	res := &SteadyResult{Threads: cfg.Threads, Scale: cfg.Scale, GapUs: float64(cutoffGap.Microseconds())}
+	res := &SteadyResult{Threads: cfg.Threads, Scale: cfg.Scale, CutoffGapUs: float64(cutoffGap.Microseconds())}
 	lib := kernels.NewLibrary[float64]()
 	pool := kernels.NewPool[float64](cfg.Threads)
 	defer pool.Close()
