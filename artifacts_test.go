@@ -1,6 +1,8 @@
 package smat
 
 import (
+	"encoding/json"
+	"maps"
 	"os"
 	"testing"
 
@@ -57,6 +59,56 @@ func TestShippedDatabaseLoads(t *testing.T) {
 	for _, cl := range res.Classes {
 		if cl.TrainAccuracy < 0.85 {
 			t.Errorf("%d threads: retrained accuracy %.2f, want ≥0.85", cl.Threads, cl.TrainAccuracy)
+		}
+	}
+}
+
+// TestRetrainReproducesShippedModel holds model.json to the database it was
+// learned from: retraining on features.db.jsonl at the default training
+// settings must give back every class's ruleset and kernels and the model's
+// confidence threshold exactly. A training default that changes value fails
+// here, where the accuracy floor above would let it through.
+func TestRetrainReproducesShippedModel(t *testing.T) {
+	f, err := os.Open("features.db.jsonl")
+	if err != nil {
+		t.Skip("features.db.jsonl not present")
+	}
+	defer f.Close()
+	db, err := autotune.LoadDatabase(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := LoadModelFile("model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := autotune.TrainFromDatabase(db, autotune.TrainConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Model
+	if got.ConfidenceThreshold != shipped.ConfidenceThreshold {
+		t.Errorf("retrained threshold %v, shipped %v", got.ConfidenceThreshold, shipped.ConfidenceThreshold)
+	}
+	if len(got.Classes) != len(shipped.Classes) {
+		t.Fatalf("retrained %d classes, shipped %d", len(got.Classes), len(shipped.Classes))
+	}
+	for i, want := range shipped.Classes {
+		c := got.Classes[i]
+		if c.Threads != want.Threads || !maps.Equal(c.Kernels, want.Kernels) {
+			t.Errorf("class %d: retrained %d threads with kernels %v, shipped %d with %v", i, c.Threads, c.Kernels, want.Threads, want.Kernels)
+		}
+		gj, err := json.Marshal(c.Ruleset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wj, err := json.Marshal(want.Ruleset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gj) != string(wj) {
+			t.Errorf("%d threads: retrained ruleset (%d rules) differs from the shipped one (%d rules)",
+				want.Threads, len(c.Ruleset.Rules), len(want.Ruleset.Rules))
 		}
 	}
 }

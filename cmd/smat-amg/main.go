@@ -74,7 +74,7 @@ func main() {
 	fmt.Printf("problem: %s Laplacian, %d rows, %d nonzeros, %s coarsening\n",
 		*problem, a.Rows, a.NNZ(), opts.Coarsening)
 	start := time.Now()
-	h, err := amg.Setup(a, opts)
+	h, err := amg.SetupPooled(a, opts, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

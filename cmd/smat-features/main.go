@@ -59,13 +59,7 @@ func main() {
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		choice := autotune.KernelChoice{}
-		for name, kernel := range model.Class(n).Kernels {
-			if f, err := matrix.ParseFormat(name); err == nil {
-				choice[f] = kernel
-			}
-		}
-		labeler = autotune.NewLabeler(choice, *threads, autotune.MeasureOptions{
+		labeler = autotune.NewLabeler(model.Class(n).Choice(), *threads, autotune.MeasureOptions{
 			MinTime: time.Millisecond, Trials: 3,
 		})
 	}

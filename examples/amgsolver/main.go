@@ -25,7 +25,7 @@ func main() {
 	a := gen.Laplacian2D9pt[float64](200, 200)
 	fmt.Printf("problem: 9-point Laplacian, %d unknowns, %d nonzeros\n", a.Rows, a.NNZ())
 
-	h, err := amg.Setup(a, amg.Options{Coarsening: amg.RugeStueben})
+	h, err := amg.SetupPooled(a, amg.Options{Coarsening: amg.RugeStueben}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // per-factorisation workspaces — zero allocations per cycle.
 func TestVCycleSteadyStateAllocs(t *testing.T) {
 	a := gen.Laplacian2D5pt[float64](24, 24)
-	h, err := Setup(a, Options{})
+	h, err := SetupPooled(a, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestVCycleSteadyStateAllocs(t *testing.T) {
 // first solve through a hierarchy, repeated SolvePCG calls reuse it.
 func TestSolvePCGSteadyStateAllocs(t *testing.T) {
 	a := gen.Laplacian2D5pt[float64](16, 16)
-	h, err := Setup(a, Options{})
+	h, err := SetupPooled(a, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTunedHierarchyCycleOnPool(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
-	serial, err := Setup(a, Options{})
+	serial, err := SetupPooled(a, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

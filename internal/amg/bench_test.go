@@ -13,7 +13,7 @@ func BenchmarkSetup(b *testing.B) {
 	for _, c := range []Coarsening{RugeStueben, CLJP} {
 		b.Run(c.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Setup(a, Options{Coarsening: c}); err != nil {
+				if _, err := SetupPooled(a, Options{Coarsening: c}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -25,7 +25,7 @@ func BenchmarkSetup(b *testing.B) {
 // solve phase.
 func BenchmarkVCycle(b *testing.B) {
 	a := gen.Laplacian2D9pt[float64](120, 120)
-	h, err := Setup(a, Options{})
+	h, err := SetupPooled(a, Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func BenchmarkVCycle(b *testing.B) {
 
 func BenchmarkPCG(b *testing.B) {
 	a := gen.Laplacian2D5pt[float64](80, 80)
-	h, err := Setup(a, Options{})
+	h, err := SetupPooled(a, Options{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

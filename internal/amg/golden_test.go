@@ -1,0 +1,131 @@
+package amg
+
+import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"smat/internal/gen"
+	"smat/internal/kernels"
+	"smat/internal/matrix"
+)
+
+// goldenAMGRow is what the golden table pins of one hierarchy: an FNV-1a
+// hash of every level's A, P and R (dimensions, RowPtr, ColIdx and value
+// bits), one of x after three V-cycles from zero, and one of x after
+// SolvePCG to 1e-8.
+type goldenAMGRow struct {
+	levels, vcycles, pcg uint64
+}
+
+// goldenAMG was computed with the hierarchy built before the smoother,
+// cycle-index and set-up options became constants, when Setup and
+// SetupPooled were two entry points and a declined Galerkin dispatch spawned
+// goroutines.
+var goldenAMG = []struct {
+	name string
+	a    func() *matrix.CSR[float64]
+	opts Options
+	want goldenAMGRow
+}{
+	{"rugeL/lap2d9", func() *matrix.CSR[float64] { return gen.Laplacian2D9pt[float64](40, 40) },
+		Options{Coarsening: RugeStueben},
+		goldenAMGRow{0xcb34cc6639fea487, 0xe75f50b8b74b072a, 0xb93f5a90cbe418c8}},
+	{"cljp/lap3d7", func() *matrix.CSR[float64] { return gen.Laplacian3D7pt[float64](12, 12, 12) },
+		Options{Coarsening: CLJP, Seed: 1},
+		goldenAMGRow{0xccad9df7bca7081e, 0x5c39e694e0d1ca8c, 0x0f34caa7695d4114}},
+}
+
+func hashWords(h hash.Hash64, words ...uint64) {
+	var b [8]byte
+	for _, w := range words {
+		binary.LittleEndian.PutUint64(b[:], w)
+		h.Write(b[:])
+	}
+}
+
+func hashCSR(h hash.Hash64, m *matrix.CSR[float64]) {
+	if m == nil {
+		hashWords(h, math.MaxUint64)
+		return
+	}
+	hashWords(h, uint64(m.Rows), uint64(m.Cols))
+	for _, p := range m.RowPtr {
+		hashWords(h, uint64(p))
+	}
+	for _, c := range m.ColIdx {
+		hashWords(h, uint64(c))
+	}
+	hashVec(h, m.Vals)
+}
+
+func hashVec(h hash.Hash64, v []float64) {
+	for _, x := range v {
+		hashWords(h, math.Float64bits(x))
+	}
+}
+
+// TestHierarchyUnchanged holds set-up, the V-cycle and AMG-PCG to the bits
+// they produced before the multigrid options were cut to what callers set:
+// Ruge–Stüben on a 2D 9-point Laplacian and CLJP (seed 1) on a 3D 7-point
+// one, each set up without a pool and on pools of 2 and 4 threads. The
+// hashes pin the float64 arithmetic of architectures that do not fuse
+// multiply-adds.
+func TestHierarchyUnchanged(t *testing.T) {
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Skipf("%s may fuse multiply-adds: the pinned bits are amd64's", runtime.GOARCH)
+	}
+	for _, c := range goldenAMG {
+		for _, threads := range []int{0, 2, 4} {
+			var pool *kernels.Pool[float64]
+			if threads > 0 {
+				pool = kernels.NewPool[float64](threads)
+			}
+			a := c.a()
+			h, err := SetupPooled(a, c.opts, pool)
+			if pool != nil {
+				pool.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got goldenAMGRow
+			hl := fnv.New64a()
+			hashWords(hl, uint64(len(h.Levels)))
+			for _, lvl := range h.Levels {
+				hashCSR(hl, lvl.A)
+				hashCSR(hl, lvl.P)
+				hashCSR(hl, lvl.R)
+			}
+			got.levels = hl.Sum64()
+
+			b := make([]float64, a.Rows)
+			for i := range b {
+				b[i] = float64(i%7) - 3
+			}
+			x := make([]float64, a.Rows)
+			for i := 0; i < 3; i++ {
+				h.VCycle(b, x)
+			}
+			hv := fnv.New64a()
+			hashVec(hv, x)
+			got.vcycles = hv.Sum64()
+
+			clear(x)
+			if st := h.SolvePCG(b, x, 1e-8, 100); !st.Converged {
+				t.Fatalf("%s: SolvePCG did not converge: %+v", c.name, st)
+			}
+			hp := fnv.New64a()
+			hashVec(hp, x)
+			got.pcg = hp.Sum64()
+
+			if got != c.want {
+				t.Errorf("%s, pool of %d: hashes {levels %#x, V-cycles %#x, PCG %#x}, want {%#x, %#x, %#x}",
+					c.name, threads, got.levels, got.vcycles, got.pcg, c.want.levels, c.want.vcycles, c.want.pcg)
+			}
+		}
+	}
+}

@@ -20,71 +20,26 @@ type SpMV[T matrix.Float] interface {
 // will use for it.
 type OperatorFactory[T matrix.Float] func(m *matrix.CSR[T]) (SpMV[T], error)
 
-// Smoother selects the relaxation method.
-type Smoother int
-
+// The set-up and cycle parameters: the strength threshold, the depth bound,
+// the dimension at which a level is solved directly, the pre- and
+// post-smoothing sweeps, the weighted-Jacobi damping and the interpolation
+// truncation (Hypre's Pmax). Theta, the depth bound and Pmax are Hypre
+// BoomerAMG's defaults.
 const (
-	// Jacobi is weighted Jacobi relaxation; each sweep is one SpMV plus
-	// vector updates, so the solve phase is SpMV-dominated (the property the
-	// paper exploits).
-	Jacobi Smoother = iota
-	// GaussSeidel is a serial forward sweep on the raw CSR structure.
-	GaussSeidel
+	theta      = 0.25
+	maxLevels  = 25
+	coarseSize = 64
+	nu1, nu2   = 1, 1
+	omega      = float64(2.0 / 3.0)
+	pMax       = 4
 )
 
-// Options configures Setup.
+// Options configures SetupPooled.
 type Options struct {
-	// Theta is the strength threshold (default 0.25).
-	Theta float64
 	// Coarsening selects RugeStueben or CLJP.
 	Coarsening Coarsening
-	// MaxLevels bounds the hierarchy depth (default 25).
-	MaxLevels int
-	// CoarseSize is the dimension at which a level is solved directly
-	// (default 64).
-	CoarseSize int
-	// Nu1, Nu2 are pre-/post-smoothing sweeps (default 1 each).
-	Nu1, Nu2 int
-	// Omega is the Jacobi damping factor (default 2/3).
-	Omega float64
-	// PMax truncates interpolation rows to this many entries (default 4,
-	// Hypre's default; ≤ -1 disables truncation).
-	PMax int
-	// Smoother selects the relaxation (default Jacobi).
-	Smoother Smoother
-	// Gamma is the cycle index: 1 recursion per level is a V-cycle
-	// (default), 2 a W-cycle.
-	Gamma int
 	// Seed feeds CLJP's random weights.
 	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Theta <= 0 {
-		o.Theta = 0.25
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 25
-	}
-	if o.CoarseSize <= 0 {
-		o.CoarseSize = 64
-	}
-	if o.Nu1 <= 0 {
-		o.Nu1 = 1
-	}
-	if o.Nu2 <= 0 {
-		o.Nu2 = 1
-	}
-	if o.Omega <= 0 {
-		o.Omega = 2.0 / 3.0
-	}
-	if o.PMax == 0 {
-		o.PMax = 4
-	}
-	if o.Gamma <= 0 {
-		o.Gamma = 1
-	}
-	return o
 }
 
 // Level is one grid of the hierarchy: the operator A, the transfer operators
@@ -118,7 +73,6 @@ func (lvl *Level[T]) bindOps(a, p, r SpMV[T]) {
 type Hierarchy[T matrix.Float] struct {
 	Levels []*Level[T]
 	lu     *denseLU[T]
-	opts   Options
 	cgws   solve.CGScratch[T] // reusable PCG workspace: SolvePCG allocates only on first use
 }
 
@@ -135,30 +89,22 @@ func (o csrOp[T]) MulVec(x, y []T) {
 	}
 }
 
-// Setup builds the multigrid hierarchy from a square sparse operator:
+// SetupPooled builds the multigrid hierarchy from a square sparse operator:
 // strength graph → coarsening → direct interpolation → Galerkin triple
 // product per level, until the coarse-size or level limit. Operators default
-// to plain CSR; call Bind to swap in tuned SpMVs. The Galerkin products run
-// serially; SetupPooled parallelises them over a kernel worker pool.
-func Setup[T matrix.Float](a *matrix.CSR[T], opts Options) (*Hierarchy[T], error) {
-	return SetupPooled(a, opts, nil)
-}
-
-// SetupPooled is Setup with the Galerkin coarse-grid products — the setup
-// phase's dominant cost — dispatched as row-blocked fused SpGEMM chunks
-// over the given kernel worker pool (kernels.GalerkinRAP). A nil pool runs
-// the same fused product serially, which already beats the two-pass
-// matrix.TripleProduct by skipping the R·A intermediate. Sharing the
+// to plain CSR; call Bind to swap in tuned SpMVs. The Galerkin coarse-grid
+// products — the set-up's dominant cost — run as row-blocked fused SpGEMM
+// chunks on the given kernel worker pool (kernels.GalerkinRAP); a nil pool
+// runs the same fused product on the caller, with the same bits. Sharing the
 // tuner's pool (Tuner.Pool()) keeps setup and solve on one set of workers.
 func SetupPooled[T matrix.Float](a *matrix.CSR[T], opts Options, pool *kernels.Pool[T]) (*Hierarchy[T], error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("amg: operator is %dx%d, want square", a.Rows, a.Cols)
 	}
-	opts = opts.withDefaults()
-	h := &Hierarchy[T]{opts: opts}
+	h := &Hierarchy[T]{}
 	cur := a
-	for len(h.Levels) < opts.MaxLevels-1 && cur.Rows > opts.CoarseSize {
-		g := buildStrength(cur, opts.Theta)
+	for len(h.Levels) < maxLevels-1 && cur.Rows > coarseSize {
+		g := buildStrength(cur, theta)
 		var split []int8
 		if opts.Coarsening == CLJP {
 			split = coarsenCLJP(g, opts.Seed+int64(len(h.Levels)))
@@ -166,7 +112,7 @@ func SetupPooled[T matrix.Float](a *matrix.CSR[T], opts Options, pool *kernels.P
 			split = coarsenRS(g)
 		}
 		enforceInterpolatable(g, split)
-		p := buildInterpolation(cur, g, split, opts.PMax)
+		p := buildInterpolation(cur, g, split)
 		if p.Cols == 0 || p.Cols >= cur.Rows {
 			break // coarsening stalled
 		}

@@ -16,7 +16,7 @@ import (
 //
 // where positive off-diagonal couplings are lumped onto the diagonal ã_ii
 // (the standard treatment for essentially negative-coupled problems).
-func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, split []int8, maxPerRow int) *matrix.CSR[T] {
+func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, split []int8) *matrix.CSR[T] {
 	n := a.Rows
 	var rowBuf []pEntry
 	cmap := make([]int, n)
@@ -79,7 +79,7 @@ func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, spli
 			}
 			row = append(row, pEntry{col: cmap[j], w: -alpha * float64(a.Vals[jj]) / diag})
 		}
-		row = truncateRow(row, maxPerRow)
+		row = truncateRow(row, pMax)
 		rowBuf = row
 		for _, e := range row {
 			p.ColIdx = append(p.ColIdx, e.col)
@@ -97,11 +97,11 @@ type pEntry struct {
 }
 
 // truncateRow implements interpolation truncation (Hypre's Pmax): keep the
-// maxEntries largest-magnitude weights and rescale so the row sum is
+// maxEntries (≥ 1) largest-magnitude weights and rescale so the row sum is
 // preserved, which keeps the Galerkin coarse operators sparse (bounded
 // operator complexity) at a negligible cost in convergence.
 func truncateRow(row []pEntry, maxEntries int) []pEntry {
-	if maxEntries <= 0 || len(row) <= maxEntries {
+	if len(row) <= maxEntries {
 		slices.SortFunc(row, byCol)
 		return row
 	}

@@ -1,44 +1,22 @@
 package amg
 
-import (
-	"smat/internal/matrix"
-	"smat/internal/solve"
-)
-
-// Preconditioner applies z ≈ A⁻¹ r.
-type Preconditioner[T matrix.Float] interface {
-	Apply(r, z []T)
-}
+import "smat/internal/solve"
 
 // Apply runs one V-cycle from a zero initial guess: the standard way AMG
 // serves as a preconditioner (the paper's Section 7.1: "AMG is used as a
-// preconditioner such as conjugate gradients").
+// preconditioner such as conjugate gradients"). It makes the hierarchy a
+// solve.Preconditioner.
 func (h *Hierarchy[T]) Apply(r, z []T) {
 	clear(z)
 	h.VCycle(r, z)
 }
 
-// PCG solves the symmetric positive-definite system A x = b with
-// preconditioned conjugate gradients, refining x in place. a is the
-// operator's SpMV (tuned or plain), M the preconditioner (nil for plain CG).
-// It delegates to solve.CG (shared unrolled float64 inner products,
-// breakdown detection); a breakdown — the operator not SPD along a search
-// direction — surfaces as an early, non-converged return, matching the
-// historical behaviour of this entry point.
-func PCG[T matrix.Float](a SpMV[T], m Preconditioner[T], b, x []T, tol float64, maxIter int) SolveStats {
-	var ws solve.CGScratch[T]
-	return pcgWith(&ws, a, m, b, x, tol, maxIter)
-}
-
-func pcgWith[T matrix.Float](ws *solve.CGScratch[T], a SpMV[T], m Preconditioner[T], b, x []T, tol float64, maxIter int) SolveStats {
-	stats, _ := solve.CGWith[T](ws, a, m, b, x, tol, maxIter)
-	return SolveStats(stats)
-}
-
 // SolvePCG solves A x = b with CG preconditioned by this hierarchy, using
 // the hierarchy's (possibly SMAT-bound) operator for the fine-level SpMV.
 // The CG work vectors live on the hierarchy, so repeated solves through one
-// hierarchy allocate only on the first call.
+// hierarchy allocate only on the first call. A breakdown — the operator not
+// SPD along a search direction — surfaces as an early, non-converged return.
 func (h *Hierarchy[T]) SolvePCG(b, x []T, tol float64, maxIter int) SolveStats {
-	return pcgWith(&h.cgws, h.Levels[0].aOp, h, b, x, tol, maxIter)
+	stats, _ := solve.CGWith[T](&h.cgws, h.Levels[0].aOp, h, b, x, tol, maxIter)
+	return stats
 }

@@ -1,11 +1,13 @@
 package amg
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"smat/internal/gen"
 	"smat/internal/matrix"
+	"smat/internal/solve"
 )
 
 func poissonSystem(t *testing.T, nx int) (*matrix.CSR[float64], []float64, []float64) {
@@ -24,7 +26,7 @@ func poissonSystem(t *testing.T, nx int) (*matrix.CSR[float64], []float64, []flo
 func TestPlainCGConvergesOnSPD(t *testing.T) {
 	a, b, want := poissonSystem(t, 16)
 	x := make([]float64, a.Rows)
-	stats := PCG[float64](csrOp[float64]{a}, nil, b, x, 1e-10, 2000)
+	stats, _ := solve.CG[float64](csrOp[float64]{a}, nil, b, x, 1e-10, 2000)
 	if !stats.Converged {
 		t.Fatalf("plain CG did not converge: %+v", stats)
 	}
@@ -35,7 +37,7 @@ func TestPlainCGConvergesOnSPD(t *testing.T) {
 
 func TestAMGPreconditionedCGBeatsPlainCG(t *testing.T) {
 	a, b, want := poissonSystem(t, 40)
-	h, err := Setup(a, Options{})
+	h, err := SetupPooled(a, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestAMGPreconditionedCGBeatsPlainCG(t *testing.T) {
 		t.Error("AMG-PCG solution wrong")
 	}
 	xc := make([]float64, a.Rows)
-	cg := PCG[float64](csrOp[float64]{a}, nil, b, xc, 1e-10, 500)
+	cg, _ := solve.CG[float64](csrOp[float64]{a}, nil, b, xc, 1e-10, 500)
 	if cg.Converged && cg.Iterations <= pcg.Iterations {
 		t.Errorf("AMG preconditioning did not help: PCG %d iters vs CG %d",
 			pcg.Iterations, cg.Iterations)
@@ -61,7 +63,7 @@ func TestAMGPreconditionedCGBeatsPlainCG(t *testing.T) {
 func TestPCGZeroRHS(t *testing.T) {
 	a := lap1D(20)
 	x := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	stats := PCG[float64](csrOp[float64]{a}, nil, make([]float64, 20), x, 1e-12, 10)
+	stats, _ := solve.CG[float64](csrOp[float64]{a}, nil, make([]float64, 20), x, 1e-12, 10)
 	if !stats.Converged {
 		t.Error("zero RHS did not converge")
 	}
@@ -81,7 +83,10 @@ func TestPCGStopsOnNonSPD(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 2)
-	stats := PCG[float64](csrOp[float64]{a}, nil, []float64{0, 1}, x, 1e-12, 100)
+	stats, err := solve.CG[float64](csrOp[float64]{a}, nil, []float64{0, 1}, x, 1e-12, 100)
+	if !errors.Is(err, solve.ErrBreakdown) {
+		t.Errorf("indefinite system: err %v, want solve.ErrBreakdown", err)
+	}
 	if stats.Converged {
 		t.Error("indefinite system reported converged")
 	}
@@ -93,7 +98,7 @@ func TestPCGStopsOnNonSPD(t *testing.T) {
 func TestPCGRespectsMaxIter(t *testing.T) {
 	a, b, _ := poissonSystem(t, 30)
 	x := make([]float64, a.Rows)
-	stats := PCG[float64](csrOp[float64]{a}, nil, b, x, 1e-14, 3)
+	stats, _ := solve.CG[float64](csrOp[float64]{a}, nil, b, x, 1e-14, 3)
 	if stats.Converged {
 		t.Error("converged in 3 iterations at 1e-14 on a 900-dof Poisson problem?")
 	}

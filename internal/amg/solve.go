@@ -78,30 +78,12 @@ func (f *denseLU[T]) solve(b, x []T) {
 	}
 }
 
-// smooth runs one relaxation sweep on A x = b at the given level.
-func (h *Hierarchy[T]) smooth(lvl *Level[T], b, x []T) {
-	switch h.opts.Smoother {
-	case GaussSeidel:
-		a := lvl.A
-		for i := 0; i < a.Rows; i++ {
-			var sum T
-			var diag T
-			for jj := a.RowPtr[i]; jj < a.RowPtr[i+1]; jj++ {
-				j := a.ColIdx[jj]
-				if j == i {
-					diag = a.Vals[jj]
-					continue
-				}
-				sum += a.Vals[jj] * x[j]
-			}
-			if diag != 0 {
-				x[i] = (b[i] - sum) / diag
-			}
-		}
-	default: // weighted Jacobi: x += ω D⁻¹ (b − A x), one SpMV per sweep.
-		lvl.aOp.MulVec(x, lvl.tmp)
-		lvl.vec.Jacobi(T(h.opts.Omega), b, lvl.tmp, lvl.Diag, x)
-	}
+// smooth runs one weighted-Jacobi sweep on A x = b at this level:
+// x += ω D⁻¹ (b − A x), one SpMV per sweep, so the solve phase is
+// SpMV-dominated (the property the paper exploits).
+func (lvl *Level[T]) smooth(b, x []T) {
+	lvl.aOp.MulVec(x, lvl.tmp)
+	lvl.vec.Jacobi(T(omega), b, lvl.tmp, lvl.Diag, x)
 }
 
 // vcycle runs one V-cycle starting at level li, solving A x = b with the
@@ -112,37 +94,30 @@ func (h *Hierarchy[T]) vcycle(li int, b, x []T) {
 		h.lu.solve(b, x)
 		return
 	}
-	for s := 0; s < h.opts.Nu1; s++ {
-		h.smooth(lvl, b, x)
+	for s := 0; s < nu1; s++ {
+		lvl.smooth(b, x)
 	}
 	// Residual r = b − A x.
 	lvl.aOp.MulVec(x, lvl.tmp)
 	lvl.vec.Residual(b, lvl.tmp, lvl.tmp)
-	// Restrict and recurse (once for a V-cycle, Gamma times for W-cycles).
+	// Restrict and recurse.
 	next := h.Levels[li+1]
 	lvl.rOp.MulVec(lvl.tmp, next.b)
 	clear(next.x)
-	for g := 0; g < h.opts.Gamma; g++ {
-		h.vcycle(li+1, next.b, next.x)
-	}
+	h.vcycle(li+1, next.b, next.x)
 	// Prolong and correct.
 	lvl.pOp.MulVec(next.x, lvl.tmp)
 	lvl.vec.Axpy(1, lvl.tmp, x)
-	for s := 0; s < h.opts.Nu2; s++ {
-		h.smooth(lvl, b, x)
+	for s := 0; s < nu2; s++ {
+		lvl.smooth(b, x)
 	}
 }
 
-// VCycle applies one multigrid cycle (V or W per Options.Gamma) to
-// A x = b, refining x in place.
+// VCycle applies one V-cycle to A x = b, refining x in place.
 func (h *Hierarchy[T]) VCycle(b, x []T) { h.vcycle(0, b, x) }
 
-// SolveStats reports a Solve run.
-type SolveStats struct {
-	Iterations  int
-	RelResidual float64
-	Converged   bool
-}
+// SolveStats reports a Solve or SolvePCG run.
+type SolveStats = solve.Stats
 
 // Solve iterates V-cycles until ‖b − A x‖₂ / ‖b‖₂ ≤ tol or maxIter cycles,
 // refining x in place.

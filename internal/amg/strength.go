@@ -2,10 +2,10 @@
 // Hypre's BoomerAMG, the application the paper evaluates SMAT inside
 // (Section 7.4): strength-of-connection graphs, Ruge–Stüben and CLJP
 // coarsening, direct interpolation, Galerkin coarse operators via sparse
-// triple products, and a V-cycle with weighted-Jacobi or Gauss–Seidel
-// smoothing. Every SpMV in the solve phase goes through a pluggable operator
-// interface, so SMAT-tuned kernels drop in per level exactly as the paper
-// drops SMAT into Hypre.
+// triple products, and a V-cycle with weighted-Jacobi smoothing. Every SpMV
+// in the solve phase goes through a pluggable operator interface, so
+// SMAT-tuned kernels drop in per level exactly as the paper drops SMAT into
+// Hypre.
 package amg
 
 import "smat/internal/matrix"

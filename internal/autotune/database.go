@@ -191,12 +191,14 @@ func (db *Database) kernels(threads int) (map[string]string, error) {
 
 // TrainFromDatabase learns a model from an existing feature database,
 // skipping all measurement: one class per thread count the rows were timed
-// at, each binding the kernels its rows were labeled with.
+// at, each binding the kernels its rows were labeled with. Learning reads
+// none of cfg's fields (they steer labeling): it induces with DefaultTree,
+// tailors to tailorLoss and ships DefaultConfidenceThreshold, so a database
+// relearns to the same model every time.
 func TrainFromDatabase(db *Database, cfg TrainConfig) (*TrainResult, error) {
 	if len(db.Records) == 0 {
 		return nil, fmt.Errorf("autotune: empty database")
 	}
-	cfg = cfg.withDefaults()
 	res := &TrainResult{}
 	var classes []ModelClass
 	for _, threads := range db.Threads() {
@@ -204,12 +206,12 @@ func TrainFromDatabase(db *Database, cfg TrainConfig) (*TrainResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		tree, err := mining.BuildTree(ds, cfg.Tree)
+		tree, err := mining.BuildTree(ds, DefaultTree())
 		if err != nil {
 			return nil, fmt.Errorf("autotune: train from database (%d threads): %w", threads, err)
 		}
 		full := mining.RulesFromTree(tree, ds).SimplifyConditions(ds)
-		tailored := full.Tailor(ds, cfg.TailorLoss)
+		tailored := full.Tailor(ds, tailorLoss)
 		res.Classes = append(res.Classes, ClassResult{
 			Threads:       threads,
 			Dataset:       ds,
@@ -224,6 +226,6 @@ func TrainFromDatabase(db *Database, cfg TrainConfig) (*TrainResult, error) {
 		}
 		classes = append(classes, ModelClass{Threads: threads, Kernels: kmap, Ruleset: tailored})
 	}
-	res.Model = NewModel(cfg.ConfidenceThreshold, DefaultMaxFill, classes...)
+	res.Model = NewModel(DefaultConfidenceThreshold, DefaultMaxFill, classes...)
 	return res, nil
 }

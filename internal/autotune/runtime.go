@@ -243,7 +243,7 @@ func (o *Operator[T]) MulVec(x, y []T) {
 //
 //smat:hotpath
 func (o *Operator[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
-	o.pool.RunChunksInline(bounds, fn)
+	o.pool.RunChunks(bounds, fn)
 }
 
 // Threads returns the worker pool's thread count: the most chunks RunChunks

@@ -35,6 +35,18 @@ type ModelClass struct {
 	Ruleset *mining.Ruleset   `json:"ruleset"`
 }
 
+// Choice is the class's kernel table keyed by format, the form NewLabeler
+// takes; an entry under a name that is not a format is skipped.
+func (c *ModelClass) Choice() KernelChoice {
+	out := KernelChoice{}
+	for name, kernel := range c.Kernels {
+		if f, err := matrix.ParseFormat(name); err == nil {
+			out[f] = kernel
+		}
+	}
+	return out
+}
+
 // Model is the serialisable artifact of the off-line stage: one ModelClass
 // per trained thread count and the runtime thresholds they share. Generated
 // once per architecture and reused for every input matrix; a tuner runs the
@@ -96,15 +108,6 @@ type TrainConfig struct {
 	Threads []int
 	// Measure controls each labeling measurement.
 	Measure MeasureOptions
-	// Tree configures the decision-tree inducer (nil AttrWeights: those of
-	// DefaultTree).
-	Tree mining.TreeConfig
-	// TailorLoss is the allowed training-accuracy loss of rule tailoring
-	// (default 0.01, the paper's 1%).
-	TailorLoss float64
-	// ConfidenceThreshold for the runtime (default
-	// DefaultConfidenceThreshold).
-	ConfidenceThreshold float64
 	// SkipKernelSearch labels every class with labelKernels instead of
 	// running the scoreboard search first.
 	SkipKernelSearch bool
@@ -134,8 +137,8 @@ var labelKernels = KernelChoice{
 // more informative to be taken.
 const columnPassWeight = 0.3
 
-// DefaultTree is the tree configuration training uses unless told
-// otherwise: the column-pass attributes weighted by columnPassWeight.
+// DefaultTree is the tree configuration training induces with: the
+// column-pass attributes weighted by columnPassWeight.
 func DefaultTree() mining.TreeConfig {
 	w := make([]float64, len(features.AttributeNames))
 	for i, name := range features.AttributeNames {
@@ -148,10 +151,11 @@ func DefaultTree() mining.TreeConfig {
 	return mining.TreeConfig{AttrWeights: w}
 }
 
+// tailorLoss is the training accuracy rule tailoring may give up (the
+// paper's 1%).
+const tailorLoss = 0.01
+
 func (cfg TrainConfig) withDefaults() TrainConfig {
-	if cfg.Tree.AttrWeights == nil {
-		cfg.Tree.AttrWeights = DefaultTree().AttrWeights
-	}
 	procs := runtime.GOMAXPROCS(0)
 	threads := []int{procs}
 	if len(cfg.Threads) > 0 {
@@ -163,12 +167,6 @@ func (cfg TrainConfig) withDefaults() TrainConfig {
 		threads = slices.Compact(threads)
 	}
 	cfg.Threads = threads
-	if cfg.TailorLoss <= 0 {
-		cfg.TailorLoss = 0.01
-	}
-	if cfg.ConfidenceThreshold <= 0 {
-		cfg.ConfidenceThreshold = DefaultConfidenceThreshold
-	}
 	return cfg
 }
 

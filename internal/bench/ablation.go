@@ -214,7 +214,7 @@ func trainForAblation(cfg Config) (*autotune.TrainResult, *mining.Dataset, error
 	}
 	// Label the held-out set with the kernels the training labels used, so
 	// both splits share one ground truth.
-	labeler := autotune.NewLabeler(kernelChoice(&res.Model.Classes[0]), cfg.Threads, cfg.Measure)
+	labeler := autotune.NewLabeler(res.Model.Classes[0].Choice(), cfg.Threads, cfg.Measure)
 	defer labeler.Close()
 	ds := res.Classes[0].Dataset
 	evalDS := &mining.Dataset{AttrNames: ds.AttrNames, ClassNames: ds.ClassNames}

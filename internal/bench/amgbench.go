@@ -34,7 +34,7 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 	cfg = cfg.withDefaults()
 	n := scaledGrid(34, cfg.Scale)
 	a := gen.Laplacian3D7pt[float64](n, n, n)
-	h, err := amg.Setup(a, amg.Options{Coarsening: amg.CLJP, Seed: cfg.Seed})
+	h, err := amg.SetupPooled(a, amg.Options{Coarsening: amg.CLJP, Seed: cfg.Seed}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func Table4(cfg Config) (*Table4Result, error) {
 	}
 	for _, c := range configs {
 		a := c.build()
-		h, err := amg.Setup(a, c.opts)
+		h, err := amg.SetupPooled(a, c.opts, nil)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s setup: %w", c.name, err)
 		}

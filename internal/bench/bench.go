@@ -68,19 +68,7 @@ func (c Config) withDefaults() Config {
 
 // choice extracts the per-format kernel choice of the model's class for
 // c.Threads.
-func (c Config) choice() autotune.KernelChoice { return kernelChoice(c.Model.Class(c.Threads)) }
-
-// kernelChoice is a model class's kernel table keyed by format.
-func kernelChoice(class *autotune.ModelClass) autotune.KernelChoice {
-	out := autotune.KernelChoice{}
-	for name, kernel := range class.Kernels {
-		f, err := matrix.ParseFormat(name)
-		if err == nil {
-			out[f] = kernel
-		}
-	}
-	return out
-}
+func (c Config) choice() autotune.KernelChoice { return c.Model.Class(c.Threads).Choice() }
 
 // measureOperator times an already-tuned operator and returns GFLOPS.
 func measureOperator[T matrix.Float](op interface{ MulVec(x, y []T) }, cols, rows, nnz int,

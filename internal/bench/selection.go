@@ -77,7 +77,7 @@ func Selection(cfg Config) *SelectionResult {
 	labelers := make([]*autotune.Labeler, len(threads))
 	cells := make([][]*cell, len(threads))
 	for ti, th := range threads {
-		labelers[ti] = autotune.NewLabeler(kernelChoice(cfg.Model.Class(th)), th, cfg.Measure)
+		labelers[ti] = autotune.NewLabeler(cfg.Model.Class(th).Choice(), th, cfg.Measure)
 		defer labelers[ti].Close()
 		for _, m := range models {
 			c := &cell{tuner: autotune.New[float64](m.model, autotune.Config{Threads: th, CacheSize: -1})}

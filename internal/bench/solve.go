@@ -114,9 +114,9 @@ func SolveBench(cfg Config) (*SolveResult, error) {
 }
 
 // galerkinRows times the AMG setup-phase coarse-grid products: the serial
-// two-pass triple product R·A·P (matrix.TripleProduct, the pre-existing
-// Setup path) against the fused row-blocked kernels.GalerkinRAP dispatched
-// over a worker pool, summed over every level of each hierarchy.
+// two-pass triple product R·A·P (matrix.TripleProduct) against the fused
+// row-blocked kernels.GalerkinRAP dispatched over a worker pool, summed over
+// every level of each hierarchy.
 func galerkinRows(cfg Config, trials int, res *SolveResult) error {
 	setupThreads := cfg.Threads
 	if setupThreads < 4 {
@@ -143,7 +143,7 @@ func galerkinRows(cfg Config, trials int, res *SolveResult) error {
 	}
 	for _, c := range configs {
 		a := c.build()
-		h, err := amg.Setup(a, c.opts)
+		h, err := amg.SetupPooled(a, c.opts, nil)
 		if err != nil {
 			return fmt.Errorf("bench: %s setup: %w", c.name, err)
 		}

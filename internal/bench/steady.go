@@ -90,6 +90,12 @@ func Steady(cfg Config) *SteadyResult {
 	defer pool.Close()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	top := int(float64(1<<20) * cfg.Scale)
+	// A column's call count is sized for the default 1 ms measurement window
+	// and shrinks with a shorter one, never below 30 calls.
+	callShare := 1.0
+	if mt := cfg.Measure.MinTime; mt > 0 {
+		callShare = min(1, mt.Seconds()/time.Millisecond.Seconds())
+	}
 	warmFrom := make([]winsFrom, len(cutoffKernels))
 	coldFrom := make([]winsFrom, len(cutoffKernels))
 	for ci, c := range cutoffKernels {
@@ -110,7 +116,7 @@ func Steady(cfg Config) *SteadyResult {
 				func() { k.Run(mat, x, y, 1) },
 				func() { k.RunPooled(forced, x, y, pool) },
 			}
-			calls := min(2000, max(30, (4<<20)/stored))
+			calls := max(30, int(float64(min(2000, max(30, (4<<20)/stored)))*callShare))
 			b2b := interleavedMedians(cfg.Measure.Trials, calls, 0, runners)
 			gapped := interleavedMedians(cfg.Measure.Trials, calls, cutoffGap, runners)
 			row := CutoffRow{

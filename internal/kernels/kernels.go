@@ -261,7 +261,7 @@ func ConvertTimed[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.F
 	start := time.Now()
 	var sp matrix.Split
 	if pool != nil && pool.Threads() > 1 && m.NNZ() >= ConvertWork {
-		sp = matrix.Split{Bounds: nnzBalancedRowBounds(m.RowPtr, pool.Threads()), Run: pool.RunChunksInline}
+		sp = matrix.Split{Bounds: nnzBalancedRowBounds(m.RowPtr, pool.Threads()), Run: pool.RunChunks}
 	}
 	out, err := convert(m, l, f, maxFill, sp)
 	sec := time.Since(start).Seconds()

@@ -68,7 +68,7 @@ type poolState[T matrix.Float] struct {
 
 	// Dispatch state, written under mu before the generation is bumped and
 	// read by the workers after they observe the bump. Exactly one of fn
-	// (SpMV dispatch) and job (generic chunked dispatch, e.g. SpGEMM) is
+	// (SpMV dispatch) and job (generic chunked dispatch, e.g. GalerkinRAP) is
 	// non-nil per dispatch.
 	fn     rangeFn[T]
 	job    func(chunk, lo, hi int)
@@ -110,7 +110,7 @@ type PoolStats struct {
 	Woken uint64 `json:"woken"`
 	// Overflow is the number of parallel dispatches that found the pool busy
 	// with another dispatch (or closed) and fell back to per-call goroutines
-	// (kernels, RunChunks) or to the caller's own goroutine (RunChunksInline).
+	// (kernels) or to the caller's own goroutine (RunChunks).
 	Overflow uint64 `json:"overflow"`
 	// SerialCutoff is the number of calls a parallel kernel ran serially
 	// because the matrix's estimated work sat below the plan's cutoff.
@@ -191,7 +191,7 @@ func (s *poolState[T]) shutdown() {
 
 // run dispatches the bounds chunks across the workers, returning false when
 // the pool is busy with another dispatch or closed (the caller then falls
-// back to spawning). Exactly one of fn and job is non-nil. The whole dispatch
+// back to spawning, or runs the chunks itself). Exactly one of fn and job is non-nil. The whole dispatch
 // allocates nothing.
 //
 // The protocol: write the job fields, arm the countdown, bump the generation
@@ -297,29 +297,19 @@ func (s *poolState[T]) chunk(c int) {
 }
 
 // RunChunks executes fn over the half-open chunks of bounds — chunk c covers
-// [bounds[c], bounds[c+1]) — reusing the pool's persistent workers. Chunk 0
-// runs on the calling goroutine. When the pool is nil, busy with another
-// dispatch, closed, or the chunk count exceeds the worker fan-out, the call
-// falls back to one fresh goroutine per extra chunk, so it always completes.
-// This is the dispatch substrate for non-SpMV row-blocked work (SpGEMM,
-// Galerkin products) that wants the same threads without new goroutines.
-func (p *Pool[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
-	if !p.tryChunks(bounds, fn) {
-		spawnJobChunks(bounds, fn)
-	}
-}
-
-// RunChunksInline is RunChunks for sweeps too short to pay for a goroutine
-// (a solver's vector phases: tens of microseconds): when the pool declines
-// the dispatch, the chunks run on the caller, in chunk order. The dispatch
-// allocates nothing either way, and a per-chunk result does not depend on
-// who ran the chunk, so a caller that reduces its chunks in order gets the
-// same bits from a free, a busy and a closed pool. PoolStats.Overflow counts
-// the declined dispatches.
+// [bounds[c], bounds[c+1]) — on the pool's persistent workers, chunk 0 on the
+// calling goroutine. When the pool is nil, busy with another dispatch, closed,
+// or the chunk count exceeds its fan-out, the chunks run on the caller, in
+// chunk order. The dispatch allocates nothing either way, and a per-chunk
+// result does not depend on who ran the chunk, so a caller that reduces its
+// chunks in order gets the same bits from a free, a busy, a closed and a nil
+// pool. It is the dispatch for row-blocked work other than a kernel: the
+// Galerkin products, a solver's vector phases, chunked conversions.
+// PoolStats.Overflow counts the declined dispatches.
 //
 //smat:hotpath
-func (p *Pool[T]) RunChunksInline(bounds []int, fn func(chunk, lo, hi int)) {
-	if p.tryChunks(bounds, fn) {
+func (p *Pool[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
+	if len(bounds) > 2 && p != nil && p.s.run(bounds, nil, fn, nil, nil, nil, 0) {
 		return
 	}
 	lo := 0
@@ -329,38 +319,6 @@ func (p *Pool[T]) RunChunksInline(bounds []int, fn func(chunk, lo, hi int)) {
 		}
 		lo = hi
 	}
-}
-
-// tryChunks runs the chunks when that needs no fallback — none or one chunk
-// on the caller, several on the workers — and reports false when the pool is
-// nil or declined them.
-//
-//smat:hotpath
-func (p *Pool[T]) tryChunks(bounds []int, fn func(chunk, lo, hi int)) bool {
-	switch nchunks := len(bounds) - 1; {
-	case nchunks <= 0:
-		return true
-	case nchunks == 1:
-		fn(0, bounds[0], bounds[1])
-		return true
-	}
-	return p != nil && p.s.run(bounds, nil, fn, nil, nil, nil, 0)
-}
-
-// spawnJobChunks is RunChunks' pool-less fallback: a goroutine per chunk
-// beyond the caller's, joined on a WaitGroup.
-func spawnJobChunks(bounds []int, fn func(chunk, lo, hi int)) {
-	nchunks := len(bounds) - 1
-	var wg sync.WaitGroup
-	wg.Add(nchunks - 1)
-	for t := 1; t < nchunks; t++ {
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			fn(c, lo, hi)
-		}(t, bounds[t], bounds[t+1])
-	}
-	fn(0, bounds[0], bounds[1])
-	wg.Wait()
 }
 
 // start launches the workers. It runs under mu on the first parallel

@@ -118,7 +118,7 @@ func TestPoolShutdownWhileSpinningAndParked(t *testing.T) {
 		if n := runtime.NumGoroutine(); n > base {
 			t.Errorf("Close (parked=%v) returned with %d goroutines, baseline %d", park, n, base)
 		}
-		p.RunChunks(bounds, counts.run) // closed: spawns, must not hang
+		p.RunChunks(bounds, counts.run) // closed: runs on the caller, must not hang
 		if st := p.Stats(); st.Pooled != 1 || st.Overflow != 1 {
 			t.Errorf("stats %+v, want one pooled dispatch and one overflow after Close", st)
 		}

@@ -2,13 +2,12 @@ package kernels
 
 import "smat/internal/matrix"
 
-// Row-blocked sparse matrix-matrix products for AMG hierarchy setup.
+// Row-blocked sparse triple products for AMG hierarchy setup.
 //
-// matrix.Mul is the single-threaded Gustavson reference. The entry points
-// here keep its exact per-row arithmetic — same accumulation order, same
-// ascending-column output, same explicit-zero drop — but restructure the
-// storage management so rows can be computed in parallel chunks over the
-// kernel worker pool:
+// matrix.Mul and matrix.TripleProduct are the single-threaded Gustavson
+// references. GalerkinRAP keeps their ascending-column output and
+// explicit-zero drop but restructures the storage management so rows can be
+// computed in parallel chunks over the kernel worker pool:
 //
 //   - an O(nnz) upper-bound pass sizes every result row before any numeric
 //     work, so the scratch arrays are sized exactly once (matrix.Mul grows
@@ -26,45 +25,9 @@ import "smat/internal/matrix"
 //     population, producing ascending order without a comparison sort.
 //
 // Because every result row depends only on its own inputs, the output is
-// bit-for-bit identical whatever the chunking: serial, pooled, and spawned
-// runs all agree exactly, and SpGEMM agrees exactly with matrix.Mul. The
-// oracle pins both properties (oracle.CheckSpGEMM).
-
-// SpGEMM computes the sparse product A·B with Gustavson's row-wise
-// algorithm, chunked over pool's workers (threads ≤ 0 resolves to the
-// pool's fan-out, or 1 without a pool). A nil pool runs the same chunking
-// on spawned goroutines, or serially for a single chunk. The result is
-// bit-for-bit equal to a.Mul(b).
-func SpGEMM[T matrix.Float](a, b *matrix.CSR[T], pool *Pool[T], threads int) *matrix.CSR[T] {
-	if a.Cols != b.Rows {
-		panic("kernels: SpGEMM dimension mismatch")
-	}
-	ar, release := arenaOf(pool)
-	defer release()
-	rows := a.Rows
-	ar.ub = growInts(ar.ub, rows+1)
-	ub := ar.ub
-	ub[0] = 0
-	for r := 0; r < rows; r++ {
-		n := 0
-		for jj := a.RowPtr[r]; jj < a.RowPtr[r+1]; jj++ {
-			k := a.ColIdx[jj]
-			n += b.RowPtr[k+1] - b.RowPtr[k]
-		}
-		ub[r+1] = ub[r] + n
-	}
-	ar.idx = growInts(ar.idx, ub[rows])
-	ar.val = growVals(ar.val, ub[rows])
-	colIdx, vals := ar.idx, ar.val
-	out := &matrix.CSR[T]{Rows: rows, Cols: b.Cols, RowPtr: make([]int, rows+1)}
-	bounds := nnzBalancedRowBounds(ub, resolveThreads(pool, threads))
-	ar.reserveChunks(bounds, ub, b.Cols)
-	runChunks(pool, bounds, func(chunk, lo, hi int) {
-		cs := &ar.chunks[chunk]
-		cs.gen = spgemmRows(a, b, out.RowPtr, colIdx, vals, cs.acc, cs.cols, cs.gen, ub[lo], lo, hi)
-	})
-	return stitch(out, colIdx, vals, ub, bounds, !ar.private)
-}
+// bit-for-bit identical whatever the chunking and whoever runs the chunks:
+// pooled and caller-run dispatches at any chunk count agree exactly. The
+// oracle pins it (oracle.CheckSpGEMM).
 
 // GalerkinRAP computes the Galerkin triple product R·A·P, choosing its
 // strategy from the operands' structure: either one fused Gustavson pass
@@ -78,10 +41,13 @@ func SpGEMM[T matrix.Float](a, b *matrix.CSR[T], pool *Pool[T], threads int) *ma
 // bound pass that sizes the result also yields both cost estimates, and the
 // cheaper strategy runs.
 //
-// The floating-point association can therefore differ from
-// matrix.TripleProduct, so results agree to rounding, not bit-for-bit;
-// serial and pooled runs of this function do agree bit-for-bit (the
-// strategy choice depends only on the operands, and rows are independent).
+// The rows are cut into threads chunks (threads ≤ 0: the pool's fan-out, or
+// one without a pool) and dispatched through pool.RunChunks, so a nil or
+// declining pool runs them on the caller. The floating-point association can
+// differ from matrix.TripleProduct, so results agree with it to rounding, not
+// bit-for-bit; runs of this function agree bit-for-bit at any chunk count on
+// any pool (the strategy choice depends only on the operands, and rows are
+// independent).
 func GalerkinRAP[T matrix.Float](r, a, p *matrix.CSR[T], pool *Pool[T], threads int) *matrix.CSR[T] {
 	if r.Cols != a.Rows || a.Cols != p.Rows {
 		panic("kernels: GalerkinRAP dimension mismatch")
@@ -126,65 +92,25 @@ func GalerkinRAP[T matrix.Float](r, a, p *matrix.CSR[T], pool *Pool[T], threads 
 	ar.val = growVals(ar.val, ub[r.Rows])
 	colIdx, vals := ar.idx, ar.val
 	out := &matrix.CSR[T]{Rows: r.Rows, Cols: p.Cols, RowPtr: make([]int, r.Rows+1)}
-	bounds := nnzBalancedRowBounds(ub, resolveThreads(pool, threads))
+	if threads <= 0 && pool != nil {
+		threads = pool.Threads()
+	}
+	bounds := nnzBalancedRowBounds(ub, threads)
 	ar.reserveChunks(bounds, ub, p.Cols)
 	if 20*fusedCost < 37*raCost { // fusedCost < 1.85·raCost
-		runChunks(pool, bounds, func(chunk, lo, hi int) {
+		pool.RunChunks(bounds, func(chunk, lo, hi int) {
 			cs := &ar.chunks[chunk]
 			cs.gen = rapRows(r, a, p, out.RowPtr, colIdx, vals, cs.acc, cs.cols, cs.gen, ub[lo], lo, hi)
 		})
 	} else {
 		ar.reserveMidChunks(bounds, raUB, a.Cols)
-		runChunks(pool, bounds, func(chunk, lo, hi int) {
+		pool.RunChunks(bounds, func(chunk, lo, hi int) {
 			cs := &ar.chunks[chunk]
 			cs.gen = rapTwoPhaseRows(r, a, p, out.RowPtr, colIdx, vals,
 				cs.acc, cs.mid, cs.cols, cs.midCols, cs.gen, ub[lo], lo, hi)
 		})
 	}
 	return stitch(out, colIdx, vals, ub, bounds, !ar.private)
-}
-
-// spgemmRows computes result rows [lo, hi) of A·B, writing entries densely
-// from scratch offset cur and row sizes into rowLen[r+1]. The accumulation
-// order, ascending-column output, and zero drop replicate matrix.Mul
-// exactly. gen is the chunk's persistent accumulator generation:
-// monotonically increasing, so stale stamps from earlier products never
-// match and the accumulator is never cleared.
-//
-//smat:hotpath
-func spgemmRows[T matrix.Float](a, b *matrix.CSR[T], rowLen, colIdx []int, vals []T, acc []accCell[T], cols []int, gen, cur, lo, hi int) int {
-	aRowPtr, aColIdx, aVals := a.RowPtr, a.ColIdx, a.Vals
-	bRowPtr, bColIdx, bVals := b.RowPtr, b.ColIdx, b.Vals
-	for r := lo; r < hi; r++ {
-		gen++
-		ncols := 0
-		cmin, cmax := int(^uint(0)>>1), -1
-		for jj := aRowPtr[r]; jj < aRowPtr[r+1]; jj++ {
-			k := aColIdx[jj]
-			av := aVals[jj]
-			for kk := bRowPtr[k]; kk < bRowPtr[k+1]; kk++ {
-				c := bColIdx[kk]
-				cell := &acc[c]
-				if cell.gen != gen {
-					cell.gen = gen
-					cell.val = 0
-					cols[ncols] = c
-					ncols++
-					if c < cmin {
-						cmin = c
-					}
-					if c > cmax {
-						cmax = c
-					}
-				}
-				cell.val += av * bVals[kk]
-			}
-		}
-		n := gatherSorted(acc, cols, ncols, gen, cmin, cmax, colIdx, vals, cur)
-		rowLen[r+1] = n
-		cur += n
-	}
-	return gen
 }
 
 // rapRows computes fused Galerkin rows [lo, hi): for each R entry (i, j)
@@ -428,36 +354,6 @@ func growCells[T matrix.Float](b []accCell[T], n int) []accCell[T] {
 		return b[:n]
 	}
 	return make([]accCell[T], n)
-}
-
-// resolveThreads picks the chunk fan-out: an explicit positive count wins,
-// otherwise the pool's fan-out, otherwise serial.
-func resolveThreads[T matrix.Float](pool *Pool[T], threads int) int {
-	if threads > 0 {
-		return threads
-	}
-	if pool != nil {
-		return pool.Threads()
-	}
-	return 1
-}
-
-// runChunks dispatches fn over the bounds chunks: pooled when a pool is
-// given, spawned goroutines otherwise, inline for a single chunk.
-func runChunks[T matrix.Float](pool *Pool[T], bounds []int, fn func(chunk, lo, hi int)) {
-	nchunks := len(bounds) - 1
-	if nchunks <= 0 {
-		return
-	}
-	if pool != nil {
-		pool.RunChunks(bounds, fn)
-		return
-	}
-	if nchunks == 1 {
-		fn(0, bounds[0], bounds[1])
-		return
-	}
-	spawnJobChunks(bounds, fn)
 }
 
 // maxRowBound returns the largest single-row upper bound in [lo, hi): the

@@ -8,65 +8,36 @@ import (
 	"smat/internal/matrix"
 )
 
-func TestSpGEMMMatchesMulBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	cases := []struct{ m, k, n int }{
-		{1, 1, 1}, {7, 5, 9}, {40, 60, 30}, {128, 64, 128},
-	}
-	for _, tc := range cases {
-		a := randCSR(rng, tc.m, tc.k, 0.15)
-		b := randCSR(rng, tc.k, tc.n, 0.15)
-		want := a.Mul(b)
-		for _, threads := range []int{1, 2, 3, 8} {
-			got := SpGEMM(a, b, nil, threads)
-			if !want.Equal(got) {
-				t.Fatalf("%dx%dx%d threads=%d: SpGEMM differs from matrix.Mul", tc.m, tc.k, tc.n, threads)
-			}
-		}
-	}
-}
-
-func TestSpGEMMPooledBitForBitWithSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randCSR(rng, 200, 150, 0.08)
-	b := randCSR(rng, 150, 180, 0.08)
-	serial := SpGEMM(a, b, nil, 1)
-	for _, threads := range []int{2, 4, 8} {
-		pool := NewPool[float64](threads)
-		got := SpGEMM(a, b, pool, threads)
-		pool.Close()
-		if !serial.Equal(got) {
-			t.Fatalf("threads=%d: pooled SpGEMM differs from serial", threads)
-		}
-	}
-}
-
+// TestSpGEMMEmptyAndZeroRows: Galerkin products with an empty operand come
+// out empty and correctly shaped at any chunk count.
 func TestSpGEMMEmptyAndZeroRows(t *testing.T) {
 	empty, err := matrix.FromTriples[float64](10, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	b := randCSR(rng, 10, 10, 0.3)
-	got := SpGEMM[float64](empty, b, nil, 4)
-	if got.NNZ() != 0 || got.Rows != 10 || got.Cols != 10 {
-		t.Fatalf("empty·B: got %d nnz, %dx%d", got.NNZ(), got.Rows, got.Cols)
-	}
-	if want := b.Mul(empty); !want.Equal(SpGEMM(b, empty, nil, 4)) {
-		t.Fatal("B·empty differs from matrix.Mul")
+	p := randCSR(rng, 10, 4, 0.3)
+	for _, threads := range []int{1, 4} {
+		got := GalerkinRAP(p.Transpose(), empty, p, nil, threads)
+		if got.NNZ() != 0 || got.Rows != 4 || got.Cols != 4 {
+			t.Fatalf("threads=%d: Pᵀ·empty·P: got %d nnz, %dx%d", threads, got.NNZ(), got.Rows, got.Cols)
+		}
+		if want := matrix.TripleProduct(empty, p, p.Transpose()); !want.Equal(GalerkinRAP(empty, p, p.Transpose(), nil, threads)) {
+			t.Fatalf("threads=%d: empty·P·Pᵀ differs from matrix.TripleProduct", threads)
+		}
 	}
 }
 
 func TestSpGEMMDimensionMismatchPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a := randCSR(rng, 4, 5, 0.5)
-	b := randCSR(rng, 6, 4, 0.5)
+	a := randCSR(rng, 5, 5, 0.5)
+	p := randCSR(rng, 6, 4, 0.5)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	SpGEMM(a, b, nil, 1)
+	GalerkinRAP(p.Transpose(), a, p, nil, 1)
 }
 
 func TestGalerkinRAPMatchesTripleProduct(t *testing.T) {
@@ -102,6 +73,9 @@ func TestGalerkinRAPPooledBitForBitWithSerial(t *testing.T) {
 	r := p.Transpose()
 	serial := GalerkinRAP(r, a, p, nil, 1)
 	for _, threads := range []int{2, 3, 8} {
+		if got := GalerkinRAP(r, a, p, nil, threads); !serial.Equal(got) {
+			t.Fatalf("threads=%d: caller-run chunks differ from one chunk", threads)
+		}
 		pool := NewPool[float64](threads)
 		got := GalerkinRAP(r, a, p, pool, threads)
 		pool.Close()
@@ -111,15 +85,16 @@ func TestGalerkinRAPPooledBitForBitWithSerial(t *testing.T) {
 	}
 }
 
-// TestRunChunksConcurrentWithSpMV hammers the pool with SpGEMM jobs and SpMV
-// dispatches at once: the busy pool must overflow to spawned goroutines, and
-// every result must stay exact. Run under -race this pins the wake-barrier
-// protocol for the generic-job path.
+// TestRunChunksConcurrentWithSpMV hammers one pool with Galerkin products
+// from six goroutines at once: a caller that finds the pool busy runs its
+// chunks itself, and every result must stay exact. Run under -race this pins
+// the wake-barrier protocol for the generic-job path.
 func TestRunChunksConcurrentWithSpMV(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randCSR(rng, 150, 150, 0.05)
-	b := randCSR(rng, 150, 150, 0.05)
-	want := a.Mul(b)
+	p := randCSR(rng, 150, 50, 0.05)
+	r := p.Transpose()
+	want := GalerkinRAP(r, a, p, nil, 1)
 	pool := NewPool[float64](4)
 	defer pool.Close()
 	var wg sync.WaitGroup
@@ -128,8 +103,8 @@ func TestRunChunksConcurrentWithSpMV(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if got := SpGEMM(a, b, pool, 4); !want.Equal(got) {
-					t.Error("concurrent SpGEMM result differs")
+				if got := GalerkinRAP(r, a, p, pool, 4); !want.Equal(got) {
+					t.Error("concurrent GalerkinRAP result differs")
 					return
 				}
 			}
@@ -156,7 +131,7 @@ func TestPoolRunChunksCoversAllChunks(t *testing.T) {
 			t.Fatalf("index %d covered %d times", i, n)
 		}
 	}
-	// More chunks than workers: must fall back and still cover everything.
+	// More chunks than workers: the caller runs them, still covering everything.
 	wide := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	hit2 := make([]int, 8)
 	pool.RunChunks(wide, func(chunk, lo, hi int) {

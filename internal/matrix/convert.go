@@ -25,7 +25,7 @@ var ErrStructureMismatch = errors.New("matrix: structure record does not describ
 // Split is how a conversion runs over the matrix's rows: Bounds cut [0, Rows)
 // into chunks — chunk c covers rows [Bounds[c], Bounds[c+1]) — and Run runs
 // a body over every chunk of its bounds, returning when all have run
-// (kernels.Pool.RunChunksInline has its signature). Nil Bounds, or bounds of
+// (kernels.Pool.RunChunks has its signature). Nil Bounds, or bounds of
 // one chunk, run on the caller, so the zero Split is the serial conversion.
 // Each chunk writes only its own rows and keeps its own verdicts, merged
 // after the run, so the result — the error included — does not depend on

@@ -178,7 +178,7 @@ func checkSolversAtThreads[T matrix.Float](a, ns *matrix.CSR[T], b, bns []T, th 
 			func(x []T) (solve.Stats, error) { return solve.BiCGSTAB[T](opNS, nil, bns, x, tol, maxIter) },
 			func(x []T) (solve.Stats, error) { return solve.BiCGSTAB[T](serialOp[T]{ns}, nil, bns, x, tol, maxIter) }},
 		{"AMG-PCG", a, b,
-			func(x []T) (solve.Stats, error) { return solve.Stats(h.SolvePCG(b, x, tol, maxIter)), nil },
+			func(x []T) (solve.Stats, error) { return h.SolvePCG(b, x, tol, maxIter), nil },
 			referenceCG},
 	}
 	for _, c := range cases {

@@ -10,9 +10,9 @@ import (
 )
 
 // TestSpGEMMDifferential walks the adversarial structure suite through the
-// row-blocked SpGEMM and fused Galerkin product checks: bit-for-bit vs
-// matrix.Mul, bit-for-bit serial vs pooled, and the fused product's
-// rounding bound vs the float64 two-pass reference.
+// row-blocked Galerkin product checks: bit-for-bit across one chunk, four
+// caller-run chunks and the pool, and the rounding bound vs the float64
+// two-pass reference.
 func TestSpGEMMDifferential(t *testing.T) {
 	opt := Options{}
 	if testing.Short() {
@@ -50,22 +50,20 @@ func TestSolversDifferential(t *testing.T) {
 // contract: on a warm pool a product allocates its result and a fixed set of
 // per-call headers, never anything per row or per chunk. Four times the rows
 // at one chunk, and four chunks at the larger size, must each cost the same
-// number of allocations as the small single-chunk product, for SpGEMM and for
-// both GalerkinRAP strategies (fused on singleton-row R, two-phase
-// otherwise). The row bodies run once per chunk, so the chunk sweep catches
+// number of allocations as the small single-chunk product, for both
+// GalerkinRAP strategies (fused on singleton-row R, two-phase otherwise). The row bodies run once per chunk, so the chunk sweep catches
 // an allocation at the top of a body and the row sweep one inside its loop.
 func TestSpGEMMRowsAllocateNothing(t *testing.T) {
 	pool := kernels.NewPool[float64](4)
 	defer pool.Close()
-	allocs := func(n, threads int) [3]float64 {
+	allocs := func(n, threads int) [2]float64 {
 		a := gen.Laplacian2D5pt[float64](n, n)
 		id := matrix.Identity[float64](a.Rows)
-		products := [3]func(){
-			func() { kernels.SpGEMM(a, a, pool, threads) },
+		products := [2]func(){
 			func() { kernels.GalerkinRAP(id, a, id, pool, threads) },
 			func() { kernels.GalerkinRAP(a, a, a, pool, threads) },
 		}
-		var out [3]float64
+		var out [2]float64
 		for i, f := range products {
 			out[i] = allocFloor(f)
 		}
@@ -81,7 +79,7 @@ func TestSpGEMMRowsAllocateNothing(t *testing.T) {
 		{64, 4, "4096 rows in four chunks"},
 	} {
 		got := allocs(c.n, c.threads)
-		for i, name := range []string{"SpGEMM", "GalerkinRAP fused", "GalerkinRAP two-phase"} {
+		for i, name := range []string{"GalerkinRAP fused", "GalerkinRAP two-phase"} {
 			if got[i] != base[i] {
 				t.Errorf("%s: %.0f allocations at 1024 rows in one chunk, %.0f at %s: the row bodies allocate", name, base[i], got[i], c.what)
 			}

@@ -16,7 +16,7 @@ import (
 // RunChunks must call fn once per chunk — chunk c covering
 // [bounds[c], bounds[c+1]) — and return when all have finished. When it
 // cannot run them concurrently it runs them on the caller in chunk order
-// (kernels.Pool.RunChunksInline); it must not allocate. Threads is the
+// (kernels.Pool.RunChunks); it must not allocate. Threads is the
 // largest chunk count it accepts.
 type Pooled interface {
 	RunChunks(bounds []int, fn func(chunk, lo, hi int))

@@ -31,7 +31,7 @@ func newPooledOp(a *matrix.CSR[float64], threads int) *pooledOp {
 
 func (o *pooledOp) MulVec(x, y []float64) {
 	a := o.a
-	o.pool.RunChunksInline(o.rows, func(_, lo, hi int) {
+	o.pool.RunChunks(o.rows, func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			var s float64
 			for jj := a.RowPtr[r]; jj < a.RowPtr[r+1]; jj++ {
@@ -44,10 +44,10 @@ func (o *pooledOp) MulVec(x, y []float64) {
 
 func (o *pooledOp) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
 	if o.during == nil {
-		o.pool.RunChunksInline(bounds, fn)
+		o.pool.RunChunks(bounds, fn)
 		return
 	}
-	o.pool.RunChunksInline(bounds, func(c, lo, hi int) {
+	o.pool.RunChunks(bounds, func(c, lo, hi int) {
 		o.during(c)
 		fn(c, lo, hi)
 	})
