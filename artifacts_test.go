@@ -52,7 +52,7 @@ func TestShippedDatabaseLoads(t *testing.T) {
 	if len(db.Records) < 1000 {
 		t.Fatalf("shipped database has %d records, want the full training run", len(db.Records))
 	}
-	res, err := autotune.TrainFromDatabase(db, autotune.TrainConfig{})
+	res, err := autotune.TrainFromDatabase(db)
 	if err != nil {
 		t.Fatalf("retraining from shipped database failed: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestRetrainReproducesShippedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := autotune.TrainFromDatabase(db, autotune.TrainConfig{})
+	res, err := autotune.TrainFromDatabase(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,9 @@ func cacheBenchMatrix(tb testing.TB) *smat.Matrix[float64] {
 // execute-and-measure path on a cold decision — the expensive regime the
 // cache amortises.
 func cacheBenchTuner(cacheSize int) *smat.Tuner[float64] {
-	return smat.NewTuner[float64](smat.HeuristicModel(),
-		smat.WithThreads(2),
-		smat.WithCacheSize(cacheSize),
-		smat.WithConfidenceThreshold(0.999))
+	unsure := smat.HeuristicModel()
+	unsure.ConfidenceThreshold = 0.999
+	return smat.NewTuner[float64](unsure, smat.WithThreads(2), smat.WithCacheSize(cacheSize))
 }
 
 // BenchmarkTuneCold measures the full tuning pass with caching disabled:

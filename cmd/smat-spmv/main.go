@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	smat-spmv [-model model.json] [-iters 100] matrix.mtx
+//	smat-spmv [-model model.json] [-iters 100] [-threads n] matrix.mtx
 package main
 
 import (
@@ -22,12 +22,9 @@ func main() {
 	log.SetPrefix("smat-spmv: ")
 
 	var (
-		modelPath  = flag.String("model", "", "trained model JSON (default: built-in heuristic model)")
-		iters      = flag.Int("iters", 100, "SpMV iterations to time")
-		threads    = flag.Int("threads", 0, "threads (0 = model/GOMAXPROCS)")
-		cacheSize  = flag.Int("cache-size", 0, "decision cache entries (0 = default, <0 = disabled)")
-		noFallback = flag.Bool("no-fallback", false, "disable the execute-and-measure fallback")
-		confidence = flag.Float64("confidence", 0, "confidence threshold override (0 = model's)")
+		modelPath = flag.String("model", "", "trained model JSON (default: built-in heuristic model)")
+		iters     = flag.Int("iters", 100, "SpMV iterations to time")
+		threads   = flag.Int("threads", 0, "threads (0 = model/GOMAXPROCS)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -57,17 +54,7 @@ func main() {
 	feat := a.Features()
 	fmt.Printf("features: %s\n", feat.String())
 
-	opts := []smat.Option{smat.WithThreads(*threads)}
-	if *cacheSize != 0 {
-		opts = append(opts, smat.WithCacheSize(*cacheSize))
-	}
-	if *noFallback {
-		opts = append(opts, smat.WithoutFallback())
-	}
-	if *confidence > 0 {
-		opts = append(opts, smat.WithConfidenceThreshold(*confidence))
-	}
-	tuner := smat.NewTuner[float64](model, opts...)
+	tuner := smat.NewTuner[float64](model, smat.WithThreads(*threads))
 	start := time.Now()
 	op, err := tuner.Tune(a)
 	if err != nil {

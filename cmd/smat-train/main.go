@@ -138,7 +138,7 @@ func retrainFromDatabase(dbPath, outPath string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := autotune.TrainFromDatabase(db, autotune.TrainConfig{})
+	res, err := autotune.TrainFromDatabase(db)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -268,30 +268,27 @@ func TestConcurrentTuneAndStats(t *testing.T) {
 }
 
 // TestConcurrentResubmittedPattern pushes one sparsity pattern through one
-// tuner — and through a second tuner sharing its cache — from many
-// goroutines at once, each wrapping it in new handles under its own values,
+// tuner from many goroutines at once, each wrapping it in new handles under its own values,
 // half of them in their own copy of the index arrays. All of them read, and
 // the first few write, one record of the structure index: it is published
 // once per scan and never written after, which is what the race detector
 // checks here; every product is checked row by row against the serial
 // reference. However the first submissions interleave, one pattern is
-// remembered, at most one scan per goroutine and tuner ran, and every other
+// remembered, at most one scan per goroutine ran, and every other
 // request was a structure hit.
 func TestConcurrentResubmittedPattern(t *testing.T) {
 	const (
 		goroutines = 12
 		iters      = 30
 	)
-	owner := NewTuner[float64](HeuristicModel(), WithThreads(2))
-	defer owner.Close()
-	sharing := NewTuner[float64](HeuristicModel(), WithThreads(1), WithCacheFrom(owner))
-	defer sharing.Close()
+	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	defer tuner.Close()
 
 	for _, m := range []*matrix.CSR[float64]{
 		gen.MultiDiagonal[float64](3000, []int{-2, 0, 1}, rand.New(rand.NewSource(1))), // DIA: the record's diagonals are read
 		gen.ConstantDegree[float64](3000, 4, rand.New(rand.NewSource(2))),              // ELL: its width
 	} {
-		before := owner.Stats()
+		before := tuner.Stats()
 		x := make([]float64, m.Cols)
 		for i := range x {
 			x[i] = float64((i*13)%31-15) / 8
@@ -302,10 +299,6 @@ func TestConcurrentResubmittedPattern(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				tuner := owner
-				if g%3 == 2 {
-					tuner = sharing
-				}
 				rowPtr, colIdx := m.RowPtr, m.ColIdx
 				if g%2 == 1 {
 					rowPtr, colIdx = append([]int(nil), rowPtr...), append([]int(nil), colIdx...)
@@ -334,7 +327,7 @@ func TestConcurrentResubmittedPattern(t *testing.T) {
 		close(start)
 		wg.Wait()
 
-		st := owner.Stats() // the shared cache's counters
+		st := tuner.Stats()
 		hits, total := st.StructureHits-before.StructureHits, uint64(goroutines*iters)
 		if st.Structures-before.Structures != 1 || hits >= total || hits < total-goroutines {
 			t.Errorf("%d patterns remembered and %d structure hits over %d requests from %d goroutines",

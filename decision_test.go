@@ -15,7 +15,9 @@ import (
 // iteration hint — reports the deprecated BatchCrossover as 2.
 func TestDecisionIsTheTuneRecord(t *testing.T) {
 	a := &Matrix[float64]{csr: gen.RandomUniform[float64](800, 800, 8, rand.New(rand.NewSource(35)))}
-	measuring := NewTuner[float64](HeuristicModel(), WithThreads(2), WithConfidenceThreshold(0.9999))
+	unsure := HeuristicModel()
+	unsure.ConfidenceThreshold = 0.9999
+	measuring := NewTuner[float64](unsure, WithThreads(2))
 	defer measuring.Close()
 
 	op, err := measuring.Tune(a)

@@ -21,10 +21,11 @@ type goldenAMGRow struct {
 	levels, vcycles, pcg uint64
 }
 
-// goldenAMG was computed with the hierarchy built before the smoother,
-// cycle-index and set-up options became constants, when Setup and
-// SetupPooled were two entry points and a declined Galerkin dispatch spawned
-// goroutines.
+// goldenAMG's first two rows were computed with the hierarchy built before
+// the smoother, cycle-index and set-up options became constants, when Setup
+// and SetupPooled were two entry points and a declined Galerkin dispatch
+// spawned goroutines; the last two, which pin the coarse size of 64 from
+// either side, with the constants in place.
 var goldenAMG = []struct {
 	name string
 	a    func() *matrix.CSR[float64]
@@ -37,6 +38,15 @@ var goldenAMG = []struct {
 	{"cljp/lap3d7", func() *matrix.CSR[float64] { return gen.Laplacian3D7pt[float64](12, 12, 12) },
 		Options{Coarsening: CLJP, Seed: 1},
 		goldenAMGRow{0xccad9df7bca7081e, 0x5c39e694e0d1ca8c, 0x0f34caa7695d4114}},
+	// Levels of 529, 264, 65 and 18 rows: a coarse size of 65 would stop at
+	// the third.
+	{"rugeL/lap2d5-23", func() *matrix.CSR[float64] { return gen.Laplacian2D5pt[float64](23, 23) },
+		Options{Coarsening: RugeStueben},
+		goldenAMGRow{0x8eaa858ee51b6b20, 0xa65de643bb56dd54, 0x2099b1b78ef8a881}},
+	// Levels of 256 and 64 rows: a coarse size of 63 would coarsen the last.
+	{"rugeL/lap2d9-16", func() *matrix.CSR[float64] { return gen.Laplacian2D9pt[float64](16, 16) },
+		Options{Coarsening: RugeStueben},
+		goldenAMGRow{0x99f26e957195739c, 0x90f0627ee8246197, 0xf26ae54fc1559864}},
 }
 
 func hashWords(h hash.Hash64, words ...uint64) {
@@ -70,8 +80,8 @@ func hashVec(h hash.Hash64, v []float64) {
 
 // TestHierarchyUnchanged holds set-up, the V-cycle and AMG-PCG to the bits
 // they produced before the multigrid options were cut to what callers set:
-// Ruge–Stüben on a 2D 9-point Laplacian and CLJP (seed 1) on a 3D 7-point
-// one, each set up without a pool and on pools of 2 and 4 threads. The
+// Ruge–Stüben on 2D 9-point and 5-point Laplacians and CLJP (seed 1) on a 3D
+// 7-point one, each set up without a pool and on pools of 2 and 4 threads. The
 // hashes pin the float64 arithmetic of architectures that do not fuse
 // multiply-adds.
 func TestHierarchyUnchanged(t *testing.T) {

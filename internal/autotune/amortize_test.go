@@ -103,10 +103,9 @@ func intDiagonal(n int) *matrix.CSR[float64] {
 // (break-even at k = 10) in the tuner's cache for m's fingerprint, so the
 // amortisation paths run deterministically regardless of machine speed.
 func seedAmortized[T matrix.Float](tuner *Tuner[T], m *matrix.CSR[T]) {
-	tuner.Cache().Put(m2key(tuner, m), CacheEntry{
+	tuner.cache.Put(m2key(tuner, m), CacheEntry{
 		Format:       matrix.FormatDIA,
 		Confidence:   1,
-		Measured:     true,
 		ConvertSec:   1.0,
 		SpMVSec:      0.1,
 		IncumbentSec: 0.2,
@@ -210,7 +209,7 @@ func TestHintValidationRefreshesCostlessEntry(t *testing.T) {
 	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.99), Config{Threads: 2})
 	defer tuner.Close()
 	m := intDiagonal(300)
-	tuner.Cache().Put(m2key(tuner, m), CacheEntry{Format: matrix.FormatDIA, Confidence: 1, Measured: true})
+	tuner.cache.Put(m2key(tuner, m), CacheEntry{Format: matrix.FormatDIA, Confidence: 1})
 
 	// Without a hint the costless entry is a perfectly good cache hit.
 	_, d0, err := tuner.Tune(m)
@@ -234,7 +233,7 @@ func TestHintValidationRefreshesCostlessEntry(t *testing.T) {
 	if d.ChosenSpMVSec <= 0 || d.IncumbentSec <= 0 || d.ConvertSec <= 0 {
 		t.Errorf("refresh did not measure amortisation rates: %+v", d)
 	}
-	if entry, ok := tuner.Cache().Get(m2key(tuner, m)); !ok || entry.SpMVSec <= 0 || entry.IncumbentSec <= 0 {
+	if entry, ok := tuner.cache.Get(m2key(tuner, m)); !ok || entry.SpMVSec <= 0 || entry.IncumbentSec <= 0 {
 		t.Errorf("refreshed entry lacks cost measurements: %+v", entry)
 	}
 }
@@ -275,8 +274,8 @@ func TestRaggedHintedHitReleadsUniformView(t *testing.T) {
 		tuner := newTuner(t)
 		defer tuner.Close()
 		// A view's cost: break-even at one SpMV.
-		tuner.Cache().Put(m2key(tuner, uniform), CacheEntry{
-			Format: matrix.FormatELL, Confidence: 1, Measured: true,
+		tuner.cache.Put(m2key(tuner, uniform), CacheEntry{
+			Format: matrix.FormatELL, Confidence: 1,
 			ConvertSec: 1e-9, SpMVSec: 0.1, IncumbentSec: 0.2, ConvertView: true,
 		})
 		_, d, err := tuner.TuneOpts(uniform, hint)
@@ -306,13 +305,13 @@ func TestRaggedHintedHitReleadsUniformView(t *testing.T) {
 		if _, d, err := tuner.TuneOpts(uniform, hint); err != nil || d.CacheHit || d.ConvertStored != uniform.NNZ() {
 			t.Fatalf("uniform leader: err %v hit %v stored %d, want a view of its %d entries", err, d.CacheHit, d.ConvertStored, uniform.NNZ())
 		}
-		if e, _ := tuner.Cache().Get(key); !e.ConvertView {
+		if e, _ := tuner.cache.Get(key); !e.ConvertView {
 			t.Fatalf("uniform leader's entry %+v does not record its view", e)
 		}
 		if _, d, err := tuner.TuneOpts(ragged, hint); err != nil || d.CacheHit {
 			t.Fatalf("ragged request after a view leader: err %v hit %v, want a new lead", err, d.CacheHit)
 		}
-		if e, _ := tuner.Cache().Get(key); e.ConvertView {
+		if e, _ := tuner.cache.Get(key); e.ConvertView {
 			t.Errorf("ragged leader's entry %+v records a view", e)
 		}
 		// The ragged leader's copy cost overstates a view's; a uniform
@@ -336,7 +335,7 @@ func TestUnhintedLeaderCachesNoRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, ok := tuner.Cache().Get(m2key(tuner, m))
+	entry, ok := tuner.cache.Get(m2key(tuner, m))
 	if d.AmortProbeSec != 0 || d.BreakEvenIters != 0 || !ok || entry.SpMVSec != 0 || entry.IncumbentSec != 0 {
 		t.Fatalf("un-hinted leader probed rates: decision %+v, entry %+v", d, entry)
 	}

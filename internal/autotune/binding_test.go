@@ -138,7 +138,7 @@ func collisionMatrix(t *testing.T) *matrix.CSR[float64] {
 // costedEntry is a measured cache entry for f whose synthetic costs put
 // break-even at 10 iterations.
 func costedEntry(f matrix.Format) CacheEntry {
-	return CacheEntry{Format: f, Confidence: 1, Measured: true, ConvertSec: 1, SpMVSec: 0.1, IncumbentSec: 0.2}
+	return CacheEntry{Format: f, Confidence: 1, ConvertSec: 1, SpMVSec: 0.1, IncumbentSec: 0.2}
 }
 
 type bindingResult struct {
@@ -182,14 +182,6 @@ var bindingPaths = []struct {
 		}
 		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f, predictedOK: true}}
 	}},
-	{"no-fallback", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
-		tn := New[float64](model(0.30), Config{Threads: threads, DisableFallback: true})
-		op, d, err := tn.Tune(m)
-		if err != nil {
-			t.Fatalf("Tune: %v", err)
-		}
-		return bindingResult{tn, m, op, d, bindingWant{chosen: f, asymptotic: f, served: f}}
-	}},
 	{"cache-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
 		if _, _, err := tn.Tune(m); err != nil {
@@ -203,7 +195,7 @@ var bindingPaths = []struct {
 	}},
 	{"amortised-incumbent", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		tn.Cache().Put(m2key(tn, m), costedEntry(f))
+		tn.cache.Put(m2key(tn, m), costedEntry(f))
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 2})
 		if err != nil {
 			t.Fatalf("TuneOpts: %v", err)
@@ -216,7 +208,7 @@ var bindingPaths = []struct {
 	{"hinted-hit", func(t *testing.T, model func(float64) *Model, threads int, m *matrix.CSR[float64], f matrix.Format) bindingResult {
 		// Past break-even: the hit converts before TuneOpts returns.
 		tn := New[float64](model(0.99), Config{Threads: threads})
-		tn.Cache().Put(m2key(tn, m), costedEntry(f))
+		tn.cache.Put(m2key(tn, m), costedEntry(f))
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +226,7 @@ var bindingPaths = []struct {
 			local.Classes[i].Ruleset = rs
 		}
 		tn := New[float64](local, Config{Threads: threads})
-		tn.Cache().Put(m2key(tn, m), costedEntry(matrix.FormatDIA))
+		tn.cache.Put(m2key(tn, m), costedEntry(matrix.FormatDIA))
 		op, d, err := tn.TuneOpts(m, TuneOptions{Iterations: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
@@ -330,11 +322,11 @@ func TestBindingFollowsTunerThreads(t *testing.T) {
 	}
 }
 
-// TestSharedCacheBindsPerTuner: two tuners at one and four threads, running
-// the two classes of a model that name different CSR kernels, share a
-// decision cache. A hit on an entry the other tuner wrote binds the hitting
-// tuner's own kernel for the format, not the name the entry carries — in
-// both directions.
+// TestSharedCacheBindsPerTuner: two tuners at one and four threads run the
+// two classes of a model that name different CSR kernels. A cache entry names
+// no kernel: the entry one tuner's leader wrote, copied into the other's
+// cache, binds the hitting tuner's own kernel for the format — in both
+// directions.
 func TestSharedCacheBindsPerTuner(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("a tuner's threads are capped at GOMAXPROCS; the test needs two")
@@ -346,7 +338,7 @@ func TestSharedCacheBindsPerTuner(t *testing.T) {
 	model := NewModel(shipped.ConfidenceThreshold, shipped.MaxFill, low, high)
 	one := New[float64](model, Config{Threads: 1})
 	defer one.Close()
-	four := New[float64](model, Config{Threads: 4, Cache: one.Cache()})
+	four := New[float64](model, Config{Threads: 4})
 	defer four.Close()
 	for _, c := range []struct {
 		name          string
@@ -362,6 +354,11 @@ func TestSharedCacheBindsPerTuner(t *testing.T) {
 		if err != nil || d.CacheHit || d.Kernel != c.leads {
 			t.Fatalf("%s: leader err %v, decision hit=%v kernel=%s, want a miss bound to %s", c.name, err, d.CacheHit, d.Kernel, c.leads)
 		}
+		entry, ok := c.leader.cache.Get(m2key(c.leader, m))
+		if !ok {
+			t.Fatalf("%s: the leader cached nothing", c.name)
+		}
+		c.hit.cache.Put(m2key(c.hit, m), entry)
 		op, d, err := c.hit.Tune(m)
 		if err != nil || !d.CacheHit {
 			t.Fatalf("%s: second tuner err %v, hit=%v, want a cache hit", c.name, err, d.CacheHit)

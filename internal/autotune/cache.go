@@ -19,16 +19,13 @@ const cacheShards = 64
 
 // CacheEntry is one cached tuning decision: the winning format for a feature
 // fingerprint, plus how the decision was reached. It names no kernel: a hit
-// binds the hitting tuner's own kernel for the format, so tuners at different
-// thread counts can share one cache. Confidence
-// is the matched rule-group confidence for model predictions and 1 for
-// measured (execute-and-measure) winners; Measured separates the two so a
-// low-confidence predicted entry can later be refreshed by a tuner that is
-// willing to measure.
+// binds the tuner's kernel for the format. Confidence is the matched
+// rule-group confidence for model predictions — above the model's threshold,
+// or the tune would have measured — and 1 for measured (execute-and-measure)
+// winners.
 type CacheEntry struct {
 	Format     matrix.Format
 	Confidence float64
-	Measured   bool
 	// ConvertSec, SpMVSec and IncumbentSec are the leader's amortisation
 	// measurements: seconds to convert the leader's matrix to Format, the
 	// converted operator's per-SpMV seconds, and the tuned-CSR incumbent's
@@ -56,7 +53,8 @@ type CacheStats struct {
 	// tuning run for the same fingerprint and reused its result.
 	Shared uint64
 	// Evictions counts entries dropped by the LRU bound; Refreshes counts
-	// low-confidence entries replaced by a re-tune.
+	// entries an iteration-hinted request could not use (they lacked its
+	// payoff measurements) and replaced by a re-tune.
 	Evictions, Refreshes uint64
 	// Size is the current entry count, Capacity the configured bound.
 	Size, Capacity int
@@ -79,9 +77,8 @@ func (s CacheStats) HitRate() float64 {
 // Cache is a sharded, LRU-bounded map from feature fingerprints to tuning
 // decisions with singleflight deduplication: N concurrent requests for the
 // same un-tuned fingerprint trigger exactly one tuning run while the rest
-// block on its result. All methods are safe for concurrent use. The cache
-// stores decisions (format + parameters), not operators, so one cache can be
-// shared by tuners of different element types and thread counts.
+// block on its result. All methods are safe for concurrent use. Each tuner
+// owns one; it stores decisions (format + parameters), not operators.
 //
 // Beside the decisions it keeps the structure index: what a tune learned from
 // scanning a signed matrix (structureRecord), per exact pattern, under the
@@ -182,41 +179,31 @@ func (c *Cache) perShardCap() int {
 	return 1
 }
 
-// Do returns the cached decision for key, or runs tune — exactly once
-// across all concurrent callers of the same key — and caches its result.
-// The second return value reports whether the decision came from the cache
-// (a hit, or another caller's completed in-flight run) rather than from
+// DoValidated returns the cached decision for key, or runs tune — exactly
+// once across all concurrent callers of the same key — and caches its
+// result. The second return value reports whether the decision came from the
+// cache (a hit, or another caller's completed in-flight run) rather than from
 // this caller's own tune invocation.
 //
-// A cached entry that was not measured and whose confidence is below
-// refreshBelow is treated as stale: it is removed and re-tuned, so a
-// decision recorded by a low-confidence prediction can be upgraded by a
-// tuner willing to run the execute-and-measure fallback.
+// A cached entry that fails valid is dropped (counted as a refresh) and
+// re-tuned; a nil valid accepts everything. The tuner uses this to reject
+// entries that lack the amortisation measurements an iteration-hinted
+// request needs, keeping the cache keyed purely by the structural
+// fingerprint while still validating hits against the hint.
 //
 // Errors from tune are returned to the leader and never cached; waiters on
 // a failed run retry as leaders of their own tuning run.
-func (c *Cache) Do(key features.Key, refreshBelow float64, tune func() (CacheEntry, error)) (CacheEntry, bool, error) {
-	return c.DoValidated(key, refreshBelow, nil, tune)
-}
-
-// DoValidated is Do with an extra acceptance predicate: a cached entry that
-// fails valid is treated exactly like a stale low-confidence entry — dropped
-// (counted as a refresh) and re-tuned. A nil valid accepts everything. The
-// tuner uses this to reject entries that lack the amortisation measurements
-// an iteration-hinted request needs, keeping the cache keyed purely by the
-// structural fingerprint while still validating hits against the hint.
-func (c *Cache) DoValidated(key features.Key, refreshBelow float64, valid func(CacheEntry) bool, tune func() (CacheEntry, error)) (CacheEntry, bool, error) {
+func (c *Cache) DoValidated(key features.Key, valid func(CacheEntry) bool, tune func() (CacheEntry, error)) (CacheEntry, bool, error) {
 	s := c.shard(key)
 	for {
 		s.mu.Lock()
 		if p := s.decisions.get(key); p != nil {
-			if entry := *p; (entry.Measured || entry.Confidence >= refreshBelow) && (valid == nil || valid(entry)) {
+			if entry := *p; valid == nil || valid(entry) {
 				s.mu.Unlock()
 				c.hits.Add(1)
 				return entry, true, nil
 			}
-			// Stale low-confidence (or validation-failing) entry: drop it and
-			// re-tune below.
+			// An entry this caller cannot use: drop it and re-tune below.
 			s.decisions.remove(key)
 			c.refreshes.Add(1)
 		}

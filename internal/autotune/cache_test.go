@@ -39,11 +39,11 @@ func TestCacheDoCachesAndHits(t *testing.T) {
 		calls++
 		return CacheEntry{Format: matrix.FormatDIA, Confidence: 0.9}, nil
 	}
-	e, fromCache, err := c.Do(keyN(1), 0, tune)
+	e, fromCache, err := c.DoValidated(keyN(1), nil, tune)
 	if err != nil || fromCache || e.Format != matrix.FormatDIA {
 		t.Fatalf("first Do: entry=%+v fromCache=%v err=%v", e, fromCache, err)
 	}
-	e, fromCache, err = c.Do(keyN(1), 0, tune)
+	e, fromCache, err = c.DoValidated(keyN(1), nil, tune)
 	if err != nil || !fromCache || e.Format != matrix.FormatDIA || e.Confidence != 0.9 {
 		t.Fatalf("second Do: entry=%+v fromCache=%v err=%v", e, fromCache, err)
 	}
@@ -67,7 +67,7 @@ func TestCacheSingleflightDedup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			e, _, err := c.Do(keyN(7), 0, func() (CacheEntry, error) {
+			e, _, err := c.DoValidated(keyN(7), nil, func() (CacheEntry, error) {
 				calls.Add(1)
 				time.Sleep(30 * time.Millisecond) // hold the flight open
 				return CacheEntry{Format: matrix.FormatELL, Confidence: 0.8}, nil
@@ -95,7 +95,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	keys := sameShardKeys(t, 3)
 	c := NewCache(128)
 	put := func(k features.Key) {
-		c.Do(k, 0, func() (CacheEntry, error) {
+		c.DoValidated(k, nil, func() (CacheEntry, error) {
 			return CacheEntry{Format: matrix.FormatCSR, Confidence: 1}, nil
 		})
 	}
@@ -116,15 +116,17 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheRefreshLowConfidence(t *testing.T) {
+// TestCacheRefreshInvalidEntry: an entry the caller's predicate rejects is
+// re-tuned, replaced and counted as a refresh; one it accepts is served.
+func TestCacheRefreshInvalidEntry(t *testing.T) {
 	c := NewCache(64)
-	c.Put(keyN(3), CacheEntry{Format: matrix.FormatCSR, Confidence: 0.3})
+	c.Put(keyN(3), CacheEntry{Format: matrix.FormatDIA, Confidence: 1})
+	costed := func(e CacheEntry) bool { return e.SpMVSec > 0 }
 
-	// Below the refresh bar: the entry is re-tuned and replaced.
 	refreshed := false
-	e, fromCache, err := c.Do(keyN(3), 0.85, func() (CacheEntry, error) {
+	e, fromCache, err := c.DoValidated(keyN(3), costed, func() (CacheEntry, error) {
 		refreshed = true
-		return CacheEntry{Format: matrix.FormatCOO, Confidence: 1, Measured: true}, nil
+		return CacheEntry{Format: matrix.FormatCOO, Confidence: 1, SpMVSec: 1}, nil
 	})
 	if err != nil || fromCache || !refreshed || e.Format != matrix.FormatCOO {
 		t.Fatalf("refresh: entry=%+v fromCache=%v refreshed=%v err=%v", e, fromCache, refreshed, err)
@@ -133,27 +135,26 @@ func TestCacheRefreshLowConfidence(t *testing.T) {
 		t.Errorf("refreshes = %d, want 1", st.Refreshes)
 	}
 
-	// Measured entries are ground truth: never refreshed, whatever the bar.
-	e, fromCache, _ = c.Do(keyN(3), 2.0, func() (CacheEntry, error) {
-		t.Error("measured entry was re-tuned")
+	e, fromCache, _ = c.DoValidated(keyN(3), costed, func() (CacheEntry, error) {
+		t.Error("valid entry was re-tuned")
 		return CacheEntry{}, nil
 	})
 	if !fromCache || e.Format != matrix.FormatCOO {
-		t.Errorf("measured entry not served: entry=%+v fromCache=%v", e, fromCache)
+		t.Errorf("valid entry not served: entry=%+v fromCache=%v", e, fromCache)
 	}
 }
 
 func TestCacheErrorNotCached(t *testing.T) {
 	c := NewCache(64)
 	boom := errors.New("boom")
-	if _, _, err := c.Do(keyN(9), 0, func() (CacheEntry, error) { return CacheEntry{}, boom }); err != boom {
+	if _, _, err := c.DoValidated(keyN(9), nil, func() (CacheEntry, error) { return CacheEntry{}, boom }); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if c.Len() != 0 {
 		t.Error("failed tune was cached")
 	}
 	// The next caller runs its own tune.
-	e, fromCache, err := c.Do(keyN(9), 0, func() (CacheEntry, error) {
+	e, fromCache, err := c.DoValidated(keyN(9), nil, func() (CacheEntry, error) {
 		return CacheEntry{Format: matrix.FormatELL, Confidence: 0.9}, nil
 	})
 	if err != nil || fromCache || e.Format != matrix.FormatELL {
@@ -167,7 +168,7 @@ func TestCacheWaiterRetriesAfterLeaderError(t *testing.T) {
 	leaderIn := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		c.Do(keyN(11), 0, func() (CacheEntry, error) {
+		c.DoValidated(keyN(11), nil, func() (CacheEntry, error) {
 			close(leaderIn)
 			<-release
 			return CacheEntry{}, boom
@@ -179,7 +180,7 @@ func TestCacheWaiterRetriesAfterLeaderError(t *testing.T) {
 		defer close(done)
 		// This waiter blocks on the leader, sees its error, and retries as
 		// its own leader.
-		e, _, err := c.Do(keyN(11), 0, func() (CacheEntry, error) {
+		e, _, err := c.DoValidated(keyN(11), nil, func() (CacheEntry, error) {
 			return CacheEntry{Format: matrix.FormatDIA, Confidence: 0.9}, nil
 		})
 		if err != nil || e.Format != matrix.FormatDIA {
@@ -205,7 +206,7 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := keyN((g + i) % 40)
-				e, _, err := c.Do(k, 0, func() (CacheEntry, error) {
+				e, _, err := c.DoValidated(k, nil, func() (CacheEntry, error) {
 					return CacheEntry{Format: matrix.FormatCSR, Confidence: 1}, nil
 				})
 				if err != nil || e.Format != matrix.FormatCSR || e.Confidence != 1 {

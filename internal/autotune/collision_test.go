@@ -111,7 +111,7 @@ func TestForcedSignatureCollision(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			autotune.PlantStructure(tuner.Cache(), c.m, c.other, c.rowsOnly)
+			autotune.PlantStructure(tuner, c.m, c.other, c.rowsOnly)
 			opts := autotune.TuneOptions{Pattern: sig}
 			if path.hint {
 				opts.FormatHint, opts.HasFormatHint = c.format, true

@@ -191,11 +191,10 @@ func (db *Database) kernels(threads int) (map[string]string, error) {
 
 // TrainFromDatabase learns a model from an existing feature database,
 // skipping all measurement: one class per thread count the rows were timed
-// at, each binding the kernels its rows were labeled with. Learning reads
-// none of cfg's fields (they steer labeling): it induces with DefaultTree,
-// tailors to tailorLoss and ships DefaultConfidenceThreshold, so a database
-// relearns to the same model every time.
-func TrainFromDatabase(db *Database, cfg TrainConfig) (*TrainResult, error) {
+// at, each binding the kernels its rows were labeled with. It induces with
+// DefaultTree, tailors to tailorLoss and ships DefaultConfidenceThreshold, so
+// a database relearns to the same model every time.
+func TrainFromDatabase(db *Database) (*TrainResult, error) {
 	if len(db.Records) == 0 {
 		return nil, fmt.Errorf("autotune: empty database")
 	}

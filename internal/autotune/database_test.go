@@ -79,7 +79,7 @@ func TestLoadDatabaseRejectsCorrupt(t *testing.T) {
 
 func TestTrainFromDatabase(t *testing.T) {
 	db := sampleDatabase()
-	res, err := TrainFromDatabase(db, TrainConfig{})
+	res, err := TrainFromDatabase(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestTrainFromDatabase(t *testing.T) {
 }
 
 func TestTrainFromDatabaseRejectsEmptyAndBadLabels(t *testing.T) {
-	if _, err := TrainFromDatabase(&Database{}, TrainConfig{}); err == nil {
+	if _, err := TrainFromDatabase(&Database{}); err == nil {
 		t.Error("empty database accepted")
 	}
 	db := &Database{Records: []Record{{Schema: DatabaseSchemaVersion, Threads: 1, Name: "x", Best: "HYB"}}}
-	if _, err := TrainFromDatabase(db, TrainConfig{}); err == nil {
+	if _, err := TrainFromDatabase(db); err == nil {
 		t.Error("extension-format label accepted into the basic 4-class model")
 	}
 }
@@ -127,12 +127,12 @@ func TestTrainFromDatabaseRejectsMixedKernels(t *testing.T) {
 	lbl := Label{Best: matrix.FormatDIA, GFLOPS: map[matrix.Format]float64{matrix.FormatDIA: 3}, Threads: 1,
 		Kernels: map[matrix.Format]string{matrix.FormatDIA: "dia_parallel"}}
 	db.Append("one-thread", "test", f, lbl)
-	if _, err := TrainFromDatabase(db, TrainConfig{}); err != nil {
+	if _, err := TrainFromDatabase(db); err != nil {
 		t.Fatalf("rows of two thread counts with their own kernels: %v", err)
 	}
 	lbl.Threads = 2
 	db.Append("mixed", "test", f, lbl)
-	if _, err := TrainFromDatabase(db, TrainConfig{}); err == nil {
+	if _, err := TrainFromDatabase(db); err == nil {
 		t.Error("two-thread rows naming two DIA kernels trained")
 	}
 }
@@ -156,7 +156,7 @@ func TestTrainPopulatesDatabase(t *testing.T) {
 	}
 	// Retraining from the produced database must be measurement-free and
 	// reproduce the model's ruleset and kernels exactly.
-	again, err := TrainFromDatabase(res.Database, TrainConfig{})
+	again, err := TrainFromDatabase(res.Database)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func FuzzLoadDatabase(f *testing.F) {
 			t.Fatalf("round trip: %v, %d rows of %d", err, len(back.Records), len(db.Records))
 		}
 		if len(db.Records) > 0 {
-			_, _ = TrainFromDatabase(db, TrainConfig{})
+			_, _ = TrainFromDatabase(db)
 		}
 	})
 }

@@ -13,10 +13,10 @@ var ModelAlways = modelAlways
 
 // PlantStructure forces a signature collision: it files what scanning of
 // yields — features and layout, of both passes or of the row pass alone — in
-// c's structure index under the pattern of under, which must have of's shape
+// t's structure index under the pattern of under, which must have of's shape
 // and entry count. The next signed tune of under recalls another pattern's
 // record.
-func PlantStructure[T matrix.Float](c *Cache, under, of *matrix.CSR[T], rowsOnly bool) {
+func PlantStructure[T matrix.Float](t *Tuner[T], under, of *matrix.CSR[T], rowsOnly bool) {
 	sig, err := under.Sign()
 	if err != nil {
 		panic(err)
@@ -25,7 +25,7 @@ func PlantStructure[T matrix.Float](c *Cache, under, of *matrix.CSR[T], rowsOnly
 	if !rowsOnly {
 		matrix.ScanColumns(of, s)
 	}
-	c.rememberStructure(structureKey{sig: sig, rows: under.Rows, cols: under.Cols, nnz: under.NNZ()},
+	t.cache.rememberStructure(structureKey{sig: sig, rows: under.Rows, cols: under.Cols, nnz: under.NNZ()},
 		&structureRecord{features: features.FromStructure(s), layout: s.Layout, band: s.Band()})
 }
 
@@ -46,3 +46,9 @@ func (t *Tuner[T]) TuneFullScan(m *matrix.CSR[T], opts TuneOptions) (*Operator[T
 // ServedMat is the representation the operator serves, for tests that hold
 // two tunes' conversions to the same bits.
 func (o *Operator[T]) ServedMat() *kernels.Mat[T] { return o.eng.mat }
+
+// CachedEntry returns the decision t's cache holds for m, keyed the way a tune
+// of m keys it.
+func (t *Tuner[T]) CachedEntry(m *matrix.CSR[T]) (CacheEntry, bool) {
+	return t.cache.Get(t.extract(m, TuneOptions{}).base.Features.Key())
+}

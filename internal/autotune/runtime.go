@@ -163,10 +163,8 @@ func (d Decision) String() string {
 		fmt.Fprintf(&b, "cache hit (confidence %.2f)", d.Confidence)
 	case d.UsedFallback:
 		b.WriteString("execute-and-measure fallback")
-	case d.PredictedOK:
-		fmt.Fprintf(&b, "predicted (confidence %.2f)", d.Confidence)
 	default:
-		fmt.Fprintf(&b, "best match without fallback (confidence %.2f)", d.Confidence)
+		fmt.Fprintf(&b, "predicted (confidence %.2f)", d.Confidence)
 	}
 	if d.StructureHit {
 		b.WriteString(", structure hit")
@@ -335,14 +333,12 @@ type Tuner[T matrix.Float] struct {
 	model *Model
 	// class is the model class for this tuner's thread count (Model.Class):
 	// its ruleset decides, its kernels are bound, its parameters convert.
-	class      *ModelClass
-	lib        *kernels.Library[T]
-	threads    int
-	pool       *kernels.Pool[T]
-	measure    MeasureOptions
-	cache      *Cache
-	threshold  float64
-	noFallback bool
+	class   *ModelClass
+	lib     *kernels.Library[T]
+	threads int
+	pool    *kernels.Pool[T]
+	measure MeasureOptions
+	cache   *Cache
 	// bound is the kernel every bind site uses for a format: the class's
 	// pick (see resolveKernel).
 	bound map[matrix.Format]*kernels.Kernel[T]
@@ -362,17 +358,6 @@ type Config struct {
 	// CacheSize bounds the feature-keyed decision cache: 0 selects
 	// DefaultCacheSize, a negative value disables caching entirely.
 	CacheSize int
-	// Cache, when non-nil, is used instead of building a new cache, so
-	// several tuners (e.g. one per element type) can share decisions.
-	Cache *Cache
-	// DisableFallback turns off the execute-and-measure path: when the
-	// model is not confident, the tuner picks the highest-confidence
-	// matching rule group (or CSR) instead of measuring. Such decisions are
-	// cached with their low confidence so a measuring tuner sharing the
-	// cache can refresh them.
-	DisableFallback bool
-	// ConfidenceThreshold overrides the model's trained threshold when > 0.
-	ConfidenceThreshold float64
 }
 
 // New builds a runtime tuner from a trained model and a Config.
@@ -382,13 +367,9 @@ func New[T matrix.Float](model *Model, cfg Config) *Tuner[T] {
 		threads = max
 	}
 	class := model.Class(threads)
-	cache := cfg.Cache
-	if cache == nil && cfg.CacheSize >= 0 {
+	var cache *Cache
+	if cfg.CacheSize >= 0 {
 		cache = NewCache(cfg.CacheSize)
-	}
-	threshold := cfg.ConfidenceThreshold
-	if threshold <= 0 {
-		threshold = model.ConfidenceThreshold
 	}
 	lib := kernels.NewLibrary[T]()
 	return &Tuner[T]{
@@ -402,10 +383,8 @@ func New[T matrix.Float](model *Model, cfg Config) *Tuner[T] {
 		pool: kernels.NewPool[T](threads),
 		// Fallback measurements favour speed over precision: the paper keeps
 		// the whole fallback within ~16 CSR-SpMV executions.
-		measure:    MeasureOptions{MinTime: 200 * time.Microsecond, Trials: 1},
-		cache:      cache,
-		threshold:  threshold,
-		noFallback: cfg.DisableFallback,
+		measure: MeasureOptions{MinTime: 200 * time.Microsecond, Trials: 1},
+		cache:   cache,
 	}
 }
 
@@ -425,10 +404,6 @@ func (t *Tuner[T]) Close() { t.pool.Close() }
 // Model returns the underlying trained model.
 func (t *Tuner[T]) Model() *Model { return t.model }
 
-// Cache returns the tuner's decision cache (nil when caching is disabled).
-// Pass it to another tuner's Config.Cache to share decisions.
-func (t *Tuner[T]) Cache() *Cache { return t.cache }
-
 // Stats is a point-in-time snapshot of a tuner's live counters: the decision
 // cache's (promoted, so st.Hits reads as before), the worker pool's, and the
 // count of tunes that skipped the column pass.
@@ -445,8 +420,8 @@ type Stats struct {
 	// Fallbacks counts the execute-and-measure selections; FallbackAgreed
 	// those whose measured winner was the format the ruleset's
 	// highest-confidence matching, feasible group named below the threshold
-	// — the pick a no-fallback tuner makes. Their ratio is how often the
-	// model's guess was right where it was not sure.
+	// (bestGuess). Their ratio is how often the model's guess was right where
+	// it was not sure.
 	Fallbacks, FallbackAgreed uint64
 }
 
@@ -561,7 +536,7 @@ func (tn *tuning[T]) decide() error {
 	}
 
 	var led *choice[T]
-	entry, fromCache, err := t.cache.DoValidated(tn.base.Features.Key(), t.refreshBelow(), validForHint(opts, tn.m, tn.rec.layout.MaxDeg), func() (CacheEntry, error) {
+	entry, fromCache, err := t.cache.DoValidated(tn.base.Features.Key(), validForHint(opts, tn.m, tn.rec.layout.MaxDeg), func() (CacheEntry, error) {
 		c, err := tn.lead()
 		if err != nil {
 			return CacheEntry{}, err
@@ -590,17 +565,6 @@ func (tn *tuning[T]) finish(c *choice[T], err error) error {
 		return err
 	}
 	return tn.serve(c)
-}
-
-// refreshBelow is the confidence bar under which a cached, un-measured
-// entry is re-tuned. A measuring tuner uses its confidence threshold (it
-// can replace a weak prediction with ground truth); a no-fallback tuner
-// never refreshes, since re-deciding could do no better.
-func (t *Tuner[T]) refreshBelow() float64 {
-	if t.noFallback {
-		return 0
-	}
-	return t.threshold
 }
 
 // groupConfidence walks the rules of class f, in ruleset order, over the box

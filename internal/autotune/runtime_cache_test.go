@@ -106,70 +106,6 @@ func TestTuneCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestTuneNoFallbackBestEffort(t *testing.T) {
-	// Low confidence + DisableFallback: no measurement may run; the
-	// highest-confidence matching group (here the only rule, DIA — but the
-	// matrix is irregular so DIA is infeasible) degrades to CSR.
-	tuner := New[float64](modelAlways(matrix.FormatDIA, 0.30), Config{Threads: 1, DisableFallback: true})
-	m := gen.RandomUniform[float64](1200, 1200, 6, rand.New(rand.NewSource(6)))
-	op, d, err := tuner.Tune(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.UsedFallback {
-		t.Error("fallback ran despite DisableFallback")
-	}
-	if d.Chosen != matrix.FormatCSR {
-		t.Errorf("best effort chose %v, want CSR for irregular matrix", d.Chosen)
-	}
-	x := make([]float64, m.Cols)
-	for i := range x {
-		x[i] = 1
-	}
-	got := make([]float64, m.Rows)
-	want := make([]float64, m.Rows)
-	op.MulVec(x, got)
-	m.ToDense().MulVec(x, want)
-	if !matrix.VecApproxEqual(got, want, 1e-9) {
-		t.Error("best-effort operator wrong result")
-	}
-}
-
-func TestSharedCacheRefreshAcrossTuners(t *testing.T) {
-	// A no-fallback tuner records a low-confidence decision; a measuring
-	// tuner sharing the cache refreshes it with ground truth.
-	model := modelAlways(matrix.FormatDIA, 0.30)
-	noMeasure := New[float64](model, Config{Threads: 1, DisableFallback: true})
-	m := gen.RandomUniform[float64](1500, 1500, 6, rand.New(rand.NewSource(7)))
-	_, d1, err := noMeasure.Tune(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.UsedFallback || d1.CacheHit {
-		t.Fatalf("unexpected first decision %+v", d1)
-	}
-
-	measuring := New[float64](model, Config{Threads: 1, Cache: noMeasure.Cache()})
-	_, d2, err := measuring.Tune(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d2.UsedFallback {
-		t.Error("measuring tuner served the stale low-confidence entry instead of refreshing")
-	}
-	if st := measuring.Stats(); st.Refreshes != 1 {
-		t.Errorf("refreshes = %d, want 1", st.Refreshes)
-	}
-	// After the refresh, even the no-fallback tuner sees the measured entry.
-	_, d3, err := noMeasure.Tune(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d3.CacheHit || d3.Confidence != 1 {
-		t.Errorf("post-refresh decision %+v, want measured cache hit", d3)
-	}
-}
-
 func TestTuneCacheCollisionFallsBackToLocalDecision(t *testing.T) {
 	// Force a pathological collision: seed the cache with a DIA decision
 	// under the fingerprint of a matrix for which DIA is infeasible. Tune
@@ -183,12 +119,12 @@ func TestTuneCacheCollisionFallsBackToLocalDecision(t *testing.T) {
 		entry CacheEntry
 		opts  TuneOptions
 	}{
-		{"asymptotic", CacheEntry{Format: matrix.FormatDIA, Confidence: 1, Measured: true}, TuneOptions{}},
+		{"asymptotic", CacheEntry{Format: matrix.FormatDIA, Confidence: 1}, TuneOptions{}},
 		{"hinted", costedEntry(matrix.FormatDIA), TuneOptions{Iterations: 1 << 20}},
 	} {
 		tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 1})
 		key := m2key(tuner, m)
-		tuner.Cache().Put(key, c.entry)
+		tuner.cache.Put(key, c.entry)
 
 		op, d, err := tuner.TuneOpts(m, c.opts)
 		if err != nil {
@@ -206,7 +142,7 @@ func TestTuneCacheCollisionFallsBackToLocalDecision(t *testing.T) {
 			t.Errorf("%s: asymptotic %v with break-even %d, chosen %gs, incumbent %gs, convert %gs; want CSR and no payoff numbers",
 				c.name, d.Asymptotic, d.BreakEvenIters, d.ChosenSpMVSec, d.IncumbentSec, d.ConvertSec)
 		}
-		if e, ok := tuner.Cache().Get(key); !ok || e != c.entry {
+		if e, ok := tuner.cache.Get(key); !ok || e != c.entry {
 			t.Errorf("%s: collision recovery disturbed the cached entry: %+v", c.name, e)
 		}
 		tuner.Close()

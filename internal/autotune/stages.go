@@ -148,8 +148,8 @@ func foreign(err error) bool { return errors.Is(err, matrix.ErrStructureMismatch
 // (features.Features.BandFull) — less the diagonals when DIA does not fit the
 // model's fill limit, so that a record stays O(features) on a matrix with
 // O(rows+cols) diagonals; kernels.ConvertFrom scans again for the rare DIA
-// conversion that misses them (a tuner sharing the cache under a wider limit, a
-// format hint). A proven band's fill is known, since ER_DIA's bounds meet.
+// conversion that misses them (a format hint, a colliding cache entry). A
+// proven band's fill is known, since ER_DIA's bounds meet.
 func (t *Tuner[T]) newRecord(s *matrix.Structure, ft features.Features) *structureRecord {
 	rec := &structureRecord{features: ft, layout: s.Layout, band: s.Band()}
 	switch lo, _ := ft.DiagBounds(rec.band); {
@@ -183,8 +183,8 @@ func (tn *tuning[T]) remember() {
 // confident pick other than DIA — the full features' pick, by construction. A
 // DIA hint or pick is decided too when the record already lists the diagonals
 // DIA converts from: the row pass proved them (newRecord). An open group, any
-// other DIA pick and no confident pick (measure and bestEffort read every
-// feature) are not decided.
+// other DIA pick and no confident pick (measure reads every feature) are not
+// decided.
 func (tn *tuning[T]) decided() bool {
 	diagonals := tn.rec.layout.DiagOffsets != nil
 	switch {
@@ -215,8 +215,8 @@ func (tn *tuning[T]) columns(s *matrix.Structure) {
 	tn.remember()
 }
 
-// full returns the attempt's features, every one known: measure and bestEffort,
-// which read the diagonal ones, take them from here and nowhere else. A decided
+// full returns the attempt's features, every one known: measure, which reads
+// the diagonal ones, takes them from here and nowhere else. A decided
 // call that gets here after all — the fill guard rejected its pick — runs the
 // column pass now, on extract's clock.
 func (tn *tuning[T]) full() *features.Features {
@@ -281,8 +281,7 @@ func (tn *tuning[T]) lead() (*choice[T], error) {
 }
 
 // choose is the leader's select and build: the model's confident pick if it
-// converts, otherwise execute-and-measure — or, with fallback off, the
-// model's best effort.
+// converts, otherwise execute-and-measure.
 func (tn *tuning[T]) choose() (*choice[T], error) {
 	if c, ok := tn.confident(); ok {
 		switch err := tn.materialise(c); {
@@ -293,22 +292,7 @@ func (tn *tuning[T]) choose() (*choice[T], error) {
 		}
 	}
 	// No confident prediction, or the fill guard rejected it.
-	if !tn.t.noFallback {
-		return tn.measure()
-	}
-	c := tn.bestEffort()
-	if err := tn.materialise(c); err != nil {
-		if foreign(err) {
-			return nil, err
-		}
-		// The fill guard can still reject a feature-feasible format on edge
-		// cases; CSR always converts.
-		c = &choice[T]{format: matrix.FormatCSR}
-		if err := tn.materialise(c); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return tn.measure()
 }
 
 // confident is the model selector over the call's record, which extract left
@@ -335,7 +319,7 @@ func (t *Tuner[T]) predict(rec *structureRecord) (matrix.Format, float64, mining
 	lv, hv := lo.Vector(), hi.Vector()
 	for _, f := range matrix.Formats {
 		conf, v := t.groupConfidence(lv, hv, f)
-		if v == mining.False || (v == mining.True && !(conf > t.threshold)) {
+		if v == mining.False || (v == mining.True && !(conf > t.model.ConfidenceThreshold)) {
 			continue
 		}
 		fits, mayFit := feasible(f, &lo, t.model.MaxFill), feasible(f, &hi, t.model.MaxFill)
@@ -350,18 +334,10 @@ func (t *Tuner[T]) predict(rec *structureRecord) (matrix.Format, float64, mining
 	return 0, 0, mining.False
 }
 
-// bestEffort is the model selector with fallback off: the highest-confidence
-// matching, feasible rule group wins regardless of the threshold; with no
-// match the ruleset default (CSR) is used. The low confidence is recorded so
-// a cached copy of this decision can be refreshed by a measuring tuner.
-func (tn *tuning[T]) bestEffort() *choice[T] {
-	f, conf := tn.t.bestGuess(tn.full())
-	return &choice[T]{format: f, confidence: conf}
-}
-
 // bestGuess is the ruleset's pick regardless of the threshold: the
 // highest-confidence matching, feasible rule group, or CSR, the ruleset
-// default, when none matches.
+// default, when none matches. The measuring selector counts how often its
+// winner agrees (Stats().FallbackAgreed).
 func (t *Tuner[T]) bestGuess(ft *features.Features) (matrix.Format, float64) {
 	fv := ft.Vector()
 	best, conf := matrix.FormatCSR, 0.0
@@ -644,13 +620,12 @@ func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 	entry := CacheEntry{
 		Format:       c.format,
 		Confidence:   c.confidence,
-		Measured:     tn.d.UsedFallback,
 		ConvertSec:   c.convert.Sec,
 		SpMVSec:      c.spmvSec,
 		IncumbentSec: c.incumbentSec,
 		ConvertView:  c.format == matrix.FormatELL && c.convert.Stored == tn.m.NNZ(),
 	}
-	if entry.Measured {
+	if tn.d.UsedFallback {
 		entry.Confidence = 1
 	}
 	return entry

@@ -406,7 +406,7 @@ func TestCOOEngineAliasesInput(t *testing.T) {
 	check("leader", op)
 
 	// A costed entry past break-even: the hit converts.
-	tuner.Cache().Put(m2key(tuner, m), costedEntry(matrix.FormatCOO))
+	tuner.cache.Put(m2key(tuner, m), costedEntry(matrix.FormatCOO))
 	op, d, err := tuner.TuneOpts(m, TuneOptions{Iterations: 100})
 	if err != nil {
 		t.Fatal(err)

@@ -220,9 +220,9 @@ func TestStructureRecordIsSlim(t *testing.T) {
 }
 
 // TestDroppedDiagonalsRescanForDIA: a record without diagonals serves a DIA
-// conversion anyway — a format hint, or a tuner sharing the cache under a
-// wider fill limit: the conversion reads the structure itself, and the tune
-// still counts as a structure hit (the features were recalled).
+// conversion anyway — here a format hint on a tuner with a wider fill limit
+// than the one that recorded it: the conversion reads the structure itself,
+// and the tune still counts as a structure hit (the features were recalled).
 func TestDroppedDiagonalsRescanForDIA(t *testing.T) {
 	m := gen.RandomUniform[float64](300, 300, 4, rand.New(rand.NewSource(11)))
 	tuner := New[float64](modelAlways(matrix.FormatCSR, 0.99), Config{Threads: 2})
@@ -233,10 +233,16 @@ func TestDroppedDiagonalsRescanForDIA(t *testing.T) {
 	}
 	wide := modelAlways(matrix.FormatDIA, 0.99)
 	wide.MaxFill = 1e9
-	sharing := New[float64](wide, Config{Threads: 2, Cache: tuner.Cache()})
-	defer sharing.Close()
+	wider := New[float64](wide, Config{Threads: 2})
+	defer wider.Close()
+	k := structureKey{sig: opts.Pattern, rows: m.Rows, cols: m.Cols, nnz: m.NNZ()}
+	rec := tuner.cache.recallStructure(k)
+	if rec == nil || rec.layout.DiagOffsets != nil {
+		t.Fatalf("the first tune remembered %+v, want a record without diagonals", rec)
+	}
+	wider.cache.rememberStructure(k, rec)
 	opts.FormatHint, opts.HasFormatHint = matrix.FormatDIA, true
-	op, d, err := sharing.TuneOpts(m, opts)
+	op, d, err := wider.TuneOpts(m, opts)
 	if err != nil || !d.StructureHit || d.Chosen != matrix.FormatDIA {
 		t.Fatalf("DIA from a record without diagonals: structure hit %v, chose %v, err %v", d.StructureHit, d.Chosen, err)
 	}

@@ -242,7 +242,7 @@ func Train(entries []*corpus.Entry, cfg TrainConfig) (*TrainResult, error) {
 
 	// Learning phase: everything after labeling is measurement-free and
 	// shared with TrainFromDatabase. Each class binds what its labeler bound.
-	learned, err := TrainFromDatabase(db, cfg)
+	learned, err := TrainFromDatabase(db)
 	if err != nil {
 		return nil, err
 	}

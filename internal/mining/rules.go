@@ -289,19 +289,6 @@ func (rs *Ruleset) prefix(k int) *Ruleset {
 	}
 }
 
-// ClassConfidence returns, per class, the maximum confidence over the
-// class's rules — the paper's per-format confidence factor used by the
-// runtime's threshold test.
-func (rs *Ruleset) ClassConfidence() []float64 {
-	conf := make([]float64, len(rs.ClassNames))
-	for _, r := range rs.Rules {
-		if r.Confidence > conf[r.Class] {
-			conf[r.Class] = r.Confidence
-		}
-	}
-	return conf
-}
-
 // String renders the ruleset as IF-THEN sentences.
 func (rs *Ruleset) String() string {
 	var b strings.Builder

@@ -122,30 +122,6 @@ func TestSimplifyMergesConditions(t *testing.T) {
 	}
 }
 
-func TestClassConfidence(t *testing.T) {
-	ds := thresholdDataset(500, 0.05, 15)
-	rs := buildRuleset(t, ds)
-	conf := rs.ClassConfidence()
-	if len(conf) != 3 {
-		t.Fatalf("ClassConfidence length %d, want 3", len(conf))
-	}
-	for c, v := range conf {
-		if v < 0 || v > 1 {
-			t.Errorf("class %d confidence %g outside [0,1]", c, v)
-		}
-		// Must equal the max over that class's rules.
-		max := 0.0
-		for _, r := range rs.Rules {
-			if r.Class == c && r.Confidence > max {
-				max = r.Confidence
-			}
-		}
-		if v != max {
-			t.Errorf("class %d confidence %g != max rule confidence %g", c, v, max)
-		}
-	}
-}
-
 func TestMatchReturnsFirstInOrder(t *testing.T) {
 	rs := &Ruleset{
 		AttrNames:  []string{"x"},
@@ -187,8 +163,11 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err := json.NewEncoder(&buf).Encode(rs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeRuleset(&buf)
-	if err != nil {
+	var back Ruleset
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Rules) != len(rs.Rules) || back.Default != rs.Default {
@@ -201,6 +180,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsCorruptRulesets: decoding and then Validate — how
+// autotune.LoadModel reads a class's ruleset — rejects every corrupt input.
 func TestDecodeRejectsCorruptRulesets(t *testing.T) {
 	cases := []string{
 		`not json`,
@@ -212,7 +193,8 @@ func TestDecodeRejectsCorruptRulesets(t *testing.T) {
 		`{"class_names":["A"],"attr_names":["x"],"rules":[{"conds":[{"attr":0,"op":9,"threshold":1}],"class":0}],"default":0}`,
 	}
 	for i, c := range cases {
-		if _, err := DecodeRuleset(strings.NewReader(c)); err == nil {
+		var rs Ruleset
+		if err := json.Unmarshal([]byte(c), &rs); err == nil && rs.Validate() == nil {
 			t.Errorf("case %d: corrupt ruleset accepted", i)
 		}
 	}

@@ -1,25 +1,6 @@
 package mining
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
-// DecodeRuleset reads a JSON-encoded ruleset (encoding/json of a *Ruleset;
-// every field, the RNone sentinel for non-scale-free matrices included, is
-// finite, so the encoding is lossless) and validates its internal
-// consistency.
-func DecodeRuleset(r io.Reader) (*Ruleset, error) {
-	var rs Ruleset
-	if err := json.NewDecoder(r).Decode(&rs); err != nil {
-		return nil, fmt.Errorf("mining: decode ruleset: %w", err)
-	}
-	if err := rs.Validate(); err != nil {
-		return nil, err
-	}
-	return &rs, nil
-}
+import "fmt"
 
 // Validate checks the ruleset's internal consistency: a default and rule
 // classes among ClassNames, conditions on attributes among AttrNames with a

@@ -111,31 +111,6 @@ func blockDots8[T matrix.Float](a, b []T, out []float64) {
 // use Dot's four-lane float64 accumulation, so at one chunk a fused sweep
 // returns the bits a separate Dot over its output would.
 
-// dot2 returns ⟨a, b⟩ and ⟨a, c⟩ from one pass over a.
-//
-//smat:hotpath
-func dot2[T matrix.Float](a, b, c []T) (ab, ac float64) {
-	b, c = b[:len(a)], c[:len(a)]
-	var s0, s1, s2, s3, t0, t1, t2, t3 float64
-	i := 0
-	for ; i+3 < len(a); i += 4 {
-		a0, a1, a2, a3 := float64(a[i]), float64(a[i+1]), float64(a[i+2]), float64(a[i+3])
-		s0 += a0 * float64(b[i])
-		s1 += a1 * float64(b[i+1])
-		s2 += a2 * float64(b[i+2])
-		s3 += a3 * float64(b[i+3])
-		t0 += a0 * float64(c[i])
-		t1 += a1 * float64(c[i+1])
-		t2 += a2 * float64(c[i+2])
-		t3 += a3 * float64(c[i+3])
-	}
-	for ; i < len(a); i++ {
-		s0 += float64(a[i]) * float64(b[i])
-		t0 += float64(a[i]) * float64(c[i])
-	}
-	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
-}
-
 // cgUpdate fuses the CG solution and residual updates — x += α·p,
 // r −= α·ap — with the new residual's ⟨r, r⟩: one pass over four vectors
 // instead of three passes over two, two and one.
@@ -181,19 +156,19 @@ func xpay[T matrix.Float](z []T, beta T, p []T) {
 	}
 }
 
-// residual computes r = b − α·w and returns ⟨r, r⟩. r may alias b or w.
+// residual computes r = b − w and returns ⟨r, r⟩. r may alias b or w.
 //
 //smat:hotpath
-func residual[T matrix.Float](b []T, alpha T, w, r []T) float64 {
+func residual[T matrix.Float](b, w, r []T) float64 {
 	n := len(r)
 	b, w = b[:n], w[:n]
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+3 < n; i += 4 {
-		v0 := b[i] - alpha*w[i]
-		v1 := b[i+1] - alpha*w[i+1]
-		v2 := b[i+2] - alpha*w[i+2]
-		v3 := b[i+3] - alpha*w[i+3]
+		v0 := b[i] - w[i]
+		v1 := b[i+1] - w[i+1]
+		v2 := b[i+2] - w[i+2]
+		v3 := b[i+3] - w[i+3]
 		r[i], r[i+1], r[i+2], r[i+3] = v0, v1, v2, v3
 		s0 += float64(v0) * float64(v0)
 		s1 += float64(v1) * float64(v1)
@@ -201,43 +176,11 @@ func residual[T matrix.Float](b []T, alpha T, w, r []T) float64 {
 		s3 += float64(v3) * float64(v3)
 	}
 	for ; i < n; i++ {
-		v := b[i] - alpha*w[i]
+		v := b[i] - w[i]
 		r[i] = v
 		s0 += float64(v) * float64(v)
 	}
 	return (s0 + s1) + (s2 + s3)
-}
-
-// residualDot is residual that also returns ⟨q, r⟩ of the new r.
-//
-//smat:hotpath
-func residualDot[T matrix.Float](b []T, alpha T, w, r, q []T) (rr, qr float64) {
-	n := len(r)
-	b, w, q = b[:n], w[:n], q[:n]
-	var s0, s1, s2, s3, t0, t1, t2, t3 float64
-	i := 0
-	for ; i+3 < n; i += 4 {
-		v0 := b[i] - alpha*w[i]
-		v1 := b[i+1] - alpha*w[i+1]
-		v2 := b[i+2] - alpha*w[i+2]
-		v3 := b[i+3] - alpha*w[i+3]
-		r[i], r[i+1], r[i+2], r[i+3] = v0, v1, v2, v3
-		s0 += float64(v0) * float64(v0)
-		s1 += float64(v1) * float64(v1)
-		s2 += float64(v2) * float64(v2)
-		s3 += float64(v3) * float64(v3)
-		t0 += float64(q[i]) * float64(v0)
-		t1 += float64(q[i+1]) * float64(v1)
-		t2 += float64(q[i+2]) * float64(v2)
-		t3 += float64(q[i+3]) * float64(v3)
-	}
-	for ; i < n; i++ {
-		v := b[i] - alpha*w[i]
-		r[i] = v
-		s0 += float64(v) * float64(v)
-		t0 += float64(q[i]) * float64(v)
-	}
-	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
 }
 
 // axpy computes y += α·x elementwise in T precision.
@@ -247,31 +190,6 @@ func axpy[T matrix.Float](alpha T, x, y []T) {
 	y = y[:len(x)]
 	for i := range x {
 		y[i] += alpha * x[i]
-	}
-}
-
-// axpy2 computes x += α·p, then x += ω·s, in one pass (BiCGSTAB's solution
-// update; the two roundings are those of the two separate updates).
-//
-//smat:hotpath
-func axpy2[T matrix.Float](alpha T, p []T, omega T, s, x []T) {
-	n := len(x)
-	p, s = p[:n], s[:n]
-	for i := 0; i < n; i++ {
-		xi := x[i] + alpha*p[i]
-		x[i] = xi + omega*s[i]
-	}
-}
-
-// direction computes p = r + β·(p − ω·w) (BiCGSTAB's direction update).
-//
-//smat:hotpath
-func direction[T matrix.Float](r []T, beta, omega T, w, p []T) {
-	n := len(p)
-	r, w = r[:n], w[:n]
-	for i := 0; i < n; i++ {
-		pi := p[i] - omega*w[i]
-		p[i] = r[i] + beta*pi
 	}
 }
 

@@ -53,7 +53,7 @@ func BlockCG[T matrix.Float](a BatchOperator[T], bb, xb []T, k int, tol float64,
 	// sweep for all k columns — because in the interleaved layout a single
 	// strided dot already touches every cache line of the block.
 	a.MulVecBatch(xb, ap, k)
-	residual(bb, 1, ap, r)
+	residual(bb, ap, r)
 	blockDots(bb, bb, k, normB)
 	for j := 0; j < k; j++ {
 		normB[j] = math.Sqrt(normB[j])

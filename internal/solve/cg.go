@@ -8,8 +8,7 @@ import (
 )
 
 // CGScratch is the reusable Krylov workspace: the vector backend and the
-// solver's work vectors (four n-vectors for CG, eight for BiCGSTAB). A zero
-// value is ready to use; reserve grows it on demand, so one scratch amortises
+// solver's four n-vectors. A zero value is ready to use; reserve grows it on demand, so one scratch amortises
 // across repeated solves of same-sized systems (the AMG hierarchy keeps one
 // per hierarchy, making steady-state PCG allocation-free).
 type CGScratch[T matrix.Float] struct {

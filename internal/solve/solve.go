@@ -1,5 +1,5 @@
-// Package solve implements Krylov subspace solvers — conjugate gradients,
-// BiCGSTAB, and a multi-RHS block CG — over any SpMV operator.
+// Package solve implements Krylov subspace solvers — conjugate gradients
+// and a multi-RHS block CG — over any SpMV operator.
 //
 // The solvers are deliberately operator-agnostic: anything with
 // MulVec(x, y) drives them, so the same code runs over a plain CSR product,
@@ -55,7 +55,7 @@ type Preconditioner[T matrix.Float] interface {
 
 // ErrBreakdown reports that a Krylov recurrence lost its footing: a
 // curvature pᵀAp ≤ 0 (the operator is not positive definite along the
-// search direction), a vanished ρ or ω in BiCGSTAB, or NaN contamination.
+// search direction), a vanished ρ, or NaN contamination.
 // Solvers return it wrapped with the iteration context instead of
 // NaN-looping to maxIter.
 var ErrBreakdown = errors.New("solve: krylov breakdown")

@@ -211,91 +211,6 @@ func TestCG1x1(t *testing.T) {
 	}
 }
 
-func nonsymSystem(t *testing.T, n int) (*matrix.CSR[float64], []float64, []float64) {
-	t.Helper()
-	// 1D convection-diffusion: diffusion keeps it well conditioned, the
-	// upwind convection term makes it genuinely nonsymmetric.
-	var ts []matrix.Triple[float64]
-	for i := 0; i < n; i++ {
-		ts = append(ts, matrix.Triple[float64]{Row: i, Col: i, Val: 2.5})
-		if i > 0 {
-			ts = append(ts, matrix.Triple[float64]{Row: i, Col: i - 1, Val: -1.4})
-		}
-		if i+1 < n {
-			ts = append(ts, matrix.Triple[float64]{Row: i, Col: i + 1, Val: -0.6})
-		}
-	}
-	a, err := matrix.FromTriples(n, n, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = rng.NormFloat64()
-	}
-	b := make([]float64, n)
-	csrOp{a}.MulVec(want, b)
-	return a, b, want
-}
-
-func TestBiCGSTABConvergesOnNonsymmetric(t *testing.T) {
-	a, b, want := nonsymSystem(t, 300)
-	x := make([]float64, a.Rows)
-	stats, err := BiCGSTAB[float64](csrOp{a}, nil, b, x, 1e-10, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Converged {
-		t.Fatalf("BiCGSTAB did not converge: %+v", stats)
-	}
-	if !matrix.VecApproxEqual(x, want, 1e-6) {
-		t.Error("BiCGSTAB solution wrong")
-	}
-}
-
-func TestBiCGSTABZeroRHS(t *testing.T) {
-	a, _, _ := nonsymSystem(t, 20)
-	x := make([]float64, a.Rows)
-	x[3] = 5
-	stats, err := BiCGSTAB[float64](csrOp{a}, nil, make([]float64, a.Rows), x, 1e-12, 10)
-	if err != nil || !stats.Converged {
-		t.Fatalf("zero RHS: stats=%+v err=%v", stats, err)
-	}
-	for _, v := range x {
-		if v != 0 {
-			t.Fatal("x not zeroed on zero RHS")
-		}
-	}
-}
-
-func TestBiCGSTABBreakdownOnSingular(t *testing.T) {
-	// The zero matrix: A·p = 0 makes ⟨r̂₀, A·p̂⟩ vanish immediately.
-	a, err := matrix.FromTriples[float64](3, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 3)
-	_, err = BiCGSTAB[float64](csrOp{a}, nil, []float64{1, 2, 3}, x, 1e-12, 50)
-	if !errors.Is(err, ErrBreakdown) {
-		t.Fatalf("singular: err=%v, want ErrBreakdown", err)
-	}
-	for _, v := range x {
-		if math.IsNaN(v) {
-			t.Fatal("breakdown left NaN in x")
-		}
-	}
-}
-
-func TestBiCGSTABMaxIterZero(t *testing.T) {
-	a, b, _ := nonsymSystem(t, 30)
-	x := make([]float64, a.Rows)
-	stats, err := BiCGSTAB[float64](csrOp{a}, nil, b, x, 1e-12, 0)
-	if err != nil || stats.Iterations != 0 || stats.Converged {
-		t.Fatalf("maxIter=0: stats=%+v err=%v", stats, err)
-	}
-}
-
 func TestBlockCGMatchesSingleCG(t *testing.T) {
 	a, _, _ := spdSystem(t, 12, 13)
 	n := a.Rows

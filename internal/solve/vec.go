@@ -23,8 +23,8 @@ type Pooled interface {
 	Threads() int
 }
 
-// Vec is the solvers' vector backend: every BLAS-1 phase of CG, BiCGSTAB
-// and the AMG cycle is one of its fused sweeps, each vector read once per
+// Vec is the solvers' vector backend: every BLAS-1 phase of CG and the AMG
+// cycle is one of its fused sweeps, each vector read once per
 // phase. Bound to a Pooled operator and a length above the kernels' serial
 // cutoff it splits the index range into one 8-aligned chunk per thread and
 // dispatches them on the operator's pool; otherwise the same body runs as
@@ -47,30 +47,26 @@ type Vec[T matrix.Float] struct {
 
 	// The running phase and its arguments, set by the phase method and read
 	// by the chunks (the pool's dispatch barrier orders both directions).
-	op            vecOp
-	alpha, beta   T
-	a, b, c, d, e []T
+	op          vecOp
+	alpha, beta T
+	a, b, c, d  []T
 }
 
 // partial is one chunk's reduction slot, padded to a cache line so that
 // neighbouring chunks' stores do not share one.
 type partial struct {
-	s0, s1 float64
-	_      [48]byte
+	s float64
+	_ [56]byte
 }
 
 type vecOp uint8
 
 const (
 	opDot vecOp = iota
-	opDot2
 	opCGUpdate
 	opXpay
 	opResidual
-	opResidualDot
 	opAxpy
-	opAxpy2
-	opDirection
 	opJacobi
 )
 
@@ -116,45 +112,36 @@ func (v *Vec[T]) run(op vecOp) {
 	} else {
 		v.pool.RunChunks(v.bounds, v.body)
 	}
-	v.a, v.b, v.c, v.d, v.e = nil, nil, nil, nil, nil
+	v.a, v.b, v.c, v.d = nil, nil, nil, nil
 }
 
-// sums adds the chunks' partials in chunk order.
+// sum adds the chunks' partials in chunk order.
 //
 //smat:hotpath
-func (v *Vec[T]) sums() (s0, s1 float64) {
-	s0, s1 = v.part[0].s0, v.part[0].s1
+func (v *Vec[T]) sum() float64 {
+	s := v.part[0].s
 	for c := 1; c < len(v.part); c++ {
-		s0 += v.part[c].s0
-		s1 += v.part[c].s1
+		s += v.part[c].s
 	}
-	return s0, s1
+	return s
 }
 
-// chunk runs the current phase on [lo, hi) and stores the chunk's partials.
+// chunk runs the current phase on [lo, hi) and stores the chunk's partial.
 //
 //smat:hotpath
 func (v *Vec[T]) chunk(c, lo, hi int) {
 	s := &v.part[c]
 	switch v.op {
 	case opDot:
-		s.s0 = Dot(v.a[lo:hi], v.b[lo:hi])
-	case opDot2:
-		s.s0, s.s1 = dot2(v.a[lo:hi], v.b[lo:hi], v.c[lo:hi])
+		s.s = Dot(v.a[lo:hi], v.b[lo:hi])
 	case opCGUpdate:
-		s.s0 = cgUpdate(v.alpha, v.a[lo:hi], v.b[lo:hi], v.c[lo:hi], v.d[lo:hi])
+		s.s = cgUpdate(v.alpha, v.a[lo:hi], v.b[lo:hi], v.c[lo:hi], v.d[lo:hi])
 	case opXpay:
 		xpay(v.a[lo:hi], v.beta, v.b[lo:hi])
 	case opResidual:
-		s.s0 = residual(v.a[lo:hi], v.alpha, v.b[lo:hi], v.c[lo:hi])
-	case opResidualDot:
-		s.s0, s.s1 = residualDot(v.a[lo:hi], v.alpha, v.b[lo:hi], v.c[lo:hi], v.d[lo:hi])
+		s.s = residual(v.a[lo:hi], v.b[lo:hi], v.c[lo:hi])
 	case opAxpy:
 		axpy(v.alpha, v.a[lo:hi], v.b[lo:hi])
-	case opAxpy2:
-		axpy2(v.alpha, v.a[lo:hi], v.beta, v.b[lo:hi], v.c[lo:hi])
-	case opDirection:
-		direction(v.a[lo:hi], v.alpha, v.beta, v.b[lo:hi], v.c[lo:hi])
 	case opJacobi:
 		jacobi(v.alpha, v.a[lo:hi], v.b[lo:hi], v.c[lo:hi], v.d[lo:hi])
 	}
@@ -166,17 +153,7 @@ func (v *Vec[T]) chunk(c, lo, hi int) {
 func (v *Vec[T]) dot(a, b []T) float64 {
 	v.a, v.b = a, b
 	v.run(opDot)
-	s, _ := v.sums()
-	return s
-}
-
-// dot2 returns ⟨a, b⟩ and ⟨a, c⟩ from one sweep over a.
-//
-//smat:hotpath
-func (v *Vec[T]) dot2(a, b, c []T) (ab, ac float64) {
-	v.a, v.b, v.c = a, b, c
-	v.run(opDot2)
-	return v.sums()
+	return v.sum()
 }
 
 // cgUpdate applies the CG step x += α·p, r −= α·ap and returns ⟨r, r⟩ of
@@ -186,8 +163,7 @@ func (v *Vec[T]) dot2(a, b, c []T) (ab, ac float64) {
 func (v *Vec[T]) cgUpdate(alpha T, p, ap, x, r []T) float64 {
 	v.alpha, v.a, v.b, v.c, v.d = alpha, p, ap, x, r
 	v.run(opCGUpdate)
-	s, _ := v.sums()
-	return s
+	return v.sum()
 }
 
 // xpay computes p = z + β·p (the CG direction update).
@@ -202,26 +178,9 @@ func (v *Vec[T]) xpay(z []T, beta T, p []T) {
 //
 //smat:hotpath
 func (v *Vec[T]) Residual(b, w, r []T) float64 {
-	return v.residual(b, 1, w, r)
-}
-
-// residual computes r = b − α·w and returns ‖r‖₂².
-//
-//smat:hotpath
-func (v *Vec[T]) residual(b []T, alpha T, w, r []T) float64 {
-	v.alpha, v.a, v.b, v.c = alpha, b, w, r
+	v.a, v.b, v.c = b, w, r
 	v.run(opResidual)
-	s, _ := v.sums()
-	return s
-}
-
-// residualDot computes r = b − α·w and returns ‖r‖₂² and ⟨q, r⟩.
-//
-//smat:hotpath
-func (v *Vec[T]) residualDot(b []T, alpha T, w, r, q []T) (rr, qr float64) {
-	v.alpha, v.a, v.b, v.c, v.d = alpha, b, w, r, q
-	v.run(opResidualDot)
-	return v.sums()
+	return v.sum()
 }
 
 // Axpy computes y += α·x.
@@ -230,22 +189,6 @@ func (v *Vec[T]) residualDot(b []T, alpha T, w, r, q []T) (rr, qr float64) {
 func (v *Vec[T]) Axpy(alpha T, x, y []T) {
 	v.alpha, v.a, v.b = alpha, x, y
 	v.run(opAxpy)
-}
-
-// axpy2 computes x += α·p + ω·s in one sweep over x.
-//
-//smat:hotpath
-func (v *Vec[T]) axpy2(alpha T, p []T, omega T, s, x []T) {
-	v.alpha, v.beta, v.a, v.b, v.c = alpha, omega, p, s, x
-	v.run(opAxpy2)
-}
-
-// direction computes p = r + β·(p − ω·w) (the BiCGSTAB direction update).
-//
-//smat:hotpath
-func (v *Vec[T]) direction(r []T, beta, omega T, w, p []T) {
-	v.alpha, v.beta, v.a, v.b, v.c = beta, omega, r, w, p
-	v.run(opDirection)
 }
 
 // Jacobi applies one weighted-Jacobi correction x += ω·(b − w)/d with w

@@ -63,11 +63,11 @@ func TestWithFormatHintPinsFormat(t *testing.T) {
 	}
 }
 
-// TestOptionPrecedence: a per-call WithIterations overrides the tuner-level
-// WithDefaultIterations, and the tuner-level default applies when the call
-// carries nothing.
+// TestOptionPrecedence: a call without options tunes asymptotically, one
+// carrying WithIterations is weighed against its hint, and WithFormatHint
+// beats WithIterations: the hinted format serves, with no break-even weighed.
 func TestOptionPrecedence(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1), WithDefaultIterations(7))
+	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1))
 	defer tuner.Close()
 	a := tridiag(t, 500)
 
@@ -75,8 +75,8 @@ func TestOptionPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := op.Decision().IterationHint; got != 7 {
-		t.Errorf("tuner-level default: IterationHint = %d, want 7", got)
+	if got := op.Decision().IterationHint; got != 0 {
+		t.Errorf("no option: IterationHint = %d, want 0", got)
 	}
 
 	op, err = tuner.Tune(a, WithIterations(31))
@@ -84,7 +84,15 @@ func TestOptionPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := op.Decision().IterationHint; got != 31 {
-		t.Errorf("per-call override: IterationHint = %d, want 31", got)
+		t.Errorf("per-call hint: IterationHint = %d, want 31", got)
+	}
+
+	op, err = tuner.Tune(a, WithIterations(2), WithFormatHint(FormatDIA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := op.Decision(); d.Chosen != FormatDIA || d.Amortized || d.BreakEvenIters != 0 {
+		t.Errorf("format hint under WithIterations(2): %v, want DIA served with no break-even", d)
 	}
 }
 

@@ -128,10 +128,10 @@ func FromEntries[T Float](rows, cols int, entries []Entry[T]) (*Matrix[T], error
 // The validation pass also signs the sparsity pattern — a hash of the contents
 // of rowPtr and colIdx — and a tuner remembers, per signature, what scanning
 // that pattern told it (the Table 2 features, the DIA/ELL layout; bounded by
-// WithCacheSize, shared by WithCacheFrom). Submitting a pattern again with
-// new values — the same arrays or an equal copy of them — therefore pays
-// validation and the value layout, not the structure scan
-// (Decision.StructureHit, Stats().StructureHits). Identity is by content: arrays
+// WithCacheSize). Submitting a pattern again with new values — the same
+// arrays or an equal copy of them — therefore pays validation and the value
+// layout, not the structure scan (Decision.StructureHit,
+// Stats().StructureHits). Identity is by content: arrays
 // rewritten in place to another pattern and wrapped again sign differently and
 // are scanned, and what is remembered is checked against the matrix as it is
 // used, never trusted on the hash. Nothing of the caller's arrays is retained
@@ -177,10 +177,6 @@ func (a *Matrix[T]) Features() Features {
 // matrices are collapsed into a single tuning run (singleflight).
 type Tuner[T Float] struct {
 	inner *autotune.Tuner[T]
-
-	// defaultIters is the tuner-level iteration hint (WithDefaultIterations);
-	// a per-call WithIterations takes precedence. 0 means asymptotic tuning.
-	defaultIters int
 }
 
 // Stats reports the tuner's live counters — the decision cache's (embedded
@@ -195,14 +191,7 @@ type CacheStats = autotune.CacheStats
 type PoolStats = kernels.PoolStats
 
 // Option configures NewTuner.
-type Option func(*settings)
-
-// settings is what the Options write: the runtime tuner's Config itself,
-// plus the one default the public layer keeps (WithDefaultIterations).
-type settings struct {
-	autotune.Config
-	defaultIters int
-}
+type Option func(*autotune.Config)
 
 // WithThreads sets the kernel thread fan-out (capped to GOMAXPROCS). n ≤ 0
 // selects GOMAXPROCS, which is also the default.
@@ -214,57 +203,19 @@ type settings struct {
 // thread run matrices over the engine's work cutoff on the tuner's worker
 // pool and smaller ones serially; Tuner.Stats reports which happened.
 func WithThreads(n int) Option {
-	return func(c *settings) { c.Threads = n }
+	return func(c *autotune.Config) { c.Threads = n }
 }
 
 // WithCacheSize bounds the feature-keyed decision cache to roughly n
 // entries (LRU-evicted beyond that). n ≤ 0 disables caching entirely; the
 // default is autotune's DefaultCacheSize (1024).
 func WithCacheSize(n int) Option {
-	return func(c *settings) {
+	return func(c *autotune.Config) {
 		if n <= 0 {
 			n = -1
 		}
 		c.CacheSize = n
 	}
-}
-
-// WithoutFallback disables the execute-and-measure fallback: when the model
-// is not confident, the tuner uses the highest-confidence matching rule
-// group (or CSR) instead of measuring. Decisions made this way are cached
-// with their low confidence recorded, so a measuring tuner sharing the
-// cache (WithCacheFrom) can later refresh them with ground truth.
-func WithoutFallback() Option {
-	return func(c *settings) { c.DisableFallback = true }
-}
-
-// WithConfidenceThreshold overrides the model's trained confidence
-// threshold (0 < th ≤ 1): predictions at or below th take the fallback
-// path. It also sets the refresh bar for cached low-confidence decisions.
-func WithConfidenceThreshold(th float64) Option {
-	return func(c *settings) { c.ConfidenceThreshold = th }
-}
-
-// WithCacheFrom shares other's decision cache with the new tuner, so a
-// fleet of tuners (for example one per element type, or a measuring tuner
-// refreshing a non-measuring one) amortises tuning runs jointly. It
-// overrides WithCacheSize; if other has caching disabled, so does the new
-// tuner.
-func WithCacheFrom[T Float](other *Tuner[T]) Option {
-	return func(c *settings) {
-		c.Cache = other.inner.Cache()
-		if c.Cache == nil {
-			c.CacheSize = -1
-		}
-	}
-}
-
-// WithDefaultIterations sets a tuner-level iteration hint applied to every
-// call that does not carry its own WithIterations — the per-call option
-// always takes precedence (see TuneOption for the full precedence rules).
-// n ≤ 0 clears the default, restoring asymptotic tuning.
-func WithDefaultIterations(n int) Option {
-	return func(c *settings) { c.defaultIters = max(n, 0) }
 }
 
 // NewTuner builds a runtime tuner for a model. With no options it uses the
@@ -273,11 +224,11 @@ func WithDefaultIterations(n int) Option {
 //	tuner := smat.NewTuner[float64](model,
 //	    smat.WithThreads(8), smat.WithCacheSize(4096))
 func NewTuner[T Float](model *Model, opts ...Option) *Tuner[T] {
-	var c settings
+	var c autotune.Config
 	for _, o := range opts {
 		o(&c)
 	}
-	return &Tuner[T]{inner: autotune.New[T](model, c.Config), defaultIters: c.defaultIters}
+	return &Tuner[T]{inner: autotune.New[T](model, c)}
 }
 
 // Threads returns the tuner's thread configuration.
@@ -291,8 +242,8 @@ func (t *Tuner[T]) Threads() int { return t.inner.Threads() }
 func (t *Tuner[T]) Close() { t.inner.Close() }
 
 // Stats snapshots the tuner's live counters. The decision cache's — hits,
-// misses, singleflight-shared waits, LRU evictions, low-confidence refreshes
-// — are zero when caching is disabled. Pool says what the operators'
+// misses, singleflight-shared waits, LRU evictions, hint-driven refreshes —
+// are zero when caching is disabled. Pool says what the operators'
 // MulVec/MulVecBatch calls did with the worker pool: dispatches the
 // persistent workers ran (and how many of those followed an idle gap and had
 // to wake a parked worker), dispatches that found the pool busy and spawned
@@ -305,14 +256,12 @@ func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
 // CSRSpMVBatch. Options are variadic additions — calls without any behave
 // exactly as before (asymptotic tuning).
 //
-// Precedence rules: a per-call option always beats the corresponding
-// tuner-level Option (WithIterations beats WithDefaultIterations), and
-// WithFormatHint beats everything — it bypasses the model, the decision
-// cache and the iteration hint entirely. Options only affect the call that
-// carries them; the operator they produce is cached on the matrix handle
-// keyed by the effective options, so alternating option sets on one handle
-// re-tunes (cheaply, via the decision cache) rather than serving a stale
-// operator.
+// Precedence: WithFormatHint beats WithIterations — it bypasses the model,
+// the decision cache and the iteration hint entirely. Options only affect
+// the call that carries them; the operator they produce is cached on the
+// matrix handle keyed by the effective options, so alternating option sets
+// on one handle re-tunes (cheaply, via the decision cache) rather than
+// serving a stale operator.
 type TuneOption func(*autotune.TuneOptions)
 
 // WithIterations tells the tuner the matrix is expected to serve n more
@@ -436,12 +385,12 @@ func (t *Tuner[T]) CSRSpMVBatch(a *Matrix[T], xb, yb []T, k int, opts ...TuneOpt
 	return nil
 }
 
-// slot applies a call's options over the tuner-level default and returns the
-// handle's operator slot for them: lock-free when the slot already holds t's
+// slot applies a call's options and returns the handle's operator slot for
+// them: lock-free when the slot already holds t's
 // operator for the same options, tuned first otherwise — and always when
 // retune is set (Tune).
 func (t *Tuner[T]) slot(a *Matrix[T], opts []TuneOption, retune bool) (*tunedSlot[T], error) {
-	o := autotune.TuneOptions{Iterations: t.defaultIters, Pattern: a.sig}
+	o := autotune.TuneOptions{Pattern: a.sig}
 	for _, opt := range opts {
 		opt(&o)
 	}

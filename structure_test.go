@@ -154,8 +154,8 @@ func TestResubmittedPatternSkipsTheScan(t *testing.T) {
 }
 
 // TestStructureIndexFollowsTheCache: WithCacheSize(0) disables the index with
-// the cache, WithCacheFrom shares it, and handles that were not built by
-// NewCSR — assembled from entries, read from a file — are unsigned and scan.
+// the cache, and handles that were not built by NewCSR — assembled from
+// entries, read from a file — are unsigned and scan.
 func TestStructureIndexFollowsTheCache(t *testing.T) {
 	m := templates()["band"]
 
@@ -172,12 +172,6 @@ func TestStructureIndexFollowsTheCache(t *testing.T) {
 
 	owner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
 	defer owner.Close()
-	sharing := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(1), smat.WithCacheFrom(owner))
-	defer sharing.Close()
-	serve(t, owner, "owner", m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals)
-	if d := serve(t, sharing, "sharing tuner", m.Rows, m.Cols, m.RowPtr, m.ColIdx, values(m.NNZ(), 1)); !d.StructureHit || !d.CacheHit {
-		t.Errorf("WithCacheFrom: structure hit %v, cache hit %v on a pattern the owner tuned", d.StructureHit, d.CacheHit)
-	}
 
 	entries := make([]smat.Entry[float64], 0, m.NNZ())
 	for r := 0; r < m.Rows; r++ {
