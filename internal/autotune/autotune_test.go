@@ -148,10 +148,24 @@ func TestLabelerMeasuresFeasibleFormats(t *testing.T) {
 	if len(lbl.GFLOPS) != 4 {
 		t.Errorf("banded matrix measured %d formats, want 4", len(lbl.GFLOPS))
 	}
+	// The label is pickMeasured's verdict: CSR unless a challenger beats it
+	// by more than fallbackMargin, and then the fastest format measured.
+	bar := lbl.GFLOPS[matrix.FormatCSR] * (1 + fallbackMargin)
+	if lbl.Best == matrix.FormatCSR {
+		for f, g := range lbl.GFLOPS {
+			if g > bar {
+				t.Errorf("best is CSR, but %v (%g GFLOPS) beats CSR's margin bar (%g)", f, g, bar)
+			}
+		}
+		return
+	}
 	best := lbl.GFLOPS[lbl.Best]
+	if !(best > bar) {
+		t.Errorf("best is %v (%g GFLOPS), inside CSR's margin bar (%g)", lbl.Best, best, bar)
+	}
 	for f, g := range lbl.GFLOPS {
 		if g > best {
-			t.Errorf("format %v (%g) beats reported best %v (%g)", f, g, lbl.Best, best)
+			t.Errorf("format %v (%g GFLOPS) beats reported best %v (%g)", f, g, lbl.Best, best)
 		}
 	}
 }

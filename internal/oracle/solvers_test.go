@@ -6,7 +6,6 @@ import (
 	"smat/internal/gen"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
-	"smat/internal/solve"
 )
 
 // TestSpGEMMDifferential walks the adversarial structure suite through the
@@ -83,38 +82,6 @@ func TestSpGEMMRowsAllocateNothing(t *testing.T) {
 			if got[i] != base[i] {
 				t.Errorf("%s: %.0f allocations at 1024 rows in one chunk, %.0f at %s: the row bodies allocate", name, base[i], got[i], c.what)
 			}
-		}
-	}
-}
-
-// TestBlockCGIterationsAllocateNothing pins the block solver's per-iteration
-// bodies (blockDots, blockDots8, blockUpdate, blockPUpdate): BlockCG
-// allocates its workspace once per call, so a fixed-width solve run to an
-// iteration cap of 5 and of 50 must allocate the same number of times. The
-// operator is the allocation-free serial reference, so any difference is the
-// solver's own. Width 8 takes the register-tiled bodies, width 3 the generic
-// ones.
-func TestBlockCGIterationsAllocateNothing(t *testing.T) {
-	a := gen.Laplacian2D5pt[float64](16, 16)
-	op := serialOp[float64]{a}
-	for _, k := range []int{8, 3} {
-		bb := make([]float64, a.Rows*k)
-		for i := range bb {
-			bb[i] = float64(i%7) - 2.5
-		}
-		xb := make([]float64, len(bb))
-		allocs := func(maxIter int) float64 {
-			return allocFloor(func() {
-				clear(xb)
-				// tol 0: no column converges, so every run reaches the cap.
-				st, err := solve.BlockCG[float64](op, bb, xb, k, 0, maxIter)
-				if err != nil || st.Iterations != maxIter {
-					t.Fatalf("BlockCG k=%d maxIter=%d: stats %+v err %v", k, maxIter, st, err)
-				}
-			})
-		}
-		if short, long := allocs(5), allocs(50); short != long {
-			t.Errorf("BlockCG k=%d: %.0f allocations at 5 iterations, %.0f at 50: the iteration bodies allocate", k, short, long)
 		}
 	}
 }

@@ -40,72 +40,6 @@ func Norm2[T matrix.Float](v []T) float64 {
 	return math.Sqrt(Dot(v, v))
 }
 
-// dotStrided returns ⟨a·ⱼ, b·ⱼ⟩ over column j of two interleaved k-wide
-// block vectors (the MulVecBatch layout: element i of column j lives at
-// index i*k+j).
-//
-//smat:hotpath
-func dotStrided[T matrix.Float](a, b []T, k, j int) float64 {
-	var s0, s1 float64
-	i := j
-	for ; i+k < len(a); i += 2 * k {
-		s0 += float64(a[i]) * float64(b[i])
-		s1 += float64(a[i+k]) * float64(b[i+k])
-	}
-	if i < len(a) {
-		s0 += float64(a[i]) * float64(b[i])
-	}
-	return s0 + s1
-}
-
-// blockDots accumulates all k per-column dot products of two interleaved
-// k-wide block vectors in one pass: out[j] = ⟨a·ⱼ, b·ⱼ⟩. In the
-// interleaved layout every cache line holds one element of every column,
-// so k separate strided dots would each traverse the entire block — k×
-// the memory traffic of this single sweep. For the block solvers these
-// reductions are the dominant non-SpMM cost, so the sweep is what keeps
-// the batched path's SpMM advantage visible end to end.
-//
-//smat:hotpath
-func blockDots[T matrix.Float](a, b []T, k int, out []float64) {
-	if k == 8 {
-		blockDots8(a, b, out)
-		return
-	}
-	for j := 0; j < k; j++ {
-		out[j] = 0
-	}
-	b = b[:len(a)]
-	for i := 0; i+k <= len(a); i += k {
-		for j := 0; j < k; j++ {
-			out[j] += float64(a[i+j]) * float64(b[i+j])
-		}
-	}
-}
-
-// blockDots8 is blockDots at the register-tile width k = 8: eight scalar
-// accumulators stay in registers across the sweep instead of round-tripping
-// through out[j] on every element. Per-column accumulation order is
-// identical to the generic loop, so the results are bit-for-bit the same.
-//
-//smat:hotpath
-func blockDots8[T matrix.Float](a, b []T, out []float64) {
-	var s0, s1, s2, s3, s4, s5, s6, s7 float64
-	b = b[:len(a)]
-	for i := 0; i+8 <= len(a); i += 8 {
-		s0 += float64(a[i]) * float64(b[i])
-		s1 += float64(a[i+1]) * float64(b[i+1])
-		s2 += float64(a[i+2]) * float64(b[i+2])
-		s3 += float64(a[i+3]) * float64(b[i+3])
-		s4 += float64(a[i+4]) * float64(b[i+4])
-		s5 += float64(a[i+5]) * float64(b[i+5])
-		s6 += float64(a[i+6]) * float64(b[i+6])
-		s7 += float64(a[i+7]) * float64(b[i+7])
-	}
-	out[0], out[1], out[2], out[3] = s0, s1, s2, s3
-	out[4], out[5], out[6], out[7] = s4, s5, s6, s7
-}
-
 // The functions below are the chunk bodies of Vec's phases (vec.go): each is
 // written for a sub-range and is only ever called on one. The reducing ones
 // use Dot's four-lane float64 accumulation, so at one chunk a fused sweep

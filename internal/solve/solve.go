@@ -1,14 +1,11 @@
-// Package solve implements Krylov subspace solvers — conjugate gradients
-// and a multi-RHS block CG — over any SpMV operator.
+// Package solve implements conjugate gradients, plain or preconditioned,
+// over any SpMV operator.
 //
-// The solvers are deliberately operator-agnostic: anything with
-// MulVec(x, y) drives them, so the same code runs over a plain CSR product,
-// an AMG level operator, or the tuned smat Operator. The block variant
-// additionally wants MulVecBatch, the interleaved multi-RHS product, so
-// every iteration's k SpMVs collapse into one register-tiled SpMM pass.
-// This is where the auto-tuner's per-matrix format and kernel choices
-// compound: an iterative solve multiplies one matrix hundreds of times, so
-// a few percent per SpMV — or 2-3× per vector on the batched path — is the
+// The solver is deliberately operator-agnostic: anything with MulVec(x, y)
+// drives it, so the same code runs over a plain CSR product, an AMG level
+// operator, or the tuned smat Operator. This is where the auto-tuner's
+// per-matrix format and kernel choices compound: an iterative solve
+// multiplies one matrix hundreds of times, so a few percent per SpMV is the
 // difference the paper's Figure 11 measures on end-to-end workloads.
 //
 // The vector work between two products — inner products, updates, residuals
@@ -20,7 +17,7 @@
 // bit-repeatable at a given thread count.
 //
 // All inner products accumulate in float64 regardless of the element type,
-// and every solver detects breakdown (an indefinite or singular operator,
+// and the solver detects breakdown (an indefinite or singular operator,
 // NaN poisoning) and returns ErrBreakdown instead of iterating on garbage.
 package solve
 
@@ -37,14 +34,6 @@ import (
 // run on its worker pool.
 type Operator[T matrix.Float] interface {
 	MulVec(x, y []T)
-}
-
-// BatchOperator computes Y = A·X for k interleaved right-hand sides:
-// column c of X occupies xb[c*k : (c+1)*k] and row r of Y occupies
-// yb[r*k : (r+1)*k]. *smat.Operator and *autotune.Operator satisfy it with
-// their register-tiled SpMM path.
-type BatchOperator[T matrix.Float] interface {
-	MulVecBatch(xb, yb []T, k int)
 }
 
 // Preconditioner applies z ≈ A⁻¹ r. The AMG hierarchy satisfies it with

@@ -10,8 +10,8 @@ import (
 	"smat/internal/matrix"
 )
 
-// csrOp is a plain serial CSR operator: the reference Operator /
-// BatchOperator for the solver tests.
+// csrOp is a plain serial CSR operator: the reference Operator for the
+// solver tests.
 type csrOp struct{ a *matrix.CSR[float64] }
 
 func (o csrOp) MulVec(x, y []float64) {
@@ -22,22 +22,6 @@ func (o csrOp) MulVec(x, y []float64) {
 			s += a.Vals[jj] * x[a.ColIdx[jj]]
 		}
 		y[r] = s
-	}
-}
-
-func (o csrOp) MulVecBatch(xb, yb []float64, k int) {
-	a := o.a
-	for r := 0; r < a.Rows; r++ {
-		base := r * k
-		for j := 0; j < k; j++ {
-			yb[base+j] = 0
-		}
-		for jj := a.RowPtr[r]; jj < a.RowPtr[r+1]; jj++ {
-			c, v := a.ColIdx[jj], a.Vals[jj]
-			for j := 0; j < k; j++ {
-				yb[base+j] += v * xb[c*k+j]
-			}
-		}
 	}
 }
 
@@ -211,110 +195,6 @@ func TestCG1x1(t *testing.T) {
 	}
 }
 
-func TestBlockCGMatchesSingleCG(t *testing.T) {
-	a, _, _ := spdSystem(t, 12, 13)
-	n := a.Rows
-	rng := rand.New(rand.NewSource(17))
-	for _, k := range []int{1, 3, 8} {
-		bb := make([]float64, n*k)
-		for i := range bb {
-			bb[i] = rng.NormFloat64()
-		}
-		xb := make([]float64, n*k)
-		stats, err := BlockCG[float64](csrOp{a}, bb, xb, k, 1e-10, 2000)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if !stats.Converged {
-			t.Fatalf("k=%d: block CG did not converge: %+v", k, stats)
-		}
-		// Each column must match an independent single-RHS CG solve.
-		for j := 0; j < k; j++ {
-			b1 := make([]float64, n)
-			x1 := make([]float64, n)
-			for i := 0; i < n; i++ {
-				b1[i] = bb[i*k+j]
-			}
-			if _, err := CG[float64](csrOp{a}, nil, b1, x1, 1e-10, 2000); err != nil {
-				t.Fatalf("k=%d col %d reference: %v", k, j, err)
-			}
-			for i := 0; i < n; i++ {
-				if d := x1[i] - xb[i*k+j]; math.Abs(d) > 1e-7 {
-					t.Fatalf("k=%d col %d row %d: block %g vs single %g", k, j, i, xb[i*k+j], x1[i])
-				}
-			}
-		}
-	}
-}
-
-func TestBlockCGZeroColumn(t *testing.T) {
-	a, _, _ := spdSystem(t, 8, 19)
-	n := a.Rows
-	k := 3
-	rng := rand.New(rand.NewSource(23))
-	bb := make([]float64, n*k)
-	for i := 0; i < n; i++ {
-		bb[i*k] = rng.NormFloat64() // column 0 live
-		// column 1 zero
-		bb[i*k+2] = rng.NormFloat64() // column 2 live
-	}
-	xb := make([]float64, n*k)
-	for i := range xb {
-		xb[i] = 1 // nonzero initial guess everywhere
-	}
-	stats, err := BlockCG[float64](csrOp{a}, bb, xb, k, 1e-10, 2000)
-	if err != nil || !stats.Converged {
-		t.Fatalf("stats=%+v err=%v", stats, err)
-	}
-	for i := 0; i < n; i++ {
-		if xb[i*k+1] != 0 {
-			t.Fatal("zero-RHS column not zeroed")
-		}
-	}
-	if stats.RelResidual[1] != 0 {
-		t.Errorf("zero column residual = %g", stats.RelResidual[1])
-	}
-}
-
-func TestBlockCGBreakdownOnIndefinite(t *testing.T) {
-	a, err := matrix.FromTriples(2, 2, []matrix.Triple[float64]{
-		{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 2
-	bb := []float64{1, 0, 0, 1} // RHS 0 = e0 (fine), RHS 1 = e1 (hits the -1 mode)
-	xb := make([]float64, 2*k)
-	_, err = BlockCG[float64](csrOp{a}, bb, xb, k, 1e-12, 100)
-	if !errors.Is(err, ErrBreakdown) {
-		t.Fatalf("indefinite: err=%v, want ErrBreakdown", err)
-	}
-}
-
-func TestBlockCGRejectsBadShape(t *testing.T) {
-	a, _, _ := spdSystem(t, 4, 29)
-	if _, err := BlockCG[float64](csrOp{a}, make([]float64, 10), make([]float64, 10), 0, 1e-10, 10); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := BlockCG[float64](csrOp{a}, make([]float64, 10), make([]float64, 8), 2, 1e-10, 10); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if _, err := BlockCG[float64](csrOp{a}, make([]float64, 9), make([]float64, 9), 2, 1e-10, 10); err == nil {
-		t.Error("length not divisible by k accepted")
-	}
-}
-
-func TestBlockCGMaxIterZero(t *testing.T) {
-	a, b, _ := spdSystem(t, 6, 31)
-	n := a.Rows
-	xb := make([]float64, n)
-	stats, err := BlockCG[float64](csrOp{a}, b, xb, 1, 1e-12, 0)
-	if err != nil || stats.Iterations != 0 || stats.Converged {
-		t.Fatalf("maxIter=0: stats=%+v err=%v", stats, err)
-	}
-}
-
 func TestDotMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 100, 1023} {
@@ -327,15 +207,6 @@ func TestDotMatchesNaive(t *testing.T) {
 		}
 		if got := Dot(a, b); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 			t.Fatalf("n=%d: Dot=%g naive=%g", n, got, want)
-		}
-		for j := 0; j < 3 && j < n; j++ {
-			wantS := 0.0
-			for i := j; i < n; i += 3 {
-				wantS += a[i] * b[i]
-			}
-			if got := dotStrided(a, b, 3, j); math.Abs(got-wantS) > 1e-9*(1+math.Abs(wantS)) {
-				t.Fatalf("n=%d j=%d: dotStrided=%g naive=%g", n, j, got, wantS)
-			}
 		}
 	}
 }

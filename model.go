@@ -1,12 +1,10 @@
 package smat
 
 import (
-	"fmt"
 	"io"
 	"os"
 
 	"smat/internal/autotune"
-	"smat/internal/corpus"
 	"smat/internal/features"
 	"smat/internal/matrix"
 	"smat/internal/mining"
@@ -33,58 +31,6 @@ func LoadModelFile(path string) (*Model, error) {
 	}
 	defer f.Close()
 	return LoadModel(f)
-}
-
-// TrainOptions configures TrainModel's off-line stage.
-type TrainOptions struct {
-	// Scale shrinks the training corpus matrices, (0, 1]; 1 is full size.
-	Scale float64
-	// TrainN is the number of training matrices (default 2055, the paper's
-	// split; the rest of the 2386-matrix corpus is held out).
-	TrainN int
-	// Threads is the architecture configuration to train the model's one
-	// class for (≤0: GOMAXPROCS).
-	Threads int
-	// Seed makes the corpus and split deterministic.
-	Seed int64
-	// Fast trades measurement precision for training speed (short timing
-	// windows, basic kernels instead of the scoreboard search).
-	Fast bool
-	// Progress, when non-nil, receives labeling progress callbacks.
-	Progress func(done, total int)
-}
-
-// TrainModel runs the complete off-line stage on the synthetic corpus:
-// scoreboard kernel search, exhaustive format labeling of the training
-// matrices, feature extraction, and ruleset learning.
-func TrainModel(o TrainOptions) (*Model, error) {
-	if o.Scale <= 0 || o.Scale > 1 {
-		o.Scale = 1
-	}
-	if o.TrainN <= 0 {
-		o.TrainN = 2055
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	c := corpus.New(o.Scale, o.Seed)
-	train, _ := c.Split(o.TrainN, o.Seed)
-	cfg := autotune.TrainConfig{
-		Seed:             o.Seed,
-		Progress:         o.Progress,
-		SkipKernelSearch: o.Fast,
-	}
-	if o.Threads > 0 {
-		cfg.Threads = []int{o.Threads}
-	}
-	if o.Fast {
-		cfg.Measure = autotune.MeasureOptions{Trials: 1}
-	}
-	res, err := autotune.Train(train, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("smat: %w", err)
-	}
-	return res.Model, nil
 }
 
 // HeuristicModel returns a hand-written model encoding the paper's Table 2

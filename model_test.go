@@ -99,17 +99,3 @@ func TestOperatorAccessors(t *testing.T) {
 		t.Errorf("decision %+v", d)
 	}
 }
-
-func TestTrainModelDefaultsApplied(t *testing.T) {
-	// Invalid scale and zero TrainN must be normalised, not fail. Keep it
-	// tiny via TrainN after normalisation... TrainN 0 defaults to 2055,
-	// which would be slow, so use explicit small values and an out-of-range
-	// scale to exercise the clamping path.
-	model, err := TrainModel(TrainOptions{Scale: -3, TrainN: 25, Seed: 2, Fast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model == nil || model.Classes[0].Ruleset == nil {
-		t.Fatal("no model")
-	}
-}

@@ -13,7 +13,7 @@
 //
 // Typical use:
 //
-//	model := smat.HeuristicModel()            // or LoadModel / TrainModel
+//	model := smat.HeuristicModel()            // or LoadModelFile("model.json")
 //	tuner := smat.NewTuner[float64](model, smat.WithThreads(8))
 //	a, _ := smat.FromEntries[float64](rows, cols, entries)
 //	tuner.CSRSpMV(a, x, y)                    // y = A·x, auto-tuned

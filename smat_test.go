@@ -201,41 +201,6 @@ func TestMatrixFeatures(t *testing.T) {
 	}
 }
 
-func TestTrainModelTiny(t *testing.T) {
-	// A fast end-to-end pass through the public training entry point.
-	model, err := TrainModel(TrainOptions{
-		Scale:  0.01,
-		TrainN: 40,
-		Seed:   5,
-		Fast:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if model.Classes[0].Ruleset == nil || len(model.Classes[0].Ruleset.Rules) == 0 {
-		t.Fatal("trained model empty")
-	}
-	// The trained model must drive a working tuner.
-	tuner := NewTuner[float64](model, WithThreads(2))
-	a, err := FromEntries(200, 200, diagEntries(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 200)
-	for i := range x {
-		x[i] = 1
-	}
-	y := make([]float64, 200)
-	if err := tuner.CSRSpMV(a, x, y); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, 200)
-	a.CSR().ToDense().MulVec(x, want)
-	if !matrix.VecApproxEqual(y, want, 1e-9) {
-		t.Error("trained tuner wrong result")
-	}
-}
-
 func TestFloat32PublicAPI(t *testing.T) {
 	tuner := NewTuner[float32](HeuristicModel(), WithThreads(2))
 	var es []Entry[float32]
