@@ -22,12 +22,12 @@ import (
 )
 
 type kernelOp struct {
-	k       *kernels.Kernel[float64]
-	mat     *kernels.Mat[float64]
-	threads int
+	k    *kernels.Kernel[float64]
+	mat  *kernels.Mat[float64]
+	pool *kernels.Pool[float64]
 }
 
-func (o kernelOp) MulVec(x, y []float64) { o.k.Run(o.mat, x, y, o.threads) }
+func (o kernelOp) MulVec(x, y []float64) { o.k.RunPooled(o.mat, x, y, o.pool) }
 
 func main() {
 	log.SetFlags(0)
@@ -95,13 +95,15 @@ func main() {
 	// Baseline: fixed parallel CSR everywhere (the Hypre proxy).
 	lib := kernels.NewLibrary[float64]()
 	csr := lib.Lookup("csr_parallel")
+	pool := kernels.NewPool[float64](*threads)
 	if err := h.Bind(func(m *matrix.CSR[float64]) (amg.SpMV[float64], error) {
-		return kernelOp{k: csr, mat: &kernels.Mat[float64]{Format: matrix.FormatCSR, CSR: m}, threads: *threads}, nil
+		return kernelOp{k: csr, mat: &kernels.Mat[float64]{Format: matrix.FormatCSR, CSR: m}, pool: pool}, nil
 	}); err != nil {
 		log.Fatal(err)
 	}
 	solve() // warm up
 	dBase, sBase := solve()
+	pool.Close()
 	fmt.Printf("Hypre-proxy AMG: %8.1f ms  (%d V-cycles, relres %.2e)\n",
 		float64(dBase.Microseconds())/1000, sBase.Iterations, sBase.RelResidual)
 

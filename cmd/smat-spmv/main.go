@@ -82,6 +82,6 @@ func main() {
 	st := tuner.Stats()
 	fmt.Printf("decision cache: %d hits, %d misses, %d shared, %d/%d entries\n",
 		st.Hits, st.Misses, st.Shared, st.Size, st.Capacity)
-	fmt.Printf("worker pool: %d pooled dispatches (%d woke a parked worker), %d overflowed to spawn, %d calls serial under the work cutoff, %d workers warmed as a tune started\n",
+	fmt.Printf("worker pool: %d pooled dispatches (%d woke a parked worker), %d ran on the caller (pool busy), %d calls serial under the work cutoff, %d workers warmed as a tune started\n",
 		st.Pool.Pooled, st.Pool.Woken, st.Pool.Overflow, st.Pool.SerialCutoff, st.Pool.Warmed)
 }

@@ -235,7 +235,7 @@ func TestConcurrentPooledSpMVDistinctMatrices(t *testing.T) {
 	close(start)
 	wg.Wait()
 	// The calls must have gone through the worker pool (run on it, or found
-	// it busy and spawned), not stayed serial under the cutoff.
+	// it busy and ran on the caller), not stayed serial under the cutoff.
 	if st := tuner.Stats().Pool; tuner.Threads() > 1 && st.Pooled+st.Overflow == 0 {
 		t.Errorf("pool counters %+v after %d parallel-sized SpMVs: the engine never dispatched", st, goroutines*30)
 	}

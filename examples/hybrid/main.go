@@ -63,12 +63,14 @@ func main() {
 		x[i] = 1
 	}
 	y := make([]float64, n)
+	pool := kernels.NewPool[float64](0)
+	defer pool.Close()
 	measure := func(k *kernels.Kernel[float64], mat *kernels.Mat[float64]) float64 {
-		k.Run(mat, x, y, 0) // warm up
+		k.RunPooled(mat, x, y, pool) // warm up
 		const reps = 5
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			k.Run(mat, x, y, 0)
+			k.RunPooled(mat, x, y, pool)
 		}
 		sec := time.Since(start).Seconds() / reps
 		return float64(2*m.NNZ()) / sec / 1e9

@@ -396,7 +396,7 @@ func (t *Tuner[T]) Threads() int { return t.threads }
 func (t *Tuner[T]) Pool() *kernels.Pool[T] { return t.pool }
 
 // Close stops the worker pool. Operators the tuner produced remain usable —
-// their parallel kernels fall back to per-call goroutine fan-out — and an
+// their parallel kernels run their chunks on the calling goroutine — and an
 // abandoned tuner sheds its workers on garbage collection even without
 // Close.
 func (t *Tuner[T]) Close() { t.pool.Close() }
@@ -410,8 +410,9 @@ func (t *Tuner[T]) Model() *Model { return t.model }
 type Stats struct {
 	CacheStats
 	// Pool counts what the operators' parallel dispatches did: ran on the
-	// persistent workers (waking them or not), overflowed to per-call
-	// goroutines, or stayed serial under the plan's work cutoff.
+	// persistent workers (waking them or not), found the pool busy or closed
+	// and ran on the caller (overflow), or stayed serial under the plan's
+	// work cutoff.
 	Pool kernels.PoolStats
 	// ColumnPassesSkipped counts the tunes whose decision reports
 	// ColumnPassSkipped: working from a record of the row pass alone, scanned

@@ -85,17 +85,20 @@ func SearchKernels(cfg SearchConfig) (KernelChoice, []SearchResult) {
 		cfg.ProbeScale = 1
 	}
 	lib := kernels.NewLibrary[float64]()
+	// The kernels run on a pool, as a tuner serves them.
+	pool := kernels.NewPool[float64](cfg.Threads)
+	defer pool.Close()
 	choice := KernelChoice{}
 	var results []SearchResult
 	for _, f := range matrix.Formats {
-		res := searchFormat(lib, f, cfg)
+		res := searchFormat(lib, pool, f, cfg)
 		results = append(results, res)
 		choice[f] = res.Best
 	}
 	return choice, results
 }
 
-func searchFormat(lib *kernels.Library[float64], f matrix.Format, cfg SearchConfig) SearchResult {
+func searchFormat(lib *kernels.Library[float64], pool *kernels.Pool[float64], f matrix.Format, cfg SearchConfig) SearchResult {
 	probe := probeMatrix(f, cfg.ProbeScale, cfg.Seed+int64(f))
 	mat, err := kernels.Convert(probe, f, 0)
 	if err != nil {
@@ -111,7 +114,7 @@ func searchFormat(lib *kernels.Library[float64], f matrix.Format, cfg SearchConf
 	// Step 1: the performance record table, one kernel per strategy set.
 	res := SearchResult{Format: f}
 	for _, k := range lib.ForFormat(f) {
-		sec := MeasureSecPerOp(func() { k.Run(mat, x, y, cfg.Threads) }, cfg.Measure)
+		sec := MeasureSecPerOp(func() { k.RunPooled(mat, x, y, pool) }, cfg.Measure)
 		res.Table = append(res.Table, PerfRecord{Kernel: k.Name, Strategies: k.Strategies, GFLOPS: GFLOPS(kernels.FLOPs(probe.NNZ()), sec)})
 	}
 	res.StrategyScores, res.KernelScores, _ = scoreTable(res.Table)

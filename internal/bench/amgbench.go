@@ -93,14 +93,13 @@ type Table4Row struct {
 	Formats   []string `json:"formats"` // chosen format per level operator A_l
 }
 
-// csrFactory binds levels to the parallel CSR kernel: the fixed-format
-// baseline, standing in for Hypre's native CSR SpMV.
-func csrFactory(threads int) amg.OperatorFactory[float64] {
-	lib := kernels.NewLibrary[float64]()
-	k := lib.Lookup("csr_parallel")
+// csrFactory binds levels to the parallel CSR kernel on pool: the
+// fixed-format baseline, standing in for Hypre's native CSR SpMV.
+func csrFactory(pool *kernels.Pool[float64]) amg.OperatorFactory[float64] {
+	k := kernels.NewLibrary[float64]().Lookup("csr_parallel")
 	return func(m *matrix.CSR[float64]) (amg.SpMV[float64], error) {
 		mat := &kernels.Mat[float64]{Format: matrix.FormatCSR, CSR: m}
-		return spmvFunc[float64](func(x, y []float64) { k.Run(mat, x, y, threads) }), nil
+		return spmvFunc[float64](func(x, y []float64) { k.RunPooled(mat, x, y, pool) }), nil
 	}
 }
 
@@ -156,10 +155,12 @@ func Table4(cfg Config) (*Table4Result, error) {
 			iters = h.Solve(b, x, 1e-8, 100).Iterations
 		}
 
-		if err := h.Bind(csrFactory(cfg.Threads)); err != nil {
+		pool := kernels.NewPool[float64](cfg.Threads)
+		if err := h.Bind(csrFactory(pool)); err != nil {
 			return nil, err
 		}
 		row.BaseMS = bestOfSec(trials, solve) * 1e3
+		pool.Close()
 		row.BaseIters = iters
 
 		tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})

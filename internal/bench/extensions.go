@@ -34,6 +34,8 @@ func Extensions(cfg Config) *ExtensionsResult {
 	cfg = cfg.withDefaults()
 	lib := kernels.NewLibrary[float64]()
 	lib.RegisterHYB()
+	pool := kernels.NewPool[float64](cfg.Threads)
+	defer pool.Close()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	dim := func(n int) int {
@@ -79,7 +81,7 @@ func Extensions(cfg Config) *ExtensionsResult {
 			}
 			best := 0.0
 			for _, k := range lib.ForFormat(f) {
-				sec := autotune.MeasureSecPerOp(func() { k.Run(mat, x, y, cfg.Threads) }, cfg.Measure)
+				sec := autotune.MeasureSecPerOp(func() { k.RunPooled(mat, x, y, pool) }, cfg.Measure)
 				if g := autotune.GFLOPS(flops, sec); g > best {
 					best = g
 				}

@@ -282,7 +282,7 @@ func amgPCGRows(cfg Config, trials int, res *SolveResult) error {
 		stats = h.SolvePCG(b, x, tol, maxIter)
 	}
 
-	if err := h.Bind(csrFactory(cfg.Threads)); err != nil {
+	if err := h.Bind(csrFactory(tuner.Pool())); err != nil {
 		return err
 	}
 	run() // warm

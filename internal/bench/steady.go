@@ -14,9 +14,7 @@ import (
 
 // SteadyResult is the serial-vs-pooled size sweep kernels.SerialWork and the
 // pool's spin budget are read off: per format, one kernel run at one thread
-// against the same kernel pooled, from ~1k to ~1M stored entries. (The
-// spawn-vs-pooled comparison of every parallel kernel is internal/kernels'
-// BenchmarkSpMVSteadyState.)
+// against the same kernel pooled, from ~1k to ~1M stored entries.
 type SteadyResult struct {
 	Threads int         `json:"threads"`
 	Scale   float64     `json:"scale"`

@@ -36,7 +36,7 @@ func batchVectors(n, k int) [][]float64 {
 
 // TestEveryBatchKernelMatchesColumnwiseBasic runs every registered batch
 // kernel (including the HYB extension) under every plan shape — batch
-// widths crossing the tile boundary, thread counts 1/2/3/8, spawned and
+// widths crossing the tile boundary, thread counts 1/2/3/8, caller-run and
 // pooled dispatch — and requires column j of the batched product to equal
 // csr_basic applied to input column j, bit for bit.
 func TestEveryBatchKernelMatchesColumnwiseBasic(t *testing.T) {

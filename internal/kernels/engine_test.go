@@ -75,7 +75,7 @@ func engineCases() map[string]*matrix.CSR[float64] {
 
 // TestEveryKernelPlanMatchesBasicBitForBit runs every registered kernel
 // (including the HYB extension) under every plan shape — thread counts
-// 1/2/3/8, spawned and pooled dispatch, the engine's own plan and the forced
+// 1/2/3/8, caller-run and pooled dispatch, the engine's own plan and the forced
 // partition of a Partitioned handle — and requires the result to equal
 // csr_basic's bit for bit.
 func TestEveryKernelPlanMatchesBasicBitForBit(t *testing.T) {
@@ -123,8 +123,8 @@ func TestEveryKernelPlanMatchesBasicBitForBit(t *testing.T) {
 
 // TestPoolConcurrentDistinctMatrices hammers one shared pool from many
 // goroutines, each running SpMV on its own matrix. Dispatches that find the
-// pool busy must overflow to per-call goroutines with correct results; run
-// under -race this is the engine's concurrency contract.
+// pool busy must run on their caller with correct results; run under -race
+// this is the engine's concurrency contract.
 func TestPoolConcurrentDistinctMatrices(t *testing.T) {
 	const goroutines = 8
 	iters := 25
@@ -310,9 +310,9 @@ func TestCOOChunkRowsCoverEveryRowOnce(t *testing.T) {
 	}
 }
 
-// TestPoolClosedFallsBack checks that kernels dispatched to a closed pool
-// still compute correct results via the per-call spawn path.
-func TestPoolClosedFallsBack(t *testing.T) {
+// TestPoolClosedRunsOnCaller checks that kernels dispatched to a closed pool
+// still compute correct results, on the caller.
+func TestPoolClosedRunsOnCaller(t *testing.T) {
 	lib := NewLibrary[float64]()
 	m := gen.Laplacian2D5pt[float64](100, 100)
 	mat := &Mat[float64]{Format: matrix.FormatCSR, CSR: m}
@@ -326,17 +326,17 @@ func TestPoolClosedFallsBack(t *testing.T) {
 	k.RunPooled(mat, x, y, pool) // workers up
 	pool.Close()
 	clear(y)
-	k.RunPooled(mat, x, y, pool) // closed: must fall back, not hang
+	k.RunPooled(mat, x, y, pool) // closed: must run on the caller, not hang
 	for i := range y {
 		if y[i] != want[i] {
-			t.Fatalf("closed-pool fallback: y[%d] = %g, want %g", i, y[i], want[i])
+			t.Fatalf("closed pool, run on the caller: y[%d] = %g, want %g", i, y[i], want[i])
 		}
 	}
 	pool.Close() // double Close is a no-op
 }
 
-// TestNilPoolRunPooled: a nil pool degrades to the spawn path.
-func TestNilPoolRunPooled(t *testing.T) {
+// TestNilPoolRunsOnCaller: RunPooled with a nil pool runs on the caller.
+func TestNilPoolRunsOnCaller(t *testing.T) {
 	lib := NewLibrary[float64]()
 	m := gen.Laplacian2D5pt[float64](50, 50)
 	mat := &Mat[float64]{Format: matrix.FormatCSR, CSR: m}
@@ -348,6 +348,63 @@ func TestNilPoolRunPooled(t *testing.T) {
 	for i := range y {
 		if y[i] != want[i] {
 			t.Fatalf("nil-pool RunPooled: y[%d] = %g, want %g", i, y[i], want[i])
+		}
+	}
+}
+
+// TestBusyPoolRunsKernelsOnCaller: a kernel and a batch kernel dispatched
+// while another caller holds the pool run their chunks on their own
+// goroutine, give the serial bits, and count one overflow each.
+func TestBusyPoolRunsKernelsOnCaller(t *testing.T) {
+	lib := NewLibrary[float64]()
+	m := gen.Laplacian2D5pt[float64](100, 100) // > SerialWork: parallel plans
+	mat := &Mat[float64]{Format: matrix.FormatCSR, CSR: m}
+	k := lib.Lookup("csr_parallel_nnz")
+	bk := lib.BatchFor(matrix.FormatCSR)
+	const width = 4
+	x := intVector(m.Cols)
+	xb := packInterleaved(batchVectors(m.Cols, width), width, m.Cols)
+	want, wantB := make([]float64, m.Rows), make([]float64, m.Rows*width)
+	k.Run(mat, x, want, 1)
+	bk.Run(mat, xb, wantB, width, 1)
+
+	pool := NewPool[float64](2)
+	defer pool.Close()
+	if mat.PlanFor(2).Serial || mat.PlanForBatch(2, width).Serial {
+		t.Fatal("fixture plans are serial: nothing would be dispatched")
+	}
+	held, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		pool.RunChunks([]int{0, 1, 2}, func(chunk, _, _ int) {
+			if chunk == 0 {
+				close(held)
+				<-release
+			}
+		})
+	}()
+	<-held
+	before := pool.Stats()
+	y, yb := make([]float64, m.Rows), make([]float64, m.Rows*width)
+	k.RunPooled(mat, x, y, pool)
+	afterKernel := pool.Stats()
+	bk.RunPooled(mat, xb, yb, width, pool)
+	afterBatch := pool.Stats()
+	close(release)
+	<-done
+
+	if afterKernel.Overflow != before.Overflow+1 || afterBatch.Overflow != before.Overflow+2 || afterBatch.Pooled != before.Pooled {
+		t.Errorf("dispatches onto a held pool moved the counters %+v -> %+v -> %+v; want one overflow each, none pooled",
+			before, afterKernel, afterBatch)
+	}
+	for i := range want {
+		if y[i] != want[i] {
+			t.Fatalf("kernel on a held pool: y[%d] = %g, want %g", i, y[i], want[i])
+		}
+	}
+	for i := range wantB {
+		if yb[i] != wantB[i] {
+			t.Fatalf("batch kernel on a held pool: yb[%d] = %g, want %g", i, yb[i], wantB[i])
 		}
 	}
 }
@@ -376,16 +433,16 @@ func BenchmarkSpMVSteadyState(b *testing.B) {
 		{"mid-csr-20k", gen.RandomUniform[float64](20000, 20000, 30, rng)},
 		{"small-csr-5k", gen.RandomUniform[float64](5000, 5000, 8, rng)},
 		// Just past the serial cutoff: dispatch overhead dominates, so this
-		// row isolates spawn cost vs pool wake cost.
+		// row isolates what the pool barrier costs over running the chunks
+		// in one go.
 		{"tiny-csr-2k", gen.RandomUniform[float64](2000, 2000, 6, rng)},
 	}
 	lib := NewLibrary[float64]()
 	// 8 threads regardless of GOMAXPROCS: the comparison is dispatch
-	// overhead (8 goroutine spawns per call vs the pool barrier), which the
-	// scheduler exposes even when the chunks time-slice on fewer cores.
+	// overhead (the pool barrier vs no dispatch at all), which the scheduler
+	// exposes even when the chunks time-slice on fewer cores.
 	pool := NewPool[float64](8)
 	defer pool.Close()
-	threads := pool.Threads()
 	for _, w := range workloads {
 		mat, err := Convert(w.m, matrix.FormatCSR, 0)
 		if err != nil {
@@ -395,7 +452,7 @@ func BenchmarkSpMVSteadyState(b *testing.B) {
 		y := make([]float64, w.m.Rows)
 		for _, name := range []string{"csr_parallel", "csr_parallel_nnz", "csr_parallel_nnz_unroll4"} {
 			k := lib.Lookup(name)
-			for _, mode := range []string{"spawn", "pooled"} {
+			for _, mode := range []string{"serial", "pooled"} {
 				b.Run(fmt.Sprintf("%s/%s/%s", w.name, name, mode), func(b *testing.B) {
 					b.SetBytes(int64(w.m.NNZ() * 16))
 					b.ReportAllocs()
@@ -407,7 +464,7 @@ func BenchmarkSpMVSteadyState(b *testing.B) {
 						}
 					} else {
 						for i := 0; i < b.N; i++ {
-							k.Run(mat, x, y, threads)
+							k.Run(mat, x, y, 1)
 						}
 					}
 					b.ReportMetric(float64(FLOPs(w.m.NNZ()))/1e9*float64(b.N)/b.Elapsed().Seconds(), "gflops")

@@ -301,24 +301,13 @@ type exec[T matrix.Float] struct {
 type rangeFn[T matrix.Float] func(m *Mat[T], x, y []T, k, lo, hi int)
 
 // dispatch runs fn over the plan's chunk bounds: chunk t is
-// [bounds[t], bounds[t+1]). A single chunk runs inline; more fan out through
-// the persistent pool when one is attached and free, or per-call goroutines
+// [bounds[t], bounds[t+1]). See Pool.dispatch: the chunks fan out through the
+// attached pool when it is free and run on the caller, in chunk order,
 // otherwise.
 //
 //smat:hotpath
 func (ex exec[T]) dispatch(bounds []int, fn rangeFn[T], m *Mat[T], x, y []T, k int) {
-	nchunks := len(bounds) - 1
-	if nchunks < 1 {
-		return
-	}
-	if nchunks == 1 {
-		fn(m, x, y, k, bounds[0], bounds[1])
-		return
-	}
-	if ex.pool != nil && ex.pool.s.run(bounds, fn, nil, m, x, y, k) {
-		return
-	}
-	spawnChunks(bounds, fn, m, x, y, k)
+	ex.pool.dispatch(bounds, task[T]{fn: fn, mat: m, x: x, y: y, k: k})
 }
 
 // formatMismatch reports a kernel applied to the wrong format. The message
@@ -331,10 +320,11 @@ func formatMismatch[T matrix.Float](k *Kernel[T], m *Mat[T]) {
 	panic(fmt.Sprintf("kernels: %s kernel %q applied to %s matrix", k.Format, k.Name, m.Format))
 }
 
-// Run computes y = A·x (y is fully overwritten). threads ≤ 0 selects
-// GOMAXPROCS. Partitioning comes from the matrix's cached plan; parallel
-// chunks execute on freshly spawned goroutines. Steady-state callers should
-// prefer RunPooled, which reuses long-lived workers.
+// Run computes y = A·x (y is fully overwritten) on the calling goroutine.
+// threads ≤ 0 selects GOMAXPROCS. threads only picks the matrix's cached plan:
+// its chunks run one after another on the caller, and give the bits
+// RunPooled gives on a pool of that many threads. A caller that wants the
+// chunks to run in parallel holds a Pool and calls RunPooled.
 //
 //smat:hotpath
 func (k *Kernel[T]) Run(m *Mat[T], x, y []T, threads int) {
@@ -350,7 +340,7 @@ func (k *Kernel[T]) Run(m *Mat[T], x, y []T, threads int) {
 // RunPooled computes y = A·x on a persistent worker pool: the thread count
 // was resolved once when the pool was built, the partition comes from the
 // matrix's cached plan, and the dispatch allocates nothing — the steady-
-// state SpMV path. A nil pool degrades to Run with default threads.
+// state SpMV path. A nil pool runs on the caller: Run with default threads.
 //
 //smat:hotpath
 func (k *Kernel[T]) RunPooled(m *Mat[T], x, y []T, p *Pool[T]) {
@@ -386,9 +376,10 @@ func batchFormatMismatch[T matrix.Float](b *BatchKernel[T], m *Mat[T]) {
 }
 
 // Run computes Y = A·X for k interleaved right-hand sides (yb is fully
-// overwritten). k ≤ 0 is a no-op; threads ≤ 0 selects GOMAXPROCS. The
-// partition comes from the matrix's cached batch plan, whose serial cutoff
-// scales the work estimate by k.
+// overwritten) on the calling goroutine. k ≤ 0 is a no-op; threads ≤ 0
+// selects GOMAXPROCS. threads only picks the matrix's cached batch plan,
+// whose serial cutoff scales the work estimate by k; its chunks run one after
+// another on the caller (see Kernel.Run).
 //
 //smat:hotpath
 func (b *BatchKernel[T]) Run(m *Mat[T], xb, yb []T, k, threads int) {
@@ -406,8 +397,8 @@ func (b *BatchKernel[T]) Run(m *Mat[T], xb, yb []T, k, threads int) {
 
 // RunPooled computes Y = A·X for k interleaved right-hand sides on a
 // persistent worker pool — the steady-state batched serving path; the whole
-// dispatch allocates nothing. A nil pool degrades to Run with default
-// threads.
+// dispatch allocates nothing. A nil pool runs on the caller: Run with
+// default threads.
 //
 //smat:hotpath
 func (b *BatchKernel[T]) RunPooled(m *Mat[T], xb, yb []T, k int, p *Pool[T]) {

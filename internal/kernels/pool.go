@@ -8,16 +8,16 @@ import (
 	"smat/internal/matrix"
 )
 
-// Pool is a persistent set of worker goroutines executing kernel chunks: the
-// steady-state replacement for spawning `threads` goroutines on every SpMV
-// call. Construct one per Library/Tuner with NewPool and pass it to
-// Kernel.RunPooled. Chunk 0 always runs on the dispatching goroutine;
-// workers start lazily on the first parallel dispatch and exit when the pool
-// is closed or garbage-collected.
+// Pool is a persistent set of worker goroutines executing chunked work: the
+// one way anything in the library runs in parallel. Construct one per
+// Tuner or reference library with NewPool and pass it to Kernel.RunPooled,
+// BatchKernel.RunPooled or RunChunks. Chunk 0 always runs on the dispatching
+// goroutine; workers start lazily on the first parallel dispatch and exit
+// when the pool is closed or garbage-collected.
 //
 // A Pool is safe for concurrent use: one dispatch owns the workers at a
-// time, and concurrent dispatches overflow to per-call goroutines instead of
-// queueing behind each other.
+// time, and a dispatch that finds them busy runs its chunks on its own
+// goroutine, in chunk order, instead of queueing behind the other.
 type Pool[T matrix.Float] struct {
 	s *poolState[T]
 }
@@ -67,14 +67,8 @@ type poolState[T matrix.Float] struct {
 	closed  bool
 
 	// Dispatch state, written under mu before the generation is bumped and
-	// read by the workers after they observe the bump. Exactly one of fn
-	// (SpMV dispatch) and job (generic chunked dispatch, e.g. GalerkinRAP) is
-	// non-nil per dispatch.
-	fn     rangeFn[T]
-	job    func(chunk, lo, hi int)
-	mat    *Mat[T]
-	x, y   []T
-	k      int
+	// read by the workers after they observe the bump.
+	task   task[T]
 	bounds []int
 
 	// The barrier. gen publishes a dispatch: every worker sees each bump
@@ -108,9 +102,9 @@ type PoolStats struct {
 	// Woken is how many of those found a worker parked — they followed an
 	// idle gap longer than the spin budget — and paid an OS wake for it.
 	Woken uint64 `json:"woken"`
-	// Overflow is the number of parallel dispatches that found the pool busy
-	// with another dispatch (or closed) and fell back to per-call goroutines
-	// (kernels) or to the caller's own goroutine (RunChunks).
+	// Overflow is the number of parallel dispatches, kernel or RunChunks
+	// alike, that found the pool busy with another dispatch (or closed) and
+	// ran their chunks on the caller's goroutine instead.
 	Overflow uint64 `json:"overflow"`
 	// SerialCutoff is the number of calls a parallel kernel ran serially
 	// because the matrix's estimated work sat below the plan's cutoff.
@@ -168,9 +162,8 @@ func (s *poolState[T]) countSerial(plan *Plan, strat Strategy) {
 	}
 }
 
-// Close stops the workers and returns once they have exited. Kernels may
-// still be dispatched to a closed pool; they fall back to per-call goroutine
-// fan-out.
+// Close stops the workers and returns once they have exited. Work may still
+// be dispatched to a closed pool; its chunks run on the caller.
 func (p *Pool[T]) Close() {
 	runtime.SetFinalizer(p, nil)
 	p.s.shutdown()
@@ -189,10 +182,9 @@ func (s *poolState[T]) shutdown() {
 	}
 }
 
-// run dispatches the bounds chunks across the workers, returning false when
-// the pool is busy with another dispatch or closed (the caller then falls
-// back to spawning, or runs the chunks itself). Exactly one of fn and job is non-nil. The whole dispatch
-// allocates nothing.
+// run dispatches t over the bounds chunks across the workers, returning false
+// when the pool is busy with another dispatch or closed (the caller then runs
+// the chunks itself). The whole dispatch allocates nothing.
 //
 // The protocol: write the job fields, arm the countdown, bump the generation
 // (the publish — workers that are still spinning pick it up from there), hand
@@ -203,7 +195,7 @@ func (s *poolState[T]) shutdown() {
 // wakes the dispatcher early, which is why the wait re-reads the countdown.
 //
 //smat:wake-barrier
-func (s *poolState[T]) run(bounds []int, fn rangeFn[T], job func(chunk, lo, hi int), m *Mat[T], x, y []T, k int) bool {
+func (s *poolState[T]) run(bounds []int, t *task[T]) bool {
 	if !s.mu.TryLock() {
 		s.overflow.Add(1)
 		return false
@@ -216,7 +208,7 @@ func (s *poolState[T]) run(bounds []int, fn rangeFn[T], job func(chunk, lo, hi i
 	if !s.started {
 		s.start()
 	}
-	s.fn, s.job, s.mat, s.x, s.y, s.k, s.bounds = fn, job, m, x, y, k, bounds
+	s.task, s.bounds = *t, bounds
 	s.pending.Store(int32(len(s.workers)))
 	s.gen.Add(1)
 	woke := false
@@ -226,7 +218,7 @@ func (s *poolState[T]) run(bounds []int, fn rangeFn[T], job func(chunk, lo, hi i
 			woke = true
 		}
 	}
-	s.chunk(0)
+	s.task.chunk(bounds, 0)
 	spin := s.spin
 	if woke {
 		// The woken worker is queued on this processor until an idle one
@@ -245,7 +237,7 @@ func (s *poolState[T]) run(bounds []int, fn rangeFn[T], job func(chunk, lo, hi i
 		}
 		<-s.done
 	}
-	s.fn, s.job, s.mat, s.x, s.y, s.bounds = nil, nil, nil, nil, nil, nil
+	s.task, s.bounds = task[T]{}, nil
 	s.pooled.Add(1)
 	return true
 }
@@ -284,41 +276,59 @@ func (p *Pool[T]) Warm() {
 	}
 }
 
-// chunk runs chunk c of the published dispatch on the calling goroutine.
+// task is one dispatch's work: a kernel's chunk body over its matrix and
+// vectors (fn; k is the batch width), or a generic chunk job. Exactly one of
+// fn and job is non-nil.
+type task[T matrix.Float] struct {
+	fn   rangeFn[T]
+	job  func(chunk, lo, hi int)
+	mat  *Mat[T]
+	x, y []T
+	k    int
+}
+
+// chunk runs chunk c, [bounds[c], bounds[c+1]), of t on the calling goroutine.
 //
 //smat:hotpath
-func (s *poolState[T]) chunk(c int) {
-	lo, hi := s.bounds[c], s.bounds[c+1]
-	if s.job != nil {
-		s.job(c, lo, hi)
+func (t *task[T]) chunk(bounds []int, c int) {
+	lo, hi := bounds[c], bounds[c+1]
+	if t.job != nil {
+		t.job(c, lo, hi)
 	} else {
-		s.fn(s.mat, s.x, s.y, s.k, lo, hi)
+		t.fn(t.mat, t.x, t.y, t.k, lo, hi)
+	}
+}
+
+// dispatch runs t over the half-open chunks of bounds on the pool's
+// persistent workers, chunk 0 on the calling goroutine. When there is one
+// chunk, or the pool is nil, busy with another dispatch, closed, or the chunk
+// count exceeds its fan-out, the chunks run on the caller, in chunk order.
+// Every chunk writes its own range and a per-chunk result does not depend on
+// who ran the chunk, so a free, a busy, a closed and a nil pool give the same
+// bits. The dispatch allocates nothing either way.
+//
+//smat:hotpath
+func (p *Pool[T]) dispatch(bounds []int, t task[T]) {
+	if len(bounds) > 2 && p != nil && p.s.run(bounds, &t) {
+		return
+	}
+	for c := 0; c+1 < len(bounds); c++ {
+		t.chunk(bounds, c)
 	}
 }
 
 // RunChunks executes fn over the half-open chunks of bounds — chunk c covers
-// [bounds[c], bounds[c+1]) — on the pool's persistent workers, chunk 0 on the
-// calling goroutine. When the pool is nil, busy with another dispatch, closed,
-// or the chunk count exceeds its fan-out, the chunks run on the caller, in
-// chunk order. The dispatch allocates nothing either way, and a per-chunk
-// result does not depend on who ran the chunk, so a caller that reduces its
-// chunks in order gets the same bits from a free, a busy, a closed and a nil
-// pool. It is the dispatch for row-blocked work other than a kernel: the
+// [bounds[c], bounds[c+1]) — with the dispatch contract of Kernel.RunPooled:
+// on the pool's workers when it is free, on the caller in chunk order
+// otherwise, and the same bits either way, so a caller that reduces its
+// chunks in order gets the same result from a free, a busy, a closed and a
+// nil pool. It is the dispatch for row-blocked work other than a kernel: the
 // Galerkin products, a solver's vector phases, chunked conversions.
 // PoolStats.Overflow counts the declined dispatches.
 //
 //smat:hotpath
 func (p *Pool[T]) RunChunks(bounds []int, fn func(chunk, lo, hi int)) {
-	if len(bounds) > 2 && p != nil && p.s.run(bounds, nil, fn, nil, nil, nil, 0) {
-		return
-	}
-	lo := 0
-	for edge, hi := range bounds { // chunk edge-1 ends at edge
-		if edge > 0 {
-			fn(edge-1, lo, hi)
-		}
-		lo = hi
-	}
+	p.dispatch(bounds, task[T]{job: fn})
 }
 
 // start launches the workers. It runs under mu on the first parallel
@@ -379,7 +389,7 @@ func (s *poolState[T]) worker(i int, seen uint32) {
 		}
 		seen, budget = g, s.spin
 		if i+1 < len(s.bounds)-1 {
-			s.chunk(i + 1)
+			s.task.chunk(s.bounds, i+1)
 		}
 		if s.pending.Add(-1) == 0 && s.waiting.Load() && s.waiting.CompareAndSwap(true, false) {
 			s.done <- struct{}{}
@@ -390,21 +400,4 @@ func (s *poolState[T]) worker(i int, seen uint32) {
 		// the yield returns at once.
 		runtime.Gosched()
 	}
-}
-
-// spawnChunks is the pool-less dispatch: one fresh goroutine per chunk
-// beyond the caller's, joined on a WaitGroup — the pre-engine execution
-// path, kept for Kernel.Run and as the overflow path when the pool is busy.
-func spawnChunks[T matrix.Float](bounds []int, fn rangeFn[T], m *Mat[T], x, y []T, k int) {
-	nchunks := len(bounds) - 1
-	var wg sync.WaitGroup
-	wg.Add(nchunks - 1)
-	for t := 1; t < nchunks; t++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(m, x, y, k, lo, hi)
-		}(bounds[t], bounds[t+1])
-	}
-	fn(m, x, y, k, bounds[0], bounds[1])
-	wg.Wait()
 }

@@ -40,7 +40,7 @@ func xBatch[T matrix.Float](cols, k int) (xb []T, cols64 [][]float64) {
 // kernels for one spec: for every format that converts within the fill
 // bound and every registered batch kernel of that format, each column of
 // the serial batched product is checked against an independent float64
-// reference SpMV of that input column, and the spawned and pooled parallel
+// reference SpMV of that input column, and the caller-run and pooled parallel
 // paths must agree with the serial batched result bit for bit at every
 // thread count. Width 0 must be a no-op and width 1 must satisfy the same
 // per-column bound as any other width. Then the same sweep runs through a
@@ -198,7 +198,7 @@ func checkBatchKernel[T matrix.Float](bk *kernels.BatchKernel[T], mat *kernels.M
 			return err
 		}
 
-		// Property 3 (batched): spawned and pooled execution agree with the
+		// Property 3 (batched): caller-run and pooled execution agree with the
 		// serial batched result bit for bit at every thread count, under
 		// the engine's own plan and, where that leaves something unsplit,
 		// under the forced partition.
@@ -214,10 +214,10 @@ func checkBatchKernel[T matrix.Float](bk *kernels.BatchKernel[T], mat *kernels.M
 				if h == forced {
 					what = "forced partition"
 				}
-				ySpawn := runNaN(func(yb []T) { bk.Run(h, xb, yb, k, th) }, rows*k)
-				if i, ok := bitMismatch(ySerial, ySpawn); ok {
-					return fmt.Errorf("oracle: %s/%s: k=%d spawned run (%s) at %d threads differs from serial at yb[%d]: %g vs %g",
-						spec, bk.Name, k, what, th, i, float64(ySpawn[i]), float64(ySerial[i]))
+				yCaller := runNaN(func(yb []T) { bk.Run(h, xb, yb, k, th) }, rows*k)
+				if i, ok := bitMismatch(ySerial, yCaller); ok {
+					return fmt.Errorf("oracle: %s/%s: k=%d caller-run (%s) at %d threads differs from serial at yb[%d]: %g vs %g",
+						spec, bk.Name, k, what, th, i, float64(yCaller[i]), float64(ySerial[i]))
 				}
 				yPooled := runNaN(func(yb []T) { bk.RunPooled(h, xb, yb, k, pools[th]) }, rows*k)
 				if i, ok := bitMismatch(ySerial, yPooled); ok {

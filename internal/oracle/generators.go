@@ -8,7 +8,9 @@
 //     rounding bound (see tolerance.go);
 //  2. Validate() holds on every converted representation, and converting
 //     back to CSR reproduces the original matrix exactly;
-//  3. serial, spawned-goroutine and pooled execution agree bit for bit.
+//  3. serial, caller-run and pooled execution agree bit for bit: the plan at
+//     each thread count, its chunks run in order on the caller (Run) and
+//     across a pool's workers (RunPooled), gives the one-chunk result.
 //
 // The same generators feed the native fuzz targets (FuzzSpMVDifferential
 // here, FuzzFromTriples / FuzzConvertRoundTrip in internal/matrix,

@@ -142,8 +142,8 @@ var checkFormats = []matrix.Format{
 // library: for every format that converts within the fill bound, it checks
 // Validate and the CSR round trip, the plan partition at every thread
 // count, and for every registered kernel of the format the serial result
-// against the float64 reference plus bit-for-bit agreement of the spawned
-// and pooled parallel paths with the serial one. The returned Coverage
+// against the float64 reference plus bit-for-bit agreement of the
+// caller-run and pooled parallel paths with the serial one. The returned Coverage
 // reports what actually ran; the first violated property is returned as an
 // error.
 func Check[T matrix.Float](lib *kernels.Library[T], s *Spec, opt Options) (*Coverage, error) {
@@ -261,7 +261,7 @@ func checkKernel[T matrix.Float](k *kernels.Kernel[T], mat *kernels.Mat[T], ref 
 		}
 	}
 
-	// Property 3: spawned and pooled execution agree with serial bit for
+	// Property 3: caller-run and pooled execution agree with serial bit for
 	// bit at every thread count (all partitions split on row boundaries, so
 	// per-element accumulation order is identical by construction).
 	// Under the plan the engine picks and, where that plan leaves something
@@ -278,10 +278,10 @@ func checkKernel[T matrix.Float](k *kernels.Kernel[T], mat *kernels.Mat[T], ref 
 			if h == forced {
 				what = "forced partition"
 			}
-			ySpawn := runNaN(func(y []T) { k.Run(h, x, y, th) }, rows)
-			if r, ok := bitMismatch(ySerial, ySpawn); ok {
-				return fmt.Errorf("oracle: %s/%s: spawned run (%s) at %d threads differs from serial at y[%d]: %g vs %g",
-					spec, k.Name, what, th, r, float64(ySpawn[r]), float64(ySerial[r]))
+			yCaller := runNaN(func(y []T) { k.Run(h, x, y, th) }, rows)
+			if r, ok := bitMismatch(ySerial, yCaller); ok {
+				return fmt.Errorf("oracle: %s/%s: caller-run (%s) at %d threads differs from serial at y[%d]: %g vs %g",
+					spec, k.Name, what, th, r, float64(yCaller[r]), float64(ySerial[r]))
 			}
 			yPooled := runNaN(func(y []T) { k.RunPooled(h, x, y, pools[th]) }, rows)
 			if r, ok := bitMismatch(ySerial, yPooled); ok {

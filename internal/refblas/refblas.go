@@ -7,48 +7,47 @@
 package refblas
 
 import (
-	"runtime"
-
 	"smat/internal/kernels"
 	"smat/internal/matrix"
 )
 
-// Lib is a fixed-format reference library instance for one element type.
+// Lib is a fixed-format reference library instance for one element type. Its
+// entry points run on a worker pool of its own, the way MKL runs on a
+// persistent thread team; an abandoned Lib's pool is reclaimed by the pool's
+// finalizer. Concurrent calls are safe: a call that finds the pool busy runs
+// on its caller.
 type Lib[T matrix.Float] struct {
-	lib     *kernels.Library[T]
-	threads int
+	lib  *kernels.Library[T]
+	pool *kernels.Pool[T]
 }
 
 // New builds the reference library. threads ≤ 0 selects GOMAXPROCS.
 func New[T matrix.Float](threads int) *Lib[T] {
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	return &Lib[T]{lib: kernels.NewLibrary[T](), threads: threads}
+	return &Lib[T]{lib: kernels.NewLibrary[T](), pool: kernels.NewPool[T](threads)}
 }
 
 // CSRGeMV computes y = A·x on a CSR matrix (mkl_xcsrgemv analogue).
 func (l *Lib[T]) CSRGeMV(m *matrix.CSR[T], x, y []T) {
 	mat := &kernels.Mat[T]{Format: matrix.FormatCSR, CSR: m}
-	l.lib.Lookup("csr_parallel").Run(mat, x, y, l.threads)
+	l.lib.Lookup("csr_parallel").RunPooled(mat, x, y, l.pool)
 }
 
 // COOGeMV computes y = A·x on a COO matrix (mkl_xcoogemv analogue).
 func (l *Lib[T]) COOGeMV(m *matrix.COO[T], x, y []T) {
 	mat := &kernels.Mat[T]{Format: matrix.FormatCOO, COO: m}
-	l.lib.Lookup("coo_parallel").Run(mat, x, y, l.threads)
+	l.lib.Lookup("coo_parallel").RunPooled(mat, x, y, l.pool)
 }
 
 // DIAGeMV computes y = A·x on a DIA matrix (mkl_xdiagemv analogue).
 func (l *Lib[T]) DIAGeMV(m *matrix.DIA[T], x, y []T) {
 	mat := &kernels.Mat[T]{Format: matrix.FormatDIA, DIA: m}
-	l.lib.Lookup("dia_parallel").Run(mat, x, y, l.threads)
+	l.lib.Lookup("dia_parallel").RunPooled(mat, x, y, l.pool)
 }
 
 // ELLGeMV computes y = A·x on an ELL matrix.
 func (l *Lib[T]) ELLGeMV(m *matrix.ELL[T], x, y []T) {
 	mat := &kernels.Mat[T]{Format: matrix.FormatELL, ELL: m}
-	l.lib.Lookup("ell_parallel").Run(mat, x, y, l.threads)
+	l.lib.Lookup("ell_parallel").RunPooled(mat, x, y, l.pool)
 }
 
 // BestFixedFormat measures the library's per-format entry points on a matrix

@@ -236,9 +236,9 @@ func (t *Tuner[T]) Threads() int { return t.inner.Threads() }
 
 // Close releases the tuner's persistent kernel worker pool (the steady-state
 // execution engine). Operators the tuner has produced remain usable — their
-// parallel kernels fall back to spawning goroutines per call — and an
-// abandoned tuner sheds its workers on garbage collection, so Close is an
-// optimisation for deterministic shutdown, not an obligation.
+// parallel kernels run their chunks on the calling goroutine, with the same
+// results — and an abandoned tuner sheds its workers on garbage collection,
+// so Close is an optimisation for deterministic shutdown, not an obligation.
 func (t *Tuner[T]) Close() { t.inner.Close() }
 
 // Stats snapshots the tuner's live counters. The decision cache's — hits,
@@ -246,8 +246,9 @@ func (t *Tuner[T]) Close() { t.inner.Close() }
 // are zero when caching is disabled. Pool says what the operators'
 // MulVec/MulVecBatch calls did with the worker pool: dispatches the
 // persistent workers ran (and how many of those followed an idle gap and had
-// to wake a parked worker), dispatches that found the pool busy and spawned
-// goroutines instead, and calls that stayed serial under the work cutoff.
+// to wake a parked worker), dispatches that found the pool busy or closed and
+// ran their chunks on the caller instead (Overflow), calls that stayed serial
+// under the work cutoff, and workers a tune warmed.
 // ColumnPassesSkipped counts the tunes whose decision reports
 // ColumnPassSkipped.
 func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
