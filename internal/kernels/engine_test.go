@@ -310,9 +310,9 @@ func TestCOOChunkRowsCoverEveryRowOnce(t *testing.T) {
 	}
 }
 
-// TestPoolClosedRunsOnCaller checks that kernels dispatched to a closed pool
-// still compute correct results, on the caller.
-func TestPoolClosedRunsOnCaller(t *testing.T) {
+// TestPoolClosedFallsBack checks that kernels dispatched to a closed pool
+// fall back to running on the caller and still compute correct results.
+func TestPoolClosedFallsBack(t *testing.T) {
 	lib := NewLibrary[float64]()
 	m := gen.Laplacian2D5pt[float64](100, 100)
 	mat := &Mat[float64]{Format: matrix.FormatCSR, CSR: m}
@@ -335,8 +335,8 @@ func TestPoolClosedRunsOnCaller(t *testing.T) {
 	pool.Close() // double Close is a no-op
 }
 
-// TestNilPoolRunsOnCaller: RunPooled with a nil pool runs on the caller.
-func TestNilPoolRunsOnCaller(t *testing.T) {
+// TestNilPoolRunPooled: RunPooled with a nil pool runs on the caller.
+func TestNilPoolRunPooled(t *testing.T) {
 	lib := NewLibrary[float64]()
 	m := gen.Laplacian2D5pt[float64](50, 50)
 	mat := &Mat[float64]{Format: matrix.FormatCSR, CSR: m}
