@@ -122,6 +122,44 @@ func BenchmarkServeRequest(b *testing.B) {
 	}
 }
 
+// BenchmarkDeferredCall is what a call on a handle ahead of its deferred
+// conversion costs: the unhinted CSRSpMV on a small stencil whose DIA
+// conversion is held off ("deferred": the argument checks, the slot load, the
+// count of products — one atomic add — and the kernel) against the handle's
+// tuned-CSR operator called directly ("operator": the kernel alone).
+func BenchmarkDeferredCall(b *testing.B) {
+	m := gen.Laplacian2D5pt[float64](6, 6)
+	x, y := make([]float64, m.Cols), make([]float64, m.Rows)
+	tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
+	defer tuner.Close()
+	a, err := smat.NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals)
+	if err == nil {
+		err = tuner.CSRSpMV(a, x, y)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !smat.HoldConversion(a) {
+		b.Fatal("the first call deferred no conversion")
+	}
+	op := a.Operator()
+	b.Run("deferred", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := tuner.CSRSpMV(a, x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("operator", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			op.MulVec(x, y)
+		}
+	})
+	if a.Operator() != op {
+		b.Fatal("the held handle converted")
+	}
+}
+
 // TestCacheHitTuningSpeedup asserts what the cache-hit path guarantees on a
 // corpus representative matrix whose cold decision took the
 // execute-and-measure fallback: a hit measures nothing — no fallback, no

@@ -84,7 +84,8 @@ func TestConcurrentCSRSpMVSharedAndDistinct(t *testing.T) {
 
 // TestConcurrentFirstUseTunesOnce checks the per-handle once guard: many
 // goroutines issuing the first CSRSpMV on one un-tuned matrix must agree on
-// a single operator.
+// a single tune — one operator, or the tuned-CSR one and, once the handle's
+// deferred conversion came due among their calls, the converted one.
 func TestConcurrentFirstUseTunesOnce(t *testing.T) {
 	const goroutines = 12
 	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1))
@@ -114,13 +115,16 @@ func TestConcurrentFirstUseTunesOnce(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if ops[g] != ops[0] {
-			t.Fatalf("goroutine %d saw a different operator: first use was tuned more than once", g)
-		}
+	st := tuner.Stats()
+	seen := map[*Operator[float64]]bool{}
+	for _, op := range ops {
+		seen[op] = true
 	}
-	if st := tuner.Stats(); st.Misses != 1 {
-		t.Errorf("misses = %d, want 1 tuning run for one handle", st.Misses)
+	if uint64(len(seen)) > 1+st.DeferredSwaps {
+		t.Errorf("goroutines saw %d operators after %d deferred conversions: first use was tuned more than once", len(seen), st.DeferredSwaps)
+	}
+	if st.Misses != 1 || st.DeferredSwaps > st.DeferredTunes {
+		t.Errorf("misses = %d, %d swaps of %d deferred tunes; want 1 tuning run for one handle", st.Misses, st.DeferredSwaps, st.DeferredTunes)
 	}
 }
 
@@ -333,5 +337,61 @@ func TestConcurrentResubmittedPattern(t *testing.T) {
 			t.Errorf("%d patterns remembered and %d structure hits over %d requests from %d goroutines",
 				st.Structures-before.Structures, hits, total, goroutines)
 		}
+	}
+}
+
+// TestConcurrentDeferredSwap runs eight goroutines on one handle across its
+// deferred conversion: the handle converts once (Stats counts one swap), every
+// call's product is right, whichever operator served it, and the handle ends
+// serving the pick.
+func TestConcurrentDeferredSwap(t *testing.T) {
+	const goroutines = 8
+	m := gen.Laplacian2D5pt[float64](60, 60)
+	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	defer tuner.Close()
+	a, err := NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, m.Cols)
+	for i := range x {
+		x[i] = float64((i*13)%31-15) / 8
+	}
+	if err := tuner.CSRSpMV(a, x, make([]float64, m.Rows)); err != nil {
+		t.Fatal(err)
+	}
+	d := a.Operator().Decision()
+	if d.ConvertAt == 0 || d.Asymptotic != FormatDIA {
+		t.Fatalf("the first call deferred no DIA conversion: %v", d)
+	}
+	// Enough calls that the goroutines between them run product ConvertAt.
+	iters := d.ConvertAt + 4
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			y := make([]float64, m.Rows)
+			<-start
+			for i := 0; i < iters; i++ {
+				err := tuner.CSRSpMV(a, x, y)
+				if err == nil {
+					err = oracle.CheckProduct(m, x, y, "concurrent deferred swap")
+				}
+				if err != nil {
+					t.Errorf("goroutine %d call %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if st := tuner.Stats(); st.DeferredTunes != 1 || st.DeferredSwaps != 1 || st.Hits+st.Misses != 1 {
+		t.Errorf("%d deferred tunes, %d swaps, %d cache lookups; want one of each", st.DeferredTunes, st.DeferredSwaps, st.Hits+st.Misses)
+	}
+	if d := a.Operator().Decision(); d.Chosen != FormatDIA {
+		t.Errorf("after %d calls the handle serves %v", 1+goroutines*iters, d)
 	}
 }

@@ -4,9 +4,11 @@
 //
 // over one per-call state. A leader (cache miss, format hint, or no cache)
 // runs select → build → probe → payoff: its conversion doubles as the cost
-// probe, so the payoff is weighed last. A cache hit runs select → payoff →
-// build, so nothing is converted below break-even. Both end in serve, which
-// records the decision and hands the operator its engine. The matrix
+// probe, so the payoff is weighed last. A lazy call's unhinted leader whose
+// confident pick costs a conversion skips build: it serves tuned CSR and hands
+// the conversion back as a Deferred (deferred.go). A cache hit runs select →
+// payoff → build, so nothing is converted below break-even. All end in serve,
+// which records the decision and hands the operator its engine. The matrix
 // structure is read at most once, by extract: the features and every
 // conversion work from that scan — or, for a signed matrix whose pattern the
 // cache's structure index remembers, from the remembered record, and the
@@ -36,6 +38,10 @@ type tuning[T matrix.Float] struct {
 	m    *matrix.CSR[T]
 	rec  *structureRecord // of m: extract's one scan, or the structure index's memory of one
 	opts TuneOptions
+	// lazy is set for TuneLazy: a predicted leader may defer its conversion
+	// (defers), and later is then that conversion.
+	lazy  bool
+	later *Deferred[T]
 
 	// op is the operator under construction; serve sets its engine.
 	op *Operator[T]
@@ -61,6 +67,7 @@ type choice[T matrix.Float] struct {
 	confidence float64
 	predicted  bool // selected without measuring: hint, cache entry, confident rule group
 	cacheHit   bool
+	deferred   bool // a confident pick left unconverted (tuning.defers)
 
 	// The payoff model's rates and break-even, zero while unknown: the cache
 	// selector copies the entry's for a hinted request, the measuring
@@ -281,9 +288,13 @@ func (tn *tuning[T]) lead() (*choice[T], error) {
 }
 
 // choose is the leader's select and build: the model's confident pick if it
-// converts, otherwise execute-and-measure.
+// converts — or, on a call that defers it, unconverted — otherwise
+// execute-and-measure.
 func (tn *tuning[T]) choose() (*choice[T], error) {
 	if c, ok := tn.confident(); ok {
+		if c.deferred = tn.defers(c); c.deferred {
+			return c, nil
+		}
 		switch err := tn.materialise(c); {
 		case err == nil:
 			return c, nil
@@ -632,16 +643,19 @@ func (tn *tuning[T]) entry(c *choice[T]) CacheEntry {
 }
 
 // serve is the shared tail of every path: weigh the choice (payoff), build
-// whatever is served and not built yet, record the decision, set the
-// operator's engine. It fails only on a cache hit whose format does not fit
-// this matrix or this tuner — a fingerprint collision — or on a remembered
-// layout that is another pattern's, and then the operator gets no engine.
+// whatever is served and not built yet — tuned CSR in place of a deferred
+// choice — record the decision, set the operator's engine. It fails only on a
+// cache hit whose format does not fit this matrix or this tuner — a
+// fingerprint collision — or on a remembered layout that is another
+// pattern's, and then the operator gets no engine.
 func (tn *tuning[T]) serve(c *choice[T]) error {
 	out := payoff(c.format, c.breakEven, tn.opts.Iterations)
 	e := c.eng
 	switch {
 	case out == serveIncumbent:
 		e = tn.incumbent()
+	case c.deferred:
+		e, tn.later = tn.incumbent(), tn.deferral(c)
 	case e == nil:
 		if err := tn.materialise(c); err != nil {
 			return err

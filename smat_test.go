@@ -141,15 +141,22 @@ func TestCSRSpMVCachesTuning(t *testing.T) {
 	if err := tuner.CSRSpMV(a, x, y); err != nil {
 		t.Fatal(err)
 	}
-	op1 := a.Operator()
-	if op1 == nil {
+	if a.Operator() == nil {
 		t.Fatal("no operator cached on the handle")
 	}
+	// Run past a deferred conversion, if the tune deferred one: the handle's
+	// operator changes there, once.
+	for n := 1; n < a.Operator().Decision().ConvertAt; n++ {
+		if err := tuner.CSRSpMV(a, x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op1 := a.Operator()
 	if err := tuner.CSRSpMV(a, x, y); err != nil {
 		t.Fatal(err)
 	}
-	if a.Operator() != op1 {
-		t.Error("tuning not cached across calls")
+	if st := tuner.Stats(); a.Operator() != op1 || st.Hits+st.Misses != 1 {
+		t.Errorf("tuning not cached across calls: %d cache lookups", st.Hits+st.Misses)
 	}
 	// A different tuner must re-tune (atomically replacing the operator).
 	tuner2 := NewTuner[float64](HeuristicModel(), WithThreads(1))

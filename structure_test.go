@@ -77,7 +77,7 @@ func serve(t *testing.T, tuner *smat.Tuner[float64], what string, rows, cols int
 
 // TestResubmittedPatternSkipsTheScan is identity by content, case by case:
 // (a) the same index arrays under new values and (b) an equal copy of them
-// are structure hits served the first submission's format; (c) the same
+// are structure hits served the format the first submission picked; (c) the same
 // backing arrays rewritten in place to another pattern of the same shape and
 // entry count, wrapped again, are a miss — detected, not trusted — and what
 // they were before the rewrite is still remembered. N re-submissions are
@@ -96,9 +96,9 @@ func TestResubmittedPatternSkipsTheScan(t *testing.T) {
 				rowPtr, colIdx, how = append([]int(nil), rowPtr...), append([]int(nil), colIdx...), ": copied arrays"
 			}
 			d := serve(t, tuner, name+how, m.Rows, m.Cols, rowPtr, colIdx, values(m.NNZ(), int64(i)))
-			if !d.StructureHit || !d.CacheHit || d.UsedFallback || d.Chosen != first.Chosen || d.ColumnPassSkipped != first.ColumnPassSkipped {
+			if !d.StructureHit || !d.CacheHit || d.UsedFallback || d.Chosen != first.Asymptotic || d.ColumnPassSkipped != first.ColumnPassSkipped {
 				t.Errorf("%s%s: structure hit %v, cache hit %v, fallback %v, chose %v after %v, column pass skipped %v after %v",
-					name, how, d.StructureHit, d.CacheHit, d.UsedFallback, d.Chosen, first.Chosen, d.ColumnPassSkipped, first.ColumnPassSkipped)
+					name, how, d.StructureHit, d.CacheHit, d.UsedFallback, d.Chosen, first.Asymptotic, d.ColumnPassSkipped, first.ColumnPassSkipped)
 			}
 		}
 		st := tuner.Stats()
@@ -111,8 +111,8 @@ func TestResubmittedPatternSkipsTheScan(t *testing.T) {
 		// the column pass; a power-law graph's COO pick is settled by the row
 		// pass — and then no submission of the pattern reads its column
 		// indices.
-		if first.Chosen == smat.FormatDIA && first.ColumnPassSkipped && !bandFull(m) || name == "power-law" && !first.ColumnPassSkipped {
-			t.Errorf("%s: chose %v, column pass skipped: %v", name, first.Chosen, first.ColumnPassSkipped)
+		if first.Asymptotic == smat.FormatDIA && first.ColumnPassSkipped && !bandFull(m) || name == "power-law" && !first.ColumnPassSkipped {
+			t.Errorf("%s: chose %v, column pass skipped: %v", name, first.Asymptotic, first.ColumnPassSkipped)
 		}
 		wantSkipped := uint64(0)
 		if first.ColumnPassSkipped {
