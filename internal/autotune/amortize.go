@@ -40,10 +40,10 @@ type TuneOptions struct {
 	FormatHint    matrix.Format
 	HasFormatHint bool
 
-	// SyncConvert has no effect.
+	// SyncConvert has no effect: TuneOpts converts before it returns, and
+	// TuneLazy may defer the conversion with or without it.
 	//
-	// Deprecated: every conversion runs before TuneOpts returns; the field
-	// stays for benchmark/, which sets it.
+	// Deprecated: the field stays for benchmark/, which sets it.
 	SyncConvert bool
 
 	// Pattern is the matrix's sparsity-pattern signature (matrix.CSR.Sign) when
