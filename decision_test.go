@@ -4,12 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"smat/internal/features"
 	"smat/internal/gen"
 )
 
 // TestDecisionIsTheTuneRecord: the public Decision is the tune's record
-// itself, not a subset of it. A fallback tune of an unsigned handle scans the
-// whole structure, so its Features are the matrix's, its Measured map lists
+// itself, not a subset of it. A fallback tune of an unsigned handle estimates
+// its features, so its Features are the runtime record of the matrix — the
+// matrix's own in every row parameter — its Measured map lists
 // the contenders and its Overhead() is TuneSec over the unit it timed; and
 // every path — fallback, cache hit, confident prediction, format hint,
 // iteration hint — reports the deprecated BatchCrossover as 2.
@@ -28,8 +30,11 @@ func TestDecisionIsTheTuneRecord(t *testing.T) {
 	if !d.UsedFallback {
 		t.Fatalf("threshold 0.9999 did not force the fallback: %v", d)
 	}
-	if d.Features != a.Features() {
-		t.Errorf("Decision.Features = %+v, want the matrix's %+v", d.Features, a.Features())
+	want, _ := features.Estimated(a.csr)
+	exact := a.Features()
+	exact.Ndiags, exact.NTdiagsRatio, exact.ERDIA = want.Ndiags, want.NTdiagsRatio, want.ERDIA
+	if d.Features != want || want != exact {
+		t.Errorf("Decision.Features = %+v, want the runtime record %+v, the matrix's row parameters %+v", d.Features, want, exact)
 	}
 	if len(d.Measured) == 0 {
 		t.Error("fallback decision lists no measured contender")

@@ -54,13 +54,13 @@ func ExampleTuner_Tune() {
 }
 
 // ExampleDecision_String is the one-line rendering, one decision per path: a
-// confident prediction that never read the column indices, an
+// confident prediction, an
 // execute-and-measure fallback under an iteration hint too short to pay for
 // the winner, a cache hit on a remembered pattern, and a first CSRSpMV that
 // deferred its DIA conversion — before and after the handle converted.
 func ExampleDecision_String() {
 	fmt.Println(smat.Decision{
-		PredictedOK: true, Predicted: smat.FormatELL, Confidence: 0.97, ColumnPassSkipped: true,
+		PredictedOK: true, Predicted: smat.FormatELL, Confidence: 0.97,
 		Chosen: smat.FormatELL, Kernel: "ell_width_parallel",
 	})
 	fmt.Println(smat.Decision{
@@ -80,7 +80,7 @@ func ExampleDecision_String() {
 	deferred.Chosen, deferred.Kernel = smat.FormatDIA, "dia_parallel"
 	fmt.Println(deferred)
 	// Output:
-	// predicted (confidence 0.97), column pass skipped: ELL via ell_width_parallel
+	// predicted (confidence 0.97): ELL via ell_width_parallel
 	// execute-and-measure fallback: CSR via csr_parallel_nnz_unroll4, COO breaks even at 40 SpMVs (hint 10: serving tuned CSR), overhead 6.5x CSR-SpMV
 	// cache hit (confidence 1.00), structure hit: DIA via dia_blocked_parallel
 	// predicted (confidence 0.93): CSR via csr_parallel_nnz, serving tuned CSR until call 5, then DIA

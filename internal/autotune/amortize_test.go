@@ -113,7 +113,7 @@ func seedAmortized[T matrix.Float](tuner *Tuner[T], m *matrix.CSR[T]) {
 }
 
 // m2key is the key t files m's decision under: of the features its extract
-// stage settles for, the diagonal ones zero when the row pass decides m.
+// stage records, the diagonal ones estimated.
 func m2key[T matrix.Float](t *Tuner[T], m *matrix.CSR[T]) features.Key {
 	return t.extract(m, TuneOptions{}).base.Features.Key()
 }

@@ -423,8 +423,9 @@ func TestStatsReportPoolWork(t *testing.T) {
 // tune long enough for the pool's worker to park. The first tune starts the
 // worker before anything is dispatched, each later one wakes it as the tune
 // starts (Warmed +1 each), and every tune converts on it (Pooled +1 each).
-// The band is not full, so the column pass runs before the conversion; the
-// worker Warm readied polls through it for the warm window, and at most one of
+// Each conversion tallies its diagonals on the caller before it places the
+// entries on the pool (no cache keeps them); the worker Warm readied polls
+// through the tally for the warm window, and at most one of
 // the three later conversions finds it parked (Woken +1). An undisturbed tune
 // dispatches its conversion inside the window; one that took more than twice
 // the window was stalled — by the scheduler, the collector or a page fault —
@@ -448,13 +449,13 @@ func TestTuneWarmsPoolForLargeConversions(t *testing.T) {
 		}
 		before := tn.Stats().Pool
 		start := time.Now()
-		op, d, err := tn.Tune(m)
+		op, _, err := tn.Tune(m)
 		took := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if op.Format() != matrix.FormatDIA || d.ColumnPassSkipped {
-			t.Fatalf("tune %d served %v, column pass skipped %v; want DIA after the column pass", i, op.Format(), d.ColumnPassSkipped)
+		if tallies := tn.Stats().DiagonalTallies; op.Format() != matrix.FormatDIA || tallies != uint64(i+1) {
+			t.Fatalf("tune %d served %v after %d tallies; want DIA after a tally of its own", i, op.Format(), tallies)
 		}
 		st := tn.Stats().Pool
 		if st.Warmed != before.Warmed+1 || st.Pooled != before.Pooled+1 {

@@ -277,16 +277,13 @@ type structureKey struct {
 
 // structureRecord is the symbolic half of a tune, everything extract derives
 // from RowPtr and ColIdx alone: the Table 2 features and the layout the DIA
-// and ELL conversions work from. It is immutable once remembered, shared by
+// and ELL conversions work from — DIA's diagonals once a conversion has
+// tallied them (Tuner.learn). It is immutable once remembered, shared by
 // every tune that recalls it, and O(stored diagonals) in size — it holds no
 // per-row or per-column array and none of the caller's.
 type structureRecord struct {
 	features features.Features
 	layout   matrix.Layout
-	// band is the width of the band of diagonals the entries lie in
-	// (matrix.Structure.Band): what bounds the diagonal features of a record
-	// whose scan stopped after the row pass (features.DiagBounds).
-	band int
 }
 
 func (c *Cache) structureShard(k structureKey) *cacheShard {

@@ -58,10 +58,10 @@ func halfAndHalf(n, lo, hi int) *matrix.CSR[float64] {
 // matrix's own structure, and leaves the right record behind, so the next
 // tune of the pattern is a structure hit that converts cleanly. COO and CSR
 // consume nothing of it. A planted record of the row pass alone — what a tune
-// the row pass decided leaves behind — is another pattern's just the same:
-// ELL takes its width from it and catches it; DIA takes nothing, the column
-// pass it asks for is a whole scan of the matrix itself, which replaces the
-// record.
+// leaves behind until a DIA conversion tallies the pattern's diagonals — is
+// another pattern's just the same: ELL takes its width from it and catches it;
+// DIA takes nothing, it tallies the matrix's own diagonals and files them in
+// the record.
 func TestForcedSignatureCollision(t *testing.T) {
 	const n = 4000
 	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -121,9 +121,7 @@ func TestForcedSignatureCollision(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 			product(t, op, c.m, what)
-			// The measuring selector reads every feature: its call replaces a
-			// row-pass record by a scan of its own before a conversion sees it.
-			caught := c.caughtByConv && !(c.rowsOnly && path.conf < 0.85)
+			caught := c.caughtByConv
 			if d.StructureHit == caught {
 				t.Errorf("%s: structure hit %v on a planted record, want %v", what, d.StructureHit, !caught)
 			}

@@ -8,16 +8,17 @@ import (
 )
 
 // Deferred is the conversion a lazy tune put off (TuneLazy): the confident
-// pick, the layout record it converts from and its predicted cost, held by the
+// pick, the structure record it converts from and its predicted cost, held by the
 // caller's matrix handle while the handle serves tuned CSR. The handle
 // converts once its products have paid for the conversion — the deterministic
 // ski-rental rule: rent (tuned CSR) until the rent paid would reach the
 // purchase price (the predicted conversion), then buy. A caller that makes one
 // call never pays for a conversion that could not amortise.
 type Deferred[T matrix.Float] struct {
-	t      *Tuner[T]
-	m      *matrix.CSR[T]
-	layout *matrix.Layout
+	t   *Tuner[T]
+	m   *matrix.CSR[T]
+	rec *structureRecord
+	key structureKey
 	// op is the tuned-CSR operator TuneLazy returned; its decision names the
 	// pick (Asymptotic) and, once Schedule ran, the call it converts at.
 	op *Operator[T]
@@ -47,12 +48,17 @@ func convertNsPerSlot(f matrix.Format) float64 {
 	return 0
 }
 
-// storedSlots is the element slots a conversion to f from the layout writes,
-// known before converting: every listed diagonal's rows for DIA, the widest
+// storedSlots is the element slots a conversion to f from the record writes,
+// known before converting: every diagonal's rows for DIA — the diagonals
+// listed, or as many as the features estimate when none are — the widest
 // row's degree per row for ELL, one per entry for COO.
-func storedSlots(f matrix.Format, l *matrix.Layout) int {
+func storedSlots(f matrix.Format, rec *structureRecord) int {
+	l := &rec.layout
 	switch f {
 	case matrix.FormatDIA:
+		if l.DiagOffsets == nil {
+			return rec.features.Ndiags * l.Rows
+		}
 		return len(l.DiagOffsets) * l.Rows
 	case matrix.FormatELL:
 		return l.MaxDeg * l.Rows
@@ -73,11 +79,12 @@ func (tn *tuning[T]) defers(c *choice[T]) bool {
 // deferral is the Deferred a deferring call hands back for its choice c.
 func (tn *tuning[T]) deferral(c *choice[T]) *Deferred[T] {
 	return &Deferred[T]{
-		t:      tn.t,
-		m:      tn.m,
-		layout: &tn.rec.layout,
-		op:     tn.op,
-		cost:   float64(storedSlots(c.format, &tn.rec.layout)) * convertNsPerSlot(c.format) * 1e-9,
+		t:    tn.t,
+		m:    tn.m,
+		rec:  tn.rec,
+		key:  tn.key,
+		op:   tn.op,
+		cost: float64(storedSlots(c.format, tn.rec)) * convertNsPerSlot(c.format) * 1e-9,
 	}
 }
 
@@ -123,7 +130,8 @@ func (p *Deferred[T]) Due(k int) bool {
 // Convert builds the pick through the tuner's one build site and returns the
 // operator the handle serves from then on: the pick, its decision the
 // deferred one with this conversion recorded (Chosen, Kernel, ConvertSec,
-// ConvertStored). When the conversion fails — the fill guard, or a recalled
+// ConvertStored). The diagonals a DIA conversion tallied go to the
+// pattern's record (Tuner.learn). When the conversion fails — the fill guard, or a recalled
 // layout of another pattern (matrix.ErrStructureMismatch) — it returns the
 // tuned-CSR operator again, its decision carrying the error: the handle keeps
 // serving tuned CSR, and the products stay right.
@@ -131,11 +139,12 @@ func (p *Deferred[T]) Convert() *Operator[T] {
 	t, d := p.t, *p.op.dec
 	op := *p.op
 	op.dec = &d
-	e, timing, err := t.build(p.m, p.layout, d.Asymptotic, t.model.MaxFill)
+	e, timing, err := t.build(p.m, &p.rec.layout, d.Asymptotic, t.model.MaxFill)
 	if err != nil {
 		d.ConvertErr = err
 		return &op
 	}
+	t.learn(p.key, p.rec, e.mat)
 	t.swaps.Add(1)
 	op.eng = e
 	d.Chosen, d.Kernel = e.kernel.Format, e.kernel.Name

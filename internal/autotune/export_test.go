@@ -11,36 +11,32 @@ import (
 // ones.
 var ModelAlways = modelAlways
 
-// PlantStructure forces a signature collision: it files what scanning of
-// yields — features and layout, of both passes or of the row pass alone — in
-// t's structure index under the pattern of under, which must have of's shape
-// and entry count. The next signed tune of under recalls another pattern's
-// record.
+// PlantStructure forces a signature collision: it files what a tune of of
+// records — its features and layout, with the diagonals a DIA conversion
+// tallies or, rowsOnly, without — in t's structure index under the pattern of
+// under, which must have of's shape and entry count. The next signed tune of
+// under recalls another pattern's record.
 func PlantStructure[T matrix.Float](t *Tuner[T], under, of *matrix.CSR[T], rowsOnly bool) {
 	sig, err := under.Sign()
 	if err != nil {
 		panic(err)
 	}
-	s := matrix.ScanRows(of)
+	ft, s := features.Estimated(of)
 	if !rowsOnly {
 		matrix.ScanColumns(of, s)
 	}
 	t.cache.rememberStructure(structureKey{sig: sig, rows: under.Rows, cols: under.Cols, nnz: under.NNZ()},
-		&structureRecord{features: features.FromStructure(s), layout: s.Layout, band: s.Band()})
+		&structureRecord{features: ft, layout: s.Layout})
 }
 
-// TuneFullScan is TuneOpts with the extract stage forced through both passes
-// of the scan whatever the row pass decides: the tuner the two-phase extract is
-// held to.
-func (t *Tuner[T]) TuneFullScan(m *matrix.CSR[T], opts TuneOptions) (*Operator[T], *Decision, error) {
-	tn := t.extract(m, opts)
-	if tn.base.ColumnPassSkipped {
-		tn.columns(nil)
-	}
-	if err := tn.run(); err != nil {
-		return nil, tn.d, err
-	}
-	return tn.op, tn.d, nil
+// Picks is what a tuner at threads running model makes of a feature record
+// before it converts anything: the confident pick, if there is one, and the
+// formats the measuring selector would time otherwise. It holds whatever
+// GOMAXPROCS is.
+func Picks(model *Model, threads int, ft *features.Features) (pick matrix.Format, confident bool, contenders []matrix.Format) {
+	t := &Tuner[float64]{model: model, class: model.Class(threads)}
+	pick, _, confident = t.predict(ft)
+	return pick, confident, t.contenders(ft, min(fallbackMaxFill, model.MaxFill))
 }
 
 // ServedMat is the representation the operator serves, for tests that hold

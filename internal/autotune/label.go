@@ -77,7 +77,7 @@ func (l *Labeler) Label(m *matrix.CSR[float64]) Label {
 		x[i] = 1 + float64(i%5)/5
 	}
 	y := make([]float64, m.Rows)
-	lay := &matrix.Scan(m).Layout
+	lay := &matrix.ScanRows(m).Layout
 	flops := kernels.FLOPs(m.NNZ())
 	// CSR first: pickMeasured's incumbent.
 	formats := []matrix.Format{matrix.FormatCSR}

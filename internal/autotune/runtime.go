@@ -10,7 +10,6 @@ import (
 	"smat/internal/features"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
-	"smat/internal/mining"
 )
 
 // Decision records everything about one runtime tuning decision, feeding the
@@ -21,8 +20,9 @@ import (
 // written once, by the record stage, onto a record that starts fresh for
 // every attempt: they describe this call's own stages and nothing else.
 type Decision struct {
-	// Features is what extract learned of the matrix. When ColumnPassSkipped
-	// is set, Ndiags, NTdiagsRatio and ERDIA are zero and unknown.
+	// Features is what extract learned of the matrix (features.Estimated):
+	// the row parameters exact, Ndiags, NTdiagsRatio and ERDIA estimated from
+	// a bounded sample of the entries.
 	Features features.Features
 
 	// Predicted is the model's format when PredictedOK; Confidence is the
@@ -47,20 +47,9 @@ type Decision struct {
 	// StructureHit reports that Features — and the layout the conversion
 	// worked from — were recalled from the cache's structure index under the
 	// matrix's pattern signature (TuneOptions.Pattern), not scanned: the tune
-	// did not read RowPtr or ColIdx before converting — unless the record was
-	// one of the row pass alone and this call needed the diagonals after all
-	// (ColumnPassSkipped is then false). It is independent of CacheHit, which
-	// is about the decision.
+	// did not read RowPtr or ColIdx before converting. It is independent of
+	// CacheHit, which is about the decision.
 	StructureHit bool
-
-	// ColumnPassSkipped reports that the tune never read ColIdx to decide: the
-	// O(rows) pass over RowPtr settled the ruleset on a confident pick — the
-	// full features' pick — that is ELL, CSR or COO, or DIA when that pass
-	// also proved every diagonal of the band occupied (the conversion takes
-	// the band as its diagonals); or a format hint asked for no diagonal, or
-	// for DIA on such a band. The decision cache is keyed by Features as they
-	// stand.
-	ColumnPassSkipped bool
 
 	// Chosen is the format the returned operator serves; Kernel the
 	// implementation name.
@@ -110,9 +99,9 @@ type Decision struct {
 	ConvertStored int
 
 	// Timing breakdown (seconds); each field is written by exactly one stage
-	// of the pipeline (stages.go). FeatureSec: extract — whatever of the
-	// structure scan ran, a column pass a later stage had to ask for included,
-	// and the features derived from it. FallbackSec: the execute-and-measure
+	// of the pipeline (stages.go). FeatureSec: extract — the row pass and the
+	// diagonal sample, or the structure index's lookup, and the features
+	// derived from them. FallbackSec: the execute-and-measure
 	// selector, its contenders' conversions and runs included.
 	// AmortProbeSec: the leader's probe — the per-SpMV rate probes behind
 	// BreakEvenIters and their baseline run, only under an iteration hint.
@@ -165,8 +154,8 @@ func (d *Decision) Overhead() float64 {
 }
 
 // String renders the decision on one line: the path that produced it and its
-// confidence, what the tune did not have to read (StructureHit,
-// ColumnPassSkipped), the chosen format and kernel, then — each only when the
+// confidence, whether the tune read the structure (StructureHit), the chosen
+// format and kernel, then — each only when the
 // tune measured it — the break-even point, a deferred conversion's call, and
 // the overhead.
 func (d Decision) String() string {
@@ -181,9 +170,6 @@ func (d Decision) String() string {
 	}
 	if d.StructureHit {
 		b.WriteString(", structure hit")
-	}
-	if d.ColumnPassSkipped {
-		b.WriteString(", column pass skipped")
 	}
 	fmt.Fprintf(&b, ": %s via %s", d.Chosen, d.Kernel)
 	switch {
@@ -367,11 +353,11 @@ type Tuner[T matrix.Float] struct {
 	// pick (see resolveKernel).
 	bound map[matrix.Format]*kernels.Kernel[T]
 
-	// Tunes that returned without having read ColIdx, execute-and-measure
+	// DIA conversions that tallied their diagonals, execute-and-measure
 	// selections, those whose measured winner was the ruleset's best guess
 	// below the threshold, deferred tunes and their completed conversions
 	// (Stats).
-	columnPassesSkipped, fallbacks, fallbackAgreed, deferred, swaps atomic.Uint64
+	tallies, fallbacks, fallbackAgreed, deferred, swaps atomic.Uint64
 }
 
 // Config configures a runtime tuner beyond the model itself.
@@ -431,7 +417,7 @@ func (t *Tuner[T]) Model() *Model { return t.model }
 
 // Stats is a point-in-time snapshot of a tuner's live counters: the decision
 // cache's (promoted, so st.Hits reads as before), the worker pool's, and the
-// count of tunes that skipped the column pass.
+// tuner's own.
 type Stats struct {
 	CacheStats
 	// Pool counts what the operators' parallel dispatches did: ran on the
@@ -439,10 +425,11 @@ type Stats struct {
 	// and ran on the caller (overflow), or stayed serial under the plan's
 	// work cutoff.
 	Pool kernels.PoolStats
-	// ColumnPassesSkipped counts the tunes whose decision reports
-	// ColumnPassSkipped: working from a record of the row pass alone, scanned
-	// or recalled, they never read the column indices.
-	ColumnPassesSkipped uint64
+	// DiagonalTallies counts the DIA conversions that tallied their
+	// diagonals — the one pass over the column indices a tune makes outside
+	// a conversion's own placing of the entries. A signed pattern's record
+	// keeps the tally, so its later DIA conversions do not count.
+	DiagonalTallies uint64
 	// Fallbacks counts the execute-and-measure selections; FallbackAgreed
 	// those whose measured winner was the format the ruleset's
 	// highest-confidence matching, feasible group named below the threshold
@@ -460,12 +447,12 @@ type Stats struct {
 // is disabled.
 func (t *Tuner[T]) Stats() Stats {
 	st := Stats{
-		Pool:                t.pool.Stats(),
-		ColumnPassesSkipped: t.columnPassesSkipped.Load(),
-		Fallbacks:           t.fallbacks.Load(),
-		FallbackAgreed:      t.fallbackAgreed.Load(),
-		DeferredTunes:       t.deferred.Load(),
-		DeferredSwaps:       t.swaps.Load(),
+		Pool:            t.pool.Stats(),
+		DiagonalTallies: t.tallies.Load(),
+		Fallbacks:       t.fallbacks.Load(),
+		FallbackAgreed:  t.fallbackAgreed.Load(),
+		DeferredTunes:   t.deferred.Load(),
+		DeferredSwaps:   t.swaps.Load(),
 	}
 	if t.cache != nil {
 		st.CacheStats = t.cache.Stats()
@@ -558,9 +545,6 @@ func (t *Tuner[T]) tune(m *matrix.CSR[T], opts TuneOptions, lazy bool) (*tuning[
 		tn.op, tn.later = nil, nil
 		return tn, err
 	}
-	if tn.d.ColumnPassSkipped {
-		t.columnPassesSkipped.Add(1)
-	}
 	if tn.later != nil {
 		t.deferred.Add(1)
 	}
@@ -626,25 +610,15 @@ func (tn *tuning[T]) finish(c *choice[T], err error) error {
 	return tn.serve(c)
 }
 
-// groupConfidence walks the rules of class f, in ruleset order, over the box
-// [lo, hi] of feature vectors: True with the confidence of the class's first
-// matching rule when it matches everywhere in the box and every rule of the
-// class ahead of it nowhere, False when none matches anywhere, Open otherwise.
-// On a point box it is the first match or none.
-func (t *Tuner[T]) groupConfidence(lo, hi []float64, f matrix.Format) (float64, mining.Tri) {
+// groupConfidence is the confidence of the first rule of class f, in ruleset
+// order, that the feature vector matches; ok is false when none does.
+func (t *Tuner[T]) groupConfidence(fv []float64, f matrix.Format) (conf float64, ok bool) {
 	for i := range t.class.Ruleset.Rules {
-		r := &t.class.Ruleset.Rules[i]
-		if r.Class != int(f) {
-			continue
-		}
-		switch r.Over(lo, hi) {
-		case mining.True:
-			return r.Confidence, mining.True
-		case mining.Open:
-			return 0, mining.Open
+		if r := &t.class.Ruleset.Rules[i]; r.Class == int(f) && r.Matches(fv) {
+			return r.Confidence, true
 		}
 	}
-	return 0, mining.False
+	return 0, false
 }
 
 // feasible predicts from the already-extracted features whether converting

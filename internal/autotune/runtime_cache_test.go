@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"smat/internal/features"
 	"smat/internal/gen"
 	"smat/internal/matrix"
 )
@@ -153,19 +154,19 @@ func TestConcurrentTuneSingleflightOnTuner(t *testing.T) {
 	// 32 goroutines make the first calls on structurally identical matrices
 	// through one tuner: exactly one tuning run may execute; everyone else
 	// blocks on it or hits the cache. Once with a slow (fallback) decision path
-	// on unsigned matrices, every call scanning both passes, and once with a
-	// decision the row pass takes on signed copies of one pattern: whichever
-	// calls scan, and whichever recall what another just remembered, none reads
-	// the columns and all key the same entry.
+	// on unsigned matrices, every call estimating its features, and once with
+	// a confident decision on signed copies of one pattern: whichever calls
+	// estimate, and whichever recall what another just remembered, all key the
+	// same entry. No call tallies a diagonal: nothing converts to DIA.
 	const goroutines = 32
 	base := gen.RandomUniform[float64](1200, 1200, 6, rand.New(rand.NewSource(100)))
+	base0, _ := features.Estimated(base)
 	for _, c := range []struct {
-		model   *Model
-		sign    bool
-		skipped uint64
+		model *Model
+		sign  bool
 	}{
-		{modelAlways(matrix.FormatDIA, 0.30), false, 0},
-		{modelAlways(matrix.FormatCOO, 0.99), true, goroutines},
+		{modelAlways(matrix.FormatDIA, 0.30), false},
+		{modelAlways(matrix.FormatCOO, 0.99), true},
 	} {
 		tuner := New[float64](c.model, Config{Threads: 1})
 		mats := make([]*matrix.CSR[float64], goroutines)
@@ -184,8 +185,8 @@ func TestConcurrentTuneSingleflightOnTuner(t *testing.T) {
 				defer wg.Done()
 				<-start
 				op, d, err := tuner.TuneOpts(mats[i], opts[i])
-				if err != nil || op == nil || d.ColumnPassSkipped != (c.skipped > 0) {
-					t.Errorf("TuneOpts: column pass skipped %v, err %v", d.ColumnPassSkipped, err)
+				if err != nil || op == nil || d.Features != base0 {
+					t.Errorf("TuneOpts: features %+v, want %+v, err %v", d.Features, base0, err)
 				}
 			}(i)
 		}
@@ -198,8 +199,8 @@ func TestConcurrentTuneSingleflightOnTuner(t *testing.T) {
 		if st.Hits+st.Shared != goroutines-1 {
 			t.Errorf("hits+shared = %d, want %d (stats %+v)", st.Hits+st.Shared, goroutines-1, st)
 		}
-		if st.ColumnPassesSkipped != c.skipped || (c.sign && st.Structures != 1) {
-			t.Errorf("%d column passes skipped over %d remembered patterns, want %d over 1 (stats %+v)", st.ColumnPassesSkipped, st.Structures, c.skipped, st)
+		if st.DiagonalTallies != 0 || (c.sign && st.Structures != 1) {
+			t.Errorf("%d diagonal tallies over %d remembered patterns, want none over 1 (stats %+v)", st.DiagonalTallies, st.Structures, st)
 		}
 		tuner.Close()
 	}

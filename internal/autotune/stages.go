@@ -8,13 +8,13 @@
 // confident pick costs a conversion skips build: it serves tuned CSR and hands
 // the conversion back as a Deferred (deferred.go). A cache hit runs select →
 // payoff → build, so nothing is converted below break-even. All end in serve,
-// which records the decision and hands the operator its engine. The matrix
-// structure is read at most once, by extract: the features and every
-// conversion work from that scan — or, for a signed matrix whose pattern the
-// cache's structure index remembers, from the remembered record, and the
-// structure is not read at all.
-// The scan is two passes, and the O(nnz) one over ColIdx runs only when the
-// O(rows) one over RowPtr leaves the model's verdict open (decided).
+// which records the decision and hands the operator its engine. Extract reads
+// RowPtr once and at most DiagSample column indices — the features and every
+// conversion work from that — or, for a signed matrix whose pattern the
+// cache's structure index remembers, nothing: the record is remembered.
+// Beyond the entries a conversion places, the one O(nnz) read of ColIdx is
+// DIA's tally of its diagonals, inside its conversion, once per signed
+// pattern (learn).
 // A kernel runs only where the call itself consumes the measurement: two runs
 // of each contender in the execute-and-measure selector, and the CSR baseline
 // and the payoff rates under an iteration hint. A predicted, format-hinted or
@@ -24,19 +24,20 @@ package autotune
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"smat/internal/features"
 	"smat/internal/kernels"
 	"smat/internal/matrix"
-	"smat/internal/mining"
 )
 
 // tuning is the state of one TuneOpts call, shared by its stages.
 type tuning[T matrix.Float] struct {
 	t    *Tuner[T]
 	m    *matrix.CSR[T]
-	rec  *structureRecord // of m: extract's one scan, or the structure index's memory of one
+	rec  *structureRecord // of m: extract's row pass and sample, or the structure index's memory of them
+	key  structureKey     // m's pattern in the structure index; a zero sig for none
 	opts TuneOptions
 	// lazy is set for TuneLazy: a predicted leader may defer its conversion
 	// (defers), and later is then that conversion.
@@ -86,7 +87,7 @@ type choice[T matrix.Float] struct {
 // extract is the first stage: the symbolic half of the tune — the Table 2
 // features and the conversions' layout, which depend on RowPtr and ColIdx
 // alone — recalled from the structure index when the matrix is signed and the
-// index knows its pattern, scanned otherwise. A matrix large enough for its
+// index knows its pattern, estimated otherwise. A matrix large enough for its
 // conversion to run on the pool (kernels.ConvertWork) wakes the workers first,
 // so that their OS wake overlaps the scan, not the conversion.
 func (t *Tuner[T]) extract(m *matrix.CSR[T], opts TuneOptions) *tuning[T] {
@@ -94,36 +95,26 @@ func (t *Tuner[T]) extract(m *matrix.CSR[T], opts TuneOptions) *tuning[T] {
 		t.pool.Warm()
 	}
 	tn := &tuning[T]{t: t, m: m, opts: opts, op: &Operator[T]{pool: t.pool, nnz: m.NNZ()}}
+	tn.key = structureKey{sig: opts.Pattern, rows: m.Rows, cols: m.Cols, nnz: m.NNZ()}
 	tn.base.IterationHint = opts.Iterations
 	tn.read(true)
 	return tn
 }
 
 // read is extract's work, timed: the record recalled if it may be and is
-// known, the row pass otherwise, then the column pass unless the call is
-// decided without it. A record that was read is remembered, bounds included.
+// known, otherwise the row pass and the diagonal sample (features.Estimated),
+// whose record is remembered. Neither reads more than DiagSample column
+// indices: the diagonals DIA converts to are tallied by its conversion, the
+// one place they are needed (learn).
 func (tn *tuning[T]) read(recall bool) {
 	start := time.Now()
-	var s *matrix.Structure
 	tn.base.StructureHit = recall && tn.recall()
 	if !tn.base.StructureHit {
-		s = matrix.ScanRows(tn.m)
-		tn.adopt(tn.t.newRecord(s, features.FromStructure(s)))
-	}
-	switch {
-	case !tn.decided():
-		tn.columns(s)
-	case s != nil:
-		tn.remember()
+		ft, s := features.Estimated(tn.m)
+		tn.adopt(&structureRecord{features: ft, layout: s.Layout})
+		tn.t.remember(tn.key, tn.rec)
 	}
 	tn.base.FeatureSec += time.Since(start).Seconds()
-}
-
-// pattern is the call's key in the structure index; ok is false for an
-// unsigned matrix or a tuner without a cache, which have no part in it.
-func (tn *tuning[T]) pattern() (k structureKey, ok bool) {
-	k = structureKey{sig: tn.opts.Pattern, rows: tn.m.Rows, cols: tn.m.Cols, nnz: tn.m.NNZ()}
-	return k, tn.t.cache != nil && k.sig != 0
 }
 
 // recall takes the record from the structure index, if it remembers the call's
@@ -132,11 +123,10 @@ func (tn *tuning[T]) pattern() (k structureKey, ok bool) {
 // conversions check (matrix.ErrStructureMismatch), and run starts over from a
 // scan.
 func (tn *tuning[T]) recall() bool {
-	k, ok := tn.pattern()
-	if !ok {
+	if tn.t.cache == nil || tn.key.sig == 0 {
 		return false
 	}
-	rec := tn.t.cache.recallStructure(k)
+	rec := tn.t.cache.recallStructure(tn.key)
 	if rec == nil {
 		return false
 	}
@@ -149,91 +139,33 @@ func (tn *tuning[T]) recall() bool {
 // its features are the other pattern's too — and run starts over from a scan.
 func foreign(err error) bool { return errors.Is(err, matrix.ErrStructureMismatch) }
 
-// newRecord is what a tune keeps of a scan and its features: the layout, whose
-// diagonals are the column pass's tally or, on a record of the row pass alone,
-// the whole band when the row pass proves every diagonal of it occupied
-// (features.Features.BandFull) — less the diagonals when DIA does not fit the
-// model's fill limit, so that a record stays O(features) on a matrix with
-// O(rows+cols) diagonals; kernels.ConvertFrom scans again for the rare DIA
-// conversion that misses them (a format hint, a colliding cache entry). A
-// proven band's fill is known, since ER_DIA's bounds meet.
-func (t *Tuner[T]) newRecord(s *matrix.Structure, ft features.Features) *structureRecord {
-	rec := &structureRecord{features: ft, layout: s.Layout, band: s.Band()}
-	switch lo, _ := ft.DiagBounds(rec.band); {
-	case !feasible(matrix.FormatDIA, &lo, t.model.MaxFill):
-		rec.layout.DiagOffsets = nil
-	case !ft.DiagsKnown() && ft.BandFull(rec.band):
-		offs := make([]int, rec.band)
-		for i := range offs {
-			offs[i] = s.BandLo + i
-		}
-		rec.layout.DiagOffsets = offs
-	}
-	return rec
-}
-
 // adopt makes rec the call's record of its matrix.
 func (tn *tuning[T]) adopt(rec *structureRecord) {
-	tn.rec, tn.base.Features, tn.base.ColumnPassSkipped = rec, rec.features, !rec.features.DiagsKnown()
+	tn.rec, tn.base.Features = rec, rec.features
 }
 
-// remember files the call's record in the structure index.
-func (tn *tuning[T]) remember() {
-	if k, ok := tn.pattern(); ok {
-		tn.t.cache.rememberStructure(k, tn.rec)
+// remember files rec in the structure index under k: a signed pattern's
+// record, on a tuner with a cache. Unsigned matrices and cacheless tuners
+// have no part in the index.
+func (t *Tuner[T]) remember(k structureKey, rec *structureRecord) {
+	if t.cache != nil && k.sig != 0 {
+		t.cache.rememberStructure(k, rec)
 	}
 }
 
-// decided reports that the column pass cannot change what the call does: the
-// diagonal features are known, or a format hint pins a format that takes
-// nothing from them, or the ruleset over the row pass's bounds settles on a
-// confident pick other than DIA — the full features' pick, by construction. A
-// DIA hint or pick is decided too when the record already lists the diagonals
-// DIA converts from: the row pass proved them (newRecord). An open group, any
-// other DIA pick and no confident pick (measure reads every feature) are not
-// decided.
-func (tn *tuning[T]) decided() bool {
-	diagonals := tn.rec.layout.DiagOffsets != nil
-	switch {
-	case !tn.base.ColumnPassSkipped:
-		return true
-	case tn.opts.HasFormatHint:
-		return tn.opts.FormatHint != matrix.FormatDIA || diagonals
+// learn is what a tune keeps of a conversion of the matrix rec describes: a
+// DIA conversion from a record that lists no diagonals tallied them, and the
+// record returned — a copy of rec, filed in the structure index under k —
+// lists them, so that no later DIA conversion of the pattern tallies again. A
+// record that lists them, and any other format, come back as they were.
+func (t *Tuner[T]) learn(k structureKey, rec *structureRecord, mat *kernels.Mat[T]) *structureRecord {
+	if mat.DIA == nil || rec.layout.DiagOffsets != nil {
+		return rec
 	}
-	f, _, v := tn.t.predict(tn.rec)
-	return v == mining.True && (f != matrix.FormatDIA || diagonals)
-}
-
-// columns is the one place the column pass runs: over s, the call's row pass —
-// or, for a call that recalled its record, as half of a whole scan that takes
-// nothing from that record (it may be another pattern's). The full record
-// replaces the call's and the structure index's.
-func (tn *tuning[T]) columns(s *matrix.Structure) {
-	var ft features.Features
-	if s != nil {
-		matrix.ScanColumns(tn.m, s)
-		ft = tn.rec.features
-		ft.Diagonals(s)
-	} else {
-		s = matrix.Scan(tn.m)
-		ft = features.FromStructure(s)
-	}
-	tn.adopt(tn.t.newRecord(s, ft))
-	tn.remember()
-}
-
-// full returns the attempt's features, every one known: measure, which reads
-// the diagonal ones, takes them from here and nowhere else. A decided
-// call that gets here after all — the fill guard rejected its pick — runs the
-// column pass now, on extract's clock.
-func (tn *tuning[T]) full() *features.Features {
-	if tn.base.ColumnPassSkipped {
-		start := time.Now()
-		tn.columns(nil)
-		tn.base.FeatureSec += time.Since(start).Seconds()
-		tn.d.Features, tn.d.ColumnPassSkipped, tn.d.FeatureSec = tn.base.Features, false, tn.base.FeatureSec
-	}
-	return &tn.d.Features
+	next := *rec
+	next.layout.DiagOffsets = slices.Clone(mat.DIA.Offsets)
+	t.remember(k, &next)
+	return &next
 }
 
 // begin starts an attempt on a fresh record.
@@ -306,43 +238,28 @@ func (tn *tuning[T]) choose() (*choice[T], error) {
 	return tn.measure()
 }
 
-// confident is the model selector over the call's record, which extract left
-// either exact or decided: the pick predict is sure of, if any.
+// confident is the model selector over the call's features: the pick
+// predict is sure of, if any.
 func (tn *tuning[T]) confident() (*choice[T], bool) {
-	f, conf, v := tn.t.predict(tn.rec)
-	if v != mining.True {
+	f, conf, ok := tn.t.predict(&tn.d.Features)
+	if !ok {
 		return nil, false
 	}
 	return &choice[T]{format: f, confidence: conf, predicted: true}, true
 }
 
-// predict is the ruleset's verdict on a record: rule groups in DIA → ELL → CSR
-// → COO order (Section 6); the first group with a matching rule above the
-// confidence threshold, feasible for the matrix, wins. The groups are
-// evaluated over the box the record bounds its features by: True (that pick)
-// and False (no confident pick) hold for every vector in the box, the matrix's
-// own included; Open means a group's match or feasibility depends on where in
-// the box it lies, and never comes of a full record, whose box is a point.
-// Feasibility reads ER_DIA alone of the bounded features and rises with it, so
-// the box's low corner settles "fits" and its high corner "cannot".
-func (t *Tuner[T]) predict(rec *structureRecord) (matrix.Format, float64, mining.Tri) {
-	lo, hi := rec.features.DiagBounds(rec.band)
-	lv, hv := lo.Vector(), hi.Vector()
+// predict is the ruleset's verdict on a feature record: rule groups in DIA →
+// ELL → CSR → COO order (Section 6); the first group with a matching rule
+// above the confidence threshold, feasible for the matrix, wins. ok is false
+// when no group does.
+func (t *Tuner[T]) predict(ft *features.Features) (matrix.Format, float64, bool) {
+	fv := ft.Vector()
 	for _, f := range matrix.Formats {
-		conf, v := t.groupConfidence(lv, hv, f)
-		if v == mining.False || (v == mining.True && !(conf > t.model.ConfidenceThreshold)) {
-			continue
+		if conf, ok := t.groupConfidence(fv, f); ok && conf > t.model.ConfidenceThreshold && feasible(f, ft, t.model.MaxFill) {
+			return f, conf, true
 		}
-		fits, mayFit := feasible(f, &lo, t.model.MaxFill), feasible(f, &hi, t.model.MaxFill)
-		switch {
-		case !mayFit:
-			continue
-		case v == mining.True && fits:
-			return f, conf, mining.True
-		}
-		return 0, 0, mining.Open
 	}
-	return 0, 0, mining.False
+	return 0, 0, false
 }
 
 // bestGuess is the ruleset's pick regardless of the threshold: the
@@ -353,7 +270,7 @@ func (t *Tuner[T]) bestGuess(ft *features.Features) (matrix.Format, float64) {
 	fv := ft.Vector()
 	best, conf := matrix.FormatCSR, 0.0
 	for _, f := range matrix.Formats {
-		if c, v := t.groupConfidence(fv, fv, f); v == mining.True && c > conf && feasible(f, ft, t.model.MaxFill) {
+		if c, ok := t.groupConfidence(fv, f); ok && c > conf && feasible(f, ft, t.model.MaxFill) {
 			best, conf = f, c
 		}
 	}
@@ -381,8 +298,7 @@ func (t *Tuner[T]) contenders(ft *features.Features, maxFill float64) []matrix.F
 	var matched [len(matrix.Formats)]bool
 	opinion := false
 	for i, f := range matrix.Formats {
-		_, v := t.groupConfidence(fv, fv, f)
-		matched[i] = v == mining.True
+		_, matched[i] = t.groupConfidence(fv, f)
 		opinion = opinion || matched[i]
 	}
 	out := []matrix.Format{matrix.FormatCSR}
@@ -430,7 +346,7 @@ func (tn *tuning[T]) measure() (*choice[T], error) {
 	start := time.Now()
 	defer func() { d.FallbackSec = time.Since(start).Seconds() }()
 
-	ft := tn.full()
+	ft := &d.Features
 	maxFill := min(fallbackMaxFill, t.model.MaxFill)
 	var built []*choice[T]
 	for _, f := range t.contenders(ft, maxFill) {
@@ -477,7 +393,17 @@ func (tn *tuning[T]) candidate(f matrix.Format, maxFill float64) (*engine[T], ke
 	if f == matrix.FormatCSR {
 		return tn.incumbent(), kernels.ConvertTiming{Format: f, Stored: tn.m.Stored()}, nil
 	}
-	return tn.t.build(tn.m, &tn.rec.layout, f, maxFill)
+	return tn.build(f, maxFill)
+}
+
+// build is the tuner's build from the call's record, whose diagonals the
+// record keeps once a DIA conversion has tallied them (learn).
+func (tn *tuning[T]) build(f matrix.Format, maxFill float64) (*engine[T], kernels.ConvertTiming, error) {
+	e, timing, err := tn.t.build(tn.m, &tn.rec.layout, f, maxFill)
+	if err == nil {
+		tn.rec = tn.t.learn(tn.key, tn.rec, e.mat)
+	}
+	return e, timing, err
 }
 
 // outcome is the payoff stage's verdict on a choice.
@@ -516,16 +442,20 @@ func (t *Tuner[T]) bind(f matrix.Format) (*engine[T], error) {
 }
 
 // build is the one materialise-and-bind site: every engine — a selector's
-// candidate, a cache hit's format, the tuned-CSR incumbent — is the matrix
-// converted under the given fill limit, from the
-// call's layout on the tuner's pool, bound by bind. It fails
-// when the tuner serves no kernel for the format, the format's zero-fill guard
-// rejects this particular matrix, or the layout is not this matrix's
-// (matrix.ErrStructureMismatch: only a remembered one can be).
+// candidate, a cache hit's format, the tuned-CSR incumbent, a deferred
+// conversion — is the matrix converted under the given fill limit, from the
+// call's layout on the tuner's pool, bound by bind. A DIA conversion from a
+// layout that lists no diagonals tallies them first (Stats().DiagonalTallies).
+// It fails when the tuner serves no kernel for the format, the format's
+// zero-fill guard rejects this particular matrix, or the layout is not this
+// matrix's (matrix.ErrStructureMismatch: only a remembered one can be).
 func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, maxFill float64) (*engine[T], kernels.ConvertTiming, error) {
 	e, err := t.bind(f)
 	if err != nil {
 		return nil, kernels.ConvertTiming{}, err
+	}
+	if f == matrix.FormatDIA && lay.DiagOffsets == nil {
+		t.tallies.Add(1)
 	}
 	mat, timing, err := kernels.ConvertTimed(m, lay, f, maxFill, t.pool)
 	if err != nil {
@@ -537,7 +467,7 @@ func (t *Tuner[T]) build(m *matrix.CSR[T], lay *matrix.Layout, f matrix.Format, 
 
 // materialise is the build stage for a choice no selector has built yet.
 func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
-	c.eng, c.convert, err = tn.t.build(tn.m, &tn.rec.layout, c.format, tn.t.model.MaxFill)
+	c.eng, c.convert, err = tn.build(c.format, tn.t.model.MaxFill)
 	return err
 }
 
@@ -549,7 +479,7 @@ func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
 func (tn *tuning[T]) incumbent() *engine[T] {
 	if tn.inc == nil {
 		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
-		tn.inc, _, _ = tn.t.build(tn.m, &tn.rec.layout, matrix.FormatCSR, tn.t.model.MaxFill)
+		tn.inc, _, _ = tn.build(matrix.FormatCSR, tn.t.model.MaxFill)
 	}
 	return tn.inc
 }

@@ -38,11 +38,11 @@ func revalued(m *matrix.CSR[float64], copyArrays bool, seed int64) *matrix.CSR[f
 // arrays or in copies — is one structure hit, with the decision cache's hits
 // and misses counted as they always were, the features bit-identical to a
 // scan's and the same format served. An unsigned tune of the same matrix has
-// no part in the index. The record is whichever the first tune computed: where
-// the row pass decided it (ELL, COO, CSR here) no tune of the pattern ever
-// reads the column indices — first, recalled, or recalled after the decision
-// cache has dropped the pattern's entry and the ruleset decides again, from
-// the remembered bounds.
+// no part in the index. The record is whichever the first tune computed, and
+// the diagonals its DIA conversion tallied: no later DIA conversion of the
+// pattern tallies again — recalled, or recalled after the decision cache has
+// dropped the pattern's entry and the ruleset decides again — and no tune of
+// another format tallies at all.
 func TestStructureHitsCountResubmissions(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -59,10 +59,13 @@ func TestStructureHitsCountResubmissions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		skipped := c.want != matrix.FormatDIA
-		if first.StructureHit || first.CacheHit || first.Chosen != c.want || first.ColumnPassSkipped != skipped || first.Features.DiagsKnown() == skipped {
-			t.Fatalf("%s: first tune: structure hit %v, cache hit %v, chose %v, column pass skipped %v, features %+v",
-				c.name, first.StructureHit, first.CacheHit, first.Chosen, first.ColumnPassSkipped, first.Features)
+		tallies := uint64(0)
+		if c.want == matrix.FormatDIA {
+			tallies = 1
+		}
+		if first.StructureHit || first.CacheHit || first.Chosen != c.want || tuner.Stats().DiagonalTallies != tallies {
+			t.Fatalf("%s: first tune: structure hit %v, cache hit %v, chose %v, %d tallies",
+				c.name, first.StructureHit, first.CacheHit, first.Chosen, tuner.Stats().DiagonalTallies)
 		}
 		const n = 7
 		for i := 0; i < n; i++ {
@@ -71,7 +74,7 @@ func TestStructureHitsCountResubmissions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !d.StructureHit || !d.CacheHit || d.Chosen != c.want || d.Features != first.Features || d.ColumnPassSkipped != skipped {
+			if !d.StructureHit || !d.CacheHit || d.Chosen != c.want || d.Features != first.Features {
 				t.Errorf("%s: re-submission %d: structure hit %v, cache hit %v, chose %v, features equal %v",
 					c.name, i, d.StructureHit, d.CacheHit, d.Chosen, d.Features == first.Features)
 			}
@@ -93,16 +96,15 @@ func TestStructureHitsCountResubmissions(t *testing.T) {
 		shard.decisions.remove(key)
 		shard.mu.Unlock()
 		_, d, err := tuner.TuneOpts(c.m, signed(t, c.m))
-		if err != nil || !d.StructureHit || d.CacheHit || d.Chosen != c.want || d.Features != first.Features || d.ColumnPassSkipped != skipped {
-			t.Errorf("%s: after the decision's eviction: structure hit %v, cache hit %v, chose %v, column pass skipped %v, features equal %v, err %v",
-				c.name, d.StructureHit, d.CacheHit, d.Chosen, d.ColumnPassSkipped, d.Features == first.Features, err)
+		if err != nil || !d.StructureHit || d.CacheHit || d.Chosen != c.want || d.Features != first.Features {
+			t.Errorf("%s: after the decision's eviction: structure hit %v, cache hit %v, chose %v, features equal %v, err %v",
+				c.name, d.StructureHit, d.CacheHit, d.Chosen, d.Features == first.Features, err)
 		}
-		wantSkipped := uint64(0)
-		if skipped {
-			wantSkipped = n + 3 // the first tune, its re-submissions, the unsigned one, the one that led again
+		if c.want == matrix.FormatDIA {
+			tallies++ // the unsigned tune has no record to keep the diagonals in
 		}
-		if got := tuner.Stats().ColumnPassesSkipped; got != wantSkipped {
-			t.Errorf("%s: %d tunes counted as skipping the column pass, want %d", c.name, got, wantSkipped)
+		if got := tuner.Stats().DiagonalTallies; got != tallies {
+			t.Errorf("%s: %d diagonal tallies, want %d", c.name, got, tallies)
 		}
 		tuner.Close()
 	}

@@ -130,11 +130,11 @@ var labelKernels = KernelChoice{
 	matrix.FormatELL: "ell_width_parallel",
 }
 
-// columnPassWeight scales the gain ratio of the three attributes only the
-// column pass fills in (Ndiags, NTdiags_ratio, ER_DIA) when the tree picks a
-// split: a ruleset that decides on what the row pass bounds lets a tune skip
-// the O(nnz) pass (tuning.decided), so a diagonal split has to be that much
-// more informative to be taken.
+// columnPassWeight scales the gain ratio of the three attributes only a
+// column pass counts (Ndiags, NTdiags_ratio, ER_DIA) when the tree picks a
+// split: the runtime estimates them from a sample (features.Estimated), so a
+// diagonal split has to be that much more informative to be taken than one
+// on the exact row attributes.
 const columnPassWeight = 0.3
 
 // DefaultTree is the tree configuration training induces with: the

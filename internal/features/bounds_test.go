@@ -1,63 +1,115 @@
 package features_test
 
 import (
-	"strings"
+	"math/rand"
 	"testing"
 
 	"smat/internal/features"
+	"smat/internal/gen"
 	"smat/internal/matrix"
+	"smat/internal/oracle"
 )
 
+// rowPassBound is the least Ndiags the row pass proves: max(max_RD,
+// ⌈NNZ/min(M, N)⌉) — what Estimate makes of an empty sample.
+func rowPassBound(f features.Features) int {
+	f.Estimate(0)
+	return f.Ndiags
+}
+
 // TestRowPassBoundsTheDiagonalFeatures: on every oracle structure and a corpus
-// sample, the features of the row pass alone are the full ones with the three
-// diagonal parameters left unknown; DiagBounds puts those three — and nothing
-// else — in a box the full record lies in, with ER_DIA never above ER_ELL; the
-// column pass then completes the record bit for bit; and a full record's box
-// is itself.
+// sample, the runtime record (Estimated) is the exact one (Extract) in every
+// row parameter, and its diagonal estimate lies between what the row pass
+// proves and the tally: Ndiags never above the tally's, so ER_DIA never below
+// it, and never above ER_ELL. Its row pass is the scan's, bit for bit.
 func TestRowPassBoundsTheDiagonalFeatures(t *testing.T) {
 	tight := 0
 	for name, m := range sample(t, 10) {
 		full := features.Extract(m)
-		s := matrix.ScanRows(m)
-		part := features.FromStructure(s)
-		if part.DiagsKnown() != (m.NNZ() == 0) {
-			t.Errorf("%s: row-pass record of %d entries: DiagsKnown = %v", name, m.NNZ(), part.DiagsKnown())
+		est, s := features.Estimated(m)
+		if s.DiagOffsets != nil {
+			t.Errorf("%s: the runtime record tallied its diagonals", name)
 		}
-		if !part.DiagsKnown() && !strings.Contains(part.String(), "Ndiags=? NTdiags_ratio=? ER_DIA=?") {
-			t.Errorf("%s: row-pass record prints %s", name, part.String())
+		rows := full
+		rows.Ndiags, rows.NTdiagsRatio, rows.ERDIA = est.Ndiags, est.NTdiagsRatio, est.ERDIA
+		if est != rows {
+			t.Errorf("%s: runtime record\n got  %+v\n want %+v", name, est, rows)
 		}
-		known := full
-		known.Ndiags, known.NTdiagsRatio, known.ERDIA = part.Ndiags, part.NTdiagsRatio, part.ERDIA
-		if part != known {
-			t.Errorf("%s: row pass\n got  %+v\n want %+v", name, part, known)
+		if bound := rowPassBound(est); est.Ndiags < bound || est.Ndiags > full.Ndiags ||
+			est.ERDIA < full.ERDIA || est.ERDIA > est.ERELL || est.NTdiagsRatio != 0 && est.NTdiagsRatio != 1 {
+			t.Errorf("%s: estimate %+v outside the row pass's bound %d and the tally %+v", name, est, bound, full)
 		}
-
-		lo, hi := part.DiagBounds(s.Band())
-		if lo.Ndiags > full.Ndiags || full.Ndiags > hi.Ndiags ||
-			lo.ERDIA > full.ERDIA || full.ERDIA > hi.ERDIA || hi.ERDIA > full.ERELL ||
-			lo.NTdiagsRatio > full.NTdiagsRatio || full.NTdiagsRatio > hi.NTdiagsRatio {
-			t.Errorf("%s: full record %+v outside\n [%+v,\n  %+v]", name, full, lo, hi)
-		}
-		if lo.Ndiags == hi.Ndiags {
+		if est.Ndiags == full.Ndiags {
 			tight++
 		}
-		for _, b := range []features.Features{lo, hi} {
-			b.Ndiags, b.NTdiagsRatio, b.ERDIA = full.Ndiags, full.NTdiagsRatio, full.ERDIA
-			if b != full {
-				t.Errorf("%s: DiagBounds moved a feature the row pass knows: %+v, full %+v", name, b, full)
-			}
-		}
-
-		matrix.ScanColumns(m, s)
-		part.Diagonals(s)
-		if part != full {
-			t.Errorf("%s: row pass + column pass\n got  %+v\n want %+v", name, part, full)
-		}
-		if lo, hi := full.DiagBounds(1 << 30); lo != full || hi != full {
-			t.Errorf("%s: a full record's box is not the record", name)
+		s.DiagOffsets, s.DiagCounts = nil, nil
+		if scan := matrix.Scan(m); s.Layout.Rows != scan.Rows || s.MaxDeg != scan.MaxDeg || s.SumDeg2 != scan.SumDeg2 || len(s.DegHist) != len(scan.DegHist) {
+			t.Errorf("%s: the runtime row pass differs from the scan's", name)
 		}
 	}
 	if tight == 0 {
-		t.Error("no sampled matrix has its diagonal count pinned by the row pass: bands and stencils should")
+		t.Error("no sampled matrix has its diagonal count estimated exactly: bands and stencils should")
+	}
+}
+
+// sharesDiagonals reports that one row of m reaches every diagonal m
+// occupies — the rows share their diagonals, as a band's or a stencil's do.
+func sharesDiagonals(m *matrix.CSR[float64], exact int) bool {
+	return m.MaxRowDegree() == exact
+}
+
+// TestEstimateExactOnBandsAndStencils: the estimated Ndiags — and with it
+// ER_DIA — is the tally's on every banded and stencil generator input, at the
+// benchmark workloads' sizes among others, and on every oracle structure
+// whose rows share their diagonals or whose entries the sample reads whole.
+func TestEstimateExactOnBandsAndStencils(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	band := func(k int) []int {
+		var offs []int
+		for d := -k; d <= k; d++ {
+			offs = append(offs, d)
+		}
+		return offs
+	}
+	inputs := map[string]*matrix.CSR[float64]{
+		"band3":           gen.MultiDiagonal[float64](5000, band(1), rng),
+		"band5":           gen.MultiDiagonal[float64](1400, band(2), rng),
+		"band35":          gen.MultiDiagonal[float64](40000, band(17), rng),
+		"offsets":         gen.MultiDiagonal[float64](3000, []int{-700, -2, 0, 1, 300}, rng),
+		"wide offsets":    gen.MultiDiagonal[float64](900, []int{-850, 0, 850}, rng),
+		"lap2d5/100x100":  gen.Laplacian2D5pt[float64](100, 100),
+		"lap2d5/320x320":  gen.Laplacian2D5pt[float64](320, 320),
+		"lap2d5/3x50":     gen.Laplacian2D5pt[float64](3, 50),
+		"lap2d9/320x320":  gen.Laplacian2D9pt[float64](320, 320),
+		"lap3d7/56^3":     gen.Laplacian3D7pt[float64](56, 56, 56),
+		"lap3d7/5x9x4":    gen.Laplacian3D7pt[float64](5, 9, 4),
+		"sparse diagonal": gen.SparseDiagonal[float64](4000, band(3), 0.9, rng),
+	}
+	for _, spec := range oracle.Specs() {
+		m, err := oracle.BuildCSR[float64](&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact := len(matrix.Scan(m).DiagOffsets); sharesDiagonals(m, exact) || m.NNZ() <= matrix.DiagSample {
+			inputs["oracle/"+spec.Name] = m
+		}
+	}
+	for name, m := range inputs {
+		full := features.Extract(m)
+		est, _ := features.Estimated(m)
+		if est.Ndiags != full.Ndiags || est.ERDIA != full.ERDIA {
+			t.Errorf("%s: estimated Ndiags %d ER_DIA %v, tally %d %v", name, est.Ndiags, est.ERDIA, full.Ndiags, full.ERDIA)
+		}
+	}
+}
+
+// TestEstimateAllocatesNothing: the diagonal estimate — the sample and the
+// arithmetic on it — allocates nothing, whatever the matrix.
+func TestEstimateAllocatesNothing(t *testing.T) {
+	for name, m := range sample(t, 40) {
+		ft := features.FromStructure(matrix.ScanRows(m))
+		if allocs := testing.AllocsPerRun(10, func() { ft.Estimate(matrix.SampleDiagonals(m)) }); allocs != 0 {
+			t.Errorf("%s: the estimate allocates %v times", name, allocs)
+		}
 	}
 }

@@ -34,7 +34,8 @@ type Features struct {
 	VarRD  float64 `json:"var_rd"`  // Σ|deg−aver|² / M
 
 	// The three parameters below need the O(nnz) pass over the column
-	// indices; a record of the row pass alone leaves them zero (DiagsKnown).
+	// indices (Extract); the runtime estimates them from a sample instead
+	// (Estimated).
 	Ndiags       int     `json:"ndiags"`        // occupied diagonals
 	NTdiagsRatio float64 `json:"ntdiags_ratio"` // "true" diagonals / Ndiags
 	ERDIA        float64 `json:"er_dia"`        // NNZ / (Ndiags·M)
@@ -60,19 +61,14 @@ func (f *Features) Vector() []float64 {
 }
 
 // String formats the record in the paper's Section 5.1 style, e.g.
-// "{9801, 9801, 9, 1.0, 87025, 9, 0.35, 0.99, 0.99, inf}". The diagonal
-// parameters of a record that does not know them (DiagsKnown) print as "?".
+// "{9801, 9801, 9, 1.0, 87025, 9, 0.35, 0.99, 0.99, inf}".
 func (f *Features) String() string {
 	r := fmt.Sprintf("%.2f", f.R)
 	if f.R >= RNone {
 		r = "inf"
 	}
-	diags := "Ndiags=? NTdiags_ratio=? ER_DIA=?"
-	if f.DiagsKnown() {
-		diags = fmt.Sprintf("Ndiags=%d NTdiags_ratio=%.2f ER_DIA=%.3f", f.Ndiags, f.NTdiagsRatio, f.ERDIA)
-	}
-	return fmt.Sprintf("{M=%d N=%d NNZ=%d aver_RD=%.2f max_RD=%.0f var_RD=%.2f %s ER_ELL=%.3f R=%s}",
-		f.M, f.N, f.NNZ, f.AverRD, f.MaxRD, f.VarRD, diags, f.ERELL, r)
+	return fmt.Sprintf("{M=%d N=%d NNZ=%d aver_RD=%.2f max_RD=%.0f var_RD=%.2f Ndiags=%d NTdiags_ratio=%.2f ER_DIA=%.3f ER_ELL=%.3f R=%s}",
+		f.M, f.N, f.NNZ, f.AverRD, f.MaxRD, f.VarRD, f.Ndiags, f.NTdiagsRatio, f.ERDIA, f.ERELL, r)
 }
 
 // Key is a quantized fingerprint of a feature record, designed so that
@@ -172,15 +168,26 @@ func Extract[T matrix.Float](m *matrix.CSR[T]) Features {
 	return FromStructure(matrix.Scan(m))
 }
 
+// Estimated is the runtime's record of m, and the row pass it came from: the
+// row parameters — M, N, NNZ, aver_RD, max_RD, var_RD, ER_ELL and R — exact,
+// from one pass over RowPtr (matrix.ScanRows), which reads no column index;
+// the three diagonal ones estimated from a bounded sample of the entries
+// (matrix.SampleDiagonals, Estimate).
+func Estimated[T matrix.Float](m *matrix.CSR[T]) (Features, *matrix.Structure) {
+	s := matrix.ScanRows(m)
+	f := FromStructure(s)
+	f.Estimate(matrix.SampleDiagonals(m))
+	return f, s
+}
+
 // FromStructure derives the Table 2 parameters from a structure scan, without
 // touching the matrix: the row-degree statistics (CSR/ELL parameters) from the
 // scan's integer sums, the power-law exponent (the COO parameter) from its
 // degree histogram, and the diagonal situation (DIA parameters) from its
 // tally. Every sum runs in a fixed order, so equal structures give
 // bit-identical features. A record of the row pass alone (matrix.ScanRows) has
-// no tally: Ndiags, NTdiags_ratio and ER_DIA are then left zero — unknown, see
-// DiagsKnown — DiagBounds says what the row pass does know of them, and
-// Diagonals fills them in once the column pass has run.
+// no tally: Ndiags, NTdiags_ratio and ER_DIA are then left zero, for Estimate
+// or Diagonals to fill in.
 func FromStructure(s *matrix.Structure) Features {
 	f := Features{M: s.Rows, N: s.Cols, NNZ: s.NNZ, R: RNone}
 	if s.Rows == 0 {
@@ -216,40 +223,28 @@ func (f *Features) Diagonals(s *matrix.Structure) {
 
 func erDIA(nnz, ndiags, m int) float64 { return float64(nnz) / (float64(ndiags) * float64(m)) }
 
-// DiagsKnown reports whether Ndiags, NTdiags_ratio and ER_DIA hold values. A
-// non-empty matrix occupies at least one diagonal, so Ndiags = 0 on one means
-// the column pass that counts them did not run.
-func (f *Features) DiagsKnown() bool { return f.Ndiags > 0 || f.NNZ == 0 }
-
-// DiagBounds returns the box [lo, hi] the record lies in, field by field: the
-// record itself twice over when its diagonal parameters are known, and
-// otherwise what the row pass bounds them by, band being the width of the band
-// of diagonals the entries lie in (matrix.Structure.Band). A row's entries lie
-// on distinct diagonals and a diagonal holds at most min(M, N) entries, so
-// Ndiags ≥ max(max_RD, ⌈NNZ/min(M, N)⌉); it cannot exceed the band or NNZ.
-// ER_DIA falls with Ndiags — its bounds are its own formula at Ndiags' — and
-// so never exceeds ER_ELL; NTdiags_ratio is a fraction.
-func (f *Features) DiagBounds(band int) (lo, hi Features) {
-	lo, hi = *f, *f
-	if f.DiagsKnown() {
-		return lo, hi
+// Estimate sets the three diagonal parameters of a record of the row pass
+// alone from sampled, the distinct diagonals a bounded sample of the entries
+// met (matrix.SampleDiagonals). A row's entries lie on distinct diagonals and
+// a diagonal holds at most min(M, N) entries, so the row pass proves
+// Ndiags ≥ max(max_RD, ⌈NNZ/min(M, N)⌉); the estimate is the larger of that
+// bound and sampled. It never exceeds the tally's count, and meets it on every
+// matrix whose longest row reaches every occupied diagonal — bands and
+// stencils — and on every matrix the sample reads whole. ER_DIA is its
+// formula at that Ndiags, so never below the tally's; NTdiags_ratio counts
+// every diagonal true when they are on average as full as a true one is
+// (ER_DIA ≥ TrueDiagOccupancy), none otherwise.
+func (f *Features) Estimate(sampled int) {
+	if f.NNZ == 0 {
+		return
 	}
 	side := min(f.M, f.N)
-	lo.Ndiags = max(int(f.MaxRD), (f.NNZ+side-1)/side)
-	hi.Ndiags = min(band, f.NNZ)
-	lo.ERDIA, hi.ERDIA = erDIA(f.NNZ, hi.Ndiags, f.M), erDIA(f.NNZ, lo.Ndiags, f.M)
-	hi.NTdiagsRatio = 1
-	return lo, hi
-}
-
-// BandFull reports that the row pass proves every diagonal of the band
-// occupied: DiagBounds' lower bound on Ndiags reaches band, the most diagonals
-// the entries can lie on, so the occupied ones are exactly the band's. The
-// record's DIA layout is then known without the column pass, though
-// NTdiags_ratio, which needs the per-diagonal counts, is not.
-func (f *Features) BandFull(band int) bool {
-	lo, _ := f.DiagBounds(band)
-	return lo.Ndiags == band
+	f.Ndiags = max(sampled, int(f.MaxRD), (f.NNZ+side-1)/side)
+	f.ERDIA = erDIA(f.NNZ, f.Ndiags, f.M)
+	f.NTdiagsRatio = 0
+	if f.ERDIA >= TrueDiagOccupancy {
+		f.NTdiagsRatio = 1
+	}
 }
 
 // diagLength is the number of in-matrix positions on the diagonal with the

@@ -201,14 +201,14 @@ func Convert[T matrix.Float](m *matrix.CSR[T], f matrix.Format, maxFill float64)
 }
 
 // ConvertFrom is the one conversion site; HYB always splits at the default
-// width cut (matrix.CSR.ToHYB(-1)). l is matrix.Scan(m)'s Layout
-// when the caller holds it — the tuner does, from feature extraction or from
-// its structure index — and nil otherwise: DIA takes its diagonals and ELL its
-// width from the record instead of reading the structure again, and their fill
-// guards reject from it without touching the matrix. A record that dropped
-// its diagonals (a remembered one may) is as good as none to DIA, which scans;
-// a record of m's shape that is not m's fails with
-// matrix.ErrStructureMismatch. The COO
+// width cut (matrix.CSR.ToHYB(-1)). l is a structure record of m when the
+// caller holds one — the tuner does, from its row pass or from its structure
+// index — and nil otherwise: ELL takes its width from the record instead of
+// reading the row pointers again, and its fill guard rejects from it without
+// touching the matrix. DIA takes the record's diagonals when it lists them
+// and tallies them otherwise (matrix.CSR.ToDIAFrom): the returned DIA's
+// Offsets are then the tally, for the caller to keep. A record of m's shape
+// that is not m's fails with matrix.ErrStructureMismatch. The COO
 // representation is a view sharing m's ColIdx and Vals (matrix.CSR.ToCOO), as
 // the CSR one shares all of m.
 func ConvertFrom[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format, maxFill float64) (*Mat[T], error) {
@@ -224,8 +224,8 @@ func convert[T matrix.Float](m *matrix.CSR[T], l *matrix.Layout, f matrix.Format
 	case matrix.FormatCOO:
 		return &Mat[T]{Format: f, COO: m.ToCOOSplit(sp)}, nil
 	case matrix.FormatDIA:
-		if l == nil || l.DiagOffsets == nil {
-			l = &matrix.Scan(m).Layout
+		if l == nil {
+			l = &matrix.Layout{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ()}
 		}
 		d, err := m.ToDIAFrom(l, maxFill, sp)
 		if err != nil {

@@ -38,8 +38,8 @@ const spinIters = 1 << 17
 
 // warmWindow is how many spin budgets a worker polls for after a wake token
 // that carried no dispatch, and after it starts: Warm's caller expects a
-// dispatch shortly but not within one budget — a tune's column pass and
-// allocation can take twice that before its conversion dispatches — so a
+// dispatch shortly but not within one budget — a DIA conversion's diagonal
+// tally and allocation can take twice that before it dispatches — so a
 // warmed worker polls until the next generation or for this many budgets,
 // whichever comes first. Serving a dispatch puts it back on one budget.
 const warmWindow = 4

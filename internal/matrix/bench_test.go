@@ -32,10 +32,11 @@ func BenchmarkValidate(b *testing.B) {
 	}
 }
 
-// BenchmarkScan times the structure scan's two halves and their sum on a
-// uniform-random matrix of ≈ 20 entries a row: the O(rows) pass a tune always
-// pays, the O(nnz) pass it pays only when the ruleset needs the diagonals, and
-// both back to back (Scan). ns/nnz, as benchmark/ reports extraction.
+// BenchmarkScan times the structure scan's two halves, their sum and the
+// diagonal sample on a uniform-random matrix of ≈ 20 entries a row: the
+// O(rows) pass and the sample a tune always pays, the O(nnz) pass only DIA's
+// conversion pays, and both passes back to back (Scan). ns/nnz, as
+// benchmark/ reports extraction.
 func BenchmarkScan(b *testing.B) {
 	m := randCSR(rand.New(rand.NewSource(1)), 4000, 4000, 0.005)
 	perNNZ := func(b *testing.B) {
@@ -52,6 +53,12 @@ func BenchmarkScan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := *rows
 			ScanColumns(m, &s)
+		}
+		perNNZ(b)
+	})
+	b.Run("sample", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = SampleDiagonals(m)
 		}
 		perNNZ(b)
 	})

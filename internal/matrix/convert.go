@@ -282,24 +282,31 @@ func fillExceeds(stored, nnz int, maxFillRatio float64) bool {
 // count as a multiple of NNZ (≤0 means unlimited); conversion fails with
 // ErrFillExplosion beyond it.
 func (m *CSR[T]) ToDIA(maxFillRatio float64) (*DIA[T], error) {
-	return m.ToDIAFrom(&Scan(m).Layout, maxFillRatio, Split{})
+	return m.ToDIAFrom(&Layout{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ()}, maxFillRatio, Split{})
 }
 
-// ToDIAFrom is ToDIA for a caller that already holds l = Scan(m).Layout, run
-// in the row chunks of sp: the stored diagonals are the record's, so the fill
-// guard is arithmetic and the matrix is read once, to place its values. The
-// record is checked as it is used — every entry must fall on a listed
+// ToDIAFrom is ToDIA from a structure record of m, run in the row chunks of
+// sp. A record that lists the diagonals (Scan's, or one that kept a DIA's
+// offsets) makes the fill guard arithmetic, and the matrix is read once, to
+// place its values. A record of the row pass alone lists none: the
+// conversion then tallies them first — the column pass, ScanColumns — and the
+// fill guard rejects from the tally, before the values are allocated. A
+// listed record is checked as it is used — every entry must fall on a listed
 // diagonal and every listed diagonal must receive one — so a record of
 // another pattern yields ErrStructureMismatch, never a misplaced entry.
 func (m *CSR[T]) ToDIAFrom(l *Layout, maxFillRatio float64, sp Split) (*DIA[T], error) {
 	l.of(m.Rows, m.Cols, m.NNZ())
-	stored := len(l.DiagOffsets) * m.Rows
+	// The record is shared; the DIA matrix owns its offsets.
+	offsets := slices.Clone(l.DiagOffsets)
+	if offsets == nil {
+		offsets, _ = m.tally()
+	}
+	stored := len(offsets) * m.Rows
 	if fillExceeds(stored, m.NNZ(), maxFillRatio) {
 		return nil, fmt.Errorf("%w: DIA would store %d elements for %d nonzeros",
 			ErrFillExplosion, stored, m.NNZ())
 	}
-	// The record is shared; the DIA matrix owns its offsets.
-	d := &DIA[T]{Rows: m.Rows, Cols: m.Cols, Offsets: slices.Clone(l.DiagOffsets), Data: make([]T, stored)}
+	d := &DIA[T]{Rows: m.Rows, Cols: m.Cols, Offsets: offsets, Data: make([]T, stored)}
 	ndiags := len(d.Offsets)
 	if ndiags == 0 {
 		if m.NNZ() > 0 {

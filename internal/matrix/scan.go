@@ -20,21 +20,19 @@ type Layout struct {
 	MaxDeg int
 
 	// DiagOffsets lists the occupied diagonals' offsets (column − row) in
-	// increasing order. A Layout of the row pass alone has none, and a
-	// remembered one may have dropped them (nil either way): it then serves ELL
-	// only, and kernels.ConvertFrom scans for DIA.
+	// increasing order. A Layout of the row pass alone has none (nil): ToDIAFrom
+	// then tallies them itself, and the caller may keep them from the DIA it
+	// returns.
 	DiagOffsets []int
 }
 
 // Structure is what a scan of a CSR matrix learns about its sparsity pattern,
-// in two passes: the row pass (ScanRows, O(rows): RowPtr and each row's first
-// and last column) the row-degree distribution and the band of diagonals the
-// entries lie in, the column pass (ScanColumns, O(nnz)) the diagonal tally. The
-// paper's Table 2 features are arithmetic on the record
+// in two passes: the row pass (ScanRows, O(rows), RowPtr alone) the
+// row-degree distribution, the column pass (ScanColumns, O(nnz)) the diagonal
+// tally. The paper's Table 2 features are arithmetic on the record
 // (features.FromStructure), and its Layout shapes the DIA and ELL conversions
-// and their fill guards — so a tune that extracts features and then converts
-// reads the pattern once, and one the row pass decides never reads the columns.
-// A Structure describes exactly the matrix it was scanned from.
+// and their fill guards. A Structure describes exactly the matrix it was
+// scanned from.
 type Structure struct {
 	Layout
 
@@ -43,19 +41,10 @@ type Structure struct {
 	SumDeg2 uint64
 	DegHist []int
 
-	// BandLo and BandHi are the smallest and largest diagonal offset (column −
-	// row) over the rows' first and last entries: every occupied diagonal lies
-	// in [BandLo, BandHi]. An empty matrix has the empty band [0, −1].
-	BandLo, BandHi int
-
 	// DiagCounts[i] is the number of stored entries on diagonal DiagOffsets[i].
 	// Both are the column pass's: nil on a record of the row pass alone.
 	DiagCounts []int32
 }
-
-// Band is the number of diagonals between the outermost two an entry can lie
-// on: the row pass's upper bound on the occupied ones.
-func (s *Structure) Band() int { return s.BandHi - s.BandLo + 1 }
 
 // Scan reads the sparsity pattern of m once: both passes, back to back.
 func Scan[T Float](m *CSR[T]) *Structure {
@@ -64,64 +53,81 @@ func Scan[T Float](m *CSR[T]) *Structure {
 	return s
 }
 
-// ScanRows is the row pass. It relies on the CSR invariant that column indices
-// increase within a row: a row's first and last entries bound the diagonals it
-// touches.
+// ScanRows is the row pass: it reads RowPtr and nothing else.
 func ScanRows[T Float](m *CSR[T]) *Structure {
-	s := &Structure{Layout: Layout{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ()}, BandHi: -1}
-	rowPtr, colIdx := m.RowPtr[:m.Rows+1], m.ColIdx
-	maxDeg, sumDeg2 := 0, uint64(0)
-	lo, hi := math.MaxInt, math.MinInt
+	s := &Structure{Layout: Layout{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ()}}
+	rowPtr := m.RowPtr[:m.Rows+1]
 	// The histogram cannot be sized before maxDeg is known, and a sweep of its
-	// own would be as long as this one (one counter bumped row after row is a
-	// serial chain). So the degrees below len(low)-1 — on most matrices all of
-	// them — are counted here, where the chain hides behind the loads, and
-	// only a matrix with longer rows is swept again, for those rows.
-	var low [64]int
-	const long = len(low) - 1
-	for r := 0; r < m.Rows; r++ {
-		first, end := rowPtr[r], rowPtr[r+1]
-		deg := end - first
-		low[min(deg, long)]++
-		if deg == 0 {
-			continue
-		}
-		maxDeg = max(maxDeg, deg)
-		sumDeg2 += uint64(deg) * uint64(deg)
-		lo = min(lo, colIdx[first]-r)
-		hi = max(hi, colIdx[end-1]-r)
+	// own would be as long as this one. So the degrees below long — on most
+	// matrices all of them — are counted here, and only a matrix with longer
+	// rows is swept again, for those rows. Four rows in a row count into four
+	// histograms: on a stencil, whose rows share one degree, one histogram
+	// would be bumped at one counter row after row, each increment waiting on
+	// the last one's store.
+	var low [4][64]int
+	const long = len(low[0]) - 1
+	var maxDeg [2]int
+	var sumDeg2 [2]uint64
+	r := 0
+	for ; r+4 <= m.Rows; r += 4 {
+		p := rowPtr[r : r+5 : r+5]
+		d0, d1, d2, d3 := p[1]-p[0], p[2]-p[1], p[3]-p[2], p[4]-p[3]
+		low[0][min(d0, long)]++
+		low[1][min(d1, long)]++
+		low[2][min(d2, long)]++
+		low[3][min(d3, long)]++
+		maxDeg[0] = max(maxDeg[0], d0, d1)
+		maxDeg[1] = max(maxDeg[1], d2, d3)
+		sumDeg2[0] += uint64(d0)*uint64(d0) + uint64(d1)*uint64(d1)
+		sumDeg2[1] += uint64(d2)*uint64(d2) + uint64(d3)*uint64(d3)
 	}
-	hist := make([]int, maxDeg+1)
-	copy(hist, low[:long])
-	if maxDeg >= long {
+	for ; r < m.Rows; r++ {
+		deg := rowPtr[r+1] - rowPtr[r]
+		low[0][min(deg, long)]++
+		maxDeg[0] = max(maxDeg[0], deg)
+		sumDeg2[0] += uint64(deg) * uint64(deg)
+	}
+	s.MaxDeg, s.SumDeg2 = max(maxDeg[0], maxDeg[1]), sumDeg2[0]+sumDeg2[1]
+	s.DegHist = make([]int, s.MaxDeg+1)
+	for k := range min(long, s.MaxDeg+1) {
+		s.DegHist[k] = low[0][k] + low[1][k] + low[2][k] + low[3][k]
+	}
+	if s.MaxDeg >= long {
 		for r := 0; r < m.Rows; r++ {
 			if deg := rowPtr[r+1] - rowPtr[r]; deg >= long {
-				hist[deg]++
+				s.DegHist[deg]++
 			}
 		}
-	}
-	s.MaxDeg, s.SumDeg2, s.DegHist = maxDeg, sumDeg2, hist
-	if s.NNZ > 0 {
-		s.BandLo, s.BandHi = lo, hi
 	}
 	return s
 }
 
 // ScanColumns is the column pass over m, which s = ScanRows(m) describes: it
 // tallies the entries per diagonal into s.DiagOffsets and s.DiagCounts.
-//
-// A matrix dense enough to plausibly touch a fair share of its band tallies
-// into a flat array indexed by offset − BandLo: one increment per nonzero. A
+func ScanColumns[T Float](m *CSR[T], s *Structure) {
+	s.DiagOffsets, s.DiagCounts = m.tally()
+}
+
+// tally counts m's entries per diagonal: the occupied offsets in increasing
+// order, and each one's count. A matrix dense enough to plausibly touch a fair
+// share of the band its rows' end entries span tallies into a flat array
+// indexed by offset − the band's lowest: one increment per nonzero. A
 // hypersparse one (NNZ far below the band's width) would pay more for
 // allocating and sweeping that array than for its nonzeros, so it sorts their
 // offsets instead.
-func ScanColumns[T Float](m *CSR[T], s *Structure) {
-	if s.NNZ == 0 {
-		return
+func (m *CSR[T]) tally() ([]int, []int32) {
+	rowPtr, nnz := m.RowPtr[:m.Rows+1], m.NNZ()
+	lo, hi := math.MaxInt, math.MinInt
+	for r := 0; r < m.Rows; r++ {
+		if first, end := rowPtr[r], rowPtr[r+1]; end > first {
+			lo, hi = min(lo, m.ColIdx[first]-r), max(hi, m.ColIdx[end-1]-r)
+		}
 	}
-	rowPtr := m.RowPtr[:m.Rows+1]
-	if s.NNZ < s.Band()/8 {
-		offs := make([]int, 0, s.NNZ)
+	if nnz == 0 {
+		return []int{}, []int32{}
+	}
+	if band := hi - lo + 1; nnz < band/8 {
+		offs := make([]int, 0, nnz)
 		for r := 0; r < m.Rows; r++ {
 			for _, c := range m.ColIdx[rowPtr[r]:rowPtr[r+1]] {
 				offs = append(offs, c-r)
@@ -134,19 +140,18 @@ func ScanColumns[T Float](m *CSR[T], s *Structure) {
 				n++
 			}
 		}
-		s.DiagOffsets, s.DiagCounts = make([]int, 0, n), make([]int32, 0, n)
+		offsets, counts := make([]int, 0, n), make([]int32, 0, n)
 		for i, off := range offs {
 			if i == 0 || off != offs[i-1] {
-				s.DiagOffsets = append(s.DiagOffsets, off)
-				s.DiagCounts = append(s.DiagCounts, 0)
+				offsets = append(offsets, off)
+				counts = append(counts, 0)
 			}
-			s.DiagCounts[len(s.DiagCounts)-1]++
+			counts[len(counts)-1]++
 		}
-		return
+		return offsets, counts
 	}
 
-	lo := s.BandLo
-	tally := make([]int32, s.Band())
+	tally := make([]int32, hi-lo+1)
 	for r := 0; r < m.Rows; r++ {
 		shift := r + lo
 		for _, c := range m.ColIdx[rowPtr[r]:rowPtr[r+1]] {
@@ -159,13 +164,58 @@ func ScanColumns[T Float](m *CSR[T], s *Structure) {
 			n++
 		}
 	}
-	s.DiagOffsets, s.DiagCounts = make([]int, 0, n), make([]int32, 0, n)
+	offsets, counts := make([]int, 0, n), make([]int32, 0, n)
 	for idx, cnt := range tally {
 		if cnt != 0 {
-			s.DiagOffsets = append(s.DiagOffsets, idx+lo)
-			s.DiagCounts = append(s.DiagCounts, cnt)
+			offsets = append(offsets, idx+lo)
+			counts = append(counts, cnt)
 		}
 	}
+	return offsets, counts
+}
+
+// sampleBits sizes SampleDiagonals' set: 2^sampleBits slots, twice the most
+// offsets it can hold.
+const sampleBits = 10
+
+// DiagSample is the most entries SampleDiagonals reads.
+const DiagSample = 1 << (sampleBits - 1)
+
+// SampleDiagonals returns the number of distinct diagonals (column − row)
+// among at most DiagSample entries of m: whole rows, evenly spaced, as many
+// as DiagSample entries of rows of average length fill, read in row order
+// until the budget is spent. A matrix of at most DiagSample entries is read
+// whole, so the count is then the tally's. It reads no entry twice, is a
+// fixed function of m's pattern, and allocates nothing: the offsets go into a
+// fixed-size open-addressing set.
+func SampleDiagonals[T Float](m *CSR[T]) int {
+	nnz := m.NNZ()
+	if nnz == 0 {
+		return 0
+	}
+	rows := min(m.Rows, (DiagSample*m.Rows+nnz-1)/nnz)
+	// A slot holds offset + Rows, which is at least 1; 0 marks it free.
+	var set [1 << sampleBits]int
+	const mask = len(set) - 1
+	n, left := 0, DiagSample
+	for i := 0; i < rows && left > 0; i++ {
+		r := (2*i + 1) * m.Rows / (2 * rows)
+		first := m.RowPtr[r]
+		end := min(m.RowPtr[r+1], first+left)
+		left -= end - first
+		for _, c := range m.ColIdx[first:end] {
+			key := c - r + m.Rows
+			h := int(uint64(key) * 0x9E3779B97F4A7C15 >> (64 - sampleBits))
+			for set[h] != 0 && set[h] != key {
+				h = (h + 1) & mask
+			}
+			if set[h] == 0 {
+				set[h] = key
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // DegreeVariance returns the population variance of the row degrees,

@@ -8,10 +8,9 @@ import (
 	"smat/internal/oracle"
 )
 
-// TestScanIsItsTwoPasses: the row pass alone leaves the diagonal tally unset
-// and bounds it — every occupied diagonal lies in [BandLo, BandHi], and the
-// outermost two an entry of a row end lies on are occupied, so the band is
-// tight; the column pass over that record gives exactly Scan's.
+// TestScanIsItsTwoPasses: the row pass reads RowPtr alone — it gives the same
+// record when ColIdx is withheld — and leaves the diagonal tally unset; the
+// column pass over that record gives exactly Scan's.
 func TestScanIsItsTwoPasses(t *testing.T) {
 	for _, spec := range oracle.Specs() {
 		m, err := oracle.BuildCSR[float64](&spec)
@@ -22,17 +21,46 @@ func TestScanIsItsTwoPasses(t *testing.T) {
 		if s.DiagOffsets != nil || s.DiagCounts != nil {
 			t.Errorf("%s: the row pass tallied diagonals", spec.Name)
 		}
-		switch n := len(want.DiagOffsets); {
-		case n == 0:
-			if s.Band() != 0 {
-				t.Errorf("%s: band [%d, %d] on a matrix without entries", spec.Name, s.BandLo, s.BandHi)
-			}
-		case s.BandLo != want.DiagOffsets[0] || s.BandHi != want.DiagOffsets[n-1]:
-			t.Errorf("%s: band [%d, %d], occupied diagonals span [%d, %d]", spec.Name, s.BandLo, s.BandHi, want.DiagOffsets[0], want.DiagOffsets[n-1])
+		blind := *m
+		blind.ColIdx = nil
+		if got := matrix.ScanRows(&blind); !reflect.DeepEqual(got, s) {
+			t.Errorf("%s: the row pass depends on ColIdx\n got  %+v\n want %+v", spec.Name, got, s)
 		}
 		matrix.ScanColumns(m, s)
 		if !reflect.DeepEqual(s, want) {
 			t.Errorf("%s: row pass then column pass\n got  %+v\n want %+v", spec.Name, s, want)
 		}
+	}
+}
+
+// TestSampleDiagonals: the sample never counts more diagonals than the tally,
+// counts all of them on a matrix it reads whole (at most DiagSample entries),
+// gives the same count on every call, and allocates nothing.
+func TestSampleDiagonals(t *testing.T) {
+	whole := 0
+	for _, spec := range oracle.Specs() {
+		m, err := oracle.BuildCSR[float64](&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := len(matrix.Scan(m).DiagOffsets)
+		got := matrix.SampleDiagonals(m)
+		switch {
+		case got > exact:
+			t.Errorf("%s: sampled %d diagonals of %d", spec.Name, got, exact)
+		case m.NNZ() <= matrix.DiagSample && got != exact:
+			t.Errorf("%s: %d entries read whole, %d diagonals of %d", spec.Name, m.NNZ(), got, exact)
+		case m.NNZ() <= matrix.DiagSample:
+			whole++
+		}
+		if again := matrix.SampleDiagonals(m); again != got {
+			t.Errorf("%s: sampled %d diagonals, then %d", spec.Name, got, again)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = matrix.SampleDiagonals(m) }); allocs != 0 {
+			t.Errorf("%s: the sample allocates %v times", spec.Name, allocs)
+		}
+	}
+	if whole == 0 {
+		t.Error("no oracle structure fits the sample whole")
 	}
 }

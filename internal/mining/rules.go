@@ -30,40 +30,6 @@ func (c Condition) Matches(attrs []float64) bool {
 	return attrs[c.Attr] > c.Threshold
 }
 
-// Tri is the truth of a condition or rule over a box of attribute vectors:
-// what Matches answers on every vector inside it, or Open when the vectors
-// disagree.
-type Tri int8
-
-const (
-	False Tri = iota - 1
-	Open
-	True
-)
-
-// Over evaluates the condition over the box lo ≤ attrs ≤ hi (component-wise).
-// A verdict of True or False is Matches' answer on every vector in the box;
-// on a point box (lo = hi) it is never Open.
-func (c Condition) Over(lo, hi []float64) Tri {
-	l, h := lo[c.Attr], hi[c.Attr]
-	if c.Op == OpLE {
-		switch {
-		case h <= c.Threshold:
-			return True
-		case !(l <= c.Threshold):
-			return False
-		}
-		return Open
-	}
-	switch {
-	case l > c.Threshold:
-		return True
-	case !(h > c.Threshold):
-		return False
-	}
-	return Open
-}
-
 // Rule is one IF-THEN classification rule with its training-set statistics.
 // Confidence is the Laplace-corrected accuracy (correct+1)/(covered+2), the
 // paper's per-rule confidence factor in [0, 1].
@@ -83,21 +49,6 @@ func (r *Rule) Matches(attrs []float64) bool {
 		}
 	}
 	return true
-}
-
-// Over evaluates the rule over the box lo ≤ attrs ≤ hi: False as soon as one
-// condition is, True when all are, Open otherwise.
-func (r *Rule) Over(lo, hi []float64) Tri {
-	v := True
-	for _, c := range r.Conds {
-		switch c.Over(lo, hi) {
-		case False:
-			return False
-		case Open:
-			v = Open
-		}
-	}
-	return v
 }
 
 // Ruleset is an ordered rule list with a default class, the learning model

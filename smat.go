@@ -192,10 +192,12 @@ type Tuner[T Float] struct {
 }
 
 // Stats reports the tuner's live counters — the decision cache's (embedded
-// CacheStats), the worker pool's (Pool), the tunes that never read the
-// column indices (ColumnPassesSkipped), the execute-and-measure selections
+// CacheStats), the worker pool's (Pool), the DIA conversions that counted
+// their diagonals (DiagonalTallies), the execute-and-measure selections
 // (Fallbacks) and the deferred conversions (DeferredTunes, DeferredSwaps);
-// see Tuner.Stats.
+// see Tuner.Stats. The count of tunes that skipped the column pass
+// (ColumnPassesSkipped) is gone with that pass: no tune reads the column
+// indices to decide.
 type Stats = autotune.Stats
 
 // CacheStats is the decision-cache part of Stats.
@@ -263,8 +265,10 @@ func (t *Tuner[T]) Close() { t.inner.Close() }
 // to wake a parked worker), dispatches that found the pool busy or closed and
 // ran their chunks on the caller instead (Overflow), calls that stayed serial
 // under the work cutoff, and workers a tune warmed.
-// ColumnPassesSkipped counts the tunes whose decision reports
-// ColumnPassSkipped. DeferredTunes counts the first CSRSpMV calls that served
+// DiagonalTallies counts the DIA conversions that read the column indices to
+// count the matrix's diagonals; a handle from NewCSR whose pattern was
+// converted to DIA before keeps them, and does not count again. DeferredTunes
+// counts the first CSRSpMV calls that served
 // tuned CSR and deferred their conversion, DeferredSwaps the handles that
 // have since converted (see CSRSpMV).
 func (t *Tuner[T]) Stats() Stats { return t.inner.Stats() }
@@ -528,8 +532,14 @@ const NeverAmortize = autotune.NeverAmortize
 
 // Decision is the record of the tune behind an operator: how the format was
 // chosen (a confident prediction, the execute-and-measure fallback or the
-// decision cache), what the tune read and skipped, the payoff arithmetic
+// decision cache), whether the tune read the structure, the payoff arithmetic
 // under an iteration hint, the Table 2 features and the seconds each stage
 // spent. Overhead() is the tune's cost in CSR-SpMV executions, 0 on a path
 // that never ran one; String renders the record on one line.
+//
+// Its Features are the runtime's: M, N, NNZ, aver_RD, max_RD, var_RD, ER_ELL
+// and R exact, from one pass over the row pointers; Ndiags, NTdiags_ratio and
+// ER_DIA estimated from a bounded sample of the entries, exact on banded and
+// stencil matrices. Matrix.Features returns the exact ones. The
+// ColumnPassSkipped field is gone: no tune reads the column indices to decide.
 type Decision = autotune.Decision

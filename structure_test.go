@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"smat"
-	"smat/internal/features"
 	"smat/internal/gen"
 	"smat/internal/matrix"
 	"smat/internal/oracle"
@@ -30,14 +29,6 @@ func templates() map[string]*matrix.CSR[float64] {
 		"road":       gen.RoadNetwork[float64](3000, rng(6)),
 		"empty-rows": gen.RandomUniform[float64](500, 500, 0.5, rng(7)),
 	}
-}
-
-// bandFull reports that the row pass proves every diagonal of m's band
-// occupied.
-func bandFull(m *matrix.CSR[float64]) bool {
-	s := matrix.ScanRows(m)
-	ft := features.FromStructure(s)
-	return ft.BandFull(s.Band())
 }
 
 // values draws a new value array for a pattern of nnz entries.
@@ -82,6 +73,9 @@ func serve(t *testing.T, tuner *smat.Tuner[float64], what string, rows, cols int
 // entry count, wrapped again, are a miss — detected, not trusted — and what
 // they were before the rewrite is still remembered. N re-submissions are
 // exactly N structure hits, and the decision cache counts what it always did.
+// A DIA pattern's diagonals are tallied once, by the first conversion — the
+// first hit's, the first submission having deferred its own — and the
+// pattern's record keeps them: no later hit tallies.
 func TestResubmittedPatternSkipsTheScan(t *testing.T) {
 	for name, m := range templates() {
 		tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
@@ -90,38 +84,36 @@ func TestResubmittedPatternSkipsTheScan(t *testing.T) {
 			t.Errorf("%s: first submission: structure hit %v, cache hit %v", name, first.StructureHit, first.CacheHit)
 		}
 		const n = 6
+		var tallied uint64
 		for i := 0; i < n; i++ {
 			rowPtr, colIdx, how := m.RowPtr, m.ColIdx, ": same arrays"
 			if i%2 == 1 {
 				rowPtr, colIdx, how = append([]int(nil), rowPtr...), append([]int(nil), colIdx...), ": copied arrays"
 			}
 			d := serve(t, tuner, name+how, m.Rows, m.Cols, rowPtr, colIdx, values(m.NNZ(), int64(i)))
-			if !d.StructureHit || !d.CacheHit || d.UsedFallback || d.Chosen != first.Asymptotic || d.ColumnPassSkipped != first.ColumnPassSkipped {
-				t.Errorf("%s%s: structure hit %v, cache hit %v, fallback %v, chose %v after %v, column pass skipped %v after %v",
-					name, how, d.StructureHit, d.CacheHit, d.UsedFallback, d.Chosen, first.Asymptotic, d.ColumnPassSkipped, first.ColumnPassSkipped)
+			if !d.StructureHit || !d.CacheHit || d.UsedFallback || d.Chosen != first.Asymptotic {
+				t.Errorf("%s%s: structure hit %v, cache hit %v, fallback %v, chose %v after %v",
+					name, how, d.StructureHit, d.CacheHit, d.UsedFallback, d.Chosen, first.Asymptotic)
 			}
+			switch tallies := tuner.Stats().DiagonalTallies; {
+			case i == 0:
+				tallied = tallies
+			case tallies != tallied:
+				t.Errorf("%s%s: hit %d tallied the diagonals again (%d tallies, %d after the first hit)", name, how, i+1, tallies, tallied)
+			}
+		}
+		if want := uint64(0); first.Asymptotic == smat.FormatDIA && first.Chosen != smat.FormatDIA {
+			if want = 1; tallied != want {
+				t.Errorf("%s: a deferred DIA pick's first hit made %d tallies, want %d", name, tallied, want)
+			}
+		} else if tallied != want {
+			t.Errorf("%s: chose %v and tallied diagonals %d times", name, first.Asymptotic, tallied)
 		}
 		st := tuner.Stats()
 		if st.StructureHits != n || st.Structures != 1 || st.Hits != n || st.Misses != 1 {
 			t.Errorf("%s: %d structure hits over %d patterns, %d cache hits, %d misses; want %d over 1, %d, 1",
 				name, st.StructureHits, st.Structures, st.Hits, st.Misses, n, n)
 		}
-		// What is remembered is what the first tune read: a DIA pick needs the
-		// diagonals, which only a band the row pass proves full gives without
-		// the column pass; a power-law graph's COO pick is settled by the row
-		// pass — and then no submission of the pattern reads its column
-		// indices.
-		if first.Asymptotic == smat.FormatDIA && first.ColumnPassSkipped && !bandFull(m) || name == "power-law" && !first.ColumnPassSkipped {
-			t.Errorf("%s: chose %v, column pass skipped: %v", name, first.Asymptotic, first.ColumnPassSkipped)
-		}
-		wantSkipped := uint64(0)
-		if first.ColumnPassSkipped {
-			wantSkipped = n + 1
-		}
-		if st.ColumnPassesSkipped != wantSkipped {
-			t.Errorf("%s: %d tunes counted as skipping the column pass, want %d", name, st.ColumnPassesSkipped, wantSkipped)
-		}
-
 		// (c) Rewrite the arrays in place: every row keeps its length and
 		// gives up its last column for the nearest free one, so the shape, the
 		// entry count and every row pointer stay and the pattern does not.
