@@ -8,8 +8,8 @@ import (
 )
 
 // Deferred is the conversion a lazy tune put off (TuneLazy): the confident
-// pick, the structure record it converts from and its predicted cost, held by the
-// caller's matrix handle while the handle serves tuned CSR. The handle
+// pick, the structure record it converts from and its predicted cost, held by
+// the caller's matrix handle while the handle serves tuned CSR. The handle
 // converts once its products have paid for the conversion — the deterministic
 // ski-rental rule: rent (tuned CSR) until the rent paid would reach the
 // purchase price (the predicted conversion), then buy. A caller that makes one
@@ -131,11 +131,11 @@ func (p *Deferred[T]) Due(k int) bool {
 // Convert builds the pick through the tuner's one build site and returns the
 // operator the handle serves from then on: the pick, its decision the
 // deferred one with this conversion recorded (Chosen, Kernel, ConvertSec,
-// ConvertStored). The diagonals a DIA conversion tallied go to the
-// pattern's record (Tuner.learn). When the conversion fails — the fill guard, or a recalled
-// layout of another pattern (matrix.ErrStructureMismatch) — it returns the
-// tuned-CSR operator again, its decision carrying the error: the handle keeps
-// serving tuned CSR, and the products stay right.
+// ConvertStored). The diagonals a DIA conversion tallied go to the pattern's
+// record (Tuner.learn). When the conversion fails — the fill guard, or a
+// recalled layout of another pattern (matrix.ErrStructureMismatch) — it
+// returns the tuned-CSR operator again, its decision carrying the error: the
+// handle keeps serving tuned CSR, and the products stay right.
 func (p *Deferred[T]) Convert() *Operator[T] {
 	t, d := p.t, *p.op.dec
 	op := *p.op

@@ -117,14 +117,14 @@ func ScanColumns[T Float](m *CSR[T], s *Structure) {
 // offsets instead.
 func (m *CSR[T]) tally() ([]int, []int32) {
 	rowPtr, nnz := m.RowPtr[:m.Rows+1], m.NNZ()
+	if nnz == 0 {
+		return []int{}, []int32{}
+	}
 	lo, hi := math.MaxInt, math.MinInt
 	for r := 0; r < m.Rows; r++ {
 		if first, end := rowPtr[r], rowPtr[r+1]; end > first {
 			lo, hi = min(lo, m.ColIdx[first]-r), max(hi, m.ColIdx[end-1]-r)
 		}
-	}
-	if nnz == 0 {
-		return []int{}, []int32{}
 	}
 	if band := hi - lo + 1; nnz < band/8 {
 		offs := make([]int, 0, nnz)
