@@ -85,6 +85,20 @@ func TestEstimateExactOnBandsAndStencils(t *testing.T) {
 		"lap3d7/5x9x4":    gen.Laplacian3D7pt[float64](5, 9, 4),
 		"sparse diagonal": gen.SparseDiagonal[float64](4000, band(3), 0.9, rng),
 	}
+	// A diagonal and one row, which the sample's rows pass over, reaching
+	// nine more: the row pass's max_RD alone counts them.
+	var ts []matrix.Triple[float64]
+	for r := 0; r < 20000; r++ {
+		ts = append(ts, matrix.Triple[float64]{Row: r, Col: r, Val: 1})
+	}
+	for c := 2; c <= 10; c++ {
+		ts = append(ts, matrix.Triple[float64]{Row: 1, Col: c, Val: 1})
+	}
+	longRow, err := matrix.FromTriples(20000, 20000, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs["one long row"] = longRow
 	for _, spec := range oracle.Specs() {
 		m, err := oracle.BuildCSR[float64](&spec)
 		if err != nil {
