@@ -479,7 +479,7 @@ func (tn *tuning[T]) materialise(c *choice[T]) (err error) {
 func (tn *tuning[T]) incumbent() *engine[T] {
 	if tn.inc == nil {
 		// Cannot fail: every tuner binds a CSR kernel and CSR wraps the input.
-		tn.inc, _, _ = tn.build(matrix.FormatCSR, tn.t.model.MaxFill)
+		tn.inc, _, _ = tn.t.build(tn.m, &tn.rec.layout, matrix.FormatCSR, tn.t.model.MaxFill)
 	}
 	return tn.inc
 }
