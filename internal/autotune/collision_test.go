@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smat/internal/autotune"
+	"smat/internal/features"
 	"smat/internal/gen"
 	"smat/internal/matrix"
 	"smat/internal/oracle"
@@ -48,6 +49,27 @@ func halfAndHalf(n, lo, hi int) *matrix.CSR[float64] {
 	return m
 }
 
+// shiftOddRows returns m with every odd row's entries moved by columns to the
+// right, wrapping round: the same shape, entry count and row degrees, other
+// diagonals.
+func shiftOddRows(m *matrix.CSR[float64], by int) *matrix.CSR[float64] {
+	var ts []matrix.Triple[float64]
+	for r := 0; r < m.Rows; r++ {
+		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+			c := m.ColIdx[k]
+			if r%2 == 1 {
+				c = (c + by) % m.Cols
+			}
+			ts = append(ts, matrix.Triple[float64]{Row: r, Col: c, Val: m.Vals[k]})
+		}
+	}
+	out, err := matrix.FromTriples(m.Rows, m.Cols, ts)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // TestForcedSignatureCollision plants, under a matrix's signature, the record
 // of another pattern of its shape and entry count — what a 64-bit collision
 // would leave there — and tunes the matrix, for a decision of each basic
@@ -60,8 +82,10 @@ func halfAndHalf(n, lo, hi int) *matrix.CSR[float64] {
 // consume nothing of it. A planted record of the row pass alone — what a tune
 // leaves behind until a DIA conversion tallies the pattern's diagonals — is
 // another pattern's just the same: ELL takes its width from it and catches it;
-// DIA takes nothing, it tallies the matrix's own diagonals and files them in
-// the record.
+// DIA tallies the matrix's own diagonals, and catches it by estimating the
+// matrix afresh (Tuner.learn) — a record whose features are the matrix's own
+// takes the diagonals and stays. Wherever the record is caught, and for every
+// DIA decision, the next tune records the matrix's own features.
 func TestForcedSignatureCollision(t *testing.T) {
 	const n = 4000
 	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -76,6 +100,9 @@ func TestForcedSignatureCollision(t *testing.T) {
 		// diagonals the record does not list.
 		{"DIA", matrix.FormatDIA, gen.MultiDiagonal[float64](n, []int{-1, 0, 2}, rng(1)), gen.MultiDiagonal[float64](n, []int{-2, 0, 1}, rng(2)), true, false},
 		{"DIA, row-pass record", matrix.FormatDIA, gen.MultiDiagonal[float64](n, []int{-1, 0, 2}, rng(1)), gen.MultiDiagonal[float64](n, []int{-2, 0, 1}, rng(2)), false, true},
+		// The same rows, half of them on three other diagonals: other
+		// features.
+		{"DIA, row-pass record, other features", matrix.FormatDIA, gen.MultiDiagonal[float64](n, []int{-1, 0, 2}, rng(1)), shiftOddRows(gen.MultiDiagonal[float64](n, []int{-1, 0, 2}, rng(1)), 7), true, true},
 		// Three entries a row against two and four: the record's width is one
 		// no row of the matrix reaches — and, the other way round, one its
 		// rows overflow.
@@ -93,6 +120,7 @@ func TestForcedSignatureCollision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		own, _ := features.Estimated(c.m)
 		for _, path := range []struct {
 			name  string
 			conf  float64
@@ -139,6 +167,9 @@ func TestForcedSignatureCollision(t *testing.T) {
 				t.Fatalf("%s: second tune: structure hit %v, err %v", what, d.StructureHit, err)
 			}
 			product(t, op, c.m, what+" again")
+			if (caught || c.format == matrix.FormatDIA) && d.Features != own {
+				t.Errorf("%s: second tune recorded %+v, the matrix's own features are %+v", what, d.Features, own)
+			}
 			tuner.Close()
 		}
 	}

@@ -19,6 +19,8 @@ type Deferred[T matrix.Float] struct {
 	m   *matrix.CSR[T]
 	rec *structureRecord
 	key structureKey
+	// recalled is set when rec came from the structure index (Tuner.learn).
+	recalled bool
 	// op is the tuned-CSR operator TuneLazy returned; its decision names the
 	// pick (Asymptotic) and, once Schedule ran, the call it converts at.
 	op *Operator[T]
@@ -80,12 +82,13 @@ func (tn *tuning[T]) defers(c *choice[T]) bool {
 // deferral is the Deferred a deferring call hands back for its choice c.
 func (tn *tuning[T]) deferral(c *choice[T]) *Deferred[T] {
 	return &Deferred[T]{
-		t:    tn.t,
-		m:    tn.m,
-		rec:  tn.rec,
-		key:  tn.key,
-		op:   tn.op,
-		cost: float64(storedSlots(c.format, tn.rec)) * convertNsPerSlot(c.format) * 1e-9,
+		t:        tn.t,
+		m:        tn.m,
+		rec:      tn.rec,
+		key:      tn.key,
+		recalled: tn.base.StructureHit,
+		op:       tn.op,
+		cost:     float64(storedSlots(c.format, tn.rec)) * convertNsPerSlot(c.format) * 1e-9,
 	}
 }
 
@@ -133,7 +136,7 @@ func (p *Deferred[T]) Due(k int) bool {
 // deferred one with this conversion recorded (Chosen, Kernel, ConvertSec,
 // ConvertStored). The diagonals a DIA conversion tallied go to the pattern's
 // record (Tuner.learn). When the conversion fails — the fill guard, or a
-// recalled layout of another pattern (matrix.ErrStructureMismatch) — it
+// recalled record of another pattern (matrix.ErrStructureMismatch) — it
 // returns the tuned-CSR operator again, its decision carrying the error: the
 // handle keeps serving tuned CSR, and the products stay right.
 func (p *Deferred[T]) Convert() *Operator[T] {
@@ -141,11 +144,13 @@ func (p *Deferred[T]) Convert() *Operator[T] {
 	op := *p.op
 	op.dec = &d
 	e, timing, err := t.build(p.m, &p.rec.layout, d.Asymptotic, t.model.MaxFill)
+	if err == nil {
+		_, err = t.learn(p.key, p.m, p.rec, p.recalled, e.mat)
+	}
 	if err != nil {
 		d.ConvertErr = err
 		return &op
 	}
-	t.learn(p.key, p.rec, e.mat)
 	t.swaps.Add(1)
 	op.eng = e
 	d.Chosen, d.Kernel = e.kernel.Format, e.kernel.Name

@@ -153,19 +153,28 @@ func (t *Tuner[T]) remember(k structureKey, rec *structureRecord) {
 	}
 }
 
-// learn is what a tune keeps of a conversion of the matrix rec describes: a
-// DIA conversion from a record that lists no diagonals tallied them, and the
-// record returned — a copy of rec, filed in the structure index under k —
-// lists them, so that no later DIA conversion of the pattern tallies again. A
-// record that lists them, and any other format, come back as they were.
-func (t *Tuner[T]) learn(k structureKey, rec *structureRecord, mat *kernels.Mat[T]) *structureRecord {
+// learn is what a tune keeps of a conversion of m from rec: a DIA conversion
+// from a record that lists no diagonals tallied them, and the record returned
+// — a copy of rec, filed in the structure index under k — lists them, so that
+// no later DIA conversion of the pattern tallies again. The tally cannot
+// catch a recalled record of another pattern, so learn estimates m afresh: if
+// rec is not m's, it files m's own and returns matrix.ErrStructureMismatch. A
+// record that lists the diagonals, and any other format, come back as they
+// were.
+func (t *Tuner[T]) learn(k structureKey, m *matrix.CSR[T], rec *structureRecord, recalled bool, mat *kernels.Mat[T]) (*structureRecord, error) {
 	if mat.DIA == nil || rec.layout.DiagOffsets != nil {
-		return rec
+		return rec, nil
 	}
 	next := *rec
+	var err error
+	if recalled {
+		if ft, s := features.Estimated(m); ft != rec.features {
+			next, err = structureRecord{features: ft, layout: s.Layout}, matrix.ErrStructureMismatch
+		}
+	}
 	next.layout.DiagOffsets = slices.Clone(mat.DIA.Offsets)
 	t.remember(k, &next)
-	return &next
+	return &next, err
 }
 
 // begin starts an attempt on a fresh record.
@@ -401,9 +410,12 @@ func (tn *tuning[T]) candidate(f matrix.Format, maxFill float64) (*engine[T], ke
 func (tn *tuning[T]) build(f matrix.Format, maxFill float64) (*engine[T], kernels.ConvertTiming, error) {
 	e, timing, err := tn.t.build(tn.m, &tn.rec.layout, f, maxFill)
 	if err == nil {
-		tn.rec = tn.t.learn(tn.key, tn.rec, e.mat)
+		tn.rec, err = tn.t.learn(tn.key, tn.m, tn.rec, tn.base.StructureHit, e.mat)
 	}
-	return e, timing, err
+	if err != nil {
+		return nil, timing, err
+	}
+	return e, timing, nil
 }
 
 // outcome is the payoff stage's verdict on a choice.

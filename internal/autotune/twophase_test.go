@@ -6,7 +6,9 @@ import (
 	"os"
 	"slices"
 	"testing"
+	"time"
 
+	"smat"
 	"smat/internal/autotune"
 	"smat/internal/corpus"
 	"smat/internal/features"
@@ -78,12 +80,35 @@ func workloadInputs(t testing.TB) map[string]*matrix.CSR[float64] {
 	return out
 }
 
+// pickInputs are the workload inputs, a sample across every application
+// domain of the synthetic collection, and the generator shapes the workloads
+// are built from at two more sizes.
+func pickInputs(t testing.TB) map[string]*matrix.CSR[float64] {
+	out := workloadInputs(t)
+	for _, e := range corpus.New(0.2, 77).Sample(25) {
+		out["corpus/"+e.Name] = e.Matrix()
+	}
+	rng := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	for _, n := range []int{600, 5000} {
+		size := map[int]string{600: "/small", 5000: "/large"}[n]
+		out["gen/band5"+size] = gen.MultiDiagonal[float64](n, []int{-2, -1, 0, 1, 2}, rng(1))
+		out["gen/lap2d"+size] = gen.Laplacian2D5pt[float64](n/50, 50)
+		out["gen/deg3"+size] = gen.ConstantDegree[float64](n, 3, rng(2))
+		out["gen/incidence4"+size] = gen.BipartiteIncidence[float64](n, n/5, 4, rng(3))
+		out["gen/rand20"+size] = gen.RandomUniform[float64](n/4, n/4, 20, rng(4))
+		out["gen/road"+size] = gen.RoadNetwork[float64](n, rng(5))
+		out["gen/plaw4"+size] = gen.PreferentialAttachment[float64](n, 4, rng(6))
+	}
+	return out
+}
+
 // TestTwoPhaseExtractDecidesAsTheFullScan: the runtime record — the row pass
 // and the diagonal sample (features.Estimated) — decides what the full scan's
 // exact record (features.Extract) decides: the same confident pick or none,
 // and where none, the same contenders for the measuring selector. It holds on
-// every workload input under the shipped model's two classes, one thread and
-// two, and a tune records the runtime record as its features.
+// every pick input under the shipped model at each of its two classes (one
+// thread and two), the heuristic one at one thread and two, and a freshly
+// trained one; and a tune records the runtime record as its features.
 func TestTwoPhaseExtractDecidesAsTheFullScan(t *testing.T) {
 	f, err := os.Open("../../model.json")
 	if err != nil {
@@ -94,31 +119,58 @@ func TestTwoPhaseExtractDecidesAsTheFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := workloadInputs(t)
+	trained, err := autotune.Train(corpus.New(0.02, 1234).Sample(60), autotune.TrainConfig{
+		Threads: []int{2}, Seed: 1, SkipKernelSearch: true,
+		Measure: autotune.MeasureOptions{MinTime: 100 * time.Microsecond, Trials: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := pickInputs(t)
+	type record struct{ est, exact features.Features }
+	records := make(map[string]record, len(inputs))
 	tuner := autotune.New[float64](shipped, autotune.Config{CacheSize: -1})
 	defer tuner.Close()
-	for threads := 1; threads <= 2; threads++ {
+	var tallied []string
+	for name, m := range inputs {
+		est, s := features.Estimated(m)
+		records[name] = record{est, features.Extract(m)}
+		if s.DiagOffsets != nil {
+			tallied = append(tallied, name)
+		}
+		if len(m.Vals) < 20000 {
+			if _, d, err := tuner.Tune(m); err != nil || d.Features != est {
+				t.Errorf("%s: the tune recorded %+v, the estimate is %+v (err %v)", name, d.Features, est, err)
+			}
+		}
+	}
+	slices.Sort(tallied)
+	t.Logf("%d of %d inputs left unsettled by the sample, tallied: %v", len(tallied), len(inputs), tallied)
+	for _, c := range []struct {
+		name    string
+		model   *autotune.Model
+		threads int
+	}{
+		{"shipped/1", shipped, 1},
+		{"shipped/2", shipped, 2},
+		{"heuristic/1", smat.HeuristicModel(), 1},
+		{"heuristic/2", smat.HeuristicModel(), 2},
+		{"trained", trained.Model, 2},
+	} {
 		measured := 0
-		for name, m := range inputs {
-			est, _ := features.Estimated(m)
-			exact := features.Extract(m)
-			got, gotOK, gotOpen := autotune.Picks(shipped, threads, &est)
-			want, wantOK, wantOpen := autotune.Picks(shipped, threads, &exact)
+		for name, r := range records {
+			got, gotOK, gotOpen := autotune.Picks(c.model, c.threads, &r.est)
+			want, wantOK, wantOpen := autotune.Picks(c.model, c.threads, &r.exact)
 			switch {
 			case gotOK != wantOK || gotOK && got != want:
-				t.Errorf("%d threads, %s: estimate picks %v (%v), the scan %v (%v)\n est   %v\n exact %v", threads, name, got, gotOK, want, wantOK, est.String(), exact.String())
+				t.Errorf("%s, %s: estimate picks %v (%v), the scan %v (%v)\n est   %v\n exact %v", c.name, name, got, gotOK, want, wantOK, r.est.String(), r.exact.String())
 			case !gotOK && !slices.Equal(gotOpen, wantOpen):
-				t.Errorf("%d threads, %s: estimate leaves %v open, the scan %v", threads, name, gotOpen, wantOpen)
+				t.Errorf("%s, %s: estimate leaves %v open, the scan %v", c.name, name, gotOpen, wantOpen)
 			case !gotOK:
 				measured++
 			}
-			if threads == 1 && len(m.Vals) < 20000 {
-				if _, d, err := tuner.Tune(m); err != nil || d.Features != est {
-					t.Errorf("%s: the tune recorded %+v, the estimate is %+v (err %v)", name, d.Features, est, err)
-				}
-			}
 		}
-		t.Logf("%d threads: %d inputs, %d left to the measuring selector", threads, len(inputs), measured)
+		t.Logf("%s: %d inputs, %d left to the measuring selector", c.name, len(records), measured)
 	}
 }
 

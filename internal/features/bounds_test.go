@@ -13,7 +13,7 @@ import (
 // rowPassBound is the least Ndiags the row pass proves: max(max_RD,
 // ⌈NNZ/min(M, N)⌉) — what Estimate makes of an empty sample.
 func rowPassBound(f features.Features) int {
-	f.Estimate(0)
+	f.Estimate(matrix.DiagonalSample{})
 	return f.Ndiags
 }
 
@@ -21,14 +21,16 @@ func rowPassBound(f features.Features) int {
 // sample, the runtime record (Estimated) is the exact one (Extract) in every
 // row parameter, and its diagonal estimate lies between what the row pass
 // proves and the tally: Ndiags never above the tally's, so ER_DIA never below
-// it, and never above ER_ELL. Its row pass is the scan's, bit for bit.
+// it, and never above ER_ELL; NTdiags_ratio a ratio. A record that tallied its
+// diagonals — the sample left the ratio unsettled — is the exact one. Its row
+// pass is the scan's, bit for bit.
 func TestRowPassBoundsTheDiagonalFeatures(t *testing.T) {
 	tight := 0
 	for name, m := range sample(t, 10) {
 		full := features.Extract(m)
 		est, s := features.Estimated(m)
-		if s.DiagOffsets != nil {
-			t.Errorf("%s: the runtime record tallied its diagonals", name)
+		if s.DiagOffsets != nil && est != full {
+			t.Errorf("%s: the runtime record tallied its diagonals, and is\n %+v\n not %+v", name, est, full)
 		}
 		rows := full
 		rows.Ndiags, rows.NTdiagsRatio, rows.ERDIA = est.Ndiags, est.NTdiagsRatio, est.ERDIA
@@ -36,7 +38,7 @@ func TestRowPassBoundsTheDiagonalFeatures(t *testing.T) {
 			t.Errorf("%s: runtime record\n got  %+v\n want %+v", name, est, rows)
 		}
 		if bound := rowPassBound(est); est.Ndiags < bound || est.Ndiags > full.Ndiags ||
-			est.ERDIA < full.ERDIA || est.ERDIA > est.ERELL || est.NTdiagsRatio != 0 && est.NTdiagsRatio != 1 {
+			est.ERDIA < full.ERDIA || est.ERDIA > est.ERELL || est.NTdiagsRatio < 0 || est.NTdiagsRatio > 1 {
 			t.Errorf("%s: estimate %+v outside the row pass's bound %d and the tally %+v", name, est, bound, full)
 		}
 		if est.Ndiags == full.Ndiags {
@@ -58,10 +60,11 @@ func sharesDiagonals(m *matrix.CSR[float64], exact int) bool {
 	return m.MaxRowDegree() == exact
 }
 
-// TestEstimateExactOnBandsAndStencils: the estimated Ndiags — and with it
-// ER_DIA — is the tally's on every banded and stencil generator input, at the
-// benchmark workloads' sizes among others, and on every oracle structure
-// whose rows share their diagonals or whose entries the sample reads whole.
+// TestEstimateExactOnBandsAndStencils: the estimated diagonal parameters —
+// Ndiags, with it ER_DIA, and NTdiags_ratio — are the tally's on every banded
+// and stencil generator input, at the benchmark workloads' sizes among
+// others, and on every oracle structure whose rows share their diagonals or
+// whose entries the sample reads whole.
 func TestEstimateExactOnBandsAndStencils(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	band := func(k int) []int {
@@ -111,8 +114,9 @@ func TestEstimateExactOnBandsAndStencils(t *testing.T) {
 	for name, m := range inputs {
 		full := features.Extract(m)
 		est, _ := features.Estimated(m)
-		if est.Ndiags != full.Ndiags || est.ERDIA != full.ERDIA {
-			t.Errorf("%s: estimated Ndiags %d ER_DIA %v, tally %d %v", name, est.Ndiags, est.ERDIA, full.Ndiags, full.ERDIA)
+		if est.Ndiags != full.Ndiags || est.ERDIA != full.ERDIA || est.NTdiagsRatio != full.NTdiagsRatio {
+			t.Errorf("%s: estimated Ndiags %d ER_DIA %v NTdiags_ratio %v, tally %d %v %v", name,
+				est.Ndiags, est.ERDIA, est.NTdiagsRatio, full.Ndiags, full.ERDIA, full.NTdiagsRatio)
 		}
 	}
 }
@@ -122,7 +126,7 @@ func TestEstimateExactOnBandsAndStencils(t *testing.T) {
 func TestEstimateAllocatesNothing(t *testing.T) {
 	for name, m := range sample(t, 40) {
 		ft := features.FromStructure(matrix.ScanRows(m))
-		if allocs := testing.AllocsPerRun(10, func() { ft.Estimate(matrix.SampleDiagonals(m)) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { _ = ft.Estimate(matrix.SampleDiagonals(m, features.TrueDiagOccupancy)) }); allocs != 0 {
 			t.Errorf("%s: the estimate allocates %v times", name, allocs)
 		}
 	}

@@ -172,11 +172,16 @@ func Extract[T matrix.Float](m *matrix.CSR[T]) Features {
 // row parameters — M, N, NNZ, aver_RD, max_RD, var_RD, ER_ELL and R — exact,
 // from one pass over RowPtr (matrix.ScanRows), which reads no column index;
 // the three diagonal ones estimated from a bounded sample of the entries
-// (matrix.SampleDiagonals, Estimate).
+// (matrix.SampleDiagonals, Estimate). Where the sample cannot settle
+// NTdiags_ratio, the column pass tallies the diagonals (matrix.ScanColumns)
+// and the three are exact; the structure then lists them.
 func Estimated[T matrix.Float](m *matrix.CSR[T]) (Features, *matrix.Structure) {
 	s := matrix.ScanRows(m)
 	f := FromStructure(s)
-	f.Estimate(matrix.SampleDiagonals(m))
+	if !f.Estimate(matrix.SampleDiagonals(m, TrueDiagOccupancy)) {
+		matrix.ScanColumns(m, s)
+		f.Diagonals(s)
+	}
 	return f, s
 }
 
@@ -223,28 +228,30 @@ func (f *Features) Diagonals(s *matrix.Structure) {
 
 func erDIA(nnz, ndiags, m int) float64 { return float64(nnz) / (float64(ndiags) * float64(m)) }
 
+// maxUnsure is the largest share of Ndiags the sample may leave unsure of.
+const maxUnsure = 0.1
+
 // Estimate sets the three diagonal parameters of a record of the row pass
-// alone from sampled, the distinct diagonals a bounded sample of the entries
-// met (matrix.SampleDiagonals). A row's entries lie on distinct diagonals and
-// a diagonal holds at most min(M, N) entries, so the row pass proves
+// alone from a bounded sample of the entries (matrix.SampleDiagonals, at
+// TrueDiagOccupancy). A row's entries lie on distinct diagonals and a
+// diagonal holds at most min(M, N) entries, so the row pass proves
 // Ndiags ≥ max(max_RD, ⌈NNZ/min(M, N)⌉); the estimate is the larger of that
-// bound and sampled. It never exceeds the tally's count, and meets it on every
-// matrix whose longest row reaches every occupied diagonal — bands and
-// stencils — and on every matrix the sample reads whole. ER_DIA is its
-// formula at that Ndiags, so never below the tally's; NTdiags_ratio counts
-// every diagonal true when they are on average as full as a true one is
-// (ER_DIA ≥ TrueDiagOccupancy), none otherwise.
-func (f *Features) Estimate(sampled int) {
+// bound and the diagonals sampled. It never exceeds the tally's count, and
+// meets it on every matrix whose longest row reaches every occupied diagonal
+// — bands and stencils — and on every matrix the sample reads whole. ER_DIA
+// is its formula at that Ndiags, so never below the tally's; NTdiags_ratio is
+// the diagonals the sample found true over Ndiags, a diagonal it missed
+// counting as not true. Estimate reports whether that ratio is settled: at
+// most maxUnsure of the diagonals are ones the sample could not tell.
+func (f *Features) Estimate(ds matrix.DiagonalSample) (settled bool) {
 	if f.NNZ == 0 {
-		return
+		return true
 	}
 	side := min(f.M, f.N)
-	f.Ndiags = max(sampled, int(f.MaxRD), (f.NNZ+side-1)/side)
+	f.Ndiags = max(ds.Diags, int(f.MaxRD), (f.NNZ+side-1)/side)
 	f.ERDIA = erDIA(f.NNZ, f.Ndiags, f.M)
-	f.NTdiagsRatio = 0
-	if f.ERDIA >= TrueDiagOccupancy {
-		f.NTdiagsRatio = 1
-	}
+	f.NTdiagsRatio = float64(ds.True) / float64(f.Ndiags)
+	return float64(ds.Unsure) <= maxUnsure*float64(f.Ndiags)
 }
 
 // diagLength is the number of in-matrix positions on the diagonal with the

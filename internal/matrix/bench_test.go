@@ -58,7 +58,7 @@ func BenchmarkScan(b *testing.B) {
 	})
 	b.Run("sample", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = SampleDiagonals(m)
+			_ = SampleDiagonals(m, 0.8)
 		}
 		perNNZ(b)
 	})

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 )
 
 // Layout is the part of a structure scan the DIA and ELL conversions consume:
@@ -181,27 +182,48 @@ const sampleBits = 10
 // DiagSample is the most entries SampleDiagonals reads.
 const DiagSample = 1 << (sampleBits - 1)
 
-// SampleDiagonals returns the number of distinct diagonals (column − row)
-// among at most DiagSample entries of m: whole rows, evenly spaced, as many
-// as DiagSample entries of rows of average length fill, read in row order
-// until the budget is spent. A matrix of at most DiagSample entries is read
-// whole, so the count is then the tally's. It reads no entry twice, is a
-// fixed function of m's pattern, and allocates nothing: the offsets go into a
-// fixed-size open-addressing set.
-func SampleDiagonals[T Float](m *CSR[T]) int {
+// DiagonalSample is what SampleDiagonals learns of a matrix's diagonals: the
+// distinct ones it met; the True ones, with an entry on at least the asked
+// occupancy of the sampled whole rows they cross; and the Unsure ones, met
+// more than once and within two binomial standard deviations of that
+// occupancy, which the sample cannot tell (none when it read every row).
+type DiagonalSample struct{ Diags, True, Unsure int }
+
+// SampleDiagonals samples the diagonals (column − row) of m from at most
+// DiagSample of its entries: whole rows, spread evenly, as many as DiagSample
+// entries of rows of average length fill, read in row order until the budget
+// is spent — the row that spends it, in part. A matrix of at most DiagSample
+// entries is read whole, so Diags and True are then the tally's. It reads no
+// entry twice, is a fixed function of m's pattern, and allocates nothing: the
+// offsets and their entry counts go into a fixed-size open-addressing set.
+func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
+	var ds DiagonalSample
 	nnz := m.NNZ()
 	if nnz == 0 {
-		return 0
+		return ds
 	}
 	rows := min(m.Rows, (DiagSample*m.Rows+nnz-1)/nnz)
-	// A slot holds offset + Rows, which is at least 1; 0 marks it free.
+	// Row i is drawn from the i-th of rows equal strata, at a golden-ratio
+	// fraction of its width: the rows rise, and no stride aliases with a
+	// period of the pattern.
+	row := func(i int) int {
+		lo, hi := i*m.Rows/rows, (i+1)*m.Rows/rows
+		at, _ := bits.Mul64(uint64(i)*0x9E3779B97F4A7C15, uint64(hi-lo))
+		return lo + int(at)
+	}
+	// A slot holds offset + Rows, which is at least 1; 0 marks it free. hits
+	// counts the slot's entries in whole rows.
 	var set [1 << sampleBits]int
+	var hits [1 << sampleBits]int32
 	const mask = len(set) - 1
-	n, left := 0, DiagSample
-	for i := 0; i < rows && left > 0; i++ {
-		r := (2*i + 1) * m.Rows / (2 * rows)
-		first := m.RowPtr[r]
-		end := min(m.RowPtr[r+1], first+left)
+	whole := 0
+	for left := DiagSample; whole < rows && left > 0; {
+		r := row(whole)
+		first, end := m.RowPtr[r], m.RowPtr[r+1]
+		all := end-first <= left
+		if !all {
+			end = first + left
+		}
 		left -= end - first
 		for _, c := range m.ColIdx[first:end] {
 			key := c - r + m.Rows
@@ -209,13 +231,37 @@ func SampleDiagonals[T Float](m *CSR[T]) int {
 			for set[h] != 0 && set[h] != key {
 				h = (h + 1) & mask
 			}
-			if set[h] == 0 {
-				set[h] = key
-				n++
+			set[h] = key
+			if all {
+				hits[h]++
 			}
 		}
+		if !all {
+			break
+		}
+		whole++
 	}
-	return n
+	// above is the number of sampled whole rows above row x.
+	above := func(x int) int { return sort.Search(whole, func(i int) bool { return row(i) >= x }) }
+	for h, key := range set {
+		if key == 0 {
+			continue
+		}
+		ds.Diags++
+		off := key - m.Rows
+		crossed := float64(above(min(m.Rows, m.Cols-off)) - above(max(0, -off)))
+		if crossed == 0 {
+			continue // met only in the row the budget cut
+		}
+		hit := float64(hits[h])
+		if hit >= occupancy*crossed {
+			ds.True++
+		}
+		if whole < m.Rows && hit > 1 && math.Abs(hit-occupancy*crossed) <= 2*math.Sqrt(occupancy*(1-occupancy)*crossed) {
+			ds.Unsure++
+		}
+	}
+	return ds
 }
 
 // DegreeVariance returns the population variance of the row degrees,

@@ -34,29 +34,38 @@ func TestScanIsItsTwoPasses(t *testing.T) {
 }
 
 // TestSampleDiagonals: the sample never counts more diagonals than the tally,
-// counts all of them on a matrix it reads whole (at most DiagSample entries),
-// gives the same count on every call, and allocates nothing.
+// nor more true or unsure ones than it counts; on a matrix it reads whole (at
+// most DiagSample entries) both counts are the tally's and none is unsure. It
+// gives the same counts on every call, and allocates nothing.
 func TestSampleDiagonals(t *testing.T) {
+	const occupancy = 0.8
 	whole := 0
 	for _, spec := range oracle.Specs() {
 		m, err := oracle.BuildCSR[float64](&spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := len(matrix.Scan(m).DiagOffsets)
-		got := matrix.SampleDiagonals(m)
+		s := matrix.Scan(m)
+		exact, exactTrue := len(s.DiagOffsets), 0
+		for i, off := range s.DiagOffsets {
+			length := min(m.Rows, m.Cols-off) - max(0, -off)
+			if float64(s.DiagCounts[i]) >= occupancy*float64(length) {
+				exactTrue++
+			}
+		}
+		got := matrix.SampleDiagonals(m, occupancy)
 		switch {
-		case got > exact:
-			t.Errorf("%s: sampled %d diagonals of %d", spec.Name, got, exact)
-		case m.NNZ() <= matrix.DiagSample && got != exact:
-			t.Errorf("%s: %d entries read whole, %d diagonals of %d", spec.Name, m.NNZ(), got, exact)
+		case got.Diags > exact || got.True > got.Diags || got.Unsure > got.Diags:
+			t.Errorf("%s: sampled %+v of %d diagonals", spec.Name, got, exact)
+		case m.NNZ() <= matrix.DiagSample && got != (matrix.DiagonalSample{Diags: exact, True: exactTrue}):
+			t.Errorf("%s: %d entries read whole, sampled %+v of %d diagonals (%d true)", spec.Name, m.NNZ(), got, exact, exactTrue)
 		case m.NNZ() <= matrix.DiagSample:
 			whole++
 		}
-		if again := matrix.SampleDiagonals(m); again != got {
-			t.Errorf("%s: sampled %d diagonals, then %d", spec.Name, got, again)
+		if again := matrix.SampleDiagonals(m, occupancy); again != got {
+			t.Errorf("%s: sampled %+v, then %+v", spec.Name, got, again)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { _ = matrix.SampleDiagonals(m) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { _ = matrix.SampleDiagonals(m, occupancy) }); allocs != 0 {
 			t.Errorf("%s: the sample allocates %v times", spec.Name, allocs)
 		}
 	}

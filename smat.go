@@ -195,9 +195,7 @@ type Tuner[T Float] struct {
 // CacheStats), the worker pool's (Pool), the DIA conversions that counted
 // their diagonals (DiagonalTallies), the execute-and-measure selections
 // (Fallbacks) and the deferred conversions (DeferredTunes, DeferredSwaps);
-// see Tuner.Stats. The count of tunes that skipped the column pass
-// (ColumnPassesSkipped) is gone with that pass: no tune reads the column
-// indices to decide.
+// see Tuner.Stats.
 type Stats = autotune.Stats
 
 // CacheStats is the decision-cache part of Stats.
@@ -540,6 +538,6 @@ const NeverAmortize = autotune.NeverAmortize
 // Its Features are the runtime's: M, N, NNZ, aver_RD, max_RD, var_RD, ER_ELL
 // and R exact, from one pass over the row pointers; Ndiags, NTdiags_ratio and
 // ER_DIA estimated from a bounded sample of the entries, exact on banded and
-// stencil matrices. Matrix.Features returns the exact ones. The
-// ColumnPassSkipped field is gone: no tune reads the column indices to decide.
+// stencil matrices, and counted exactly where the sample cannot tell which
+// diagonals are true. Matrix.Features returns the exact ones.
 type Decision = autotune.Decision
