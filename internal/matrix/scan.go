@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Layout is the part of a structure scan the DIA and ELL conversions consume:
@@ -184,7 +183,8 @@ const DiagSample = 1 << (sampleBits - 1)
 
 // DiagonalSample is what SampleDiagonals learns of a matrix's diagonals: the
 // distinct ones it met; the True ones, with an entry on at least the asked
-// occupancy of the sampled whole rows they cross; and the Unsure ones, met
+// occupancy of the sampled whole rows they cross (counted from the rows'
+// strata, exactly when every row is read); and the Unsure ones, met
 // more than once and within two binomial standard deviations of that
 // occupancy, which the sample cannot tell (none when it read every row).
 type DiagonalSample struct{ Diags, True, Unsure int }
@@ -203,22 +203,31 @@ func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 		return ds
 	}
 	rows := min(m.Rows, (DiagSample*m.Rows+nnz-1)/nnz)
-	// Row i is drawn from the i-th of rows equal strata, at a golden-ratio
-	// fraction of its width: the rows rise, and no stride aliases with a
-	// period of the pattern.
-	row := func(i int) int {
-		lo, hi := i*m.Rows/rows, (i+1)*m.Rows/rows
-		at, _ := bits.Mul64(uint64(i)*0x9E3779B97F4A7C15, uint64(hi-lo))
-		return lo + int(at)
+	// A diagonal longer than three strata of rows, met once, is neither true
+	// nor unsure. The slots of the others go in check. In slot terms (offset
+	// + Rows) the long ones are those in [longLo, longHi]: a diagonal of
+	// offset d ≥ 0 is min(Rows, Cols − d) long, one of d < 0 min(Rows + d,
+	// Cols).
+	strata := 3 * m.Rows / rows
+	longLo, longHi := strata+1, m.Rows+m.Cols-strata-1
+	if min(m.Rows, m.Cols) <= strata {
+		longLo, longHi = 1, 0
 	}
 	// A slot holds offset + Rows, which is at least 1; 0 marks it free. hits
 	// counts the slot's entries in whole rows.
 	var set [1 << sampleBits]int
 	var hits [1 << sampleBits]int32
+	var check [DiagSample]uint16
 	const mask = len(set) - 1
-	whole := 0
-	for left := DiagSample; whole < rows && left > 0; {
-		r := row(whole)
+	whole, checks := 0, 0
+	for left, lo := DiagSample, 0; whole < rows && left > 0; {
+		// The row is drawn from the whole-th of rows equal strata, at a
+		// golden-ratio fraction of its width: the rows rise, and no stride
+		// aliases with a period of the pattern.
+		hi := (whole + 1) * m.Rows / rows
+		at, _ := bits.Mul64(uint64(whole)*0x9E3779B97F4A7C15, uint64(hi-lo))
+		r := lo + int(at)
+		lo = hi
 		first, end := m.RowPtr[r], m.RowPtr[r+1]
 		all := end-first <= left
 		if !all {
@@ -231,9 +240,17 @@ func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 			for set[h] != 0 && set[h] != key {
 				h = (h + 1) & mask
 			}
-			set[h] = key
+			if set[h] == 0 {
+				set[h] = key
+				ds.Diags++
+				if key < longLo || key > longHi {
+					check[checks], checks = uint16(h), checks+1
+				}
+			}
 			if all {
-				hits[h]++
+				if hits[h]++; hits[h] == 2 && longLo <= key && key <= longHi {
+					check[checks], checks = uint16(h), checks+1
+				}
 			}
 		}
 		if !all {
@@ -241,19 +258,24 @@ func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 		}
 		whole++
 	}
-	// above is the number of sampled whole rows above row x.
-	above := func(x int) int { return sort.Search(whole, func(i int) bool { return row(i) >= x }) }
-	for h, key := range set {
-		if key == 0 {
-			continue
+	// One sampled row lies in each stratum, so about ⌈x·rows/Rows⌉ of the
+	// whole rows lie above row x: exactly x when the sample reads every row.
+	perRow := float64(rows) / float64(m.Rows)
+	above := func(x int) float64 {
+		y := float64(x) * perRow
+		c := float64(int(y))
+		if c < y {
+			c++
 		}
-		ds.Diags++
-		off := key - m.Rows
-		crossed := float64(above(min(m.Rows, m.Cols-off)) - above(max(0, -off)))
-		if crossed == 0 {
+		return min(float64(whole), c)
+	}
+	for _, h := range check[:checks] {
+		hit := float64(hits[h])
+		if hit == 0 {
 			continue // met only in the row the budget cut
 		}
-		hit := float64(hits[h])
+		off := set[h] - m.Rows
+		crossed := above(min(m.Rows, m.Cols-off)) - above(max(0, -off))
 		if hit >= occupancy*crossed {
 			ds.True++
 		}
