@@ -30,7 +30,7 @@ func TestDecisionIsTheTuneRecord(t *testing.T) {
 	if !d.UsedFallback {
 		t.Fatalf("threshold 0.9999 did not force the fallback: %v", d)
 	}
-	want, _ := features.Estimated(a.csr)
+	want, _ := features.Estimated(a.csr, true) // the heuristic rules test NTdiags_ratio
 	exact := a.Features()
 	exact.Ndiags, exact.NTdiagsRatio, exact.ERDIA = want.Ndiags, want.NTdiagsRatio, want.ERDIA
 	if d.Features != want || want != exact {

@@ -21,7 +21,7 @@ func PlantStructure[T matrix.Float](t *Tuner[T], under, of *matrix.CSR[T], rowsO
 	if err != nil {
 		panic(err)
 	}
-	ft, s := features.Estimated(of)
+	ft, s := features.Estimated(of, t.settle)
 	if !rowsOnly {
 		matrix.ScanColumns(of, s)
 	}
@@ -38,6 +38,10 @@ func Picks(model *Model, threads int, ft *features.Features) (pick matrix.Format
 	pick, _, confident = t.predict(ft)
 	return pick, confident, t.contenders(ft, min(fallbackMaxFill, model.MaxFill))
 }
+
+// Settles reports whether a tuner at threads running model settles with the
+// column pass what the diagonal sample leaves unsure (features.Estimated).
+func Settles(model *Model, threads int) bool { return tests(model.Class(threads), "NTdiags_ratio") }
 
 // ServedMat is the representation the operator serves, for tests that hold
 // two tunes' conversions to the same bits.

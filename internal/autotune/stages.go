@@ -110,7 +110,7 @@ func (tn *tuning[T]) read(recall bool) {
 	start := time.Now()
 	tn.base.StructureHit = recall && tn.recall()
 	if !tn.base.StructureHit {
-		ft, s := features.Estimated(tn.m)
+		ft, s := features.Estimated(tn.m, tn.t.settle)
 		tn.adopt(&structureRecord{features: ft, layout: s.Layout})
 		tn.t.remember(tn.key, tn.rec)
 	}
@@ -158,9 +158,7 @@ func (t *Tuner[T]) remember(k structureKey, rec *structureRecord) {
 // — a copy of rec, filed in the structure index under k — lists them, so that
 // no later DIA conversion of the pattern tallies again. The tally cannot
 // catch a recalled record of another pattern, so learn estimates m afresh: if
-// rec is not m's, it files m's own and returns matrix.ErrStructureMismatch. A
-// record that lists the diagonals, and any other format, come back as they
-// were.
+// rec is not m's, it files m's own and returns matrix.ErrStructureMismatch.
 func (t *Tuner[T]) learn(k structureKey, m *matrix.CSR[T], rec *structureRecord, recalled bool, mat *kernels.Mat[T]) (*structureRecord, error) {
 	if mat.DIA == nil || rec.layout.DiagOffsets != nil {
 		return rec, nil
@@ -168,7 +166,7 @@ func (t *Tuner[T]) learn(k structureKey, m *matrix.CSR[T], rec *structureRecord,
 	next := *rec
 	var err error
 	if recalled {
-		if ft, s := features.Estimated(m); ft != rec.features {
+		if ft, s := features.Estimated(m, t.settle); ft != rec.features {
 			next, err = structureRecord{features: ft, layout: s.Layout}, matrix.ErrStructureMismatch
 		}
 	}

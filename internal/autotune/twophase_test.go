@@ -103,12 +103,14 @@ func pickInputs(t testing.TB) map[string]*matrix.CSR[float64] {
 }
 
 // TestTwoPhaseExtractDecidesAsTheFullScan: the runtime record — the row pass
-// and the diagonal sample (features.Estimated) — decides what the full scan's
-// exact record (features.Extract) decides: the same confident pick or none,
-// and where none, the same contenders for the measuring selector. It holds on
-// every pick input under the shipped model at each of its two classes (one
-// thread and two), the heuristic one at one thread and two, and a freshly
-// trained one; and a tune records the runtime record as its features.
+// and the diagonal sample (features.Estimated), settled by the column pass
+// where the sample is unsure and the ruleset tests NTdiags_ratio — decides
+// what the full scan's exact record (features.Extract) decides: the same
+// confident pick or none, and where none, the same contenders for the
+// measuring selector. It holds on every pick input under the shipped model at
+// each of its two classes (one thread and two), the heuristic one at one
+// thread and two, and a freshly trained one; and a tune records the runtime
+// record as its features.
 func TestTwoPhaseExtractDecidesAsTheFullScan(t *testing.T) {
 	f, err := os.Open("../../model.json")
 	if err != nil {
@@ -127,25 +129,34 @@ func TestTwoPhaseExtractDecidesAsTheFullScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := pickInputs(t)
-	type record struct{ est, exact features.Features }
+	// est[settle] is the runtime record a tuner that does, or does not,
+	// settle makes.
+	type record struct {
+		est   [2]features.Features
+		exact features.Features
+	}
 	records := make(map[string]record, len(inputs))
 	tuner := autotune.New[float64](shipped, autotune.Config{CacheSize: -1})
 	defer tuner.Close()
+	settles := autotune.Settles(shipped, tuner.Threads())
 	var tallied []string
 	for name, m := range inputs {
-		est, s := features.Estimated(m)
-		records[name] = record{est, features.Extract(m)}
+		var r record
+		r.est[0], _ = features.Estimated(m, false)
+		est, s := features.Estimated(m, true)
+		r.est[1], r.exact = est, features.Extract(m)
+		records[name] = r
 		if s.DiagOffsets != nil {
 			tallied = append(tallied, name)
 		}
-		if len(m.Vals) < 20000 {
-			if _, d, err := tuner.Tune(m); err != nil || d.Features != est {
-				t.Errorf("%s: the tune recorded %+v, the estimate is %+v (err %v)", name, d.Features, est, err)
+		if want := r.est[b2i(settles)]; len(m.Vals) < 20000 {
+			if _, d, err := tuner.Tune(m); err != nil || d.Features != want {
+				t.Errorf("%s: the tune recorded %+v, the estimate is %+v (err %v)", name, d.Features, want, err)
 			}
 		}
 	}
 	slices.Sort(tallied)
-	t.Logf("%d of %d inputs left unsettled by the sample, tallied: %v", len(tallied), len(inputs), tallied)
+	t.Logf("%d of %d inputs left unsure by the sample, settled by the column pass: %v", len(tallied), len(inputs), tallied)
 	for _, c := range []struct {
 		name    string
 		model   *autotune.Model
@@ -158,20 +169,29 @@ func TestTwoPhaseExtractDecidesAsTheFullScan(t *testing.T) {
 		{"trained", trained.Model, 2},
 	} {
 		measured := 0
+		settle := autotune.Settles(c.model, c.threads)
 		for name, r := range records {
-			got, gotOK, gotOpen := autotune.Picks(c.model, c.threads, &r.est)
+			est := r.est[b2i(settle)]
+			got, gotOK, gotOpen := autotune.Picks(c.model, c.threads, &est)
 			want, wantOK, wantOpen := autotune.Picks(c.model, c.threads, &r.exact)
 			switch {
 			case gotOK != wantOK || gotOK && got != want:
-				t.Errorf("%s, %s: estimate picks %v (%v), the scan %v (%v)\n est   %v\n exact %v", c.name, name, got, gotOK, want, wantOK, r.est.String(), r.exact.String())
+				t.Errorf("%s, %s: estimate picks %v (%v), the scan %v (%v)\n est   %v\n exact %v", c.name, name, got, gotOK, want, wantOK, est.String(), r.exact.String())
 			case !gotOK && !slices.Equal(gotOpen, wantOpen):
 				t.Errorf("%s, %s: estimate leaves %v open, the scan %v", c.name, name, gotOpen, wantOpen)
 			case !gotOK:
 				measured++
 			}
 		}
-		t.Logf("%s: %d inputs, %d left to the measuring selector", c.name, len(records), measured)
+		t.Logf("%s (settles %v): %d inputs, %d left to the measuring selector", c.name, settle, len(records), measured)
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestFillGuardRejectionRunsTheColumnPass: a confident DIA pick whose sample
@@ -190,7 +210,7 @@ func TestFillGuardRejectionRunsTheColumnPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, _ := features.Estimated(m)
+	est, _ := features.Estimated(m, false) // ModelAlways tests no attribute
 	exact := features.Extract(m)
 	model := autotune.ModelAlways(matrix.FormatDIA, 0.99)
 	model.Classes[0].Ruleset.Rules = append(model.Classes[0].Ruleset.Rules, mining.Rule{Class: int(matrix.FormatCOO), Confidence: 0.5})

@@ -28,7 +28,7 @@ func TestRowPassBoundsTheDiagonalFeatures(t *testing.T) {
 	tight := 0
 	for name, m := range sample(t, 10) {
 		full := features.Extract(m)
-		est, s := features.Estimated(m)
+		est, s := features.Estimated(m, true)
 		if s.DiagOffsets != nil && est != full {
 			t.Errorf("%s: the runtime record tallied its diagonals, and is\n %+v\n not %+v", name, est, full)
 		}
@@ -113,7 +113,7 @@ func TestEstimateExactOnBandsAndStencils(t *testing.T) {
 	}
 	for name, m := range inputs {
 		full := features.Extract(m)
-		est, _ := features.Estimated(m)
+		est, _ := features.Estimated(m, true)
 		if est.Ndiags != full.Ndiags || est.ERDIA != full.ERDIA || est.NTdiagsRatio != full.NTdiagsRatio {
 			t.Errorf("%s: estimated Ndiags %d ER_DIA %v NTdiags_ratio %v, tally %d %v %v", name,
 				est.Ndiags, est.ERDIA, est.NTdiagsRatio, full.Ndiags, full.ERDIA, full.NTdiagsRatio)

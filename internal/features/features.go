@@ -173,12 +173,13 @@ func Extract[T matrix.Float](m *matrix.CSR[T]) Features {
 // from one pass over RowPtr (matrix.ScanRows), which reads no column index;
 // the three diagonal ones estimated from a bounded sample of the entries
 // (matrix.SampleDiagonals, Estimate). Where the sample cannot settle
-// NTdiags_ratio, the column pass tallies the diagonals (matrix.ScanColumns)
-// and the three are exact; the structure then lists them.
-func Estimated[T matrix.Float](m *matrix.CSR[T]) (Features, *matrix.Structure) {
+// NTdiags_ratio and settle asks for it, the column pass tallies the diagonals
+// (matrix.ScanColumns) and the three are exact; the structure then lists
+// them.
+func Estimated[T matrix.Float](m *matrix.CSR[T], settle bool) (Features, *matrix.Structure) {
 	s := matrix.ScanRows(m)
 	f := FromStructure(s)
-	if !f.Estimate(matrix.SampleDiagonals(m, TrueDiagOccupancy)) {
+	if !f.Estimate(matrix.SampleDiagonals(m, TrueDiagOccupancy)) && settle {
 		matrix.ScanColumns(m, s)
 		f.Diagonals(s)
 	}
@@ -228,9 +229,6 @@ func (f *Features) Diagonals(s *matrix.Structure) {
 
 func erDIA(nnz, ndiags, m int) float64 { return float64(nnz) / (float64(ndiags) * float64(m)) }
 
-// maxUnsure is the largest share of Ndiags the sample may leave unsure of.
-const maxUnsure = 0.1
-
 // Estimate sets the three diagonal parameters of a record of the row pass
 // alone from a bounded sample of the entries (matrix.SampleDiagonals, at
 // TrueDiagOccupancy). A row's entries lie on distinct diagonals and a
@@ -240,9 +238,9 @@ const maxUnsure = 0.1
 // meets it on every matrix whose longest row reaches every occupied diagonal
 // — bands and stencils — and on every matrix the sample reads whole. ER_DIA
 // is its formula at that Ndiags, so never below the tally's; NTdiags_ratio is
-// the diagonals the sample found true over Ndiags, a diagonal it missed
-// counting as not true. Estimate reports whether that ratio is settled: at
-// most maxUnsure of the diagonals are ones the sample could not tell.
+// the diagonals the sample found true over Ndiags, one it missed counting as
+// not true. Estimate reports whether that ratio is settled: the sample is
+// unsure of at most a tenth of Ndiags.
 func (f *Features) Estimate(ds matrix.DiagonalSample) (settled bool) {
 	if f.NNZ == 0 {
 		return true
@@ -251,7 +249,7 @@ func (f *Features) Estimate(ds matrix.DiagonalSample) (settled bool) {
 	f.Ndiags = max(ds.Diags, int(f.MaxRD), (f.NNZ+side-1)/side)
 	f.ERDIA = erDIA(f.NNZ, f.Ndiags, f.M)
 	f.NTdiagsRatio = float64(ds.True) / float64(f.Ndiags)
-	return float64(ds.Unsure) <= maxUnsure*float64(f.Ndiags)
+	return 10*ds.Unsure <= f.Ndiags
 }
 
 // diagLength is the number of in-matrix positions on the diagonal with the

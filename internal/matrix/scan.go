@@ -183,19 +183,18 @@ const DiagSample = 1 << (sampleBits - 1)
 
 // DiagonalSample is what SampleDiagonals learns of a matrix's diagonals: the
 // distinct ones it met; the True ones, with an entry on at least the asked
-// occupancy of the sampled whole rows they cross (counted from the rows'
-// strata, exactly when every row is read); and the Unsure ones, met
-// more than once and within two binomial standard deviations of that
-// occupancy, which the sample cannot tell (none when it read every row).
+// occupancy of the sampled rows they cross; and the Unsure ones, met more
+// than once and within two binomial standard deviations of that occupancy.
 type DiagonalSample struct{ Diags, True, Unsure int }
 
 // SampleDiagonals samples the diagonals (column − row) of m from at most
-// DiagSample of its entries: whole rows, spread evenly, as many as DiagSample
-// entries of rows of average length fill, read in row order until the budget
-// is spent — the row that spends it, in part. A matrix of at most DiagSample
-// entries is read whole, so Diags and True are then the tally's. It reads no
-// entry twice, is a fixed function of m's pattern, and allocates nothing: the
-// offsets and their entry counts go into a fixed-size open-addressing set.
+// DiagSample of its entries: whole rows, one from each of as many equal
+// strata of the rows as DiagSample entries of rows of average length fill,
+// until the next would overrun the budget. A matrix of at most DiagSample
+// entries is read whole, so Diags and True are then the tally's and no
+// diagonal is Unsure. It is a fixed function of m's pattern, and allocates
+// nothing: the offsets and their entry counts go into a fixed-size
+// open-addressing set.
 func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 	var ds DiagonalSample
 	nnz := m.NNZ()
@@ -203,83 +202,60 @@ func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 		return ds
 	}
 	rows := min(m.Rows, (DiagSample*m.Rows+nnz-1)/nnz)
-	// A diagonal longer than three strata of rows, met once, is neither true
-	// nor unsure. The slots of the others go in check. In slot terms (offset
-	// + Rows) the long ones are those in [longLo, longHi]: a diagonal of
-	// offset d ≥ 0 is min(Rows, Cols − d) long, one of d < 0 min(Rows + d,
-	// Cols).
-	strata := 3 * m.Rows / rows
-	longLo, longHi := strata+1, m.Rows+m.Cols-strata-1
-	if min(m.Rows, m.Cols) <= strata {
-		longLo, longHi = 1, 0
+	// A diagonal met once that crosses more than three strata of rows is
+	// neither true nor unsure: in slot terms (offset + Rows), one in [long,
+	// Rows + Cols − long]. The slots of the others go in check.
+	long := 3*m.Rows/rows + 1
+	if min(m.Rows, m.Cols) < long {
+		long = m.Rows + m.Cols
 	}
 	// A slot holds offset + Rows, which is at least 1; 0 marks it free. hits
-	// counts the slot's entries in whole rows.
+	// counts the slot's entries.
 	var set [1 << sampleBits]int
 	var hits [1 << sampleBits]int32
 	var check [DiagSample]uint16
 	const mask = len(set) - 1
-	whole, checks := 0, 0
-	for left, lo := DiagSample, 0; whole < rows && left > 0; {
-		// The row is drawn from the whole-th of rows equal strata, at a
-		// golden-ratio fraction of its width: the rows rise, and no stride
-		// aliases with a period of the pattern.
-		hi := (whole + 1) * m.Rows / rows
-		at, _ := bits.Mul64(uint64(whole)*0x9E3779B97F4A7C15, uint64(hi-lo))
+	read, checks := 0, 0
+	for left, lo := DiagSample, 0; read < rows; read++ {
+		// The row is drawn from its stratum at a golden-ratio fraction of the
+		// stratum's width: the rows rise, and no stride aliases with a
+		// period of the pattern.
+		hi := (read + 1) * m.Rows / rows
+		at, _ := bits.Mul64(uint64(read)*0x9E3779B97F4A7C15, uint64(hi-lo))
 		r := lo + int(at)
 		lo = hi
 		first, end := m.RowPtr[r], m.RowPtr[r+1]
-		all := end-first <= left
-		if !all {
-			end = first + left
+		if left -= end - first; left < 0 {
+			break
 		}
-		left -= end - first
 		for _, c := range m.ColIdx[first:end] {
 			key := c - r + m.Rows
 			h := int(uint64(key) * 0x9E3779B97F4A7C15 >> (64 - sampleBits))
 			for set[h] != 0 && set[h] != key {
 				h = (h + 1) & mask
 			}
-			if set[h] == 0 {
+			if hits[h]++; hits[h] == 1 {
 				set[h] = key
 				ds.Diags++
-				if key < longLo || key > longHi {
-					check[checks], checks = uint16(h), checks+1
-				}
 			}
-			if all {
-				if hits[h]++; hits[h] == 2 && longLo <= key && key <= longHi {
-					check[checks], checks = uint16(h), checks+1
-				}
+			// A short diagonal is checked when first met, a long one when met
+			// twice.
+			if n := hits[h]; n <= 2 && (key < long || key > m.Rows+m.Cols-long) == (n == 1) {
+				check[checks], checks = uint16(h), checks+1
 			}
 		}
-		if !all {
-			break
-		}
-		whole++
 	}
-	// One sampled row lies in each stratum, so about ⌈x·rows/Rows⌉ of the
-	// whole rows lie above row x: exactly x when the sample reads every row.
+	// One sampled row lies in each stratum, so about ⌈x·rows/Rows⌉ of those
+	// read lie above row x: exactly x when the sample reads every row.
 	perRow := float64(rows) / float64(m.Rows)
-	above := func(x int) float64 {
-		y := float64(x) * perRow
-		c := float64(int(y))
-		if c < y {
-			c++
-		}
-		return min(float64(whole), c)
-	}
+	above := func(x int) float64 { return min(float64(read), math.Ceil(float64(x)*perRow)) }
 	for _, h := range check[:checks] {
-		hit := float64(hits[h])
-		if hit == 0 {
-			continue // met only in the row the budget cut
-		}
 		off := set[h] - m.Rows
-		crossed := above(min(m.Rows, m.Cols-off)) - above(max(0, -off))
+		hit, crossed := float64(hits[h]), above(min(m.Rows, m.Cols-off))-above(max(0, -off))
 		if hit >= occupancy*crossed {
 			ds.True++
 		}
-		if whole < m.Rows && hit > 1 && math.Abs(hit-occupancy*crossed) <= 2*math.Sqrt(occupancy*(1-occupancy)*crossed) {
+		if read < m.Rows && hit > 1 && math.Abs(hit-occupancy*crossed) <= 2*math.Sqrt(occupancy*(1-occupancy)*crossed) {
 			ds.Unsure++
 		}
 	}

@@ -539,5 +539,6 @@ const NeverAmortize = autotune.NeverAmortize
 // and R exact, from one pass over the row pointers; Ndiags, NTdiags_ratio and
 // ER_DIA estimated from a bounded sample of the entries, exact on banded and
 // stencil matrices, and counted exactly where the sample cannot tell which
-// diagonals are true. Matrix.Features returns the exact ones.
+// diagonals are true and the model's rules test NTdiags_ratio.
+// Matrix.Features returns the exact ones.
 type Decision = autotune.Decision
