@@ -204,10 +204,11 @@ func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 	rows := min(m.Rows, (DiagSample*m.Rows+nnz-1)/nnz)
 	// A diagonal met once that crosses more than three strata of rows is
 	// neither true nor unsure: in slot terms (offset + Rows), one in [long,
-	// Rows + Cols − long]. The slots of the others go in check.
+	// longHi]. The slots of the others go in check.
 	long := 3*m.Rows/rows + 1
+	longHi := m.Rows + m.Cols - long
 	if min(m.Rows, m.Cols) < long {
-		long = m.Rows + m.Cols
+		longHi = 0
 	}
 	// A slot holds offset + Rows, which is at least 1; 0 marks it free. hits
 	// counts the slot's entries.
@@ -234,14 +235,19 @@ func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 			for set[h] != 0 && set[h] != key {
 				h = (h + 1) & mask
 			}
-			if hits[h]++; hits[h] == 1 {
-				set[h] = key
-				ds.Diags++
-			}
 			// A short diagonal is checked when first met, a long one when met
 			// twice.
-			if n := hits[h]; n <= 2 && (key < long || key > m.Rows+m.Cols-long) == (n == 1) {
-				check[checks], checks = uint16(h), checks+1
+			switch hits[h]++; hits[h] {
+			case 1:
+				set[h] = key
+				ds.Diags++
+				if key < long || key > longHi {
+					check[checks], checks = uint16(h), checks+1
+				}
+			case 2:
+				if long <= key && key <= longHi {
+					check[checks], checks = uint16(h), checks+1
+				}
 			}
 		}
 	}
