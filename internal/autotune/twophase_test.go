@@ -22,13 +22,11 @@ import (
 // seed composes, 5 000 to 200 000 nonzeros), the serve templates, the steady
 // inputs at scale 0.2 and the CG/AMG problems — generated as the workloads
 // generate them, the random ones under one fixed seed.
-func workloadInputs(t testing.TB) map[string]*matrix.CSR[float64] {
+func workloadInputs() map[string]*matrix.CSR[float64] {
 	out := map[string]*matrix.CSR[float64]{}
-	if !testing.Short() {
-		for _, e := range corpus.New(1, 20260928).Sample(13) {
-			if m := e.Matrix(); m.NNZ() >= 5e3 && m.NNZ() <= 2e5 {
-				out["cold/"+e.Name] = m
-			}
+	for _, e := range corpus.New(1, 20260928).Sample(13) {
+		if m := e.Matrix(); m.NNZ() >= 5e3 && m.NNZ() <= 2e5 {
+			out["cold/"+e.Name] = m
 		}
 	}
 	band := func(k int) []int {
@@ -83,8 +81,8 @@ func workloadInputs(t testing.TB) map[string]*matrix.CSR[float64] {
 // pickInputs are the workload inputs, a sample across every application
 // domain of the synthetic collection, and the generator shapes the workloads
 // are built from at two more sizes.
-func pickInputs(t testing.TB) map[string]*matrix.CSR[float64] {
-	out := workloadInputs(t)
+func pickInputs() map[string]*matrix.CSR[float64] {
+	out := workloadInputs()
 	for _, e := range corpus.New(0.2, 77).Sample(25) {
 		out["corpus/"+e.Name] = e.Matrix()
 	}
@@ -128,7 +126,7 @@ func TestTwoPhaseExtractDecidesAsTheFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := pickInputs(t)
+	inputs := pickInputs()
 	// est[settle] is the runtime record a tuner that does, or does not,
 	// settle makes.
 	type record struct {
