@@ -10,7 +10,7 @@ import (
 // a shared buffer used to zero the input mid-multiply and return a wrong
 // product with no error. The overlap is now rejected up front.
 func TestCSRSpMVRejectsAliasedVectors(t *testing.T) {
-	tn := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tn := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tn.Close()
 	a, err := FromEntries(4, 4, diagEntries(4))
 	if err != nil {
@@ -52,7 +52,7 @@ func TestCSRSpMVRejectsAliasedVectors(t *testing.T) {
 // batched path: any yb region overlapping xb must be rejected before a
 // kernel runs, on top of the shape and width validation.
 func TestCSRSpMVBatchRejectsAliasedBuffers(t *testing.T) {
-	tn := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tn := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tn.Close()
 	a, err := FromEntries(4, 4, diagEntries(4))
 	if err != nil {
@@ -105,7 +105,7 @@ func TestCSRSpMVBatchRejectsAliasedBuffers(t *testing.T) {
 // batched contract: MulVecBatch has no error return, so overlapping xb/yb
 // panic instead of corrupting the product.
 func TestOperatorMulVecBatchPanicsOnAliasedBuffers(t *testing.T) {
-	tn := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tn := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tn.Close()
 	a, err := FromEntries(4, 4, diagEntries(4))
 	if err != nil {
@@ -128,7 +128,7 @@ func TestOperatorMulVecBatchPanicsOnAliasedBuffers(t *testing.T) {
 // contract: MulVec has no error return, so an overlapping x/y panics
 // instead of corrupting the product.
 func TestOperatorMulVecPanicsOnAliasedVectors(t *testing.T) {
-	tn := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tn := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tn.Close()
 	a, err := FromEntries(4, 4, diagEntries(4))
 	if err != nil {

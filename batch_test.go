@@ -57,10 +57,11 @@ func TestBatchPackRejectsRaggedVectors(t *testing.T) {
 }
 
 // TestCSRSpMVBatchMatchesLoopedCSRSpMV drives the full public batched path
-// on every heuristic routing class and checks each unpacked result column
-// against a plain CSRSpMV of the same input column.
+// on a band, a constant-degree, a power-law and an irregular input and checks
+// each unpacked result column against a plain CSRSpMV of the same input
+// column.
 func TestCSRSpMVBatchMatchesLoopedCSRSpMV(t *testing.T) {
-	tn := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tn := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tn.Close()
 	mats := map[string]*Matrix[float64]{
 		"diagonal":  {csr: gen.MultiDiagonal[float64](500, []int{-1, 0, 1}, rand.New(rand.NewSource(31)))},
@@ -108,7 +109,7 @@ func TestCSRSpMVBatchMatchesLoopedCSRSpMV(t *testing.T) {
 // batch of two or more runs the tiled kernel, so BatchCrossover is 2 before
 // and after a batched call.
 func TestDecisionReportsBatchCrossover(t *testing.T) {
-	tn := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tn := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tn.Close()
 	a := &Matrix[float64]{csr: gen.RandomUniform[float64](800, 800, 8, rand.New(rand.NewSource(35)))}
 	op, err := tn.Tune(a)
@@ -133,7 +134,7 @@ func TestDecisionReportsBatchCrossover(t *testing.T) {
 // BenchmarkMulVecBatch is the batched serving smoke benchmark: steady-state
 // batched SpMV through the public operator at small and tile-width batches.
 func BenchmarkMulVecBatch(b *testing.B) {
-	tn := NewTuner[float64](HeuristicModel(), WithThreads(4))
+	tn := NewTuner[float64](DefaultModel(), WithThreads(4))
 	defer tn.Close()
 	a := &Matrix[float64]{csr: gen.RandomUniform[float64](20000, 20000, 15, rand.New(rand.NewSource(36)))}
 	op, err := tn.Tune(a)

@@ -20,7 +20,7 @@ func benchCfg(b *testing.B) bench.Config {
 	return bench.Config{
 		Scale:   0.05,
 		Threads: 0,
-		Model:   smat.HeuristicModel(),
+		Model:   smat.DefaultModel(),
 		Measure: autotune.MeasureOptions{MinTime: 200 * time.Microsecond, Trials: 1},
 		Stride:  25,
 		Seed:    1,

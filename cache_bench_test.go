@@ -33,7 +33,7 @@ func cacheBenchMatrix(tb testing.TB) *smat.Matrix[float64] {
 // execute-and-measure path on a cold decision — the expensive regime the
 // cache amortises.
 func cacheBenchTuner(cacheSize int) *smat.Tuner[float64] {
-	unsure := smat.HeuristicModel()
+	unsure := smat.DefaultModel()
 	unsure.ConfidenceThreshold = 0.999
 	return smat.NewTuner[float64](unsure, smat.WithThreads(2), smat.WithCacheSize(cacheSize))
 }
@@ -90,7 +90,7 @@ func BenchmarkServeRequest(b *testing.B) {
 	} {
 		b.Run(c.class.String(), func(b *testing.B) {
 			m := c.m
-			tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
+			tuner := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(2))
 			defer tuner.Close()
 			x, y := make([]float64, m.Cols), make([]float64, m.Rows)
 			for i := range x {
@@ -130,7 +130,7 @@ func BenchmarkServeRequest(b *testing.B) {
 func BenchmarkDeferredCall(b *testing.B) {
 	m := gen.Laplacian2D5pt[float64](6, 6)
 	x, y := make([]float64, m.Cols), make([]float64, m.Rows)
-	tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
+	tuner := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(2))
 	defer tuner.Close()
 	a, err := smat.NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals)
 	if err == nil {

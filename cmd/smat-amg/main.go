@@ -34,7 +34,7 @@ func main() {
 	log.SetPrefix("smat-amg: ")
 
 	var (
-		modelPath = flag.String("model", "", "trained model JSON (default: built-in heuristic model)")
+		modelPath = flag.String("model", "", "model JSON to load (default: the built-in model.json)")
 		problem   = flag.String("problem", "7pt", "problem stencil: 7pt (3D) or 9pt (2D)")
 		n         = flag.Int("n", 50, "grid points per side")
 		coarsen   = flag.String("coarsen", "cljp", "coarsening: cljp or rugeL")
@@ -43,7 +43,7 @@ func main() {
 	)
 	flag.Parse()
 
-	model := smat.HeuristicModel()
+	model := smat.DefaultModel()
 	if *modelPath != "" {
 		m, err := smat.LoadModelFile(*modelPath)
 		if err != nil {

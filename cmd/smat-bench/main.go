@@ -72,7 +72,7 @@ func main() {
 
 	var (
 		experimentID = flag.String("experiment", "all", "experiment id (table1, figure1, figure3, figure6, figure9, figure10, table3, table4, ablation-*, extensions, steady, batch, convert, solve, selection, all)")
-		modelPath    = flag.String("model", "", "trained model JSON (default: built-in heuristic model)")
+		modelPath    = flag.String("model", "", "model JSON to load (default: the built-in model.json)")
 		scale        = flag.Float64("scale", 0.25, "workload size scale (0,1]")
 		stride       = flag.Int("stride", 8, "corpus sampling stride for corpus-wide experiments")
 		threads      = flag.Int("threads", 0, "platform A threads (0 = GOMAXPROCS)")
@@ -86,7 +86,7 @@ func main() {
 	)
 	flag.Parse()
 
-	model := smat.HeuristicModel()
+	model := smat.DefaultModel()
 	if *modelPath != "" {
 		m, err := smat.LoadModelFile(*modelPath)
 		if err != nil {
@@ -95,7 +95,7 @@ func main() {
 		model = m
 		log.Printf("loaded model %s (%d classes, threshold %.2f)", *modelPath, len(m.Classes), m.ConfidenceThreshold)
 	} else {
-		log.Print("using built-in heuristic model (train one with smat-train for best accuracy)")
+		log.Print("using the built-in model.json")
 	}
 
 	cfg := bench.Config{

@@ -34,7 +34,7 @@ func main() {
 	var (
 		label     = flag.Bool("label", false, "also measure the best format for each matrix")
 		dbPath    = flag.String("db", "", "append labeled records to this feature database (implies -label)")
-		modelPath = flag.String("model", "", "model providing the kernel choice for labeling (default: built-in heuristic)")
+		modelPath = flag.String("model", "", "model providing the kernel choice for labeling (default: the built-in model.json)")
 		threads   = flag.Int("threads", 0, "threads for labeling (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
@@ -47,7 +47,7 @@ func main() {
 
 	var labeler *autotune.Labeler
 	if *label {
-		model := smat.HeuristicModel()
+		model := smat.DefaultModel()
 		if *modelPath != "" {
 			m, err := smat.LoadModelFile(*modelPath)
 			if err != nil {
@@ -100,7 +100,9 @@ func main() {
 			}
 			fmt.Printf("%s: best %s  (%s GFLOPS)\n", path, lbl.Best, strings.Join(parts, ", "))
 			name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-			db.Append(name, "user", feat, lbl)
+			if err := add(db, name, feat, lbl); err != nil {
+				log.Fatalf("%s: %v (nothing written)", path, err)
+			}
 		}
 	}
 
@@ -115,4 +117,16 @@ func main() {
 		}
 		log.Printf("database now holds %d records (%s)", len(db.Records), *dbPath)
 	}
+}
+
+// add appends a labeled matrix to db, unless lbl was timed with other kernels
+// than db's rows at its thread count: smat-train could not relearn from the
+// database then (autotune.Database.Kernels).
+func add(db *autotune.Database, name string, feat features.Features, lbl autotune.Label) error {
+	db.Append(name, "user", feat, lbl)
+	if _, err := db.Kernels(lbl.Threads); err != nil {
+		db.Records = db.Records[:len(db.Records)-1]
+		return err
+	}
+	return nil
 }

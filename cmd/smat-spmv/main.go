@@ -22,7 +22,7 @@ func main() {
 	log.SetPrefix("smat-spmv: ")
 
 	var (
-		modelPath = flag.String("model", "", "trained model JSON (default: built-in heuristic model)")
+		modelPath = flag.String("model", "", "model JSON to load (default: the built-in model.json)")
 		iters     = flag.Int("iters", 100, "SpMV iterations to time")
 		threads   = flag.Int("threads", 0, "threads (0 = model/GOMAXPROCS)")
 	)
@@ -31,7 +31,7 @@ func main() {
 		log.Fatal("usage: smat-spmv [flags] matrix.mtx")
 	}
 
-	model := smat.HeuristicModel()
+	model := smat.DefaultModel()
 	if *modelPath != "" {
 		m, err := smat.LoadModelFile(*modelPath)
 		if err != nil {

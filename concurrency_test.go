@@ -21,7 +21,7 @@ func TestConcurrentCSRSpMVSharedAndDistinct(t *testing.T) {
 		iters      = 80
 		n          = 400
 	)
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2), WithCacheSize(256))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(2), WithCacheSize(256))
 
 	shared, err := FromEntries(n, n, diagEntries(n))
 	if err != nil {
@@ -88,7 +88,7 @@ func TestConcurrentCSRSpMVSharedAndDistinct(t *testing.T) {
 // deferred conversion came due among their calls, the converted one.
 func TestConcurrentFirstUseTunesOnce(t *testing.T) {
 	const goroutines = 12
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(1))
 	a, err := FromEntries(600, 600, diagEntries(600))
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +134,8 @@ func TestConcurrentFirstUseTunesOnce(t *testing.T) {
 // the handle must end up owned by one of the two.
 func TestConcurrentTwoTunersOneMatrix(t *testing.T) {
 	const n = 300
-	t1 := NewTuner[float64](HeuristicModel(), WithThreads(1))
-	t2 := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	t1 := NewTuner[float64](DefaultModel(), WithThreads(1))
+	t2 := NewTuner[float64](DefaultModel(), WithThreads(2))
 	a, err := FromEntries(n, n, diagEntries(n))
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestConcurrentPooledSpMVDistinctMatrices(t *testing.T) {
 		n          = 2500 // 8 entries/row ⇒ 20k nonzeros, well past the serial cutoff
 		perRow     = 8
 	)
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(4))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(4))
 	defer tuner.Close()
 
 	x := make([]float64, n)
@@ -248,7 +248,7 @@ func TestConcurrentPooledSpMVDistinctMatrices(t *testing.T) {
 // TestConcurrentTuneAndStats exercises Tune and Stats racing each other —
 // Stats must be callable at any time without synchronisation by the caller.
 func TestConcurrentTuneAndStats(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1), WithCacheSize(8))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(1), WithCacheSize(8))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -285,7 +285,7 @@ func TestConcurrentResubmittedPattern(t *testing.T) {
 		goroutines = 12
 		iters      = 30
 	)
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tuner.Close()
 
 	for _, m := range []*matrix.CSR[float64]{
@@ -347,7 +347,7 @@ func TestConcurrentResubmittedPattern(t *testing.T) {
 func TestConcurrentDeferredSwap(t *testing.T) {
 	const goroutines = 8
 	m := gen.Laplacian2D5pt[float64](60, 60)
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tuner.Close()
 	a, err := NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // iteration hint — reports the deprecated BatchCrossover as 2.
 func TestDecisionIsTheTuneRecord(t *testing.T) {
 	a := &Matrix[float64]{csr: gen.RandomUniform[float64](800, 800, 8, rand.New(rand.NewSource(35)))}
-	unsure := HeuristicModel()
+	unsure := DefaultModel()
 	unsure.ConfidenceThreshold = 0.9999
 	measuring := NewTuner[float64](unsure, WithThreads(2))
 	defer measuring.Close()
@@ -30,7 +30,7 @@ func TestDecisionIsTheTuneRecord(t *testing.T) {
 	if !d.UsedFallback {
 		t.Fatalf("threshold 0.9999 did not force the fallback: %v", d)
 	}
-	want, _ := features.Estimated(a.csr, true) // the heuristic rules test NTdiags_ratio
+	want, _ := features.Estimated(a.csr)
 	exact := a.Features()
 	exact.Ndiags, exact.NTdiagsRatio, exact.ERDIA = want.Ndiags, want.NTdiagsRatio, want.ERDIA
 	if d.Features != want || want != exact {
@@ -43,7 +43,7 @@ func TestDecisionIsTheTuneRecord(t *testing.T) {
 		t.Errorf("Overhead() = %g, want TuneSec %gs / CSRSpMVSec %gs", d.Overhead(), d.TuneSec(), d.CSRSpMVSec)
 	}
 
-	predicting := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	predicting := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer predicting.Close()
 	paths := []struct {
 		name  string
@@ -79,7 +79,7 @@ func TestDecisionIsTheTuneRecord(t *testing.T) {
 // that carries it, with the error TuneOptions' validation returns, and leaves
 // the handle untuned.
 func TestWithIterationsRejectsNonPositive(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(1))
 	defer tuner.Close()
 	a := tridiag(t, 50)
 	x, y := make([]float64, 50), make([]float64, 50)

@@ -42,7 +42,7 @@ func input(m *matrix.CSR[float64]) []float64 {
 // tuner computes — converts nothing, and says so.
 func TestDeferredLeaderServesTunedCSR(t *testing.T) {
 	m := gen.Laplacian2D5pt[float64](100, 100)
-	tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
+	tuner := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(2))
 	defer tuner.Close()
 	x, y, want := input(m), make([]float64, m.Rows), make([]float64, m.Rows)
 	a := handle(t, m)
@@ -80,7 +80,7 @@ func TestDeferredSwapsOnceAtConvertAt(t *testing.T) {
 	m := gen.Laplacian2D5pt[float64](100, 100)
 	x := input(m)
 	for _, k := range []int{1, 3} {
-		tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
+		tuner := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(2))
 		a := handle(t, m)
 		xb, yb := make([]float64, m.Cols*k), make([]float64, m.Rows*k)
 		for c, v := range x {
@@ -148,7 +148,7 @@ func TestDeferredSwapsOnceAtConvertAt(t *testing.T) {
 // iteration hint, a format hint — and no tune is deferred.
 func TestEagerFirstUses(t *testing.T) {
 	stencil := gen.Laplacian2D5pt[float64](100, 100)
-	unsure := smat.HeuristicModel()
+	unsure := smat.DefaultModel()
 	unsure.ConfidenceThreshold = 0.999
 	for _, c := range []struct {
 		name  string
@@ -159,19 +159,19 @@ func TestEagerFirstUses(t *testing.T) {
 		opts  []smat.TuneOption
 		check func(d smat.Decision) bool
 	}{
-		{"ELL view", smat.HeuristicModel(), gen.ConstantDegree[float64](3000, 3, rand.New(rand.NewSource(2))), false, false, nil,
+		{"ELL view", smat.DefaultModel(), gen.ConstantDegree[float64](3000, 3, rand.New(rand.NewSource(2))), false, false, nil,
 			func(d smat.Decision) bool { return d.Chosen == smat.FormatELL && d.ConvertStored == 3*3000 }},
 		{"measured", unsure, stencil, false, false, nil,
 			func(d smat.Decision) bool { return d.UsedFallback && d.Chosen == d.Asymptotic }},
-		{"cache hit", smat.HeuristicModel(), stencil, true, false, nil,
+		{"cache hit", smat.DefaultModel(), stencil, true, false, nil,
 			func(d smat.Decision) bool { return d.CacheHit && d.Chosen == smat.FormatDIA && d.ConvertSec > 0 }},
-		{"Tune", smat.HeuristicModel(), stencil, false, true, nil,
+		{"Tune", smat.DefaultModel(), stencil, false, true, nil,
 			func(d smat.Decision) bool { return d.Chosen == smat.FormatDIA && d.ConvertSec > 0 }},
 		// The leader converts to probe the cost, whatever the payoff stage
 		// then serves.
-		{"iteration hint", smat.HeuristicModel(), stencil, false, false, []smat.TuneOption{smat.WithIterations(1 << 20)},
+		{"iteration hint", smat.DefaultModel(), stencil, false, false, []smat.TuneOption{smat.WithIterations(1 << 20)},
 			func(d smat.Decision) bool { return d.Asymptotic == smat.FormatDIA && d.ConvertSec > 0 }},
-		{"format hint", smat.HeuristicModel(), stencil, false, false, []smat.TuneOption{smat.WithFormatHint(smat.FormatDIA)},
+		{"format hint", smat.DefaultModel(), stencil, false, false, []smat.TuneOption{smat.WithFormatHint(smat.FormatDIA)},
 			func(d smat.Decision) bool { return d.Chosen == smat.FormatDIA && d.ConvertSec > 0 }},
 	} {
 		tuner := smat.NewTuner[float64](c.model, smat.WithThreads(2))
@@ -204,7 +204,7 @@ func TestEagerFirstUses(t *testing.T) {
 // call counts its product, and after it.
 func TestDeferredHandleAllocatesNothing(t *testing.T) {
 	m := gen.Laplacian2D5pt[float64](100, 100)
-	tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
+	tuner := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(2))
 	defer tuner.Close()
 	a := handle(t, m)
 	x, y := input(m), make([]float64, m.Rows)

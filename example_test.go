@@ -20,7 +20,7 @@ func ExampleTuner_CSRSpMV() {
 	if err != nil {
 		panic(err)
 	}
-	tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(1))
+	tuner := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(1))
 	x := []float64{1, 2, 3, 4}
 	y := make([]float64, 4)
 	if err := tuner.CSRSpMV(a, x, y); err != nil {
@@ -43,7 +43,7 @@ func ExampleTuner_Tune() {
 	if err != nil {
 		panic(err)
 	}
-	tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(1))
+	tuner := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(1))
 	op, err := tuner.Tune(a)
 	if err != nil {
 		panic(err)

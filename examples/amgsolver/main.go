@@ -34,7 +34,7 @@ func main() {
 
 	// Bind every level operator to a SMAT-tuned SpMV. The tuner sees each
 	// level's matrix as a fresh input and decides per level.
-	tuner := autotune.New[float64](smat.HeuristicModel(), autotune.Config{})
+	tuner := autotune.New[float64](smat.DefaultModel(), autotune.Config{})
 	if err := h.Bind(func(m *matrix.CSR[float64]) (amg.SpMV[float64], error) {
 		op, dec, err := tuner.Tune(m)
 		if err != nil {

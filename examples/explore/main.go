@@ -31,7 +31,7 @@ func main() {
 		{"arrowhead (pathological)", arrowhead(20000, rng)},
 	}
 
-	model := smat.HeuristicModel()
+	model := smat.DefaultModel()
 	tuner := smat.NewTuner[float64](model)
 	fmt.Printf("model: %d rules, confidence threshold %.2f\n\n", len(model.Class(tuner.Threads()).Ruleset.Rules), model.ConfidenceThreshold)
 
@@ -56,8 +56,10 @@ func main() {
 	}
 
 	// Reordering changes the structure SMAT sees: a banded matrix hidden
-	// under a random permutation looks like CSR territory, and reverse
-	// Cuthill–McKee reordering reveals the band — after which SMAT picks DIA.
+	// under a random permutation spreads over thousands of diagonals, and
+	// reverse Cuthill–McKee reordering brings them back to three — DIA's
+	// territory, though rows of three entries each, before and after, suit
+	// ELL as well.
 	fmt.Println("reordering demo: tridiagonal matrix under a random permutation")
 	hidden := shuffledBand(20000, rng)
 	showDecision(tuner, "  before RCM", hidden)

@@ -45,7 +45,7 @@ func main() {
 	// The power iteration below runs at most 200 SpMVs: passing that bound
 	// lets SMAT weigh the format-conversion cost against the remaining work
 	// instead of assuming the matrix lives forever.
-	tuner := smat.NewTuner[float64](smat.HeuristicModel())
+	tuner := smat.NewTuner[float64](smat.DefaultModel())
 	op, err := tuner.Tune(a, smat.WithIterations(200))
 	if err != nil {
 		log.Fatal(err)

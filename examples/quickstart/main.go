@@ -2,7 +2,7 @@
 //
 // The user supplies a matrix in CSR form — nothing else — and SMAT decides
 // at runtime which storage format and kernel to use (here: a tridiagonal
-// matrix, so the tuner should pick DIA).
+// matrix, which DIA and ELL both store without padding).
 //
 // Run: go run ./examples/quickstart
 package main
@@ -32,11 +32,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A tuner needs a model: the built-in heuristic one works out of the
-	// box; `smat-train` produces a better, machine-learned one. Options
+	// A tuner needs a model: DefaultModel is the shipped one, learned from
+	// measured labels; `smat-train` retrains it on your machine. Options
 	// (WithThreads, WithCacheSize, ...) configure the serving runtime; the
 	// defaults are fine here.
-	tuner := smat.NewTuner[float64](smat.HeuristicModel())
+	tuner := smat.NewTuner[float64](smat.DefaultModel())
 
 	// The paper's SMAT_dCSR_SpMV: y = A·x with automatic format selection.
 	// WithIterations tells the tuner how many SpMVs this matrix is expected

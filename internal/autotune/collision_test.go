@@ -120,7 +120,7 @@ func TestForcedSignatureCollision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		own, _ := features.Estimated(c.m, false) // ModelAlways tests no attribute
+		own, _ := features.Estimated(c.m)
 		for _, path := range []struct {
 			name  string
 			conf  float64

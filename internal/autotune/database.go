@@ -168,10 +168,11 @@ func (db *Database) Dataset(threads int) (*mining.Dataset, error) {
 	return ds, nil
 }
 
-// kernels is the per-format kernel the rows timed at threads were labeled
+// Kernels is the per-format kernel the rows timed at threads were labeled
 // with: the binding of the labeler that wrote them, one kernel per format.
-// Rows of one class that name two kernels for a format are an error.
-func (db *Database) kernels(threads int) (map[string]string, error) {
+// Rows of one class that name two kernels for a format are an error, and
+// TrainFromDatabase refuses them.
+func (db *Database) Kernels(threads int) (map[string]string, error) {
 	out := map[string]string{}
 	for i := range db.Records {
 		rec := &db.Records[i]
@@ -219,7 +220,7 @@ func TrainFromDatabase(db *Database) (*TrainResult, error) {
 			TailoredRules: len(tailored.Rules),
 			TrainAccuracy: tailored.Accuracy(ds),
 		})
-		kmap, err := db.kernels(threads)
+		kmap, err := db.Kernels(threads)
 		if err != nil {
 			return nil, err
 		}

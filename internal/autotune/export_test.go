@@ -21,9 +21,9 @@ func PlantStructure[T matrix.Float](t *Tuner[T], under, of *matrix.CSR[T], rowsO
 	if err != nil {
 		panic(err)
 	}
-	ft, s := features.Estimated(of, t.settle)
+	ft, s := features.Estimated(of)
 	if !rowsOnly {
-		matrix.ScanColumns(of, s)
+		s = matrix.Scan(of)
 	}
 	t.cache.rememberStructure(structureKey{sig: sig, rows: under.Rows, cols: under.Cols, nnz: under.NNZ()},
 		&structureRecord{features: ft, layout: s.Layout})
@@ -38,10 +38,6 @@ func Picks(model *Model, threads int, ft *features.Features) (pick matrix.Format
 	pick, _, confident = t.predict(ft)
 	return pick, confident, t.contenders(ft, min(fallbackMaxFill, model.MaxFill))
 }
-
-// Settles reports whether a tuner at threads running model settles with the
-// column pass what the diagonal sample leaves unsure (features.Estimated).
-func Settles(model *Model, threads int) bool { return tests(model.Class(threads), "NTdiags_ratio") }
 
 // ServedMat is the representation the operator serves, for tests that hold
 // two tunes' conversions to the same bits.

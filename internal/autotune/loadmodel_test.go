@@ -6,10 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 
-	"smat"
 	"smat/internal/autotune"
+	"smat/internal/features"
 	"smat/internal/gen"
 	"smat/internal/matrix"
 )
@@ -61,17 +62,54 @@ func TestLoadModelRejectsOutOfRangeIndices(t *testing.T) {
 	}
 }
 
+// ntdiagsModel is a hand-written model file whose one rule tests
+// NTdiags_ratio, which no trained model does (DefaultTree weighs it 0).
+const ntdiagsModel = `{"version": 2, "confidence_threshold": 0.85, "classes": [{"threads": 1, "ruleset": {
+	"attr_names": ["M", "N", "NNZ", "aver_RD", "max_RD", "var_RD", "Ndiags", "NTdiags_ratio", "ER_DIA", "ER_ELL", "R"],
+	"class_names": ["CSR", "COO", "DIA", "ELL"],
+	"rules": [{"conds": [{"attr": 7, "op": 1, "threshold": 0.85}], "class": 2, "confidence": 0.93}],
+	"default": 0}}]}`
+
+// TestModelTestingNTdiagsRatioRunsOnTheSample: a model file that tests
+// NTdiags_ratio loads, and its tuner decides on the sampled ratio
+// (features.Estimated): a band the sample finds all true is picked as DIA; a
+// matrix whose sampled ratio is below the rule's threshold is not.
+func TestModelTestingNTdiagsRatioRunsOnTheSample(t *testing.T) {
+	model, err := autotune.LoadModel(strings.NewReader(ntdiagsModel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuner := autotune.New[float64](model, autotune.Config{Threads: 1, CacheSize: -1})
+	defer tuner.Close()
+	for _, c := range []struct {
+		name string
+		m    *matrix.CSR[float64]
+		dia  bool
+	}{
+		{"band", gen.MultiDiagonal[float64](3000, []int{-2, -1, 0, 1, 2}, rand.New(rand.NewSource(1))), true},
+		{"random", gen.RandomUniform[float64](3000, 3000, 8, rand.New(rand.NewSource(2))), false},
+	} {
+		_, d, err := tuner.Tune(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, _ := features.Estimated(c.m)
+		if d.Features != est {
+			t.Errorf("%s: the tune decided on %+v, not the sampled record %+v", c.name, d.Features, est)
+		}
+		if got := d.PredictedOK && d.Predicted == matrix.FormatDIA; got != c.dia {
+			t.Errorf("%s: sampled NTdiags_ratio %v, picked DIA %v, want %v", c.name, est.NTdiagsRatio, got, c.dia)
+		}
+	}
+}
+
 // FuzzLoadModel: whatever LoadModel accepts tunes without panicking, and the
 // operator it yields computes the CSR product.
 func FuzzLoadModel(f *testing.F) {
 	f.Add(shippedModel(f))
 	// A class naming a retired kernel, which LoadModel rejects.
 	f.Add(bytes.Replace(shippedModel(f), []byte(`"csr_parallel_nnz_unroll4"`), []byte(`"csr_parallel_nnz_u8"`), 1))
-	var heuristic bytes.Buffer
-	if err := smat.HeuristicModel().Save(&heuristic); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(heuristic.Bytes())
+	f.Add([]byte(ntdiagsModel))
 
 	inputs := []*matrix.CSR[float64]{
 		gen.Laplacian2D5pt[float64](12, 12),

@@ -352,10 +352,6 @@ type Tuner[T matrix.Float] struct {
 	// bound is the kernel every bind site uses for a format: the class's
 	// pick (see resolveKernel).
 	bound map[matrix.Format]*kernels.Kernel[T]
-	// settle is set when the class's ruleset tests NTdiags_ratio: extract
-	// then has the column pass settle what the sample cannot
-	// (features.Estimated).
-	settle bool
 
 	// DIA conversions that tallied their diagonals, execute-and-measure
 	// selections, those whose measured winner was the ruleset's best guess
@@ -393,7 +389,6 @@ func New[T matrix.Float](model *Model, cfg Config) *Tuner[T] {
 		lib:     lib,
 		threads: threads,
 		bound:   resolveKernels(class, lib),
-		settle:  tests(class, "NTdiags_ratio"),
 		// The persistent worker pool resolves the effective thread count
 		// once, here; every operator the tuner produces shares it.
 		pool: kernels.NewPool[T](threads),
@@ -402,18 +397,6 @@ func New[T matrix.Float](model *Model, cfg Config) *Tuner[T] {
 		measure: MeasureOptions{MinTime: 200 * time.Microsecond, Trials: 1},
 		cache:   cache,
 	}
-}
-
-// tests reports whether class's ruleset has a condition on the attribute.
-func tests(class *ModelClass, attr string) bool {
-	for _, r := range class.Ruleset.Rules {
-		for _, c := range r.Conds {
-			if features.AttributeNames[c.Attr] == attr {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Threads returns the tuner's thread configuration.

@@ -160,7 +160,7 @@ func TestConcurrentTuneSingleflightOnTuner(t *testing.T) {
 	// same entry. No call tallies a diagonal: nothing converts to DIA.
 	const goroutines = 32
 	base := gen.RandomUniform[float64](1200, 1200, 6, rand.New(rand.NewSource(100)))
-	base0, _ := features.Estimated(base, false) // modelAlways tests no attribute
+	base0, _ := features.Estimated(base)
 	for _, c := range []struct {
 		model *Model
 		sign  bool

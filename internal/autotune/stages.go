@@ -110,7 +110,7 @@ func (tn *tuning[T]) read(recall bool) {
 	start := time.Now()
 	tn.base.StructureHit = recall && tn.recall()
 	if !tn.base.StructureHit {
-		ft, s := features.Estimated(tn.m, tn.t.settle)
+		ft, s := features.Estimated(tn.m)
 		tn.adopt(&structureRecord{features: ft, layout: s.Layout})
 		tn.t.remember(tn.key, tn.rec)
 	}
@@ -166,7 +166,7 @@ func (t *Tuner[T]) learn(k structureKey, m *matrix.CSR[T], rec *structureRecord,
 	next := *rec
 	var err error
 	if recalled {
-		if ft, s := features.Estimated(m, t.settle); ft != rec.features {
+		if ft, s := features.Estimated(m); ft != rec.features {
 			next, err = structureRecord{features: ft, layout: s.Layout}, matrix.ErrStructureMismatch
 		}
 	}

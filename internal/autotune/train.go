@@ -130,22 +130,27 @@ var labelKernels = KernelChoice{
 	matrix.FormatELL: "ell_width_parallel",
 }
 
-// columnPassWeight scales the gain ratio of the three attributes only a
-// column pass counts (Ndiags, NTdiags_ratio, ER_DIA) when the tree picks a
-// split: the runtime estimates them from a sample (features.Estimated), so a
-// diagonal split has to be that much more informative to be taken than one
-// on the exact row attributes.
+// columnPassWeight scales the gain ratio of Ndiags and ER_DIA, two of the
+// three attributes only a column pass counts, when the tree picks a split: the
+// runtime estimates them from a sample (features.Estimated), so a diagonal
+// split has to be that much more informative to be taken than one on the
+// exact row attributes.
 const columnPassWeight = 0.3
 
-// DefaultTree is the tree configuration training induces with: the
-// column-pass attributes weighted by columnPassWeight.
+// DefaultTree is the tree configuration training induces with: Ndiags and
+// ER_DIA weighted by columnPassWeight, and NTdiags_ratio by 0, so no trained
+// ruleset tests NTdiags_ratio: the sample reads Ndiags exactly on every band
+// and stencil, but may read the ratio low on one whose diagonals it crosses
+// in few rows.
 func DefaultTree() mining.TreeConfig {
 	w := make([]float64, len(features.AttributeNames))
 	for i, name := range features.AttributeNames {
 		w[i] = 1
 		switch name {
-		case "Ndiags", "NTdiags_ratio", "ER_DIA":
+		case "Ndiags", "ER_DIA":
 			w[i] = columnPassWeight
+		case "NTdiags_ratio":
+			w[i] = 0
 		}
 	}
 	return mining.TreeConfig{AttrWeights: w}
@@ -265,7 +270,9 @@ func (m *Model) Save(w io.Writer) error {
 // LoadModel reads a model written by Save and validates it: the current
 // schema, at least one class, distinct positive thread counts, kernels each
 // registered for the basic format they are named for, and rulesets over the
-// four basic formats and the Table 2 attributes.
+// four basic formats and the Table 2 attributes. A ruleset that tests
+// NTdiags_ratio, which training never writes (DefaultTree), loads, and runs on
+// the ratio the runtime samples (features.Estimated).
 func LoadModel(r io.Reader) (*Model, error) {
 	var m Model
 	if err := json.NewDecoder(r).Decode(&m); err != nil {

@@ -25,8 +25,8 @@ type Config struct {
 	// Threads is "platform A" (default GOMAXPROCS); ThreadsB is "platform
 	// B", the second architecture configuration (default half of A, min 1).
 	Threads, ThreadsB int
-	// Model drives SMAT decisions (required; cmd/smat-bench loads a trained
-	// model or falls back to the heuristic one).
+	// Model drives SMAT decisions (required; cmd/smat-bench loads -model, or
+	// the built-in model.json without it).
 	Model *autotune.Model
 	// Baseline, when set, is a second model the selection experiment
 	// evaluates beside Model; Database, when set, the feature database its

@@ -17,7 +17,7 @@ func fastCfg(out *bytes.Buffer) Config {
 	return Config{
 		Scale:   0.02,
 		Threads: 2,
-		Model:   smat.HeuristicModel(),
+		Model:   smat.DefaultModel(),
 		Measure: autotune.MeasureOptions{MinTime: 50 * time.Microsecond, Trials: 1},
 		Stride:  101,
 		Seed:    3,

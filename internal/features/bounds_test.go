@@ -21,16 +21,15 @@ func rowPassBound(f features.Features) int {
 // sample, the runtime record (Estimated) is the exact one (Extract) in every
 // row parameter, and its diagonal estimate lies between what the row pass
 // proves and the tally: Ndiags never above the tally's, so ER_DIA never below
-// it, and never above ER_ELL; NTdiags_ratio a ratio. A record that tallied its
-// diagonals — the sample left the ratio unsettled — is the exact one. Its row
-// pass is the scan's, bit for bit.
+// it, and never above ER_ELL; NTdiags_ratio a ratio. Its row pass is the
+// scan's, bit for bit, and lists no diagonals.
 func TestRowPassBoundsTheDiagonalFeatures(t *testing.T) {
 	tight := 0
 	for name, m := range sample(t, 10) {
 		full := features.Extract(m)
-		est, s := features.Estimated(m, true)
-		if s.DiagOffsets != nil && est != full {
-			t.Errorf("%s: the runtime record tallied its diagonals, and is\n %+v\n not %+v", name, est, full)
+		est, s := features.Estimated(m)
+		if s.DiagOffsets != nil || s.DiagCounts != nil {
+			t.Errorf("%s: the runtime record tallied its diagonals", name)
 		}
 		rows := full
 		rows.Ndiags, rows.NTdiagsRatio, rows.ERDIA = est.Ndiags, est.NTdiagsRatio, est.ERDIA
@@ -44,7 +43,6 @@ func TestRowPassBoundsTheDiagonalFeatures(t *testing.T) {
 		if est.Ndiags == full.Ndiags {
 			tight++
 		}
-		s.DiagOffsets, s.DiagCounts = nil, nil
 		if scan := matrix.Scan(m); s.Layout.Rows != scan.Rows || s.MaxDeg != scan.MaxDeg || s.SumDeg2 != scan.SumDeg2 || len(s.DegHist) != len(scan.DegHist) {
 			t.Errorf("%s: the runtime row pass differs from the scan's", name)
 		}
@@ -60,11 +58,13 @@ func sharesDiagonals(m *matrix.CSR[float64], exact int) bool {
 	return m.MaxRowDegree() == exact
 }
 
-// TestEstimateExactOnBandsAndStencils: the estimated diagonal parameters —
-// Ndiags, with it ER_DIA, and NTdiags_ratio — are the tally's on every banded
-// and stencil generator input, at the benchmark workloads' sizes among
-// others, and on every oracle structure whose rows share their diagonals or
-// whose entries the sample reads whole.
+// TestEstimateExactOnBandsAndStencils: the estimated Ndiags, and with it
+// ER_DIA, are the tally's on every banded and stencil generator input, at the
+// benchmark workloads' sizes among others, and on every oracle structure whose
+// rows share their diagonals or whose entries the sample reads whole. The
+// estimated NTdiags_ratio is the tally's where the sample reads every entry
+// (NNZ ≤ DiagSample); elsewhere a diagonal the sample crosses in few rows may
+// read below its occupancy, as lap3d7/5x9x4's boundary diagonals do.
 func TestEstimateExactOnBandsAndStencils(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	band := func(k int) []int {
@@ -111,13 +111,21 @@ func TestEstimateExactOnBandsAndStencils(t *testing.T) {
 			inputs["oracle/"+spec.Name] = m
 		}
 	}
+	whole := 0
 	for name, m := range inputs {
 		full := features.Extract(m)
-		est, _ := features.Estimated(m, true)
-		if est.Ndiags != full.Ndiags || est.ERDIA != full.ERDIA || est.NTdiagsRatio != full.NTdiagsRatio {
+		est, _ := features.Estimated(m)
+		read := m.NNZ() <= matrix.DiagSample
+		if est.Ndiags != full.Ndiags || est.ERDIA != full.ERDIA || read && est.NTdiagsRatio != full.NTdiagsRatio {
 			t.Errorf("%s: estimated Ndiags %d ER_DIA %v NTdiags_ratio %v, tally %d %v %v", name,
 				est.Ndiags, est.ERDIA, est.NTdiagsRatio, full.Ndiags, full.ERDIA, full.NTdiagsRatio)
 		}
+		if read {
+			whole++
+		}
+	}
+	if whole == 0 {
+		t.Error("no input is read whole: NTdiags_ratio's exactness goes unchecked")
 	}
 }
 
@@ -126,7 +134,7 @@ func TestEstimateExactOnBandsAndStencils(t *testing.T) {
 func TestEstimateAllocatesNothing(t *testing.T) {
 	for name, m := range sample(t, 40) {
 		ft := features.FromStructure(matrix.ScanRows(m))
-		if allocs := testing.AllocsPerRun(10, func() { _ = ft.Estimate(matrix.SampleDiagonals(m, features.TrueDiagOccupancy)) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { ft.Estimate(matrix.SampleDiagonals(m, features.TrueDiagOccupancy)) }); allocs != 0 {
 			t.Errorf("%s: the estimate allocates %v times", name, allocs)
 		}
 	}

@@ -172,17 +172,11 @@ func Extract[T matrix.Float](m *matrix.CSR[T]) Features {
 // row parameters — M, N, NNZ, aver_RD, max_RD, var_RD, ER_ELL and R — exact,
 // from one pass over RowPtr (matrix.ScanRows), which reads no column index;
 // the three diagonal ones estimated from a bounded sample of the entries
-// (matrix.SampleDiagonals, Estimate). Where the sample cannot settle
-// NTdiags_ratio and settle asks for it, the column pass tallies the diagonals
-// (matrix.ScanColumns) and the three are exact; the structure then lists
-// them.
-func Estimated[T matrix.Float](m *matrix.CSR[T], settle bool) (Features, *matrix.Structure) {
+// (matrix.SampleDiagonals, Estimate). The structure lists no diagonals.
+func Estimated[T matrix.Float](m *matrix.CSR[T]) (Features, *matrix.Structure) {
 	s := matrix.ScanRows(m)
 	f := FromStructure(s)
-	if !f.Estimate(matrix.SampleDiagonals(m, TrueDiagOccupancy)) && settle {
-		matrix.ScanColumns(m, s)
-		f.Diagonals(s)
-	}
+	f.Estimate(matrix.SampleDiagonals(m, TrueDiagOccupancy))
 	return f, s
 }
 
@@ -193,7 +187,7 @@ func Estimated[T matrix.Float](m *matrix.CSR[T], settle bool) (Features, *matrix
 // tally. Every sum runs in a fixed order, so equal structures give
 // bit-identical features. A record of the row pass alone (matrix.ScanRows) has
 // no tally: Ndiags, NTdiags_ratio and ER_DIA are then left zero, for Estimate
-// or Diagonals to fill in.
+// to fill in.
 func FromStructure(s *matrix.Structure) Features {
 	f := Features{M: s.Rows, N: s.Cols, NNZ: s.NNZ, R: RNone}
 	if s.Rows == 0 {
@@ -206,16 +200,9 @@ func FromStructure(s *matrix.Structure) Features {
 		f.ERELL = float64(f.NNZ) / (f.MaxRD * float64(f.M))
 	}
 	f.R = PowerLawExponent(s.DegHist)
-	f.Diagonals(s)
-	return f
-}
-
-// Diagonals sets the three parameters only the column pass determines, from
-// the tally of s, the structure the rest of f came from.
-func (f *Features) Diagonals(s *matrix.Structure) {
 	f.Ndiags = len(s.DiagOffsets)
 	if f.Ndiags == 0 {
-		return
+		return f
 	}
 	trueDiags := 0
 	for i, off := range s.DiagOffsets {
@@ -225,6 +212,7 @@ func (f *Features) Diagonals(s *matrix.Structure) {
 	}
 	f.NTdiagsRatio = float64(trueDiags) / float64(f.Ndiags)
 	f.ERDIA = erDIA(f.NNZ, f.Ndiags, f.M)
+	return f
 }
 
 func erDIA(nnz, ndiags, m int) float64 { return float64(nnz) / (float64(ndiags) * float64(m)) }
@@ -239,17 +227,15 @@ func erDIA(nnz, ndiags, m int) float64 { return float64(nnz) / (float64(ndiags) 
 // — bands and stencils — and on every matrix the sample reads whole. ER_DIA
 // is its formula at that Ndiags, so never below the tally's; NTdiags_ratio is
 // the diagonals the sample found true over Ndiags, one it missed counting as
-// not true. Estimate reports whether that ratio is settled: the sample is
-// unsure of at most a tenth of Ndiags.
-func (f *Features) Estimate(ds matrix.DiagonalSample) (settled bool) {
+// not true.
+func (f *Features) Estimate(ds matrix.DiagonalSample) {
 	if f.NNZ == 0 {
-		return true
+		return
 	}
 	side := min(f.M, f.N)
 	f.Ndiags = max(ds.Diags, int(f.MaxRD), (f.NNZ+side-1)/side)
 	f.ERDIA = erDIA(f.NNZ, f.Ndiags, f.M)
 	f.NTdiagsRatio = float64(ds.True) / float64(f.Ndiags)
-	return 10*ds.Unsure <= f.Ndiags
 }
 
 // diagLength is the number of in-matrix positions on the diagonal with the

@@ -108,7 +108,7 @@ func FuzzBandProof(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := decodeBand(t, data)
 		exact := len(matrix.Scan(m).DiagOffsets)
-		est, _ := features.Estimated(m, true)
+		est, _ := features.Estimated(m)
 		bound := rowPassBound(est)
 		if est.NNZ > 0 && (est.Ndiags < bound || est.Ndiags > exact) {
 			t.Fatalf("%d×%d, %d entries: estimated %d diagonals, row pass bound %d, tally %d", m.Rows, m.Cols, m.NNZ(), est.Ndiags, bound, exact)

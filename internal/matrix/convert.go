@@ -289,7 +289,7 @@ func (m *CSR[T]) ToDIA(maxFillRatio float64) (*DIA[T], error) {
 // sp. A record that lists the diagonals (Scan's, or one that kept a DIA's
 // offsets) makes the fill guard arithmetic, and the matrix is read once, to
 // place its values. A record of the row pass alone lists none: the
-// conversion then tallies them first — the column pass, ScanColumns — and the
+// conversion then tallies them first — Scan's column pass — and the
 // fill guard rejects from the tally, before the values are allocated. A
 // listed record is checked as it is used — every entry must fall on a listed
 // diagonal and every listed diagonal must receive one — so a record of

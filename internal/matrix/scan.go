@@ -28,7 +28,7 @@ type Layout struct {
 
 // Structure is what a scan of a CSR matrix learns about its sparsity pattern,
 // in two passes: the row pass (ScanRows, O(rows), RowPtr alone) the
-// row-degree distribution, the column pass (ScanColumns, O(nnz)) the diagonal
+// row-degree distribution, the column pass (Scan, O(nnz)) the diagonal
 // tally. The paper's Table 2 features are arithmetic on the record
 // (features.FromStructure), and its Layout shapes the DIA and ELL conversions
 // and their fill guards. A Structure describes exactly the matrix it was
@@ -46,10 +46,12 @@ type Structure struct {
 	DiagCounts []int32
 }
 
-// Scan reads the sparsity pattern of m once: both passes, back to back.
+// Scan reads the sparsity pattern of m once: the row pass, then the column
+// pass, which tallies the entries per diagonal into DiagOffsets and
+// DiagCounts.
 func Scan[T Float](m *CSR[T]) *Structure {
 	s := ScanRows(m)
-	ScanColumns(m, s)
+	s.DiagOffsets, s.DiagCounts = m.tally()
 	return s
 }
 
@@ -100,12 +102,6 @@ func ScanRows[T Float](m *CSR[T]) *Structure {
 		}
 	}
 	return s
-}
-
-// ScanColumns is the column pass over m, which s = ScanRows(m) describes: it
-// tallies the entries per diagonal into s.DiagOffsets and s.DiagCounts.
-func ScanColumns[T Float](m *CSR[T], s *Structure) {
-	s.DiagOffsets, s.DiagCounts = m.tally()
 }
 
 // tally counts m's entries per diagonal: the occupied offsets in increasing
@@ -182,19 +178,17 @@ const sampleBits = 10
 const DiagSample = 1 << (sampleBits - 1)
 
 // DiagonalSample is what SampleDiagonals learns of a matrix's diagonals: the
-// distinct ones it met; the True ones, with an entry on at least the asked
-// occupancy of the sampled rows they cross; and the Unsure ones, met more
-// than once and within two binomial standard deviations of that occupancy.
-type DiagonalSample struct{ Diags, True, Unsure int }
+// distinct ones it met, and the True ones, with an entry on at least the asked
+// occupancy of the sampled rows they cross.
+type DiagonalSample struct{ Diags, True int }
 
 // SampleDiagonals samples the diagonals (column − row) of m from at most
 // DiagSample of its entries: whole rows, one from each of as many equal
 // strata of the rows as DiagSample entries of rows of average length fill,
 // until the next would overrun the budget. A matrix of at most DiagSample
-// entries is read whole, so Diags and True are then the tally's and no
-// diagonal is Unsure. It is a fixed function of m's pattern, and allocates
-// nothing: the offsets and their entry counts go into a fixed-size
-// open-addressing set.
+// entries is read whole, so Diags and True are then the tally's. It is a
+// fixed function of m's pattern, and allocates nothing: the offsets and their
+// entry counts go into a fixed-size open-addressing set.
 func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 	var ds DiagonalSample
 	nnz := m.NNZ()
@@ -202,9 +196,9 @@ func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 		return ds
 	}
 	rows := min(m.Rows, (DiagSample*m.Rows+nnz-1)/nnz)
-	// A diagonal met once that crosses more than three strata of rows is
-	// neither true nor unsure: in slot terms (offset + Rows), one in [long,
-	// longHi]. The slots of the others go in check.
+	// A diagonal met once that crosses more than three strata of rows is not
+	// true: in slot terms (offset + Rows), one in [long, longHi]. The slots of
+	// the others go in check.
 	long := 3*m.Rows/rows + 1
 	longHi := m.Rows + m.Cols - long
 	if min(m.Rows, m.Cols) < long {
@@ -260,9 +254,6 @@ func SampleDiagonals[T Float](m *CSR[T], occupancy float64) DiagonalSample {
 		hit, crossed := float64(hits[h]), above(min(m.Rows, m.Cols-off))-above(max(0, -off))
 		if hit >= occupancy*crossed {
 			ds.True++
-		}
-		if read < m.Rows && hit > 1 && math.Abs(hit-occupancy*crossed) <= 2*math.Sqrt(occupancy*(1-occupancy)*crossed) {
-			ds.Unsure++
 		}
 	}
 	return ds

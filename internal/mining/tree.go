@@ -19,7 +19,8 @@ type TreeConfig struct {
 	PruneCF float64
 	// AttrWeights, when set, holds one weight per attribute that scales its
 	// gain ratio in split selection (nil: all 1): an attribute that costs
-	// more to compute wins a split only by being that much more informative.
+	// more to compute wins a split only by being that much more informative,
+	// and one weighted 0 never does.
 	AttrWeights []float64
 }
 

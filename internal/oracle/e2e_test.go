@@ -13,7 +13,7 @@ import (
 // format and kernel the tuner picks — must agree with a float64 reference
 // accumulated straight off the coordinate triples.
 func TestTunerDifferentialAgainstReference(t *testing.T) {
-	tn := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(3))
+	tn := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(3))
 	defer tn.Close()
 
 	for _, s := range oracle.Specs() {

@@ -1,6 +1,7 @@
 package smat
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -9,6 +10,35 @@ import (
 	"smat/internal/matrix"
 )
 
+// TestDefaultModelIsShipped: DefaultModel is model.json, byte for byte once
+// saved, and each call's model is its own: a change to one is not seen by the
+// next call.
+func TestDefaultModelIsShipped(t *testing.T) {
+	saved := func(m *Model) []byte {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	file, err := LoadModelFile("model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := saved(file)
+	m := DefaultModel()
+	if !bytes.Equal(saved(m), want) {
+		t.Fatal("DefaultModel saves to other bytes than model.json")
+	}
+	m.ConfidenceThreshold = 0.5
+	m.Classes[0].Kernels[FormatCSR.String()] = "csr_serial"
+	m.Classes[0].Ruleset.Rules[0].Confidence = 0
+	m.Classes[0].Ruleset.Rules[0].Conds[0].Threshold++
+	if !bytes.Equal(saved(DefaultModel()), want) {
+		t.Error("a change to one DefaultModel is seen by the next call")
+	}
+}
+
 func TestLoadModelFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.json")
@@ -16,7 +46,7 @@ func TestLoadModelFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := HeuristicModel().Save(f); err != nil {
+	if err := DefaultModel().Save(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -24,7 +54,7 @@ func TestLoadModelFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Classes[0].Ruleset.Rules) != len(HeuristicModel().Classes[0].Ruleset.Rules) {
+	if len(m.Classes[0].Ruleset.Rules) != len(DefaultModel().Classes[0].Ruleset.Rules) {
 		t.Error("loaded model differs")
 	}
 	if _, err := LoadModelFile(filepath.Join(dir, "missing.json")); err == nil {
@@ -32,8 +62,8 @@ func TestLoadModelFile(t *testing.T) {
 	}
 }
 
-func TestHeuristicModelIsValid(t *testing.T) {
-	m := HeuristicModel()
+func TestDefaultModelIsValid(t *testing.T) {
+	m := DefaultModel()
 	if m.ConfidenceThreshold <= 0 || m.ConfidenceThreshold > 1 {
 		t.Errorf("threshold %g", m.ConfidenceThreshold)
 	}
@@ -48,30 +78,31 @@ func TestHeuristicModelIsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.KernelName() != m.Classes[0].Kernels[FormatDIA.String()] {
-		t.Errorf("kernel %q, want the model's DIA choice %q",
-			op.KernelName(), m.Classes[0].Kernels[FormatDIA.String()])
+	if want := m.Class(1).Kernels[FormatDIA.String()]; op.KernelName() != want {
+		t.Errorf("kernel %q, want the model's DIA choice %q", op.KernelName(), want)
 	}
 	// Rule classes must be within the four basic formats.
-	for i, r := range m.Classes[0].Ruleset.Rules {
-		if r.Class < 0 || r.Class > int(matrix.FormatELL) {
-			t.Errorf("rule %d class %d outside basic formats", i, r.Class)
+	for _, c := range m.Classes {
+		for i, r := range c.Ruleset.Rules {
+			if r.Class < 0 || r.Class > int(matrix.FormatELL) {
+				t.Errorf("%d threads: rule %d class %d outside basic formats", c.Threads, i, r.Class)
+			}
 		}
 	}
 }
 
 func TestTunerThreadsClamped(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(10000))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(10000))
 	if tuner.Threads() < 1 {
 		t.Error("threads < 1")
 	}
 }
 
 // TestDefaultThreadsAreGOMAXPROCS: a tuner built without WithThreads runs at
-// GOMAXPROCS, whatever thread counts its model was trained at — the heuristic
-// model's one class is trained at one thread, and runs at every count.
+// GOMAXPROCS, whatever thread counts its model was trained at — the shipped
+// model's classes are trained at one and two threads, and run at every count.
 func TestDefaultThreadsAreGOMAXPROCS(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel())
+	tuner := NewTuner[float64](DefaultModel())
 	defer tuner.Close()
 	if got, want := tuner.Threads(), runtime.GOMAXPROCS(0); got != want {
 		t.Errorf("default tuner runs at %d threads, want GOMAXPROCS = %d", got, want)
@@ -79,7 +110,7 @@ func TestDefaultThreadsAreGOMAXPROCS(t *testing.T) {
 }
 
 func TestOperatorAccessors(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(1))
 	a, err := FromEntries(50, 50, diagEntries(50))
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func tridiag(t *testing.T, n int) *Matrix[float64] {
 // TestWithIterationsRejection: an iteration hint of zero or less is an error
 // from the call carrying it — on Tune and on both SpMV entry points.
 func TestWithIterationsRejection(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(1))
 	defer tuner.Close()
 	a := tridiag(t, 50)
 	x := make([]float64, 50)
@@ -45,7 +45,7 @@ func TestWithIterationsRejection(t *testing.T) {
 // the requested format inline, including for a format the model would never
 // pick for this structure.
 func TestWithFormatHintPinsFormat(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tuner.Close()
 	a := tridiag(t, 500)
 	for _, f := range []Format{FormatCSR, FormatCOO, FormatDIA} {
@@ -67,7 +67,7 @@ func TestWithFormatHintPinsFormat(t *testing.T) {
 // carrying WithIterations is weighed against its hint, and WithFormatHint
 // beats WithIterations: the hinted format serves, with no break-even weighed.
 func TestOptionPrecedence(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(1))
 	defer tuner.Close()
 	a := tridiag(t, 500)
 
@@ -100,7 +100,7 @@ func TestOptionPrecedence(t *testing.T) {
 // the effective options — changing them re-tunes instead of serving the
 // previous operator, and repeating them reuses the slot.
 func TestOptionKeyedHandleSlot(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(1))
 	defer tuner.Close()
 	a := tridiag(t, 500)
 	x := make([]float64, 500)
@@ -137,7 +137,7 @@ func TestOptionKeyedHandleSlot(t *testing.T) {
 // path — a short-lived matrix keeps computing correct products whatever the
 // break-even verdict was.
 func TestIterationHintServesCorrectly(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tuner.Close()
 	m := gen.MultiDiagonal[float64](1200, []int{-1, 0, 1}, rand.New(rand.NewSource(9)))
 	a := &Matrix[float64]{csr: m}

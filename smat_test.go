@@ -51,38 +51,8 @@ func TestNewCSRValidates(t *testing.T) {
 	}
 }
 
-func TestHeuristicModelRouting(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
-	cases := []struct {
-		name string
-		m    *matrix.CSR[float64]
-		want Format
-	}{
-		{"tridiagonal", gen.MultiDiagonal[float64](3000, []int{-1, 0, 1}, rand.New(rand.NewSource(1))), FormatDIA},
-		{"constant-degree", gen.ConstantDegree[float64](3000, 4, rand.New(rand.NewSource(2))), FormatELL},
-		{"power-law", gen.PreferentialAttachment[float64](4000, 3, rand.New(rand.NewSource(3))), FormatCOO},
-		{"irregular", gen.RandomUniform[float64](3000, 3000, 8, rand.New(rand.NewSource(4))), FormatCSR},
-	}
-	for _, tc := range cases {
-		a := &Matrix[float64]{csr: tc.m}
-		op, err := tuner.Tune(a)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		d := op.Decision()
-		if !d.PredictedOK {
-			t.Errorf("%s: heuristic model did not predict (fallback=%v chosen=%v)",
-				tc.name, d.UsedFallback, d.Chosen)
-			continue
-		}
-		if d.Predicted != tc.want {
-			t.Errorf("%s: predicted %v, want %v", tc.name, d.Predicted, tc.want)
-		}
-	}
-}
-
 func TestCSRSpMVCorrectnessProperty(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(2))
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows, cols := 1+rng.Intn(50), 1+rng.Intn(50)
@@ -117,7 +87,7 @@ func TestCSRSpMVCorrectnessProperty(t *testing.T) {
 }
 
 func TestCSRSpMVDimensionChecks(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(1))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(1))
 	a, err := FromEntries(3, 4, []Entry[float64]{{Row: 0, Col: 0, Val: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +101,7 @@ func TestCSRSpMVDimensionChecks(t *testing.T) {
 }
 
 func TestCSRSpMVCachesTuning(t *testing.T) {
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(2))
 	a, err := FromEntries(500, 500, diagEntries(500))
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +129,7 @@ func TestCSRSpMVCachesTuning(t *testing.T) {
 		t.Errorf("tuning not cached across calls: %d cache lookups", st.Hits+st.Misses)
 	}
 	// A different tuner must re-tune (atomically replacing the operator).
-	tuner2 := NewTuner[float64](HeuristicModel(), WithThreads(1))
+	tuner2 := NewTuner[float64](DefaultModel(), WithThreads(1))
 	if err := tuner2.CSRSpMV(a, x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +153,7 @@ func TestReadMatrixMarket(t *testing.T) {
 }
 
 func TestModelSaveLoadViaPublicAPI(t *testing.T) {
-	m := HeuristicModel()
+	m := DefaultModel()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -209,7 +179,7 @@ func TestMatrixFeatures(t *testing.T) {
 }
 
 func TestFloat32PublicAPI(t *testing.T) {
-	tuner := NewTuner[float32](HeuristicModel(), WithThreads(2))
+	tuner := NewTuner[float32](DefaultModel(), WithThreads(2))
 	var es []Entry[float32]
 	for i := 0; i < 100; i++ {
 		es = append(es, Entry[float32]{Row: i, Col: i, Val: 2})
@@ -239,7 +209,7 @@ func TestFloat32PublicAPI(t *testing.T) {
 func TestOperatorLendsPoolToSolvers(t *testing.T) {
 	var _ solve.Pooled = (*Operator[float64])(nil)
 	m := gen.Laplacian2D5pt[float64](100, 100) // 10000 unknowns: above the serial cutoff
-	tuner := NewTuner[float64](HeuristicModel(), WithThreads(2))
+	tuner := NewTuner[float64](DefaultModel(), WithThreads(2))
 	defer tuner.Close()
 	a, err := NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals)
 	if err != nil {

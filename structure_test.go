@@ -78,7 +78,7 @@ func serve(t *testing.T, tuner *smat.Tuner[float64], what string, rows, cols int
 // pattern's record keeps them: no later hit tallies.
 func TestResubmittedPatternSkipsTheScan(t *testing.T) {
 	for name, m := range templates() {
-		tuner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
+		tuner := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(2))
 		first := serve(t, tuner, name+": first", m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals)
 		if first.StructureHit || first.CacheHit {
 			t.Errorf("%s: first submission: structure hit %v, cache hit %v", name, first.StructureHit, first.CacheHit)
@@ -151,7 +151,7 @@ func TestResubmittedPatternSkipsTheScan(t *testing.T) {
 func TestStructureIndexFollowsTheCache(t *testing.T) {
 	m := templates()["band"]
 
-	off := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2), smat.WithCacheSize(0))
+	off := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(2), smat.WithCacheSize(0))
 	defer off.Close()
 	for i := 0; i < 3; i++ {
 		if d := serve(t, off, "no cache", m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals); d.StructureHit || d.CacheHit {
@@ -162,7 +162,7 @@ func TestStructureIndexFollowsTheCache(t *testing.T) {
 		t.Errorf("WithCacheSize(0): %d structure hits over %d patterns", st.StructureHits, st.Structures)
 	}
 
-	owner := smat.NewTuner[float64](smat.HeuristicModel(), smat.WithThreads(2))
+	owner := smat.NewTuner[float64](smat.DefaultModel(), smat.WithThreads(2))
 	defer owner.Close()
 
 	entries := make([]smat.Entry[float64], 0, m.NNZ())
