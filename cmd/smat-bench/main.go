@@ -4,10 +4,8 @@
 //
 //	smat-bench -experiment all [-model model.json] [-scale 0.25] [-stride 8]
 //
-// Experiments: table1, figure1, figure3, figure6, figure9, figure10,
-// table3, table4, ablation-threshold, ablation-tailoring,
-// ablation-features, ablation-scoreboard, extensions, steady (the
-// serial-vs-pooled cutoff sweep), batch, convert, solve, selection, all.
+// `smat-bench -h` lists the experiments -experiment accepts, in paper order,
+// from the same table the flag dispatches on (experimentTable).
 //
 // Every experiment has a machine-readable JSON artifact named
 // BENCH_<experiment>.json; pass -json-dir to write them. main_test.go checks
@@ -23,6 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,8 +53,7 @@ func experimentTable() []experiment {
 		{name: "table3", run: func(cfg bench.Config) (any, error) { return bench.Table3(cfg), nil }},
 		{name: "table4", run: func(cfg bench.Config) (any, error) { return bench.Table4(cfg) }},
 		{name: "ablation-threshold", run: func(cfg bench.Config) (any, error) { return bench.AblationThreshold(cfg, nil), nil }},
-		{name: "ablation-tailoring", run: func(cfg bench.Config) (any, error) { return bench.AblationTailoring(cfg) }},
-		{name: "ablation-features", run: func(cfg bench.Config) (any, error) { return bench.AblationFeatures(cfg) }},
+		{name: "ablation-rules", run: func(cfg bench.Config) (any, error) { return bench.AblationRules(cfg) }},
 		{name: "ablation-scoreboard", run: func(cfg bench.Config) (any, error) { return bench.AblationScoreboard(cfg), nil }},
 		{name: "extensions", run: func(cfg bench.Config) (any, error) { return bench.Extensions(cfg), nil }},
 		{name: "steady", run: func(cfg bench.Config) (any, error) { return bench.Steady(cfg), nil }},
@@ -70,8 +68,13 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("smat-bench: ")
 
+	table := experimentTable()
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
 	var (
-		experimentID = flag.String("experiment", "all", "experiment id (table1, figure1, figure3, figure6, figure9, figure10, table3, table4, ablation-*, extensions, steady, batch, convert, solve, selection, all)")
+		experimentID = flag.String("experiment", "all", "experiment to run: "+strings.Join(names, ", ")+" or all")
 		modelPath    = flag.String("model", "", "model JSON to load (default: the built-in model.json)")
 		scale        = flag.Float64("scale", 0.25, "workload size scale (0,1]")
 		stride       = flag.Int("stride", 8, "corpus sampling stride for corpus-wide experiments")
@@ -155,23 +158,14 @@ func main() {
 		fmt.Printf("(%s in %s)\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 
-	table := experimentTable()
-	switch *experimentID {
-	case "all":
-		for _, e := range table {
-			run(e)
-		}
-	default:
-		var names []string
-		for _, e := range table {
-			if e.name == *experimentID {
-				run(e)
-				return
-			}
-			names = append(names, e.name)
-		}
+	if *experimentID != "all" && !slices.Contains(names, *experimentID) {
 		log.Fatalf("unknown experiment %q; choose one of %s or all",
 			*experimentID, strings.Join(names, ", "))
+	}
+	for _, e := range table {
+		if *experimentID == "all" || e.name == *experimentID {
+			run(e)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	smat-train -out model.json [-scale 1] [-train-n 2055] [-threads 1,2] [-skip-search] [-fast]
+//	smat-train -out model.json [-scale 1] [-train-n N] [-threads 1,2] [-skip-search] [-fast]
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 	var (
 		out        = flag.String("out", "model.json", "output model path")
 		scale      = flag.Float64("scale", 1, "corpus matrix size scale (0,1]")
-		trainN     = flag.Int("train-n", 2055, "number of training matrices (paper: 2055)")
+		trainN     = flag.Int("train-n", corpus.TrainN, "number of training matrices (the paper's split)")
 		threads    = flag.String("threads", "", "comma-separated thread classes to train (default: 1 and min(GOMAXPROCS, 4))")
 		skipSearch = flag.Bool("skip-search", false, "label with the tuned partitioned kernels instead of running the kernel search")
 		seed       = flag.Int64("seed", 1, "corpus and split seed")

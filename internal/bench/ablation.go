@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"smat/internal/autotune"
 	"smat/internal/corpus"
@@ -27,58 +28,24 @@ type AblationThresholdRow struct {
 }
 
 // AblationThreshold evaluates the accuracy/overhead trade-off of the
-// confidence threshold on the sampled evaluation split.
+// confidence threshold on the sampled evaluation split: one copy of cfg.Model
+// per threshold, scored together (scoreHeldOut).
 func AblationThreshold(cfg Config, thresholds []float64) *AblationThresholdResult {
 	cfg = cfg.withDefaults()
 	if len(thresholds) == 0 {
 		thresholds = []float64{0.05, 0.25, 0.50, 0.75, 0.85, 0.95, 1.0}
 	}
-	c := corpus.New(cfg.Scale, cfg.Seed)
-	_, eval := c.Split(len(c.Entries)*6/7, cfg.Seed)
-	labeler := autotune.NewLabeler(cfg.choice(), cfg.Threads, cfg.Measure)
-
-	// Pre-label the sample once.
-	type sample struct {
-		m       *matrix.CSR[float64]
-		best    matrix.Format
-		unitSec float64 // one basic CSR-SpMV: the overhead unit
-	}
-	var samples []sample
-	for i, e := range eval {
-		if cfg.Stride > 1 && i%cfg.Stride != 0 {
-			continue
-		}
-		m := e.Matrix()
-		samples = append(samples, sample{m, labeler.Label(m).Best, csrUnitSec(m, cfg.Measure)})
-	}
-
-	res := &AblationThresholdResult{}
-	for _, th := range thresholds {
+	models := make([]*autotune.Model, len(thresholds))
+	for i, th := range thresholds {
 		model := *cfg.Model
 		model.ConfidenceThreshold = th
-		tuner := autotune.New[float64](&model, autotune.Config{Threads: cfg.Threads})
-		row := AblationThresholdRow{Threshold: th}
-		var ovSum float64
-		fallbacks := 0
-		right := 0
-		for _, s := range samples {
-			_, dec, err := tuner.Tune(s.m)
-			if err != nil {
-				continue
-			}
-			if dec.Chosen == s.best {
-				right++
-			}
-			if dec.UsedFallback {
-				fallbacks++
-			}
-			ovSum += overheadSpMV(dec, s.unitSec)
-			row.N++
-		}
-		if row.N > 0 {
-			row.Accuracy = float64(right) / float64(row.N)
-			row.FallbackRate = float64(fallbacks) / float64(row.N)
-			row.MeanOverhead = ovSum / float64(row.N)
+		models[i] = &model
+	}
+	res := &AblationThresholdResult{}
+	for i, s := range scoreHeldOut(cfg, cfg.Threads, models...) {
+		row := AblationThresholdRow{Threshold: thresholds[i], Accuracy: s.share(s.right), FallbackRate: s.share(s.fallbacks), N: s.n}
+		if s.n > 0 {
+			row.MeanOverhead = (s.predOverhead + s.fbOverhead) / float64(s.n)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -93,142 +60,104 @@ func AblationThreshold(cfg Config, thresholds []float64) *AblationThresholdResul
 	return res
 }
 
-// AblationTailoringResult compares the full extracted ruleset against the
-// tailored prefix (Section 6: the paper cuts 40 rules to 15 within 1%
-// accuracy).
-type AblationTailoringResult struct {
+// AblationRulesResult is the ruleset ablation, both halves from one training
+// run on the sampled training split, scored on the held-out split. Tailoring:
+// the full extracted ruleset against its tailored prefix (Section 6: the paper
+// cuts 40 rules to 15 within 1% accuracy). Features: the full ruleset against
+// one induced the same way from a dataset without the paper's two refinement
+// parameters (NTdiags_ratio, var_RD — the ones Section 4 adds after observing
+// ER_DIA/ER_ELL alone are too coarse). Training already weighs NTdiags_ratio 0
+// (autotune.DefaultTree), so no full ruleset tests it and dropping it alone
+// changes nothing: the difference is var_RD's.
+type AblationRulesResult struct {
 	FullRules, TailoredRules       int
 	FullAccuracy, TailoredAccuracy float64
+	ReducedAccuracy                float64
+	Dropped                        []string
 }
 
-// AblationTailoring trains a model on the sampled training split and
-// evaluates both rulesets on the sampled evaluation split.
-func AblationTailoring(cfg Config) (*AblationTailoringResult, error) {
+// ablationDropped are the attributes the feature half of AblationRules drops.
+var ablationDropped = []string{"NTdiags_ratio", "var_RD"}
+
+// AblationRules trains once on the sampled training split, labels the
+// held-out split with the kernels the training labels used, so both splits
+// share one ground truth, and compares the full, tailored and reduced
+// rulesets on it.
+func AblationRules(cfg Config) (*AblationRulesResult, error) {
 	cfg = cfg.withDefaults()
-	res, evalDS, err := trainForAblation(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cl := &res.Classes[0]
-	out := &AblationTailoringResult{
-		FullRules:        cl.FullRules,
-		TailoredRules:    cl.TailoredRules,
-		FullAccuracy:     cl.FullRuleset.Accuracy(evalDS),
-		TailoredAccuracy: res.Model.Classes[0].Ruleset.Accuracy(evalDS),
-	}
-	fmt.Fprintln(cfg.Out, "Ablation: rule tailoring")
-	t := &table{header: []string{"Ruleset", "Rules", "EvalAccuracy"}}
-	t.add("full", fmt.Sprint(out.FullRules), f2(100*out.FullAccuracy)+"%")
-	t.add("tailored", fmt.Sprint(out.TailoredRules), f2(100*out.TailoredAccuracy)+"%")
-	t.print(cfg.Out)
-	return out, nil
-}
-
-// AblationFeaturesResult measures the contribution of the paper's two
-// refinement parameters (NTdiags_ratio, var_RD — the ones Section 4 adds
-// after observing ER_DIA/ER_ELL alone are too coarse) by retraining without
-// them.
-type AblationFeaturesResult struct {
-	FullAccuracy    float64
-	ReducedAccuracy float64
-	Dropped         []string
-}
-
-// AblationFeatures trains once, then relearns on a dataset with the
-// refinement attributes removed and compares held-out accuracy.
-func AblationFeatures(cfg Config) (*AblationFeaturesResult, error) {
-	cfg = cfg.withDefaults()
-	res, evalDS, err := trainForAblation(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dropped := []string{"NTdiags_ratio", "var_RD"}
-	keep := make([]int, 0, len(features.AttributeNames))
-	var keptNames []string
-	for i, n := range features.AttributeNames {
-		isDropped := false
-		for _, d := range dropped {
-			if n == d {
-				isDropped = true
-				break
-			}
-		}
-		if !isDropped {
-			keep = append(keep, i)
-			keptNames = append(keptNames, n)
-		}
-	}
-	project := func(ds *mining.Dataset) *mining.Dataset {
-		out := &mining.Dataset{AttrNames: keptNames, ClassNames: ds.ClassNames}
-		for _, ex := range ds.Examples {
-			attrs := make([]float64, len(keep))
-			for j, idx := range keep {
-				attrs[j] = ex.Attrs[idx]
-			}
-			out.Examples = append(out.Examples, mining.Example{Attrs: attrs, Label: ex.Label})
-		}
-		return out
-	}
-	cl := &res.Classes[0]
-	redTrain := project(cl.Dataset)
-	redEval := project(evalDS)
-	tree, err := mining.BuildTree(redTrain, mining.TreeConfig{})
-	if err != nil {
-		return nil, err
-	}
-	reduced := mining.RulesFromTree(tree, redTrain)
-
-	out := &AblationFeaturesResult{
-		FullAccuracy:    cl.FullRuleset.Accuracy(evalDS),
-		ReducedAccuracy: reduced.Accuracy(redEval),
-		Dropped:         dropped,
-	}
-	fmt.Fprintln(cfg.Out, "Ablation: refinement features (drop NTdiags_ratio and var_RD)")
-	t := &table{header: []string{"Features", "EvalAccuracy"}}
-	t.add("all 11", f2(100*out.FullAccuracy)+"%")
-	t.add("without refinements", f2(100*out.ReducedAccuracy)+"%")
-	t.print(cfg.Out)
-	return out, nil
-}
-
-// trainForAblation trains on the sampled training split and labels the
-// sampled evaluation split into a held-out dataset.
-func trainForAblation(cfg Config) (*autotune.TrainResult, *mining.Dataset, error) {
-	c := corpus.New(cfg.Scale, cfg.Seed)
-	train, eval := c.Split(len(c.Entries)*6/7, cfg.Seed)
-	var trainSample []*corpus.Entry
-	for i, e := range train {
-		if cfg.Stride > 1 && i%cfg.Stride != 0 {
-			continue
-		}
-		trainSample = append(trainSample, e)
-	}
-	res, err := autotune.Train(trainSample, autotune.TrainConfig{
+	train, _ := corpus.New(cfg.Scale, cfg.Seed).Split(corpus.TrainN, cfg.Seed)
+	res, err := autotune.Train(every(train, cfg.Stride), autotune.TrainConfig{
 		Threads:          []int{cfg.Threads},
 		Measure:          cfg.Measure,
 		SkipKernelSearch: true,
 		Seed:             cfg.Seed,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// Label the held-out set with the kernels the training labels used, so
-	// both splits share one ground truth.
-	labeler := autotune.NewLabeler(res.Model.Classes[0].Choice(), cfg.Threads, cfg.Measure)
-	defer labeler.Close()
-	ds := res.Classes[0].Dataset
-	evalDS := &mining.Dataset{AttrNames: ds.AttrNames, ClassNames: ds.ClassNames}
-	for i, e := range eval {
-		if cfg.Stride > 1 && i%cfg.Stride != 0 {
-			continue
+	cl := &res.Classes[0]
+	evalDS := &mining.Dataset{AttrNames: cl.Dataset.AttrNames, ClassNames: cl.Dataset.ClassNames}
+	cfg.Model = res.Model
+	label(cfg, cfg.Threads, heldOut(cfg), func(_ *corpus.Entry, m *matrix.CSR[float64], lbl autotune.Label) {
+		f := features.Extract(m)
+		evalDS.Examples = append(evalDS.Examples, mining.Example{Attrs: f.Vector(), Label: int(lbl.Best)})
+	})
+	redTrain, treeCfg := withoutAttrs(cl.Dataset, ablationDropped)
+	redEval, _ := withoutAttrs(evalDS, ablationDropped)
+	reduced, err := induce(redTrain, treeCfg)
+	if err != nil {
+		return nil, err
+	}
+	out := &AblationRulesResult{
+		FullRules:        cl.FullRules,
+		TailoredRules:    cl.TailoredRules,
+		FullAccuracy:     cl.FullRuleset.Accuracy(evalDS),
+		TailoredAccuracy: res.Model.Classes[0].Ruleset.Accuracy(evalDS),
+		ReducedAccuracy:  reduced.Accuracy(redEval),
+		Dropped:          ablationDropped,
+	}
+	fmt.Fprintln(cfg.Out, "Ablation: rule tailoring and the refinement features (drop NTdiags_ratio and var_RD)")
+	t := &table{header: []string{"Ruleset", "Rules", "EvalAccuracy"}}
+	t.add("full", fmt.Sprint(out.FullRules), f2(100*out.FullAccuracy)+"%")
+	t.add("tailored", fmt.Sprint(out.TailoredRules), f2(100*out.TailoredAccuracy)+"%")
+	t.add("without refinements", fmt.Sprint(len(reduced.Rules)), f2(100*out.ReducedAccuracy)+"%")
+	t.print(cfg.Out)
+	return out, nil
+}
+
+// withoutAttrs returns ds, a dataset over features.AttributeNames, without
+// the dropped attributes, and the tree configuration training would induce on
+// it: DefaultTree's weights of the attributes kept.
+func withoutAttrs(ds *mining.Dataset, dropped []string) (*mining.Dataset, mining.TreeConfig) {
+	weights := autotune.DefaultTree().AttrWeights
+	out := &mining.Dataset{ClassNames: ds.ClassNames}
+	var cfg mining.TreeConfig
+	var keep []int
+	for i, n := range ds.AttrNames {
+		if !slices.Contains(dropped, n) {
+			keep = append(keep, i)
+			out.AttrNames = append(out.AttrNames, n)
+			cfg.AttrWeights = append(cfg.AttrWeights, weights[i])
 		}
-		m := e.Matrix()
-		evalDS.Examples = append(evalDS.Examples, mining.Example{
-			Attrs: featVec(m),
-			Label: int(labeler.Label(m).Best),
-		})
 	}
-	return res, evalDS, nil
+	for _, ex := range ds.Examples {
+		attrs := make([]float64, len(keep))
+		for j, i := range keep {
+			attrs[j] = ex.Attrs[i]
+		}
+		out.Examples = append(out.Examples, mining.Example{Attrs: attrs, Label: ex.Label})
+	}
+	return out, cfg
+}
+
+// induce is training's full ruleset on ds (autotune.TrainFromDatabase):
+// rules from the tree cfg grows, their conditions simplified.
+func induce(ds *mining.Dataset, cfg mining.TreeConfig) (*mining.Ruleset, error) {
+	tree, err := mining.BuildTree(ds, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return mining.RulesFromTree(tree, ds).SimplifyConditions(ds), nil
 }
 
 // AblationScoreboardResult compares, per format, the scoreboard-chosen
@@ -282,10 +211,4 @@ func AblationScoreboard(cfg Config) *AblationScoreboardResult {
 	fmt.Fprintln(cfg.Out, "Ablation: scoreboard kernel search vs exhaustive search vs basic kernels")
 	t.print(cfg.Out)
 	return res
-}
-
-// featVec extracts a matrix's feature vector.
-func featVec(m *matrix.CSR[float64]) []float64 {
-	f := features.Extract(m)
-	return f.Vector()
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"smat/internal/amg"
 	"smat/internal/autotune"
@@ -38,7 +37,8 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	labeler := autotune.NewLabeler(cfg.choice(), cfg.Threads, cfg.Measure)
+	labeler := autotune.NewLabeler(cfg.Model.Class(cfg.Threads).Choice(), cfg.Threads, cfg.Measure)
+	defer labeler.Close()
 	res := &Figure1Result{}
 	for li, lvl := range h.Levels {
 		lbl := labeler.Label(lvl.A)
@@ -164,21 +164,21 @@ func Table4(cfg Config) (*Table4Result, error) {
 		row.BaseIters = iters
 
 		tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
-		tuneStart := time.Now()
 		var formats []string
-		err = h.Bind(func(m *matrix.CSR[float64]) (amg.SpMV[float64], error) {
-			op, _, err := tuner.Tune(m)
-			if err != nil {
-				return nil, err
-			}
-			formats = append(formats, op.Format().String())
-			return op, nil
-		})
+		row.TuneMS = bestOfSec(1, func() {
+			err = h.Bind(func(m *matrix.CSR[float64]) (amg.SpMV[float64], error) {
+				op, _, err := tuner.Tune(m)
+				if err != nil {
+					return nil, err
+				}
+				formats = append(formats, op.Format().String())
+				return op, nil
+			})
+		}) * 1e3
 		if err != nil {
 			tuner.Close()
 			return nil, err
 		}
-		row.TuneMS = float64(time.Since(tuneStart).Microseconds()) / 1000
 		// Bind visits A, P, R per level; keep only the A formats (every
 		// third entry starting at 0 for non-coarsest levels, last is the
 		// coarsest A).

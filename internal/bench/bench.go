@@ -36,7 +36,7 @@ type Config struct {
 	// Measure controls timing windows.
 	Measure autotune.MeasureOptions
 	// Stride samples every k-th corpus entry in corpus-wide experiments
-	// (1 = all 2386).
+	// (1 = every entry).
 	Stride int
 	// Seed feeds workload generators.
 	Seed int64
@@ -66,26 +66,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// choice extracts the per-format kernel choice of the model's class for
-// c.Threads.
-func (c Config) choice() autotune.KernelChoice { return c.Model.Class(c.Threads).Choice() }
-
-// measureOperator times an already-tuned operator and returns GFLOPS.
-func measureOperator[T matrix.Float](op interface{ MulVec(x, y []T) }, cols, rows, nnz int,
-	m autotune.MeasureOptions) float64 {
-	x := make([]T, cols)
-	for i := range x {
-		x[i] = T(1) + T(i%7)/8
-	}
-	y := make([]T, rows)
-	sec := autotune.MeasureSecPerOp(func() { op.MulVec(x, y) }, m)
-	return autotune.GFLOPS(kernels.FLOPs(nnz), sec)
-}
-
 // bestOfSec runs f trials times (at least once) and returns the fastest
 // wall-clock seconds: the harness's one timer for work that is not repeated
-// inside a window (a solve, a tune plus k products). A forced GC before every
-// trial keeps garbage left by earlier cases (the Galerkin setups churn
+// inside a window (a solve, a tune, a tune plus k products). Work repeated
+// inside a window goes through autotune.MeasureSecPerOp, and the steady
+// cutoff's per-call medians through interleavedMedians. A forced GC before
+// every trial keeps garbage left by earlier cases (the Galerkin setups churn
 // through hundreds of MB) from being collected inside a later timing window.
 func bestOfSec(trials int, f func()) float64 {
 	best := math.Inf(1)

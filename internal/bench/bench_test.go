@@ -3,12 +3,14 @@ package bench
 import (
 	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"smat"
 	"smat/internal/autotune"
+	"smat/internal/corpus"
 	"smat/internal/matrix"
 )
 
@@ -231,24 +233,91 @@ func TestAblationScoreboard(t *testing.T) {
 	}
 }
 
-func TestAblationTailoringAndFeatures(t *testing.T) {
+func TestAblationRules(t *testing.T) {
 	var out bytes.Buffer
 	cfg := fastCfg(&out)
 	cfg.Stride = 151
-	tail, err := AblationTailoring(cfg)
+	res, err := AblationRules(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tail.TailoredRules > tail.FullRules {
+	if res.TailoredRules > res.FullRules {
 		t.Error("tailored ruleset larger than full")
 	}
-	feat, err := AblationFeatures(cfg)
+	for _, acc := range []float64{res.FullAccuracy, res.TailoredAccuracy, res.ReducedAccuracy} {
+		if acc < 0 || acc > 1 {
+			t.Errorf("accuracies out of range: %+v", res)
+		}
+	}
+}
+
+// TestInduceDroppingNothingIsTraining holds the feature ablation's reduced
+// pipeline to training's: with no attribute dropped it must reproduce each
+// class's full ruleset, so the ablation's difference is the attributes'.
+func TestInduceDroppingNothingIsTraining(t *testing.T) {
+	f, err := os.Open("../../features.db.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if feat.FullAccuracy < 0 || feat.FullAccuracy > 1 ||
-		feat.ReducedAccuracy < 0 || feat.ReducedAccuracy > 1 {
-		t.Errorf("accuracies out of range: %+v", feat)
+	db, err := autotune.LoadDatabase(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, err := autotune.TrainFromDatabase(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range trained.Classes {
+		ds, cfg := withoutAttrs(cl.Dataset, nil)
+		rs, err := induce(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rs.Accuracy(ds), cl.FullRuleset.Accuracy(cl.Dataset); got != want || len(rs.Rules) != cl.FullRules {
+			t.Errorf("%d threads: dropping nothing gives %d rules at %.4f training accuracy, training %d at %.4f",
+				cl.Threads, len(rs.Rules), got, cl.FullRules, want)
+		}
+	}
+}
+
+// TestHeldOutExcludesTraining checks that the held-out sample shares no entry
+// with the training half of the split smat-train labels.
+func TestHeldOutExcludesTraining(t *testing.T) {
+	cfg := fastCfg(nil).withDefaults()
+	train, _ := corpus.New(cfg.Scale, cfg.Seed).Split(corpus.TrainN, cfg.Seed)
+	trained := map[string]bool{}
+	for _, e := range train {
+		trained[e.Name] = true
+	}
+	for _, stride := range []int{1, 4, 16} {
+		cfg.Stride = stride
+		held := heldOut(cfg)
+		if want := (len(corpus.New(cfg.Scale, cfg.Seed).Entries) - corpus.TrainN + stride - 1) / stride; len(held) != want {
+			t.Errorf("stride %d: %d held-out entries, want %d", stride, len(held), want)
+		}
+		for _, e := range held {
+			if trained[e.Name] {
+				t.Errorf("stride %d: held-out entry %s is a training matrix", stride, e.Name)
+			}
+		}
+	}
+}
+
+func TestBatchBench(t *testing.T) {
+	var out bytes.Buffer
+	res := BatchBench(fastCfg(&out))
+	seen := map[string]int{}
+	for _, row := range res.Rows {
+		if row.SecPerOp <= 0 || row.PerVecGFLOPS <= 0 {
+			t.Errorf("%s k=%d: non-positive throughput %+v", row.Class, row.Width, row)
+		}
+		seen[row.Class]++
+	}
+	for _, class := range []string{"dia-affine", "ell-affine", "csr-affine", "coo-affine"} {
+		if seen[class] != len(batchWidths) {
+			t.Errorf("%s: %d rows, want one per width %v", class, seen[class], batchWidths)
+		}
 	}
 }
 

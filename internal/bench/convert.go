@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"smat"
 	"smat/internal/autotune"
@@ -117,27 +115,33 @@ func convertTimeToK(t *autotune.Tuner[float64], m *matrix.CSR[float64],
 // deferredTimeToK measures the deferred policy: the seconds from a fresh
 // handle's first unhinted CSRSpMV to its k-th, best of trials, on a tuner
 // without a decision cache, so that every trial leads; and the last trial's
-// decision after the k-th product. Wrapping the arrays in the handle is not
-// timed.
+// decision after the k-th product. The handles are wrapped before the trials,
+// untimed, and each is dropped after its trial, before the next one's
+// collection.
 func deferredTimeToK(t *smat.Tuner[float64], m *matrix.CSR[float64], k, trials int, x, y []float64) (float64, smat.Decision, error) {
-	best := math.Inf(1)
-	var d smat.Decision
-	for range max(trials, 1) {
-		a, err := smat.NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals)
-		if err != nil {
-			return 0, d, err
+	handles := make([]*smat.Matrix[float64], max(trials, 1))
+	var err error
+	for i := range handles {
+		if handles[i], err = smat.NewCSR(m.Rows, m.Cols, m.RowPtr, m.ColIdx, m.Vals); err != nil {
+			return 0, smat.Decision{}, err
 		}
-		runtime.GC()
-		start := time.Now()
-		for range k {
-			if err := t.CSRSpMV(a, x, y); err != nil {
-				return 0, d, err
-			}
-		}
-		best = min(best, time.Since(start).Seconds())
-		d = a.Operator().Decision()
 	}
-	return best, d, nil
+	var d smat.Decision
+	trial := 0
+	sec := bestOfSec(trials, func() {
+		a := handles[trial]
+		handles[trial], trial = nil, trial+1
+		for i := 0; i < k && err == nil; i++ {
+			err = t.CSRSpMV(a, x, y)
+		}
+		if err == nil {
+			d = a.Operator().Decision()
+		}
+	})
+	if err != nil {
+		return 0, d, err
+	}
+	return sec, d, nil
 }
 
 // convertNsPerSlot measures each non-CSR format's conversion through a

@@ -60,18 +60,14 @@ func figure6Specs() []figure6Spec {
 // matrices that benefit from that parameter's format.
 func Figure6(cfg Config) *Figure6Result {
 	cfg = cfg.withDefaults()
-	c := corpus.New(cfg.Scale, cfg.Seed)
-	labeler := autotune.NewLabeler(cfg.choice(), cfg.Threads, cfg.Measure)
-
 	type sample struct {
 		f    features.Features
 		best matrix.Format
 	}
 	var samples []sample
-	for _, e := range c.Sample(cfg.Stride) {
-		m := e.Matrix()
-		samples = append(samples, sample{features.Extract(m), labeler.Label(m).Best})
-	}
+	label(cfg, cfg.Threads, every(corpus.New(cfg.Scale, cfg.Seed).Entries, cfg.Stride), func(_ *corpus.Entry, m *matrix.CSR[float64], lbl autotune.Label) {
+		samples = append(samples, sample{features.Extract(m), lbl.Best})
+	})
 
 	res := &Figure6Result{}
 	for _, spec := range figure6Specs() {

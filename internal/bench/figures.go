@@ -5,6 +5,7 @@ import (
 
 	"smat/internal/autotune"
 	"smat/internal/corpus"
+	"smat/internal/kernels"
 	"smat/internal/matrix"
 	"smat/internal/refblas"
 )
@@ -29,10 +30,8 @@ type Figure3Row struct {
 // Figure3 measures the 16 representative matrices in all four formats.
 func Figure3(cfg Config) *Figure3Result {
 	cfg = cfg.withDefaults()
-	labeler := autotune.NewLabeler(cfg.choice(), cfg.Threads, cfg.Measure)
 	res := &Figure3Result{}
-	for _, e := range corpus.Representatives(cfg.Scale) {
-		lbl := labeler.Label(e.Matrix())
+	label(cfg, cfg.Threads, corpus.Representatives(cfg.Scale), func(e *corpus.Entry, _ *matrix.CSR[float64], lbl autotune.Label) {
 		row := Figure3Row{Name: e.Name, GFLOPS: lbl.GFLOPS, Best: lbl.Best}
 		lo, hi := 0.0, 0.0
 		for _, g := range lbl.GFLOPS {
@@ -46,11 +45,9 @@ func Figure3(cfg Config) *Figure3Result {
 		if lo > 0 {
 			row.Gap = hi / lo
 		}
-		if row.Gap > res.MaxGap {
-			res.MaxGap = row.Gap
-		}
+		res.MaxGap = max(res.MaxGap, row.Gap)
 		res.Rows = append(res.Rows, row)
-	}
+	})
 
 	t := &table{header: []string{"Matrix", "CSR", "COO", "DIA", "ELL", "Best", "Gap"}}
 	for _, row := range res.Rows {
@@ -96,25 +93,10 @@ func Figure9(cfg Config) *Figure9Result {
 		m64 := e.Matrix()
 		m32 := castCSR(m64)
 		row := Figure9Row{Name: e.Name}
-		for _, p := range []struct {
-			threads int
-			sp, dp  *float64
-		}{
-			{cfg.Threads, &row.SPA, &row.DPA},
-			{cfg.ThreadsB, &row.SPB, &row.DPB},
-		} {
-			t64 := autotune.New[float64](cfg.Model, autotune.Config{Threads: p.threads})
-			if op, _, err := t64.Tune(m64); err == nil {
-				*p.dp = measureOperator[float64](op, m64.Cols, m64.Rows, m64.NNZ(), cfg.Measure)
-				if p.threads == cfg.Threads {
-					row.FormatA = op.Format()
-				}
-			}
-			t32 := autotune.New[float32](cfg.Model, autotune.Config{Threads: p.threads})
-			if op, _, err := t32.Tune(m32); err == nil {
-				*p.sp = measureOperator[float32](op, m32.Cols, m32.Rows, m32.NNZ(), cfg.Measure)
-			}
-		}
+		row.DPA, row.FormatA = tunedGFLOPS(cfg, m64, cfg.Threads)
+		row.SPA, _ = tunedGFLOPS(cfg, m32, cfg.Threads)
+		row.DPB, _ = tunedGFLOPS(cfg, m64, cfg.ThreadsB)
+		row.SPB, _ = tunedGFLOPS(cfg, m32, cfg.ThreadsB)
 		res.PeakSPA = max(res.PeakSPA, row.SPA)
 		res.PeakDPA = max(res.PeakDPA, row.DPA)
 		res.PeakSPB = max(res.PeakSPB, row.SPB)
@@ -159,17 +141,10 @@ func Figure10(cfg Config) *Figure10Result {
 	cfg = cfg.withDefaults()
 	res := &Figure10Result{}
 	for _, e := range corpus.Representatives(cfg.Scale) {
-		row := figure10Row(cfg, e)
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, figure10Row(cfg, e))
 	}
-	// Aggregate over the evaluation split.
-	c := corpus.New(cfg.Scale, cfg.Seed)
-	_, eval := c.Split(len(c.Entries)*6/7, cfg.Seed)
 	sumSP, sumDP, n := 0.0, 0.0, 0
-	for i, e := range eval {
-		if cfg.Stride > 1 && i%cfg.Stride != 0 {
-			continue
-		}
+	for _, e := range heldOut(cfg) {
 		row := figure10Row(cfg, e)
 		if row.SpeedupSP > 0 && row.SpeedupDP > 0 {
 			sumSP += row.SpeedupSP
@@ -194,36 +169,16 @@ func Figure10(cfg Config) *Figure10Result {
 	return res
 }
 
+// figure10Row measures one matrix in both precisions: the tuned operator
+// (tunedGFLOPS) against the reference library's best fixed format.
 func figure10Row(cfg Config, e *corpus.Entry) Figure10Row {
 	m64 := e.Matrix()
 	m32 := castCSR(m64)
 	row := Figure10Row{Name: e.Name}
-
-	measure := func(op func()) float64 {
-		return autotune.MeasureSecPerOp(op, cfg.Measure)
-	}
-	// Double precision.
-	t64 := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
-	if op, _, err := t64.Tune(m64); err == nil {
-		row.SmatDP = measureOperator[float64](op, m64.Cols, m64.Rows, m64.NNZ(), cfg.Measure)
-	}
-	ref64 := refblas.New[float64](cfg.Threads)
-	if _, g := ref64.BestFixedFormat(m64, cfg.Model.MaxFill, measure); len(g) > 0 {
-		for _, v := range g {
-			row.RefDP = max(row.RefDP, v)
-		}
-	}
-	// Single precision.
-	t32 := autotune.New[float32](cfg.Model, autotune.Config{Threads: cfg.Threads})
-	if op, _, err := t32.Tune(m32); err == nil {
-		row.SmatSP = measureOperator[float32](op, m32.Cols, m32.Rows, m32.NNZ(), cfg.Measure)
-	}
-	ref32 := refblas.New[float32](cfg.Threads)
-	if _, g := ref32.BestFixedFormat(m32, cfg.Model.MaxFill, measure); len(g) > 0 {
-		for _, v := range g {
-			row.RefSP = max(row.RefSP, v)
-		}
-	}
+	row.SmatDP, _ = tunedGFLOPS(cfg, m64, cfg.Threads)
+	row.SmatSP, _ = tunedGFLOPS(cfg, m32, cfg.Threads)
+	row.RefDP = refGFLOPS(cfg, m64)
+	row.RefSP = refGFLOPS(cfg, m32)
 	if row.RefSP > 0 {
 		row.SpeedupSP = row.SmatSP / row.RefSP
 	}
@@ -231,4 +186,31 @@ func figure10Row(cfg Config, e *corpus.Entry) Figure10Row {
 		row.SpeedupDP = row.SmatDP / row.RefDP
 	}
 	return row
+}
+
+// tunedGFLOPS tunes m with cfg.Model on a fresh tuner at threads, times the
+// tuned operator, and closes the tuner: the GFLOPS and format of Figures 9
+// and 10 for one matrix and precision; 0 and CSR when the tune fails.
+func tunedGFLOPS[T matrix.Float](cfg Config, m *matrix.CSR[T], threads int) (float64, matrix.Format) {
+	t := autotune.New[T](cfg.Model, autotune.Config{Threads: threads})
+	defer t.Close()
+	op, _, err := t.Tune(m)
+	if err != nil {
+		return 0, matrix.FormatCSR
+	}
+	x := make([]T, m.Cols)
+	for i := range x {
+		x[i] = T(1) + T(i%7)/8
+	}
+	y := make([]T, m.Rows)
+	sec := autotune.MeasureSecPerOp(func() { op.MulVec(x, y) }, cfg.Measure)
+	return autotune.GFLOPS(kernels.FLOPs(m.NNZ()), sec), op.Format()
+}
+
+// refGFLOPS is the reference library's best fixed-format GFLOPS on m at
+// cfg.Threads (0 when no format is feasible).
+func refGFLOPS[T matrix.Float](cfg Config, m *matrix.CSR[T]) float64 {
+	measure := func(op func()) float64 { return autotune.MeasureSecPerOp(op, cfg.Measure) }
+	best, g := refblas.New[T](cfg.Threads).BestFixedFormat(m, cfg.Model.MaxFill, measure)
+	return g[best]
 }

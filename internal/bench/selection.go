@@ -2,17 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"smat/internal/autotune"
-	"smat/internal/corpus"
 	"smat/internal/mining"
 )
-
-// selectionTrainN is the training split size smat-train uses by default: the
-// evaluation split is the rest of the corpus, matrices no shipped class saw.
-const selectionTrainN = 2055
 
 // SelectionResult is the selection-accuracy gate: per model and thread class,
 // how well the runtime picks formats on the held-out evaluation split.
@@ -55,89 +49,33 @@ type SelectionRow struct {
 // cfg.Database when set.
 func Selection(cfg Config) *SelectionResult {
 	cfg = cfg.withDefaults()
-	res := &SelectionResult{Scale: cfg.Scale}
-	models := []struct {
-		name  string
-		model *autotune.Model
-	}{{"shipped", cfg.Model}}
+	res := &SelectionResult{Scale: cfg.Scale, EvalN: len(heldOut(cfg))}
+	names, models := []string{"shipped"}, []*autotune.Model{cfg.Model}
 	if cfg.Baseline != nil {
-		models = append(models, struct {
-			name  string
-			model *autotune.Model
-		}{"baseline", cfg.Baseline})
+		names, models = append(names, "baseline"), append(models, cfg.Baseline)
 	}
-	threads := slices.Compact([]int{1, cfg.Threads})
-
-	type cell struct {
-		row                  SelectionRow
-		tuner                *autotune.Tuner[float64]
-		right, fallbacks     int
-		logLoss, logB, logCh float64
-	}
-	labelers := make([]*autotune.Labeler, len(threads))
-	cells := make([][]*cell, len(threads))
-	for ti, th := range threads {
-		labelers[ti] = autotune.NewLabeler(cfg.Model.Class(th).Choice(), th, cfg.Measure)
-		defer labelers[ti].Close()
-		for _, m := range models {
-			c := &cell{tuner: autotune.New[float64](m.model, autotune.Config{Threads: th, CacheSize: -1})}
-			defer c.tuner.Close()
-			c.row = SelectionRow{Model: m.name, Threads: c.tuner.Threads(), ClassThreads: m.model.Class(c.tuner.Threads()).Threads}
-			if m.model == cfg.Model && cfg.Database != nil {
-				if ds, err := cfg.Database.Dataset(c.row.ClassThreads); err == nil && len(ds.Examples) >= 5 {
-					_, c.row.CVAccuracy, _ = mining.CrossValidate(ds, 5, autotune.DefaultTree(), cfg.Seed)
-					c.row.CVN = len(ds.Examples)
-				}
-			}
-			cells[ti] = append(cells[ti], c)
-		}
-	}
-
-	_, eval := corpus.New(cfg.Scale, cfg.Seed).Split(selectionTrainN, cfg.Seed)
-	for i, e := range eval {
-		if cfg.Stride > 1 && i%cfg.Stride != 0 {
-			continue
-		}
-		m := e.Matrix()
-		res.EvalN++
-		for ti := range threads {
-			lbl := labelers[ti].Label(m)
-			best := lbl.GFLOPS[lbl.Best]
-			for _, c := range cells[ti] {
-				_, dec, err := c.tuner.Tune(m)
-				chosen, ok := lbl.GFLOPS[dec.Chosen]
-				if err != nil || !ok || chosen <= 0 || best <= 0 {
-					continue
-				}
-				c.row.N++
-				if dec.Chosen == lbl.Best {
-					c.right++
-				}
-				if dec.UsedFallback {
-					c.fallbacks++
-				}
-				c.logLoss += math.Log(best / chosen)
-				c.logB += math.Log(best)
-				c.logCh += math.Log(chosen)
-			}
-		}
-	}
-
 	t := &table{header: []string{"Model", "Threads", "Class", "CV acc", "Eval acc", "Fallback", "Agreed", "Geomean loss", "N"}}
-	for ti := range threads {
-		for _, c := range cells[ti] {
-			r := &c.row
-			if n := float64(r.N); n > 0 {
-				r.Accuracy = float64(c.right) / n
-				r.FallbackRate = float64(c.fallbacks) / n
-				r.GeomeanLoss = math.Exp(c.logLoss / n)
-				r.BestGFLOPSGeomean = math.Exp(c.logB / n)
-				r.ChosenGFLOPSGeomean = math.Exp(c.logCh / n)
+	for _, th := range slices.Compact([]int{1, cfg.Threads}) {
+		for i, s := range scoreHeldOut(cfg, th, models...) {
+			r := SelectionRow{
+				Model:               names[i],
+				Threads:             s.threads,
+				ClassThreads:        models[i].Class(s.threads).Threads,
+				Accuracy:            s.share(s.right),
+				FallbackRate:        s.share(s.fallbacks),
+				FallbackAgreement:   s.agreement(),
+				GeomeanLoss:         s.geomean(s.logLoss),
+				BestGFLOPSGeomean:   s.geomean(s.logBest),
+				ChosenGFLOPSGeomean: s.geomean(s.logChosen),
+				N:                   s.n,
 			}
-			if st := c.tuner.Stats(); st.Fallbacks > 0 {
-				r.FallbackAgreement = float64(st.FallbackAgreed) / float64(st.Fallbacks)
+			if i == 0 && cfg.Database != nil {
+				if ds, err := cfg.Database.Dataset(r.ClassThreads); err == nil && len(ds.Examples) >= 5 {
+					_, r.CVAccuracy, _ = mining.CrossValidate(ds, 5, autotune.DefaultTree(), cfg.Seed)
+					r.CVN = len(ds.Examples)
+				}
 			}
-			res.Rows = append(res.Rows, *r)
+			res.Rows = append(res.Rows, r)
 			t.add(r.Model, fmt.Sprint(r.Threads), fmt.Sprint(r.ClassThreads), f2(100*r.CVAccuracy)+"%", f2(100*r.Accuracy)+"%",
 				f2(100*r.FallbackRate)+"%", f2(100*r.FallbackAgreement)+"%", f2(r.GeomeanLoss)+"x", fmt.Sprint(r.N))
 		}

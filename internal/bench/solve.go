@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"smat/internal/amg"
 	"smat/internal/autotune"
@@ -226,12 +225,12 @@ func cgProblemRows(cfg Config, trials int, res *SolveResult, tuner *autotune.Tun
 	baseSec := bestOfSec(trials, runBase)
 	baseIters := stats.Iterations
 
-	tuneStart := time.Now()
-	op, _, err := tuner.TuneOpts(a, autotune.TuneOptions{Iterations: maxIter})
+	var op *autotune.Operator[float64]
+	var err error
+	tuneSec := bestOfSec(1, func() { op, _, err = tuner.TuneOpts(a, autotune.TuneOptions{Iterations: maxIter}) })
 	if err != nil {
 		return fmt.Errorf("bench: solve: tune %s: %w", name, err)
 	}
-	tuneSec := time.Since(tuneStart).Seconds()
 	runTuned := run(op)
 	runTuned() // warm
 	before := tuner.Stats().Pool

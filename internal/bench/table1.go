@@ -29,17 +29,13 @@ type Table1Row struct {
 // tallies format affinity per application domain.
 func Table1(cfg Config) *Table1Result {
 	cfg = cfg.withDefaults()
-	c := corpus.New(cfg.Scale, cfg.Seed)
-	labeler := autotune.NewLabeler(cfg.choice(), cfg.Threads, cfg.Measure)
-
 	res := &Table1Result{
 		Totals:  map[matrix.Format]int{},
 		Percent: map[matrix.Format]float64{},
 	}
 	perDomain := map[string]*Table1Row{}
 	var order []string
-	for _, e := range c.Sample(cfg.Stride) {
-		lbl := labeler.Label(e.Matrix())
+	label(cfg, cfg.Threads, every(corpus.New(cfg.Scale, cfg.Seed).Entries, cfg.Stride), func(e *corpus.Entry, _ *matrix.CSR[float64], lbl autotune.Label) {
 		row, ok := perDomain[e.Domain]
 		if !ok {
 			row = &Table1Row{Domain: e.Domain, Counts: map[matrix.Format]int{}}
@@ -50,7 +46,7 @@ func Table1(cfg Config) *Table1Result {
 		row.Total++
 		res.Totals[lbl.Best]++
 		res.N++
-	}
+	})
 	for _, d := range order {
 		res.Rows = append(res.Rows, *perDomain[d])
 	}

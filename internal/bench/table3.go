@@ -7,28 +7,30 @@ import (
 
 	"smat/internal/autotune"
 	"smat/internal/corpus"
+	"smat/internal/matrix"
 )
 
 // Table3Result reproduces Table 3: per representative matrix, the model's
 // prediction, the execute-and-measure fallback (if any), SMAT's final
 // choice, the exhaustively-measured best format, whether SMAT was right, and
 // the decision overhead in CSR-SpMV multiples — plus aggregate accuracy over
-// the held-out evaluation split.
+// the held-out evaluation split (heldOut).
 type Table3Result struct {
 	Threads int         `json:"threads"`
 	Scale   float64     `json:"scale"`
 	Rows    []Table3Row `json:"rows"`
-	// EvalAccuracy is the fraction of sampled evaluation matrices where
-	// SMAT's final choice matches the measured best format.
+	// EvalAccuracy is the fraction of sampled evaluation matrices where an
+	// uncached tuner's final choice matches the measured best format.
 	EvalAccuracy float64 `json:"eval_accuracy"`
 	EvalN        int     `json:"eval_n"`
 	// MeanOverheadPredicted / MeanOverheadFallback split the overhead by
 	// decision path (the paper: ≈2–5× predicted, ≈15–16× fallback).
 	MeanOverheadPredicted float64 `json:"mean_overhead_predicted_spmv"`
 	MeanOverheadFallback  float64 `json:"mean_overhead_fallback_spmv"`
-	// Fallbacks and FallbackAgreed are the tuner's counters over the whole
-	// run (Stats): execute-and-measure selections, and those whose measured
-	// winner was the ruleset's best guess below the threshold.
+	// Fallbacks and FallbackAgreed are the tuners' counters over the whole
+	// run (Stats), representatives and evaluation matrices: execute-and-measure
+	// selections, and those whose measured winner was the ruleset's best guess
+	// below the threshold.
 	Fallbacks      uint64 `json:"fallbacks"`
 	FallbackAgreed uint64 `json:"fallback_agreed"`
 }
@@ -57,27 +59,26 @@ type Table3Row struct {
 }
 
 // Table3 audits the runtime decision on every representative matrix and
-// aggregates accuracy over the evaluation split.
+// scores it over the held-out split (scoreHeldOut).
 func Table3(cfg Config) *Table3Result {
 	cfg = cfg.withDefaults()
 	res := &Table3Result{Threads: cfg.Threads, Scale: cfg.Scale}
 	tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
-	labeler := autotune.NewLabeler(cfg.choice(), cfg.Threads, cfg.Measure)
+	defer tuner.Close()
 
 	var predSum, fbSum float64
 	var predN, fbN int
-	audit := func(i int, e *corpus.Entry) Table3Row {
-		m := e.Matrix()
+	label(cfg, cfg.Threads, corpus.Representatives(cfg.Scale), func(e *corpus.Entry, m *matrix.CSR[float64], lbl autotune.Label) {
+		row := Table3Row{Number: len(res.Rows) + 1, Name: e.Name}
 		_, dec, err := tuner.Tune(m)
-		row := Table3Row{Number: i + 1, Name: e.Name}
 		if err != nil {
 			row.Prediction = "error: " + err.Error()
-			return row
+			res.Rows = append(res.Rows, row)
+			return
 		}
+		row.Prediction = "confidence<TH"
 		if dec.PredictedOK {
 			row.Prediction = dec.Predicted.String()
-		} else {
-			row.Prediction = "confidence<TH"
 		}
 		row.Execution = "-"
 		if dec.UsedFallback {
@@ -89,7 +90,7 @@ func Table3(cfg Config) *Table3Result {
 			row.Execution = strings.Join(fs, "+")
 		}
 		row.SmatChoice = dec.Chosen.String()
-		row.BestFormat = labeler.Label(m).Best.String()
+		row.BestFormat = lbl.Best.String()
 		row.Right = row.SmatChoice == row.BestFormat
 		row.CSRSpMVSec = csrUnitSec(m, cfg.Measure)
 		row.Overhead = overheadSpMV(dec, row.CSRSpMVSec)
@@ -100,42 +101,13 @@ func Table3(cfg Config) *Table3Result {
 			predSum += row.Overhead
 			predN++
 		}
-		return row
-	}
+		res.Rows = append(res.Rows, row)
+	})
 
-	for i, e := range corpus.Representatives(cfg.Scale) {
-		res.Rows = append(res.Rows, audit(i, e))
-	}
-
-	// Aggregate accuracy over the evaluation split.
-	c := corpus.New(cfg.Scale, cfg.Seed)
-	_, eval := c.Split(len(c.Entries)*6/7, cfg.Seed)
-	right := 0
-	for i, e := range eval {
-		if cfg.Stride > 1 && i%cfg.Stride != 0 {
-			continue
-		}
-		m := e.Matrix()
-		_, dec, err := tuner.Tune(m)
-		if err != nil {
-			continue
-		}
-		overhead := overheadSpMV(dec, csrUnitSec(m, cfg.Measure))
-		if dec.UsedFallback {
-			fbSum += overhead
-			fbN++
-		} else {
-			predSum += overhead
-			predN++
-		}
-		if dec.Chosen == labeler.Label(m).Best {
-			right++
-		}
-		res.EvalN++
-	}
-	if res.EvalN > 0 {
-		res.EvalAccuracy = float64(right) / float64(res.EvalN)
-	}
+	eval := scoreHeldOut(cfg, cfg.Threads, cfg.Model)[0]
+	res.EvalN, res.EvalAccuracy = eval.n, eval.share(eval.right)
+	predSum, predN = predSum+eval.predOverhead, predN+eval.n-eval.fallbacks
+	fbSum, fbN = fbSum+eval.fbOverhead, fbN+eval.fallbacks
 	if predN > 0 {
 		res.MeanOverheadPredicted = predSum / float64(predN)
 	}
@@ -143,7 +115,8 @@ func Table3(cfg Config) *Table3Result {
 		res.MeanOverheadFallback = fbSum / float64(fbN)
 	}
 	st := tuner.Stats()
-	res.Fallbacks, res.FallbackAgreed = st.Fallbacks, st.FallbackAgreed
+	res.Fallbacks = st.Fallbacks + eval.stats.Fallbacks
+	res.FallbackAgreed = st.FallbackAgreed + eval.stats.FallbackAgreed
 
 	t := &table{header: []string{"No.", "Matrix", "Model Prediction", "Execution", "SMAT", "Best", "Acc", "Overhead"}}
 	for _, row := range res.Rows {

@@ -537,8 +537,8 @@ const NeverAmortize = autotune.NeverAmortize
 //
 // Its Features are the runtime's: M, N, NNZ, aver_RD, max_RD, var_RD, ER_ELL
 // and R exact, from one pass over the row pointers; Ndiags, NTdiags_ratio and
-// ER_DIA estimated from a bounded sample of the entries, exact on banded and
-// stencil matrices, and counted exactly where the sample cannot tell which
-// diagonals are true and the model's rules test NTdiags_ratio.
-// Matrix.Features returns the exact ones.
+// ER_DIA always estimated from a bounded sample of the entries, exact on
+// banded and stencil matrices. A DIA conversion counts the diagonals for its
+// own layout and leaves these features as they are. Matrix.Features returns
+// the exact ones.
 type Decision = autotune.Decision
