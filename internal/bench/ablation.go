@@ -42,7 +42,7 @@ func AblationThreshold(cfg Config, thresholds []float64) *AblationThresholdResul
 		models[i] = &model
 	}
 	res := &AblationThresholdResult{}
-	for i, s := range scoreHeldOut(cfg, cfg.Threads, models...) {
+	for i, s := range scoreHeldOut(cfg, cfg.Threads, true, models...) {
 		row := AblationThresholdRow{Threshold: thresholds[i], Accuracy: s.share(s.right), FallbackRate: s.share(s.fallbacks), N: s.n}
 		if s.n > 0 {
 			row.MeanOverhead = (s.predOverhead + s.fbOverhead) / float64(s.n)

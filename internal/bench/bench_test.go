@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -126,6 +127,17 @@ func TestTable3(t *testing.T) {
 	}
 	if res.EvalN == 0 || res.EvalAccuracy < 0 || res.EvalAccuracy > 1 {
 		t.Errorf("eval accuracy %g over %d", res.EvalAccuracy, res.EvalN)
+	}
+	// The fallback mean comes with the number of decisions it averages, so
+	// a 0 mean is a path no decision took, and the report says so.
+	fallback := "fallback path none ran\n"
+	if res.FallbackDecisions > 0 {
+		fallback = fmt.Sprintf("x over %d\n", res.FallbackDecisions)
+	}
+	if uint64(res.FallbackDecisions) > res.Fallbacks || (res.FallbackDecisions > 0) != (res.MeanOverheadFallback > 0) ||
+		!strings.Contains(out.String(), fallback) {
+		t.Errorf("fallback mean %gx over %d decisions, %d fallbacks counted; output:\n%s",
+			res.MeanOverheadFallback, res.FallbackDecisions, res.Fallbacks, out.String())
 	}
 }
 

@@ -52,7 +52,8 @@ type score struct {
 	n, right, fallbacks int
 	// Sums of log(best/chosen), log(best) and log(chosen) labeled GFLOPS.
 	logLoss, logBest, logChosen float64
-	// Overhead sums on the predicted path and on the fallback path.
+	// Overhead sums on the predicted path and on the fallback path; zero
+	// unless scoreHeldOut was asked to time them.
 	predOverhead, fbOverhead float64
 }
 
@@ -82,8 +83,12 @@ func (s *score) agreement() float64 {
 // scoreHeldOut tunes every held-out matrix with each model, on an uncached
 // tuner at threads so that every decision is made afresh, and scores the
 // choice against the verdict of the labeler for cfg.Model's class at threads.
-// Every tuner it opens is closed on return.
-func scoreHeldOut(cfg Config, threads int, models ...*autotune.Model) []score {
+// With overhead set it also times each matrix's CSR-SpMV unit (csrUnitSec)
+// and sums the decisions' overheads in it; callers that report no overhead
+// leave it unset, skip the timing and read zero sums (an untimed unit is 0,
+// which overheadSpMV reads as no overhead). Every tuner it opens is closed on
+// return.
+func scoreHeldOut(cfg Config, threads int, overhead bool, models ...*autotune.Model) []score {
 	scores := make([]score, len(models))
 	tuners := make([]*autotune.Tuner[float64], len(models))
 	for i, model := range models {
@@ -92,7 +97,10 @@ func scoreHeldOut(cfg Config, threads int, models ...*autotune.Model) []score {
 	}
 	label(cfg, threads, heldOut(cfg), func(_ *corpus.Entry, m *matrix.CSR[float64], lbl autotune.Label) {
 		best := lbl.GFLOPS[lbl.Best]
-		unit := csrUnitSec(m, cfg.Measure)
+		var unit float64
+		if overhead {
+			unit = csrUnitSec(m, cfg.Measure)
+		}
 		for i, t := range tuners {
 			_, dec, err := t.Tune(m)
 			if err != nil {

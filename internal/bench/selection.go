@@ -56,7 +56,7 @@ func Selection(cfg Config) *SelectionResult {
 	}
 	t := &table{header: []string{"Model", "Threads", "Class", "CV acc", "Eval acc", "Fallback", "Agreed", "Geomean loss", "N"}}
 	for _, th := range slices.Compact([]int{1, cfg.Threads}) {
-		for i, s := range scoreHeldOut(cfg, th, models...) {
+		for i, s := range scoreHeldOut(cfg, th, false, models...) {
 			r := SelectionRow{
 				Model:               names[i],
 				Threads:             s.threads,

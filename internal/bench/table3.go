@@ -25,8 +25,11 @@ type Table3Result struct {
 	EvalN        int     `json:"eval_n"`
 	// MeanOverheadPredicted / MeanOverheadFallback split the overhead by
 	// decision path (the paper: ≈2–5× predicted, ≈15–16× fallback).
+	// FallbackDecisions is how many decisions the fallback mean averages: a
+	// mean of 0 with none says no fallback ran, not that one was free.
 	MeanOverheadPredicted float64 `json:"mean_overhead_predicted_spmv"`
 	MeanOverheadFallback  float64 `json:"mean_overhead_fallback_spmv"`
+	FallbackDecisions     int     `json:"fallback_decisions"`
 	// Fallbacks and FallbackAgreed are the tuners' counters over the whole
 	// run (Stats), representatives and evaluation matrices: execute-and-measure
 	// selections, and those whose measured winner was the ruleset's best guess
@@ -104,14 +107,14 @@ func Table3(cfg Config) *Table3Result {
 		res.Rows = append(res.Rows, row)
 	})
 
-	eval := scoreHeldOut(cfg, cfg.Threads, cfg.Model)[0]
+	eval := scoreHeldOut(cfg, cfg.Threads, true, cfg.Model)[0]
 	res.EvalN, res.EvalAccuracy = eval.n, eval.share(eval.right)
 	predSum, predN = predSum+eval.predOverhead, predN+eval.n-eval.fallbacks
 	fbSum, fbN = fbSum+eval.fbOverhead, fbN+eval.fallbacks
 	if predN > 0 {
 		res.MeanOverheadPredicted = predSum / float64(predN)
 	}
-	if fbN > 0 {
+	if res.FallbackDecisions = fbN; fbN > 0 {
 		res.MeanOverheadFallback = fbSum / float64(fbN)
 	}
 	st := tuner.Stats()
@@ -130,8 +133,12 @@ func Table3(cfg Config) *Table3Result {
 	fmt.Fprintln(cfg.Out, "Table 3: SMAT decision analysis (overhead = tune seconds ÷ one warm basic serial CSR-SpMV on the same matrix)")
 	t.print(cfg.Out)
 	fmt.Fprintf(cfg.Out, "evaluation-set accuracy: %.1f%% over %d matrices\n", 100*res.EvalAccuracy, res.EvalN)
-	fmt.Fprintf(cfg.Out, "mean overhead: predicted path %.1fx, fallback path %.1fx\n",
-		res.MeanOverheadPredicted, res.MeanOverheadFallback)
+	fallback := "none ran"
+	if fbN > 0 {
+		fallback = fmt.Sprintf("%.1fx over %d", res.MeanOverheadFallback, fbN)
+	}
+	fmt.Fprintf(cfg.Out, "mean overhead: predicted path %.1fx over %d, fallback path %s\n",
+		res.MeanOverheadPredicted, predN, fallback)
 	if res.Fallbacks > 0 {
 		fmt.Fprintf(cfg.Out, "model agreement: the fallback's winner was the ruleset's best guess in %d of %d (%.0f%%)\n",
 			res.FallbackAgreed, res.Fallbacks, 100*float64(res.FallbackAgreed)/float64(res.Fallbacks))

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,8 @@ import (
 // one way anything in the library runs in parallel. Construct one per
 // Tuner or reference library with NewPool and pass it to Kernel.RunPooled,
 // BatchKernel.RunPooled or RunChunks. Chunk 0 always runs on the dispatching
-// goroutine; workers start lazily on the first parallel dispatch and exit
+// goroutine, and so does every chunk no worker has claimed by the time chunk
+// 0 is done; workers start lazily on the first parallel dispatch and exit
 // when the pool is closed or garbage-collected.
 //
 // A Pool is safe for concurrent use: one dispatch owns the workers at a
@@ -23,15 +25,17 @@ type Pool[T matrix.Float] struct {
 }
 
 // spinIters is the barrier's spin budget: how many times a worker polls the
-// generation after finishing a chunk — and the dispatcher polls the countdown
-// after finishing chunk 0 — before parking on its channel. One poll is an
+// claim word for a new generation after its last chunk — and the dispatcher
+// polls the countdown of chunks workers claimed, once it has run every chunk
+// left unclaimed — before parking on its channel. One poll is an
 // uncontended atomic load (≈ 0.7 ns on the box of record), so the budget is
 // ≈ 100 µs, about what waking a parked worker through the OS costs there:
 // long enough that a back-to-back MulVec stream, or a request's ten products
 // after its tuning, finds its workers still spinning and pays no wake, and
-// bounded so that an idle
-// or abandoned pool stops burning its cores — and a worker notices Close —
-// within that time. BENCH_steady.json's cutoff sweep records what the budget
+// bounded so that an idle or abandoned pool stops burning its cores — and a
+// worker notices Close — within that time. The dispatcher only waits on a
+// chunk a worker is running, so the budget is never spent on a worker that
+// has not arrived. BENCH_steady.json's cutoff sweep records what the budget
 // buys (back-to-back column) and what a dispatch costs once it has run out
 // (idle-gap column).
 const spinIters = 1 << 17
@@ -71,12 +75,15 @@ type poolState[T matrix.Float] struct {
 	task   task[T]
 	bounds []int
 
-	// The barrier. gen publishes a dispatch: every worker sees each bump
-	// exactly once, runs chunk i+1 when the dispatch has one, and decrements
-	// pending; the dispatcher waits for pending to reach zero. waiting
-	// advertises that the dispatcher has stopped spinning and is (about to
-	// be) blocked on done.
-	gen     atomic.Uint32
+	// The barrier. claim publishes a dispatch and hands out its chunks: it
+	// packs the dispatch's generation, its next unclaimed chunk and its chunk
+	// count (claimWord). A worker that sees a new generation takes chunks by
+	// CompareAndSwap until none is left and decrements pending after each;
+	// the dispatcher, once chunk 0 is done, takes the chunks no worker has,
+	// adds the number the workers took to pending, and waits for it to reach
+	// zero. waiting advertises that the dispatcher has stopped spinning and
+	// is (about to be) blocked on done.
+	claim   atomic.Uint64
 	pending atomic.Int32
 	waiting atomic.Bool
 	workers []*poolWorker
@@ -84,9 +91,9 @@ type poolState[T matrix.Float] struct {
 	stop    chan struct{}
 	exited  sync.WaitGroup
 
-	// Live counters, one increment per dispatch (warmed: per worker readied);
-	// see PoolStats.
-	pooled, woken, overflow, serialCutoff, warmed atomic.Uint64
+	// Live counters, one increment per dispatch (warmed: per worker readied;
+	// reclaimed: per chunk); see PoolStats.
+	pooled, woken, overflow, serialCutoff, warmed, reclaimed atomic.Uint64
 
 	// arena is the SpGEMM scratch attached to this pool, handed out under
 	// its own lock (arenaOf) so repeated products reuse it while concurrent
@@ -111,6 +118,11 @@ type PoolStats struct {
 	SerialCutoff uint64 `json:"serial_cutoff"`
 	// Warmed is the number of workers Warm woke from a park or started.
 	Warmed uint64 `json:"warmed"`
+	// Reclaimed is the number of chunks of pooled dispatches that ran on the
+	// dispatching goroutine because no worker had claimed them by the time
+	// it finished chunk 0: a worker still waking, queued behind the
+	// dispatcher on its processor, or busy elsewhere.
+	Reclaimed uint64 `json:"reclaimed"`
 }
 
 // NewPool builds a worker pool with the given thread fan-out; threads ≤ 0
@@ -149,6 +161,7 @@ func (p *Pool[T]) Stats() PoolStats {
 		Overflow:     p.s.overflow.Load(),
 		SerialCutoff: p.s.serialCutoff.Load(),
 		Warmed:       p.s.warmed.Load(),
+		Reclaimed:    p.s.reclaimed.Load(),
 	}
 }
 
@@ -186,13 +199,18 @@ func (s *poolState[T]) shutdown() {
 // when the pool is busy with another dispatch or closed (the caller then runs
 // the chunks itself). The whole dispatch allocates nothing.
 //
-// The protocol: write the job fields, arm the countdown, bump the generation
-// (the publish — workers that are still spinning pick it up from there), hand
-// a wake token to each worker that advertised a park, run chunk 0, then wait
-// for the countdown: spin for the budget, then advertise the park, re-check,
-// and block on done. A worker releases done only after claiming that
-// advertisement; a claim by a worker still finishing the previous dispatch
-// wakes the dispatcher early, which is why the wait re-reads the countdown.
+// The protocol: write the job fields, publish the claim word (a new
+// generation with chunk 0 already taken), hand a wake token to each worker
+// that advertised a park, run chunk 0, then take and run every chunk no
+// worker has claimed (PoolStats.Reclaimed), and wait only for the chunks the
+// workers took: add their number to pending — the workers decrement it, so it
+// reaches zero when the last of them finishes, whichever side came first —
+// then spin for the budget, advertise the park, re-check, and block on done.
+// A worker releases done only after claiming that advertisement; a claim by
+// a worker still finishing the previous dispatch wakes the dispatcher early,
+// which is why the wait re-reads pending. Once the dispatcher's take fails no
+// worker can claim a chunk of this generation, so a worker that arrives late
+// finds nothing to run and never reads the job fields.
 //
 //smat:wake-barrier
 func (s *poolState[T]) run(bounds []int, t *task[T]) bool {
@@ -201,7 +219,8 @@ func (s *poolState[T]) run(bounds []int, t *task[T]) bool {
 		return false
 	}
 	defer s.mu.Unlock()
-	if s.closed || len(bounds)-1 > s.threads {
+	n := len(bounds) - 1
+	if s.closed || n > s.threads || n > math.MaxUint16 {
 		s.overflow.Add(1)
 		return false
 	}
@@ -209,8 +228,8 @@ func (s *poolState[T]) run(bounds []int, t *task[T]) bool {
 		s.start()
 	}
 	s.task, s.bounds = *t, bounds
-	s.pending.Store(int32(len(s.workers)))
-	s.gen.Add(1)
+	gen := claimGen(s.claim.Load()) + 1 // only a dispatch, under mu, stores it
+	s.claim.Store(claimWord(gen, 1, n))
 	woke := false
 	for _, w := range s.workers {
 		if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
@@ -218,28 +237,63 @@ func (s *poolState[T]) run(bounds []int, t *task[T]) bool {
 			woke = true
 		}
 	}
-	s.task.chunk(bounds, 0)
-	spin := s.spin
 	if woke {
-		// The woken worker is queued on this processor until an idle one
-		// steals it: parking at once runs it here, spinning would make it
-		// wait for the thief's OS wake.
-		spin = 0
 		s.woken.Add(1)
 	}
-	for spins := 0; s.pending.Load() != 0; spins++ {
-		if spins < spin {
-			continue
+	s.task.chunk(bounds, 0)
+	reclaimed := 0
+	for c, ok := s.take(); ok; c, ok = s.take() {
+		s.task.chunk(bounds, c)
+		reclaimed++
+	}
+	if s.pending.Add(int32(n-1-reclaimed)) != 0 {
+		for spins := 0; s.pending.Load() != 0; spins++ {
+			if spins < s.spin {
+				continue
+			}
+			s.waiting.Store(true)
+			if s.pending.Load() == 0 && s.waiting.CompareAndSwap(true, false) {
+				break
+			}
+			<-s.done
 		}
-		s.waiting.Store(true)
-		if s.pending.Load() == 0 && s.waiting.CompareAndSwap(true, false) {
-			break
-		}
-		<-s.done
 	}
 	s.task, s.bounds = task[T]{}, nil
 	s.pooled.Add(1)
+	s.reclaimed.Add(uint64(reclaimed))
 	return true
+}
+
+// claimWord packs a dispatch's claim word: its generation in the high 32
+// bits, the next unclaimed chunk in the 16 below, the chunk count in the low
+// 16. The generation is how a polling worker tells a new dispatch from the
+// one it served: two dispatches in a row publish the same next chunk and,
+// often, the same count.
+func claimWord(gen uint32, next, n int) uint64 {
+	return uint64(gen)<<32 | uint64(next)<<16 | uint64(n)
+}
+
+// claimGen is the generation a claim word publishes.
+func claimGen(c uint64) uint32 { return uint32(c >> 32) }
+
+// take claims the next unclaimed chunk of the dispatch the claim word holds,
+// reporting false when it has none left. A claim belongs to whichever
+// dispatch holds the word when the CompareAndSwap lands, and the job fields
+// are read only after it, so a worker that read an earlier dispatch's word
+// either fails or serves the current one.
+//
+//smat:hotpath
+func (s *poolState[T]) take() (int, bool) {
+	for {
+		c := s.claim.Load()
+		next, n := int(uint16(c>>16)), int(uint16(c))
+		if next >= n {
+			return 0, false
+		}
+		if s.claim.CompareAndSwap(c, c+1<<16) {
+			return next, true
+		}
+	}
 }
 
 // Warm readies the workers for a dispatch the caller expects shortly: it
@@ -300,7 +354,8 @@ func (t *task[T]) chunk(bounds []int, c int) {
 }
 
 // dispatch runs t over the half-open chunks of bounds on the pool's
-// persistent workers, chunk 0 on the calling goroutine. When there is one
+// persistent workers, chunk 0 — and any chunk no worker has claimed by the
+// time chunk 0 is done — on the calling goroutine. When there is one
 // chunk, or the pool is nil, busy with another dispatch, closed, or the chunk
 // count exceeds its fan-out, the chunks run on the caller, in chunk order.
 // Every chunk writes its own range and a per-chunk result does not depend on
@@ -341,19 +396,20 @@ func (s *poolState[T]) start() {
 		// One token of slack: the dispatcher's send never blocks on a worker
 		// that is between its advertisement and its receive.
 		s.workers[i] = &poolWorker{wake: make(chan struct{}, 1)}
-		go s.worker(i, s.gen.Load())
+		go s.worker(i, claimGen(s.claim.Load()))
 	}
 }
 
-// worker executes chunk i+1 of each dispatch; the last worker to finish
-// releases the dispatcher's barrier. seen is the last generation this worker
-// has served. The job-field reads are ordered by the generation bump (before)
-// and the pending decrement (after), so the dispatcher never reuses the slots
-// while a worker still reads them. A dispatch with fewer chunks than threads
-// still counts every worker in, which keeps "who reads the fields of which
-// generation" a question with one answer. A worker that has not served a
-// dispatch since it started or took a token polls for the warm window, one
-// that has for the spin budget.
+// worker serves each dispatch by taking its unclaimed chunks (take) until
+// none is left, decrementing pending after each; the decrement that brings
+// pending to zero releases the dispatcher's barrier. seen is the last
+// generation this worker has served. A worker reads the job fields only
+// between a successful take, which orders them after the dispatcher wrote
+// them, and its decrement, which the dispatcher waits for before it clears
+// them; a worker that arrives after every chunk was taken — the dispatcher
+// takes what is left once chunk 0 is done — runs nothing and reads nothing.
+// A worker that has not served a dispatch since it started or took a token
+// polls for the warm window, one that has for the spin budget.
 //
 //smat:hotpath
 //smat:wake-barrier
@@ -361,15 +417,15 @@ func (s *poolState[T]) worker(i int, seen uint32) {
 	w := s.workers[i]
 	budget := warmWindow * s.spin
 	for {
-		g := s.gen.Load()
+		g := claimGen(s.claim.Load())
 		for spins := 0; g == seen && spins < budget; spins++ {
-			g = s.gen.Load()
+			g = claimGen(s.claim.Load())
 		}
 		if g == seen {
-			// Budget spent: advertise the park, then look again — a bump
+			// Budget spent: advertise the park, then look again — a dispatch
 			// that raced the advertisement is served without blocking.
 			w.parked.Store(true)
-			if g = s.gen.Load(); g == seen {
+			if g = claimGen(s.claim.Load()); g == seen {
 				select {
 				case <-s.stop:
 					s.exited.Done()
@@ -388,11 +444,11 @@ func (s *poolState[T]) worker(i int, seen uint32) {
 			}
 		}
 		seen, budget = g, s.spin
-		if i+1 < len(s.bounds)-1 {
-			s.task.chunk(s.bounds, i+1)
-		}
-		if s.pending.Add(-1) == 0 && s.waiting.Load() && s.waiting.CompareAndSwap(true, false) {
-			s.done <- struct{}{}
+		for c, ok := s.take(); ok; c, ok = s.take() {
+			s.task.chunk(s.bounds, c)
+			if s.pending.Add(-1) == 0 && s.waiting.Load() && s.waiting.CompareAndSwap(true, false) {
+				s.done <- struct{}{}
+			}
 		}
 		// Yield before spinning: a worker that was woken onto the dispatcher's
 		// own processor hands it back here instead of spinning on it while

@@ -29,8 +29,8 @@ func idle(n int) {
 // so dispatches land on workers that are spinning, advertising a park,
 // parked, and waking. Each round is a full dispatch followed by a two-chunk
 // one (the two-phase shape of the HYB kernels, and a dispatch in which most
-// workers have no chunk). A lost wake-up hangs the test; a worker serving a
-// dispatch twice or not at all shows in the per-chunk counts.
+// workers find nothing to claim). A lost wake-up hangs the test; a chunk
+// claimed twice or not at all shows in the per-chunk counts.
 func TestPoolBarrierLostWakeupStress(t *testing.T) {
 	rounds := 20000
 	if testing.Short() {
@@ -69,6 +69,95 @@ func TestPoolBarrierLostWakeupStress(t *testing.T) {
 			t.Errorf("threads=%d: stats %+v, want %d pooled dispatches and no overflow", threads, st, 2*rounds)
 		}
 		p.Close()
+	}
+}
+
+// TestPoolClaimsEachChunkOnce interleaves back-to-back dispatches with ones
+// that follow an idle gap longer than the spin budget, so a dispatch lands on
+// workers that are spinning, parking, parked or still waking, and its chunks
+// go to whichever side claims them first. Every chunk is tagged with its
+// dispatch's sequence number, and must run exactly once and before RunChunks
+// returns: a worker that claims a chunk of a dispatch that has ended, or a
+// dispatcher that returns before a chunk a worker took has finished, shows
+// as a chunk run after its dispatch returned; a chunk taken by two sides, as
+// a second run under the same tag. Each chunk polls for a while, so a worker
+// polling on its own processor claims a chunk before the dispatcher is done
+// with chunk 0: on a pool that spins, the workers must have run some chunks,
+// or they never saw the dispatches.
+func TestPoolClaimsEachChunkOnce(t *testing.T) {
+	rounds := 5000
+	if testing.Short() {
+		rounds = 1000
+	}
+	rng := rand.New(rand.NewSource(2))
+	budget := spinIters
+	if raceEnabled {
+		budget >>= 5
+	}
+	for _, threads := range []int{2, 3, 8} {
+		p := NewPool[float64](threads)
+		full := make([]int, threads+1)
+		for i := range full {
+			full[i] = i
+		}
+		var returned, late, twice atomic.Int64
+		var last [8]atomic.Int64 // the sequence number of the last dispatch that ran the chunk
+		dispatched := 0
+		for seq := int64(1); seq <= int64(rounds); seq++ {
+			if seq%4 == 0 {
+				idle(budget + rng.Intn(budget))
+			}
+			n := 2 + rng.Intn(threads-1)
+			dispatched += n
+			p.RunChunks(full[:n+1], func(c, _, _ int) {
+				if returned.Load() >= seq {
+					late.Add(1)
+				}
+				if last[c].Swap(seq) == seq {
+					twice.Add(1)
+				}
+				idle(256)
+			})
+			returned.Store(seq)
+			for c := 0; c < n; c++ {
+				if got := last[c].Load(); got != seq {
+					t.Fatalf("threads=%d dispatch %d: chunk %d last ran for dispatch %d", threads, seq, c, got)
+				}
+			}
+		}
+		p.Close()
+		if late.Load() != 0 || twice.Load() != 0 {
+			t.Errorf("threads=%d: %d chunks ran after their dispatch returned, %d ran twice in one dispatch", threads, late.Load(), twice.Load())
+		}
+		st := p.Stats()
+		if st.Pooled != uint64(rounds) || st.Overflow != 0 || st.Reclaimed > uint64(dispatched-rounds) {
+			t.Errorf("threads=%d: stats %+v, want %d pooled dispatches, no overflow, at most %d chunks reclaimed", threads, st, rounds, dispatched-rounds)
+		}
+		if p.s.spin > 0 && st.Reclaimed == uint64(dispatched-rounds) {
+			t.Errorf("threads=%d: the caller ran all %d chunks past chunk 0; the spinning workers ran none", threads, st.Reclaimed)
+		}
+	}
+}
+
+// TestPoolReclaimsUnclaimedChunks: at GOMAXPROCS 1 the dispatcher keeps the
+// one processor from publishing a dispatch until it has run chunk 0, so a
+// two-thread pool's worker — just started, or woken from its park — has
+// claimed nothing by then, and the dispatcher runs chunk 1 as well instead of
+// waiting for it: one reclaimed chunk per dispatch, none overflowed.
+func TestPoolReclaimsUnclaimedChunks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := NewPool[float64](2)
+	defer p.Close()
+	bounds := []int{0, 1, 2}
+	var counts chunkCounter
+	p.RunChunks(bounds, counts.run) // starts the worker
+	waitParked(t, p)
+	p.RunChunks(bounds, counts.run) // wakes it
+	if st := p.Stats(); st != (PoolStats{Pooled: 2, Woken: 1, Reclaimed: 2}) {
+		t.Errorf("two dispatches on a started, then a parked worker at GOMAXPROCS 1: stats %+v, want 2 pooled, 1 woken, 2 reclaimed, no overflow", st)
+	}
+	if counts[0].Load() != 2 || counts[1].Load() != 2 {
+		t.Errorf("chunks ran %d and %d times, want 2 each", counts[0].Load(), counts[1].Load())
 	}
 }
 

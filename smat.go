@@ -259,8 +259,9 @@ func (t *Tuner[T]) Close() { t.inner.Close() }
 // misses, singleflight-shared waits, LRU evictions, hint-driven refreshes —
 // are zero when caching is disabled. Pool says what the operators'
 // MulVec/MulVecBatch calls did with the worker pool: dispatches the
-// persistent workers ran (and how many of those followed an idle gap and had
-// to wake a parked worker), dispatches that found the pool busy or closed and
+// persistent workers ran (how many of those followed an idle gap and had to
+// wake a parked worker, and how many chunks the caller ran because no worker
+// had claimed them in time), dispatches that found the pool busy or closed and
 // ran their chunks on the caller instead (Overflow), calls that stayed serial
 // under the work cutoff, and workers a tune warmed.
 // DiagonalTallies counts the DIA conversions that read the column indices to
