@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"bufio"
@@ -7,11 +7,11 @@ import (
 	"strings"
 )
 
-// Machine is the environment stamp the paper-facing artifacts carry, so a
+// machine is the environment stamp every artifact's envelope carries, so a
 // committed number is read knowing what produced it. It holds the same
 // identifying fields as the benchmark of record's machine record
 // (benchmark/machine.go); that one also measures bandwidth and timer noise.
-type Machine struct {
+type machine struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 	CPUModel   string `json:"cpu_model"`
@@ -20,8 +20,8 @@ type Machine struct {
 	GOARCH     string `json:"goarch"`
 }
 
-func machineRecord() Machine {
-	return Machine{
+func machineRecord() machine {
+	return machine{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		CPUModel:   cpuModel(),

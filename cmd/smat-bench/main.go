@@ -2,10 +2,13 @@
 //
 // Usage:
 //
-//	smat-bench -experiment all [-model model.json] [-scale 0.25] [-stride 8]
+//	smat-bench -experiment all [-model model.json] [-db features.db.jsonl] [-json-dir .] [-smoke]
 //
 // `smat-bench -h` lists the experiments -experiment accepts, in paper order,
-// from the same table the flag dispatches on (experimentTable).
+// from the same table the flag dispatches on (experimentTable). Each row of
+// that table records the settings its numbers are measured at, so an
+// experiment is reproduced by name; -smoke runs every one at one small
+// setting instead.
 //
 // Every experiment has a machine-readable JSON artifact named
 // BENCH_<experiment>.json; pass -json-dir to write them. main_test.go checks
@@ -21,6 +24,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -30,12 +34,32 @@ import (
 	"smat/internal/bench"
 )
 
+// settings is an experiment's recorded configuration: the workload scale
+// (0, 1], the corpus sampling stride of corpus-wide experiments, and the
+// timing window and trials of every measurement (fastest wins).
+type settings struct {
+	Scale     float64 `json:"scale"`
+	Stride    int     `json:"stride"`
+	MinTimeMS float64 `json:"min_time_ms"`
+	Trials    int     `json:"trials"`
+}
+
+var (
+	// survey is the setting of the experiments without a committed artifact.
+	survey = settings{Scale: 0.3, Stride: 4, MinTimeMS: 2, Trials: 2}
+	// full is the whole workload at the default timing.
+	full = settings{Scale: 1, Stride: 8, MinTimeMS: 1, Trials: 3}
+	// smoke is -smoke's setting: every experiment end to end in seconds.
+	smoke = settings{Scale: 0.05, Stride: 16, MinTimeMS: 0.2, Trials: 1}
+)
+
 // experiment is one row of the experiment table: the name the -experiment
-// flag accepts (its artifact is BENCH_<name>.json) and the runner returning
-// the serialisable result.
+// flag accepts (its artifact is BENCH_<name>.json), the settings it is
+// recorded at, and the runner returning the serialisable result.
 type experiment struct {
 	name string
-	run  func(cfg bench.Config) (any, error)
+	settings
+	run func(cfg bench.Config) (any, error)
 }
 
 // artifact is the file name of the experiment's JSON artifact.
@@ -44,24 +68,33 @@ func (e experiment) artifact() string { return "BENCH_" + e.name + ".json" }
 // experimentTable declares every experiment in paper order.
 func experimentTable() []experiment {
 	return []experiment{
-		{name: "table1", run: func(cfg bench.Config) (any, error) { return bench.Table1(cfg), nil }},
-		{name: "figure1", run: func(cfg bench.Config) (any, error) { return bench.Figure1(cfg) }},
-		{name: "figure3", run: func(cfg bench.Config) (any, error) { return bench.Figure3(cfg), nil }},
-		{name: "figure6", run: func(cfg bench.Config) (any, error) { return bench.Figure6(cfg), nil }},
-		{name: "figure9", run: func(cfg bench.Config) (any, error) { return bench.Figure9(cfg), nil }},
-		{name: "figure10", run: func(cfg bench.Config) (any, error) { return bench.Figure10(cfg), nil }},
-		{name: "table3", run: func(cfg bench.Config) (any, error) { return bench.Table3(cfg), nil }},
-		{name: "table4", run: func(cfg bench.Config) (any, error) { return bench.Table4(cfg) }},
-		{name: "ablation-threshold", run: func(cfg bench.Config) (any, error) { return bench.AblationThreshold(cfg, nil), nil }},
-		{name: "ablation-rules", run: func(cfg bench.Config) (any, error) { return bench.AblationRules(cfg) }},
-		{name: "ablation-scoreboard", run: func(cfg bench.Config) (any, error) { return bench.AblationScoreboard(cfg), nil }},
-		{name: "extensions", run: func(cfg bench.Config) (any, error) { return bench.Extensions(cfg), nil }},
-		{name: "steady", run: func(cfg bench.Config) (any, error) { return bench.Steady(cfg), nil }},
-		{name: "batch", run: func(cfg bench.Config) (any, error) { return bench.BatchBench(cfg), nil }},
-		{name: "convert", run: func(cfg bench.Config) (any, error) { return bench.ConvertBench(cfg), nil }},
-		{name: "solve", run: func(cfg bench.Config) (any, error) { return bench.SolveBench(cfg) }},
-		{name: "selection", run: func(cfg bench.Config) (any, error) { return bench.Selection(cfg), nil }},
+		{"table1", survey, func(cfg bench.Config) (any, error) { return bench.Table1(cfg), nil }},
+		{"figure1", full, func(cfg bench.Config) (any, error) { return bench.Figure1(cfg) }},
+		{"figure3", survey, func(cfg bench.Config) (any, error) { return bench.Figure3(cfg), nil }},
+		{"figure6", survey, func(cfg bench.Config) (any, error) { return bench.Figure6(cfg), nil }},
+		{"figure9", survey, func(cfg bench.Config) (any, error) { return bench.Figure9(cfg), nil }},
+		{"figure10", survey, func(cfg bench.Config) (any, error) { return bench.Figure10(cfg), nil }},
+		{"table3", settings{Scale: 1, Stride: 4, MinTimeMS: 2, Trials: 2}, func(cfg bench.Config) (any, error) { return bench.Table3(cfg), nil }},
+		{"table4", full, func(cfg bench.Config) (any, error) { return bench.Table4(cfg) }},
+		{"ablation-threshold", survey, func(cfg bench.Config) (any, error) { return bench.AblationThreshold(cfg, nil), nil }},
+		{"ablation-rules", survey, func(cfg bench.Config) (any, error) { return bench.AblationRules(cfg) }},
+		{"ablation-scoreboard", survey, func(cfg bench.Config) (any, error) { return bench.AblationScoreboard(cfg), nil }},
+		{"extensions", survey, func(cfg bench.Config) (any, error) { return bench.Extensions(cfg), nil }},
+		{"steady", full, func(cfg bench.Config) (any, error) { return bench.Steady(cfg), nil }},
+		{"batch", settings{Scale: 1, Stride: 8, MinTimeMS: 30, Trials: 5}, func(cfg bench.Config) (any, error) { return bench.BatchBench(cfg), nil }},
+		{"convert", settings{Scale: 1, Stride: 8, MinTimeMS: 1, Trials: 5}, func(cfg bench.Config) (any, error) { return bench.ConvertBench(cfg), nil }},
+		{"solve", full, func(cfg bench.Config) (any, error) { return bench.SolveBench(cfg) }},
+		{"selection", settings{Scale: 1, Stride: 1, MinTimeMS: 1, Trials: 3}, func(cfg bench.Config) (any, error) { return bench.Selection(cfg), nil }},
 	}
+}
+
+// runConfig is what an artifact records of its run: the settings, the
+// thread count (GOMAXPROCS) and where the model and database came from.
+type runConfig struct {
+	settings
+	Threads int    `json:"threads"`
+	Model   string `json:"model"`
+	DB      string `json:"db,omitempty"`
 }
 
 func main() {
@@ -76,113 +109,104 @@ func main() {
 	var (
 		experimentID = flag.String("experiment", "all", "experiment to run: "+strings.Join(names, ", ")+" or all")
 		modelPath    = flag.String("model", "", "model JSON to load (default: the built-in model.json)")
-		scale        = flag.Float64("scale", 0.25, "workload size scale (0,1]")
-		stride       = flag.Int("stride", 8, "corpus sampling stride for corpus-wide experiments")
-		threads      = flag.Int("threads", 0, "platform A threads (0 = GOMAXPROCS)")
-		threadsB     = flag.Int("threads-b", 0, "platform B threads (0 = half of A)")
-		seed         = flag.Int64("seed", 1, "workload seed")
-		minTimeMS    = flag.Float64("mintime-ms", 1, "per-measurement minimum timing window (ms)")
-		trials       = flag.Int("trials", 3, "measurement trials (fastest wins)")
 		jsonDir      = flag.String("json-dir", "", "write each experiment's BENCH_<name>.json artifact into this directory")
-		baseline     = flag.String("baseline-model", "", "selection: a second model to evaluate beside -model")
 		dbPath       = flag.String("db", "", "selection: the feature database to cross-validate on")
+		smokeRun     = flag.Bool("smoke", false, fmt.Sprintf("run at scale %g, stride %d, %g ms, %d trial instead of each experiment's recorded settings",
+			smoke.Scale, smoke.Stride, smoke.MinTimeMS, smoke.Trials))
 	)
 	flag.Parse()
 
+	if *experimentID != "all" && !slices.Contains(names, *experimentID) {
+		log.Fatalf("unknown experiment %q; choose one of %s or all",
+			*experimentID, strings.Join(names, ", "))
+	}
+	base := runConfig{Threads: runtime.GOMAXPROCS(0), Model: "built-in model.json", DB: *dbPath}
 	model := smat.DefaultModel()
 	if *modelPath != "" {
 		m, err := smat.LoadModelFile(*modelPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		model = m
+		model, base.Model = m, *modelPath
 		log.Printf("loaded model %s (%d classes, threshold %.2f)", *modelPath, len(m.Classes), m.ConfidenceThreshold)
 	} else {
 		log.Print("using the built-in model.json")
 	}
-
-	cfg := bench.Config{
-		Scale:    *scale,
-		Threads:  *threads,
-		ThreadsB: *threadsB,
-		Model:    model,
-		Measure: autotune.MeasureOptions{
-			MinTime: time.Duration(*minTimeMS * float64(time.Millisecond)),
-			Trials:  *trials,
-		},
-		Stride: *stride,
-		Seed:   *seed,
-		Out:    os.Stdout,
-	}
-
-	if *baseline != "" {
-		m, err := smat.LoadModelFile(*baseline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Baseline = m
-	}
+	var db *autotune.Database
 	if *dbPath != "" {
 		f, err := os.Open(*dbPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		db, err := autotune.LoadDatabase(f)
+		db, err = autotune.LoadDatabase(f)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg.Database = db
 	}
-
 	if *jsonDir != "" {
 		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	run := func(e experiment) {
-		fmt.Printf("\n=== %s ===\n", e.name)
+	for _, e := range table {
+		if *experimentID != "all" && e.name != *experimentID {
+			continue
+		}
+		rc := base
+		rc.settings = e.settings
+		if *smokeRun {
+			rc.settings = smoke
+		}
+		fmt.Printf("\n=== %s (scale %g, stride %d, %g ms, %d trials, %d threads) ===\n",
+			e.name, rc.Scale, rc.Stride, rc.MinTimeMS, rc.Trials, rc.Threads)
 		start := time.Now()
-		res, err := e.run(cfg)
+		res, err := e.run(bench.Config{
+			Scale:    rc.Scale,
+			Threads:  rc.Threads,
+			Model:    model,
+			Database: db,
+			Measure: autotune.MeasureOptions{
+				MinTime: time.Duration(rc.MinTimeMS * float64(time.Millisecond)),
+				Trials:  rc.Trials,
+			},
+			Stride: rc.Stride,
+			Out:    os.Stdout,
+		})
 		if err != nil {
 			log.Fatalf("%s: %v", e.name, err)
 		}
 		if *jsonDir != "" {
 			path := filepath.Join(*jsonDir, e.artifact())
-			if err := writeArtifact(path, e.name, res); err != nil {
+			if err := writeArtifact(path, e.name, rc, res); err != nil {
 				log.Fatalf("%s: writing %s: %v", e.name, path, err)
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
 		fmt.Printf("(%s in %s)\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	if *experimentID != "all" && !slices.Contains(names, *experimentID) {
-		log.Fatalf("unknown experiment %q; choose one of %s or all",
-			*experimentID, strings.Join(names, ", "))
-	}
-	for _, e := range table {
-		if *experimentID == "all" || e.name == *experimentID {
-			run(e)
-		}
-	}
 }
 
 // artifactEnvelope is the artifact schema: the experiment name (matching the
-// file name), the git provenance of the run, and the experiment's own payload.
+// file name), the git provenance of the run, the machine and configuration
+// it ran on, and the experiment's own payload.
 type artifactEnvelope struct {
-	Experiment string `json:"experiment"`
-	Git        string `json:"git"`
-	Data       any    `json:"data"`
+	Experiment string    `json:"experiment"`
+	Git        string    `json:"git"`
+	Machine    machine   `json:"machine"`
+	Config     runConfig `json:"config"`
+	Data       any       `json:"data"`
 }
 
 // writeArtifact writes v as an indented JSON artifact wrapped in the
 // provenance envelope.
-func writeArtifact(path, name string, v any) error {
+func writeArtifact(path, name string, rc runConfig, v any) error {
 	data, err := json.MarshalIndent(artifactEnvelope{
 		Experiment: name,
 		Git:        gitDescribe(),
+		Machine:    machineRecord(),
+		Config:     rc,
 		Data:       v,
 	}, "", "  ")
 	if err != nil {
@@ -192,11 +216,17 @@ func writeArtifact(path, name string, v any) error {
 }
 
 // gitDescribe stamps the artifact with the commit it was measured at, or
-// "unknown" outside a git checkout.
+// "unknown" outside a git checkout. The stamp ends in "-dirty" when a
+// tracked file other than a BENCH_*.json artifact differs from that commit,
+// so regenerating the artifacts one by one into the checkout stays clean.
 func gitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
+	out, err := exec.Command("git", "describe", "--always").Output()
 	if err != nil || len(out) == 0 {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	stamp := strings.TrimSpace(string(out))
+	if exec.Command("git", "diff", "--quiet", "HEAD", "--", ":/", ":(top,exclude)BENCH_*.json").Run() != nil {
+		stamp += "-dirty"
+	}
+	return stamp
 }

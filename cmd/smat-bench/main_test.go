@@ -27,8 +27,9 @@ func TestExperimentTable(t *testing.T) {
 }
 
 // TestCommittedArtifactsValid parses every BENCH_*.json at the module root:
-// each must be the artifact of an experiment in the table and carry the
-// envelope writeArtifact writes. A truncated or hand-edited artifact fails here
+// each must be the artifact of an experiment in the table, carry the
+// envelope writeArtifact writes, and record the settings the table gives its
+// experiment. A truncated, hand-edited or smoke-sized artifact fails here
 // instead of shipping an unreproducible number.
 func TestCommittedArtifactsValid(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
@@ -38,13 +39,14 @@ func TestCommittedArtifactsValid(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no BENCH_*.json at the module root")
 	}
-	artifacts := map[string]bool{}
+	artifacts := map[string]experiment{}
 	for _, e := range experimentTable() {
-		artifacts[e.artifact()] = true
+		artifacts[e.artifact()] = e
 	}
 	for _, path := range paths {
 		file := filepath.Base(path)
-		if !artifacts[file] {
+		e, ok := artifacts[file]
+		if !ok {
 			t.Errorf("%s is the artifact of no experiment in the table", file)
 			continue
 		}
@@ -54,19 +56,35 @@ func TestCommittedArtifactsValid(t *testing.T) {
 		}
 		if err := validateArtifact(data, file); err != nil {
 			t.Errorf("%s: %v", file, err)
+			continue
+		}
+		var env struct {
+			Config runConfig `json:"config"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Config.settings != e.settings {
+			t.Errorf("%s: measured at %+v, the table records %+v", file, env.Config.settings, e.settings)
 		}
 	}
 }
 
 // validateArtifact checks one artifact against the envelope: the experiment
-// named by the file, a non-empty git provenance string, and a data object
-// whose case array ("rows") is non-empty with a numeric timing field in every
-// row.
+// named by the file, the git provenance of a clean tree, the machine record,
+// the run's configuration, and a data object whose case array ("rows") is
+// non-empty with a numeric timing field in every row.
 func validateArtifact(data []byte, file string) error {
 	var env struct {
 		Experiment string `json:"experiment"`
 		Git        string `json:"git"`
-		Data       *struct {
+		Machine    *struct {
+			GOMAXPROCS int `json:"gomaxprocs"`
+		} `json:"machine"`
+		Config *struct {
+			Scale float64 `json:"scale"`
+		} `json:"config"`
+		Data *struct {
 			Rows []map[string]any `json:"rows"`
 		} `json:"data"`
 	}
@@ -80,6 +98,12 @@ func validateArtifact(data []byte, file string) error {
 		return fmt.Errorf("experiment %q does not match the file name", env.Experiment)
 	case env.Git == "":
 		return errors.New(`missing "git" provenance`)
+	case strings.HasSuffix(env.Git, "-dirty"):
+		return fmt.Errorf("git %q: measured on a dirty tree", env.Git)
+	case env.Machine == nil || env.Machine.GOMAXPROCS <= 0:
+		return errors.New(`missing "machine"`)
+	case env.Config == nil || env.Config.Scale <= 0:
+		return errors.New(`missing "config"`)
 	case env.Data == nil:
 		return errors.New(`missing "data"`)
 	case env.Data.Rows == nil:
@@ -110,14 +134,18 @@ func hasTimingField(row map[string]any) bool {
 }
 
 // TestValidateArtifact runs the validator over one valid envelope and every
-// seeded way an artifact can be broken.
+// seeded way an artifact can be broken. A payload that gives neither a
+// machine record nor a configuration gets valid ones.
 func TestValidateArtifact(t *testing.T) {
 	cases := []struct {
 		name, payload string
 		wantSub       string // "" means valid
 	}{
+		{"missing machine", `{"experiment": "steady", "git": "abc", "config": {"scale": 1}, "data": {"rows": [{"sec": 1}]}}`, `missing "machine"`},
+		{"missing config", `{"experiment": "steady", "git": "abc", "machine": {"gomaxprocs": 2}, "data": {"rows": [{"sec": 1}]}}`, `missing "config"`},
+		{"dirty git", `{"experiment": "steady", "git": "abc-dirty", "data": {"rows": [{"sec": 1}]}}`, "dirty tree"},
 		{"valid", `{"experiment": "steady", "git": "abc1234",
-			"data": {"threads": 8, "rows": [{"workload": "x", "pooled_sec_per_op": 1e-4}]}}`, ""},
+			"data": {"rows": [{"workload": "x", "pooled_sec_per_op": 1e-4}]}}`, ""},
 		{"malformed JSON", `{"experiment": "steady",`, "not a JSON envelope"},
 		{"missing experiment", `{"git": "abc", "data": {"rows": [{"sec": 1}]}}`, `missing "experiment"`},
 		{"name/file mismatch", `{"experiment": "batch", "git": "abc", "data": {"rows": [{"sec": 1}]}}`, "does not match the file name"},
@@ -130,7 +158,11 @@ func TestValidateArtifact(t *testing.T) {
 		{"row with only an index", `{"experiment": "steady", "git": "abc", "data": {"rows": [{"number": 1}]}}`, "no numeric timing field"},
 		{"timing key, not a number", `{"experiment": "steady", "git": "abc", "data": {"rows": [{"sec": "fast"}]}}`, "no numeric timing field"},
 	}
+	const envelope = `{"machine": {"gomaxprocs": 2}, "config": {"scale": 1}, `
 	for _, tc := range cases {
+		if !strings.Contains(tc.payload, `"machine"`) && !strings.Contains(tc.payload, `"config"`) {
+			tc.payload = strings.Replace(tc.payload, "{", envelope, 1)
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			err := validateArtifact([]byte(tc.payload), "BENCH_steady.json")
 			switch {

@@ -73,10 +73,7 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 // configurations (cljp coarsening on a 3D 7-point problem, Ruge–Stüben on a
 // 2D 9-point problem).
 type Table4Result struct {
-	Machine Machine     `json:"machine"`
-	Threads int         `json:"threads"`
-	Scale   float64     `json:"scale"`
-	Rows    []Table4Row `json:"rows"`
+	Rows []Table4Row `json:"rows"`
 }
 
 // Table4Row is one solver configuration.
@@ -111,7 +108,7 @@ func (f spmvFunc[T]) MulVec(x, y []T) { f(x, y) }
 // binding and reports solve-phase times.
 func Table4(cfg Config) (*Table4Result, error) {
 	cfg = cfg.withDefaults()
-	res := &Table4Result{Machine: machineRecord(), Threads: cfg.Threads, Scale: cfg.Scale}
+	res := &Table4Result{}
 	// A solve is one timed run, not a window of repeated calls: best of at
 	// least three, each after a GC.
 	trials := max(cfg.Measure.Trials, 3)

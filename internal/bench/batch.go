@@ -17,11 +17,8 @@ import (
 // per-vector speedup comes from amortising every matrix-element load over the
 // whole register tile.
 type BatchResult struct {
-	Machine Machine    `json:"machine"`
-	Threads int        `json:"threads"`
-	Scale   float64    `json:"scale"`
-	Widths  []int      `json:"widths"`
-	Rows    []BatchRow `json:"rows"`
+	Widths []int      `json:"widths"`
+	Rows   []BatchRow `json:"rows"`
 }
 
 // BatchRow is one (affinity class, batch width) measurement.
@@ -73,7 +70,7 @@ func batchWorkloads(cfg Config) []struct {
 // kernel pooled, all on warmed plans.
 func BatchBench(cfg Config) *BatchResult {
 	cfg = cfg.withDefaults()
-	res := &BatchResult{Machine: machineRecord(), Threads: cfg.Threads, Scale: cfg.Scale, Widths: batchWidths}
+	res := &BatchResult{Widths: batchWidths}
 
 	lib := kernels.NewLibrary[float64]()
 	pool := kernels.NewPool[float64](cfg.Threads)

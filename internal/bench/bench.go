@@ -28,10 +28,8 @@ type Config struct {
 	// Model drives SMAT decisions (required; cmd/smat-bench loads -model, or
 	// the built-in model.json without it).
 	Model *autotune.Model
-	// Baseline, when set, is a second model the selection experiment
-	// evaluates beside Model; Database, when set, the feature database its
-	// k-fold accuracy is computed on.
-	Baseline *autotune.Model
+	// Database, when set, is the feature database the selection
+	// experiment's k-fold accuracy is computed on.
 	Database *autotune.Database
 	// Measure controls timing windows.
 	Measure autotune.MeasureOptions

@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"smat"
 	"smat/internal/autotune"
 	"smat/internal/corpus"
+	"smat/internal/kernels"
 	"smat/internal/matrix"
 )
 
@@ -138,6 +141,73 @@ func TestTable3(t *testing.T) {
 		!strings.Contains(out.String(), fallback) {
 		t.Errorf("fallback mean %gx over %d decisions, %d fallbacks counted; output:\n%s",
 			res.MeanOverheadFallback, res.FallbackDecisions, res.Fallbacks, out.String())
+	}
+}
+
+// TestSelection scores the model with and without a feature database: a row
+// without one ran no cross-validation, reports cv_n 0 and prints "n/a", not a
+// 0 % accuracy; a row with one reports its rows and prints a percentage.
+func TestSelection(t *testing.T) {
+	f, err := os.Open("../../features.db.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var head strings.Builder
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for i := 0; i < 40 && sc.Scan(); i++ {
+		head.WriteString(sc.Text() + "\n")
+	}
+	db, err := autotune.LoadDatabase(strings.NewReader(head.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		db   *autotune.Database
+		cv   string // the CV column of every printed row
+	}{{"no database", nil, "n/a"}, {"database", db, "%"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			cfg := fastCfg(&out)
+			cfg.Database = tc.db
+			res := Selection(cfg)
+			if len(res.Rows) == 0 {
+				t.Fatal("no rows")
+			}
+			for _, r := range res.Rows {
+				if (r.CVN > 0) != (tc.db != nil) {
+					t.Errorf("%d threads: cv_n %d with database %v", r.Threads, r.CVN, tc.db != nil)
+				}
+			}
+			lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+			for _, line := range lines[len(lines)-len(res.Rows):] {
+				if cv := strings.Fields(line)[2]; !strings.HasSuffix(cv, tc.cv) {
+					t.Errorf("CV column %q, want %q in row %q", cv, tc.cv, line)
+				}
+			}
+		})
+	}
+}
+
+// TestPoolDelta changes each PoolStats field in turn and checks that
+// poolDelta returns that difference, so a counter added to the pool is not
+// silently reported as 0.
+func TestPoolDelta(t *testing.T) {
+	n := reflect.TypeFor[kernels.PoolStats]().NumField()
+	for i := 0; i < n; i++ {
+		var before, after kernels.PoolStats
+		for j := 0; j < n; j++ {
+			reflect.ValueOf(&before).Elem().Field(j).SetUint(10)
+			reflect.ValueOf(&after).Elem().Field(j).SetUint(10)
+		}
+		reflect.ValueOf(&after).Elem().Field(i).SetUint(17)
+		var want kernels.PoolStats
+		reflect.ValueOf(&want).Elem().Field(i).SetUint(7)
+		if got := poolDelta(before, after); *got != want {
+			t.Errorf("%s: delta %+v, want %+v", reflect.TypeFor[kernels.PoolStats]().Field(i).Name, *got, want)
+		}
 	}
 }
 

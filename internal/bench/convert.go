@@ -23,9 +23,7 @@ import (
 // NsPerSlot is each format's conversion cost per element slot written, the
 // constant the deferred policy predicts a conversion's cost with.
 type ConvertResult struct {
-	Threads int     `json:"threads"`
-	Scale   float64 `json:"scale"`
-	Ks      []int   `json:"ks"`
+	Ks []int `json:"ks"`
 
 	Rows      []ConvertRow       `json:"rows"`
 	NsPerSlot map[string]float64 `json:"convert_ns_per_slot"`
@@ -184,7 +182,7 @@ func convertNsPerSlot(tuner *autotune.Tuner[float64], ws []convertWorkload, tria
 // below break-even it serves tuned CSR, at or above it converts inline.
 func ConvertBench(cfg Config) *ConvertResult {
 	cfg = cfg.withDefaults()
-	res := &ConvertResult{Threads: cfg.Threads, Scale: cfg.Scale, Ks: convertKs}
+	res := &ConvertResult{Ks: convertKs}
 
 	trials := max(cfg.Measure.Trials, 3)
 	lazy := smat.NewTuner[float64](cfg.Model, smat.WithThreads(cfg.Threads), smat.WithCacheSize(0))

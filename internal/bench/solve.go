@@ -18,10 +18,7 @@ import (
 // two-pass triple product). The fast paths' answers are checked by
 // internal/oracle (CheckSpGEMM, CheckSolvers), not here.
 type SolveResult struct {
-	Machine Machine    `json:"machine"`
-	Threads int        `json:"threads"`
-	Scale   float64    `json:"scale"`
-	Rows    []SolveRow `json:"rows"`
+	Rows []SolveRow `json:"rows"`
 }
 
 // SolveRow is one timed case. BaselineSec holds the reference configuration
@@ -55,6 +52,7 @@ func poolDelta(before, after kernels.PoolStats) *kernels.PoolStats {
 		Overflow:     after.Overflow - before.Overflow,
 		SerialCutoff: after.SerialCutoff - before.SerialCutoff,
 		Warmed:       after.Warmed - before.Warmed,
+		Reclaimed:    after.Reclaimed - before.Reclaimed,
 	}
 }
 
@@ -73,7 +71,7 @@ func SolveBench(cfg Config) (*SolveResult, error) {
 	if trials < 1 {
 		trials = 3
 	}
-	res := &SolveResult{Machine: machineRecord(), Threads: cfg.Threads, Scale: cfg.Scale}
+	res := &SolveResult{}
 
 	if err := galerkinRows(cfg, trials, res); err != nil {
 		return nil, err

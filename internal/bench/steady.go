@@ -16,9 +16,7 @@ import (
 // pool's spin budget are read off: per format, one kernel run at one thread
 // against the same kernel pooled, from ~1k to ~1M stored entries.
 type SteadyResult struct {
-	Threads int         `json:"threads"`
-	Scale   float64     `json:"scale"`
-	Rows    []CutoffRow `json:"rows"`
+	Rows []CutoffRow `json:"rows"`
 
 	// CutoffGapUs is the idle gap of the gapped column. DerivedSerialWork is the
 	// smallest swept size from which the pooled path wins back to back in
@@ -32,7 +30,7 @@ type SteadyResult struct {
 }
 
 // CutoffRow is one (format, size) point of the cutoff sweep: one kernel run
-// serially against the same kernel pooled at Threads, the latter on a
+// serially against the same kernel pooled at cfg.Threads, the latter on a
 // Partitioned handle so that it runs on the pool whatever the size. Both are
 // called back to back and with an idle gap before every call, long enough for
 // the workers to have parked.
@@ -82,7 +80,7 @@ var cutoffKernels = []struct {
 // on the first call after the gap.
 func Steady(cfg Config) *SteadyResult {
 	cfg = cfg.withDefaults()
-	res := &SteadyResult{Threads: cfg.Threads, Scale: cfg.Scale, CutoffGapUs: float64(cutoffGap.Microseconds())}
+	res := &SteadyResult{CutoffGapUs: float64(cutoffGap.Microseconds())}
 	lib := kernels.NewLibrary[float64]()
 	pool := kernels.NewPool[float64](cfg.Threads)
 	defer pool.Close()

@@ -16,9 +16,7 @@ import (
 // the decision overhead in CSR-SpMV multiples — plus aggregate accuracy over
 // the held-out evaluation split (heldOut).
 type Table3Result struct {
-	Threads int         `json:"threads"`
-	Scale   float64     `json:"scale"`
-	Rows    []Table3Row `json:"rows"`
+	Rows []Table3Row `json:"rows"`
 	// EvalAccuracy is the fraction of sampled evaluation matrices where an
 	// uncached tuner's final choice matches the measured best format.
 	EvalAccuracy float64 `json:"eval_accuracy"`
@@ -65,7 +63,7 @@ type Table3Row struct {
 // scores it over the held-out split (scoreHeldOut).
 func Table3(cfg Config) *Table3Result {
 	cfg = cfg.withDefaults()
-	res := &Table3Result{Threads: cfg.Threads, Scale: cfg.Scale}
+	res := &Table3Result{}
 	tuner := autotune.New[float64](cfg.Model, autotune.Config{Threads: cfg.Threads})
 	defer tuner.Close()
 

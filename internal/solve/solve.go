@@ -57,14 +57,3 @@ type Stats struct {
 	RelResidual float64
 	Converged   bool
 }
-
-// applyPrec routes through the preconditioner, with z aliasing r for the
-// unpreconditioned case (callers treat z as read-only between applications,
-// so the alias is safe and skips a copy).
-func applyPrec[T matrix.Float](m Preconditioner[T], r, z []T) []T {
-	if m == nil {
-		return r
-	}
-	m.Apply(r, z)
-	return z
-}
