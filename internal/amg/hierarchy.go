@@ -93,10 +93,10 @@ func (o csrOp[T]) MulVec(x, y []T) {
 // strength graph → coarsening → direct interpolation → Galerkin triple
 // product per level, until the coarse-size or level limit. Operators default
 // to plain CSR; call Bind to swap in tuned SpMVs. The Galerkin coarse-grid
-// products — the set-up's dominant cost — run as row-blocked fused SpGEMM
-// chunks on the given kernel worker pool (kernels.GalerkinRAP); a nil pool
-// runs the same fused product on the caller, with the same bits. Sharing the
-// tuner's pool (Tuner.Pool()) keeps setup and solve on one set of workers.
+// products — the set-up's dominant cost — run as row-blocked SpGEMM chunks
+// on the given kernel worker pool (kernels.GalerkinRAP); a nil pool runs the
+// same product on the caller, with the same bits. Sharing the tuner's pool
+// (Tuner.Pool()) keeps setup and solve on one set of workers.
 func SetupPooled[T matrix.Float](a *matrix.CSR[T], opts Options, pool *kernels.Pool[T]) (*Hierarchy[T], error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("amg: operator is %dx%d, want square", a.Rows, a.Cols)

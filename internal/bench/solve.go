@@ -14,8 +14,8 @@ import (
 
 // SolveResult is the solver-workload experiment: end-to-end Krylov solves
 // through the tuned operator versus the fixed-format reference, and AMG
-// setup-phase Galerkin products (fused row-blocked SpGEMM versus the serial
-// two-pass triple product). The fast paths' answers are checked by
+// setup-phase Galerkin products (row-blocked SpGEMM on a pool versus the
+// serial two-pass triple product). The fast paths' answers are checked by
 // internal/oracle (CheckSpGEMM, CheckSolvers), not here.
 type SolveResult struct {
 	Rows []SolveRow `json:"rows"`
@@ -109,14 +109,10 @@ func SolveBench(cfg Config) (*SolveResult, error) {
 }
 
 // galerkinRows times the AMG setup-phase coarse-grid products: the serial
-// two-pass triple product R·A·P (matrix.TripleProduct) against the fused
-// row-blocked kernels.GalerkinRAP dispatched over a worker pool, summed over
-// every level of each hierarchy.
+// two-pass triple product R·A·P (matrix.TripleProduct) against the
+// row-blocked kernels.GalerkinRAP dispatched over a pool of the run's
+// threads, summed over every level of each hierarchy.
 func galerkinRows(cfg Config, trials int, res *SolveResult) error {
-	setupThreads := cfg.Threads
-	if setupThreads < 4 {
-		setupThreads = 4
-	}
 	configs := []struct {
 		name  string
 		build func() *matrix.CSR[float64]
@@ -157,17 +153,17 @@ func galerkinRows(cfg Config, trials int, res *SolveResult) error {
 				matrix.TripleProduct(pr.r, pr.a, pr.p)
 			}
 		})
-		pool := kernels.NewPool[float64](setupThreads)
+		pool := kernels.NewPool[float64](cfg.Threads)
 		pooled := bestOfSec(trials, func() {
 			for _, pr := range products {
-				kernels.GalerkinRAP(pr.r, pr.a, pr.p, pool, setupThreads)
+				kernels.GalerkinRAP(pr.r, pr.a, pr.p, pool, cfg.Threads)
 			}
 		})
 		pool.Close()
 		res.Rows = append(res.Rows, SolveRow{
-			Case: c.name, N: a.Rows, NNZ: nnz, Threads: setupThreads,
+			Case: c.name, N: a.Rows, NNZ: nnz, Threads: cfg.Threads,
 			Sec: pooled, BaselineSec: serial, Speedup: serial / pooled,
-			Detail: fmt.Sprintf("%d levels, fused RAP vs two-pass triple product", len(h.Levels)),
+			Detail: fmt.Sprintf("%d levels, row-blocked RAP vs two-pass triple product", len(h.Levels)),
 		})
 	}
 	return nil
@@ -255,7 +251,7 @@ func cgProblemRows(cfg Config, trials int, res *SolveResult, tuner *autotune.Tun
 }
 
 // amgPCGRows times an end-to-end AMG-preconditioned CG solve: hierarchy
-// built with the pooled fused Galerkin products (sharing the tuner's
+// built with the pooled Galerkin products (sharing the tuner's
 // workers), then solved with every level bound to the fixed parallel-CSR
 // kernel versus SMAT-tuned operators with the iteration hint.
 func amgPCGRows(cfg Config, trials int, res *SolveResult) error {
@@ -308,7 +304,7 @@ func amgPCGRows(cfg Config, trials int, res *SolveResult) error {
 		ItersPerSec: float64(stats.Iterations) / tunedSec,
 		IterUs:      tunedSec * 1e6 / float64(stats.Iterations),
 		Pool:        pool, WokenShare: wokenShare(pool),
-		Detail: fmt.Sprintf("%d levels, pooled fused setup, base iters %d", len(h.Levels), baseIters),
+		Detail: fmt.Sprintf("%d levels, pooled setup, base iters %d", len(h.Levels), baseIters),
 	})
 	return nil
 }

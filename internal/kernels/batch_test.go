@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"smat/internal/gen"
@@ -320,17 +321,27 @@ func TestPlanForBatchScalesCutoff(t *testing.T) {
 	}
 }
 
+// BenchmarkSpMMSteadyState times the batched bodies on the steady-state
+// pooled path, in per-vector GFLOP/s: CSR's on a random matrix, and DIA's
+// against k calls of the single-vector kernel a tuner binds
+// (dia_blocked_parallel) on separate vectors, on the 700² 5-point Laplacian
+// and on a 35-diagonal band (batch_spmm's dia_band35). The pool has
+// GOMAXPROCS threads, so -cpu 1 times the serial bodies.
 func BenchmarkSpMMSteadyState(b *testing.B) {
+	lib := NewLibrary[float64]()
+	pool := NewPool[float64](runtime.GOMAXPROCS(0))
+	defer pool.Close()
+	gflops := func(b *testing.B, nnz, k int) {
+		b.ReportMetric(float64(FLOPs(nnz))*float64(k)/1e9*float64(b.N)/b.Elapsed().Seconds(), "gflops")
+	}
+
 	rng := rand.New(rand.NewSource(25))
 	m := gen.RandomUniform[float64](20000, 20000, 30, rng)
 	mat, err := Convert(m, matrix.FormatCSR, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	lib := NewLibrary[float64]()
 	bk := lib.batchByName["csr_batch_parallel"]
-	pool := NewPool[float64](8)
-	defer pool.Close()
 	for _, k := range []int{1, 4, 8, 16} {
 		xb := make([]float64, m.Cols*k)
 		for i := range xb {
@@ -343,8 +354,53 @@ func BenchmarkSpMMSteadyState(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bk.RunPooled(mat, xb, yb, k, pool)
 			}
-			// Per-vector GFLOPS: the amortisation metric.
-			b.ReportMetric(float64(FLOPs(m.NNZ()))*float64(k)/1e9*float64(b.N)/b.Elapsed().Seconds(), "gflops")
+			gflops(b, m.NNZ(), k)
 		})
+	}
+
+	band := make([]int, 35)
+	for i := range band {
+		band[i] = i - 17
+	}
+	dia := []struct {
+		name string
+		m    *matrix.CSR[float64]
+	}{
+		{"lap2d700", gen.Laplacian2D5pt[float64](700, 700)},
+		{"band35", gen.MultiDiagonal[float64](40000, band, rand.New(rand.NewSource(26)))},
+	}
+	batch, single := lib.batchByName["dia_batch_parallel"], lib.Lookup("dia_blocked_parallel")
+	for _, d := range dia {
+		mat, err := Convert(d.m, matrix.FormatDIA, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := d.m.Rows
+		for _, k := range []int{2, 4, 8, 16} {
+			xb := make([]float64, n*k)
+			for i := range xb {
+				xb[i] = float64(1 + i%5)
+			}
+			yb := make([]float64, n*k)
+			b.Run(fmt.Sprintf("dia_batch_parallel/%s/k%d", d.name, k), func(b *testing.B) {
+				batch.RunPooled(mat, xb, yb, k, pool)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					batch.RunPooled(mat, xb, yb, k, pool)
+				}
+				gflops(b, d.m.NNZ(), k)
+			})
+			// The same storage as k separate vectors of n.
+			b.Run(fmt.Sprintf("dia_blocked_parallel/%s/k%d", d.name, k), func(b *testing.B) {
+				single.RunPooled(mat, xb[:n], yb[:n], pool)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < k; j++ {
+						single.RunPooled(mat, xb[j*n:(j+1)*n], yb[j*n:(j+1)*n], pool)
+					}
+				}
+				gflops(b, d.m.NNZ(), k)
+			})
+		}
 	}
 }

@@ -97,7 +97,7 @@ type poolState[T matrix.Float] struct {
 
 	// arena is the SpGEMM scratch attached to this pool, handed out under
 	// its own lock (arenaOf) so repeated products reuse it while concurrent
-	// callers fall back to private scratch.
+	// callers fall back to a one-call arena of their own.
 	arenaMu sync.Mutex
 	arena   *spgemmArena[T]
 }

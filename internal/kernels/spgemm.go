@@ -22,46 +22,39 @@ import "smat/internal/matrix"
 //     accumulators are generation-stamped and never cleared;
 //   - accumulated rows drain through a window sweep over the generation
 //     stamps whenever the row's column span is dense relative to its
-//     population, producing ascending order without a comparison sort.
+//     population, producing ascending order without a comparison sort;
+//   - the finished rows are always copied out of the scratch into
+//     exact-size arrays, so no result keeps bound-sized memory alive.
 //
 // Because every result row depends only on its own inputs, the output is
 // bit-for-bit identical whatever the chunking and whoever runs the chunks:
 // pooled and caller-run dispatches at any chunk count agree exactly. The
 // oracle pins it (oracle.CheckSpGEMM).
 
-// GalerkinRAP computes the Galerkin triple product R·A·P, choosing its
-// strategy from the operands' structure: either one fused Gustavson pass
-// (each R entry expands A's row directly through P's rows, so the R·A
-// combination is never formed) or a row-fused two-phase pass (each output
-// row scatters R·A into one dense accumulator and immediately pushes the
-// merged row through P into a second — the R·A intermediate lives only in
-// accumulator cells, never as a materialised matrix). The fused pass
-// revisits each A·P row once per R entry selecting it, so it wins exactly
-// when rows of R are near-singletons (aggressive coarsening); the O(nnz)
-// bound pass that sizes the result also yields both cost estimates, and the
-// cheaper strategy runs.
+// GalerkinRAP computes the Galerkin triple product R·A·P in one row-fused
+// pass: each output row scatters its R·A row into one dense accumulator and
+// immediately pushes the merged row through P into a second, so the R·A
+// intermediate lives only in accumulator cells, never as a materialised
+// matrix.
 //
 // The rows are cut into threads chunks (threads ≤ 0: the pool's fan-out, or
 // one without a pool) and dispatched through pool.RunChunks, so a nil or
 // declining pool runs them on the caller. The floating-point association can
 // differ from matrix.TripleProduct, so results agree with it to rounding, not
 // bit-for-bit; runs of this function agree bit-for-bit at any chunk count on
-// any pool (the strategy choice depends only on the operands, and rows are
-// independent).
+// any pool (rows are independent).
 func GalerkinRAP[T matrix.Float](r, a, p *matrix.CSR[T], pool *Pool[T], threads int) *matrix.CSR[T] {
 	if r.Cols != a.Rows || a.Cols != p.Rows {
 		panic("kernels: GalerkinRAP dimension mismatch")
 	}
 	ar, release := arenaOf(pool)
 	defer release()
-	// Cost model in O(nnz(A) + nnz(R)): ap[j] is the flop bound of row j of
-	// A·P; summed over R's entries it is the fused pass's total work (and the
-	// output scratch bound for both strategies), while raCost is the two-phase
-	// pass's extra first-phase work. The two-phase second phase runs on the
-	// merged R·A rows (less than fusedCost whenever R rows overlap), so fused
-	// must beat raCost with a margin to be picked.
-	ar.flops = growInts(ar.flops, a.Rows)
-	ap := ar.flops
+	// Bounds in O(nnz(A) + nnz(R)): ap[j] bounds row j of A·P, so summed
+	// over R's entries it bounds an output row (ub, the output scratch
+	// layout), while raUB sums the A rows R selects (the R·A scatter sizes,
+	// the merge accumulator's scratch bound).
+	ar.ap = growInts(ar.ap, a.Rows)
+	ap := ar.ap
 	for j := 0; j < a.Rows; j++ {
 		n := 0
 		for kk := a.RowPtr[j]; kk < a.RowPtr[j+1]; kk++ {
@@ -70,12 +63,9 @@ func GalerkinRAP[T matrix.Float](r, a, p *matrix.CSR[T], pool *Pool[T], threads 
 		}
 		ap[j] = n
 	}
-	// One pass over R builds both bound prefixes: ub (fused flops, the output
-	// scratch layout for either strategy) and raUB (first-phase scatter sizes,
-	// the two-phase accumulator scratch bound).
 	ar.ub = growInts(ar.ub, r.Rows+1)
-	ar.ub2 = growInts(ar.ub2, r.Rows+1)
-	ub, raUB := ar.ub, ar.ub2
+	ar.raUB = growInts(ar.raUB, r.Rows+1)
+	ub, raUB := ar.ub, ar.raUB
 	ub[0], raUB[0] = 0, 0
 	for i := 0; i < r.Rows; i++ {
 		nf, nr := 0, 0
@@ -87,7 +77,6 @@ func GalerkinRAP[T matrix.Float](r, a, p *matrix.CSR[T], pool *Pool[T], threads 
 		ub[i+1] = ub[i] + nf
 		raUB[i+1] = raUB[i] + nr
 	}
-	fusedCost, raCost := ub[r.Rows], raUB[r.Rows]
 	ar.idx = growInts(ar.idx, ub[r.Rows])
 	ar.val = growVals(ar.val, ub[r.Rows])
 	colIdx, vals := ar.idx, ar.val
@@ -96,77 +85,26 @@ func GalerkinRAP[T matrix.Float](r, a, p *matrix.CSR[T], pool *Pool[T], threads 
 		threads = pool.Threads()
 	}
 	bounds := nnzBalancedRowBounds(ub, threads)
-	ar.reserveChunks(bounds, ub, p.Cols)
-	if 20*fusedCost < 37*raCost { // fusedCost < 1.85·raCost
-		pool.RunChunks(bounds, func(chunk, lo, hi int) {
-			cs := &ar.chunks[chunk]
-			cs.gen = rapRows(r, a, p, out.RowPtr, colIdx, vals, cs.acc, cs.cols, cs.gen, ub[lo], lo, hi)
-		})
-	} else {
-		ar.reserveMidChunks(bounds, raUB, a.Cols)
-		pool.RunChunks(bounds, func(chunk, lo, hi int) {
-			cs := &ar.chunks[chunk]
-			cs.gen = rapTwoPhaseRows(r, a, p, out.RowPtr, colIdx, vals,
-				cs.acc, cs.mid, cs.cols, cs.midCols, cs.gen, ub[lo], lo, hi)
-		})
-	}
-	return stitch(out, colIdx, vals, ub, bounds, !ar.private)
+	ar.reserveChunks(bounds, ub, raUB, p.Cols, a.Cols)
+	pool.RunChunks(bounds, func(chunk, lo, hi int) {
+		cs := &ar.chunks[chunk]
+		cs.gen = rapRows(r, a, p, out.RowPtr, colIdx, vals,
+			cs.acc, cs.mid, cs.cols, cs.midCols, cs.gen, ub[lo], lo, hi)
+	})
+	return stitch(out, colIdx, vals, ub, bounds)
 }
 
-// rapRows computes fused Galerkin rows [lo, hi): for each R entry (i, j)
-// the A row j is scaled and scattered through the matching P rows into the
-// dense accumulator, skipping the R·A combination entirely.
-//
-//smat:hotpath
-func rapRows[T matrix.Float](r, a, p *matrix.CSR[T], rowLen, colIdx []int, vals []T, acc []accCell[T], cols []int, gen, cur, lo, hi int) int {
-	pRowPtr, pColIdx, pVals := p.RowPtr, p.ColIdx, p.Vals
-	for i := lo; i < hi; i++ {
-		gen++
-		ncols := 0
-		cmin, cmax := int(^uint(0)>>1), -1
-		for jj := r.RowPtr[i]; jj < r.RowPtr[i+1]; jj++ {
-			j := r.ColIdx[jj]
-			rv := r.Vals[jj]
-			for kk := a.RowPtr[j]; kk < a.RowPtr[j+1]; kk++ {
-				k := a.ColIdx[kk]
-				rav := rv * a.Vals[kk]
-				for pp := pRowPtr[k]; pp < pRowPtr[k+1]; pp++ {
-					c := pColIdx[pp]
-					cell := &acc[c]
-					if cell.gen != gen {
-						cell.gen = gen
-						cell.val = 0
-						cols[ncols] = c
-						ncols++
-						if c < cmin {
-							cmin = c
-						}
-						if c > cmax {
-							cmax = c
-						}
-					}
-					cell.val += rav * pVals[pp]
-				}
-			}
-		}
-		n := gatherSorted(acc, cols, ncols, gen, cmin, cmax, colIdx, vals, cur)
-		rowLen[i+1] = n
-		cur += n
-	}
-	return gen
-}
-
-// rapTwoPhaseRows computes Galerkin rows [lo, hi) with one R·A merge per
-// output row: phase one scatters the combined R·A row into mid (discovery
-// order in midCols — a pure per-row property, so chunking never shows), and
-// phase two pushes each merged entry through its P row into acc. The R·A
+// rapRows computes Galerkin rows [lo, hi) with one R·A merge per output
+// row: phase one scatters the combined R·A row into mid (discovery order in
+// midCols — a pure per-row property, so chunking never shows), and phase
+// two pushes each merged entry through its P row into acc. The R·A
 // intermediate never exists as a matrix, so nothing is written, compacted,
 // re-read, or re-bounded between the phases. Zero merged entries are
 // skipped, matching the explicit-zero drop a materialised intermediate
 // would have applied.
 //
 //smat:hotpath
-func rapTwoPhaseRows[T matrix.Float](r, a, p *matrix.CSR[T], rowLen, colIdx []int, vals []T, acc, mid []accCell[T], cols, midCols []int, gen, cur, lo, hi int) int {
+func rapRows[T matrix.Float](r, a, p *matrix.CSR[T], rowLen, colIdx []int, vals []T, acc, mid []accCell[T], cols, midCols []int, gen, cur, lo, hi int) int {
 	aRowPtr, aColIdx, aVals := a.RowPtr, a.ColIdx, a.Vals
 	pRowPtr, pColIdx, pVals := p.RowPtr, p.ColIdx, p.Vals
 	for i := lo; i < hi; i++ {
@@ -255,28 +193,23 @@ func gatherSorted[T matrix.Float](acc []accCell[T], cols []int, ncols, gen, cmin
 }
 
 // spgemmArena is the reusable scratch for the products: the bound prefixes,
-// the shared column/value staging arrays, the cost-model scratch, and the
-// per-chunk dense accumulators. A pool owns one arena, handed out under
-// arenaOf; callers without one get a private arena that lives for a single
-// call.
+// the shared column/value staging arrays, and the per-chunk dense
+// accumulators. A pool owns one arena, handed out under arenaOf; callers
+// without one get a fresh arena that lives for a single call.
 type spgemmArena[T matrix.Float] struct {
+	ap     []int
 	ub     []int
-	ub2    []int
+	raUB   []int
 	idx    []int
 	val    []T
-	flops  []int
 	chunks []chunkScratch[T]
-
-	// private marks a single-call arena: its arrays die with the call, so a
-	// finalised result may alias them instead of copying out.
-	private bool
 }
 
 // chunkScratch is one chunk's dense accumulator set: acc/cols for the
-// output row, mid/midCols for the two-phase pass's merged R·A row. gen
-// persists across products and stamps both accumulators: cells only ever
-// hold past generations, so growing, shrinking, or switching matrices never
-// requires clearing anything.
+// output row, mid/midCols for the merged R·A row. gen persists across
+// products and stamps both accumulators: cells only ever hold past
+// generations, so growing, shrinking, or switching matrices never requires
+// clearing anything.
 type chunkScratch[T matrix.Float] struct {
 	acc     []accCell[T]
 	cols    []int
@@ -292,16 +225,16 @@ type accCell[T matrix.Float] struct {
 	val T
 }
 
-// arenaOf hands out the pool's arena, or a fresh private one when there is
-// no pool or another product currently owns it (concurrent callers stay
-// correct, they just don't share scratch).
+// arenaOf hands out the pool's arena, or a fresh one when there is no pool
+// or another product currently owns it (concurrent callers stay correct,
+// they just don't share scratch).
 func arenaOf[T matrix.Float](pool *Pool[T]) (*spgemmArena[T], func()) {
 	if pool == nil {
-		return &spgemmArena[T]{private: true}, func() {}
+		return &spgemmArena[T]{}, func() {}
 	}
 	s := pool.s
 	if !s.arenaMu.TryLock() {
-		return &spgemmArena[T]{private: true}, func() {}
+		return &spgemmArena[T]{}, func() {}
 	}
 	if s.arena == nil {
 		s.arena = &spgemmArena[T]{}
@@ -309,10 +242,12 @@ func arenaOf[T matrix.Float](pool *Pool[T]) (*spgemmArena[T], func()) {
 	return s.arena, s.arenaMu.Unlock
 }
 
-// reserveChunks sizes the per-chunk output accumulators for a dispatch over
-// bounds: acc covers the result's column space, cols the chunk's largest
-// row bound. Freshly grown stamps start at zero, below any live generation.
-func (ar *spgemmArena[T]) reserveChunks(bounds, ub []int, cols int) {
+// reserveChunks sizes the per-chunk accumulators for a dispatch over
+// bounds: acc covers the result's column space and cols the chunk's largest
+// row bound in ub; mid and midCols do the same for the R·A row against the
+// intermediate's column space and raUB. Freshly grown stamps start at zero,
+// below any live generation.
+func (ar *spgemmArena[T]) reserveChunks(bounds, ub, raUB []int, cols, midCols int) {
 	nchunks := len(bounds) - 1
 	if len(ar.chunks) < nchunks {
 		ar.chunks = append(ar.chunks, make([]chunkScratch[T], nchunks-len(ar.chunks))...)
@@ -321,16 +256,7 @@ func (ar *spgemmArena[T]) reserveChunks(bounds, ub []int, cols int) {
 		cs := &ar.chunks[c]
 		cs.acc = growCells(cs.acc, cols)
 		cs.cols = growInts(cs.cols, maxRowBound(ub, bounds[c], bounds[c+1]))
-	}
-}
-
-// reserveMidChunks sizes the two-phase pass's merge accumulators the same
-// way, against the intermediate's column space and row bounds. It must run
-// after reserveChunks has fixed the chunk count for this dispatch.
-func (ar *spgemmArena[T]) reserveMidChunks(bounds, raUB []int, cols int) {
-	for c := 0; c < len(bounds)-1; c++ {
-		cs := &ar.chunks[c]
-		cs.mid = growCells(cs.mid, cols)
+		cs.mid = growCells(cs.mid, midCols)
 		cs.midCols = growInts(cs.midCols, maxRowBound(raUB, bounds[c], bounds[c+1]))
 	}
 }
@@ -370,39 +296,19 @@ func maxRowBound(ub []int, lo, hi int) int {
 
 // stitch finalises a chunked product whose rows were written densely at
 // their upper-bound offsets: the row sizes in out.RowPtr are prefix-summed,
-// then each chunk's region lands at its final offset — copied into fresh
-// exact-size arrays when the result must own its memory, or compacted left
-// in place (actual ≤ bound, so the copies never overlap destructively) when
-// it may alias the arena.
-func stitch[T matrix.Float](out *matrix.CSR[T], colIdx []int, vals []T, ub, bounds []int, finalize bool) *matrix.CSR[T] {
+// then each chunk's region is copied into fresh exact-size arrays at its
+// final offset, so the result owns its memory and aliases no scratch.
+func stitch[T matrix.Float](out *matrix.CSR[T], colIdx []int, vals []T, ub, bounds []int) *matrix.CSR[T] {
 	for r := 0; r < out.Rows; r++ {
 		out.RowPtr[r+1] += out.RowPtr[r]
 	}
 	total := out.RowPtr[out.Rows]
-	nchunks := len(bounds) - 1
-	if finalize {
-		oc := make([]int, total)
-		ov := make([]T, total)
-		for c := 0; c < nchunks; c++ {
-			lo, hi := bounds[c], bounds[c+1]
-			n := out.RowPtr[hi] - out.RowPtr[lo]
-			copy(oc[out.RowPtr[lo]:], colIdx[ub[lo]:ub[lo]+n])
-			copy(ov[out.RowPtr[lo]:], vals[ub[lo]:ub[lo]+n])
-		}
-		out.ColIdx, out.Vals = oc, ov
-		return out
-	}
-	for c := 1; c < nchunks; c++ {
+	out.ColIdx, out.Vals = make([]int, total), make([]T, total)
+	for c := 0; c < len(bounds)-1; c++ {
 		lo, hi := bounds[c], bounds[c+1]
-		dst, src := out.RowPtr[lo], ub[lo]
-		if dst == src {
-			continue
-		}
 		n := out.RowPtr[hi] - out.RowPtr[lo]
-		copy(colIdx[dst:dst+n], colIdx[src:src+n])
-		copy(vals[dst:dst+n], vals[src:src+n])
+		copy(out.ColIdx[out.RowPtr[lo]:], colIdx[ub[lo]:ub[lo]+n])
+		copy(out.Vals[out.RowPtr[lo]:], vals[ub[lo]:ub[lo]+n])
 	}
-	out.ColIdx = colIdx[:total:total]
-	out.Vals = vals[:total:total]
 	return out
 }

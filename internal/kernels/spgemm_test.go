@@ -2,9 +2,11 @@ package kernels
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"smat/internal/gen"
 	"smat/internal/matrix"
 )
 
@@ -51,18 +53,50 @@ func TestGalerkinRAPMatchesTripleProduct(t *testing.T) {
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("shape mismatch: got %dx%d want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
 	}
-	// Fused association differs from the two-pass product, so compare to a
-	// rounding tolerance, not bit-for-bit. Entries that cancel to an exact
-	// zero on one path but not the other differ structurally, so compare
-	// through At over the union pattern.
+	// The row-fused association differs from the two-pass product, so
+	// compare to a rounding tolerance, not bit-for-bit. Entries that cancel
+	// to an exact zero on one path but not the other differ structurally, so
+	// compare through At over the reference pattern.
 	for i := 0; i < want.Rows; i++ {
 		for jj := want.RowPtr[i]; jj < want.RowPtr[i+1]; jj++ {
 			c := want.ColIdx[jj]
 			w, g := want.Vals[jj], got.At(i, c)
 			if d := w - g; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("entry (%d,%d): fused %g vs two-pass %g", i, c, g, w)
+				t.Fatalf("entry (%d,%d): row-fused %g vs two-pass %g", i, c, g, w)
 			}
 		}
+	}
+}
+
+// TestGalerkinRAPResultOwnsExactArrays: a product run without a pool keeps
+// only its exact-size result arrays live, not the bound-sized scratch its
+// rows were written into. On A·A·A of a 9-point stencil the summed row
+// bounds are ≈ 15× the result's entries, so a result that aliased the
+// scratch would hold that much more memory.
+func TestGalerkinRAPResultOwnsExactArrays(t *testing.T) {
+	a := gen.Laplacian2D9pt[float64](32, 32)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	got := GalerkinRAP(a, a, a, nil, 1)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	grew := int64(ms.HeapAlloc) - int64(before)
+	runtime.KeepAlive(got)
+
+	bound := 0
+	for _, j := range a.ColIdx {
+		for _, k := range a.ColIdx[a.RowPtr[j]:a.RowPtr[j+1]] {
+			bound += a.RowPtr[k+1] - a.RowPtr[k]
+		}
+	}
+	if bound < 10*got.NNZ() {
+		t.Fatalf("row bounds sum to %d for %d result entries: the shape no longer separates scratch from result", bound, got.NNZ())
+	}
+	bytes := int64(16*got.NNZ() + 8*len(got.RowPtr))
+	if grew >= 2*bytes {
+		t.Fatalf("heap grew %d bytes holding a %d-byte result (%d entries, row bounds %d)", grew, bytes, got.NNZ(), bound)
 	}
 }
 

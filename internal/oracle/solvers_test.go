@@ -49,9 +49,10 @@ func TestSolversDifferential(t *testing.T) {
 // contract: on a warm pool a product allocates its result and a fixed set of
 // per-call headers, never anything per row or per chunk. Four times the rows
 // at one chunk, and four chunks at the larger size, must each cost the same
-// number of allocations as the small single-chunk product, for both
-// GalerkinRAP strategies (fused on singleton-row R, two-phase otherwise). The row bodies run once per chunk, so the chunk sweep catches
-// an allocation at the top of a body and the row sweep one inside its loop.
+// number of allocations as the small single-chunk product, on two shapes:
+// a singleton-row R (one A row per output row) and A·A·A. The row body runs
+// once per chunk, so the chunk sweep catches an allocation at the top of the
+// body and the row sweep one inside its loop.
 func TestSpGEMMRowsAllocateNothing(t *testing.T) {
 	pool := kernels.NewPool[float64](4)
 	defer pool.Close()
@@ -78,7 +79,7 @@ func TestSpGEMMRowsAllocateNothing(t *testing.T) {
 		{64, 4, "4096 rows in four chunks"},
 	} {
 		got := allocs(c.n, c.threads)
-		for i, name := range []string{"GalerkinRAP fused", "GalerkinRAP two-phase"} {
+		for i, name := range []string{"singleton-row R", "A·A·A"} {
 			if got[i] != base[i] {
 				t.Errorf("%s: %.0f allocations at 1024 rows in one chunk, %.0f at %s: the row bodies allocate", name, base[i], got[i], c.what)
 			}
