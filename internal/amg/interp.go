@@ -18,6 +18,9 @@ import (
 // (the standard treatment for essentially negative-coupled problems).
 func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, split []int8) *matrix.CSR[T] {
 	n := a.Rows
+	if n >= math.MaxInt32 {
+		panic("amg: interpolation stamps rows in 32 bits")
+	}
 	var rowBuf []pEntry
 	cmap := make([]int, n)
 	nc := 0
@@ -30,7 +33,10 @@ func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, spli
 		}
 	}
 	p := &matrix.CSR[T]{Rows: n, Cols: nc, RowPtr: make([]int, n+1)}
-	isStrongC := make(map[int]bool)
+	// strongC[j] == stamp marks j a strong C-neighbour of the current row;
+	// the stamp, the row's index plus one, changes row to row, so no mark
+	// needs clearing.
+	strongC := make([]int32, n)
 	for i := 0; i < n; i++ {
 		if split[i] == cPoint {
 			p.ColIdx = append(p.ColIdx, cmap[i])
@@ -38,13 +44,14 @@ func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, spli
 			p.RowPtr[i+1] = len(p.Vals)
 			continue
 		}
-		clear(isStrongC)
+		stamp, nStrongC := int32(i+1), 0
 		for _, j := range g.strongDeps(i) {
 			if split[j] == cPoint {
-				isStrongC[j] = true
+				strongC[j] = stamp
+				nStrongC++
 			}
 		}
-		if len(isStrongC) == 0 {
+		if nStrongC == 0 {
 			// Isolated F-point: no coarse correction; smoothing handles it.
 			p.RowPtr[i+1] = len(p.Vals)
 			continue
@@ -58,7 +65,7 @@ func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, spli
 				diag = v
 			case v < 0:
 				negSum += v
-				if isStrongC[j] {
+				if strongC[j] == stamp {
 					cSum += v
 				}
 			default:
@@ -74,7 +81,7 @@ func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, spli
 		row := rowBuf[:0]
 		for jj := a.RowPtr[i]; jj < a.RowPtr[i+1]; jj++ {
 			j := a.ColIdx[jj]
-			if !isStrongC[j] {
+			if strongC[j] != stamp {
 				continue
 			}
 			row = append(row, pEntry{col: cmap[j], w: -alpha * float64(a.Vals[jj]) / diag})

@@ -26,11 +26,15 @@ type strengthGraph struct {
 func buildStrength[T matrix.Float](a *matrix.CSR[T], theta float64) *strengthGraph {
 	n := a.Rows
 	g := &strengthGraph{n: n, sPtr: make([]int, n+1)}
-	// Pass 1: per-row threshold and strong-edge count.
-	maxNeg := make([]float64, n)
+	// One pass over the rows: a row's threshold, then its strong entries,
+	// while the row is still in cache. A row holds at most its stored
+	// entries less its diagonal, so a.NNZ() bounds the edges and sIdx never
+	// grows.
+	g.sIdx = make([]int, 0, a.NNZ())
 	for i := 0; i < n; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		m := 0.0
-		for jj := a.RowPtr[i]; jj < a.RowPtr[i+1]; jj++ {
+		for jj := lo; jj < hi; jj++ {
 			if a.ColIdx[jj] == i {
 				continue
 			}
@@ -38,33 +42,15 @@ func buildStrength[T matrix.Float](a *matrix.CSR[T], theta float64) *strengthGra
 				m = v
 			}
 		}
-		maxNeg[i] = m
-	}
-	for i := 0; i < n; i++ {
-		cnt := 0
-		if maxNeg[i] > 0 {
-			for jj := a.RowPtr[i]; jj < a.RowPtr[i+1]; jj++ {
+		if m > 0 {
+			for jj := lo; jj < hi; jj++ {
 				j := a.ColIdx[jj]
-				if j != i && -float64(a.Vals[jj]) >= theta*maxNeg[i] {
-					cnt++
+				if j != i && -float64(a.Vals[jj]) >= theta*m {
+					g.sIdx = append(g.sIdx, j)
 				}
 			}
 		}
-		g.sPtr[i+1] = g.sPtr[i] + cnt
-	}
-	g.sIdx = make([]int, g.sPtr[n])
-	pos := append([]int(nil), g.sPtr[:n]...)
-	for i := 0; i < n; i++ {
-		if maxNeg[i] <= 0 {
-			continue
-		}
-		for jj := a.RowPtr[i]; jj < a.RowPtr[i+1]; jj++ {
-			j := a.ColIdx[jj]
-			if j != i && -float64(a.Vals[jj]) >= theta*maxNeg[i] {
-				g.sIdx[pos[i]] = j
-				pos[i]++
-			}
-		}
+		g.sPtr[i+1] = len(g.sIdx)
 	}
 	// Transpose.
 	g.stPtr = make([]int, n+1)

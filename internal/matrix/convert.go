@@ -196,28 +196,38 @@ func (m *CSR[T]) ToCOOSplit(sp Split) *COO[T] {
 }
 
 // cooRows is COO's row-range body: the row index of every entry of rows
-// [lo, hi). Each row writes its index into four slots from its first entry
-// whatever its length, then loops only over the entries past four: on short,
-// irregular rows a loop whose trip count changes row to row mispredicts once
-// a row. A short row's spare writes land on later rows' slots, which those
-// rows overwrite after it. They never pass the chunk's last entry,
-// RowPtr[hi]: the next chunk's rows may be written already, by another
-// worker.
+// [lo, hi), into a rowIdx that is zero over those entries (as make leaves
+// it). An entry's row is lo plus the number of rows after lo that start at or
+// before it, so each such row adds one at its first entry — rows that start
+// at the same entry, the empty ones, stack — and a running sum over the
+// entries, four a step, turns the marks into row indices. Neither loop's trip
+// count depends on a row's length: a loop per row would mispredict its exit
+// once a row on short, irregular rows. A row that starts at the chunk's end,
+// RowPtr[hi], holds no entry of the chunk and marks nothing; the entries past
+// it may be the next chunk's, written by another worker.
 func (m *CSR[T]) cooRows(rowIdx []int, lo, hi int) {
-	rowIdx = rowIdx[:m.RowPtr[hi]]
-	for r := lo; r < hi; r++ {
-		first, end := m.RowPtr[r], m.RowPtr[r+1]
-		if first+4 <= len(rowIdx) {
-			four := rowIdx[first : first+4 : first+4]
-			four[0], four[1], four[2], four[3] = r, r, r, r
-		} else {
-			for i := first; i < end; i++ {
-				rowIdx[i] = r
-			}
+	if lo == hi {
+		return
+	}
+	start, end := m.RowPtr[lo], m.RowPtr[hi]
+	idx := rowIdx[start:end]
+	for _, p := range m.RowPtr[lo+1 : hi] {
+		if p < end {
+			idx[p-start]++
 		}
-		for i := first + 4; i < end; i++ {
-			rowIdx[i] = r
-		}
+	}
+	r, k := lo, 0
+	for ; k+4 <= len(idx); k += 4 {
+		q := idx[k : k+4 : k+4]
+		r0 := r + q[0]
+		r1 := r0 + q[1]
+		r2 := r1 + q[2]
+		r = r2 + q[3]
+		q[0], q[1], q[2], q[3] = r0, r1, r2, r
+	}
+	for ; k < len(idx); k++ {
+		r += idx[k]
+		idx[k] = r
 	}
 }
 
@@ -329,7 +339,7 @@ func (m *CSR[T]) ToDIAFrom(l *Layout, maxFillRatio float64, sp Split) (*DIA[T], 
 	chunks := sp.chunks(m.Rows)
 	seen, verdicts := make([]bool, chunks*ndiags), make([]diaVerdict, chunks)
 	sp.run(m.Rows, func(c, lo, hi int) {
-		verdicts[c] = m.diaRows(d.Data, pos, base, seen[c*ndiags:(c+1)*ndiags], lo, hi)
+		verdicts[c] = m.diaRows(d, pos, seen[c*ndiags:(c+1)*ndiags], lo, hi)
 	})
 	reached := false
 	for _, v := range verdicts {
@@ -358,29 +368,98 @@ type diaVerdict struct {
 	unseen  int
 }
 
-// diaRows is DIA's row-range body: it places rows [lo, hi) into data through
-// pos, the offset − base → diagonal-index table, and marks in seen the
-// diagonals they reach. unseen counts the diagonals not reached yet: on a
-// band that is zero after a few rows, and the marking is off the loop's path
-// from then on. It stops at the first entry on no listed diagonal.
-func (m *CSR[T]) diaRows(data []T, pos []int32, base int, seen []bool, lo, hi int) diaVerdict {
+// diaRows is DIA's row-range body: it places rows [lo, hi) into d.Data and
+// marks in seen the diagonals they reach. It stops at the first entry on no
+// listed diagonal.
+//
+// A row with one entry per listed diagonal — every interior row of a band or
+// a stencil — needs no table: its columns are strictly increasing, so if each
+// lies on a listed diagonal its k-th lies on the k-th, and such a row reaches
+// every diagonal. diaRows hands each run of such rows to diaBand whole. Any
+// other row goes through pos, the offset − base → diagonal-index table (−1:
+// not listed, which sends the slot below zero), marking what it reaches while
+// unseen, the count of diagonals not reached yet, is above zero.
+func (m *CSR[T]) diaRows(d *DIA[T], pos []int32, seen []bool, lo, hi int) diaVerdict {
+	rowPtr, rows, nd := m.RowPtr, m.Rows, len(d.Offsets)
+	base := d.Offsets[0]
 	unseen := len(seen)
-	for r := lo; r < hi; r++ {
-		shift := r + base
-		for jj := m.RowPtr[r]; jj < m.RowPtr[r+1]; jj++ {
-			at := m.ColIdx[jj] - shift
-			if uint(at) >= uint(len(pos)) || pos[at] < 0 {
+	for r := lo; r < hi; {
+		e := r
+		for e < hi && rowPtr[e+1]-rowPtr[e] == nd {
+			e++
+		}
+		if e > r {
+			if !diaBand(d.Data, m.ColIdx, m.Vals, d.Offsets, rowPtr[r], r, e, rows) {
+				return diaVerdict{foreign: true}
+			}
+			unseen, r = 0, e
+			continue
+		}
+		first, end := rowPtr[r], rowPtr[r+1]
+		vals := m.Vals[first:end]
+		for k, c := range m.ColIdx[first:end] {
+			at := c - r - base
+			if uint(at) >= uint(len(pos)) {
 				return diaVerdict{foreign: true}
 			}
 			dgi := int(pos[at])
+			slot := dgi*rows + r
+			if uint(slot) >= uint(len(d.Data)) {
+				return diaVerdict{foreign: true}
+			}
+			d.Data[slot] = vals[k]
 			if unseen > 0 && !seen[dgi] {
 				seen[dgi] = true
 				unseen--
 			}
-			data[dgi*m.Rows+r] = m.Vals[jj]
 		}
+		r++
 	}
 	return diaVerdict{unseen: unseen}
+}
+
+// diaBand places rows [r, e), each holding one entry per diagonal, whose
+// entries start at first: it reports whether entry k of every row lies on
+// diagonal k (column = row + offsets[k]). The rows' entries are one
+// row-major block of e − r rows by len(offsets), and the diagonals'
+// stretches for those rows are its columns, so the placement is a transpose:
+// four diagonals a pass down the block, each written as a contiguous stretch
+// and checked as it is read, then one at a time for the rest. Every slice is
+// cut to the run's length first, so the loops carry no bounds checks but the
+// one that cuts each row's four entries.
+func diaBand[T Float](data []T, colIdx []int, vals []T, offsets []int, first, r, e, rows int) bool {
+	n, nd := e-r, len(offsets)
+	cols, vs := colIdx[first:first+n*nd], vals[first:first+n*nd]
+	miss := 0
+	k := 0
+	for ; k+4 <= nd; k += 4 {
+		d0 := data[k*rows+r:][:n]
+		d1 := data[(k+1)*rows+r:][:n]
+		d2 := data[(k+2)*rows+r:][:n]
+		d3 := data[(k+3)*rows+r:][:n]
+		o := offsets[k : k+4 : k+4]
+		c0, c1, c2, c3 := r+o[0], r+o[1], r+o[2], r+o[3]
+		j := k
+		for i := range d0 {
+			c, v := cols[j:j+4:j+4], vs[j:j+4:j+4]
+			miss |= (c[0] - c0) | (c[1] - c1) | (c[2] - c2) | (c[3] - c3)
+			d0[i], d1[i], d2[i], d3[i] = v[0], v[1], v[2], v[3]
+			c0, c1, c2, c3 = c0+1, c1+1, c2+1, c3+1
+			j += nd
+		}
+	}
+	for ; k < nd; k++ {
+		dk := data[k*rows+r:][:n]
+		c := r + offsets[k]
+		j := k
+		for i := range dk {
+			miss |= cols[j] - c
+			dk[i] = vs[j]
+			c++
+			j += nd
+		}
+	}
+	return miss == 0
 }
 
 // ToCSR converts diagonal storage back to CSR, dropping zero fill.

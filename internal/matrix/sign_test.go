@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -195,4 +196,140 @@ func TestConvertFromForeignLayout(t *testing.T) {
 			t.Errorf("%s: DIA conversion from a layout without diagonals returned %v", c.name, err)
 		}
 	}
+}
+
+// refValidate is the plain per-row reference for Sign's accept/reject
+// decision and its message: the checks in the order a reader would make
+// them, one row at a time, each entry against the one before it in the row.
+func refValidate(m *CSR[float64]) error {
+	if m.Rows < 0 || m.Cols < 0 {
+		return fmt.Errorf("csr: negative dimensions %dx%d", m.Rows, m.Cols)
+	}
+	if len(m.RowPtr) != m.Rows+1 {
+		return fmt.Errorf("csr: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
+	}
+	if len(m.ColIdx) != len(m.Vals) {
+		return fmt.Errorf("csr: ColIdx length %d != Vals length %d", len(m.ColIdx), len(m.Vals))
+	}
+	if m.RowPtr[0] != 0 {
+		return fmt.Errorf("csr: RowPtr[0] = %d, want 0", m.RowPtr[0])
+	}
+	if m.RowPtr[m.Rows] != len(m.Vals) {
+		return fmt.Errorf("csr: RowPtr[last] = %d, want %d", m.RowPtr[m.Rows], len(m.Vals))
+	}
+	for i := 0; i < m.Rows; i++ {
+		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		if lo > hi {
+			return fmt.Errorf("csr: RowPtr not monotone at row %d", i)
+		}
+		prev := -1
+		for k := lo; k < hi && k < len(m.ColIdx); k++ {
+			c := m.ColIdx[k]
+			if c < 0 || c >= m.Cols {
+				return fmt.Errorf("csr: column %d out of range in row %d", c, i)
+			}
+			if c <= prev {
+				return fmt.Errorf("csr: columns not strictly increasing in row %d", i)
+			}
+			prev = c
+		}
+		if hi > len(m.ColIdx) {
+			return fmt.Errorf("csr: RowPtr[%d] = %d past the %d stored entries", i+1, hi, len(m.ColIdx))
+		}
+	}
+	return nil
+}
+
+// decodeSignInput maps fuzzer bytes onto a CSR of up to 12 rows: a column
+// count (signed, so negative and zero widths are reachable), a length per
+// row, then the columns as signed bytes — unsorted, repeated, negative or
+// past the width as the bytes say — and last an optional corruption of one
+// row pointer (index, then a signed delta), which can make RowPtr fall, pass
+// the stored entries or miss its ends.
+func decodeSignInput(data []byte) *CSR[float64] {
+	if len(data) < 2 {
+		return &CSR[float64]{RowPtr: []int{0}}
+	}
+	rows, cols := int(data[0])%13, int(int8(data[1]))
+	data = data[2:]
+	m := &CSR[float64]{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for r := 0; r < rows; r++ {
+		n := 0
+		if len(data) > 0 {
+			n, data = int(data[0])%7, data[1:]
+		}
+		m.RowPtr[r+1] = m.RowPtr[r] + n
+	}
+	nnz := m.RowPtr[rows]
+	m.ColIdx = make([]int, nnz)
+	for k := range m.ColIdx {
+		if len(data) > 0 {
+			m.ColIdx[k], data = int(int8(data[0])), data[1:]
+		}
+	}
+	m.Vals = make([]float64, nnz)
+	if len(data) >= 2 {
+		m.RowPtr[int(data[0])%(rows+1)] += int(int8(data[1]))
+	}
+	return m
+}
+
+// FuzzSign holds Sign to the per-row reference: the same verdict and the same
+// message on every input; on a valid pattern a nonzero signature, equal for
+// the pattern copied into other arrays, and different for each pattern one
+// entry away — a column moved within its row, or the row boundary moved by
+// one entry.
+func FuzzSign(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 9, 4, 3, 1, 0, 2, 4, 6, 1, 5, 8, 3})          // valid, rows of 4, 3, 1
+	f.Add([]byte{3, 9, 4, 3, 1, 0, 2, 2, 6, 1, 5, 8, 3})          // a repeated column
+	f.Add([]byte{3, 9, 4, 3, 1, 0, 2, 4, 9, 1, 5, 8, 3})          // a column at the width
+	f.Add([]byte{3, 9, 4, 3, 1, 0, 2, 4, 0xff, 1, 5, 8, 3})       // a negative column
+	f.Add([]byte{3, 9, 4, 3, 1, 0, 2, 4, 6, 1, 5, 8, 3, 2, 9})    // a row end past the entries
+	f.Add([]byte{3, 9, 4, 3, 1, 0, 2, 4, 6, 1, 5, 8, 3, 1, 0xfc}) // a row end before its start
+	f.Add([]byte{4, 5, 0, 2, 0, 1, 3, 4, 0})                      // empty first and last rows
+	f.Add([]byte{2, 0xfe})                                        // a negative width
+	f.Add([]byte{5, 200, 6, 6, 6, 6, 6, 0, 10, 20, 30, 40, 50, 1, 11, 21, 31, 41, 51, 2, 12, 22, 32, 42, 52, 3, 13, 23, 33, 43, 53, 4, 14, 24, 34, 44, 54})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := decodeSignInput(data)
+		sig, err := m.Sign()
+		want := refValidate(m)
+		if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+			t.Fatalf("Sign: %v; reference: %v", err, want)
+		}
+		if err != nil {
+			if sig != 0 {
+				t.Fatalf("a rejected matrix signed %#x", sig)
+			}
+			return
+		}
+		if sig == 0 {
+			t.Fatal("a valid matrix signed 0, the mark of an unsigned one")
+		}
+		if c := m.Clone(); mustSign(t, c) != sig {
+			t.Fatal("the pattern in other arrays signed differently")
+		}
+		moved := func(what string, o *CSR[float64]) {
+			if refValidate(o) != nil {
+				return
+			}
+			if got := mustSign(t, o); got == sig {
+				t.Fatalf("%s: both patterns signed %#x", what, sig)
+			}
+		}
+		for k := range m.ColIdx {
+			for _, d := range []int{-1, 1} {
+				o := m.Clone()
+				o.ColIdx[k] += d
+				moved(fmt.Sprintf("column %d moved by %d", k, d), o)
+			}
+		}
+		for r := 1; r < m.Rows; r++ {
+			for _, d := range []int{-1, 1} {
+				o := m.Clone()
+				o.RowPtr[r] += d
+				moved(fmt.Sprintf("start of row %d moved by %d", r, d), o)
+			}
+		}
+	})
 }

@@ -10,6 +10,7 @@ package matrix
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -187,8 +188,10 @@ var signMul = rand.Uint64() | 1
 
 // Sign is Validate that also returns the pattern's signature: the validation
 // pass reads every row pointer and column index anyway, so it folds them into
-// the hash as it goes — multiply-add chains over each row's columns, seeded
-// with the row's end and length, and one over the rows.
+// the hash as it goes — one multiply-add chain over the row ends, four over
+// the column indices taken flat — and the invariants come out of two
+// branch-light sweeps, not a loop per row (signPattern). The message of a
+// rejected matrix is found afterwards, by the per-row walk (firstBadRow).
 func (m *CSR[T]) Sign() (Signature, error) {
 	if m.Rows < 0 || m.Cols < 0 {
 		return 0, fmt.Errorf("csr: negative dimensions %dx%d", m.Rows, m.Cols)
@@ -205,9 +208,9 @@ func (m *CSR[T]) Sign() (Signature, error) {
 	if m.RowPtr[m.Rows] != len(m.Vals) {
 		return 0, fmt.Errorf("csr: RowPtr[last] = %d, want %d", m.RowPtr[m.Rows], len(m.Vals))
 	}
-	h, bad := signPattern(m.RowPtr[1:], m.ColIdx, m.Cols, signMul)
-	if bad >= 0 {
-		return 0, m.rowError(bad)
+	h, ok := signPattern(m.RowPtr[1:], m.ColIdx, m.Cols, signMul)
+	if !ok {
+		return 0, m.rowError(m.firstBadRow())
 	}
 	// The chains carry nothing from high bits to low ones; one avalanche round
 	// lets users of the signature take any of its bits.
@@ -220,54 +223,131 @@ func (m *CSR[T]) Sign() (Signature, error) {
 	return Signature(h), nil
 }
 
-// signPattern is Sign's pass over the rows, whose ends are rowEnds: it returns
-// the hash, or the index of the first row that breaks an invariant. It is its
-// own function, free of the matrix and of error construction, so that the
-// per-entry loop keeps its values in registers (as a generic method that also
-// builds the errors it spilled them, at twice the cost per entry).
-func signPattern(rowEnds, cols []int, ncols int, mul uint64) (h uint64, bad int) {
-	h = mul
-	lo := 0
-	for i, hi := range rowEnds {
-		if lo > hi || hi > len(cols) {
-			return 0, i
+// signPattern is Sign's pass over a pattern whose row ends are rowEnds (the
+// first row starting at 0, the last ending at len(cols)): the hash, and
+// whether the pattern is valid. Validity is read without a loop per row,
+// whose trip count changes row to row and whose exit mispredicts once a row
+// on short, irregular rows. Call position k an ascent when cols[k-1] <
+// cols[k] compared unsigned (position 0 never is). The sweep over the row
+// ends (this function) checks that they never fall or pass len(cols), checks
+// the last entry of every nonempty row against ncols, and counts the
+// nonempty rows and the ascents at their first entries; the flat sweep over
+// cols (signCols) counts all ascents. A row whose every entry after the
+// first ascends, unsigned, and whose last entry is below ncols holds columns
+// in [0, ncols), strictly increasing — so the pattern is valid exactly when
+// every position but the nonempty rows' first entries ascends: when the
+// flat count exceeds the count at row starts by len(cols) minus the number
+// of nonempty rows.
+//
+// It is its own function, free of the matrix and of error construction, so
+// that the loops keep their values in registers (as a generic method that
+// also builds the errors it spilled them, at twice the cost per entry).
+func signPattern(rowEnds, cols []int, ncols int, mul uint64) (uint64, bool) {
+	n, un := len(cols), uint64(ncols)
+	rows, lo := mul, 0
+	var nonempty, startAscents uint64
+	for _, hi := range rowEnds {
+		if hi < lo || hi > n {
+			return 0, false
 		}
-		// Two entries a step, each on its own multiply-add chain: one chain runs
-		// at its latency, two hide under the checks. prev ≥ -1, so c ≤ prev also
-		// catches every negative column, and a pair's larger column bounds both.
-		prev := -1
-		even, odd := uint64(hi), uint64(hi-lo)
-		k := lo
-		for ; k+1 < hi; k += 2 {
-			c0, c1 := cols[k], cols[k+1]
-			if c0 <= prev || c1 <= c0 || c1 >= ncols {
-				return 0, i
+		rows = rows*mul + uint64(hi)
+		if lo < hi {
+			// cols[lo-1] is the last entry of the nonempty row before; on
+			// the first nonempty row cols[0] stands in for it, and position
+			// 0 does not ascend.
+			last := uint64(cols[max(lo-1, 0)])
+			if last >= un {
+				return 0, false
 			}
-			prev = c1
-			even = even*mul + uint64(c0)
-			odd = odd*mul + uint64(c1)
+			_, a := bits.Sub64(last, uint64(cols[lo]), 0)
+			startAscents += a
+			nonempty++
 		}
-		if k < hi {
-			c := cols[k]
-			if c <= prev || c >= ncols {
-				return 0, i
-			}
-			even = even*mul + uint64(c)
-		}
-		h = h*signRowMul + (even + odd*signLaneMul)
 		lo = hi
 	}
-	return h, -1
+	if n > 0 && uint64(cols[n-1]) >= un {
+		return 0, false
+	}
+	h, ascents := signCols(cols, mul)
+	if ascents-startAscents != uint64(n)-nonempty {
+		return 0, false
+	}
+	return rows*signRowMul + h, true
 }
 
-// signRowMul is the fixed odd multiplier of the chain over the rows,
-// signLaneMul the one that sets a row's second chain apart from its first.
+// signCols is signPattern's flat sweep over the column indices: the hash and
+// the number of ascents. Four entries a step, each on its own multiply-add
+// chain (one chain runs at its multiply's latency; four hide under the
+// counting), the chains joined under fixed multipliers at the end. An ascent
+// is the borrow out of an unsigned prev − c, which the compiler adds into
+// the count with the carry flag: no branch, and no range check, which
+// signPattern makes once a row.
+func signCols(cols []int, mul uint64) (h, ascents uint64) {
+	if len(cols) == 0 {
+		return mul, 0
+	}
+	h0, h1, h2, h3 := mul, mul, mul, mul
+	prev := uint64(cols[0])
+	n4 := len(cols) &^ 3
+	for k := 0; k < n4; k += 4 {
+		q := cols[k : k+4 : k+4]
+		c0, c1, c2, c3 := uint64(q[0]), uint64(q[1]), uint64(q[2]), uint64(q[3])
+		_, a := bits.Sub64(prev, c0, 0)
+		ascents, _ = bits.Add64(ascents, 0, a)
+		_, a = bits.Sub64(c0, c1, 0)
+		ascents, _ = bits.Add64(ascents, 0, a)
+		_, a = bits.Sub64(c1, c2, 0)
+		ascents, _ = bits.Add64(ascents, 0, a)
+		_, a = bits.Sub64(c2, c3, 0)
+		ascents, _ = bits.Add64(ascents, 0, a)
+		prev = c3
+		h0 = h0*mul + c0
+		h1 = h1*mul + c1
+		h2 = h2*mul + c2
+		h3 = h3*mul + c3
+	}
+	for _, c := range cols[n4:] {
+		_, a := bits.Sub64(prev, uint64(c), 0)
+		ascents += a
+		prev = uint64(c)
+		h0 = h0*mul + uint64(c)
+	}
+	return h0 + h1*signLaneMul + h2*signLaneMul2 + h3*signLaneMul3, ascents
+}
+
+// signRowMul is the fixed odd multiplier that joins the chain over the row
+// ends to the column chains; signLaneMul, signLaneMul2 and signLaneMul3 set
+// the second, third and fourth column chains apart from the first.
 const (
-	signRowMul  = 0xff51afd7ed558ccd
-	signLaneMul = 0xc4ceb9fe1a85ec53
+	signRowMul   = 0xff51afd7ed558ccd
+	signLaneMul  = 0xc4ceb9fe1a85ec53
+	signLaneMul2 = 0x9e3779b97f4a7c15
+	signLaneMul3 = 0xd6e8feb86659fd93
 )
 
-// rowError names what signPattern found wrong with row i: a row end before
+// firstBadRow is the index of the first row that breaks an invariant, found
+// by walking the rows one by one: a row end before its start or past the
+// stored entries, or a column out of range or not above its predecessor in
+// the row. Sign calls it only on a pattern signPattern rejected, to name the
+// fault; on any other it returns Rows.
+func (m *CSR[T]) firstBadRow() int {
+	for i := 0; i < m.Rows; i++ {
+		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		if lo > hi || hi > len(m.ColIdx) {
+			return i
+		}
+		prev := -1
+		for _, c := range m.ColIdx[lo:hi] {
+			if c <= prev || c >= m.Cols {
+				return i
+			}
+			prev = c
+		}
+	}
+	return m.Rows
+}
+
+// rowError names what firstBadRow found wrong with row i: a row end before
 // its start; else the first bad entry among those that exist; else a row end
 // past the stored entries (which breaks monotonicity further down, so the
 // entries are reported first).
