@@ -1,6 +1,9 @@
 package amg
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // Coarsening selects the coarse-grid point-selection algorithm.
 type Coarsening int
@@ -29,8 +32,10 @@ const (
 )
 
 // lambdaEntry is a lazy max-heap entry for Ruge–Stüben selection: the
-// measure λ in the high 32 bits, the point in the low 32. Both are below the
-// point count, which coarsenRS keeps under 2^32.
+// measure λ in the high 32 bits, the point in the low 32. A point's λ starts
+// at its count of strong dependants and gains one each time one of them
+// becomes an F-point, so λ ≤ 2(n−1) for n points; coarsenRS keeps n under
+// 2^31, where both fit.
 type lambdaEntry uint64
 
 func newLambdaEntry(lambda, point int) lambdaEntry {
@@ -107,8 +112,8 @@ func (h lambdaHeap) down(it lambdaEntry, i, n int) {
 // the measure of those F-points' remaining strong dependencies.
 func coarsenRS(g *strengthGraph) []int8 {
 	n := g.n
-	if uint64(n) >= 1<<32 {
-		panic("amg: Ruge–Stüben coarsening packs points in 32 bits")
+	if n >= math.MaxInt32 {
+		panic("amg: Ruge–Stüben coarsening packs points and measures in 32 bits")
 	}
 	split := make([]int8, n)
 	lambda := make([]int, n)

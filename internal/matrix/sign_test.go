@@ -289,7 +289,8 @@ func FuzzSign(f *testing.F) {
 	f.Add([]byte{3, 9, 4, 3, 1, 0, 2, 4, 6, 1, 5, 8, 3, 1, 0xfc}) // a row end before its start
 	f.Add([]byte{4, 5, 0, 2, 0, 1, 3, 4, 0})                      // empty first and last rows
 	f.Add([]byte{2, 0xfe})                                        // a negative width
-	f.Add([]byte{5, 200, 6, 6, 6, 6, 6, 0, 10, 20, 30, 40, 50, 1, 11, 21, 31, 41, 51, 2, 12, 22, 32, 42, 52, 3, 13, 23, 33, 43, 53, 4, 14, 24, 34, 44, 54})
+	// Five rows of six columns each, enough to run signCols' four-lane loop over several rows.
+	f.Add([]byte{5, 60, 6, 6, 6, 6, 6, 0, 10, 20, 30, 40, 50, 1, 11, 21, 31, 41, 51, 2, 12, 22, 32, 42, 52, 3, 13, 23, 33, 43, 53, 4, 14, 24, 34, 44, 54})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := decodeSignInput(data)
 		sig, err := m.Sign()

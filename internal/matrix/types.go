@@ -9,6 +9,7 @@
 package matrix
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
@@ -191,7 +192,7 @@ var signMul = rand.Uint64() | 1
 // the hash as it goes — one multiply-add chain over the row ends, four over
 // the column indices taken flat — and the invariants come out of two
 // branch-light sweeps, not a loop per row (signPattern). The message of a
-// rejected matrix is found afterwards, by the per-row walk (firstBadRow).
+// rejected matrix is found afterwards, by the per-row walk (rowError).
 func (m *CSR[T]) Sign() (Signature, error) {
 	if m.Rows < 0 || m.Cols < 0 {
 		return 0, fmt.Errorf("csr: negative dimensions %dx%d", m.Rows, m.Cols)
@@ -210,7 +211,7 @@ func (m *CSR[T]) Sign() (Signature, error) {
 	}
 	h, ok := signPattern(m.RowPtr[1:], m.ColIdx, m.Cols, signMul)
 	if !ok {
-		return 0, m.rowError(m.firstBadRow())
+		return 0, m.rowError()
 	}
 	// The chains carry nothing from high bits to low ones; one avalanche round
 	// lets users of the signature take any of its bits.
@@ -325,48 +326,33 @@ const (
 	signLaneMul3 = 0xd6e8feb86659fd93
 )
 
-// firstBadRow is the index of the first row that breaks an invariant, found
-// by walking the rows one by one: a row end before its start or past the
-// stored entries, or a column out of range or not above its predecessor in
-// the row. Sign calls it only on a pattern signPattern rejected, to name the
-// fault; on any other it returns Rows.
-func (m *CSR[T]) firstBadRow() int {
+// rowError walks the rows one by one and names the first fault: a row end
+// before its start; else the first bad entry among those that exist (a
+// column out of range or not above its predecessor in the row); else a row
+// end past the stored entries (which breaks monotonicity further down, so
+// the entries are reported first). Sign calls it only on a pattern
+// signPattern rejected.
+func (m *CSR[T]) rowError() error {
 	for i := 0; i < m.Rows; i++ {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		if lo > hi || hi > len(m.ColIdx) {
-			return i
+		if lo > hi {
+			return fmt.Errorf("csr: RowPtr not monotone at row %d", i)
 		}
 		prev := -1
-		for _, c := range m.ColIdx[lo:hi] {
-			if c <= prev || c >= m.Cols {
-				return i
+		for _, c := range m.ColIdx[lo:min(hi, len(m.ColIdx))] {
+			if c < 0 || c >= m.Cols {
+				return fmt.Errorf("csr: column %d out of range in row %d", c, i)
+			}
+			if c <= prev {
+				return fmt.Errorf("csr: columns not strictly increasing in row %d", i)
 			}
 			prev = c
 		}
-	}
-	return m.Rows
-}
-
-// rowError names what firstBadRow found wrong with row i: a row end before
-// its start; else the first bad entry among those that exist; else a row end
-// past the stored entries (which breaks monotonicity further down, so the
-// entries are reported first).
-func (m *CSR[T]) rowError(i int) error {
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	if lo > hi {
-		return fmt.Errorf("csr: RowPtr not monotone at row %d", i)
-	}
-	prev := -1
-	for _, c := range m.ColIdx[lo:min(hi, len(m.ColIdx))] {
-		if c < 0 || c >= m.Cols {
-			return fmt.Errorf("csr: column %d out of range in row %d", c, i)
+		if hi > len(m.ColIdx) {
+			return fmt.Errorf("csr: RowPtr[%d] = %d past the %d stored entries", i+1, hi, len(m.ColIdx))
 		}
-		if c <= prev {
-			return fmt.Errorf("csr: columns not strictly increasing in row %d", i)
-		}
-		prev = c
 	}
-	return fmt.Errorf("csr: RowPtr[%d] = %d past the %d stored entries", i+1, hi, len(m.ColIdx))
+	return errors.New("csr: invalid pattern")
 }
 
 // Validate checks the structural invariants of the COO representation.
