@@ -1,9 +1,6 @@
 package amg
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Coarsening selects the coarse-grid point-selection algorithm.
 type Coarsening int
@@ -31,79 +28,65 @@ const (
 	fPoint
 )
 
-// lambdaEntry is a lazy max-heap entry for Ruge–Stüben selection: the
-// measure λ in the high 32 bits, the point in the low 32. A point's λ starts
-// at its count of strong dependants and gains one each time one of them
-// becomes an F-point, so λ ≤ 2(n−1) for n points; coarsenRS keeps n under
-// 2^31, where both fit.
-type lambdaEntry uint64
-
-func newLambdaEntry(lambda, point int) lambdaEntry {
-	return lambdaEntry(uint64(lambda)<<32 | uint64(point))
+// lambdaItem is a lazy max-heap entry for Ruge–Stüben selection.
+type lambdaItem struct {
+	lambda int
+	point  int
 }
 
-func (it lambdaEntry) lambda() uint32 { return uint32(it >> 32) }
-func (it lambdaEntry) point() int     { return int(uint32(it)) }
-
-// lambdaHeap is a max-heap of lambdaEntry items on λ alone. init, push and pop
-// make exactly container/heap's comparisons, λ against λ, and leave every
-// item where its swaps would, so ties between equal measures break as they
-// always have and the C/F split is the one coarsenRSReference (the
-// container/heap version, kept in the tests) produces. What the typed heap
-// drops is the boxing (container/heap moves items through interface{}, one
-// allocation per push and per pop); one word an item and a sift that moves a
-// hole, writing the sifted item once where it stops, halve its memory
-// traffic.
-type lambdaHeap []lambdaEntry
+// lambdaHeap is a max-heap of lambdaItems on lambda. init, push and pop
+// sift exactly as container/heap does — same comparisons, same swaps — so
+// ties between equal measures break as they always have and the C/F split
+// is the one coarsenRSReference (the container/heap version, kept in the
+// tests) produces. What the typed heap drops is the boxing: container/heap
+// moves items through interface{}, one allocation per push and per pop,
+// which was most of a set-up's time.
+type lambdaHeap []lambdaItem
 
 func (h lambdaHeap) init() {
 	n := len(h)
 	for i := n/2 - 1; i >= 0; i-- {
-		h.down(h[i], i, n)
+		h.down(i, n)
 	}
 }
 
-func (h *lambdaHeap) push(it lambdaEntry) {
+func (h *lambdaHeap) push(it lambdaItem) {
 	*h = append(*h, it)
 	s := *h
-	j := len(s) - 1
-	for j > 0 {
+	for j := len(s) - 1; ; {
 		i := (j - 1) / 2 // parent
-		if !(it.lambda() > s[i].lambda()) {
+		if i == j || !(s[j].lambda > s[i].lambda) {
 			break
 		}
-		s[j] = s[i]
+		s[i], s[j] = s[j], s[i]
 		j = i
 	}
-	s[j] = it
 }
 
-func (h *lambdaHeap) pop() lambdaEntry {
+func (h *lambdaHeap) pop() lambdaItem {
 	s := *h
 	n := len(s) - 1
-	top := s[0]
-	s.down(s[n], 0, n)
+	s[0], s[n] = s[n], s[0]
+	s.down(0, n)
 	*h = s[:n]
-	return top
+	return s[n]
 }
 
-// down sifts it, to be placed at hole i, down the heap's first n items.
-func (h lambdaHeap) down(it lambdaEntry, i, n int) {
+func (h lambdaHeap) down(i, n int) {
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2].lambda() > h[j].lambda() {
+		if j2 := j + 1; j2 < n && h[j2].lambda > h[j].lambda {
 			j = j2
 		}
-		if !(h[j].lambda() > it.lambda()) {
+		if !(h[j].lambda > h[i].lambda) {
 			break
 		}
-		h[i] = h[j]
+		h[i], h[j] = h[j], h[i]
 		i = j
 	}
-	h[i] = it
 }
 
 // coarsenRS runs classical Ruge–Stüben first-pass coarsening: repeatedly
@@ -112,22 +95,19 @@ func (h lambdaHeap) down(it lambdaEntry, i, n int) {
 // the measure of those F-points' remaining strong dependencies.
 func coarsenRS(g *strengthGraph) []int8 {
 	n := g.n
-	if n >= math.MaxInt32 {
-		panic("amg: Ruge–Stüben coarsening packs points and measures in 32 bits")
-	}
 	split := make([]int8, n)
 	lambda := make([]int, n)
 	h := make(lambdaHeap, 0, n)
 	for i := 0; i < n; i++ {
 		lambda[i] = g.stPtr[i+1] - g.stPtr[i]
-		h = append(h, newLambdaEntry(lambda[i], i))
+		h = append(h, lambdaItem{lambda[i], i})
 	}
 	h.init()
 	assigned := 0
 	for assigned < n && len(h) > 0 {
 		it := h.pop()
-		i := it.point()
-		if split[i] != unassigned || int(it.lambda()) != lambda[i] {
+		i := it.point
+		if split[i] != unassigned || it.lambda != lambda[i] {
 			continue // stale entry
 		}
 		if lambda[i] == 0 {
@@ -148,7 +128,7 @@ func coarsenRS(g *strengthGraph) []int8 {
 			for _, k := range g.strongDeps(j) {
 				if split[k] == unassigned {
 					lambda[k]++
-					h.push(newLambdaEntry(lambda[k], k))
+					h.push(lambdaItem{lambda[k], k})
 				}
 			}
 		}

@@ -18,9 +18,6 @@ import (
 // (the standard treatment for essentially negative-coupled problems).
 func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, split []int8) *matrix.CSR[T] {
 	n := a.Rows
-	if n >= math.MaxInt32 {
-		panic("amg: interpolation stamps rows in 32 bits")
-	}
 	var rowBuf []pEntry
 	cmap := make([]int, n)
 	nc := 0
@@ -36,7 +33,7 @@ func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, spli
 	// strongC[j] == stamp marks j a strong C-neighbour of the current row;
 	// the stamp, the row's index plus one, changes row to row, so no mark
 	// needs clearing.
-	strongC := make([]int32, n)
+	strongC := make([]int, n)
 	for i := 0; i < n; i++ {
 		if split[i] == cPoint {
 			p.ColIdx = append(p.ColIdx, cmap[i])
@@ -44,7 +41,7 @@ func buildInterpolation[T matrix.Float](a *matrix.CSR[T], g *strengthGraph, spli
 			p.RowPtr[i+1] = len(p.Vals)
 			continue
 		}
-		stamp, nStrongC := int32(i+1), 0
+		stamp, nStrongC := i+1, 0
 		for _, j := range g.strongDeps(i) {
 			if split[j] == cPoint {
 				strongC[j] = stamp

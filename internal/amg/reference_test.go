@@ -12,13 +12,6 @@ import (
 	"smat/internal/matrix"
 )
 
-// lambdaItem is the reference heap's entry: the measure and the point as two
-// words, as coarsenRS held them before it packed them into one.
-type lambdaItem struct {
-	lambda int
-	point  int
-}
-
 // refHeap is the container/heap max-heap coarsenRS used before its typed
 // heap: the reference the typed heap's sift order is pinned against.
 type refHeap []lambdaItem
